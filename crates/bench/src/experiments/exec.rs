@@ -1,24 +1,25 @@
-//! The `exec` experiment: interpreter vs compiled id-vector batches vs
-//! compiled bitmap selections.
+//! The `exec` experiment: the reference interpreter vs the production bitmap
+//! pipeline.
 //!
 //! The simulated backend's executor is the hottest path in the repo — every QTE
 //! feature, Q-agent reward and serving decision is trained against its cost
-//! profile, so `vizdb` grew two compiled execution engines
-//! ([`vizdb::exec::ExecEngine::CompiledIdVec`] and the default
-//! [`vizdb::exec::ExecEngine::CompiledBitmap`]): predicates are lowered once
-//! per execution, then evaluated either over record-id batches with a
-//! selection-vector loop or over `SelectionBitmap` chunks with 64-bit word
-//! kernels and skip-block index scans. This experiment runs the same viewport
-//! workloads through all three engines and reports:
+//! profile. `vizdb` runs one production engine ([`vizdb::Database::run`]):
+//! predicates are lowered once per execution, then evaluated over
+//! `SelectionBitmap` chunks with 64-bit word kernels and skip-block index
+//! scans. The row-at-a-time interpreter ([`vizdb::Database::run_reference`]) is
+//! the oracle it is pinned against. This experiment runs the same viewport
+//! workloads through both and reports:
 //!
 //! * **result equivalence** — every `QueryResult`, `WorkProfile` and simulated
-//!   time must be byte-identical (asserted, not just reported: the engines are
+//!   time must be byte-identical (asserted, not just reported: the two are
 //!   observationally indistinguishable, only wall-clock differs);
-//! * **aggregate wall-clock speedup** — total real time of the batch, bitmap
-//!   engine vs interpreter, for a sequential-scan-heavy workload (every
-//!   predicate residual), a multi-predicate index-residual one (two indexed
-//!   predicates intersected, one residual) and an index-heavy one (every
-//!   predicate answered by an index);
+//! * **aggregate wall-clock speedup** — total real time of the batch, pipeline
+//!   vs interpreter, for a sequential-scan-heavy workload (every predicate
+//!   residual), a multi-predicate index-residual one (two indexed predicates
+//!   intersected, one residual) and an index-heavy one (every predicate
+//!   answered by an index);
+//! * a **thread sweep** — the pipeline at 1/2/4/8 morsel workers
+//!   ([`vizdb::Database::run_with_threads`]), byte-identical at every count;
 //! * a machine-readable `BENCH_exec.json` dump in the working directory,
 //!   extending the repo's performance trajectory.
 //!
@@ -34,7 +35,7 @@ use vizdb::exec::QueryResult;
 use vizdb::hints::{HintSet, RewriteOption};
 use vizdb::query::Query;
 use vizdb::timing::WorkProfile;
-use vizdb::{Database, ExecEngine};
+use vizdb::Database;
 
 use maliva_workload::QueryGenConfig;
 
@@ -47,8 +48,8 @@ const SEED: u64 = 42;
 /// noise even at the tiny default scale.
 const REPEATS: usize = 5;
 
-/// One engine's pass over a workload: total wall-clock nanos plus the
-/// per-query results, work profiles and simulated times of the final repeat.
+/// One pass over a workload: total wall-clock nanos plus the per-query
+/// results, work profiles and simulated times of the first repeat.
 struct EnginePass {
     wall_nanos: u128,
     results: Vec<QueryResult>,
@@ -56,20 +57,13 @@ struct EnginePass {
     sim_ms: f64,
 }
 
+/// Runs the workload `repeats` times. `threads` is the pipeline's morsel-crew
+/// size; `None` runs the reference interpreter instead.
 fn run_pass(
     db: &Database,
     queries: &[Query],
     ro: &RewriteOption,
-    engine: ExecEngine,
-) -> EnginePass {
-    run_pass_repeats(db, queries, ro, engine, REPEATS)
-}
-
-fn run_pass_repeats(
-    db: &Database,
-    queries: &[Query],
-    ro: &RewriteOption,
-    engine: ExecEngine,
+    threads: Option<usize>,
     repeats: usize,
 ) -> EnginePass {
     let mut results = Vec::with_capacity(queries.len());
@@ -81,9 +75,11 @@ fn run_pass_repeats(
         // executes; only the simulated-time *value* is cached), but collect the
         // observables once.
         for query in queries {
-            let outcome = db
-                .run_with_engine(query, ro, engine)
-                .expect("executing a generated viewport query");
+            let outcome = match threads {
+                Some(threads) => db.run_with_threads(query, ro, threads),
+                None => db.run_reference(query, ro),
+            }
+            .expect("executing a generated viewport query");
             if repeat == 0 {
                 results.push(outcome.result);
                 work.push(outcome.work);
@@ -102,11 +98,11 @@ fn run_pass_repeats(
 fn assert_pass_matches(name: &str, engine: &str, reference: &EnginePass, pass: &EnginePass) {
     assert_eq!(
         reference.results, pass.results,
-        "{name}: {engine} results must be byte-identical to the reference engine"
+        "{name}: {engine} results must be byte-identical to the reference"
     );
     assert_eq!(
         reference.work, pass.work,
-        "{name}: {engine} work profiles must match the reference engine"
+        "{name}: {engine} work profiles must match the reference"
     );
     assert!(
         (reference.sim_ms - pass.sim_ms).abs() < 1e-9,
@@ -118,9 +114,9 @@ fn assert_pass_matches(name: &str, engine: &str, reference: &EnginePass, pass: &
 
 /// The `exec` experiment entry point.
 pub fn run_exec_engine() -> Vec<ExperimentOutput> {
-    // The engines differ in *per-row* cost, so measure on tables big enough
-    // that scans dominate the fixed per-query overheads (planning, fingerprint
-    // hashing) the engines share: at least the `small` scale even when the
+    // The two differ in *per-row* cost, so measure on tables big enough that
+    // scans dominate the fixed per-query overheads (planning, fingerprint
+    // hashing) they share: at least the `small` scale even when the
     // training-bound experiments default to `tiny`.
     let mut scale = scale_from_env();
     scale.rows = scale.rows.max(maliva_workload::DatasetScale::small().rows);
@@ -132,8 +128,8 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
     // residual (the columnar kernels' regime); "index-residual" answers two
     // predicates from indexes and leaves one residual (candidate intersection
     // + bitmap refinement); "index-heavy" answers every predicate from an
-    // index, leaving only scan + intersection work — the regime the bitmap
-    // engine's sort-free index scans and word-wise AND target.
+    // index, leaving only scan + intersection work — the regime the
+    // pipeline's sort-free index scans and word-wise AND target.
     let datasets = [DatasetKind::Twitter, DatasetKind::NycTaxi];
     let regimes = [
         (
@@ -181,27 +177,21 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
             let name = format!("{} {regime}", kind.name());
             // Untimed warmup touches every table/column once, so the measured
             // interpreted pass (which runs first) is not charged the first-touch
-            // cost it would otherwise pay on behalf of the compiled passes.
+            // cost it would otherwise pay on behalf of the pipeline pass.
             for query in &queries {
-                db.run_with_engine(query, ro, ExecEngine::Interpreted)
-                    .expect("warmup");
+                db.run_reference(query, ro).expect("warmup");
             }
-            // Clear the simulated-time cache between passes so each engine
+            // Clear the simulated-time cache between passes so each pass
             // reports (and asserts against) its own computed times rather than
-            // another's canonical cached values.
+            // the other's canonical cached values.
             db.clear_caches();
-            let interpreted = run_pass(db, &queries, ro, ExecEngine::Interpreted);
+            let interpreted = run_pass(db, &queries, ro, None, REPEATS);
             db.clear_caches();
-            let idvec = run_pass(db, &queries, ro, ExecEngine::CompiledIdVec);
-            db.clear_caches();
-            let bitmap = run_pass(db, &queries, ro, ExecEngine::CompiledBitmap);
-            assert_pass_matches(&name, "compiled-idvec", &interpreted, &idvec);
-            assert_pass_matches(&name, "compiled-bitmap", &interpreted, &bitmap);
+            let bitmap = run_pass(db, &queries, ro, Some(1), REPEATS);
+            assert_pass_matches(&name, "pipeline", &interpreted, &bitmap);
             let interp_ms = interpreted.wall_nanos as f64 / 1e6;
-            let idvec_ms = idvec.wall_nanos as f64 / 1e6;
             let bitmap_ms = bitmap.wall_nanos as f64 / 1e6;
             let speedup = interp_ms / bitmap_ms.max(1e-9);
-            let speedup_vs_idvec = idvec_ms / bitmap_ms.max(1e-9);
             match *regime {
                 "seq-scan-heavy" => {
                     seq_interp_ms += interp_ms;
@@ -217,7 +207,6 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
                 format!("{}", queries.len()),
                 format!("{REPEATS}"),
                 format!("{interp_ms:.1}"),
-                format!("{idvec_ms:.1}"),
                 format!("{bitmap_ms:.1}"),
                 format!("{speedup:.2}x"),
                 "yes".to_string(),
@@ -229,16 +218,14 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
                 "queries": queries.len(),
                 "repeats": REPEATS,
                 "interpreted_wall_ms": interp_ms,
-                "compiled_idvec_wall_ms": idvec_ms,
                 "compiled_bitmap_wall_ms": bitmap_ms,
                 "speedup": speedup,
-                "speedup_vs_idvec": speedup_vs_idvec,
                 "identical_results": true,
             }));
         }
     }
 
-    // The acceptance bars: the (default) bitmap engine must at least halve the
+    // The acceptance bars: the bitmap pipeline must at least halve the
     // wall clock of the seq-scan-heavy suite and take ≥ 1.5x off the
     // index-heavy suites. Only enforced in optimized builds (unoptimized
     // codegen distorts the ratios), and only unless
@@ -268,11 +255,11 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
     } else {
         assert!(
             seq_speedup >= 2.0,
-            "bitmap engine must be >= 2x on the seq-scan-heavy workloads, got {seq_speedup:.2}x"
+            "bitmap pipeline must be >= 2x on the seq-scan-heavy workloads, got {seq_speedup:.2}x"
         );
         assert!(
             idx_speedup >= 1.5,
-            "bitmap engine must be >= 1.5x on the index-heavy workloads, got {idx_speedup:.2}x"
+            "bitmap pipeline must be >= 1.5x on the index-heavy workloads, got {idx_speedup:.2}x"
         );
     }
 
@@ -281,9 +268,9 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
     let output = ExperimentOutput {
         id: "exec".into(),
         title: format!(
-            "Execution engine: interpreter vs compiled id-vector batches vs compiled bitmaps, \
-             Twitter + NYC Taxi heatmap viewports ({} rows/table, {REPEATS} repeats; wall clock; \
-             aggregate speedups: seq-scan {seq_speedup:.2}x, index {idx_speedup:.2}x)",
+            "Execution engine: reference interpreter vs bitmap pipeline, Twitter + NYC Taxi \
+             heatmap viewports ({} rows/table, {REPEATS} repeats; wall clock; aggregate \
+             speedups: seq-scan {seq_speedup:.2}x, index {idx_speedup:.2}x)",
             scale.rows,
         ),
         headers: [
@@ -291,7 +278,6 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
             "Viewports",
             "Repeats",
             "Interpreted (ms)",
-            "Id-vec (ms)",
             "Bitmap (ms)",
             "Speedup",
             "Identical results",
@@ -335,8 +321,8 @@ const SCALING_REPEATS: usize = 3;
 /// The morsel-parallel scaling regime: the seq-scan-heavy Twitter workload on
 /// a dedicated larger table (scan work must dominate the per-query fixed
 /// overheads the thread crew cannot parallelise — planning, fingerprinting and
-/// the worker spawns themselves), run through `ExecEngine::ParallelBitmap` at
-/// 1/2/4/8 threads against the sequential bitmap reference.
+/// the worker spawns themselves), run through `Database::run_with_threads` at
+/// 1/2/4/8 threads against the database's own single-threaded `run`.
 ///
 /// Byte-identity of results, work profiles and simulated times is asserted at
 /// *every* thread count unconditionally. The wall-clock bar — ≥ 2x aggregate
@@ -378,19 +364,12 @@ fn run_thread_scaling(
         .collect();
     let ro = RewriteOption::hinted(HintSet::with_mask(0)); // every predicate residual
 
-    // Untimed warmup (first-touch) with the sequential reference engine.
+    // Untimed warmup (first-touch), then the sequential baseline.
     for query in &queries {
-        db.run_with_engine(query, &ro, ExecEngine::CompiledBitmap)
-            .expect("warmup");
+        db.run(query, &ro).expect("warmup");
     }
     db.clear_caches();
-    let reference = run_pass_repeats(
-        db,
-        &queries,
-        &ro,
-        ExecEngine::CompiledBitmap,
-        SCALING_REPEATS,
-    );
+    let reference = run_pass(db, &queries, &ro, Some(1), SCALING_REPEATS);
     let sequential_ms = reference.wall_nanos as f64 / 1e6;
 
     let mut rows = Vec::new();
@@ -398,16 +377,10 @@ fn run_thread_scaling(
     let mut speedup_at_4 = 1.0f64;
     for threads in SCALING_THREADS {
         db.clear_caches();
-        let pass = run_pass_repeats(
-            db,
-            &queries,
-            &ro,
-            ExecEngine::ParallelBitmap { threads },
-            SCALING_REPEATS,
-        );
+        let pass = run_pass(db, &queries, &ro, Some(threads), SCALING_REPEATS);
         assert_pass_matches(
             "twitter thread-scaling",
-            &format!("parallel-bitmap x{threads}"),
+            &format!("pipeline x{threads}"),
             &reference,
             &pass,
         );
@@ -457,7 +430,7 @@ fn run_thread_scaling(
     } else {
         assert!(
             speedup_at_4 >= 2.0,
-            "parallel bitmap engine must be >= 2x at 4 threads on the seq-scan-heavy workload, \
+            "the pipeline must be >= 2x at 4 threads on the seq-scan-heavy workload, \
              got {speedup_at_4:.2}x"
         );
     }
@@ -465,7 +438,7 @@ fn run_thread_scaling(
     let output = ExperimentOutput {
         id: "exec-threads".into(),
         title: format!(
-            "Morsel-parallel execution: sequential bitmap vs ParallelBitmap at 1/2/4/8 threads, \
+            "Morsel-parallel execution: the bitmap pipeline at 1/2/4/8 threads vs 1 thread, \
              Twitter seq-scan-heavy viewports ({} rows, {SCALING_REPEATS} repeats, host \
              parallelism {parallelism}; byte-identical at every thread count; 4-thread speedup \
              {speedup_at_4:.2}x)",

@@ -1,5 +1,11 @@
 //! The `Database` facade: catalog, index management, planning, execution and the
 //! simulated-time cache.
+//!
+//! Execution has one production path ([`Database::run`], the bitmap pipeline of
+//! [`crate::exec`] at [`DbConfig::exec_threads`] workers) and one oracle
+//! ([`Database::run_reference`], the row-at-a-time interpreter). They share
+//! planning, LIMIT sizing, timing and the time cache, so the only thing that
+//! can differ between them is the executor itself.
 
 use std::collections::{HashMap, HashSet};
 
@@ -8,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::approx::ApproxRule;
 use crate::cache::FingerprintCache;
 use crate::error::{Error, Result};
-use crate::exec::{execute_with, ExecEngine, ExecTable, QueryResult};
+use crate::exec::{self, ExecTable, QueryResult};
 use crate::fingerprint::{predicate_fingerprint, query_fingerprint, rewrite_fingerprint};
 use crate::hints::{enumerate_hint_sets, RewriteOption};
 use crate::index::{BPlusTree, InvertedIndex, RTree};
@@ -34,11 +40,12 @@ pub struct DbConfig {
     pub seed: u64,
     /// Millisecond cost constants of the execution engine.
     pub cost_params: CostParams,
-    /// Worker threads for the morsel-driven parallel bitmap engine. `1` (the
-    /// default) runs the sequential [`ExecEngine::CompiledBitmap`]; higher
-    /// counts run [`ExecEngine::ParallelBitmap`], whose results, work profile
-    /// and simulated time are byte-identical at every thread count (only
-    /// wall-clock changes). The calling thread participates as a worker.
+    /// Worker threads of the execution pipeline's morsel crew. `1` (the
+    /// default; `0` behaves the same) runs every kernel sequentially on the
+    /// calling thread; higher counts split the chunk work into morsels.
+    /// Results, work profile and simulated time are byte-identical at every
+    /// thread count (only wall-clock changes). The calling thread participates
+    /// as a worker.
     pub exec_threads: usize,
 }
 
@@ -464,37 +471,31 @@ impl Database {
         Ok((sel, scanned))
     }
 
-    /// The engine selected by this instance's configuration: the sequential
-    /// default, or [`ExecEngine::ParallelBitmap`] when
-    /// [`DbConfig::exec_threads`] asks for more than one worker.
-    fn default_engine(&self) -> ExecEngine {
-        if self.config.exec_threads > 1 {
-            ExecEngine::ParallelBitmap {
-                threads: self.config.exec_threads,
-            }
-        } else {
-            ExecEngine::default()
-        }
-    }
-
     /// Runs the rewritten query and returns its materialised result, plan, operation
     /// counts and simulated execution time.
     pub fn run(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
-        self.run_inner(query, ro, true, self.default_engine())
+        self.run_inner(query, ro, true, Some(self.config.exec_threads))
     }
 
-    /// [`Database::run`] with an explicit execution engine — the interpreter,
-    /// the compiled id-vector engine and the compiled bitmap engine are
-    /// observationally identical (same results, same work profile, same
-    /// simulated time); the knob exists for equivalence tests and the `exec`
-    /// benchmark that measures the wall-clock gaps.
-    pub fn run_with_engine(
+    /// [`Database::run`] at an explicit morsel-crew size instead of
+    /// [`DbConfig::exec_threads`]. Every observable is byte-identical at every
+    /// thread count; the knob exists for the equivalence suites and the `exec`
+    /// benchmark's thread sweep.
+    pub fn run_with_threads(
         &self,
         query: &Query,
         ro: &RewriteOption,
-        engine: ExecEngine,
+        threads: usize,
     ) -> Result<RunOutcome> {
-        self.run_inner(query, ro, true, engine)
+        self.run_inner(query, ro, true, Some(threads))
+    }
+
+    /// [`Database::run`] on the reference oracle — the row-at-a-time
+    /// interpreter the production pipeline must match bit for bit (same
+    /// results, same work profile, same simulated time). For equivalence tests
+    /// and the `exec` benchmark that measures the wall-clock gap.
+    pub fn run_reference(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
+        self.run_inner(query, ro, true, None)
     }
 
     /// Simulated execution time of `query` rewritten with `ro`, without materialising
@@ -509,16 +510,18 @@ impl Database {
         // the returned outcome carries the canonical time), so no second insert —
         // and no second key hash — is needed here.
         Ok(self
-            .run_inner(query, ro, false, self.default_engine())?
+            .run_inner(query, ro, false, Some(self.config.exec_threads))?
             .time_ms)
     }
 
+    /// `threads` is the pipeline's morsel-crew size; `None` runs the reference
+    /// oracle instead.
     fn run_inner(
         &self,
         query: &Query,
         ro: &RewriteOption,
         materialize: bool,
-        engine: ExecEngine,
+        threads: Option<usize>,
     ) -> Result<RunOutcome> {
         let fact = self.entry(&query.table)?;
         let dim = self.dim_entry(query)?;
@@ -535,16 +538,28 @@ impl Database {
             _ => query.limit,
         };
 
+        let fact_exec = fact.exec_table();
         let dim_exec = dim.map(|d| d.exec_table());
-        let outcome = execute_with(
-            query,
-            &plan,
-            &fact.exec_table(),
-            dim_exec.as_ref(),
-            limit_rows,
-            materialize,
-            engine,
-        )?;
+        let dim_exec = dim_exec.as_ref();
+        let outcome = match threads {
+            Some(threads) => exec::execute(
+                query,
+                &plan,
+                &fact_exec,
+                dim_exec,
+                limit_rows,
+                materialize,
+                threads,
+            ),
+            None => exec::reference::execute(
+                query,
+                &plan,
+                &fact_exec,
+                dim_exec,
+                limit_rows,
+                materialize,
+            ),
+        }?;
 
         let base_ms = execution_time_ms(&outcome.work, &self.config.cost_params);
         let fp = query_fingerprint(query) ^ plan.signature() ^ self.config.seed;

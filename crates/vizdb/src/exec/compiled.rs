@@ -1,13 +1,15 @@
-//! The compiled columnar batch execution path.
+//! Predicate lowering and the columnar kernels of the bitmap pipeline.
 //!
-//! The interpreter in [`crate::exec::executor`] re-matches the [`ColumnData`]
-//! variant, re-bounds-checks the column vector and — for keyword predicates —
-//! re-resolves the dictionary token on *every row*. This module lowers each
-//! query's predicates **once per execution** into typed [`CompiledPredicate`]s
-//! that bind the concrete column slice and the pre-resolved token up front, then
-//! evaluates them over record-id batches with a selection-vector loop: predicate
-//! `k` only sees the rows that survived predicates `0..k`, which is exactly the
-//! work the short-circuiting interpreter performs, so `WorkProfile` counts (and
+//! The reference interpreter ([`crate::exec::reference`]) re-matches the
+//! [`ColumnData`] variant, re-bounds-checks the column vector and dispatches
+//! through a `Result` on *every row*. This module lowers each query's
+//! predicates **once per execution** into typed [`CompiledPredicate`]s that bind
+//! the concrete column slice and the pre-resolved keyword token up front, then
+//! evaluates them over 4096-row [`SelectionBitmap`] chunks with 64-bit word
+//! kernels (contiguous scans, index-candidate refinement) or over record-id
+//! batches with a selection-vector loop (sampled scans). Predicate `k` only
+//! sees the rows that survived predicates `0..k`, which is exactly the work
+//! the short-circuiting interpreter performs, so `WorkProfile` counts (and
 //! therefore simulated times) are identical by construction.
 //!
 //! Binned-count outputs additionally get **dense-grid binning**: when the grid
@@ -15,12 +17,13 @@
 //! `Vec<u64>` indexed by bin id instead of a `HashMap`, producing the same
 //! sorted `(bin, count)` pairs without hashing per qualifying row.
 //!
-//! Compilation is falliable (a type-mismatched or out-of-range predicate cannot
-//! bind its column); callers fall back to the interpreter in that case so error
-//! behaviour — including the "empty table never evaluates a predicate" edge —
-//! stays observationally identical.
+//! Compilation is fallible (a type-mismatched or out-of-range predicate cannot
+//! bind its column); the executor then runs the whole query on the reference
+//! interpreter, so error behaviour — including the "empty table never
+//! evaluates a predicate" edge — stays observationally identical.
 //!
 //! [`ColumnData`]: crate::storage::ColumnData
+//! [`SelectionBitmap`]: crate::bitmap::SelectionBitmap
 
 use std::collections::HashMap;
 
@@ -30,44 +33,6 @@ use crate::query::{BinGrid, Predicate};
 use crate::storage::{Table, TextColumn};
 use crate::timing::WorkProfile;
 use crate::types::{GeoPoint, GeoRect, NumRange, RecordId, TimeRange, Timestamp, TokenId};
-
-/// Which execution path the executor takes. The compiled bitmap engine is the
-/// default; the interpreter is kept as the semantic reference (equivalence is
-/// pinned by a property test) and as the fallback for queries that fail to
-/// compile, and the id-vector engine is the intermediate point — compiled
-/// predicates over `Vec<RecordId>` selection vectors — kept both as a second
-/// reference and as the baseline the bench compares bitmaps against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecEngine {
-    /// Row-at-a-time `Result`-dispatched predicate interpretation.
-    Interpreted,
-    /// Predicates lowered once per execution, evaluated over record-id batches
-    /// held as sorted `Vec<RecordId>` selection vectors.
-    CompiledIdVec,
-    /// Predicates lowered once per execution, candidates carried as
-    /// [`SelectionBitmap`](crate::bitmap::SelectionBitmap)s and refined
-    /// chunk-by-chunk over 64-bit words.
-    #[default]
-    CompiledBitmap,
-    /// The bitmap engine with morsel-driven intra-query parallelism: the
-    /// record space is split into chunk-aligned morsels executed by `threads`
-    /// workers and merged in deterministic morsel order, so every observable
-    /// (results, `WorkProfile`, simulated time, plan) is byte-identical to
-    /// [`ExecEngine::CompiledBitmap`] at any thread count. `threads <= 1`
-    /// degenerates to the sequential bitmap engine.
-    ParallelBitmap {
-        /// Worker count; the calling thread participates as one of them.
-        threads: usize,
-    },
-}
-
-impl ExecEngine {
-    /// `true` for every compiled variant — they share predicate lowering and
-    /// the interpreter fallback for uncompilable queries.
-    pub fn is_compiled(self) -> bool {
-        !matches!(self, ExecEngine::Interpreted)
-    }
-}
 
 /// Record ids per selection-vector batch. Small enough that a batch of ids plus
 /// the touched column stripes stay cache-resident, large enough to amortise the
@@ -132,7 +97,12 @@ pub enum CompiledPredicate<'a> {
 impl CompiledPredicate<'_> {
     /// Evaluates the predicate for one row. Infallible: the column was bound and
     /// type-checked at compile time.
-    #[inline]
+    ///
+    /// `inline(always)`: this runs once per set bit inside
+    /// [`CompiledPredicate::refine_words`]; left to the inliner's cost model it
+    /// can end up an out-of-line call there, which costs the index-plan
+    /// refinement kernels about a quarter of their speed.
+    #[inline(always)]
     pub fn eval(&self, rid: RecordId) -> bool {
         let rid = rid as usize;
         match self {
@@ -145,59 +115,6 @@ impl CompiledPredicate<'_> {
             CompiledPredicate::NumericFloat { col, range } => range.contains(col[rid]),
             CompiledPredicate::NumericTimestamp { col, range } => range.contains(col[rid] as f64),
             CompiledPredicate::Spatial { col, rect } => rect.contains(&col[rid]),
-        }
-    }
-
-    /// Evaluates the predicate over the contiguous row range `[start, end)`,
-    /// pushing matching record ids. This is the columnar fast path for the
-    /// *first* predicate of a sequential scan: it streams the raw column slice
-    /// instead of gathering through a selection vector.
-    #[inline]
-    fn filter_range(&self, start: RecordId, end: RecordId, out: &mut Vec<RecordId>) {
-        let (s, e) = (start as usize, end as usize);
-        match self {
-            CompiledPredicate::Keyword { docs, token } => {
-                if let Some(t) = token {
-                    // CSR layout: sweep the batch's contiguous token stripe once
-                    // instead of binary-searching each document.
-                    docs.rows_containing(s, e, *t, out);
-                }
-            }
-            CompiledPredicate::Time { col, range } => {
-                for (i, v) in col[s..e].iter().enumerate() {
-                    if range.contains(*v) {
-                        out.push(start + i as RecordId);
-                    }
-                }
-            }
-            CompiledPredicate::NumericInt { col, range } => {
-                for (i, v) in col[s..e].iter().enumerate() {
-                    if range.contains(*v as f64) {
-                        out.push(start + i as RecordId);
-                    }
-                }
-            }
-            CompiledPredicate::NumericFloat { col, range } => {
-                for (i, v) in col[s..e].iter().enumerate() {
-                    if range.contains(*v) {
-                        out.push(start + i as RecordId);
-                    }
-                }
-            }
-            CompiledPredicate::NumericTimestamp { col, range } => {
-                for (i, v) in col[s..e].iter().enumerate() {
-                    if range.contains(*v as f64) {
-                        out.push(start + i as RecordId);
-                    }
-                }
-            }
-            CompiledPredicate::Spatial { col, rect } => {
-                for (i, p) in col[s..e].iter().enumerate() {
-                    if rect.contains(p) {
-                        out.push(start + i as RecordId);
-                    }
-                }
-            }
         }
     }
 
@@ -406,15 +323,16 @@ pub fn compile_predicate<'a>(pred: &Predicate, table: &'a Table) -> Result<Compi
 }
 
 /// Lowers the predicates at `indices` (into `preds`). Returns `Err` when any of
-/// them cannot bind its column — the caller falls back to the interpreter.
+/// them cannot bind its column — the executor then runs the whole query on the
+/// reference interpreter.
 pub fn compile_predicates<'a>(
     preds: &[Predicate],
-    indices: &[usize],
+    indices: impl IntoIterator<Item = usize>,
     table: &'a Table,
 ) -> Result<Vec<CompiledPredicate<'a>>> {
     indices
-        .iter()
-        .map(|&i| {
+        .into_iter()
+        .map(|i| {
             let pred = preds
                 .get(i)
                 .ok_or(crate::error::Error::InvalidAttribute(i))?;
@@ -438,17 +356,45 @@ pub fn eval_row(preds: &[CompiledPredicate<'_>], rid: RecordId, work: &mut WorkP
     true
 }
 
-/// Runs predicates `1..` of the conjunction over an already-seeded selection
-/// vector and appends the survivors. Predicate 0 was applied by the caller
-/// (either by seeding the vector or via [`CompiledPredicate::filter_range`]).
+/// Evaluates the compiled conjunction row-at-a-time over `rows`, stopping at
+/// the `cap`-th match so rows past the cut stay untouched, exactly like the
+/// interpreter. `row_charge` is the per-row-visited charge (`seq_rows` or
+/// `heap_fetches`). A zero cap visits nothing.
+pub(crate) fn qualify_capped(
+    preds: &[CompiledPredicate<'_>],
+    rows: impl Iterator<Item = RecordId>,
+    cap: usize,
+    row_charge: impl Fn(&mut WorkProfile),
+    work: &mut WorkProfile,
+    qualifying: &mut Vec<RecordId>,
+) {
+    let mut remaining = cap;
+    if remaining == 0 {
+        return;
+    }
+    for rid in rows {
+        row_charge(work);
+        if eval_row(preds, rid, work) {
+            qualifying.push(rid);
+            remaining -= 1;
+            if remaining == 0 {
+                return;
+            }
+        }
+    }
+}
+
+/// Runs the conjunction over one seeded selection-vector batch and appends the
+/// survivors: predicate `k` filters (and is charged for) only the rows that
+/// survived predicates `0..k`, matching the short-circuiting interpreter.
 #[inline]
 fn finish_batch(
-    rest: &[CompiledPredicate<'_>],
+    preds: &[CompiledPredicate<'_>],
     selection: &mut Vec<RecordId>,
     qualifying: &mut Vec<RecordId>,
     work: &mut WorkProfile,
 ) {
-    for pred in rest {
+    for pred in preds {
         if selection.is_empty() {
             break;
         }
@@ -458,45 +404,8 @@ fn finish_batch(
     qualifying.extend_from_slice(selection);
 }
 
-/// Batch-qualifies the contiguous row range `rows` through the compiled
-/// conjunction, appending survivors to `qualifying`. The first predicate
-/// streams each batch's column stripe directly ([`CompiledPredicate::filter_range`]);
-/// later predicates filter the shrinking selection vector.
-///
-/// `filter_evals` accounting matches the short-circuiting interpreter exactly:
-/// predicate `k` is charged once per row that survived predicates `0..k`.
-pub fn qualify_range(
-    preds: &[CompiledPredicate<'_>],
-    rows: std::ops::Range<RecordId>,
-    qualifying: &mut Vec<RecordId>,
-    work: &mut WorkProfile,
-    mut per_batch_rows: impl FnMut(&mut WorkProfile, u64),
-) {
-    let mut selection: Vec<RecordId> = Vec::with_capacity(BATCH_ROWS);
-    let mut start = rows.start;
-    while start < rows.end {
-        let end = rows.end.min(start + BATCH_ROWS as RecordId);
-        per_batch_rows(work, (end - start) as u64);
-        selection.clear();
-        match preds.first() {
-            Some(first) => {
-                work.filter_evals += (end - start) as u64;
-                first.filter_range(start, end, &mut selection);
-            }
-            None => selection.extend(start..end),
-        }
-        finish_batch(
-            preds.get(1..).unwrap_or(&[]),
-            &mut selection,
-            qualifying,
-            work,
-        );
-        start = end;
-    }
-}
-
-/// Batch-qualifies an explicit record-id list (index candidates, sample rows)
-/// through the compiled conjunction. Same accounting as [`qualify_range`].
+/// Batch-qualifies an explicit record-id list (the rows of a sample table)
+/// through the compiled conjunction, [`BATCH_ROWS`] ids at a time.
 pub fn qualify_slice(
     preds: &[CompiledPredicate<'_>],
     rids: &[RecordId],
@@ -509,21 +418,13 @@ pub fn qualify_slice(
         per_batch_rows(work, chunk.len() as u64);
         selection.clear();
         selection.extend_from_slice(chunk);
-        if let Some(first) = preds.first() {
-            work.filter_evals += selection.len() as u64;
-            first.filter(&mut selection);
-        }
-        finish_batch(
-            preds.get(1..).unwrap_or(&[]),
-            &mut selection,
-            qualifying,
-            work,
-        );
+        finish_batch(preds, &mut selection, qualifying, work);
     }
 }
 
-/// Batch-qualifies an arbitrary record-id stream (e.g. the hash-sampled scan)
-/// through the compiled conjunction. Same accounting as [`qualify_range`].
+/// Batch-qualifies an arbitrary record-id stream (the hash-sampled scan)
+/// through the compiled conjunction. Same batches and accounting as
+/// [`qualify_slice`] over the collected stream.
 pub fn qualify_batches(
     preds: &[CompiledPredicate<'_>],
     candidates: impl Iterator<Item = RecordId>,
@@ -537,16 +438,7 @@ pub fn qualify_batches(
         selection.clear();
         selection.extend(source.by_ref().take(BATCH_ROWS));
         per_batch_rows(work, selection.len() as u64);
-        if let Some(first) = preds.first() {
-            work.filter_evals += selection.len() as u64;
-            first.filter(&mut selection);
-        }
-        finish_batch(
-            preds.get(1..).unwrap_or(&[]),
-            &mut selection,
-            qualifying,
-            work,
-        );
+        finish_batch(preds, &mut selection, qualifying, work);
     }
 }
 
@@ -561,10 +453,9 @@ fn popcount(words: &[u64; CHUNK_WORDS]) -> u64 {
 /// kernel ([`CompiledPredicate::fill_words`]); later predicates re-evaluate
 /// only the set bits ([`CompiledPredicate::refine_words`]).
 ///
-/// `filter_evals` accounting matches [`qualify_range`] (and therefore the
-/// short-circuiting interpreter) exactly: predicate `k` is charged once per
-/// row that survived predicates `0..k` — a chunk's surviving-row count is one
-/// `popcount` away.
+/// `filter_evals` accounting matches the short-circuiting interpreter
+/// exactly: predicate `k` is charged once per row that survived predicates
+/// `0..k` — a chunk's surviving-row count is one `popcount` away.
 ///
 /// `chunk_capacity` pre-sizes the result's chunk vector (callers derive it
 /// from the planner's row estimate); it is a capacity hint only and never
@@ -614,7 +505,7 @@ pub fn qualify_range_bitmap(
 /// Refines an index-candidate [`SelectionBitmap`] through the compiled residual
 /// conjunction chunk by chunk. Every predicate (including the first) sees only
 /// the already-selected rows, so each is charged `popcount` of the surviving
-/// words — the same count [`qualify_slice`] charges on the id-vector path.
+/// words.
 /// `chunk_capacity` is a capacity hint as in [`qualify_range_bitmap`].
 pub fn qualify_bitmap(
     preds: &[CompiledPredicate<'_>],
@@ -634,7 +525,7 @@ pub fn qualify_bitmap(
 }
 
 /// [`qualify_bitmap`] restricted to the candidate chunk *positions* `pos` — the
-/// per-morsel step of the parallel engine. Running this over a partition of
+/// per-morsel step of the morsel driver. Running this over a partition of
 /// `0..chunk_count()` and concatenating the results in position order is
 /// chunk-for-chunk identical to one sequential [`qualify_bitmap`] pass, because
 /// every chunk is refined independently.
@@ -726,7 +617,7 @@ pub fn bin_counts_iter(
 }
 
 /// The dense-vs-sparse decision shared by [`bin_counts_iter`] and the parallel
-/// binning path — one place, so the engines cannot disagree on which
+/// binning path — one place, so the two cannot disagree on which
 /// accumulator a given (grid, cardinality) pair takes.
 pub(crate) fn dense_grid_gate(cells: usize, row_count: usize) -> bool {
     cells > 0
@@ -773,9 +664,9 @@ pub(crate) fn dense_accum_finish(counts: &[u64], materialize: bool) -> BinnedAcc
     }
 }
 
-/// Sparse binning shared by the compiled engine's large-grid fallback and the
+/// Sparse binning shared by the pipeline's large-grid fallback and the
 /// interpreter: `HashMap` accumulation, sorted pairs only when materialized —
-/// the single place the non-dense accumulation semantics live, so the engines
+/// the single place the non-dense accumulation semantics live, so the two
 /// cannot drift.
 pub(crate) fn sparse_bin_accum(
     grid: &BinGrid,
@@ -798,6 +689,24 @@ pub(crate) fn sparse_bin_accum(
         distinct_bins,
         pairs,
     }
+}
+
+/// Collects the `(id, point)` pairs of the qualifying rows over the bound
+/// columns. `ids` is the bound id column; `None` (the column failed to bind)
+/// falls back to the record id, mirroring the interpreter's per-row
+/// `unwrap_or`.
+pub(crate) fn gather_points(
+    qualifying: impl Iterator<Item = RecordId>,
+    row_count: usize,
+    ids: Option<&[i64]>,
+    geo: &[GeoPoint],
+) -> Vec<(i64, GeoPoint)> {
+    let mut points = Vec::with_capacity(row_count);
+    for rid in qualifying {
+        let id = ids.map_or(rid as i64, |s| s[rid as usize]);
+        points.push((id, geo[rid as usize]));
+    }
+    points
 }
 
 #[cfg(test)]
@@ -841,7 +750,7 @@ mod tests {
         for pred in &preds {
             let compiled = compile_predicate(pred, &t).unwrap();
             for rid in 0..t.row_count() as RecordId {
-                let expected = super::super::executor::eval_predicate(pred, &t, rid).unwrap();
+                let expected = crate::exec::reference::eval_predicate(pred, &t, rid).unwrap();
                 assert_eq!(compiled.eval(rid), expected, "{pred:?} row {rid}");
             }
         }
@@ -879,36 +788,50 @@ mod tests {
                 Predicate::time_range(1, 0, 490),
                 Predicate::keyword(3, "hot"),
             ],
-            &[0, 1],
+            0..2,
             &t,
         )
         .unwrap();
         let rows = t.row_count() as RecordId;
+        let seq_row = |w: &mut WorkProfile| w.seq_rows += 1;
         let mut row_work = WorkProfile::default();
         let mut expected = Vec::new();
-        for rid in 0..rows {
-            row_work.seq_rows += 1;
-            if eval_row(&preds, rid, &mut row_work) {
-                expected.push(rid);
-            }
-        }
+        qualify_capped(
+            &preds,
+            0..rows,
+            usize::MAX,
+            seq_row,
+            &mut row_work,
+            &mut expected,
+        );
         // Predicate 0 passes rows 0..=49 (timestamps 0..=490), so predicate 1 is
         // charged exactly 50 evaluations on top of predicate 0's 100.
         assert_eq!(row_work.filter_evals, 150);
+        assert_eq!(row_work.seq_rows, 100);
 
-        // All three batch entry points agree with the short-circuiting loop.
+        // Every batch entry point agrees with the short-circuiting loop.
         let all_rids: Vec<RecordId> = (0..rows).collect();
         let seq = |w: &mut WorkProfile, n: u64| w.seq_rows += n;
         for entry in 0..3 {
             let mut work = WorkProfile::default();
             let mut qualifying = Vec::new();
             match entry {
-                0 => qualify_range(&preds, 0..rows, &mut qualifying, &mut work, seq),
+                0 => qualifying = qualify_range_bitmap(&preds, 0..rows, 0, &mut work, seq).to_vec(),
                 1 => qualify_slice(&preds, &all_rids, &mut qualifying, &mut work, seq),
                 _ => qualify_batches(&preds, 0..rows, &mut qualifying, &mut work, seq),
             }
             assert_eq!(qualifying, expected, "entry point {entry}");
             assert_eq!(work, row_work, "entry point {entry}");
+        }
+
+        // A cap stops at the cap-th match and charges only the rows visited;
+        // a zero cap visits nothing.
+        for (cap, visited) in [(0usize, 0u64), (1, 1), (3, 7)] {
+            let mut work = WorkProfile::default();
+            let mut qualifying = Vec::new();
+            qualify_capped(&preds, 0..rows, cap, seq_row, &mut work, &mut qualifying);
+            assert_eq!(qualifying, expected[..cap], "cap {cap}");
+            assert_eq!(work.seq_rows, visited, "cap {cap}");
         }
     }
 
@@ -921,24 +844,15 @@ mod tests {
                 Predicate::keyword(3, "hot"),
                 Predicate::numeric_range(4, 5.0, 20.0),
             ],
-            &[0, 1, 2],
+            0..3,
             &t,
         )
         .unwrap();
         let rows = t.row_count() as RecordId;
         let seq = |w: &mut WorkProfile, n: u64| w.seq_rows += n;
 
-        // Full-range scan: same survivors, same work profile.
-        let mut idvec_work = WorkProfile::default();
-        let mut idvec = Vec::new();
-        qualify_range(&preds, 0..rows, &mut idvec, &mut idvec_work, seq);
-        let mut bm_work = WorkProfile::default();
-        let bm = qualify_range_bitmap(&preds, 0..rows, 0, &mut bm_work, seq);
-        assert_eq!(bm.to_vec(), idvec);
-        assert_eq!(bm_work, idvec_work);
-
         // Candidate refinement: seed with every third row, run the residual
-        // conjunction both ways.
+        // conjunction over the bitmap and over the id vector.
         let cands: Vec<RecordId> = (0..rows).step_by(3).collect();
         let cand_bm = crate::bitmap::SelectionBitmap::from_sorted(&cands);
         let mut idvec_work = WorkProfile::default();

@@ -1,26 +1,43 @@
-//! The physical-plan executor.
+//! The production executor: one bitmap pipeline.
+//!
+//! A plan runs through four plain phases:
+//!
+//! 1. **source** — the plan's index scans intersected into a candidate
+//!    [`SelectionBitmap`], or "every (sampled) row" for a sequential scan;
+//! 2. **qualify** — the residual predicates, as word kernels over 4096-row
+//!    chunks when uncapped and as a row-at-a-time loop that stops at the cap
+//!    under a `LIMIT`;
+//! 3. **join** — probe the dimension table per qualifying fact row;
+//! 4. **sink** — shape `Points` / `BinnedCounts` / `Count` over bound columns.
+//!
+//! Everything the phases evaluate — residual predicates, join-side predicates,
+//! output columns — is lowered once, up front ([`lower`]). A query that cannot
+//! be lowered runs on the reference interpreter instead: that is the only
+//! interpreter fallback, so the phases themselves are infallible past their
+//! inputs. Whether a phase runs on one thread or a morsel crew is decided
+//! behind [`crate::exec::parallel`]; this module only passes `threads` along.
 //!
 //! The executor performs *real* work against the in-memory tables and indexes
-//! (index scans, record-id intersections, residual filtering, joins, binning) and
-//! reports exact operation counts in a [`WorkProfile`]. The simulated execution time is
-//! derived from those counts by [`crate::timing::execution_time_ms`]; the materialised
-//! [`QueryResult`] is what the visualization quality functions consume.
+//! and reports exact operation counts in a [`WorkProfile`]. The simulated
+//! execution time is derived from those counts by
+//! [`crate::timing::execution_time_ms`]; the materialised [`QueryResult`] is
+//! what the visualization quality functions consume.
 
 use std::collections::HashMap;
 
 use crate::approx::ApproxRule;
 use crate::bitmap::{SelectionBitmap, CHUNK_BITS};
 use crate::error::{Error, Result};
-use crate::exec::compiled::{self, ExecEngine};
-use crate::exec::parallel;
+use crate::exec::compiled::{self, CompiledPredicate};
 use crate::exec::result::QueryResult;
+use crate::exec::{parallel, reference};
 use crate::hints::JoinMethod;
-use crate::index::{intersect_adaptive, intersect_skip_charge, BPlusTree, InvertedIndex, RTree};
+use crate::index::{intersect_skip_charge, BPlusTree, InvertedIndex, RTree, ScanStats};
 use crate::plan::PhysicalPlan;
-use crate::query::{BinGrid, OutputKind, Predicate, Query};
+use crate::query::{BinGrid, JoinSpec, OutputKind, Predicate, Query};
 use crate::storage::{SampleTable, Table};
 use crate::timing::{hash_unit, WorkProfile};
-use crate::types::{GeoPoint, RecordId, TokenId};
+use crate::types::{GeoPoint, GeoRect, RecordId, TokenId};
 
 /// Borrowed view over everything the executor needs for one table.
 #[derive(Clone, Copy)]
@@ -37,48 +54,6 @@ pub struct ExecTable<'a> {
     pub samples: &'a HashMap<u32, SampleTable>,
 }
 
-/// Phase-1 candidate selection: either "scan everything" or the rows surviving
-/// the plan's index predicates, in the representation the engine works in.
-enum Candidates {
-    /// No index predicates — phase 2 runs a sequential scan.
-    Seq,
-    /// Sorted record ids (interpreter and compiled id-vector engines).
-    Ids(Vec<RecordId>),
-    /// Bitmap selection (compiled bitmap engine).
-    Bitmap(SelectionBitmap),
-}
-
-/// Phase-2 output: the qualifying rows, still in engine representation. Both
-/// variants enumerate ids in ascending order, so the output phases are
-/// representation-agnostic.
-enum Qualified {
-    Ids(Vec<RecordId>),
-    Bitmap(SelectionBitmap),
-}
-
-impl Qualified {
-    fn len(&self) -> usize {
-        match self {
-            Qualified::Ids(v) => v.len(),
-            Qualified::Bitmap(b) => b.len(),
-        }
-    }
-
-    fn iter(&self) -> Box<dyn Iterator<Item = RecordId> + '_> {
-        match self {
-            Qualified::Ids(v) => Box::new(v.iter().copied()),
-            Qualified::Bitmap(b) => Box::new(b.iter()),
-        }
-    }
-
-    fn into_ids(self) -> Vec<RecordId> {
-        match self {
-            Qualified::Ids(v) => v,
-            Qualified::Bitmap(b) => b.to_vec(),
-        }
-    }
-}
-
 /// The outcome of executing a plan.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
@@ -92,9 +67,12 @@ pub struct ExecOutcome {
 
 /// Executes `plan` for `query` over `fact` (and `dim` for join queries).
 ///
-/// `limit_rows` caps the number of qualifying rows processed (used by the LIMIT
-/// approximation rule); `materialize` controls whether points/bins are collected or
-/// only counted.
+/// `limit_rows` caps the number of qualifying rows processed (an explicit
+/// `LIMIT` or the LIMIT approximation rule; `Some(0)` visits no row);
+/// `materialize` controls whether points/bins are collected or only counted;
+/// `threads` is the morsel crew size (`<= 1` runs every kernel sequentially on
+/// the calling thread). Results, [`WorkProfile`] and errors are byte-identical
+/// to the reference interpreter at every thread count.
 pub fn execute(
     query: &Query,
     plan: &PhysicalPlan,
@@ -102,507 +80,44 @@ pub fn execute(
     dim: Option<&ExecTable<'_>>,
     limit_rows: Option<usize>,
     materialize: bool,
+    threads: usize,
 ) -> Result<ExecOutcome> {
-    execute_with(
-        query,
-        plan,
-        fact,
-        dim,
-        limit_rows,
-        materialize,
-        ExecEngine::default(),
-    )
-}
-
-/// [`execute`] with an explicit choice of execution engine.
-///
-/// The compiled engines lower the residual predicates once and bin bounded
-/// grids densely; the id-vector variant evaluates them over record-id batches
-/// with a selection-vector loop, the bitmap variant carries candidates as
-/// [`SelectionBitmap`]s and refines 4096-row chunks over 64-bit words. All
-/// three are observationally identical (same [`QueryResult`] bytes, same
-/// [`WorkProfile`]), which the `exec_equivalence` property suite pins. Queries
-/// whose predicates cannot compile (type mismatch, bad attribute) silently
-/// take the interpreter path so error behaviour is identical too.
-pub fn execute_with(
-    query: &Query,
-    plan: &PhysicalPlan,
-    fact: &ExecTable<'_>,
-    dim: Option<&ExecTable<'_>>,
-    limit_rows: Option<usize>,
-    materialize: bool,
-    engine: ExecEngine,
-) -> Result<ExecOutcome> {
+    let Ok(lowered) = lower(query, plan, fact, dim) else {
+        return reference::execute(query, plan, fact, dim, limit_rows, materialize);
+    };
     let mut work = WorkProfile::default();
-
-    // Normalise the parallel engine: `ParallelBitmap` *is* the compiled bitmap
-    // engine plus a worker count. Every engine decision below keys off
-    // `engine == CompiledBitmap`; the morsel-parallel branches additionally key
-    // off `par_threads > 1` and are byte-identical to the sequential ones by
-    // the `exec::parallel` determinism contract.
-    let (engine, par_threads) = match engine {
-        ExecEngine::ParallelBitmap { threads } => (ExecEngine::CompiledBitmap, threads.max(1)),
-        other => (other, 1),
-    };
-
-    // Resolve the row restriction induced by sampling approximation rules.
-    let restriction = SampleRestriction::resolve(plan, fact)?;
-
-    // Phase 1: candidate record ids on the fact table, in engine representation.
-    let candidates = if plan.index_preds.is_empty() {
-        Candidates::Seq // sequential scan handled in phase 2
-    } else if engine == ExecEngine::CompiledBitmap {
-        Candidates::Bitmap(index_candidates_bitmap(
-            query,
-            plan,
-            fact,
-            &restriction,
-            &mut work,
-        )?)
-    } else {
-        Candidates::Ids(index_candidates(
-            query,
-            plan,
-            fact,
-            &restriction,
-            &mut work,
-        )?)
-    };
-
-    // Phase 2: qualify rows (residual predicates), honouring the LIMIT cap.
-    // Id vectors are pre-sized from the planner's cardinality estimate instead
-    // of growing from empty (bounded by the cap and the table itself).
-    let cap = limit_rows.unwrap_or(usize::MAX).max(1);
-    let reserve = (plan.est_rows as usize)
-        .min(cap)
-        .min(fact.table.row_count());
-    let mut qualified = match candidates {
-        Candidates::Ids(cands) => {
-            let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-            let residual = compile_residual(query, &plan.filter_preds, fact.table, engine);
-            match residual {
-                // Uncapped: every candidate is heap-fetched, so batches are exact.
-                Some(preds) if limit_rows.is_none() => compiled::qualify_slice(
-                    &preds,
-                    &cands,
-                    &mut qualifying,
-                    &mut work,
-                    |w, rows| w.heap_fetches += rows,
-                ),
-                // Capped: row-at-a-time so rows past the cap stay untouched,
-                // exactly like the interpreter.
-                Some(preds) => {
-                    for rid in cands {
-                        work.heap_fetches += 1;
-                        if compiled::eval_row(&preds, rid, &mut work) {
-                            qualifying.push(rid);
-                            if qualifying.len() >= cap {
-                                break;
-                            }
-                        }
-                    }
-                }
-                None => {
-                    let tokens = resolve_keyword_tokens(query, fact.table);
-                    for rid in cands {
-                        work.heap_fetches += 1;
-                        if eval_preds(
-                            query,
-                            &plan.filter_preds,
-                            &tokens,
-                            fact.table,
-                            rid,
-                            &mut work,
-                        )? {
-                            qualifying.push(rid);
-                            if qualifying.len() >= cap {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            Qualified::Ids(qualifying)
-        }
-        Candidates::Bitmap(cands) => {
-            let residual = compile_residual(query, &plan.filter_preds, fact.table, engine);
-            match residual {
-                // Uncapped: refine the candidate bitmap chunk-by-chunk; every
-                // candidate is heap-fetched, charged per chunk popcount.
-                Some(preds) if limit_rows.is_none() => {
-                    Qualified::Bitmap(if par_threads > 1 {
-                        parallel::qualify_bitmap_par(
-                            &preds,
-                            &cands,
-                            par_threads,
-                            &mut work,
-                            |w, rows| w.heap_fetches += rows,
-                        )
-                    } else {
-                        // Output chunks cannot exceed the candidate chunks or
-                        // (one row per chunk at worst) the estimated rows.
-                        let chunk_hint = cands.chunk_count().min(reserve.max(1));
-                        compiled::qualify_bitmap(
-                            &preds,
-                            &cands,
-                            chunk_hint,
-                            &mut work,
-                            |w, rows| w.heap_fetches += rows,
-                        )
-                    })
-                }
-                // Capped: row-at-a-time over the bitmap iterator so rows past
-                // the cap stay untouched, exactly like the interpreter.
-                Some(preds) => {
-                    let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-                    if par_threads > 1 {
-                        parallel::qualify_capped_bitmap_par(
-                            &preds,
-                            &cands,
-                            cap,
-                            |w| w.heap_fetches += 1,
-                            par_threads,
-                            &mut work,
-                            &mut qualifying,
-                        );
-                    } else {
-                        for rid in cands.iter() {
-                            work.heap_fetches += 1;
-                            if compiled::eval_row(&preds, rid, &mut work) {
-                                qualifying.push(rid);
-                                if qualifying.len() >= cap {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    Qualified::Ids(qualifying)
-                }
-                // Uncompilable residual: interpreter loop over the bitmap
-                // iterator (same ascending order as the id-vector path).
-                None => {
-                    let tokens = resolve_keyword_tokens(query, fact.table);
-                    let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-                    for rid in cands.iter() {
-                        work.heap_fetches += 1;
-                        if eval_preds(
-                            query,
-                            &plan.filter_preds,
-                            &tokens,
-                            fact.table,
-                            rid,
-                            &mut work,
-                        )? {
-                            qualifying.push(rid);
-                            if qualifying.len() >= cap {
-                                break;
-                            }
-                        }
-                    }
-                    Qualified::Ids(qualifying)
-                }
-            }
-        }
-        Candidates::Seq => {
-            // Sequential scan over the (possibly sampled) table.
-            let row_count = fact.table.row_count() as RecordId;
-            let boxed_iter = || -> Box<dyn Iterator<Item = RecordId> + '_> {
-                match &restriction {
-                    SampleRestriction::All => Box::new(0..row_count),
-                    SampleRestriction::SampleRows(rows) => Box::new(rows.iter().copied()),
-                    SampleRestriction::HashFraction(frac) => {
-                        let frac = *frac;
-                        Box::new(
-                            (0..row_count)
-                                .filter(move |&rid| hash_unit(rid as u64 ^ 0x5EED) < frac),
-                        )
-                    }
-                }
-            };
-            let all_preds: Vec<usize> = (0..query.predicate_count()).collect();
-            let residual = compile_residual(query, &all_preds, fact.table, engine);
-            match residual {
-                // Uncapped: the batch entry point matching the restriction shape
-                // (contiguous range, materialised id list, filtered stream). The
-                // bitmap engine takes the columnar word-fill kernel on the
-                // unrestricted contiguous scan — the hottest shape — and the
-                // id-vector entry points on sampled scans, whose accounting is
-                // identical by construction.
-                Some(preds) if limit_rows.is_none() => {
-                    let seq = |w: &mut WorkProfile, rows: u64| w.seq_rows += rows;
-                    match &restriction {
-                        SampleRestriction::All if engine == ExecEngine::CompiledBitmap => {
-                            Qualified::Bitmap(if par_threads > 1 {
-                                parallel::qualify_range_bitmap_par(
-                                    &preds,
-                                    0..row_count,
-                                    par_threads,
-                                    &mut work,
-                                    seq,
-                                )
-                            } else {
-                                let chunks = (row_count as usize).div_ceil(CHUNK_BITS);
-                                compiled::qualify_range_bitmap(
-                                    &preds,
-                                    0..row_count,
-                                    chunks.min(reserve.max(1)),
-                                    &mut work,
-                                    seq,
-                                )
-                            })
-                        }
-                        SampleRestriction::All => {
-                            let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-                            compiled::qualify_range(
-                                &preds,
-                                0..row_count,
-                                &mut qualifying,
-                                &mut work,
-                                seq,
-                            );
-                            Qualified::Ids(qualifying)
-                        }
-                        SampleRestriction::SampleRows(rows) => {
-                            let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-                            if par_threads > 1 {
-                                parallel::qualify_slice_par(
-                                    &preds,
-                                    rows,
-                                    par_threads,
-                                    &mut qualifying,
-                                    &mut work,
-                                    seq,
-                                );
-                            } else {
-                                compiled::qualify_slice(
-                                    &preds,
-                                    rows,
-                                    &mut qualifying,
-                                    &mut work,
-                                    seq,
-                                );
-                            }
-                            Qualified::Ids(qualifying)
-                        }
-                        SampleRestriction::HashFraction(_) => {
-                            let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-                            if par_threads > 1 {
-                                // Materialising the filtered stream is uncharged
-                                // on both engines, and slice morsels batch ids in
-                                // the same 1024-row groups as the stream entry
-                                // point — identical charges by construction.
-                                let ids: Vec<RecordId> = boxed_iter().collect();
-                                parallel::qualify_slice_par(
-                                    &preds,
-                                    &ids,
-                                    par_threads,
-                                    &mut qualifying,
-                                    &mut work,
-                                    seq,
-                                );
-                            } else {
-                                compiled::qualify_batches(
-                                    &preds,
-                                    boxed_iter(),
-                                    &mut qualifying,
-                                    &mut work,
-                                    seq,
-                                );
-                            }
-                            Qualified::Ids(qualifying)
-                        }
-                    }
-                }
-                Some(preds) => {
-                    let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-                    if par_threads > 1 {
-                        let charge: fn(&mut WorkProfile) = |w| w.seq_rows += 1;
-                        match &restriction {
-                            SampleRestriction::All => parallel::qualify_capped_range_par(
-                                &preds,
-                                0..row_count,
-                                cap,
-                                charge,
-                                par_threads,
-                                &mut work,
-                                &mut qualifying,
-                            ),
-                            SampleRestriction::SampleRows(rows) => {
-                                parallel::qualify_capped_slice_par(
-                                    &preds,
-                                    rows,
-                                    cap,
-                                    charge,
-                                    par_threads,
-                                    &mut work,
-                                    &mut qualifying,
-                                )
-                            }
-                            SampleRestriction::HashFraction(_) => {
-                                let ids: Vec<RecordId> = boxed_iter().collect();
-                                parallel::qualify_capped_slice_par(
-                                    &preds,
-                                    &ids,
-                                    cap,
-                                    charge,
-                                    par_threads,
-                                    &mut work,
-                                    &mut qualifying,
-                                )
-                            }
-                        }
-                    } else {
-                        for rid in boxed_iter() {
-                            work.seq_rows += 1;
-                            if compiled::eval_row(&preds, rid, &mut work) {
-                                qualifying.push(rid);
-                                if qualifying.len() >= cap {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    Qualified::Ids(qualifying)
-                }
-                None => {
-                    let tokens = resolve_keyword_tokens(query, fact.table);
-                    let mut qualifying: Vec<RecordId> = Vec::with_capacity(reserve);
-                    for rid in boxed_iter() {
-                        work.seq_rows += 1;
-                        if eval_preds(query, &all_preds, &tokens, fact.table, rid, &mut work)? {
-                            qualifying.push(rid);
-                            if qualifying.len() >= cap {
-                                break;
-                            }
-                        }
-                    }
-                    Qualified::Ids(qualifying)
-                }
-            }
-        }
-    };
-
-    // Phase 3: join with the dimension table (id-vector representation — join
-    // probing is inherently row-at-a-time).
-    if let Some(join_plan) = &plan.join {
-        let spec = query
-            .join
-            .as_ref()
-            .ok_or_else(|| Error::InvalidQuery("plan has a join but the query does not".into()))?;
-        let dim = dim.ok_or_else(|| Error::TableNotFound(join_plan.right_table.clone()))?;
-        let fact_rows = qualified.into_ids();
+    let rows = source(query, plan, fact, &mut work)?;
+    let mut qualified = qualify(
+        &lowered.fact,
+        rows,
+        plan.est_rows as usize,
+        fact.table.row_count(),
+        limit_rows,
+        threads,
+        &mut work,
+    );
+    if let Some((method, spec, dim)) = join_inputs(query, plan, dim)? {
+        let eval_right =
+            |rid: RecordId, work: &mut WorkProfile| Ok(compiled::eval_row(&lowered.dim, rid, work));
         qualified = Qualified::Ids(execute_join(
-            query,
-            join_plan.method,
+            method,
             spec,
-            &fact_rows,
+            &qualified.into_ids(),
             fact,
             dim,
-            engine,
+            eval_right,
             &mut work,
         )?);
     }
-
     let result_rows = qualified.len();
-
-    // Phase 4: shape the output. Both representations enumerate ids ascending,
-    // so the output bytes cannot depend on the engine.
-    let result = match &query.output {
-        OutputKind::Points {
-            id_attr,
-            point_attr,
-        } => {
-            work.output_rows += result_rows as u64;
-            if materialize {
-                let points = if engine.is_compiled() {
-                    // Bind the columns once and gather over slices; a failed
-                    // geo binding falls back to the per-row path, which reports
-                    // the same error on the same row the interpreter would,
-                    // and a failed id binding falls back to the record id per
-                    // row, mirroring the interpreter's `unwrap_or`.
-                    match fact.table.geo_slice(*point_attr) {
-                        Ok(geo) => {
-                            let ids = fact.table.int_slice(*id_attr).ok();
-                            match (&qualified, par_threads > 1) {
-                                (Qualified::Bitmap(b), true) => {
-                                    parallel::gather_points_par(b, ids, geo, par_threads)
-                                }
-                                _ => {
-                                    let mut points = Vec::with_capacity(result_rows);
-                                    for rid in qualified.iter() {
-                                        let id = ids.map_or(rid as i64, |s| s[rid as usize]);
-                                        points.push((id, geo[rid as usize]));
-                                    }
-                                    points
-                                }
-                            }
-                        }
-                        Err(_) => gather_points_rows(
-                            fact.table,
-                            *id_attr,
-                            *point_attr,
-                            &qualified,
-                            result_rows,
-                        )?,
-                    }
-                } else {
-                    gather_points_rows(fact.table, *id_attr, *point_attr, &qualified, result_rows)?
-                };
-                QueryResult::Points(points)
-            } else {
-                QueryResult::Count(result_rows as u64)
-            }
-        }
-        OutputKind::BinnedCounts { point_attr, grid } => {
-            work.grouped_rows += result_rows as u64;
-            let binned = if engine.is_compiled() {
-                // Bind the geo column once and bin densely; a failed binding
-                // falls back to the per-row path, which reports the same error
-                // the interpreter would.
-                match fact.table.geo_slice(*point_attr) {
-                    Ok(geo) => match (&qualified, par_threads > 1) {
-                        (Qualified::Bitmap(b), true) => {
-                            parallel::bin_counts_par(grid, geo, b, materialize, par_threads)
-                        }
-                        _ => compiled::bin_counts_iter(
-                            grid,
-                            geo,
-                            qualified.iter(),
-                            result_rows,
-                            materialize,
-                        ),
-                    },
-                    Err(_) => binned_accum(
-                        fact.table,
-                        *point_attr,
-                        grid,
-                        qualified.iter(),
-                        result_rows,
-                        materialize,
-                    )?,
-                }
-            } else {
-                binned_accum(
-                    fact.table,
-                    *point_attr,
-                    grid,
-                    qualified.iter(),
-                    result_rows,
-                    materialize,
-                )?
-            };
-            work.output_rows += binned.distinct_bins;
-            match binned.pairs {
-                Some(pairs) => QueryResult::Bins(pairs),
-                None => QueryResult::Count(result_rows as u64),
-            }
-        }
-        OutputKind::Count => {
-            work.output_rows += 1;
-            QueryResult::Count(result_rows as u64)
-        }
-    };
-
+    let result = sink(
+        &lowered.output,
+        &qualified,
+        result_rows,
+        materialize,
+        threads,
+        &mut work,
+    );
     Ok(ExecOutcome {
         result,
         work,
@@ -610,73 +125,262 @@ pub fn execute_with(
     })
 }
 
-/// Lowers the residual predicate list for the compiled engine; `None` routes to
-/// the interpreter (either by request or because a predicate failed to bind its
-/// column, e.g. a type mismatch the interpreter must surface per row).
-fn compile_residual<'a>(
-    query: &Query,
-    indices: &[usize],
-    table: &'a Table,
-    engine: ExecEngine,
-) -> Option<Vec<compiled::CompiledPredicate<'a>>> {
-    if engine.is_compiled() {
-        compiled::compile_predicates(&query.predicates, indices, table).ok()
+/// Everything the pipeline evaluates per row, bound to concrete column slices.
+struct Lowered<'a> {
+    /// The predicates the qualify phase evaluates on the fact table.
+    fact: Vec<CompiledPredicate<'a>>,
+    /// The join-side predicates (empty without a join).
+    dim: Vec<CompiledPredicate<'a>>,
+    output: Output<'a>,
+}
+
+/// The output shape with its columns bound.
+enum Output<'a> {
+    Points {
+        /// `None` when the id column failed to bind: ids fall back to the
+        /// record id, mirroring the interpreter's per-row `unwrap_or`.
+        ids: Option<&'a [i64]>,
+        geo: &'a [GeoPoint],
+    },
+    Bins {
+        geo: &'a [GeoPoint],
+        grid: &'a BinGrid,
+    },
+    Count,
+}
+
+/// Lowers exactly what the plan evaluates: the residual predicates (every
+/// predicate on a sequential scan), the join-side predicates and the output
+/// columns. `Err` sends the whole query to the reference interpreter, which
+/// surfaces the binding failure per row like any other evaluation error.
+fn lower<'a>(
+    query: &'a Query,
+    plan: &PhysicalPlan,
+    fact: &ExecTable<'a>,
+    dim: Option<&ExecTable<'a>>,
+) -> Result<Lowered<'a>> {
+    let fact_preds = if plan.index_preds.is_empty() {
+        compiled::compile_predicates(&query.predicates, 0..query.predicate_count(), fact.table)?
     } else {
-        None
+        compiled::compile_predicates(
+            &query.predicates,
+            plan.filter_preds.iter().copied(),
+            fact.table,
+        )?
+    };
+    // A malformed join (no spec, no table) is the join phase's error to raise,
+    // after the scan — there is nothing to lower for it.
+    let dim_preds = match join_inputs(query, plan, dim) {
+        Ok(Some((_, spec, dim))) => compiled::compile_predicates(
+            &spec.right_predicates,
+            0..spec.right_predicates.len(),
+            dim.table,
+        )?,
+        _ => Vec::new(),
+    };
+    let output = match &query.output {
+        OutputKind::Points {
+            id_attr,
+            point_attr,
+        } => Output::Points {
+            ids: fact.table.int_slice(*id_attr).ok(),
+            geo: fact.table.geo_slice(*point_attr)?,
+        },
+        OutputKind::BinnedCounts { point_attr, grid } => Output::Bins {
+            geo: fact.table.geo_slice(*point_attr)?,
+            grid,
+        },
+        OutputKind::Count => Output::Count,
+    };
+    Ok(Lowered {
+        fact: fact_preds,
+        dim: dim_preds,
+        output,
+    })
+}
+
+/// Phase-1 output: where the qualify phase reads its rows from.
+enum Source<'a> {
+    /// The rows surviving the plan's index predicates (and the sample
+    /// restriction); each one visited is a heap fetch.
+    Index(SelectionBitmap),
+    /// No index predicates: a sequential scan over the (possibly sampled) table.
+    Seq(SampleRestriction<'a>),
+}
+
+/// Phase 1: resolve the sample restriction and, for an index plan, the
+/// candidate rows — every index predicate scanned as a bitmap, intersected
+/// with word-wise AND (smallest first, early-out on empty) and cut to the
+/// restriction.
+fn source<'a>(
+    query: &'a Query,
+    plan: &PhysicalPlan,
+    fact: &ExecTable<'a>,
+    work: &mut WorkProfile,
+) -> Result<Source<'a>> {
+    let restriction = SampleRestriction::resolve(plan, fact)?;
+    if plan.index_preds.is_empty() {
+        return Ok(Source::Seq(restriction));
+    }
+    let mut lists = scan_indexes(query, plan, fact, work, IndexProbe::bitmap)?;
+    lists.sort_by_key(|l| l.len());
+    let mut iter = lists.into_iter();
+    let mut acc = iter.next().unwrap_or_default();
+    for list in iter {
+        if acc.is_empty() {
+            break;
+        }
+        acc = acc.and(&list);
+    }
+    if !matches!(restriction, SampleRestriction::All) {
+        acc.retain(|rid| restriction.keeps(rid));
+    }
+    Ok(Source::Index(acc))
+}
+
+/// Phase-2 output: the qualifying rows as a bitmap (uncapped chunk kernels) or
+/// as ascending ids (capped loops, sampled scans, joins).
+enum Qualified {
+    Ids(Vec<RecordId>),
+    Bitmap(SelectionBitmap),
+}
+
+impl Qualified {
+    fn len(&self) -> usize {
+        match self {
+            Qualified::Ids(v) => v.len(),
+            Qualified::Bitmap(b) => b.len(),
+        }
+    }
+
+    fn into_ids(self) -> Vec<RecordId> {
+        match self {
+            Qualified::Ids(v) => v,
+            Qualified::Bitmap(b) => b.to_vec(),
+        }
     }
 }
 
-/// Interpreter-path `Points` materialisation: per-row accessors with error
-/// propagation, also the compiled engines' fallback when the geo column fails
-/// to bind (so the binding error surfaces on the same row it would on the
-/// interpreter).
-fn gather_points_rows(
-    table: &Table,
-    id_attr: usize,
-    point_attr: usize,
+/// Phase 2: qualify rows through the lowered residual predicates. Uncapped,
+/// every source row is visited, so whole chunks (id batches on sampled scans)
+/// are charged and refined at once; capped, rows are visited one at a time so
+/// rows past the cap stay untouched, exactly like the interpreter. Outputs are
+/// pre-sized from the planner's cardinality estimate `est_rows`.
+fn qualify(
+    preds: &[CompiledPredicate<'_>],
+    source: Source<'_>,
+    est_rows: usize,
+    row_count: usize,
+    limit_rows: Option<usize>,
+    threads: usize,
+    work: &mut WorkProfile,
+) -> Qualified {
+    let rows = 0..row_count as RecordId;
+    let reserve = est_rows
+        .min(limit_rows.unwrap_or(usize::MAX))
+        .min(row_count);
+    let Some(cap) = limit_rows else {
+        let heap = |w: &mut WorkProfile, rows: u64| w.heap_fetches += rows;
+        let seq = |w: &mut WorkProfile, rows: u64| w.seq_rows += rows;
+        // Output chunks cannot exceed the input chunks or (one row per chunk
+        // at worst) the estimated rows.
+        let chunk_hint = |chunks: usize| chunks.min(reserve.max(1));
+        return match &source {
+            Source::Index(cands) => {
+                let hint = chunk_hint(cands.chunk_count());
+                Qualified::Bitmap(parallel::qualify_bitmap(
+                    preds, cands, hint, threads, work, heap,
+                ))
+            }
+            Source::Seq(SampleRestriction::All) => {
+                let hint = chunk_hint(row_count.div_ceil(CHUNK_BITS));
+                Qualified::Bitmap(parallel::qualify_range_bitmap(
+                    preds, rows, hint, threads, work, seq,
+                ))
+            }
+            Source::Seq(SampleRestriction::SampleRows(sample)) => {
+                let mut ids = Vec::with_capacity(reserve);
+                parallel::qualify_slice(preds, sample, threads, &mut ids, work, seq);
+                Qualified::Ids(ids)
+            }
+            Source::Seq(hashed) => {
+                let mut ids = Vec::with_capacity(reserve);
+                let sampled = rows.filter(|&rid| hashed.keeps(rid));
+                parallel::qualify_stream(preds, sampled, threads, &mut ids, work, seq);
+                Qualified::Ids(ids)
+            }
+        };
+    };
+    let heap = |w: &mut WorkProfile| w.heap_fetches += 1;
+    let seq = |w: &mut WorkProfile| w.seq_rows += 1;
+    let mut ids = Vec::with_capacity(reserve);
+    match &source {
+        Source::Index(cands) => {
+            parallel::qualify_capped_bitmap(preds, cands, cap, heap, threads, work, &mut ids)
+        }
+        Source::Seq(SampleRestriction::SampleRows(sample)) => {
+            parallel::qualify_capped_slice(preds, sample, cap, seq, threads, work, &mut ids)
+        }
+        Source::Seq(restriction) => {
+            let keep = |rid: &RecordId| restriction.keeps(*rid);
+            parallel::qualify_capped_range(preds, rows, keep, cap, seq, threads, work, &mut ids)
+        }
+    }
+    Qualified::Ids(ids)
+}
+
+/// Phase 4: shape the output over the bound columns. Both representations
+/// enumerate ids ascending, so the output bytes cannot depend on which one the
+/// qualify phase produced.
+fn sink(
+    output: &Output<'_>,
     qualified: &Qualified,
     result_rows: usize,
-) -> Result<Vec<(i64, GeoPoint)>> {
-    let mut points = Vec::with_capacity(result_rows);
-    for rid in qualified.iter() {
-        let id = table.int(id_attr, rid).unwrap_or(rid as i64);
-        let p = table.geo(point_attr, rid)?;
-        points.push((id, p));
-    }
-    Ok(points)
-}
-
-/// Interpreter-path binning: per-row geo access with error propagation, then
-/// the shared sparse accumulation ([`compiled::sparse_bin_accum`]), so all
-/// engines bin through one implementation.
-fn binned_accum(
-    table: &Table,
-    point_attr: usize,
-    grid: &BinGrid,
-    qualifying: impl Iterator<Item = RecordId>,
-    row_count: usize,
     materialize: bool,
-) -> Result<compiled::BinnedAccum> {
-    let mut points = Vec::with_capacity(row_count);
-    for rid in qualifying {
-        points.push(table.geo(point_attr, rid)?);
+    threads: usize,
+    work: &mut WorkProfile,
+) -> QueryResult {
+    match *output {
+        Output::Points { ids, geo } => {
+            work.output_rows += result_rows as u64;
+            if !materialize {
+                return QueryResult::Count(result_rows as u64);
+            }
+            QueryResult::Points(match qualified {
+                Qualified::Bitmap(b) => parallel::gather_points(b, ids, geo, threads),
+                Qualified::Ids(v) => {
+                    compiled::gather_points(v.iter().copied(), result_rows, ids, geo)
+                }
+            })
+        }
+        Output::Bins { geo, grid } => {
+            work.grouped_rows += result_rows as u64;
+            let binned = match qualified {
+                Qualified::Bitmap(b) => parallel::bin_counts(grid, geo, b, materialize, threads),
+                Qualified::Ids(v) => compiled::bin_counts(grid, geo, v, materialize),
+            };
+            work.output_rows += binned.distinct_bins;
+            match binned.pairs {
+                Some(pairs) => QueryResult::Bins(pairs),
+                None => QueryResult::Count(result_rows as u64),
+            }
+        }
+        Output::Count => {
+            work.output_rows += 1;
+            QueryResult::Count(result_rows as u64)
+        }
     }
-    Ok(compiled::sparse_bin_accum(
-        grid,
-        points.into_iter(),
-        materialize,
-    ))
 }
 
 /// How sampling approximation rules restrict the scanned rows.
-enum SampleRestriction<'a> {
+pub(super) enum SampleRestriction<'a> {
     All,
     SampleRows(&'a [RecordId]),
     HashFraction(f64),
 }
 
 impl<'a> SampleRestriction<'a> {
-    fn resolve(plan: &PhysicalPlan, fact: &ExecTable<'a>) -> Result<Self> {
+    pub(super) fn resolve(plan: &PhysicalPlan, fact: &ExecTable<'a>) -> Result<Self> {
         match plan.approx {
             Some(ApproxRule::SampleTable { fraction_pct }) => {
                 let sample =
@@ -695,332 +399,149 @@ impl<'a> SampleRestriction<'a> {
         }
     }
 
-    fn filter(&self, rids: Vec<RecordId>) -> Vec<RecordId> {
+    /// Whether the restriction keeps row `rid`.
+    pub(super) fn keeps(&self, rid: RecordId) -> bool {
         match self {
-            SampleRestriction::All => rids,
-            SampleRestriction::SampleRows(rows) => rids
-                .into_iter()
-                .filter(|rid| rows.binary_search(rid).is_ok())
-                .collect(),
-            SampleRestriction::HashFraction(frac) => rids
-                .into_iter()
-                .filter(|&rid| hash_unit(rid as u64 ^ 0x5EED) < *frac)
-                .collect(),
+            SampleRestriction::All => true,
+            SampleRestriction::SampleRows(rows) => rows.binary_search(&rid).is_ok(),
+            SampleRestriction::HashFraction(frac) => hash_unit(rid as u64 ^ 0x5EED) < *frac,
         }
     }
 }
 
-/// Runs the index scans of the plan, intersects the record-id lists and applies the
-/// sample restriction.
-fn index_candidates(
-    query: &Query,
+/// One index predicate resolved to the index that answers it and the probe
+/// arguments: inverted index + token, B+-tree + key range, R-tree + rectangle.
+pub(super) enum IndexProbe<'a> {
+    /// `None` when the keyword is absent from the dictionary: no row matches
+    /// and no posting list is read.
+    Inverted(&'a InvertedIndex, Option<TokenId>),
+    BTree(&'a BPlusTree, i64, i64),
+    RTree(&'a RTree, &'a GeoRect),
+}
+
+impl<'a> IndexProbe<'a> {
+    fn resolve(pred: &'a Predicate, fact: &ExecTable<'a>) -> Result<Self> {
+        let attr = pred.attr();
+        let missing = || Error::IndexMissing {
+            table: fact.table.name().to_string(),
+            column: fact
+                .table
+                .schema()
+                .column_name(attr)
+                .unwrap_or("<unknown>")
+                .to_string(),
+        };
+        Ok(match pred {
+            Predicate::KeywordContains { keyword, .. } => IndexProbe::Inverted(
+                fact.inverted.get(&attr).ok_or_else(missing)?,
+                fact.table.dictionary().lookup(keyword),
+            ),
+            Predicate::TimeRange { range, .. } => IndexProbe::BTree(
+                fact.btree.get(&attr).ok_or_else(missing)?,
+                range.start,
+                range.end,
+            ),
+            Predicate::NumericRange { range, .. } => IndexProbe::BTree(
+                fact.btree.get(&attr).ok_or_else(missing)?,
+                BPlusTree::float_key(range.lo),
+                BPlusTree::float_key(range.hi),
+            ),
+            Predicate::SpatialRange { rect, .. } => {
+                IndexProbe::RTree(fact.rtree.get(&attr).ok_or_else(missing)?, rect)
+            }
+        })
+    }
+
+    /// The matching record ids, ascending — the reference's projection.
+    pub(super) fn ids(&self) -> (Vec<RecordId>, ScanStats) {
+        match *self {
+            IndexProbe::Inverted(index, Some(token)) => index.lookup(token),
+            IndexProbe::Inverted(_, None) => Default::default(),
+            IndexProbe::BTree(index, lo, hi) => index.range_scan(lo, hi),
+            IndexProbe::RTree(index, rect) => index.range_scan(rect),
+        }
+    }
+
+    /// The matching rows as a bitmap — the pipeline's projection. Same
+    /// traversal and [`ScanStats`] as [`IndexProbe::ids`].
+    fn bitmap(&self) -> (SelectionBitmap, ScanStats) {
+        match *self {
+            IndexProbe::Inverted(index, Some(token)) => index.lookup_bitmap(token),
+            IndexProbe::Inverted(_, None) => Default::default(),
+            IndexProbe::BTree(index, lo, hi) => index.range_scan_bitmap(lo, hi),
+            IndexProbe::RTree(index, rect) => index.range_scan_bitmap(rect),
+        }
+    }
+}
+
+/// Runs the plan's index scans through `project` and returns one match list
+/// per index predicate. The single accounting site for index work: a probe per
+/// predicate, an entry per match, and for multi-index plans the skip/gallop
+/// intersection charge — the same formula ([`intersect_skip_charge`]) the
+/// optimizer's `predict_work` uses, so charged intersection work always
+/// matches predicted work.
+pub(super) fn scan_indexes<'a, T>(
+    query: &'a Query,
     plan: &PhysicalPlan,
-    fact: &ExecTable<'_>,
-    restriction: &SampleRestriction<'_>,
+    fact: &ExecTable<'a>,
     work: &mut WorkProfile,
-) -> Result<Vec<RecordId>> {
-    let mut lists: Vec<Vec<RecordId>> = Vec::with_capacity(plan.index_preds.len());
+    project: impl Fn(&IndexProbe<'a>) -> (T, ScanStats),
+) -> Result<Vec<T>> {
+    let mut lists = Vec::with_capacity(plan.index_preds.len());
+    let mut lens = Vec::with_capacity(plan.index_preds.len());
     for &pred_idx in &plan.index_preds {
         let pred = query
             .predicates
             .get(pred_idx)
             .ok_or(Error::InvalidAttribute(pred_idx))?;
-        let rids = scan_index(pred, fact, work)?;
-        lists.push(rids);
+        work.index_probes += 1;
+        let (list, stats) = project(&IndexProbe::resolve(pred, fact)?);
+        work.index_entries += stats.matches as u64;
+        lens.push(stats.matches);
+        lists.push(list);
     }
     if lists.len() > 1 {
-        // Charge the skip/gallop model the executor actually runs — the same
-        // formula (intersect_skip_charge) the optimizer's predict_work uses,
-        // so charged intersection work always matches predicted work.
-        let lens: Vec<usize> = lists.iter().map(|l| l.len()).collect();
         work.intersect_entries += intersect_skip_charge(&lens);
     }
-    let candidates = intersect_adaptive(&lists);
-    Ok(restriction.filter(candidates))
+    Ok(lists)
 }
 
-/// Bitmap-engine twin of [`index_candidates`]: runs the plan's index scans as
-/// bitmap lookups, intersects with word-wise AND (smallest first, early-out on
-/// empty) and applies the sample restriction. Probe/entry/intersect accounting
-/// is identical to the id-vector path — the bitmap lookups report the same
-/// [`crate::index::ScanStats`] and the intersection charge is the same
-/// [`intersect_skip_charge`] over the same list lengths.
-fn index_candidates_bitmap(
-    query: &Query,
+/// The join a plan asks for, with its inputs checked: `None` for a plan
+/// without a join, an error when the query carries no join spec or the
+/// dimension table is not registered.
+pub(super) fn join_inputs<'q, 't, 'a>(
+    query: &'q Query,
     plan: &PhysicalPlan,
-    fact: &ExecTable<'_>,
-    restriction: &SampleRestriction<'_>,
-    work: &mut WorkProfile,
-) -> Result<SelectionBitmap> {
-    let mut lists: Vec<SelectionBitmap> = Vec::with_capacity(plan.index_preds.len());
-    for &pred_idx in &plan.index_preds {
-        let pred = query
-            .predicates
-            .get(pred_idx)
-            .ok_or(Error::InvalidAttribute(pred_idx))?;
-        lists.push(scan_index_bitmap(pred, fact, work)?);
-    }
-    if lists.len() > 1 {
-        let lens: Vec<usize> = lists.iter().map(|l| l.len()).collect();
-        work.intersect_entries += intersect_skip_charge(&lens);
-    }
-    lists.sort_by_key(|l| l.len());
-    let mut iter = lists.into_iter();
-    let mut acc = iter.next().unwrap_or_default();
-    for list in iter {
-        if acc.is_empty() {
-            break;
-        }
-        acc = acc.and(&list);
-    }
-    match restriction {
-        SampleRestriction::All => {}
-        SampleRestriction::SampleRows(rows) => acc.retain(|rid| rows.binary_search(&rid).is_ok()),
-        SampleRestriction::HashFraction(frac) => {
-            acc.retain(|rid| hash_unit(rid as u64 ^ 0x5EED) < *frac)
-        }
-    }
-    Ok(acc)
+    dim: Option<&'t ExecTable<'a>>,
+) -> Result<Option<(JoinMethod, &'q JoinSpec, &'t ExecTable<'a>)>> {
+    let Some(join_plan) = &plan.join else {
+        return Ok(None);
+    };
+    let spec = query
+        .join
+        .as_ref()
+        .ok_or_else(|| Error::InvalidQuery("plan has a join but the query does not".into()))?;
+    let dim = dim.ok_or_else(|| Error::TableNotFound(join_plan.right_table.clone()))?;
+    Ok(Some((join_plan.method, spec, dim)))
 }
 
-/// Bitmap-engine twin of [`scan_index`]: same index lookups, same error and
-/// [`WorkProfile`] behaviour, bitmap output.
-fn scan_index_bitmap(
-    pred: &Predicate,
-    fact: &ExecTable<'_>,
-    work: &mut WorkProfile,
-) -> Result<SelectionBitmap> {
-    work.index_probes += 1;
-    let attr = pred.attr();
-    match pred {
-        Predicate::KeywordContains { keyword, .. } => {
-            let index = fact
-                .inverted
-                .get(&attr)
-                .ok_or_else(|| Error::IndexMissing {
-                    table: fact.table.name().to_string(),
-                    column: column_name(fact.table, attr),
-                })?;
-            match fact.table.dictionary().lookup(keyword) {
-                Some(token) => {
-                    let (bm, stats) = index.lookup_bitmap(token);
-                    work.index_entries += stats.matches as u64;
-                    Ok(bm)
-                }
-                None => Ok(SelectionBitmap::new()),
-            }
-        }
-        Predicate::TimeRange { range, .. } => {
-            let index = fact.btree.get(&attr).ok_or_else(|| Error::IndexMissing {
-                table: fact.table.name().to_string(),
-                column: column_name(fact.table, attr),
-            })?;
-            let (bm, stats) = index.range_scan_bitmap(range.start, range.end);
-            work.index_entries += stats.matches as u64;
-            Ok(bm)
-        }
-        Predicate::NumericRange { range, .. } => {
-            let index = fact.btree.get(&attr).ok_or_else(|| Error::IndexMissing {
-                table: fact.table.name().to_string(),
-                column: column_name(fact.table, attr),
-            })?;
-            let (bm, stats) = index.range_scan_bitmap(
-                BPlusTree::float_key(range.lo),
-                BPlusTree::float_key(range.hi),
-            );
-            work.index_entries += stats.matches as u64;
-            Ok(bm)
-        }
-        Predicate::SpatialRange { rect, .. } => {
-            let index = fact.rtree.get(&attr).ok_or_else(|| Error::IndexMissing {
-                table: fact.table.name().to_string(),
-                column: column_name(fact.table, attr),
-            })?;
-            let (bm, stats) = index.range_scan_bitmap(rect);
-            work.index_entries += stats.matches as u64;
-            Ok(bm)
-        }
-    }
-}
-
-/// Scans the index matching `pred` and returns the matching record ids.
-fn scan_index(
-    pred: &Predicate,
-    fact: &ExecTable<'_>,
-    work: &mut WorkProfile,
-) -> Result<Vec<RecordId>> {
-    work.index_probes += 1;
-    let attr = pred.attr();
-    match pred {
-        Predicate::KeywordContains { keyword, .. } => {
-            let index = fact
-                .inverted
-                .get(&attr)
-                .ok_or_else(|| Error::IndexMissing {
-                    table: fact.table.name().to_string(),
-                    column: column_name(fact.table, attr),
-                })?;
-            match fact.table.dictionary().lookup(keyword) {
-                Some(token) => {
-                    let (rids, stats) = index.lookup(token);
-                    work.index_entries += stats.matches as u64;
-                    Ok(rids)
-                }
-                None => Ok(Vec::new()),
-            }
-        }
-        Predicate::TimeRange { range, .. } => {
-            let index = fact.btree.get(&attr).ok_or_else(|| Error::IndexMissing {
-                table: fact.table.name().to_string(),
-                column: column_name(fact.table, attr),
-            })?;
-            let (rids, stats) = index.range_scan(range.start, range.end);
-            work.index_entries += stats.matches as u64;
-            Ok(rids)
-        }
-        Predicate::NumericRange { range, .. } => {
-            let index = fact.btree.get(&attr).ok_or_else(|| Error::IndexMissing {
-                table: fact.table.name().to_string(),
-                column: column_name(fact.table, attr),
-            })?;
-            let (rids, stats) = index.range_scan(
-                BPlusTree::float_key(range.lo),
-                BPlusTree::float_key(range.hi),
-            );
-            work.index_entries += stats.matches as u64;
-            Ok(rids)
-        }
-        Predicate::SpatialRange { rect, .. } => {
-            let index = fact.rtree.get(&attr).ok_or_else(|| Error::IndexMissing {
-                table: fact.table.name().to_string(),
-                column: column_name(fact.table, attr),
-            })?;
-            let (rids, stats) = index.range_scan(rect);
-            work.index_entries += stats.matches as u64;
-            Ok(rids)
-        }
-    }
-}
-
-fn column_name(table: &Table, attr: usize) -> String {
-    table
-        .schema()
-        .column_name(attr)
-        .unwrap_or("<unknown>")
-        .to_string()
-}
-
-/// Resolves the dictionary token of every keyword predicate once per execution,
-/// so the interpreter's row loop never touches the dictionary. Entries for
-/// non-keyword predicates are `None` and unused.
-pub(crate) fn resolve_keyword_tokens(query: &Query, table: &Table) -> Vec<Option<TokenId>> {
-    query
-        .predicates
-        .iter()
-        .map(|p| resolve_keyword_token(p, table))
-        .collect()
-}
-
-/// The pre-resolved dictionary token of a keyword predicate (`None` for other
-/// predicate kinds and for keywords absent from the dictionary).
-pub(crate) fn resolve_keyword_token(pred: &Predicate, table: &Table) -> Option<TokenId> {
-    match pred {
-        Predicate::KeywordContains { keyword, .. } => table.dictionary().lookup(keyword),
-        _ => None,
-    }
-}
-
-/// Evaluates the predicates at `pred_indices` against row `rid`, counting every
-/// evaluation performed (short-circuiting on the first failure). `tokens` holds
-/// the per-predicate pre-resolved keyword tokens from [`resolve_keyword_tokens`].
-fn eval_preds(
-    query: &Query,
-    pred_indices: &[usize],
-    tokens: &[Option<TokenId>],
-    table: &Table,
-    rid: RecordId,
-    work: &mut WorkProfile,
-) -> Result<bool> {
-    for &i in pred_indices {
-        let pred = query.predicates.get(i).ok_or(Error::InvalidAttribute(i))?;
-        work.filter_evals += 1;
-        if !eval_resolved(pred, tokens.get(i).copied().flatten(), table, rid)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// Evaluates one predicate against one row, with the keyword token already
-/// resolved by the caller (hoisted out of the row loop).
-pub(crate) fn eval_resolved(
-    pred: &Predicate,
-    token: Option<TokenId>,
-    table: &Table,
-    rid: RecordId,
-) -> Result<bool> {
-    match pred {
-        Predicate::KeywordContains { attr, .. } => match token {
-            Some(token) => table.text_contains(*attr, rid, token),
-            None => Ok(false),
-        },
-        Predicate::TimeRange { attr, range } => Ok(range.contains(table.timestamp(*attr, rid)?)),
-        Predicate::NumericRange { attr, range } => Ok(range.contains(table.numeric(*attr, rid)?)),
-        Predicate::SpatialRange { attr, rect } => Ok(rect.contains(&table.geo(*attr, rid)?)),
-    }
-}
-
-/// Evaluates one predicate against one row, resolving the keyword token on the
-/// spot. One-shot callers only — loops should hoist via [`resolve_keyword_token`].
-#[cfg(test)]
-pub(crate) fn eval_predicate(pred: &Predicate, table: &Table, rid: RecordId) -> Result<bool> {
-    eval_resolved(pred, resolve_keyword_token(pred, table), table, rid)
-}
-
-/// Executes the join of qualifying fact rows with the dimension table and returns the
-/// fact rows whose dimension match passes the dimension predicates.
+/// Phase 3: joins the qualifying fact rows with the dimension table and returns
+/// the fact rows whose dimension match passes the dimension predicates.
 ///
-/// On the compiled engines the dimension predicates are lowered once via
-/// [`compiled::compile_predicates`] and evaluated with [`compiled::eval_row`]
-/// (same per-predicate `filter_evals` charge, same short-circuit order); a
-/// failed compilation falls back to the interpreter loop so error behaviour
-/// is identical per row.
-#[allow(clippy::too_many_arguments)]
-fn execute_join(
-    _query: &Query,
+/// `eval_right` evaluates the dimension predicates for one dimension row,
+/// charging one `filter_evals` per predicate evaluated: the pipeline passes the
+/// lowered conjunction, the reference its interpreter loop (same charges, same
+/// short-circuit order).
+pub(super) fn execute_join(
     method: JoinMethod,
-    spec: &crate::query::JoinSpec,
+    spec: &JoinSpec,
     fact_rows: &[RecordId],
     fact: &ExecTable<'_>,
     dim: &ExecTable<'_>,
-    engine: ExecEngine,
+    eval_right: impl Fn(RecordId, &mut WorkProfile) -> Result<bool>,
     work: &mut WorkProfile,
 ) -> Result<Vec<RecordId>> {
     let dim_rows = dim.table.row_count();
-    let right_indices: Vec<usize> = (0..spec.right_predicates.len()).collect();
-    let compiled_right = if engine.is_compiled() {
-        compiled::compile_predicates(&spec.right_predicates, &right_indices, dim.table).ok()
-    } else {
-        None
-    };
-    // Resolve keyword tokens of the dimension predicates once, not per dim row.
-    let right_tokens: Vec<Option<TokenId>> = spec
-        .right_predicates
-        .iter()
-        .map(|p| resolve_keyword_token(p, dim.table))
-        .collect();
-    let eval_right = |rid: RecordId, work: &mut WorkProfile| -> Result<bool> {
-        if let Some(preds) = &compiled_right {
-            return Ok(compiled::eval_row(preds, rid, work));
-        }
-        for (pred, &token) in spec.right_predicates.iter().zip(&right_tokens) {
-            work.filter_evals += 1;
-            if !eval_resolved(pred, token, dim.table, rid)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    };
     match method {
         JoinMethod::Hash => {
             // Build: hash every dimension row that passes the dimension predicates.
@@ -1282,7 +803,7 @@ mod tests {
         let expected: usize = 100; // timestamps 100..=499 with i % 4 == 0
         for mask in 0..8u32 {
             let plan = plan_with(&f, &q, mask);
-            let out = execute(&q, &plan, &exec_t, None, None, true).unwrap();
+            let out = execute(&q, &plan, &exec_t, None, None, true, 1).unwrap();
             assert_eq!(out.result_rows, expected, "mask {mask}");
             match out.result {
                 QueryResult::Points(points) => assert_eq!(points.len(), expected),
@@ -1296,8 +817,8 @@ mod tests {
         let f = tweets_fixture();
         let q = base_query();
         let exec_t = f.exec_table();
-        let full = execute(&q, &plan_with(&f, &q, 0), &exec_t, None, None, false).unwrap();
-        let idx = execute(&q, &plan_with(&f, &q, 0b010), &exec_t, None, None, false).unwrap();
+        let full = execute(&q, &plan_with(&f, &q, 0), &exec_t, None, None, false, 1).unwrap();
+        let idx = execute(&q, &plan_with(&f, &q, 0b010), &exec_t, None, None, false, 1).unwrap();
         assert!(full.work.seq_rows == 1000);
         assert!(idx.work.seq_rows == 0);
         assert_eq!(idx.work.index_probes, 1);
@@ -1312,14 +833,11 @@ mod tests {
         // Index the time and spatial predicates; keyword stays residual.
         let plan = plan_with(&f, &q, 0b110);
         assert_eq!(plan.index_preds.len(), 2, "expected a multi-index plan");
-        let outs: Vec<ExecOutcome> = [
-            ExecEngine::Interpreted,
-            ExecEngine::CompiledIdVec,
-            ExecEngine::CompiledBitmap,
-        ]
-        .into_iter()
-        .map(|e| execute_with(&q, &plan, &exec_t, None, None, true, e).unwrap())
-        .collect();
+        let outs = [
+            reference::execute(&q, &plan, &exec_t, None, None, true).unwrap(),
+            execute(&q, &plan, &exec_t, None, None, true, 1).unwrap(),
+            execute(&q, &plan, &exec_t, None, None, true, 4).unwrap(),
+        ];
         for out in &outs[1..] {
             assert_eq!(out.result, outs[0].result);
             assert_eq!(out.work, outs[0].work);
@@ -1327,7 +845,8 @@ mod tests {
         }
         // Time matches rows 100..=499 (400), spatial matches all 1000; their
         // intersection is heap-fetched, then the keyword residual is evaluated
-        // once per fetched row — identical leaf/heap accounting on every engine.
+        // once per fetched row — identical leaf/heap accounting on the oracle and
+        // the pipeline.
         assert_eq!(outs[0].work.index_probes, 2);
         assert_eq!(outs[0].work.index_entries, 1400);
         assert_eq!(outs[0].work.heap_fetches, 400);
@@ -1351,7 +870,7 @@ mod tests {
                 grid: BinGrid::new(GeoRect::new(-120.0, 34.0, -110.0, 36.0), 10, 1),
             });
         let plan = plan_with(&f, &q, 0b1);
-        let out = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, None, true, 1).unwrap();
         match out.result {
             QueryResult::Bins(bins) => {
                 let total: u64 = bins.iter().map(|(_, c)| c).sum();
@@ -1368,7 +887,7 @@ mod tests {
         let q = base_query();
         let mut plan = plan_with(&f, &q, 0b111);
         plan.approx = Some(ApproxRule::SampleTable { fraction_pct: 20 });
-        let out = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, None, true, 1).unwrap();
         assert!(out.result_rows < 100);
         assert!(out.result_rows > 0);
     }
@@ -1379,7 +898,7 @@ mod tests {
         let q = base_query();
         let mut plan = plan_with(&f, &q, 0b111);
         plan.approx = Some(ApproxRule::SampleTable { fraction_pct: 40 });
-        let err = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap_err();
+        let err = execute(&q, &plan, &f.exec_table(), None, None, true, 1).unwrap_err();
         assert!(matches!(
             err,
             Error::SampleMissing {
@@ -1394,7 +913,7 @@ mod tests {
         let f = tweets_fixture();
         let q = base_query();
         let plan = plan_with(&f, &q, 0b010);
-        let out = execute(&q, &plan, &f.exec_table(), None, Some(10), true).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, Some(10), true, 1).unwrap();
         assert_eq!(out.result_rows, 10);
     }
 
@@ -1406,7 +925,7 @@ mod tests {
             .output(OutputKind::Count);
         let mut plan = plan_with(&f, &q, 0b1);
         plan.approx = Some(ApproxRule::TableSample { fraction_pct: 50 });
-        let out = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, None, true, 1).unwrap();
         let kept = out.result_rows as f64 / 1000.0;
         assert!((0.3..0.7).contains(&kept), "kept fraction {kept}");
     }
@@ -1437,6 +956,7 @@ mod tests {
                 Some(&users.exec_table()),
                 None,
                 true,
+                1,
             )
             .unwrap();
             results.push(out.result_rows);
@@ -1464,7 +984,7 @@ mod tests {
             left_attr: 4,
             right_attr: 0,
         });
-        assert!(execute(&q, &plan, &tweets.exec_table(), None, None, true).is_err());
+        assert!(execute(&q, &plan, &tweets.exec_table(), None, None, true, 1).is_err());
     }
 
     #[test]
@@ -1474,7 +994,7 @@ mod tests {
             .filter(Predicate::keyword(3, "doesnotexist"))
             .output(OutputKind::Count);
         let plan = plan_with(&f, &q, 0b1);
-        let out = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, None, true, 1).unwrap();
         assert_eq!(out.result_rows, 0);
     }
 
@@ -1483,7 +1003,7 @@ mod tests {
         let f = tweets_fixture();
         let q = base_query();
         let plan = plan_with(&f, &q, 0b111);
-        let out = execute(&q, &plan, &f.exec_table(), None, None, false).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, None, false, 1).unwrap();
         assert!(matches!(out.result, QueryResult::Count(100)));
     }
 }

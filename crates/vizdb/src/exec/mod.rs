@@ -1,20 +1,21 @@
 //! Plan execution over in-memory tables.
 //!
-//! Four observationally identical engines share the executor skeleton: the
-//! row-at-a-time interpreter (the semantic reference), the compiled columnar
-//! batch engine over id-vector selections, the compiled bitmap engine (the
-//! default), which carries candidates as
-//! [`SelectionBitmap`](crate::bitmap::SelectionBitmap)s and refines 4096-row
-//! chunks over 64-bit words, and the morsel-driven parallel bitmap engine
-//! ([`parallel`]), which runs the bitmap engine's chunk work on a worker crew
-//! while preserving its results, work profile and simulated time bit for bit.
+//! One production engine and one oracle. [`execute`] is the bitmap pipeline:
+//! predicates lowered once per execution, candidates carried as
+//! [`SelectionBitmap`](crate::bitmap::SelectionBitmap)s and refined in
+//! 4096-row chunks over 64-bit words, with `threads` deciding — behind
+//! [`parallel`] — whether the chunk work runs on the calling thread or on a
+//! morsel crew. `reference` is the row-at-a-time interpreter the pipeline is
+//! pinned against (same results, work profile and simulated time, bit for
+//! bit) and falls back to, whole-query, for predicates it cannot lower.
 
-pub mod compiled;
+mod compiled;
 mod executor;
 pub mod parallel;
+pub(crate) mod reference;
 mod result;
 
-pub use compiled::{CompiledPredicate, ExecEngine, DENSE_GRID_MAX_CELLS};
-pub(crate) use executor::{eval_resolved, resolve_keyword_token};
-pub use executor::{execute, execute_with, ExecOutcome, ExecTable};
+pub use compiled::DENSE_GRID_MAX_CELLS;
+pub use executor::{execute, ExecOutcome, ExecTable};
+pub(crate) use reference::{eval_resolved, resolve_keyword_token};
 pub use result::QueryResult;

@@ -1,9 +1,12 @@
-//! Morsel-driven parallel execution for the compiled bitmap engine.
+//! Morsel-driven parallel execution for the bitmap pipeline.
 //!
-//! [`ExecEngine::ParallelBitmap`](super::ExecEngine::ParallelBitmap) splits a
-//! query's record space into **chunk-aligned morsels** (multiples of the
-//! 4096-bit [`SelectionBitmap`] chunk), hands them to a small worker crew over
-//! a work-stealing claim cursor, and merges each worker's **private partial
+//! Every entry point here takes `threads` and owns the sequential-vs-parallel
+//! decision, so the executor never forks on it. At `threads <= 1` an entry
+//! point calls the sequential kernel in [`super::compiled`] **once over the
+//! whole input** — no morsels, no partials, no merge. Above that it splits the
+//! record space into **chunk-aligned morsels** (multiples of the 4096-bit
+//! [`SelectionBitmap`] chunk), hands them to a small worker crew over a
+//! work-stealing claim cursor, and merges each worker's **private partial
 //! accumulators** — chunk word arrays, dense bin-count partials, per-morsel
 //! [`WorkProfile`] deltas — in deterministic morsel order.
 //!
@@ -11,8 +14,8 @@
 //!
 //! Every observable of a parallel execution — the `QueryResult` bytes, the
 //! `WorkProfile`, the simulated time derived from it, and the plan — is
-//! byte-identical to the sequential `CompiledBitmap` engine at *any* thread
-//! count. The contract holds by construction, not by tolerance:
+//! byte-identical to the sequential kernels at *any* thread count. The
+//! contract holds by construction, not by tolerance:
 //!
 //! * morsel boundaries coincide with the sequential pass's chunk (and
 //!   [`BATCH_ROWS`] batch) boundaries, so per-chunk charges are unchanged;
@@ -38,10 +41,10 @@
 //! so the merge can re-raise the *earliest* panic, exactly as a sequential
 //! pass would. Production drives the crew with `std::thread::scope` (exempt
 //! from the facade by the `vizdb::sync` contract; the calling thread
-//! participates as a worker, so `threads == 1` spawns nothing); the loomlite
-//! model suite (`tests/model_parallel.rs`) drives `MorselRun`/`drain_worker`
-//! directly via `sync::thread::spawn` under `--cfg maliva_model_check`,
-//! exploring dispatch, merge-order, poisoning and panic-survival schedules.
+//! participates as a worker); the loomlite model suite
+//! (`tests/model_parallel.rs`) drives `MorselRun`/`drain_worker` directly via
+//! `sync::thread::spawn` under `--cfg maliva_model_check`, exploring dispatch,
+//! merge-order, poisoning and panic-survival schedules.
 //!
 //! [`SelectionBitmap`]: crate::bitmap::SelectionBitmap
 //! [`BATCH_ROWS`]: super::compiled::BATCH_ROWS
@@ -63,7 +66,7 @@ pub(crate) const MORSEL_ROWS: usize = CHUNK_BITS;
 pub(crate) const MORSEL_CHUNKS: usize = 1;
 
 /// Ids per slice/stream morsel — a multiple of [`BATCH_ROWS`] so morsel
-/// boundaries coincide with the sequential engine's batch boundaries.
+/// boundaries coincide with the sequential pass's batch boundaries.
 pub(crate) const MORSEL_IDS: usize = 4 * BATCH_ROWS;
 
 /// A morsel's outcome: the computed value, or the panic payload caught while
@@ -262,16 +265,21 @@ fn range_morsel(rows: &std::ops::Range<RecordId>, m: usize) -> std::ops::Range<R
     rows.start.max(lo)..rows.end.min(hi)
 }
 
-/// Parallel [`compiled::qualify_range_bitmap`]: each morsel runs the
-/// sequential chunk loop over its chunk-aligned sub-range into a private
-/// bitmap + `WorkProfile`, merged in morsel order.
-pub(crate) fn qualify_range_bitmap_par(
+/// [`compiled::qualify_range_bitmap`] on `threads` workers: each morsel runs
+/// the sequential chunk loop over its chunk-aligned sub-range into a private
+/// bitmap + `WorkProfile`, merged in morsel order. `chunk_hint` pre-sizes the
+/// single-pass result.
+pub(crate) fn qualify_range_bitmap(
     preds: &[CompiledPredicate<'_>],
     rows: std::ops::Range<RecordId>,
+    chunk_hint: usize,
     threads: usize,
     work: &mut WorkProfile,
-    per_batch_rows: fn(&mut WorkProfile, u64),
+    per_batch_rows: impl Fn(&mut WorkProfile, u64) + Copy + Sync,
 ) -> SelectionBitmap {
+    if threads <= 1 {
+        return compiled::qualify_range_bitmap(preds, rows, chunk_hint, work, per_batch_rows);
+    }
     let total = range_morsel_count(&rows);
     let parts = run_morsels(total, threads, |m| {
         let mut w = WorkProfile::default();
@@ -284,40 +292,46 @@ pub(crate) fn qualify_range_bitmap_par(
         );
         (bm, w)
     });
-    let mut out = SelectionBitmap::new();
-    for (bm, w) in parts {
-        work.add(&w);
-        out.append_disjoint(bm);
-    }
-    out
+    merge_bitmaps(parts, work)
 }
 
-/// Parallel [`compiled::qualify_bitmap`]: morsels are groups of candidate
-/// chunk positions; each chunk is refined independently, so concatenating the
-/// per-morsel results in position order is identical to one sequential pass.
-pub(crate) fn qualify_bitmap_par(
+/// [`compiled::qualify_bitmap`] on `threads` workers: morsels are groups of
+/// candidate chunk positions; each chunk is refined independently, so
+/// concatenating the per-morsel results in position order is identical to one
+/// sequential pass. `chunk_hint` pre-sizes the single-pass result.
+pub(crate) fn qualify_bitmap(
     preds: &[CompiledPredicate<'_>],
     candidates: &SelectionBitmap,
+    chunk_hint: usize,
     threads: usize,
     work: &mut WorkProfile,
-    per_batch_rows: fn(&mut WorkProfile, u64),
+    per_batch_rows: impl Fn(&mut WorkProfile, u64) + Copy + Sync,
 ) -> SelectionBitmap {
+    if threads <= 1 {
+        return compiled::qualify_bitmap(preds, candidates, chunk_hint, work, per_batch_rows);
+    }
     let chunks = candidates.chunk_count();
-    let total = chunks.div_ceil(MORSEL_CHUNKS);
-    let parts = run_morsels(total, threads, |m| {
-        let lo = m * MORSEL_CHUNKS;
-        let hi = chunks.min(lo + MORSEL_CHUNKS);
+    let parts = run_morsels(chunks.div_ceil(MORSEL_CHUNKS), threads, |m| {
         let mut w = WorkProfile::default();
         let bm = compiled::qualify_bitmap_range(
             preds,
             candidates,
-            lo..hi,
+            chunk_morsel(chunks, m),
             MORSEL_CHUNKS,
             &mut w,
             per_batch_rows,
         );
         (bm, w)
     });
+    merge_bitmaps(parts, work)
+}
+
+/// Concatenates per-morsel bitmaps (disjoint, in morsel order) and sums their
+/// `WorkProfile` deltas.
+fn merge_bitmaps(
+    parts: Vec<(SelectionBitmap, WorkProfile)>,
+    work: &mut WorkProfile,
+) -> SelectionBitmap {
     let mut out = SelectionBitmap::new();
     for (bm, w) in parts {
         work.add(&w);
@@ -326,24 +340,42 @@ pub(crate) fn qualify_bitmap_par(
     out
 }
 
-/// Parallel [`compiled::qualify_slice`]: morsels are [`MORSEL_IDS`]-sized
-/// sub-slices, so each morsel's internal [`BATCH_ROWS`] batches coincide with
-/// the sequential pass's batch boundaries.
-pub(crate) fn qualify_slice_par(
+/// The candidate chunk positions morsel `m` covers.
+fn chunk_morsel(chunks: usize, m: usize) -> std::ops::Range<usize> {
+    let lo = m * MORSEL_CHUNKS;
+    lo..chunks.min(lo + MORSEL_CHUNKS)
+}
+
+/// The sub-slice morsel `m` covers.
+fn slice_morsel(rids: &[RecordId], m: usize) -> &[RecordId] {
+    let lo = m * MORSEL_IDS;
+    &rids[lo..rids.len().min(lo + MORSEL_IDS)]
+}
+
+/// [`compiled::qualify_slice`] on `threads` workers: morsels are
+/// [`MORSEL_IDS`]-sized sub-slices, so each morsel's internal [`BATCH_ROWS`]
+/// batches coincide with the sequential pass's batch boundaries.
+pub(crate) fn qualify_slice(
     preds: &[CompiledPredicate<'_>],
     rids: &[RecordId],
     threads: usize,
     qualifying: &mut Vec<RecordId>,
     work: &mut WorkProfile,
-    per_batch_rows: fn(&mut WorkProfile, u64),
+    per_batch_rows: impl Fn(&mut WorkProfile, u64) + Copy + Sync,
 ) {
-    let total = rids.len().div_ceil(MORSEL_IDS);
-    let parts = run_morsels(total, threads, |m| {
-        let lo = m * MORSEL_IDS;
-        let hi = rids.len().min(lo + MORSEL_IDS);
+    if threads <= 1 {
+        return compiled::qualify_slice(preds, rids, qualifying, work, per_batch_rows);
+    }
+    let parts = run_morsels(rids.len().div_ceil(MORSEL_IDS), threads, |m| {
         let mut w = WorkProfile::default();
         let mut ids = Vec::new();
-        compiled::qualify_slice(preds, &rids[lo..hi], &mut ids, &mut w, per_batch_rows);
+        compiled::qualify_slice(
+            preds,
+            slice_morsel(rids, m),
+            &mut ids,
+            &mut w,
+            per_batch_rows,
+        );
         (ids, w)
     });
     for (ids, w) in parts {
@@ -352,9 +384,28 @@ pub(crate) fn qualify_slice_par(
     }
 }
 
-/// Speculative parallel execution of a row-capped scan. Each morsel runs the
-/// row-at-a-time capped loop as if it owned the whole cap; the in-order merge
-/// then reproduces the sequential stop point exactly:
+/// [`compiled::qualify_batches`] on `threads` workers. Materialising the
+/// stream is uncharged, and slice morsels batch ids in the same
+/// [`BATCH_ROWS`] groups as the stream entry point — identical charges by
+/// construction.
+pub(crate) fn qualify_stream(
+    preds: &[CompiledPredicate<'_>],
+    rids: impl Iterator<Item = RecordId>,
+    threads: usize,
+    qualifying: &mut Vec<RecordId>,
+    work: &mut WorkProfile,
+    per_batch_rows: impl Fn(&mut WorkProfile, u64) + Copy + Sync,
+) {
+    if threads <= 1 {
+        return compiled::qualify_batches(preds, rids, qualifying, work, per_batch_rows);
+    }
+    let ids: Vec<RecordId> = rids.collect();
+    qualify_slice(preds, &ids, threads, qualifying, work, per_batch_rows);
+}
+
+/// [`compiled::qualify_capped`] on `threads` workers, speculatively. Each
+/// morsel runs the row-at-a-time capped loop as if it owned the whole cap; the
+/// in-order merge then reproduces the sequential stop point exactly:
 ///
 /// * a morsel that found fewer matches than remain under the cap evaluated
 ///   every one of its rows — exactly what the sequential pass would have done
@@ -366,92 +417,85 @@ pub(crate) fn qualify_slice_par(
 /// * morsels past the cut are discarded — their speculative work touched only
 ///   private accumulators.
 ///
-/// `rows_of(m)` yields morsel `m`'s candidate rows in scan order; `row_charge`
-/// is the per-row-visited charge (`seq_rows` or `heap_fetches`).
+/// `whole` yields every candidate row in scan order and `rows_of(m)` morsel
+/// `m`'s share of them; `row_charge` is the per-row-visited charge (`seq_rows`
+/// or `heap_fetches`).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn qualify_capped_par<I, F>(
+fn qualify_capped<W, I, F>(
     preds: &[CompiledPredicate<'_>],
+    whole: W,
     total: usize,
     rows_of: F,
     cap: usize,
-    row_charge: fn(&mut WorkProfile),
+    row_charge: impl Fn(&mut WorkProfile) + Copy + Sync,
     threads: usize,
     work: &mut WorkProfile,
     qualifying: &mut Vec<RecordId>,
 ) where
+    W: Iterator<Item = RecordId>,
     I: Iterator<Item = RecordId>,
     F: Fn(usize) -> I + Sync,
 {
-    struct Part {
-        ids: Vec<RecordId>,
-        work: WorkProfile,
+    if threads <= 1 {
+        return compiled::qualify_capped(preds, whole, cap, row_charge, work, qualifying);
     }
     let parts = run_morsels(total, threads, |m| {
         let mut w = WorkProfile::default();
         let mut ids = Vec::new();
-        for rid in rows_of(m) {
-            row_charge(&mut w);
-            if compiled::eval_row(preds, rid, &mut w) {
-                ids.push(rid);
-                if ids.len() >= cap {
-                    break;
-                }
-            }
-        }
-        Part { ids, work: w }
+        compiled::qualify_capped(preds, rows_of(m), cap, row_charge, &mut w, &mut ids);
+        (ids, w)
     });
     let mut remaining = cap;
-    for (m, part) in parts.into_iter().enumerate() {
-        if part.ids.len() < remaining {
+    for (m, (ids, w)) in parts.into_iter().enumerate() {
+        if ids.len() < remaining {
             // Fewer matches than the remaining cap: the morsel evaluated all
             // its rows, exactly as the sequential pass would have.
-            remaining -= part.ids.len();
-            work.add(&part.work);
-            qualifying.extend_from_slice(&part.ids);
-            continue;
-        }
-        if remaining == cap {
+            remaining -= ids.len();
+            work.add(&w);
+            qualifying.extend_from_slice(&ids);
+        } else if remaining == cap {
             // The speculative run used this very cap and stopped at the
             // cap-th match — its charges are the sequential ones.
-            work.add(&part.work);
-            qualifying.extend_from_slice(&part.ids);
+            work.add(&w);
+            qualifying.extend_from_slice(&ids);
             return;
+        } else {
+            // The crossing morsel: it speculated past where the sequential
+            // scan stops. Re-run it against the true remaining cap; the
+            // morsel's rows and the predicate evaluations are deterministic,
+            // so this replay is the sequential execution of the cut.
+            return compiled::qualify_capped(
+                preds,
+                rows_of(m),
+                remaining,
+                row_charge,
+                work,
+                qualifying,
+            );
         }
-        // The crossing morsel: it speculated past where the sequential scan
-        // stops. Re-run it against the true remaining cap; the morsel's rows
-        // and the predicate evaluations are deterministic, so this replay is
-        // the sequential execution of the cut (`part.ids.len() >= remaining`
-        // guarantees the replay fills the cap before the rows run out).
-        for rid in rows_of(m) {
-            row_charge(work);
-            if compiled::eval_row(preds, rid, work) {
-                qualifying.push(rid);
-                remaining -= 1;
-                if remaining == 0 {
-                    return;
-                }
-            }
-        }
-        return;
     }
 }
 
-/// [`qualify_capped_par`] over a contiguous row range, split at the same
-/// [`MORSEL_ROWS`]-aligned boundaries as the uncapped range scan.
-pub(crate) fn qualify_capped_range_par(
+/// [`qualify_capped`] over the rows of a contiguous range that pass `keep`
+/// (the sample restriction), split at the same [`MORSEL_ROWS`]-aligned
+/// boundaries as the uncapped range scan. Rows failing `keep` are skipped
+/// uncharged.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn qualify_capped_range(
     preds: &[CompiledPredicate<'_>],
     rows: std::ops::Range<RecordId>,
+    keep: impl Fn(&RecordId) -> bool + Copy + Sync,
     cap: usize,
-    row_charge: fn(&mut WorkProfile),
+    row_charge: impl Fn(&mut WorkProfile) + Copy + Sync,
     threads: usize,
     work: &mut WorkProfile,
     qualifying: &mut Vec<RecordId>,
 ) {
-    let total = range_morsel_count(&rows);
-    qualify_capped_par(
+    qualify_capped(
         preds,
-        total,
-        |m| range_morsel(&rows, m),
+        rows.clone().filter(keep),
+        range_morsel_count(&rows),
+        |m| range_morsel(&rows, m).filter(keep),
         cap,
         row_charge,
         threads,
@@ -460,26 +504,23 @@ pub(crate) fn qualify_capped_range_par(
     );
 }
 
-/// [`qualify_capped_par`] over a candidate bitmap (chunk-position morsels, so
+/// [`qualify_capped`] over a candidate bitmap (chunk-position morsels, so
 /// rows enumerate ascending within and across morsels).
-pub(crate) fn qualify_capped_bitmap_par(
+pub(crate) fn qualify_capped_bitmap(
     preds: &[CompiledPredicate<'_>],
     candidates: &SelectionBitmap,
     cap: usize,
-    row_charge: fn(&mut WorkProfile),
+    row_charge: impl Fn(&mut WorkProfile) + Copy + Sync,
     threads: usize,
     work: &mut WorkProfile,
     qualifying: &mut Vec<RecordId>,
 ) {
     let chunks = candidates.chunk_count();
-    let total = chunks.div_ceil(MORSEL_CHUNKS);
-    qualify_capped_par(
+    qualify_capped(
         preds,
-        total,
-        |m| {
-            let lo = m * MORSEL_CHUNKS;
-            candidates.iter_chunks(lo..chunks.min(lo + MORSEL_CHUNKS))
-        },
+        candidates.iter(),
+        chunks.div_ceil(MORSEL_CHUNKS),
+        |m| candidates.iter_chunks(chunk_morsel(chunks, m)),
         cap,
         row_charge,
         threads,
@@ -488,25 +529,22 @@ pub(crate) fn qualify_capped_bitmap_par(
     );
 }
 
-/// [`qualify_capped_par`] over an id slice ([`MORSEL_IDS`]-sized morsels; the
+/// [`qualify_capped`] over an id slice ([`MORSEL_IDS`]-sized morsels; the
 /// capped loop is row-at-a-time, so any split point preserves charges).
-pub(crate) fn qualify_capped_slice_par(
+pub(crate) fn qualify_capped_slice(
     preds: &[CompiledPredicate<'_>],
     rids: &[RecordId],
     cap: usize,
-    row_charge: fn(&mut WorkProfile),
+    row_charge: impl Fn(&mut WorkProfile) + Copy + Sync,
     threads: usize,
     work: &mut WorkProfile,
     qualifying: &mut Vec<RecordId>,
 ) {
-    let total = rids.len().div_ceil(MORSEL_IDS);
-    qualify_capped_par(
+    qualify_capped(
         preds,
-        total,
-        |m| {
-            let lo = m * MORSEL_IDS;
-            rids[lo..rids.len().min(lo + MORSEL_IDS)].iter().copied()
-        },
+        rids.iter().copied(),
+        rids.len().div_ceil(MORSEL_IDS),
+        |m| slice_morsel(rids, m).iter().copied(),
         cap,
         row_charge,
         threads,
@@ -515,12 +553,12 @@ pub(crate) fn qualify_capped_slice_par(
     );
 }
 
-/// Parallel dense binned-count accumulation over a qualified bitmap: workers
-/// fold chunk-position morsels into private per-cell `u64` count vectors,
-/// which merge by exact elementwise addition — claim order cannot show
-/// through. Grids failing the shared dense gate (and degenerate runs) take
-/// the sequential [`compiled::bin_counts_iter`] path unchanged.
-pub(crate) fn bin_counts_par(
+/// Dense binned-count accumulation over a qualified bitmap on `threads`
+/// workers: they fold chunk-position morsels into private per-cell `u64`
+/// count vectors, which merge by exact elementwise addition — claim order
+/// cannot show through. Grids failing the shared dense gate (and degenerate
+/// runs) take the sequential [`compiled::bin_counts_iter`] path unchanged.
+pub(crate) fn bin_counts(
     grid: &BinGrid,
     geo: &[GeoPoint],
     qualified: &SelectionBitmap,
@@ -531,7 +569,7 @@ pub(crate) fn bin_counts_par(
     let rows = qualified.len();
     let chunks = qualified.chunk_count();
     let total = chunks.div_ceil(MORSEL_CHUNKS);
-    if !compiled::dense_grid_gate(cells, rows) || threads <= 1 || total <= 1 {
+    if threads <= 1 || total <= 1 || !compiled::dense_grid_gate(cells, rows) {
         // The sparse HashMap fallback has no cheap commutative merge; it (and
         // the trivially small runs) stay sequential.
         return compiled::bin_counts_iter(grid, geo, qualified.iter(), rows, materialize);
@@ -541,9 +579,8 @@ pub(crate) fn bin_counts_par(
         threads,
         || vec![0u64; cells],
         |acc, m| {
-            let lo = m * MORSEL_CHUNKS;
-            let hi = chunks.min(lo + MORSEL_CHUNKS);
-            compiled::dense_bin_into(grid, geo, qualified.iter_chunks(lo..hi), acc);
+            let rows = qualified.iter_chunks(chunk_morsel(chunks, m));
+            compiled::dense_bin_into(grid, geo, rows, acc);
         },
     );
     let mut partials = partials.into_iter();
@@ -559,28 +596,21 @@ pub(crate) fn bin_counts_par(
     compiled::dense_accum_finish(&counts, materialize)
 }
 
-/// Parallel gather for the compiled `Points` output path: workers collect
-/// `(id, point)` pairs for chunk-position morsels of the qualified bitmap
-/// into private vectors, concatenated in morsel order. `ids` is the bound id
-/// column (`None` falls back to the record id, mirroring the interpreter's
-/// per-row `unwrap_or`).
-pub(crate) fn gather_points_par(
+/// [`compiled::gather_points`] over a qualified bitmap on `threads` workers:
+/// they collect `(id, point)` pairs for chunk-position morsels into private
+/// vectors, concatenated in morsel order.
+pub(crate) fn gather_points(
     qualified: &SelectionBitmap,
     ids: Option<&[i64]>,
     geo: &[GeoPoint],
     threads: usize,
 ) -> Vec<(i64, GeoPoint)> {
+    if threads <= 1 {
+        return compiled::gather_points(qualified.iter(), qualified.len(), ids, geo);
+    }
     let chunks = qualified.chunk_count();
-    let total = chunks.div_ceil(MORSEL_CHUNKS);
-    let parts = run_morsels(total, threads, |m| {
-        let lo = m * MORSEL_CHUNKS;
-        let hi = chunks.min(lo + MORSEL_CHUNKS);
-        let mut out = Vec::new();
-        for rid in qualified.iter_chunks(lo..hi) {
-            let id = ids.map_or(rid as i64, |s| s[rid as usize]);
-            out.push((id, geo[rid as usize]));
-        }
-        out
+    let parts = run_morsels(chunks.div_ceil(MORSEL_CHUNKS), threads, |m| {
+        compiled::gather_points(qualified.iter_chunks(chunk_morsel(chunks, m)), 0, ids, geo)
     });
     let mut points = Vec::with_capacity(qualified.len());
     for p in parts {

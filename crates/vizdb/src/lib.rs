@@ -71,7 +71,6 @@ pub use backend::{
 pub use cache::FingerprintCache;
 pub use db::{Database, DbConfig, DbProfile, RunOutcome};
 pub use error::{Error, Result};
-pub use exec::ExecEngine;
 pub use fault::{FaultInjectingBackend, FaultKind, FaultPlan};
 pub use sharded::{
     BreakerState, CircuitBreaker, FaultCounters, FaultPolicy, PartitionScheme, PoolSnapshot,

@@ -1,11 +1,10 @@
-//! Property test: the compiled engines (id-vector batches and bitmap chunks)
-//! are observationally identical to the row-at-a-time interpreter. For random
-//! tables, predicates, hint-forced plans, approximation rules, grids and
-//! limits, all three engines must produce the same `QueryResult` bytes, the
-//! same `WorkProfile` (and therefore the same simulated execution time) and
-//! the same plan. This pins the core invariant of the execution-engine
-//! rewrites: compilation and bitmap selections are speed-ups, never a semantic
-//! change.
+//! Property test: the production bitmap pipeline is observationally identical
+//! to the reference oracle, the row-at-a-time interpreter. For random tables,
+//! predicates, hint-forced plans, approximation rules, grids and limits, both
+//! must produce the same `QueryResult` bytes, the same `WorkProfile` (and
+//! therefore the same simulated execution time) and the same plan. This pins
+//! the core invariant of the execution engine: compilation and bitmap
+//! selections are speed-ups, never a semantic change.
 
 use proptest::prelude::*;
 
@@ -15,7 +14,7 @@ use vizdb::query::{BinGrid, JoinSpec, OutputKind, Predicate, Query};
 use vizdb::schema::{ColumnType, TableSchema};
 use vizdb::storage::TableBuilder;
 use vizdb::types::GeoRect;
-use vizdb::{Database, DbConfig, ExecEngine};
+use vizdb::{Database, DbConfig};
 
 fn build_db(points: &[(f64, f64)], keyword_every: usize) -> Database {
     let schema = TableSchema::new("events")
@@ -64,40 +63,26 @@ fn register_users(db: &mut Database, n: usize) {
     db.build_all_indexes("users").unwrap();
 }
 
-/// Runs `query` under `ro` through all three engines and asserts full
-/// observational equality against the interpreter reference.
+/// Runs `query` under `ro` on the reference oracle and on the production
+/// pipeline and asserts full observational equality.
 fn assert_engines_agree(db: &Database, query: &Query, ro: &RewriteOption) {
-    let interpreted = db.run_with_engine(query, ro, ExecEngine::Interpreted);
-    for engine in [ExecEngine::CompiledIdVec, ExecEngine::CompiledBitmap] {
-        // Drop the time cache so each compiled run computes its own time
-        // rather than reporting the interpreter's canonical cached value — the
-        // time assertion below must be able to fail.
-        db.clear_caches();
-        let compiled = db.run_with_engine(query, ro, engine);
-        match (&interpreted, compiled) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(
-                    a.result, b.result,
-                    "{engine:?} result diverged for {query:?}"
-                );
-                assert_eq!(a.work, b.work, "{engine:?} work diverged for {query:?}");
-                assert_eq!(
-                    a.time_ms, b.time_ms,
-                    "{engine:?} time diverged for {query:?}"
-                );
-                assert_eq!(a.plan, b.plan, "{engine:?} plan diverged for {query:?}");
-            }
-            (Err(a), Err(b)) => {
-                assert_eq!(
-                    format!("{a:?}"),
-                    format!("{b:?}"),
-                    "{engine:?} error diverged"
-                );
-            }
-            (a, b) => {
-                panic!("one engine failed where the other succeeded: {a:?} vs {b:?} ({engine:?})")
-            }
+    let reference = db.run_reference(query, ro);
+    // Drop the time cache so the pipeline run computes its own time rather
+    // than reporting the oracle's canonical cached value — the time assertion
+    // below must be able to fail.
+    db.clear_caches();
+    let pipeline = db.run(query, ro);
+    match (&reference, pipeline) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.result, b.result, "result diverged for {query:?}");
+            assert_eq!(a.work, b.work, "work diverged for {query:?}");
+            assert_eq!(a.time_ms, b.time_ms, "time diverged for {query:?}");
+            assert_eq!(a.plan, b.plan, "plan diverged for {query:?}");
         }
+        (Err(a), Err(b)) => {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "error diverged");
+        }
+        (a, b) => panic!("the oracle and the pipeline disagree on failure: {a:?} vs {b:?}"),
     }
 }
 
@@ -247,5 +232,59 @@ fn unknown_keyword_is_identical_on_both_engines() {
         .output(OutputKind::Count);
     for mask in [0u32, 1] {
         assert_engines_agree(&db, &q, &RewriteOption::hinted(HintSet::with_mask(mask)));
+    }
+}
+
+/// The pipeline lowers everything it evaluates up front and, when any of it
+/// cannot bind, runs the *whole* query on the oracle. An uncompilable
+/// join-side predicate and an uncompilable fact predicate therefore take the
+/// same single fallback: each must equal the oracle in result, `WorkProfile`
+/// and error — and when the scan reaches a row, in the very error it raises.
+#[test]
+fn fact_and_join_side_fallbacks_are_the_same_path() {
+    let mut db = build_db(&[(-100.0, 30.0), (-99.0, 31.0), (-98.0, 32.0)], 2);
+    register_users(&mut db, 10);
+    let join = |fact_pred: Predicate, right_pred: Predicate| {
+        Query::select("events")
+            .filter(fact_pred)
+            .join_with(JoinSpec {
+                right_table: "users".into(),
+                left_attr: 0,
+                right_attr: 0,
+                right_predicates: vec![right_pred],
+            })
+            .output(OutputKind::Count)
+    };
+    let bad_join = join(
+        Predicate::time_range(1, 0, 1000),
+        Predicate::numeric_range(17, 0.0, 1.0),
+    );
+    let bad_fact = join(
+        Predicate::numeric_range(17, 0.0, 1.0),
+        Predicate::numeric_range(1, 0.0, 100.0),
+    );
+    let ro = RewriteOption::original();
+    for query in [&bad_join, &bad_fact] {
+        assert_engines_agree(&db, query, &ro);
+        // Both surface the interpreter's per-row error for attribute 17.
+        let err = db.run(query, &ro).unwrap_err();
+        assert_eq!(
+            format!("{err:?}"),
+            format!("{:?}", db.run_reference(query, &ro).unwrap_err())
+        );
+        assert!(
+            format!("{err:?}").contains("17"),
+            "unexpected error {err:?}"
+        );
+    }
+    // With nothing to scan, neither bad predicate is ever evaluated: the
+    // fallback succeeds with the oracle's empty result and work profile.
+    let mut empty = build_db(&[], 2);
+    register_users(&mut empty, 10);
+    for query in [&bad_join, &bad_fact] {
+        assert_engines_agree(&empty, query, &ro);
+        let out = empty.run(query, &ro).unwrap();
+        assert!(out.result.is_empty());
+        assert_eq!(out.work, empty.run_reference(query, &ro).unwrap().work);
     }
 }

@@ -1,10 +1,10 @@
-//! Property test: the morsel-driven parallel bitmap engine is byte-identical
-//! to the sequential `CompiledBitmap` engine at every thread count. For random
-//! tables, plan shapes, outputs, approximation rules, joins and row caps, a
-//! run at 1, 2, 4 and 8 threads must produce the same `QueryResult` bytes, the
-//! same exact `WorkProfile` (and therefore the same simulated execution time)
-//! and the same plan as the sequential engine — parallelism is a wall-clock
-//! speed-up, never a semantic or accounting change.
+//! Property test: the bitmap pipeline is byte-identical at every thread
+//! count. For random tables, plan shapes, outputs, approximation rules, joins
+//! and row caps, a run at 1, 2, 4 and 8 threads must produce the same
+//! `QueryResult` bytes, the same exact `WorkProfile` (and therefore the same
+//! simulated execution time) and the same plan as the database's own
+//! single-threaded `run` — parallelism is a wall-clock speed-up, never a
+//! semantic or accounting change.
 
 use proptest::prelude::*;
 
@@ -15,7 +15,7 @@ use vizdb::schema::{ColumnType, TableSchema};
 use vizdb::sharded::ShardedBackend;
 use vizdb::storage::{Table, TableBuilder};
 use vizdb::types::GeoRect;
-use vizdb::{Database, DbConfig, ExecEngine, QueryBackend};
+use vizdb::{Database, DbConfig, QueryBackend};
 
 /// Thread counts every observable is pinned at. `1` exercises the degenerate
 /// spawn-nothing path, `8` oversubscribes the morsel count on small tables.
@@ -77,14 +77,14 @@ fn build_db(rows: usize, keyword_every: usize, users: Option<usize>) -> Database
 }
 
 /// Runs `query` at every thread count and asserts full observational equality
-/// against the sequential bitmap engine (or identical errors).
+/// against the default single-threaded `run` (or identical errors).
 fn assert_parallel_matches(db: &Database, query: &Query, ro: &RewriteOption) {
-    let sequential = db.run_with_engine(query, ro, ExecEngine::CompiledBitmap);
+    let sequential = db.run(query, ro);
     for threads in THREADS {
         // Drop the time cache so each run computes its own simulated time —
         // the time assertion below must be able to fail.
         db.clear_caches();
-        let parallel = db.run_with_engine(query, ro, ExecEngine::ParallelBitmap { threads });
+        let parallel = db.run_with_threads(query, ro, threads);
         match (&sequential, parallel) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(
@@ -112,7 +112,7 @@ fn assert_parallel_matches(db: &Database, query: &Query, ro: &RewriteOption) {
                 );
             }
             (a, b) => panic!(
-                "one engine failed where the other succeeded: {a:?} vs {b:?} ({threads} threads)"
+                "one run failed where the other succeeded: {a:?} vs {b:?} ({threads} threads)"
             ),
         }
     }
@@ -339,4 +339,92 @@ fn exec_threads_config_propagates_through_sharded_backend() {
     assert_eq!(a.result, b.result);
     assert_eq!(a.work, b.work);
     assert_eq!(a.time_ms, b.time_ms);
+}
+
+/// `exec_threads: 0` is not a distinct mode: like `1` it runs every kernel
+/// once, sequentially, on the calling thread.
+#[test]
+fn zero_exec_threads_behaves_exactly_as_one() {
+    let events = build_events(9_000, 3);
+    let build = |exec_threads: usize| {
+        let mut db = Database::new(DbConfig {
+            exec_threads,
+            ..DbConfig::default()
+        });
+        db.register_table(events.clone()).unwrap();
+        db.build_all_indexes("events").unwrap();
+        db.build_sample("events", 20).unwrap();
+        db
+    };
+    let (zero, one) = (build(0), build(1));
+    let base = Query::select("events").filter(Predicate::keyword(3, "hot"));
+    let heatmap = base.clone().output(OutputKind::BinnedCounts {
+        point_attr: 2,
+        grid: BinGrid::new(GeoRect::new(-121.0, 20.0, -70.0, 50.0), 16, 16),
+    });
+    let capped = base
+        .output(OutputKind::Points {
+            id_attr: 0,
+            point_attr: 2,
+        })
+        .limit(50);
+    for query in [&heatmap, &capped] {
+        for ro in [
+            RewriteOption::original(),
+            RewriteOption::hinted(HintSet::with_mask(0)),
+            RewriteOption::approximate(
+                HintSet::with_mask(0),
+                ApproxRule::SampleTable { fraction_pct: 20 },
+            ),
+        ] {
+            let a = zero.run(query, &ro).unwrap();
+            let b = one.run(query, &ro).unwrap();
+            assert_eq!(a.result, b.result);
+            assert_eq!(a.work, b.work);
+            assert_eq!(a.time_ms, b.time_ms);
+            assert_eq!(a.plan, b.plan);
+            // And an explicit zero-thread run matches both.
+            let c = one.run_with_threads(query, &ro, 0).unwrap();
+            assert_eq!((&a.result, &a.work), (&c.result, &c.work));
+        }
+    }
+}
+
+/// `Query::limit(0)` renders `LIMIT 0` and must mean it: an empty result with
+/// zero rows visited, on the oracle and on the pipeline at any thread count.
+/// (It used to be clamped to a cap of one row and charge that row's scan.)
+#[test]
+fn limit_zero_returns_nothing_and_visits_no_row() {
+    let db = build_db(9_000, 3, None);
+    let base = Query::select("events")
+        .filter(Predicate::keyword(3, "hot"))
+        .limit(0);
+    let points = base.clone().output(OutputKind::Points {
+        id_attr: 0,
+        point_attr: 2,
+    });
+    let bins = base.clone().output(OutputKind::BinnedCounts {
+        point_attr: 2,
+        grid: BinGrid::new(GeoRect::new(-121.0, 20.0, -70.0, 50.0), 16, 16),
+    });
+    let count = base.output(OutputKind::Count);
+    // Both a sequential-scan plan and an index plan.
+    for mask in [0u32, 1] {
+        let ro = RewriteOption::hinted(HintSet::with_mask(mask));
+        for query in [&points, &bins, &count] {
+            db.clear_caches();
+            let reference = db.run_reference(query, &ro).unwrap();
+            for threads in [1usize, 4] {
+                db.clear_caches();
+                let out = db.run_with_threads(query, &ro, threads).unwrap();
+                assert!(out.result.is_empty(), "{query:?} at {threads} threads");
+                assert_eq!(out.work.seq_rows, 0);
+                assert_eq!(out.work.heap_fetches, 0);
+                assert_eq!(out.work.filter_evals, 0);
+                assert_eq!(out.result, reference.result);
+                assert_eq!(out.work, reference.work);
+                assert_eq!(out.time_ms, reference.time_ms);
+            }
+        }
+    }
 }

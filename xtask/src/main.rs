@@ -205,7 +205,8 @@ const RULES: &[(&str, PathPredicate, LineCheck)] = &[
 ];
 
 /// Hot-path modules: a panic here takes down a worker thread or a whole
-/// request fan-out.
+/// request fan-out. All of `exec/` is covered by prefix — the pipeline, its
+/// kernels, the morsel driver and the reference interpreter it falls back to.
 fn is_hot_path(path: &str) -> bool {
     path.starts_with("crates/vizdb/src/exec/")
         || path.starts_with("crates/vizdb/src/sharded/")
@@ -540,6 +541,22 @@ mod tests {
             scan_source("crates/vizdb/src/exec/executor.rs", bad).len(),
             1
         );
+    }
+
+    #[test]
+    fn every_exec_module_is_a_hot_path_and_only_the_morsel_driver_is_concurrent() {
+        let bad = "fn f() { a.unwrap(); }\n";
+        for module in ["executor", "reference", "compiled", "parallel", "mod"] {
+            let path = format!("crates/vizdb/src/exec/{module}.rs");
+            let findings = scan_source(&path, bad);
+            assert_eq!(findings.len(), 1, "{path} must be under the no-panic rule");
+            assert_eq!(findings[0].rule, "no-panic");
+            assert_eq!(
+                is_facade_module(&path),
+                module == "parallel",
+                "{path}: only the morsel driver holds sync primitives"
+            );
+        }
     }
 
     #[test]
