@@ -3,19 +3,21 @@
 //! A [`MalivaServer`] owns shared handles to a [`QueryBackend`] (a single
 //! simulated database, a lock-wrapped mutable one, or a per-region
 //! [`vizdb::ShardedBackend`]), a trained agent and a QTE, plus a
-//! [`DecisionCache`]. [`MalivaServer::serve_batch`] drains a queue of
-//! visualization requests across `std::thread::scope` workers: each request is
-//! planned with [`maliva::plan_online`] (unless the decision cache already knows
-//! the answer) and then executed with [`QueryBackend::run`].
+//! [`DecisionCache`]. Each request is planned with [`maliva::plan_online`]
+//! (unless the decision cache already knows the answer) and then executed with
+//! [`QueryBackend::run_with_context`]. The scheduling is [`vizdb::sched`]'s:
+//! [`MalivaServer::serve_batch`] hands the request range to the claim-cursor
+//! crew, [`MalivaServer::serve_queued`] admits requests into a
+//! [`vizdb::sched::WorkQueue`] that scoped workers drain.
 //!
 //! Every quantity a response carries is *simulated* and deterministic — planning
 //! cost, execution time, viability, the materialised result — so serving the same
 //! batch with 1 or 8 workers produces identical responses; only the wall-clock
 //! throughput changes. This is the invariant the concurrency smoke tests pin.
 //!
-//! Three serve-layer knobs ([`ServeConfig`]):
+//! Four serve-layer knobs ([`ServeConfig`]):
 //!
-//! * `workers` — scoped worker threads draining the batch;
+//! * `workers` — threads serving a batch or draining the queue;
 //! * `shards` — consumed by [`MalivaServer::over_database`], which mirrors the
 //!   database into that many per-region shards behind the same trait object;
 //! * `queue_capacity` — admission control: [`MalivaServer::serve_queued`] admits
@@ -28,7 +30,6 @@
 //!   answers from the survivors and the response reports
 //!   [`vizdb::ResultQuality::Degraded`] instead of failing the request.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -39,8 +40,8 @@ use vizdb::error::{Error, Result};
 use vizdb::exec::QueryResult;
 use vizdb::hints::RewriteOption;
 use vizdb::query::Query;
-use vizdb::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use vizdb::sync::{Condvar, Mutex};
+use vizdb::sched::{run_morsels, WorkQueue};
+use vizdb::sync::atomic::{AtomicU64, Ordering};
 use vizdb::{
     Database, ExecContext, FaultStats, QueryBackend, ResultQuality, ShardedBackendBuilder,
 };
@@ -258,18 +259,22 @@ pub struct ServeMetrics {
 /// The `p`-th percentile (0–100) of an unsorted latency sample, by the
 /// nearest-rank method; 0 for an empty sample.
 pub fn percentile_ms(latencies: &[f64], p: f64) -> f64 {
-    if latencies.is_empty() {
-        return 0.0;
-    }
     let mut sorted = latencies.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(f64::total_cmp);
+    nearest_rank(&sorted, p)
+}
+
+/// The nearest-rank `p`-th percentile of an ascending sample; 0 if empty.
+fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    let nearest = sorted.get(rank.clamp(1, sorted.len().max(1)) - 1);
+    nearest.copied().unwrap_or(0.0)
 }
 
 impl ServeMetrics {
-    fn from_run(wall_clock_ms: f64, latencies: &[f64], faults: &FaultStats) -> Self {
-        let requests = latencies.len();
+    fn from_run(wall_clock_ms: f64, mut sorted: Vec<f64>, faults: &FaultStats) -> Self {
+        let requests = sorted.len();
+        sorted.sort_by(f64::total_cmp);
         Self {
             requests,
             wall_clock_ms,
@@ -278,9 +283,9 @@ impl ServeMetrics {
             } else {
                 0.0
             },
-            p50_ms: percentile_ms(latencies, 50.0),
-            p95_ms: percentile_ms(latencies, 95.0),
-            p99_ms: percentile_ms(latencies, 99.0),
+            p50_ms: nearest_rank(&sorted, 50.0),
+            p95_ms: nearest_rank(&sorted, 95.0),
+            p99_ms: nearest_rank(&sorted, 99.0),
             retries: faults.retries,
             timeouts: faults.timeouts,
             breaker_open_skips: faults.breaker_open_skips,
@@ -290,8 +295,9 @@ impl ServeMetrics {
 }
 
 /// The backend a [`ServeConfig::shards`] value asks for: the database itself at
-/// one shard, a longitude-partitioned [`vizdb::ShardedBackend`] mirroring its
-/// tables, indexes and samples otherwise.
+/// one shard, a [`vizdb::ShardedBackend`] mirroring its tables, indexes and
+/// samples otherwise (partitioned under the default
+/// [`vizdb::PartitionScheme`], 2-D tiles).
 pub fn backend_for_shards(db: Arc<Database>, shards: usize) -> Result<Arc<dyn QueryBackend>> {
     if shards <= 1 {
         return Ok(db);
@@ -310,7 +316,7 @@ pub struct MalivaServer {
     shed: AtomicU64,
 }
 
-// `serve_batch` borrows `self` from every scoped worker thread.
+// `serve_batch` / `serve_queued` borrow `self` from every scoped worker thread.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<MalivaServer>();
@@ -385,8 +391,17 @@ impl MalivaServer {
     /// The cache lookup carries the backend's current catalog generation, so a
     /// decision planned before a mid-serve `register_table` / `build_index` is
     /// dropped as stale instead of being returned.
+    ///
+    /// A NaN or negative budget is an [`Error::InvalidQuery`] before the cache
+    /// is touched: τ-bucketing maps either to bucket 0, whose decision would
+    /// then be served to legitimate requests in `[0, tau_bucket_ms)`.
     pub fn serve_one(&self, request_index: usize, request: &ServeRequest) -> Result<ServeResponse> {
         let tau_ms = request.tau_ms.unwrap_or(self.config.default_tau_ms);
+        if tau_ms.is_nan() || tau_ms < 0.0 {
+            return Err(Error::InvalidQuery(format!(
+                "time budget tau_ms must be a non-negative number, got {tau_ms}"
+            )));
+        }
         let key = self.cache.key(&request.query, tau_ms);
         // The generation is read lazily *inside* the lookup (after the entry is
         // retrieved), so a catalog mutation landing just before the lookup drops
@@ -450,8 +465,8 @@ impl MalivaServer {
         })
     }
 
-    /// Serves a whole batch across `config.workers` scoped threads, returning
-    /// responses in request order.
+    /// Serves a whole batch across `config.workers` threads (the caller's is one
+    /// of them), returning responses in request order.
     pub fn serve_batch(&self, requests: &[ServeRequest]) -> Result<Vec<ServeResponse>> {
         Ok(self.serve_batch_timed(requests)?.0)
     }
@@ -465,47 +480,25 @@ impl MalivaServer {
         &self,
         requests: &[ServeRequest],
     ) -> Result<(Vec<ServeResponse>, ServeMetrics)> {
-        let workers = self.config.workers.max(1);
         let faults_before = self.backend.fault_stats();
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<ServeResponse>>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-        let latencies: Vec<Mutex<f64>> = requests.iter().map(|_| Mutex::new(0.0)).collect();
-
         let started = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= requests.len() {
-                        break;
-                    }
-                    let request_started = Instant::now();
-                    let response = self.serve_one(i, &requests[i]);
-                    *latencies[i].lock() = request_started.elapsed().as_secs_f64() * 1000.0;
-                    *slots[i].lock() = Some(response);
-                });
-            }
+        let served = run_morsels(requests.len(), self.config.workers, |i| {
+            let request_started = Instant::now();
+            let response = self.serve_one(i, &requests[i]);
+            (response, request_started.elapsed().as_secs_f64() * 1000.0)
         });
         let wall_clock_ms = started.elapsed().as_secs_f64() * 1000.0;
 
-        let mut responses = Vec::with_capacity(requests.len());
-        for slot in slots {
-            match slot.into_inner() {
-                Some(Ok(response)) => responses.push(response),
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(Error::Internal(
-                        "a request was never picked up by a worker".into(),
-                    ))
-                }
-            }
+        let mut responses = Vec::with_capacity(served.len());
+        let mut latencies = Vec::with_capacity(served.len());
+        for (response, latency_ms) in served {
+            responses.push(response?);
+            latencies.push(latency_ms);
         }
-        let latencies: Vec<f64> = latencies.into_iter().map(Mutex::into_inner).collect();
         let fault_delta = self.backend.fault_stats().delta_since(&faults_before);
         Ok((
             responses,
-            ServeMetrics::from_run(wall_clock_ms, &latencies, &fault_delta),
+            ServeMetrics::from_run(wall_clock_ms, latencies, &fault_delta),
         ))
     }
 
@@ -521,74 +514,46 @@ impl MalivaServer {
     pub fn serve_queued(&self, requests: &[ServeRequest]) -> Result<Vec<ServeOutcome>> {
         let workers = self.config.workers.max(1);
         let capacity = self.config.queue_capacity.max(1);
-        let slots: Vec<Mutex<Option<Result<ServeOutcome>>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-        // (pending request indices, submission finished). The facade pairs a
-        // Mutex with a Condvar so workers can block on arrivals — and so the
-        // model checker can explore the admit/drain interleavings.
-        let queue: Mutex<(VecDeque<usize>, bool)> =
-            Mutex::with_name((VecDeque::new(), false), "serve.queue");
-        let not_empty = Condvar::with_name("serve.not_empty");
+        let queue = WorkQueue::new();
+        let mut outcomes: Vec<Option<Result<ServeOutcome>>> = Vec::new();
+        outcomes.resize_with(requests.len(), || None);
 
+        let drain = || {
+            let mut served = Vec::new();
+            while let Some(i) = queue.pop() {
+                let outcome = self.serve_one(i, &requests[i]);
+                served.push((i, outcome.map(ServeOutcome::from_response)));
+            }
+            served
+        };
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let mut state = queue.lock();
-                    let index = loop {
-                        if let Some(i) = state.0.pop_front() {
-                            break Some(i);
-                        }
-                        if state.1 {
-                            break None;
-                        }
-                        state = not_empty.wait(state);
-                    };
-                    drop(state);
-                    match index {
-                        Some(i) => {
-                            let outcome = self
-                                .serve_one(i, &requests[i])
-                                .map(ServeOutcome::from_response);
-                            *slots[i].lock() = Some(outcome);
-                        }
-                        None => break,
-                    }
-                });
-            }
-            // Submission loop (the caller's thread): admit or shed.
-            for (i, slot) in slots.iter().enumerate().take(requests.len()) {
-                let mut state = queue.lock();
-                if state.0.len() >= capacity {
-                    // Count the shed while still holding the queue lock, so the
-                    // counter moves atomically with the shed *decision*: an
-                    // observer synchronising on the queue can never see a
-                    // full-queue rejection whose count hasn't landed yet.
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+            // The caller's thread admits or sheds; a shed is counted under the
+            // queue lock (see `WorkQueue::try_push`).
+            for (i, slot) in outcomes.iter_mut().enumerate() {
+                let count_shed = || {
                     self.shed.fetch_add(1, Ordering::Relaxed);
-                    drop(state);
-                    *slot.lock() = Some(Ok(ServeOutcome::Rejected { queue_full: true }));
-                } else {
-                    state.0.push_back(i);
-                    drop(state);
-                    not_empty.notify_one();
+                };
+                if !queue.try_push(i, capacity, count_shed) {
+                    *slot = Some(Ok(ServeOutcome::Rejected { queue_full: true }));
                 }
             }
-            queue.lock().1 = true;
-            not_empty.notify_all();
+            queue.close();
+            for handle in handles {
+                // A worker's panic is re-raised once the scope has joined the rest.
+                let served = handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                for (i, outcome) in served {
+                    outcomes[i] = Some(outcome);
+                }
+            }
         });
-
-        let mut outcomes = Vec::with_capacity(requests.len());
-        for slot in slots {
-            match slot.into_inner() {
-                Some(Ok(outcome)) => outcomes.push(outcome),
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(Error::Internal(
-                        "a queued request was neither served nor shed".into(),
-                    ))
-                }
-            }
-        }
-        Ok(outcomes)
+        let lost = || Err(Error::Internal("a queued request was never served".into()));
+        outcomes
+            .into_iter()
+            .map(|o| o.unwrap_or_else(lost))
+            .collect()
     }
 }
 
@@ -651,12 +616,21 @@ mod tests {
     /// An untrained (but deterministic) agent is enough to exercise the serving
     /// machinery; training quality is tested in `maliva` itself.
     fn server_over(backend: Arc<dyn QueryBackend>, config: ServeConfig) -> MalivaServer {
+        server_with_spaces(backend, Arc::new(RewriteSpace::hints_only), config)
+    }
+
+    /// [`server_over`] with a caller-supplied space builder.
+    fn server_with_spaces(
+        backend: Arc<dyn QueryBackend>,
+        space_builder: Arc<SpaceBuilder>,
+        config: ServeConfig,
+    ) -> MalivaServer {
         let space_len = RewriteSpace::hints_only(&make_query(0)).len();
         MalivaServer::new(
             backend.clone(),
             Arc::new(QAgent::new(space_len, 500.0, 7)),
             Arc::new(maliva_qte::AccurateQte::new(backend)),
-            Arc::new(RewriteSpace::hints_only),
+            space_builder,
             config,
         )
     }
@@ -907,6 +881,100 @@ mod tests {
         assert_eq!(percentile_ms(&sample, 50.0), 20.0);
         assert_eq!(percentile_ms(&sample, 95.0), 40.0);
         assert_eq!(percentile_ms(&[], 99.0), 0.0);
+    }
+
+    /// `serve_batch` is the claim-cursor crew: at `workers = 1` every request
+    /// is served on the calling thread (nothing is spawned), and a request
+    /// that panics inside `serve_one` resurfaces as a panic of `serve_batch`
+    /// carrying the **earliest** panicking request's payload, only after every
+    /// worker has left `serve_one`. The request index rides in the query's
+    /// LIMIT (+1); the space builder is the hook on the serving thread.
+    #[test]
+    fn batch_runs_inline_at_one_worker_and_reraises_the_earliest_panic() {
+        struct Leave<'a>(&'a AtomicU64);
+        impl Drop for Leave<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let threads = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let in_flight = Arc::new(AtomicU64::new(0));
+        let server_with = |workers: usize| {
+            let (threads, in_flight) = (Arc::clone(&threads), Arc::clone(&in_flight));
+            server_with_spaces(
+                build_db(),
+                Arc::new(move |q: &Query| {
+                    in_flight.fetch_add(1, Ordering::SeqCst);
+                    let _leave = Leave(&in_flight);
+                    threads.lock().unwrap().push(std::thread::current().id());
+                    let index = q.limit.unwrap() - 1;
+                    if index >= 5 {
+                        std::panic::panic_any(index);
+                    }
+                    RewriteSpace::hints_only(q)
+                }),
+                ServeConfig {
+                    workers,
+                    ..ServeConfig::default()
+                },
+            )
+        };
+        let requests: Vec<ServeRequest> = (0..16)
+            .map(|i| ServeRequest::new(make_query(0).limit(i + 1)))
+            .collect();
+
+        server_with(1).serve_batch(&requests[..5]).unwrap();
+        assert_eq!(
+            *threads.lock().unwrap(),
+            vec![std::thread::current().id(); 5]
+        );
+
+        let server = server_with(4);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            server.serve_batch(&requests)
+        }));
+        let payload = caught.expect_err("requests 5.. panic");
+        assert_eq!(payload.downcast_ref::<usize>(), Some(&5));
+        assert_eq!(in_flight.load(Ordering::SeqCst), 0, "a worker outlived it");
+    }
+
+    /// Hostile budgets are refused before the cache key is computed. With
+    /// τ-bucketing on, NaN and every negative τ used to land in bucket 0, so a
+    /// NaN-budget plan was then served to legitimate requests in `[0, w)`.
+    #[test]
+    fn hostile_tau_is_rejected_by_serve_one_and_serve_queued_before_the_cache() {
+        let bucket_ms = 100.0;
+        let cache = DecisionCacheConfig {
+            tau_bucket_ms: bucket_ms,
+            ..DecisionCacheConfig::default()
+        };
+        let config = ServeConfig {
+            cache,
+            ..ServeConfig::default()
+        };
+        let server = server_over(build_db(), config);
+        let q = make_query(0);
+        for tau in [f64::NAN, -1.0, f64::NEG_INFINITY] {
+            let err = server
+                .serve_one(0, &ServeRequest::with_tau(q.clone(), tau))
+                .unwrap_err();
+            assert!(matches!(err, Error::InvalidQuery(_)), "tau {tau}: {err}");
+        }
+        let legit = server
+            .serve_one(1, &ServeRequest::with_tau(q, bucket_ms / 2.0))
+            .unwrap();
+        assert!(!legit.cache_hit, "a hostile-τ decision was served");
+        let stats = server.cache_stats();
+        assert_eq!(stats.hits + stats.misses, 1, "only the legitimate lookup");
+
+        // The queued path: the invalid request fails the call like any other
+        // planning error instead of being served.
+        let requests = [
+            ServeRequest::new(make_query(1)),
+            ServeRequest::with_tau(make_query(2), f64::NAN),
+        ];
+        let err = server.serve_queued(&requests).unwrap_err();
+        assert!(matches!(err, Error::InvalidQuery(_)), "{err}");
     }
 
     mod fault_tolerance {

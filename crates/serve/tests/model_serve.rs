@@ -1,20 +1,22 @@
 //! Model-check suite for the serve layer: the decision cache's LRU/invalidate
-//! interleavings, the queued-admission drain protocol, and a test-only
-//! reintroduction of the shed-counter race that the checker must detect.
+//! interleavings, the shed-counter ordering of queued admission (through the
+//! production `WorkQueue::try_push`), and a test-only reintroduction of the
+//! shed-counter race that the checker must detect. The admit/drain/close
+//! protocol itself is checked in vizdb's `model_queue.rs`.
 //!
 //! Compiled only under `RUSTFLAGS='--cfg maliva_model_check'`; see vizdb's
 //! `model_sync.rs` for the mechanics.
 
 #![cfg(maliva_model_check)]
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use loomlite::{explore, Config, FailureKind};
 use maliva_serve::{CachedDecision, DecisionCache, DecisionCacheConfig};
 use vizdb::hints::RewriteOption;
+use vizdb::sched::WorkQueue;
 use vizdb::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use vizdb::sync::{thread, Condvar, Mutex};
+use vizdb::sync::thread;
 
 fn decision(planning_ms: f64) -> CachedDecision {
     CachedDecision {
@@ -88,85 +90,18 @@ fn decision_cache_touch_vs_invalidate_stays_consistent() {
     report.assert_ok();
 }
 
-/// The queued-admission drain protocol of `MalivaServer::serve_queued`,
-/// replicated shape-for-shape (bounded queue, condvar, finished flag): every
-/// submitted index is served exactly once and the worker terminates — a lost
-/// wakeup on submit or shutdown would surface as a deadlock here.
-#[test]
-fn queued_admission_protocol_drains_and_terminates() {
-    let report = explore(Config::random(37, 1000), || {
-        let queue: Arc<(Mutex<(VecDeque<usize>, bool)>, Condvar)> = Arc::new((
-            Mutex::with_name((VecDeque::new(), false), "model.serve.queue"),
-            Condvar::with_name("model.serve.not_empty"),
-        ));
-        let served = Arc::new(AtomicU64::new(0));
-        let worker = {
-            let queue = queue.clone();
-            let served = served.clone();
-            thread::spawn(move || loop {
-                let mut state = queue.0.lock();
-                let index = loop {
-                    if let Some(i) = state.0.pop_front() {
-                        break Some(i);
-                    }
-                    if state.1 {
-                        break None;
-                    }
-                    state = queue.1.wait(state);
-                };
-                drop(state);
-                match index {
-                    Some(_) => {
-                        served.fetch_add(1, Ordering::SeqCst);
-                    }
-                    None => break,
-                }
-            })
-        };
-        for i in 0..2usize {
-            let mut state = queue.0.lock();
-            state.0.push_back(i);
-            drop(state);
-            queue.1.notify_one();
-        }
-        queue.0.lock().1 = true;
-        queue.1.notify_all();
-        worker.join().unwrap();
-        assert_eq!(served.load(Ordering::SeqCst), 2);
-    });
-    report.assert_ok();
-}
-
-/// The admission/shed protocol in miniature. `count_under_lock` selects
-/// between the shipped ordering (the shed counter moves while the queue lock
-/// is still held, *before* the rejection is published) and the pre-fix
-/// ordering (publish first, count after) whose race this PR's predecessor
-/// fixed.
-fn run_admission(count_under_lock: bool) {
-    let queue: Arc<Mutex<(VecDeque<usize>, bool)>> =
-        Arc::new(Mutex::with_name((VecDeque::new(), false), "model.queue"));
+/// One shed as `MalivaServer::serve_queued` performs it, against an observer
+/// that must never see a rejection whose count has not landed. `submit` sheds
+/// one request: it bumps `shed` and then publishes the rejection (the serve
+/// loop's slot write, here the `rejected` flag) in the order under test.
+fn run_admission(submit: fn(&AtomicU64, &AtomicBool)) {
     let shed = Arc::new(AtomicU64::new(0));
     let rejected = Arc::new(AtomicBool::new(false));
 
     let submitter = {
-        let queue = queue.clone();
         let shed = shed.clone();
         let rejected = rejected.clone();
-        thread::spawn(move || {
-            let state = queue.lock();
-            // Capacity 0: the queue is "full", so this request sheds.
-            if count_under_lock {
-                shed.fetch_add(1, Ordering::SeqCst);
-                drop(state);
-                rejected.store(true, Ordering::SeqCst);
-            } else {
-                // The reintroduced race: the rejection becomes visible before
-                // its count lands.
-                drop(state);
-                rejected.store(true, Ordering::SeqCst);
-                shed.fetch_add(1, Ordering::SeqCst);
-            }
-        })
+        thread::spawn(move || submit(&shed, &rejected))
     };
     let observer = {
         let shed = shed.clone();
@@ -185,11 +120,32 @@ fn run_admission(count_under_lock: bool) {
     assert_eq!(shed.load(Ordering::SeqCst), 1);
 }
 
+/// The shipped ordering: the production `WorkQueue::try_push` on a full queue
+/// runs the count inside the queue lock, before it returns and before the
+/// caller can publish the rejection.
+fn shed_through_try_push(shed: &AtomicU64, rejected: &AtomicBool) {
+    let queue = WorkQueue::new();
+    let admitted = queue.try_push(0usize, 0, || {
+        shed.fetch_add(1, Ordering::SeqCst);
+    });
+    assert!(!admitted, "capacity 0: the queue is always full");
+    rejected.store(true, Ordering::SeqCst);
+}
+
+/// The pre-fix ordering, reintroduced: the rejection becomes visible before
+/// its count lands.
+fn shed_publishing_first(shed: &AtomicU64, rejected: &AtomicBool) {
+    rejected.store(true, Ordering::SeqCst);
+    shed.fetch_add(1, Ordering::SeqCst);
+}
+
 /// The acceptance bar for the checker: the pre-fix shed-counter ordering must
 /// be caught within ten thousand seeded schedules.
 #[test]
 fn reintroduced_shed_counter_race_is_detected() {
-    let report = explore(Config::random(31, 10_000), || run_admission(false));
+    let report = explore(Config::random(31, 10_000), || {
+        run_admission(shed_publishing_first)
+    });
     let failure = report
         .failure
         .expect("the shed-counter race must be found within 10k schedules");
@@ -202,5 +158,8 @@ fn reintroduced_shed_counter_race_is_detected() {
 /// And the shipped ordering passes the same exploration clean.
 #[test]
 fn count_under_lock_shed_protocol_is_race_free() {
-    explore(Config::random(33, 1000), || run_admission(true)).assert_ok();
+    explore(Config::random(33, 1000), || {
+        run_admission(shed_through_try_push)
+    })
+    .assert_ok();
 }

@@ -5,8 +5,8 @@
 //! point calls the sequential kernel in [`super::compiled`] **once over the
 //! whole input** — no morsels, no partials, no merge. Above that it splits the
 //! record space into **chunk-aligned morsels** (multiples of the 4096-bit
-//! [`SelectionBitmap`] chunk), hands them to a small worker crew over a
-//! work-stealing claim cursor, and merges each worker's **private partial
+//! [`SelectionBitmap`] chunk), hands them to [`crate::sched`]'s claim-cursor
+//! worker crew, and merges each worker's **private partial
 //! accumulators** — chunk word arrays, dense bin-count partials, per-morsel
 //! [`WorkProfile`] deltas — in deterministic morsel order.
 //!
@@ -32,19 +32,9 @@
 //! * dense bin counts fold into per-worker partial vectors; `u64` addition is
 //!   exact and commutative, so worker claim order cannot show through.
 //!
-//! ## Scheduler and model checking
-//!
-//! The shared state is [`MorselRun`] — a claim cursor plus a poison flag on
-//! `vizdb::sync` facade atomics — and the worker loop is [`drain_worker`],
-//! which catches a morsel's panic, poisons the run (stopping further claims;
-//! in-flight morsels complete) and reports the payload with its morsel index
-//! so the merge can re-raise the *earliest* panic, exactly as a sequential
-//! pass would. Production drives the crew with `std::thread::scope` (exempt
-//! from the facade by the `vizdb::sync` contract; the calling thread
-//! participates as a worker); the loomlite model suite
-//! (`tests/model_parallel.rs`) drives `MorselRun`/`drain_worker` directly via
-//! `sync::thread::spawn` under `--cfg maliva_model_check`, exploring dispatch,
-//! merge-order, poisoning and panic-survival schedules.
+//! This module holds no synchronisation of its own: the crew (claim cursor,
+//! poison flag, in-order merge, earliest-panic re-raise) is [`crate::sched`]'s
+//! [`run_morsels`] / [`run_morsels_fold`], model-checked there.
 //!
 //! [`SelectionBitmap`]: crate::bitmap::SelectionBitmap
 //! [`BATCH_ROWS`]: super::compiled::BATCH_ROWS
@@ -52,7 +42,7 @@
 use crate::bitmap::{SelectionBitmap, CHUNK_BITS};
 use crate::exec::compiled::{self, BinnedAccum, CompiledPredicate, BATCH_ROWS};
 use crate::query::BinGrid;
-use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use crate::sched::{run_morsels, run_morsels_fold};
 use crate::timing::WorkProfile;
 use crate::types::{GeoPoint, RecordId};
 
@@ -68,183 +58,6 @@ pub(crate) const MORSEL_CHUNKS: usize = 1;
 /// Ids per slice/stream morsel — a multiple of [`BATCH_ROWS`] so morsel
 /// boundaries coincide with the sequential pass's batch boundaries.
 pub(crate) const MORSEL_IDS: usize = 4 * BATCH_ROWS;
-
-/// A morsel's outcome: the computed value, or the panic payload caught while
-/// computing it.
-pub type MorselResult<T> = Result<T, Box<dyn std::any::Any + Send + 'static>>;
-
-/// The scheduler state one parallel run shares between workers: a
-/// monotonically increasing claim cursor (each morsel index is handed out
-/// exactly once) and a poison flag raised when any morsel panics.
-///
-/// Built on the [`crate::sync`] facade so the loomlite model checker can
-/// explore its interleavings under `--cfg maliva_model_check`.
-pub struct MorselRun {
-    cursor: AtomicUsize,
-    poisoned: AtomicBool,
-}
-
-impl MorselRun {
-    /// A fresh run with no morsels claimed.
-    pub fn new() -> Self {
-        Self {
-            cursor: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-
-    /// Claims the next unclaimed morsel index below `total`, or `None` when
-    /// the run is exhausted or poisoned. The `fetch_add` hands out each index
-    /// to exactly one caller.
-    pub fn claim(&self, total: usize) -> Option<usize> {
-        if self.poisoned.load(Ordering::Acquire) {
-            return None;
-        }
-        let idx = self.cursor.fetch_add(1, Ordering::Relaxed);
-        (idx < total).then_some(idx)
-    }
-
-    /// Stops further claims; morsels already claimed run to completion.
-    pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-    }
-
-    /// Whether [`MorselRun::poison`] has been called.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
-    }
-}
-
-impl Default for MorselRun {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One worker's loop: claim morsels until the run is exhausted or poisoned,
-/// run `f` on each under `catch_unwind`, and return the `(index, outcome)`
-/// pairs in claim order. A panicking morsel poisons the run (other workers
-/// stop claiming *new* morsels, in-flight ones complete) and ends this
-/// worker's loop with the payload recorded under its morsel index, so the
-/// merge can re-raise the earliest panic deterministically.
-///
-/// This is the scheduler unit the loomlite model suite drives directly.
-pub fn drain_worker<T, F>(run: &MorselRun, total: usize, f: &F) -> Vec<(usize, MorselResult<T>)>
-where
-    F: Fn(usize) -> T + ?Sized,
-{
-    let mut out = Vec::new();
-    while let Some(idx) = run.claim(total) {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(idx))) {
-            Ok(v) => out.push((idx, Ok(v))),
-            Err(payload) => {
-                run.poison();
-                out.push((idx, Err(payload)));
-                break;
-            }
-        }
-    }
-    out
-}
-
-/// Runs `f` over every morsel index in `0..total` on up to `threads` workers
-/// (the calling thread is one of them) and returns the results **in morsel
-/// order**. If any morsel panicked, the earliest morsel's payload is re-raised
-/// after all workers have joined — the same panic a sequential left-to-right
-/// pass would surface, with no worker thread leaked.
-pub(crate) fn run_morsels<T, F>(total: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = threads.min(total);
-    if workers <= 1 {
-        return (0..total).map(f).collect();
-    }
-    let run = MorselRun::new();
-    let mut parts: Vec<(usize, MorselResult<T>)> = Vec::with_capacity(total);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (1..workers)
-            .map(|_| s.spawn(|| drain_worker(&run, total, &f)))
-            .collect();
-        parts.extend(drain_worker(&run, total, &f));
-        for h in handles {
-            match h.join() {
-                Ok(part) => parts.extend(part),
-                // A worker can only die outside `catch_unwind` on claim/poison
-                // bookkeeping, which does not panic; fold it in defensively so
-                // the payload still surfaces rather than being dropped.
-                Err(payload) => parts.push((usize::MAX, Err(payload))),
-            }
-        }
-    });
-    // Claims are handed out in increasing order, so every index below a
-    // claimed one was claimed; sorting by morsel index therefore yields a
-    // gapless prefix up to the earliest panic (if any).
-    parts.sort_by_key(|&(idx, _)| idx);
-    let mut out = Vec::with_capacity(total);
-    for (_, r) in parts {
-        match r {
-            Ok(v) => out.push(v),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-    out
-}
-
-/// Folds morsel indices into per-worker private accumulators and returns one
-/// accumulator per worker, in no particular order. **Only for merges that are
-/// exact and commutative** (dense `u64` bin counts): which worker claimed
-/// which morsel is schedule-dependent, so anything order- or
-/// grouping-sensitive must use [`run_morsels`] instead. Panics poison the run
-/// and re-raise after all workers join, like [`run_morsels`].
-pub(crate) fn run_morsels_fold<A, I, F>(total: usize, threads: usize, init: I, fold: F) -> Vec<A>
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, usize) + Sync,
-{
-    let workers = threads.min(total);
-    if workers <= 1 {
-        let mut acc = init();
-        for m in 0..total {
-            fold(&mut acc, m);
-        }
-        return vec![acc];
-    }
-    let run = MorselRun::new();
-    let drain_fold = |run: &MorselRun| -> MorselResult<A> {
-        let mut acc = init();
-        while let Some(idx) = run.claim(total) {
-            let step =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fold(&mut acc, idx)));
-            if let Err(payload) = step {
-                run.poison();
-                return Err(payload);
-            }
-        }
-        Ok(acc)
-    };
-    let mut accs: Vec<MorselResult<A>> = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (1..workers).map(|_| s.spawn(|| drain_fold(&run))).collect();
-        accs.push(drain_fold(&run));
-        for h in handles {
-            match h.join() {
-                Ok(acc) => accs.push(acc),
-                Err(payload) => accs.push(Err(payload)),
-            }
-        }
-    });
-    let mut out = Vec::with_capacity(workers);
-    for r in accs {
-        match r {
-            Ok(a) => out.push(a),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-    out
-}
 
 /// Number of [`MORSEL_ROWS`]-aligned morsels covering `rows`.
 fn range_morsel_count(rows: &std::ops::Range<RecordId>) -> usize {
@@ -622,6 +435,7 @@ pub(crate) fn gather_points(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{drain_worker, MorselRun};
 
     #[test]
     fn run_morsels_returns_in_order_at_every_thread_count() {

@@ -57,6 +57,7 @@ pub mod index;
 pub mod optimizer;
 pub mod plan;
 pub mod query;
+pub mod sched;
 pub mod schema;
 pub mod sharded;
 pub mod stats;
@@ -73,6 +74,6 @@ pub use db::{Database, DbConfig, DbProfile, RunOutcome};
 pub use error::{Error, Result};
 pub use fault::{FaultInjectingBackend, FaultKind, FaultPlan};
 pub use sharded::{
-    BreakerState, CircuitBreaker, FaultCounters, FaultPolicy, PartitionScheme, PoolSnapshot,
-    PoolStats, RebalanceReport, ShardJob, ShardWorkerPool, ShardedBackend, ShardedBackendBuilder,
+    BreakerState, CircuitBreaker, FaultCounters, FaultPolicy, PartitionScheme, PoolStats,
+    RebalanceReport, ShardJob, ShardWorkerPool, ShardedBackend, ShardedBackendBuilder,
 };

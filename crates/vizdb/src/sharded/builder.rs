@@ -1,0 +1,306 @@
+//! [`ShardedBackendBuilder`]: the [`Database`] loading API (`register_table`
+//! / `build_index` / `build_sample`) shard-wise, and the `mirror*` helpers
+//! that replay an already-loaded database into it.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use super::pool::ShardWorkerPool;
+use super::rebalance::WorkLedger;
+use super::resilience::{CircuitBreaker, FaultCounters, FaultPolicy};
+use super::tiles::{PartitionScheme, TablePartition};
+use super::{ShardSet, ShardedBackend, WrapFn};
+use crate::backend::QueryBackend;
+use crate::db::{Database, DbConfig};
+use crate::error::{Error, Result};
+use crate::fault::{FaultInjectingBackend, FaultPlan};
+use crate::schema::{ColumnType, TableSchema};
+use crate::stats::TableStats;
+use crate::storage::Table;
+use crate::sync::atomic::AtomicU64;
+use crate::sync::{Mutex, RwLock};
+
+/// Builds a [`ShardedBackend`], mirroring the [`Database`] loading API
+/// (`register_table` / `build_index` / `build_sample`) shard-wise.
+pub struct ShardedBackendBuilder {
+    config: DbConfig,
+    scheme: PartitionScheme,
+    shards: Vec<Database>,
+    partitions: HashMap<String, TablePartition>,
+    schemas: HashMap<String, TableSchema>,
+    global_stats: HashMap<String, TableStats>,
+    sample_fractions: HashMap<String, Vec<u32>>,
+    indexed: HashMap<String, Vec<String>>,
+    masters: HashMap<String, Table>,
+    policy: FaultPolicy,
+}
+
+impl ShardedBackendBuilder {
+    /// Starts building a backend of `shards` per-region databases, each with the
+    /// given configuration (same simulated cost model and seed, so per-shard
+    /// planning is as deterministic as the single database's).
+    pub fn new(config: DbConfig, shards: usize) -> Self {
+        let shards = shards.max(1);
+        Self {
+            shards: (0..shards).map(|_| Database::new(config.clone())).collect(),
+            config,
+            scheme: PartitionScheme::default(),
+            partitions: HashMap::new(),
+            schemas: HashMap::new(),
+            global_stats: HashMap::new(),
+            sample_fractions: HashMap::new(),
+            indexed: HashMap::new(),
+            masters: HashMap::new(),
+            policy: FaultPolicy::default(),
+        }
+    }
+
+    /// Overrides the retry/backoff/breaker policy (see [`FaultPolicy`]).
+    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
+        self.policy = policy;
+        self
+    }
+
+    /// Overrides the partitioning scheme (default:
+    /// [`PartitionScheme::Tiles2D`] at [`PartitionScheme::DEFAULT_GRID_DIM`]).
+    /// Must be set **before** any [`Self::register_table`] call — tables are
+    /// partitioned at registration time.
+    pub fn with_partition_scheme(mut self, scheme: PartitionScheme) -> Self {
+        self.scheme = scheme;
+        self
+    }
+
+    /// Number of shards being built.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Registers a table: geo tables are partitioned into balanced tile runs
+    /// derived from their statistics (see [`super::tiles`]), geo-less tables are
+    /// replicated into every shard.
+    pub fn register_table(&mut self, table: &Table) -> Result<()> {
+        let stats = TableStats::analyze(table)?;
+        let name = table.name().to_string();
+        let n = self.shards.len();
+        let geo_attr = table
+            .schema()
+            .columns
+            .iter()
+            .position(|c| c.ty == ColumnType::Geo)
+            .filter(|_| n > 1);
+
+        let partition = match geo_attr {
+            Some(attr) => {
+                // Geo extent from the (freshly analyzed) table statistics —
+                // the same statistics a coordinator node would have.
+                let bounds = match stats.column(attr) {
+                    Some(crate::stats::ColumnStats::Geo(geo)) => geo.bounds,
+                    _ => {
+                        return Err(Error::Internal(format!(
+                            "geo column {attr} of table {name} has no geo statistics"
+                        )))
+                    }
+                };
+                let (part, assignment) =
+                    TablePartition::partitioned(table, attr, bounds, n, self.scheme)?;
+                for (shard, keep) in self.shards.iter_mut().zip(&assignment) {
+                    shard.register_table(table.subset(keep)?)?;
+                }
+                part
+            }
+            None => {
+                for shard in &mut self.shards {
+                    shard.register_table(table.clone())?;
+                }
+                TablePartition::replicated(table.row_count(), n)
+            }
+        };
+        self.partitions.insert(name.clone(), partition);
+        self.schemas.insert(name.clone(), table.schema().clone());
+        self.global_stats.insert(name.clone(), stats);
+        // The master copy rebuilds shards after a tile migration.
+        self.masters.insert(name, table.clone());
+        Ok(())
+    }
+
+    /// Builds the index on `table.column` in every shard.
+    pub fn build_index(&mut self, table: &str, column: &str) -> Result<()> {
+        for shard in &mut self.shards {
+            shard.build_index(table, column)?;
+        }
+        let cols = self.indexed.entry(table.to_string()).or_default();
+        if !cols.iter().any(|c| c == column) {
+            cols.push(column.to_string());
+        }
+        Ok(())
+    }
+
+    /// Builds indexes on every column of `table` in every shard.
+    pub fn build_all_indexes(&mut self, table: &str) -> Result<()> {
+        let columns: Vec<String> = self
+            .schemas
+            .get(table)
+            .ok_or_else(|| Error::TableNotFound(table.to_string()))?
+            .columns
+            .iter()
+            .map(|c| c.name.clone())
+            .collect();
+        for column in &columns {
+            self.build_index(table, column)?;
+        }
+        Ok(())
+    }
+
+    /// Builds a `fraction_pct`% sample of `table` in every shard (each shard
+    /// samples its own rows, so the union is a stratified sample of the whole
+    /// table).
+    pub fn build_sample(&mut self, table: &str, fraction_pct: u32) -> Result<()> {
+        for shard in &mut self.shards {
+            shard.build_sample(table, fraction_pct)?;
+        }
+        let fractions = self.sample_fractions.entry(table.to_string()).or_default();
+        if !fractions.contains(&fraction_pct) {
+            fractions.push(fraction_pct);
+            fractions.sort_unstable();
+        }
+        Ok(())
+    }
+
+    /// Finalises the backend, spawning the persistent worker pool (one thread
+    /// per shard) that serves every subsequent multi-shard request.
+    pub fn build(self) -> ShardedBackend {
+        self.build_wrapped(|_, shard| shard)
+    }
+
+    /// Finalises the backend with each shard wrapped by `wrap(shard_index,
+    /// shard)` — the composition hook that lets decorators (fault injection,
+    /// instrumentation) sit between the fan-out machinery and the per-shard
+    /// databases without the backend knowing. The hook is retained: a
+    /// [`ShardedBackend::rebalance`] rebuilds the migrated shards from the
+    /// master tables and re-wraps them through the same function.
+    pub fn build_wrapped(
+        self,
+        wrap: impl Fn(usize, Arc<dyn QueryBackend>) -> Arc<dyn QueryBackend> + Send + Sync + 'static,
+    ) -> ShardedBackend {
+        let wrap: WrapFn = Arc::new(wrap);
+        let shards: Vec<Arc<dyn QueryBackend>> = self
+            .shards
+            .into_iter()
+            .enumerate()
+            .map(|(i, db)| wrap(i, Arc::new(db) as Arc<dyn QueryBackend>))
+            .collect();
+        let n = shards.len();
+        let pool = ShardWorkerPool::start(n);
+        let breakers = Arc::new((0..n).map(|_| CircuitBreaker::new()).collect::<Vec<_>>());
+        ShardedBackend {
+            inner: RwLock::with_name(
+                ShardSet {
+                    shards,
+                    partitions: self.partitions,
+                },
+                "sharded.inner",
+            ),
+            pool,
+            breakers,
+            faults: Arc::new(FaultCounters::default()),
+            policy: self.policy,
+            scheme: self.scheme,
+            config: self.config,
+            schemas: self.schemas,
+            global_stats: self.global_stats,
+            sample_fractions: self.sample_fractions,
+            indexed: self.indexed,
+            masters: self.masters,
+            wrap,
+            work: Mutex::with_name(WorkLedger::new(n), "sharded.work"),
+            gen_extra: AtomicU64::new(0),
+        }
+    }
+
+    /// Finalises the backend with every shard wrapped in a
+    /// [`FaultInjectingBackend`] drawing from `plan` — the chaos-testing entry
+    /// point used by the serve tests and `maliva-bench`'s `chaos` experiment.
+    pub fn build_with_faults(self, plan: FaultPlan) -> ShardedBackend {
+        let plan = Arc::new(plan);
+        self.build_wrapped(move |i, shard| {
+            Arc::new(FaultInjectingBackend::new(shard, Arc::clone(&plan), i))
+        })
+    }
+
+    /// A builder mirroring an already-loaded [`Database`]: same configuration,
+    /// tables, indexes and sample fractions — ready for a policy override or a
+    /// wrapped build.
+    pub fn mirror_builder(db: &Database, shards: usize) -> Result<Self> {
+        Self::mirror_builder_with_scheme(db, shards, PartitionScheme::default())
+    }
+
+    /// [`Self::mirror_builder`] under an explicit partitioning scheme.
+    pub fn mirror_builder_with_scheme(
+        db: &Database,
+        shards: usize,
+        scheme: PartitionScheme,
+    ) -> Result<Self> {
+        let mut builder = Self::new(db.config().clone(), shards).with_partition_scheme(scheme);
+        for name in db.table_names() {
+            builder.register_table(db.table(&name)?)?;
+        }
+        for name in db.table_names() {
+            let schema = db.table(&name)?.schema().clone();
+            for col in db.indexed_columns(&name)? {
+                builder.build_index(&name, schema.column_name(col)?)?;
+            }
+            for pct in db.sample_fractions(&name)? {
+                builder.build_sample(&name, pct)?;
+            }
+        }
+        Ok(builder)
+    }
+
+    /// Builds a sharded backend mirroring an already-loaded [`Database`]: same
+    /// configuration, tables, indexes and sample fractions. This is the
+    /// migration path from a single backend to `shards` per-region ones.
+    pub fn mirror(db: &Database, shards: usize) -> Result<ShardedBackend> {
+        Ok(Self::mirror_builder(db, shards)?.build())
+    }
+
+    /// [`Self::mirror`] under an explicit partitioning scheme.
+    pub fn mirror_with_scheme(
+        db: &Database,
+        shards: usize,
+        scheme: PartitionScheme,
+    ) -> Result<ShardedBackend> {
+        Ok(Self::mirror_builder_with_scheme(db, shards, scheme)?.build())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{build_table, single_db, viewport};
+    use super::*;
+    use crate::hints::RewriteOption;
+    use crate::types::GeoRect;
+
+    #[test]
+    fn mirror_reproduces_tables_indexes_and_samples() {
+        let table = build_table(900);
+        let db = single_db(&table);
+        let backend = ShardedBackendBuilder::mirror(&db, 3).unwrap();
+        assert_eq!(backend.shard_count(), 3);
+        assert_eq!(backend.table_names(), vec!["events".to_string()]);
+        assert_eq!(
+            backend.indexed_columns("events").unwrap(),
+            db.indexed_columns("events").unwrap()
+        );
+        let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
+        let ro = RewriteOption::original();
+        assert_eq!(
+            db.run(&q, &ro).unwrap().result,
+            backend.run(&q, &ro).unwrap().result
+        );
+        // Stratified per-shard samples cover about as many rows as the single
+        // backend's sample.
+        let single_len = db.sample("events", 20).unwrap().len();
+        let sharded_len = backend.sample_len("events", 20).unwrap();
+        assert!((single_len as i64 - sharded_len as i64).abs() <= 3);
+    }
+}

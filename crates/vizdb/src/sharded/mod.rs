@@ -27,11 +27,13 @@
 //!   and estimated selectivities/cardinalities aggregate the per-shard optimizer
 //!   estimates the same way a distributed planner would.
 //!
-//! Two runtime load-balancing layers sit on top of the static layout:
+//! Two things balance load at run time on top of the static layout:
 //!
-//! * the persistent worker pool **steals work** — an idle worker drains other
-//!   shards' queues instead of parking (see [`pool`]), so concurrent wide
-//!   viewports queued on one hot shard spread across every idle worker;
+//! * every multi-shard request's extra shard jobs go through **one shared
+//!   FIFO** drained by the persistent worker pool (see [`pool`]): any idle
+//!   worker takes the oldest job whichever shard it is for, so concurrent wide
+//!   viewports on one hot shard spread across the workers with no per-shard
+//!   queue to get stuck behind;
 //! * [`ShardedBackend::rebalance`] **splits hot shards** — cumulative
 //!   simulated-work accounting per shard and per tile (see [`rebalance`])
 //!   feeds an explicit, deterministic migration of the hottest shard's
@@ -80,18 +82,25 @@
 //!   expected kept fraction as the single backend, not a byte-identical row set
 //!   (it is an approximation rule; quality metrics measure it as such).
 
+mod builder;
+mod merge;
 mod pool;
 mod rebalance;
+mod resilience;
 mod tiles;
 
-pub use pool::{PoolSnapshot, ShardJob, ShardWorkerPool};
+pub use builder::ShardedBackendBuilder;
+pub use pool::{ShardJob, ShardWorkerPool};
 pub use rebalance::RebalanceReport;
+pub use resilience::{BreakerState, CircuitBreaker, FaultCounters, FaultPolicy};
 pub use tiles::PartitionScheme;
 
+use merge::{canonicalise_points, merge_outcomes, scale_counts};
 use rebalance::WorkLedger;
+use resilience::{ShardCall, ShardGuard};
 use tiles::{QueryWindow, TablePartition};
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::sync::atomic::{AtomicU64, Ordering};
@@ -102,226 +111,27 @@ use crate::backend::{ExecContext, FaultStats, QueryBackend, ResultQuality, RunRe
 use crate::db::{Database, DbConfig, RunOutcome};
 use crate::error::{Error, Result};
 use crate::exec::QueryResult;
-use crate::fault::{FaultInjectingBackend, FaultPlan};
 use crate::hints::{HintSet, RewriteOption};
 use crate::plan::PhysicalPlan;
 use crate::query::{OutputKind, Predicate, Query};
-use crate::schema::{ColumnType, TableSchema};
+use crate::schema::TableSchema;
 use crate::stats::TableStats;
 use crate::storage::Table;
 use crate::timing::WorkProfile;
 
-/// Renders a caught panic payload for [`Error::ShardPanic`].
-fn panic_payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
-    }
-}
-
-/// How the backend reacts to per-shard faults: bounded retry with deterministic
-/// simulated backoff, and a count-based circuit breaker per shard.
-///
-/// Everything here is expressed in **counts and simulated milliseconds**, never
-/// wall-clock time, so fault handling is as reproducible as the rest of the
-/// engine: the same request sequence trips, cools down and re-closes breakers
-/// identically on every run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultPolicy {
-    /// Extra attempts after a transient shard fault (panic, injected
-    /// unavailability). Deadline misses are never retried — the same query can
-    /// only blow the same budget again.
-    pub max_retries: u32,
-    /// Simulated milliseconds of backoff charged per retry: the n-th retry adds
-    /// `n × backoff_ms` to the attempt's execution time.
-    pub backoff_ms: f64,
-    /// Consecutive failed *requests* (retries exhausted) after which a shard's
-    /// breaker opens.
-    pub breaker_threshold: u32,
-    /// Requests refused while open before the next arrival is admitted as the
-    /// half-open probe.
-    pub breaker_cooldown: u32,
-}
-
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 2,
-            backoff_ms: 4.0,
-            breaker_threshold: 3,
-            breaker_cooldown: 4,
-        }
-    }
-}
-
-/// Observable state of one shard's circuit breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Requests flow; consecutive failures are being counted.
-    Closed,
-    /// Requests are refused without touching the shard.
-    Open,
-    /// A probe is admitted; its outcome decides between re-closing and
-    /// re-opening.
-    HalfOpen,
-}
-
-enum BreakerInner {
-    Closed { consecutive_failures: u32 },
-    Open { skipped: u32 },
-    HalfOpen,
-}
-
-/// A count-based circuit breaker: closed → open after
-/// [`FaultPolicy::breaker_threshold`] consecutive failed requests; while open it
-/// refuses [`FaultPolicy::breaker_cooldown`] requests, then admits the next
-/// arrival as a half-open probe whose outcome re-closes or re-opens the circuit.
-///
-/// Cooldown is measured in refused *requests*, not elapsed wall-clock time —
-/// the deterministic analogue of the classic timer-based breaker.
-///
-/// Public so the model-check suite can explore its state transitions under
-/// concurrent failures; not part of the stable API.
-pub struct CircuitBreaker {
-    inner: Mutex<BreakerInner>,
-}
-
-impl Default for CircuitBreaker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CircuitBreaker {
-    /// A closed breaker with zero recorded failures.
-    pub fn new() -> Self {
-        Self {
-            inner: Mutex::with_name(
-                BreakerInner::Closed {
-                    consecutive_failures: 0,
-                },
-                "breaker",
-            ),
-        }
-    }
-
-    /// The breaker's current state.
-    pub fn state(&self) -> BreakerState {
-        match *self.inner.lock() {
-            BreakerInner::Closed { .. } => BreakerState::Closed,
-            BreakerInner::Open { .. } => BreakerState::Open,
-            BreakerInner::HalfOpen => BreakerState::HalfOpen,
-        }
-    }
-
-    /// Whether a request may reach the shard. While open, refusals count toward
-    /// the cooldown; once `breaker_cooldown` requests have been refused the next
-    /// arrival flips the breaker half-open and proceeds as its probe.
-    pub fn admit(&self, policy: &FaultPolicy) -> bool {
-        let mut inner = self.inner.lock();
-        match &mut *inner {
-            BreakerInner::Closed { .. } | BreakerInner::HalfOpen => true,
-            BreakerInner::Open { skipped } => {
-                if *skipped >= policy.breaker_cooldown {
-                    *inner = BreakerInner::HalfOpen;
-                    true
-                } else {
-                    *skipped += 1;
-                    false
-                }
-            }
-        }
-    }
-
-    /// Records a successful request: the breaker re-closes with a clean slate.
-    pub fn record_success(&self) {
-        *self.inner.lock() = BreakerInner::Closed {
-            consecutive_failures: 0,
-        };
-    }
-
-    /// Records a failed request (retries already exhausted).
-    pub fn record_failure(&self, policy: &FaultPolicy) {
-        let mut inner = self.inner.lock();
-        match &mut *inner {
-            BreakerInner::Closed {
-                consecutive_failures,
-            } => {
-                *consecutive_failures += 1;
-                if *consecutive_failures >= policy.breaker_threshold {
-                    *inner = BreakerInner::Open { skipped: 0 };
-                }
-            }
-            // A failed half-open probe re-opens with a fresh cooldown.
-            BreakerInner::HalfOpen => *inner = BreakerInner::Open { skipped: 0 },
-            BreakerInner::Open { .. } => {}
-        }
-    }
-}
-
-/// Shared fault counters — one global set per backend (cumulative) and one
-/// short-lived set per request (reported in the [`RunReport`]).
-///
-/// All six counters live behind **one** mutex so [`FaultCounters::snapshot`]
-/// returns a single consistent [`FaultStats`]: with per-field atomics a
-/// snapshot taken during a concurrent fan-out could tear, e.g. observing a
-/// retry's failure counted but not the timeout it became. The pool's
-/// [`PoolSnapshot`] follows the same single-lock contract. Public so the
-/// model-check suite can pin that contract; not part of the stable API.
-#[derive(Debug, Default)]
-pub struct FaultCounters {
-    inner: Mutex<FaultStats>,
-}
-
-impl FaultCounters {
-    /// All-zero counters.
-    pub fn new() -> Self {
-        Self {
-            inner: Mutex::with_name(FaultStats::default(), "fault-counters"),
-        }
-    }
-
-    /// Applies one mutation atomically with respect to [`Self::snapshot`].
-    pub fn record(&self, bump: impl FnOnce(&mut FaultStats)) {
-        bump(&mut self.inner.lock());
-    }
-
-    /// One consistent view of all six counters.
-    pub fn snapshot(&self) -> FaultStats {
-        *self.inner.lock()
-    }
-
-    /// Adds `stats` (a per-request delta) into these cumulative counters.
-    pub fn absorb(&self, stats: &FaultStats) {
-        self.inner.lock().add(stats);
-    }
-}
-
 /// Observability over the persistent pool and the fault-handling layer around
-/// it: worker/job/steal counts, per-shard job and queue-depth snapshots,
-/// cumulative retry/timeout/panic/breaker counters, and a per-shard snapshot of
-/// breaker states.
-///
-/// The pool fields (`jobs_dispatched`, `steals`, `shard_jobs`, `queue_depths`)
-/// come from one [`PoolSnapshot`] and the fault fields from one
-/// [`FaultCounters::snapshot`], so each group is internally untorn (see the
-/// consistency contracts on [`pool`] and [`FaultCounters`]); the two groups are
-/// two lock acquisitions and may straddle a concurrent request.
+/// it. The pool fields come from one [`ShardWorkerPool::snapshot`] and the
+/// fault fields from one [`FaultCounters::snapshot`], so each group is
+/// internally untorn; the two groups are two lock acquisitions and may straddle
+/// a concurrent request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolStats {
     /// Worker threads (fixed at build time, one per shard).
     pub workers: usize,
-    /// Jobs dispatched through the per-shard queues since build.
+    /// Jobs dispatched to the pool since build.
     pub jobs_dispatched: u64,
-    /// Jobs executed by a worker other than the target shard's own.
-    pub steals: u64,
-    /// Jobs dispatched per shard since build.
-    pub shard_jobs: Vec<u64>,
-    /// Jobs currently queued (not yet picked up) per shard.
-    pub queue_depths: Vec<usize>,
+    /// Jobs dispatched but not yet picked up by a worker.
+    pub queued: usize,
     /// Shard attempts retried after a transient fault.
     pub retries: u64,
     /// Shard executions cut off by a deadline.
@@ -347,329 +157,6 @@ struct ShardSet {
     partitions: HashMap<String, TablePartition>,
 }
 
-/// Builds a [`ShardedBackend`], mirroring the [`Database`] loading API
-/// (`register_table` / `build_index` / `build_sample`) shard-wise.
-pub struct ShardedBackendBuilder {
-    config: DbConfig,
-    scheme: PartitionScheme,
-    shards: Vec<Database>,
-    partitions: HashMap<String, TablePartition>,
-    schemas: HashMap<String, TableSchema>,
-    global_stats: HashMap<String, TableStats>,
-    sample_fractions: HashMap<String, Vec<u32>>,
-    indexed: HashMap<String, Vec<String>>,
-    masters: HashMap<String, Table>,
-    policy: FaultPolicy,
-}
-
-impl ShardedBackendBuilder {
-    /// Starts building a backend of `shards` per-region databases, each with the
-    /// given configuration (same simulated cost model and seed, so per-shard
-    /// planning is as deterministic as the single database's).
-    pub fn new(config: DbConfig, shards: usize) -> Self {
-        let shards = shards.max(1);
-        Self {
-            shards: (0..shards).map(|_| Database::new(config.clone())).collect(),
-            config,
-            scheme: PartitionScheme::default(),
-            partitions: HashMap::new(),
-            schemas: HashMap::new(),
-            global_stats: HashMap::new(),
-            sample_fractions: HashMap::new(),
-            indexed: HashMap::new(),
-            masters: HashMap::new(),
-            policy: FaultPolicy::default(),
-        }
-    }
-
-    /// Overrides the retry/backoff/breaker policy (see [`FaultPolicy`]).
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Overrides the partitioning scheme (default:
-    /// [`PartitionScheme::Tiles2D`] at [`PartitionScheme::DEFAULT_GRID_DIM`]).
-    /// Must be set **before** any [`Self::register_table`] call — tables are
-    /// partitioned at registration time.
-    pub fn with_partition_scheme(mut self, scheme: PartitionScheme) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
-    /// Number of shards being built.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Registers a table: geo tables are partitioned into balanced tile runs
-    /// derived from their statistics (see [`tiles`]), geo-less tables are
-    /// replicated into every shard.
-    pub fn register_table(&mut self, table: &Table) -> Result<()> {
-        let stats = TableStats::analyze(table)?;
-        let name = table.name().to_string();
-        let n = self.shards.len();
-        let geo_attr = table
-            .schema()
-            .columns
-            .iter()
-            .position(|c| c.ty == ColumnType::Geo)
-            .filter(|_| n > 1);
-
-        let partition = match geo_attr {
-            Some(attr) => {
-                // Geo extent from the (freshly analyzed) table statistics —
-                // the same statistics a coordinator node would have.
-                let bounds = match stats.column(attr) {
-                    Some(crate::stats::ColumnStats::Geo(geo)) => geo.bounds,
-                    _ => {
-                        return Err(Error::Internal(format!(
-                            "geo column {attr} of table {name} has no geo statistics"
-                        )))
-                    }
-                };
-                let (part, assignment) =
-                    TablePartition::partitioned(table, attr, bounds, n, self.scheme)?;
-                for (shard, keep) in self.shards.iter_mut().zip(&assignment) {
-                    shard.register_table(table.subset(keep)?)?;
-                }
-                part
-            }
-            None => {
-                for shard in &mut self.shards {
-                    shard.register_table(table.clone())?;
-                }
-                TablePartition::replicated(table.row_count(), n)
-            }
-        };
-        self.partitions.insert(name.clone(), partition);
-        self.schemas.insert(name.clone(), table.schema().clone());
-        self.global_stats.insert(name.clone(), stats);
-        // The master copy rebuilds shards after a tile migration.
-        self.masters.insert(name, table.clone());
-        Ok(())
-    }
-
-    /// Builds the index on `table.column` in every shard.
-    pub fn build_index(&mut self, table: &str, column: &str) -> Result<()> {
-        for shard in &mut self.shards {
-            shard.build_index(table, column)?;
-        }
-        let cols = self.indexed.entry(table.to_string()).or_default();
-        if !cols.iter().any(|c| c == column) {
-            cols.push(column.to_string());
-        }
-        Ok(())
-    }
-
-    /// Builds indexes on every column of `table` in every shard.
-    pub fn build_all_indexes(&mut self, table: &str) -> Result<()> {
-        let columns: Vec<String> = self
-            .schemas
-            .get(table)
-            .ok_or_else(|| Error::TableNotFound(table.to_string()))?
-            .columns
-            .iter()
-            .map(|c| c.name.clone())
-            .collect();
-        for column in &columns {
-            self.build_index(table, column)?;
-        }
-        Ok(())
-    }
-
-    /// Builds a `fraction_pct`% sample of `table` in every shard (each shard
-    /// samples its own rows, so the union is a stratified sample of the whole
-    /// table).
-    pub fn build_sample(&mut self, table: &str, fraction_pct: u32) -> Result<()> {
-        for shard in &mut self.shards {
-            shard.build_sample(table, fraction_pct)?;
-        }
-        let fractions = self.sample_fractions.entry(table.to_string()).or_default();
-        if !fractions.contains(&fraction_pct) {
-            fractions.push(fraction_pct);
-            fractions.sort_unstable();
-        }
-        Ok(())
-    }
-
-    /// Finalises the backend, spawning the persistent worker pool (one thread
-    /// per shard) that serves every subsequent multi-shard request.
-    pub fn build(self) -> ShardedBackend {
-        self.build_wrapped(|_, shard| shard)
-    }
-
-    /// Finalises the backend with each shard wrapped by `wrap(shard_index,
-    /// shard)` — the composition hook that lets decorators (fault injection,
-    /// instrumentation) sit between the fan-out machinery and the per-shard
-    /// databases without the backend knowing. The hook is retained: a
-    /// [`ShardedBackend::rebalance`] rebuilds the migrated shards from the
-    /// master tables and re-wraps them through the same function.
-    pub fn build_wrapped(
-        self,
-        wrap: impl Fn(usize, Arc<dyn QueryBackend>) -> Arc<dyn QueryBackend> + Send + Sync + 'static,
-    ) -> ShardedBackend {
-        let wrap: WrapFn = Arc::new(wrap);
-        let shards: Vec<Arc<dyn QueryBackend>> = self
-            .shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, db)| wrap(i, Arc::new(db) as Arc<dyn QueryBackend>))
-            .collect();
-        let n = shards.len();
-        let pool = ShardWorkerPool::start(n);
-        let breakers = Arc::new((0..n).map(|_| CircuitBreaker::new()).collect::<Vec<_>>());
-        ShardedBackend {
-            inner: RwLock::with_name(
-                ShardSet {
-                    shards,
-                    partitions: self.partitions,
-                },
-                "sharded.inner",
-            ),
-            pool,
-            breakers,
-            faults: Arc::new(FaultCounters::default()),
-            policy: self.policy,
-            scheme: self.scheme,
-            config: self.config,
-            schemas: self.schemas,
-            global_stats: self.global_stats,
-            sample_fractions: self.sample_fractions,
-            indexed: self.indexed,
-            masters: self.masters,
-            wrap,
-            work: Mutex::with_name(WorkLedger::new(n), "sharded.work"),
-            gen_extra: AtomicU64::new(0),
-        }
-    }
-
-    /// Finalises the backend with every shard wrapped in a
-    /// [`FaultInjectingBackend`] drawing from `plan` — the chaos-testing entry
-    /// point used by the serve tests and `maliva-bench`'s `chaos` experiment.
-    pub fn build_with_faults(self, plan: FaultPlan) -> ShardedBackend {
-        let plan = Arc::new(plan);
-        self.build_wrapped(move |i, shard| {
-            Arc::new(FaultInjectingBackend::new(shard, Arc::clone(&plan), i))
-        })
-    }
-
-    /// A builder mirroring an already-loaded [`Database`]: same configuration,
-    /// tables, indexes and sample fractions — ready for a policy override or a
-    /// wrapped build.
-    pub fn mirror_builder(db: &Database, shards: usize) -> Result<Self> {
-        Self::mirror_builder_with_scheme(db, shards, PartitionScheme::default())
-    }
-
-    /// [`Self::mirror_builder`] under an explicit partitioning scheme.
-    pub fn mirror_builder_with_scheme(
-        db: &Database,
-        shards: usize,
-        scheme: PartitionScheme,
-    ) -> Result<Self> {
-        let mut builder = Self::new(db.config().clone(), shards).with_partition_scheme(scheme);
-        for name in db.table_names() {
-            builder.register_table(db.table(&name)?)?;
-        }
-        for name in db.table_names() {
-            let schema = db.table(&name)?.schema().clone();
-            for col in db.indexed_columns(&name)? {
-                builder.build_index(&name, schema.column_name(col)?)?;
-            }
-            for pct in db.sample_fractions(&name)? {
-                builder.build_sample(&name, pct)?;
-            }
-        }
-        Ok(builder)
-    }
-
-    /// Builds a sharded backend mirroring an already-loaded [`Database`]: same
-    /// configuration, tables, indexes and sample fractions. This is the
-    /// migration path from a single backend to `shards` per-region ones.
-    pub fn mirror(db: &Database, shards: usize) -> Result<ShardedBackend> {
-        Ok(Self::mirror_builder(db, shards)?.build())
-    }
-
-    /// [`Self::mirror`] under an explicit partitioning scheme.
-    pub fn mirror_with_scheme(
-        db: &Database,
-        shards: usize,
-        scheme: PartitionScheme,
-    ) -> Result<ShardedBackend> {
-        Ok(Self::mirror_builder_with_scheme(db, shards, scheme)?.build())
-    }
-
-    /// Mirrors `db` into `shards` fault-injected shards (see
-    /// [`Self::build_with_faults`]).
-    pub fn mirror_with_faults(
-        db: &Database,
-        shards: usize,
-        plan: FaultPlan,
-    ) -> Result<ShardedBackend> {
-        Ok(Self::mirror_builder(db, shards)?.build_with_faults(plan))
-    }
-}
-
-/// Dense merge buffers are capped at this many grid cells; larger heatmaps
-/// fall back to the sparse `BTreeMap` accumulator.
-const DENSE_MERGE_MAX_CELLS: usize = 1 << 20;
-
-/// The accumulator behind [`ShardedBackend::merge_outcomes`]'s bins path:
-/// dense (one slot per grid cell, sized once from the grid dims) for ordinary
-/// heatmaps, sparse for degenerate ones. Both emit only non-zero cells in
-/// ascending bin order, so the merged pairs are byte-identical either way —
-/// per-shard executors never produce zero-count bins.
-enum BinAcc {
-    Dense(Vec<u64>),
-    Sparse(BTreeMap<u32, u64>),
-}
-
-impl BinAcc {
-    fn for_output(output: &OutputKind) -> Self {
-        match output {
-            OutputKind::BinnedCounts { grid, .. } if grid.cell_count() <= DENSE_MERGE_MAX_CELLS => {
-                BinAcc::Dense(vec![0; grid.cell_count()])
-            }
-            _ => BinAcc::Sparse(BTreeMap::new()),
-        }
-    }
-
-    fn add(&mut self, bin: u32, c: u64) {
-        match self {
-            BinAcc::Dense(cells) => match cells.get_mut(bin as usize) {
-                Some(slot) => *slot += c,
-                // A bin outside the grid should be impossible; count it
-                // somewhere rather than silently dropping or panicking.
-                None => {
-                    let mut sparse: BTreeMap<u32, u64> = cells
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &v)| v > 0)
-                        .fold(BTreeMap::new(), |mut m, (i, &v)| {
-                            m.insert(i as u32, v);
-                            m
-                        });
-                    *sparse.entry(bin).or_insert(0) += c;
-                    *self = BinAcc::Sparse(sparse);
-                }
-            },
-            BinAcc::Sparse(map) => *map.entry(bin).or_insert(0) += c,
-        }
-    }
-
-    fn into_pairs(self) -> Vec<(u32, u64)> {
-        match self {
-            BinAcc::Dense(cells) => cells
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, c)| c > 0)
-                .map(|(i, c)| (i as u32, c))
-                .collect(),
-            BinAcc::Sparse(map) => map.into_iter().collect(),
-        }
-    }
-}
-
 /// N per-region [`Database`] shards behind the [`QueryBackend`] surface.
 ///
 /// Each shard is held as an `Arc<dyn QueryBackend>` so decorators (fault
@@ -679,8 +166,8 @@ pub struct ShardedBackend {
     /// The shard set and table layouts. Read-locked across request execution,
     /// write-locked only by [`Self::rebalance`].
     inner: RwLock<ShardSet>,
-    /// Spawned once at build; fed per-request via per-shard queues with
-    /// work stealing (see [`pool`]).
+    /// Spawned once at build; fed per-request through one shared queue (see
+    /// [`pool`]).
     pool: ShardWorkerPool,
     /// One circuit breaker per shard, shared with in-flight pool jobs.
     breakers: Arc<Vec<CircuitBreaker>>,
@@ -807,18 +294,15 @@ impl ShardedBackend {
 
     /// Observability over the persistent pool and the fault-handling layer: see
     /// [`PoolStats`]. The worker count is fixed at build time — no per-request
-    /// thread spawns — while the job, steal and fault counters grow with
-    /// traffic.
+    /// thread spawns — while the job and fault counters grow with traffic.
     pub fn pool_stats(&self) -> PoolStats {
         // One consistent snapshot per counter group (see the PoolStats docs).
         let faults = self.faults.snapshot();
-        let pool = self.pool.snapshot();
+        let (jobs_dispatched, queued) = self.pool.snapshot();
         PoolStats {
             workers: self.pool.workers(),
-            jobs_dispatched: pool.jobs_dispatched,
-            steals: pool.steals,
-            shard_jobs: pool.shard_jobs,
-            queue_depths: pool.queue_depths,
+            jobs_dispatched,
+            queued,
             retries: faults.retries,
             timeouts: faults.timeouts,
             panics: faults.panics,
@@ -850,115 +334,71 @@ impl ShardedBackend {
         self.work.lock().shard_requests.clone()
     }
 
-    /// Fans `f` out over the target shards, preserving shard order in the
-    /// returned vector: the caller executes the first target inline and the
-    /// persistent worker pool (spawned once when the backend is built) serves
-    /// the rest, so a multi-shard request pays one queue handshake per
-    /// *additional* overlapping shard instead of a scoped thread spawn + join;
-    /// the estimate path stays thread-free entirely. A `None` slot means the
-    /// shard's worker died before reporting (infrastructure failure, not a
-    /// query error) — callers surface it as an internal error.
-    fn fan_out<R: Send + 'static>(
-        pool: &ShardWorkerPool,
+    /// Runs `call` on every target shard, each behind its [`ShardGuard`], and
+    /// returns the results in target order. The caller executes the first
+    /// target itself — it would otherwise sit blocked in the receive loop —
+    /// and the persistent pool the rest: a multi-shard request pays one queue
+    /// handshake per *additional* shard instead of a thread spawn + join, and
+    /// a single-shard one touches neither pool nor channel.
+    fn fan_out(
+        &self,
         shards: &[Arc<dyn QueryBackend>],
         targets: &[usize],
-        f: impl Fn(usize, &Arc<dyn QueryBackend>) -> R + Send + Sync + 'static,
-    ) -> Vec<Option<R>> {
-        if targets.len() == 1 {
-            return vec![Some(f(targets[0], &shards[targets[0]]))];
-        }
-        let f = Arc::new(f);
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
-        for (slot, &shard) in targets.iter().enumerate().skip(1) {
-            let f = Arc::clone(&f);
-            let db = Arc::clone(&shards[shard]);
-            let tx = tx.clone();
-            pool.dispatch(
+        call: &ShardCall<'_>,
+    ) -> Vec<(usize, Result<RunOutcome>)> {
+        let policy = self.policy;
+        let inline = |shard: usize| {
+            let breaker = &self.breakers[shard];
+            let guard = ShardGuard {
                 shard,
-                Box::new(move || {
-                    let _ = tx.send((slot, f(shard, &db)));
-                }),
-            );
+                breaker,
+                policy,
+            };
+            guard.attempt(shards[shard].as_ref(), call)
+        };
+        if let [shard] = *targets {
+            return vec![(shard, inline(shard))];
+        }
+        // Pool jobs are `'static`: they share one clone of the request (cheap
+        // next to executing it on every overlapping shard).
+        let env = Arc::new((
+            call.query.clone(),
+            call.ro.clone(),
+            Arc::clone(&self.breakers),
+            Arc::clone(call.counters),
+        ));
+        let deadline_ms = call.deadline_ms;
+        let (tx, rx) = mpsc::channel();
+        for (slot, &shard) in targets.iter().enumerate().skip(1) {
+            let (env, backend, tx) = (Arc::clone(&env), Arc::clone(&shards[shard]), tx.clone());
+            self.pool.dispatch(Box::new(move || {
+                let (query, ro, breakers, counters) = &*env;
+                let call = ShardCall {
+                    query,
+                    ro,
+                    deadline_ms,
+                    counters,
+                };
+                let guard = ShardGuard {
+                    shard,
+                    breaker: &breakers[shard],
+                    policy,
+                };
+                let _ = tx.send((slot, guard.attempt(backend.as_ref(), &call)));
+            }));
         }
         drop(tx);
-        let mut slots: Vec<Option<R>> = Vec::new();
+        let mut slots: Vec<Option<Result<RunOutcome>>> = Vec::new();
         slots.resize_with(targets.len(), || None);
-        // The caller would otherwise sit blocked in the receive loop, so it
-        // executes the first target itself — under concurrent serving, every
-        // in-flight request contributes its own thread instead of all of them
-        // queueing behind the one worker a hot shard owns.
-        slots[0] = Some(f(targets[0], &shards[targets[0]]));
+        slots[0] = Some(inline(targets[0]));
         // The receive loop ends when every job's sender is gone; a worker that
-        // died mid-job leaves its slot empty.
+        // died mid-job (infrastructure, not a query error) leaves its slot empty.
         while let Ok((slot, result)) = rx.recv() {
             slots[slot] = Some(result);
         }
-        slots
-    }
-
-    /// One fault-handled attempt cycle against a single shard: breaker
-    /// admission, panic capture, bounded retry with deterministic simulated
-    /// backoff, and deadline enforcement. Runs inline on the caller's thread
-    /// for the first target and inside pool jobs for the rest, so it borrows
-    /// only shared (`Arc`ed or `Sync`) state.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt_shard(
-        shard: usize,
-        backend: &Arc<dyn QueryBackend>,
-        breaker: &CircuitBreaker,
-        policy: FaultPolicy,
-        counters: &FaultCounters,
-        deadline_ms: Option<f64>,
-        query: &Query,
-        ro: &RewriteOption,
-    ) -> Result<RunOutcome> {
-        if !breaker.admit(&policy) {
-            counters.record(|s| s.breaker_open_skips += 1);
-            return Err(Error::ShardUnavailable {
-                shard,
-                reason: "circuit open".into(),
-            });
-        }
-        let mut attempt = 0u32;
-        loop {
-            let result =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| backend.run(query, ro)))
-                    .unwrap_or_else(|payload| {
-                        counters.record(|s| s.panics += 1);
-                        Err(Error::ShardPanic {
-                            shard,
-                            payload: panic_payload_to_string(&*payload),
-                        })
-                    });
-            match result {
-                Ok(mut outcome) => {
-                    // Failed attempts and their backoff cost simulated time.
-                    outcome.time_ms += attempt as f64 * policy.backoff_ms;
-                    if let Some(deadline) = deadline_ms {
-                        if outcome.time_ms > deadline {
-                            counters.record(|s| s.timeouts += 1);
-                            breaker.record_failure(&policy);
-                            return Err(Error::ShardTimeout { shard });
-                        }
-                    }
-                    breaker.record_success();
-                    return Ok(outcome);
-                }
-                Err(err) if err.is_shard_fault() && attempt < policy.max_retries => {
-                    counters.record(|s| s.retries += 1);
-                    attempt += 1;
-                }
-                Err(err) => {
-                    // Query errors (invalid query, missing table) are the
-                    // caller's problem, not the shard's — they neither trip the
-                    // breaker nor get retried.
-                    if err.is_shard_fault() {
-                        breaker.record_failure(&policy);
-                    }
-                    return Err(err);
-                }
-            }
-        }
+        let lost = || Err(Error::Internal("a shard worker never reported back".into()));
+        let filled = slots.into_iter().map(|slot| slot.unwrap_or_else(lost));
+        targets.iter().copied().zip(filled).collect()
     }
 
     /// The single execution entry behind both [`QueryBackend::run`] (strict:
@@ -998,57 +438,13 @@ impl ShardedBackend {
         // lock.
         let set = self.inner.read();
         let targets = Self::route(&set, query)?;
-        // Shards run in parallel, so each gets the full remaining slice, not a
-        // share of it.
-        let deadline = ctx.deadline_ms();
-        let results: Vec<(usize, Result<RunOutcome>)> = if targets.len() == 1 {
-            let shard = targets[0];
-            vec![(
-                shard,
-                Self::attempt_shard(
-                    shard,
-                    &set.shards[shard],
-                    &self.breakers[shard],
-                    self.policy,
-                    local,
-                    deadline,
-                    query,
-                    ro,
-                ),
-            )]
-        } else {
-            // Pool jobs are `'static`: clone the request into the shared
-            // closure (cheap next to executing it on every overlapping shard).
-            let query_c = query.clone();
-            let ro_c = ro.clone();
-            let breakers = Arc::clone(&self.breakers);
-            let policy = self.policy;
-            let counters = Arc::clone(local);
-            let raw = Self::fan_out(&self.pool, &set.shards, &targets, move |shard, backend| {
-                Self::attempt_shard(
-                    shard,
-                    backend,
-                    &breakers[shard],
-                    policy,
-                    &counters,
-                    deadline,
-                    &query_c,
-                    &ro_c,
-                )
-            });
-            targets
-                .iter()
-                .zip(raw)
-                .map(|(&shard, slot)| {
-                    (
-                        shard,
-                        slot.unwrap_or_else(|| {
-                            Err(Error::Internal("a shard worker never reported back".into()))
-                        }),
-                    )
-                })
-                .collect()
+        let call = ShardCall {
+            query,
+            ro,
+            deadline_ms: ctx.deadline_ms(),
+            counters: local,
         };
+        let results = self.fan_out(&set.shards, &targets, &call);
 
         // Pre-sized from the fan-out: no re-allocation while collecting.
         let mut successes: Vec<(usize, RunOutcome)> = Vec::with_capacity(targets.len());
@@ -1074,18 +470,15 @@ impl ShardedBackend {
                 // viewport orders rows the same way a wide (merged) one does.
                 if let QueryResult::Points(points) = &mut outcome.result {
                     if !Self::partition_of(&set, &query.table)?.is_replicated() {
-                        Self::canonicalise_points(points, query.limit);
+                        canonicalise_points(points, query.limit);
                     }
                 }
                 return Ok((outcome, ResultQuality::Full));
             }
-            let merged =
-                Self::merge_outcomes(query, successes.into_iter().map(|(_, o)| o).collect())?;
+            let merged = merge_outcomes(query, successes.into_iter().map(|(_, o)| o).collect())?;
             return Ok((merged, ResultQuality::Full));
         }
-        self.degrade_to_survivors(
-            &set, query, ro, deadline, &targets, successes, failures, local,
-        )
+        self.degrade_to_survivors(&set, &call, &targets, successes, failures)
     }
 
     /// Charges each successful shard execution's simulated time to the shard
@@ -1264,18 +657,15 @@ impl ShardedBackend {
     /// Builds the degraded answer: merge the surviving shards, try the sampling
     /// fallback on each missing shard, and tag the result with the covered
     /// fraction of the targeted rows.
-    #[allow(clippy::too_many_arguments)]
     fn degrade_to_survivors(
         &self,
         set: &ShardSet,
-        query: &Query,
-        ro: &RewriteOption,
-        deadline: Option<f64>,
+        call: &ShardCall<'_>,
         targets: &[usize],
         successes: Vec<(usize, RunOutcome)>,
         failures: Vec<(usize, Error)>,
-        local: &Arc<FaultCounters>,
     ) -> Result<(RunOutcome, ResultQuality)> {
+        let (query, deadline, local) = (call.query, call.deadline_ms, call.counters);
         local.record(|s| s.degraded += 1);
         let part = Self::partition_of(set, &query.table)?;
         let rows_of = |shard: usize| part.shard_rows.get(shard).copied().unwrap_or(0) as f64;
@@ -1301,7 +691,7 @@ impl ShardedBackend {
                     let kept = rule.kept_fraction();
                     let fits = deadline.is_none_or(|d| outcome.time_ms <= d);
                     if fits && kept > 0.0 {
-                        Self::scale_counts(&mut outcome.result, 1.0 / kept);
+                        scale_counts(&mut outcome.result, 1.0 / kept);
                         covered += kept * rows_of(shard);
                         local.record(|s| s.approx_fallbacks += 1);
                         outcomes.push(outcome);
@@ -1314,7 +704,7 @@ impl ShardedBackend {
             // Every targeted shard failed and no fallback covered it: an empty
             // result of the query's shape, not a hard error — the serving layer
             // reports it as a zero-coverage degraded answer.
-            let plan = set.shards[targets[0]].plan(query, ro)?;
+            let plan = set.shards[targets[0]].plan(query, call.ro)?;
             let result = match &query.output {
                 OutputKind::BinnedCounts { .. } => QueryResult::Bins(Vec::new()),
                 OutputKind::Points { .. } => QueryResult::Points(Vec::new()),
@@ -1327,7 +717,7 @@ impl ShardedBackend {
                 work: WorkProfile::default(),
             }
         } else {
-            Self::merge_outcomes(query, outcomes)?
+            merge_outcomes(query, outcomes)?
         };
         // A timed-out shard held the request for its whole slice before being
         // cut off; the degraded answer cannot be reported faster than that.
@@ -1356,92 +746,6 @@ impl ShardedBackend {
     fn fallback_rule(&self, table: &str) -> Option<ApproxRule> {
         let fraction_pct = self.sample_fractions.get(table)?.iter().copied().max()?;
         Some(ApproxRule::SampleTable { fraction_pct })
-    }
-
-    /// Upscales sampled aggregates by `factor` (bins and counts; point sets
-    /// cannot be upscaled and stay as-is).
-    fn scale_counts(result: &mut QueryResult, factor: f64) {
-        match result {
-            QueryResult::Bins(pairs) => {
-                for (_, c) in pairs.iter_mut() {
-                    *c = (*c as f64 * factor).round() as u64;
-                }
-            }
-            QueryResult::Count(c) => *c = (*c as f64 * factor).round() as u64,
-            QueryResult::Points(_) => {}
-        }
-    }
-
-    /// Sorts points into the canonical distributed order and applies the global
-    /// row cap. Every routing path of a partitioned table returns this order, so
-    /// narrow (single-shard) and wide (multi-shard) viewports are consistent.
-    fn canonicalise_points(points: &mut Vec<(i64, crate::types::GeoPoint)>, limit: Option<usize>) {
-        points.sort_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then(a.1.lon.total_cmp(&b.1.lon))
-                .then(a.1.lat.total_cmp(&b.1.lat))
-        });
-        if let Some(limit) = limit {
-            points.truncate(limit);
-        }
-    }
-
-    /// Merges per-shard outcomes: results by aggregate type, execution time as
-    /// the slowest shard (they ran in parallel), work as the total. An explicit
-    /// `query.limit` was already applied per shard; re-applying it here makes
-    /// `Count` outputs exactly equal to the unsharded backend (`min(Σ, limit)`)
-    /// and bounds `Points` at the requested size. Merge buffers are pre-sized:
-    /// the bins accumulator once from the grid dims (see [`BinAcc`]), the
-    /// points vector from the summed per-shard lengths.
-    fn merge_outcomes(query: &Query, outcomes: Vec<RunOutcome>) -> Result<RunOutcome> {
-        let mut merged_time: f64 = 0.0;
-        let mut merged_work = WorkProfile::default();
-        let mut plan: Option<PhysicalPlan> = None;
-        let mut bins = BinAcc::for_output(&query.output);
-        let point_total: usize = outcomes
-            .iter()
-            .map(|o| match &o.result {
-                QueryResult::Points(p) => p.len(),
-                _ => 0,
-            })
-            .sum();
-        let mut points: Vec<(i64, crate::types::GeoPoint)> = Vec::with_capacity(point_total);
-        let mut count: u64 = 0;
-        for outcome in outcomes {
-            merged_time = merged_time.max(outcome.time_ms);
-            merged_work.add(&outcome.work);
-            if plan.is_none() {
-                plan = Some(outcome.plan);
-            }
-            match outcome.result {
-                QueryResult::Bins(pairs) => {
-                    for (bin, c) in pairs {
-                        bins.add(bin, c);
-                    }
-                }
-                QueryResult::Points(p) => points.extend(p),
-                QueryResult::Count(c) => count += c,
-            }
-        }
-        let result = match &query.output {
-            OutputKind::BinnedCounts { .. } => QueryResult::Bins(bins.into_pairs()),
-            OutputKind::Points { .. } => {
-                Self::canonicalise_points(&mut points, query.limit);
-                QueryResult::Points(points)
-            }
-            OutputKind::Count => {
-                if let Some(limit) = query.limit {
-                    count = count.min(limit as u64);
-                }
-                QueryResult::Count(count)
-            }
-        };
-        Ok(RunOutcome {
-            time_ms: merged_time,
-            result,
-            plan: plan.ok_or_else(|| Error::Internal("merged a query over zero shards".into()))?,
-            work: merged_work,
-        })
     }
 
     /// Row-count-weighted mean of a per-shard quantity — the composition rule
@@ -1644,17 +948,20 @@ impl QueryBackend for ShardedBackend {
         totals
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultKind;
+    use crate::fault::{FaultInjectingBackend, FaultKind, FaultPlan};
     use crate::query::{BinGrid, JoinSpec, OutputKind, Predicate};
+    use crate::schema::ColumnType;
     use crate::storage::TableBuilder;
     use crate::types::{GeoRect, RecordId};
+    use std::collections::BTreeMap;
 
     /// A skewed bi-coastal table: 70% of rows near the west edge, 30% near the
     /// east, timestamps uniform, keyword "hot" on every 4th row.
-    fn build_table(rows: i64) -> Table {
+    pub(super) fn build_table(rows: i64) -> Table {
         let schema = TableSchema::new("events")
             .with_column("id", ColumnType::Int)
             .with_column("when", ColumnType::Timestamp)
@@ -1697,7 +1004,7 @@ mod tests {
         b.build()
     }
 
-    fn single_db(table: &Table) -> Database {
+    pub(super) fn single_db(table: &Table) -> Database {
         let mut db = Database::new(DbConfig::default());
         db.register_table(table.clone()).unwrap();
         db.build_all_indexes("events").unwrap();
@@ -1725,7 +1032,7 @@ mod tests {
         b.build()
     }
 
-    fn viewport(rect: GeoRect, cols: u32, rows: u32) -> Query {
+    pub(super) fn viewport(rect: GeoRect, cols: u32, rows: u32) -> Query {
         Query::select("events")
             .filter(Predicate::spatial_range(2, rect))
             .output(OutputKind::BinnedCounts {
@@ -2137,74 +1444,9 @@ mod tests {
                  caller-executed one"
             );
             assert_eq!(
-                now.shard_jobs.iter().sum::<u64>(),
-                now.jobs_dispatched,
-                "per-shard job counts must account for every dispatch"
-            );
-            assert_eq!(
-                now.queue_depths,
-                vec![0; 4],
+                now.queued, 0,
                 "no job may still be queued after its request returned"
             );
-        }
-    }
-
-    /// A panicking job must not kill its worker: the thread serves every future
-    /// request for its shard, so it swallows the panic and keeps draining its
-    /// queue.
-    #[test]
-    fn worker_survives_a_panicking_job() {
-        let pool = ShardWorkerPool::start(1);
-        pool.dispatch(0, Box::new(|| panic!("job blew up")));
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.dispatch(
-            0,
-            Box::new(move || {
-                tx.send(42u32).unwrap();
-            }),
-        );
-        assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_secs(5)),
-            Ok(42),
-            "the worker must keep serving jobs after one panics"
-        );
-    }
-
-    /// An idle worker steals from another shard's queue: two jobs queued on
-    /// shard 0 of a two-worker pool run concurrently, so exactly one of them
-    /// was stolen by worker 1. The jobs block until released, making "both
-    /// started" a deterministic signal rather than a timing guess.
-    #[test]
-    fn idle_workers_steal_queued_jobs() {
-        let pool = ShardWorkerPool::start(2);
-        let (started_tx, started_rx) = std::sync::mpsc::channel::<usize>();
-        let mut releases = Vec::new();
-        for job in 0..2usize {
-            let started = started_tx.clone();
-            let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-            releases.push(release_tx);
-            pool.dispatch(
-                0,
-                Box::new(move || {
-                    started.send(job).unwrap();
-                    // Hold the worker until the test has observed the steal.
-                    let _ = release_rx.recv_timeout(std::time::Duration::from_secs(5));
-                }),
-            );
-        }
-        for _ in 0..2 {
-            started_rx
-                .recv_timeout(std::time::Duration::from_secs(5))
-                .expect("both shard-0 jobs must start concurrently — one on each worker");
-        }
-        // Both jobs are in flight while worker 0 owns only one of them.
-        let snap = pool.snapshot();
-        assert_eq!(snap.jobs_dispatched, 2);
-        assert_eq!(snap.shard_jobs, vec![2, 0], "both jobs targeted shard 0");
-        assert_eq!(snap.steals, 1, "the idle worker must have stolen one job");
-        assert_eq!(snap.queue_depths, vec![0, 0], "both jobs were picked up");
-        for release in releases {
-            let _ = release.send(());
         }
     }
 
@@ -2223,53 +1465,6 @@ mod tests {
             backend.pool_stats().jobs_dispatched,
             0,
             "inline route must not enqueue"
-        );
-    }
-
-    /// Every circuit-breaker transition, pinned: closed → open after
-    /// `breaker_threshold` consecutive failures; open refuses `breaker_cooldown`
-    /// requests then admits a half-open probe; the probe's outcome re-closes or
-    /// re-opens the circuit.
-    #[test]
-    fn circuit_breaker_transitions_are_pinned() {
-        let policy = FaultPolicy {
-            max_retries: 0,
-            backoff_ms: 0.0,
-            breaker_threshold: 2,
-            breaker_cooldown: 2,
-        };
-        let b = CircuitBreaker::new();
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.admit(&policy));
-
-        // closed → open after `threshold` consecutive failures.
-        b.record_failure(&policy);
-        assert_eq!(b.state(), BreakerState::Closed, "below threshold");
-        b.record_failure(&policy);
-        assert_eq!(b.state(), BreakerState::Open);
-
-        // open refuses exactly `cooldown` requests, then probes half-open.
-        assert!(!b.admit(&policy));
-        assert!(!b.admit(&policy));
-        assert!(b.admit(&policy), "the post-cooldown arrival is the probe");
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-
-        // half-open → open on a failed probe (fresh cooldown).
-        b.record_failure(&policy);
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.admit(&policy));
-        assert!(!b.admit(&policy));
-        assert!(b.admit(&policy));
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-
-        // half-open → closed on a successful probe, failure count reset.
-        b.record_success();
-        assert_eq!(b.state(), BreakerState::Closed);
-        b.record_failure(&policy);
-        assert_eq!(
-            b.state(),
-            BreakerState::Closed,
-            "count restarted after close"
         );
     }
 
@@ -2673,29 +1868,5 @@ mod tests {
             "a no-op must not bump generation"
         );
         assert_eq!(sharded(&table, 1).rebalance().unwrap(), None);
-    }
-
-    #[test]
-    fn mirror_reproduces_tables_indexes_and_samples() {
-        let table = build_table(900);
-        let db = single_db(&table);
-        let backend = ShardedBackendBuilder::mirror(&db, 3).unwrap();
-        assert_eq!(backend.shard_count(), 3);
-        assert_eq!(backend.table_names(), vec!["events".to_string()]);
-        assert_eq!(
-            backend.indexed_columns("events").unwrap(),
-            db.indexed_columns("events").unwrap()
-        );
-        let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
-        let ro = RewriteOption::original();
-        assert_eq!(
-            db.run(&q, &ro).unwrap().result,
-            backend.run(&q, &ro).unwrap().result
-        );
-        // Stratified per-shard samples cover about as many rows as the single
-        // backend's sample.
-        let single_len = db.sample("events", 20).unwrap().len();
-        let sharded_len = backend.sample_len("events", 20).unwrap();
-        assert!((single_len as i64 - sharded_len as i64).abs() <= 3);
     }
 }

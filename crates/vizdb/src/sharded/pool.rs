@@ -1,210 +1,128 @@
-//! The persistent **work-stealing** shard worker pool.
+//! The persistent shard worker pool: one [`WorkQueue`] of `'static` jobs and
+//! N threads spawned once when the backend is built, each running
+//! `while let Some(job) = queue.pop()`.
 //!
-//! One dedicated thread per shard, spawned once when the backend is built and
-//! fed per-request jobs through per-shard queues. A worker prefers its own
-//! shard's queue (shard affinity keeps that shard's tables hot in its core's
-//! cache) but an *idle* worker steals the oldest job from the next non-empty
-//! queue instead of parking — jobs are `'static` closures over the owning
-//! shard's `Arc`, so they run correctly on any thread, and a Manhattan-viewport
-//! burst queued on one hot shard drains across every idle worker instead of
-//! serialising behind one.
-//!
-//! ## Consistency contract
-//!
-//! All queues and all pool counters (`jobs_dispatched`, per-shard `shard_jobs`,
-//! `steals`) live behind **one** mutex, the exact analogue of the no-tear
-//! [`super::FaultCounters`] snapshot: [`ShardWorkerPool::snapshot`] takes the
-//! lock once and returns a [`PoolSnapshot`] whose counters and queue depths
-//! are mutually consistent — a snapshot can never observe a dispatched job
-//! that is in no queue and no counter, or a steal without the dispatch it
-//! stole. (Counters keep growing concurrently, so two snapshots still differ;
-//! each one is internally untorn.)
-//!
-//! The dispatch/steal/shutdown protocol is model-checked by
-//! `tests/model_sharded_steal.rs` under loomlite (exactly-once execution, no
-//! lost wakeups, join-on-drop) in addition to the legacy pool suite in
-//! `tests/model_sharded.rs`.
+//! Jobs close over the owning shard's `Arc`, so any worker may run any job
+//! and the pool needs no per-shard queue: a burst of jobs for one hot shard
+//! drains across every idle worker in dispatch order. The queue protocol is
+//! [`crate::sched`]'s; the pool adds panic isolation and join-on-drop, and
+//! `tests/model_queue.rs` model-checks both.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::sync::{thread, Condvar, Mutex};
+use crate::sched::WorkQueue;
+use crate::sync::thread;
 
 /// A job dispatched to the pool on behalf of a shard.
 pub type ShardJob = Box<dyn FnOnce() + Send + 'static>;
 
-/// Everything mutable in the pool, under one lock (see the module docs for the
-/// consistency contract).
-struct PoolState {
-    /// One FIFO inbox per shard.
-    queues: Vec<VecDeque<ShardJob>>,
-    /// Jobs dispatched per shard since start.
-    shard_jobs: Vec<u64>,
-    /// Total jobs dispatched since start.
-    jobs_dispatched: u64,
-    /// Jobs executed by a worker other than the target shard's own.
-    steals: u64,
-    /// Flipped (under the lock) when the pool is dropped.
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    ready: Condvar,
-}
-
-/// One consistent view of the pool's counters and queues, taken under the
-/// single pool mutex.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolSnapshot {
-    /// Total jobs dispatched since start.
-    pub jobs_dispatched: u64,
-    /// Jobs executed by a worker other than the target shard's own.
-    pub steals: u64,
-    /// Jobs dispatched per shard since start.
-    pub shard_jobs: Vec<u64>,
-    /// Jobs currently queued (not yet picked up) per shard.
-    pub queue_depths: Vec<usize>,
-}
-
-/// The persistent work-stealing shard worker pool (see the module docs).
+/// The persistent shard worker pool (see the module docs).
 ///
-/// Public so the model-check suites (`tests/model_sharded.rs`,
-/// `tests/model_sharded_steal.rs`) can explore its dispatch/steal/shutdown
+/// Public so the model-check suite can explore its dispatch/shutdown
 /// interleavings directly; not part of the stable API.
 pub struct ShardWorkerPool {
-    shared: Arc<PoolShared>,
-    workers: usize,
+    queue: Arc<WorkQueue<ShardJob>>,
     handles: Vec<thread::JoinHandle<()>>,
 }
 
 impl ShardWorkerPool {
-    /// Spawns `workers` dedicated worker threads, one queue each.
+    /// Spawns `workers` persistent worker threads over one shared queue.
     pub fn start(workers: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::with_name(
-                PoolState {
-                    queues: (0..workers).map(|_| VecDeque::new()).collect(),
-                    shard_jobs: vec![0; workers],
-                    jobs_dispatched: 0,
-                    steals: 0,
-                    shutdown: false,
-                },
-                "shard-pool.state",
-            ),
-            ready: Condvar::with_name("shard-pool.ready"),
-        });
+        let queue = Arc::new(WorkQueue::new());
         let handles = (0..workers)
-            .map(|me| {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || Self::worker_loop(me, workers, &shared))
+            .map(|_| {
+                let queue = Arc::clone(&queue);
+                thread::spawn(move || {
+                    while let Some(job) = queue.pop() {
+                        // A panicking job must not take the worker down: it
+                        // serves future requests. The job's result sender drops
+                        // during unwinding, so the in-flight request surfaces
+                        // an internal error instead.
+                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+                    }
+                })
             })
             .collect();
-        Self {
-            shared,
-            workers,
-            handles,
-        }
+        Self { queue, handles }
     }
 
-    fn worker_loop(me: usize, workers: usize, shared: &PoolShared) {
-        loop {
-            let job = {
-                let mut st = shared.state.lock();
-                loop {
-                    // Own queue first: shard affinity when there is local work.
-                    if let Some(job) = st.queues[me].pop_front() {
-                        break Some(job);
-                    }
-                    // Idle: steal the oldest job from the next non-empty
-                    // queue (round-robin scan starting after this worker, so
-                    // steals spread instead of piling on shard 0).
-                    let stolen = (1..workers).find_map(|k| {
-                        let victim = (me + k) % workers;
-                        st.queues[victim].pop_front()
-                    });
-                    if let Some(job) = stolen {
-                        st.steals += 1;
-                        break Some(job);
-                    }
-                    // Shutdown is honoured only once every queue is drained:
-                    // the steal scan above saw them all empty, so every
-                    // dispatched job has been picked up by some worker.
-                    if st.shutdown {
-                        break None;
-                    }
-                    st = shared.ready.wait(st);
-                }
-            };
-            match job {
-                // A panicking job must not take the worker down with it: this
-                // thread serves future requests (for its shard and as a
-                // stealer), and a dead worker would strand queued jobs. The
-                // panicked job's result sender drops during unwinding, so the
-                // in-flight request surfaces an internal error instead.
-                Some(job) => {
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Enqueues `job` for `shard`. The shard's own worker runs it unless an
-    /// idle worker steals it first.
-    pub fn dispatch(&self, shard: usize, job: ShardJob) {
-        {
-            let mut st = self.shared.state.lock();
-            st.queues[shard].push_back(job);
-            st.jobs_dispatched += 1;
-            st.shard_jobs[shard] += 1;
-        }
-        // Any worker may serve any job, so waking one waiter suffices: a woken
-        // worker always takes a job if one exists (own queue or steal scan).
-        self.shared.ready.notify_one();
+    /// Enqueues `job`; the first idle worker runs it.
+    pub fn dispatch(&self, job: ShardJob) {
+        self.queue.push(job);
     }
 
     /// Worker threads (fixed at start).
     pub fn workers(&self) -> usize {
-        self.workers
+        self.handles.len()
     }
 
-    /// Jobs dispatched since start.
-    pub fn jobs_dispatched(&self) -> u64 {
-        self.shared.state.lock().jobs_dispatched
-    }
-
-    /// Jobs executed by a worker other than the target shard's own.
-    pub fn steals(&self) -> u64 {
-        self.shared.state.lock().steals
-    }
-
-    /// One consistent snapshot of every counter and queue depth (single lock
-    /// acquisition — see the module-level consistency contract).
-    pub fn snapshot(&self) -> PoolSnapshot {
-        let st = self.shared.state.lock();
-        PoolSnapshot {
-            jobs_dispatched: st.jobs_dispatched,
-            steals: st.steals,
-            shard_jobs: st.shard_jobs.clone(),
-            queue_depths: st.queues.iter().map(VecDeque::len).collect(),
-        }
+    /// `(jobs dispatched since start, jobs not yet picked up)` — one
+    /// [`WorkQueue::snapshot`], so the pair is mutually consistent.
+    pub fn snapshot(&self) -> (u64, usize) {
+        self.queue.snapshot()
     }
 }
 
 impl Drop for ShardWorkerPool {
+    /// Closes the queue — workers finish every job already dispatched, then
+    /// see `None` — and joins them.
     fn drop(&mut self) {
-        {
-            // Flip the flag and notify while holding the state mutex: a worker
-            // checks `shutdown` under that lock right before parking in
-            // `wait`, so an unlocked store + notify could land in between and
-            // the wakeup would be lost, leaving `join` below blocked forever.
-            let mut st = self.shared.state.lock();
-            st.shutdown = true;
-            self.shared.ready.notify_all();
-        }
+        self.queue.close();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A panicking job must not kill its worker: the thread serves every
+    /// future request, so it swallows the panic and keeps draining the queue.
+    #[test]
+    fn worker_survives_a_panicking_job() {
+        let pool = ShardWorkerPool::start(1);
+        pool.dispatch(Box::new(|| panic!("job blew up")));
+        let (tx, rx) = mpsc::channel();
+        pool.dispatch(Box::new(move || {
+            tx.send(42u32).unwrap();
+        }));
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Ok(42),
+            "the worker must keep serving jobs after one panics"
+        );
+        assert_eq!(pool.workers(), 1);
+        assert_eq!(pool.snapshot().0, 2);
+    }
+
+    /// With one worker held inside a job, a job queued afterwards runs on the
+    /// other worker instead of waiting behind the blocked one. The first job
+    /// blocks until released, so the interleaving is forced, not timed.
+    #[test]
+    fn a_job_queued_while_one_worker_is_blocked_runs_on_another() {
+        let pool = ShardWorkerPool::start(2);
+        let (started_tx, started_rx) = mpsc::channel::<std::thread::ThreadId>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let started = started_tx.clone();
+        pool.dispatch(Box::new(move || {
+            started.send(std::thread::current().id()).unwrap();
+            let _ = release_rx.recv_timeout(Duration::from_secs(5));
+        }));
+        let blocked_on = started_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the first job must start");
+        pool.dispatch(Box::new(move || {
+            started_tx.send(std::thread::current().id()).unwrap();
+        }));
+        let ran_on = started_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the second job must run while the first still holds its worker");
+        assert_ne!(ran_on, blocked_on, "the idle worker must have taken it");
+        assert_eq!(pool.snapshot(), (2, 0), "both dispatched, none waiting");
+        let _ = release_tx.send(());
     }
 }

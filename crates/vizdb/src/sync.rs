@@ -13,7 +13,10 @@
 //! - concurrent modules import `Mutex`/`RwLock`/`Condvar`/atomics/`mpsc`/
 //!   `thread::spawn` from here, never from `std::sync` or `parking_lot`;
 //! - `std::sync::Arc` is exempt (pure refcount, nothing to interleave), as is
-//!   `std::thread::scope` (used only on paths model tests drive via `spawn`).
+//!   `std::thread::scope` (used only on paths model tests drive via `spawn`);
+//! - a loop that hands work to threads is written once, in [`crate::sched`]
+//!   (`Condvar` wait over a queue → `WorkQueue`; `fetch_add` claim loop → the
+//!   crew), so the model suites check the code that runs in production.
 //!
 //! The facade mutexes do not expose poisoning: a panicked writer is a bug the
 //! model checker reports directly, and non-model builds recover the value.

@@ -1,11 +1,11 @@
-//! Model-check suite for the morsel scheduler behind the parallel bitmap
-//! engine (`vizdb::exec::parallel`): the work-stealing claim cursor, the
-//! poison flag, and the worker drain loop.
+//! Model-check suite for `vizdb::sched`'s claim-cursor crew — the protocol
+//! behind the morsel kernels and `MalivaServer::serve_batch`: the claim
+//! cursor, the poison flag, the worker drain loop and the in-order merge.
 //!
-//! Production drives workers with `std::thread::scope`; the scheduler state
-//! itself ([`MorselRun`]) and the worker loop ([`drain_worker`]) are built on
-//! the `vizdb::sync` facade, so this suite explores their interleavings with
-//! loomlite-controlled `sync::thread::spawn` workers instead.
+//! Production gets its workers from `std::thread::scope`, which loomlite
+//! cannot schedule; everything they share ([`MorselRun`]), the loop they run
+//! ([`drain_worker`]) and the merge ([`merge_ordered`]) are the production
+//! items, driven here from loomlite-controlled `sync::thread::spawn` workers.
 //!
 //! Compiled only under `RUSTFLAGS='--cfg maliva_model_check'`; see
 //! `model_sync.rs` for the mechanics.
@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use loomlite::{explore, Config};
-use vizdb::exec::parallel::{drain_worker, MorselResult, MorselRun};
+use vizdb::sched::{drain_worker, merge_ordered, MorselResult, MorselRun};
 use vizdb::sync::thread;
 
 /// Collects both workers' `(index, outcome)` parts after joining.
@@ -52,19 +52,13 @@ fn every_morsel_dispatched_exactly_once() {
     report.assert_ok();
 }
 
-/// Sorting the collected parts by morsel index reproduces the sequential
-/// left-to-right result order regardless of which worker claimed what — the
-/// in-order merge `run_morsels` performs.
+/// The production merge puts the parts back in sequential left-to-right order
+/// regardless of which worker claimed what.
 #[test]
-fn merge_by_morsel_index_restores_sequential_order() {
+fn merge_restores_sequential_order() {
     let report = explore(Config::random(23, 1000), || {
-        let (_, mut parts) = drain_with_two_workers(5, |m| m * 7);
-        parts.sort_by_key(|&(i, _)| i);
-        let merged: Vec<usize> = parts
-            .into_iter()
-            .map(|(_, r)| r.unwrap_or_else(|_| panic!("no morsel panicked")))
-            .collect();
-        assert_eq!(merged, vec![0, 7, 14, 21, 28]);
+        let (_, parts) = drain_with_two_workers(5, |m| m * 7);
+        assert_eq!(merge_ordered(parts), vec![0, 7, 14, 21, 28]);
     });
     report.assert_ok();
 }
@@ -99,6 +93,10 @@ fn panic_poisons_the_run_and_both_workers_survive_to_join() {
             .map(|&(i, _)| i)
             .collect();
         assert_eq!(errs, vec![1], "the panic is recorded at its morsel index");
+        let raised =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| merge_ordered(parts)))
+                .expect_err("the merge re-raises the panic");
+        assert_eq!(raised.downcast_ref::<&str>(), Some(&"boom"));
     });
     std::panic::set_hook(hook);
     report.assert_ok();

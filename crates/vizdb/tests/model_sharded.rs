@@ -1,6 +1,6 @@
-//! Model-check suite for the sharded backend's concurrency primitives: the
-//! persistent worker pool, the per-shard circuit breaker, and the shared fault
-//! counters.
+//! Model-check suite for the sharded backend's fault layer: the per-shard
+//! circuit breaker and the shared fault counters. (The worker pool is a
+//! `WorkQueue` consumer and is checked in `model_queue.rs`.)
 //!
 //! Compiled only under `RUSTFLAGS='--cfg maliva_model_check'`; see
 //! `model_sync.rs` for the mechanics.
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use loomlite::{explore, Config, FailureKind};
 use vizdb::sync::atomic::{AtomicU64, Ordering};
 use vizdb::sync::thread;
-use vizdb::{BreakerState, CircuitBreaker, FaultCounters, FaultPolicy, ShardWorkerPool};
+use vizdb::{BreakerState, CircuitBreaker, FaultCounters, FaultPolicy};
 
 /// The torn-snapshot fix, pinned: one logical fault event bumps two counters
 /// inside a single `record` closure, and `snapshot` must never observe one
@@ -139,76 +139,6 @@ fn open_breaker_admits_exactly_one_half_open_probe() {
             "exactly one probe must pass: {admitted:?}"
         );
         assert_eq!(breaker.state(), BreakerState::HalfOpen);
-    });
-    report.assert_ok();
-}
-
-/// Dispatch/shutdown protocol of the persistent worker pool: every dispatched
-/// job runs before `Drop` returns, and the shutdown wakeup is never lost (a
-/// lost one parks `join` forever, which the checker reports as a deadlock).
-#[test]
-fn worker_pool_runs_every_dispatched_job_and_joins_on_drop() {
-    let report = explore(Config::random(13, 1000), || {
-        let pool = ShardWorkerPool::start(2);
-        let ran = Arc::new(AtomicU64::new(0));
-        for shard in 0..pool.workers() {
-            let ran = ran.clone();
-            pool.dispatch(
-                shard,
-                Box::new(move || {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                }),
-            );
-        }
-        assert_eq!(pool.jobs_dispatched(), 2);
-        drop(pool);
-        assert_eq!(ran.load(Ordering::SeqCst), 2, "a dispatched job never ran");
-    });
-    report.assert_ok();
-}
-
-/// Panic recovery: a panicking job must not take its worker down — the worker
-/// serves every future job for its shard, so it runs the next job and still
-/// joins cleanly on drop.
-#[test]
-fn worker_survives_a_panicking_job() {
-    let report = explore(Config::random(17, 1000), || {
-        let pool = ShardWorkerPool::start(1);
-        let ran = Arc::new(AtomicU64::new(0));
-        pool.dispatch(0, Box::new(|| panic!("job blew up")));
-        let r = ran.clone();
-        pool.dispatch(
-            0,
-            Box::new(move || {
-                r.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        drop(pool);
-        assert_eq!(
-            ran.load(Ordering::SeqCst),
-            1,
-            "the worker died with the panicking job"
-        );
-    });
-    report.assert_ok();
-}
-
-/// The same shutdown protocol under bounded-exhaustive search: every schedule
-/// with at most two preemptions of a one-worker pool, enumerated to the end.
-#[test]
-fn worker_pool_shutdown_survives_exhaustive_search() {
-    let report = explore(Config::exhaustive(2, 20_000), || {
-        let pool = ShardWorkerPool::start(1);
-        let ran = Arc::new(AtomicU64::new(0));
-        let r = ran.clone();
-        pool.dispatch(
-            0,
-            Box::new(move || {
-                r.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        drop(pool);
-        assert_eq!(ran.load(Ordering::SeqCst), 1);
     });
     report.assert_ok();
 }
