@@ -17,7 +17,10 @@
 //!   visualization-quality term (Eq. 2, [`mdp::RewardSpec`]);
 //! * the **agent** is a deep Q-network trained offline with experience replay and an
 //!   ε-greedy exploration schedule (Algorithm 1, [`train::train_agent`]) and used
-//!   greedily online (Algorithm 2, [`online::plan_online`]).
+//!   greedily online (Algorithm 2): [`online::decide_online`] picks the rewrite
+//!   without executing anything, so a server sends it to the database once;
+//!   [`online::plan_online`] is that decision plus the measured execution time,
+//!   for evaluation.
 //!
 //! The [`rewriter::QueryRewriter`] trait makes the MDP-based rewriter, the baselines
 //! and Bao interchangeable inside the experiment harness, and [`metrics`] computes the
@@ -40,7 +43,7 @@ pub use agent::QAgent;
 pub use config::MalivaConfig;
 pub use mdp::{MdpState, PlanningEnv, RewardSpec};
 pub use metrics::{evaluate_workload, QueryOutcome, WorkloadMetrics};
-pub use online::{plan_online, PlanningOutcome};
+pub use online::{decide_online, plan_online, OnlineDecision, PlanningOutcome};
 pub use quality_aware::{QualityAwareMode, QualityAwareRewriter};
 pub use rewriter::{MalivaRewriter, QueryRewriter, RewriteDecision};
 pub use space::RewriteSpace;

@@ -1,8 +1,15 @@
 //! The planning environment: applies actions (QTE calls), maintains the MDP state and
 //! computes transitions, termination and rewards (paper §4.1).
+//!
+//! A step has two halves. [`PlanningEnv::advance`] *decides*: one QTE call, the
+//! state transition and the termination test. [`PlanningEnv::settle`] *measures*:
+//! it runs the chosen rewrite for its true execution time and computes the
+//! reward. Online planning (Algorithm 2) only advances — the caller sends the
+//! chosen rewrite to the database once; training (Algorithm 1) needs the reward,
+//! so [`PlanningEnv::step`] is advance plus settle-on-terminal.
 
 use maliva_qte::{EstimationContext, QueryTimeEstimator};
-use vizdb::error::Result;
+use vizdb::error::{Error, Result};
 use vizdb::hints::RewriteOption;
 use vizdb::query::Query;
 use vizdb::QueryBackend;
@@ -84,6 +91,7 @@ pub struct PlanningEnv<'a> {
     ctx: EstimationContext,
     state: MdpState,
     remaining: Vec<usize>,
+    decision: Option<Decision>,
     finished: Option<FinalOutcome>,
 }
 
@@ -131,6 +139,7 @@ impl<'a> PlanningEnv<'a> {
             ctx,
             state,
             remaining: (0..space.len()).collect(),
+            decision: None,
             finished: None,
         }
     }
@@ -150,19 +159,19 @@ impl<'a> PlanningEnv<'a> {
         self.tau_ms
     }
 
-    /// The episode outcome, available after a terminal step.
+    /// The measured episode outcome, available once a terminal step was settled.
     pub fn final_outcome(&self) -> Option<&FinalOutcome> {
         self.finished.as_ref()
     }
 
-    /// Whether the episode has terminated.
+    /// Whether the episode has terminated (a decision was reached).
     pub fn is_done(&self) -> bool {
-        self.finished.is_some()
+        self.decision.is_some()
     }
 
-    /// Applies one action: ask the QTE to estimate rewrite option `action`, pay the
-    /// cost, transition the state, and — if a termination condition is met — run the
-    /// chosen rewritten query and compute the terminal reward.
+    /// Applies one action and, on a terminal step, measures the outcome: this is
+    /// [`advance`](Self::advance) packaged as a replay-memory experience, plus
+    /// [`settle`](Self::settle) when the episode ended (paper Algorithm 1).
     ///
     /// # Panics
     /// Panics when called on an already-finished episode or with an already-explored
@@ -174,6 +183,37 @@ impl<'a> PlanningEnv<'a> {
             "action {action} already explored or out of range"
         );
         let prev_features = self.state.to_features(self.tau_ms);
+        let terminal = self.advance(action)?;
+        let reward = match terminal {
+            Some(_) => self.settle()?.reward,
+            None => 0.0,
+        };
+        Ok(StepOutcome {
+            prev_features,
+            action,
+            next_features: self.state.to_features(self.tau_ms),
+            reward,
+            terminal,
+            next_remaining: self.remaining.clone(),
+        })
+    }
+
+    /// The *deciding* half of a step: ask the QTE to estimate rewrite option
+    /// `action`, pay the cost, transition the state and test for termination.
+    /// Nothing is executed — online planning (paper Algorithm 2) loops over this
+    /// alone and sends the chosen rewrite to the database once, afterwards.
+    ///
+    /// An already-finished episode or an already-explored / out-of-range action is
+    /// an [`Error::Internal`], not a panic: this runs on every served cache miss.
+    pub fn advance(&mut self, action: usize) -> Result<Option<Decision>> {
+        if self.is_done() {
+            return Err(Error::Internal("episode already finished".into()));
+        }
+        let Some(position) = self.remaining.iter().position(|&i| i == action) else {
+            return Err(Error::Internal(format!(
+                "action {action} already explored or out of range"
+            )));
+        };
 
         // Ask the QTE; pay the actual cost; record the estimate.
         let ro = self.space.get(action);
@@ -181,7 +221,7 @@ impl<'a> PlanningEnv<'a> {
         self.state.elapsed_ms += report.cost_ms;
         self.state.costs_ms[action] = report.cost_ms;
         self.state.estimated_ms[action] = Some(report.estimated_ms);
-        self.remaining.retain(|&i| i != action);
+        self.remaining.remove(position);
 
         // Estimation costs of unexplored options shrink when they share selectivity
         // slots with what has just been collected (paper Fig. 7).
@@ -192,7 +232,7 @@ impl<'a> PlanningEnv<'a> {
         }
 
         // Termination conditions (paper Algorithm 1 line 9 / Algorithm 2 lines 9-12).
-        let decision = if self.state.elapsed_ms + report.estimated_ms <= self.tau_ms {
+        self.decision = if self.state.elapsed_ms + report.estimated_ms <= self.tau_ms {
             Some(Decision::PredictedViable(action))
         } else if self.state.elapsed_ms >= self.tau_ms {
             Some(Decision::OutOfTime(
@@ -205,26 +245,16 @@ impl<'a> PlanningEnv<'a> {
         } else {
             None
         };
-
-        let mut reward = 0.0;
-        if let Some(decision) = decision {
-            let outcome = self.finish(decision)?;
-            reward = outcome.reward;
-            self.finished = Some(outcome);
-        }
-
-        Ok(StepOutcome {
-            prev_features,
-            action,
-            next_features: self.state.to_features(self.tau_ms),
-            reward,
-            terminal: decision,
-            next_remaining: self.remaining.clone(),
-        })
+        Ok(self.decision)
     }
 
-    /// Runs the chosen rewritten query and computes the terminal reward.
-    fn finish(&self, decision: Decision) -> Result<FinalOutcome> {
+    /// The *measuring* half of a terminal step: runs the chosen rewritten query for
+    /// its true execution time and computes quality and the terminal reward. Only
+    /// callers that need the true time (training) invoke it.
+    pub fn settle(&mut self) -> Result<&FinalOutcome> {
+        let decision = self
+            .decision
+            .ok_or_else(|| Error::Internal("episode not finished: nothing to settle".into()))?;
         let chosen = decision.chosen();
         let ro = self.space.get(chosen).clone();
         let exec_ms = self.db.execution_time_ms(self.query, &ro)?;
@@ -241,7 +271,7 @@ impl<'a> PlanningEnv<'a> {
         let reward = self
             .reward_spec
             .terminal_reward(self.tau_ms, planning_ms, exec_ms, quality);
-        Ok(FinalOutcome {
+        Ok(self.finished.insert(FinalOutcome {
             chosen,
             rewrite: ro,
             planning_ms,
@@ -251,7 +281,7 @@ impl<'a> PlanningEnv<'a> {
             reward,
             quality,
             decision,
-        })
+        }))
     }
 }
 
@@ -387,6 +417,59 @@ mod tests {
             panic!("action 1 already explored or out of range");
         }
         let _ = env.step(1).unwrap();
+    }
+
+    /// A QTE that charges 10 ms per estimate and predicts 1 000 ms for everything.
+    struct SlowEverywhere;
+
+    impl QueryTimeEstimator for SlowEverywhere {
+        fn name(&self) -> &'static str {
+            "slow-everywhere"
+        }
+        fn estimation_cost(&self, _: &Query, _: &RewriteOption, _: &EstimationContext) -> f64 {
+            10.0
+        }
+        fn estimate(
+            &self,
+            _: &Query,
+            _: &RewriteOption,
+            _: &mut EstimationContext,
+        ) -> Result<maliva_qte::EstimateReport> {
+            Ok(maliva_qte::EstimateReport {
+                estimated_ms: 1_000.0,
+                cost_ms: 10.0,
+            })
+        }
+    }
+
+    /// The advance phase runs on serving threads: misuse is an error there,
+    /// where the training-side `step` documents a panic.
+    #[test]
+    fn advancing_a_finished_episode_or_a_spent_action_is_an_error() {
+        let db = tiny_db();
+        let q = make_query(0);
+        let space = RewriteSpace::hints_only(&q);
+        let spec = RewardSpec::efficiency_only();
+        // 100 ms leave room for ten estimates, none of them predicted viable.
+        let mut env = PlanningEnv::new(&db, &SlowEverywhere, &q, &space, 100.0, spec);
+        for action in [space.len(), usize::MAX] {
+            let err = env.advance(action).unwrap_err();
+            assert!(err.to_string().contains("out of range"), "{err}");
+        }
+        assert!(env.settle().is_err(), "nothing decided yet");
+        assert_eq!(env.remaining().len(), space.len(), "errors consume nothing");
+        assert_eq!(env.advance(0).unwrap(), None);
+        let err = env.advance(0).unwrap_err();
+        assert!(err.to_string().contains("already explored"), "{err}");
+
+        // A generous budget terminates on the first estimate.
+        let mut env = PlanningEnv::new(&db, &SlowEverywhere, &q, &space, 1.0e9, spec);
+        assert_eq!(env.advance(1).unwrap(), Some(Decision::PredictedViable(1)));
+        assert!(env.is_done());
+        assert!(env.final_outcome().is_none(), "deciding measures nothing");
+        let err = env.advance(2).unwrap_err();
+        assert!(err.to_string().contains("already finished"), "{err}");
+        assert_eq!(env.settle().unwrap().chosen, 1);
     }
 
     #[test]

@@ -31,23 +31,28 @@ pub struct PlanningOutcome {
     pub decision: Decision,
 }
 
-/// Plans `query` online with a trained agent (paper Algorithm 2): repeatedly pick the
-/// remaining rewrite option with the highest Q-value, estimate it, and stop as soon as
-/// a predicted-viable option is found, the budget is exhausted, or no options remain.
-pub fn plan_online(
-    agent: &QAgent,
-    db: &dyn QueryBackend,
-    qte: &dyn QueryTimeEstimator,
-    query: &Query,
-    space: &RewriteSpace,
-    tau_ms: f64,
-) -> Result<PlanningOutcome> {
-    plan_online_from(agent, db, qte, query, space, tau_ms, 0.0)
+/// What online planning decided for one query, before anything is executed.
+#[derive(Debug, Clone)]
+pub struct OnlineDecision {
+    /// The rewrite option Maliva decided to send to the database.
+    pub rewrite: RewriteOption,
+    /// Index of the chosen option in the rewrite space.
+    pub chosen_index: usize,
+    /// Planning time spent (all QTE costs), in milliseconds.
+    pub planning_ms: f64,
+    /// Indices of the rewrite options explored, in exploration order.
+    pub explored: Vec<usize>,
+    /// Why planning terminated.
+    pub decision: Decision,
 }
 
-/// Like [`plan_online`] but starting from a non-zero elapsed planning time (used by the
-/// second stage of the two-stage quality-aware rewriter).
-pub fn plan_online_from(
+/// Decides which rewrite of `query` to send to the database (paper Algorithm 2):
+/// repeatedly pick the remaining rewrite option with the highest Q-value, estimate
+/// it, and stop as soon as a predicted-viable option is found, the budget is
+/// exhausted, or no options remain. Nothing is executed — the caller sends the
+/// chosen rewrite to the database, once. `initial_elapsed_ms` is planning time
+/// already spent (non-zero for the second stage of the quality-aware rewriter).
+pub fn decide_online(
     agent: &QAgent,
     db: &dyn QueryBackend,
     qte: &dyn QueryTimeEstimator,
@@ -55,7 +60,7 @@ pub fn plan_online_from(
     space: &RewriteSpace,
     tau_ms: f64,
     initial_elapsed_ms: f64,
-) -> Result<PlanningOutcome> {
+) -> Result<OnlineDecision> {
     // Both checks used to be panics; online planning serves live requests, so
     // misconfiguration must surface as an error to the middleware instead of
     // taking the serving thread down.
@@ -81,25 +86,59 @@ pub fn plan_online_from(
         initial_elapsed_ms,
     );
     let mut explored = Vec::new();
-    while !env.is_done() {
-        let remaining = env.remaining().to_vec();
-        let action = agent.best_action(env.state(), &remaining);
+    let decision = loop {
+        let action = agent.best_action(env.state(), env.remaining());
         explored.push(action);
-        env.step(action)?;
-    }
-    let outcome = env
-        .final_outcome()
-        .ok_or_else(|| Error::Internal("planning episode ended without an outcome".into()))?
-        .clone();
-    Ok(PlanningOutcome {
-        rewrite: outcome.rewrite,
-        chosen_index: outcome.chosen,
-        planning_ms: outcome.planning_ms,
-        exec_ms: outcome.exec_ms,
-        total_ms: outcome.total_ms,
-        viable: outcome.viable,
+        if let Some(decision) = env.advance(action)? {
+            break decision;
+        }
+    };
+    let chosen_index = decision.chosen();
+    Ok(OnlineDecision {
+        rewrite: space.get(chosen_index).clone(),
+        chosen_index,
+        planning_ms: env.state().elapsed_ms,
         explored,
-        decision: outcome.decision,
+        decision,
+    })
+}
+
+/// Plans `query` online with a trained agent and measures the outcome:
+/// [`decide_online`], then the true execution time of the chosen rewrite.
+pub fn plan_online(
+    agent: &QAgent,
+    db: &dyn QueryBackend,
+    qte: &dyn QueryTimeEstimator,
+    query: &Query,
+    space: &RewriteSpace,
+    tau_ms: f64,
+) -> Result<PlanningOutcome> {
+    plan_online_from(agent, db, qte, query, space, tau_ms, 0.0)
+}
+
+/// Like [`plan_online`] but starting from a non-zero elapsed planning time (used by the
+/// second stage of the two-stage quality-aware rewriter).
+pub fn plan_online_from(
+    agent: &QAgent,
+    db: &dyn QueryBackend,
+    qte: &dyn QueryTimeEstimator,
+    query: &Query,
+    space: &RewriteSpace,
+    tau_ms: f64,
+    initial_elapsed_ms: f64,
+) -> Result<PlanningOutcome> {
+    let decided = decide_online(agent, db, qte, query, space, tau_ms, initial_elapsed_ms)?;
+    let exec_ms = db.execution_time_ms(query, &decided.rewrite)?;
+    let total_ms = decided.planning_ms + exec_ms;
+    Ok(PlanningOutcome {
+        rewrite: decided.rewrite,
+        chosen_index: decided.chosen_index,
+        planning_ms: decided.planning_ms,
+        exec_ms,
+        total_ms,
+        viable: total_ms <= tau_ms,
+        explored: decided.explored,
+        decision: decided.decision,
     })
 }
 
@@ -110,6 +149,7 @@ mod tests {
     use crate::testutil::{make_query, tiny_db, workload};
     use crate::train::train_agent;
     use maliva_qte::AccurateQte;
+    use std::sync::Arc;
 
     #[test]
     fn online_planning_terminates_and_reports_times() {
@@ -201,6 +241,91 @@ mod tests {
                 db.run(&q, &outcome.rewrite).unwrap().result,
                 "sharded result diverged for query {i}"
             );
+        }
+    }
+
+    /// `plan_online` is the decision plus one measurement, and both equal what
+    /// the training-side `step` loop (deciding and settling in one call) reports
+    /// for the same episode — on both backends, under both QTEs, from a zero and
+    /// a non-zero starting elapsed time.
+    #[test]
+    fn plan_online_is_decide_online_plus_one_execution_time() {
+        use crate::testutil::tiny_sharded_backend;
+        use maliva_qte::ApproximateQte;
+        let backends: [Arc<dyn QueryBackend>; 2] = [tiny_db(), tiny_sharded_backend(4)];
+        for db in backends {
+            let training: Vec<_> = workload(6)
+                .into_iter()
+                .map(|q| {
+                    let options = RewriteSpace::hints_only(&q).options().to_vec();
+                    (q, options)
+                })
+                .collect();
+            let qtes: [Box<dyn QueryTimeEstimator>; 2] = [
+                Box::new(AccurateQte::new(db.clone())),
+                Box::new(ApproximateQte::fit(db.clone(), Default::default(), &training).unwrap()),
+            ];
+            for qte in &qtes {
+                for (i, tau_ms, start_ms) in
+                    [(5u64, 400.0, 0.0), (20, 500.0, 120.0), (3, 1.0e7, 0.0)]
+                {
+                    let q = make_query(i);
+                    let space = RewriteSpace::hints_only(&q);
+                    let agent = QAgent::new(space.len(), tau_ms, 11);
+                    let (db, qte) = (db.as_ref(), qte.as_ref());
+                    let planned =
+                        plan_online_from(&agent, db, qte, &q, &space, tau_ms, start_ms).unwrap();
+                    let decided =
+                        decide_online(&agent, db, qte, &q, &space, tau_ms, start_ms).unwrap();
+                    let exec_ms = db.execution_time_ms(&q, &decided.rewrite).unwrap();
+
+                    let reward = RewardSpec::efficiency_only();
+                    let mut env = PlanningEnv::with_initial_elapsed(
+                        db, qte, &q, &space, tau_ms, reward, start_ms,
+                    );
+                    let mut stepped = Vec::new();
+                    while !env.is_done() {
+                        let action = agent.best_action(env.state(), env.remaining());
+                        stepped.push(action);
+                        env.step(action).unwrap();
+                    }
+                    let settled = env.final_outcome().unwrap();
+
+                    let context = format!("{} qte, query {i}, tau {tau_ms}", qte.name());
+                    let planned_fields = (
+                        planned.chosen_index,
+                        &planned.rewrite,
+                        planned.planning_ms,
+                        &planned.explored,
+                        planned.decision,
+                        planned.exec_ms,
+                        planned.total_ms,
+                    );
+                    let decided_fields = (
+                        decided.chosen_index,
+                        &decided.rewrite,
+                        decided.planning_ms,
+                        &decided.explored,
+                        decided.decision,
+                        exec_ms,
+                        decided.planning_ms + exec_ms,
+                    );
+                    let settled_fields = (
+                        settled.chosen,
+                        &settled.rewrite,
+                        settled.planning_ms,
+                        &stepped,
+                        settled.decision,
+                        settled.exec_ms,
+                        settled.total_ms,
+                    );
+                    assert_eq!(planned_fields, decided_fields, "{context}");
+                    assert_eq!(planned_fields, settled_fields, "{context}");
+                    assert_eq!(planned.viable, settled.viable, "{context}");
+                    assert!(planned.planning_ms >= start_ms, "{context}");
+                    assert_eq!(planned.viable, planned.total_ms <= tau_ms, "{context}");
+                }
+            }
         }
     }
 

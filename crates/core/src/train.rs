@@ -238,6 +238,43 @@ mod tests {
         );
     }
 
+    /// Training still goes through `PlanningEnv::step`, whose outcomes the
+    /// advance / settle split must leave bit-identical: at a fixed seed the
+    /// serialized agent and the report digest to the value pinned before the
+    /// split.
+    #[test]
+    fn training_at_a_fixed_seed_is_bit_identical_to_the_pinned_run() {
+        let db = tiny_db();
+        let qte = AccurateQte::new(db.clone());
+        let config = MalivaConfig {
+            max_epochs: 2,
+            ..MalivaConfig::fast().with_seed(7)
+        };
+        let trained = train_agent(
+            &db,
+            &qte,
+            &workload(12),
+            &RewriteSpace::hints_only,
+            RewardSpec::efficiency_only(),
+            &config,
+        )
+        .unwrap();
+        let report = &trained.report;
+        let mut digest = vizdb::fingerprint::Fingerprint::new();
+        digest.write_str(&trained.agent.to_json());
+        for count in [report.epochs, report.episodes, report.steps] {
+            digest.write_u64(count as u64);
+        }
+        for value in report.epoch_rewards.iter().chain(&report.epoch_vqp) {
+            digest.write_f64(*value);
+        }
+        assert_eq!(
+            digest.finish(),
+            581_988_623_790_332_829,
+            "agent or report changed"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "training workload cannot be empty")]
     fn empty_workload_panics() {

@@ -10,8 +10,9 @@
 //!   per-region [`vizdb::ShardedBackend`] (the [`ServeConfig::shards`] knob, see
 //!   [`backend_for_shards`]) — one trained [`maliva::QAgent`] and one
 //!   [`maliva_qte::QueryTimeEstimator`] across `std::thread::scope` worker
-//!   threads that drain a request queue through [`maliva::plan_online`] +
-//!   [`vizdb::QueryBackend::run`];
+//!   threads that drain a request queue: each request is decided with
+//!   [`maliva::decide_online`] (no execution) and its chosen rewrite executed
+//!   once, with [`vizdb::QueryBackend::run_with_context`];
 //! * [`DecisionCache`] fronts planning with a bounded, sharded, LRU
 //!   (touch-on-hit) map keyed by the corrected query fingerprint and a τ-bucket,
 //!   with hit/miss/eviction counters; every entry is tagged with the backend

@@ -3,8 +3,9 @@
 //! A [`MalivaServer`] owns shared handles to a [`QueryBackend`] (a single
 //! simulated database, a lock-wrapped mutable one, or a per-region
 //! [`vizdb::ShardedBackend`]), a trained agent and a QTE, plus a
-//! [`DecisionCache`]. Each request is planned with [`maliva::plan_online`]
-//! (unless the decision cache already knows the answer) and then executed with
+//! [`DecisionCache`]. Each request is decided with [`maliva::decide_online`]
+//! (unless the decision cache already knows the answer), which executes nothing,
+//! and the chosen rewrite is then executed once, with
 //! [`QueryBackend::run_with_context`]. The scheduling is [`vizdb::sched`]'s:
 //! [`MalivaServer::serve_batch`] hands the request range to the claim-cursor
 //! crew, [`MalivaServer::serve_queued`] admits requests into a
@@ -34,7 +35,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use maliva::train::SpaceBuilder;
-use maliva::{plan_online, QAgent};
+use maliva::{decide_online, QAgent};
 use maliva_qte::QueryTimeEstimator;
 use vizdb::error::{Error, Result};
 use vizdb::exec::QueryResult;
@@ -386,7 +387,8 @@ impl MalivaServer {
         self.cache.clear();
     }
 
-    /// Serves one request: plan (through the decision cache) then execute.
+    /// Serves one request: decide (through the decision cache), then execute the
+    /// chosen rewrite — the request's only executing backend call.
     ///
     /// The cache lookup carries the backend's current catalog generation, so a
     /// decision planned before a mid-serve `register_table` / `build_index` is
@@ -413,18 +415,19 @@ impl MalivaServer {
                 // entry with the pre-mutation generation, so it is born stale.
                 let generation = self.backend.generation();
                 let space = (self.space_builder)(&request.query);
-                let outcome = plan_online(
+                let decided = decide_online(
                     &self.agent,
                     self.backend.as_ref(),
                     self.qte.as_ref(),
                     &request.query,
                     &space,
                     self.cache.canonical_tau(tau_ms),
+                    0.0,
                 )?;
                 let planned = CachedDecision {
-                    chosen_index: outcome.chosen_index,
-                    rewrite: outcome.rewrite,
-                    planning_ms: outcome.planning_ms,
+                    chosen_index: decided.chosen_index,
+                    rewrite: decided.rewrite,
+                    planning_ms: decided.planning_ms,
                 };
                 // First insert wins, so a racing worker's identical decision is
                 // returned as the canonical one.
@@ -442,13 +445,14 @@ impl MalivaServer {
         };
         let report = self
             .backend
-            .run_with_context(&request.query, &decision.rewrite, &ctx)?;
-        if report.quality.is_degraded() {
-            // Don't let a decision that produced a degraded answer sit in the
-            // cache: the next arrival of this key re-plans against the
-            // backend's current health instead of replaying the decision.
+            .run_with_context(&request.query, &decision.rewrite, &ctx);
+        if report.as_ref().map_or(true, |r| r.quality.is_degraded()) {
+            // Don't let a decision whose execution failed or came back degraded
+            // sit in the cache: the next arrival of this key re-plans against
+            // the backend's current state instead of replaying the decision.
             self.cache.invalidate(key);
         }
+        let report = report?;
         let run = report.outcome;
         let total_ms = decision.planning_ms + run.time_ms;
         Ok(ServeResponse {
@@ -975,6 +979,177 @@ mod tests {
         ];
         let err = server.serve_queued(&requests).unwrap_err();
         assert!(matches!(err, Error::InvalidQuery(_)), "{err}");
+    }
+
+    /// Counts the executing calls that reach the backend it decorates.
+    struct CountingBackend {
+        inner: Arc<dyn QueryBackend>,
+        runs: AtomicU64,
+        timings: AtomicU64,
+    }
+
+    impl CountingBackend {
+        fn new(inner: Arc<dyn QueryBackend>) -> Arc<Self> {
+            Arc::new(Self {
+                inner,
+                runs: AtomicU64::new(0),
+                timings: AtomicU64::new(0),
+            })
+        }
+
+        /// `(run + run_with_context calls, execution_time_ms calls)` so far.
+        fn executing_calls(&self) -> (u64, u64) {
+            (
+                self.runs.load(Ordering::Relaxed),
+                self.timings.load(Ordering::Relaxed),
+            )
+        }
+    }
+
+    impl QueryBackend for CountingBackend {
+        fn table_names(&self) -> Vec<String> {
+            self.inner.table_names()
+        }
+        fn row_count(&self, table: &str) -> Result<usize> {
+            self.inner.row_count(table)
+        }
+        fn schema(&self, table: &str) -> Result<TableSchema> {
+            self.inner.schema(table)
+        }
+        fn stats(&self, table: &str) -> Result<vizdb::stats::TableStats> {
+            self.inner.stats(table)
+        }
+        fn indexed_columns(&self, table: &str) -> Result<Vec<usize>> {
+            self.inner.indexed_columns(table)
+        }
+        fn sample_len(&self, table: &str, fraction_pct: u32) -> Result<usize> {
+            self.inner.sample_len(table, fraction_pct)
+        }
+        fn plan(&self, query: &Query, ro: &RewriteOption) -> Result<vizdb::plan::PhysicalPlan> {
+            self.inner.plan(query, ro)
+        }
+        fn run(&self, query: &Query, ro: &RewriteOption) -> Result<vizdb::RunOutcome> {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            self.inner.run(query, ro)
+        }
+        fn run_with_context(
+            &self,
+            query: &Query,
+            ro: &RewriteOption,
+            ctx: &ExecContext,
+        ) -> Result<vizdb::RunReport> {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            self.inner.run_with_context(query, ro, ctx)
+        }
+        fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
+            self.timings.fetch_add(1, Ordering::Relaxed);
+            self.inner.execution_time_ms(query, ro)
+        }
+        fn estimated_cardinality(&self, query: &Query) -> Result<f64> {
+            self.inner.estimated_cardinality(query)
+        }
+        fn estimated_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
+            self.inner.estimated_selectivity(table, pred)
+        }
+        fn true_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
+            self.inner.true_selectivity(table, pred)
+        }
+        fn sample_selectivity(
+            &self,
+            table: &str,
+            pred: &Predicate,
+            fraction_pct: u32,
+        ) -> Result<(f64, usize)> {
+            self.inner.sample_selectivity(table, pred, fraction_pct)
+        }
+        fn render_sql(&self, query: &Query, ro: &RewriteOption) -> String {
+            self.inner.render_sql(query, ro)
+        }
+        fn generation(&self) -> u64 {
+            self.inner.generation()
+        }
+        fn clear_caches(&self) {
+            self.inner.clear_caches()
+        }
+        fn cache_entry_counts(&self) -> (usize, usize) {
+            self.inner.cache_entry_counts()
+        }
+    }
+
+    /// [`build_db`] plus the 1% sample the Approximate-QTE probes.
+    fn build_sampled_db() -> Arc<Database> {
+        let mut db = Database::new(DbConfig::default());
+        db.register_table(build_table()).unwrap();
+        db.build_all_indexes("tweets").unwrap();
+        db.build_sample("tweets", 1).unwrap();
+        Arc::new(db)
+    }
+
+    /// A single-worker server over `backend` with the (unfitted, oracle-free)
+    /// Approximate-QTE and the given rewrite spaces.
+    fn approximate_server(
+        backend: Arc<dyn QueryBackend>,
+        space_builder: Arc<SpaceBuilder>,
+    ) -> MalivaServer {
+        let space_len = space_builder(&make_query(0)).len();
+        let qte = maliva_qte::ApproximateQte::new(backend.clone(), Default::default());
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        MalivaServer::new(
+            backend,
+            Arc::new(QAgent::new(space_len, 500.0, 7)),
+            Arc::new(qte),
+            space_builder,
+            config,
+        )
+    }
+
+    /// Paper Algorithm 2 sends the chosen rewrite to the database once. Under
+    /// the Approximate-QTE, which never asks the backend for a true time, a
+    /// served request — miss or hit — is exactly one executing backend call.
+    #[test]
+    fn a_served_request_executes_its_rewrite_exactly_once() {
+        let db = build_sampled_db();
+        let backends: [Arc<dyn QueryBackend>; 2] = [db.clone(), backend_for_shards(db, 4).unwrap()];
+        for backend in backends {
+            let counting = CountingBackend::new(backend);
+            let server = approximate_server(counting.clone(), Arc::new(RewriteSpace::hints_only));
+            for i in 0..6u64 {
+                let request = ServeRequest::new(make_query(i));
+                for expect_hit in [false, true] {
+                    let before = counting.executing_calls();
+                    let response = server.serve_one(0, &request).unwrap();
+                    assert_eq!(response.cache_hit, expect_hit, "query {i}");
+                    let after = counting.executing_calls();
+                    assert_eq!(
+                        (after.0 - before.0, after.1 - before.1),
+                        (1, 0),
+                        "query {i}, cache hit {expect_hit}: (runs, execution_time_ms calls)"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Deciding no longer executes, so a rewrite whose execution hard-fails
+    /// (here: a sample that was never built) is cached before the failure is
+    /// seen; the failed run must take its decision back out.
+    #[test]
+    fn a_decision_whose_execution_fails_does_not_stay_cached() {
+        let rule = vizdb::approx::ApproxRule::SampleTable { fraction_pct: 20 };
+        let spaces: Arc<SpaceBuilder> =
+            Arc::new(move |query| RewriteSpace::approx_only(query, &[rule]));
+        let server = approximate_server(build_sampled_db(), spaces);
+        let request = ServeRequest::new(make_query(0));
+        for _ in 0..2 {
+            let err = server.serve_one(0, &request).unwrap_err();
+            assert!(matches!(err, Error::SampleMissing { .. }), "{err}");
+        }
+        let stats = server.cache_stats();
+        assert_eq!(stats.entries, 0);
+        assert_eq!((stats.misses, stats.hits), (2, 0));
     }
 
     mod fault_tolerance {

@@ -347,15 +347,28 @@ impl Database {
     pub fn plan(&self, query: &Query, ro: &RewriteOption) -> Result<PhysicalPlan> {
         let fact = self.entry(&query.table)?;
         let dim = self.dim_entry(query)?;
+        Ok(self.plan_entries(query, ro, fact, dim, query_fingerprint(query)))
+    }
+
+    /// [`Database::plan`] over already-resolved table entries, with the query
+    /// fingerprint computed by the caller (an execution hashes the query once).
+    fn plan_entries(
+        &self,
+        query: &Query,
+        ro: &RewriteOption,
+        fact: &TableEntry,
+        dim: Option<&TableEntry>,
+        query_fp: u64,
+    ) -> PhysicalPlan {
         let dim_meta = dim.map(|d| d.meta());
-        Ok(self.planner.plan(
+        self.planner.plan(
             query,
             &ro.hints,
             ro.approx,
             &fact.meta(),
             dim_meta.as_ref(),
-            query_fingerprint(query) ^ self.config.seed,
-        ))
+            query_fp ^ self.config.seed,
+        )
     }
 
     /// The engine's own cardinality estimate for `query` (rows after all predicates),
@@ -427,15 +440,8 @@ impl Database {
     }
 
     fn scan_count(&self, entry: &TableEntry, pred: &Predicate) -> Result<usize> {
-        // Resolve the keyword token once, not per scanned row.
-        let token = crate::exec::resolve_keyword_token(pred, &entry.table);
-        let mut count = 0usize;
-        for rid in 0..entry.table.row_count() as RecordId {
-            if crate::exec::eval_resolved(pred, token, &entry.table, rid)? {
-                count += 1;
-            }
-        }
-        Ok(count)
+        let rows = 0..entry.table.row_count() as RecordId;
+        exec::count_matching(pred, &entry.table, rows)
     }
 
     /// Measures the selectivity of `pred` on the `fraction_pct`% sample of `table`,
@@ -455,13 +461,8 @@ impl Database {
                 table: table.to_string(),
                 fraction_pct,
             })?;
-        let token = crate::exec::resolve_keyword_token(pred, &entry.table);
-        let mut matched = 0usize;
-        for &rid in sample.row_ids() {
-            if crate::exec::eval_resolved(pred, token, &entry.table, rid)? {
-                matched += 1;
-            }
-        }
+        let rows = sample.row_ids().iter().copied();
+        let matched = exec::count_matching(pred, &entry.table, rows)?;
         let scanned = sample.len();
         let sel = if scanned == 0 {
             0.0
@@ -474,7 +475,8 @@ impl Database {
     /// Runs the rewritten query and returns its materialised result, plan, operation
     /// counts and simulated execution time.
     pub fn run(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
-        self.run_inner(query, ro, true, Some(self.config.exec_threads))
+        let threads = Some(self.config.exec_threads);
+        self.run_inner(query, ro, query_fingerprint(query), true, threads)
     }
 
     /// [`Database::run`] at an explicit morsel-crew size instead of
@@ -487,7 +489,7 @@ impl Database {
         ro: &RewriteOption,
         threads: usize,
     ) -> Result<RunOutcome> {
-        self.run_inner(query, ro, true, Some(threads))
+        self.run_inner(query, ro, query_fingerprint(query), true, Some(threads))
     }
 
     /// [`Database::run`] on the reference oracle — the row-at-a-time
@@ -495,37 +497,38 @@ impl Database {
     /// results, same work profile, same simulated time). For equivalence tests
     /// and the `exec` benchmark that measures the wall-clock gap.
     pub fn run_reference(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
-        self.run_inner(query, ro, true, None)
+        self.run_inner(query, ro, query_fingerprint(query), true, None)
     }
 
     /// Simulated execution time of `query` rewritten with `ro`, without materialising
     /// results. Times are cached per (query, rewrite option); concurrent callers of
     /// the same key all observe the canonical (first-cached) value.
     pub fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
-        let key = (query_fingerprint(query), rewrite_fingerprint(ro));
-        if let Some(cached) = self.time_cache.get(key) {
+        let query_fp = query_fingerprint(query);
+        if let Some(cached) = self.time_cache.get((query_fp, rewrite_fingerprint(ro))) {
             return Ok(cached);
         }
         // `run_inner` performs the canonical insert itself (first insert wins and
-        // the returned outcome carries the canonical time), so no second insert —
-        // and no second key hash — is needed here.
-        Ok(self
-            .run_inner(query, ro, false, Some(self.config.exec_threads))?
-            .time_ms)
+        // the returned outcome carries the canonical time), so no second insert
+        // is needed here.
+        let threads = Some(self.config.exec_threads);
+        Ok(self.run_inner(query, ro, query_fp, false, threads)?.time_ms)
     }
 
-    /// `threads` is the pipeline's morsel-crew size; `None` runs the reference
+    /// `query_fp` is `query_fingerprint(query)`, hashed once by the caller;
+    /// `threads` is the pipeline's morsel-crew size, `None` runs the reference
     /// oracle instead.
     fn run_inner(
         &self,
         query: &Query,
         ro: &RewriteOption,
+        query_fp: u64,
         materialize: bool,
         threads: Option<usize>,
     ) -> Result<RunOutcome> {
         let fact = self.entry(&query.table)?;
         let dim = self.dim_entry(query)?;
-        let plan = self.plan(query, ro)?;
+        let plan = self.plan_entries(query, ro, fact, dim, query_fp);
 
         // Size the LIMIT approximation from the engine's estimated cardinality, as in
         // the paper ("a LIMIT clause with x% of the estimated cardinality").
@@ -562,13 +565,13 @@ impl Database {
         }?;
 
         let base_ms = execution_time_ms(&outcome.work, &self.config.cost_params);
-        let fp = query_fingerprint(query) ^ plan.signature() ^ self.config.seed;
+        let fp = query_fp ^ plan.signature() ^ self.config.seed;
         let time_ms =
             apply_profile_noise(base_ms, self.config.profile, &self.config.cost_params, fp);
 
         // Keep whichever value was cached first so racing workers report one
         // canonical time (the computation is deterministic, so they agree anyway).
-        let key = (query_fingerprint(query), rewrite_fingerprint(ro));
+        let key = (query_fp, rewrite_fingerprint(ro));
         let time_ms = self.time_cache.insert_canonical(key, time_ms);
 
         Ok(RunOutcome {

@@ -118,6 +118,12 @@ impl CompiledPredicate<'_> {
         }
     }
 
+    /// Counts the rows of `rows` the predicate matches — the kernel behind the
+    /// selectivity probes (`count(*)` over a sample or a whole table).
+    pub fn count(&self, rows: impl Iterator<Item = RecordId>) -> usize {
+        rows.filter(|&rid| self.eval(rid)).count()
+    }
+
     /// Evaluates the predicate over the contiguous row range `[start, end)`
     /// of one 4096-row chunk, setting the bit of each matching row in `words`
     /// (bit index = `rid - chunk_base`, where the chunk base is `start` rounded

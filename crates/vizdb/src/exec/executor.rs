@@ -54,6 +54,21 @@ pub struct ExecTable<'a> {
     pub samples: &'a HashMap<u32, SampleTable>,
 }
 
+/// Counts the rows of `rows` matching `pred` on `table` — every selectivity
+/// probe. The predicate is lowered once and counted by the compiled kernel; one
+/// that cannot be lowered is counted by the reference row loop, which raises
+/// the per-row error (and over no rows, none) exactly as the interpreter does.
+pub(crate) fn count_matching(
+    pred: &Predicate,
+    table: &Table,
+    rows: impl Iterator<Item = RecordId>,
+) -> Result<usize> {
+    match compiled::compile_predicate(pred, table) {
+        Ok(lowered) => Ok(lowered.count(rows)),
+        Err(_) => reference::count_matching(pred, table, rows),
+    }
+}
+
 /// The outcome of executing a plan.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {

@@ -16,6 +16,6 @@ pub(crate) mod reference;
 mod result;
 
 pub use compiled::DENSE_GRID_MAX_CELLS;
+pub(crate) use executor::count_matching;
 pub use executor::{execute, ExecOutcome, ExecTable};
-pub(crate) use reference::{eval_resolved, resolve_keyword_token};
 pub use result::QueryResult;

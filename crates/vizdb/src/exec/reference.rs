@@ -151,7 +151,7 @@ fn resolve_keyword_tokens(preds: &[Predicate], table: &Table) -> Vec<Option<Toke
 
 /// The pre-resolved dictionary token of a keyword predicate (`None` for other
 /// predicate kinds and for keywords absent from the dictionary).
-pub(crate) fn resolve_keyword_token(pred: &Predicate, table: &Table) -> Option<TokenId> {
+fn resolve_keyword_token(pred: &Predicate, table: &Table) -> Option<TokenId> {
     match pred {
         Predicate::KeywordContains { keyword, .. } => table.dictionary().lookup(keyword),
         _ => None,
@@ -186,7 +186,7 @@ fn eval_preds(
 /// lived in the executor; without it the interpreter runs a quarter slower and
 /// every speedup `BENCH_exec.json` reports against it is inflated.
 #[inline]
-pub(crate) fn eval_resolved(
+fn eval_resolved(
     pred: &Predicate,
     token: Option<TokenId>,
     table: &Table,
@@ -201,6 +201,26 @@ pub(crate) fn eval_resolved(
         Predicate::NumericRange { attr, range } => Ok(range.contains(table.numeric(*attr, rid)?)),
         Predicate::SpatialRange { attr, rect } => Ok(rect.contains(&table.geo(*attr, rid)?)),
     }
+}
+
+/// Counts the rows of `rows` matching `pred`, row at a time: the oracle of
+/// [`CompiledPredicate::count`](crate::exec::compiled::CompiledPredicate::count)
+/// and the path a predicate that cannot be lowered takes, so the per-row error
+/// it raises (or, over no rows, does not raise) is the interpreter's.
+pub(crate) fn count_matching(
+    pred: &Predicate,
+    table: &Table,
+    rows: impl Iterator<Item = RecordId>,
+) -> Result<usize> {
+    // Resolve the keyword token once, not per scanned row.
+    let token = resolve_keyword_token(pred, table);
+    let mut count = 0usize;
+    for rid in rows {
+        if eval_resolved(pred, token, table, rid)? {
+            count += 1;
+        }
+    }
+    Ok(count)
 }
 
 /// Evaluates one predicate against one row, resolving the keyword token on the

@@ -12,11 +12,11 @@ use vizdb::approx::ApproxRule;
 use vizdb::hints::{HintSet, RewriteOption};
 use vizdb::query::{BinGrid, JoinSpec, OutputKind, Predicate, Query};
 use vizdb::schema::{ColumnType, TableSchema};
-use vizdb::storage::TableBuilder;
-use vizdb::types::GeoRect;
+use vizdb::storage::{Table, TableBuilder};
+use vizdb::types::{GeoRect, RecordId};
 use vizdb::{Database, DbConfig};
 
-fn build_db(points: &[(f64, f64)], keyword_every: usize) -> Database {
+fn build_table(points: &[(f64, f64)], keyword_every: usize) -> Table {
     let schema = TableSchema::new("events")
         .with_column("id", ColumnType::Int)
         .with_column("when", ColumnType::Timestamp)
@@ -39,8 +39,13 @@ fn build_db(points: &[(f64, f64)], keyword_every: usize) -> Database {
             row.set_float("score", (i % 37) as f64);
         });
     }
+    b.build()
+}
+
+fn build_db(points: &[(f64, f64)], keyword_every: usize) -> Database {
     let mut db = Database::new(DbConfig::default());
-    db.register_table(b.build()).unwrap();
+    db.register_table(build_table(points, keyword_every))
+        .unwrap();
     db.build_all_indexes("events").unwrap();
     db.build_sample("events", 20).unwrap();
     db
@@ -286,5 +291,96 @@ fn fact_and_join_side_fallbacks_are_the_same_path() {
         let out = empty.run(query, &ro).unwrap();
         assert!(out.result.is_empty());
         assert_eq!(out.work, empty.run_reference(query, &ro).unwrap().work);
+    }
+}
+
+/// The reference count of a selectivity probe: the interpreter's row loop,
+/// written against the table's checked per-row accessors.
+fn probe_oracle(table: &Table, pred: &Predicate, rows: &[RecordId]) -> vizdb::Result<usize> {
+    let mut count = 0;
+    for &rid in rows {
+        let matched = match pred {
+            Predicate::KeywordContains { attr, keyword } => {
+                match table.dictionary().lookup(keyword) {
+                    Some(token) => table.text_contains(*attr, rid, token)?,
+                    None => false,
+                }
+            }
+            Predicate::TimeRange { attr, range } => range.contains(table.timestamp(*attr, rid)?),
+            Predicate::NumericRange { attr, range } => range.contains(table.numeric(*attr, rid)?),
+            Predicate::SpatialRange { attr, rect } => rect.contains(&table.geo(*attr, rid)?),
+        };
+        count += matched as usize;
+    }
+    Ok(count)
+}
+
+/// Both selectivity probes — the sample `count(*)` of the Approximate-QTE and
+/// the full-table count behind `true_selectivity` on an unindexed column — run
+/// on the compiled count kernel. Counts are integers, so each selectivity must
+/// equal the oracle's bit for bit; a predicate that cannot be lowered must
+/// raise the oracle's error, and over no rows raise nothing.
+#[test]
+fn selectivity_probes_match_the_reference_row_loop() {
+    let points: Vec<(f64, f64)> = (0..400)
+        .map(|i| (-120.0 + (i % 50) as f64, 25.0 + (i % 23) as f64))
+        .collect();
+    let mut db = Database::new(DbConfig::default());
+    db.register_table(build_table(&points, 3)).unwrap();
+    db.build_sample("events", 20).unwrap();
+    let empty = build_db(&[], 3);
+
+    let lowerable = [
+        Predicate::keyword(3, "hot"),
+        Predicate::keyword(3, "nosuchword"),
+        Predicate::time_range(1, 100, 900),
+        Predicate::spatial_range(2, GeoRect::new(-110.0, 28.0, -90.0, 40.0)),
+        Predicate::numeric_range(0, 17.0, 203.5),
+        Predicate::numeric_range(4, 3.0, 11.0),
+        Predicate::numeric_range(1, 250.0, 1250.0),
+    ];
+    let table = db.table("events").unwrap();
+    let sample = db.sample("events", 20).unwrap().row_ids();
+    let all: Vec<RecordId> = (0..table.row_count() as RecordId).collect();
+    assert_eq!(sample.len(), 80);
+    for pred in &lowerable {
+        let on_sample = probe_oracle(table, pred, sample).unwrap();
+        assert_eq!(
+            db.sample_selectivity("events", pred, 20).unwrap(),
+            (on_sample as f64 / sample.len() as f64, sample.len()),
+            "{pred:?}"
+        );
+        let on_table = probe_oracle(table, pred, &all).unwrap();
+        assert_eq!(
+            db.true_selectivity("events", pred).unwrap(),
+            on_table as f64 / all.len() as f64,
+            "{pred:?}"
+        );
+        assert_eq!(
+            empty.sample_selectivity("events", pred, 20).unwrap(),
+            (0.0, 0)
+        );
+        assert_eq!(empty.true_selectivity("events", pred).unwrap(), 0.0);
+    }
+    let matched = |pred: &Predicate| probe_oracle(table, pred, &all).unwrap();
+    assert!(matched(&lowerable[0]) > 0 && matched(&lowerable[4]) > 0);
+    assert_eq!(matched(&lowerable[1]), 0);
+
+    // A numeric range over the text column and an attribute past the schema.
+    for pred in [
+        Predicate::numeric_range(3, 0.0, 1.0),
+        Predicate::time_range(17, 0, 10),
+    ] {
+        let expected = probe_oracle(table, &pred, sample).unwrap_err();
+        assert_eq!(
+            db.sample_selectivity("events", &pred, 20).unwrap_err(),
+            expected
+        );
+        assert_eq!(db.true_selectivity("events", &pred).unwrap_err(), expected);
+        assert_eq!(
+            empty.sample_selectivity("events", &pred, 20).unwrap(),
+            (0.0, 0)
+        );
+        assert_eq!(empty.true_selectivity("events", &pred).unwrap(), 0.0);
     }
 }

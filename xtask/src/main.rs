@@ -208,6 +208,8 @@ const RULES: &[(&str, PathPredicate, LineCheck)] = &[
 /// request fan-out. All of `exec/` is covered by prefix — the pipeline, its
 /// kernels, the morsel driver and the reference interpreter it falls back to
 /// — and so is `sched.rs`, whose queue and crew every worker loop runs on.
+/// `online.rs` and the `mdp/env.rs` episode it advances run on every request
+/// that misses the decision cache.
 fn is_hot_path(path: &str) -> bool {
     path.starts_with("crates/vizdb/src/exec/")
         || path.starts_with("crates/vizdb/src/sharded/")
@@ -217,6 +219,7 @@ fn is_hot_path(path: &str) -> bool {
                 | "crates/vizdb/src/sched.rs"
                 | "crates/vizdb/src/index/posting.rs"
                 | "crates/core/src/online.rs"
+                | "crates/core/src/mdp/env.rs"
                 | "crates/serve/src/server.rs"
         )
 }
@@ -517,11 +520,18 @@ mod tests {
     #[test]
     fn seeded_panic_violation_is_reported_with_file_and_line() {
         let src = "fn serve() {\n    let v = compute().unwrap();\n}\n";
-        let findings = scan_source("crates/serve/src/server.rs", src);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "no-panic");
-        assert_eq!(findings[0].line, 2);
-        assert!(findings[0].source_line.contains(".unwrap()"));
+        // The serve loop and both halves of the online planning loop under it.
+        for path in [
+            "crates/serve/src/server.rs",
+            "crates/core/src/online.rs",
+            "crates/core/src/mdp/env.rs",
+        ] {
+            let findings = scan_source(path, src);
+            assert_eq!(findings.len(), 1, "{path}");
+            assert_eq!(findings[0].rule, "no-panic");
+            assert_eq!(findings[0].line, 2);
+            assert!(findings[0].source_line.contains(".unwrap()"));
+        }
     }
 
     #[test]
