@@ -20,6 +20,9 @@
 //!   answered by an index);
 //! * a **thread sweep** — the pipeline at 1/2/4/8 morsel workers
 //!   ([`vizdb::Database::run_with_threads`]), byte-identical at every count;
+//! * **pricing vs executing** — the simulated times of a viewport's 8 hint
+//!   sets from one [`vizdb::Database::execution_time_ms`] lattice pass against
+//!   8 `run`s, asserted bit-identical, with the wall-clock ratio;
 //! * a machine-readable `BENCH_exec.json` dump in the working directory,
 //!   extending the repo's performance trajectory.
 //!
@@ -32,7 +35,7 @@ use std::time::Instant;
 use serde_json::json;
 
 use vizdb::exec::QueryResult;
-use vizdb::hints::{HintSet, RewriteOption};
+use vizdb::hints::{enumerate_hint_sets, HintSet, RewriteOption};
 use vizdb::query::Query;
 use vizdb::timing::WorkProfile;
 use vizdb::Database;
@@ -112,6 +115,48 @@ fn assert_pass_matches(name: &str, engine: &str, reference: &EnginePass, pass: &
     );
 }
 
+/// Prices every viewport's hint lattice through `execution_time_ms` (one
+/// shared pass per viewport, the other hint sets read back from the time
+/// cache) and executes the same rewrites one `run` each. The simulated times
+/// must agree bit for bit; returns the wall-clock milliseconds of
+/// `(the executions, the passes)` and the number of plans per viewport.
+fn price_vs_execute(db: &Database, queries: &[Query], name: &str) -> (f64, f64, usize) {
+    let mut executed = Vec::new();
+    db.clear_caches();
+    let start = Instant::now();
+    for query in queries {
+        for hints in enumerate_hint_sets(query) {
+            let outcome = db.run(query, &RewriteOption::hinted(hints));
+            executed.push(outcome.expect("executing a hinted viewport query").time_ms);
+        }
+    }
+    let executed_ms = start.elapsed().as_secs_f64() * 1e3;
+
+    let mut priced = Vec::with_capacity(executed.len());
+    db.clear_caches();
+    let start = Instant::now();
+    for query in queries {
+        for hints in enumerate_hint_sets(query) {
+            let time = db.execution_time_ms(query, &RewriteOption::hinted(hints));
+            priced.push(time.expect("pricing a hinted viewport query"));
+        }
+    }
+    let priced_ms = start.elapsed().as_secs_f64() * 1e3;
+    db.clear_caches();
+
+    let bits = |times: &[f64]| times.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&executed),
+        bits(&priced),
+        "{name}: priced simulated times must be bit-identical to executed ones"
+    );
+    (
+        executed_ms,
+        priced_ms,
+        executed.len() / queries.len().max(1),
+    )
+}
+
 /// The `exec` experiment entry point.
 pub fn run_exec_engine() -> Vec<ExperimentOutput> {
     // The two differ in *per-row* cost, so measure on tables big enough that
@@ -148,6 +193,8 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
 
     let mut rows = Vec::new();
     let mut dump = Vec::new();
+    let mut pricing_rows = Vec::new();
+    let mut pricing_dump = Vec::new();
     let mut seq_interp_ms = 0.0f64;
     let mut seq_bitmap_ms = 0.0f64;
     let mut idx_interp_ms = 0.0f64;
@@ -223,6 +270,29 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
                 "identical_results": true,
             }));
         }
+
+        let name = format!("{} hint lattice", kind.name());
+        let (executed_ms, priced_ms, plans) = price_vs_execute(db, &queries, &name);
+        let ratio = executed_ms / priced_ms.max(1e-9);
+        pricing_rows.push(vec![
+            name.clone(),
+            format!("{}", queries.len()),
+            format!("{plans}"),
+            format!("{executed_ms:.1}"),
+            format!("{priced_ms:.1}"),
+            format!("{ratio:.2}x"),
+            "yes".to_string(),
+        ]);
+        pricing_dump.push(json!({
+            "workload": name,
+            "dataset": kind.name(),
+            "queries": queries.len(),
+            "plans_per_query": plans,
+            "executions_wall_ms": executed_ms,
+            "one_pass_wall_ms": priced_ms,
+            "executions_over_one_pass": ratio,
+            "identical_times": true,
+        }));
     }
 
     // The acceptance bars: the bitmap pipeline must at least halve the
@@ -286,13 +356,37 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
         .to_vec(),
         rows,
     };
+    let pricing_output = ExperimentOutput {
+        id: "exec-pricing".into(),
+        title: format!(
+            "Pricing vs executing: the simulated times of each viewport's hint sets from one \
+             `execution_time_ms` lattice pass vs one `run` per hint set ({} rows/table; wall \
+             clock; times bit-identical)",
+            scale.rows,
+        ),
+        headers: [
+            "Workload",
+            "Viewports",
+            "Plans",
+            "Executions (ms)",
+            "One pass each (ms)",
+            "Ratio",
+            "Identical times",
+        ]
+        .map(String::from)
+        .to_vec(),
+        rows: pricing_rows,
+    };
+    let pricing_payload = json!(pricing_dump);
     let payload = json!({
         "workloads": dump,
         "seq_scan_aggregate_speedup": seq_speedup,
         "index_aggregate_speedup": idx_speedup,
+        "pricing_vs_executing": pricing_payload,
         "thread_scaling": scaling_payload,
     });
     save_json(&output, payload.clone());
+    save_json(&pricing_output, pricing_payload);
     save_json(&scaling_output, scaling_payload.clone());
     // The perf-trajectory baseline: a stable, machine-readable file at the repo
     // root (wall-clock numbers are host-dependent; the speedup ratios are the
@@ -308,7 +402,7 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
         }))
         .unwrap_or_default(),
     );
-    vec![output, scaling_output]
+    vec![output, pricing_output, scaling_output]
 }
 
 /// Thread counts the scaling regime is measured (and byte-identity asserted) at.

@@ -47,6 +47,17 @@ impl AccurateQte {
     pub fn unit_cost_ms(&self) -> f64 {
         self.unit_cost_ms
     }
+
+    fn cost_of(&self, new_slots: usize) -> f64 {
+        self.overhead_ms + self.unit_cost_ms * new_slots as f64
+    }
+}
+
+/// The slots an estimate for `ro` needs that `ctx` has not collected yet.
+fn uncollected_slots(query: &Query, ro: &RewriteOption, ctx: &EstimationContext) -> Vec<usize> {
+    let mut slots = needed_slots(query, ro);
+    slots.retain(|&slot| !ctx.is_collected(slot));
+    slots
 }
 
 impl QueryTimeEstimator for AccurateQte {
@@ -55,11 +66,7 @@ impl QueryTimeEstimator for AccurateQte {
     }
 
     fn estimation_cost(&self, query: &Query, ro: &RewriteOption, ctx: &EstimationContext) -> f64 {
-        let new_slots = needed_slots(query, ro)
-            .into_iter()
-            .filter(|&s| !ctx.is_collected(s))
-            .count();
-        self.overhead_ms + self.unit_cost_ms * new_slots as f64
+        self.cost_of(uncollected_slots(query, ro, ctx).len())
     }
 
     fn estimate(
@@ -68,12 +75,10 @@ impl QueryTimeEstimator for AccurateQte {
         ro: &RewriteOption,
         ctx: &mut EstimationContext,
     ) -> Result<EstimateReport> {
-        let cost_ms = self.estimation_cost(query, ro, ctx);
+        let new_slots = uncollected_slots(query, ro, ctx);
+        let cost_ms = self.cost_of(new_slots.len());
         let n = query.predicate_count();
-        for slot in needed_slots(query, ro) {
-            if ctx.is_collected(slot) {
-                continue;
-            }
+        for slot in new_slots {
             let sel = if slot < n {
                 self.db
                     .true_selectivity(&query.table, &query.predicates[slot])?

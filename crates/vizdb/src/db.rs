@@ -5,7 +5,10 @@
 //! [`crate::exec`] at [`DbConfig::exec_threads`] workers) and one oracle
 //! ([`Database::run_reference`], the row-at-a-time interpreter). They share
 //! planning, LIMIT sizing, timing and the time cache, so the only thing that
-//! can differ between them is the executor itself.
+//! can differ between them is the executor itself. Asking only for a time
+//! ([`Database::execution_time_ms`]) executes nothing when the rewrite is
+//! exact: the query's whole hint lattice is priced from one pass over the
+//! table ([`crate::exec::price_plans`]).
 
 use std::collections::{HashMap, HashSet};
 
@@ -15,7 +18,9 @@ use crate::approx::ApproxRule;
 use crate::cache::FingerprintCache;
 use crate::error::{Error, Result};
 use crate::exec::{self, ExecTable, QueryResult};
-use crate::fingerprint::{predicate_fingerprint, query_fingerprint, rewrite_fingerprint};
+use crate::fingerprint::{
+    predicate_fingerprint, query_fingerprint, rewrite_fingerprint, Fingerprint,
+};
 use crate::hints::{enumerate_hint_sets, RewriteOption};
 use crate::index::{BPlusTree, InvertedIndex, RTree};
 use crate::optimizer::{estimate_selectivity, Planner, TableMeta};
@@ -402,7 +407,7 @@ impl Database {
     pub fn true_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
         let entry = self.entry(table)?;
         let key = (
-            query_fingerprint(&Query::select(table)),
+            Fingerprint::new().write_str(table).finish(),
             predicate_fingerprint(pred),
         );
         self.selectivity_cache.get_or_try_compute(key, || {
@@ -503,16 +508,75 @@ impl Database {
     /// Simulated execution time of `query` rewritten with `ro`, without materialising
     /// results. Times are cached per (query, rewrite option); concurrent callers of
     /// the same key all observe the canonical (first-cached) value.
+    ///
+    /// A miss on an exact rewrite of a join-free, `LIMIT`-free query is *priced*,
+    /// not executed, and its whole hint lattice with it ([`exec::price_plans`]);
+    /// everything else runs the rewrite without materialising, which is also
+    /// the only place an error is raised.
     pub fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
         let query_fp = query_fingerprint(query);
-        if let Some(cached) = self.time_cache.get((query_fp, rewrite_fingerprint(ro))) {
+        let rewrite_fp = rewrite_fingerprint(ro);
+        if let Some(cached) = self.time_cache.get((query_fp, rewrite_fp)) {
             return Ok(cached);
+        }
+        if let Some(time_ms) = self.price_lattice(query, ro, query_fp, rewrite_fp) {
+            return Ok(time_ms);
         }
         // `run_inner` performs the canonical insert itself (first insert wins and
         // the returned outcome carries the canonical time), so no second insert
         // is needed here.
         let threads = Some(self.config.exec_threads);
         Ok(self.run_inner(query, ro, query_fp, false, threads)?.time_ms)
+    }
+
+    /// Prices `ro` together with every hint set of `query` in one shared pass
+    /// over the table ([`exec::price_plans`]), caches all of their times and
+    /// returns `ro`'s. All exact rewrites select the same rows, so the pass costs
+    /// about one sequential-scan execution however many plans it prices — and
+    /// whoever asks about one rewrite of a query (a QTE, training, the viability
+    /// count) goes on to ask about its siblings. `None` when the rewrite is not
+    /// exact, the query joins, is capped or has more than
+    /// [`exec::MAX_PRICED_PREDICATES`] predicates, or the pass cannot price it;
+    /// nothing is cached then.
+    fn price_lattice(
+        &self,
+        query: &Query,
+        ro: &RewriteOption,
+        query_fp: u64,
+        rewrite_fp: u64,
+    ) -> Option<f64> {
+        if ro.approx.is_some()
+            || query.join.is_some()
+            || query.limit.is_some()
+            || query.predicate_count() > exec::MAX_PRICED_PREDICATES
+        {
+            return None;
+        }
+        let fact = self.entry(&query.table).ok()?;
+        let mut rewrite_fps = vec![rewrite_fp];
+        let mut plans = vec![self.plan_entries(query, ro, fact, None, query_fp)];
+        for hints in enumerate_hint_sets(query) {
+            let sibling = RewriteOption::hinted(hints);
+            let sibling_fp = rewrite_fingerprint(&sibling);
+            if sibling_fp != rewrite_fp {
+                rewrite_fps.push(sibling_fp);
+                plans.push(self.plan_entries(query, &sibling, fact, None, query_fp));
+            }
+        }
+        let works = exec::price_plans(query, &plans, &fact.exec_table())?;
+        for ((&fp, plan), work) in rewrite_fps.iter().zip(&plans).zip(&works) {
+            let time_ms = self.simulated_time_ms(work, plan, query_fp);
+            self.time_cache.insert_canonical((query_fp, fp), time_ms);
+        }
+        self.time_cache.get((query_fp, rewrite_fp))
+    }
+
+    /// The simulated time of `plan` having performed `work`: the cost model plus
+    /// the profile's noise, seeded by the query and the plan's own signature.
+    fn simulated_time_ms(&self, work: &WorkProfile, plan: &PhysicalPlan, query_fp: u64) -> f64 {
+        let base_ms = execution_time_ms(work, &self.config.cost_params);
+        let fp = query_fp ^ plan.signature() ^ self.config.seed;
+        apply_profile_noise(base_ms, self.config.profile, &self.config.cost_params, fp)
     }
 
     /// `query_fp` is `query_fingerprint(query)`, hashed once by the caller;
@@ -564,10 +628,7 @@ impl Database {
             ),
         }?;
 
-        let base_ms = execution_time_ms(&outcome.work, &self.config.cost_params);
-        let fp = query_fp ^ plan.signature() ^ self.config.seed;
-        let time_ms =
-            apply_profile_noise(base_ms, self.config.profile, &self.config.cost_params, fp);
+        let time_ms = self.simulated_time_ms(&outcome.work, &plan, query_fp);
 
         // Keep whichever value was cached first so racing workers report one
         // canonical time (the computation is deterministic, so they agree anyway).
@@ -928,15 +989,77 @@ mod tests {
         let zoomed_out = viewport(GeoRect::new(-119.0, 20.0, -70.0, 34.5));
         let ro = RewriteOption::original();
         let t_small = db.execution_time_ms(&small, &ro).unwrap();
-        let _ = db.execution_time_ms(&zoomed_out, &ro).unwrap();
-        let (time_entries, _) = db.cache_entry_counts();
-        assert_eq!(
-            time_entries, 2,
-            "each viewport must get its own cache entry"
-        );
+        let t_zoomed_out = db.execution_time_ms(&zoomed_out, &ro).unwrap();
+        // One ask caches the viewport's whole hint lattice, so the entry count
+        // says nothing about aliasing; the keys and the values under them do.
+        let key = |q: &Query| (query_fingerprint(q), rewrite_fingerprint(&ro));
+        assert_ne!(key(&small).0, key(&zoomed_out).0);
+        assert_ne!(t_small, t_zoomed_out, "the viewports bin different cells");
+        assert_eq!(db.time_cache.get(key(&small)), Some(t_small));
+        assert_eq!(db.time_cache.get(key(&zoomed_out)), Some(t_zoomed_out));
         // Re-asking for the small viewport must return its own time, not the
         // zoomed-out one's.
         assert_eq!(db.execution_time_ms(&small, &ro).unwrap(), t_small);
+    }
+
+    /// What `execution_time_ms` cannot price it executes, exactly as before the
+    /// lattice pass existed: same value as `run` (same `run_inner`, results
+    /// dropped), same error, and one cache entry for the one rewrite that ran.
+    #[test]
+    fn unpriceable_rewrites_execute_and_cache_only_themselves() {
+        let users = TableSchema::new("users").with_column("id", ColumnType::Int);
+        let mut b = TableBuilder::new(users);
+        for i in 0..100i64 {
+            b.push_row(|row| row.set_int("id", i));
+        }
+        let users = b.build();
+        let build = || {
+            let mut db = build_db();
+            db.register_table(users.clone()).unwrap();
+            db
+        };
+        let hints = HintSet::with_mask(0b011);
+        let exact = RewriteOption::hinted(hints);
+        let join = base_query().join_with(crate::query::JoinSpec {
+            right_table: "users".into(),
+            left_attr: 4,
+            right_attr: 0,
+            right_predicates: vec![],
+        });
+        let five_predicates = base_query()
+            .filter(Predicate::numeric_range(0, 0.0, 4000.0))
+            .filter(Predicate::numeric_range(4, 0.0, 50.0));
+        let mistyped = base_query().filter(Predicate::numeric_range(3, 0.0, 1.0));
+        let mut cases = vec![
+            (join, exact.clone()),
+            (base_query().limit(7), exact.clone()),
+            (five_predicates, exact.clone()),
+            (mistyped, exact),
+        ];
+        for rule in [
+            ApproxRule::SampleTable { fraction_pct: 20 },
+            ApproxRule::TableSample { fraction_pct: 50 },
+            ApproxRule::LimitPermille { permille: 250 },
+        ] {
+            cases.push((base_query(), RewriteOption::approximate(hints, rule)));
+        }
+        for (query, ro) in &cases {
+            let executed = build().run(query, ro).map(|out| out.time_ms);
+            let db = build();
+            let asked = db.execution_time_ms(query, ro);
+            match (&asked, &executed) {
+                (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "{query:?} {ro:?}"),
+                (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
+                _ => panic!("{query:?} {ro:?}: {asked:?} vs {executed:?}"),
+            }
+            assert_eq!(
+                db.cache_entry_counts().0,
+                asked.is_ok() as usize,
+                "{query:?} {ro:?}: no sibling may be cached by a pass that did not run"
+            );
+        }
+        let (mistyped, ro) = &cases[3];
+        assert!(build().execution_time_ms(mistyped, ro).is_err());
     }
 
     /// Concurrent workers sharing one database must observe identical cached times
@@ -989,5 +1112,35 @@ mod tests {
             queries.len() * ros.len(),
             "every (query, rewrite) pair must be cached exactly once"
         );
+
+        // Four threads asking about four rewrites of one query at the same
+        // moment each price its whole lattice: exactly its 2^3 entries remain,
+        // every one the single-threaded value.
+        let q = base_query();
+        let lattice: Vec<RewriteOption> = enumerate_hint_sets(&q)
+            .into_iter()
+            .map(RewriteOption::hinted)
+            .collect();
+        let expected: Vec<f64> = lattice
+            .iter()
+            .map(|ro| reference.execution_time_ms(&q, ro).unwrap())
+            .collect();
+        db.clear_caches();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for ro in lattice.iter().step_by(2) {
+                scope.spawn(|| {
+                    start.wait();
+                    db.execution_time_ms(&q, ro).unwrap();
+                });
+            }
+        });
+        assert_eq!(db.cache_entry_counts().0, lattice.len());
+        let key = |ro| (query_fingerprint(&q), rewrite_fingerprint(ro));
+        let raced: Vec<f64> = lattice
+            .iter()
+            .map(|ro| db.time_cache.get(key(ro)).unwrap())
+            .collect();
+        assert_eq!(raced, expected);
     }
 }

@@ -132,7 +132,7 @@ impl CompiledPredicate<'_> {
     /// keyword kernel reuses the CSR stripe sweep via `scratch` and scatters
     /// the sparse matches four at a time.
     #[inline]
-    fn fill_words(
+    pub(super) fn fill_words(
         &self,
         start: RecordId,
         end: RecordId,
@@ -449,7 +449,7 @@ pub fn qualify_batches(
 }
 
 #[inline]
-fn popcount(words: &[u64; CHUNK_WORDS]) -> u64 {
+pub(super) fn popcount(words: &[u64; CHUNK_WORDS]) -> u64 {
     words.iter().map(|w| w.count_ones() as u64).sum()
 }
 
@@ -568,9 +568,9 @@ pub(crate) fn qualify_bitmap_range(
 
 /// The outcome of binned-count accumulation: how many cells are non-empty
 /// (charged to `output_rows`) and, only when the caller materializes, the
-/// sorted `(bin, count)` pairs — count-only executions (the simulated-time
-/// probes, the hottest loop in the repo) skip building and sorting pairs they
-/// would immediately discard.
+/// sorted `(bin, count)` pairs — count-only callers (the lattice pricing pass
+/// and the non-materialising executions behind `execution_time_ms`) skip
+/// building and sorting pairs they would immediately discard.
 pub struct BinnedAccum {
     /// Number of non-empty cells.
     pub distinct_bins: u64,

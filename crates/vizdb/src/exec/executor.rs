@@ -150,7 +150,7 @@ struct Lowered<'a> {
 }
 
 /// The output shape with its columns bound.
-enum Output<'a> {
+pub(super) enum Output<'a> {
     Points {
         /// `None` when the id column failed to bind: ids fall back to the
         /// record id, mirroring the interpreter's per-row `unwrap_or`.
@@ -193,24 +193,28 @@ fn lower<'a>(
         )?,
         _ => Vec::new(),
     };
-    let output = match &query.output {
+    Ok(Lowered {
+        fact: fact_preds,
+        dim: dim_preds,
+        output: lower_output(query, fact.table)?,
+    })
+}
+
+/// Binds the output shape's columns.
+pub(super) fn lower_output<'a>(query: &'a Query, table: &'a Table) -> Result<Output<'a>> {
+    Ok(match &query.output {
         OutputKind::Points {
             id_attr,
             point_attr,
         } => Output::Points {
-            ids: fact.table.int_slice(*id_attr).ok(),
-            geo: fact.table.geo_slice(*point_attr)?,
+            ids: table.int_slice(*id_attr).ok(),
+            geo: table.geo_slice(*point_attr)?,
         },
         OutputKind::BinnedCounts { point_attr, grid } => Output::Bins {
-            geo: fact.table.geo_slice(*point_attr)?,
+            geo: table.geo_slice(*point_attr)?,
             grid,
         },
         OutputKind::Count => Output::Count,
-    };
-    Ok(Lowered {
-        fact: fact_preds,
-        dim: dim_preds,
-        output,
     })
 }
 

@@ -8,14 +8,18 @@
 //! morsel crew. `reference` is the row-at-a-time interpreter the pipeline is
 //! pinned against (same results, work profile and simulated time, bit for
 //! bit) and falls back to, whole-query, for predicates it cannot lower.
+//! [`price_plans`] reports what [`execute`] would charge for a whole set of
+//! exact plans of one query from a single pass over the table.
 
 mod compiled;
 mod executor;
 pub mod parallel;
+mod pricing;
 pub(crate) mod reference;
 mod result;
 
 pub use compiled::DENSE_GRID_MAX_CELLS;
 pub(crate) use executor::count_matching;
 pub use executor::{execute, ExecOutcome, ExecTable};
+pub use pricing::{price_plans, MAX_PRICED_PREDICATES};
 pub use result::QueryResult;

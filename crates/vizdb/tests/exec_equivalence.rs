@@ -6,10 +6,14 @@
 //! the core invariant of the execution engine: compilation and bitmap
 //! selections are speed-ups, never a semantic change.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 
 use vizdb::approx::ApproxRule;
-use vizdb::hints::{HintSet, RewriteOption};
+use vizdb::exec::{execute, price_plans, ExecTable};
+use vizdb::hints::{enumerate_hint_sets, HintSet, RewriteOption};
+use vizdb::index::{BPlusTree, InvertedIndex, RTree};
 use vizdb::query::{BinGrid, JoinSpec, OutputKind, Predicate, Query};
 use vizdb::schema::{ColumnType, TableSchema};
 use vizdb::storage::{Table, TableBuilder};
@@ -186,6 +190,174 @@ proptest! {
             query = query.limit(limit);
         }
         assert_engines_agree(&db, &query, &RewriteOption::hinted(HintSet::with_mask(mask)));
+    }
+}
+
+/// `n` points scattered over the continental US by a fixed LCG: the pricing
+/// law needs tables of exact sizes (chunk boundaries), not shrinkable vectors.
+fn scatter(n: usize, seed: u64) -> Vec<(f64, f64)> {
+    let mut state = seed | 1;
+    let mut unit = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..n)
+        .map(|_| (-120.0 + 50.0 * unit(), 25.0 + 23.0 * unit()))
+        .collect()
+}
+
+/// The indexes `Database::build_all_indexes` builds over [`build_table`]'s
+/// columns, by hand, so `price_plans` and `execute` can be called on the same
+/// [`ExecTable`] directly (`index_text = false` leaves the text column bare).
+struct Indexes {
+    btree: HashMap<usize, BPlusTree>,
+    rtree: HashMap<usize, RTree>,
+    inverted: HashMap<usize, InvertedIndex>,
+}
+
+impl Indexes {
+    fn build(table: &Table, index_text: bool) -> Self {
+        let rids = || 0..table.row_count() as RecordId;
+        let mut btree = HashMap::new();
+        for col in [0usize, 4] {
+            let keys = rids().map(|r| (BPlusTree::float_key(table.numeric(col, r).unwrap()), r));
+            btree.insert(col, BPlusTree::build(keys.collect()));
+        }
+        let stamps = rids().map(|r| (table.timestamp(1, r).unwrap(), r));
+        btree.insert(1, BPlusTree::build(stamps.collect()));
+        let points = rids().map(|r| (table.geo(2, r).unwrap(), r));
+        let rtree = HashMap::from([(2, RTree::build(points.collect()))]);
+        let mut inverted = HashMap::new();
+        if index_text {
+            let docs = table.text_docs(3).unwrap().docs();
+            inverted.insert(3, InvertedIndex::from_docs(docs));
+        }
+        Self {
+            btree,
+            rtree,
+            inverted,
+        }
+    }
+}
+
+/// Predicate kind `kind` of 7 over [`build_table`]'s columns, its bound placed
+/// at fraction `u` of the column's span — including a keyword missing from the
+/// dictionary and a numeric range over the timestamp column (whose index scan
+/// is the one exact plan that is executed, not priced).
+fn predicate_of(kind: usize, u: f64) -> Predicate {
+    match kind {
+        0 => Predicate::keyword(3, "hot"),
+        1 => Predicate::keyword(3, "nosuchword"),
+        2 => Predicate::time_range(1, 100, (u * 50_000.0) as i64),
+        3 => {
+            let lon = -125.0 + u * 60.0;
+            Predicate::spatial_range(2, GeoRect::new(lon, 20.0, lon + 1.0 + u * 54.0, 50.0))
+        }
+        4 => Predicate::numeric_range(0, 10.0, u * 9_500.0),
+        5 => Predicate::numeric_range(4, 2.0, u * 40.0),
+        _ => Predicate::numeric_range(1, 50.0, u * 50_000.0),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The pricing law: for every exact rewrite of a join-free, uncapped
+    /// query, the simulated time `execution_time_ms` reports from the shared
+    /// lattice pass — asked first, or cached as another rewrite's sibling —
+    /// is bit for bit the time of executing that rewrite, and
+    /// `price_plans` reports `execute`'s `WorkProfile` field for field.
+    #[test]
+    fn priced_time_equals_executed_time(
+        size in 0usize..6,
+        seed in 0u64..u64::MAX,
+        keyword_every in 2usize..6,
+        index_text in 0u8..2,
+        follow_hints in 0u8..2,
+        preds in proptest::collection::vec((0usize..7, 0.0f64..1.0), 0..5),
+        cols in 1u32..20,
+        grid_rows in 1u32..20,
+    ) {
+        let rows = [0usize, 1, 4095, 4096, 4097, 9001][size];
+        let (index_text, follow_hints) = (index_text == 1, follow_hints == 1);
+        let table = build_table(&scatter(rows, seed), keyword_every);
+        let indexes = Indexes::build(&table, index_text);
+        let samples = HashMap::new();
+        let fact = ExecTable {
+            table: &table,
+            btree: &indexes.btree,
+            rtree: &indexes.rtree,
+            inverted: &indexes.inverted,
+            samples: &samples,
+        };
+        let build = || {
+            let config = DbConfig {
+                hint_adherence: if follow_hints { 1.0 } else { 0.5 },
+                ..DbConfig::default()
+            };
+            let mut db = Database::new(config);
+            db.register_table(table.clone()).unwrap();
+            for col in ["id", "when", "loc", "score"] {
+                db.build_index("events", col).unwrap();
+            }
+            if index_text {
+                db.build_index("events", "text").unwrap();
+            }
+            db
+        };
+        let (pricing, executing) = (build(), build());
+
+        let mut base = Query::select("events");
+        for &(kind, u) in &preds {
+            base = base.filter(predicate_of(kind, u));
+        }
+        let mut lattice = vec![RewriteOption::original()];
+        lattice.extend(enumerate_hint_sets(&base).into_iter().map(RewriteOption::hinted));
+        let grid = BinGrid::new(GeoRect::new(-118.0, 27.0, -80.0, 45.0), cols, grid_rows);
+        for output in [
+            OutputKind::Count,
+            OutputKind::Points { id_attr: 0, point_attr: 2 },
+            OutputKind::BinnedCounts { point_attr: 2, grid },
+        ] {
+            let query = base.clone().output(output);
+            let executed: Vec<u64> = lattice
+                .iter()
+                .map(|ro| {
+                    executing.clear_caches();
+                    executing.run(&query, ro).unwrap().time_ms.to_bits()
+                })
+                .collect();
+            for asked in &lattice {
+                pricing.clear_caches();
+                pricing.execution_time_ms(&query, asked).unwrap();
+                for (ro, time) in lattice.iter().zip(&executed) {
+                    let priced = pricing.execution_time_ms(&query, ro).unwrap();
+                    prop_assert!(priced.to_bits() == *time, "{ro:?} after {asked:?}: {priced}");
+                }
+            }
+
+            let plans: Vec<_> = lattice
+                .iter()
+                .map(|ro| pricing.plan(&query, ro).unwrap())
+                .collect();
+            let scans_timestamps_by_float_key = plans.iter().any(|plan| {
+                plan.index_preds.iter().any(|&i| {
+                    matches!(query.predicates[i], Predicate::NumericRange { attr: 1, .. })
+                })
+            });
+            match price_plans(&query, &plans, &fact) {
+                Some(works) => {
+                    prop_assert!(!scans_timestamps_by_float_key);
+                    for (plan, work) in plans.iter().zip(&works) {
+                        let run = execute(&query, plan, &fact, None, None, false, 1).unwrap();
+                        prop_assert_eq!(*work, run.work);
+                    }
+                }
+                None => prop_assert!(scans_timestamps_by_float_key, "{query:?} was not priced"),
+            }
+        }
     }
 }
 

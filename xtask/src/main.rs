@@ -206,7 +206,8 @@ const RULES: &[(&str, PathPredicate, LineCheck)] = &[
 
 /// Hot-path modules: a panic here takes down a worker thread or a whole
 /// request fan-out. All of `exec/` is covered by prefix — the pipeline, its
-/// kernels, the morsel driver and the reference interpreter it falls back to
+/// kernels, the morsel driver, the lattice pricing pass (which answers "cannot
+/// price" with `None`, never a panic) and the reference interpreter it falls back to
 /// — and so is `sched.rs`, whose queue and crew every worker loop runs on.
 /// `online.rs` and the `mdp/env.rs` episode it advances run on every request
 /// that misses the decision cache.
@@ -560,7 +561,14 @@ mod tests {
     #[test]
     fn every_exec_module_is_a_hot_path_and_only_the_morsel_driver_is_concurrent() {
         let bad = "fn f() { a.unwrap(); }\n";
-        let exec = ["executor", "reference", "compiled", "parallel", "mod"];
+        let exec = [
+            "executor",
+            "reference",
+            "compiled",
+            "parallel",
+            "pricing",
+            "mod",
+        ];
         let paths = exec.map(|module| format!("crates/vizdb/src/exec/{module}.rs"));
         for path in paths
             .iter()
