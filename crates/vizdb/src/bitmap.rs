@@ -595,15 +595,6 @@ impl SelectionBitmap {
         }
     }
 
-    /// ORs the bits of chunk `chunk_id` into `words` (nothing when the set has
-    /// no id in that chunk): the per-chunk view of a whole-table selection for
-    /// a pass that walks the table chunk by chunk.
-    pub(crate) fn write_chunk(&self, chunk_id: u32, words: &mut [u64; CHUNK_WORDS]) {
-        if let Ok(pos) = self.chunks.binary_search_by_key(&chunk_id, |&(cid, _)| cid) {
-            self.chunks[pos].1.write_words(words);
-        }
-    }
-
     /// Ascending iterator over the ids held by the chunk positions `pos`.
     pub(crate) fn iter_chunks(&self, pos: std::ops::Range<usize>) -> BitmapIter<'_> {
         BitmapIter {

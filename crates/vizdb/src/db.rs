@@ -429,10 +429,10 @@ impl Database {
                     None => self.scan_count(entry, pred)?,
                 },
                 Predicate::NumericRange { range, .. } => match entry.btree.get(&attr) {
-                    Some(index) => index.range_count(
-                        BPlusTree::float_key(range.lo),
-                        BPlusTree::float_key(range.hi),
-                    ),
+                    Some(index) => {
+                        let (lo, hi) = exec::numeric_probe_keys(&entry.table, attr, range);
+                        index.range_count(lo, hi)
+                    }
                     None => self.scan_count(entry, pred)?,
                 },
                 Predicate::SpatialRange { rect, .. } => match entry.rtree.get(&attr) {

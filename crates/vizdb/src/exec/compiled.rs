@@ -12,6 +12,12 @@
 //! the short-circuiting interpreter performs, so `WorkProfile` counts (and
 //! therefore simulated times) are identical by construction.
 //!
+//! A keyword over a column with an inverted index also binds its token's
+//! posting list ([`lower_predicate`]), and the chunk kernels take a chunk's
+//! matches from the list's overlapping skip blocks instead of probing one
+//! document per row. `filter_evals` still charges every row the predicate
+//! is evaluated over, so the work profile does not change.
+//!
 //! Binned-count outputs additionally get **dense-grid binning**: when the grid
 //! is small enough ([`DENSE_GRID_MAX_CELLS`]) counts accumulate into a
 //! `Vec<u64>` indexed by bin id instead of a `HashMap`, producing the same
@@ -27,8 +33,10 @@
 
 use std::collections::HashMap;
 
-use crate::bitmap::{CHUNK_BITS, CHUNK_WORDS};
+use crate::bitmap::{set_span, CHUNK_BITS, CHUNK_WORDS};
 use crate::error::Result;
+use crate::exec::executor::ExecTable;
+use crate::index::posting::{ChunkOp, PostingList};
 use crate::query::{BinGrid, Predicate};
 use crate::storage::{Table, TextColumn};
 use crate::timing::WorkProfile;
@@ -44,6 +52,16 @@ pub(crate) const BATCH_ROWS: usize = 1024;
 /// far beyond any tile a frontend renders — while the dense vector stays 8 MiB).
 pub const DENSE_GRID_MAX_CELLS: usize = 1 << 20;
 
+/// Posting ids [`CompiledPredicate::refine_words`] may decode per surviving
+/// candidate row before it probes the candidates' documents instead.
+/// Decoding a packed block costs ≈ 1–2.5 ns per id (2.5 measured on a 2-vCPU
+/// x86-64 host; a width-0 run fills word-wide for next to nothing), a
+/// `doc_contains` probe on a 200k-row Twitter table ≈ 27 ns per row (two
+/// dependent cache misses: the CSR offset, then the token stripe). Break-even
+/// is therefore 10–25 ids per survivor; the budget sits between, and a token
+/// far denser than the candidates stays on the probes.
+pub(crate) const POSTING_IDS_PER_SURVIVOR: u64 = 16;
+
 /// One predicate lowered against one concrete table: the column slice is bound
 /// and the keyword token resolved, so per-row evaluation is branch-light and
 /// infallible.
@@ -55,6 +73,10 @@ pub enum CompiledPredicate<'a> {
         docs: &'a TextColumn,
         /// The token resolved once at compile time.
         token: Option<TokenId>,
+        /// The token's posting list when the column has an inverted index
+        /// (bound by [`lower_predicate`]): the chunk kernels then take a
+        /// chunk's matches from it instead of probing documents.
+        posting: Option<&'a PostingList>,
     },
     /// Time range over a timestamp column.
     Time {
@@ -106,7 +128,7 @@ impl CompiledPredicate<'_> {
     pub fn eval(&self, rid: RecordId) -> bool {
         let rid = rid as usize;
         match self {
-            CompiledPredicate::Keyword { docs, token } => match token {
+            CompiledPredicate::Keyword { docs, token, .. } => match token {
                 Some(t) => docs.doc_contains(rid, *t),
                 None => false,
             },
@@ -129,8 +151,11 @@ impl CompiledPredicate<'_> {
     /// (bit index = `rid - chunk_base`, where the chunk base is `start` rounded
     /// down to a [`CHUNK_BITS`] boundary). The range kernels go through the
     /// SIMD-explicit [`fill_range_kernel`] (4×u64 unrolled word packing); the
-    /// keyword kernel reuses the CSR stripe sweep via `scratch` and scatters
-    /// the sparse matches four at a time.
+    /// keyword kernel decodes the chunk's ids from its posting list when one
+    /// is bound (with no budget: a chunk's ids never outnumber its rows, and
+    /// decoding them beats sweeping every row's tokens), and otherwise reuses
+    /// the CSR stripe sweep via `scratch`, scattering the sparse matches four
+    /// at a time.
     #[inline]
     pub(super) fn fill_words(
         &self,
@@ -141,7 +166,11 @@ impl CompiledPredicate<'_> {
     ) {
         let base = start & !(CHUNK_BITS as RecordId - 1);
         match self {
-            CompiledPredicate::Keyword { docs, token } => {
+            CompiledPredicate::Keyword {
+                posting: Some(list),
+                ..
+            } => fill_from_posting(list, start, end, base, words),
+            CompiledPredicate::Keyword { docs, token, .. } => {
                 if let Some(t) = token {
                     scratch.clear();
                     docs.rows_containing(start as usize, end as usize, *t, scratch);
@@ -184,10 +213,24 @@ impl CompiledPredicate<'_> {
     }
 
     /// Re-evaluates the predicate for every set bit of one chunk's `words`
-    /// (rows `chunk_base + bit`), clearing the bits that fail. The residual
-    /// analogue of [`CompiledPredicate::filter`] for bitmap selections.
+    /// (rows `chunk_base + bit`, `survivors` of them), clearing the bits that
+    /// fail. The residual analogue of [`CompiledPredicate::filter`] for bitmap
+    /// selections. A keyword with a bound posting list ANDs the chunk's ids
+    /// into `words` instead, unless that would decode more than
+    /// [`POSTING_IDS_PER_SURVIVOR`] ids per survivor.
     #[inline]
-    fn refine_words(&self, chunk_base: RecordId, words: &mut [u64; CHUNK_WORDS]) {
+    fn refine_words(&self, chunk_base: RecordId, survivors: u64, words: &mut [u64; CHUNK_WORDS]) {
+        if let CompiledPredicate::Keyword {
+            posting: Some(list),
+            ..
+        } = self
+        {
+            let budget = survivors.saturating_mul(POSTING_IDS_PER_SURVIVOR) as usize;
+            let chunk_id = chunk_base >> CHUNK_BITS.trailing_zeros();
+            if list.combine_chunk(chunk_id, budget, ChunkOp::And, words) {
+                return;
+            }
+        }
         for (wi, word) in words.iter_mut().enumerate() {
             let mut w = *word;
             while w != 0 {
@@ -207,7 +250,7 @@ impl CompiledPredicate<'_> {
     fn filter(&self, selection: &mut Vec<RecordId>) {
         // One variant dispatch per *batch*, not per row.
         match self {
-            CompiledPredicate::Keyword { docs, token } => match token {
+            CompiledPredicate::Keyword { docs, token, .. } => match token {
                 Some(t) => selection.retain(|&rid| docs.doc_contains(rid as usize, *t)),
                 None => selection.clear(),
             },
@@ -294,14 +337,44 @@ fn fill_range_kernel<T: Copy>(
     }
 }
 
+/// The posting-list kernel of [`CompiledPredicate::fill_words`]: ORs the
+/// list's ids in `[start, end)` (one chunk's rows, chunk base `base`) into
+/// `words`. A range short of the whole chunk is clipped by ANDing the ids
+/// into its span first.
+fn fill_from_posting(
+    list: &PostingList,
+    start: RecordId,
+    end: RecordId,
+    base: RecordId,
+    words: &mut [u64; CHUNK_WORDS],
+) {
+    let chunk_id = base >> CHUNK_BITS.trailing_zeros();
+    if start == base && end - base == CHUNK_BITS as RecordId {
+        list.combine_chunk(chunk_id, usize::MAX, ChunkOp::Or, words);
+    } else if start < end {
+        let mut span = [0u64; CHUNK_WORDS];
+        set_span(
+            &mut span,
+            (start - base) as usize,
+            (end - 1 - base) as usize,
+        );
+        list.combine_chunk(chunk_id, usize::MAX, ChunkOp::And, &mut span);
+        for (w, s) in words.iter_mut().zip(&span) {
+            *w |= s;
+        }
+    }
+}
+
 /// Lowers one predicate against `table`, binding the column slice and resolving
 /// the keyword token. Fails exactly when the interpreter's per-row evaluation
-/// would fail (wrong column type, out-of-range attribute).
+/// would fail (wrong column type, out-of-range attribute). No posting list is
+/// bound: the selectivity probes that call this count rows one at a time.
 pub fn compile_predicate<'a>(pred: &Predicate, table: &'a Table) -> Result<CompiledPredicate<'a>> {
     Ok(match pred {
         Predicate::KeywordContains { attr, keyword } => CompiledPredicate::Keyword {
             docs: table.text_docs(*attr)?,
             token: table.dictionary().lookup(keyword),
+            posting: None,
         },
         Predicate::TimeRange { attr, range } => CompiledPredicate::Time {
             col: table.timestamp_slice(*attr)?,
@@ -328,13 +401,34 @@ pub fn compile_predicate<'a>(pred: &Predicate, table: &'a Table) -> Result<Compi
     })
 }
 
-/// Lowers the predicates at `indices` (into `preds`). Returns `Err` when any of
-/// them cannot bind its column — the executor then runs the whole query on the
-/// reference interpreter.
-pub fn compile_predicates<'a>(
+/// [`compile_predicate`] for the chunk pipeline: a keyword over a column with
+/// an inverted index also binds its token's posting list.
+pub(super) fn lower_predicate<'a>(
+    pred: &Predicate,
+    fact: &ExecTable<'a>,
+) -> Result<CompiledPredicate<'a>> {
+    let mut lowered = compile_predicate(pred, fact.table)?;
+    if let CompiledPredicate::Keyword {
+        token: Some(token),
+        posting,
+        ..
+    } = &mut lowered
+    {
+        *posting = fact
+            .inverted
+            .get(&pred.attr())
+            .and_then(|index| index.posting(*token));
+    }
+    Ok(lowered)
+}
+
+/// Lowers the predicates at `indices` (into `preds`) by [`lower_predicate`].
+/// Returns `Err` when any of them cannot bind its column — the executor then
+/// runs the whole query on the reference interpreter.
+pub(super) fn compile_predicates<'a>(
     preds: &[Predicate],
     indices: impl IntoIterator<Item = usize>,
-    table: &'a Table,
+    table: &ExecTable<'a>,
 ) -> Result<Vec<CompiledPredicate<'a>>> {
     indices
         .into_iter()
@@ -342,7 +436,7 @@ pub fn compile_predicates<'a>(
             let pred = preds
                 .get(i)
                 .ok_or(crate::error::Error::InvalidAttribute(i))?;
-            compile_predicate(pred, table)
+            lower_predicate(pred, table)
         })
         .collect()
 }
@@ -498,7 +592,7 @@ pub fn qualify_range_bitmap(
                 break;
             }
             work.filter_evals += survivors;
-            pred.refine_words(base, &mut words);
+            pred.refine_words(base, survivors, &mut words);
         }
         if popcount(&words) > 0 {
             writer.push_words(base >> CHUNK_BITS.trailing_zeros(), &words);
@@ -557,7 +651,7 @@ pub(crate) fn qualify_bitmap_range(
                 break;
             }
             work.filter_evals += survivors;
-            pred.refine_words(base, words);
+            pred.refine_words(base, survivors, words);
         }
         if popcount(words) > 0 {
             writer.push_words(chunk_id, words);
@@ -742,6 +836,41 @@ mod tests {
         b.build()
     }
 
+    /// The index maps of an [`ExecTable`]: an inverted index over text column
+    /// `text_col` when given, nothing else.
+    struct Indexes {
+        btree: HashMap<usize, crate::index::BPlusTree>,
+        rtree: HashMap<usize, crate::index::RTree>,
+        inverted: HashMap<usize, crate::index::InvertedIndex>,
+        samples: HashMap<u32, crate::storage::SampleTable>,
+    }
+
+    impl Indexes {
+        fn new(t: &Table, text_col: Option<usize>) -> Self {
+            let mut inverted = HashMap::new();
+            if let Some(col) = text_col {
+                let docs = t.text_docs(col).unwrap().docs();
+                inverted.insert(col, crate::index::InvertedIndex::from_docs(docs));
+            }
+            Self {
+                btree: HashMap::new(),
+                rtree: HashMap::new(),
+                inverted,
+                samples: HashMap::new(),
+            }
+        }
+
+        fn exec<'a>(&'a self, table: &'a Table) -> ExecTable<'a> {
+            ExecTable {
+                table,
+                btree: &self.btree,
+                rtree: &self.rtree,
+                inverted: &self.inverted,
+                samples: &self.samples,
+            }
+        }
+    }
+
     #[test]
     fn compiled_predicates_match_interpreted_eval() {
         let t = table();
@@ -789,15 +918,24 @@ mod tests {
     #[test]
     fn batch_filter_evals_match_short_circuit_counts() {
         let t = table();
+        // The keyword refines from its posting list on the bitmap path.
+        let indexes = Indexes::new(&t, Some(3));
         let preds = compile_predicates(
             &[
                 Predicate::time_range(1, 0, 490),
                 Predicate::keyword(3, "hot"),
             ],
             0..2,
-            &t,
+            &indexes.exec(&t),
         )
         .unwrap();
+        assert!(matches!(
+            preds[1],
+            CompiledPredicate::Keyword {
+                posting: Some(_),
+                ..
+            }
+        ));
         let rows = t.row_count() as RecordId;
         let seq_row = |w: &mut WorkProfile| w.seq_rows += 1;
         let mut row_work = WorkProfile::default();
@@ -844,30 +982,34 @@ mod tests {
     #[test]
     fn bitmap_qualify_matches_idvec_qualify() {
         let t = table();
-        let preds = compile_predicates(
-            &[
-                Predicate::time_range(1, 0, 490),
-                Predicate::keyword(3, "hot"),
-                Predicate::numeric_range(4, 5.0, 20.0),
-            ],
-            0..3,
-            &t,
-        )
-        .unwrap();
         let rows = t.row_count() as RecordId;
         let seq = |w: &mut WorkProfile, n: u64| w.seq_rows += n;
+        // Without and with the keyword's posting list bound.
+        for text_col in [None, Some(3)] {
+            let indexes = Indexes::new(&t, text_col);
+            let preds = compile_predicates(
+                &[
+                    Predicate::time_range(1, 0, 490),
+                    Predicate::keyword(3, "hot"),
+                    Predicate::numeric_range(4, 5.0, 20.0),
+                ],
+                0..3,
+                &indexes.exec(&t),
+            )
+            .unwrap();
 
-        // Candidate refinement: seed with every third row, run the residual
-        // conjunction over the bitmap and over the id vector.
-        let cands: Vec<RecordId> = (0..rows).step_by(3).collect();
-        let cand_bm = crate::bitmap::SelectionBitmap::from_sorted(&cands);
-        let mut idvec_work = WorkProfile::default();
-        let mut idvec = Vec::new();
-        qualify_slice(&preds, &cands, &mut idvec, &mut idvec_work, seq);
-        let mut bm_work = WorkProfile::default();
-        let refined = qualify_bitmap(&preds, &cand_bm, 0, &mut bm_work, seq);
-        assert_eq!(refined.to_vec(), idvec);
-        assert_eq!(bm_work, idvec_work);
+            // Candidate refinement: seed with every third row, run the
+            // residual conjunction over the bitmap and over the id vector.
+            let cands: Vec<RecordId> = (0..rows).step_by(3).collect();
+            let cand_bm = crate::bitmap::SelectionBitmap::from_sorted(&cands);
+            let mut idvec_work = WorkProfile::default();
+            let mut idvec = Vec::new();
+            qualify_slice(&preds, &cands, &mut idvec, &mut idvec_work, seq);
+            let mut bm_work = WorkProfile::default();
+            let refined = qualify_bitmap(&preds, &cand_bm, 0, &mut bm_work, seq);
+            assert_eq!(refined.to_vec(), idvec, "{text_col:?}");
+            assert_eq!(bm_work, idvec_work, "{text_col:?}");
+        }
 
         // No predicates: the range bitmap is the identity selection.
         let empty: [CompiledPredicate<'_>; 0] = [];
@@ -912,17 +1054,21 @@ mod tests {
             Predicate::numeric_range(4, 5.0, 200.0),
         ];
         let rows = t.row_count() as RecordId;
+        // The keyword also runs from its posting list, clipped to each range.
+        let indexes = Indexes::new(&t, Some(2));
+        let fact = indexes.exec(&t);
         // Odd start offsets force the unaligned-head path; ranges shorter than
         // a word force the tail-only path.
         for range in [0..rows, 7..rows, 300..301, 63..rows - 13, 4096..rows] {
             for pred in &preds {
-                let compiled = compile_predicate(pred, &t).unwrap();
-                let single = [compiled];
-                let mut w = WorkProfile::default();
-                let got = qualify_range_bitmap(&single, range.clone(), 0, &mut w, |_, _| {});
-                let expected: Vec<RecordId> =
-                    range.clone().filter(|&rid| single[0].eval(rid)).collect();
-                assert_eq!(got.to_vec(), expected, "{pred:?} over {range:?}");
+                for compiled in [compile_predicate(pred, &t), lower_predicate(pred, &fact)] {
+                    let single = [compiled.unwrap()];
+                    let mut w = WorkProfile::default();
+                    let got = qualify_range_bitmap(&single, range.clone(), 0, &mut w, |_, _| {});
+                    let expected: Vec<RecordId> =
+                        range.clone().filter(|&rid| single[0].eval(rid)).collect();
+                    assert_eq!(got.to_vec(), expected, "{pred:?} over {range:?}");
+                }
             }
         }
     }

@@ -35,9 +35,9 @@ use crate::hints::JoinMethod;
 use crate::index::{intersect_skip_charge, BPlusTree, InvertedIndex, RTree, ScanStats};
 use crate::plan::PhysicalPlan;
 use crate::query::{BinGrid, JoinSpec, OutputKind, Predicate, Query};
-use crate::storage::{SampleTable, Table};
+use crate::storage::{ColumnData, SampleTable, Table};
 use crate::timing::{hash_unit, WorkProfile};
-use crate::types::{GeoPoint, GeoRect, RecordId, TokenId};
+use crate::types::{GeoPoint, GeoRect, NumRange, RecordId, TokenId};
 
 /// Borrowed view over everything the executor needs for one table.
 #[derive(Clone, Copy)]
@@ -175,13 +175,9 @@ fn lower<'a>(
     dim: Option<&ExecTable<'a>>,
 ) -> Result<Lowered<'a>> {
     let fact_preds = if plan.index_preds.is_empty() {
-        compiled::compile_predicates(&query.predicates, 0..query.predicate_count(), fact.table)?
+        compiled::compile_predicates(&query.predicates, 0..query.predicate_count(), fact)?
     } else {
-        compiled::compile_predicates(
-            &query.predicates,
-            plan.filter_preds.iter().copied(),
-            fact.table,
-        )?
+        compiled::compile_predicates(&query.predicates, plan.filter_preds.iter().copied(), fact)?
     };
     // A malformed join (no spec, no table) is the join phase's error to raise,
     // after the scan — there is nothing to lower for it.
@@ -189,7 +185,7 @@ fn lower<'a>(
         Ok(Some((_, spec, dim))) => compiled::compile_predicates(
             &spec.right_predicates,
             0..spec.right_predicates.len(),
-            dim.table,
+            dim,
         )?,
         _ => Vec::new(),
     };
@@ -428,6 +424,27 @@ impl<'a> SampleRestriction<'a> {
     }
 }
 
+/// The B+-tree key interval that selects exactly the rows a numeric range
+/// matches on column `attr`. `build_index` keys a timestamp column by the raw
+/// timestamp, so there the interval is the integers inside `[lo, hi]`:
+/// `(lo.ceil(), hi.floor())`, saturating at the `i64` bounds (exact for
+/// timestamps within ±2^53, where `t as f64` is exact). Every other column is
+/// keyed by [`BPlusTree::float_key`]. A NaN bound matches no row, so it gives
+/// an empty interval.
+pub(crate) fn numeric_probe_keys(table: &Table, attr: usize, range: &NumRange) -> (i64, i64) {
+    if range.lo.is_nan() || range.hi.is_nan() {
+        (i64::MAX, i64::MIN)
+    } else if matches!(table.column(attr), Ok(ColumnData::Timestamp(_))) {
+        // Float-to-int `as` saturates.
+        (range.lo.ceil() as i64, range.hi.floor() as i64)
+    } else {
+        (
+            BPlusTree::float_key(range.lo),
+            BPlusTree::float_key(range.hi),
+        )
+    }
+}
+
 /// One index predicate resolved to the index that answers it and the probe
 /// arguments: inverted index + token, B+-tree + key range, R-tree + rectangle.
 pub(super) enum IndexProbe<'a> {
@@ -460,11 +477,10 @@ impl<'a> IndexProbe<'a> {
                 range.start,
                 range.end,
             ),
-            Predicate::NumericRange { range, .. } => IndexProbe::BTree(
-                fact.btree.get(&attr).ok_or_else(missing)?,
-                BPlusTree::float_key(range.lo),
-                BPlusTree::float_key(range.hi),
-            ),
+            Predicate::NumericRange { range, .. } => {
+                let (lo, hi) = numeric_probe_keys(fact.table, attr, range);
+                IndexProbe::BTree(fact.btree.get(&attr).ok_or_else(missing)?, lo, hi)
+            }
             Predicate::SpatialRange { rect, .. } => {
                 IndexProbe::RTree(fact.rtree.get(&attr).ok_or_else(missing)?, rect)
             }

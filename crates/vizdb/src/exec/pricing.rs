@@ -10,13 +10,15 @@
 //! therefore evaluates each predicate **once** over the table, chunk by chunk,
 //! ANDs the per-predicate masks into the `2^k − 1` subset masks, popcounts them
 //! into a cardinality table and reads every plan's counters off that table —
-//! one pass for a whole hint lattice instead of one execution per plan.
+//! one pass for a whole hint lattice instead of one execution per plan. A
+//! keyword with an inverted index fills each chunk's mask from its posting
+//! list, as the pipeline's sequential scan does.
 //!
 //! The pass costs about what executing the sequential-scan plan alone costs.
 //! Its output is pinned against [`execute`](super::execute) field for field by
 //! `tests/exec_equivalence.rs::priced_time_equals_executed_time`.
 
-use crate::bitmap::{set_span, ChunkWriter, SelectionBitmap, CHUNK_BITS, CHUNK_WORDS};
+use crate::bitmap::{set_span, ChunkWriter, CHUNK_BITS, CHUNK_WORDS};
 use crate::exec::compiled::{self, CompiledPredicate};
 use crate::exec::executor::{lower_output, ExecTable, Output};
 use crate::index::intersect_skip_charge;
@@ -47,68 +49,24 @@ pub fn price_plans(
     if k > MAX_PRICED_PREDICATES || query.join.is_some() {
         return None;
     }
-    let mut sources = Vec::with_capacity(k);
+    let mut lowered = Vec::with_capacity(k);
     let mut indexed = Vec::with_capacity(k);
     for pred in &query.predicates {
-        let lowered = compiled::compile_predicate(pred, fact.table).ok()?;
+        let pred_lowered = compiled::lower_predicate(pred, fact).ok()?;
         let attr = pred.attr();
-        indexed.push(match &lowered {
+        indexed.push(match &pred_lowered {
             CompiledPredicate::Keyword { .. } => fact.inverted.contains_key(&attr),
             CompiledPredicate::Spatial { .. } => fact.rtree.contains_key(&attr),
-            // A B+-tree over a timestamp column is keyed by the raw timestamp
-            // while a numeric probe searches float keys: that index scan does
-            // not select the predicate's rows, so it is executed, not priced.
-            CompiledPredicate::NumericTimestamp { .. } => false,
             _ => fact.btree.contains_key(&attr),
         });
-        sources.push(MaskSource::new(lowered, attr, fact));
+        lowered.push(pred_lowered);
     }
     let output = lower_output(query, fact.table).ok()?;
-    let table = cardinalities(&sources, &output, fact.table.row_count() as RecordId);
+    let table = cardinalities(&lowered, &output, fact.table.row_count() as RecordId);
     plans
         .iter()
         .map(|plan| table.price(plan, &indexed, &output))
         .collect()
-}
-
-/// Where one predicate's per-chunk match mask comes from.
-enum MaskSource<'a> {
-    /// The lowered predicate's columnar kernel over the chunk's rows.
-    Kernel(CompiledPredicate<'a>),
-    /// A keyword's posting list, decoded once for the whole table — far
-    /// cheaper than sweeping every document's tokens.
-    Posting(SelectionBitmap),
-}
-
-impl<'a> MaskSource<'a> {
-    fn new(lowered: CompiledPredicate<'a>, attr: usize, fact: &ExecTable<'a>) -> Self {
-        if let CompiledPredicate::Keyword {
-            token: Some(token), ..
-        } = lowered
-        {
-            if let Some(index) = fact.inverted.get(&attr) {
-                return MaskSource::Posting(index.lookup_bitmap(token).0);
-            }
-        }
-        MaskSource::Kernel(lowered)
-    }
-
-    /// Sets in `words` (zeroed by the caller) the bit of every matching row
-    /// of `[start, end)`, one chunk's rows.
-    fn fill(
-        &self,
-        start: RecordId,
-        end: RecordId,
-        words: &mut [u64; CHUNK_WORDS],
-        scratch: &mut Vec<RecordId>,
-    ) {
-        match self {
-            MaskSource::Kernel(pred) => pred.fill_words(start, end, words, scratch),
-            MaskSource::Posting(rows) => {
-                rows.write_chunk(start >> CHUNK_BITS.trailing_zeros(), words)
-            }
-        }
-    }
 }
 
 /// The cardinality table of one query: `rows[s]` is the number of rows matching
@@ -124,8 +82,12 @@ struct Cardinalities {
 /// The one pass: per chunk, one mask per predicate, the subset masks by AND
 /// (each from the subset without its lowest predicate, already computed), a
 /// popcount each.
-fn cardinalities(sources: &[MaskSource<'_>], output: &Output<'_>, n: RecordId) -> Cardinalities {
-    let subsets = 1usize << sources.len();
+fn cardinalities(
+    preds: &[CompiledPredicate<'_>],
+    output: &Output<'_>,
+    n: RecordId,
+) -> Cardinalities {
+    let subsets = 1usize << preds.len();
     let mut rows = vec![0u64; subsets];
     let mut masks = vec![[0u64; CHUNK_WORDS]; subsets];
     let mut scratch: Vec<RecordId> = Vec::new();
@@ -140,10 +102,10 @@ fn cardinalities(sources: &[MaskSource<'_>], output: &Output<'_>, n: RecordId) -
         let end = n.min(start.saturating_add(CHUNK_BITS as RecordId));
         masks[0] = [0u64; CHUNK_WORDS];
         set_span(&mut masks[0], 0, (end - start - 1) as usize);
-        for (i, source) in sources.iter().enumerate() {
+        for (i, pred) in preds.iter().enumerate() {
             let words = &mut masks[1 << i];
             *words = [0u64; CHUNK_WORDS];
-            source.fill(start, end, words, &mut scratch);
+            pred.fill_words(start, end, words, &mut scratch);
         }
         for s in 1..subsets {
             if s.is_power_of_two() {

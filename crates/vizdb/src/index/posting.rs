@@ -10,7 +10,7 @@
 //! also what lets [`PostingList::to_bitmap`] emit whole run containers
 //! without touching individual ids.
 //!
-//! The directory makes two operations cheap:
+//! The directory makes three operations cheap:
 //!
 //! - [`PostingList::intersect`] gallops over *blocks*: a block whose
 //!   `[first, last]` window cannot overlap the other list's current block is
@@ -19,6 +19,10 @@
 //! - [`PostingList::to_bitmap`] decodes straight into 4096-bit chunk words,
 //!   which is how index scans hand selections to the executor without ever
 //!   materialising a sorted `Vec<RecordId>`.
+//! - [`PostingList::combine_chunk`] does the same for *one* chunk, decoding
+//!   only the blocks whose windows overlap it — and none at all when they
+//!   hold more ids than the caller's budget. This is how a keyword predicate
+//!   is evaluated from its postings inside the executor's chunk loop.
 
 use serde::{Deserialize, Serialize};
 
@@ -46,6 +50,15 @@ struct BlockMeta {
     count: u16,
     /// Bits per stored gap; 0 means the block is one consecutive run.
     width: u8,
+}
+
+/// How [`PostingList::combine_chunk`] merges a list's ids into chunk words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChunkOp {
+    /// Set the bit of every id (a predicate's fill).
+    Or,
+    /// Keep only the bits of ids (refining a selection).
+    And,
 }
 
 /// A compressed ascending record-id list (see module docs).
@@ -226,6 +239,83 @@ impl PostingList {
         writer.finish()
     }
 
+    /// Combines the list's ids in chunk `chunk_id` (rows `chunk_id * 4096 ..
+    /// + 4096`) into that chunk's `words` by `op`, decoding only the blocks
+    /// that overlap the chunk. Those are found by a `partition_point` over the
+    /// skip directory and their counts summed; when the sum exceeds `budget`
+    /// nothing is decoded, `words` is left untouched and the result is
+    /// `false` — the caller evaluates the chunk another way. Width-0 blocks
+    /// fill word-wide by [`set_span`].
+    pub(crate) fn combine_chunk(
+        &self,
+        chunk_id: u32,
+        budget: usize,
+        op: ChunkOp,
+        words: &mut [u64; CHUNK_WORDS],
+    ) -> bool {
+        let base = chunk_id << CHUNK_SHIFT;
+        let top = base | OFFSET_MASK;
+        let first = self.blocks.partition_point(|b| b.last < base);
+        let rest = self.blocks.get(first..).unwrap_or(&[]);
+        let overlapping = rest
+            .get(..rest.partition_point(|b| b.first <= top))
+            .unwrap_or(&[]);
+        let ids: usize = overlapping.iter().map(|b| b.count as usize).sum();
+        if ids > budget {
+            return false;
+        }
+        match op {
+            ChunkOp::Or => self.set_chunk_bits(overlapping, base, words),
+            ChunkOp::And => {
+                let mut mask = [0u64; CHUNK_WORDS];
+                self.set_chunk_bits(overlapping, base, &mut mask);
+                for (w, m) in words.iter_mut().zip(&mask) {
+                    *w &= m;
+                }
+            }
+        }
+        true
+    }
+
+    /// Sets in `words` the bit of every id of `blocks` in the chunk starting
+    /// at row `base` (ids outside it are skipped: only the first and last
+    /// overlapping blocks can hold any).
+    fn set_chunk_bits(&self, blocks: &[BlockMeta], base: u32, words: &mut [u64; CHUNK_WORDS]) {
+        let top = base | OFFSET_MASK;
+        for meta in blocks {
+            if meta.width == 0 {
+                set_span(
+                    words,
+                    (meta.first.max(base) - base) as usize,
+                    (meta.last.min(top) - base) as usize,
+                );
+                continue;
+            }
+            let width = meta.width as usize;
+            let mask = (1u64 << width) - 1;
+            let payload = self.words.get(meta.word_offset as usize..).unwrap_or(&[]);
+            let word = |i: usize| payload.get(i).copied().unwrap_or(0);
+            let mut rid = meta.first;
+            let mut bitpos = 0usize;
+            for _ in 0..meta.count {
+                if rid > top {
+                    break;
+                }
+                if rid >= base {
+                    set_bit(words, (rid - base) as usize);
+                }
+                // Step to the next id (past the last one the read is unused).
+                let (wi, shift) = (bitpos >> 6, bitpos & 63);
+                let mut gap = word(wi) >> shift;
+                if shift + width > 64 {
+                    gap |= word(wi + 1) << (64 - shift);
+                }
+                rid = rid.wrapping_add((gap & mask) as u32 + 1);
+                bitpos += width;
+            }
+        }
+    }
+
     /// Intersects two posting lists with the skip-block gallop: blocks whose
     /// `[first, last]` windows cannot overlap are skipped via the directory
     /// (doubling search + binary refine) without decoding any ids; only
@@ -368,10 +458,113 @@ mod tests {
         assert!(lo.intersect(&hi).is_empty());
     }
 
+    #[test]
+    fn combine_chunk_skips_chunks_without_ids() {
+        // One full block in chunk 0, one of 100 ids in chunk 3: the windows
+        // of chunks 1, 2 and 9 overlap no block.
+        let rids: Vec<RecordId> = (0..128).chain(12_300..12_400).collect();
+        let list = PostingList::encode(&rids);
+        for chunk in [1u32, 2, 9] {
+            let mut words = [!0u64; CHUNK_WORDS];
+            assert!(list.combine_chunk(chunk, 0, ChunkOp::Or, &mut words));
+            assert_eq!(words, [!0u64; CHUNK_WORDS]);
+            assert!(list.combine_chunk(chunk, 0, ChunkOp::And, &mut words));
+            assert_eq!(words, [0u64; CHUNK_WORDS]);
+        }
+        let mut words = [0u64; CHUNK_WORDS];
+        assert!(!list.combine_chunk(3, 99, ChunkOp::Or, &mut words));
+        assert_eq!(words, [0u64; CHUNK_WORDS]);
+        assert!(list.combine_chunk(3, 100, ChunkOp::Or, &mut words));
+        let set: u32 = words.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(set, 100);
+    }
+
     mod proptests {
         use super::*;
+        use crate::storage::TextColumn;
         use proptest::prelude::*;
         use std::collections::BTreeSet;
+
+        /// Chunks the generated lists can reach, plus one past them.
+        const CHUNKS: u32 = 6;
+
+        /// A reproducible 64-word pattern to combine into.
+        fn pattern(seed: u64) -> [u64; CHUNK_WORDS] {
+            let mut state = seed | 1;
+            std::array::from_fn(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state
+            })
+        }
+
+        proptest! {
+            /// `combine_chunk` against `decode()` and against a per-row
+            /// `doc_contains` over documents holding the same ids, for both
+            /// ops, over every chunk — including chunks the list skips — with
+            /// a run that crosses a chunk boundary (width-0 blocks straddling
+            /// it) and budgets just under and exactly at the overlapping
+            /// blocks' id count.
+            #[test]
+            fn combine_chunk_matches_decode_and_doc_contains(
+                scattered in proptest::collection::btree_set(0u32..20_000, 0..300),
+                runs in proptest::collection::vec((0u32..20_000, 1u32..400), 0..4),
+                cross in (1u32..5, 1u32..200, 2u32..400),
+                seed in 0u64..u64::MAX,
+            ) {
+                let mut ids: BTreeSet<RecordId> = scattered;
+                let (cross_chunk, cross_before, cross_len) = cross;
+                let cross_start = cross_chunk * 4096 - cross_before;
+                ids.extend(cross_start..cross_start + cross_len);
+                for (start, len) in runs {
+                    ids.extend(start..start + len);
+                }
+                let rids: Vec<RecordId> = ids.iter().copied().collect();
+                let list = PostingList::encode(&rids);
+                prop_assert_eq!(list.decode(), rids.clone());
+
+                const TOKEN: u32 = 7;
+                let mut docs = TextColumn::new();
+                for row in 0..CHUNKS * 4096 {
+                    docs.push_doc(if ids.contains(&row) { &[TOKEN] } else { &[1] });
+                }
+                let pre = pattern(seed);
+                for chunk in 0..CHUNKS {
+                    let base = chunk * 4096;
+                    let mut by_docs = [0u64; CHUNK_WORDS];
+                    for off in 0..4096 {
+                        if docs.doc_contains((base + off) as usize, TOKEN) {
+                            set_bit(&mut by_docs, off as usize);
+                        }
+                    }
+                    let mut by_decode = [0u64; CHUNK_WORDS];
+                    for &rid in rids.iter().filter(|&&r| r >> CHUNK_SHIFT == chunk) {
+                        set_bit(&mut by_decode, (rid - base) as usize);
+                    }
+                    prop_assert_eq!(by_docs, by_decode);
+                    let overlapping: usize = rids
+                        .chunks(BLOCK_IDS)
+                        .filter(|b| b[b.len() - 1] >= base && b[0] < base + 4096)
+                        .map(|b| b.len())
+                        .sum();
+                    for op in [ChunkOp::Or, ChunkOp::And] {
+                        if overlapping > 0 {
+                            let mut words = pre;
+                            prop_assert!(!list.combine_chunk(chunk, overlapping - 1, op, &mut words));
+                            prop_assert_eq!(words, pre);
+                        }
+                        let mut words = pre;
+                        prop_assert!(list.combine_chunk(chunk, overlapping, op, &mut words));
+                        let expected: [u64; CHUNK_WORDS] = std::array::from_fn(|i| match op {
+                            ChunkOp::Or => pre[i] | by_decode[i],
+                            ChunkOp::And => pre[i] & by_decode[i],
+                        });
+                        prop_assert_eq!(words, expected);
+                    }
+                }
+            }
+        }
 
         proptest! {
             #[test]

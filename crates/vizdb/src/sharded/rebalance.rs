@@ -54,19 +54,14 @@ impl WorkLedger {
         if tiles.is_empty() {
             return;
         }
-        let per_tile = self
-            .tile_ms
-            .entry(table.to_string())
-            .or_insert_with(|| vec![0.0; tile_count]);
-        let total_rows: usize = tiles.iter().map(|&(_, r)| r).sum();
-        if total_rows == 0 {
-            let share = time_ms / tiles.len() as f64;
-            for &(tile, _) in tiles {
-                per_tile[tile] += share;
-            }
-        } else {
-            for &(tile, rows) in tiles {
-                per_tile[tile] += time_ms * rows as f64 / total_rows as f64;
+        // Look up before inserting: `entry` would allocate the table name on
+        // every served request, under the backend-wide ledger lock.
+        match self.tile_ms.get_mut(table) {
+            Some(per_tile) => charge_tiles(per_tile, tiles, time_ms),
+            None => {
+                let mut per_tile = vec![0.0; tile_count];
+                charge_tiles(&mut per_tile, tiles, time_ms);
+                self.tile_ms.insert(table.to_string(), per_tile);
             }
         }
     }
@@ -77,6 +72,22 @@ impl WorkLedger {
             .get(table)
             .cloned()
             .unwrap_or_else(|| vec![0.0; tile_count])
+    }
+}
+
+/// Splits `time_ms` over the overlapped `tiles` (`(tile, rows)` pairs):
+/// proportionally to row counts, or evenly when every one is empty.
+fn charge_tiles(per_tile: &mut [f64], tiles: &[(usize, usize)], time_ms: f64) {
+    let total_rows: usize = tiles.iter().map(|&(_, r)| r).sum();
+    if total_rows == 0 {
+        let share = time_ms / tiles.len() as f64;
+        for &(tile, _) in tiles {
+            per_tile[tile] += share;
+        }
+    } else {
+        for &(tile, rows) in tiles {
+            per_tile[tile] += time_ms * rows as f64 / total_rows as f64;
+        }
     }
 }
 

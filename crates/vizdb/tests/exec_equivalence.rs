@@ -47,10 +47,21 @@ fn build_table(points: &[(f64, f64)], keyword_every: usize) -> Table {
 }
 
 fn build_db(points: &[(f64, f64)], keyword_every: usize) -> Database {
+    build_db_with(points, keyword_every, true)
+}
+
+/// [`build_db`], leaving the text column without its inverted index unless
+/// `index_text`.
+fn build_db_with(points: &[(f64, f64)], keyword_every: usize, index_text: bool) -> Database {
     let mut db = Database::new(DbConfig::default());
     db.register_table(build_table(points, keyword_every))
         .unwrap();
-    db.build_all_indexes("events").unwrap();
+    for col in ["id", "when", "loc", "score"] {
+        db.build_index("events", col).unwrap();
+    }
+    if index_text {
+        db.build_index("events", "text").unwrap();
+    }
     db.build_sample("events", 20).unwrap();
     db
 }
@@ -75,34 +86,58 @@ fn register_users(db: &mut Database, n: usize) {
 /// Runs `query` under `ro` on the reference oracle and on the production
 /// pipeline and asserts full observational equality.
 fn assert_engines_agree(db: &Database, query: &Query, ro: &RewriteOption) {
+    assert_engines_agree_at(db, query, ro, &[None]);
+}
+
+/// [`assert_engines_agree`] with the pipeline run once per entry of
+/// `threads`: `None` is `Database::run`, `Some(n)` a morsel crew of `n`.
+fn assert_engines_agree_at(
+    db: &Database,
+    query: &Query,
+    ro: &RewriteOption,
+    threads: &[Option<usize>],
+) {
     let reference = db.run_reference(query, ro);
-    // Drop the time cache so the pipeline run computes its own time rather
-    // than reporting the oracle's canonical cached value — the time assertion
-    // below must be able to fail.
-    db.clear_caches();
-    let pipeline = db.run(query, ro);
-    match (&reference, pipeline) {
-        (Ok(a), Ok(b)) => {
-            assert_eq!(a.result, b.result, "result diverged for {query:?}");
-            assert_eq!(a.work, b.work, "work diverged for {query:?}");
-            assert_eq!(a.time_ms, b.time_ms, "time diverged for {query:?}");
-            assert_eq!(a.plan, b.plan, "plan diverged for {query:?}");
+    for &threads in threads {
+        // Drop the time cache so the pipeline run computes its own time
+        // rather than reporting the oracle's canonical cached value — the
+        // time assertion below must be able to fail.
+        db.clear_caches();
+        let pipeline = match threads {
+            None => db.run(query, ro),
+            Some(n) => db.run_with_threads(query, ro, n),
+        };
+        match (&reference, pipeline) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.result, b.result, "result diverged for {query:?}");
+                assert_eq!(a.work, b.work, "work diverged for {query:?}");
+                assert_eq!(a.time_ms, b.time_ms, "time diverged for {query:?}");
+                assert_eq!(a.plan, b.plan, "plan diverged for {query:?}");
+            }
+            (Err(a), Err(b)) => {
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "error diverged");
+            }
+            (a, b) => panic!("the oracle and the pipeline disagree on failure: {a:?} vs {b:?}"),
         }
-        (Err(a), Err(b)) => {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "error diverged");
-        }
-        (a, b) => panic!("the oracle and the pipeline disagree on failure: {a:?} vs {b:?}"),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random predicates, every hint-forced plan shape, every output kind.
+    /// Random predicates, every hint-forced plan shape, every output kind —
+    /// on small one-chunk tables with a dense keyword, and on 4,097- and
+    /// 9,001-row tables with the keyword on every 2nd or every 97th row, so
+    /// the posting-list keyword kernels (both sides of the refinement budget)
+    /// and multi-chunk cursors run against the oracle at 1 and 4 threads.
     #[test]
     fn compiled_matches_interpreter_across_plans(
         points in proptest::collection::vec((-120.0f64..-70.0, 25.0f64..48.0), 30..180),
         keyword_every in 2usize..6,
+        size in 0usize..4,
+        seed in 0u64..u64::MAX,
+        sparse_keyword in 0u8..2,
+        narrow in 0u8..2,
         mask in 0u32..8,
         t_hi in 1i64..900,
         score_hi in 1.0f64..40.0,
@@ -111,7 +146,21 @@ proptest! {
         cols in 1u32..20,
         rows in 1u32..20,
     ) {
+        let (points, keyword_every, threads) = match size {
+            0 | 1 => (points, keyword_every, vec![None]),
+            _ => (
+                scatter([4097, 9001][size - 2], seed),
+                if sparse_keyword == 1 { 97 } else { 2 },
+                vec![Some(1), Some(4)],
+            ),
+        };
         let db = build_db(&points, keyword_every);
+        // Timestamps are `5 × row`: scale the bound to the table.
+        let t_hi = t_hi * (points.len() as i64).max(180) / 180;
+        // A viewport a few hundredths of a degree wide leaves a big table's
+        // chunks so few candidates that the keyword's postings would outnumber
+        // the refinement budget: it probes documents instead.
+        let lon_w = if narrow == 1 && size >= 2 { lon_w / 40.0 } else { lon_w };
         let rect = GeoRect::new(lon_a, 20.0, lon_a + lon_w, 50.0);
         let base = Query::select("events")
             .filter(Predicate::keyword(3, "hot"))
@@ -123,16 +172,16 @@ proptest! {
             .clone()
             .filter(Predicate::numeric_range(4, 0.0, score_hi))
             .output(OutputKind::Count);
-        assert_engines_agree(&db, &count_q, &ro);
+        assert_engines_agree_at(&db, &count_q, &ro, &threads);
         // Scatterplot output.
         let points_q = base.clone().output(OutputKind::Points { id_attr: 0, point_attr: 2 });
-        assert_engines_agree(&db, &points_q, &ro);
+        assert_engines_agree_at(&db, &points_q, &ro, &threads);
         // Heatmap output (dense-grid binning on the compiled path).
         let heatmap_q = base.output(OutputKind::BinnedCounts {
             point_attr: 2,
             grid: BinGrid::new(rect, cols, rows),
         });
-        assert_engines_agree(&db, &heatmap_q, &ro);
+        assert_engines_agree_at(&db, &heatmap_q, &ro, &threads);
     }
 
     /// Approximation rules and row caps take the capped row-at-a-time path;
@@ -244,8 +293,7 @@ impl Indexes {
 
 /// Predicate kind `kind` of 7 over [`build_table`]'s columns, its bound placed
 /// at fraction `u` of the column's span — including a keyword missing from the
-/// dictionary and a numeric range over the timestamp column (whose index scan
-/// is the one exact plan that is executed, not priced).
+/// dictionary and a numeric range over the timestamp column.
 fn predicate_of(kind: usize, u: f64) -> Predicate {
     match kind {
         0 => Predicate::keyword(3, "hot"),
@@ -342,22 +390,91 @@ proptest! {
                 .iter()
                 .map(|ro| pricing.plan(&query, ro).unwrap())
                 .collect();
-            let scans_timestamps_by_float_key = plans.iter().any(|plan| {
-                plan.index_preds.iter().any(|&i| {
-                    matches!(query.predicates[i], Predicate::NumericRange { attr: 1, .. })
-                })
-            });
-            match price_plans(&query, &plans, &fact) {
-                Some(works) => {
-                    prop_assert!(!scans_timestamps_by_float_key);
-                    for (plan, work) in plans.iter().zip(&works) {
-                        let run = execute(&query, plan, &fact, None, None, false, 1).unwrap();
-                        prop_assert_eq!(*work, run.work);
-                    }
-                }
-                None => prop_assert!(scans_timestamps_by_float_key, "{query:?} was not priced"),
+            let works = price_plans(&query, &plans, &fact);
+            prop_assert!(works.is_some(), "{query:?} was not priced");
+            for (plan, work) in plans.iter().zip(works.iter().flatten()) {
+                let run = execute(&query, plan, &fact, None, None, false, 1).unwrap();
+                prop_assert_eq!(*work, run.work);
             }
         }
+    }
+}
+
+/// With the text column left unindexed the keyword binds no posting list, so
+/// the pipeline fills and refines it from the documents: still the oracle's
+/// bytes across plans, chunks and thread counts.
+#[test]
+fn unindexed_keyword_matches_interpreter() {
+    let db = build_db_with(&scatter(9001, 7), 2, false);
+    let rect = GeoRect::new(-110.0, 20.0, -95.0, 50.0);
+    let base = Query::select("events")
+        .filter(Predicate::keyword(3, "hot"))
+        .filter(Predicate::time_range(1, 0, 30_000))
+        .filter(Predicate::spatial_range(2, rect));
+    for mask in 0..8 {
+        let ro = RewriteOption::hinted(HintSet::with_mask(mask));
+        for output in [
+            OutputKind::Count,
+            OutputKind::Points {
+                id_attr: 0,
+                point_attr: 2,
+            },
+            OutputKind::BinnedCounts {
+                point_attr: 2,
+                grid: BinGrid::new(rect, 8, 8),
+            },
+        ] {
+            let query = base.clone().output(output);
+            assert_engines_agree_at(&db, &query, &ro, &[Some(1), Some(4)]);
+        }
+    }
+}
+
+/// A numeric range over a timestamp column selects the same rows under every
+/// rewrite: its B+-tree is keyed by raw timestamps, so the index scan probes
+/// the integer interval inside the bounds (fractional, negative, NaN and
+/// saturating bounds included), and `true_selectivity` counts it the same way.
+#[test]
+fn numeric_range_over_timestamps_is_hint_invariant() {
+    let db = build_db(&scatter(4500, 3), 3);
+    let table = db.table("events").unwrap();
+    let all: Vec<RecordId> = (0..table.row_count() as RecordId).collect();
+    let ranges = [
+        (50.0, 9_000.0),
+        (52.5, 9_001.5),
+        (-1e300, 7.0),
+        (4_000.0, 1e300),
+        (f64::NEG_INFINITY, f64::INFINITY),
+        (3.2, 3.7),
+        (f64::NAN, 100.0),
+        (100.0, f64::NAN),
+    ];
+    for (lo, hi) in ranges {
+        let range = vizdb::types::NumRange { lo, hi };
+        let pred = Predicate::NumericRange { attr: 1, range };
+        let query = Query::select("events")
+            .filter(pred.clone())
+            .filter(Predicate::keyword(3, "hot"))
+            .output(OutputKind::Points {
+                id_attr: 0,
+                point_attr: 2,
+            });
+        let scanned = db
+            .run(&query, &RewriteOption::hinted(HintSet::with_mask(0)))
+            .unwrap();
+        assert!(scanned.plan.index_preds.is_empty());
+        for mask in 0..4 {
+            let ro = RewriteOption::hinted(HintSet::with_mask(mask));
+            assert_engines_agree(&db, &query, &ro);
+            let run = db.run(&query, &ro).unwrap();
+            assert_eq!(run.result, scanned.result, "[{lo}, {hi}] mask {mask}");
+        }
+        let matching = probe_oracle(table, &pred, &all).unwrap();
+        assert_eq!(
+            db.true_selectivity("events", &pred).unwrap(),
+            matching as f64 / all.len() as f64,
+            "[{lo}, {hi}]"
+        );
     }
 }
 
