@@ -5,8 +5,9 @@
 //! through a `Result` on *every row*. This module lowers each query's
 //! predicates **once per execution** into typed [`CompiledPredicate`]s that bind
 //! the concrete column slice and the pre-resolved keyword token up front, then
-//! evaluates them over 4096-row [`SelectionBitmap`] chunks with 64-bit word
-//! kernels (contiguous scans, index-candidate refinement) or over record-id
+//! evaluates them over the 4096-row chunks of one dense [`SelectionBitmap`]
+//! with 64-bit word kernels, in place (contiguous scans fill a chunk's words,
+//! index candidates are refined where the scans left them), or over record-id
 //! batches with a selection-vector loop (sampled scans). Predicate `k` only
 //! sees the rows that survived predicates `0..k`, which is exactly the work
 //! the short-circuiting interpreter performs, so `WorkProfile` counts (and
@@ -29,11 +30,10 @@
 //! evaluates a predicate" edge — stays observationally identical.
 //!
 //! [`ColumnData`]: crate::storage::ColumnData
-//! [`SelectionBitmap`]: crate::bitmap::SelectionBitmap
 
 use std::collections::HashMap;
 
-use crate::bitmap::{set_span, CHUNK_BITS, CHUNK_WORDS};
+use crate::bitmap::{set_span, SelectionBitmap, CHUNK_BITS, CHUNK_WORDS};
 use crate::error::Result;
 use crate::exec::executor::ExecTable;
 use crate::index::posting::{ChunkOp, PostingList};
@@ -548,116 +548,114 @@ pub(super) fn popcount(words: &[u64; CHUNK_WORDS]) -> u64 {
 }
 
 /// Chunk-qualifies the contiguous row range `rows` through the compiled
-/// conjunction, returning the qualifying rows as a [`SelectionBitmap`]. The
-/// first predicate fills each 4096-row chunk's words with a branchless columnar
-/// kernel ([`CompiledPredicate::fill_words`]); later predicates re-evaluate
-/// only the set bits ([`CompiledPredicate::refine_words`]).
+/// conjunction, returning the qualifying rows as a [`SelectionBitmap`] over
+/// rows `0..rows.end`: [`qualify_range_chunk`] on each chunk's words in
+/// place.
+pub fn qualify_range_bitmap(
+    preds: &[CompiledPredicate<'_>],
+    rows: std::ops::Range<RecordId>,
+    work: &mut WorkProfile,
+    mut per_batch_rows: impl FnMut(&mut WorkProfile, u64),
+) -> SelectionBitmap {
+    let mut out = SelectionBitmap::new(rows.end as usize);
+    let mut scratch: Vec<RecordId> = Vec::new();
+    for (chunk_id, words) in out.chunks_mut().enumerate() {
+        let rows = chunk_rows(chunk_id, &rows);
+        qualify_range_chunk(preds, rows, words, &mut scratch, work, &mut per_batch_rows);
+    }
+    out
+}
+
+/// The rows of `rows` inside chunk `chunk_id` (empty when they miss it).
+pub(crate) fn chunk_rows(
+    chunk_id: usize,
+    rows: &std::ops::Range<RecordId>,
+) -> std::ops::Range<RecordId> {
+    let base = (chunk_id * CHUNK_BITS) as RecordId;
+    rows.start.max(base)..rows.end.min(base.saturating_add(CHUNK_BITS as RecordId))
+}
+
+/// Qualifies `rows`, a range inside one 4096-row chunk, into that chunk's
+/// (all-zero) `words`. The first predicate fills the words with a branchless
+/// columnar kernel ([`CompiledPredicate::fill_words`]); later predicates
+/// re-evaluate only the set bits ([`CompiledPredicate::refine_words`]).
 ///
 /// `filter_evals` accounting matches the short-circuiting interpreter
 /// exactly: predicate `k` is charged once per row that survived predicates
 /// `0..k` — a chunk's surviving-row count is one `popcount` away.
-///
-/// `chunk_capacity` pre-sizes the result's chunk vector (callers derive it
-/// from the planner's row estimate); it is a capacity hint only and never
-/// changes the result.
-pub fn qualify_range_bitmap(
+pub(crate) fn qualify_range_chunk(
     preds: &[CompiledPredicate<'_>],
     rows: std::ops::Range<RecordId>,
-    chunk_capacity: usize,
+    words: &mut [u64; CHUNK_WORDS],
+    scratch: &mut Vec<RecordId>,
     work: &mut WorkProfile,
     mut per_batch_rows: impl FnMut(&mut WorkProfile, u64),
-) -> crate::bitmap::SelectionBitmap {
-    let mut writer = crate::bitmap::ChunkWriter::with_capacity(chunk_capacity);
-    let mut scratch: Vec<RecordId> = Vec::new();
-    let mut start = rows.start;
-    while start < rows.end {
-        let base = start & !(CHUNK_BITS as RecordId - 1);
-        let end = rows.end.min(base + CHUNK_BITS as RecordId);
-        per_batch_rows(work, (end - start) as u64);
-        let mut words = [0u64; CHUNK_WORDS];
-        match preds.first() {
-            Some(first) => {
-                work.filter_evals += (end - start) as u64;
-                first.fill_words(start, end, &mut words, &mut scratch);
-            }
-            None => crate::bitmap::set_span(
-                &mut words,
-                (start - base) as usize,
-                (end - 1 - base) as usize,
-            ),
-        }
-        for pred in preds.get(1..).unwrap_or(&[]) {
-            let survivors = popcount(&words);
-            if survivors == 0 {
-                break;
-            }
-            work.filter_evals += survivors;
-            pred.refine_words(base, survivors, &mut words);
-        }
-        if popcount(&words) > 0 {
-            writer.push_words(base >> CHUNK_BITS.trailing_zeros(), &words);
-        }
-        start = end;
+) {
+    let (start, end) = (rows.start, rows.end);
+    if start >= end {
+        return;
     }
-    writer.finish()
+    let base = start & !(CHUNK_BITS as RecordId - 1);
+    per_batch_rows(work, (end - start) as u64);
+    match preds.first() {
+        Some(first) => {
+            work.filter_evals += (end - start) as u64;
+            first.fill_words(start, end, words, scratch);
+        }
+        None => set_span(words, (start - base) as usize, (end - 1 - base) as usize),
+    }
+    refine_survivors(preds.get(1..).unwrap_or(&[]), base, words, work);
 }
 
-/// Refines an index-candidate [`SelectionBitmap`] through the compiled residual
-/// conjunction chunk by chunk. Every predicate (including the first) sees only
-/// the already-selected rows, so each is charged `popcount` of the surviving
-/// words.
-/// `chunk_capacity` is a capacity hint as in [`qualify_range_bitmap`].
+/// Refines an index-candidate [`SelectionBitmap`] in place through the
+/// compiled residual conjunction, chunk by chunk ([`refine_chunk`]).
 pub fn qualify_bitmap(
     preds: &[CompiledPredicate<'_>],
-    candidates: &crate::bitmap::SelectionBitmap,
-    chunk_capacity: usize,
-    work: &mut WorkProfile,
-    per_batch_rows: impl FnMut(&mut WorkProfile, u64),
-) -> crate::bitmap::SelectionBitmap {
-    qualify_bitmap_range(
-        preds,
-        candidates,
-        0..candidates.chunk_count(),
-        chunk_capacity,
-        work,
-        per_batch_rows,
-    )
-}
-
-/// [`qualify_bitmap`] restricted to the candidate chunk *positions* `pos` — the
-/// per-morsel step of the morsel driver. Running this over a partition of
-/// `0..chunk_count()` and concatenating the results in position order is
-/// chunk-for-chunk identical to one sequential [`qualify_bitmap`] pass, because
-/// every chunk is refined independently.
-pub(crate) fn qualify_bitmap_range(
-    preds: &[CompiledPredicate<'_>],
-    candidates: &crate::bitmap::SelectionBitmap,
-    pos: std::ops::Range<usize>,
-    chunk_capacity: usize,
+    candidates: &mut SelectionBitmap,
     work: &mut WorkProfile,
     mut per_batch_rows: impl FnMut(&mut WorkProfile, u64),
-) -> crate::bitmap::SelectionBitmap {
-    let mut writer = crate::bitmap::ChunkWriter::with_capacity(chunk_capacity);
-    candidates.for_each_chunk_in(pos, |chunk_id, words| {
-        let n = popcount(words);
-        if n == 0 {
-            return;
+) {
+    for (chunk_id, words) in candidates.chunks_mut().enumerate() {
+        refine_chunk(preds, chunk_id, words, work, &mut per_batch_rows);
+    }
+}
+
+/// Refines chunk `chunk_id`'s candidate `words` in place. Every predicate
+/// (including the first) sees only the already-selected rows, so each is
+/// charged the `popcount` of the surviving words; an empty chunk charges
+/// nothing.
+pub(crate) fn refine_chunk(
+    preds: &[CompiledPredicate<'_>],
+    chunk_id: usize,
+    words: &mut [u64; CHUNK_WORDS],
+    work: &mut WorkProfile,
+    mut per_batch_rows: impl FnMut(&mut WorkProfile, u64),
+) {
+    let n = popcount(words);
+    if n == 0 {
+        return;
+    }
+    per_batch_rows(work, n);
+    refine_survivors(preds, (chunk_id * CHUNK_BITS) as RecordId, words, work);
+}
+
+/// Runs `preds` over the set bits of one chunk's `words` (rows
+/// `base + bit`), charging each predicate once per row still set and
+/// stopping when none is.
+fn refine_survivors(
+    preds: &[CompiledPredicate<'_>],
+    base: RecordId,
+    words: &mut [u64; CHUNK_WORDS],
+    work: &mut WorkProfile,
+) {
+    for pred in preds {
+        let survivors = popcount(words);
+        if survivors == 0 {
+            break;
         }
-        per_batch_rows(work, n);
-        let base = chunk_id << CHUNK_BITS.trailing_zeros();
-        for pred in preds {
-            let survivors = popcount(words);
-            if survivors == 0 {
-                break;
-            }
-            work.filter_evals += survivors;
-            pred.refine_words(base, survivors, words);
-        }
-        if popcount(words) > 0 {
-            writer.push_words(chunk_id, words);
-        }
-    });
-    writer.finish()
+        work.filter_evals += survivors;
+        pred.refine_words(base, survivors, words);
+    }
 }
 
 /// The outcome of binned-count accumulation: how many cells are non-empty
@@ -960,7 +958,7 @@ mod tests {
             let mut work = WorkProfile::default();
             let mut qualifying = Vec::new();
             match entry {
-                0 => qualifying = qualify_range_bitmap(&preds, 0..rows, 0, &mut work, seq).to_vec(),
+                0 => qualifying = qualify_range_bitmap(&preds, 0..rows, &mut work, seq).to_vec(),
                 1 => qualify_slice(&preds, &all_rids, &mut qualifying, &mut work, seq),
                 _ => qualify_batches(&preds, 0..rows, &mut qualifying, &mut work, seq),
             }
@@ -1001,12 +999,12 @@ mod tests {
             // Candidate refinement: seed with every third row, run the
             // residual conjunction over the bitmap and over the id vector.
             let cands: Vec<RecordId> = (0..rows).step_by(3).collect();
-            let cand_bm = crate::bitmap::SelectionBitmap::from_sorted(&cands);
+            let mut refined = SelectionBitmap::from_sorted(&cands);
             let mut idvec_work = WorkProfile::default();
             let mut idvec = Vec::new();
             qualify_slice(&preds, &cands, &mut idvec, &mut idvec_work, seq);
             let mut bm_work = WorkProfile::default();
-            let refined = qualify_bitmap(&preds, &cand_bm, 0, &mut bm_work, seq);
+            qualify_bitmap(&preds, &mut refined, &mut bm_work, seq);
             assert_eq!(refined.to_vec(), idvec, "{text_col:?}");
             assert_eq!(bm_work, idvec_work, "{text_col:?}");
         }
@@ -1014,7 +1012,7 @@ mod tests {
         // No predicates: the range bitmap is the identity selection.
         let empty: [CompiledPredicate<'_>; 0] = [];
         let mut w = WorkProfile::default();
-        let all = qualify_range_bitmap(&empty, 5..rows, 0, &mut w, seq);
+        let all = qualify_range_bitmap(&empty, 5..rows, &mut w, seq);
         assert_eq!(all.to_vec(), (5..rows).collect::<Vec<_>>());
     }
 
@@ -1064,7 +1062,7 @@ mod tests {
                 for compiled in [compile_predicate(pred, &t), lower_predicate(pred, &fact)] {
                     let single = [compiled.unwrap()];
                     let mut w = WorkProfile::default();
-                    let got = qualify_range_bitmap(&single, range.clone(), 0, &mut w, |_, _| {});
+                    let got = qualify_range_bitmap(&single, range.clone(), &mut w, |_, _| {});
                     let expected: Vec<RecordId> =
                         range.clone().filter(|&rid| single[0].eval(rid)).collect();
                     assert_eq!(got.to_vec(), expected, "{pred:?} over {range:?}");

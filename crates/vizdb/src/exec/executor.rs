@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 
 use crate::approx::ApproxRule;
-use crate::bitmap::{SelectionBitmap, CHUNK_BITS};
+use crate::bitmap::SelectionBitmap;
 use crate::error::{Error, Result};
 use crate::exec::compiled::{self, CompiledPredicate};
 use crate::exec::result::QueryResult;
@@ -97,6 +97,7 @@ pub fn execute(
     materialize: bool,
     threads: usize,
 ) -> Result<ExecOutcome> {
+    check_output(query)?;
     let Ok(lowered) = lower(query, plan, fact, dim) else {
         return reference::execute(query, plan, fact, dim, limit_rows, materialize);
     };
@@ -196,6 +197,15 @@ fn lower<'a>(
     })
 }
 
+/// Rejects an output no sink can shape — a bin grid [`BinGrid::validate`]
+/// refuses — before the engines touch a row.
+pub(super) fn check_output(query: &Query) -> Result<()> {
+    match &query.output {
+        OutputKind::BinnedCounts { grid, .. } => grid.validate(),
+        _ => Ok(()),
+    }
+}
+
 /// Binds the output shape's columns.
 pub(super) fn lower_output<'a>(query: &'a Query, table: &'a Table) -> Result<Output<'a>> {
     Ok(match &query.output {
@@ -224,9 +234,9 @@ enum Source<'a> {
 }
 
 /// Phase 1: resolve the sample restriction and, for an index plan, the
-/// candidate rows — every index predicate scanned as a bitmap, intersected
-/// with word-wise AND (smallest first, early-out on empty) and cut to the
-/// restriction.
+/// candidate rows — every index predicate scanned into a dense bitmap, the
+/// scans ANDed word by word into the first (a dense AND costs the same in any
+/// order) and cut to the restriction.
 fn source<'a>(
     query: &'a Query,
     plan: &PhysicalPlan,
@@ -237,15 +247,10 @@ fn source<'a>(
     if plan.index_preds.is_empty() {
         return Ok(Source::Seq(restriction));
     }
-    let mut lists = scan_indexes(query, plan, fact, work, IndexProbe::bitmap)?;
-    lists.sort_by_key(|l| l.len());
-    let mut iter = lists.into_iter();
-    let mut acc = iter.next().unwrap_or_default();
-    for list in iter {
-        if acc.is_empty() {
-            break;
-        }
-        acc = acc.and(&list);
+    let mut lists = scan_indexes(query, plan, fact, work, IndexProbe::bitmap)?.into_iter();
+    let mut acc = lists.next().unwrap_or_default();
+    for list in lists {
+        acc.and_with(&list);
     }
     if !matches!(restriction, SampleRestriction::All) {
         acc.retain(|rid| restriction.keeps(rid));
@@ -278,9 +283,10 @@ impl Qualified {
 
 /// Phase 2: qualify rows through the lowered residual predicates. Uncapped,
 /// every source row is visited, so whole chunks (id batches on sampled scans)
-/// are charged and refined at once; capped, rows are visited one at a time so
-/// rows past the cap stay untouched, exactly like the interpreter. Outputs are
-/// pre-sized from the planner's cardinality estimate `est_rows`.
+/// are charged and refined at once — an index plan's candidate chunks in
+/// place; capped, rows are visited one at a time so rows past the cap stay
+/// untouched, exactly like the interpreter. Id-vector outputs are pre-sized
+/// from the planner's cardinality estimate `est_rows`.
 fn qualify(
     preds: &[CompiledPredicate<'_>],
     source: Source<'_>,
@@ -297,22 +303,14 @@ fn qualify(
     let Some(cap) = limit_rows else {
         let heap = |w: &mut WorkProfile, rows: u64| w.heap_fetches += rows;
         let seq = |w: &mut WorkProfile, rows: u64| w.seq_rows += rows;
-        // Output chunks cannot exceed the input chunks or (one row per chunk
-        // at worst) the estimated rows.
-        let chunk_hint = |chunks: usize| chunks.min(reserve.max(1));
-        return match &source {
-            Source::Index(cands) => {
-                let hint = chunk_hint(cands.chunk_count());
-                Qualified::Bitmap(parallel::qualify_bitmap(
-                    preds, cands, hint, threads, work, heap,
-                ))
+        return match source {
+            Source::Index(mut cands) => {
+                parallel::qualify_bitmap(preds, &mut cands, threads, work, heap);
+                Qualified::Bitmap(cands)
             }
-            Source::Seq(SampleRestriction::All) => {
-                let hint = chunk_hint(row_count.div_ceil(CHUNK_BITS));
-                Qualified::Bitmap(parallel::qualify_range_bitmap(
-                    preds, rows, hint, threads, work, seq,
-                ))
-            }
+            Source::Seq(SampleRestriction::All) => Qualified::Bitmap(
+                parallel::qualify_range_bitmap(preds, rows, threads, work, seq),
+            ),
             Source::Seq(SampleRestriction::SampleRows(sample)) => {
                 let mut ids = Vec::with_capacity(reserve);
                 parallel::qualify_slice(preds, sample, threads, &mut ids, work, seq);
@@ -362,7 +360,7 @@ fn sink(
                 return QueryResult::Count(result_rows as u64);
             }
             QueryResult::Points(match qualified {
-                Qualified::Bitmap(b) => parallel::gather_points(b, ids, geo, threads),
+                Qualified::Bitmap(b) => parallel::gather_points(b, result_rows, ids, geo, threads),
                 Qualified::Ids(v) => {
                     compiled::gather_points(v.iter().copied(), result_rows, ids, geo)
                 }
@@ -371,7 +369,9 @@ fn sink(
         Output::Bins { geo, grid } => {
             work.grouped_rows += result_rows as u64;
             let binned = match qualified {
-                Qualified::Bitmap(b) => parallel::bin_counts(grid, geo, b, materialize, threads),
+                Qualified::Bitmap(b) => {
+                    parallel::bin_counts(grid, geo, b, result_rows, materialize, threads)
+                }
                 Qualified::Ids(v) => compiled::bin_counts(grid, geo, v, materialize),
             };
             work.output_rows += binned.distinct_bins;

@@ -1,13 +1,15 @@
 //! Plan execution over in-memory tables.
 //!
 //! One production engine and one oracle. [`execute`] is the bitmap pipeline:
-//! predicates lowered once per execution, candidates carried as
-//! [`SelectionBitmap`](crate::bitmap::SelectionBitmap)s and refined in
-//! 4096-row chunks over 64-bit words, with `threads` deciding — behind
-//! [`parallel`] — whether the chunk work runs on the calling thread or on a
-//! morsel crew. `reference` is the row-at-a-time interpreter the pipeline is
-//! pinned against (same results, work profile and simulated time, bit for
-//! bit) and falls back to, whole-query, for predicates it cannot lower.
+//! predicates lowered once per execution, and a query's selection carried as
+//! one dense [`SelectionBitmap`](crate::bitmap::SelectionBitmap) word array
+//! from index scan to sink. The scans set its bits, their AND and the residual
+//! predicates refine it in place in 4096-row chunks, and the sink bins and
+//! gathers from its words. `threads` decides, behind [`parallel`], whether the
+//! chunk work runs on the calling thread or on a morsel crew. `reference` is
+//! the row-at-a-time interpreter the pipeline is pinned against (same results,
+//! work profile and simulated time, bit for bit) and falls back to,
+//! whole-query, for predicates it cannot lower.
 //! [`price_plans`] reports what [`execute`] would charge for a whole set of
 //! exact plans of one query from a single pass over the table.
 

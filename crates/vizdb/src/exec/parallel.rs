@@ -4,11 +4,12 @@
 //! decision, so the executor never forks on it. At `threads <= 1` an entry
 //! point calls the sequential kernel in [`super::compiled`] **once over the
 //! whole input** — no morsels, no partials, no merge. Above that it splits the
-//! record space into **chunk-aligned morsels** (multiples of the 4096-bit
-//! [`SelectionBitmap`] chunk), hands them to [`crate::sched`]'s claim-cursor
-//! worker crew, and merges each worker's **private partial
-//! accumulators** — chunk word arrays, dense bin-count partials, per-morsel
-//! [`WorkProfile`] deltas — in deterministic morsel order.
+//! record space into **chunk-aligned morsels** (ranges of the 4096-row chunks
+//! of the query's one dense [`SelectionBitmap`]), hands them to
+//! [`crate::sched`]'s claim-cursor worker crew, and merges each worker's
+//! **private partial accumulators** — refined chunk words, dense bin-count
+//! partials, per-morsel [`WorkProfile`] deltas — in deterministic morsel
+//! order.
 //!
 //! ## Determinism contract
 //!
@@ -21,8 +22,8 @@
 //!   [`BATCH_ROWS`] batch) boundaries, so per-chunk charges are unchanged;
 //! * workers only share the claim cursor and the poison flag — every
 //!   accumulator is private until the single-threaded merge;
-//! * partials merge in morsel order (bitmap chunks concatenate via
-//!   [`SelectionBitmap::append_disjoint`]; `WorkProfile` counters are exact
+//! * partials merge in morsel order (refined chunks are written back to
+//!   their own chunk of the selection; `WorkProfile` counters are exact
 //!   `u64` sums, so summation order cannot perturb them);
 //! * row-capped paths run **speculatively**: each morsel evaluates rows as if
 //!   it owned the whole cap, and the in-order merge cuts at the limit —
@@ -39,20 +40,20 @@
 //! [`SelectionBitmap`]: crate::bitmap::SelectionBitmap
 //! [`BATCH_ROWS`]: super::compiled::BATCH_ROWS
 
-use crate::bitmap::{SelectionBitmap, CHUNK_BITS};
+use crate::bitmap::{SelectionBitmap, CHUNK_BITS, CHUNK_WORDS};
 use crate::exec::compiled::{self, BinnedAccum, CompiledPredicate, BATCH_ROWS};
 use crate::query::BinGrid;
 use crate::sched::{run_morsels, run_morsels_fold};
 use crate::timing::WorkProfile;
 use crate::types::{GeoPoint, RecordId};
 
-/// Rows per sequential-scan morsel: one bitmap chunk. Chunk alignment keeps
-/// every per-chunk charge and container boundary identical to the sequential
-/// pass; one 4096-row unit is fine-grained enough for the claim cursor to
-/// load-balance a 40k-row scan across eight workers.
+/// Rows per capped sequential-scan morsel: one bitmap chunk, the same split
+/// as the uncapped scan's chunk morsels; one 4096-row unit is fine-grained
+/// enough for the claim cursor to load-balance a 40k-row scan across eight
+/// workers.
 pub(crate) const MORSEL_ROWS: usize = CHUNK_BITS;
 
-/// Candidate chunks per bitmap-refinement (and binning / gather) morsel.
+/// Chunks per bitmap morsel (refinement, range scan, binning, gather).
 pub(crate) const MORSEL_CHUNKS: usize = 1;
 
 /// Ids per slice/stream morsel — a multiple of [`BATCH_ROWS`] so morsel
@@ -78,82 +79,80 @@ fn range_morsel(rows: &std::ops::Range<RecordId>, m: usize) -> std::ops::Range<R
     rows.start.max(lo)..rows.end.min(hi)
 }
 
-/// [`compiled::qualify_range_bitmap`] on `threads` workers: each morsel runs
-/// the sequential chunk loop over its chunk-aligned sub-range into a private
-/// bitmap + `WorkProfile`, merged in morsel order. `chunk_hint` pre-sizes the
-/// single-pass result.
+/// [`compiled::qualify_range_bitmap`] on `threads` workers: [`refine_chunks`]
+/// over the result's chunks, each qualifying its share of `rows` by
+/// [`compiled::qualify_range_chunk`].
 pub(crate) fn qualify_range_bitmap(
     preds: &[CompiledPredicate<'_>],
     rows: std::ops::Range<RecordId>,
-    chunk_hint: usize,
     threads: usize,
     work: &mut WorkProfile,
     per_batch_rows: impl Fn(&mut WorkProfile, u64) + Copy + Sync,
 ) -> SelectionBitmap {
     if threads <= 1 {
-        return compiled::qualify_range_bitmap(preds, rows, chunk_hint, work, per_batch_rows);
+        return compiled::qualify_range_bitmap(preds, rows, work, per_batch_rows);
     }
-    let total = range_morsel_count(&rows);
-    let parts = run_morsels(total, threads, |m| {
-        let mut w = WorkProfile::default();
-        let bm = compiled::qualify_range_bitmap(
-            preds,
-            range_morsel(&rows, m),
-            MORSEL_ROWS.div_ceil(CHUNK_BITS),
-            &mut w,
-            per_batch_rows,
-        );
-        (bm, w)
+    let mut out = SelectionBitmap::new(rows.end as usize);
+    refine_chunks(&mut out, threads, work, |chunk_id, words, w| {
+        let chunk_rows = compiled::chunk_rows(chunk_id, &rows);
+        let mut scratch = Vec::new();
+        compiled::qualify_range_chunk(preds, chunk_rows, words, &mut scratch, w, per_batch_rows);
     });
-    merge_bitmaps(parts, work)
-}
-
-/// [`compiled::qualify_bitmap`] on `threads` workers: morsels are groups of
-/// candidate chunk positions; each chunk is refined independently, so
-/// concatenating the per-morsel results in position order is identical to one
-/// sequential pass. `chunk_hint` pre-sizes the single-pass result.
-pub(crate) fn qualify_bitmap(
-    preds: &[CompiledPredicate<'_>],
-    candidates: &SelectionBitmap,
-    chunk_hint: usize,
-    threads: usize,
-    work: &mut WorkProfile,
-    per_batch_rows: impl Fn(&mut WorkProfile, u64) + Copy + Sync,
-) -> SelectionBitmap {
-    if threads <= 1 {
-        return compiled::qualify_bitmap(preds, candidates, chunk_hint, work, per_batch_rows);
-    }
-    let chunks = candidates.chunk_count();
-    let parts = run_morsels(chunks.div_ceil(MORSEL_CHUNKS), threads, |m| {
-        let mut w = WorkProfile::default();
-        let bm = compiled::qualify_bitmap_range(
-            preds,
-            candidates,
-            chunk_morsel(chunks, m),
-            MORSEL_CHUNKS,
-            &mut w,
-            per_batch_rows,
-        );
-        (bm, w)
-    });
-    merge_bitmaps(parts, work)
-}
-
-/// Concatenates per-morsel bitmaps (disjoint, in morsel order) and sums their
-/// `WorkProfile` deltas.
-fn merge_bitmaps(
-    parts: Vec<(SelectionBitmap, WorkProfile)>,
-    work: &mut WorkProfile,
-) -> SelectionBitmap {
-    let mut out = SelectionBitmap::new();
-    for (bm, w) in parts {
-        work.add(&w);
-        out.append_disjoint(bm);
-    }
     out
 }
 
-/// The candidate chunk positions morsel `m` covers.
+/// [`compiled::qualify_bitmap`] on `threads` workers: [`refine_chunks`] over
+/// the candidates' chunks by [`compiled::refine_chunk`].
+pub(crate) fn qualify_bitmap(
+    preds: &[CompiledPredicate<'_>],
+    candidates: &mut SelectionBitmap,
+    threads: usize,
+    work: &mut WorkProfile,
+    per_batch_rows: impl Fn(&mut WorkProfile, u64) + Copy + Sync,
+) {
+    if threads <= 1 {
+        return compiled::qualify_bitmap(preds, candidates, work, per_batch_rows);
+    }
+    refine_chunks(candidates, threads, work, |chunk_id, words, w| {
+        compiled::refine_chunk(preds, chunk_id, words, w, per_batch_rows);
+    });
+}
+
+/// Runs `refine(chunk id, words, work)` over every chunk of `bits` on
+/// `threads` workers. A morsel is [`MORSEL_CHUNKS`] consecutive chunks,
+/// refined as private copies into a private `WorkProfile`; the refined chunks
+/// are written back and the profiles summed in morsel order. Each chunk is
+/// refined independently of the others, so the result is chunk for chunk
+/// that of one sequential pass.
+fn refine_chunks(
+    bits: &mut SelectionBitmap,
+    threads: usize,
+    work: &mut WorkProfile,
+    refine: impl Fn(usize, &mut [u64; CHUNK_WORDS], &mut WorkProfile) + Sync,
+) {
+    let chunks = bits.chunk_count();
+    let shared = &*bits;
+    let parts = run_morsels(chunks.div_ceil(MORSEL_CHUNKS), threads, |m| {
+        let mut w = WorkProfile::default();
+        let refined: Vec<[u64; CHUNK_WORDS]> = chunk_morsel(chunks, m)
+            .filter_map(|chunk_id| {
+                let mut words = *shared.chunk(chunk_id)?;
+                refine(chunk_id, &mut words, &mut w);
+                Some(words)
+            })
+            .collect();
+        (refined, w)
+    });
+    let refined = parts.iter().flat_map(|(words, _)| words);
+    for (dst, src) in bits.chunks_mut().zip(refined) {
+        *dst = *src;
+    }
+    for (_, w) in &parts {
+        work.add(w);
+    }
+}
+
+/// The chunk indices morsel `m` covers.
 fn chunk_morsel(chunks: usize, m: usize) -> std::ops::Range<usize> {
     let lo = m * MORSEL_CHUNKS;
     lo..chunks.min(lo + MORSEL_CHUNKS)
@@ -317,7 +316,7 @@ pub(crate) fn qualify_capped_range(
     );
 }
 
-/// [`qualify_capped`] over a candidate bitmap (chunk-position morsels, so
+/// [`qualify_capped`] over a candidate bitmap (chunk-range morsels, so
 /// rows enumerate ascending within and across morsels).
 pub(crate) fn qualify_capped_bitmap(
     preds: &[CompiledPredicate<'_>],
@@ -366,8 +365,8 @@ pub(crate) fn qualify_capped_slice(
     );
 }
 
-/// Dense binned-count accumulation over a qualified bitmap on `threads`
-/// workers: they fold chunk-position morsels into private per-cell `u64`
+/// Dense binned-count accumulation over a qualified bitmap of `rows` ids on
+/// `threads` workers: they fold chunk-range morsels into private per-cell `u64`
 /// count vectors, which merge by exact elementwise addition — claim order
 /// cannot show through. Grids failing the shared dense gate (and degenerate
 /// runs) take the sequential [`compiled::bin_counts_iter`] path unchanged.
@@ -375,11 +374,11 @@ pub(crate) fn bin_counts(
     grid: &BinGrid,
     geo: &[GeoPoint],
     qualified: &SelectionBitmap,
+    rows: usize,
     materialize: bool,
     threads: usize,
 ) -> BinnedAccum {
     let cells = grid.cell_count();
-    let rows = qualified.len();
     let chunks = qualified.chunk_count();
     let total = chunks.div_ceil(MORSEL_CHUNKS);
     if threads <= 1 || total <= 1 || !compiled::dense_grid_gate(cells, rows) {
@@ -409,23 +408,24 @@ pub(crate) fn bin_counts(
     compiled::dense_accum_finish(&counts, materialize)
 }
 
-/// [`compiled::gather_points`] over a qualified bitmap on `threads` workers:
-/// they collect `(id, point)` pairs for chunk-position morsels into private
-/// vectors, concatenated in morsel order.
+/// [`compiled::gather_points`] over a qualified bitmap of `rows` ids on
+/// `threads` workers: they collect `(id, point)` pairs for chunk-range morsels
+/// into private vectors, concatenated in morsel order.
 pub(crate) fn gather_points(
     qualified: &SelectionBitmap,
+    rows: usize,
     ids: Option<&[i64]>,
     geo: &[GeoPoint],
     threads: usize,
 ) -> Vec<(i64, GeoPoint)> {
     if threads <= 1 {
-        return compiled::gather_points(qualified.iter(), qualified.len(), ids, geo);
+        return compiled::gather_points(qualified.iter(), rows, ids, geo);
     }
     let chunks = qualified.chunk_count();
     let parts = run_morsels(chunks.div_ceil(MORSEL_CHUNKS), threads, |m| {
         compiled::gather_points(qualified.iter_chunks(chunk_morsel(chunks, m)), 0, ids, geo)
     });
-    let mut points = Vec::with_capacity(qualified.len());
+    let mut points = Vec::with_capacity(rows);
     for p in parts {
         points.extend_from_slice(&p);
     }

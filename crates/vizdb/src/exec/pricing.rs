@@ -18,9 +18,9 @@
 //! Its output is pinned against [`execute`](super::execute) field for field by
 //! `tests/exec_equivalence.rs::priced_time_equals_executed_time`.
 
-use crate::bitmap::{set_span, ChunkWriter, CHUNK_BITS, CHUNK_WORDS};
+use crate::bitmap::{set_span, SelectionBitmap, CHUNK_BITS, CHUNK_WORDS};
 use crate::exec::compiled::{self, CompiledPredicate};
-use crate::exec::executor::{lower_output, ExecTable, Output};
+use crate::exec::executor::{check_output, lower_output, ExecTable, Output};
 use crate::index::intersect_skip_charge;
 use crate::plan::PhysicalPlan;
 use crate::query::Query;
@@ -36,17 +36,18 @@ pub const MAX_PRICED_PREDICATES: usize = 4;
 ///
 /// Returns `None` — the caller executes instead — for anything the pass does
 /// not model or `execute` would not run on the pipeline: a join, an
-/// approximation rule, more than [`MAX_PRICED_PREDICATES`] predicates, a
-/// predicate or output column that cannot be lowered, a plan that names a
-/// predicate the query does not have, leaves one unevaluated, or scans an
-/// index that does not exist. It never raises an error itself.
+/// approximation rule, more than [`MAX_PRICED_PREDICATES`] predicates, an
+/// invalid bin grid, a predicate or output column that cannot be lowered, a
+/// plan that names a predicate the query does not have, leaves one
+/// unevaluated, or scans an index that does not exist. It never raises an
+/// error itself.
 pub fn price_plans(
     query: &Query,
     plans: &[PhysicalPlan],
     fact: &ExecTable<'_>,
 ) -> Option<Vec<WorkProfile>> {
     let k = query.predicate_count();
-    if k > MAX_PRICED_PREDICATES || query.join.is_some() {
+    if k > MAX_PRICED_PREDICATES || query.join.is_some() || check_output(query).is_err() {
         return None;
     }
     let mut lowered = Vec::with_capacity(k);
@@ -81,7 +82,8 @@ struct Cardinalities {
 
 /// The one pass: per chunk, one mask per predicate, the subset masks by AND
 /// (each from the subset without its lowest predicate, already computed), a
-/// popcount each.
+/// popcount each. A binned output keeps the full conjunction's masks, in the
+/// selection type the pipeline bins from.
 fn cardinalities(
     preds: &[CompiledPredicate<'_>],
     output: &Output<'_>,
@@ -92,20 +94,17 @@ fn cardinalities(
     let mut masks = vec![[0u64; CHUNK_WORDS]; subsets];
     let mut scratch: Vec<RecordId> = Vec::new();
     let mut selected = match output {
-        Output::Bins { .. } => Some(ChunkWriter::with_capacity(
-            (n as usize).div_ceil(CHUNK_BITS),
-        )),
+        Output::Bins { .. } => Some(SelectionBitmap::new(n as usize)),
         _ => None,
     };
-    let mut start: RecordId = 0;
-    while start < n {
-        let end = n.min(start.saturating_add(CHUNK_BITS as RecordId));
+    for chunk_id in 0..(n as usize).div_ceil(CHUNK_BITS) {
+        let span = compiled::chunk_rows(chunk_id, &(0..n));
         masks[0] = [0u64; CHUNK_WORDS];
-        set_span(&mut masks[0], 0, (end - start - 1) as usize);
+        set_span(&mut masks[0], 0, (span.end - span.start - 1) as usize);
         for (i, pred) in preds.iter().enumerate() {
             let words = &mut masks[1 << i];
             *words = [0u64; CHUNK_WORDS];
-            pred.fill_words(start, end, words, &mut scratch);
+            pred.fill_words(span.start, span.end, words, &mut scratch);
         }
         for s in 1..subsets {
             if s.is_power_of_two() {
@@ -120,15 +119,14 @@ fn cardinalities(
         for (count, mask) in rows.iter_mut().zip(&masks) {
             *count += compiled::popcount(mask);
         }
-        if let Some(writer) = &mut selected {
-            writer.push_words(start >> CHUNK_BITS.trailing_zeros(), &masks[subsets - 1]);
+        if let Some(dst) = selected.as_mut().and_then(|bits| bits.chunk_mut(chunk_id)) {
+            *dst = masks[subsets - 1];
         }
-        start = end;
     }
     let distinct_bins = match (output, selected) {
-        (Output::Bins { geo, grid }, Some(writer)) => {
-            let selected = writer.finish();
-            compiled::bin_counts_iter(grid, geo, selected.iter(), selected.len(), false)
+        (Output::Bins { geo, grid }, Some(selected)) => {
+            let selected_rows = rows[subsets - 1] as usize;
+            compiled::bin_counts_iter(grid, geo, selected.iter(), selected_rows, false)
                 .distinct_bins
         }
         _ => 0,

@@ -13,7 +13,8 @@
 use crate::error::{Error, Result};
 use crate::exec::compiled::sparse_bin_accum;
 use crate::exec::executor::{
-    execute_join, join_inputs, scan_indexes, ExecOutcome, ExecTable, IndexProbe, SampleRestriction,
+    check_output, execute_join, join_inputs, scan_indexes, ExecOutcome, ExecTable, IndexProbe,
+    SampleRestriction,
 };
 use crate::exec::result::QueryResult;
 use crate::index::intersect_adaptive;
@@ -34,6 +35,7 @@ pub(crate) fn execute(
     limit_rows: Option<usize>,
     materialize: bool,
 ) -> Result<ExecOutcome> {
+    check_output(query)?;
     let mut work = WorkProfile::default();
     let restriction = SampleRestriction::resolve(plan, fact)?;
 

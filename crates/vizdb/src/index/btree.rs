@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::bitmap::{BitmapBuilder, SelectionBitmap};
+use crate::bitmap::SelectionBitmap;
 use crate::index::{ScanStats, SecondaryIndex};
 use crate::types::RecordId;
 
@@ -176,11 +176,11 @@ impl BPlusTree {
     pub fn range_scan_bitmap(&self, lo: i64, hi: i64) -> (SelectionBitmap, ScanStats) {
         let mut stats = ScanStats::default();
         if self.leaves.is_empty() || lo > hi {
-            return (SelectionBitmap::new(), stats);
+            return (SelectionBitmap::default(), stats);
         }
-        // Record ids are row indices below the entry count, so the dense word
-        // array can be sized exactly up front — no growth during the leaf walk.
-        let mut builder = BitmapBuilder::with_universe(self.len);
+        // Record ids are row indices below the entry count, so the word array
+        // is sized once up front — no growth during the leaf walk.
+        let mut bits = SelectionBitmap::new(self.len);
         let mut matches = 0usize;
         let start_leaf = self.find_leaf(lo, &mut stats);
         for leaf in &self.leaves[start_leaf..] {
@@ -193,13 +193,13 @@ impl BPlusTree {
                     break;
                 }
                 if *k >= lo {
-                    builder.insert(*rid);
+                    bits.insert(*rid);
                     matches += 1;
                 }
             }
         }
         stats.matches = matches;
-        (builder.finish(), stats)
+        (bits, stats)
     }
 
     /// Exact number of entries with `lo <= key <= hi`, computed without visiting leaves

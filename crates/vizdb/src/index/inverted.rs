@@ -79,11 +79,12 @@ impl InvertedIndex {
     }
 
     /// [`InvertedIndex::lookup`] emitting a [`SelectionBitmap`] decoded block
-    /// by block — identical [`ScanStats`], no sorted id vector in between.
+    /// by block straight into its words — identical [`ScanStats`], no sorted
+    /// id vector in between.
     pub fn lookup_bitmap(&self, token: TokenId) -> (SelectionBitmap, ScanStats) {
         match self.postings.get(&token) {
             Some(list) => (list.to_bitmap(), Self::stats(list)),
-            None => (SelectionBitmap::new(), ScanStats::default()),
+            None => (SelectionBitmap::default(), ScanStats::default()),
         }
     }
 

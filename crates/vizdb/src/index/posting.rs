@@ -7,8 +7,9 @@
 //! shared word arena. Gaps are stored minus one, so a block of *consecutive*
 //! ids packs at width 0: no payload at all, just the directory entry. That is
 //! the common shape for low-cardinality tokens over clustered rows, and it is
-//! also what lets [`PostingList::to_bitmap`] emit whole run containers
-//! without touching individual ids.
+//! also what lets [`PostingList::to_bitmap`] and `combine_chunk` set a whole
+//! block's bits with one word-wide span fill, without touching individual
+//! ids.
 //!
 //! The directory makes three operations cheap:
 //!
@@ -16,9 +17,9 @@
 //!   `[first, last]` window cannot overlap the other list's current block is
 //!   skipped without decoding a single id (exponential directory search +
 //!   binary refine, the classic skip-pointer walk).
-//! - [`PostingList::to_bitmap`] decodes straight into 4096-bit chunk words,
-//!   which is how index scans hand selections to the executor without ever
-//!   materialising a sorted `Vec<RecordId>`.
+//! - [`PostingList::to_bitmap`] decodes straight into a dense
+//!   [`SelectionBitmap`], which is how index scans hand selections to the
+//!   executor without ever materialising a sorted `Vec<RecordId>`.
 //! - [`PostingList::combine_chunk`] does the same for *one* chunk, decoding
 //!   only the blocks whose windows overlap it — and none at all when they
 //!   hold more ids than the caller's budget. This is how a keyword predicate
@@ -26,7 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::bitmap::{set_bit, set_span, ChunkWriter, SelectionBitmap, CHUNK_WORDS};
+use crate::bitmap::{set_bit, set_span, SelectionBitmap, CHUNK_WORDS};
 use crate::types::RecordId;
 
 /// Maximum record ids per packed block.
@@ -185,58 +186,24 @@ impl PostingList {
         out
     }
 
-    /// Decodes into a [`SelectionBitmap`] without materialising an id vector.
-    /// Width-0 blocks (consecutive runs) fill whole chunk spans word-wide.
+    /// Decodes into a [`SelectionBitmap`] (sized to the largest id) without
+    /// materialising an id vector. A width-0 block (one consecutive run) is a
+    /// single word-wide span fill.
     pub fn to_bitmap(&self) -> SelectionBitmap {
-        let mut writer = ChunkWriter::new();
-        let mut cur: Option<u32> = None;
-        let mut chunk_words = [0u64; CHUNK_WORDS];
+        let top = self.blocks.last().map_or(0, |b| b.last as usize + 1);
+        let mut bits = SelectionBitmap::new(top);
         let mut buf = [0u32; BLOCK_IDS];
-        for bi in 0..self.blocks.len() {
-            let meta = self.blocks[bi];
+        for (bi, meta) in self.blocks.iter().enumerate() {
             if meta.width == 0 {
-                // One consecutive run: fill span-by-span across chunks.
-                let mut lo = meta.first;
-                loop {
-                    let chunk = lo >> CHUNK_SHIFT;
-                    if cur != Some(chunk) {
-                        if let Some(c) = cur {
-                            writer.push_words(c, &chunk_words);
-                            chunk_words = [0u64; CHUNK_WORDS];
-                        }
-                        cur = Some(chunk);
-                    }
-                    let chunk_end = (chunk << CHUNK_SHIFT) | OFFSET_MASK;
-                    let end = chunk_end.min(meta.last);
-                    set_span(
-                        &mut chunk_words,
-                        (lo & OFFSET_MASK) as usize,
-                        (end & OFFSET_MASK) as usize,
-                    );
-                    if end >= meta.last {
-                        break;
-                    }
-                    lo = end + 1;
-                }
+                bits.insert_span(meta.first, meta.last);
             } else {
                 let n = self.decode_block(bi, &mut buf);
-                for &rid in &buf[..n] {
-                    let chunk = rid >> CHUNK_SHIFT;
-                    if cur != Some(chunk) {
-                        if let Some(c) = cur {
-                            writer.push_words(c, &chunk_words);
-                            chunk_words = [0u64; CHUNK_WORDS];
-                        }
-                        cur = Some(chunk);
-                    }
-                    set_bit(&mut chunk_words, (rid & OFFSET_MASK) as usize);
+                for &rid in buf.iter().take(n) {
+                    bits.insert(rid);
                 }
             }
         }
-        if let Some(c) = cur {
-            writer.push_words(c, &chunk_words);
-        }
-        writer.finish()
+        bits
     }
 
     /// Combines the list's ids in chunk `chunk_id` (rows `chunk_id * 4096 ..

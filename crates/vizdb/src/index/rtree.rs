@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::bitmap::{BitmapBuilder, SelectionBitmap};
+use crate::bitmap::SelectionBitmap;
 use crate::index::{ScanStats, SecondaryIndex};
 use crate::types::{GeoPoint, GeoRect, RecordId};
 
@@ -43,13 +43,8 @@ impl RTree {
     /// Bulk-loads an R-tree with Sort-Tile-Recursive packing.
     pub fn build(entries: Vec<(GeoPoint, RecordId)>) -> Self {
         let len = entries.len();
-        if entries.is_empty() {
-            return Self { root: None, len: 0 };
-        }
-        let leaves = Self::pack_leaves(entries);
-        let root = Self::pack_upwards(leaves);
         Self {
-            root: Some(root),
+            root: Self::pack_upwards(Self::pack_leaves(entries)),
             len,
         }
     }
@@ -93,7 +88,8 @@ impl RTree {
         leaves
     }
 
-    fn pack_upwards(mut level: Vec<Node>) -> Node {
+    /// Packs `level` upwards into one root (`None` for no leaves).
+    fn pack_upwards(mut level: Vec<Node>) -> Option<Node> {
         while level.len() > 1 {
             // Sort nodes by MBR centre longitude before grouping (keeps siblings local).
             level.sort_by(|a, b| {
@@ -119,7 +115,7 @@ impl RTree {
             }
             level = next;
         }
-        level.into_iter().next().expect("non-empty level")
+        level.pop()
     }
 
     /// Minimum bounding rectangle of all indexed points (empty rect when empty).
@@ -178,21 +174,21 @@ impl RTree {
     /// order afterwards.
     pub fn range_scan_bitmap(&self, rect: &GeoRect) -> (SelectionBitmap, ScanStats) {
         let mut stats = ScanStats::default();
-        // Record ids are row indices below the entry count, so the dense word
-        // array can be sized exactly up front — no growth during the traversal.
-        let mut builder = BitmapBuilder::with_universe(self.len);
+        // Record ids are row indices below the entry count, so the word array
+        // is sized once up front — no growth during the traversal.
+        let mut bits = SelectionBitmap::new(self.len);
         let mut matches = 0usize;
         if let Some(root) = &self.root {
-            Self::scan_node_bitmap(root, rect, &mut builder, &mut matches, &mut stats);
+            Self::scan_node_bitmap(root, rect, &mut bits, &mut matches, &mut stats);
         }
         stats.matches = matches;
-        (builder.finish(), stats)
+        (bits, stats)
     }
 
     fn scan_node_bitmap(
         node: &Node,
         rect: &GeoRect,
-        builder: &mut BitmapBuilder,
+        bits: &mut SelectionBitmap,
         matches: &mut usize,
         stats: &mut ScanStats,
     ) {
@@ -204,13 +200,13 @@ impl RTree {
             NodeKind::Leaf { points, rids } => {
                 if rect.contains_rect(&node.mbr) {
                     for &rid in rids {
-                        builder.insert(rid);
+                        bits.insert(rid);
                     }
                     *matches += rids.len();
                 } else {
                     for (p, rid) in points.iter().zip(rids.iter()) {
                         if rect.contains(p) {
-                            builder.insert(*rid);
+                            bits.insert(*rid);
                             *matches += 1;
                         }
                     }
@@ -220,26 +216,26 @@ impl RTree {
                 for child in children {
                     if rect.contains_rect(&child.mbr) {
                         stats.nodes_visited += 1;
-                        Self::collect_all_bitmap(child, builder, matches);
+                        Self::collect_all_bitmap(child, bits, matches);
                     } else {
-                        Self::scan_node_bitmap(child, rect, builder, matches, stats);
+                        Self::scan_node_bitmap(child, rect, bits, matches, stats);
                     }
                 }
             }
         }
     }
 
-    fn collect_all_bitmap(node: &Node, builder: &mut BitmapBuilder, matches: &mut usize) {
+    fn collect_all_bitmap(node: &Node, bits: &mut SelectionBitmap, matches: &mut usize) {
         match &node.kind {
             NodeKind::Leaf { rids, .. } => {
                 for &rid in rids {
-                    builder.insert(rid);
+                    bits.insert(rid);
                 }
                 *matches += rids.len();
             }
             NodeKind::Internal { children } => {
                 for child in children {
-                    Self::collect_all_bitmap(child, builder, matches);
+                    Self::collect_all_bitmap(child, bits, matches);
                 }
             }
         }

@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::{Error, Result};
 use crate::types::{GeoRect, NumRange, TimeRange, Timestamp};
 
 /// One conjunctive filtering condition over a single attribute of the base table.
@@ -120,7 +121,22 @@ impl BinGrid {
         (self.cols as usize) * (self.rows as usize)
     }
 
-    /// Bin id of a point, or `None` when the point falls outside the extent.
+    /// Rejects a grid whose cells `u32` bin ids cannot number: one with no
+    /// column or no row, or with more than 2^32 cells. Executing a query
+    /// checks its grid before touching any row.
+    pub fn validate(&self) -> Result<()> {
+        let cells = u64::from(self.cols) * u64::from(self.rows);
+        if cells == 0 || cells > 1 << 32 {
+            return Err(Error::InvalidQuery(format!(
+                "a {} x {} bin grid has {cells} cells; bin ids number 1 to 2^32 cells",
+                self.cols, self.rows
+            )));
+        }
+        Ok(())
+    }
+
+    /// Bin id of a point, or `None` when the point falls outside the extent
+    /// (or the grid fails [`BinGrid::validate`]).
     pub fn bin_of(&self, lon: f64, lat: f64) -> Option<u32> {
         if self.extent.is_empty() {
             return None;
@@ -134,9 +150,9 @@ impl BinGrid {
         }
         let fx = (lon - self.extent.min_lon) / self.extent.width().max(f64::EPSILON);
         let fy = (lat - self.extent.min_lat) / self.extent.height().max(f64::EPSILON);
-        let col = ((fx * self.cols as f64) as u32).min(self.cols - 1);
-        let row = ((fy * self.rows as f64) as u32).min(self.rows - 1);
-        Some(row * self.cols + col)
+        let col = ((fx * self.cols as f64) as u32).min(self.cols.checked_sub(1)?);
+        let row = ((fy * self.rows as f64) as u32).min(self.rows.checked_sub(1)?);
+        row.checked_mul(self.cols)?.checked_add(col)
     }
 }
 
@@ -278,6 +294,22 @@ mod tests {
         assert_eq!(grid.bin_of(9.99, 9.99), Some(99));
         assert_eq!(grid.bin_of(5.0, 0.0), Some(5));
         assert_eq!(grid.bin_of(20.0, 5.0), None);
+    }
+
+    #[test]
+    fn degenerate_and_oversized_grids_are_rejected() {
+        let extent = GeoRect::new(0.0, 0.0, 10.0, 10.0);
+        for (cols, rows) in [(0, 8), (8, 0), (0, 0), (1 << 20, 1 << 13), (u32::MAX, 2)] {
+            let grid = BinGrid::new(extent, cols, rows);
+            assert!(matches!(grid.validate(), Err(Error::InvalidQuery(_))));
+            // No cell to land in, or a last cell past `u32::MAX`.
+            assert_eq!(grid.bin_of(10.0, 10.0), None);
+        }
+        for (cols, rows) in [(1, 1), (1 << 16, 1 << 16), (u32::MAX, 1)] {
+            assert_eq!(BinGrid::new(extent, cols, rows).validate(), Ok(()));
+        }
+        let widest = BinGrid::new(extent, 1 << 16, 1 << 16);
+        assert_eq!(widest.bin_of(10.0, 10.0), Some(u32::MAX));
     }
 
     #[test]

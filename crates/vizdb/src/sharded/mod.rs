@@ -484,7 +484,8 @@ impl ShardedBackend {
     /// Charges each successful shard execution's simulated time to the shard
     /// and to the tiles of that shard the query window overlapped (see
     /// [`rebalance`]). Replicated-table work is excluded: it cannot be
-    /// migrated, so it would only bias the hot/cold choice.
+    /// migrated, so it would only bias the hot/cold choice. The overlapped
+    /// tiles are bucketed by shard in one pass, before the ledger lock.
     fn record_work(&self, set: &ShardSet, query: &Query, successes: &[(usize, RunOutcome)]) {
         let Ok(part) = Self::partition_of(set, &query.table) else {
             return;
@@ -494,10 +495,11 @@ impl ShardedBackend {
         };
         let w = Self::query_window(query, attr);
         let tile_count = part.grid.tile_count();
+        let tiles = part.overlapped_tiles_by_shard(&w, set.shards.len());
         let mut ledger = self.work.lock();
         for (shard, outcome) in successes {
-            let tiles = part.overlapped_tiles_of_shard(&w, *shard);
-            ledger.record(&query.table, tile_count, *shard, &tiles, outcome.time_ms);
+            let tiles = tiles.get(*shard).map_or(&[][..], Vec::as_slice);
+            ledger.record(&query.table, tile_count, *shard, tiles, outcome.time_ms);
         }
     }
 

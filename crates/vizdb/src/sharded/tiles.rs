@@ -324,22 +324,31 @@ impl TablePartition {
         (0..shards).filter(|&s| hit[s]).collect()
     }
 
-    /// The tiles of `shard` the query window overlaps, with their row counts —
-    /// the attribution targets for per-tile work accounting.
-    pub fn overlapped_tiles_of_shard(&self, w: &QueryWindow, shard: usize) -> Vec<(usize, usize)> {
+    /// The tiles the query window overlaps, with their row counts, bucketed
+    /// by owning shard (row-major within a bucket) in one pass over the tile
+    /// span — the attribution targets for per-tile work accounting.
+    pub fn overlapped_tiles_by_shard(
+        &self,
+        w: &QueryWindow,
+        shards: usize,
+    ) -> Vec<Vec<(usize, usize)>> {
+        let mut by_shard = vec![Vec::new(); shards];
         let Some((tx0, tx1, ty0, ty1)) = self.grid.tile_span(w) else {
-            return Vec::new();
+            return by_shard;
         };
-        let mut tiles = Vec::new();
         for ty in ty0..=ty1 {
             for tx in tx0..=tx1 {
                 let tile = ty * self.grid.dim_lon as usize + tx;
-                if self.owner[tile] == shard {
-                    tiles.push((tile, self.tile_rows[tile]));
+                let (Some(&shard), Some(&rows)) = (self.owner.get(tile), self.tile_rows.get(tile))
+                else {
+                    continue;
+                };
+                if let Some(bucket) = by_shard.get_mut(shard) {
+                    bucket.push((tile, rows));
                 }
             }
         }
-        tiles
+        by_shard
     }
 
     /// All tiles currently owned by `shard`.
@@ -399,6 +408,48 @@ mod tests {
                 rows <= total / 4 + 500,
                 "shard {s} holds {rows} of {total} rows"
             );
+        }
+    }
+
+    /// One pass bucketing by owner yields, per shard, exactly the tiles (and
+    /// the order) a per-shard filter of the span does, so the work ledger's
+    /// per-tile additions are unchanged.
+    #[test]
+    fn overlapped_tiles_bucket_by_owner_in_span_order() {
+        let grid = TileGrid::new(GeoRect::new(-120.0, 30.0, -80.0, 50.0), 8, 8);
+        let tile_rows: Vec<usize> = (0..64).map(|t| (t * 7) % 11).collect();
+        let owner = assign_balanced(&tile_rows, &curve_order(8, 8), 3);
+        let part = TablePartition {
+            geo_attr: Some(0),
+            grid,
+            owner,
+            tile_rows,
+            shard_rows: Vec::new(),
+        };
+        for rect in [
+            GeoRect::new(-125.0, 25.0, -70.0, 55.0),
+            GeoRect::new(-110.0, 35.0, -95.0, 42.0),
+            GeoRect::new(-60.0, 30.0, -50.0, 40.0),
+        ] {
+            let mut w = QueryWindow::unconstrained();
+            w.narrow(&rect);
+            let buckets = part.overlapped_tiles_by_shard(&w, 3);
+            assert_eq!(buckets.len(), 3);
+            let span = grid.tile_span(&w);
+            for (shard, bucket) in buckets.iter().enumerate() {
+                let mut expected = Vec::new();
+                if let Some((tx0, tx1, ty0, ty1)) = span {
+                    for ty in ty0..=ty1 {
+                        for tx in tx0..=tx1 {
+                            let tile = ty * 8 + tx;
+                            if part.owner[tile] == shard {
+                                expected.push((tile, part.tile_rows[tile]));
+                            }
+                        }
+                    }
+                }
+                assert_eq!(bucket, &expected, "{rect:?} shard {shard}");
+            }
         }
     }
 

@@ -1,23 +1,27 @@
-//! Property tests: `SelectionBitmap` algebra against a sorted-`Vec<RecordId>`
+//! Property tests: the dense `SelectionBitmap` against a sorted-`Vec<RecordId>`
 //! reference model. The generated id sets are biased towards the shapes that
-//! stress container transitions — empty and full chunks, run-heavy spans, and
-//! ids hugging 4096-aligned chunk boundaries — so array/bitset/run
-//! canonicalisation is exercised from every side.
+//! stress word and chunk edges — empty and full chunks, run-heavy spans, the
+//! ids 0, 4095, 4096 and the last row of the universe, and ids hugging the
+//! other 4096-aligned chunk boundaries — and the bitmaps are built over
+//! universes of different sizes, so ANDs and equality cross universes.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use vizdb::bitmap::{BitmapBuilder, SelectionBitmap, CHUNK_BITS};
+use vizdb::bitmap::{SelectionBitmap, CHUNK_BITS};
 use vizdb::types::RecordId;
 
 const ID_SPAN: u32 = 6 * CHUNK_BITS as u32;
 
-/// Assembles an id set from sparse ids, dense runs and chunk-boundary probes.
+/// Assembles an id set from sparse ids, dense runs, chunk-boundary probes and
+/// the edge ids picked by `edges` (bit `i` adds `[0, 4095, 4096, last][i]`,
+/// `last` being the final row of an `ID_SPAN`-row table).
 fn assemble(
     sparse: BTreeSet<RecordId>,
     runs: &[(u32, u32)],
     boundaries: &[(u32, i64)],
+    edges: u8,
 ) -> BTreeSet<RecordId> {
     let mut set = sparse;
     for &(start, len) in runs {
@@ -30,6 +34,11 @@ fn assemble(
             set.insert(id as u32);
         }
     }
+    for (i, id) in [0, 4095, 4096, ID_SPAN - 1].into_iter().enumerate() {
+        if edges & (1 << i) != 0 {
+            set.insert(id);
+        }
+    }
     set
 }
 
@@ -37,60 +46,99 @@ fn to_vec(set: &BTreeSet<RecordId>) -> Vec<RecordId> {
     set.iter().copied().collect()
 }
 
+/// `ids` inserted one by one into a bitmap over rows `0..universe`.
+fn built_over(ids: &[RecordId], universe: usize) -> SelectionBitmap {
+    let mut bm = SelectionBitmap::new(universe);
+    for &id in ids {
+        bm.insert(id);
+    }
+    bm
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Iteration, `len`, `to_vec` and the chunk views against the model,
+    /// including `iter_chunks` over partial (and out-of-range) chunk ranges.
     #[test]
     fn roundtrip_iter_rank_select_contains(
         sparse in proptest::collection::btree_set(0u32..ID_SPAN, 0..80),
         runs in proptest::collection::vec((0u32..ID_SPAN, 1u32..700), 0..4),
         boundaries in proptest::collection::vec((1u32..6, -1i64..2), 0..6),
-        probe in 0u32..ID_SPAN,
+        edges in 0u8..16,
+        lo in 0usize..8,
+        width in 0usize..8,
     ) {
-        let set = assemble(sparse, &runs, &boundaries);
+        let set = assemble(sparse, &runs, &boundaries, edges);
         let ids = to_vec(&set);
         let bm = SelectionBitmap::from_sorted(&ids);
         prop_assert_eq!(bm.len(), ids.len());
         prop_assert_eq!(bm.is_empty(), ids.is_empty());
         prop_assert_eq!(bm.iter().collect::<Vec<_>>(), ids.clone());
         prop_assert_eq!(bm.to_vec(), ids.clone());
-        // rank(probe) = #ids strictly below probe; contains matches the set.
-        prop_assert_eq!(bm.rank(probe), ids.partition_point(|&id| id < probe));
-        prop_assert_eq!(bm.contains(probe), set.contains(&probe));
-        // select(k) is the k-th smallest id; select/rank are inverses.
-        for (k, &id) in ids.iter().enumerate() {
-            prop_assert_eq!(bm.select(k), Some(id));
-            prop_assert_eq!(bm.rank(id), k);
+        // The chunk views hold exactly the ids of their chunk.
+        for c in 0..bm.chunk_count() {
+            let words = bm.chunk(c).copied().unwrap_or([0; CHUNK_BITS / 64]);
+            let in_chunk: Vec<RecordId> = ids
+                .iter()
+                .copied()
+                .filter(|&id| id as usize / CHUNK_BITS == c)
+                .collect();
+            let from_words: Vec<RecordId> = (0..CHUNK_BITS)
+                .filter(|&off| words[off / 64] & (1 << (off % 64)) != 0)
+                .map(|off| (c * CHUNK_BITS + off) as RecordId)
+                .collect();
+            prop_assert_eq!(from_words, in_chunk);
         }
-        prop_assert_eq!(bm.select(ids.len()), None);
+        prop_assert!(bm.chunk(bm.chunk_count()).is_none());
+        // A partial chunk range enumerates the ids of those chunks, ascending.
+        let range = lo..lo + width;
+        let expected: Vec<RecordId> = ids
+            .iter()
+            .copied()
+            .filter(|&id| range.contains(&(id as usize / CHUNK_BITS)))
+            .collect();
+        prop_assert_eq!(bm.iter_chunks(range).collect::<Vec<_>>(), expected);
     }
 
+    /// Inserts in scrambled order (with duplicates, over any universe) give
+    /// the same set as `from_sorted`; so do span inserts of its runs.
     #[test]
     fn builder_matches_from_sorted(
         sparse in proptest::collection::btree_set(0u32..ID_SPAN, 0..80),
         runs in proptest::collection::vec((0u32..ID_SPAN, 1u32..700), 0..4),
         boundaries in proptest::collection::vec((1u32..6, -1i64..2), 0..6),
+        edges in 0u8..16,
+        universe in 0usize..(ID_SPAN as usize + 100),
         seed in 0u64..u64::MAX,
     ) {
-        let ids = to_vec(&assemble(sparse, &runs, &boundaries));
-        // Insert in a scrambled order (and with duplicates) — the builder must
-        // canonicalise to the same bitmap.
+        let ids = to_vec(&assemble(sparse, &runs, &boundaries, edges));
         let mut scrambled = ids.clone();
         let mut state = seed | 1;
         for i in (1..scrambled.len()).rev() {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             scrambled.swap(i, (state % (i as u64 + 1)) as usize);
         }
-        let mut builder = BitmapBuilder::new();
-        for &id in &scrambled {
-            builder.insert(id);
+        scrambled.extend(ids.iter().take(5)); // duplicates collapse
+        let built = built_over(&scrambled, universe);
+        prop_assert_eq!(built.to_vec(), ids.clone());
+        prop_assert_eq!(&built, &SelectionBitmap::from_sorted(&ids));
+        // Maximal runs of consecutive ids as span inserts.
+        let mut spans = SelectionBitmap::new(universe);
+        let mut i = 0;
+        while i < ids.len() {
+            let mut j = i;
+            while j + 1 < ids.len() && ids[j + 1] == ids[j] + 1 {
+                j += 1;
+            }
+            spans.insert_span(ids[i], ids[j]);
+            i = j + 1;
         }
-        for &id in scrambled.iter().take(5) {
-            builder.insert(id); // duplicates collapse
-        }
-        prop_assert_eq!(builder.finish(), SelectionBitmap::from_sorted(&ids));
+        prop_assert_eq!(spans, built);
     }
 
+    /// In-place AND against the model's intersection, in both orders and over
+    /// different universes; equality is set equality across universes.
     #[test]
     fn and_or_andnot_match_set_semantics(
         sparse_a in proptest::collection::btree_set(0u32..ID_SPAN, 0..80),
@@ -99,24 +147,27 @@ proptest! {
         sparse_b in proptest::collection::btree_set(0u32..ID_SPAN, 0..80),
         runs_b in proptest::collection::vec((0u32..ID_SPAN, 1u32..700), 0..4),
         bounds_b in proptest::collection::vec((1u32..6, -1i64..2), 0..6),
+        edges in (0u8..16, 0u8..16),
+        universes in (0usize..3 * CHUNK_BITS, 0usize..3 * CHUNK_BITS),
     ) {
-        let a = assemble(sparse_a, &runs_a, &bounds_a);
-        let b = assemble(sparse_b, &runs_b, &bounds_b);
-        let bma = SelectionBitmap::from_sorted(&to_vec(&a));
-        let bmb = SelectionBitmap::from_sorted(&to_vec(&b));
+        let a = assemble(sparse_a, &runs_a, &bounds_a, edges.0);
+        let b = assemble(sparse_b, &runs_b, &bounds_b, edges.1);
         let and: Vec<RecordId> = a.intersection(&b).copied().collect();
-        let or: Vec<RecordId> = a.union(&b).copied().collect();
-        let andnot: Vec<RecordId> = a.difference(&b).copied().collect();
-        prop_assert_eq!(bma.and(&bmb).to_vec(), and.clone());
-        prop_assert_eq!(bmb.and(&bma).to_vec(), and.clone());
-        prop_assert_eq!(bma.or(&bmb).to_vec(), or.clone());
-        prop_assert_eq!(bmb.or(&bma).to_vec(), or);
-        prop_assert_eq!(bma.andnot(&bmb).to_vec(), andnot);
-        // Canonical representation: equal sets compare equal as bitmaps no
-        // matter how they were computed (a ∧ b == a \ (b \ a) as sets... no —
-        // a ∧ b == a \ (a \ b)).
-        prop_assert_eq!(bma.and(&bmb), bma.andnot(&bma.andnot(&bmb)));
-        prop_assert_eq!(bma.and(&bmb), SelectionBitmap::from_sorted(&and));
+        let bma = built_over(&to_vec(&a), universes.0);
+        let bmb = built_over(&to_vec(&b), universes.1);
+        let mut ab = bma.clone();
+        ab.and_with(&bmb);
+        let mut ba = bmb.clone();
+        ba.and_with(&bma);
+        prop_assert_eq!(ab.to_vec(), and.clone());
+        prop_assert_eq!(ab.len(), and.len());
+        prop_assert_eq!(&ab, &ba);
+        prop_assert_eq!(&ab, &SelectionBitmap::from_sorted(&and));
+        // AND is idempotent and a subset of both sides.
+        let mut again = ab.clone();
+        again.and_with(&bma);
+        prop_assert_eq!(&again, &ab);
+        prop_assert_eq!(bma == bmb, a == b);
     }
 
     #[test]
@@ -124,14 +175,14 @@ proptest! {
         sparse in proptest::collection::btree_set(0u32..ID_SPAN, 0..80),
         runs in proptest::collection::vec((0u32..ID_SPAN, 1u32..700), 0..4),
         boundaries in proptest::collection::vec((1u32..6, -1i64..2), 0..6),
+        edges in 0u8..16,
         modulus in 2u32..7,
     ) {
-        let mut ids = to_vec(&assemble(sparse, &runs, &boundaries));
+        let mut ids = to_vec(&assemble(sparse, &runs, &boundaries, edges));
         let mut bm = SelectionBitmap::from_sorted(&ids);
         ids.retain(|id| id % modulus != 0);
         bm.retain(|id| id % modulus != 0);
         prop_assert_eq!(bm.to_vec(), ids.clone());
-        // Re-canonicalised: equal to a fresh build of the same set.
         prop_assert_eq!(bm, SelectionBitmap::from_sorted(&ids));
     }
 
@@ -140,9 +191,7 @@ proptest! {
         let bm = SelectionBitmap::full(n);
         prop_assert_eq!(bm.len(), n);
         prop_assert_eq!(bm.to_vec(), (0..n as RecordId).collect::<Vec<_>>());
-        if n > 0 {
-            prop_assert!(bm.contains(n as RecordId - 1));
-        }
-        prop_assert!(!bm.contains(n as RecordId));
+        prop_assert_eq!(bm.chunk_count(), n.div_ceil(CHUNK_BITS));
+        prop_assert_eq!(bm.iter().last(), n.checked_sub(1).map(|l| l as RecordId));
     }
 }

@@ -126,15 +126,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random predicates, every hint-forced plan shape, every output kind —
-    /// on small one-chunk tables with a dense keyword, and on 4,097- and
-    /// 9,001-row tables with the keyword on every 2nd or every 97th row, so
-    /// the posting-list keyword kernels (both sides of the refinement budget)
-    /// and multi-chunk cursors run against the oracle at 1 and 4 threads.
+    /// on small one-chunk tables with a dense keyword, and on 0-, 1-, 4,096-,
+    /// 4,097- and 9,001-row tables with the keyword on every 2nd or every
+    /// 97th row, so the posting-list keyword kernels (both sides of the
+    /// refinement budget), multi-chunk selections and the edge universes — no
+    /// word, one word, exactly one chunk — run against the oracle at 1 and 4
+    /// threads. The edge tables run every hint mask.
     #[test]
     fn compiled_matches_interpreter_across_plans(
         points in proptest::collection::vec((-120.0f64..-70.0, 25.0f64..48.0), 30..180),
         keyword_every in 2usize..6,
-        size in 0usize..4,
+        size in 0usize..7,
         seed in 0u64..u64::MAX,
         sparse_keyword in 0u8..2,
         narrow in 0u8..2,
@@ -149,11 +151,12 @@ proptest! {
         let (points, keyword_every, threads) = match size {
             0 | 1 => (points, keyword_every, vec![None]),
             _ => (
-                scatter([4097, 9001][size - 2], seed),
+                scatter([0, 1, 4096, 4097, 9001][size - 2], seed),
                 if sparse_keyword == 1 { 97 } else { 2 },
                 vec![Some(1), Some(4)],
             ),
         };
+        let masks = if (2..5).contains(&size) { 0..8 } else { mask..mask + 1 };
         let db = build_db(&points, keyword_every);
         // Timestamps are `5 × row`: scale the bound to the table.
         let t_hi = t_hi * (points.len() as i64).max(180) / 180;
@@ -166,22 +169,24 @@ proptest! {
             .filter(Predicate::keyword(3, "hot"))
             .filter(Predicate::time_range(1, 0, t_hi))
             .filter(Predicate::spatial_range(2, rect));
-        let ro = RewriteOption::hinted(HintSet::with_mask(mask));
-        // Count output plus a residual-only numeric predicate.
-        let count_q = base
-            .clone()
-            .filter(Predicate::numeric_range(4, 0.0, score_hi))
-            .output(OutputKind::Count);
-        assert_engines_agree_at(&db, &count_q, &ro, &threads);
-        // Scatterplot output.
-        let points_q = base.clone().output(OutputKind::Points { id_attr: 0, point_attr: 2 });
-        assert_engines_agree_at(&db, &points_q, &ro, &threads);
-        // Heatmap output (dense-grid binning on the compiled path).
-        let heatmap_q = base.output(OutputKind::BinnedCounts {
-            point_attr: 2,
-            grid: BinGrid::new(rect, cols, rows),
-        });
-        assert_engines_agree_at(&db, &heatmap_q, &ro, &threads);
+        for mask in masks {
+            let ro = RewriteOption::hinted(HintSet::with_mask(mask));
+            // Count output plus a residual-only numeric predicate.
+            let count_q = base
+                .clone()
+                .filter(Predicate::numeric_range(4, 0.0, score_hi))
+                .output(OutputKind::Count);
+            assert_engines_agree_at(&db, &count_q, &ro, &threads);
+            // Scatterplot output.
+            let points_q = base.clone().output(OutputKind::Points { id_attr: 0, point_attr: 2 });
+            assert_engines_agree_at(&db, &points_q, &ro, &threads);
+            // Heatmap output (dense-grid binning on the compiled path).
+            let heatmap_q = base.clone().output(OutputKind::BinnedCounts {
+                point_attr: 2,
+                grid: BinGrid::new(rect, cols, rows),
+            });
+            assert_engines_agree_at(&db, &heatmap_q, &ro, &threads);
+        }
     }
 
     /// Approximation rules and row caps take the capped row-at-a-time path;

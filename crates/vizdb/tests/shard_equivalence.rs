@@ -199,3 +199,61 @@ proptest! {
         }
     }
 }
+
+/// A heatmap grid with no column, no row or more than 2^32 cells has no valid
+/// bin ids. Every path that executes or prices the query rejects it with
+/// `InvalidQuery` before touching a row, instead of panicking on the bin
+/// arithmetic or answering with bins that do not exist: `run` at 1 and 4
+/// threads, `run_reference`, `execution_time_ms` priced (exact rewrites) and
+/// executed (capped or approximate ones), and the sharded backend.
+#[test]
+fn degenerate_and_oversized_grids_are_rejected_on_every_path() {
+    use vizdb::approx::ApproxRule;
+    use vizdb::hints::{HintSet, RewriteOption};
+    use vizdb::Error;
+
+    let points: Vec<(f64, f64)> = (0..1000)
+        .map(|i| (-120.0 + (i % 50) as f64, 25.0 + (i % 23) as f64))
+        .collect();
+    let table = build_table(&points, 3);
+    let db = unsharded(&table);
+    let backend = sharded(&table, 4);
+    let rect = GeoRect::new(-125.0, 20.0, -60.0, 50.0);
+    let rewrites = [
+        RewriteOption::original(),
+        RewriteOption::hinted(HintSet::with_mask(0b01)),
+        RewriteOption::hinted(HintSet::with_mask(0b11)),
+        RewriteOption::approximate(
+            HintSet::none(),
+            ApproxRule::TableSample { fraction_pct: 50 },
+        ),
+    ];
+    let rejected = |what: &str, result: vizdb::Result<()>| {
+        assert!(
+            matches!(result, Err(Error::InvalidQuery(_))),
+            "{what}: {result:?}"
+        );
+    };
+    for (cols, rows) in [(0, 16), (16, 0), (1 << 20, 1 << 13)] {
+        let grid = BinGrid::new(rect, cols, rows);
+        let base = Query::select("events")
+            .filter(Predicate::time_range(1, 0, 5_000))
+            .filter(Predicate::spatial_range(2, rect))
+            .output(OutputKind::BinnedCounts {
+                point_attr: 2,
+                grid,
+            });
+        for query in [base.clone(), base.limit(100)] {
+            for ro in &rewrites {
+                let what = format!("{cols}x{rows} {ro:?} limit {:?}", query.limit);
+                db.clear_caches();
+                rejected(&what, db.execution_time_ms(&query, ro).map(drop));
+                rejected(&what, db.run(&query, ro).map(drop));
+                rejected(&what, db.run_with_threads(&query, ro, 4).map(drop));
+                rejected(&what, db.run_reference(&query, ro).map(drop));
+                rejected(&what, backend.execution_time_ms(&query, ro).map(drop));
+                rejected(&what, backend.run(&query, ro).map(drop));
+            }
+        }
+    }
+}

@@ -208,17 +208,18 @@ const RULES: &[(&str, PathPredicate, LineCheck)] = &[
 /// request fan-out. All of `exec/` is covered by prefix — the pipeline, its
 /// kernels, the morsel driver, the lattice pricing pass (which answers "cannot
 /// price" with `None`, never a panic) and the reference interpreter it falls back to
-/// — and so is `sched.rs`, whose queue and crew every worker loop runs on.
+/// — and so is `index/`, whose scans fill the selection `bitmap.rs` carries to
+/// the sink, and `sched.rs`, whose queue and crew every worker loop runs on.
 /// `online.rs` and the `mdp/env.rs` episode it advances run on every request
 /// that misses the decision cache.
 fn is_hot_path(path: &str) -> bool {
     path.starts_with("crates/vizdb/src/exec/")
+        || path.starts_with("crates/vizdb/src/index/")
         || path.starts_with("crates/vizdb/src/sharded/")
         || matches!(
             path,
             "crates/vizdb/src/bitmap.rs"
                 | "crates/vizdb/src/sched.rs"
-                | "crates/vizdb/src/index/posting.rs"
                 | "crates/core/src/online.rs"
                 | "crates/core/src/mdp/env.rs"
                 | "crates/serve/src/server.rs"
@@ -570,8 +571,16 @@ mod tests {
             "mod",
         ];
         let paths = exec.map(|module| format!("crates/vizdb/src/exec/{module}.rs"));
+        let selection = [
+            "bitmap.rs",
+            "index/btree.rs",
+            "index/rtree.rs",
+            "index/inverted.rs",
+        ]
+        .map(|module| format!("crates/vizdb/src/{module}"));
         for path in paths
             .iter()
+            .chain(&selection)
             .chain([&"crates/vizdb/src/sched.rs".to_string()])
         {
             let findings = scan_source(path, bad);
