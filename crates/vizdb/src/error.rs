@@ -49,11 +49,11 @@ pub enum Error {
     /// An internal invariant was violated (a bug in the caller or in this crate);
     /// returned instead of panicking on the online planning hot path.
     Internal(String),
-    /// A shard worker job panicked while executing a query. The panic payload is
-    /// captured so partial-failure handling can surface *which* shard blew up and
-    /// why, instead of a generic internal error.
+    /// A shard panicked while executing a query. The panic payload is captured
+    /// so partial-failure handling can surface *which* shard blew up and why,
+    /// instead of a generic internal error.
     ShardPanic {
-        /// The shard whose job panicked.
+        /// The shard that panicked.
         shard: usize,
         /// The stringified panic payload.
         payload: String,
@@ -115,7 +115,7 @@ impl fmt::Display for Error {
             Error::InvalidRewrite(msg) => write!(f, "invalid rewrite option: {msg}"),
             Error::Internal(msg) => write!(f, "internal invariant violated: {msg}"),
             Error::ShardPanic { shard, payload } => {
-                write!(f, "shard {shard} worker panicked: {payload}")
+                write!(f, "shard {shard} panicked: {payload}")
             }
             Error::ShardTimeout { shard } => {
                 write!(f, "shard {shard} exceeded its execution deadline")

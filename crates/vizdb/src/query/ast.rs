@@ -121,15 +121,25 @@ impl BinGrid {
         (self.cols as usize) * (self.rows as usize)
     }
 
-    /// Rejects a grid whose cells `u32` bin ids cannot number: one with no
-    /// column or no row, or with more than 2^32 cells. Executing a query
-    /// checks its grid before touching any row.
+    /// Rejects a grid whose cells `u32` bin ids cannot number — one with no
+    /// column or no row, or with more than 2^32 cells — and one whose extent
+    /// has a NaN or infinite coordinate, which no cell width can divide.
+    /// Executing a query checks its grid before touching any row.
     pub fn validate(&self) -> Result<()> {
         let cells = u64::from(self.cols) * u64::from(self.rows);
         if cells == 0 || cells > 1 << 32 {
             return Err(Error::InvalidQuery(format!(
                 "a {} x {} bin grid has {cells} cells; bin ids number 1 to 2^32 cells",
                 self.cols, self.rows
+            )));
+        }
+        let e = &self.extent;
+        if ![e.min_lon, e.min_lat, e.max_lon, e.max_lat]
+            .into_iter()
+            .all(f64::is_finite)
+        {
+            return Err(Error::InvalidQuery(format!(
+                "bin grid extent {e:?} has a non-finite coordinate"
             )));
         }
         Ok(())
@@ -310,6 +320,32 @@ mod tests {
         }
         let widest = BinGrid::new(extent, 1 << 16, 1 << 16);
         assert_eq!(widest.bin_of(10.0, 10.0), Some(u32::MAX));
+    }
+
+    /// `bin_of` would put every row into cell 0 under a NaN extent coordinate
+    /// and into column 0 under an infinite one, so `validate` refuses both on
+    /// every corner.
+    #[test]
+    fn non_finite_extents_are_rejected() {
+        let finite = GeoRect::new(0.0, 0.0, 10.0, 10.0);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for corner in 0..4 {
+                let mut extent = finite;
+                let coord = match corner {
+                    0 => &mut extent.min_lon,
+                    1 => &mut extent.min_lat,
+                    2 => &mut extent.max_lon,
+                    _ => &mut extent.max_lat,
+                };
+                *coord = bad;
+                let grid = BinGrid::new(extent, 8, 8);
+                assert!(
+                    matches!(grid.validate(), Err(Error::InvalidQuery(_))),
+                    "{extent:?}"
+                );
+            }
+        }
+        assert_eq!(BinGrid::new(finite, 8, 8).validate(), Ok(()));
     }
 
     #[test]

@@ -1,18 +1,16 @@
 //! The two scheduling protocols every concurrent loop in the workspace calls.
 //!
-//! * [`WorkQueue`] — a closeable FIFO for work that arrives over time and is
-//!   run by threads that outlive any one producer: the shard pool's persistent
-//!   workers and `MalivaServer::serve_queued`'s admission queue.
+//! * [`WorkQueue`] — a closeable FIFO for work that arrives over time while
+//!   its consumers wait: `MalivaServer::serve_queued`'s admission queue.
 //! * The **claim-cursor crew** ([`run_morsels`], [`run_morsels_fold`]) — a
 //!   fixed range `0..total` handed out by a `fetch_add` cursor to scoped
 //!   workers that borrow the caller's data: the morsel kernels of
 //!   [`crate::exec::parallel`] and `MalivaServer::serve_batch`.
 //!
-//! They stay two because the lifetimes differ. Crew workers borrow
-//! (`&[CompiledPredicate]`, `&MalivaServer`), so without `unsafe` they must be
-//! scoped threads; shard jobs must run on persistent threads, because a
-//! request fans out to only one or two extra shards and a spawn per fan-out
-//! would cost more than the job.
+//! They stay two because the work differs. A crew's range is known up front,
+//! so a lock-free cursor hands it out; a queue's items arrive one by one, so a
+//! consumer must park until the next item or the close. A sharded request
+//! uses neither: its shards run one after another on the thread serving it.
 //!
 //! Both sit on the [`crate::sync`] facade and are model-checked as the
 //! production types (`tests/model_queue.rs`, `tests/model_crew.rs`; loomlite

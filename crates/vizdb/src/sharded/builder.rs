@@ -5,7 +5,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use super::pool::ShardWorkerPool;
 use super::rebalance::WorkLedger;
 use super::resilience::{CircuitBreaker, FaultCounters, FaultPolicy};
 use super::tiles::{PartitionScheme, TablePartition};
@@ -166,8 +165,7 @@ impl ShardedBackendBuilder {
         Ok(())
     }
 
-    /// Finalises the backend, spawning the persistent worker pool (one thread
-    /// per shard) that serves every subsequent multi-shard request.
+    /// Finalises the backend.
     pub fn build(self) -> ShardedBackend {
         self.build_wrapped(|_, shard| shard)
     }
@@ -190,8 +188,6 @@ impl ShardedBackendBuilder {
             .map(|(i, db)| wrap(i, Arc::new(db) as Arc<dyn QueryBackend>))
             .collect();
         let n = shards.len();
-        let pool = ShardWorkerPool::start(n);
-        let breakers = Arc::new((0..n).map(|_| CircuitBreaker::new()).collect::<Vec<_>>());
         ShardedBackend {
             inner: RwLock::with_name(
                 ShardSet {
@@ -200,9 +196,8 @@ impl ShardedBackendBuilder {
                 },
                 "sharded.inner",
             ),
-            pool,
-            breakers,
-            faults: Arc::new(FaultCounters::default()),
+            breakers: (0..n).map(|_| CircuitBreaker::new()).collect(),
+            faults: FaultCounters::default(),
             policy: self.policy,
             scheme: self.scheme,
             config: self.config,

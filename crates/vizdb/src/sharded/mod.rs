@@ -17,32 +17,29 @@
 //!   to the unsharded result; `Count`s sum; `Points` of a partitioned table are
 //!   returned in the **canonical distributed order** (sorted by `(id, lon, lat)`)
 //!   on every routing path, single- or multi-shard;
-//! * the merged execution time is the **slowest overlapping shard** (the shards
-//!   run in parallel), which is where the speedup over a single backend comes
-//!   from — and balanced tile runs keep the slowest shard close to the mean
-//!   even on metro-hotspot workloads that saturate one equal-width stripe;
+//! * the merged execution time is the **slowest overlapping shard** (on the
+//!   simulated clock the shards run in parallel), which is where the speedup
+//!   over a single backend comes from — and balanced tile runs keep the
+//!   slowest shard close to the mean even on metro-hotspot workloads that
+//!   saturate one equal-width stripe. In wall-clock time the routed shards run
+//!   one after another on the thread serving the request: concurrency across
+//!   requests comes from the serving layer's workers, and a hand-off to other
+//!   threads per shard cost more than it overlapped;
 //! * selectivity-style estimates compose as **row-count-weighted sums** over the
 //!   shards, so QTE feature vectors and Q-agent decisions stay well-defined: the
 //!   weighted sum of true selectivities is *exactly* the global true selectivity,
 //!   and estimated selectivities/cardinalities aggregate the per-shard optimizer
 //!   estimates the same way a distributed planner would.
 //!
-//! Two things balance load at run time on top of the static layout:
-//!
-//! * every multi-shard request's extra shard jobs go through **one shared
-//!   FIFO** drained by the persistent worker pool (see [`pool`]): any idle
-//!   worker takes the oldest job whichever shard it is for, so concurrent wide
-//!   viewports on one hot shard spread across the workers with no per-shard
-//!   queue to get stuck behind;
-//! * [`ShardedBackend::rebalance`] **splits hot shards** — cumulative
-//!   simulated-work accounting per shard and per tile (see [`rebalance`])
-//!   feeds an explicit, deterministic migration of the hottest shard's
-//!   most-worked tiles to the coldest shard, rebuilding both from the master
-//!   tables via [`Table::subset`] and bumping [`QueryBackend::generation`] so
-//!   decision caches invalidate. In-flight requests finish on the layout they
-//!   routed on (the shard set is behind an `RwLock`), and per-shard faults
-//!   during or after a migration reuse the same degrade-and-recover machinery
-//!   as any other shard fault.
+//! On top of the static layout, [`ShardedBackend::rebalance`] **splits hot
+//! shards** at run time: cumulative simulated-work accounting per shard and
+//! per tile (see [`rebalance`]) feeds an explicit, deterministic migration of
+//! the hottest shard's most-worked tiles to the coldest shard, rebuilding both
+//! from the master tables via [`Table::subset`] and bumping
+//! [`QueryBackend::generation`] so decision caches invalidate. In-flight
+//! requests finish on the layout they routed on (the shard set is behind an
+//! `RwLock`), and per-shard faults during or after a migration reuse the same
+//! degrade-and-recover machinery as any other shard fault.
 //!
 //! The legacy 1-D equal-width longitude layout survives as
 //! [`PartitionScheme::Lon1D`] (the degenerate `shards × 1` grid) for baselines
@@ -84,13 +81,11 @@
 
 mod builder;
 mod merge;
-mod pool;
 mod rebalance;
 mod resilience;
 mod tiles;
 
 pub use builder::ShardedBackendBuilder;
-pub use pool::{ShardJob, ShardWorkerPool};
 pub use rebalance::RebalanceReport;
 pub use resilience::{BreakerState, CircuitBreaker, FaultCounters, FaultPolicy};
 pub use tiles::PartitionScheme;
@@ -104,7 +99,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{mpsc, Mutex, RwLock};
+use crate::sync::{Mutex, RwLock};
 
 use crate::approx::ApproxRule;
 use crate::backend::{ExecContext, FaultStats, QueryBackend, ResultQuality, RunReport};
@@ -118,31 +113,6 @@ use crate::schema::TableSchema;
 use crate::stats::TableStats;
 use crate::storage::Table;
 use crate::timing::WorkProfile;
-
-/// Observability over the persistent pool and the fault-handling layer around
-/// it. The pool fields come from one [`ShardWorkerPool::snapshot`] and the
-/// fault fields from one [`FaultCounters::snapshot`], so each group is
-/// internally untorn; the two groups are two lock acquisitions and may straddle
-/// a concurrent request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolStats {
-    /// Worker threads (fixed at build time, one per shard).
-    pub workers: usize,
-    /// Jobs dispatched to the pool since build.
-    pub jobs_dispatched: u64,
-    /// Jobs dispatched but not yet picked up by a worker.
-    pub queued: usize,
-    /// Shard attempts retried after a transient fault.
-    pub retries: u64,
-    /// Shard executions cut off by a deadline.
-    pub timeouts: u64,
-    /// Shard attempts that panicked (caught, surfaced as [`Error::ShardPanic`]).
-    pub panics: u64,
-    /// Requests refused because a shard's breaker was open.
-    pub breaker_open_skips: u64,
-    /// Current breaker state of every shard.
-    pub breaker_states: Vec<BreakerState>,
-}
 
 /// The shard decorator hook: wraps each per-shard backend at build time and at
 /// every rebalance-driven rebuild.
@@ -166,13 +136,10 @@ pub struct ShardedBackend {
     /// The shard set and table layouts. Read-locked across request execution,
     /// write-locked only by [`Self::rebalance`].
     inner: RwLock<ShardSet>,
-    /// Spawned once at build; fed per-request through one shared queue (see
-    /// [`pool`]).
-    pool: ShardWorkerPool,
-    /// One circuit breaker per shard, shared with in-flight pool jobs.
-    breakers: Arc<Vec<CircuitBreaker>>,
+    /// One circuit breaker per shard, shared by every serving thread.
+    breakers: Vec<CircuitBreaker>,
     /// Cumulative fault counters across every request since build.
-    faults: Arc<FaultCounters>,
+    faults: FaultCounters,
     policy: FaultPolicy,
     /// The partitioning scheme geo tables were laid out under (fixed at build).
     scheme: PartitionScheme,
@@ -292,23 +259,10 @@ impl ShardedBackend {
         Self::route(&self.inner.read(), query)
     }
 
-    /// Observability over the persistent pool and the fault-handling layer: see
-    /// [`PoolStats`]. The worker count is fixed at build time — no per-request
-    /// thread spawns — while the job and fault counters grow with traffic.
-    pub fn pool_stats(&self) -> PoolStats {
-        // One consistent snapshot per counter group (see the PoolStats docs).
-        let faults = self.faults.snapshot();
-        let (jobs_dispatched, queued) = self.pool.snapshot();
-        PoolStats {
-            workers: self.pool.workers(),
-            jobs_dispatched,
-            queued,
-            retries: faults.retries,
-            timeouts: faults.timeouts,
-            panics: faults.panics,
-            breaker_open_skips: faults.breaker_open_skips,
-            breaker_states: self.breakers.iter().map(|b| b.state()).collect(),
-        }
+    /// The current circuit-breaker state of every shard, in shard order. The
+    /// fault counters beside them are [`QueryBackend::fault_stats`].
+    pub fn breaker_states(&self) -> Vec<BreakerState> {
+        self.breakers.iter().map(CircuitBreaker::state).collect()
     }
 
     /// The retry/backoff/breaker policy this backend runs under.
@@ -334,71 +288,26 @@ impl ShardedBackend {
         self.work.lock().shard_requests.clone()
     }
 
-    /// Runs `call` on every target shard, each behind its [`ShardGuard`], and
-    /// returns the results in target order. The caller executes the first
-    /// target itself — it would otherwise sit blocked in the receive loop —
-    /// and the persistent pool the rest: a multi-shard request pays one queue
-    /// handshake per *additional* shard instead of a thread spawn + join, and
-    /// a single-shard one touches neither pool nor channel.
+    /// Runs `call` on every target shard in route order on the calling thread,
+    /// each behind its [`ShardGuard`], and returns the results in target
+    /// order. Every target runs even after one fails, so breakers, fault
+    /// counters and the per-shard arrival sequence see the whole request (see
+    /// the module docs for why the shards share one thread).
     fn fan_out(
         &self,
         shards: &[Arc<dyn QueryBackend>],
         targets: &[usize],
         call: &ShardCall<'_>,
     ) -> Vec<(usize, Result<RunOutcome>)> {
-        let policy = self.policy;
-        let inline = |shard: usize| {
-            let breaker = &self.breakers[shard];
+        let attempt = |shard: usize| {
             let guard = ShardGuard {
                 shard,
-                breaker,
-                policy,
+                breaker: &self.breakers[shard],
+                policy: self.policy,
             };
-            guard.attempt(shards[shard].as_ref(), call)
+            (shard, guard.attempt(shards[shard].as_ref(), call))
         };
-        if let [shard] = *targets {
-            return vec![(shard, inline(shard))];
-        }
-        // Pool jobs are `'static`: they share one clone of the request (cheap
-        // next to executing it on every overlapping shard).
-        let env = Arc::new((
-            call.query.clone(),
-            call.ro.clone(),
-            Arc::clone(&self.breakers),
-            Arc::clone(call.counters),
-        ));
-        let deadline_ms = call.deadline_ms;
-        let (tx, rx) = mpsc::channel();
-        for (slot, &shard) in targets.iter().enumerate().skip(1) {
-            let (env, backend, tx) = (Arc::clone(&env), Arc::clone(&shards[shard]), tx.clone());
-            self.pool.dispatch(Box::new(move || {
-                let (query, ro, breakers, counters) = &*env;
-                let call = ShardCall {
-                    query,
-                    ro,
-                    deadline_ms,
-                    counters,
-                };
-                let guard = ShardGuard {
-                    shard,
-                    breaker: &breakers[shard],
-                    policy,
-                };
-                let _ = tx.send((slot, guard.attempt(backend.as_ref(), &call)));
-            }));
-        }
-        drop(tx);
-        let mut slots: Vec<Option<Result<RunOutcome>>> = Vec::new();
-        slots.resize_with(targets.len(), || None);
-        slots[0] = Some(inline(targets[0]));
-        // The receive loop ends when every job's sender is gone; a worker that
-        // died mid-job (infrastructure, not a query error) leaves its slot empty.
-        while let Ok((slot, result)) = rx.recv() {
-            slots[slot] = Some(result);
-        }
-        let lost = || Err(Error::Internal("a shard worker never reported back".into()));
-        let filled = slots.into_iter().map(|slot| slot.unwrap_or_else(lost));
-        targets.iter().copied().zip(filled).collect()
+        targets.iter().copied().map(attempt).collect()
     }
 
     /// The single execution entry behind both [`QueryBackend::run`] (strict:
@@ -414,7 +323,7 @@ impl ShardedBackend {
         ctx: &ExecContext,
         degrade: bool,
     ) -> Result<RunReport> {
-        let local = Arc::new(FaultCounters::default());
+        let local = FaultCounters::default();
         let inner = self.execute_inner(query, ro, ctx, degrade, &local);
         let faults = local.snapshot();
         self.faults.absorb(&faults);
@@ -431,7 +340,7 @@ impl ShardedBackend {
         ro: &RewriteOption,
         ctx: &ExecContext,
         degrade: bool,
-        local: &Arc<FaultCounters>,
+        local: &FaultCounters,
     ) -> Result<(RunOutcome, ResultQuality)> {
         // Held across the whole execution: in-flight requests complete on the
         // layout they routed on; a concurrent rebalance waits for the write
@@ -855,9 +764,7 @@ impl QueryBackend for ShardedBackend {
     }
 
     fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
-        // The slowest-overlapping-shard time is a *simulated* quantity — computing
-        // it needs no real parallelism, so don't pay a thread spawn per estimate
-        // (planning and metrics loops call this once per hint set per query).
+        // The slowest overlapping shard, as `run` merges simulated times.
         let set = self.inner.read();
         let targets = Self::route(&set, query)?;
         let mut slowest = 0.0f64;
@@ -1397,23 +1304,15 @@ mod tests {
         assert!(single.build().run(&q, &ro).is_ok());
     }
 
-    /// The worker pool is spawned once at build time and survives across
-    /// sequential multi-shard requests: the worker count never changes (no
-    /// per-request spawn), the job counter grows by exactly the fan-out of each
-    /// request, and every request merges byte-identically to the unsharded
-    /// reference.
+    /// Sequential multi-shard requests each merge byte-identically to the
+    /// unsharded reference, and clean traffic leaves every breaker closed and
+    /// every fault counter at zero.
     #[test]
-    fn worker_pool_survives_sequential_multi_shard_requests() {
+    fn sequential_multi_shard_requests_merge_byte_identically() {
         let table = build_table(2_000);
         let reference = single_db(&table);
         let backend = sharded(&table, 4);
-        let stats = backend.pool_stats();
-        assert_eq!(stats.workers, 4, "one persistent worker per shard");
-        assert_eq!(stats.jobs_dispatched, 0, "no jobs before the first request");
-        assert_eq!(stats.breaker_states, vec![BreakerState::Closed; 4]);
-
         let ro = RewriteOption::original();
-        let mut expected_jobs = 0u64;
         for (i, rect) in [
             GeoRect::new(-125.0, 25.0, -66.0, 49.0),
             GeoRect::new(-121.0, 25.0, -75.0, 49.0),
@@ -1428,83 +1327,216 @@ mod tests {
                 targets.len() > 1,
                 "test premise: request {i} must fan out to several shards"
             );
-            // The caller runs the first target inline; the rest are pool jobs.
-            expected_jobs += targets.len() as u64 - 1;
             assert_eq!(
                 reference.run(&q, &ro).unwrap().result,
                 backend.run(&q, &ro).unwrap().result,
                 "request {i} diverged"
             );
-            let now = backend.pool_stats();
-            assert_eq!(
-                now.workers, 4,
-                "request {i} must not spawn additional workers"
-            );
-            assert_eq!(
-                now.jobs_dispatched, expected_jobs,
-                "request {i} must dispatch exactly one job per overlapping shard beyond the \
-                 caller-executed one"
-            );
-            assert_eq!(
-                now.queued, 0,
-                "no job may still be queued after its request returned"
-            );
         }
+        assert_eq!(backend.breaker_states(), vec![BreakerState::Closed; 4]);
+        assert_eq!(backend.fault_stats(), FaultStats::default());
     }
 
-    /// Single-shard routes bypass the pool entirely (the query runs inline on
-    /// the caller's thread), so narrow viewports dispatch no jobs.
+    /// A narrow viewport routed to a single shard answers exactly what the
+    /// unsharded backend does.
     #[test]
-    fn single_shard_routes_bypass_the_pool() {
+    fn single_shard_routes_match_the_unsharded_backend() {
         let table = build_table(1_000);
-        // The 1-D stripes make "one overlapping shard" easy to construct; the
-        // bypass logic is scheme-independent.
+        let reference = single_db(&table);
+        // The 1-D stripes make "one overlapping shard" easy to construct.
         let backend = sharded_1d(&table, 8);
         let narrow = viewport(GeoRect::new(-120.3, 25.0, -119.9, 49.0), 4, 4);
         assert_eq!(backend.overlapping_shards(&narrow).unwrap().len(), 1);
-        backend.run(&narrow, &RewriteOption::original()).unwrap();
+        let ro = RewriteOption::original();
         assert_eq!(
-            backend.pool_stats().jobs_dispatched,
-            0,
-            "inline route must not enqueue"
+            reference.run(&narrow, &ro).unwrap().result,
+            backend.run(&narrow, &ro).unwrap().result
         );
+    }
+
+    /// A shard decorator that logs `(shard, thread)` for every `run` and
+    /// delegates everything else.
+    struct ThreadRecorder {
+        inner: Arc<dyn QueryBackend>,
+        shard: usize,
+        runs: Arc<Mutex<Vec<(usize, std::thread::ThreadId)>>>,
+    }
+
+    impl QueryBackend for ThreadRecorder {
+        fn table_names(&self) -> Vec<String> {
+            self.inner.table_names()
+        }
+        fn row_count(&self, table: &str) -> Result<usize> {
+            self.inner.row_count(table)
+        }
+        fn schema(&self, table: &str) -> Result<TableSchema> {
+            self.inner.schema(table)
+        }
+        fn stats(&self, table: &str) -> Result<TableStats> {
+            self.inner.stats(table)
+        }
+        fn indexed_columns(&self, table: &str) -> Result<Vec<usize>> {
+            self.inner.indexed_columns(table)
+        }
+        fn sample_len(&self, table: &str, fraction_pct: u32) -> Result<usize> {
+            self.inner.sample_len(table, fraction_pct)
+        }
+        fn plan(&self, query: &Query, ro: &RewriteOption) -> Result<PhysicalPlan> {
+            self.inner.plan(query, ro)
+        }
+        fn run(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
+            let me = std::thread::current().id();
+            self.runs.lock().push((self.shard, me));
+            self.inner.run(query, ro)
+        }
+        fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
+            self.inner.execution_time_ms(query, ro)
+        }
+        fn estimated_cardinality(&self, query: &Query) -> Result<f64> {
+            self.inner.estimated_cardinality(query)
+        }
+        fn estimated_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
+            self.inner.estimated_selectivity(table, pred)
+        }
+        fn true_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
+            self.inner.true_selectivity(table, pred)
+        }
+        fn sample_selectivity(
+            &self,
+            table: &str,
+            pred: &Predicate,
+            fraction_pct: u32,
+        ) -> Result<(f64, usize)> {
+            self.inner.sample_selectivity(table, pred, fraction_pct)
+        }
+        fn render_sql(&self, query: &Query, ro: &RewriteOption) -> String {
+            self.inner.render_sql(query, ro)
+        }
+        fn generation(&self) -> u64 {
+            self.inner.generation()
+        }
+        fn clear_caches(&self) {
+            self.inner.clear_caches()
+        }
+        fn cache_entry_counts(&self) -> (usize, usize) {
+            self.inner.cache_entry_counts()
+        }
+    }
+
+    /// A wide viewport runs each routed shard exactly once, in route order, on
+    /// the thread that called `run` — no shard is handed to another thread —
+    /// and still merges byte-identically to the unsharded database.
+    #[test]
+    fn every_routed_shard_runs_once_on_the_calling_thread() {
+        let table = build_table(2_000);
+        let reference = single_db(&table);
+        let mut b = ShardedBackend::builder(DbConfig::default(), 4);
+        b.register_table(&table).unwrap();
+        b.build_all_indexes("events").unwrap();
+        let runs = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&runs);
+        let backend = b.build_wrapped(move |shard, inner| {
+            Arc::new(ThreadRecorder {
+                inner,
+                shard,
+                runs: Arc::clone(&log),
+            })
+        });
+        let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
+        let targets = backend.overlapping_shards(&q).unwrap();
+        assert!(
+            targets.len() > 1,
+            "test premise: the viewport must fan out, got {targets:?}"
+        );
+        let ro = RewriteOption::original();
+        assert_eq!(
+            reference.run(&q, &ro).unwrap().result,
+            backend.run(&q, &ro).unwrap().result
+        );
+        let me = std::thread::current().id();
+        let expected: Vec<_> = targets.iter().map(|&shard| (shard, me)).collect();
+        assert_eq!(*runs.lock(), expected);
+    }
+
+    /// A strict request whose first target fails still runs every later
+    /// target once, so their breakers and arrival counts see the request; the
+    /// failing target is attempted once plus its retry budget.
+    #[test]
+    fn a_failing_first_target_does_not_skip_the_rest() {
+        let table = build_table(2_000);
+        let mut b = ShardedBackend::builder(DbConfig::default(), 4);
+        b.register_table(&table).unwrap();
+        let runs = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&runs);
+        let plan = Arc::new(FaultPlan::with_rates(3, 0.0, 1.0, 0.0, 0.0));
+        let backend = b.build_wrapped(move |shard, inner| {
+            let inner: Arc<dyn QueryBackend> = if shard == 0 {
+                Arc::new(FaultInjectingBackend::new(inner, Arc::clone(&plan), shard))
+            } else {
+                inner
+            };
+            Arc::new(ThreadRecorder {
+                inner,
+                shard,
+                runs: Arc::clone(&log),
+            })
+        });
+        let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
+        let targets = backend.overlapping_shards(&q).unwrap();
+        assert_eq!(targets.first(), Some(&0), "test premise: {targets:?}");
+        let err = backend.run(&q, &RewriteOption::original()).unwrap_err();
+        assert!(err.is_shard_fault(), "{err:?}");
+        let attempts = 1 + backend.fault_policy().max_retries as usize;
+        let expected: Vec<usize> = std::iter::repeat_n(0, attempts)
+            .chain(targets[1..].iter().copied())
+            .collect();
+        let ran: Vec<usize> = runs.lock().iter().map(|&(shard, _)| shard).collect();
+        assert_eq!(ran, expected);
     }
 
     /// A shard whose every attempt panics surfaces a structured
     /// [`Error::ShardPanic`] naming the shard, with the panic and retry counts
-    /// visible in `pool_stats()` — not a silent catch or a generic internal
-    /// error.
+    /// visible in `fault_stats()` — not a silent catch or a generic internal
+    /// error. Checked with the panicking shard as the first target of a
+    /// two-shard route and as the second.
     #[test]
     fn panics_surface_as_structured_shard_panic() {
         let table = build_table(1_000);
-        let mut b = ShardedBackend::builder(DbConfig::default(), 2);
-        b.register_table(&table).unwrap();
-        // Default policy retries twice, so all three attempts must panic.
-        let plan = Arc::new(
-            FaultPlan::none(1)
-                .script(0, 0, FaultKind::Panic)
-                .script(0, 1, FaultKind::Panic)
-                .script(0, 2, FaultKind::Panic),
-        );
-        let backend = b.build_wrapped(move |i, shard| {
-            if i == 0 {
-                Arc::new(FaultInjectingBackend::new(shard, Arc::clone(&plan), i))
-            } else {
-                shard
-            }
-        });
         let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
-        let err = backend.run(&q, &RewriteOption::original()).unwrap_err();
-        match err {
-            Error::ShardPanic { shard, payload } => {
-                assert_eq!(shard, 0);
-                assert!(payload.contains("injected fault"), "payload: {payload}");
+        for panicking in [0usize, 1] {
+            let mut b = ShardedBackend::builder(DbConfig::default(), 2);
+            b.register_table(&table).unwrap();
+            // Default policy retries twice, so all three attempts must panic.
+            let plan = Arc::new(
+                FaultPlan::none(1)
+                    .script(panicking, 0, FaultKind::Panic)
+                    .script(panicking, 1, FaultKind::Panic)
+                    .script(panicking, 2, FaultKind::Panic),
+            );
+            let backend = b.build_wrapped(move |i, shard| {
+                if i == panicking {
+                    Arc::new(FaultInjectingBackend::new(shard, Arc::clone(&plan), i))
+                } else {
+                    shard
+                }
+            });
+            assert_eq!(
+                backend.overlapping_shards(&q).unwrap(),
+                vec![0, 1],
+                "test premise: both shards are routed, shard 0 first"
+            );
+            let err = backend.run(&q, &RewriteOption::original()).unwrap_err();
+            match err {
+                Error::ShardPanic { shard, payload } => {
+                    assert_eq!(shard, panicking);
+                    assert!(payload.contains("injected fault"), "payload: {payload}");
+                }
+                other => panic!("expected ShardPanic, got {other:?}"),
             }
-            other => panic!("expected ShardPanic, got {other:?}"),
+            let stats = backend.fault_stats();
+            assert_eq!(stats.panics, 3, "every attempt's panic is counted");
+            assert_eq!(stats.retries, 2, "the retry budget was spent");
         }
-        let stats = backend.pool_stats();
-        assert_eq!(stats.panics, 3, "every attempt's panic is counted");
-        assert_eq!(stats.retries, 2, "the retry budget was spent");
     }
 
     /// A transient fault on one attempt is retried and the request still
@@ -1693,7 +1725,7 @@ mod tests {
         // Request 1: shard 1 fails, breaker opens (threshold 1).
         let r1 = backend.run_with_context(&q, &ro, &ctx).unwrap();
         assert!(r1.quality.is_degraded());
-        assert_eq!(backend.pool_stats().breaker_states[1], BreakerState::Open);
+        assert_eq!(backend.breaker_states()[1], BreakerState::Open);
 
         // Request 2: refused at the breaker — the shard sees no arrival.
         let r2 = backend.run_with_context(&q, &ro, &ctx).unwrap();
@@ -1704,10 +1736,7 @@ mod tests {
         // re-closes the circuit at full quality.
         let r3 = backend.run_with_context(&q, &ro, &ctx).unwrap();
         assert_eq!(r3.quality, ResultQuality::Full);
-        assert_eq!(
-            backend.pool_stats().breaker_states,
-            vec![BreakerState::Closed; 2]
-        );
+        assert_eq!(backend.breaker_states(), vec![BreakerState::Closed; 2]);
     }
 
     /// When a missing shard has a pre-built sample, the degraded path answers

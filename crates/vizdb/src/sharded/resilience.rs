@@ -6,8 +6,6 @@
 //! breakers, an `Err` carries no `RunReport` to return counters in, and
 //! breakers must survive `rebalance()`'s re-wrap of rebuilt shards.
 
-use std::sync::Arc;
-
 use crate::backend::{FaultStats, QueryBackend};
 use crate::db::RunOutcome;
 use crate::error::{Error, Result};
@@ -172,9 +170,10 @@ impl CircuitBreaker {
 ///
 /// All six counters live behind **one** mutex so [`FaultCounters::snapshot`]
 /// returns a single consistent [`FaultStats`]: with per-field atomics a
-/// snapshot taken during a concurrent fan-out could tear, e.g. observing a
-/// retry's failure counted but not the timeout it became. Public so the
-/// model-check suite can pin that contract; not part of the stable API.
+/// snapshot taken while another serving thread records or absorbs could tear,
+/// e.g. observing a retry's failure counted but not the timeout it became.
+/// Public so the model-check suite can pin that contract; not part of the
+/// stable API.
 #[derive(Debug, Default)]
 pub struct FaultCounters {
     inner: Mutex<FaultStats>,
@@ -208,16 +207,15 @@ impl FaultCounters {
 pub(super) struct ShardCall<'a> {
     pub query: &'a Query,
     pub ro: &'a RewriteOption,
-    /// Shards run in parallel, so each gets the full remaining slice.
+    /// Shards run in parallel on the simulated clock, so each gets the full
+    /// remaining slice.
     pub deadline_ms: Option<f64>,
-    /// The request's own counters (reported in its `RunReport`); an `Arc`
-    /// because pool jobs outlive the borrow and take a clone.
-    pub counters: &'a Arc<FaultCounters>,
+    /// The request's own counters (reported in its `RunReport`).
+    pub counters: &'a FaultCounters,
 }
 
-/// The fault handling in front of one shard. Runs inline on the caller's
-/// thread for the first target and inside pool jobs for the rest, so it
-/// borrows only shared (`Arc`ed or `Sync`) state.
+/// The fault handling in front of one shard, run on the request's own thread
+/// for every target it routes to.
 pub(super) struct ShardGuard<'a> {
     pub shard: usize,
     pub breaker: &'a CircuitBreaker,

@@ -1,8 +1,7 @@
 //! Model-check suite for `vizdb::sched::WorkQueue` — the closeable FIFO behind
-//! the shard worker pool and `MalivaServer::serve_queued` — and for what the
-//! pool adds on top (panic isolation, join-on-drop), all on the production
-//! types. A lost wakeup (on push or close) parks a consumer forever, which
-//! the checker reports as a deadlock.
+//! `MalivaServer::serve_queued`'s admission queue — on the production type.
+//! A lost wakeup (on push or close) parks a consumer forever, which the
+//! checker reports as a deadlock.
 //!
 //! Compiled only under `RUSTFLAGS='--cfg maliva_model_check'`; see
 //! `model_sync.rs` for the mechanics.
@@ -13,9 +12,7 @@ use std::sync::Arc;
 
 use loomlite::{explore, Config};
 use vizdb::sched::WorkQueue;
-use vizdb::sync::atomic::{AtomicU64, Ordering};
 use vizdb::sync::thread;
-use vizdb::ShardWorkerPool;
 
 /// Pops until the queue reports closed-and-drained.
 fn drain(queue: &WorkQueue<usize>) -> Vec<usize> {
@@ -112,50 +109,6 @@ fn concurrent_producers_and_untorn_snapshots() {
         all.sort_unstable();
         assert_eq!(all, vec![0, 1]);
         assert_eq!(queue.snapshot(), (2, 0));
-    });
-    report.assert_ok();
-}
-
-/// The pool: every job dispatched to two workers runs exactly once — on
-/// whichever pops it — before `Drop` returns.
-#[test]
-fn pool_runs_every_job_exactly_once_and_joins_on_drop() {
-    let report = explore(Config::random(13, 1000), || {
-        let pool = ShardWorkerPool::start(2);
-        let runs: Vec<Arc<AtomicU64>> = (0..3).map(|_| Arc::new(AtomicU64::new(0))).collect();
-        for counter in &runs {
-            let counter = Arc::clone(counter);
-            pool.dispatch(Box::new(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        assert_eq!(pool.snapshot().0, 3);
-        drop(pool);
-        for (job, counter) in runs.iter().enumerate() {
-            assert_eq!(counter.load(Ordering::SeqCst), 1, "job {job}");
-        }
-    });
-    report.assert_ok();
-}
-
-/// Panic isolation: a panicking job must not take its worker down — the worker
-/// runs the next job and still joins cleanly on drop.
-#[test]
-fn worker_survives_a_panicking_job() {
-    let report = explore(Config::random(17, 1000), || {
-        let pool = ShardWorkerPool::start(1);
-        let ran = Arc::new(AtomicU64::new(0));
-        pool.dispatch(Box::new(|| panic!("job blew up")));
-        let r = Arc::clone(&ran);
-        pool.dispatch(Box::new(move || {
-            r.fetch_add(1, Ordering::SeqCst);
-        }));
-        drop(pool);
-        assert_eq!(
-            ran.load(Ordering::SeqCst),
-            1,
-            "the worker died with the panicking job"
-        );
     });
     report.assert_ok();
 }

@@ -1,6 +1,7 @@
 //! Model-check suite for the sharded backend's fault layer: the per-shard
-//! circuit breaker and the shared fault counters. (The worker pool is a
-//! `WorkQueue` consumer and is checked in `model_queue.rs`.)
+//! circuit breaker and the shared fault counters. A request runs its shards
+//! on its own thread, so the concurrency here is across requests: every
+//! serving thread shares the backend's breakers and cumulative counters.
 //!
 //! Compiled only under `RUSTFLAGS='--cfg maliva_model_check'`; see
 //! `model_sync.rs` for the mechanics.

@@ -201,10 +201,11 @@ proptest! {
 }
 
 /// A heatmap grid with no column, no row or more than 2^32 cells has no valid
-/// bin ids. Every path that executes or prices the query rejects it with
+/// bin ids, and one whose extent has a NaN or infinite coordinate has no cell
+/// width. Every path that executes or prices the query rejects it with
 /// `InvalidQuery` before touching a row, instead of panicking on the bin
-/// arithmetic or answering with bins that do not exist: `run` at 1 and 4
-/// threads, `run_reference`, `execution_time_ms` priced (exact rewrites) and
+/// arithmetic or counting rows into bins they do not fall in: `run` at 1 and
+/// 4 threads, `run_reference`, `execution_time_ms` priced (exact rewrites) and
 /// executed (capped or approximate ones), and the sharded backend.
 #[test]
 fn degenerate_and_oversized_grids_are_rejected_on_every_path() {
@@ -234,8 +235,23 @@ fn degenerate_and_oversized_grids_are_rejected_on_every_path() {
             "{what}: {result:?}"
         );
     };
-    for (cols, rows) in [(0, 16), (16, 0), (1 << 20, 1 << 13)] {
-        let grid = BinGrid::new(rect, cols, rows);
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let grids = [
+        BinGrid::new(rect, 0, 16),
+        BinGrid::new(rect, 16, 0),
+        BinGrid::new(rect, 1 << 20, 1 << 13),
+        BinGrid::new(GeoRect::new(nan, nan, nan, nan), 8, 8),
+        BinGrid::new(GeoRect::new(-inf, 25.0, inf, 49.0), 8, 8),
+        BinGrid::new(GeoRect::new(-125.0, -inf, -60.0, 50.0), 8, 8),
+        BinGrid {
+            extent: GeoRect {
+                max_lon: nan,
+                ..rect
+            },
+            ..BinGrid::new(rect, 8, 8)
+        },
+    ];
+    for grid in grids {
         let base = Query::select("events")
             .filter(Predicate::time_range(1, 0, 5_000))
             .filter(Predicate::spatial_range(2, rect))
@@ -245,7 +261,7 @@ fn degenerate_and_oversized_grids_are_rejected_on_every_path() {
             });
         for query in [base.clone(), base.limit(100)] {
             for ro in &rewrites {
-                let what = format!("{cols}x{rows} {ro:?} limit {:?}", query.limit);
+                let what = format!("{grid:?} {ro:?} limit {:?}", query.limit);
                 db.clear_caches();
                 rejected(&what, db.execution_time_ms(&query, ro).map(drop));
                 rejected(&what, db.run(&query, ro).map(drop));

@@ -618,7 +618,7 @@ mod tests {
     #[test]
     fn mixed_arc_import_still_trips_the_facade_rule() {
         let src = "use std::sync::{Arc, Mutex};\n";
-        let findings = scan_source("crates/vizdb/src/sharded/pool.rs", src);
+        let findings = scan_source("crates/vizdb/src/sharded/resilience.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "sync-facade");
     }
