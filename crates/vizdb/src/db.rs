@@ -415,30 +415,9 @@ impl Database {
             if rows == 0 {
                 return Ok(0.0);
             }
-            let attr = pred.attr();
-            let count = match pred {
-                Predicate::KeywordContains { keyword, .. } => match entry.inverted.get(&attr) {
-                    Some(index) => match entry.table.dictionary().lookup(keyword) {
-                        Some(token) => index.count(token),
-                        None => 0,
-                    },
-                    None => self.scan_count(entry, pred)?,
-                },
-                Predicate::TimeRange { range, .. } => match entry.btree.get(&attr) {
-                    Some(index) => index.range_count(range.start, range.end),
-                    None => self.scan_count(entry, pred)?,
-                },
-                Predicate::NumericRange { range, .. } => match entry.btree.get(&attr) {
-                    Some(index) => {
-                        let (lo, hi) = exec::numeric_probe_keys(&entry.table, attr, range);
-                        index.range_count(lo, hi)
-                    }
-                    None => self.scan_count(entry, pred)?,
-                },
-                Predicate::SpatialRange { rect, .. } => match entry.rtree.get(&attr) {
-                    Some(index) => index.range_count(rect),
-                    None => self.scan_count(entry, pred)?,
-                },
+            let count = match exec::IndexProbe::resolve(pred, &entry.exec_table()) {
+                Ok(probe) => probe.count(),
+                Err(_) => self.scan_count(entry, pred)?,
             };
             Ok(count as f64 / rows as f64)
         })
@@ -532,7 +511,8 @@ impl Database {
     /// Prices `ro` together with every hint set of `query` in one shared pass
     /// over the table ([`exec::price_plans`]), caches all of their times and
     /// returns `ro`'s. All exact rewrites select the same rows, so the pass costs
-    /// about one sequential-scan execution however many plans it prices — and
+    /// at most about one sequential-scan execution however many plans it prices
+    /// (each predicate's mask comes from its kernel or its cheaper index walk) — and
     /// whoever asks about one rewrite of a query (a QTE, training, the viability
     /// count) goes on to ask about its siblings. `None` when the rewrite is not
     /// exact, the query joins, is capped or has more than

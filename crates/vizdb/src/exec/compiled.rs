@@ -37,7 +37,7 @@ use crate::bitmap::{set_span, SelectionBitmap, CHUNK_BITS, CHUNK_WORDS};
 use crate::error::Result;
 use crate::exec::executor::ExecTable;
 use crate::index::posting::{ChunkOp, PostingList};
-use crate::query::{BinGrid, Predicate};
+use crate::query::{BinGrid, CellMap, Predicate};
 use crate::storage::{Table, TextColumn};
 use crate::timing::WorkProfile;
 use crate::types::{GeoPoint, GeoRect, NumRange, RecordId, TimeRange, Timestamp, TokenId};
@@ -133,10 +133,10 @@ impl CompiledPredicate<'_> {
                 None => false,
             },
             CompiledPredicate::Time { col, range } => range.contains(col[rid]),
-            CompiledPredicate::NumericInt { col, range } => range.contains(col[rid] as f64),
-            CompiledPredicate::NumericFloat { col, range } => range.contains(col[rid]),
-            CompiledPredicate::NumericTimestamp { col, range } => range.contains(col[rid] as f64),
-            CompiledPredicate::Spatial { col, rect } => rect.contains(&col[rid]),
+            CompiledPredicate::NumericInt { col, range } => within(col[rid] as f64, *range),
+            CompiledPredicate::NumericFloat { col, range } => within(col[rid], *range),
+            CompiledPredicate::NumericTimestamp { col, range } => within(col[rid] as f64, *range),
+            CompiledPredicate::Spatial { col, rect } => inside(col[rid], *rect),
         }
     }
 
@@ -150,7 +150,8 @@ impl CompiledPredicate<'_> {
     /// of one 4096-row chunk, setting the bit of each matching row in `words`
     /// (bit index = `rid - chunk_base`, where the chunk base is `start` rounded
     /// down to a [`CHUNK_BITS`] boundary). The range kernels go through the
-    /// SIMD-explicit [`fill_range_kernel`] (4×u64 unrolled word packing); the
+    /// SIMD-explicit [`fill_range_kernel`] (4×u64 unrolled word packing) with
+    /// branch-free row tests ([`time_window`], [`within`], [`inside`]); the
     /// keyword kernel decodes the chunk's ids from its posting list when one
     /// is bound (with no budget: a chunk's ids never outnumber its rows, and
     /// decoding them beats sweeping every row's tokens), and otherwise reuses
@@ -195,28 +196,31 @@ impl CompiledPredicate<'_> {
                 }
             }
             CompiledPredicate::Time { col, range } => {
-                fill_range_kernel(col, start, end, base, words, |v| range.contains(v))
+                if let Some(test) = time_window(range) {
+                    fill_range_kernel(col, start, end, base, words, test)
+                }
             }
             CompiledPredicate::NumericInt { col, range } => {
-                fill_range_kernel(col, start, end, base, words, |v| range.contains(v as f64))
+                fill_range_kernel(col, start, end, base, words, |v| within(v as f64, *range))
             }
             CompiledPredicate::NumericFloat { col, range } => {
-                fill_range_kernel(col, start, end, base, words, |v| range.contains(v))
+                fill_range_kernel(col, start, end, base, words, |v| within(v, *range))
             }
             CompiledPredicate::NumericTimestamp { col, range } => {
-                fill_range_kernel(col, start, end, base, words, |v| range.contains(v as f64))
+                fill_range_kernel(col, start, end, base, words, |v| within(v as f64, *range))
             }
             CompiledPredicate::Spatial { col, rect } => {
-                fill_range_kernel(col, start, end, base, words, |p| rect.contains(&p))
+                fill_range_kernel(col, start, end, base, words, |p| inside(p, *rect))
             }
         }
     }
 
     /// Re-evaluates the predicate for every set bit of one chunk's `words`
-    /// (rows `chunk_base + bit`, `survivors` of them), clearing the bits that
-    /// fail. The residual analogue of [`CompiledPredicate::filter`] for bitmap
-    /// selections. A keyword with a bound posting list ANDs the chunk's ids
-    /// into `words` instead, unless that would decode more than
+    /// (rows `chunk_base + bit`, `survivors` of them), keeping the bits that
+    /// pass: each word is replaced by a keep-mask its set bits' results are
+    /// ORed into. The residual analogue of [`CompiledPredicate::filter`] for
+    /// bitmap selections. A keyword with a bound posting list ANDs the
+    /// chunk's ids into `words` instead, unless that would decode more than
     /// [`POSTING_IDS_PER_SURVIVOR`] ids per survivor.
     #[inline]
     fn refine_words(&self, chunk_base: RecordId, survivors: u64, words: &mut [u64; CHUNK_WORDS]) {
@@ -233,14 +237,14 @@ impl CompiledPredicate<'_> {
         }
         for (wi, word) in words.iter_mut().enumerate() {
             let mut w = *word;
+            let mut keep = 0u64;
             while w != 0 {
                 let bit = w.trailing_zeros();
                 let rid = chunk_base + ((wi as RecordId) << 6) + bit;
-                if !self.eval(rid) {
-                    *word &= !(1u64 << bit);
-                }
+                keep |= u64::from(self.eval(rid)) << bit;
                 w &= w - 1;
             }
+            *word = keep;
         }
     }
 
@@ -271,6 +275,32 @@ impl CompiledPredicate<'_> {
             }
         }
     }
+}
+
+/// [`TimeRange::contains`] as one unsigned compare, `v − start ≤ end − start`
+/// in wrapping arithmetic: a `v` below `start` wraps past any width. `None`
+/// for an inverted range (`start > end`, whose width would wrap too), which
+/// matches no row, so the kernel sets no bits for it.
+#[inline(always)]
+fn time_window(range: &TimeRange) -> Option<impl Fn(Timestamp) -> bool + Copy> {
+    let (start, width) = (range.start, range.end.wrapping_sub(range.start) as u64);
+    (range.start <= range.end).then_some(move |v: Timestamp| v.wrapping_sub(start) as u64 <= width)
+}
+
+/// [`NumRange::contains`] without short-circuiting: both compares always run,
+/// so a row loop carries no data-dependent branch. NaN fails both.
+#[inline(always)]
+fn within(v: f64, range: NumRange) -> bool {
+    (v >= range.lo) & (v <= range.hi)
+}
+
+/// [`GeoRect::contains`] without short-circuiting (see [`within`]).
+#[inline(always)]
+fn inside(p: GeoPoint, rect: GeoRect) -> bool {
+    (p.lon >= rect.min_lon)
+        & (p.lon <= rect.max_lon)
+        & (p.lat >= rect.min_lat)
+        & (p.lat <= rect.max_lat)
 }
 
 /// SIMD-explicit range kernel for [`CompiledPredicate::fill_words`]: packs the
@@ -726,18 +756,20 @@ pub(crate) fn dense_grid_gate(cells: usize, row_count: usize) -> bool {
 /// Accumulates one record-id stream into a dense per-cell count vector — the
 /// sequential dense path and each parallel worker's private partial both run
 /// exactly this loop, so merged partials (u64 sums are exact and commutative)
-/// equal one sequential pass bit for bit.
+/// equal one sequential pass bit for bit. A row outside the extent adds 0 to
+/// a clamped slot ([`CellMap::slot`]) instead of branching; `counts` holds
+/// one slot per grid cell.
 pub(crate) fn dense_bin_into(
     grid: &BinGrid,
     geo: &[GeoPoint],
     qualifying: impl Iterator<Item = RecordId>,
     counts: &mut [u64],
 ) {
+    let cells = CellMap::new(grid);
     for rid in qualifying {
         let p = geo[rid as usize];
-        if let Some(bin) = grid.bin_of(p.lon, p.lat) {
-            counts[bin as usize] += 1;
-        }
+        let (slot, weight) = cells.slot(p.lon, p.lat);
+        counts[slot] += weight;
     }
 }
 
@@ -772,8 +804,9 @@ pub(crate) fn sparse_bin_accum(
     materialize: bool,
 ) -> BinnedAccum {
     let mut bins: HashMap<u32, u64> = HashMap::new();
+    let cells = CellMap::new(grid);
     for p in points {
-        if let Some(bin) = grid.bin_of(p.lon, p.lat) {
+        if let Some(bin) = cells.cell(p.lon, p.lat) {
             *bins.entry(bin).or_insert(0) += 1;
         }
     }
@@ -1068,6 +1101,138 @@ mod tests {
                     assert_eq!(got.to_vec(), expected, "{pred:?} over {range:?}");
                 }
             }
+        }
+    }
+
+    /// Fills `pred` over `n` rows (one chunk) and returns the matching rows.
+    fn filled(pred: &CompiledPredicate<'_>, n: usize) -> Vec<RecordId> {
+        let mut out = SelectionBitmap::new(n);
+        if let Some(words) = out.chunk_mut(0) {
+            pred.fill_words(0, n as RecordId, words, &mut Vec::new());
+        }
+        out.to_vec()
+    }
+
+    /// Repeats `values` to 300 rows, so the unrolled body, the one-word loop
+    /// and the tail of the fill kernel all see every value.
+    fn column<T: Copy>(values: &[T]) -> Vec<T> {
+        values.iter().copied().cycle().take(300).collect()
+    }
+
+    /// The time fill's one unsigned compare against `TimeRange::contains`:
+    /// inverted ranges, the whole `i64` line, and values whose `v − start`
+    /// wraps (far below `start`, or at the other end of the line).
+    #[test]
+    fn time_fill_matches_time_range_contains() {
+        let col = column(&[
+            i64::MIN,
+            i64::MIN + 1,
+            -5,
+            -1,
+            0,
+            1,
+            7,
+            100,
+            i64::MAX - 1,
+            i64::MAX,
+        ]);
+        let ranges = [
+            (0, 100),
+            (1, 0),
+            (100, -100),
+            (i64::MAX, i64::MIN),
+            (i64::MIN, i64::MAX),
+            (i64::MIN, -1),
+            (0, i64::MAX),
+            (i64::MAX, i64::MAX),
+            (i64::MIN, i64::MIN),
+            (-1, 1),
+            (7, 7),
+        ];
+        for (start, end) in ranges {
+            let range = TimeRange { start, end };
+            let pred = CompiledPredicate::Time { col: &col, range };
+            let expected: Vec<RecordId> = (0..col.len() as RecordId)
+                .filter(|&rid| range.contains(col[rid as usize]))
+                .collect();
+            assert_eq!(filled(&pred, col.len()), expected, "[{start}, {end}]");
+        }
+    }
+
+    /// The numeric and spatial fills' non-short-circuit compares against
+    /// `NumRange::contains` / `GeoRect::contains`, on NaN values and bounds
+    /// and on `−0.0`.
+    #[test]
+    fn range_fills_match_contains_on_nan_and_negative_zero() {
+        let nan = f64::NAN;
+        let floats = column(&[nan, -nan, -0.0, 0.0, -1.0, 1.0, 2.5, f64::INFINITY]);
+        let ints = column(&[i64::MIN, -1, 0, 1, 2, i64::MAX]);
+        let bounds = [
+            (0.0, 1.0),
+            (-0.0, 0.0),
+            (-0.0, -0.0),
+            (-1.0, -0.0),
+            (nan, 1.0),
+            (0.0, nan),
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (2.0, 1.0),
+        ];
+        for (lo, hi) in bounds {
+            let range = NumRange { lo, hi };
+            let on_floats: Vec<RecordId> = (0..300)
+                .filter(|&rid| range.contains(floats[rid as usize]))
+                .collect();
+            let on_ints: Vec<RecordId> = (0..300)
+                .filter(|&rid| range.contains(ints[rid as usize] as f64))
+                .collect();
+            for (pred, expected) in [
+                (
+                    CompiledPredicate::NumericFloat {
+                        col: &floats,
+                        range,
+                    },
+                    &on_floats,
+                ),
+                (
+                    CompiledPredicate::NumericInt { col: &ints, range },
+                    &on_ints,
+                ),
+                (
+                    CompiledPredicate::NumericTimestamp { col: &ints, range },
+                    &on_ints,
+                ),
+            ] {
+                assert_eq!(&filled(&pred, 300), expected, "[{lo}, {hi}]");
+            }
+        }
+        let coords = [nan, -0.0, 0.0, 1.0];
+        let points: Vec<GeoPoint> = coords
+            .iter()
+            .flat_map(|&lon| coords.iter().map(move |&lat| GeoPoint::new(lon, lat)))
+            .collect();
+        let points = column(&points);
+        let rects = [
+            GeoRect::new(0.0, 0.0, 1.0, 1.0),
+            GeoRect::new(-0.0, -0.0, -0.0, -0.0),
+            GeoRect {
+                min_lon: nan,
+                min_lat: 0.0,
+                max_lon: 1.0,
+                max_lat: 1.0,
+            },
+            GeoRect {
+                min_lon: 0.0,
+                min_lat: 0.0,
+                max_lon: 1.0,
+                max_lat: nan,
+            },
+        ];
+        for rect in rects {
+            let pred = CompiledPredicate::Spatial { col: &points, rect };
+            let expected: Vec<RecordId> = (0..300)
+                .filter(|&rid| rect.contains(&points[rid as usize]))
+                .collect();
+            assert_eq!(filled(&pred, 300), expected, "{rect:?}");
         }
     }
 

@@ -431,7 +431,7 @@ impl<'a> SampleRestriction<'a> {
 /// timestamps within ±2^53, where `t as f64` is exact). Every other column is
 /// keyed by [`BPlusTree::float_key`]. A NaN bound matches no row, so it gives
 /// an empty interval.
-pub(crate) fn numeric_probe_keys(table: &Table, attr: usize, range: &NumRange) -> (i64, i64) {
+fn numeric_probe_keys(table: &Table, attr: usize, range: &NumRange) -> (i64, i64) {
     if range.lo.is_nan() || range.hi.is_nan() {
         (i64::MAX, i64::MIN)
     } else if matches!(table.column(attr), Ok(ColumnData::Timestamp(_))) {
@@ -447,7 +447,7 @@ pub(crate) fn numeric_probe_keys(table: &Table, attr: usize, range: &NumRange) -
 
 /// One index predicate resolved to the index that answers it and the probe
 /// arguments: inverted index + token, B+-tree + key range, R-tree + rectangle.
-pub(super) enum IndexProbe<'a> {
+pub(crate) enum IndexProbe<'a> {
     /// `None` when the keyword is absent from the dictionary: no row matches
     /// and no posting list is read.
     Inverted(&'a InvertedIndex, Option<TokenId>),
@@ -456,7 +456,9 @@ pub(super) enum IndexProbe<'a> {
 }
 
 impl<'a> IndexProbe<'a> {
-    fn resolve(pred: &'a Predicate, fact: &ExecTable<'a>) -> Result<Self> {
+    /// The probe answering `pred` on `fact`; [`Error::IndexMissing`] when its
+    /// column has no index of the kind it needs.
+    pub(crate) fn resolve(pred: &'a Predicate, fact: &ExecTable<'a>) -> Result<Self> {
         let attr = pred.attr();
         let missing = || Error::IndexMissing {
             table: fact.table.name().to_string(),
@@ -497,9 +499,20 @@ impl<'a> IndexProbe<'a> {
         }
     }
 
+    /// How many rows match, from the index's counts alone: posting length,
+    /// or an `O(log n)` descent of the B+-tree / R-tree.
+    pub(crate) fn count(&self) -> usize {
+        match *self {
+            IndexProbe::Inverted(index, Some(token)) => index.count(token),
+            IndexProbe::Inverted(_, None) => 0,
+            IndexProbe::BTree(index, lo, hi) => index.range_count(lo, hi),
+            IndexProbe::RTree(index, rect) => index.range_count(rect),
+        }
+    }
+
     /// The matching rows as a bitmap — the pipeline's projection. Same
     /// traversal and [`ScanStats`] as [`IndexProbe::ids`].
-    fn bitmap(&self) -> (SelectionBitmap, ScanStats) {
+    pub(super) fn bitmap(&self) -> (SelectionBitmap, ScanStats) {
         match *self {
             IndexProbe::Inverted(index, Some(token)) => index.lookup_bitmap(token),
             IndexProbe::Inverted(_, None) => Default::default(),

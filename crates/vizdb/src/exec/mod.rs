@@ -21,7 +21,7 @@ pub(crate) mod reference;
 mod result;
 
 pub use compiled::DENSE_GRID_MAX_CELLS;
-pub(crate) use executor::{count_matching, numeric_probe_keys};
+pub(crate) use executor::{count_matching, IndexProbe};
 pub use executor::{execute, ExecOutcome, ExecTable};
 pub use pricing::{price_plans, MAX_PRICED_PREDICATES};
 pub use result::QueryResult;

@@ -148,22 +148,7 @@ impl BPlusTree {
         if self.leaves.is_empty() || lo > hi {
             return (out, stats);
         }
-        let start_leaf = self.find_leaf(lo, &mut stats);
-        for leaf in &self.leaves[start_leaf..] {
-            stats.nodes_visited += 1;
-            if leaf.keys[0] > hi {
-                break;
-            }
-            for (k, rid) in leaf.keys.iter().zip(leaf.rids.iter()) {
-                if *k > hi {
-                    break;
-                }
-                if *k >= lo {
-                    out.push(*rid);
-                }
-            }
-        }
-        stats.matches = out.len();
+        self.walk(lo, hi, &mut stats, |rids| out.extend_from_slice(rids));
         out.sort_unstable();
         (out, stats)
     }
@@ -181,25 +166,50 @@ impl BPlusTree {
         // Record ids are row indices below the entry count, so the word array
         // is sized once up front — no growth during the leaf walk.
         let mut bits = SelectionBitmap::new(self.len);
-        let mut matches = 0usize;
-        let start_leaf = self.find_leaf(lo, &mut stats);
-        for leaf in &self.leaves[start_leaf..] {
+        self.walk(lo, hi, &mut stats, |rids| {
+            rids.iter().for_each(|&rid| bits.insert(rid))
+        });
+        (bits, stats)
+    }
+
+    /// The record ids of every entry whose key lies *outside* `[lo, hi]`, as
+    /// a bitmap over `0..len`: the leaf walks of the key ranges below `lo`
+    /// and above `hi`, neither of which wraps past the `i64` bounds (so
+    /// `[i64::MIN, i64::MAX]` has no entry outside it, and an inverted range
+    /// has every entry). Cheaper than [`BPlusTree::range_scan_bitmap`] when
+    /// most keys lie inside.
+    pub(crate) fn complement_scan_bitmap(&self, lo: i64, hi: i64) -> SelectionBitmap {
+        let mut bits = SelectionBitmap::new(self.len);
+        let mut stats = ScanStats::default();
+        let below = lo.checked_sub(1).map(|last| (i64::MIN, last));
+        let above = hi.checked_add(1).map(|first| (first, i64::MAX));
+        for (from, to) in below.into_iter().chain(above) {
+            self.walk(from, to, &mut stats, |rids| {
+                rids.iter().for_each(|&rid| bits.insert(rid))
+            });
+        }
+        bits
+    }
+
+    /// The leaf walk every scan shares, over keys `[lo, hi]` (`lo <= hi`):
+    /// from the leaf [`BPlusTree::find_leaf`] descends to, each leaf's
+    /// in-range slice — found by two binary searches, keys being sorted
+    /// within a leaf — goes to `emit`, until a leaf starts above `hi`. Counts
+    /// every leaf visited (the one that stops the walk included) and every
+    /// match into `stats`.
+    fn walk(&self, lo: i64, hi: i64, stats: &mut ScanStats, mut emit: impl FnMut(&[RecordId])) {
+        let start_leaf = self.find_leaf(lo, stats);
+        for leaf in self.leaves.get(start_leaf..).unwrap_or_default() {
             stats.nodes_visited += 1;
-            if leaf.keys[0] > hi {
+            if leaf.keys.first().is_none_or(|&first| first > hi) {
                 break;
             }
-            for (k, rid) in leaf.keys.iter().zip(leaf.rids.iter()) {
-                if *k > hi {
-                    break;
-                }
-                if *k >= lo {
-                    bits.insert(*rid);
-                    matches += 1;
-                }
-            }
+            let from = leaf.keys.partition_point(|&k| k < lo);
+            let to = leaf.keys.partition_point(|&k| k <= hi);
+            let rids = leaf.rids.get(from..to).unwrap_or_default();
+            stats.matches += rids.len();
+            emit(rids);
         }
-        stats.matches = matches;
-        (bits, stats)
     }
 
     /// Exact number of entries with `lo <= key <= hi`, computed without visiting leaves

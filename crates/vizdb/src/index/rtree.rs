@@ -41,8 +41,15 @@ pub struct RTree {
 
 impl RTree {
     /// Bulk-loads an R-tree with Sort-Tile-Recursive packing.
-    pub fn build(entries: Vec<(GeoPoint, RecordId)>) -> Self {
+    ///
+    /// A point with a NaN coordinate lies in no rectangle, and
+    /// [`GeoRect::extend`] skips NaN, so a leaf holding one would get an MBR
+    /// that leaves it out and every contained-node shortcut would hand out
+    /// its id. Such points are left out of the tree; `len` stays the entry
+    /// count, so the scans' bitmaps still span every row.
+    pub fn build(mut entries: Vec<(GeoPoint, RecordId)>) -> Self {
         let len = entries.len();
+        entries.retain(|(p, _)| !p.lon.is_nan() && !p.lat.is_nan());
         Self {
             root: Self::pack_upwards(Self::pack_leaves(entries)),
             len,

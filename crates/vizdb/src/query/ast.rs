@@ -146,23 +146,83 @@ impl BinGrid {
     }
 
     /// Bin id of a point, or `None` when the point falls outside the extent
-    /// (or the grid fails [`BinGrid::validate`]).
+    /// (or the grid fails [`BinGrid::validate`]). One [`CellMap::cell`] call.
     pub fn bin_of(&self, lon: f64, lat: f64) -> Option<u32> {
-        if self.extent.is_empty() {
+        CellMap::new(self).cell(lon, lat)
+    }
+}
+
+/// A [`BinGrid`]'s point-to-cell arithmetic with everything that does not
+/// depend on the point worked out once: the extent test's bounds, the
+/// divisors `width.max(ε)` and `height.max(ε)`, the axis cell counts and the
+/// last column and row the clamps cut to. [`BinGrid::bin_of`] is one
+/// [`CellMap::cell`] call, and the binning kernels build one map outside their
+/// row loops, so there is one definition of a point's cell.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CellMap {
+    extent: GeoRect,
+    width: f64,
+    height: f64,
+    cols: f64,
+    rows: f64,
+    stride: u32,
+    last_col: u32,
+    last_row: u32,
+    /// An empty extent, or no column or no row: no point has a cell.
+    cellless: bool,
+}
+
+impl CellMap {
+    /// The map of `grid`'s cells.
+    pub fn new(grid: &BinGrid) -> Self {
+        let extent = grid.extent;
+        Self {
+            extent,
+            width: extent.width().max(f64::EPSILON),
+            height: extent.height().max(f64::EPSILON),
+            cols: f64::from(grid.cols),
+            rows: f64::from(grid.rows),
+            stride: grid.cols,
+            last_col: grid.cols.saturating_sub(1),
+            last_row: grid.rows.saturating_sub(1),
+            cellless: extent.is_empty() || grid.cols == 0 || grid.rows == 0,
+        }
+    }
+
+    /// The point's clamped column and row, and whether it has a cell at all.
+    /// The extent test ORs its four compares without short-circuiting, so a
+    /// row loop carries no data-dependent branch. A NaN coordinate fails none
+    /// of them and lands in column (row) 0.
+    #[inline(always)]
+    fn locate(&self, lon: f64, lat: f64) -> (u32, u32, bool) {
+        let e = &self.extent;
+        let outside = (lon < e.min_lon) | (lon > e.max_lon) | (lat < e.min_lat) | (lat > e.max_lat);
+        let col = (((lon - e.min_lon) / self.width * self.cols) as u32).min(self.last_col);
+        let row = (((lat - e.min_lat) / self.height * self.rows) as u32).min(self.last_row);
+        (col, row, !(outside | self.cellless))
+    }
+
+    /// Bin id of a point: `None` outside the extent, on a grid without cells,
+    /// or when the id would pass `u32::MAX`.
+    #[inline]
+    pub fn cell(&self, lon: f64, lat: f64) -> Option<u32> {
+        let (col, row, inside) = self.locate(lon, lat);
+        if !inside {
             return None;
         }
-        if lon < self.extent.min_lon
-            || lon > self.extent.max_lon
-            || lat < self.extent.min_lat
-            || lat > self.extent.max_lat
-        {
-            return None;
-        }
-        let fx = (lon - self.extent.min_lon) / self.extent.width().max(f64::EPSILON);
-        let fy = (lat - self.extent.min_lat) / self.extent.height().max(f64::EPSILON);
-        let col = ((fx * self.cols as f64) as u32).min(self.cols.checked_sub(1)?);
-        let row = ((fy * self.rows as f64) as u32).min(self.rows.checked_sub(1)?);
-        row.checked_mul(self.cols)?.checked_add(col)
+        row.checked_mul(self.stride)?.checked_add(col)
+    }
+
+    /// [`CellMap::cell`] for dense accumulation: the point's slot in a
+    /// per-cell vector and a weight of 1, or, for a point without a cell, a
+    /// clamped slot and a weight of 0 — adding the weight replaces the branch.
+    /// The slot is below the grid's cell count, and equals the bin id wherever
+    /// that exists.
+    #[inline(always)]
+    pub fn slot(&self, lon: f64, lat: f64) -> (usize, u64) {
+        let (col, row, inside) = self.locate(lon, lat);
+        let slot = row as usize * self.stride as usize + col as usize;
+        (slot, u64::from(inside))
     }
 }
 
@@ -346,6 +406,85 @@ mod tests {
             }
         }
         assert_eq!(BinGrid::new(finite, 8, 8).validate(), Ok(()));
+    }
+
+    /// The short-circuiting cell arithmetic [`CellMap`] replaced, kept as the
+    /// oracle its branch-free form must equal.
+    fn reference_bin_of(grid: &BinGrid, lon: f64, lat: f64) -> Option<u32> {
+        let e = &grid.extent;
+        if e.is_empty() {
+            return None;
+        }
+        if lon < e.min_lon || lon > e.max_lon || lat < e.min_lat || lat > e.max_lat {
+            return None;
+        }
+        let fx = (lon - e.min_lon) / e.width().max(f64::EPSILON);
+        let fy = (lat - e.min_lat) / e.height().max(f64::EPSILON);
+        let col = ((fx * grid.cols as f64) as u32).min(grid.cols.checked_sub(1)?);
+        let row = ((fy * grid.rows as f64) as u32).min(grid.rows.checked_sub(1)?);
+        row.checked_mul(grid.cols)?.checked_add(col)
+    }
+
+    /// `bin_of`, `CellMap::cell` and the dense `CellMap::slot` agree with the
+    /// reference on cell edges, the extent's max edge, points outside it, NaN
+    /// and infinite coordinates, zero-width and zero-height extents, grids
+    /// without cells and grids whose ids overflow `u32`.
+    #[test]
+    fn cell_map_matches_reference_bin_of() {
+        let nan = f64::NAN;
+        let extents = [
+            GeoRect::new(0.0, 0.0, 10.0, 10.0),
+            GeoRect::new(-3.0, 2.0, 7.0, 2.0),
+            GeoRect::new(4.0, -1.0, 4.0, 9.0),
+            GeoRect::new(5.0, 5.0, 5.0, 5.0),
+            GeoRect::new(-0.0, -0.0, 0.0, 0.0),
+            GeoRect::empty(),
+        ];
+        let coords = [
+            nan,
+            f64::NEG_INFINITY,
+            -3.0,
+            -1.0,
+            -0.0,
+            0.0,
+            1e-300,
+            2.0,
+            2.5,
+            4.0,
+            5.0,
+            7.0,
+            7.5,
+            9.0,
+            10.0 - 1e-12,
+            10.0,
+            10.1,
+            f64::INFINITY,
+        ];
+        let shapes = [(4, 4), (3, 7), (1, 1), (0, 4), (4, 0), (u32::MAX, 2)];
+        for extent in extents {
+            for (cols, rows) in shapes {
+                let grid = BinGrid::new(extent, cols, rows);
+                let map = CellMap::new(&grid);
+                let cells = grid.cell_count();
+                for &lon in &coords {
+                    for &lat in &coords {
+                        let want = reference_bin_of(&grid, lon, lat);
+                        let at = format!("{grid:?} ({lon}, {lat})");
+                        assert_eq!(grid.bin_of(lon, lat), want, "{at}");
+                        assert_eq!(map.cell(lon, lat), want, "{at}");
+                        if cells == 0 || cells > 1 << 20 {
+                            continue;
+                        }
+                        let (slot, weight) = map.slot(lon, lat);
+                        assert!(slot < cells, "{at}");
+                        match want {
+                            Some(bin) => assert_eq!((slot, weight), (bin as usize, 1), "{at}"),
+                            None => assert_eq!(weight, 0, "{at}"),
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

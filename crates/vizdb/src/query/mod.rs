@@ -3,5 +3,6 @@
 mod ast;
 mod sql;
 
+pub(crate) use ast::CellMap;
 pub use ast::{BinGrid, JoinSpec, OutputKind, Predicate, Query};
 pub use sql::render_sql;

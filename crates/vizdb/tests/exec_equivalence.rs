@@ -17,8 +17,8 @@ use vizdb::index::{BPlusTree, InvertedIndex, RTree};
 use vizdb::query::{BinGrid, JoinSpec, OutputKind, Predicate, Query};
 use vizdb::schema::{ColumnType, TableSchema};
 use vizdb::storage::{Table, TableBuilder};
-use vizdb::types::{GeoRect, RecordId};
-use vizdb::{Database, DbConfig};
+use vizdb::types::{GeoRect, NumRange, RecordId, TimeRange};
+use vizdb::{Database, DbConfig, QueryBackend, ShardedBackend};
 
 fn build_table(points: &[(f64, f64)], keyword_every: usize) -> Table {
     let schema = TableSchema::new("events")
@@ -40,7 +40,14 @@ fn build_table(points: &[(f64, f64)], keyword_every: usize) -> Table {
                 vec!["cold", unique.as_str()]
             };
             row.set_text("text", &words);
-            row.set_float("score", (i % 37) as f64);
+            // Duplicate keys, and NaNs of both signs (one B+-tree key below
+            // every number, one above).
+            let score = match i % 53 {
+                51 => f64::NAN,
+                52 => -f64::NAN,
+                _ => (i % 37) as f64,
+            };
+            row.set_float("score", score);
         });
     }
     b.build()
@@ -296,21 +303,39 @@ impl Indexes {
     }
 }
 
-/// Predicate kind `kind` of 7 over [`build_table`]'s columns, its bound placed
-/// at fraction `u` of the column's span — including a keyword missing from the
-/// dictionary and a numeric range over the timestamp column.
+/// Predicate kind `kind` of 13 over [`build_table`]'s columns, its bound placed
+/// at fraction `u` of the column's span, so every mask source of the pricing
+/// pass is drawn: a keyword missing from the dictionary, a numeric range over
+/// the timestamp column (fractional, inverted and NaN bounds too), time
+/// ranges reaching `i64::MIN` / `i64::MAX` or inverted, and float ranges over
+/// NaNs and duplicate keys.
 fn predicate_of(kind: usize, u: f64) -> Predicate {
+    let at = (u * 50_000.0) as i64;
+    let time = |start, end| Predicate::TimeRange {
+        attr: 1,
+        range: TimeRange { start, end },
+    };
+    let numeric = |attr, lo, hi| Predicate::NumericRange {
+        attr,
+        range: NumRange { lo, hi },
+    };
     match kind {
         0 => Predicate::keyword(3, "hot"),
         1 => Predicate::keyword(3, "nosuchword"),
-        2 => Predicate::time_range(1, 100, (u * 50_000.0) as i64),
+        2 => time(100, at),
         3 => {
             let lon = -125.0 + u * 60.0;
             Predicate::spatial_range(2, GeoRect::new(lon, 20.0, lon + 1.0 + u * 54.0, 50.0))
         }
-        4 => Predicate::numeric_range(0, 10.0, u * 9_500.0),
-        5 => Predicate::numeric_range(4, 2.0, u * 40.0),
-        _ => Predicate::numeric_range(1, 50.0, u * 50_000.0),
+        4 => numeric(0, 10.0, u * 9_500.0),
+        5 => numeric(4, 2.0, u * 40.0),
+        6 => numeric(1, 50.5, u * 50_000.0),
+        7 => time(i64::MIN, at),
+        8 => time(at, i64::MAX),
+        9 => time(at + 10, at),
+        10 => numeric(1, u * 50_000.0, u * 20_000.0),
+        11 => numeric(1, f64::NAN, u * 50_000.0),
+        _ => numeric(4, -0.0, u * 40.0),
     }
 }
 
@@ -321,7 +346,9 @@ proptest! {
     /// query, the simulated time `execution_time_ms` reports from the shared
     /// lattice pass — asked first, or cached as another rewrite's sibling —
     /// is bit for bit the time of executing that rewrite, and
-    /// `price_plans` reports `execute`'s `WorkProfile` field for field.
+    /// `price_plans` reports `execute`'s `WorkProfile` field for field —
+    /// whichever source (column kernel, index walk, complement walk) the pass
+    /// took each predicate's mask from. Row 3 sits at a NaN coordinate.
     #[test]
     fn priced_time_equals_executed_time(
         size in 0usize..6,
@@ -329,13 +356,17 @@ proptest! {
         keyword_every in 2usize..6,
         index_text in 0u8..2,
         follow_hints in 0u8..2,
-        preds in proptest::collection::vec((0usize..7, 0.0f64..1.0), 0..5),
+        preds in proptest::collection::vec((0usize..13, 0.0f64..1.0), 0..5),
         cols in 1u32..20,
         grid_rows in 1u32..20,
     ) {
         let rows = [0usize, 1, 4095, 4096, 4097, 9001][size];
         let (index_text, follow_hints) = (index_text == 1, follow_hints == 1);
-        let table = build_table(&scatter(rows, seed), keyword_every);
+        let mut points = scatter(rows, seed);
+        if let Some(p) = points.get_mut(3) {
+            p.0 = f64::NAN;
+        }
+        let table = build_table(&points, keyword_every);
         let indexes = Indexes::build(&table, index_text);
         let samples = HashMap::new();
         let fact = ExecTable {
@@ -455,7 +486,7 @@ fn numeric_range_over_timestamps_is_hint_invariant() {
         (100.0, f64::NAN),
     ];
     for (lo, hi) in ranges {
-        let range = vizdb::types::NumRange { lo, hi };
+        let range = NumRange { lo, hi };
         let pred = Predicate::NumericRange { attr: 1, range };
         let query = Query::select("events")
             .filter(pred.clone())
@@ -480,6 +511,52 @@ fn numeric_range_over_timestamps_is_hint_invariant() {
             matching as f64 / all.len() as f64,
             "[{lo}, {hi}]"
         );
+    }
+}
+
+/// A point with a NaN coordinate lies in no rectangle, so every plan, the
+/// index-counted selectivity, the 4-shard backend and the pricing pass's
+/// R-tree mask leave it out. (`GeoRect::extend` skips NaN, so an R-tree leaf
+/// holding the point would get an MBR without it and hand its id out with
+/// the rest of a contained leaf.)
+#[test]
+fn nan_coordinate_is_in_no_rectangle() {
+    let mut points: Vec<(f64, f64)> = (0..1000)
+        .map(|i| (-120.0 + i as f64 * 0.01, 34.0))
+        .collect();
+    points[5] = (f64::NAN, 34.0);
+    let db = build_db(&points, 3);
+    let mut sharded = ShardedBackend::builder(DbConfig::default(), 4);
+    sharded.register_table(db.table("events").unwrap()).unwrap();
+    sharded.build_all_indexes("events").unwrap();
+    let sharded = sharded.build();
+    // Every other point; then few enough that the pricing pass walks the
+    // R-tree for its mask (the NaN point's leaf lies inside the rectangle).
+    for (rect, expected) in [
+        (GeoRect::new(-121.0, 33.0, -100.0, 35.0), 999),
+        (GeoRect::new(-121.0, 33.0, -117.005, 35.0), 299),
+    ] {
+        let pred = Predicate::spatial_range(2, rect);
+        let query = Query::select("events")
+            .filter(pred.clone())
+            .output(OutputKind::Count);
+        let selectivity = expected as f64 / 1000.0;
+        assert_eq!(db.true_selectivity("events", &pred).unwrap(), selectivity);
+        assert_eq!(
+            sharded.true_selectivity("events", &pred).unwrap(),
+            selectivity
+        );
+        for mask in [0, 1] {
+            let ro = RewriteOption::hinted(HintSet::with_mask(mask));
+            let count = vizdb::exec::QueryResult::Count(expected);
+            assert_eq!(db.run(&query, &ro).unwrap().result, count, "mask {mask}");
+            assert_eq!(db.run_reference(&query, &ro).unwrap().result, count);
+            assert_eq!(sharded.run(&query, &ro).unwrap().result, count);
+            db.clear_caches();
+            let executed = db.run(&query, &ro).unwrap().time_ms;
+            db.clear_caches();
+            assert_eq!(db.execution_time_ms(&query, &ro).unwrap(), executed);
+        }
     }
 }
 
