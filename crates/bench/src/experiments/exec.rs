@@ -18,8 +18,6 @@
 //!   residual), a multi-predicate index-residual one (two indexed predicates
 //!   intersected, one residual) and an index-heavy one (every predicate
 //!   answered by an index);
-//! * a **thread sweep** — the pipeline at 1/2/4/8 morsel workers
-//!   ([`vizdb::Database::run_with_threads`]), byte-identical at every count;
 //! * **pricing vs executing** — the simulated times of a viewport's 8 hint
 //!   sets from one [`vizdb::Database::execution_time_ms`] lattice pass against
 //!   8 `run`s, asserted bit-identical, with the wall-clock ratio;
@@ -38,7 +36,7 @@ use vizdb::exec::QueryResult;
 use vizdb::hints::{enumerate_hint_sets, HintSet, RewriteOption};
 use vizdb::query::Query;
 use vizdb::timing::WorkProfile;
-use vizdb::Database;
+use vizdb::{Database, RunOutcome};
 
 use maliva_workload::QueryGenConfig;
 
@@ -60,29 +58,24 @@ struct EnginePass {
     sim_ms: f64,
 }
 
-/// Runs the workload `repeats` times. `threads` is the pipeline's morsel-crew
-/// size; `None` runs the reference interpreter instead.
+/// Runs the workload [`REPEATS`] times through `engine`: [`Database::run`]
+/// (the pipeline) or [`Database::run_reference`] (the interpreter).
 fn run_pass(
     db: &Database,
     queries: &[Query],
     ro: &RewriteOption,
-    threads: Option<usize>,
-    repeats: usize,
+    engine: fn(&Database, &Query, &RewriteOption) -> vizdb::Result<RunOutcome>,
 ) -> EnginePass {
     let mut results = Vec::with_capacity(queries.len());
     let mut work = Vec::with_capacity(queries.len());
     let mut sim_ms = 0.0;
     let start = Instant::now();
-    for repeat in 0..repeats {
+    for repeat in 0..REPEATS {
         // Each repeat does the full amount of execution work (`run` always
         // executes; only the simulated-time *value* is cached), but collect the
         // observables once.
         for query in queries {
-            let outcome = match threads {
-                Some(threads) => db.run_with_threads(query, ro, threads),
-                None => db.run_reference(query, ro),
-            }
-            .expect("executing a generated viewport query");
+            let outcome = engine(db, query, ro).expect("executing a generated viewport query");
             if repeat == 0 {
                 results.push(outcome.result);
                 work.push(outcome.work);
@@ -232,9 +225,9 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
             // reports (and asserts against) its own computed times rather than
             // the other's canonical cached values.
             db.clear_caches();
-            let interpreted = run_pass(db, &queries, ro, None, REPEATS);
+            let interpreted = run_pass(db, &queries, ro, Database::run_reference);
             db.clear_caches();
-            let bitmap = run_pass(db, &queries, ro, Some(1), REPEATS);
+            let bitmap = run_pass(db, &queries, ro, Database::run);
             assert_pass_matches(&name, "pipeline", &interpreted, &bitmap);
             let interp_ms = interpreted.wall_nanos as f64 / 1e6;
             let bitmap_ms = bitmap.wall_nanos as f64 / 1e6;
@@ -333,8 +326,6 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
         );
     }
 
-    let (scaling_output, scaling_payload) = run_thread_scaling(scale, n, assert_opted_out);
-
     let output = ExperimentOutput {
         id: "exec".into(),
         title: format!(
@@ -383,11 +374,9 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
         "seq_scan_aggregate_speedup": seq_speedup,
         "index_aggregate_speedup": idx_speedup,
         "pricing_vs_executing": pricing_payload,
-        "thread_scaling": scaling_payload,
     });
     save_json(&output, payload.clone());
     save_json(&pricing_output, pricing_payload);
-    save_json(&scaling_output, scaling_payload.clone());
     // The perf-trajectory baseline: a stable, machine-readable file at the repo
     // root (wall-clock numbers are host-dependent; the speedup ratios are the
     // tracked quantities).
@@ -402,161 +391,5 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
         }))
         .unwrap_or_default(),
     );
-    vec![output, pricing_output, scaling_output]
-}
-
-/// Thread counts the scaling regime is measured (and byte-identity asserted) at.
-const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Repeats for the scaling regime — the dedicated table is ~3x the main one,
-/// so fewer repeats keep the wall budget flat.
-const SCALING_REPEATS: usize = 3;
-
-/// The morsel-parallel scaling regime: the seq-scan-heavy Twitter workload on
-/// a dedicated larger table (scan work must dominate the per-query fixed
-/// overheads the thread crew cannot parallelise — planning, fingerprinting and
-/// the worker spawns themselves), run through `Database::run_with_threads` at
-/// 1/2/4/8 threads against the database's own single-threaded `run`.
-///
-/// Byte-identity of results, work profiles and simulated times is asserted at
-/// *every* thread count unconditionally. The wall-clock bar — ≥ 2x aggregate
-/// speedup at 4 threads — is only enforced in optimized builds on hosts that
-/// actually have ≥ 4 cores, and honours the same
-/// `MALIVA_EXEC_SPEEDUP_ASSERT=0` opt-out as the main exec bars.
-fn run_thread_scaling(
-    base_scale: maliva_workload::DatasetScale,
-    n: usize,
-    assert_opted_out: bool,
-) -> (ExperimentOutput, serde_json::Value) {
-    let mut scale = base_scale;
-    scale.rows = scale.rows.max(120_000);
-    scale.dim_rows = scale.dim_rows.max(6_000);
-    let n = (n / 4).clamp(24, 80);
-    let parallelism = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-
-    let sc = scenario(
-        DatasetKind::Twitter,
-        scale,
-        500.0,
-        &QueryGenConfig {
-            binned_output: true,
-            ..QueryGenConfig::default()
-        },
-        n,
-        SEED,
-    );
-    let db = sc.db();
-    let queries: Vec<Query> = sc
-        .split
-        .train
-        .iter()
-        .chain(&sc.split.validation)
-        .chain(&sc.split.eval)
-        .cloned()
-        .collect();
-    let ro = RewriteOption::hinted(HintSet::with_mask(0)); // every predicate residual
-
-    // Untimed warmup (first-touch), then the sequential baseline.
-    for query in &queries {
-        db.run(query, &ro).expect("warmup");
-    }
-    db.clear_caches();
-    let reference = run_pass(db, &queries, &ro, Some(1), SCALING_REPEATS);
-    let sequential_ms = reference.wall_nanos as f64 / 1e6;
-
-    let mut rows = Vec::new();
-    let mut dump = Vec::new();
-    let mut speedup_at_4 = 1.0f64;
-    for threads in SCALING_THREADS {
-        db.clear_caches();
-        let pass = run_pass(db, &queries, &ro, Some(threads), SCALING_REPEATS);
-        assert_pass_matches(
-            "twitter thread-scaling",
-            &format!("pipeline x{threads}"),
-            &reference,
-            &pass,
-        );
-        let wall_ms = pass.wall_nanos as f64 / 1e6;
-        let speedup = sequential_ms / wall_ms.max(1e-9);
-        if threads == 4 {
-            speedup_at_4 = speedup;
-        }
-        rows.push(vec![
-            format!("twitter seq-scan-heavy x{threads}"),
-            format!("{}", queries.len()),
-            format!("{SCALING_REPEATS}"),
-            format!("{sequential_ms:.1}"),
-            format!("{wall_ms:.1}"),
-            format!("{speedup:.2}x"),
-            "yes".to_string(),
-        ]);
-        dump.push(json!({
-            "threads": threads,
-            "queries": queries.len(),
-            "repeats": SCALING_REPEATS,
-            "sequential_bitmap_wall_ms": sequential_ms,
-            "parallel_bitmap_wall_ms": wall_ms,
-            "speedup_vs_sequential": speedup,
-            "identical_results": true,
-        }));
-    }
-    eprintln!(
-        "[exec] thread scaling (host parallelism {parallelism}): 4-thread speedup {speedup_at_4:.2}x"
-    );
-
-    let gated_out = cfg!(debug_assertions) || assert_opted_out || parallelism < 4;
-    if gated_out {
-        if speedup_at_4 < 2.0 {
-            eprintln!(
-                "warning: 4-thread speedup {speedup_at_4:.2}x below the 2x bar (assertion \
-                 skipped: {})",
-                if assert_opted_out {
-                    "MALIVA_EXEC_SPEEDUP_ASSERT=0"
-                } else if parallelism < 4 {
-                    "host has fewer than 4 cores"
-                } else {
-                    "debug build; run with --release for the enforced numbers"
-                }
-            );
-        }
-    } else {
-        assert!(
-            speedup_at_4 >= 2.0,
-            "the pipeline must be >= 2x at 4 threads on the seq-scan-heavy workload, \
-             got {speedup_at_4:.2}x"
-        );
-    }
-
-    let output = ExperimentOutput {
-        id: "exec-threads".into(),
-        title: format!(
-            "Morsel-parallel execution: the bitmap pipeline at 1/2/4/8 threads vs 1 thread, \
-             Twitter seq-scan-heavy viewports ({} rows, {SCALING_REPEATS} repeats, host \
-             parallelism {parallelism}; byte-identical at every thread count; 4-thread speedup \
-             {speedup_at_4:.2}x)",
-            scale.rows,
-        ),
-        headers: [
-            "Workload",
-            "Viewports",
-            "Repeats",
-            "Sequential (ms)",
-            "Parallel (ms)",
-            "Speedup",
-            "Identical results",
-        ]
-        .map(String::from)
-        .to_vec(),
-        rows,
-    };
-    let payload = json!({
-        "rows_per_table": scale.rows,
-        "host_parallelism": parallelism,
-        "speedup_at_4_threads": speedup_at_4,
-        "speedup_bar_enforced": !gated_out,
-        "thread_counts": dump,
-    });
-    (output, payload)
+    vec![output, pricing_output]
 }

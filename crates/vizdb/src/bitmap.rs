@@ -180,19 +180,12 @@ impl SelectionBitmap {
 
     /// Ascending iterator over the set ids.
     pub fn iter(&self) -> BitmapIter<'_> {
-        BitmapIter::new(&self.words, 0)
-    }
-
-    /// Ascending iterator over the ids in the chunks `chunks` (a range of
-    /// chunk indices, clipped to the array): one morsel's share of the set.
-    pub fn iter_chunks(&self, chunks: std::ops::Range<usize>) -> BitmapIter<'_> {
-        let end = chunks.end.min(self.chunk_count());
-        let start = chunks.start.min(end);
-        let words = self
-            .words
-            .get(start * CHUNK_WORDS..end * CHUNK_WORDS)
-            .unwrap_or(&[]);
-        BitmapIter::new(words, start * CHUNK_WORDS)
+        BitmapIter {
+            words: self.words.iter(),
+            // Stepped forward by one word before the first word is read.
+            base: RecordId::wrapping_sub(0, 64),
+            cur: 0,
+        }
     }
 
     /// Materialises the set as a sorted id vector.
@@ -217,25 +210,13 @@ impl PartialEq for SelectionBitmap {
 
 impl Eq for SelectionBitmap {}
 
-/// Ascending iterator over the set bits of a word slice.
+/// Ascending iterator over the set bits of a [`SelectionBitmap`].
 pub struct BitmapIter<'a> {
     words: std::slice::Iter<'a, u64>,
     /// Record id of bit 0 of `cur`.
     base: RecordId,
     /// The unvisited bits of the current word.
     cur: u64,
-}
-
-impl<'a> BitmapIter<'a> {
-    /// Iterates `words`, whose first word holds ids `64 * first_word ..`.
-    fn new(words: &'a [u64], first_word: usize) -> Self {
-        Self {
-            words: words.iter(),
-            // Stepped forward by one word before the first word is read.
-            base: ((first_word as RecordId) << 6).wrapping_sub(64),
-            cur: 0,
-        }
-    }
 }
 
 impl Iterator for BitmapIter<'_> {
@@ -370,8 +351,5 @@ mod tests {
         assert_eq!(ids(&bm), expect);
         assert_eq!(bm.chunk(1).map(|w| w[0]), Some(0x3FF));
         assert!(bm.chunk(3).is_none() && bm.chunk_mut(usize::MAX / 64).is_none());
-        assert_eq!(bm.iter_chunks(1..2).collect::<Vec<_>>(), expect[..10]);
-        assert_eq!(bm.iter_chunks(2..9).collect::<Vec<_>>(), expect[10..]);
-        assert_eq!(bm.iter_chunks(5..9).count(), 0);
     }
 }

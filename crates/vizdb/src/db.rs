@@ -2,7 +2,7 @@
 //! simulated-time cache.
 //!
 //! Execution has one production path ([`Database::run`], the bitmap pipeline of
-//! [`crate::exec`] at [`DbConfig::exec_threads`] workers) and one oracle
+//! [`crate::exec`], on the calling thread) and one oracle
 //! ([`Database::run_reference`], the row-at-a-time interpreter). They share
 //! planning, LIMIT sizing, timing and the time cache, so the only thing that
 //! can differ between them is the executor itself. Asking only for a time
@@ -45,13 +45,6 @@ pub struct DbConfig {
     pub seed: u64,
     /// Millisecond cost constants of the execution engine.
     pub cost_params: CostParams,
-    /// Worker threads of the execution pipeline's morsel crew. `1` (the
-    /// default; `0` behaves the same) runs every kernel sequentially on the
-    /// calling thread; higher counts split the chunk work into morsels.
-    /// Results, work profile and simulated time are byte-identical at every
-    /// thread count (only wall-clock changes). The calling thread participates
-    /// as a worker.
-    pub exec_threads: usize,
 }
 
 impl Default for DbConfig {
@@ -61,7 +54,6 @@ impl Default for DbConfig {
             hint_adherence: 1.0,
             seed: 42,
             cost_params: CostParams::default(),
-            exec_threads: 1,
         }
     }
 }
@@ -89,6 +81,17 @@ pub struct RunOutcome {
     /// Exact operation counts performed by the executor.
     pub work: WorkProfile,
 }
+
+/// An executor a plan can run on: the pipeline ([`exec::execute`]) or the
+/// reference oracle, which share this signature.
+type Engine = fn(
+    &Query,
+    &PhysicalPlan,
+    &ExecTable<'_>,
+    Option<&ExecTable<'_>>,
+    Option<usize>,
+    bool,
+) -> Result<exec::ExecOutcome>;
 
 /// All per-table state: data, indexes, statistics and sample tables.
 struct TableEntry {
@@ -459,21 +462,7 @@ impl Database {
     /// Runs the rewritten query and returns its materialised result, plan, operation
     /// counts and simulated execution time.
     pub fn run(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
-        let threads = Some(self.config.exec_threads);
-        self.run_inner(query, ro, query_fingerprint(query), true, threads)
-    }
-
-    /// [`Database::run`] at an explicit morsel-crew size instead of
-    /// [`DbConfig::exec_threads`]. Every observable is byte-identical at every
-    /// thread count; the knob exists for the equivalence suites and the `exec`
-    /// benchmark's thread sweep.
-    pub fn run_with_threads(
-        &self,
-        query: &Query,
-        ro: &RewriteOption,
-        threads: usize,
-    ) -> Result<RunOutcome> {
-        self.run_inner(query, ro, query_fingerprint(query), true, Some(threads))
+        self.run_inner(query, ro, query_fingerprint(query), true, exec::execute)
     }
 
     /// [`Database::run`] on the reference oracle — the row-at-a-time
@@ -481,7 +470,8 @@ impl Database {
     /// results, same work profile, same simulated time). For equivalence tests
     /// and the `exec` benchmark that measures the wall-clock gap.
     pub fn run_reference(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
-        self.run_inner(query, ro, query_fingerprint(query), true, None)
+        let reference = exec::reference::execute;
+        self.run_inner(query, ro, query_fingerprint(query), true, reference)
     }
 
     /// Simulated execution time of `query` rewritten with `ro`, without materialising
@@ -504,8 +494,8 @@ impl Database {
         // `run_inner` performs the canonical insert itself (first insert wins and
         // the returned outcome carries the canonical time), so no second insert
         // is needed here.
-        let threads = Some(self.config.exec_threads);
-        Ok(self.run_inner(query, ro, query_fp, false, threads)?.time_ms)
+        let outcome = self.run_inner(query, ro, query_fp, false, exec::execute)?;
+        Ok(outcome.time_ms)
     }
 
     /// Prices `ro` together with every hint set of `query` in one shared pass
@@ -560,15 +550,14 @@ impl Database {
     }
 
     /// `query_fp` is `query_fingerprint(query)`, hashed once by the caller;
-    /// `threads` is the pipeline's morsel-crew size, `None` runs the reference
-    /// oracle instead.
+    /// `engine` is the pipeline ([`exec::execute`]) or the reference oracle.
     fn run_inner(
         &self,
         query: &Query,
         ro: &RewriteOption,
         query_fp: u64,
         materialize: bool,
-        threads: Option<usize>,
+        engine: Engine,
     ) -> Result<RunOutcome> {
         let fact = self.entry(&query.table)?;
         let dim = self.dim_entry(query)?;
@@ -588,25 +577,7 @@ impl Database {
         let fact_exec = fact.exec_table();
         let dim_exec = dim.map(|d| d.exec_table());
         let dim_exec = dim_exec.as_ref();
-        let outcome = match threads {
-            Some(threads) => exec::execute(
-                query,
-                &plan,
-                &fact_exec,
-                dim_exec,
-                limit_rows,
-                materialize,
-                threads,
-            ),
-            None => exec::reference::execute(
-                query,
-                &plan,
-                &fact_exec,
-                dim_exec,
-                limit_rows,
-                materialize,
-            ),
-        }?;
+        let outcome = engine(query, &plan, &fact_exec, dim_exec, limit_rows, materialize)?;
 
         let time_ms = self.simulated_time_ms(&outcome.work, &plan, query_fp);
 

@@ -613,7 +613,7 @@ pub(crate) fn chunk_rows(
 /// `filter_evals` accounting matches the short-circuiting interpreter
 /// exactly: predicate `k` is charged once per row that survived predicates
 /// `0..k` — a chunk's surviving-row count is one `popcount` away.
-pub(crate) fn qualify_range_chunk(
+fn qualify_range_chunk(
     preds: &[CompiledPredicate<'_>],
     rows: std::ops::Range<RecordId>,
     words: &mut [u64; CHUNK_WORDS],
@@ -654,7 +654,7 @@ pub fn qualify_bitmap(
 /// (including the first) sees only the already-selected rows, so each is
 /// charged the `popcount` of the surviving words; an empty chunk charges
 /// nothing.
-pub(crate) fn refine_chunk(
+fn refine_chunk(
     preds: &[CompiledPredicate<'_>],
     chunk_id: usize,
     words: &mut [u64; CHUNK_WORDS],
@@ -735,46 +735,26 @@ pub fn bin_counts_iter(
     materialize: bool,
 ) -> BinnedAccum {
     let cells = grid.cell_count();
-    if dense_grid_gate(cells, row_count) {
-        let mut counts: Vec<u64> = vec![0; cells];
-        dense_bin_into(grid, geo, qualifying, &mut counts);
-        dense_accum_finish(&counts, materialize)
-    } else {
-        sparse_bin_accum(grid, qualifying.map(|rid| geo[rid as usize]), materialize)
-    }
-}
-
-/// The dense-vs-sparse decision shared by [`bin_counts_iter`] and the parallel
-/// binning path — one place, so the two cannot disagree on which
-/// accumulator a given (grid, cardinality) pair takes.
-pub(crate) fn dense_grid_gate(cells: usize, row_count: usize) -> bool {
-    cells > 0
+    let dense = cells > 0
         && cells <= DENSE_GRID_MAX_CELLS
-        && (cells <= 4096 || cells <= row_count.saturating_mul(8))
-}
-
-/// Accumulates one record-id stream into a dense per-cell count vector — the
-/// sequential dense path and each parallel worker's private partial both run
-/// exactly this loop, so merged partials (u64 sums are exact and commutative)
-/// equal one sequential pass bit for bit. A row outside the extent adds 0 to
-/// a clamped slot ([`CellMap::slot`]) instead of branching; `counts` holds
-/// one slot per grid cell.
-pub(crate) fn dense_bin_into(
-    grid: &BinGrid,
-    geo: &[GeoPoint],
-    qualifying: impl Iterator<Item = RecordId>,
-    counts: &mut [u64],
-) {
-    let cells = CellMap::new(grid);
+        && (cells <= 4096 || cells <= row_count.saturating_mul(8));
+    if !dense {
+        return sparse_bin_accum(grid, qualifying.map(|rid| geo[rid as usize]), materialize);
+    }
+    // A row without a cell adds 0 to a clamped slot (`CellMap::slot`)
+    // instead of branching.
+    let map = CellMap::new(grid);
+    let mut counts: Vec<u64> = vec![0; cells];
     for rid in qualifying {
         let p = geo[rid as usize];
-        let (slot, weight) = cells.slot(p.lon, p.lat);
+        let (slot, weight) = map.slot(p.lon, p.lat);
         counts[slot] += weight;
     }
+    dense_accum_finish(&counts, materialize)
 }
 
 /// Folds a dense count vector into the [`BinnedAccum`] the executor consumes.
-pub(crate) fn dense_accum_finish(counts: &[u64], materialize: bool) -> BinnedAccum {
+fn dense_accum_finish(counts: &[u64], materialize: bool) -> BinnedAccum {
     if materialize {
         let pairs: Vec<(u32, u64)> = counts
             .iter()

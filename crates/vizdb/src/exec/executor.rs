@@ -14,8 +14,8 @@
 //! output columns — is lowered once, up front ([`lower`]). A query that cannot
 //! be lowered runs on the reference interpreter instead: that is the only
 //! interpreter fallback, so the phases themselves are infallible past their
-//! inputs. Whether a phase runs on one thread or a morsel crew is decided
-//! behind [`crate::exec::parallel`]; this module only passes `threads` along.
+//! inputs. Every phase runs on the calling thread: requests run side by side
+//! across the serving workers, never split within one.
 //!
 //! The executor performs *real* work against the in-memory tables and indexes
 //! and reports exact operation counts in a [`WorkProfile`]. The simulated
@@ -29,8 +29,8 @@ use crate::approx::ApproxRule;
 use crate::bitmap::SelectionBitmap;
 use crate::error::{Error, Result};
 use crate::exec::compiled::{self, CompiledPredicate};
+use crate::exec::reference;
 use crate::exec::result::QueryResult;
-use crate::exec::{parallel, reference};
 use crate::hints::JoinMethod;
 use crate::index::{intersect_skip_charge, BPlusTree, InvertedIndex, RTree, ScanStats};
 use crate::plan::PhysicalPlan;
@@ -84,10 +84,9 @@ pub struct ExecOutcome {
 ///
 /// `limit_rows` caps the number of qualifying rows processed (an explicit
 /// `LIMIT` or the LIMIT approximation rule; `Some(0)` visits no row);
-/// `materialize` controls whether points/bins are collected or only counted;
-/// `threads` is the morsel crew size (`<= 1` runs every kernel sequentially on
-/// the calling thread). Results, [`WorkProfile`] and errors are byte-identical
-/// to the reference interpreter at every thread count.
+/// `materialize` controls whether points/bins are collected or only counted.
+/// Results, [`WorkProfile`] and errors are byte-identical to the reference
+/// interpreter.
 pub fn execute(
     query: &Query,
     plan: &PhysicalPlan,
@@ -95,7 +94,6 @@ pub fn execute(
     dim: Option<&ExecTable<'_>>,
     limit_rows: Option<usize>,
     materialize: bool,
-    threads: usize,
 ) -> Result<ExecOutcome> {
     check_output(query)?;
     let Ok(lowered) = lower(query, plan, fact, dim) else {
@@ -109,7 +107,6 @@ pub fn execute(
         plan.est_rows as usize,
         fact.table.row_count(),
         limit_rows,
-        threads,
         &mut work,
     );
     if let Some((method, spec, dim)) = join_inputs(query, plan, dim)? {
@@ -131,7 +128,6 @@ pub fn execute(
         &qualified,
         result_rows,
         materialize,
-        threads,
         &mut work,
     );
     Ok(ExecOutcome {
@@ -293,7 +289,6 @@ fn qualify(
     est_rows: usize,
     row_count: usize,
     limit_rows: Option<usize>,
-    threads: usize,
     work: &mut WorkProfile,
 ) -> Qualified {
     let rows = 0..row_count as RecordId;
@@ -305,21 +300,21 @@ fn qualify(
         let seq = |w: &mut WorkProfile, rows: u64| w.seq_rows += rows;
         return match source {
             Source::Index(mut cands) => {
-                parallel::qualify_bitmap(preds, &mut cands, threads, work, heap);
+                compiled::qualify_bitmap(preds, &mut cands, work, heap);
                 Qualified::Bitmap(cands)
             }
-            Source::Seq(SampleRestriction::All) => Qualified::Bitmap(
-                parallel::qualify_range_bitmap(preds, rows, threads, work, seq),
-            ),
+            Source::Seq(SampleRestriction::All) => {
+                Qualified::Bitmap(compiled::qualify_range_bitmap(preds, rows, work, seq))
+            }
             Source::Seq(SampleRestriction::SampleRows(sample)) => {
                 let mut ids = Vec::with_capacity(reserve);
-                parallel::qualify_slice(preds, sample, threads, &mut ids, work, seq);
+                compiled::qualify_slice(preds, sample, &mut ids, work, seq);
                 Qualified::Ids(ids)
             }
             Source::Seq(hashed) => {
                 let mut ids = Vec::with_capacity(reserve);
                 let sampled = rows.filter(|&rid| hashed.keeps(rid));
-                parallel::qualify_stream(preds, sampled, threads, &mut ids, work, seq);
+                compiled::qualify_batches(preds, sampled, &mut ids, work, seq);
                 Qualified::Ids(ids)
             }
         };
@@ -329,14 +324,15 @@ fn qualify(
     let mut ids = Vec::with_capacity(reserve);
     match &source {
         Source::Index(cands) => {
-            parallel::qualify_capped_bitmap(preds, cands, cap, heap, threads, work, &mut ids)
+            compiled::qualify_capped(preds, cands.iter(), cap, heap, work, &mut ids)
         }
         Source::Seq(SampleRestriction::SampleRows(sample)) => {
-            parallel::qualify_capped_slice(preds, sample, cap, seq, threads, work, &mut ids)
+            let sample = sample.iter().copied();
+            compiled::qualify_capped(preds, sample, cap, seq, work, &mut ids)
         }
         Source::Seq(restriction) => {
-            let keep = |rid: &RecordId| restriction.keeps(*rid);
-            parallel::qualify_capped_range(preds, rows, keep, cap, seq, threads, work, &mut ids)
+            let kept = rows.filter(|&rid| restriction.keeps(rid));
+            compiled::qualify_capped(preds, kept, cap, seq, work, &mut ids)
         }
     }
     Qualified::Ids(ids)
@@ -350,7 +346,6 @@ fn sink(
     qualified: &Qualified,
     result_rows: usize,
     materialize: bool,
-    threads: usize,
     work: &mut WorkProfile,
 ) -> QueryResult {
     match *output {
@@ -360,7 +355,7 @@ fn sink(
                 return QueryResult::Count(result_rows as u64);
             }
             QueryResult::Points(match qualified {
-                Qualified::Bitmap(b) => parallel::gather_points(b, result_rows, ids, geo, threads),
+                Qualified::Bitmap(b) => compiled::gather_points(b.iter(), result_rows, ids, geo),
                 Qualified::Ids(v) => {
                     compiled::gather_points(v.iter().copied(), result_rows, ids, geo)
                 }
@@ -370,7 +365,7 @@ fn sink(
             work.grouped_rows += result_rows as u64;
             let binned = match qualified {
                 Qualified::Bitmap(b) => {
-                    parallel::bin_counts(grid, geo, b, result_rows, materialize, threads)
+                    compiled::bin_counts_iter(grid, geo, b.iter(), result_rows, materialize)
                 }
                 Qualified::Ids(v) => compiled::bin_counts(grid, geo, v, materialize),
             };
@@ -851,7 +846,7 @@ mod tests {
         let expected: usize = 100; // timestamps 100..=499 with i % 4 == 0
         for mask in 0..8u32 {
             let plan = plan_with(&f, &q, mask);
-            let out = execute(&q, &plan, &exec_t, None, None, true, 1).unwrap();
+            let out = execute(&q, &plan, &exec_t, None, None, true).unwrap();
             assert_eq!(out.result_rows, expected, "mask {mask}");
             match out.result {
                 QueryResult::Points(points) => assert_eq!(points.len(), expected),
@@ -865,8 +860,8 @@ mod tests {
         let f = tweets_fixture();
         let q = base_query();
         let exec_t = f.exec_table();
-        let full = execute(&q, &plan_with(&f, &q, 0), &exec_t, None, None, false, 1).unwrap();
-        let idx = execute(&q, &plan_with(&f, &q, 0b010), &exec_t, None, None, false, 1).unwrap();
+        let full = execute(&q, &plan_with(&f, &q, 0), &exec_t, None, None, false).unwrap();
+        let idx = execute(&q, &plan_with(&f, &q, 0b010), &exec_t, None, None, false).unwrap();
         assert!(full.work.seq_rows == 1000);
         assert!(idx.work.seq_rows == 0);
         assert_eq!(idx.work.index_probes, 1);
@@ -883,14 +878,11 @@ mod tests {
         assert_eq!(plan.index_preds.len(), 2, "expected a multi-index plan");
         let outs = [
             reference::execute(&q, &plan, &exec_t, None, None, true).unwrap(),
-            execute(&q, &plan, &exec_t, None, None, true, 1).unwrap(),
-            execute(&q, &plan, &exec_t, None, None, true, 4).unwrap(),
+            execute(&q, &plan, &exec_t, None, None, true).unwrap(),
         ];
-        for out in &outs[1..] {
-            assert_eq!(out.result, outs[0].result);
-            assert_eq!(out.work, outs[0].work);
-            assert_eq!(out.result_rows, outs[0].result_rows);
-        }
+        assert_eq!(outs[1].result, outs[0].result);
+        assert_eq!(outs[1].work, outs[0].work);
+        assert_eq!(outs[1].result_rows, outs[0].result_rows);
         // Time matches rows 100..=499 (400), spatial matches all 1000; their
         // intersection is heap-fetched, then the keyword residual is evaluated
         // once per fetched row — identical leaf/heap accounting on the oracle and
@@ -918,7 +910,7 @@ mod tests {
                 grid: BinGrid::new(GeoRect::new(-120.0, 34.0, -110.0, 36.0), 10, 1),
             });
         let plan = plan_with(&f, &q, 0b1);
-        let out = execute(&q, &plan, &f.exec_table(), None, None, true, 1).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap();
         match out.result {
             QueryResult::Bins(bins) => {
                 let total: u64 = bins.iter().map(|(_, c)| c).sum();
@@ -935,7 +927,7 @@ mod tests {
         let q = base_query();
         let mut plan = plan_with(&f, &q, 0b111);
         plan.approx = Some(ApproxRule::SampleTable { fraction_pct: 20 });
-        let out = execute(&q, &plan, &f.exec_table(), None, None, true, 1).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap();
         assert!(out.result_rows < 100);
         assert!(out.result_rows > 0);
     }
@@ -946,7 +938,7 @@ mod tests {
         let q = base_query();
         let mut plan = plan_with(&f, &q, 0b111);
         plan.approx = Some(ApproxRule::SampleTable { fraction_pct: 40 });
-        let err = execute(&q, &plan, &f.exec_table(), None, None, true, 1).unwrap_err();
+        let err = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap_err();
         assert!(matches!(
             err,
             Error::SampleMissing {
@@ -961,7 +953,7 @@ mod tests {
         let f = tweets_fixture();
         let q = base_query();
         let plan = plan_with(&f, &q, 0b010);
-        let out = execute(&q, &plan, &f.exec_table(), None, Some(10), true, 1).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, Some(10), true).unwrap();
         assert_eq!(out.result_rows, 10);
     }
 
@@ -973,7 +965,7 @@ mod tests {
             .output(OutputKind::Count);
         let mut plan = plan_with(&f, &q, 0b1);
         plan.approx = Some(ApproxRule::TableSample { fraction_pct: 50 });
-        let out = execute(&q, &plan, &f.exec_table(), None, None, true, 1).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap();
         let kept = out.result_rows as f64 / 1000.0;
         assert!((0.3..0.7).contains(&kept), "kept fraction {kept}");
     }
@@ -1004,7 +996,6 @@ mod tests {
                 Some(&users.exec_table()),
                 None,
                 true,
-                1,
             )
             .unwrap();
             results.push(out.result_rows);
@@ -1032,7 +1023,7 @@ mod tests {
             left_attr: 4,
             right_attr: 0,
         });
-        assert!(execute(&q, &plan, &tweets.exec_table(), None, None, true, 1).is_err());
+        assert!(execute(&q, &plan, &tweets.exec_table(), None, None, true).is_err());
     }
 
     #[test]
@@ -1042,7 +1033,7 @@ mod tests {
             .filter(Predicate::keyword(3, "doesnotexist"))
             .output(OutputKind::Count);
         let plan = plan_with(&f, &q, 0b1);
-        let out = execute(&q, &plan, &f.exec_table(), None, None, true, 1).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap();
         assert_eq!(out.result_rows, 0);
     }
 
@@ -1051,7 +1042,7 @@ mod tests {
         let f = tweets_fixture();
         let q = base_query();
         let plan = plan_with(&f, &q, 0b111);
-        let out = execute(&q, &plan, &f.exec_table(), None, None, false, 1).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, None, false).unwrap();
         assert!(matches!(out.result, QueryResult::Count(100)));
     }
 }

@@ -5,17 +5,15 @@
 //! one dense [`SelectionBitmap`](crate::bitmap::SelectionBitmap) word array
 //! from index scan to sink. The scans set its bits, their AND and the residual
 //! predicates refine it in place in 4096-row chunks, and the sink bins and
-//! gathers from its words. `threads` decides, behind [`parallel`], whether the
-//! chunk work runs on the calling thread or on a morsel crew. `reference` is
-//! the row-at-a-time interpreter the pipeline is pinned against (same results,
-//! work profile and simulated time, bit for bit) and falls back to,
-//! whole-query, for predicates it cannot lower.
+//! gathers from its words, all on the thread that serves the request.
+//! `reference` is the row-at-a-time interpreter the pipeline is pinned against
+//! (same results, work profile and simulated time, bit for bit) and falls back
+//! to, whole-query, for predicates it cannot lower.
 //! [`price_plans`] reports what [`execute`] would charge for a whole set of
 //! exact plans of one query from a single pass over the table.
 
 mod compiled;
 mod executor;
-pub mod parallel;
 mod pricing;
 pub(crate) mod reference;
 mod result;

@@ -190,16 +190,17 @@ impl CellMap {
     }
 
     /// The point's clamped column and row, and whether it has a cell at all.
-    /// The extent test ORs its four compares without short-circuiting, so a
-    /// row loop carries no data-dependent branch. A NaN coordinate fails none
-    /// of them and lands in column (row) 0.
+    /// The extent test ANDs its four compares without short-circuiting, so a
+    /// row loop carries no data-dependent branch. It is written positively so
+    /// a NaN coordinate, which passes no compare, lies outside.
     #[inline(always)]
     fn locate(&self, lon: f64, lat: f64) -> (u32, u32, bool) {
         let e = &self.extent;
-        let outside = (lon < e.min_lon) | (lon > e.max_lon) | (lat < e.min_lat) | (lat > e.max_lat);
+        let inside =
+            (lon >= e.min_lon) & (lon <= e.max_lon) & (lat >= e.min_lat) & (lat <= e.max_lat);
         let col = (((lon - e.min_lon) / self.width * self.cols) as u32).min(self.last_col);
         let row = (((lat - e.min_lat) / self.height * self.rows) as u32).min(self.last_row);
-        (col, row, !(outside | self.cellless))
+        (col, row, inside & !self.cellless)
     }
 
     /// Bin id of a point: `None` outside the extent, on a grid without cells,
@@ -382,8 +383,8 @@ mod tests {
         assert_eq!(widest.bin_of(10.0, 10.0), Some(u32::MAX));
     }
 
-    /// `bin_of` would put every row into cell 0 under a NaN extent coordinate
-    /// and into column 0 under an infinite one, so `validate` refuses both on
+    /// `bin_of` would bin no row under a NaN extent coordinate and put every
+    /// row into column 0 under an infinite one, so `validate` refuses both on
     /// every corner.
     #[test]
     fn non_finite_extents_are_rejected() {
@@ -409,10 +410,10 @@ mod tests {
     }
 
     /// The short-circuiting cell arithmetic [`CellMap`] replaced, kept as the
-    /// oracle its branch-free form must equal.
+    /// oracle its branch-free form must equal. A NaN coordinate has no cell.
     fn reference_bin_of(grid: &BinGrid, lon: f64, lat: f64) -> Option<u32> {
         let e = &grid.extent;
-        if e.is_empty() {
+        if e.is_empty() || lon.is_nan() || lat.is_nan() {
             return None;
         }
         if lon < e.min_lon || lon > e.max_lon || lat < e.min_lat || lat > e.max_lat {

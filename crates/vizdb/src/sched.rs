@@ -2,15 +2,16 @@
 //!
 //! * [`WorkQueue`] — a closeable FIFO for work that arrives over time while
 //!   its consumers wait: `MalivaServer::serve_queued`'s admission queue.
-//! * The **claim-cursor crew** ([`run_morsels`], [`run_morsels_fold`]) — a
-//!   fixed range `0..total` handed out by a `fetch_add` cursor to scoped
-//!   workers that borrow the caller's data: the morsel kernels of
-//!   [`crate::exec::parallel`] and `MalivaServer::serve_batch`.
+//! * The **claim-cursor crew** ([`run_morsels`]) — a fixed range `0..total`
+//!   handed out by a `fetch_add` cursor to scoped workers that borrow the
+//!   caller's data. Its one caller is `MalivaServer::serve_batch`, which hands
+//!   a batch's requests to the serve workers.
 //!
 //! They stay two because the work differs. A crew's range is known up front,
 //! so a lock-free cursor hands it out; a queue's items arrive one by one, so a
-//! consumer must park until the next item or the close. A sharded request
-//! uses neither: its shards run one after another on the thread serving it.
+//! consumer must park until the next item or the close. A request itself uses
+//! neither: its chunk kernels, and a sharded request's shards one after
+//! another, run on the thread serving it.
 //!
 //! Both sit on the [`crate::sync`] facade and are model-checked as the
 //! production types (`tests/model_queue.rs`, `tests/model_crew.rs`; loomlite
@@ -239,39 +240,65 @@ where
     merge_ordered(parts)
 }
 
-/// Folds indices into per-worker private accumulators and returns them, in no
-/// particular order. **Only for merges that are exact and commutative** (dense
-/// `u64` bin counts): which worker claimed which index is schedule-dependent,
-/// so anything order- or grouping-sensitive must use [`run_morsels`] instead.
-///
-/// This is a crew of one unit per worker, each unit draining a second, shared
-/// cursor over `0..total` into its own accumulator; a panicking fold poisons
-/// that cursor too and re-raises after all workers join, like [`run_morsels`].
-pub(crate) fn run_morsels_fold<A, I, F>(total: usize, threads: usize, init: I, fold: F) -> Vec<A>
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, usize) + Sync,
-{
-    let workers = threads.min(total).max(1);
-    let indices = MorselRun::new();
-    run_morsels(workers, workers, |_| {
-        let mut acc = init();
-        while let Some(idx) = indices.claim(total) {
-            let step =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fold(&mut acc, idx)));
-            if let Err(payload) = step {
-                indices.poison();
-                std::panic::resume_unwind(payload);
-            }
-        }
-        acc
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_morsels_returns_in_order_at_every_thread_count() {
+        for threads in [1, 2, 4, 8] {
+            let got = run_morsels(37, threads, |m| m * 3);
+            let want: Vec<usize> = (0..37).map(|m| m * 3).collect();
+            assert_eq!(got, want, "{threads} threads");
+        }
+        assert!(run_morsels(0, 4, |m| m).is_empty());
+    }
+
+    #[test]
+    fn panicking_morsel_resumes_earliest_payload_after_join() {
+        for threads in [1, 2, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                run_morsels(16, threads, |m| {
+                    if m >= 5 {
+                        std::panic::panic_any(m);
+                    }
+                    m
+                })
+            });
+            let payload = caught.expect_err("must panic");
+            let &idx = payload.downcast_ref::<usize>().expect("usize payload");
+            // Workers may claim later morsels concurrently, but the merge must
+            // re-raise the earliest panicking index every time.
+            assert_eq!(idx, 5, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn poisoned_run_stops_claims() {
+        let run = MorselRun::new();
+        assert_eq!(run.claim(10), Some(0));
+        run.poison();
+        assert!(run.is_poisoned());
+        assert_eq!(run.claim(10), None);
+    }
+
+    #[test]
+    fn drain_worker_records_claim_order_and_panic() {
+        let run = MorselRun::new();
+        let f = |m: usize| {
+            if m == 2 {
+                std::panic::panic_any("boom");
+            }
+            m * 10
+        };
+        let parts = drain_worker(&run, 5, &f);
+        assert_eq!(parts.len(), 3); // 0, 1, then the panic at 2 stops the loop
+        assert!(matches!(parts[0], (0, Ok(0))));
+        assert!(matches!(parts[1], (1, Ok(10))));
+        assert!(parts[2].1.is_err() && parts[2].0 == 2);
+        assert!(run.is_poisoned());
+        assert_eq!(run.claim(5), None);
+    }
 
     #[test]
     fn queue_is_fifo_sheds_at_capacity_and_drains_before_none() {

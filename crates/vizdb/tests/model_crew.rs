@@ -1,6 +1,6 @@
 //! Model-check suite for `vizdb::sched`'s claim-cursor crew — the protocol
-//! behind the morsel kernels and `MalivaServer::serve_batch`: the claim
-//! cursor, the poison flag, the worker drain loop and the in-order merge.
+//! behind `MalivaServer::serve_batch`: the claim cursor, the poison flag, the
+//! worker drain loop and the in-order merge.
 //!
 //! Production gets its workers from `std::thread::scope`, which loomlite
 //! cannot schedule; everything they share ([`MorselRun`]), the loop they run

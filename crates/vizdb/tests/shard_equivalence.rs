@@ -265,7 +265,6 @@ fn degenerate_and_oversized_grids_are_rejected_on_every_path() {
                 db.clear_caches();
                 rejected(&what, db.execution_time_ms(&query, ro).map(drop));
                 rejected(&what, db.run(&query, ro).map(drop));
-                rejected(&what, db.run_with_threads(&query, ro, 4).map(drop));
                 rejected(&what, db.run_reference(&query, ro).map(drop));
                 rejected(&what, backend.execution_time_ms(&query, ro).map(drop));
                 rejected(&what, backend.run(&query, ro).map(drop));

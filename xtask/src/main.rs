@@ -206,7 +206,7 @@ const RULES: &[(&str, PathPredicate, LineCheck)] = &[
 
 /// Hot-path modules: a panic here takes down a worker thread or a whole
 /// request fan-out. All of `exec/` is covered by prefix — the pipeline, its
-/// kernels, the morsel driver, the lattice pricing pass (which answers "cannot
+/// kernels, the lattice pricing pass (which answers "cannot
 /// price" with `None`, never a panic) and the reference interpreter it falls back to
 /// — and so is `index/`, whose scans fill the selection `bitmap.rs` carries to
 /// the sink, and `sched.rs`, whose queue and crew every worker loop runs on.
@@ -558,18 +558,12 @@ mod tests {
     }
 
     /// "The morsel driver" is the claim-cursor crew in `vizdb::sched`: that
-    /// module holds every sync primitive the exec loops use, `exec/` none.
+    /// module holds the sync primitives, `exec/` none — a request's kernels
+    /// run on the thread serving it.
     #[test]
     fn every_exec_module_is_a_hot_path_and_only_the_morsel_driver_is_concurrent() {
         let bad = "fn f() { a.unwrap(); }\n";
-        let exec = [
-            "executor",
-            "reference",
-            "compiled",
-            "parallel",
-            "pricing",
-            "mod",
-        ];
+        let exec = ["executor", "reference", "compiled", "pricing", "mod"];
         let paths = exec.map(|module| format!("crates/vizdb/src/exec/{module}.rs"));
         let selection = [
             "bitmap.rs",
