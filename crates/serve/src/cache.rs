@@ -44,7 +44,10 @@ pub struct DecisionCacheConfig {
     /// exact τ bits. With a positive width, every budget inside
     /// `[k·w, (k+1)·w)` is planned with the *canonical* budget `k·w` (the
     /// conservative floor), so a cached decision is still a pure function of its
-    /// key and determinism is preserved across worker interleavings.
+    /// key and determinism is preserved across worker interleavings. A budget
+    /// whose bucket index `k` is not an integer in `[0, 2^53)` — any budget
+    /// under an infinite width, a large one under a subnormal width — keys by
+    /// its exact bits instead.
     pub tau_bucket_ms: f64,
 }
 
@@ -196,24 +199,38 @@ impl DecisionCache {
         }
     }
 
+    /// The τ-bucket of `tau_ms`, or `None` to key and plan on the exact
+    /// budget. Buckets need a finite, positive width and a quotient `τ / w` in
+    /// `[0, 2^53)`, where its floor is an exact integer and times `w` a finite
+    /// budget; an infinite width (`0 × ∞` is NaN) or a subnormal one (`τ / w`
+    /// overflows) would otherwise plan every request under a NaN or infinite
+    /// budget. An exactly keyed τ has bits `≥ 2^53`, so it never collides with
+    /// a bucket index.
+    fn bucket(&self, tau_ms: f64) -> Option<f64> {
+        const EXACT_INTEGERS: f64 = (1u64 << 53) as f64;
+        let width = self.tau_bucket_ms;
+        let quotient = tau_ms / width;
+        let bucketed =
+            width.is_finite() && width > 0.0 && (0.0..EXACT_INTEGERS).contains(&quotient);
+        bucketed.then(|| quotient.floor())
+    }
+
     /// The cache key of `(query, tau_ms)`.
     pub fn key(&self, query: &Query, tau_ms: f64) -> (u64, u64) {
-        let tau_key = if self.tau_bucket_ms > 0.0 {
-            (tau_ms / self.tau_bucket_ms).floor() as u64
-        } else {
-            tau_ms.to_bits()
+        let tau_key = match self.bucket(tau_ms) {
+            Some(bucket) => bucket as u64,
+            None => tau_ms.to_bits(),
         };
         (query_fingerprint(query), tau_key)
     }
 
     /// The budget planning must use for `tau_ms` so that the resulting decision
-    /// is a pure function of [`Self::key`]: the bucket floor when τ-bucketing is
-    /// on, the exact budget otherwise.
+    /// is a pure function of [`Self::key`]: the bucket floor when τ falls in a
+    /// bucket, the exact budget otherwise.
     pub fn canonical_tau(&self, tau_ms: f64) -> f64 {
-        if self.tau_bucket_ms > 0.0 {
-            (tau_ms / self.tau_bucket_ms).floor() * self.tau_bucket_ms
-        } else {
-            tau_ms
+        match self.bucket(tau_ms) {
+            Some(bucket) => bucket * self.tau_bucket_ms,
+            None => tau_ms,
         }
     }
 
@@ -392,6 +409,36 @@ mod tests {
         // Whatever τ in the bucket arrives first, planning uses the same budget.
         assert_eq!(cache.canonical_tau(500.0), 500.0);
         assert_eq!(cache.canonical_tau(549.9), 500.0);
+    }
+
+    /// A width whose buckets cannot be computed keys and plans on the exact
+    /// τ: an infinite width used to put every τ in bucket 0 and plan it under
+    /// NaN (`0 × ∞`), a subnormal one to overflow `τ / w` so every key
+    /// saturated and every budget became `∞`.
+    #[test]
+    fn extreme_bucket_widths_key_and_plan_on_the_exact_tau() {
+        let q = query(1);
+        for width in [f64::INFINITY, 1e-320, f64::MIN_POSITIVE] {
+            let cache = DecisionCache::new(DecisionCacheConfig {
+                capacity: 64,
+                tau_bucket_ms: width,
+            });
+            assert_eq!(cache.canonical_tau(500.0), 500.0, "width {width:e}");
+            assert_eq!(cache.canonical_tau(501.0), 501.0, "width {width:e}");
+            assert_ne!(
+                cache.key(&q, 500.0),
+                cache.key(&q, 501.0),
+                "width {width:e}"
+            );
+        }
+        // A narrow width still buckets while τ / w stays below 2^53.
+        let width = (-20f64).exp2();
+        let cache = DecisionCache::new(DecisionCacheConfig {
+            capacity: 64,
+            tau_bucket_ms: width,
+        });
+        assert_eq!(cache.key(&q, 500.0), cache.key(&q, 500.0 + width / 4.0));
+        assert_eq!(cache.canonical_tau(500.0 + width / 4.0), 500.0);
     }
 
     #[test]

@@ -13,23 +13,24 @@
 //! one pass for a whole hint lattice instead of one execution per plan.
 //!
 //! Only the masks matter, not how they are built, so each predicate's comes
-//! from whichever of three sources is cheapest for this query:
-//! - the **column kernel**, chunk by chunk, as the pipeline's sequential scan
-//!   evaluates it (a keyword with an inverted index reads its posting list);
+//! from one of three sources:
 //! - the **index walk** — the B+-tree's or R-tree's `range_scan_bitmap`, the
-//!   walk an index plan's `source` phase runs — when few rows match;
-//! - for a B+-tree, the **complement walk** of the two key ranges outside
-//!   the predicate's, when few rows fail; the mask is its inverse within
-//!   each chunk's row span.
+//!   walk an index plan's `source` phase runs — when at most half the rows
+//!   match;
+//! - the **complement walk** — the B+-tree's walk of the two key ranges
+//!   outside the predicate's, or the R-tree's walk of the subtrees and
+//!   points outside the rectangle — when more than half match; the mask is
+//!   its inverse within each chunk's row span;
+//! - the **column kernel**, chunk by chunk, as the pipeline's sequential scan
+//!   evaluates it, for keywords (whose kernel reads the posting list when the
+//!   column has an inverted index) and unindexed columns.
 //!
-//! The index's `O(log n)` `range_count` decides, against the cut-off
-//! [`ROWS_PER_INDEX_ENTRY`]: a walk is taken when it touches under half the
-//! rows. One of a B+-tree's two walks always does (short of an exact tie),
-//! so the kernel is left to R-tree predicates matching half the rows or
-//! more, keywords and unindexed columns. The pass thus costs what the
-//! sequential-scan plan's execution costs only when such predicates make up
-//! the query, and less the narrower or wider its indexed ranges are. Its
-//! output is pinned against [`execute`](super::execute) field for field by
+//! An indexed range predicate thus takes the shorter of its two walks, as
+//! the index's `O(log n)` `range_count` tells, and never touches more than
+//! half the rows. The pass costs what the sequential-scan plan's execution
+//! costs only when keywords and unindexed predicates make up the query, and
+//! less the narrower or wider its indexed ranges are. Its output is pinned
+//! against [`execute`](super::execute) field for field by
 //! `tests/exec_equivalence.rs::priced_time_equals_executed_time`.
 
 use crate::bitmap::{set_span, SelectionBitmap, CHUNK_BITS, CHUNK_WORDS};
@@ -44,19 +45,6 @@ use crate::types::RecordId;
 /// Most predicates [`price_plans`] prices in one pass: `2^4` subset masks of
 /// 64 words stay in L1 next to the column stripes being scanned.
 pub const MAX_PRICED_PREDICATES: usize = 4;
-
-/// Table rows the column kernel sweeps in the time an index walk takes per
-/// entry it emits: a predicate's mask comes from a walk touching `e` entries
-/// when `e × ROWS_PER_INDEX_ENTRY` is below the row count. A walk entry is a
-/// leaf-slice read plus a bit set at a row scattered over the table's bitmap,
-/// ≈ 1.5 ns for the B+-tree, its complement and the R-tree alike; a kernel
-/// row is ≈ 0.67 ns for a float range, 0.94 for a time range and 1.16 for a
-/// point-in-rectangle test (the 900 predicates of 300 generated viewports
-/// over the 200k-row NYC Taxi table, 2-vCPU x86-64 host). The ratio is
-/// 1.3–2.2; at 2, those predicates' masks cost 90 µs on average, against
-/// 96 µs at 3, 89 µs picking each one's cheapest source in hindsight, and
-/// 182 µs from the kernels alone.
-pub(crate) const ROWS_PER_INDEX_ENTRY: usize = 2;
 
 /// The [`WorkProfile`] that `execute(query, plan, fact, None, None, false, _)`
 /// reports for each of `plans`, computed in one shared pass over the table.
@@ -97,31 +85,30 @@ pub fn price_plans(
 /// Where the pass takes one predicate's whole-table mask from (see the
 /// module docs). Every source yields the rows the column kernel would.
 enum MaskSource<'a> {
-    /// The column kernel, chunk by chunk.
+    /// The column kernel, chunk by chunk: keywords and unindexed predicates.
     Kernel(CompiledPredicate<'a>),
-    /// The rows an index walk matched.
+    /// The rows a B+-tree or R-tree walk matched, when at most half do.
     Matches(SelectionBitmap),
-    /// The rows a B+-tree walk found *outside* the range.
+    /// The rows a B+-tree or R-tree complement walk found *outside* the
+    /// range or rectangle, when more than half match.
     Misses(SelectionBitmap),
 }
 
 impl<'a> MaskSource<'a> {
-    /// The cheapest source of one predicate's mask over `n` rows, given the
-    /// predicate lowered and its index (`None` without one). A keyword's
-    /// kernel already reads its posting list, so it stays there.
+    /// The source of one predicate's mask over `n` rows, given the predicate
+    /// lowered and its index (`None` without one): the shorter of a range
+    /// index's two walks, by its match count; otherwise the kernel, which for
+    /// a keyword already reads the posting list.
     fn cheapest(lowered: CompiledPredicate<'a>, probe: Option<IndexProbe<'_>>, n: usize) -> Self {
-        let walk_pays = |entries: usize| entries.saturating_mul(ROWS_PER_INDEX_ENTRY) < n;
-        let probe = match probe {
-            None | Some(IndexProbe::Inverted(..)) => return Self::Kernel(lowered),
-            Some(probe) => probe,
-        };
-        let matches = probe.count();
         match probe {
-            _ if walk_pays(matches) => Self::Matches(probe.bitmap().0),
-            IndexProbe::BTree(index, lo, hi) if walk_pays(n.saturating_sub(matches)) => {
+            None | Some(IndexProbe::Inverted(..)) => Self::Kernel(lowered),
+            Some(probe) if probe.count() <= n / 2 => Self::Matches(probe.bitmap().0),
+            Some(IndexProbe::BTree(index, lo, hi)) => {
                 Self::Misses(index.complement_scan_bitmap(lo, hi))
             }
-            _ => Self::Kernel(lowered),
+            Some(IndexProbe::RTree(index, rect)) => {
+                Self::Misses(index.complement_scan_bitmap(rect))
+            }
         }
     }
 
@@ -288,7 +275,8 @@ mod tests {
 
     /// 9,001 rows (a partial last chunk): timestamps `5 × row`, a float with
     /// duplicate keys and signed NaNs, points on a line with one NaN (row 7,
-    /// inside the first rectangle below, which the R-tree must not hand out).
+    /// inside the first rectangle's leaves, which the R-tree walk must not hand
+    /// out and its complement walk must).
     fn table() -> Table {
         let schema = TableSchema::new("t")
             .with_column("when", ColumnType::Timestamp)
@@ -344,7 +332,7 @@ mod tests {
         let rect = |lo: f64, hi: f64| Predicate::spatial_range(2, GeoRect::new(lo, 0.0, hi, 2.0));
         let cases = [
             (time(100, 9_000), "matches"),
-            // 4,500 of 9,001 rows match, then 4,501: the cut-off between.
+            // 4,500 of 9,001 rows match, then 4,501: the shorter walk flips.
             (time(5_000, 27_495), "matches"),
             (time(5_000, 27_500), "misses"),
             (time(5, 44_000), "misses"),
@@ -357,7 +345,8 @@ mod tests {
             (score(-0.0, f64::INFINITY), "misses"),
             (score(f64::NAN, 5.0), "matches"),
             (rect(0.0, 10.0), "matches"),
-            (rect(-1.0, 100.0), "kernel"),
+            // Every point but the NaN row 7: the complement walk's only miss.
+            (rect(-1.0, 100.0), "misses"),
         ];
         let n = t.row_count();
         let mut scratch = Vec::new();

@@ -36,6 +36,9 @@ enum NodeKind {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RTree {
     root: Option<Node>,
+    /// Ids of the entries [`RTree::build`] left out of the tree for a NaN
+    /// coordinate: in no rectangle, so in every complement.
+    unplaced: Vec<RecordId>,
     len: usize,
 }
 
@@ -45,13 +48,17 @@ impl RTree {
     /// A point with a NaN coordinate lies in no rectangle, and
     /// [`GeoRect::extend`] skips NaN, so a leaf holding one would get an MBR
     /// that leaves it out and every contained-node shortcut would hand out
-    /// its id. Such points are left out of the tree; `len` stays the entry
-    /// count, so the scans' bitmaps still span every row.
-    pub fn build(mut entries: Vec<(GeoPoint, RecordId)>) -> Self {
+    /// its id. Such points are left out of the tree and only their ids kept;
+    /// `len` stays the entry count, so the scans' bitmaps still span every
+    /// row.
+    pub fn build(entries: Vec<(GeoPoint, RecordId)>) -> Self {
         let len = entries.len();
-        entries.retain(|(p, _)| !p.lon.is_nan() && !p.lat.is_nan());
+        let (placed, unplaced): (Vec<_>, Vec<_>) = entries
+            .into_iter()
+            .partition(|(p, _)| !p.lon.is_nan() && !p.lat.is_nan());
         Self {
-            root: Self::pack_upwards(Self::pack_leaves(entries)),
+            root: Self::pack_upwards(Self::pack_leaves(placed)),
+            unplaced: unplaced.into_iter().map(|(_, rid)| rid).collect(),
             len,
         }
     }
@@ -232,6 +239,46 @@ impl RTree {
         }
     }
 
+    /// The record ids of every entry *outside* `rect`, as a bitmap over
+    /// `0..len`: exactly the rows [`RTree::range_scan_bitmap`] leaves out.
+    /// Subtrees disjoint from `rect` are emitted whole, contained ones are
+    /// skipped and boundary leaves test their points one by one; the entries
+    /// [`RTree::build`] left out for a NaN coordinate lie in no rectangle and
+    /// are always emitted. Cheaper than the scan when most points lie inside.
+    pub(crate) fn complement_scan_bitmap(&self, rect: &GeoRect) -> SelectionBitmap {
+        let mut bits = SelectionBitmap::new(self.len);
+        for &rid in &self.unplaced {
+            bits.insert(rid);
+        }
+        if let Some(root) = &self.root {
+            Self::complement_node(root, rect, &mut bits);
+        }
+        bits
+    }
+
+    fn complement_node(node: &Node, rect: &GeoRect, bits: &mut SelectionBitmap) {
+        if !node.mbr.intersects(rect) {
+            return Self::collect_all_bitmap(node, bits, &mut 0);
+        }
+        if rect.contains_rect(&node.mbr) {
+            return;
+        }
+        match &node.kind {
+            NodeKind::Leaf { points, rids } => {
+                for (p, &rid) in points.iter().zip(rids) {
+                    if !rect.contains(p) {
+                        bits.insert(rid);
+                    }
+                }
+            }
+            NodeKind::Internal { children } => {
+                for child in children {
+                    Self::complement_node(child, rect, bits);
+                }
+            }
+        }
+    }
+
     fn collect_all_bitmap(node: &Node, bits: &mut SelectionBitmap, matches: &mut usize) {
         match &node.kind {
             NodeKind::Leaf { rids, .. } => {
@@ -297,7 +344,7 @@ impl SecondaryIndex for RTree {
                 NodeKind::Internal { children } => children.iter().map(node_bytes).sum(),
             }
         }
-        self.root.as_ref().map(node_bytes).unwrap_or(0)
+        self.root.as_ref().map(node_bytes).unwrap_or(0) + self.unplaced.len() * 4
     }
 }
 
@@ -410,12 +457,79 @@ mod tests {
         }
     }
 
+    #[test]
+    fn complement_of_an_empty_or_unplaced_tree() {
+        let rect = GeoRect::new(-1.0, -1.0, 1.0, 1.0);
+        assert!(RTree::build(vec![])
+            .complement_scan_bitmap(&rect)
+            .is_empty());
+        let nan = vec![
+            (GeoPoint::new(f64::NAN, 0.0), 0),
+            (GeoPoint::new(0.0, f64::NAN), 1),
+        ];
+        let t = RTree::build(nan);
+        assert_eq!(t.range_count(&rect), 0);
+        assert_eq!(t.complement_scan_bitmap(&rect).to_vec(), vec![0, 1]);
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
 
+        /// Coordinate draw `v` of `0..23`: an integer in `-10..10` (so points
+        /// land exactly on rectangle edges), or NaN, `+∞`, `−∞`.
+        fn coord(v: u8) -> f64 {
+            match v {
+                20 => f64::NAN,
+                21 => f64::INFINITY,
+                22 => f64::NEG_INFINITY,
+                _ => f64::from(v) - 10.0,
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The complement walk emits exactly the rows outside the
+            /// rectangle: disjoint from the scan, together all of `0..len`,
+            /// `len − range_count` of them, NaN points always among them —
+            /// over empty and two-level trees, ±∞ points, points on an edge,
+            /// and zero-area, inverted and NaN-bound rectangles.
+            #[test]
+            fn complement_is_the_scan_inverted(
+                pts in proptest::collection::vec((0u8..23, 0u8..23), 0..1500),
+                lon in (0u8..23, 0u8..23),
+                lat in (0u8..23, 0u8..23),
+            ) {
+                let points: Vec<GeoPoint> =
+                    pts.iter().map(|&(x, y)| GeoPoint::new(coord(x), coord(y))).collect();
+                let entries = points.iter().zip(0..).map(|(&p, rid)| (p, rid)).collect();
+                let tree = RTree::build(entries);
+                // Built field by field, so the bounds may be inverted or NaN.
+                let rect = GeoRect {
+                    min_lon: coord(lon.0),
+                    min_lat: coord(lat.0),
+                    max_lon: coord(lon.1),
+                    max_lat: coord(lat.1),
+                };
+                let inside = tree.range_scan_bitmap(&rect).0.to_vec();
+                let outside = tree.complement_scan_bitmap(&rect).to_vec();
+                let mut all = [inside.clone(), outside.clone()].concat();
+                all.sort_unstable();
+                prop_assert_eq!(all, (0..points.len() as RecordId).collect::<Vec<_>>());
+                prop_assert_eq!(outside.len(), points.len() - tree.range_count(&rect));
+                let expected: Vec<RecordId> = (0..)
+                    .zip(&points)
+                    .filter(|(_, p)| !rect.contains(p))
+                    .map(|(rid, _)| rid)
+                    .collect();
+                prop_assert_eq!(&outside, &expected);
+                for (rid, p) in (0..).zip(&points) {
+                    if p.lon.is_nan() || p.lat.is_nan() {
+                        prop_assert!(outside.contains(&rid));
+                    }
+                }
+            }
             #[test]
             fn bitmap_scan_equals_vector_scan(
                 pts in proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 0..300),

@@ -285,12 +285,13 @@ impl Indexes {
     }
 }
 
-/// Predicate kind `kind` of 13 over [`build_table`]'s columns, its bound placed
+/// Predicate kind `kind` of 14 over [`build_table`]'s columns, its bound placed
 /// at fraction `u` of the column's span, so every mask source of the pricing
 /// pass is drawn: a keyword missing from the dictionary, a numeric range over
 /// the timestamp column (fractional, inverted and NaN bounds too), time
-/// ranges reaching `i64::MIN` / `i64::MAX` or inverted, and float ranges over
-/// NaNs and duplicate keys.
+/// ranges reaching `i64::MIN` / `i64::MAX` or inverted, float ranges over
+/// NaNs and duplicate keys, and rectangles holding more than half of
+/// [`scatter`]'s points (the R-tree's complement walk).
 fn predicate_of(kind: usize, u: f64) -> Predicate {
     let at = (u * 50_000.0) as i64;
     let time = |start, end| Predicate::TimeRange {
@@ -317,7 +318,12 @@ fn predicate_of(kind: usize, u: f64) -> Predicate {
         9 => time(at + 10, at),
         10 => numeric(1, u * 50_000.0, u * 20_000.0),
         11 => numeric(1, f64::NAN, u * 50_000.0),
-        _ => numeric(4, -0.0, u * 40.0),
+        12 => numeric(4, -0.0, u * 40.0),
+        _ => {
+            // At least 62% of the longitudes times 95% of the latitudes.
+            let rect = GeoRect::new(-121.0 + u * 20.0, 24.0 + u * 2.0, -69.0, 50.0);
+            Predicate::spatial_range(2, rect)
+        }
     }
 }
 
@@ -330,7 +336,8 @@ proptest! {
     /// is bit for bit the time of executing that rewrite, and
     /// `price_plans` reports `execute`'s `WorkProfile` field for field —
     /// whichever source (column kernel, index walk, complement walk) the pass
-    /// took each predicate's mask from. Row 3 sits at a NaN coordinate.
+    /// took each predicate's mask from. Row 3 sits at a NaN coordinate, in
+    /// every R-tree complement.
     #[test]
     fn priced_time_equals_executed_time(
         size in 0usize..6,
@@ -338,7 +345,7 @@ proptest! {
         keyword_every in 2usize..6,
         index_text in 0u8..2,
         follow_hints in 0u8..2,
-        preds in proptest::collection::vec((0usize..13, 0.0f64..1.0), 0..5),
+        preds in proptest::collection::vec((0usize..14, 0.0f64..1.0), 0..5),
         cols in 1u32..20,
         grid_rows in 1u32..20,
     ) {
@@ -512,8 +519,9 @@ fn nan_coordinate_is_in_no_rectangle() {
     sharded.register_table(db.table("events").unwrap()).unwrap();
     sharded.build_all_indexes("events").unwrap();
     let sharded = sharded.build();
-    // Every other point; then few enough that the pricing pass walks the
-    // R-tree for its mask (the NaN point's leaf lies inside the rectangle).
+    // Every other point, so the pricing pass takes the R-tree's complement
+    // walk, which must emit the NaN point; then few enough that it walks the
+    // matches (the NaN point's leaf lies inside the rectangle).
     for (rect, expected) in [
         (GeoRect::new(-121.0, 33.0, -100.0, 35.0), 999),
         (GeoRect::new(-121.0, 33.0, -117.005, 35.0), 299),
