@@ -4,8 +4,12 @@
 //! filtering condition the plan relies on by running a `count(*)` probe over a small
 //! pre-built sample table, then feeds the measured selectivities into an analytical
 //! cost model (a linear regression over predicted operation counts) fitted offline on
-//! the training workload. The probes take real time — proportional to the sample size —
-//! which is exactly the estimation cost the MDP agent must budget for.
+//! the training workload. Each probe is charged to the simulated clock in proportion
+//! to the sample size (`per_row_probe_ms` × sample rows), which is exactly the
+//! estimation cost the MDP agent must budget for. In process the probe no longer
+//! scans the sample: the backend answers it from indexes over a copy of the sample
+//! (`Database::sample_selectivity`), so its wall time is an index count while its
+//! simulated charge is unchanged.
 
 use std::sync::Arc;
 

@@ -22,13 +22,13 @@ use crate::fingerprint::{
     predicate_fingerprint, query_fingerprint, rewrite_fingerprint, Fingerprint,
 };
 use crate::hints::{enumerate_hint_sets, RewriteOption};
-use crate::index::{BPlusTree, InvertedIndex, RTree};
+use crate::index::{index_answers, BPlusTree, InvertedIndex, RTree};
 use crate::optimizer::{estimate_selectivity, Planner, TableMeta};
 use crate::plan::PhysicalPlan;
 use crate::query::{render_sql, Predicate, Query};
-use crate::schema::{ColumnType, TableSchema};
+use crate::schema::TableSchema;
 use crate::stats::TableStats;
-use crate::storage::{ColumnData, SampleTable, Table};
+use crate::storage::{check_fraction, BuildOnce, ColumnData, SampleTable, Table};
 use crate::timing::{apply_profile_noise, execution_time_ms, CostParams, WorkProfile};
 use crate::types::RecordId;
 
@@ -93,35 +93,128 @@ type Engine = fn(
     bool,
 ) -> Result<exec::ExecOutcome>;
 
+/// A table's secondary indexes, keyed by column.
+#[derive(Default)]
+struct Indexes {
+    btree: HashMap<usize, BPlusTree>,
+    rtree: HashMap<usize, RTree>,
+    inverted: HashMap<usize, InvertedIndex>,
+}
+
+impl Indexes {
+    /// Builds the type-appropriate index on column `col` of `table`: B+-tree for
+    /// numeric / timestamp, R-tree for geo, inverted index for text.
+    fn build(&mut self, table: &Table, col: usize) -> Result<()> {
+        let ids = 0..table.row_count() as RecordId;
+        match table.column(col)? {
+            ColumnData::Timestamp(v) => {
+                let entries = v.iter().copied().zip(ids).collect();
+                self.btree.insert(col, BPlusTree::build(entries));
+            }
+            ColumnData::Int(v) => {
+                let keys = v.iter().map(|&n| BPlusTree::float_key(n as f64));
+                self.btree
+                    .insert(col, BPlusTree::build(keys.zip(ids).collect()));
+            }
+            ColumnData::Float(v) => {
+                let keys = v.iter().map(|&x| BPlusTree::float_key(x));
+                self.btree
+                    .insert(col, BPlusTree::build(keys.zip(ids).collect()));
+            }
+            ColumnData::Geo(v) => {
+                let entries = v.iter().copied().zip(ids).collect();
+                self.rtree.insert(col, RTree::build(entries));
+            }
+            // Straight from the CSR-flattened column: no per-row clones.
+            ColumnData::Text(docs) => {
+                self.inverted
+                    .insert(col, InvertedIndex::from_docs(docs.docs()));
+            }
+        }
+        Ok(())
+    }
+
+    fn exec_table<'a>(
+        &'a self,
+        table: &'a Table,
+        samples: &'a HashMap<u32, SampleTable>,
+    ) -> ExecTable<'a> {
+        ExecTable {
+            table,
+            btree: &self.btree,
+            rtree: &self.rtree,
+            inverted: &self.inverted,
+            samples,
+        }
+    }
+}
+
+/// A sample's rows copied out into a table of their own, with the indexes the
+/// base table has on those columns rebuilt over it: what the sample's
+/// `count(*)` probes read ([`Database::sample_selectivity`]).
+struct ProbeCopy {
+    table: Table,
+    indexes: Indexes,
+    /// Always empty: a copy is never sampled itself.
+    samples: HashMap<u32, SampleTable>,
+}
+
+impl ProbeCopy {
+    fn build(base: &TableEntry, sample: &SampleTable) -> Result<Self> {
+        let table = base.table.subset(sample.row_ids())?;
+        let mut indexes = Indexes::default();
+        for &col in &base.indexed_columns {
+            indexes.build(&table, col)?;
+        }
+        Ok(Self {
+            table,
+            indexes,
+            samples: HashMap::new(),
+        })
+    }
+
+    fn exec_table(&self) -> ExecTable<'_> {
+        self.indexes.exec_table(&self.table, &self.samples)
+    }
+}
+
 /// All per-table state: data, indexes, statistics and sample tables.
 struct TableEntry {
     table: Table,
     stats: TableStats,
-    btree: HashMap<usize, BPlusTree>,
-    rtree: HashMap<usize, RTree>,
-    inverted: HashMap<usize, InvertedIndex>,
+    indexes: Indexes,
     samples: HashMap<u32, SampleTable>,
+    /// One slot per sample, holding its [`ProbeCopy`] once the first probe of
+    /// that fraction has built it; emptied by every catalog mutation.
+    probe_copies: HashMap<u32, BuildOnce<ProbeCopy>>,
     indexed_columns: HashSet<usize>,
 }
 
 impl TableEntry {
     fn exec_table(&self) -> ExecTable<'_> {
-        ExecTable {
-            table: &self.table,
-            btree: &self.btree,
-            rtree: &self.rtree,
-            inverted: &self.inverted,
-            samples: &self.samples,
-        }
+        self.indexes.exec_table(&self.table, &self.samples)
     }
 
     fn meta(&self) -> TableMeta<'_> {
         TableMeta {
             stats: &self.stats,
             dictionary: self.table.dictionary(),
+            schema: self.table.schema(),
             indexed_columns: &self.indexed_columns,
             row_count: self.table.row_count(),
         }
+    }
+}
+
+/// How many rows of `view` match `pred` — the count behind both selectivity
+/// probes. An index that answers the predicate counts it from its own
+/// structure ([`exec::IndexProbe::count`]); any other predicate is counted by
+/// the compiled kernel over every row, which also raises a mistyped
+/// predicate's error (and over no rows, none).
+fn count_rows(view: &ExecTable<'_>, pred: &Predicate) -> Result<usize> {
+    match exec::IndexProbe::resolve(pred, view) {
+        Ok(probe) => Ok(probe.count()),
+        Err(_) => exec::count_matching(pred, view.table, 0..view.table.row_count() as RecordId),
     }
 }
 
@@ -170,11 +263,17 @@ impl Database {
     /// Invalidation hook shared by every catalog mutation: bump the generation and
     /// drop both fingerprint caches, whose entries were computed against the old
     /// catalog (a new index changes execution times, a new sample changes
-    /// approximate rewrites, a re-registered table changes everything).
+    /// approximate rewrites, a re-registered table changes everything), and every
+    /// sample's probe copy, which the next probe rebuilds with the current indexes.
     fn invalidate(&mut self) {
         self.generation += 1;
         self.time_cache.clear();
         self.selectivity_cache.clear();
+        for entry in self.tables.values_mut() {
+            for slot in entry.probe_copies.values_mut() {
+                *slot = BuildOnce::new();
+            }
+        }
     }
 
     /// The database configuration.
@@ -194,10 +293,9 @@ impl Database {
             TableEntry {
                 table,
                 stats,
-                btree: HashMap::new(),
-                rtree: HashMap::new(),
-                inverted: HashMap::new(),
+                indexes: Indexes::default(),
                 samples: HashMap::new(),
+                probe_copies: HashMap::new(),
                 indexed_columns: HashSet::new(),
             },
         );
@@ -255,45 +353,7 @@ impl Database {
             .get_mut(table)
             .ok_or_else(|| Error::TableNotFound(table.to_string()))?;
         let col_idx = entry.table.schema().column_index(column)?;
-        let col_type = entry.table.schema().column_type(col_idx)?;
-        match col_type {
-            ColumnType::Timestamp => {
-                let entries: Vec<(i64, RecordId)> = (0..entry.table.row_count() as RecordId)
-                    .map(|rid| Ok((entry.table.timestamp(col_idx, rid)?, rid)))
-                    .collect::<Result<_>>()?;
-                entry.btree.insert(col_idx, BPlusTree::build(entries));
-            }
-            ColumnType::Int | ColumnType::Float => {
-                let entries: Vec<(i64, RecordId)> = (0..entry.table.row_count() as RecordId)
-                    .map(|rid| {
-                        let v = entry.table.numeric(col_idx, rid)?;
-                        Ok((BPlusTree::float_key(v), rid))
-                    })
-                    .collect::<Result<_>>()?;
-                entry.btree.insert(col_idx, BPlusTree::build(entries));
-            }
-            ColumnType::Geo => {
-                let entries: Vec<(crate::types::GeoPoint, RecordId)> = (0..entry.table.row_count()
-                    as RecordId)
-                    .map(|rid| Ok((entry.table.geo(col_idx, rid)?, rid)))
-                    .collect::<Result<_>>()?;
-                entry.rtree.insert(col_idx, RTree::build(entries));
-            }
-            ColumnType::Text => {
-                // Build straight from the CSR-flattened column — no per-row clones.
-                let index = match entry.table.column(col_idx)? {
-                    ColumnData::Text(docs) => InvertedIndex::from_docs(docs.docs()),
-                    other => {
-                        return Err(Error::TypeMismatch {
-                            column: column.to_string(),
-                            expected: "text",
-                            actual: other.column_type().name(),
-                        })
-                    }
-                };
-                entry.inverted.insert(col_idx, index);
-            }
-        }
+        entry.indexes.build(&entry.table, col_idx)?;
         entry.indexed_columns.insert(col_idx);
         self.invalidate();
         Ok(())
@@ -313,15 +373,19 @@ impl Database {
         Ok(())
     }
 
-    /// Builds a `fraction_pct`% random sample of `table`.
+    /// Builds a `fraction_pct`% random sample of `table`. A fraction outside
+    /// `1..=100` is an [`Error::InvalidSampleFraction`], raised before the
+    /// catalog changes.
     pub fn build_sample(&mut self, table: &str, fraction_pct: u32) -> Result<()> {
         let seed = self.config.seed;
         let entry = self
             .tables
             .get_mut(table)
             .ok_or_else(|| Error::TableNotFound(table.to_string()))?;
+        check_fraction(table, fraction_pct)?;
         let sample = SampleTable::build(table, entry.table.row_count(), fraction_pct, seed);
         entry.samples.insert(fraction_pct, sample);
+        entry.probe_copies.insert(fraction_pct, BuildOnce::new());
         self.invalidate();
         Ok(())
     }
@@ -403,10 +467,12 @@ impl Database {
         Ok(estimate_selectivity(&entry.meta(), pred))
     }
 
-    /// The *true* selectivity of a single predicate on `table`, computed from indexes
-    /// when available (exact counts) and by scanning otherwise. Results are cached
-    /// uniformly (including for empty tables) through a get-or-compute helper, so
-    /// concurrent workers asking for the same predicate never recompute it.
+    /// The *true* selectivity of a single predicate on `table`: an exact count,
+    /// from the index when one answers the predicate and by the compiled kernel
+    /// over every row otherwise (the count [`Database::sample_selectivity`]
+    /// takes over a sample's copy). Results are cached uniformly (including for
+    /// empty tables) through a get-or-compute helper, so concurrent workers
+    /// asking for the same predicate never recompute it.
     pub fn true_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
         let entry = self.entry(table)?;
         let key = (
@@ -418,22 +484,27 @@ impl Database {
             if rows == 0 {
                 return Ok(0.0);
             }
-            let count = match exec::IndexProbe::resolve(pred, &entry.exec_table()) {
-                Ok(probe) => probe.count(),
-                Err(_) => self.scan_count(entry, pred)?,
-            };
-            Ok(count as f64 / rows as f64)
+            Ok(count_rows(&entry.exec_table(), pred)? as f64 / rows as f64)
         })
-    }
-
-    fn scan_count(&self, entry: &TableEntry, pred: &Predicate) -> Result<usize> {
-        let rows = 0..entry.table.row_count() as RecordId;
-        exec::count_matching(pred, &entry.table, rows)
     }
 
     /// Measures the selectivity of `pred` on the `fraction_pct`% sample of `table`,
     /// returning `(selectivity estimate, rows scanned)`. This is the probe the
     /// sampling-based Approximate-QTE issues (a `count(*)` on a small sample table).
+    ///
+    /// The count is exactly the sampled rows that match, as if each were read
+    /// from the base table, but it runs on the sample's probe copy (built on the
+    /// first probe of this fraction, see [`crate::storage::BuildOnce`]): an index
+    /// count when an index answers the predicate, a kernel over the copy's
+    /// contiguous rows otherwise. `rows scanned` stays the sample's length,
+    /// which is what the QTE charges its simulated probe time by.
+    ///
+    /// A predicate mistyped for its column (one no index kind answers there,
+    /// by `index::index_answers`; the kernels lower exactly the same pairs) is counted
+    /// by the row loop over the sampled rows of the base table instead, which
+    /// raises the interpreter's error (over an empty sample, none). The copy
+    /// could not stand in for it: its dictionary is re-interned over the
+    /// sample, so a keyword known only outside it would resolve differently.
     pub fn sample_selectivity(
         &self,
         table: &str,
@@ -441,15 +512,22 @@ impl Database {
         fraction_pct: u32,
     ) -> Result<(f64, usize)> {
         let entry = self.entry(table)?;
-        let sample = entry
-            .samples
-            .get(&fraction_pct)
-            .ok_or(Error::SampleMissing {
-                table: table.to_string(),
-                fraction_pct,
-            })?;
-        let rows = sample.row_ids().iter().copied();
-        let matched = exec::count_matching(pred, &entry.table, rows)?;
+        let missing = || Error::SampleMissing {
+            table: table.to_string(),
+            fraction_pct,
+        };
+        let sample = entry.samples.get(&fraction_pct).ok_or_else(missing)?;
+        let slot = entry.probe_copies.get(&fraction_pct).ok_or_else(missing)?;
+        let column = entry.table.schema().column_type(pred.attr());
+        let well_typed = column.is_ok_and(|ty| index_answers(pred, ty));
+        let matched = if well_typed {
+            slot.read_or_build(
+                || ProbeCopy::build(entry, sample),
+                |copy| count_rows(&copy.exec_table(), pred),
+            )??
+        } else {
+            exec::count_matching(pred, &entry.table, sample.row_ids().iter().copied())?
+        };
         let scanned = sample.len();
         let sel = if scanned == 0 {
             0.0

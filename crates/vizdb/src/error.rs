@@ -42,6 +42,13 @@ pub enum Error {
         /// Requested sampling fraction.
         fraction_pct: u32,
     },
+    /// A sample was asked for at a percentage outside `1..=100`.
+    InvalidSampleFraction {
+        /// Base table name.
+        table: String,
+        /// The rejected sampling percentage.
+        fraction_pct: u32,
+    },
     /// The query is malformed (e.g. a join without a join specification).
     InvalidQuery(String),
     /// A rewrite option is incompatible with the query it is applied to.
@@ -111,6 +118,13 @@ impl fmt::Display for Error {
                 table,
                 fraction_pct,
             } => write!(f, "no {fraction_pct}% sample of table {table}"),
+            Error::InvalidSampleFraction {
+                table,
+                fraction_pct,
+            } => write!(
+                f,
+                "cannot sample {fraction_pct}% of table {table}: the fraction must be in 1..=100"
+            ),
             Error::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             Error::InvalidRewrite(msg) => write!(f, "invalid rewrite option: {msg}"),
             Error::Internal(msg) => write!(f, "internal invariant violated: {msg}"),

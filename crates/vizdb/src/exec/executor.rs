@@ -32,10 +32,13 @@ use crate::exec::compiled::{self, CompiledPredicate};
 use crate::exec::reference;
 use crate::exec::result::QueryResult;
 use crate::hints::JoinMethod;
-use crate::index::{intersect_skip_charge, BPlusTree, InvertedIndex, RTree, ScanStats};
+use crate::index::{
+    index_answers, intersect_skip_charge, BPlusTree, InvertedIndex, RTree, ScanStats,
+};
 use crate::plan::PhysicalPlan;
 use crate::query::{BinGrid, JoinSpec, OutputKind, Predicate, Query};
-use crate::storage::{ColumnData, SampleTable, Table};
+use crate::schema::ColumnType;
+use crate::storage::{SampleTable, Table};
 use crate::timing::{hash_unit, WorkProfile};
 use crate::types::{GeoPoint, GeoRect, NumRange, RecordId, TokenId};
 
@@ -420,16 +423,16 @@ impl<'a> SampleRestriction<'a> {
 }
 
 /// The B+-tree key interval that selects exactly the rows a numeric range
-/// matches on column `attr`. `build_index` keys a timestamp column by the raw
-/// timestamp, so there the interval is the integers inside `[lo, hi]`:
-/// `(lo.ceil(), hi.floor())`, saturating at the `i64` bounds (exact for
-/// timestamps within ±2^53, where `t as f64` is exact). Every other column is
-/// keyed by [`BPlusTree::float_key`]. A NaN bound matches no row, so it gives
-/// an empty interval.
-fn numeric_probe_keys(table: &Table, attr: usize, range: &NumRange) -> (i64, i64) {
+/// matches on a column of type `column`. `build_index` keys a timestamp column
+/// by the raw timestamp, so there the interval is the integers inside
+/// `[lo, hi]`: `(lo.ceil(), hi.floor())`, saturating at the `i64` bounds
+/// (exact for timestamps within ±2^53, where `t as f64` is exact). Every other
+/// column is keyed by [`BPlusTree::float_key`]. A NaN bound matches no row, so
+/// it gives an empty interval.
+fn numeric_probe_keys(column: ColumnType, range: &NumRange) -> (i64, i64) {
     if range.lo.is_nan() || range.hi.is_nan() {
         (i64::MAX, i64::MIN)
-    } else if matches!(table.column(attr), Ok(ColumnData::Timestamp(_))) {
+    } else if column == ColumnType::Timestamp {
         // Float-to-int `as` saturates.
         (range.lo.ceil() as i64, range.hi.floor() as i64)
     } else {
@@ -452,18 +455,20 @@ pub(crate) enum IndexProbe<'a> {
 
 impl<'a> IndexProbe<'a> {
     /// The probe answering `pred` on `fact`; [`Error::IndexMissing`] when its
-    /// column has no index of the kind it needs.
+    /// column has no index that answers it ([`index_answers`], the rule the
+    /// planner applies too), so a mistyped predicate is never counted by an
+    /// index keyed for another type.
     pub(crate) fn resolve(pred: &'a Predicate, fact: &ExecTable<'a>) -> Result<Self> {
         let attr = pred.attr();
+        let schema = fact.table.schema();
         let missing = || Error::IndexMissing {
             table: fact.table.name().to_string(),
-            column: fact
-                .table
-                .schema()
-                .column_name(attr)
-                .unwrap_or("<unknown>")
-                .to_string(),
+            column: schema.column_name(attr).unwrap_or("<unknown>").to_string(),
         };
+        let column = schema.column_type(attr).map_err(|_| missing())?;
+        if !index_answers(pred, column) {
+            return Err(missing());
+        }
         Ok(match pred {
             Predicate::KeywordContains { keyword, .. } => IndexProbe::Inverted(
                 fact.inverted.get(&attr).ok_or_else(missing)?,
@@ -475,7 +480,7 @@ impl<'a> IndexProbe<'a> {
                 range.end,
             ),
             Predicate::NumericRange { range, .. } => {
-                let (lo, hi) = numeric_probe_keys(fact.table, attr, range);
+                let (lo, hi) = numeric_probe_keys(column, range);
                 IndexProbe::BTree(fact.btree.get(&attr).ok_or_else(missing)?, lo, hi)
             }
             Predicate::SpatialRange { rect, .. } => {
@@ -825,6 +830,7 @@ mod tests {
         let meta = TableMeta {
             stats: &stats,
             dictionary: f.table.dictionary(),
+            schema: f.table.schema(),
             indexed_columns: &indexed,
             row_count: f.table.row_count(),
         };

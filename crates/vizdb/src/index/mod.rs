@@ -12,7 +12,27 @@ pub use inverted::InvertedIndex;
 pub use posting::PostingList;
 pub use rtree::RTree;
 
+use crate::query::Predicate;
+use crate::schema::ColumnType;
 use crate::types::RecordId;
+
+/// Whether the index `Database::build_index` puts on a column of type
+/// `column` answers `pred` with the rows a column scan would select: an
+/// inverted index a keyword over text, a B+-tree a time range over
+/// timestamps (keyed by the raw timestamp) or a numeric range over any
+/// numeric column, an R-tree a rectangle over points. The one eligibility
+/// rule the planner and the index probes share; any other pairing is left
+/// to the scan, which rejects the mistyped predicate.
+pub(crate) fn index_answers(pred: &Predicate, column: ColumnType) -> bool {
+    use ColumnType::{Float, Geo, Int, Text, Timestamp};
+    matches!(
+        (pred, column),
+        (Predicate::KeywordContains { .. }, Text)
+            | (Predicate::TimeRange { .. }, Timestamp)
+            | (Predicate::NumericRange { .. }, Int | Float | Timestamp)
+            | (Predicate::SpatialRange { .. }, Geo)
+    )
+}
 
 /// Statistics reported by an index scan, consumed by the simulated-time cost model.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

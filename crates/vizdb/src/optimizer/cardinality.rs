@@ -9,7 +9,9 @@
 
 use std::collections::HashSet;
 
+use crate::index::index_answers;
 use crate::query::Predicate;
+use crate::schema::TableSchema;
 use crate::stats::{ColumnStats, TableStats};
 use crate::storage::Dictionary;
 
@@ -20,10 +22,25 @@ pub struct TableMeta<'a> {
     pub stats: &'a TableStats,
     /// Text dictionary of the table (for keyword → token resolution).
     pub dictionary: &'a Dictionary,
+    /// The table's schema (column types decide which index answers a predicate).
+    pub schema: &'a TableSchema,
     /// Columns that currently have a secondary index.
     pub indexed_columns: &'a HashSet<usize>,
     /// Number of rows.
     pub row_count: usize,
+}
+
+impl TableMeta<'_> {
+    /// Whether an index on the table answers `pred` ([`index_answers`]):
+    /// only then may a plan scan it as an index predicate.
+    pub(crate) fn has_index_for(&self, pred: &Predicate) -> bool {
+        let attr = pred.attr();
+        self.indexed_columns.contains(&attr)
+            && self
+                .schema
+                .column_type(attr)
+                .is_ok_and(|ty| index_answers(pred, ty))
+    }
 }
 
 /// Estimates the selectivity (fraction of rows matching) of `pred` using only the
@@ -112,6 +129,7 @@ mod tests {
         let meta = TableMeta {
             stats: &stats,
             dictionary: t.dictionary(),
+            schema: t.schema(),
             indexed_columns: &indexed,
             row_count: t.row_count(),
         };
@@ -129,6 +147,7 @@ mod tests {
         let meta = TableMeta {
             stats: &stats,
             dictionary: t.dictionary(),
+            schema: t.schema(),
             indexed_columns: &indexed,
             row_count: t.row_count(),
         };
@@ -171,6 +190,7 @@ mod tests {
         let meta = TableMeta {
             stats: &stats,
             dictionary: t.dictionary(),
+            schema: t.schema(),
             indexed_columns: &indexed,
             row_count: t.row_count(),
         };
@@ -190,6 +210,7 @@ mod tests {
         let meta = TableMeta {
             stats: &stats,
             dictionary: t.dictionary(),
+            schema: t.schema(),
             indexed_columns: &indexed,
             row_count: t.row_count(),
         };
@@ -205,6 +226,7 @@ mod tests {
         let meta = TableMeta {
             stats: &stats,
             dictionary: t.dictionary(),
+            schema: t.schema(),
             indexed_columns: &indexed,
             row_count: t.row_count(),
         };

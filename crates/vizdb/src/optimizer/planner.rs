@@ -52,10 +52,7 @@ impl Planner {
                 || hash_unit(self.seed ^ query_fp ^ 0xA5A5_5A5A) < self.hint_adherence);
 
         let available: Vec<usize> = (0..query.predicate_count())
-            .filter(|&i| {
-                let attr = query.predicates[i].attr();
-                meta.indexed_columns.contains(&attr)
-            })
+            .filter(|&i| meta.has_index_for(&query.predicates[i]))
             .collect();
 
         let (index_preds, join_method, hinted) = if follow_hints {
@@ -217,6 +214,7 @@ mod tests {
         TableMeta {
             stats,
             dictionary: table.dictionary(),
+            schema: table.schema(),
             indexed_columns: indexed,
             row_count: table.row_count(),
         }

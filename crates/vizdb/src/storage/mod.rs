@@ -5,5 +5,6 @@ mod sample;
 mod table;
 
 pub use dictionary::Dictionary;
-pub use sample::SampleTable;
+pub(crate) use sample::check_fraction;
+pub use sample::{BuildOnce, SampleTable};
 pub use table::{ColumnData, RowWriter, Table, TableBuilder, TextColumn};

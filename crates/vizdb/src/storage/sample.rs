@@ -2,16 +2,81 @@
 //!
 //! The paper's approximation rules substitute the base table with a pre-built table of
 //! randomly selected records (e.g. `tweetsSample20` with 20% of the rows). A
-//! [`SampleTable`] stores the selected record ids of the base table rather than copying
-//! the data, which is what a real deployment would do with a materialised sample plus
-//! the shared heap.
+//! [`SampleTable`] stores the selected record ids of the base table; a rewrite that
+//! scans the sample reads those rows from the base table's columns, as a real
+//! deployment would with a materialised sample over the shared heap.
+//!
+//! The Approximate-QTE's `count(*)` probes are the exception: per sample the
+//! database keeps a *probe copy*, the sampled rows copied out into a small table
+//! of their own with the base table's indexes rebuilt over it, so a probe is an
+//! index count (or a kernel over a few contiguous rows) instead of a gather of
+//! every sampled row from the base columns. Only probed samples pay for a copy:
+//! it is built on the first probe, in a [`BuildOnce`] slot, and dropped with
+//! every catalog change.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::error::{Error, Result};
+use crate::sync::RwLock;
 use crate::types::RecordId;
+
+/// Rejects a sampling percentage outside `1..=100` with
+/// [`Error::InvalidSampleFraction`] — the check [`SampleTable::build`] asserts,
+/// made before a catalog inserts anything.
+pub(crate) fn check_fraction(table: &str, fraction_pct: u32) -> Result<()> {
+    if (1..=100).contains(&fraction_pct) {
+        Ok(())
+    } else {
+        Err(Error::InvalidSampleFraction {
+            table: table.to_string(),
+            fraction_pct,
+        })
+    }
+}
+
+/// A value built on its first use and read in place by every later one — a
+/// sample's probe copy. Concurrent first users build it once: each checks
+/// under the read lock, and whoever then takes the write lock first builds
+/// while the others wait, then read what it built. A failed build leaves the
+/// slot empty for the next caller to retry.
+pub struct BuildOnce<T> {
+    slot: RwLock<Option<T>>,
+}
+
+impl<T> BuildOnce<T> {
+    /// An empty slot.
+    pub fn new() -> Self {
+        Self {
+            slot: RwLock::with_name(None, "sample.build_once"),
+        }
+    }
+
+    /// Runs `read` on the value, building it with `build` first if nobody has.
+    pub fn read_or_build<R>(
+        &self,
+        build: impl FnOnce() -> Result<T>,
+        read: impl FnOnce(&T) -> R,
+    ) -> Result<R> {
+        if let Some(value) = self.slot.read().as_ref() {
+            return Ok(read(value));
+        }
+        let mut slot = self.slot.write();
+        let value = match slot.take() {
+            Some(value) => value,
+            None => build()?,
+        };
+        Ok(read(slot.insert(value)))
+    }
+}
+
+impl<T> Default for BuildOnce<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 /// A uniform random sample of a base table, identified by its sampling percentage.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -140,6 +205,15 @@ mod tests {
     #[should_panic(expected = "sample fraction")]
     fn zero_fraction_panics() {
         SampleTable::build("t", 10, 0, 0);
+    }
+
+    #[test]
+    fn build_once_builds_on_first_use_and_retries_failures() {
+        let slot = BuildOnce::new();
+        let failed: Result<u32> = slot.read_or_build(|| Err(Error::Internal("no".into())), |v| *v);
+        assert!(failed.is_err());
+        assert_eq!(slot.read_or_build(|| Ok(7), |v| *v), Ok(7));
+        assert_eq!(slot.read_or_build(|| Ok(9), |v| *v), Ok(7), "built once");
     }
 
     #[test]

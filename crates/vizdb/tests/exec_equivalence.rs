@@ -503,6 +503,85 @@ fn numeric_range_over_timestamps_is_hint_invariant() {
     }
 }
 
+/// A predicate mistyped for its indexed column — a time range over an Int
+/// (B+-tree keyed by `float_key`, not by raw timestamps) or a Float, a
+/// keyword over a timestamp, a rectangle over an Int, a numeric range over
+/// points or text — is answered by no index. So every hint set gives what
+/// the forced scan gives: the interpreter's `TypeMismatch` on a non-empty
+/// table and `Count(0)` on an empty one; both selectivity probes and the
+/// time oracle fail or succeed with it. No index plan may count the time
+/// range over `float_key`s as raw timestamps.
+#[test]
+fn mistyped_predicates_on_indexed_columns_are_hint_invariant() {
+    let build = |rows: i64| {
+        let schema = TableSchema::new("t")
+            .with_column("n", ColumnType::Int)
+            .with_column("x", ColumnType::Float)
+            .with_column("when", ColumnType::Timestamp)
+            .with_column("loc", ColumnType::Geo)
+            .with_column("text", ColumnType::Text);
+        let mut b = TableBuilder::new(schema);
+        for i in 0..rows {
+            b.push_row(|row| {
+                row.set_int("n", i);
+                row.set_float("x", i as f64);
+                row.set_timestamp("when", i);
+                row.set_geo("loc", i as f64 / 10.0, 0.0);
+                row.set_text("text", &["w"]);
+            });
+        }
+        let mut db = Database::new(DbConfig::default());
+        db.register_table(b.build()).unwrap();
+        db.build_all_indexes("t").unwrap();
+        db.build_sample("t", 10).unwrap();
+        db
+    };
+    let mistyped = [
+        Predicate::time_range(0, 0, 499),
+        Predicate::time_range(1, 0, 499),
+        Predicate::keyword(2, "w"),
+        Predicate::spatial_range(0, GeoRect::new(0.0, -1.0, 10.0, 1.0)),
+        Predicate::numeric_range(3, 0.0, 10.0),
+        Predicate::numeric_range(4, 0.0, 10.0),
+    ];
+    for rows in [1000, 0] {
+        let db = build(rows);
+        for pred in &mistyped {
+            let query = Query::select("t")
+                .filter(pred.clone())
+                .output(OutputKind::Count);
+            let scan = RewriteOption::hinted(HintSet::with_mask(0));
+            let expected = db.run(&query, &scan).map(|out| out.result);
+            match &expected {
+                Ok(result) => assert_eq!((rows, result), (0, &vizdb::exec::QueryResult::Count(0))),
+                Err(err) => assert!(
+                    rows > 0 && matches!(err, vizdb::Error::TypeMismatch { .. }),
+                    "{pred:?}: {err:?}"
+                ),
+            }
+            let rewrites = [
+                RewriteOption::original(),
+                scan,
+                RewriteOption::hinted(HintSet::with_mask(1)),
+            ];
+            for ro in &rewrites {
+                let run = db.run(&query, ro).map(|out| out.result);
+                assert_eq!(run, expected, "{pred:?} {ro:?}");
+                let reference = db.run_reference(&query, ro).map(|out| out.result);
+                assert_eq!(reference, expected, "{pred:?} {ro:?}");
+                assert_eq!(db.execution_time_ms(&query, ro).is_ok(), expected.is_ok());
+            }
+            let error = expected.as_ref().err().cloned();
+            assert_eq!(db.true_selectivity("t", pred).err(), error, "{pred:?}");
+            assert_eq!(
+                db.sample_selectivity("t", pred, 10).err(),
+                error,
+                "{pred:?}"
+            );
+        }
+    }
+}
+
 /// A point with a NaN coordinate lies in no rectangle, so every plan, the
 /// index-counted selectivity, the 4-shard backend and the pricing pass's
 /// R-tree mask leave it out. (`GeoRect::extend` skips NaN, so an R-tree leaf

@@ -1,4 +1,5 @@
-//! Model-check suite for the `vizdb::sync` facade and the fingerprint cache.
+//! Model-check suite for the `vizdb::sync` facade, the fingerprint cache and
+//! the lazily built probe copy behind a sample's selectivity probes.
 //!
 //! Compiled only under `RUSTFLAGS='--cfg maliva_model_check'`, where
 //! `vizdb::sync` resolves to the instrumented loomlite shims and `explore`
@@ -10,9 +11,12 @@
 use std::sync::Arc;
 
 use loomlite::{explore, Config, FailureKind};
+use vizdb::query::Predicate;
+use vizdb::schema::{ColumnType, TableSchema};
+use vizdb::storage::{BuildOnce, SampleTable, TableBuilder};
 use vizdb::sync::atomic::{AtomicU64, Ordering};
 use vizdb::sync::thread;
-use vizdb::FingerprintCache;
+use vizdb::{Database, DbConfig, FingerprintCache};
 
 /// A classic lost update, written against the *facade's* atomics. The checker
 /// finding it proves the `maliva_model_check` cfg actually switched
@@ -95,6 +99,68 @@ fn fingerprint_cache_clear_races_are_benign() {
         match cache.get((9, 9)) {
             Some(v) => assert_eq!(v, 4.5),
             None => assert!(cache.is_empty()),
+        }
+    });
+    report.assert_ok();
+}
+
+/// Two first users of one `BuildOnce` slot race: under every interleaving
+/// exactly one builds, and both read the value it built.
+#[test]
+fn build_once_builds_exactly_once_under_every_interleaving() {
+    let report = explore(Config::random(17, 1000), || {
+        let slot = Arc::new(BuildOnce::new());
+        let builds = Arc::new(AtomicU64::new(0));
+        let first_use = |id: u64| {
+            let (slot, builds) = (slot.clone(), builds.clone());
+            thread::spawn(move || {
+                let build = || {
+                    builds.fetch_add(1, Ordering::SeqCst);
+                    Ok(id)
+                };
+                slot.read_or_build(build, |&v| v).unwrap()
+            })
+        };
+        let (a, b) = (first_use(1), first_use(2));
+        let (a, b) = (a.join().unwrap(), b.join().unwrap());
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "lost or repeated build");
+        assert_eq!(a, b, "the two users read different builds");
+    });
+    report.assert_ok();
+    assert!(report.schedules_explored >= 1000);
+}
+
+/// Two threads make the first probe of one sample fraction at once: both
+/// get the row loop's count over the sampled rows, whichever of them builds
+/// the probe copy (a torn or lost build would count a partial copy).
+#[test]
+fn racing_first_sample_probes_both_get_the_scan_count() {
+    const ROWS: usize = 64;
+    let pred = Predicate::numeric_range(0, 0.0, 31.0);
+    let seed = DbConfig::default().seed;
+    let sample = SampleTable::build("t", ROWS, 25, seed);
+    let expected = sample.row_ids().iter().filter(|&&rid| rid < 32).count();
+    let report = explore(Config::random(19, 300), move || {
+        let schema = TableSchema::new("t").with_column("n", ColumnType::Int);
+        let mut b = TableBuilder::new(schema);
+        for i in 0..ROWS as i64 {
+            b.push_row(|row| row.set_int("n", i));
+        }
+        let mut db = Database::new(DbConfig::default());
+        db.register_table(b.build()).unwrap();
+        db.build_index("t", "n").unwrap();
+        db.build_sample("t", 25).unwrap();
+        let db = Arc::new(db);
+        let probes: Vec<_> = (0..2)
+            .map(|_| {
+                let (db, pred) = (db.clone(), pred.clone());
+                thread::spawn(move || db.sample_selectivity("t", &pred, 25).unwrap())
+            })
+            .collect();
+        for probe in probes {
+            let (sel, rows) = probe.join().unwrap();
+            assert_eq!(rows, sample.len());
+            assert_eq!(sel, expected as f64 / rows as f64, "a probe miscounted");
         }
     });
     report.assert_ok();

@@ -233,13 +233,15 @@ fn is_simulated_time(path: &str) -> bool {
 }
 
 /// Concurrent modules that must route every primitive through `vizdb::sync`
-/// (the facade itself is exempt — it *wraps* `std::sync`).
+/// (the facade itself is exempt — it *wraps* `std::sync`). `storage/sample.rs`
+/// holds the slot every serving thread's first sample probe races to fill.
 fn is_facade_module(path: &str) -> bool {
     path.starts_with("crates/vizdb/src/sharded/")
         || matches!(
             path,
             "crates/vizdb/src/cache.rs"
                 | "crates/vizdb/src/backend.rs"
+                | "crates/vizdb/src/storage/sample.rs"
                 | "crates/vizdb/src/sched.rs"
                 | "crates/vizdb/src/fault.rs"
                 | "crates/serve/src/cache.rs"
@@ -607,6 +609,16 @@ mod tests {
 
         let ok = "use std::sync::Arc;\nstd::thread::scope(|s| {});\nuse crate::sync::Mutex;\n";
         assert!(scan_source("crates/vizdb/src/cache.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn the_probe_copy_slot_goes_through_the_facade() {
+        let raw = "use std::sync::OnceLock;\n";
+        let findings = scan_source("crates/vizdb/src/storage/sample.rs", raw);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].rule, "sync-facade");
+        let facade = "use crate::sync::RwLock;\n";
+        assert!(scan_source("crates/vizdb/src/storage/sample.rs", facade).is_empty());
     }
 
     #[test]
