@@ -25,10 +25,12 @@ use crate::hints::{enumerate_hint_sets, RewriteOption};
 use crate::index::{index_answers, BPlusTree, InvertedIndex, RTree};
 use crate::optimizer::{estimate_selectivity, Planner, TableMeta};
 use crate::plan::PhysicalPlan;
-use crate::query::{render_sql, Predicate, Query};
+use crate::query::{render_sql, OutputKind, Predicate, Query};
 use crate::schema::TableSchema;
 use crate::stats::TableStats;
-use crate::storage::{check_fraction, BuildOnce, ColumnData, SampleTable, Table};
+use crate::storage::{
+    check_fraction, BuildOnce, CellColumnSlot, CellKey, ColumnData, SampleTable, Table,
+};
 use crate::timing::{apply_profile_noise, execution_time_ms, CostParams, WorkProfile};
 use crate::types::RecordId;
 
@@ -138,6 +140,7 @@ impl Indexes {
         &'a self,
         table: &'a Table,
         samples: &'a HashMap<u32, SampleTable>,
+        cells: Option<&'a CellColumnSlot>,
     ) -> ExecTable<'a> {
         ExecTable {
             table,
@@ -145,6 +148,7 @@ impl Indexes {
             rtree: &self.rtree,
             inverted: &self.inverted,
             samples,
+            cells,
         }
     }
 }
@@ -173,12 +177,14 @@ impl ProbeCopy {
         })
     }
 
+    /// Probes only count, so the copy has no cell column.
     fn exec_table(&self) -> ExecTable<'_> {
-        self.indexes.exec_table(&self.table, &self.samples)
+        self.indexes.exec_table(&self.table, &self.samples, None)
     }
 }
 
-/// All per-table state: data, indexes, statistics and sample tables.
+/// All per-table state: data, indexes, statistics, sample tables and the
+/// structures derived from them on use.
 struct TableEntry {
     table: Table,
     stats: TableStats,
@@ -187,12 +193,28 @@ struct TableEntry {
     /// One slot per sample, holding its [`ProbeCopy`] once the first probe of
     /// that fraction has built it; emptied by every catalog mutation.
     probe_copies: HashMap<u32, BuildOnce<ProbeCopy>>,
+    /// Every row's heatmap cell on the first grid the table bins
+    /// ([`CellColumnSlot`]); emptied by every catalog mutation.
+    cells: CellColumnSlot,
     indexed_columns: HashSet<usize>,
 }
 
 impl TableEntry {
+    fn new(table: Table, stats: TableStats) -> Self {
+        Self {
+            cells: CellColumnSlot::new(),
+            table,
+            stats,
+            indexes: Indexes::default(),
+            samples: HashMap::new(),
+            probe_copies: HashMap::new(),
+            indexed_columns: HashSet::new(),
+        }
+    }
+
     fn exec_table(&self) -> ExecTable<'_> {
-        self.indexes.exec_table(&self.table, &self.samples)
+        let cells = Some(&self.cells);
+        self.indexes.exec_table(&self.table, &self.samples, cells)
     }
 
     fn meta(&self) -> TableMeta<'_> {
@@ -263,8 +285,9 @@ impl Database {
     /// Invalidation hook shared by every catalog mutation: bump the generation and
     /// drop both fingerprint caches, whose entries were computed against the old
     /// catalog (a new index changes execution times, a new sample changes
-    /// approximate rewrites, a re-registered table changes everything), and every
-    /// sample's probe copy, which the next probe rebuilds with the current indexes.
+    /// approximate rewrites, a re-registered table changes everything), every
+    /// sample's probe copy, which the next probe rebuilds with the current indexes,
+    /// and every table's cell column, which the table's next binning rebuilds.
     fn invalidate(&mut self) {
         self.generation += 1;
         self.time_cache.clear();
@@ -273,6 +296,7 @@ impl Database {
             for slot in entry.probe_copies.values_mut() {
                 *slot = BuildOnce::new();
             }
+            entry.cells = CellColumnSlot::new();
         }
     }
 
@@ -288,17 +312,7 @@ impl Database {
     pub fn register_table(&mut self, table: Table) -> Result<()> {
         let stats = TableStats::analyze(&table)?;
         let name = table.name().to_string();
-        self.tables.insert(
-            name,
-            TableEntry {
-                table,
-                stats,
-                indexes: Indexes::default(),
-                samples: HashMap::new(),
-                probe_copies: HashMap::new(),
-                indexed_columns: HashSet::new(),
-            },
-        );
+        self.tables.insert(name, TableEntry::new(table, stats));
         self.invalidate();
         Ok(())
     }
@@ -698,7 +712,9 @@ impl Database {
 
     /// Clears the execution-time and selectivity caches (useful between experiments
     /// that mutate cost parameters, and between throughput runs that must each do
-    /// the same amount of work).
+    /// the same amount of work). The structures derived per table — samples'
+    /// probe copies and cell columns — survive it: they change how fast an answer
+    /// or a time is computed, never what it is. Catalog mutations drop them.
     pub fn clear_caches(&self) {
         self.time_cache.clear();
         self.selectivity_cache.clear();
@@ -708,6 +724,20 @@ impl Database {
     /// observability and determinism assertions in tests.
     pub fn cache_entry_counts(&self) -> (usize, usize) {
         (self.time_cache.len(), self.selectivity_cache.len())
+    }
+
+    /// Whether `table` holds a cell column for `output`'s point column and
+    /// grid, so binning it reads each row's cell instead of computing it (see
+    /// [`CellColumnSlot`]). `false` for any other output. Only the tests that
+    /// pin the column path against the oracle need it.
+    #[doc(hidden)]
+    pub fn has_cell_column(&self, table: &str, output: &OutputKind) -> Result<bool> {
+        let OutputKind::BinnedCounts { point_attr, grid } = output else {
+            return Ok(false);
+        };
+        let key = CellKey::new(*point_attr, grid);
+        let cells = &self.entry(table)?.cells;
+        Ok(cells.peek(|column| column.and_then(|c| c.cells_for(key)).is_some()))
     }
 }
 
@@ -1030,6 +1060,52 @@ mod tests {
         // Re-asking for the small viewport must return its own time, not the
         // zoomed-out one's.
         assert_eq!(db.execution_time_ms(&small, &ro).unwrap(), t_small);
+    }
+
+    /// The table's first binning, an execution or a pricing pass, builds its
+    /// cell column for that grid, which keeps it; catalog mutations reset it
+    /// and clearing the caches does not; a grid above `DENSE_GRID_MAX_CELLS`
+    /// never gets one and leaves the slot to the next grid.
+    #[test]
+    fn cell_column_lifecycle() {
+        use crate::query::BinGrid;
+        let mut db = build_db();
+        let extent = GeoRect::new(-119.0, 33.0, -74.0, 35.0);
+        let heatmap = |cols, rows| {
+            Query::select("tweets")
+                .filter(Predicate::keyword(3, "covid"))
+                .output(OutputKind::BinnedCounts {
+                    point_attr: 2,
+                    grid: BinGrid::new(extent, cols, rows),
+                })
+        };
+        let (a, b, huge) = (heatmap(64, 32), heatmap(16, 16), heatmap(1025, 1024));
+        let ro = RewriteOption::original();
+        let has = |db: &Database, q: &Query| db.has_cell_column("tweets", &q.output).unwrap();
+        let expected = db.run_reference(&a, &ro).unwrap().result;
+        assert!(!has(&db, &a));
+        assert_eq!(db.run(&a, &ro).unwrap().result, expected);
+        assert!(has(&db, &a));
+        assert_eq!(db.run(&a, &ro).unwrap().result, expected);
+        // A second grid bins by arithmetic and does not displace it.
+        let b_expected = db.run_reference(&b, &ro).unwrap().result;
+        assert_eq!(db.run(&b, &ro).unwrap().result, b_expected);
+        assert!(has(&db, &a) && !has(&db, &b));
+        db.clear_caches();
+        assert!(has(&db, &a), "clear_caches keeps the column");
+        db.build_index("tweets", "user_id").unwrap();
+        assert!(!has(&db, &a), "build_index resets it");
+        // A pricing pass builds it too.
+        db.execution_time_ms(&a, &ro).unwrap();
+        assert!(has(&db, &a));
+        let other = TableSchema::new("other").with_column("id", ColumnType::Int);
+        db.register_table(TableBuilder::new(other).build()).unwrap();
+        assert!(!has(&db, &a), "register_table resets it");
+        db.run(&huge, &ro).unwrap();
+        assert!(!has(&db, &huge), "above DENSE_GRID_MAX_CELLS");
+        db.run(&b, &ro).unwrap();
+        assert!(has(&db, &b), "the slot stayed free for the next grid");
+        assert!(!db.has_cell_column("tweets", &base_query().output).unwrap());
     }
 
     /// What `execution_time_ms` cannot price it executes, exactly as before the

@@ -22,7 +22,10 @@
 //! Binned-count outputs additionally get **dense-grid binning**: when the grid
 //! is small enough ([`DENSE_GRID_MAX_CELLS`]) counts accumulate into a
 //! `Vec<u64>` indexed by bin id instead of a `HashMap`, producing the same
-//! sorted `(bin, count)` pairs without hashing per qualifying row.
+//! sorted `(bin, count)` pairs without hashing per qualifying row. Once the
+//! table holds a cell column for the grid ([`crate::storage::CellColumn`],
+//! built on the table's first binning), both accumulations read each row's
+//! cell from it ([`Binner`]) instead of dividing its point into the grid.
 //!
 //! Compilation is fallible (a type-mismatched or out-of-range predicate cannot
 //! bind its column); the executor then runs the whole query on the reference
@@ -32,13 +35,14 @@
 //! [`ColumnData`]: crate::storage::ColumnData
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 use crate::bitmap::{set_span, SelectionBitmap, CHUNK_BITS, CHUNK_WORDS};
 use crate::error::Result;
 use crate::exec::executor::ExecTable;
 use crate::index::posting::{ChunkOp, PostingList};
 use crate::query::{BinGrid, CellMap, Predicate};
-use crate::storage::{Table, TextColumn};
+use crate::storage::{CellColumn, CellColumnSlot, CellKey, Table, TextColumn};
 use crate::timing::WorkProfile;
 use crate::types::{GeoPoint, GeoRect, NumRange, RecordId, TimeRange, Timestamp, TokenId};
 
@@ -700,36 +704,90 @@ pub struct BinnedAccum {
     pub pairs: Option<Vec<(u32, u64)>>,
 }
 
-/// Bins the geo points of the qualifying rows: dense `Vec<u64>` accumulation
-/// when the grid is bounded, `HashMap` otherwise. Both produce identical
-/// output (counts per non-empty cell, sorted by bin id).
+/// Where binning takes a row's cell from.
+#[derive(Clone, Copy)]
+pub(crate) enum RowCells<'a> {
+    /// The row's point, through the grid's [`CellMap`]: two divisions.
+    Points(&'a [GeoPoint]),
+    /// The table's cell column for the grid ([`cell_column`]): one load.
+    Column(&'a [u32]),
+}
+
+/// Every row's cell on `grid` (at most [`DENSE_GRID_MAX_CELLS`] cells): its
+/// [`CellMap::slot`], or the grid's cell count when the row has no cell.
+pub(crate) fn cell_column(grid: &BinGrid, geo: &[GeoPoint]) -> Vec<u32> {
+    let map = CellMap::new(grid);
+    let cellless = grid.cell_count() as u32;
+    geo.iter()
+        .map(|p| match map.slot(p.lon, p.lat) {
+            (slot, 1) => slot as u32,
+            _ => cellless,
+        })
+        .collect()
+}
+
+/// A binned output bound to its table: the point column, the grid and the
+/// table's cell-column slot, when it has one and the grid may get a column
+/// (one of at most [`DENSE_GRID_MAX_CELLS`] cells).
+pub(crate) struct Binner<'a> {
+    grid: &'a BinGrid,
+    geo: &'a [GeoPoint],
+    column: Option<(&'a CellColumnSlot, CellKey)>,
+}
+
+impl<'a> Binner<'a> {
+    pub fn new(
+        grid: &'a BinGrid,
+        attr: usize,
+        geo: &'a [GeoPoint],
+        slot: Option<&'a CellColumnSlot>,
+    ) -> Self {
+        let column = slot
+            .filter(|_| grid.cell_count() <= DENSE_GRID_MAX_CELLS)
+            .map(|slot| (slot, CellKey::new(attr, grid)));
+        Self { grid, geo, column }
+    }
+
+    /// Bins `qualifying` (`row_count` ascending ids) from the table's cell
+    /// column when it holds this grid's, by arithmetic otherwise. The table's
+    /// first binning builds the column for its grid and reads it.
+    pub fn bin(
+        &self,
+        qualifying: impl Iterator<Item = RecordId>,
+        row_count: usize,
+        materialize: bool,
+    ) -> BinnedAccum {
+        let points = RowCells::Points(self.geo);
+        let Some((slot, key)) = self.column else {
+            return bin_counts_iter(self.grid, points, qualifying, row_count, materialize);
+        };
+        let built = slot.read_or_build(
+            || Ok::<_, Infallible>(CellColumn::new(key, cell_column(self.grid, self.geo))),
+            |column| {
+                let cells = column.cells_for(key).map_or(points, RowCells::Column);
+                bin_counts_iter(self.grid, cells, qualifying, row_count, materialize)
+            },
+        );
+        match built {
+            Ok(binned) => binned,
+            Err(never) => match never {},
+        }
+    }
+}
+
+/// Bins the qualifying rows: dense `Vec<u64>` accumulation when the grid is
+/// bounded, `HashMap` otherwise. Both produce identical output (counts per
+/// non-empty cell, sorted by bin id), and so do both cell sources.
 ///
 /// The dense path zeroes and rescans `cells` slots, so it must also be cheap
 /// *relative to the rows being binned*: frontend-sized grids (≤ 4096 cells)
 /// always qualify, bigger ones only when the row count is at least a
 /// comparable fraction of the grid — a hundred rows on a 2^20-cell grid would
 /// otherwise pay an 8 MiB zero + sweep to save a hundred hash inserts.
-pub fn bin_counts(
+/// `row_count` is the stream's length, which that choice needs up front.
+pub(crate) fn bin_counts_iter(
     grid: &BinGrid,
-    geo: &[GeoPoint],
-    qualifying: &[RecordId],
-    materialize: bool,
-) -> BinnedAccum {
-    bin_counts_iter(
-        grid,
-        geo,
-        qualifying.iter().copied(),
-        qualifying.len(),
-        materialize,
-    )
-}
-
-/// [`bin_counts`] over any ascending record-id stream (a bitmap iterator, a
-/// slice): `row_count` feeds the dense-vs-sparse heuristic, which needs the
-/// cardinality before consuming the stream.
-pub fn bin_counts_iter(
-    grid: &BinGrid,
-    geo: &[GeoPoint],
+    source: RowCells<'_>,
     qualifying: impl Iterator<Item = RecordId>,
     row_count: usize,
     materialize: bool,
@@ -738,19 +796,35 @@ pub fn bin_counts_iter(
     let dense = cells > 0
         && cells <= DENSE_GRID_MAX_CELLS
         && (cells <= 4096 || cells <= row_count.saturating_mul(8));
-    if !dense {
-        return sparse_bin_accum(grid, qualifying.map(|rid| geo[rid as usize]), materialize);
+    match (dense, source) {
+        (false, RowCells::Points(geo)) => {
+            sparse_bin_accum(grid, qualifying.map(|rid| geo[rid as usize]), materialize)
+        }
+        (false, RowCells::Column(column)) => {
+            let bins = qualifying.map(|rid| column[rid as usize]);
+            tally(bins.filter(|&cell| cell as usize != cells), materialize)
+        }
+        (true, RowCells::Points(geo)) => {
+            // A row without a cell adds 0 to a clamped slot (`CellMap::slot`)
+            // instead of branching.
+            let map = CellMap::new(grid);
+            let mut counts: Vec<u64> = vec![0; cells];
+            for rid in qualifying {
+                let p = geo[rid as usize];
+                let (slot, weight) = map.slot(p.lon, p.lat);
+                counts[slot] += weight;
+            }
+            dense_accum_finish(&counts, materialize)
+        }
+        (true, RowCells::Column(column)) => {
+            // A row without a cell counts into the extra last slot.
+            let mut counts: Vec<u64> = vec![0; cells + 1];
+            for rid in qualifying {
+                counts[column[rid as usize] as usize] += 1;
+            }
+            dense_accum_finish(&counts[..cells], materialize)
+        }
     }
-    // A row without a cell adds 0 to a clamped slot (`CellMap::slot`)
-    // instead of branching.
-    let map = CellMap::new(grid);
-    let mut counts: Vec<u64> = vec![0; cells];
-    for rid in qualifying {
-        let p = geo[rid as usize];
-        let (slot, weight) = map.slot(p.lon, p.lat);
-        counts[slot] += weight;
-    }
-    dense_accum_finish(&counts, materialize)
 }
 
 /// Folds a dense count vector into the [`BinnedAccum`] the executor consumes.
@@ -783,12 +857,16 @@ pub(crate) fn sparse_bin_accum(
     points: impl Iterator<Item = GeoPoint>,
     materialize: bool,
 ) -> BinnedAccum {
-    let mut bins: HashMap<u32, u64> = HashMap::new();
     let cells = CellMap::new(grid);
-    for p in points {
-        if let Some(bin) = cells.cell(p.lon, p.lat) {
-            *bins.entry(bin).or_insert(0) += 1;
-        }
+    tally(points.filter_map(|p| cells.cell(p.lon, p.lat)), materialize)
+}
+
+/// Counts each of `ids` in a `HashMap`: the sparse accumulation of both cell
+/// sources.
+fn tally(ids: impl Iterator<Item = u32>, materialize: bool) -> BinnedAccum {
+    let mut bins: HashMap<u32, u64> = HashMap::new();
+    for bin in ids {
+        *bins.entry(bin).or_insert(0) += 1;
     }
     let distinct_bins = bins.len() as u64;
     let pairs = materialize.then(|| {
@@ -878,6 +956,7 @@ mod tests {
                 rtree: &self.rtree,
                 inverted: &self.inverted,
                 samples: &self.samples,
+                cells: None,
             }
         }
     }
@@ -1216,31 +1295,36 @@ mod tests {
         }
     }
 
+    /// Dense (8×8) and sparse (100×100 cells for 100 rows) accumulation, from
+    /// the points and from the cell column, all equal a hand-rolled `bin_of`
+    /// pass; count-only accumulation reports the same distinct-bin count
+    /// without building pairs.
     #[test]
     fn dense_and_sparse_binning_agree() {
         let t = table();
         let geo = t.geo_slice(2).unwrap();
-        let qualifying: Vec<RecordId> = (0..t.row_count() as RecordId).collect();
-        let grid = BinGrid::new(GeoRect::new(-120.0, 30.0, -110.0, 40.0), 8, 8);
-        let dense = bin_counts(&grid, geo, &qualifying, true);
-        let dense_pairs = dense.pairs.expect("materialized");
-        // Compare against an independent hand-rolled HashMap pass.
-        let mut bins: HashMap<u32, u64> = HashMap::new();
-        for &rid in &qualifying {
-            let p = geo[rid as usize];
-            if let Some(bin) = grid.bin_of(p.lon, p.lat) {
-                *bins.entry(bin).or_insert(0) += 1;
+        let n = t.row_count();
+        let rows = || 0..n as RecordId;
+        let extent = GeoRect::new(-120.0, 30.0, -110.0, 40.0);
+        for grid in [BinGrid::new(extent, 8, 8), BinGrid::new(extent, 100, 100)] {
+            let mut bins: HashMap<u32, u64> = HashMap::new();
+            for p in geo {
+                if let Some(bin) = grid.bin_of(p.lon, p.lat) {
+                    *bins.entry(bin).or_insert(0) += 1;
+                }
+            }
+            let mut expected: Vec<(u32, u64)> = bins.into_iter().collect();
+            expected.sort_unstable();
+            assert!(!expected.is_empty());
+            let column = cell_column(&grid, geo);
+            for source in [RowCells::Points(geo), RowCells::Column(&column)] {
+                let binned = bin_counts_iter(&grid, source, rows(), n, true);
+                assert_eq!(binned.distinct_bins as usize, expected.len());
+                assert_eq!(binned.pairs.as_ref(), Some(&expected), "{grid:?}");
+                let count_only = bin_counts_iter(&grid, source, rows(), n, false);
+                assert_eq!(count_only.distinct_bins, binned.distinct_bins);
+                assert!(count_only.pairs.is_none());
             }
         }
-        let mut sparse: Vec<(u32, u64)> = bins.into_iter().collect();
-        sparse.sort_unstable();
-        assert_eq!(dense_pairs, sparse);
-        assert_eq!(dense.distinct_bins as usize, dense_pairs.len());
-        assert!(!dense_pairs.is_empty());
-        // Count-only accumulation reports the same distinct-bin count without
-        // building pairs.
-        let count_only = bin_counts(&grid, geo, &qualifying, false);
-        assert_eq!(count_only.distinct_bins, dense.distinct_bins);
-        assert!(count_only.pairs.is_none());
     }
 }

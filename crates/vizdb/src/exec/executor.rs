@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use crate::approx::ApproxRule;
 use crate::bitmap::SelectionBitmap;
 use crate::error::{Error, Result};
-use crate::exec::compiled::{self, CompiledPredicate};
+use crate::exec::compiled::{self, Binner, CompiledPredicate};
 use crate::exec::reference;
 use crate::exec::result::QueryResult;
 use crate::hints::JoinMethod;
@@ -36,9 +36,9 @@ use crate::index::{
     index_answers, intersect_skip_charge, BPlusTree, InvertedIndex, RTree, ScanStats,
 };
 use crate::plan::PhysicalPlan;
-use crate::query::{BinGrid, JoinSpec, OutputKind, Predicate, Query};
+use crate::query::{JoinSpec, OutputKind, Predicate, Query};
 use crate::schema::ColumnType;
-use crate::storage::{SampleTable, Table};
+use crate::storage::{CellColumnSlot, SampleTable, Table};
 use crate::timing::{hash_unit, WorkProfile};
 use crate::types::{GeoPoint, GeoRect, NumRange, RecordId, TokenId};
 
@@ -55,6 +55,9 @@ pub struct ExecTable<'a> {
     pub inverted: &'a HashMap<usize, InvertedIndex>,
     /// Pre-built sample tables keyed by sampling percentage.
     pub samples: &'a HashMap<u32, SampleTable>,
+    /// The table's cell-column slot, which heatmap binning fills on first
+    /// use and reads from; `None` bins every grid by arithmetic.
+    pub cells: Option<&'a CellColumnSlot>,
 }
 
 /// Counts the rows of `rows` matching `pred` on `table` — every selectivity
@@ -157,10 +160,7 @@ pub(super) enum Output<'a> {
         ids: Option<&'a [i64]>,
         geo: &'a [GeoPoint],
     },
-    Bins {
-        geo: &'a [GeoPoint],
-        grid: &'a BinGrid,
-    },
+    Bins(Binner<'a>),
     Count,
 }
 
@@ -192,7 +192,7 @@ fn lower<'a>(
     Ok(Lowered {
         fact: fact_preds,
         dim: dim_preds,
-        output: lower_output(query, fact.table)?,
+        output: lower_output(query, fact)?,
     })
 }
 
@@ -205,8 +205,10 @@ pub(super) fn check_output(query: &Query) -> Result<()> {
     }
 }
 
-/// Binds the output shape's columns.
-pub(super) fn lower_output<'a>(query: &'a Query, table: &'a Table) -> Result<Output<'a>> {
+/// Binds the output shape's columns (and a binned output to the table's
+/// cell-column slot).
+pub(super) fn lower_output<'a>(query: &'a Query, fact: &ExecTable<'a>) -> Result<Output<'a>> {
+    let table = fact.table;
     Ok(match &query.output {
         OutputKind::Points {
             id_attr,
@@ -215,10 +217,12 @@ pub(super) fn lower_output<'a>(query: &'a Query, table: &'a Table) -> Result<Out
             ids: table.int_slice(*id_attr).ok(),
             geo: table.geo_slice(*point_attr)?,
         },
-        OutputKind::BinnedCounts { point_attr, grid } => Output::Bins {
-            geo: table.geo_slice(*point_attr)?,
+        OutputKind::BinnedCounts { point_attr, grid } => Output::Bins(Binner::new(
             grid,
-        },
+            *point_attr,
+            table.geo_slice(*point_attr)?,
+            fact.cells,
+        )),
         OutputKind::Count => Output::Count,
     })
 }
@@ -364,13 +368,11 @@ fn sink(
                 }
             })
         }
-        Output::Bins { geo, grid } => {
+        Output::Bins(ref binner) => {
             work.grouped_rows += result_rows as u64;
             let binned = match qualified {
-                Qualified::Bitmap(b) => {
-                    compiled::bin_counts_iter(grid, geo, b.iter(), result_rows, materialize)
-                }
-                Qualified::Ids(v) => compiled::bin_counts(grid, geo, v, materialize),
+                Qualified::Bitmap(b) => binner.bin(b.iter(), result_rows, materialize),
+                Qualified::Ids(v) => binner.bin(v.iter().copied(), result_rows, materialize),
             };
             work.output_rows += binned.distinct_bins;
             match binned.pairs {
@@ -711,6 +713,7 @@ mod tests {
                 rtree: &self.rtree,
                 inverted: &self.inverted,
                 samples: &self.samples,
+                cells: None,
             }
         }
     }

@@ -65,7 +65,7 @@ pub fn price_plans(
     if k > MAX_PRICED_PREDICATES || query.join.is_some() || check_output(query).is_err() {
         return None;
     }
-    let output = lower_output(query, fact.table).ok()?;
+    let output = lower_output(query, fact).ok()?;
     let n = fact.table.row_count();
     let mut sources = Vec::with_capacity(k);
     let mut indexed = Vec::with_capacity(k);
@@ -189,9 +189,10 @@ fn cardinalities(sources: &[MaskSource<'_>], output: &Output<'_>, n: RecordId) -
         }
     }
     let distinct_bins = match (output, selected) {
-        (Output::Bins { geo, grid }, Some(selected)) => {
+        (Output::Bins(binner), Some(selected)) => {
             let selected_rows = rows[subsets - 1] as usize;
-            compiled::bin_counts_iter(grid, geo, selected.iter(), selected_rows, false)
+            binner
+                .bin(selected.iter(), selected_rows, false)
                 .distinct_bins
         }
         _ => 0,
@@ -320,6 +321,7 @@ mod tests {
             rtree: &rtree,
             inverted: &inverted,
             samples: &samples,
+            cells: None,
         };
         let time = |start, end| Predicate::TimeRange {
             attr: 0,

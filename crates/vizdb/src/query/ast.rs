@@ -123,7 +123,8 @@ impl BinGrid {
 
     /// Rejects a grid whose cells `u32` bin ids cannot number — one with no
     /// column or no row, or with more than 2^32 cells — and one whose extent
-    /// has a NaN or infinite coordinate, which no cell width can divide.
+    /// has a NaN or infinite coordinate, or finite corners whose width or
+    /// height overflows to infinity: no cell width can divide either.
     /// Executing a query checks its grid before touching any row.
     pub fn validate(&self) -> Result<()> {
         let cells = u64::from(self.cols) * u64::from(self.rows);
@@ -140,6 +141,11 @@ impl BinGrid {
         {
             return Err(Error::InvalidQuery(format!(
                 "bin grid extent {e:?} has a non-finite coordinate"
+            )));
+        }
+        if !(e.width().is_finite() && e.height().is_finite()) {
+            return Err(Error::InvalidQuery(format!(
+                "bin grid extent {e:?} is wider or taller than an f64 can hold"
             )));
         }
         Ok(())
@@ -407,6 +413,23 @@ mod tests {
             }
         }
         assert_eq!(BinGrid::new(finite, 8, 8).validate(), Ok(()));
+    }
+
+    /// Finite corners whose difference overflows leave an infinite width (or
+    /// height), and every finite point then divides to column (row) 0, so
+    /// `validate` refuses those extents too.
+    #[test]
+    fn overflowing_extents_are_rejected() {
+        let wide = BinGrid::new(GeoRect::new(-1.5e308, 0.0, 1.5e308, 10.0), 4, 1);
+        let tall = BinGrid::new(GeoRect::new(0.0, -1.5e308, 10.0, 1.5e308), 1, 4);
+        for grid in [wide, tall] {
+            assert!(
+                matches!(grid.validate(), Err(Error::InvalidQuery(_))),
+                "{grid:?}"
+            );
+        }
+        let widest = BinGrid::new(GeoRect::new(-8e307, -8e307, 8e307, 8e307), 4, 4);
+        assert_eq!(widest.validate(), Ok(()));
     }
 
     /// The short-circuiting cell arithmetic [`CellMap`] replaced, kept as the

@@ -1,9 +1,13 @@
-//! Row storage: columnar tables, text dictionaries and sample tables.
+//! Row storage: columnar tables, text dictionaries, sample tables and cell
+//! columns.
 
+mod cells;
 mod dictionary;
 mod sample;
 mod table;
 
+pub(crate) use cells::CellKey;
+pub use cells::{CellColumn, CellColumnSlot};
 pub use dictionary::Dictionary;
 pub(crate) use sample::check_fraction;
 pub use sample::{BuildOnce, SampleTable};

@@ -38,10 +38,10 @@ pub(crate) fn check_fraction(table: &str, fraction_pct: u32) -> Result<()> {
 }
 
 /// A value built on its first use and read in place by every later one — a
-/// sample's probe copy. Concurrent first users build it once: each checks
-/// under the read lock, and whoever then takes the write lock first builds
-/// while the others wait, then read what it built. A failed build leaves the
-/// slot empty for the next caller to retry.
+/// sample's probe copy, a table's cell column. Concurrent first users build
+/// it once: each checks under the read lock, and whoever then takes the write
+/// lock first builds while the others wait, then read what it built. A failed
+/// build leaves the slot empty for the next caller to retry.
 pub struct BuildOnce<T> {
     slot: RwLock<Option<T>>,
 }
@@ -50,16 +50,16 @@ impl<T> BuildOnce<T> {
     /// An empty slot.
     pub fn new() -> Self {
         Self {
-            slot: RwLock::with_name(None, "sample.build_once"),
+            slot: RwLock::with_name(None, "storage.build_once"),
         }
     }
 
     /// Runs `read` on the value, building it with `build` first if nobody has.
-    pub fn read_or_build<R>(
+    pub fn read_or_build<R, E>(
         &self,
-        build: impl FnOnce() -> Result<T>,
+        build: impl FnOnce() -> std::result::Result<T, E>,
         read: impl FnOnce(&T) -> R,
-    ) -> Result<R> {
+    ) -> std::result::Result<R, E> {
         if let Some(value) = self.slot.read().as_ref() {
             return Ok(read(value));
         }
@@ -69,6 +69,11 @@ impl<T> BuildOnce<T> {
             None => build()?,
         };
         Ok(read(slot.insert(value)))
+    }
+
+    /// Runs `read` on the value if it has been built, on `None` otherwise.
+    pub fn peek<R>(&self, read: impl FnOnce(Option<&T>) -> R) -> R {
+        read(self.slot.read().as_ref())
     }
 }
 
@@ -212,8 +217,14 @@ mod tests {
         let slot = BuildOnce::new();
         let failed: Result<u32> = slot.read_or_build(|| Err(Error::Internal("no".into())), |v| *v);
         assert!(failed.is_err());
-        assert_eq!(slot.read_or_build(|| Ok(7), |v| *v), Ok(7));
-        assert_eq!(slot.read_or_build(|| Ok(9), |v| *v), Ok(7), "built once");
+        assert_eq!(slot.peek(|v| v.copied()), None);
+        assert_eq!(slot.read_or_build(|| Ok::<_, Error>(7), |v| *v), Ok(7));
+        assert_eq!(
+            slot.read_or_build(|| Ok::<_, Error>(9), |v| *v),
+            Ok(7),
+            "built once"
+        );
+        assert_eq!(slot.peek(|v| v.copied()), Some(7));
     }
 
     #[test]

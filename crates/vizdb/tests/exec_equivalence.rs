@@ -16,7 +16,7 @@ use vizdb::hints::{enumerate_hint_sets, HintSet, RewriteOption};
 use vizdb::index::{BPlusTree, InvertedIndex, RTree};
 use vizdb::query::{BinGrid, JoinSpec, OutputKind, Predicate, Query};
 use vizdb::schema::{ColumnType, TableSchema};
-use vizdb::storage::{Table, TableBuilder};
+use vizdb::storage::{CellColumnSlot, Table, TableBuilder};
 use vizdb::types::{GeoRect, NumRange, RecordId, TimeRange};
 use vizdb::{Database, DbConfig, QueryBackend, ShardedBackend};
 
@@ -90,6 +90,59 @@ fn register_users(db: &mut Database, n: usize) {
     db.build_all_indexes("users").unwrap();
 }
 
+/// The grid shapes binning is pinned on besides a drawn `cols × rows`: one
+/// cell, the workloads' 64×32, one just above 4,096 cells (binned sparsely
+/// for a few hundred rows) and one above 2^20 cells (which never gets a
+/// column).
+const FIXED_GRIDS: [(u32, u32); 4] = [(1, 1), (64, 32), (65, 64), (1025, 1024)];
+
+/// Overwrites the first rows of `points` with the points a grid over
+/// `extent` must treat specially: NaN and infinite coordinates, the extent's
+/// corners and its max edge, the centre (an interior cell edge on an even
+/// grid) and a point just outside. A table with no more rows than that keeps
+/// its points, so the 0- and 1-row tables stay as drawn.
+fn plant_edge_points(points: &mut [(f64, f64)], extent: GeoRect) {
+    let (lon, lat) = (
+        extent.min_lon + extent.width() / 2.0,
+        extent.min_lat + extent.height() / 2.0,
+    );
+    let planted = [
+        (f64::NAN, lat),
+        (lon, f64::NAN),
+        (f64::INFINITY, lat),
+        (lon, f64::NEG_INFINITY),
+        (extent.max_lon, extent.max_lat),
+        (extent.max_lon, lat),
+        (lon, extent.max_lat),
+        (lon, lat),
+        (extent.min_lon, extent.min_lat),
+        (extent.min_lon - 1.0, lat),
+    ];
+    if points.len() > planted.len() {
+        points[..planted.len()].copy_from_slice(&planted);
+    }
+}
+
+/// Bins the events table on `grid`, its first binning, so the table builds
+/// its cell column for the grid (unless it has more than 2^20 cells);
+/// asserts it did.
+fn warm_cells(db: &Database, grid: BinGrid) {
+    let output = OutputKind::BinnedCounts {
+        point_attr: 2,
+        grid,
+    };
+    let everything = Query::select("events").output(output);
+    assert_engines_agree(db, &everything, &RewriteOption::original());
+    let built = grid.cell_count() <= vizdb::exec::DENSE_GRID_MAX_CELLS;
+    assert_eq!(db.has_cell_column("events", &output).unwrap(), built);
+}
+
+/// Gives the events table its cell column for a grid no query here bins on,
+/// so every query's grid bins by arithmetic.
+fn occupy_cells(db: &Database) {
+    warm_cells(db, BinGrid::new(GeoRect::new(0.0, 0.0, 1.0, 1.0), 2, 2));
+}
+
 /// Runs `query` under `ro` on the reference oracle and on the production
 /// pipeline and asserts full observational equality.
 fn assert_engines_agree(db: &Database, query: &Query, ro: &RewriteOption) {
@@ -121,7 +174,10 @@ proptest! {
     /// 97th row, so the posting-list keyword kernels (both sides of the
     /// refinement budget), multi-chunk selections and the edge universes — no
     /// word, one word, exactly one chunk — run against the oracle. The edge
-    /// tables run every hint mask.
+    /// tables run every hint mask. Heatmaps bin on the drawn grid and on one
+    /// fixed shape, each on a table whose cell column holds another grid (so
+    /// it bins by arithmetic) and on one whose column holds the heatmap's
+    /// grid.
     #[test]
     fn compiled_matches_interpreter_across_plans(
         points in proptest::collection::vec((-120.0f64..-70.0, 25.0f64..48.0), 30..180),
@@ -137,8 +193,9 @@ proptest! {
         lon_w in 1.0f64..55.0,
         cols in 1u32..20,
         rows in 1u32..20,
+        grid_pick in 0usize..4,
     ) {
-        let (points, keyword_every) = match size {
+        let (mut points, keyword_every) = match size {
             0 | 1 => (points, keyword_every),
             _ => (
                 scatter([0, 1, 4096, 4097, 9001][size - 2], seed),
@@ -146,14 +203,22 @@ proptest! {
             ),
         };
         let masks = if (2..5).contains(&size) { 0..8 } else { mask..mask + 1 };
-        let db = build_db(&points, keyword_every);
-        // Timestamps are `5 × row`: scale the bound to the table.
-        let t_hi = t_hi * (points.len() as i64).max(180) / 180;
         // A viewport a few hundredths of a degree wide leaves a big table's
         // chunks so few candidates that the keyword's postings would outnumber
         // the refinement budget: it probes documents instead.
         let lon_w = if narrow == 1 && size >= 2 { lon_w / 40.0 } else { lon_w };
         let rect = GeoRect::new(lon_a, 20.0, lon_a + lon_w, 50.0);
+        plant_edge_points(&mut points, rect);
+        let grids = [(cols, rows), FIXED_GRIDS[grid_pick]].map(|(c, r)| BinGrid::new(rect, c, r));
+        let cold = build_db(&points, keyword_every);
+        occupy_cells(&cold);
+        let warm = grids.map(|grid| {
+            let db = build_db(&points, keyword_every);
+            warm_cells(&db, grid);
+            db
+        });
+        // Timestamps are `5 × row`: scale the bound to the table.
+        let t_hi = t_hi * (points.len() as i64).max(180) / 180;
         let base = Query::select("events")
             .filter(Predicate::keyword(3, "hot"))
             .filter(Predicate::time_range(1, 0, t_hi))
@@ -165,16 +230,17 @@ proptest! {
                 .clone()
                 .filter(Predicate::numeric_range(4, 0.0, score_hi))
                 .output(OutputKind::Count);
-            assert_engines_agree(&db, &count_q, &ro);
+            assert_engines_agree(&cold, &count_q, &ro);
             // Scatterplot output.
             let points_q = base.clone().output(OutputKind::Points { id_attr: 0, point_attr: 2 });
-            assert_engines_agree(&db, &points_q, &ro);
-            // Heatmap output (dense-grid binning on the compiled path).
-            let heatmap_q = base.clone().output(OutputKind::BinnedCounts {
-                point_attr: 2,
-                grid: BinGrid::new(rect, cols, rows),
-            });
-            assert_engines_agree(&db, &heatmap_q, &ro);
+            assert_engines_agree(&cold, &points_q, &ro);
+            // Heatmap output (dense- or sparse-grid binning on the compiled
+            // path, by arithmetic and from the cell column).
+            for (grid, warm) in grids.into_iter().zip(&warm) {
+                let heatmap_q = base.clone().output(OutputKind::BinnedCounts { point_attr: 2, grid });
+                assert_engines_agree(&cold, &heatmap_q, &ro);
+                assert_engines_agree(warm, &heatmap_q, &ro);
+            }
         }
     }
 
@@ -336,8 +402,12 @@ proptest! {
     /// is bit for bit the time of executing that rewrite, and
     /// `price_plans` reports `execute`'s `WorkProfile` field for field —
     /// whichever source (column kernel, index walk, complement walk) the pass
-    /// took each predicate's mask from. Row 3 sits at a NaN coordinate, in
-    /// every R-tree complement.
+    /// took each predicate's mask from. The first rows of a big table sit at
+    /// NaN and infinite coordinates (in every R-tree complement), on the
+    /// grid's edges and outside it. Heatmaps bin on the drawn grid and on one
+    /// fixed shape. With `warm`, the pricing side bins each from a cell
+    /// column built for its grid, otherwise by arithmetic, and must still
+    /// price what the executing side charges.
     #[test]
     fn priced_time_equals_executed_time(
         size in 0usize..6,
@@ -348,22 +418,24 @@ proptest! {
         preds in proptest::collection::vec((0usize..14, 0.0f64..1.0), 0..5),
         cols in 1u32..20,
         grid_rows in 1u32..20,
+        grid_pick in 0usize..4,
+        warm in 0u8..2,
     ) {
         let rows = [0usize, 1, 4095, 4096, 4097, 9001][size];
-        let (index_text, follow_hints) = (index_text == 1, follow_hints == 1);
+        let (index_text, follow_hints, warm) = (index_text == 1, follow_hints == 1, warm == 1);
+        let extent = GeoRect::new(-118.0, 27.0, -80.0, 45.0);
         let mut points = scatter(rows, seed);
-        if let Some(p) = points.get_mut(3) {
-            p.0 = f64::NAN;
-        }
+        plant_edge_points(&mut points, extent);
         let table = build_table(&points, keyword_every);
         let indexes = Indexes::build(&table, index_text);
         let samples = HashMap::new();
-        let fact = ExecTable {
+        let cold = ExecTable {
             table: &table,
             btree: &indexes.btree,
             rtree: &indexes.rtree,
             inverted: &indexes.inverted,
             samples: &samples,
+            cells: None,
         };
         let build = || {
             let config = DbConfig {
@@ -380,7 +452,7 @@ proptest! {
             }
             db
         };
-        let (pricing, executing) = (build(), build());
+        let executing = build();
 
         let mut base = Query::select("events");
         for &(kind, u) in &preds {
@@ -388,12 +460,19 @@ proptest! {
         }
         let mut lattice = vec![RewriteOption::original()];
         lattice.extend(enumerate_hint_sets(&base).into_iter().map(RewriteOption::hinted));
-        let grid = BinGrid::new(GeoRect::new(-118.0, 27.0, -80.0, 45.0), cols, grid_rows);
-        for output in [
-            OutputKind::Count,
-            OutputKind::Points { id_attr: 0, point_attr: 2 },
-            OutputKind::BinnedCounts { point_attr: 2, grid },
-        ] {
+        let heatmaps = [(cols, grid_rows), FIXED_GRIDS[grid_pick]].map(|(c, r)| {
+            OutputKind::BinnedCounts { point_attr: 2, grid: BinGrid::new(extent, c, r) }
+        });
+        let outputs = [OutputKind::Count, OutputKind::Points { id_attr: 0, point_attr: 2 }];
+        for output in outputs.into_iter().chain(heatmaps) {
+            let pricing = build();
+            match output {
+                OutputKind::BinnedCounts { grid, .. } if warm => warm_cells(&pricing, grid),
+                _ => occupy_cells(&pricing),
+            }
+            // Its first binning, the first pricing pass, builds the column.
+            let slot = CellColumnSlot::new();
+            let fact = ExecTable { cells: warm.then_some(&slot), ..cold };
             let query = base.clone().output(output);
             let executed: Vec<u64> = lattice
                 .iter()
@@ -418,7 +497,9 @@ proptest! {
             let works = price_plans(&query, &plans, &fact);
             prop_assert!(works.is_some(), "{query:?} was not priced");
             for (plan, work) in plans.iter().zip(works.iter().flatten()) {
-                let run = execute(&query, plan, &fact, None, None, false).unwrap();
+                let run = execute(&query, plan, &cold, None, None, false).unwrap();
+                prop_assert_eq!(*work, run.work);
+                let run = execute(&query, plan, &fact, None, None, true).unwrap();
                 prop_assert_eq!(*work, run.work);
             }
         }

@@ -1,5 +1,6 @@
-//! Model-check suite for the `vizdb::sync` facade, the fingerprint cache and
-//! the lazily built probe copy behind a sample's selectivity probes.
+//! Model-check suite for the `vizdb::sync` facade, the fingerprint cache, the
+//! lazily built probe copy behind a sample's selectivity probes and the cell
+//! column a table's first heatmap builds.
 //!
 //! Compiled only under `RUSTFLAGS='--cfg maliva_model_check'`, where
 //! `vizdb::sync` resolves to the instrumented loomlite shims and `explore`
@@ -11,11 +12,13 @@
 use std::sync::Arc;
 
 use loomlite::{explore, Config, FailureKind};
-use vizdb::query::Predicate;
+use vizdb::hints::RewriteOption;
+use vizdb::query::{BinGrid, OutputKind, Predicate, Query};
 use vizdb::schema::{ColumnType, TableSchema};
 use vizdb::storage::{BuildOnce, SampleTable, TableBuilder};
 use vizdb::sync::atomic::{AtomicU64, Ordering};
 use vizdb::sync::thread;
+use vizdb::types::GeoRect;
 use vizdb::{Database, DbConfig, FingerprintCache};
 
 /// A classic lost update, written against the *facade's* atomics. The checker
@@ -116,7 +119,7 @@ fn build_once_builds_exactly_once_under_every_interleaving() {
             thread::spawn(move || {
                 let build = || {
                     builds.fetch_add(1, Ordering::SeqCst);
-                    Ok(id)
+                    Ok::<_, vizdb::Error>(id)
                 };
                 slot.read_or_build(build, |&v| v).unwrap()
             })
@@ -162,6 +165,49 @@ fn racing_first_sample_probes_both_get_the_scan_count() {
             assert_eq!(rows, sample.len());
             assert_eq!(sel, expected as f64 / rows as f64, "a probe miscounted");
         }
+    });
+    report.assert_ok();
+}
+
+/// Two threads make a table's first heatmap binning at once: whichever of
+/// them builds the cell column, both return the interpreter's bins (a torn or
+/// lost build would misbin), and the table keeps the column.
+#[test]
+fn racing_first_heatmaps_both_get_the_arithmetic_answer() {
+    const ROWS: i64 = 16;
+    let output = OutputKind::BinnedCounts {
+        point_attr: 1,
+        grid: BinGrid::new(GeoRect::new(0.0, 0.0, 4.0, 4.0), 4, 4),
+    };
+    let query = Query::select("t")
+        .filter(Predicate::numeric_range(0, 0.0, 9.0))
+        .output(output);
+    let report = explore(Config::random(29, 300), move || {
+        let schema = TableSchema::new("t")
+            .with_column("n", ColumnType::Int)
+            .with_column("loc", ColumnType::Geo);
+        let mut b = TableBuilder::new(schema);
+        for i in 0..ROWS {
+            b.push_row(|row| {
+                row.set_int("n", i);
+                row.set_geo("loc", (i % 5) as f64, (i / 4) as f64);
+            });
+        }
+        let mut db = Database::new(DbConfig::default());
+        db.register_table(b.build()).unwrap();
+        let db = Arc::new(db);
+        let ro = RewriteOption::original();
+        let expected = db.run_reference(&query, &ro).unwrap().result;
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                let (db, query, ro) = (db.clone(), query.clone(), ro.clone());
+                thread::spawn(move || db.run(&query, &ro).unwrap().result)
+            })
+            .collect();
+        for run in runs {
+            assert_eq!(run.join().unwrap(), expected, "a heatmap misbinned");
+        }
+        assert!(db.has_cell_column("t", &output).unwrap());
     });
     report.assert_ok();
 }

@@ -234,7 +234,8 @@ fn is_simulated_time(path: &str) -> bool {
 
 /// Concurrent modules that must route every primitive through `vizdb::sync`
 /// (the facade itself is exempt — it *wraps* `std::sync`). `storage/sample.rs`
-/// holds the slot every serving thread's first sample probe races to fill.
+/// holds `BuildOnce`, the slot that serving threads' first sample probes and
+/// first heatmap binnings of a table race to fill.
 fn is_facade_module(path: &str) -> bool {
     path.starts_with("crates/vizdb/src/sharded/")
         || matches!(
