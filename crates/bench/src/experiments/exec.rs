@@ -5,8 +5,8 @@
 //! feature, Q-agent reward and serving decision is trained against its cost
 //! profile. `vizdb` runs one production engine ([`vizdb::Database::run`]):
 //! predicates are lowered once per execution, then evaluated over
-//! `SelectionBitmap` chunks with 64-bit word kernels and skip-block index
-//! scans. The row-at-a-time interpreter ([`vizdb::Database::run_reference`]) is
+//! `SelectionBitmap` chunks with 64-bit word kernels and index scans that
+//! write straight into them. The row-at-a-time interpreter ([`vizdb::Database::run_reference`]) is
 //! the oracle it is pinned against. This experiment runs the same viewport
 //! workloads through both and reports:
 //!

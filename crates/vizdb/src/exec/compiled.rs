@@ -14,10 +14,11 @@
 //! therefore simulated times) are identical by construction.
 //!
 //! A keyword over a column with an inverted index also binds its token's
-//! posting list ([`lower_predicate`]), and the chunk kernels take a chunk's
-//! matches from the list's overlapping skip blocks instead of probing one
-//! document per row. `filter_evals` still charges every row the predicate
-//! is evaluated over, so the work profile does not change.
+//! posting list ([`lower_predicate`]), and the chunk kernels combine the
+//! chunk's ids from the list's container into the chunk's words — one 64-word
+//! AND or OR against a bitmap container — instead of probing one document
+//! per row. `filter_evals` still charges every row the predicate is
+//! evaluated over, so the work profile does not change.
 //!
 //! Binned-count outputs additionally get **dense-grid binning**: when the grid
 //! is small enough ([`DENSE_GRID_MAX_CELLS`]) counts accumulate into a
@@ -55,16 +56,6 @@ pub(crate) const BATCH_ROWS: usize = 1024;
 /// to the `HashMap` path (a 2^20-cell grid is already a 1024×1024 heatmap —
 /// far beyond any tile a frontend renders — while the dense vector stays 8 MiB).
 pub const DENSE_GRID_MAX_CELLS: usize = 1 << 20;
-
-/// Posting ids [`CompiledPredicate::refine_words`] may decode per surviving
-/// candidate row before it probes the candidates' documents instead.
-/// Decoding a packed block costs ≈ 1–2.5 ns per id (2.5 measured on a 2-vCPU
-/// x86-64 host; a width-0 run fills word-wide for next to nothing), a
-/// `doc_contains` probe on a 200k-row Twitter table ≈ 27 ns per row (two
-/// dependent cache misses: the CSR offset, then the token stripe). Break-even
-/// is therefore 10–25 ids per survivor; the budget sits between, and a token
-/// far denser than the candidates stays on the probes.
-pub(crate) const POSTING_IDS_PER_SURVIVOR: u64 = 16;
 
 /// One predicate lowered against one concrete table: the column slice is bound
 /// and the keyword token resolved, so per-row evaluation is branch-light and
@@ -156,11 +147,9 @@ impl CompiledPredicate<'_> {
     /// down to a [`CHUNK_BITS`] boundary). The range kernels go through the
     /// SIMD-explicit [`fill_range_kernel`] (4×u64 unrolled word packing) with
     /// branch-free row tests ([`time_window`], [`within`], [`inside`]); the
-    /// keyword kernel decodes the chunk's ids from its posting list when one
-    /// is bound (with no budget: a chunk's ids never outnumber its rows, and
-    /// decoding them beats sweeping every row's tokens), and otherwise reuses
-    /// the CSR stripe sweep via `scratch`, scattering the sparse matches four
-    /// at a time.
+    /// keyword kernel ORs the chunk's ids in from its posting list when one
+    /// is bound, and otherwise reuses the CSR stripe sweep via `scratch`,
+    /// scattering the sparse matches four at a time.
     #[inline]
     pub(super) fn fill_words(
         &self,
@@ -220,24 +209,21 @@ impl CompiledPredicate<'_> {
     }
 
     /// Re-evaluates the predicate for every set bit of one chunk's `words`
-    /// (rows `chunk_base + bit`, `survivors` of them), keeping the bits that
-    /// pass: each word is replaced by a keep-mask its set bits' results are
-    /// ORed into. The residual analogue of [`CompiledPredicate::filter`] for
-    /// bitmap selections. A keyword with a bound posting list ANDs the
-    /// chunk's ids into `words` instead, unless that would decode more than
-    /// [`POSTING_IDS_PER_SURVIVOR`] ids per survivor.
+    /// (rows `chunk_base + bit`), keeping the bits that pass: each word is
+    /// replaced by a keep-mask its set bits' results are ORed into. The
+    /// residual analogue of [`CompiledPredicate::filter`] for bitmap
+    /// selections. A keyword with a bound posting list ANDs the chunk's ids
+    /// into `words` instead.
     #[inline]
-    fn refine_words(&self, chunk_base: RecordId, survivors: u64, words: &mut [u64; CHUNK_WORDS]) {
+    fn refine_words(&self, chunk_base: RecordId, words: &mut [u64; CHUNK_WORDS]) {
         if let CompiledPredicate::Keyword {
             posting: Some(list),
             ..
         } = self
         {
-            let budget = survivors.saturating_mul(POSTING_IDS_PER_SURVIVOR) as usize;
             let chunk_id = chunk_base >> CHUNK_BITS.trailing_zeros();
-            if list.combine_chunk(chunk_id, budget, ChunkOp::And, words) {
-                return;
-            }
+            list.combine_chunk(chunk_id, ChunkOp::And, words);
+            return;
         }
         for (wi, word) in words.iter_mut().enumerate() {
             let mut w = *word;
@@ -384,7 +370,7 @@ fn fill_from_posting(
 ) {
     let chunk_id = base >> CHUNK_BITS.trailing_zeros();
     if start == base && end - base == CHUNK_BITS as RecordId {
-        list.combine_chunk(chunk_id, usize::MAX, ChunkOp::Or, words);
+        list.combine_chunk(chunk_id, ChunkOp::Or, words);
     } else if start < end {
         let mut span = [0u64; CHUNK_WORDS];
         set_span(
@@ -392,7 +378,7 @@ fn fill_from_posting(
             (start - base) as usize,
             (end - 1 - base) as usize,
         );
-        list.combine_chunk(chunk_id, usize::MAX, ChunkOp::And, &mut span);
+        list.combine_chunk(chunk_id, ChunkOp::And, &mut span);
         for (w, s) in words.iter_mut().zip(&span) {
             *w |= s;
         }
@@ -688,7 +674,7 @@ fn refine_survivors(
             break;
         }
         work.filter_evals += survivors;
-        pred.refine_words(base, survivors, words);
+        pred.refine_words(base, words);
     }
 }
 

@@ -1,24 +1,21 @@
 //! Inverted index over tokenised text columns.
 //!
-//! Postings are stored as bit-packed skip blocks ([`crate::index::posting`]):
-//! per-block min/max directory entries over fixed-width packed gaps, the
-//! layout a real text index (PostgreSQL GIN, a search engine) uses to keep
-//! postings compact *and* skippable. Keyword predicates
+//! Each token's postings are one [`PostingList`]: the rows holding it, stored
+//! as containers of 65,536 rows, each a sorted `u16` offset array or a
+//! 1,024-word bitmap ([`crate::index::posting`]). Keyword predicates
 //! (`Content contains "covid"`) are answered either as a decoded id vector
 //! ([`InvertedIndex::lookup`], the interpreter path) or as a
-//! [`SelectionBitmap`] decoded straight from the blocks
+//! [`SelectionBitmap`] filled straight from the containers
 //! ([`InvertedIndex::lookup_bitmap`], the compiled bitmap path).
 
 use std::collections::HashMap;
-
-use serde::{Deserialize, Serialize};
 
 use crate::bitmap::SelectionBitmap;
 use crate::index::{PostingList, ScanStats, SecondaryIndex};
 use crate::types::{RecordId, TokenId};
 
 /// Inverted index: token id → compressed posting list.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
     postings: HashMap<TokenId, PostingList>,
     indexed_rows: usize,
@@ -32,13 +29,18 @@ impl InvertedIndex {
 
     /// Builds the index from an iterator of per-row token slices (row id =
     /// iteration order), e.g. a CSR-flattened [`crate::storage::TextColumn`].
+    /// A token repeated within one row adds that row once.
     pub fn from_docs<'a>(docs: impl Iterator<Item = &'a [TokenId]>) -> Self {
         let mut lists: HashMap<TokenId, Vec<RecordId>> = HashMap::new();
         let mut indexed_rows = 0usize;
         for (rid, tokens) in docs.enumerate() {
             indexed_rows += 1;
+            let rid = rid as RecordId;
             for &t in tokens {
-                lists.entry(t).or_default().push(rid as RecordId);
+                let list = lists.entry(t).or_default();
+                if list.last() != Some(&rid) {
+                    list.push(rid);
+                }
             }
         }
         let postings = lists
@@ -61,8 +63,8 @@ impl InvertedIndex {
         self.postings.get(&token).map(|p| p.len()).unwrap_or(0)
     }
 
-    /// The raw posting list of `token`, if indexed (for skip-block
-    /// intersection across tokens).
+    /// The posting list of `token`, if indexed: the chunk kernels combine a
+    /// keyword's ids into a chunk's selection words from it.
     pub fn posting(&self, token: TokenId) -> Option<&PostingList> {
         self.postings.get(&token)
     }
@@ -78,9 +80,9 @@ impl InvertedIndex {
         }
     }
 
-    /// [`InvertedIndex::lookup`] emitting a [`SelectionBitmap`] decoded block
-    /// by block straight into its words — identical [`ScanStats`], no sorted
-    /// id vector in between.
+    /// [`InvertedIndex::lookup`] emitting a [`SelectionBitmap`] filled
+    /// container by container straight into its words — identical
+    /// [`ScanStats`], no sorted id vector in between.
     pub fn lookup_bitmap(&self, token: TokenId) -> (SelectionBitmap, ScanStats) {
         match self.postings.get(&token) {
             Some(list) => (list.to_bitmap(), Self::stats(list)),
@@ -90,7 +92,7 @@ impl InvertedIndex {
 
     fn stats(list: &PostingList) -> ScanStats {
         ScanStats {
-            nodes_visited: 1 + list.encoded_bytes() / 4096,
+            nodes_visited: list.container_count(),
             matches: list.len(),
         }
     }
@@ -144,6 +146,16 @@ mod tests {
         let (empty, empty_stats) = idx.lookup_bitmap(99);
         assert!(empty.is_empty());
         assert_eq!(empty_stats, ScanStats::default());
+    }
+
+    #[test]
+    fn repeated_token_counts_its_row_once() {
+        let idx = InvertedIndex::build(&[vec![1, 1], vec![2]]);
+        assert_eq!(idx.doc_freq(1), 1);
+        assert_eq!(idx.lookup(1).0, vec![0]);
+        let (bits, stats) = idx.lookup_bitmap(1);
+        assert_eq!(bits.to_vec(), vec![0]);
+        assert_eq!(stats.matches, 1);
     }
 
     #[test]

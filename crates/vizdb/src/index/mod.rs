@@ -37,7 +37,7 @@ pub(crate) fn index_answers(pred: &Predicate, column: ColumnType) -> bool {
 /// Statistics reported by an index scan, consumed by the simulated-time cost model.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ScanStats {
-    /// Number of index nodes / postings blocks touched.
+    /// Number of index nodes / posting containers touched.
     pub nodes_visited: usize,
     /// Number of matching record ids produced.
     pub matches: usize,

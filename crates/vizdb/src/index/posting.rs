@@ -1,56 +1,60 @@
-//! Bit-packed posting-list blocks with skip pointers.
+//! Posting lists stored as containers of 65,536 rows.
 //!
-//! A [`PostingList`] stores an ascending record-id list as blocks of up to
-//! [`BLOCK_IDS`] ids. Each block keeps a tiny directory entry — `first` /
-//! `last` id (the skip pointer), count, and the fixed bit `width` of its
-//! packed gap encoding — plus `width * (count - 1)` bits of payload in a
-//! shared word arena. Gaps are stored minus one, so a block of *consecutive*
-//! ids packs at width 0: no payload at all, just the directory entry. That is
-//! the common shape for low-cardinality tokens over clustered rows, and it is
-//! also what lets [`PostingList::to_bitmap`] and `combine_chunk` set a whole
-//! block's bits with one word-wide span fill, without touching individual
-//! ids.
+//! A [`PostingList`] splits an ascending record-id list by the ids' high 16
+//! bits into *containers*, the layout of Roaring bitmaps (Chambi, Lemire et
+//! al., "Better bitmap performance with Roaring bitmaps"). A container covers
+//! 65,536 rows — sixteen of the executor's 4,096-row chunks — and is either
 //!
-//! The directory makes three operations cheap:
+//! - an **array**: the sorted `u16` offsets of its ids, 2 bytes per id, when
+//!   it holds at most 4,096 ids, or
+//! - a **bitmap** of 1,024 words (8 KiB) when it holds more, which is then
+//!   under 2 bytes per id.
 //!
-//! - [`PostingList::intersect`] gallops over *blocks*: a block whose
-//!   `[first, last]` window cannot overlap the other list's current block is
-//!   skipped without decoding a single id (exponential directory search +
-//!   binary refine, the classic skip-pointer walk).
-//! - [`PostingList::to_bitmap`] decodes straight into a dense
-//!   [`SelectionBitmap`], which is how index scans hand selections to the
-//!   executor without ever materialising a sorted `Vec<RecordId>`.
-//! - [`PostingList::combine_chunk`] does the same for *one* chunk, decoding
-//!   only the blocks whose windows overlap it — and none at all when they
-//!   hold more ids than the caller's budget. This is how a keyword predicate
-//!   is evaluated from its postings inside the executor's chunk loop.
+//! One directory entry per non-empty container records its key, id count and
+//! where its payload starts; every vector is sized exactly by
+//! [`PostingList::encode`], and the list is read-only after that.
+//!
+//! The layout is shaped for the executor's chunk loop:
+//! [`PostingList::combine_chunk`] merges one chunk's ids into that chunk's 64
+//! selection words. From a bitmap container that is one 64-word AND or OR
+//! against the chunk's slice; from an array container the chunk's run of
+//! offsets is found by two binary searches and scattered.
+//! [`PostingList::to_bitmap`] builds a whole [`SelectionBitmap`] the same
+//! way, which is how an index scan hands its selection to the executor.
 
-use serde::{Deserialize, Serialize};
-
-use crate::bitmap::{set_bit, set_span, SelectionBitmap, CHUNK_WORDS};
+use crate::bitmap::{set_bit, SelectionBitmap, CHUNK_BITS, CHUNK_WORDS};
 use crate::types::RecordId;
 
-/// Maximum record ids per packed block.
-pub const BLOCK_IDS: usize = 128;
+/// Most ids an array container holds; a fuller container is a bitmap.
+const ARRAY_MAX_IDS: usize = 4096;
 
-/// In-chunk offset mask / shift mirrored from the bitmap layout.
-const CHUNK_SHIFT: u32 = 12;
-const OFFSET_MASK: u32 = (1 << CHUNK_SHIFT) - 1;
+/// Record-id bits below a container's key: a container covers 65,536 rows.
+const CONTAINER_SHIFT: u32 = 16;
+/// Words of a bitmap container.
+const CONTAINER_WORDS: usize = (1 << CONTAINER_SHIFT) / 64;
+/// Record-id bits below a chunk id.
+const CHUNK_SHIFT: u32 = CHUNK_BITS.trailing_zeros();
+/// Chunk-id bits below a container key.
+const CHUNKS_SHIFT: u32 = CONTAINER_SHIFT - CHUNK_SHIFT;
 
-/// One block's directory entry: the min/max skip window plus the packed-gap
-/// geometry needed to decode the payload.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct BlockMeta {
-    /// Smallest id in the block.
-    first: u32,
-    /// Largest id in the block (the skip pointer).
-    last: u32,
-    /// Word index of the block's payload in the shared arena.
-    word_offset: u32,
-    /// Ids in the block (1..=BLOCK_IDS).
-    count: u16,
-    /// Bits per stored gap; 0 means the block is one consecutive run.
-    width: u8,
+/// One container's directory entry.
+#[derive(Debug, Clone, Copy)]
+struct Container {
+    /// The high 16 bits its ids share.
+    key: u16,
+    /// Ids in the container (`1..=65,536`).
+    len: u32,
+    /// Where its payload starts: an index into `offsets` for an array
+    /// container, into `words` for a bitmap one.
+    start: u32,
+}
+
+/// A container's payload.
+enum Payload<'a> {
+    /// Sorted low 16 bits of each id.
+    Array(&'a [u16]),
+    /// One bit per row of the container.
+    Bitmap(&'a [u64]),
 }
 
 /// How [`PostingList::combine_chunk`] merges a list's ids into chunk words.
@@ -62,64 +66,83 @@ pub(crate) enum ChunkOp {
     And,
 }
 
-/// A compressed ascending record-id list (see module docs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+impl ChunkOp {
+    /// Merges one chunk's id bits `ids` into `words`.
+    fn merge(self, words: &mut [u64; CHUNK_WORDS], ids: &[u64; CHUNK_WORDS]) {
+        let zipped = words.iter_mut().zip(ids);
+        match self {
+            ChunkOp::Or => zipped.for_each(|(w, m)| *w |= m),
+            ChunkOp::And => zipped.for_each(|(w, m)| *w &= m),
+        }
+    }
+}
+
+/// A compressed set of record ids (see module docs).
+#[derive(Debug, Clone)]
 pub struct PostingList {
-    blocks: Vec<BlockMeta>,
+    directory: Vec<Container>,
+    offsets: Vec<u16>,
     words: Vec<u64>,
     len: usize,
 }
 
 impl PostingList {
-    /// Encodes an ascending list of record ids.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the input is not strictly ascending.
+    /// Encodes a list of record ids. An input that is not strictly ascending
+    /// is sorted and deduplicated first, so the list is always a set.
+    /// [`InvertedIndex`](super::InvertedIndex) already passes ascending sets;
+    /// the copy is for other callers.
     pub fn encode(rids: &[RecordId]) -> Self {
-        debug_assert!(rids.windows(2).all(|w| w[0] < w[1]), "postings must ascend");
-        let mut blocks = Vec::with_capacity(rids.len().div_ceil(BLOCK_IDS));
-        let mut words: Vec<u64> = Vec::new();
-        for block in rids.chunks(BLOCK_IDS) {
-            let first = block[0];
-            let last = block[block.len() - 1];
-            let mut max_gap = 0u32;
-            for pair in block.windows(2) {
-                max_gap = max_gap.max(pair[1] - pair[0] - 1);
-            }
-            let width = if max_gap == 0 {
-                0u8
+        let sorted: Vec<RecordId>;
+        let rids = if rids.windows(2).all(|w| w[0] < w[1]) {
+            rids
+        } else {
+            let mut copy = rids.to_vec();
+            copy.sort_unstable();
+            copy.dedup();
+            sorted = copy;
+            &sorted
+        };
+        let containers = || rids.chunk_by(|a, b| a >> CONTAINER_SHIFT == b >> CONTAINER_SHIFT);
+        let (mut entries, mut array_ids, mut bitmaps) = (0, 0, 0);
+        for ids in containers() {
+            entries += 1;
+            if ids.len() > ARRAY_MAX_IDS {
+                bitmaps += 1;
             } else {
-                (32 - max_gap.leading_zeros()) as u8
-            };
-            let word_offset = words.len() as u32;
-            if width > 0 {
-                let total_bits = width as usize * (block.len() - 1);
-                words.resize(words.len() + total_bits.div_ceil(64), 0);
-                let mut bitpos = 0usize;
-                for pair in block.windows(2) {
-                    let gap = (pair[1] - pair[0] - 1) as u64;
-                    let wi = word_offset as usize + (bitpos >> 6);
-                    let shift = bitpos & 63;
-                    words[wi] |= gap << shift;
-                    if shift + width as usize > 64 {
-                        words[wi + 1] |= gap >> (64 - shift);
-                    }
-                    bitpos += width as usize;
-                }
+                array_ids += ids.len();
             }
-            blocks.push(BlockMeta {
-                first,
-                last,
-                word_offset,
-                count: block.len() as u16,
-                width,
+        }
+        let mut list = Self {
+            directory: Vec::with_capacity(entries),
+            offsets: Vec::with_capacity(array_ids),
+            words: Vec::with_capacity(bitmaps * CONTAINER_WORDS),
+            len: rids.len(),
+        };
+        for ids in containers() {
+            let key = ids.first().map_or(0, |&rid| rid >> CONTAINER_SHIFT) as u16;
+            let start = if ids.len() > ARRAY_MAX_IDS {
+                let start = list.words.len();
+                list.words.resize(start + CONTAINER_WORDS, 0);
+                let bitmap = list.words.get_mut(start..).unwrap_or(&mut []);
+                for &rid in ids {
+                    let off = (rid & 0xFFFF) as usize;
+                    if let Some(w) = bitmap.get_mut(off >> 6) {
+                        *w |= 1u64 << (off & 63);
+                    }
+                }
+                start
+            } else {
+                let start = list.offsets.len();
+                list.offsets.extend(ids.iter().map(|&rid| rid as u16));
+                start
+            };
+            list.directory.push(Container {
+                key,
+                len: ids.len() as u32,
+                start: start as u32,
             });
         }
-        Self {
-            blocks,
-            words,
-            len: rids.len(),
-        }
+        list
     }
 
     /// Number of record ids in the list.
@@ -132,224 +155,142 @@ impl PostingList {
         self.len == 0
     }
 
-    /// Size of the encoded representation in bytes (payload words plus the
-    /// block directory).
+    /// Size of the encoded representation in bytes (payloads plus the
+    /// container directory).
     pub fn encoded_bytes(&self) -> usize {
-        self.words.len() * 8 + self.blocks.len() * std::mem::size_of::<BlockMeta>()
+        self.directory.len() * std::mem::size_of::<Container>()
+            + self.offsets.len() * 2
+            + self.words.len() * 8
     }
 
-    /// Number of packed blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
+    /// Number of (non-empty) containers.
+    pub(crate) fn container_count(&self) -> usize {
+        self.directory.len()
     }
 
-    /// Reads the `idx`-th packed gap of a block (gap-minus-one encoding).
-    fn gap(&self, meta: &BlockMeta, idx: usize) -> u32 {
-        let width = meta.width as usize;
-        let bitpos = idx * width;
-        let wi = meta.word_offset as usize + (bitpos >> 6);
-        let shift = bitpos & 63;
-        let mut v = self.words[wi] >> shift;
-        if shift + width > 64 {
-            v |= self.words[wi + 1] << (64 - shift);
-        }
-        (v & ((1u64 << width) - 1)) as u32
-    }
-
-    /// Decodes block `bi` into `buf`, returning how many ids were written.
-    fn decode_block(&self, bi: usize, buf: &mut [RecordId; BLOCK_IDS]) -> usize {
-        let meta = self.blocks[bi];
-        let n = meta.count as usize;
-        if meta.width == 0 {
-            for (i, slot) in buf.iter_mut().enumerate().take(n) {
-                *slot = meta.first + i as u32;
-            }
+    /// The payload of `container`.
+    fn payload(&self, container: &Container) -> Payload<'_> {
+        let start = container.start as usize;
+        if container.len as usize > ARRAY_MAX_IDS {
+            Payload::Bitmap(
+                self.words
+                    .get(start..start + CONTAINER_WORDS)
+                    .unwrap_or(&[]),
+            )
         } else {
-            let mut acc = meta.first;
-            buf[0] = acc;
-            for (i, slot) in buf.iter_mut().enumerate().take(n).skip(1) {
-                acc = acc + self.gap(&meta, i - 1) + 1;
-                *slot = acc;
-            }
+            let end = start + container.len as usize;
+            Payload::Array(self.offsets.get(start..end).unwrap_or(&[]))
         }
-        n
     }
 
     /// Decodes the full list of record ids (ascending order).
     pub fn decode(&self) -> Vec<RecordId> {
         let mut out = Vec::with_capacity(self.len);
-        let mut buf = [0u32; BLOCK_IDS];
-        for bi in 0..self.blocks.len() {
-            let n = self.decode_block(bi, &mut buf);
-            out.extend_from_slice(&buf[..n]);
+        for container in &self.directory {
+            let high = RecordId::from(container.key) << CONTAINER_SHIFT;
+            match self.payload(container) {
+                Payload::Array(offsets) => {
+                    out.extend(offsets.iter().map(|&off| high | RecordId::from(off)));
+                }
+                Payload::Bitmap(words) => {
+                    for (wi, &word) in words.iter().enumerate() {
+                        let mut w = word;
+                        while w != 0 {
+                            out.push(high | (wi as RecordId) << 6 | w.trailing_zeros());
+                            w &= w - 1;
+                        }
+                    }
+                }
+            }
         }
         out
     }
 
     /// Decodes into a [`SelectionBitmap`] (sized to the largest id) without
-    /// materialising an id vector. A width-0 block (one consecutive run) is a
-    /// single word-wide span fill.
+    /// materialising an id vector: a bitmap container's chunks are copied
+    /// word for word, an array container's offsets scattered.
     pub fn to_bitmap(&self) -> SelectionBitmap {
-        let top = self.blocks.last().map_or(0, |b| b.last as usize + 1);
+        let top = self.last_id().map_or(0, |last| last as usize + 1);
         let mut bits = SelectionBitmap::new(top);
-        let mut buf = [0u32; BLOCK_IDS];
-        for (bi, meta) in self.blocks.iter().enumerate() {
-            if meta.width == 0 {
-                bits.insert_span(meta.first, meta.last);
-            } else {
-                let n = self.decode_block(bi, &mut buf);
-                for &rid in buf.iter().take(n) {
-                    bits.insert(rid);
+        for container in &self.directory {
+            let first = usize::from(container.key) << CHUNKS_SHIFT;
+            for sub in 0..1 << CHUNKS_SHIFT {
+                if let Some(words) = bits.chunk_mut(first + sub as usize) {
+                    self.combine_container(container, sub, ChunkOp::Or, words);
                 }
             }
         }
         bits
     }
 
+    /// The largest id in the list.
+    fn last_id(&self) -> Option<RecordId> {
+        let container = self.directory.last()?;
+        let high = RecordId::from(container.key) << CONTAINER_SHIFT;
+        let low = match self.payload(container) {
+            Payload::Array(offsets) => RecordId::from(*offsets.last()?),
+            Payload::Bitmap(words) => {
+                let wi = words.iter().rposition(|&w| w != 0)?;
+                let word = words.get(wi)?;
+                (wi as RecordId) << 6 | (63 - word.leading_zeros())
+            }
+        };
+        Some(high | low)
+    }
+
     /// Combines the list's ids in chunk `chunk_id` (rows `chunk_id * 4096 ..
-    /// + 4096`) into that chunk's `words` by `op`, decoding only the blocks
-    /// that overlap the chunk. Those are found by a `partition_point` over the
-    /// skip directory and their counts summed; when the sum exceeds `budget`
-    /// nothing is decoded, `words` is left untouched and the result is
-    /// `false` — the caller evaluates the chunk another way. Width-0 blocks
-    /// fill word-wide by [`set_span`].
-    pub(crate) fn combine_chunk(
+    /// + 4096`) into that chunk's `words` by `op`. A chunk whose container
+    /// the list does not have holds no ids: `Or` leaves `words` as they are
+    /// and `And` clears them.
+    pub(crate) fn combine_chunk(&self, chunk_id: u32, op: ChunkOp, words: &mut [u64; CHUNK_WORDS]) {
+        let key = chunk_id >> CHUNKS_SHIFT;
+        let found = self
+            .directory
+            .binary_search_by_key(&key, |c| u32::from(c.key))
+            .ok()
+            .and_then(|i| self.directory.get(i));
+        match found {
+            Some(container) => {
+                let sub = chunk_id & ((1 << CHUNKS_SHIFT) - 1);
+                self.combine_container(container, sub, op, words);
+            }
+            None if op == ChunkOp::And => *words = [0; CHUNK_WORDS],
+            None => {}
+        }
+    }
+
+    /// [`PostingList::combine_chunk`] for the `sub`-th chunk of `container`.
+    fn combine_container(
         &self,
-        chunk_id: u32,
-        budget: usize,
+        container: &Container,
+        sub: u32,
         op: ChunkOp,
         words: &mut [u64; CHUNK_WORDS],
-    ) -> bool {
-        let base = chunk_id << CHUNK_SHIFT;
-        let top = base | OFFSET_MASK;
-        let first = self.blocks.partition_point(|b| b.last < base);
-        let rest = self.blocks.get(first..).unwrap_or(&[]);
-        let overlapping = rest
-            .get(..rest.partition_point(|b| b.first <= top))
-            .unwrap_or(&[]);
-        let ids: usize = overlapping.iter().map(|b| b.count as usize).sum();
-        if ids > budget {
-            return false;
-        }
-        match op {
-            ChunkOp::Or => self.set_chunk_bits(overlapping, base, words),
-            ChunkOp::And => {
-                let mut mask = [0u64; CHUNK_WORDS];
-                self.set_chunk_bits(overlapping, base, &mut mask);
-                for (w, m) in words.iter_mut().zip(&mask) {
-                    *w &= m;
-                }
+    ) {
+        match self.payload(container) {
+            Payload::Bitmap(bitmap) => {
+                let lo = sub as usize * CHUNK_WORDS;
+                let ids = bitmap
+                    .get(lo..lo + CHUNK_WORDS)
+                    .and_then(|slice| <&[u64; CHUNK_WORDS]>::try_from(slice).ok())
+                    .unwrap_or(&[0; CHUNK_WORDS]);
+                op.merge(words, ids);
             }
-        }
-        true
-    }
-
-    /// Sets in `words` the bit of every id of `blocks` in the chunk starting
-    /// at row `base` (ids outside it are skipped: only the first and last
-    /// overlapping blocks can hold any).
-    fn set_chunk_bits(&self, blocks: &[BlockMeta], base: u32, words: &mut [u64; CHUNK_WORDS]) {
-        let top = base | OFFSET_MASK;
-        for meta in blocks {
-            if meta.width == 0 {
-                set_span(
-                    words,
-                    (meta.first.max(base) - base) as usize,
-                    (meta.last.min(top) - base) as usize,
-                );
-                continue;
-            }
-            let width = meta.width as usize;
-            let mask = (1u64 << width) - 1;
-            let payload = self.words.get(meta.word_offset as usize..).unwrap_or(&[]);
-            let word = |i: usize| payload.get(i).copied().unwrap_or(0);
-            let mut rid = meta.first;
-            let mut bitpos = 0usize;
-            for _ in 0..meta.count {
-                if rid > top {
-                    break;
-                }
-                if rid >= base {
-                    set_bit(words, (rid - base) as usize);
-                }
-                // Step to the next id (past the last one the read is unused).
-                let (wi, shift) = (bitpos >> 6, bitpos & 63);
-                let mut gap = word(wi) >> shift;
-                if shift + width > 64 {
-                    gap |= word(wi + 1) << (64 - shift);
-                }
-                rid = rid.wrapping_add((gap & mask) as u32 + 1);
-                bitpos += width;
-            }
-        }
-    }
-
-    /// Intersects two posting lists with the skip-block gallop: blocks whose
-    /// `[first, last]` windows cannot overlap are skipped via the directory
-    /// (doubling search + binary refine) without decoding any ids; only
-    /// overlapping block pairs are decoded and merge-intersected.
-    pub fn intersect(&self, other: &PostingList) -> Vec<RecordId> {
-        let mut out = Vec::with_capacity(self.len.min(other.len));
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut abuf = [0u32; BLOCK_IDS];
-        let mut bbuf = [0u32; BLOCK_IDS];
-        while i < self.blocks.len() && j < other.blocks.len() {
-            let ab = self.blocks[i];
-            let bb = other.blocks[j];
-            if ab.last < bb.first {
-                i = skip_blocks(&self.blocks, i + 1, bb.first);
-                continue;
-            }
-            if bb.last < ab.first {
-                j = skip_blocks(&other.blocks, j + 1, ab.first);
-                continue;
-            }
-            // Overlapping windows: decode both and merge.
-            let an = self.decode_block(i, &mut abuf);
-            let bn = other.decode_block(j, &mut bbuf);
-            let (mut x, mut y) = (0usize, 0usize);
-            while x < an && y < bn {
-                match abuf[x].cmp(&bbuf[y]) {
-                    std::cmp::Ordering::Less => x += 1,
-                    std::cmp::Ordering::Greater => y += 1,
-                    std::cmp::Ordering::Equal => {
-                        out.push(abuf[x]);
-                        x += 1;
-                        y += 1;
+            Payload::Array(offsets) => {
+                let lo = offsets.partition_point(|&off| u32::from(off) >> CHUNK_SHIFT < sub);
+                let hi = offsets.partition_point(|&off| u32::from(off) >> CHUNK_SHIFT <= sub);
+                let run = offsets.get(lo..hi).unwrap_or(&[]);
+                match op {
+                    ChunkOp::Or => run.iter().for_each(|&off| set_bit(words, off.into())),
+                    ChunkOp::And => {
+                        let mut ids = [0u64; CHUNK_WORDS];
+                        run.iter().for_each(|&off| set_bit(&mut ids, off.into()));
+                        op.merge(words, &ids);
                     }
                 }
             }
-            if ab.last <= bb.last {
-                i += 1;
-            }
-            if bb.last <= ab.last {
-                j += 1;
-            }
         }
-        out
     }
-}
-
-/// First block index `>= from` whose `last >= target`: exponential search over
-/// the directory followed by a binary refine of the overshoot window.
-fn skip_blocks(blocks: &[BlockMeta], from: usize, target: u32) -> usize {
-    if from >= blocks.len() || blocks[from].last >= target {
-        return from;
-    }
-    let mut step = 1usize;
-    let mut lo = from;
-    loop {
-        let next = match lo.checked_add(step) {
-            Some(n) if n < blocks.len() => n,
-            _ => break,
-        };
-        if blocks[next].last >= target {
-            break;
-        }
-        lo = next;
-        step <<= 1;
-    }
-    let hi = lo.saturating_add(step).min(blocks.len());
-    lo + blocks[lo..hi].partition_point(|b| b.last < target)
 }
 
 #[cfg(test)]
@@ -365,34 +306,53 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_ids_pack_at_width_zero() {
-        let rids: Vec<RecordId> = (1000..2000).collect();
-        let list = PostingList::encode(&rids);
-        assert_eq!(list.decode(), rids);
-        // Eight directory entries, zero payload words.
-        assert_eq!(list.block_count(), 8);
-        assert_eq!(list.words.len(), 0);
-        assert!(list.encoded_bytes() < 1100, "got {}", list.encoded_bytes());
+    fn unsorted_or_repeated_ids_encode_as_a_set() {
+        let list = PostingList::encode(&[5, 3, 9]);
+        assert_eq!(list.decode(), vec![3, 5, 9]);
+        assert_eq!(list.to_bitmap().to_vec(), vec![3, 5, 9]);
+        let list = PostingList::encode(&[7, 1, 7, 1, 70_000]);
+        assert_eq!(list.len(), 3);
+        assert_eq!(list.decode(), vec![1, 7, 70_000]);
+        assert_eq!(list.to_bitmap().len(), 3);
+    }
+
+    #[test]
+    fn a_container_becomes_a_bitmap_above_4096_ids() {
+        let entry = std::mem::size_of::<Container>();
+        // 4,096 ids: the fullest array, 2 bytes per id.
+        let array: Vec<RecordId> = (0..ARRAY_MAX_IDS as RecordId).map(|i| i * 16).collect();
+        let list = PostingList::encode(&array);
+        assert_eq!((list.container_count(), list.words.len()), (1, 0));
+        assert_eq!(list.encoded_bytes(), entry + 2 * ARRAY_MAX_IDS);
+        assert_eq!(list.decode(), array);
+        // One more id: the same 8 KiB as a bitmap.
+        let bitmap: Vec<RecordId> = (0..=ARRAY_MAX_IDS as RecordId).map(|i| i * 15).collect();
+        let list = PostingList::encode(&bitmap);
+        assert_eq!((list.container_count(), list.offsets.len()), (1, 0));
+        assert_eq!(list.encoded_bytes(), entry + 8 * CONTAINER_WORDS);
+        assert_eq!(list.decode(), bitmap);
     }
 
     #[test]
     fn empty_posting_list() {
         let list = PostingList::encode(&[]);
         assert!(list.is_empty());
+        assert_eq!(list.container_count(), 0);
         assert!(list.decode().is_empty());
         assert!(list.to_bitmap().is_empty());
     }
 
     #[test]
     fn wide_gaps_round_trip() {
-        let rids: Vec<RecordId> = vec![0, 1 << 20, (1 << 24) + 5, u32::MAX - 1];
+        let rids: Vec<RecordId> = vec![0, 1 << 20, (1 << 24) + 5, u32::MAX - 1, u32::MAX];
         let list = PostingList::encode(&rids);
+        assert_eq!(list.container_count(), 4);
         assert_eq!(list.decode(), rids);
     }
 
     #[test]
     fn to_bitmap_matches_decode() {
-        let rids: Vec<RecordId> = (0..50_000)
+        let rids: Vec<RecordId> = (0..150_000)
             .filter(|x| x % 7 == 0 || (20_000..24_000).contains(x))
             .collect();
         let list = PostingList::encode(&rids);
@@ -403,57 +363,46 @@ mod tests {
     }
 
     #[test]
-    fn width_zero_run_spans_chunks() {
-        // A consecutive run crossing a 4096 boundary inside one block.
-        let rids: Vec<RecordId> = (4090..4110).collect();
+    fn run_spans_chunks_and_containers() {
+        // A consecutive run crossing chunk boundaries and the first container
+        // boundary (row 65,536), ending in a bitmap container.
+        let rids: Vec<RecordId> = (60_000..72_000).collect();
         let list = PostingList::encode(&rids);
-        assert_eq!(list.words.len(), 0);
+        assert_eq!(list.container_count(), 2);
         assert_eq!(list.to_bitmap().to_vec(), rids);
     }
 
     #[test]
-    fn intersect_skips_disjoint_blocks() {
-        let a: Vec<RecordId> = (0..100_000).filter(|x| x % 997 == 0).collect();
-        let b: Vec<RecordId> = (0..100_000).collect();
-        let pa = PostingList::encode(&a);
-        let pb = PostingList::encode(&b);
-        assert_eq!(pa.intersect(&pb), a);
-        assert_eq!(pb.intersect(&pa), a);
-        // Fully disjoint windows produce nothing.
-        let lo = PostingList::encode(&(0..500).collect::<Vec<_>>());
-        let hi = PostingList::encode(&(1_000_000..1_000_500).collect::<Vec<_>>());
-        assert!(lo.intersect(&hi).is_empty());
-    }
-
-    #[test]
     fn combine_chunk_skips_chunks_without_ids() {
-        // One full block in chunk 0, one of 100 ids in chunk 3: the windows
-        // of chunks 1, 2 and 9 overlap no block.
-        let rids: Vec<RecordId> = (0..128).chain(12_300..12_400).collect();
+        // 128 ids in chunk 0 and 100 in chunk 3 (one array container), and a
+        // bitmap container at rows 131,072..: chunks 1, 2, 9 and the whole
+        // middle container (chunks 16..32) hold no ids.
+        let rids: Vec<RecordId> = (0..128)
+            .chain(12_300..12_400)
+            .chain(131_072..140_000)
+            .collect();
         let list = PostingList::encode(&rids);
-        for chunk in [1u32, 2, 9] {
+        for chunk in [1u32, 2, 9, 16, 31, 35, 1 << 20] {
             let mut words = [!0u64; CHUNK_WORDS];
-            assert!(list.combine_chunk(chunk, 0, ChunkOp::Or, &mut words));
+            list.combine_chunk(chunk, ChunkOp::Or, &mut words);
             assert_eq!(words, [!0u64; CHUNK_WORDS]);
-            assert!(list.combine_chunk(chunk, 0, ChunkOp::And, &mut words));
+            list.combine_chunk(chunk, ChunkOp::And, &mut words);
             assert_eq!(words, [0u64; CHUNK_WORDS]);
         }
-        let mut words = [0u64; CHUNK_WORDS];
-        assert!(!list.combine_chunk(3, 99, ChunkOp::Or, &mut words));
-        assert_eq!(words, [0u64; CHUNK_WORDS]);
-        assert!(list.combine_chunk(3, 100, ChunkOp::Or, &mut words));
-        let set: u32 = words.iter().map(|w| w.count_ones()).sum();
-        assert_eq!(set, 100);
+        for (chunk, ids) in [(3u32, 100u32), (32, 4096), (34, 140_000 - 139_264)] {
+            let mut words = [0u64; CHUNK_WORDS];
+            list.combine_chunk(chunk, ChunkOp::Or, &mut words);
+            let set: u32 = words.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(set, ids, "chunk {chunk}");
+        }
     }
 
     mod proptests {
         use super::*;
         use crate::storage::TextColumn;
         use proptest::prelude::*;
-        use std::collections::BTreeSet;
 
-        /// Chunks the generated lists can reach, plus one past them.
-        const CHUNKS: u32 = 6;
+        const TOKEN: u32 = 7;
 
         /// A reproducible 64-word pattern to combine into.
         fn pattern(seed: u64) -> [u64; CHUNK_WORDS] {
@@ -466,43 +415,94 @@ mod tests {
             })
         }
 
+        /// The sorted in-container offsets of one container of kind `kind`:
+        /// empty, exactly 4,096 ids (the fullest array), exactly 4,097 (the
+        /// sparsest bitmap), `sparse` ids, or 30,000. Offsets step by an odd
+        /// stride modulo 65,536, so they are distinct.
+        fn container_offsets(kind: u8, start: u32, stride: u32, sparse: u32) -> Vec<u32> {
+            let n = match kind {
+                0 => 0,
+                1 => ARRAY_MAX_IDS as u32,
+                2 => ARRAY_MAX_IDS as u32 + 1,
+                3 => sparse,
+                _ => 30_000,
+            };
+            let stride = stride | 1;
+            let mut offsets: Vec<u32> = (0..n)
+                .map(|i| start.wrapping_add(i.wrapping_mul(stride)) & 0xFFFF)
+                .collect();
+            offsets.sort_unstable();
+            offsets
+        }
+
+        /// The chunk's words with every id of `list` in it combined by `op`
+        /// into `pre`.
+        fn combined(
+            list: &PostingList,
+            chunk: u32,
+            op: ChunkOp,
+            pre: [u64; CHUNK_WORDS],
+        ) -> [u64; CHUNK_WORDS] {
+            let mut words = pre;
+            list.combine_chunk(chunk, op, &mut words);
+            words
+        }
+
         proptest! {
-            /// `combine_chunk` against `decode()` and against a per-row
-            /// `doc_contains` over documents holding the same ids, for both
-            /// ops, over every chunk — including chunks the list skips — with
-            /// a run that crosses a chunk boundary (width-0 blocks straddling
-            /// it) and budgets just under and exactly at the overlapping
-            /// blocks' id count.
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Lists over three or more containers — the first of the drawn
+            /// kinds, then an empty container, then the rest — whose last
+            /// container ends in a partial chunk of the row space. On every
+            /// chunk up to one past the last (chunks without ids included),
+            /// `decode`, `to_bitmap`, `combine_chunk` with both ops and a
+            /// per-row `doc_contains` over documents holding the same ids
+            /// agree. The same ids shifted into the top containers (the last
+            /// one keyed 65,535, ids up to `u32::MAX`) decode and combine the
+            /// same; their `to_bitmap` would span 2^32 rows, so it is skipped.
             #[test]
             fn combine_chunk_matches_decode_and_doc_contains(
-                scattered in proptest::collection::btree_set(0u32..20_000, 0..300),
-                runs in proptest::collection::vec((0u32..20_000, 1u32..400), 0..4),
-                cross in (1u32..5, 1u32..200, 2u32..400),
+                kinds in proptest::collection::vec(((0u8..5, 0u32..65_536), (0u32..65_536, 0u32..300)), 2..4),
+                tail in 0u32..4096,
                 seed in 0u64..u64::MAX,
             ) {
-                let mut ids: BTreeSet<RecordId> = scattered;
-                let (cross_chunk, cross_before, cross_len) = cross;
-                let cross_start = cross_chunk * 4096 - cross_before;
-                ids.extend(cross_start..cross_start + cross_len);
-                for (start, len) in runs {
-                    ids.extend(start..start + len);
+                let containers = kinds.len() as u32 + 1;
+                let rows = (containers << CONTAINER_SHIFT) - tail;
+                let mut rids = Vec::new();
+                for (key, &((kind, start), (stride, sparse))) in kinds.iter().enumerate() {
+                    // Container 1 stays empty.
+                    let key = if key == 0 { 0 } else { key as u32 + 1 };
+                    let offsets = container_offsets(kind, start, stride, sparse);
+                    rids.extend(offsets.iter().map(|off| key << CONTAINER_SHIFT | off));
                 }
-                let rids: Vec<RecordId> = ids.iter().copied().collect();
+                rids.retain(|&rid| rid < rows);
+                if rids.last() != Some(&(rows - 1)) {
+                    rids.push(rows - 1);
+                }
                 let list = PostingList::encode(&rids);
                 prop_assert_eq!(list.decode(), rids.clone());
+                let shift = (1u32 << CONTAINER_SHIFT) - containers;
+                let top_ids: Vec<RecordId> = rids.iter().map(|&rid| shift << CONTAINER_SHIFT | rid).collect();
+                let top = PostingList::encode(&top_ids);
+                prop_assert_eq!(top.decode(), top_ids);
+                prop_assert_eq!(top.directory.last().map(|c| c.key), Some(u16::MAX));
 
-                const TOKEN: u32 = 7;
                 let mut docs = TextColumn::new();
-                for row in 0..CHUNKS * 4096 {
-                    docs.push_doc(if ids.contains(&row) { &[TOKEN] } else { &[1] });
+                let mut cursor = rids.iter().peekable();
+                for row in 0..rows {
+                    let hit = cursor.next_if_eq(&&row).is_some();
+                    docs.push_doc(if hit { &[TOKEN] } else { &[1] });
                 }
+                let bitmap = list.to_bitmap();
                 let pre = pattern(seed);
-                for chunk in 0..CHUNKS {
-                    let base = chunk * 4096;
+                let chunks = rows.div_ceil(CHUNK_BITS as u32) + 1;
+                let top_chunk = shift << CHUNKS_SHIFT;
+                for chunk in 0..chunks {
+                    let base = chunk << CHUNK_SHIFT;
                     let mut by_docs = [0u64; CHUNK_WORDS];
-                    for off in 0..4096 {
-                        if docs.doc_contains((base + off) as usize, TOKEN) {
-                            set_bit(&mut by_docs, off as usize);
+                    for row in base..(base + CHUNK_BITS as u32).min(rows) {
+                        if docs.doc_contains(row as usize, TOKEN) {
+                            set_bit(&mut by_docs, (row - base) as usize);
                         }
                     }
                     let mut by_decode = [0u64; CHUNK_WORDS];
@@ -510,24 +510,15 @@ mod tests {
                         set_bit(&mut by_decode, (rid - base) as usize);
                     }
                     prop_assert_eq!(by_docs, by_decode);
-                    let overlapping: usize = rids
-                        .chunks(BLOCK_IDS)
-                        .filter(|b| b[b.len() - 1] >= base && b[0] < base + 4096)
-                        .map(|b| b.len())
-                        .sum();
+                    let by_bitmap = bitmap.chunk(chunk as usize).copied().unwrap_or([0; CHUNK_WORDS]);
+                    prop_assert_eq!(by_bitmap, by_docs);
                     for op in [ChunkOp::Or, ChunkOp::And] {
-                        if overlapping > 0 {
-                            let mut words = pre;
-                            prop_assert!(!list.combine_chunk(chunk, overlapping - 1, op, &mut words));
-                            prop_assert_eq!(words, pre);
-                        }
-                        let mut words = pre;
-                        prop_assert!(list.combine_chunk(chunk, overlapping, op, &mut words));
                         let expected: [u64; CHUNK_WORDS] = std::array::from_fn(|i| match op {
-                            ChunkOp::Or => pre[i] | by_decode[i],
-                            ChunkOp::And => pre[i] & by_decode[i],
+                            ChunkOp::Or => pre[i] | by_docs[i],
+                            ChunkOp::And => pre[i] & by_docs[i],
                         });
-                        prop_assert_eq!(words, expected);
+                        prop_assert_eq!(combined(&list, chunk, op, pre), expected);
+                        prop_assert_eq!(combined(&top, top_chunk + chunk, op, pre), expected);
                     }
                 }
             }
@@ -540,21 +531,6 @@ mod tests {
                 let list = PostingList::encode(&rids);
                 prop_assert_eq!(list.decode(), rids.clone());
                 prop_assert_eq!(list.to_bitmap().to_vec(), rids);
-            }
-
-            #[test]
-            fn intersect_matches_set_semantics(
-                a in proptest::collection::btree_set(0u32..5_000, 0..400),
-                b in proptest::collection::btree_set(0u32..5_000, 0..400),
-            ) {
-                let va: Vec<RecordId> = a.iter().copied().collect();
-                let vb: Vec<RecordId> = b.iter().copied().collect();
-                let expected: Vec<RecordId> =
-                    a.intersection(&b).copied().collect::<BTreeSet<_>>().into_iter().collect();
-                let pa = PostingList::encode(&va);
-                let pb = PostingList::encode(&vb);
-                prop_assert_eq!(pa.intersect(&pb), expected.clone());
-                prop_assert_eq!(pb.intersect(&pa), expected);
             }
         }
     }

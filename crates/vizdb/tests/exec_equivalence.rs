@@ -170,10 +170,11 @@ proptest! {
 
     /// Random predicates, every hint-forced plan shape, every output kind —
     /// on small one-chunk tables with a dense keyword, and on 0-, 1-, 4,096-,
-    /// 4,097- and 9,001-row tables with the keyword on every 2nd or every
-    /// 97th row, so the posting-list keyword kernels (both sides of the
-    /// refinement budget), multi-chunk selections and the edge universes — no
-    /// word, one word, exactly one chunk — run against the oracle. The edge
+    /// 4,097-, 9,001- and 70,000-row tables with the keyword on every 2nd or
+    /// every 97th row, so the posting-list keyword kernels (array containers,
+    /// and at 70,000 rows a bitmap container followed by a partial second
+    /// container), multi-chunk selections and the edge universes — no word,
+    /// one word, exactly one chunk — run against the oracle. The edge
     /// tables run every hint mask. Heatmaps bin on the drawn grid and on one
     /// fixed shape, each on a table whose cell column holds another grid (so
     /// it bins by arithmetic) and on one whose column holds the heatmap's
@@ -182,7 +183,7 @@ proptest! {
     fn compiled_matches_interpreter_across_plans(
         points in proptest::collection::vec((-120.0f64..-70.0, 25.0f64..48.0), 30..180),
         keyword_every in 2usize..6,
-        size in 0usize..7,
+        size in 0usize..8,
         seed in 0u64..u64::MAX,
         sparse_keyword in 0u8..2,
         narrow in 0u8..2,
@@ -198,14 +199,14 @@ proptest! {
         let (mut points, keyword_every) = match size {
             0 | 1 => (points, keyword_every),
             _ => (
-                scatter([0, 1, 4096, 4097, 9001][size - 2], seed),
+                scatter([0, 1, 4096, 4097, 9001, 70_000][size - 2], seed),
                 if sparse_keyword == 1 { 97 } else { 2 },
             ),
         };
         let masks = if (2..5).contains(&size) { 0..8 } else { mask..mask + 1 };
         // A viewport a few hundredths of a degree wide leaves a big table's
-        // chunks so few candidates that the keyword's postings would outnumber
-        // the refinement budget: it probes documents instead.
+        // chunks few candidates, so the keyword's containers hold many more
+        // ids than survive the other predicates.
         let lon_w = if narrow == 1 && size >= 2 { lon_w / 40.0 } else { lon_w };
         let rect = GeoRect::new(lon_a, 20.0, lon_a + lon_w, 50.0);
         plant_edge_points(&mut points, rect);
@@ -407,10 +408,12 @@ proptest! {
     /// grid's edges and outside it. Heatmaps bin on the drawn grid and on one
     /// fixed shape. With `warm`, the pricing side bins each from a cell
     /// column built for its grid, otherwise by arithmetic, and must still
-    /// price what the executing side charges.
+    /// price what the executing side charges. The 70,000-row table puts the
+    /// keyword on every 2nd row (a bitmap container, then a partial array
+    /// one) or every 97th (two array containers).
     #[test]
     fn priced_time_equals_executed_time(
-        size in 0usize..6,
+        size in 0usize..7,
         seed in 0u64..u64::MAX,
         keyword_every in 2usize..6,
         index_text in 0u8..2,
@@ -421,7 +424,12 @@ proptest! {
         grid_pick in 0usize..4,
         warm in 0u8..2,
     ) {
-        let rows = [0usize, 1, 4095, 4096, 4097, 9001][size];
+        let rows = [0usize, 1, 4095, 4096, 4097, 9001, 70_000][size];
+        let keyword_every = match (rows, keyword_every % 2) {
+            (70_000, 0) => 2,
+            (70_000, _) => 97,
+            _ => keyword_every,
+        };
         let (index_text, follow_hints, warm) = (index_text == 1, follow_hints == 1, warm == 1);
         let extent = GeoRect::new(-118.0, 27.0, -80.0, 45.0);
         let mut points = scatter(rows, seed);
