@@ -10,7 +10,9 @@
 //!   per-region [`vizdb::ShardedBackend`] (the [`ServeConfig::shards`] knob, see
 //!   [`backend_for_shards`]) — one trained [`maliva::QAgent`] and one
 //!   [`maliva_qte::QueryTimeEstimator`] across `std::thread::scope` worker
-//!   threads that drain a request queue: each request is decided with
+//!   threads, at most one per request, that drain a [`queue::WorkQueue`] —
+//!   one loop behind both [`MalivaServer::serve_batch`] and
+//!   [`MalivaServer::serve_queued`]: each request is decided with
 //!   [`maliva::decide_online`] (no execution) and its chosen rewrite executed
 //!   once, with [`vizdb::QueryBackend::run_with_context`];
 //! * [`DecisionCache`] fronts planning with a bounded, sharded, LRU
@@ -32,6 +34,7 @@
 //! repro's core invariant, pinned by this crate's concurrency smoke tests.
 
 pub mod cache;
+pub mod queue;
 pub mod server;
 
 /// The workspace synchronization facade, re-exported so serve-layer code and

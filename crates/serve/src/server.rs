@@ -6,10 +6,11 @@
 //! [`DecisionCache`]. Each request is decided with [`maliva::decide_online`]
 //! (unless the decision cache already knows the answer), which executes nothing,
 //! and the chosen rewrite is then executed once, with
-//! [`QueryBackend::run_with_context`]. The scheduling is [`vizdb::sched`]'s:
-//! [`MalivaServer::serve_batch`] hands the request range to the claim-cursor
-//! crew, [`MalivaServer::serve_queued`] admits requests into a
-//! [`vizdb::sched::WorkQueue`] that scoped workers drain.
+//! [`QueryBackend::run_with_context`]. [`MalivaServer::serve_batch`] and
+//! [`MalivaServer::serve_queued`] share one drain loop: the caller admits
+//! request indices into a [`WorkQueue`] and scoped workers, at most one per
+//! request, pop and serve them. A batch's queue holds the whole batch, so it
+//! never sheds; `serve_queued`'s is bounded by `queue_capacity`.
 //!
 //! Every quantity a response carries is *simulated* and deterministic — planning
 //! cost, execution time, viability, the materialised result — so serving the same
@@ -18,7 +19,7 @@
 //!
 //! Four serve-layer knobs ([`ServeConfig`]):
 //!
-//! * `workers` — threads serving a batch or draining the queue;
+//! * `workers` — threads that drain the queue, at most one per request;
 //! * `shards` — consumed by [`MalivaServer::over_database`], which mirrors the
 //!   database into that many per-region shards behind the same trait object;
 //! * `queue_capacity` — admission control: [`MalivaServer::serve_queued`] admits
@@ -31,6 +32,7 @@
 //!   answers from the survivors and the response reports
 //!   [`vizdb::ResultQuality::Degraded`] instead of failing the request.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -41,18 +43,19 @@ use vizdb::error::{Error, Result};
 use vizdb::exec::QueryResult;
 use vizdb::hints::RewriteOption;
 use vizdb::query::Query;
-use vizdb::sched::{run_morsels, WorkQueue};
 use vizdb::sync::atomic::{AtomicU64, Ordering};
 use vizdb::{
-    Database, ExecContext, FaultStats, QueryBackend, ResultQuality, ShardedBackendBuilder,
+    Database, ExecContext, FaultStats, PartitionScheme, QueryBackend, ResultQuality,
+    ShardedBackendBuilder,
 };
 
 use crate::cache::{CachedDecision, DecisionCache, DecisionCacheConfig, DecisionCacheStats};
+use crate::queue::WorkQueue;
 
 /// Configuration of a [`MalivaServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Number of worker threads `serve_batch` spawns (at least 1).
+    /// Threads that drain the queue, at most one per request (at least 1).
     pub workers: usize,
     /// Number of per-region backend shards [`MalivaServer::over_database`] routes
     /// viewports across (at least 1; `1` serves the database directly).
@@ -299,9 +302,17 @@ impl ServeMetrics {
 /// one shard, a [`vizdb::ShardedBackend`] mirroring its tables, indexes and
 /// samples otherwise (partitioned under the default
 /// [`vizdb::PartitionScheme`], 2-D tiles).
+/// More shards than the default grid's tiles (a shard beyond them would own
+/// none) is an [`Error::Internal`], returned before any shard is allocated.
 pub fn backend_for_shards(db: Arc<Database>, shards: usize) -> Result<Arc<dyn QueryBackend>> {
     if shards <= 1 {
         return Ok(db);
+    }
+    let tiles = (PartitionScheme::DEFAULT_GRID_DIM as usize).pow(2);
+    if shards > tiles {
+        return Err(Error::Internal(format!(
+            "{shards} shards exceed the {tiles} tiles of the default partition grid"
+        )));
     }
     Ok(Arc::new(ShardedBackendBuilder::mirror(&db, shards)?))
 }
@@ -469,8 +480,8 @@ impl MalivaServer {
         })
     }
 
-    /// Serves a whole batch across `config.workers` threads (the caller's is one
-    /// of them), returning responses in request order.
+    /// Serves a whole batch through the drain loop, returning responses in
+    /// request order.
     pub fn serve_batch(&self, requests: &[ServeRequest]) -> Result<Vec<ServeResponse>> {
         Ok(self.serve_batch_timed(requests)?.0)
     }
@@ -486,16 +497,15 @@ impl MalivaServer {
     ) -> Result<(Vec<ServeResponse>, ServeMetrics)> {
         let faults_before = self.backend.fault_stats();
         let started = Instant::now();
-        let served = run_morsels(requests.len(), self.config.workers, |i| {
-            let request_started = Instant::now();
-            let response = self.serve_one(i, &requests[i]);
-            (response, request_started.elapsed().as_secs_f64() * 1000.0)
-        });
+        // A queue as long as the batch never sheds.
+        let served = self.drain(requests, requests.len());
         let wall_clock_ms = started.elapsed().as_secs_f64() * 1000.0;
 
         let mut responses = Vec::with_capacity(served.len());
         let mut latencies = Vec::with_capacity(served.len());
-        for (response, latency_ms) in served {
+        for slot in served {
+            let (response, latency_ms) =
+                slot.ok_or_else(|| Error::Internal("a batch request was never served".into()))?;
             responses.push(response?);
             latencies.push(latency_ms);
         }
@@ -507,57 +517,70 @@ impl MalivaServer {
     }
 
     /// Serves `requests` through admission control: the calling thread submits
-    /// them into a queue bounded by `config.queue_capacity` while
-    /// `config.workers` scoped threads drain it. A request arriving while the
-    /// queue is full is shed immediately with [`ServeOutcome::Rejected`] (and
-    /// counted in [`Self::shed_count`]) — overload sheds, it never stalls the
-    /// submitter or grows the queue without bound.
+    /// them into a queue bounded by `config.queue_capacity` while the workers
+    /// drain it. A request arriving while the queue is full is shed immediately
+    /// with [`ServeOutcome::Rejected`] (and counted in [`Self::shed_count`]) —
+    /// overload sheds, it never stalls the submitter or grows the queue without
+    /// bound.
     ///
-    /// Outcomes are returned in request order; planning/execution errors of
-    /// admitted requests propagate like in [`Self::serve_batch`].
+    /// Outcomes are returned in request order; planning/execution errors and
+    /// panics of admitted requests propagate like in [`Self::serve_batch`].
     pub fn serve_queued(&self, requests: &[ServeRequest]) -> Result<Vec<ServeOutcome>> {
-        let workers = self.config.workers.max(1);
         let capacity = self.config.queue_capacity.max(1);
-        let queue = WorkQueue::new();
-        let mut outcomes: Vec<Option<Result<ServeOutcome>>> = Vec::new();
-        outcomes.resize_with(requests.len(), || None);
+        self.drain(requests, capacity)
+            .into_iter()
+            .map(|slot| match slot {
+                Some((response, _)) => response.map(ServeOutcome::from_response),
+                None => Ok(ServeOutcome::Rejected { queue_full: true }),
+            })
+            .collect()
+    }
 
-        let drain = || {
+    /// The one scheduling loop: the calling thread admits request indices into
+    /// a [`WorkQueue`] of `capacity` (counting each shed), while
+    /// `min(config.workers, requests.len())` scoped workers pop them and serve
+    /// each under `catch_unwind`. Returns, in request order, `None` for a shed
+    /// request, else what `serve_one` returned and its wall latency in ms; once
+    /// every worker has joined, the lowest-index panic is re-raised.
+    fn drain(
+        &self,
+        requests: &[ServeRequest],
+        capacity: usize,
+    ) -> Vec<Option<(Result<ServeResponse>, f64)>> {
+        let queue = WorkQueue::new();
+        let work = || {
             let mut served = Vec::new();
             while let Some(i) = queue.pop() {
-                let outcome = self.serve_one(i, &requests[i]);
-                served.push((i, outcome.map(ServeOutcome::from_response)));
+                let started = Instant::now();
+                let response = catch_unwind(AssertUnwindSafe(|| self.serve_one(i, &requests[i])));
+                served.push((i, response, started.elapsed().as_secs_f64() * 1000.0));
             }
             served
         };
+        let mut slots: Vec<_> = requests.iter().map(|_| None).collect();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
-            // The caller's thread admits or sheds; a shed is counted under the
-            // queue lock (see `WorkQueue::try_push`).
-            for (i, slot) in outcomes.iter_mut().enumerate() {
-                let count_shed = || {
-                    self.shed.fetch_add(1, Ordering::Relaxed);
-                };
-                if !queue.try_push(i, capacity, count_shed) {
-                    *slot = Some(Ok(ServeOutcome::Rejected { queue_full: true }));
-                }
+            let workers = self.config.workers.max(1).min(requests.len());
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            // A shed is counted under the queue lock (see `WorkQueue::try_push`).
+            let count_shed = || {
+                self.shed.fetch_add(1, Ordering::Relaxed);
+            };
+            for i in 0..requests.len() {
+                let _admitted = queue.try_push(i, capacity, count_shed);
             }
             queue.close();
             for handle in handles {
-                // A worker's panic is re-raised once the scope has joined the rest.
-                let served = handle
-                    .join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
-                for (i, outcome) in served {
-                    outcomes[i] = Some(outcome);
+                // Only the queue's own bookkeeping runs outside `catch_unwind`.
+                for (i, response, ms) in handle.join().unwrap_or_else(|p| resume_unwind(p)) {
+                    slots[i] = Some((response, ms));
                 }
             }
         });
-        let lost = || Err(Error::Internal("a queued request was never served".into()));
-        outcomes
-            .into_iter()
-            .map(|o| o.unwrap_or_else(lost))
-            .collect()
+        // In request order, so the first panic re-raised is the lowest index's.
+        let reraise = |(response, ms): (std::result::Result<_, _>, f64)| {
+            (response.unwrap_or_else(|p| resume_unwind(p)), ms)
+        };
+        slots.into_iter().map(|slot| slot.map(reraise)).collect()
     }
 }
 
@@ -887,31 +910,35 @@ mod tests {
         assert_eq!(percentile_ms(&[], 99.0), 0.0);
     }
 
-    /// `serve_batch` is the claim-cursor crew: at `workers = 1` every request
-    /// is served on the calling thread (nothing is spawned), and a request
-    /// that panics inside `serve_one` resurfaces as a panic of `serve_batch`
-    /// carrying the **earliest** panicking request's payload, only after every
-    /// worker has left `serve_one`. The request index rides in the query's
-    /// LIMIT (+1); the space builder is the hook on the serving thread.
+    /// Both entry points run the one drain loop. At `workers = 1` one thread
+    /// serves the requests in request order (the chaos and fault-determinism
+    /// tests rely on it); no more workers than requests serve a batch; and a
+    /// request that panics in `serve_one` resurfaces with the **earliest**
+    /// panicking request's payload, after every worker has left `serve_one`.
+    /// The request index rides in the query's LIMIT (+1); the space builder is
+    /// the hook on the serving thread.
     #[test]
-    fn batch_runs_inline_at_one_worker_and_reraises_the_earliest_panic() {
+    fn one_worker_serves_in_order_and_both_entry_points_reraise_the_earliest_panic() {
         struct Leave<'a>(&'a AtomicU64);
         impl Drop for Leave<'_> {
             fn drop(&mut self) {
                 self.0.fetch_sub(1, Ordering::SeqCst);
             }
         }
-        let threads = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let served = Arc::new(std::sync::Mutex::new(Vec::new()));
         let in_flight = Arc::new(AtomicU64::new(0));
         let server_with = |workers: usize| {
-            let (threads, in_flight) = (Arc::clone(&threads), Arc::clone(&in_flight));
+            let (served, in_flight) = (Arc::clone(&served), Arc::clone(&in_flight));
             server_with_spaces(
                 build_db(),
                 Arc::new(move |q: &Query| {
                     in_flight.fetch_add(1, Ordering::SeqCst);
                     let _leave = Leave(&in_flight);
-                    threads.lock().unwrap().push(std::thread::current().id());
                     let index = q.limit.unwrap() - 1;
+                    served
+                        .lock()
+                        .unwrap()
+                        .push((std::thread::current().id(), index));
                     if index >= 5 {
                         std::panic::panic_any(index);
                     }
@@ -926,20 +953,47 @@ mod tests {
         let requests: Vec<ServeRequest> = (0..16)
             .map(|i| ServeRequest::new(make_query(0).limit(i + 1)))
             .collect();
+        type Entry = fn(&MalivaServer, &[ServeRequest]) -> usize;
+        let entries: [Entry; 2] = [
+            |server, requests| server.serve_batch(requests).unwrap().len(),
+            |server, requests| server.serve_queued(requests).unwrap().len(),
+        ];
+        for entry in entries {
+            // (distinct serving threads, request indices in serving order)
+            let run = |workers: usize, n: usize| {
+                served.lock().unwrap().clear();
+                assert_eq!(entry(&server_with(workers), &requests[..n]), n);
+                let served = served.lock().unwrap();
+                let threads: std::collections::HashSet<_> =
+                    served.iter().map(|&(id, _)| id).collect();
+                (threads.len(), served.iter().map(|&(_, i)| i).collect())
+            };
+            assert_eq!(run(1, 5), (1, vec![0, 1, 2, 3, 4]));
+            assert!(run(64, 3).0 <= 3);
+            assert_eq!(
+                run(usize::MAX, 0),
+                (0, vec![]),
+                "an empty batch spawns nothing"
+            );
 
-        server_with(1).serve_batch(&requests[..5]).unwrap();
-        assert_eq!(
-            *threads.lock().unwrap(),
-            vec![std::thread::current().id(); 5]
-        );
+            let server = server_with(4);
+            let caught = catch_unwind(AssertUnwindSafe(|| entry(&server, &requests)));
+            let payload = caught.expect_err("requests 5.. panic");
+            assert_eq!(payload.downcast_ref::<usize>(), Some(&5));
+            assert_eq!(in_flight.load(Ordering::SeqCst), 0, "a worker outlived it");
+        }
+    }
 
-        let server = server_with(4);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            server.serve_batch(&requests)
-        }));
-        let payload = caught.expect_err("requests 5.. panic");
-        assert_eq!(payload.downcast_ref::<usize>(), Some(&5));
-        assert_eq!(in_flight.load(Ordering::SeqCst), 0, "a worker outlived it");
+    /// A shard count beyond the default grid's tiles is refused before any
+    /// shard database is allocated (`usize::MAX` used to overflow capacity).
+    #[test]
+    fn backend_for_shards_refuses_more_shards_than_tiles() {
+        let db = build_db();
+        for shards in [usize::MAX, 4_097] {
+            let err = backend_for_shards(db.clone(), shards).err();
+            assert!(matches!(err, Some(Error::Internal(_))), "{shards}: {err:?}");
+        }
+        assert!(backend_for_shards(db, 4).is_ok());
     }
 
     /// Hostile budgets are refused before the cache key is computed. With

@@ -1,9 +1,10 @@
-//! Model-check suite for `vizdb::sched::WorkQueue` — the closeable FIFO behind
-//! `MalivaServer::serve_queued`'s admission queue — on the production type.
+//! Model-check suite for `maliva_serve::queue::WorkQueue` — the closeable FIFO
+//! that `MalivaServer`'s drain loop admits requests into — on the production
+//! type.
 //! A lost wakeup (on push or close) parks a consumer forever, which the
 //! checker reports as a deadlock.
 //!
-//! Compiled only under `RUSTFLAGS='--cfg maliva_model_check'`; see
+//! Compiled only under `RUSTFLAGS='--cfg maliva_model_check'`; see vizdb's
 //! `model_sync.rs` for the mechanics.
 
 #![cfg(maliva_model_check)]
@@ -11,8 +12,8 @@
 use std::sync::Arc;
 
 use loomlite::{explore, Config};
-use vizdb::sched::WorkQueue;
-use vizdb::sync::thread;
+use maliva_serve::queue::WorkQueue;
+use maliva_serve::sync::thread;
 
 /// Pops until the queue reports closed-and-drained.
 fn drain(queue: &WorkQueue<usize>) -> Vec<usize> {

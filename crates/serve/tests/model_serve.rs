@@ -2,7 +2,7 @@
 //! interleavings, the shed-counter ordering of queued admission (through the
 //! production `WorkQueue::try_push`), and a test-only reintroduction of the
 //! shed-counter race that the checker must detect. The admit/drain/close
-//! protocol itself is checked in vizdb's `model_queue.rs`.
+//! protocol itself is checked in `model_queue.rs`.
 //!
 //! Compiled only under `RUSTFLAGS='--cfg maliva_model_check'`; see vizdb's
 //! `model_sync.rs` for the mechanics.
@@ -12,9 +12,9 @@
 use std::sync::Arc;
 
 use loomlite::{explore, Config, FailureKind};
+use maliva_serve::queue::WorkQueue;
 use maliva_serve::{CachedDecision, DecisionCache, DecisionCacheConfig};
 use vizdb::hints::RewriteOption;
-use vizdb::sched::WorkQueue;
 use vizdb::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use vizdb::sync::thread;
 

@@ -57,7 +57,6 @@ pub mod index;
 pub mod optimizer;
 pub mod plan;
 pub mod query;
-pub mod sched;
 pub mod schema;
 pub mod sharded;
 pub mod stats;

@@ -14,9 +14,10 @@
 //!   `thread::spawn` from here, never from `std::sync` or `parking_lot`;
 //! - `std::sync::Arc` is exempt (pure refcount, nothing to interleave), as is
 //!   `std::thread::scope` (used only on paths model tests drive via `spawn`);
-//! - a loop that hands work to threads is written once, in [`crate::sched`]
-//!   (`Condvar` wait over a queue → `WorkQueue`; `fetch_add` claim loop → the
-//!   crew), so the model suites check the code that runs in production.
+//! - a loop that hands work to threads is written once, over
+//!   `maliva_serve::queue::WorkQueue` (a `Condvar` wait over a queue), so the
+//!   model suites check the code that runs in production; outside its tests
+//!   `vizdb` spawns no threads.
 //!
 //! The facade mutexes do not expose poisoning: a panicked writer is a bug the
 //! model checker reports directly, and non-model builds recover the value.

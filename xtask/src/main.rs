@@ -209,9 +209,9 @@ const RULES: &[(&str, PathPredicate, LineCheck)] = &[
 /// kernels, the lattice pricing pass (which answers "cannot
 /// price" with `None`, never a panic) and the reference interpreter it falls back to
 /// — and so is `index/`, whose scans fill the selection `bitmap.rs` carries to
-/// the sink, and `sched.rs`, whose queue and crew every worker loop runs on.
-/// `online.rs` and the `mdp/env.rs` episode it advances run on every request
-/// that misses the decision cache.
+/// the sink, and the serve layer's `queue.rs`, whose queue every worker loop
+/// runs on. `online.rs` and the `mdp/env.rs` episode it advances run on every
+/// request that misses the decision cache.
 fn is_hot_path(path: &str) -> bool {
     path.starts_with("crates/vizdb/src/exec/")
         || path.starts_with("crates/vizdb/src/index/")
@@ -219,7 +219,7 @@ fn is_hot_path(path: &str) -> bool {
         || matches!(
             path,
             "crates/vizdb/src/bitmap.rs"
-                | "crates/vizdb/src/sched.rs"
+                | "crates/serve/src/queue.rs"
                 | "crates/core/src/online.rs"
                 | "crates/core/src/mdp/env.rs"
                 | "crates/serve/src/server.rs"
@@ -243,9 +243,9 @@ fn is_facade_module(path: &str) -> bool {
             "crates/vizdb/src/cache.rs"
                 | "crates/vizdb/src/backend.rs"
                 | "crates/vizdb/src/storage/sample.rs"
-                | "crates/vizdb/src/sched.rs"
                 | "crates/vizdb/src/fault.rs"
                 | "crates/serve/src/cache.rs"
+                | "crates/serve/src/queue.rs"
                 | "crates/serve/src/server.rs"
         )
 }
@@ -560,11 +560,11 @@ mod tests {
         );
     }
 
-    /// "The morsel driver" is the claim-cursor crew in `vizdb::sched`: that
-    /// module holds the sync primitives, `exec/` none — a request's kernels
-    /// run on the thread serving it.
+    /// The serve layer's work queue holds the sync primitives, `exec/` and the
+    /// selection modules none — a request's kernels run on the thread serving
+    /// it.
     #[test]
-    fn every_exec_module_is_a_hot_path_and_only_the_morsel_driver_is_concurrent() {
+    fn every_exec_module_is_a_hot_path_and_only_the_work_queue_is_concurrent() {
         let bad = "fn f() { a.unwrap(); }\n";
         let exec = ["executor", "reference", "compiled", "pricing", "mod"];
         let paths = exec.map(|module| format!("crates/vizdb/src/exec/{module}.rs"));
@@ -578,15 +578,15 @@ mod tests {
         for path in paths
             .iter()
             .chain(&selection)
-            .chain([&"crates/vizdb/src/sched.rs".to_string()])
+            .chain([&"crates/serve/src/queue.rs".to_string()])
         {
             let findings = scan_source(path, bad);
             assert_eq!(findings.len(), 1, "{path} must be under the no-panic rule");
             assert_eq!(findings[0].rule, "no-panic");
             assert_eq!(
                 is_facade_module(path),
-                path.ends_with("sched.rs"),
-                "{path}: only the scheduler module holds sync primitives"
+                path.ends_with("queue.rs"),
+                "{path}: only the work queue module holds sync primitives"
             );
         }
     }
