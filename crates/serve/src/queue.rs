@@ -94,6 +94,14 @@ impl<T> WorkQueue<T> {
         self.ready.notify_all();
     }
 
+    /// A guard that [`Self::close`]s the queue when dropped, on unwind too.
+    /// A producer holds one while it starts consumers and admits work, so a
+    /// panic there (a consumer thread that fails to spawn, say) still
+    /// releases every consumer already parked in [`Self::pop`].
+    pub fn close_on_drop(&self) -> CloseOnDrop<'_, T> {
+        CloseOnDrop(self)
+    }
+
     /// `(items ever admitted, items waiting now)`, read under one lock
     /// acquisition — `waiting <= admitted` holds in every snapshot.
     pub fn snapshot(&self) -> (u64, usize) {
@@ -102,8 +110,19 @@ impl<T> WorkQueue<T> {
     }
 }
 
+/// Closes its [`WorkQueue`] when dropped; see [`WorkQueue::close_on_drop`].
+pub struct CloseOnDrop<'q, T>(&'q WorkQueue<T>);
+
+impl<T> Drop for CloseOnDrop<'_, T> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
     use super::*;
 
     #[test]
@@ -118,5 +137,24 @@ mod tests {
         // Closing does not discard what was already admitted.
         assert_eq!([q.pop(), q.pop(), q.pop()], [Some('a'), Some('b'), None]);
         assert_eq!(q.snapshot(), (2, 0), "admissions, not depth");
+    }
+
+    /// A producer that panics while holding the guard — as `drain` does when
+    /// a worker fails to spawn — closes the queue: the consumer parked in
+    /// `pop` gets `None`, so the scope joins it and re-raises the panic
+    /// instead of waiting forever.
+    #[test]
+    fn a_panicking_producer_holding_the_guard_releases_parked_consumers() {
+        let q: WorkQueue<u32> = WorkQueue::new();
+        let popped = std::sync::Mutex::new(None);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            std::thread::scope(|scope| {
+                let _closer = q.close_on_drop();
+                scope.spawn(|| *popped.lock().unwrap() = Some(q.pop()));
+                panic!("the next worker failed to spawn");
+            })
+        }));
+        assert!(outcome.is_err(), "the producer's panic is re-raised");
+        assert_eq!(*popped.lock().unwrap(), Some(None));
     }
 }

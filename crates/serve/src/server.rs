@@ -559,6 +559,9 @@ impl MalivaServer {
         };
         let mut slots: Vec<_> = requests.iter().map(|_| None).collect();
         std::thread::scope(|scope| {
+            // Closes the queue however this closure exits: if a spawn panics,
+            // the workers already started leave `pop` and the scope returns.
+            let closer = queue.close_on_drop();
             let workers = self.config.workers.max(1).min(requests.len());
             let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
             // A shed is counted under the queue lock (see `WorkQueue::try_push`).
@@ -568,7 +571,7 @@ impl MalivaServer {
             for i in 0..requests.len() {
                 let _admitted = queue.try_push(i, capacity, count_shed);
             }
-            queue.close();
+            drop(closer);
             for handle in handles {
                 // Only the queue's own bookkeeping runs outside `catch_unwind`.
                 for (i, response, ms) in handle.join().unwrap_or_else(|p| resume_unwind(p)) {

@@ -128,6 +128,34 @@ impl SelectionBitmap {
         fill_span(&mut self.words, lo as usize, hi as usize);
     }
 
+    /// Drops one id (nothing when it is absent or past the universe).
+    #[inline]
+    pub fn remove(&mut self, rid: RecordId) {
+        if let Some(w) = self.words.get_mut((rid >> 6) as usize) {
+            *w &= !(1u64 << (rid & 63));
+        }
+    }
+
+    /// The ids in `self` and not in `other`, word by word, over `self`'s
+    /// universe.
+    pub fn and_not(&self, other: &Self) -> Self {
+        let others = other.words.iter().chain(std::iter::repeat(&0));
+        Self {
+            words: self.words.iter().zip(others).map(|(w, o)| w & !o).collect(),
+        }
+    }
+
+    /// Unites `other` into `self`, word by word, growing `self` to `other`'s
+    /// universe.
+    pub fn or_with(&mut self, other: &Self) {
+        if self.words.len() < other.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+
     /// Intersects `other` into `self`, word by word. Ids past the shorter of
     /// the two universes cannot be in both, so the result keeps only it.
     pub fn and_with(&mut self, other: &Self) {
@@ -311,6 +339,23 @@ mod tests {
         b.insert(1 << 15);
         assert_ne!(a, b);
         assert_ne!(b, a);
+    }
+
+    #[test]
+    fn remove_and_not_and_or_with_work_across_universes() {
+        let mut a = SelectionBitmap::from_sorted(&[1, 70, 4096, 9000]);
+        a.remove(70);
+        a.remove(71);
+        a.remove(1 << 20);
+        assert_eq!(ids(&a), vec![1, 4096, 9000]);
+        let b = SelectionBitmap::from_sorted(&[1, 9000]);
+        assert_eq!(ids(&a.and_not(&b)), vec![4096]);
+        assert_eq!(ids(&b.and_not(&a)), Vec::<RecordId>::new());
+        assert_eq!(a.and_not(&SelectionBitmap::default()), a);
+        let mut c = SelectionBitmap::default();
+        c.or_with(&b);
+        c.or_with(&SelectionBitmap::from_sorted(&[2]));
+        assert_eq!(ids(&c), vec![1, 2, 9000]);
     }
 
     #[test]

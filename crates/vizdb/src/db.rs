@@ -594,9 +594,9 @@ impl Database {
     /// over the table ([`exec::price_plans`]), caches all of their times and
     /// returns `ro`'s. All exact rewrites select the same rows, so the pass costs
     /// at most about one sequential-scan execution however many plans it prices
-    /// (an indexed range predicate's mask comes from the shorter of its index
-    /// walk and its complement walk, a keyword's or unindexed one's from its
-    /// kernel) — and whoever asks about one rewrite of a query (a QTE,
+    /// (an indexed range predicate's mask comes from its index scan, a few word
+    /// passes over the index's prefix checkpoints when the range is wide, a
+    /// keyword's or unindexed one's from its kernel) — and whoever asks about one rewrite of a query (a QTE,
     /// training, the viability count) goes on to ask about its siblings.
     /// `None` when the rewrite is not exact, the query joins, is capped or has
     /// more than [`exec::MAX_PRICED_PREDICATES`] predicates, or the pass cannot

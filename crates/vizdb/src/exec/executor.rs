@@ -446,13 +446,14 @@ fn numeric_probe_keys(column: ColumnType, range: &NumRange) -> (i64, i64) {
 }
 
 /// One index predicate resolved to the index that answers it and the probe
-/// arguments: inverted index + token, B+-tree + key range, R-tree + rectangle.
+/// arguments: inverted index + token, B+-tree + key range, R-tree + rectangle
+/// + the indexed point column (its slab scans read coordinates from it).
 pub(crate) enum IndexProbe<'a> {
     /// `None` when the keyword is absent from the dictionary: no row matches
     /// and no posting list is read.
     Inverted(&'a InvertedIndex, Option<TokenId>),
     BTree(&'a BPlusTree, i64, i64),
-    RTree(&'a RTree, &'a GeoRect),
+    RTree(&'a RTree, &'a GeoRect, &'a [GeoPoint]),
 }
 
 impl<'a> IndexProbe<'a> {
@@ -485,9 +486,11 @@ impl<'a> IndexProbe<'a> {
                 let (lo, hi) = numeric_probe_keys(column, range);
                 IndexProbe::BTree(fact.btree.get(&attr).ok_or_else(missing)?, lo, hi)
             }
-            Predicate::SpatialRange { rect, .. } => {
-                IndexProbe::RTree(fact.rtree.get(&attr).ok_or_else(missing)?, rect)
-            }
+            Predicate::SpatialRange { rect, .. } => IndexProbe::RTree(
+                fact.rtree.get(&attr).ok_or_else(missing)?,
+                rect,
+                fact.table.geo_slice(attr)?,
+            ),
         })
     }
 
@@ -497,7 +500,7 @@ impl<'a> IndexProbe<'a> {
             IndexProbe::Inverted(index, Some(token)) => index.lookup(token),
             IndexProbe::Inverted(_, None) => Default::default(),
             IndexProbe::BTree(index, lo, hi) => index.range_scan(lo, hi),
-            IndexProbe::RTree(index, rect) => index.range_scan(rect),
+            IndexProbe::RTree(index, rect, _) => index.range_scan(rect),
         }
     }
 
@@ -508,18 +511,19 @@ impl<'a> IndexProbe<'a> {
             IndexProbe::Inverted(index, Some(token)) => index.count(token),
             IndexProbe::Inverted(_, None) => 0,
             IndexProbe::BTree(index, lo, hi) => index.range_count(lo, hi),
-            IndexProbe::RTree(index, rect) => index.range_count(rect),
+            IndexProbe::RTree(index, rect, _) => index.range_count(rect),
         }
     }
 
-    /// The matching rows as a bitmap — the pipeline's projection. Same
-    /// traversal and [`ScanStats`] as [`IndexProbe::ids`].
+    /// The matching rows as a bitmap — the pipeline's projection, with the
+    /// same [`ScanStats`] as [`IndexProbe::ids`]. A wide B+-tree range or
+    /// R-tree rectangle is read from the index's prefix checkpoints.
     pub(super) fn bitmap(&self) -> (SelectionBitmap, ScanStats) {
         match *self {
             IndexProbe::Inverted(index, Some(token)) => index.lookup_bitmap(token),
             IndexProbe::Inverted(_, None) => Default::default(),
             IndexProbe::BTree(index, lo, hi) => index.range_scan_bitmap(lo, hi),
-            IndexProbe::RTree(index, rect) => index.range_scan_bitmap(rect),
+            IndexProbe::RTree(index, rect, points) => index.range_scan_bitmap(rect, points),
         }
     }
 }

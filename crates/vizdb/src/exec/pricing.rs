@@ -13,23 +13,18 @@
 //! one pass for a whole hint lattice instead of one execution per plan.
 //!
 //! Only the masks matter, not how they are built, so each predicate's comes
-//! from one of three sources:
-//! - the **index walk** — the B+-tree's or R-tree's `range_scan_bitmap`, the
-//!   walk an index plan's `source` phase runs — when at most half the rows
-//!   match;
-//! - the **complement walk** — the B+-tree's walk of the two key ranges
-//!   outside the predicate's, or the R-tree's walk of the subtrees and
-//!   points outside the rectangle — when more than half match; the mask is
-//!   its inverse within each chunk's row span;
+//! from one of two sources:
+//! - the **index scan** — the B+-tree's or R-tree's `range_scan_bitmap`, the
+//!   scan an index plan's `source` phase runs — for an indexed range or
+//!   rectangle. A wide one is read from the index's prefix checkpoints in a
+//!   few word passes, a narrow one walks its few entries, so the mask costs
+//!   little at any width;
 //! - the **column kernel**, chunk by chunk, as the pipeline's sequential scan
 //!   evaluates it, for keywords (whose kernel reads the posting list when the
 //!   column has an inverted index) and unindexed columns.
 //!
-//! An indexed range predicate thus takes the shorter of its two walks, as
-//! the index's `O(log n)` `range_count` tells, and never touches more than
-//! half the rows. The pass costs what the sequential-scan plan's execution
-//! costs only when keywords and unindexed predicates make up the query, and
-//! less the narrower or wider its indexed ranges are. Its output is pinned
+//! The pass costs what the sequential-scan plan's execution costs only when
+//! keywords and unindexed predicates make up the query. Its output is pinned
 //! against [`execute`](super::execute) field for field by
 //! `tests/exec_equivalence.rs::priced_time_equals_executed_time`.
 
@@ -73,7 +68,7 @@ pub fn price_plans(
         let lowered = compiled::lower_predicate(pred, fact).ok()?;
         let probe = IndexProbe::resolve(pred, fact).ok();
         indexed.push(probe.is_some());
-        sources.push(MaskSource::cheapest(lowered, probe, n));
+        sources.push(MaskSource::new(lowered, probe));
     }
     let table = cardinalities(&sources, &output, n as RecordId);
     plans
@@ -83,42 +78,31 @@ pub fn price_plans(
 }
 
 /// Where the pass takes one predicate's whole-table mask from (see the
-/// module docs). Every source yields the rows the column kernel would.
+/// module docs). Both sources yield the rows the column kernel would.
 enum MaskSource<'a> {
     /// The column kernel, chunk by chunk: keywords and unindexed predicates.
     Kernel(CompiledPredicate<'a>),
-    /// The rows a B+-tree or R-tree walk matched, when at most half do.
-    Matches(SelectionBitmap),
-    /// The rows a B+-tree or R-tree complement walk found *outside* the
-    /// range or rectangle, when more than half match.
-    Misses(SelectionBitmap),
+    /// The rows a B+-tree or R-tree scan matched.
+    Index(SelectionBitmap),
 }
 
 impl<'a> MaskSource<'a> {
-    /// The source of one predicate's mask over `n` rows, given the predicate
-    /// lowered and its index (`None` without one): the shorter of a range
-    /// index's two walks, by its match count; otherwise the kernel, which for
-    /// a keyword already reads the posting list.
-    fn cheapest(lowered: CompiledPredicate<'a>, probe: Option<IndexProbe<'_>>, n: usize) -> Self {
+    /// The source of one predicate's mask, given the predicate lowered and
+    /// its index (`None` without one): a range index's scan, otherwise the
+    /// kernel, which for a keyword already reads the posting list.
+    fn new(lowered: CompiledPredicate<'a>, probe: Option<IndexProbe<'_>>) -> Self {
         match probe {
             None | Some(IndexProbe::Inverted(..)) => Self::Kernel(lowered),
-            Some(probe) if probe.count() <= n / 2 => Self::Matches(probe.bitmap().0),
-            Some(IndexProbe::BTree(index, lo, hi)) => {
-                Self::Misses(index.complement_scan_bitmap(lo, hi))
-            }
-            Some(IndexProbe::RTree(index, rect)) => {
-                Self::Misses(index.complement_scan_bitmap(rect))
-            }
+            Some(probe) => Self::Index(probe.bitmap().0),
         }
     }
 
-    /// Writes chunk `chunk_id`'s mask into `words`. `span` is the chunk's
-    /// rows `rows` as a mask (the inverse of the misses is cut to it).
+    /// Writes chunk `chunk_id`'s mask, over the chunk's rows `rows`, into
+    /// `words`.
     fn fill(
         &self,
         chunk_id: usize,
         rows: &std::ops::Range<RecordId>,
-        span: &[u64; CHUNK_WORDS],
         words: &mut [u64; CHUNK_WORDS],
         scratch: &mut Vec<RecordId>,
     ) {
@@ -128,13 +112,7 @@ impl<'a> MaskSource<'a> {
                 *words = EMPTY;
                 pred.fill_words(rows.start, rows.end, words, scratch);
             }
-            Self::Matches(bits) => *words = *bits.chunk(chunk_id).unwrap_or(&EMPTY),
-            Self::Misses(bits) => {
-                let misses = bits.chunk(chunk_id).unwrap_or(&EMPTY);
-                for (dst, (s, m)) in words.iter_mut().zip(span.iter().zip(misses)) {
-                    *dst = s & !m;
-                }
-            }
+            Self::Index(bits) => *words = *bits.chunk(chunk_id).unwrap_or(&EMPTY),
         }
     }
 }
@@ -166,10 +144,8 @@ fn cardinalities(sources: &[MaskSource<'_>], output: &Output<'_>, n: RecordId) -
         let span = compiled::chunk_rows(chunk_id, &(0..n));
         masks[0] = [0u64; CHUNK_WORDS];
         set_span(&mut masks[0], 0, (span.end - span.start - 1) as usize);
-        let (all, singles) = masks.split_at_mut(1);
         for (i, source) in sources.iter().enumerate() {
-            let words = &mut singles[(1 << i) - 1];
-            source.fill(chunk_id, &span, &all[0], words, &mut scratch);
+            source.fill(chunk_id, &span, &mut masks[1 << i], &mut scratch);
         }
         for s in 1..subsets {
             if s.is_power_of_two() {
@@ -268,21 +244,22 @@ mod tests {
     use std::collections::HashMap;
 
     use super::*;
-    use crate::index::{BPlusTree, RTree};
+    use crate::index::{BPlusTree, InvertedIndex, RTree};
     use crate::query::Predicate;
     use crate::schema::{ColumnType, TableSchema};
     use crate::storage::{Table, TableBuilder};
     use crate::types::{GeoRect, NumRange, TimeRange};
 
-    /// 9,001 rows (a partial last chunk): timestamps `5 × row`, a float with
-    /// duplicate keys and signed NaNs, points on a line with one NaN (row 7,
-    /// inside the first rectangle's leaves, which the R-tree walk must not hand
-    /// out and its complement walk must).
+    /// 9,001 rows (a partial last chunk, and enough for prefix checkpoints):
+    /// timestamps `5 × row`, a float with duplicate keys and signed NaNs,
+    /// points on a line with one NaN (row 7, which no rectangle holds), and
+    /// a keyword on every third row.
     fn table() -> Table {
         let schema = TableSchema::new("t")
             .with_column("when", ColumnType::Timestamp)
             .with_column("score", ColumnType::Float)
-            .with_column("loc", ColumnType::Geo);
+            .with_column("loc", ColumnType::Geo)
+            .with_column("tag", ColumnType::Text);
         let mut b = TableBuilder::new(schema);
         for i in 0..9001i64 {
             b.push_row(|row| {
@@ -295,13 +272,15 @@ mod tests {
                 row.set_float("score", score);
                 let lon = if i == 7 { f64::NAN } else { i as f64 / 100.0 };
                 row.set_geo("loc", lon, 1.0);
+                row.set_text("tag", if i % 3 == 0 { &["hot"] } else { &["cold"] });
             });
         }
         b.build()
     }
 
-    /// Each predicate takes the source its match count calls for, and every
-    /// source yields the column kernel's mask in every chunk.
+    /// Each predicate takes the source its index calls for, and both sources
+    /// yield the column kernel's mask in every chunk, whether the index scan
+    /// reads its checkpoints (wide ranges) or walks (narrow ones).
     #[test]
     fn each_mask_source_yields_the_kernel_mask() {
         let t = table();
@@ -314,7 +293,9 @@ mod tests {
         ]);
         let points = rids().map(|r| (t.geo(2, r).unwrap(), r)).collect();
         let rtree = HashMap::from([(2, RTree::build(points))]);
-        let (inverted, samples) = (HashMap::new(), HashMap::new());
+        let docs: Vec<Vec<_>> = rids().map(|r| t.text(3, r).unwrap().to_vec()).collect();
+        let inverted = HashMap::from([(3, InvertedIndex::build(&docs))]);
+        let samples = HashMap::new();
         let fact = ExecTable {
             table: &t,
             btree: &btree,
@@ -333,43 +314,44 @@ mod tests {
         };
         let rect = |lo: f64, hi: f64| Predicate::spatial_range(2, GeoRect::new(lo, 0.0, hi, 2.0));
         let cases = [
-            (time(100, 9_000), "matches"),
-            // 4,500 of 9,001 rows match, then 4,501: the shorter walk flips.
-            (time(5_000, 27_495), "matches"),
-            (time(5_000, 27_500), "misses"),
-            (time(5, 44_000), "misses"),
-            (time(i64::MIN, 40_000), "misses"),
-            (time(500, i64::MAX), "misses"),
-            (time(i64::MIN, i64::MAX), "misses"),
-            (time(9_000, 100), "matches"),
-            (score(2.0, 5.0), "matches"),
-            (score(1.0, 36.0), "misses"),
-            (score(-0.0, f64::INFINITY), "misses"),
-            (score(f64::NAN, 5.0), "matches"),
-            (rect(0.0, 10.0), "matches"),
-            // Every point but the NaN row 7: the complement walk's only miss.
-            (rect(-1.0, 100.0), "misses"),
+            // 101 rows: a leaf walk.
+            (time(100, 600), "index"),
+            (time(100, 9_000), "index"),
+            (time(5_000, 27_500), "index"),
+            (time(5, 44_000), "index"),
+            (time(i64::MIN, 40_000), "index"),
+            (time(500, i64::MAX), "index"),
+            (time(i64::MIN, i64::MAX), "index"),
+            (time(9_000, 100), "index"),
+            (score(2.0, 5.0), "index"),
+            (score(1.0, 36.0), "index"),
+            (score(-0.0, f64::INFINITY), "index"),
+            (score(f64::NAN, 5.0), "index"),
+            // 101 points: a tree walk.
+            (rect(0.0, 1.0), "index"),
+            (rect(0.0, 10.0), "index"),
+            // Every point but the NaN row 7.
+            (rect(-1.0, 100.0), "index"),
+            (rect(f64::NAN, 100.0), "index"),
+            (Predicate::keyword(3, "hot"), "kernel"),
         ];
         let n = t.row_count();
         let mut scratch = Vec::new();
         for (pred, want) in &cases {
             let lowered = || compiled::lower_predicate(pred, &fact).unwrap();
             let probe = IndexProbe::resolve(pred, &fact).ok();
-            let source = MaskSource::cheapest(lowered(), probe, n);
+            let source = MaskSource::new(lowered(), probe);
             let got = match source {
                 MaskSource::Kernel(_) => "kernel",
-                MaskSource::Matches(_) => "matches",
-                MaskSource::Misses(_) => "misses",
+                MaskSource::Index(_) => "index",
             };
             assert_eq!(got, *want, "{pred:?}");
             let kernel = MaskSource::Kernel(lowered());
             for chunk_id in 0..n.div_ceil(CHUNK_BITS) {
                 let rows = compiled::chunk_rows(chunk_id, &(0..n as RecordId));
-                let mut span = [0u64; CHUNK_WORDS];
-                set_span(&mut span, 0, (rows.end - rows.start - 1) as usize);
                 let (mut a, mut b) = ([0u64; CHUNK_WORDS], [0u64; CHUNK_WORDS]);
-                source.fill(chunk_id, &rows, &span, &mut a, &mut scratch);
-                kernel.fill(chunk_id, &rows, &span, &mut b, &mut scratch);
+                source.fill(chunk_id, &rows, &mut a, &mut scratch);
+                kernel.fill(chunk_id, &rows, &mut b, &mut scratch);
                 assert!(a == b, "{pred:?} chunk {chunk_id}");
             }
         }

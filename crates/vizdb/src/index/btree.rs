@@ -6,27 +6,26 @@
 //! [`BPlusTree::float_key`]). Each internal node stores per-child subtree row counts so
 //! that *range cardinality* queries run in `O(log n)` without touching the leaves —
 //! this is what makes the oracle selectivity collector cheap.
-
-use serde::{Deserialize, Serialize};
+//!
+//! The same counts give a key range's *rank* interval in the leaf order, and a
+//! tree of at least 4,096 entries keeps [`PrefixBitmaps`] over that order. So
+//! [`BPlusTree::range_scan_bitmap`] answers a range holding at least `⌈n/32⌉`
+//! entries with a few word passes over the checkpoints instead of a bit set
+//! per entry; narrower ranges walk their leaves.
 
 use crate::bitmap::SelectionBitmap;
+use crate::index::prefix::PrefixBitmaps;
 use crate::index::{ScanStats, SecondaryIndex};
 use crate::types::RecordId;
 
 /// Maximum number of keys per leaf / fanout of internal nodes.
 const NODE_CAPACITY: usize = 64;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Leaf {
-    keys: Vec<i64>,
-    rids: Vec<RecordId>,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Internal {
     /// Smallest key reachable through each child.
     min_keys: Vec<i64>,
-    /// Child node indexes (into `BPlusTree::internals` or `BPlusTree::leaves`
+    /// Child node indexes (into `BPlusTree::internals`, or leaf numbers,
     /// depending on `children_are_leaves`).
     children: Vec<usize>,
     /// Number of entries stored below each child.
@@ -35,43 +34,34 @@ struct Internal {
 }
 
 /// An immutable, bulk-loaded B+-tree mapping `i64` keys to record ids.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BPlusTree {
-    leaves: Vec<Leaf>,
+    /// The leaf level, flattened: every key in key order. Leaf `i` is entries
+    /// `64·i..64·(i + 1)`, bulk-loaded leaves being full except the last, so
+    /// the entry of rank `r` is `keys[r]`, `rids[r]`.
+    keys: Vec<i64>,
+    /// The record ids, entry for entry with `keys`.
+    rids: Vec<RecordId>,
     /// Internal levels, bottom-up: `internals[0]` is the level directly above leaves.
     internals: Vec<Vec<Internal>>,
-    len: usize,
-    min_key: i64,
-    max_key: i64,
+    /// Checkpoints over the leaf order (`None` under 4,096 entries).
+    prefixes: Option<PrefixBitmaps>,
 }
 
 impl BPlusTree {
     /// Bulk-loads a tree from `(key, record id)` pairs. Pairs need not be sorted.
     pub fn build(mut entries: Vec<(i64, RecordId)>) -> Self {
         entries.sort_unstable();
-        let len = entries.len();
-        let (min_key, max_key) = if entries.is_empty() {
-            (0, 0)
-        } else {
-            (entries[0].0, entries[entries.len() - 1].0)
-        };
-
-        // Pack leaves.
-        let mut leaves = Vec::with_capacity(entries.len() / NODE_CAPACITY + 1);
-        for chunk in entries.chunks(NODE_CAPACITY) {
-            leaves.push(Leaf {
-                keys: chunk.iter().map(|e| e.0).collect(),
-                rids: chunk.iter().map(|e| e.1).collect(),
-            });
-        }
+        let prefixes = PrefixBitmaps::build(entries.iter().map(|e| e.1), entries.len());
+        let (keys, rids): (Vec<i64>, Vec<RecordId>) = entries.into_iter().unzip();
 
         // Build internal levels bottom-up.
         let mut internals: Vec<Vec<Internal>> = Vec::new();
-        if !leaves.is_empty() {
-            let mut level_entries: Vec<(i64, usize, usize)> = leaves
-                .iter()
+        if !keys.is_empty() {
+            let mut level_entries: Vec<(i64, usize, usize)> = keys
+                .chunks(NODE_CAPACITY)
                 .enumerate()
-                .map(|(i, l)| (l.keys[0], i, l.keys.len()))
+                .map(|(i, leaf)| (leaf[0], i, leaf.len()))
                 .collect();
             let mut children_are_leaves = true;
             while level_entries.len() > 1 || internals.is_empty() {
@@ -98,11 +88,10 @@ impl BPlusTree {
         }
 
         Self {
-            leaves,
+            keys,
+            rids,
             internals,
-            len,
-            min_key,
-            max_key,
+            prefixes,
         }
     }
 
@@ -123,17 +112,17 @@ impl BPlusTree {
 
     /// Smallest indexed key (0 when empty).
     pub fn min_key(&self) -> i64 {
-        self.min_key
+        self.keys.first().copied().unwrap_or(0)
     }
 
     /// Largest indexed key (0 when empty).
     pub fn max_key(&self) -> i64 {
-        self.max_key
+        self.keys.last().copied().unwrap_or(0)
     }
 
     /// Number of tree levels including the leaf level.
     pub fn height(&self) -> usize {
-        if self.leaves.is_empty() {
+        if self.keys.is_empty() {
             0
         } else {
             self.internals.len() + 1
@@ -145,7 +134,7 @@ impl BPlusTree {
     pub fn range_scan(&self, lo: i64, hi: i64) -> (Vec<RecordId>, ScanStats) {
         let mut stats = ScanStats::default();
         let mut out = Vec::new();
-        if self.leaves.is_empty() || lo > hi {
+        if self.keys.is_empty() || lo > hi {
             return (out, stats);
         }
         self.walk(lo, hi, &mut stats, |rids| out.extend_from_slice(rids));
@@ -153,60 +142,53 @@ impl BPlusTree {
         (out, stats)
     }
 
-    /// [`BPlusTree::range_scan`] emitting a [`SelectionBitmap`]: same leaf
-    /// walk, same [`ScanStats`], but record ids become bits as they stream out
-    /// of the leaves (which arrive in *key* order) instead of being collected
-    /// into a vector and sorted into id order afterwards — on wide ranges the
-    /// sort is most of the scan's wall time.
+    /// [`BPlusTree::range_scan`] emitting a [`SelectionBitmap`], with the
+    /// same [`ScanStats`]. A range of at least `⌈n/32⌉` entries is read from
+    /// the prefix checkpoints over its rank interval; a narrower one walks
+    /// its leaves, setting bits as record ids stream out in *key* order
+    /// rather than sorting them into id order.
     pub fn range_scan_bitmap(&self, lo: i64, hi: i64) -> (SelectionBitmap, ScanStats) {
         let mut stats = ScanStats::default();
-        if self.leaves.is_empty() || lo > hi {
+        if self.keys.is_empty() || lo > hi {
             return (SelectionBitmap::default(), stats);
+        }
+        if let Some(prefixes) = &self.prefixes {
+            let ranks = self.rank_below(lo)..self.rank_le(hi);
+            if prefixes.covers(&ranks) {
+                stats.matches = ranks.len();
+                return (prefixes.range(ranks, |r| self.rids.get(r).copied()), stats);
+            }
         }
         // Record ids are row indices below the entry count, so the word array
         // is sized once up front — no growth during the leaf walk.
-        let mut bits = SelectionBitmap::new(self.len);
+        let mut bits = SelectionBitmap::new(self.keys.len());
         self.walk(lo, hi, &mut stats, |rids| {
             rids.iter().for_each(|&rid| bits.insert(rid))
         });
         (bits, stats)
     }
 
-    /// The record ids of every entry whose key lies *outside* `[lo, hi]`, as
-    /// a bitmap over `0..len`: the leaf walks of the key ranges below `lo`
-    /// and above `hi`, neither of which wraps past the `i64` bounds (so
-    /// `[i64::MIN, i64::MAX]` has no entry outside it, and an inverted range
-    /// has every entry). Cheaper than [`BPlusTree::range_scan_bitmap`] when
-    /// most keys lie inside.
-    pub(crate) fn complement_scan_bitmap(&self, lo: i64, hi: i64) -> SelectionBitmap {
-        let mut bits = SelectionBitmap::new(self.len);
-        let mut stats = ScanStats::default();
-        let below = lo.checked_sub(1).map(|last| (i64::MIN, last));
-        let above = hi.checked_add(1).map(|first| (first, i64::MAX));
-        for (from, to) in below.into_iter().chain(above) {
-            self.walk(from, to, &mut stats, |rids| {
-                rids.iter().for_each(|&rid| bits.insert(rid))
-            });
-        }
-        bits
+    /// Leaf `i`'s keys and record ids.
+    fn leaf(&self, i: usize) -> Option<(&[i64], &[RecordId])> {
+        let from = i.checked_mul(NODE_CAPACITY)?;
+        let to = from.saturating_add(NODE_CAPACITY).min(self.keys.len());
+        Some((self.keys.get(from..to)?, self.rids.get(from..to)?))
     }
 
     /// The leaf walk every scan shares, over keys `[lo, hi]` (`lo <= hi`):
     /// from the leaf [`BPlusTree::find_leaf`] descends to, each leaf's
     /// in-range slice — found by two binary searches, keys being sorted
     /// within a leaf — goes to `emit`, until a leaf starts above `hi`. Counts
-    /// every leaf visited (the one that stops the walk included) and every
-    /// match into `stats`.
+    /// every match into `stats`.
     fn walk(&self, lo: i64, hi: i64, stats: &mut ScanStats, mut emit: impl FnMut(&[RecordId])) {
-        let start_leaf = self.find_leaf(lo, stats);
-        for leaf in self.leaves.get(start_leaf..).unwrap_or_default() {
-            stats.nodes_visited += 1;
-            if leaf.keys.first().is_none_or(|&first| first > hi) {
+        let leaves = (self.find_leaf(lo)..).map_while(|i| self.leaf(i));
+        for (keys, rids) in leaves {
+            if keys.first().is_none_or(|&first| first > hi) {
                 break;
             }
-            let from = leaf.keys.partition_point(|&k| k < lo);
-            let to = leaf.keys.partition_point(|&k| k <= hi);
-            let rids = leaf.rids.get(from..to).unwrap_or_default();
+            let from = keys.partition_point(|&k| k < lo);
+            let to = keys.partition_point(|&k| k <= hi);
+            let rids = rids.get(from..to).unwrap_or_default();
             stats.matches += rids.len();
             emit(rids);
         }
@@ -215,14 +197,15 @@ impl BPlusTree {
     /// Exact number of entries with `lo <= key <= hi`, computed without visiting leaves
     /// outside the range boundaries.
     pub fn range_count(&self, lo: i64, hi: i64) -> usize {
-        if self.leaves.is_empty() || lo > hi {
+        if self.keys.is_empty() || lo > hi {
             return 0;
         }
-        let below = match lo.checked_sub(1) {
-            Some(prev) => self.rank_le(prev),
-            None => 0,
-        };
-        self.rank_le(hi) - below
+        self.rank_le(hi) - self.rank_below(lo)
+    }
+
+    /// Number of entries with `key < bound`.
+    fn rank_below(&self, bound: i64) -> usize {
+        bound.checked_sub(1).map_or(0, |prev| self.rank_le(prev))
     }
 
     /// Number of entries with `key <= bound`.
@@ -232,12 +215,9 @@ impl BPlusTree {
     /// added without visiting it — this stays correct even when duplicate keys span
     /// node boundaries.
     fn rank_le(&self, bound: i64) -> usize {
-        if self.leaves.is_empty() {
-            return 0;
-        }
         if self.internals.is_empty() {
-            let leaf = &self.leaves[0];
-            return leaf.keys.iter().take_while(|&&k| k <= bound).count();
+            // No internal level: the tree is empty.
+            return 0;
         }
         let mut rank = 0usize;
         let mut level = self.internals.len() - 1;
@@ -261,29 +241,21 @@ impl BPlusTree {
             }
             let child_idx = node.children[child_pos];
             if node.children_are_leaves {
-                let leaf = &self.leaves[child_idx];
-                for &k in &leaf.keys {
-                    if k <= bound {
-                        rank += 1;
-                    } else {
-                        break;
-                    }
-                }
-                return rank;
+                let keys = self.leaf(child_idx).map_or(&[][..], |(keys, _)| keys);
+                return rank + keys.partition_point(|&k| k <= bound);
             }
             level -= 1;
             node = &self.internals[level][child_idx];
         }
     }
 
-    fn find_leaf(&self, key: i64, stats: &mut ScanStats) -> usize {
+    fn find_leaf(&self, key: i64) -> usize {
         if self.internals.is_empty() {
             return 0;
         }
         let mut level = self.internals.len() - 1;
         let mut node = &self.internals[level][0];
         loop {
-            stats.nodes_visited += 1;
             // Descend into the last child whose minimum key is strictly below `key`.
             // Duplicates equal to `key` may start in that child even when a later
             // sibling's minimum equals `key`, so choosing the strictly-below child
@@ -308,22 +280,22 @@ impl BPlusTree {
 
 impl SecondaryIndex for BPlusTree {
     fn len(&self) -> usize {
-        self.len
+        self.keys.len()
     }
 
     fn memory_bytes(&self) -> usize {
-        let leaf_bytes: usize = self
-            .leaves
-            .iter()
-            .map(|l| l.keys.len() * 8 + l.rids.len() * 4)
-            .sum();
+        let leaf_bytes = self.keys.len() * 8 + self.rids.len() * 4;
         let internal_bytes: usize = self
             .internals
             .iter()
             .flat_map(|lvl| lvl.iter())
             .map(|n| n.min_keys.len() * 8 + n.children.len() * 8 + n.counts.len() * 8)
             .sum();
-        leaf_bytes + internal_bytes
+        let prefix_bytes = self
+            .prefixes
+            .as_ref()
+            .map_or(0, PrefixBitmaps::memory_bytes);
+        leaf_bytes + internal_bytes + prefix_bytes
     }
 }
 
@@ -351,7 +323,7 @@ mod tests {
         let t = tree_of(10);
         let (rids, stats) = t.range_scan(2, 8);
         assert_eq!(rids, vec![1, 2, 3, 4]);
-        assert!(stats.nodes_visited >= 1);
+        assert_eq!(stats.matches, 4);
         assert_eq!(t.range_count(2, 8), 4);
     }
 
@@ -429,7 +401,7 @@ mod tests {
             let (rids, stats) = t.range_scan(lo, hi);
             let (bm, bm_stats) = t.range_scan_bitmap(lo, hi);
             assert_eq!(bm.to_vec(), rids, "range [{lo}, {hi}]");
-            assert_eq!(bm_stats, stats, "range [{lo}, {hi}]");
+            assert_eq!(bm_stats.matches, stats.matches, "range [{lo}, {hi}]");
         }
     }
 
@@ -437,8 +409,84 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// Float draw `code`: NaN, `−NaN`, `−0.0`, `+∞` or `−∞` for five
+        /// residues of 101, else an integer from `levels` values centred on
+        /// 0 — few levels put runs of duplicate keys across checkpoints, many
+        /// make ranks exact.
+        fn value(code: u16, levels: u16) -> f64 {
+            match code % 101 {
+                0 => f64::NAN,
+                1 => -f64::NAN,
+                2 => -0.0,
+                3 => f64::INFINITY,
+                4 => f64::NEG_INFINITY,
+                _ => f64::from(code % levels) - f64::from(levels / 2),
+            }
+        }
+
+        /// One range bound: `i64::MIN`, `i64::MAX`, the key of NaN or of
+        /// `−NaN`, or the key at rank `j·step + delta` of `sorted` moved by
+        /// `−1, 0, +1`, so rank bounds fall on, just before and just after
+        /// checkpoints.
+        fn bound(sorted: &[i64], (sel, j, delta): (u8, usize, isize)) -> i64 {
+            let step = sorted.len().div_ceil(16).max(1);
+            let rank = (j * step).saturating_add_signed(delta);
+            let at = sorted.get(rank.min(sorted.len().saturating_sub(1)));
+            match sel % 8 {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => BPlusTree::float_key(f64::NAN),
+                3 => BPlusTree::float_key(-f64::NAN),
+                s => at.copied().unwrap_or(0).saturating_add(i64::from(s) - 5),
+            }
+        }
+
+        fn bound_spec() -> impl Strategy<Value = (u8, usize, isize)> {
+            (0u8..16, 0usize..17, -2isize..3)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Over 4,300–6,000 float keys (three or more checkpoints, never a
+            /// multiple of 16) with NaN, `−NaN`, `±0.0`, `±∞` and duplicates:
+            /// the bitmap scan — checkpoints for wide ranges, the leaf walk
+            /// for narrow ones — holds exactly `range_scan`'s ids and
+            /// `range_count` of them, for ranges bounded at checkpoint ranks,
+            /// and whole-table, inverted and NaN-keyed ones.
+            #[test]
+            fn checkpoint_scans_match_the_leaf_walk(
+                codes in proptest::collection::vec(0u16..=u16::MAX, 4300..6000),
+                levels in 0usize..3,
+                specs in proptest::collection::vec((bound_spec(), bound_spec()), 12..13),
+            ) {
+                let mut codes = codes;
+                if codes.len() % 16 == 0 {
+                    codes.pop();
+                }
+                let levels = [7u16, 40, 65_000][levels];
+                let keys: Vec<i64> =
+                    codes.iter().map(|&c| BPlusTree::float_key(value(c, levels))).collect();
+                let tree = BPlusTree::build(keys.iter().copied().zip(0..).collect());
+                prop_assert!(tree.prefixes.is_some());
+                let mut sorted = keys.clone();
+                sorted.sort_unstable();
+                let mut ranges = vec![(i64::MIN, i64::MAX), (i64::MAX, i64::MIN), (1, 0)];
+                ranges.extend(specs.iter().map(|&(a, b)| (bound(&sorted, a), bound(&sorted, b))));
+                for (lo, hi) in ranges {
+                    let (ids, _) = tree.range_scan(lo, hi);
+                    let (bits, stats) = tree.range_scan_bitmap(lo, hi);
+                    let expected: Vec<RecordId> = (0..)
+                        .zip(&keys)
+                        .filter(|&(_, &k)| lo <= k && k <= hi)
+                        .map(|(rid, _)| rid)
+                        .collect();
+                    prop_assert_eq!(&ids, &expected);
+                    prop_assert_eq!(bits.to_vec(), ids);
+                    prop_assert_eq!(bits.len(), tree.range_count(lo, hi));
+                    prop_assert_eq!(stats.matches, bits.len());
+                }
+            }
             #[test]
             fn bitmap_scan_equals_vector_scan(
                 keys in proptest::collection::vec(-500i64..500, 0..400),

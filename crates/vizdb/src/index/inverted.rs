@@ -92,7 +92,6 @@ impl InvertedIndex {
 
     fn stats(list: &PostingList) -> ScanStats {
         ScanStats {
-            nodes_visited: list.container_count(),
             matches: list.len(),
         }
     }

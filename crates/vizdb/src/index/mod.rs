@@ -5,6 +5,7 @@
 mod btree;
 mod inverted;
 pub mod posting;
+mod prefix;
 mod rtree;
 
 pub use btree::BPlusTree;
@@ -37,8 +38,6 @@ pub(crate) fn index_answers(pred: &Predicate, column: ColumnType) -> bool {
 /// Statistics reported by an index scan, consumed by the simulated-time cost model.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ScanStats {
-    /// Number of index nodes / posting containers touched.
-    pub nodes_visited: usize,
     /// Number of matching record ids produced.
     pub matches: usize,
 }

@@ -163,11 +163,6 @@ impl PostingList {
             + self.words.len() * 8
     }
 
-    /// Number of (non-empty) containers.
-    pub(crate) fn container_count(&self) -> usize {
-        self.directory.len()
-    }
-
     /// The payload of `container`.
     fn payload(&self, container: &Container) -> Payload<'_> {
         let start = container.start as usize;
@@ -322,13 +317,13 @@ mod tests {
         // 4,096 ids: the fullest array, 2 bytes per id.
         let array: Vec<RecordId> = (0..ARRAY_MAX_IDS as RecordId).map(|i| i * 16).collect();
         let list = PostingList::encode(&array);
-        assert_eq!((list.container_count(), list.words.len()), (1, 0));
+        assert_eq!((list.directory.len(), list.words.len()), (1, 0));
         assert_eq!(list.encoded_bytes(), entry + 2 * ARRAY_MAX_IDS);
         assert_eq!(list.decode(), array);
         // One more id: the same 8 KiB as a bitmap.
         let bitmap: Vec<RecordId> = (0..=ARRAY_MAX_IDS as RecordId).map(|i| i * 15).collect();
         let list = PostingList::encode(&bitmap);
-        assert_eq!((list.container_count(), list.offsets.len()), (1, 0));
+        assert_eq!((list.directory.len(), list.offsets.len()), (1, 0));
         assert_eq!(list.encoded_bytes(), entry + 8 * CONTAINER_WORDS);
         assert_eq!(list.decode(), bitmap);
     }
@@ -337,7 +332,7 @@ mod tests {
     fn empty_posting_list() {
         let list = PostingList::encode(&[]);
         assert!(list.is_empty());
-        assert_eq!(list.container_count(), 0);
+        assert_eq!(list.directory.len(), 0);
         assert!(list.decode().is_empty());
         assert!(list.to_bitmap().is_empty());
     }
@@ -346,7 +341,7 @@ mod tests {
     fn wide_gaps_round_trip() {
         let rids: Vec<RecordId> = vec![0, 1 << 20, (1 << 24) + 5, u32::MAX - 1, u32::MAX];
         let list = PostingList::encode(&rids);
-        assert_eq!(list.container_count(), 4);
+        assert_eq!(list.directory.len(), 4);
         assert_eq!(list.decode(), rids);
     }
 
@@ -368,7 +363,7 @@ mod tests {
         // boundary (row 65,536), ending in a bitmap container.
         let rids: Vec<RecordId> = (60_000..72_000).collect();
         let list = PostingList::encode(&rids);
-        assert_eq!(list.container_count(), 2);
+        assert_eq!(list.directory.len(), 2);
         assert_eq!(list.to_bitmap().to_vec(), rids);
     }
 

@@ -3,17 +3,26 @@
 //! The R-tree answers spatial range predicates (`Location in <rect>`) and supports an
 //! exact `range_count` that prunes fully-contained subtrees using per-node counts, so
 //! the oracle selectivity collector does not have to enumerate matches.
+//!
+//! A tree of at least 4,096 placed points also keeps their record ids in
+//! longitude order and in latitude order, each with [`PrefixBitmaps`]. A
+//! rectangle is the intersection of its longitude slab and its latitude slab,
+//! so [`RTree::range_scan_bitmap`] binary-searches each slab's rank interval
+//! (reading coordinates from the indexed column, not from key copies) and
+//! ANDs the two checkpoint differences when both slabs hold at least
+//! `⌈m/32⌉` points; otherwise it walks the tree.
 
-use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 use crate::bitmap::SelectionBitmap;
+use crate::index::prefix::PrefixBitmaps;
 use crate::index::{ScanStats, SecondaryIndex};
 use crate::types::{GeoPoint, GeoRect, RecordId};
 
 /// Maximum entries per node.
 const NODE_CAPACITY: usize = 32;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Node {
     mbr: GeoRect,
     /// Total number of points stored in this subtree.
@@ -21,7 +30,7 @@ struct Node {
     kind: NodeKind,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum NodeKind {
     Leaf {
         points: Vec<GeoPoint>,
@@ -32,13 +41,53 @@ enum NodeKind {
     },
 }
 
+/// The placed points' record ids sorted by one coordinate, with prefix
+/// checkpoints over that order.
+#[derive(Debug, Clone)]
+struct Axis {
+    ids: Vec<RecordId>,
+    prefixes: PrefixBitmaps,
+}
+
+impl Axis {
+    /// `None` for fewer ids than [`PrefixBitmaps`] keeps checkpoints for.
+    fn build(ids: Vec<RecordId>, universe: usize) -> Option<Self> {
+        let prefixes = PrefixBitmaps::build(ids.iter().copied(), universe)?;
+        Some(Self { ids, prefixes })
+    }
+
+    /// The rank interval of the points whose `coord` lies in `[lo, hi]`,
+    /// by binary search with IEEE `<` / `<=` over coordinates read from
+    /// `points`: empty for a NaN or inverted bound pair, as
+    /// [`GeoRect::contains`] holds no point then.
+    fn slab(
+        &self,
+        points: &[GeoPoint],
+        coord: fn(&GeoPoint) -> f64,
+        lo: f64,
+        hi: f64,
+    ) -> Range<usize> {
+        if lo.is_nan() || hi.is_nan() {
+            return 0..0;
+        }
+        let key = |rid: &RecordId| points.get(*rid as usize).map_or(f64::NAN, coord);
+        let from = self.ids.partition_point(|rid| key(rid) < lo);
+        let to = self.ids.partition_point(|rid| key(rid) <= hi);
+        from..to.max(from)
+    }
+
+    /// The ids of the ranks `ranks`.
+    fn bitmap(&self, ranks: Range<usize>) -> SelectionBitmap {
+        self.prefixes.range(ranks, |r| self.ids.get(r).copied())
+    }
+}
+
 /// A static, bulk-loaded R-tree over `(point, record id)` pairs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RTree {
     root: Option<Node>,
-    /// Ids of the entries [`RTree::build`] left out of the tree for a NaN
-    /// coordinate: in no rectangle, so in every complement.
-    unplaced: Vec<RecordId>,
+    /// The placed points by longitude and by latitude (`None` under 4,096).
+    axes: Option<[Axis; 2]>,
     len: usize,
 }
 
@@ -48,33 +97,46 @@ impl RTree {
     /// A point with a NaN coordinate lies in no rectangle, and
     /// [`GeoRect::extend`] skips NaN, so a leaf holding one would get an MBR
     /// that leaves it out and every contained-node shortcut would hand out
-    /// its id. Such points are left out of the tree and only their ids kept;
-    /// `len` stays the entry count, so the scans' bitmaps still span every
-    /// row.
+    /// its id. Such points are left out of the tree and of both axes; `len`
+    /// stays the entry count, so the scans' bitmaps still span every row.
     pub fn build(entries: Vec<(GeoPoint, RecordId)>) -> Self {
         let len = entries.len();
-        let (placed, unplaced): (Vec<_>, Vec<_>) = entries
+        let mut placed: Vec<_> = entries
             .into_iter()
-            .partition(|(p, _)| !p.lon.is_nan() && !p.lat.is_nan());
-        Self {
-            root: Self::pack_upwards(Self::pack_leaves(placed)),
-            unplaced: unplaced.into_iter().map(|(_, rid)| rid).collect(),
-            len,
-        }
-    }
-
-    fn pack_leaves(mut entries: Vec<(GeoPoint, RecordId)>) -> Vec<Node> {
-        // STR: sort by longitude, slice into vertical strips, sort each strip by
-        // latitude, and cut into nodes of NODE_CAPACITY points.
-        let n = entries.len();
-        let leaf_count = n.div_ceil(NODE_CAPACITY);
-        let strip_count = (leaf_count as f64).sqrt().ceil() as usize;
-        let per_strip = n.div_ceil(strip_count.max(1));
-        entries.sort_by(|a, b| {
+            .filter(|(p, _)| !p.lon.is_nan() && !p.lat.is_nan())
+            .collect();
+        // STR's first pass, which is also the longitude axis's order.
+        placed.sort_by(|a, b| {
             a.0.lon
                 .partial_cmp(&b.0.lon)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
+        let axes = Self::axes(&placed, len);
+        Self {
+            root: Self::pack_upwards(Self::pack_leaves(placed)),
+            axes,
+            len,
+        }
+    }
+
+    /// The two axes over `by_lon`, the placed points in longitude order.
+    fn axes(by_lon: &[(GeoPoint, RecordId)], universe: usize) -> Option<[Axis; 2]> {
+        let lon = Axis::build(by_lon.iter().map(|e| e.1).collect(), universe)?;
+        let mut by_lat: Vec<(f64, RecordId)> =
+            by_lon.iter().map(|(p, rid)| (p.lat, *rid)).collect();
+        by_lat.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let lat = Axis::build(by_lat.into_iter().map(|e| e.1).collect(), universe)?;
+        Some([lon, lat])
+    }
+
+    /// STR over `entries` sorted by longitude: slice them into vertical
+    /// strips, sort each strip by latitude, and cut into nodes of
+    /// NODE_CAPACITY points.
+    fn pack_leaves(mut entries: Vec<(GeoPoint, RecordId)>) -> Vec<Node> {
+        let n = entries.len();
+        let leaf_count = n.div_ceil(NODE_CAPACITY);
+        let strip_count = (leaf_count as f64).sqrt().ceil() as usize;
+        let per_strip = n.div_ceil(strip_count.max(1));
 
         let mut leaves = Vec::with_capacity(leaf_count);
         for strip in entries.chunks_mut(per_strip.max(1)) {
@@ -143,20 +205,18 @@ impl RTree {
     /// Record ids of all points inside `rect`, sorted ascending, plus scan statistics.
     pub fn range_scan(&self, rect: &GeoRect) -> (Vec<RecordId>, ScanStats) {
         let mut out = Vec::new();
-        let mut stats = ScanStats::default();
         if let Some(root) = &self.root {
-            Self::scan_node(root, rect, &mut out, &mut stats);
+            Self::scan_node(root, rect, &mut out);
         }
         out.sort_unstable();
-        stats.matches = out.len();
-        (out, stats)
+        let matches = out.len();
+        (out, ScanStats { matches })
     }
 
-    fn scan_node(node: &Node, rect: &GeoRect, out: &mut Vec<RecordId>, stats: &mut ScanStats) {
+    fn scan_node(node: &Node, rect: &GeoRect, out: &mut Vec<RecordId>) {
         if !node.mbr.intersects(rect) {
             return;
         }
-        stats.nodes_visited += 1;
         match &node.kind {
             NodeKind::Leaf { points, rids } => {
                 if rect.contains_rect(&node.mbr) {
@@ -172,31 +232,57 @@ impl RTree {
             NodeKind::Internal { children } => {
                 for child in children {
                     if rect.contains_rect(&child.mbr) {
-                        stats.nodes_visited += 1;
                         Self::collect_all(child, out);
                     } else {
-                        Self::scan_node(child, rect, out, stats);
+                        Self::scan_node(child, rect, out);
                     }
                 }
             }
         }
     }
 
-    /// [`RTree::range_scan`] emitting a [`SelectionBitmap`]: identical
-    /// traversal and [`ScanStats`], but matches are set as bits as they stream
-    /// out in *space* order instead of being collected and sorted into id
-    /// order afterwards.
-    pub fn range_scan_bitmap(&self, rect: &GeoRect) -> (SelectionBitmap, ScanStats) {
-        let mut stats = ScanStats::default();
+    /// [`RTree::range_scan`] emitting a [`SelectionBitmap`], with the same
+    /// [`ScanStats`]. `points` is the indexed column, the point of record id
+    /// `r` at `points[r]`. When both of the rectangle's slabs hold at least
+    /// `⌈m/32⌉` points, the result is their checkpoint bitmaps ANDed;
+    /// otherwise the tree walk sets bits as matches stream out in *space*
+    /// order rather than sorting them into id order.
+    pub fn range_scan_bitmap(
+        &self,
+        rect: &GeoRect,
+        points: &[GeoPoint],
+    ) -> (SelectionBitmap, ScanStats) {
+        if let Some(bits) = self.slab_scan(rect, points) {
+            let matches = bits.len();
+            return (bits, ScanStats { matches });
+        }
         // Record ids are row indices below the entry count, so the word array
         // is sized once up front — no growth during the traversal.
         let mut bits = SelectionBitmap::new(self.len);
         let mut matches = 0usize;
         if let Some(root) = &self.root {
-            Self::scan_node_bitmap(root, rect, &mut bits, &mut matches, &mut stats);
+            Self::scan_node_bitmap(root, rect, &mut bits, &mut matches);
         }
-        stats.matches = matches;
-        (bits, stats)
+        (bits, ScanStats { matches })
+    }
+
+    /// The rectangle's longitude slab ANDed with its latitude slab, or
+    /// `None` — the caller walks the tree — when the tree keeps no axes,
+    /// `points` does not span its rows, or either slab is narrower than
+    /// `⌈m/32⌉` points.
+    fn slab_scan(&self, rect: &GeoRect, points: &[GeoPoint]) -> Option<SelectionBitmap> {
+        let [lon, lat] = self.axes.as_ref()?;
+        if points.len() != self.len {
+            return None;
+        }
+        let lons = lon.slab(points, |p| p.lon, rect.min_lon, rect.max_lon);
+        let lats = lat.slab(points, |p| p.lat, rect.min_lat, rect.max_lat);
+        if !(lon.prefixes.covers(&lons) && lat.prefixes.covers(&lats)) {
+            return None;
+        }
+        let mut bits = lon.bitmap(lons);
+        bits.and_with(&lat.bitmap(lats));
+        Some(bits)
     }
 
     fn scan_node_bitmap(
@@ -204,12 +290,10 @@ impl RTree {
         rect: &GeoRect,
         bits: &mut SelectionBitmap,
         matches: &mut usize,
-        stats: &mut ScanStats,
     ) {
         if !node.mbr.intersects(rect) {
             return;
         }
-        stats.nodes_visited += 1;
         match &node.kind {
             NodeKind::Leaf { points, rids } => {
                 if rect.contains_rect(&node.mbr) {
@@ -229,51 +313,10 @@ impl RTree {
             NodeKind::Internal { children } => {
                 for child in children {
                     if rect.contains_rect(&child.mbr) {
-                        stats.nodes_visited += 1;
                         Self::collect_all_bitmap(child, bits, matches);
                     } else {
-                        Self::scan_node_bitmap(child, rect, bits, matches, stats);
+                        Self::scan_node_bitmap(child, rect, bits, matches);
                     }
-                }
-            }
-        }
-    }
-
-    /// The record ids of every entry *outside* `rect`, as a bitmap over
-    /// `0..len`: exactly the rows [`RTree::range_scan_bitmap`] leaves out.
-    /// Subtrees disjoint from `rect` are emitted whole, contained ones are
-    /// skipped and boundary leaves test their points one by one; the entries
-    /// [`RTree::build`] left out for a NaN coordinate lie in no rectangle and
-    /// are always emitted. Cheaper than the scan when most points lie inside.
-    pub(crate) fn complement_scan_bitmap(&self, rect: &GeoRect) -> SelectionBitmap {
-        let mut bits = SelectionBitmap::new(self.len);
-        for &rid in &self.unplaced {
-            bits.insert(rid);
-        }
-        if let Some(root) = &self.root {
-            Self::complement_node(root, rect, &mut bits);
-        }
-        bits
-    }
-
-    fn complement_node(node: &Node, rect: &GeoRect, bits: &mut SelectionBitmap) {
-        if !node.mbr.intersects(rect) {
-            return Self::collect_all_bitmap(node, bits, &mut 0);
-        }
-        if rect.contains_rect(&node.mbr) {
-            return;
-        }
-        match &node.kind {
-            NodeKind::Leaf { points, rids } => {
-                for (p, &rid) in points.iter().zip(rids) {
-                    if !rect.contains(p) {
-                        bits.insert(rid);
-                    }
-                }
-            }
-            NodeKind::Internal { children } => {
-                for child in children {
-                    Self::complement_node(child, rect, bits);
                 }
             }
         }
@@ -344,7 +387,9 @@ impl SecondaryIndex for RTree {
                 NodeKind::Internal { children } => children.iter().map(node_bytes).sum(),
             }
         }
-        self.root.as_ref().map(node_bytes).unwrap_or(0) + self.unplaced.len() * 4
+        let axis_bytes = |axis: &Axis| axis.ids.len() * 4 + axis.prefixes.memory_bytes();
+        let axes_bytes = self.axes.iter().flatten().map(axis_bytes).sum::<usize>();
+        self.root.as_ref().map(node_bytes).unwrap_or(0) + axes_bytes
     }
 }
 
@@ -352,15 +397,20 @@ impl SecondaryIndex for RTree {
 mod tests {
     use super::*;
 
+    /// Points on an integer grid: `(i, j)` at record id `i * side + j`.
+    fn grid(side: u32) -> Vec<GeoPoint> {
+        (0..side)
+            .flat_map(|i| (0..side).map(move |j| GeoPoint::new(i as f64, j as f64)))
+            .collect()
+    }
+
+    /// The tree over `points`, point `r` at record id `r`.
+    fn tree_of(points: &[GeoPoint]) -> RTree {
+        RTree::build(points.iter().zip(0..).map(|(&p, rid)| (p, rid)).collect())
+    }
+
     fn grid_tree(side: u32) -> RTree {
-        // Points on an integer grid: (i, j) with rid = i * side + j.
-        let mut entries = Vec::new();
-        for i in 0..side {
-            for j in 0..side {
-                entries.push((GeoPoint::new(i as f64, j as f64), i * side + j));
-            }
-        }
-        RTree::build(entries)
+        tree_of(&grid(side))
     }
 
     #[test]
@@ -433,103 +483,137 @@ mod tests {
     }
 
     #[test]
-    fn scan_stats_reports_visits() {
+    fn scan_stats_report_matches() {
         let t = grid_tree(40);
         let (_, stats) = t.range_scan(&GeoRect::new(0.0, 0.0, 5.0, 5.0));
-        assert!(stats.nodes_visited > 0);
         assert_eq!(stats.matches, 36);
     }
 
+    /// Over 4,900 points, a rectangle with two wide slabs is read from the
+    /// checkpoints and the rest walk the tree; both give the scan's ids.
     #[test]
     fn bitmap_scan_matches_vector_scan() {
-        let t = grid_tree(30);
-        for (a, b, c, d) in [
-            (0.5, 0.5, 3.5, 3.5),
-            (-2.0, -2.0, 40.0, 40.0),
-            (100.0, 100.0, 110.0, 110.0),
-            (5.0, 5.0, 25.0, 6.0),
+        let points = grid(70);
+        let t = tree_of(&points);
+        for (a, b, c, d, slabs) in [
+            (0.5, 0.5, 3.5, 3.5, true),
+            (-2.0, -2.0, 40.0, 40.0, true),
+            (100.0, 100.0, 110.0, 110.0, false),
+            (5.0, 5.0, 25.0, 6.0, false),
         ] {
             let rect = GeoRect::new(a, b, c, d);
+            assert_eq!(t.slab_scan(&rect, &points).is_some(), slabs);
             let (rids, stats) = t.range_scan(&rect);
-            let (bm, bm_stats) = t.range_scan_bitmap(&rect);
+            let (bm, bm_stats) = t.range_scan_bitmap(&rect, &points);
             assert_eq!(bm.to_vec(), rids);
             assert_eq!(bm_stats, stats);
         }
-    }
-
-    #[test]
-    fn complement_of_an_empty_or_unplaced_tree() {
-        let rect = GeoRect::new(-1.0, -1.0, 1.0, 1.0);
-        assert!(RTree::build(vec![])
-            .complement_scan_bitmap(&rect)
-            .is_empty());
-        let nan = vec![
-            (GeoPoint::new(f64::NAN, 0.0), 0),
-            (GeoPoint::new(0.0, f64::NAN), 1),
-        ];
-        let t = RTree::build(nan);
-        assert_eq!(t.range_count(&rect), 0);
-        assert_eq!(t.complement_scan_bitmap(&rect).to_vec(), vec![0, 1]);
     }
 
     mod proptests {
         use super::*;
         use proptest::prelude::*;
 
-        /// Coordinate draw `v` of `0..23`: an integer in `-10..10` (so points
-        /// land exactly on rectangle edges), or NaN, `+∞`, `−∞`.
-        fn coord(v: u8) -> f64 {
-            match v {
-                20 => f64::NAN,
-                21 => f64::INFINITY,
-                22 => f64::NEG_INFINITY,
-                _ => f64::from(v) - 10.0,
+        /// Coordinate draw `code`: NaN, `−0.0`, `+∞` or `−∞` for four
+        /// residues of 101, else an integer from `levels` values centred on
+        /// 0 — few levels put runs of duplicates across checkpoints, many
+        /// make ranks exact.
+        fn coord(code: u16, levels: u16) -> f64 {
+            match code % 101 {
+                0 => f64::NAN,
+                1 => -0.0,
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                _ => f64::from(code % levels) - f64::from(levels / 2),
             }
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
+        /// One rectangle bound: NaN, `−∞`, `+∞`, `−0.0`, or the coordinate at
+        /// rank `j·step + delta` of `sorted` plus a nudge of `−¼, 0, ¼, ½`, so
+        /// slab bounds fall on, just before and just after checkpoints.
+        fn bound(sorted: &[f64], (sel, j, delta): (u8, usize, isize)) -> f64 {
+            let step = sorted.len().div_ceil(16).max(1);
+            let rank = (j * step).saturating_add_signed(delta);
+            let at = sorted.get(rank.min(sorted.len().saturating_sub(1)));
+            match sel % 8 {
+                0 => f64::NAN,
+                1 => f64::NEG_INFINITY,
+                2 => f64::INFINITY,
+                3 => -0.0,
+                s => at.copied().unwrap_or(0.0) + (f64::from(s) - 5.0) * 0.25,
+            }
+        }
 
-            /// The complement walk emits exactly the rows outside the
-            /// rectangle: disjoint from the scan, together all of `0..len`,
-            /// `len − range_count` of them, NaN points always among them —
-            /// over empty and two-level trees, ±∞ points, points on an edge,
-            /// and zero-area, inverted and NaN-bound rectangles.
+        fn bound_spec() -> impl Strategy<Value = (u8, usize, isize)> {
+            (0u8..16, 0usize..17, -2isize..3)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// Over 4,300–6,000 points (three or more checkpoints, never a
+            /// multiple of 16) with NaN in one or both coordinates, `±0.0`,
+            /// `±∞` and duplicates: the bitmap scan — slabs from the
+            /// checkpoints when both are wide, the tree walk otherwise — holds
+            /// exactly the tree walk's ids and `range_count` of them, for
+            /// rectangles bounded at checkpoint ranks, and whole-table,
+            /// inverted and NaN-bound ones.
             #[test]
-            fn complement_is_the_scan_inverted(
-                pts in proptest::collection::vec((0u8..23, 0u8..23), 0..1500),
-                lon in (0u8..23, 0u8..23),
-                lat in (0u8..23, 0u8..23),
+            fn checkpoint_scans_match_the_tree_walk(
+                codes in proptest::collection::vec((0u16..=u16::MAX, 0u16..=u16::MAX), 4300..6000),
+                levels in 0usize..3,
+                specs in proptest::collection::vec(
+                    ((bound_spec(), bound_spec()), (bound_spec(), bound_spec())), 10..11),
             ) {
-                let points: Vec<GeoPoint> =
-                    pts.iter().map(|&(x, y)| GeoPoint::new(coord(x), coord(y))).collect();
-                let entries = points.iter().zip(0..).map(|(&p, rid)| (p, rid)).collect();
-                let tree = RTree::build(entries);
-                // Built field by field, so the bounds may be inverted or NaN.
-                let rect = GeoRect {
-                    min_lon: coord(lon.0),
-                    min_lat: coord(lat.0),
-                    max_lon: coord(lon.1),
-                    max_lat: coord(lat.1),
-                };
-                let inside = tree.range_scan_bitmap(&rect).0.to_vec();
-                let outside = tree.complement_scan_bitmap(&rect).to_vec();
-                let mut all = [inside.clone(), outside.clone()].concat();
-                all.sort_unstable();
-                prop_assert_eq!(all, (0..points.len() as RecordId).collect::<Vec<_>>());
-                prop_assert_eq!(outside.len(), points.len() - tree.range_count(&rect));
-                let expected: Vec<RecordId> = (0..)
-                    .zip(&points)
-                    .filter(|(_, p)| !rect.contains(p))
-                    .map(|(rid, _)| rid)
+                let mut codes = codes;
+                if codes.len() % 16 == 0 {
+                    codes.pop();
+                }
+                let levels = [7u16, 40, 65_000][levels];
+                let points: Vec<GeoPoint> = codes
+                    .iter()
+                    .map(|&(x, y)| GeoPoint::new(coord(x, levels), coord(y, levels)))
                     .collect();
-                prop_assert_eq!(&outside, &expected);
-                for (rid, p) in (0..).zip(&points) {
-                    if p.lon.is_nan() || p.lat.is_nan() {
-                        prop_assert!(outside.contains(&rid));
-                    }
+                let tree = tree_of(&points);
+                let placed = points.iter().filter(|p| !p.lon.is_nan() && !p.lat.is_nan());
+                let sorted = |coord: fn(&GeoPoint) -> f64| {
+                    let mut v: Vec<f64> = placed.clone().map(coord).collect();
+                    v.sort_unstable_by(f64::total_cmp);
+                    v
+                };
+                let (lons, lats) = (sorted(|p| p.lon), sorted(|p| p.lat));
+                let whole = GeoRect::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::INFINITY);
+                prop_assert!(tree.slab_scan(&whole, &points).is_some());
+                let mut rects = vec![
+                    whole,
+                    GeoRect { min_lon: 5.0, min_lat: f64::NEG_INFINITY, max_lon: -5.0, max_lat: f64::INFINITY },
+                    GeoRect { min_lon: f64::NAN, ..whole },
+                    GeoRect { max_lat: f64::NAN, ..whole },
+                ];
+                for ((a, b), (c, d)) in specs {
+                    // Built field by field, so the bounds may be inverted or NaN.
+                    rects.push(GeoRect {
+                        min_lon: bound(&lons, a),
+                        max_lon: bound(&lons, b),
+                        min_lat: bound(&lats, c),
+                        max_lat: bound(&lats, d),
+                    });
+                }
+                for rect in &rects {
+                    let (ids, _) = tree.range_scan(rect);
+                    let (bits, stats) = tree.range_scan_bitmap(rect, &points);
+                    let expected: Vec<RecordId> = (0..)
+                        .zip(&points)
+                        .filter(|(_, p)| rect.contains(p))
+                        .map(|(rid, _)| rid)
+                        .collect();
+                    prop_assert_eq!(&ids, &expected);
+                    prop_assert_eq!(bits.to_vec(), ids);
+                    prop_assert_eq!(bits.len(), tree.range_count(rect));
+                    prop_assert_eq!(stats.matches, bits.len());
                 }
             }
+
             #[test]
             fn bitmap_scan_equals_vector_scan(
                 pts in proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 0..300),
@@ -538,15 +622,11 @@ mod tests {
                 w in 0.0f64..40.0,
                 h in 0.0f64..40.0,
             ) {
-                let entries: Vec<(GeoPoint, RecordId)> = pts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(x, y))| (GeoPoint::new(x, y), i as RecordId))
-                    .collect();
-                let tree = RTree::build(entries);
+                let points: Vec<GeoPoint> = pts.iter().map(|&(x, y)| GeoPoint::new(x, y)).collect();
+                let tree = tree_of(&points);
                 let rect = GeoRect::new(qx, qy, qx + w, qy + h);
                 let (rids, stats) = tree.range_scan(&rect);
-                let (bm, bm_stats) = tree.range_scan_bitmap(&rect);
+                let (bm, bm_stats) = tree.range_scan_bitmap(&rect, &points);
                 prop_assert_eq!(bm.to_vec(), rids);
                 prop_assert_eq!(bm_stats, stats);
             }

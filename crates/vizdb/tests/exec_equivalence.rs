@@ -358,7 +358,8 @@ impl Indexes {
 /// the timestamp column (fractional, inverted and NaN bounds too), time
 /// ranges reaching `i64::MIN` / `i64::MAX` or inverted, float ranges over
 /// NaNs and duplicate keys, and rectangles holding more than half of
-/// [`scatter`]'s points (the R-tree's complement walk).
+/// [`scatter`]'s points (wide slabs, read from the R-tree's prefix
+/// checkpoints on a big table).
 fn predicate_of(kind: usize, u: f64) -> Predicate {
     let at = (u * 50_000.0) as i64;
     let time = |start, end| Predicate::TimeRange {
@@ -402,9 +403,10 @@ proptest! {
     /// lattice pass — asked first, or cached as another rewrite's sibling —
     /// is bit for bit the time of executing that rewrite, and
     /// `price_plans` reports `execute`'s `WorkProfile` field for field —
-    /// whichever source (column kernel, index walk, complement walk) the pass
-    /// took each predicate's mask from. The first rows of a big table sit at
-    /// NaN and infinite coordinates (in every R-tree complement), on the
+    /// whichever source (column kernel, index walk, prefix checkpoints) the
+    /// pass took each predicate's mask from. The first rows of a big table sit
+    /// at NaN coordinates (in neither of the R-tree's coordinate orders) and
+    /// infinite ones (at their ends), on the
     /// grid's edges and outside it. Heatmaps bin on the drawn grid and on one
     /// fixed shape. With `warm`, the pricing side bins each from a cell
     /// column built for its grid, otherwise by arithmetic, and must still
@@ -687,9 +689,10 @@ fn nan_coordinate_is_in_no_rectangle() {
     sharded.register_table(db.table("events").unwrap()).unwrap();
     sharded.build_all_indexes("events").unwrap();
     let sharded = sharded.build();
-    // Every other point, so the pricing pass takes the R-tree's complement
-    // walk, which must emit the NaN point; then few enough that it walks the
-    // matches (the NaN point's leaf lies inside the rectangle).
+    // Every point but the NaN one; then a narrower rectangle whose leaves
+    // hold the NaN point. (Below 4,096 rows the R-tree keeps no checkpoints,
+    // so both walk the tree; `rtree::tests::proptests` draw NaN points
+    // against the checkpoint path.)
     for (rect, expected) in [
         (GeoRect::new(-121.0, 33.0, -100.0, 35.0), 999),
         (GeoRect::new(-121.0, 33.0, -117.005, 35.0), 299),
