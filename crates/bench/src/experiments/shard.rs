@@ -1,12 +1,12 @@
 //! The `shard` experiment: per-region scale-out of the backend database.
 //!
-//! The serving layer can mirror its database into N longitude-partitioned
-//! shards behind the same [`vizdb::QueryBackend`] surface
-//! (`vizdb::ShardedBackend`): a viewport query fans out only to the shards its
-//! filter rectangle overlaps, per-shard heatmap grids merge by summing counts
-//! per cell, and the merged execution time is the slowest overlapping shard
-//! (the shards run in parallel). This experiment serves the same heatmap
-//! workload at 1/2/4/8 shards and reports:
+//! The serving layer can mirror its database into N per-region shards behind
+//! the same [`vizdb::QueryBackend`] surface (`vizdb::ShardedBackend`, a 2-D
+//! tile layout fixed at build): a viewport query fans out only to the shards
+//! owning a tile its filter rectangle overlaps, per-shard heatmap grids merge
+//! by summing counts per cell, and the merged execution time is the slowest
+//! overlapping shard (the shards run in parallel on the simulated clock). This
+//! experiment serves the same heatmap workload at 1/2/4/8 shards and reports:
 //!
 //! * **result equivalence** — every served `BinnedCounts` grid must be
 //!   byte-identical to the single-backend reference (asserted, not just
@@ -16,17 +16,6 @@
 //!   single backend (hardware-independent: the simulated clock, not wall time);
 //! * **fan-out** — the mean number of shards a viewport actually touches, which
 //!   is why pruned viewports gain more than the `1/N` parallel bound suggests.
-//!
-//! A second regime, **`shard-skew`**, drives the metro-hotspot workload
-//! (zoom-in sequences on Los Angeles, the densest cluster of the LA-skewed
-//! Twitter generator) against the legacy 1-D equal-width stripes and the 2-D
-//! balanced tile grid (warmed up with `rebalance()` rounds), reporting per
-//! shard count the max/mean shard-work balance, the aggregate simulated wall
-//! clock, and the fan-out of each scheme. Byte-identity to the unsharded
-//! backend is asserted unconditionally — including after rebalances — and the
-//! release bars (balance improvement, 2-D speedup at 4 shards) are enforced
-//! unless `MALIVA_SHARD_SPEEDUP_ASSERT=0` opts out. Everything here runs on
-//! the simulated clock, so the numbers (and the bars) are deterministic.
 
 use std::sync::Arc;
 
@@ -35,11 +24,8 @@ use serde_json::json;
 use maliva::{train_agent, RewardSpec, RewriteSpace};
 use maliva_qte::AccurateQte;
 use maliva_serve::{MalivaServer, ServeConfig, ServeRequest, ServeResponse};
-use maliva_workload::{generate_hotspot_workload, QueryGenConfig};
-use vizdb::db::RunOutcome;
-use vizdb::hints::RewriteOption;
-use vizdb::query::Query;
-use vizdb::{PartitionScheme, QueryBackend, ShardedBackend, ShardedBackendBuilder};
+use maliva_workload::QueryGenConfig;
+use vizdb::{QueryBackend, ShardedBackend, ShardedBackendBuilder};
 
 use crate::harness::{
     experiment_config, f1, queries_from_env, scale_from_env, scenario, DatasetKind,
@@ -48,10 +34,6 @@ use crate::harness::{
 
 const SEED: u64 = 42;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Hotspot viewports in the skew regime (12 zoom-in sequences of 4 steps).
-const SKEW_QUERIES: usize = 48;
-/// Traffic-then-`rebalance()` warmup rounds before the 2-D measurement pass.
-const REBALANCE_ROUNDS: usize = 3;
 
 fn heatmap_workload() -> QueryGenConfig {
     QueryGenConfig {
@@ -104,169 +86,6 @@ fn mean_fan_out(sc: &Scenario, backend: &ShardedBackend) -> f64 {
         })
         .sum();
     total as f64 / sc.split.eval.len().max(1) as f64
-}
-
-/// One measured pass of the hotspot workload over a sharded backend: asserts
-/// byte-identity against the unsharded reference per query, and returns the
-/// aggregate simulated wall clock, the max/mean shard-work balance of the pass
-/// (from the work-ledger delta, so warmup traffic does not pollute it), and
-/// the mean fan-out.
-fn measure_skew_pass(
-    backend: &ShardedBackend,
-    queries: &[Query],
-    reference: &[RunOutcome],
-    ro: &RewriteOption,
-) -> (f64, f64, f64) {
-    let before = backend.shard_work();
-    let mut exec_ms = 0.0;
-    for (query, expected) in queries.iter().zip(reference) {
-        let outcome = backend.run(query, ro).expect("running a hotspot viewport");
-        assert!(
-            outcome.result == expected.result,
-            "sharded hotspot results diverged from the single backend"
-        );
-        exec_ms += outcome.time_ms;
-    }
-    let work: Vec<f64> = backend
-        .shard_work()
-        .iter()
-        .zip(&before)
-        .map(|(a, b)| a - b)
-        .collect();
-    let mean = work.iter().sum::<f64>() / work.len().max(1) as f64;
-    let max = work.iter().cloned().fold(0.0f64, f64::max);
-    let balance = if mean > 0.0 { max / mean } else { 1.0 };
-    let fan_out: usize = queries
-        .iter()
-        .map(|q| {
-            backend
-                .overlapping_shards(q)
-                .expect("routing a hotspot viewport")
-                .len()
-        })
-        .sum();
-    (
-        exec_ms,
-        balance,
-        fan_out as f64 / queries.len().max(1) as f64,
-    )
-}
-
-/// The `shard-skew` regime: 1-D stripes vs warmed-up 2-D tiles on the
-/// LA-hotspot workload.
-fn run_shard_skew(sc: &Scenario) -> (ExperimentOutput, serde_json::Value) {
-    let queries = generate_hotspot_workload(&sc.dataset, SKEW_QUERIES, SEED);
-    let ro = RewriteOption::original();
-    let reference: Vec<RunOutcome> = queries
-        .iter()
-        .map(|q| sc.db().run(q, &ro).expect("reference hotspot run"))
-        .collect();
-
-    let mut rows = Vec::new();
-    let mut dump = Vec::new();
-    let mut at_four = None;
-    for shards in SHARD_COUNTS {
-        let stripes =
-            ShardedBackendBuilder::mirror_with_scheme(sc.db(), shards, PartitionScheme::Lon1D)
-                .expect("mirroring into 1-D stripes");
-        let (exec_1d, balance_1d, fan_1d) = measure_skew_pass(&stripes, &queries, &reference, &ro);
-
-        let tiles =
-            ShardedBackendBuilder::mirror_with_scheme(sc.db(), shards, PartitionScheme::default())
-                .expect("mirroring into 2-D tiles");
-        // Warmup: accumulate hotspot traffic, then let the rebalancer split
-        // the hot shard. Identity is asserted during warmup passes too, so
-        // every intermediate layout is checked, not just the final one.
-        for _ in 0..REBALANCE_ROUNDS {
-            measure_skew_pass(&tiles, &queries, &reference, &ro);
-            tiles.rebalance().expect("rebalancing the tile layout");
-        }
-        let (exec_2d, balance_2d, fan_2d) = measure_skew_pass(&tiles, &queries, &reference, &ro);
-
-        let balance_improvement = balance_1d / balance_2d.max(1e-12);
-        let speedup = exec_1d / exec_2d.max(1e-12);
-        if shards == 4 {
-            at_four = Some((balance_improvement, speedup));
-        }
-        rows.push(vec![
-            format!("{shards}"),
-            format!("{balance_1d:.2}"),
-            format!("{balance_2d:.2}"),
-            format!("{balance_improvement:.2}x"),
-            format!("{exec_1d:.1}"),
-            format!("{exec_2d:.1}"),
-            format!("{speedup:.2}x"),
-            format!("{fan_1d:.2}"),
-            format!("{fan_2d:.2}"),
-        ]);
-        dump.push(json!({
-            "shards": shards,
-            "balance_1d": balance_1d,
-            "balance_2d": balance_2d,
-            "balance_improvement": balance_improvement,
-            "exec_ms_1d": exec_1d,
-            "exec_ms_2d": exec_2d,
-            "speedup_2d_vs_1d": speedup,
-            "mean_fan_out_1d": fan_1d,
-            "mean_fan_out_2d": fan_2d,
-            "identical_results": true,
-        }));
-    }
-
-    // The acceptance bars (deterministic — simulated clock only): 2-D tiles
-    // plus rebalancing must at least halve the hotspot's max/mean work skew
-    // and take ≥ 1.3x off the aggregate wall clock at 4 shards.
-    // `MALIVA_SHARD_SPEEDUP_ASSERT=0` opts out, mirroring the exec bars.
-    let (balance_improvement, speedup) = at_four.expect("SHARD_COUNTS contains 4");
-    eprintln!(
-        "[shard-skew] at 4 shards: balance improvement {balance_improvement:.2}x, \
-         speedup {speedup:.2}x"
-    );
-    let assert_opted_out =
-        std::env::var("MALIVA_SHARD_SPEEDUP_ASSERT").is_ok_and(|v| v == "0" || v == "off");
-    if assert_opted_out {
-        if balance_improvement < 2.0 || speedup < 1.3 {
-            eprintln!(
-                "warning: shard-skew below bars (balance {balance_improvement:.2}x < 2x or \
-                 speedup {speedup:.2}x < 1.3x; assertion skipped: MALIVA_SHARD_SPEEDUP_ASSERT=0)"
-            );
-        }
-    } else {
-        assert!(
-            balance_improvement >= 2.0,
-            "2-D tiles must improve hotspot work balance >= 2x at 4 shards, \
-             got {balance_improvement:.2}x"
-        );
-        assert!(
-            speedup >= 1.3,
-            "2-D tiles must speed the hotspot workload up >= 1.3x at 4 shards, got {speedup:.2}x"
-        );
-    }
-
-    let output = ExperimentOutput {
-        id: "shard-skew".into(),
-        title: format!(
-            "Hotspot skew: 1-D equal-width stripes vs balanced 2-D tiles + rebalance, LA zoom-in \
-             sequences ({SKEW_QUERIES} viewports; max/mean shard-work balance, simulated wall \
-             clock; at 4 shards balance improves {balance_improvement:.2}x, speedup {speedup:.2}x)"
-        ),
-        headers: [
-            "Shards",
-            "Balance 1-D",
-            "Balance 2-D",
-            "Balance improvement",
-            "Exec 1-D (ms)",
-            "Exec 2-D (ms)",
-            "2-D speedup",
-            "Fan-out 1-D",
-            "Fan-out 2-D",
-        ]
-        .map(String::from)
-        .to_vec(),
-        rows,
-    };
-    let payload = json!({ "hotspot": dump });
-    (output, payload)
 }
 
 /// The `shard` experiment entry point.
@@ -338,8 +157,6 @@ pub fn run_shard_scaling() -> Vec<ExperimentOutput> {
         }));
     }
 
-    let (skew_output, skew_payload) = run_shard_skew(&sc);
-
     let output = ExperimentOutput {
         id: "shard".into(),
         title: format!(
@@ -363,7 +180,6 @@ pub fn run_shard_scaling() -> Vec<ExperimentOutput> {
     };
     let scaling_payload = json!({ "shards": shard_dump });
     crate::harness::save_json(&output, scaling_payload.clone());
-    crate::harness::save_json(&skew_output, skew_payload.clone());
     // The shard perf-trajectory baseline at the repo root: all numbers here are
     // simulated-clock quantities, so the file is stable across hosts.
     let _ = std::fs::write(
@@ -373,9 +189,8 @@ pub fn run_shard_scaling() -> Vec<ExperimentOutput> {
             "dataset": "twitter",
             "shard_counts": SHARD_COUNTS.to_vec(),
             "scaling": scaling_payload,
-            "skew": skew_payload,
         }))
         .unwrap_or_default(),
     );
-    vec![output, skew_output]
+    vec![output]
 }

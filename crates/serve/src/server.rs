@@ -45,8 +45,7 @@ use vizdb::hints::RewriteOption;
 use vizdb::query::Query;
 use vizdb::sync::atomic::{AtomicU64, Ordering};
 use vizdb::{
-    Database, ExecContext, FaultStats, PartitionScheme, QueryBackend, ResultQuality,
-    ShardedBackendBuilder,
+    Database, ExecContext, FaultStats, QueryBackend, ResultQuality, ShardedBackendBuilder,
 };
 
 use crate::cache::{CachedDecision, DecisionCache, DecisionCacheConfig, DecisionCacheStats};
@@ -300,19 +299,12 @@ impl ServeMetrics {
 
 /// The backend a [`ServeConfig::shards`] value asks for: the database itself at
 /// one shard, a [`vizdb::ShardedBackend`] mirroring its tables, indexes and
-/// samples otherwise (partitioned under the default
-/// [`vizdb::PartitionScheme`], 2-D tiles).
-/// More shards than the default grid's tiles (a shard beyond them would own
-/// none) is an [`Error::Internal`], returned before any shard is allocated.
+/// samples otherwise. A shard count the mirror refuses (more shards than
+/// partition tiles) is its [`Error::Internal`], returned before any shard is
+/// allocated.
 pub fn backend_for_shards(db: Arc<Database>, shards: usize) -> Result<Arc<dyn QueryBackend>> {
     if shards <= 1 {
         return Ok(db);
-    }
-    let tiles = (PartitionScheme::DEFAULT_GRID_DIM as usize).pow(2);
-    if shards > tiles {
-        return Err(Error::Internal(format!(
-            "{shards} shards exceed the {tiles} tiles of the default partition grid"
-        )));
     }
     Ok(Arc::new(ShardedBackendBuilder::mirror(&db, shards)?))
 }

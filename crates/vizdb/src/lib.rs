@@ -73,6 +73,5 @@ pub use db::{Database, DbConfig, DbProfile, RunOutcome};
 pub use error::{Error, Result};
 pub use fault::{FaultInjectingBackend, FaultKind, FaultPlan};
 pub use sharded::{
-    BreakerState, CircuitBreaker, FaultCounters, FaultPolicy, PartitionScheme, RebalanceReport,
-    ShardedBackend, ShardedBackendBuilder,
+    BreakerState, CircuitBreaker, FaultCounters, FaultPolicy, ShardedBackend, ShardedBackendBuilder,
 };

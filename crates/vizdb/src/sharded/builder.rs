@@ -1,14 +1,14 @@
 //! [`ShardedBackendBuilder`]: the [`Database`] loading API (`register_table`
 //! / `build_index` / `build_sample`) shard-wise, and the `mirror*` helpers
-//! that replay an already-loaded database into it.
+//! that replay an already-loaded database into it. Each table is partitioned
+//! once, at registration; the built backend keeps that layout for life.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use super::rebalance::WorkLedger;
 use super::resilience::{CircuitBreaker, FaultCounters, FaultPolicy};
-use super::tiles::{PartitionScheme, TablePartition};
-use super::{ShardSet, ShardedBackend, WrapFn};
+use super::tiles::{TablePartition, GRID_DIM};
+use super::ShardedBackend;
 use crate::backend::QueryBackend;
 use crate::db::{Database, DbConfig};
 use crate::error::{Error, Result};
@@ -16,21 +16,16 @@ use crate::fault::{FaultInjectingBackend, FaultPlan};
 use crate::schema::{ColumnType, TableSchema};
 use crate::stats::TableStats;
 use crate::storage::Table;
-use crate::sync::atomic::AtomicU64;
-use crate::sync::{Mutex, RwLock};
 
 /// Builds a [`ShardedBackend`], mirroring the [`Database`] loading API
 /// (`register_table` / `build_index` / `build_sample`) shard-wise.
 pub struct ShardedBackendBuilder {
-    config: DbConfig,
-    scheme: PartitionScheme,
+    grid_dim: u32,
     shards: Vec<Database>,
     partitions: HashMap<String, TablePartition>,
     schemas: HashMap<String, TableSchema>,
     global_stats: HashMap<String, TableStats>,
     sample_fractions: HashMap<String, Vec<u32>>,
-    indexed: HashMap<String, Vec<String>>,
-    masters: HashMap<String, Table>,
     policy: FaultPolicy,
 }
 
@@ -41,15 +36,12 @@ impl ShardedBackendBuilder {
     pub fn new(config: DbConfig, shards: usize) -> Self {
         let shards = shards.max(1);
         Self {
+            grid_dim: GRID_DIM,
             shards: (0..shards).map(|_| Database::new(config.clone())).collect(),
-            config,
-            scheme: PartitionScheme::default(),
             partitions: HashMap::new(),
             schemas: HashMap::new(),
             global_stats: HashMap::new(),
             sample_fractions: HashMap::new(),
-            indexed: HashMap::new(),
-            masters: HashMap::new(),
             policy: FaultPolicy::default(),
         }
     }
@@ -60,12 +52,11 @@ impl ShardedBackendBuilder {
         self
     }
 
-    /// Overrides the partitioning scheme (default:
-    /// [`PartitionScheme::Tiles2D`] at [`PartitionScheme::DEFAULT_GRID_DIM`]).
-    /// Must be set **before** any [`Self::register_table`] call — tables are
-    /// partitioned at registration time.
-    pub fn with_partition_scheme(mut self, scheme: PartitionScheme) -> Self {
-        self.scheme = scheme;
+    /// Overrides the tiles per axis of the partition grid (default 64, so
+    /// 4,096 tiles). Must be set **before** any [`Self::register_table`] call
+    /// — tables are partitioned at registration time.
+    pub fn with_grid_dim(mut self, grid_dim: u32) -> Self {
+        self.grid_dim = grid_dim.max(1);
         self
     }
 
@@ -101,7 +92,7 @@ impl ShardedBackendBuilder {
                     }
                 };
                 let (part, assignment) =
-                    TablePartition::partitioned(table, attr, bounds, n, self.scheme)?;
+                    TablePartition::partitioned(table, attr, bounds, n, self.grid_dim)?;
                 for (shard, keep) in self.shards.iter_mut().zip(&assignment) {
                     shard.register_table(table.subset(keep)?)?;
                 }
@@ -116,9 +107,7 @@ impl ShardedBackendBuilder {
         };
         self.partitions.insert(name.clone(), partition);
         self.schemas.insert(name.clone(), table.schema().clone());
-        self.global_stats.insert(name.clone(), stats);
-        // The master copy rebuilds shards after a tile migration.
-        self.masters.insert(name, table.clone());
+        self.global_stats.insert(name, stats);
         Ok(())
     }
 
@@ -126,10 +115,6 @@ impl ShardedBackendBuilder {
     pub fn build_index(&mut self, table: &str, column: &str) -> Result<()> {
         for shard in &mut self.shards {
             shard.build_index(table, column)?;
-        }
-        let cols = self.indexed.entry(table.to_string()).or_default();
-        if !cols.iter().any(|c| c == column) {
-            cols.push(column.to_string());
         }
         Ok(())
     }
@@ -173,42 +158,26 @@ impl ShardedBackendBuilder {
     /// Finalises the backend with each shard wrapped by `wrap(shard_index,
     /// shard)` — the composition hook that lets decorators (fault injection,
     /// instrumentation) sit between the fan-out machinery and the per-shard
-    /// databases without the backend knowing. The hook is retained: a
-    /// [`ShardedBackend::rebalance`] rebuilds the migrated shards from the
-    /// master tables and re-wraps them through the same function.
+    /// databases without the backend knowing.
     pub fn build_wrapped(
         self,
-        wrap: impl Fn(usize, Arc<dyn QueryBackend>) -> Arc<dyn QueryBackend> + Send + Sync + 'static,
+        wrap: impl Fn(usize, Arc<dyn QueryBackend>) -> Arc<dyn QueryBackend>,
     ) -> ShardedBackend {
-        let wrap: WrapFn = Arc::new(wrap);
         let shards: Vec<Arc<dyn QueryBackend>> = self
             .shards
             .into_iter()
             .enumerate()
             .map(|(i, db)| wrap(i, Arc::new(db) as Arc<dyn QueryBackend>))
             .collect();
-        let n = shards.len();
         ShardedBackend {
-            inner: RwLock::with_name(
-                ShardSet {
-                    shards,
-                    partitions: self.partitions,
-                },
-                "sharded.inner",
-            ),
-            breakers: (0..n).map(|_| CircuitBreaker::new()).collect(),
+            breakers: (0..shards.len()).map(|_| CircuitBreaker::new()).collect(),
+            shards,
+            partitions: self.partitions,
             faults: FaultCounters::default(),
             policy: self.policy,
-            scheme: self.scheme,
-            config: self.config,
             schemas: self.schemas,
             global_stats: self.global_stats,
             sample_fractions: self.sample_fractions,
-            indexed: self.indexed,
-            masters: self.masters,
-            wrap,
-            work: Mutex::with_name(WorkLedger::new(n), "sharded.work"),
-            gen_extra: AtomicU64::new(0),
         }
     }
 
@@ -224,18 +193,17 @@ impl ShardedBackendBuilder {
 
     /// A builder mirroring an already-loaded [`Database`]: same configuration,
     /// tables, indexes and sample fractions — ready for a policy override or a
-    /// wrapped build.
+    /// wrapped build. More shards than the grid's tiles (a shard beyond them
+    /// would own none) is an [`Error::Internal`], returned before any shard
+    /// database is allocated.
     pub fn mirror_builder(db: &Database, shards: usize) -> Result<Self> {
-        Self::mirror_builder_with_scheme(db, shards, PartitionScheme::default())
-    }
-
-    /// [`Self::mirror_builder`] under an explicit partitioning scheme.
-    pub fn mirror_builder_with_scheme(
-        db: &Database,
-        shards: usize,
-        scheme: PartitionScheme,
-    ) -> Result<Self> {
-        let mut builder = Self::new(db.config().clone(), shards).with_partition_scheme(scheme);
+        let tiles = (GRID_DIM as usize).pow(2);
+        if shards > tiles {
+            return Err(Error::Internal(format!(
+                "{shards} shards exceed the {tiles} tiles of the partition grid"
+            )));
+        }
+        let mut builder = Self::new(db.config().clone(), shards);
         for name in db.table_names() {
             builder.register_table(db.table(&name)?)?;
         }
@@ -256,15 +224,6 @@ impl ShardedBackendBuilder {
     /// migration path from a single backend to `shards` per-region ones.
     pub fn mirror(db: &Database, shards: usize) -> Result<ShardedBackend> {
         Ok(Self::mirror_builder(db, shards)?.build())
-    }
-
-    /// [`Self::mirror`] under an explicit partitioning scheme.
-    pub fn mirror_with_scheme(
-        db: &Database,
-        shards: usize,
-        scheme: PartitionScheme,
-    ) -> Result<ShardedBackend> {
-        Ok(Self::mirror_builder_with_scheme(db, shards, scheme)?.build())
     }
 }
 
@@ -297,5 +256,20 @@ mod tests {
         let single_len = db.sample("events", 20).unwrap().len();
         let sharded_len = backend.sample_len("events", 20).unwrap();
         assert!((single_len as i64 - sharded_len as i64).abs() <= 3);
+    }
+
+    /// A shard count beyond the grid's 4,096 tiles is refused before any shard
+    /// database is allocated (`usize::MAX` would overflow the shard vector).
+    #[test]
+    fn mirror_refuses_more_shards_than_tiles() {
+        let db = single_db(&build_table(200));
+        for shards in [usize::MAX, 4_097] {
+            let err = ShardedBackendBuilder::mirror(&db, shards).err();
+            assert!(matches!(err, Some(Error::Internal(_))), "{shards}: {err:?}");
+        }
+        assert_eq!(
+            ShardedBackendBuilder::mirror(&db, 4).unwrap().shard_count(),
+            4
+        );
     }
 }

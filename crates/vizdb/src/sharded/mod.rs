@@ -4,15 +4,16 @@
 //! viewport queries down to partitioned executors and merging the per-partition
 //! aggregates. Maliva's heatmap aggregate (`BinnedCounts`) is exactly mergeable
 //! — every row lands in one grid cell, cells sum — so the backend can be split
-//! into N per-region [`Database`] shards by **2-D tile partitioning** (a
-//! lon×lat tile grid from the table's geo statistics, tiles ordered along a
-//! Z-order curve and assigned to shards in contiguous runs balanced by row
-//! count — see [`tiles`]) without changing any observable result:
+//! into N per-region [`Database`](crate::Database) shards by **2-D tile
+//! partitioning** (a lon×lat tile grid from the table's geo statistics, tiles
+//! ordered along a Z-order curve and assigned to shards in contiguous runs
+//! balanced by row count — see [`tiles`]) without changing any observable
+//! result:
 //!
 //! * a viewport query is fanned out **only to the shards owning a tile its
 //!   spatial window overlaps** — both the longitude *and* latitude intervals
 //!   of its spatial predicates and (for heatmaps) the binning grid extent
-//!   prune, so a latitude-only viewport no longer fans out everywhere;
+//!   prune, so a latitude-only viewport prunes shards too;
 //! * per-shard `Bins` grids are merged by summing counts per cell — byte-identical
 //!   to the unsharded result; `Count`s sum; `Points` of a partitioned table are
 //!   returned in the **canonical distributed order** (sorted by `(id, lon, lat)`)
@@ -20,30 +21,21 @@
 //! * the merged execution time is the **slowest overlapping shard** (on the
 //!   simulated clock the shards run in parallel), which is where the speedup
 //!   over a single backend comes from — and balanced tile runs keep the
-//!   slowest shard close to the mean even on metro-hotspot workloads that
-//!   saturate one equal-width stripe. In wall-clock time the routed shards run
-//!   one after another on the thread serving the request: concurrency across
-//!   requests comes from the serving layer's workers, and a hand-off to other
-//!   threads per shard cost more than it overlapped;
+//!   slowest shard close to the mean on skewed data. In wall-clock time the
+//!   routed shards run one after another on the thread serving the request:
+//!   concurrency across requests comes from the serving layer's workers, and
+//!   a hand-off to other threads per shard cost more than it overlapped;
 //! * selectivity-style estimates compose as **row-count-weighted sums** over the
 //!   shards, so QTE feature vectors and Q-agent decisions stay well-defined: the
 //!   weighted sum of true selectivities is *exactly* the global true selectivity,
 //!   and estimated selectivities/cardinalities aggregate the per-shard optimizer
 //!   estimates the same way a distributed planner would.
 //!
-//! On top of the static layout, [`ShardedBackend::rebalance`] **splits hot
-//! shards** at run time: cumulative simulated-work accounting per shard and
-//! per tile (see [`rebalance`]) feeds an explicit, deterministic migration of
-//! the hottest shard's most-worked tiles to the coldest shard, rebuilding both
-//! from the master tables via [`Table::subset`] and bumping
-//! [`QueryBackend::generation`] so decision caches invalidate. In-flight
-//! requests finish on the layout they routed on (the shard set is behind an
-//! `RwLock`), and per-shard faults during or after a migration reuse the same
-//! degrade-and-recover machinery as any other shard fault.
-//!
-//! The legacy 1-D equal-width longitude layout survives as
-//! [`PartitionScheme::Lon1D`] (the degenerate `shards × 1` grid) for baselines
-//! and benchmarks.
+//! The layout is fixed when the backend is built: no tiles move afterwards,
+//! so the shards and partitions are plain fields read without a lock. Because
+//! the shards of one request run serially, moving tiles between them could
+//! only change the simulated slowest-shard number, never a request's wall
+//! time.
 //!
 //! Tables without a geo column (dimension tables, TPC-H-style facts) are
 //! **replicated** into every shard so joins stay shard-local; queries rooted at a
@@ -55,13 +47,13 @@
 //!
 //! ## Equivalence scope
 //!
-//! Results are **byte-identical** to the unsharded [`Database`] for *exact*
-//! rewrites without a row cap — the visualization workloads this repo serves
-//! (heatmap grids, viewport scatterplots, counts) — for every partitioning
-//! scheme, shard count, and tile→shard assignment, before and after any
-//! [`ShardedBackend::rebalance`], provided the `Points` id column preserves
-//! storage order (true for every dataset generator here; otherwise the sets
-//! are equal but the canonical order differs from the unsharded scan order).
+//! Results are **byte-identical** to the unsharded
+//! [`Database`](crate::Database) for *exact* rewrites without a row cap — the
+//! visualization workloads this repo serves (heatmap grids, viewport
+//! scatterplots, counts) — for every grid resolution, shard count, and
+//! tile→shard assignment, provided the `Points` id column preserves storage
+//! order (true for every dataset generator here; otherwise the sets are equal
+//! but the canonical order differs from the unsharded scan order).
 //! Row-capped queries follow standard **distributed LIMIT semantics** instead:
 //!
 //! * an explicit `query.limit` is applied *per shard* and re-applied at the
@@ -81,29 +73,22 @@
 
 mod builder;
 mod merge;
-mod rebalance;
 mod resilience;
 mod tiles;
 
 pub use builder::ShardedBackendBuilder;
-pub use rebalance::RebalanceReport;
 pub use resilience::{BreakerState, CircuitBreaker, FaultCounters, FaultPolicy};
-pub use tiles::PartitionScheme;
 
 use merge::{canonicalise_points, merge_outcomes, scale_counts};
-use rebalance::WorkLedger;
 use resilience::{ShardCall, ShardGuard};
 use tiles::{QueryWindow, TablePartition};
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Mutex, RwLock};
-
 use crate::approx::ApproxRule;
 use crate::backend::{ExecContext, FaultStats, QueryBackend, ResultQuality, RunReport};
-use crate::db::{Database, DbConfig, RunOutcome};
+use crate::db::{DbConfig, RunOutcome};
 use crate::error::{Error, Result};
 use crate::exec::QueryResult;
 use crate::hints::{HintSet, RewriteOption};
@@ -111,59 +96,28 @@ use crate::plan::PhysicalPlan;
 use crate::query::{OutputKind, Predicate, Query};
 use crate::schema::TableSchema;
 use crate::stats::TableStats;
-use crate::storage::Table;
 use crate::timing::WorkProfile;
 
-/// The shard decorator hook: wraps each per-shard backend at build time and at
-/// every rebalance-driven rebuild.
-type WrapFn = Arc<dyn Fn(usize, Arc<dyn QueryBackend>) -> Arc<dyn QueryBackend> + Send + Sync>;
-
-/// The swappable part of the backend: the per-shard databases and the table
-/// layouts that route over them. Requests hold a read lock across execution —
-/// in-flight requests finish on the layout they routed on, and
-/// [`ShardedBackend::rebalance`] swaps shards under the write lock.
-struct ShardSet {
-    shards: Vec<Arc<dyn QueryBackend>>,
-    partitions: HashMap<String, TablePartition>,
-}
-
-/// N per-region [`Database`] shards behind the [`QueryBackend`] surface.
+/// N per-region [`Database`](crate::Database) shards behind the
+/// [`QueryBackend`] surface.
 ///
 /// Each shard is held as an `Arc<dyn QueryBackend>` so decorators (fault
 /// injection, instrumentation) compose underneath the fan-out machinery; a
-/// plain build wraps each [`Database`] directly.
+/// plain build wraps each [`Database`](crate::Database) directly.
 pub struct ShardedBackend {
-    /// The shard set and table layouts. Read-locked across request execution,
-    /// write-locked only by [`Self::rebalance`].
-    inner: RwLock<ShardSet>,
+    shards: Vec<Arc<dyn QueryBackend>>,
+    /// How each registered table is laid out over `shards`.
+    partitions: HashMap<String, TablePartition>,
     /// One circuit breaker per shard, shared by every serving thread.
     breakers: Vec<CircuitBreaker>,
     /// Cumulative fault counters across every request since build.
     faults: FaultCounters,
     policy: FaultPolicy,
-    /// The partitioning scheme geo tables were laid out under (fixed at build).
-    scheme: PartitionScheme,
-    /// Shard database configuration, for rebalance-driven rebuilds.
-    config: DbConfig,
     schemas: HashMap<String, TableSchema>,
     global_stats: HashMap<String, TableStats>,
     /// Sample fractions built per table, recorded at build time for the
-    /// degraded-path sampling fallback and shard rebuilds.
+    /// degraded-path sampling fallback.
     sample_fractions: HashMap<String, Vec<u32>>,
-    /// Indexed column names per table, recorded at build time for shard
-    /// rebuilds.
-    indexed: HashMap<String, Vec<String>>,
-    /// Master copies of every registered table — [`Table::subset`] sources for
-    /// rebalance-driven shard rebuilds.
-    masters: HashMap<String, Table>,
-    /// The decorator hook rebuilt shards are re-wrapped through.
-    wrap: WrapFn,
-    /// Per-shard / per-tile simulated-work accounting since the last rebalance.
-    /// Lock order: `inner` before `work`, everywhere.
-    work: Mutex<WorkLedger>,
-    /// Generation offset keeping [`QueryBackend::generation`] monotone across
-    /// rebalance-driven shard rebuilds (a fresh shard restarts its own count).
-    gen_extra: AtomicU64,
 }
 
 // Shared across serving threads exactly like a single database.
@@ -180,18 +134,17 @@ impl ShardedBackend {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.inner.read().shards.len()
+        self.shards.len()
     }
 
     /// Rows of `table` per shard (the replica count repeated for replicated
     /// tables).
     pub fn shard_row_counts(&self, table: &str) -> Result<Vec<usize>> {
-        let set = self.inner.read();
-        Ok(Self::partition_of(&set, table)?.shard_rows.clone())
+        Ok(self.partition_of(table)?.shard_rows.clone())
     }
 
-    fn partition_of<'a>(set: &'a ShardSet, table: &str) -> Result<&'a TablePartition> {
-        set.partitions
+    fn partition_of(&self, table: &str) -> Result<&TablePartition> {
+        self.partitions
             .get(table)
             .ok_or_else(|| Error::TableNotFound(table.to_string()))
     }
@@ -199,14 +152,14 @@ impl ShardedBackend {
     /// Shard-local execution answers a join only if every replica of the right
     /// table is complete: a partitioned right table would silently lose every
     /// cross-shard join pair, so such queries are rejected up front.
-    fn check_join_is_shard_local(set: &ShardSet, query: &Query) -> Result<()> {
+    fn check_join_is_shard_local(&self, query: &Query) -> Result<()> {
         if let Some(join) = &query.join {
-            if !Self::partition_of(set, &join.right_table)?.is_replicated() {
+            if !self.partition_of(&join.right_table)?.is_replicated() {
                 return Err(Error::InvalidQuery(format!(
                     "table {} is partitioned across {} shards and cannot be the right side \
                      of a shard-local join; replicate it (no geo column) or run unsharded",
                     join.right_table,
-                    set.shards.len()
+                    self.shards.len()
                 )));
             }
         }
@@ -237,14 +190,14 @@ impl ShardedBackend {
     /// The shards a query on `query.table` must be fanned out to: every shard
     /// owning a tile the query's spatial window overlaps. Queries over
     /// replicated tables route to shard 0.
-    fn route(set: &ShardSet, query: &Query) -> Result<Vec<usize>> {
-        Self::check_join_is_shard_local(set, query)?;
-        let part = Self::partition_of(set, &query.table)?;
+    fn route(&self, query: &Query) -> Result<Vec<usize>> {
+        self.check_join_is_shard_local(query)?;
+        let part = self.partition_of(&query.table)?;
         let attr = match part.geo_attr {
             None => return Ok(vec![0]),
             Some(attr) => attr,
         };
-        let targets = part.overlapping_shards(&Self::query_window(query, attr), set.shards.len());
+        let targets = part.overlapping_shards(&Self::query_window(query, attr), self.shards.len());
         if targets.is_empty() {
             // The viewport misses the data entirely; one shard still runs the
             // query so overheads and the (empty) result shape are reported.
@@ -256,7 +209,7 @@ impl ShardedBackend {
     /// Public view of [`Self::route`] for tests, benchmarks and fan-out
     /// metrics.
     pub fn overlapping_shards(&self, query: &Query) -> Result<Vec<usize>> {
-        Self::route(&self.inner.read(), query)
+        self.route(query)
     }
 
     /// The current circuit-breaker state of every shard, in shard order. The
@@ -270,42 +223,19 @@ impl ShardedBackend {
         self.policy
     }
 
-    /// The partitioning scheme geo tables were laid out under.
-    pub fn partition_scheme(&self) -> PartitionScheme {
-        self.scheme
-    }
-
-    /// Cumulative simulated milliseconds of shard work recorded since build or
-    /// the last [`Self::rebalance`] — the hot/cold signal the rebalancer acts
-    /// on, and the balance metric the `shard-skew` benchmark reports.
-    pub fn shard_work(&self) -> Vec<f64> {
-        self.work.lock().shard_ms.clone()
-    }
-
-    /// Shard executions recorded per shard since build or the last
-    /// [`Self::rebalance`].
-    pub fn shard_requests(&self) -> Vec<u64> {
-        self.work.lock().shard_requests.clone()
-    }
-
     /// Runs `call` on every target shard in route order on the calling thread,
     /// each behind its [`ShardGuard`], and returns the results in target
     /// order. Every target runs even after one fails, so breakers, fault
     /// counters and the per-shard arrival sequence see the whole request (see
     /// the module docs for why the shards share one thread).
-    fn fan_out(
-        &self,
-        shards: &[Arc<dyn QueryBackend>],
-        targets: &[usize],
-        call: &ShardCall<'_>,
-    ) -> Vec<(usize, Result<RunOutcome>)> {
+    fn fan_out(&self, targets: &[usize], call: &ShardCall<'_>) -> Vec<(usize, Result<RunOutcome>)> {
         let attempt = |shard: usize| {
             let guard = ShardGuard {
                 shard,
                 breaker: &self.breakers[shard],
                 policy: self.policy,
             };
-            (shard, guard.attempt(shards[shard].as_ref(), call))
+            (shard, guard.attempt(self.shards[shard].as_ref(), call))
         };
         targets.iter().copied().map(attempt).collect()
     }
@@ -342,18 +272,14 @@ impl ShardedBackend {
         degrade: bool,
         local: &FaultCounters,
     ) -> Result<(RunOutcome, ResultQuality)> {
-        // Held across the whole execution: in-flight requests complete on the
-        // layout they routed on; a concurrent rebalance waits for the write
-        // lock.
-        let set = self.inner.read();
-        let targets = Self::route(&set, query)?;
+        let targets = self.route(query)?;
         let call = ShardCall {
             query,
             ro,
             deadline_ms: ctx.deadline_ms(),
             counters: local,
         };
-        let results = self.fan_out(&set.shards, &targets, &call);
+        let results = self.fan_out(&targets, &call);
 
         // Pre-sized from the fan-out: no re-allocation while collecting.
         let mut successes: Vec<(usize, RunOutcome)> = Vec::with_capacity(targets.len());
@@ -365,10 +291,6 @@ impl ShardedBackend {
                 Err(err) => return Err(err),
             }
         }
-        // Executed work happened whether or not the whole request degrades —
-        // it feeds the hot/cold signal behind `rebalance()`.
-        self.record_work(&set, query, &successes);
-
         if failures.is_empty() {
             if targets.len() == 1 {
                 let (_, mut outcome) = successes.pop().ok_or_else(|| {
@@ -378,7 +300,7 @@ impl ShardedBackend {
                 // order on *every* routing path, so a narrow (single-shard)
                 // viewport orders rows the same way a wide (merged) one does.
                 if let QueryResult::Points(points) = &mut outcome.result {
-                    if !Self::partition_of(&set, &query.table)?.is_replicated() {
+                    if !self.partition_of(&query.table)?.is_replicated() {
                         canonicalise_points(points, query.limit);
                     }
                 }
@@ -387,182 +309,7 @@ impl ShardedBackend {
             let merged = merge_outcomes(query, successes.into_iter().map(|(_, o)| o).collect())?;
             return Ok((merged, ResultQuality::Full));
         }
-        self.degrade_to_survivors(&set, &call, &targets, successes, failures)
-    }
-
-    /// Charges each successful shard execution's simulated time to the shard
-    /// and to the tiles of that shard the query window overlapped (see
-    /// [`rebalance`]). Replicated-table work is excluded: it cannot be
-    /// migrated, so it would only bias the hot/cold choice. The overlapped
-    /// tiles are bucketed by shard in one pass, before the ledger lock.
-    fn record_work(&self, set: &ShardSet, query: &Query, successes: &[(usize, RunOutcome)]) {
-        let Ok(part) = Self::partition_of(set, &query.table) else {
-            return;
-        };
-        let Some(attr) = part.geo_attr else {
-            return;
-        };
-        let w = Self::query_window(query, attr);
-        let tile_count = part.grid.tile_count();
-        let tiles = part.overlapped_tiles_by_shard(&w, set.shards.len());
-        let mut ledger = self.work.lock();
-        for (shard, outcome) in successes {
-            let tiles = tiles.get(*shard).map_or(&[][..], Vec::as_slice);
-            ledger.record(&query.table, tile_count, *shard, tiles, outcome.time_ms);
-        }
-    }
-
-    /// Splits the hottest shard: migrates its most-worked tiles to the coldest
-    /// shard until their recorded work halves, rebuilds both shards from the
-    /// master tables via [`Table::subset`] (indexes and samples re-built as at
-    /// registration), and bumps [`QueryBackend::generation`] so decision
-    /// caches invalidate. Returns `None` when there is nothing to do: fewer
-    /// than two shards, no recorded skew, or no movable (worked) tiles.
-    ///
-    /// Deterministic: the ledger is driven by simulated time, so the same
-    /// request sequence yields the same migration on every run. The decision
-    /// and the swap happen under the write lock — in-flight requests holding
-    /// the read lock finish on the old layout first.
-    pub fn rebalance(&self) -> Result<Option<RebalanceReport>> {
-        let mut set = self.inner.write();
-        let n = set.shards.len();
-        if n < 2 {
-            return Ok(None);
-        }
-        let ledger = self.work.lock().clone();
-        let (mut hot, mut cold) = (0usize, 0usize);
-        for s in 1..n {
-            if ledger.shard_ms[s] > ledger.shard_ms[hot] {
-                hot = s;
-            }
-            if ledger.shard_ms[s] < ledger.shard_ms[cold] {
-                cold = s;
-            }
-        }
-        if ledger.shard_ms[hot] <= ledger.shard_ms[cold] + 1e-12 {
-            return Ok(None);
-        }
-
-        let mut moved_tiles = 0usize;
-        let mut moved_rows = 0usize;
-        let mut moved_work_ms = 0.0f64;
-        let mut tables: Vec<String> = Vec::new();
-        let mut names: Vec<String> = set
-            .partitions
-            .iter()
-            .filter(|(_, p)| !p.is_replicated())
-            .map(|(name, _)| name.clone())
-            .collect();
-        names.sort();
-        for name in &names {
-            let Some(part) = set.partitions.get_mut(name) else {
-                continue;
-            };
-            let tile_work = ledger.tile_work(name, part.grid.tile_count());
-            let work_of = |shard: usize| -> f64 {
-                part.tiles_of_shard(shard)
-                    .into_iter()
-                    .map(|t| tile_work[t])
-                    .sum()
-            };
-            let hot_total = work_of(hot);
-            let cold_total = work_of(cold);
-            // Move half the gap: enough to matter, bounded so the roles don't
-            // simply swap.
-            let target = (hot_total - cold_total) / 2.0;
-            if target <= 0.0 {
-                continue;
-            }
-            let mut movable: Vec<usize> = part
-                .tiles_of_shard(hot)
-                .into_iter()
-                .filter(|&t| tile_work[t] > 0.0)
-                .collect();
-            movable.sort_by(|&a, &b| tile_work[b].total_cmp(&tile_work[a]).then(a.cmp(&b)));
-            let mut moved_here = 0.0f64;
-            let mut any = false;
-            for t in movable {
-                if moved_here >= target {
-                    break;
-                }
-                part.owner[t] = cold;
-                moved_here += tile_work[t];
-                moved_tiles += 1;
-                moved_rows += part.tile_rows[t];
-                any = true;
-            }
-            if any {
-                part.recount_shard_rows(n);
-                moved_work_ms += moved_here;
-                tables.push(name.clone());
-            }
-        }
-        if tables.is_empty() {
-            return Ok(None);
-        }
-
-        // Rebuild the two affected shards from the master tables under the new
-        // owner map, re-wrapped through the same decorator hook as at build.
-        let before = self.gen_extra.load(Ordering::Relaxed)
-            + set.shards.iter().map(|s| s.generation()).sum::<u64>();
-        for &shard in &[hot, cold] {
-            let db = self.rebuild_shard(&set.partitions, shard, n)?;
-            set.shards[shard] = (self.wrap)(shard, Arc::new(db) as Arc<dyn QueryBackend>);
-        }
-        // A rebuilt shard restarts its generation count; keep the composed
-        // generation strictly increasing so stale cached decisions die.
-        let sum_new: u64 = set.shards.iter().map(|s| s.generation()).sum();
-        self.gen_extra
-            .store((before + 1).saturating_sub(sum_new), Ordering::Relaxed);
-        // The migration changed what each shard's work will be; old
-        // attribution no longer describes the new layout.
-        self.work.lock().reset();
-        Ok(Some(RebalanceReport {
-            from_shard: hot,
-            to_shard: cold,
-            moved_tiles,
-            moved_rows,
-            moved_work_ms,
-            tables,
-        }))
-    }
-
-    /// Rebuilds one shard's [`Database`] from the master tables under the
-    /// current partitions: partitioned tables via [`Table::subset`] of the
-    /// owner map's rows, replicated tables in full, indexes and samples as
-    /// recorded at build time.
-    fn rebuild_shard(
-        &self,
-        partitions: &HashMap<String, TablePartition>,
-        shard: usize,
-        shards: usize,
-    ) -> Result<Database> {
-        let mut db = Database::new(self.config.clone());
-        let mut names: Vec<&String> = self.masters.keys().collect();
-        names.sort();
-        for name in names {
-            let master = &self.masters[name];
-            let part = partitions
-                .get(name.as_str())
-                .ok_or_else(|| Error::Internal(format!("table {name} lost its partition")))?;
-            if part.is_replicated() {
-                db.register_table(master.clone())?;
-            } else {
-                let assignment = part.assign_rows(master, shards)?;
-                db.register_table(master.subset(&assignment[shard])?)?;
-            }
-            if let Some(cols) = self.indexed.get(name.as_str()) {
-                for col in cols {
-                    db.build_index(name, col)?;
-                }
-            }
-            if let Some(pcts) = self.sample_fractions.get(name.as_str()) {
-                for &pct in pcts {
-                    db.build_sample(name, pct)?;
-                }
-            }
-        }
-        Ok(db)
+        self.degrade_to_survivors(&call, &targets, successes, failures)
     }
 
     /// Builds the degraded answer: merge the surviving shards, try the sampling
@@ -570,7 +317,6 @@ impl ShardedBackend {
     /// fraction of the targeted rows.
     fn degrade_to_survivors(
         &self,
-        set: &ShardSet,
         call: &ShardCall<'_>,
         targets: &[usize],
         successes: Vec<(usize, RunOutcome)>,
@@ -578,7 +324,7 @@ impl ShardedBackend {
     ) -> Result<(RunOutcome, ResultQuality)> {
         let (query, deadline, local) = (call.query, call.deadline_ms, call.counters);
         local.record(|s| s.degraded += 1);
-        let part = Self::partition_of(set, &query.table)?;
+        let part = self.partition_of(&query.table)?;
         let rows_of = |shard: usize| part.shard_rows.get(shard).copied().unwrap_or(0) as f64;
         let total: f64 = targets.iter().map(|&s| rows_of(s)).sum();
         let mut covered: f64 = successes.iter().map(|&(s, _)| rows_of(s)).sum();
@@ -596,7 +342,7 @@ impl ShardedBackend {
             let fallback_ro = RewriteOption::approximate(HintSet::none(), rule);
             for &(shard, _) in &failures {
                 let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    set.shards[shard].run(query, &fallback_ro)
+                    self.shards[shard].run(query, &fallback_ro)
                 }));
                 if let Ok(Ok(mut outcome)) = attempt {
                     let kept = rule.kept_fraction();
@@ -615,7 +361,7 @@ impl ShardedBackend {
             // Every targeted shard failed and no fallback covered it: an empty
             // result of the query's shape, not a hard error — the serving layer
             // reports it as a zero-coverage degraded answer.
-            let plan = set.shards[targets[0]].plan(query, call.ro)?;
+            let plan = self.shards[targets[0]].plan(query, call.ro)?;
             let result = match &query.output {
                 OutputKind::BinnedCounts { .. } => QueryResult::Bins(Vec::new()),
                 OutputKind::Points { .. } => QueryResult::Points(Vec::new()),
@@ -667,14 +413,13 @@ impl ShardedBackend {
         table: &str,
         f: impl Fn(&dyn QueryBackend) -> Result<f64>,
     ) -> Result<f64> {
-        let set = self.inner.read();
-        let part = Self::partition_of(&set, table)?;
+        let part = self.partition_of(table)?;
         if part.is_replicated() {
-            return f(set.shards[0].as_ref());
+            return f(self.shards[0].as_ref());
         }
         let mut weighted = 0.0;
         let mut rows = 0usize;
-        for (shard, &shard_rows) in set.shards.iter().zip(&part.shard_rows) {
+        for (shard, &shard_rows) in self.shards.iter().zip(&part.shard_rows) {
             if shard_rows == 0 {
                 continue;
             }
@@ -690,15 +435,13 @@ impl ShardedBackend {
 
 impl QueryBackend for ShardedBackend {
     fn table_names(&self) -> Vec<String> {
-        let set = self.inner.read();
-        let mut names: Vec<String> = set.partitions.keys().cloned().collect();
+        let mut names: Vec<String> = self.partitions.keys().cloned().collect();
         names.sort();
         names
     }
 
     fn row_count(&self, table: &str) -> Result<usize> {
-        let set = self.inner.read();
-        let part = Self::partition_of(&set, table)?;
+        let part = self.partition_of(table)?;
         if part.is_replicated() {
             return Ok(part.shard_rows.first().copied().unwrap_or(0));
         }
@@ -720,26 +463,24 @@ impl QueryBackend for ShardedBackend {
     }
 
     fn indexed_columns(&self, table: &str) -> Result<Vec<usize>> {
-        self.inner.read().shards[0].indexed_columns(table)
+        self.shards[0].indexed_columns(table)
     }
 
     fn sample_len(&self, table: &str, fraction_pct: u32) -> Result<usize> {
-        let set = self.inner.read();
-        let part = Self::partition_of(&set, table)?;
+        let part = self.partition_of(table)?;
         if part.is_replicated() {
-            return set.shards[0].sample_len(table, fraction_pct);
+            return self.shards[0].sample_len(table, fraction_pct);
         }
         let mut total = 0usize;
-        for shard in &set.shards {
+        for shard in &self.shards {
             total += shard.sample_len(table, fraction_pct)?;
         }
         Ok(total)
     }
 
     fn plan(&self, query: &Query, ro: &RewriteOption) -> Result<PhysicalPlan> {
-        let set = self.inner.read();
-        let targets = Self::route(&set, query)?;
-        set.shards[targets[0]].plan(query, ro)
+        let targets = self.route(query)?;
+        self.shards[targets[0]].plan(query, ro)
     }
 
     fn run(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
@@ -765,24 +506,22 @@ impl QueryBackend for ShardedBackend {
 
     fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
         // The slowest overlapping shard, as `run` merges simulated times.
-        let set = self.inner.read();
-        let targets = Self::route(&set, query)?;
+        let targets = self.route(query)?;
         let mut slowest = 0.0f64;
         for &shard in &targets {
-            slowest = slowest.max(set.shards[shard].execution_time_ms(query, ro)?);
+            slowest = slowest.max(self.shards[shard].execution_time_ms(query, ro)?);
         }
         Ok(slowest)
     }
 
     fn estimated_cardinality(&self, query: &Query) -> Result<f64> {
-        let set = self.inner.read();
-        Self::check_join_is_shard_local(&set, query)?;
-        let part = Self::partition_of(&set, &query.table)?;
+        self.check_join_is_shard_local(query)?;
+        let part = self.partition_of(&query.table)?;
         if part.is_replicated() {
-            return set.shards[0].estimated_cardinality(query);
+            return self.shards[0].estimated_cardinality(query);
         }
         let mut total = 0.0;
-        for (shard, &rows) in set.shards.iter().zip(&part.shard_rows) {
+        for (shard, &rows) in self.shards.iter().zip(&part.shard_rows) {
             if rows == 0 {
                 continue;
             }
@@ -805,14 +544,13 @@ impl QueryBackend for ShardedBackend {
         pred: &Predicate,
         fraction_pct: u32,
     ) -> Result<(f64, usize)> {
-        let set = self.inner.read();
-        let part = Self::partition_of(&set, table)?;
+        let part = self.partition_of(table)?;
         if part.is_replicated() {
-            return set.shards[0].sample_selectivity(table, pred, fraction_pct);
+            return self.shards[0].sample_selectivity(table, pred, fraction_pct);
         }
         let mut matched = 0.0;
         let mut scanned = 0usize;
-        for shard in &set.shards {
+        for shard in &self.shards {
             let (sel, rows) = shard.sample_selectivity(table, pred, fraction_pct)?;
             matched += sel * rows as f64;
             scanned += rows;
@@ -826,30 +564,22 @@ impl QueryBackend for ShardedBackend {
     }
 
     fn render_sql(&self, query: &Query, ro: &RewriteOption) -> String {
-        self.inner.read().shards[0].render_sql(query, ro)
+        self.shards[0].render_sql(query, ro)
     }
 
     fn generation(&self) -> u64 {
-        let set = self.inner.read();
-        self.gen_extra.load(Ordering::Relaxed)
-            + set
-                .shards
-                .iter()
-                .map(|shard| shard.generation())
-                .sum::<u64>()
+        self.shards.iter().map(|shard| shard.generation()).sum()
     }
 
     fn clear_caches(&self) {
-        let set = self.inner.read();
-        for shard in &set.shards {
+        for shard in &self.shards {
             shard.clear_caches();
         }
     }
 
     fn cache_entry_counts(&self) -> (usize, usize) {
-        let set = self.inner.read();
         let mut totals = (0, 0);
-        for shard in &set.shards {
+        for shard in &self.shards {
             let (t, s) = shard.cache_entry_counts();
             totals.0 += t;
             totals.1 += s;
@@ -861,16 +591,23 @@ impl QueryBackend for ShardedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::Database;
     use crate::fault::{FaultInjectingBackend, FaultKind, FaultPlan};
     use crate::query::{BinGrid, JoinSpec, OutputKind, Predicate};
     use crate::schema::ColumnType;
-    use crate::storage::TableBuilder;
+    use crate::storage::{Table, TableBuilder};
+    use crate::sync::Mutex;
     use crate::types::{GeoRect, RecordId};
     use std::collections::BTreeMap;
 
     /// A skewed bi-coastal table: 70% of rows near the west edge, 30% near the
     /// east, timestamps uniform, keyword "hot" on every 4th row.
     pub(super) fn build_table(rows: i64) -> Table {
+        build_table_with_ids(rows, |i| i)
+    }
+
+    /// [`build_table`] with row `i`'s id column set to `id(i)`.
+    fn build_table_with_ids(rows: i64, id: impl Fn(i64) -> i64) -> Table {
         let schema = TableSchema::new("events")
             .with_column("id", ColumnType::Int)
             .with_column("when", ColumnType::Timestamp)
@@ -879,7 +616,7 @@ mod tests {
         let mut b = TableBuilder::new(schema);
         for i in 0..rows {
             b.push_row(|row| {
-                row.set_int("id", i);
+                row.set_int("id", id(i));
                 row.set_timestamp("when", i * 10);
                 let lon = if i % 10 < 7 {
                     -120.0 + (i % 31) as f64 * 0.1
@@ -929,17 +666,15 @@ mod tests {
         b.build()
     }
 
-    /// The legacy 1-D equal-width longitude layout, for tests pinning
-    /// stripe-specific routing (the 2-D default splits a longitude stripe
-    /// across latitude halves).
-    fn sharded_1d(table: &Table, n: usize) -> ShardedBackend {
-        let mut b = ShardedBackend::builder(DbConfig::default(), n)
-            .with_partition_scheme(PartitionScheme::Lon1D);
-        b.register_table(table).unwrap();
-        b.build_all_indexes("events").unwrap();
-        b.build_sample("events", 20).unwrap();
-        b.build()
-    }
+    /// Exactly the bottom-left tile of [`build_table`]'s 64×64 grid (its data
+    /// spans lon -120..-78.4 and lat 30..39, so a tile is 0.65° × 0.14°): a
+    /// viewport inside it routes to the one shard owning that tile.
+    const CORNER_TILE: GeoRect = GeoRect {
+        min_lon: -120.0,
+        min_lat: 30.0,
+        max_lon: -119.4,
+        max_lat: 30.1,
+    };
 
     pub(super) fn viewport(rect: GeoRect, cols: u32, rows: u32) -> Query {
         Query::select("events")
@@ -1037,33 +772,34 @@ mod tests {
         assert_eq!(outcome.result, QueryResult::Bins(vec![]));
     }
 
-    /// The 2-D grid routes on latitude too: a full-width, latitude-thin
-    /// viewport prunes shards, where the 1-D longitude stripes must fan out to
-    /// every shard. Both answers stay byte-identical to the unsharded backend.
+    /// The grid routes on latitude too: a full-width, latitude-thin viewport
+    /// prunes shards that the same longitudes at full height all reach. Both
+    /// answers stay byte-identical to the unsharded backend.
     #[test]
     fn latitude_only_viewports_prune_shards() {
         let table = build_table(2_000);
         let reference = single_db(&table);
+        let backend = sharded(&table, 4);
         let band = viewport(GeoRect::new(-125.0, 30.0, -66.0, 31.0), 8, 4);
+        let full = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 4);
         let ro = RewriteOption::original();
 
-        let tiles = sharded(&table, 4);
-        let pruned = tiles.overlapping_shards(&band).unwrap();
+        let pruned = backend.overlapping_shards(&band).unwrap();
         assert!(
             pruned.len() < 4,
-            "2-D tiles must prune a latitude-thin viewport, got {pruned:?}"
+            "a latitude-thin viewport must prune shards, got {pruned:?}"
         );
-
-        let stripes = sharded_1d(&table, 4);
         assert_eq!(
-            stripes.overlapping_shards(&band).unwrap().len(),
+            backend.overlapping_shards(&full).unwrap().len(),
             4,
-            "1-D longitude stripes cannot prune on latitude"
+            "test premise: the same longitudes at full height reach every shard"
         );
-
-        let expected = reference.run(&band, &ro).unwrap().result;
-        assert_eq!(expected, tiles.run(&band, &ro).unwrap().result);
-        assert_eq!(expected, stripes.run(&band, &ro).unwrap().result);
+        for q in [band, full] {
+            assert_eq!(
+                reference.run(&q, &ro).unwrap().result,
+                backend.run(&q, &ro).unwrap().result
+            );
+        }
     }
 
     /// Distributed LIMIT semantics: the per-shard cap is re-applied at the merge,
@@ -1090,46 +826,35 @@ mod tests {
 
     /// Points of a partitioned table come back in the canonical distributed order
     /// on every routing path — a narrow viewport hitting one shard must order rows
-    /// exactly like a wide viewport that merges several. Checked under both
-    /// schemes; the single-shard premise needs the 1-D stripes (the 2-D grid
-    /// splits a longitude stripe across latitude halves).
+    /// exactly like a wide viewport that merges several. Ids run against
+    /// storage order, so no shard's scan is canonical by itself.
     #[test]
     fn points_order_is_canonical_on_single_and_multi_shard_routes() {
-        let table = build_table(1_200);
+        let table = build_table_with_ids(1_200, |i| 1_200 - i);
+        let backend = sharded(&table, 8);
         let ro = RewriteOption::original();
-        let points_of = |backend: &ShardedBackend, rect: GeoRect| {
+        let wide = GeoRect::new(-125.0, 25.0, -66.0, 49.0);
+        for (rect, single) in [(CORNER_TILE, true), (wide, false)] {
             let q = Query::select("events")
                 .filter(Predicate::spatial_range(2, rect))
                 .output(OutputKind::Points {
                     id_attr: 0,
                     point_attr: 2,
                 });
-            match backend.run(&q, &ro).unwrap().result {
+            let routed = backend.overlapping_shards(&q).unwrap().len();
+            assert_eq!(
+                routed == 1,
+                single,
+                "test premise: {rect:?} routes to {routed}"
+            );
+            let points = match backend.run(&q, &ro).unwrap().result {
                 QueryResult::Points(p) => p,
                 other => panic!("expected points, got {other:?}"),
-            }
-        };
-        let narrow = GeoRect::new(-120.5, 25.0, -119.5, 49.0); // one west stripe
-        let wide = GeoRect::new(-125.0, 25.0, -66.0, 49.0);
-        let backend_1d = sharded_1d(&table, 8);
-        assert!(
-            backend_1d
-                .overlapping_shards(
-                    &Query::select("events").filter(Predicate::spatial_range(2, narrow))
-                )
-                .unwrap()
-                .len()
-                == 1,
-            "test premise: the narrow viewport routes to exactly one 1-D shard"
-        );
-        let backend_2d = sharded(&table, 8);
-        for points in [
-            points_of(&backend_1d, narrow),
-            points_of(&backend_1d, wide),
-            points_of(&backend_2d, narrow),
-            points_of(&backend_2d, wide),
-        ] {
-            assert!(!points.is_empty());
+            };
+            assert!(
+                points.len() > 1,
+                "test premise: {rect:?} holds several rows"
+            );
             assert!(
                 points.windows(2).all(|w| w[0].0 <= w[1].0),
                 "points must be in canonical (id-sorted) order on every route"
@@ -1343,9 +1068,8 @@ mod tests {
     fn single_shard_routes_match_the_unsharded_backend() {
         let table = build_table(1_000);
         let reference = single_db(&table);
-        // The 1-D stripes make "one overlapping shard" easy to construct.
-        let backend = sharded_1d(&table, 8);
-        let narrow = viewport(GeoRect::new(-120.3, 25.0, -119.9, 49.0), 4, 4);
+        let backend = sharded(&table, 8);
+        let narrow = viewport(CORNER_TILE, 4, 4);
         assert_eq!(backend.overlapping_shards(&narrow).unwrap().len(), 1);
         let ro = RewriteOption::original();
         assert_eq!(
@@ -1809,95 +1533,65 @@ mod tests {
         assert_eq!(report.outcome.result, QueryResult::Bins(Vec::new()));
     }
 
-    /// Hot-shard splitting end to end: a hammered west-coast hotspot skews the
-    /// work ledger, `rebalance()` migrates tiles from the hottest shard to the
-    /// coldest, the generation strictly increases (decision caches die), rows
-    /// are conserved, and every viewport stays byte-identical to the unsharded
-    /// backend on the new layout.
+    /// A table whose geo extent would be stretched by one `(+inf, lat)` row:
+    /// 1,000 rows on a 40×25 one-degree grid, row 0 optionally moved to
+    /// `+inf` longitude.
+    fn grid_table(infinite: bool) -> Table {
+        let schema = TableSchema::new("events")
+            .with_column("id", ColumnType::Int)
+            .with_column("when", ColumnType::Timestamp)
+            .with_column("loc", ColumnType::Geo);
+        let mut b = TableBuilder::new(schema);
+        for i in 0..1_000i64 {
+            let lon = if infinite && i == 0 {
+                f64::INFINITY
+            } else {
+                -120.0 + (i % 40) as f64
+            };
+            b.push_row(|row| {
+                row.set_int("id", i);
+                row.set_timestamp("when", i);
+                row.set_geo("loc", lon, 25.0 + (i / 40) as f64);
+            });
+        }
+        b.build()
+    }
+
+    /// One `+inf` row neither flattens the tile grid (which spans the finite
+    /// extent; the row sits in an edge tile) nor escapes routing: a window
+    /// reaching out to `+inf` beyond the finite extent still finds it.
     #[test]
-    fn rebalance_migrates_hot_tiles_and_preserves_results() {
-        let table = build_table(2_400);
+    fn an_infinite_row_keeps_shards_balanced_and_reachable() {
+        let clean = sharded(&grid_table(false), 4);
+        let table = grid_table(true);
         let reference = single_db(&table);
         let backend = sharded(&table, 4);
+        let rows = backend.shard_row_counts("events").unwrap();
+        assert_eq!(rows, clean.shard_row_counts("events").unwrap());
+        assert_eq!(rows, vec![250; 4]);
+
         let ro = RewriteOption::original();
-        let hotspot = viewport(GeoRect::new(-120.2, 29.5, -117.0, 40.0), 8, 8);
-        for _ in 0..6 {
-            backend.run(&hotspot, &ro).unwrap();
-        }
-        let work = backend.shard_work();
-        let max = work.iter().cloned().fold(0.0f64, f64::max);
-        let min = work.iter().cloned().fold(f64::INFINITY, f64::min);
-        assert!(
-            max > min,
-            "test premise: the hotspot must skew the ledger, got {work:?}"
-        );
-
-        let gen_before = backend.generation();
-        let rows_before = backend.shard_row_counts("events").unwrap();
-        let report = backend
-            .rebalance()
-            .unwrap()
-            .expect("a skewed ledger must trigger a migration");
-        assert_ne!(report.from_shard, report.to_shard);
-        assert!(report.moved_tiles > 0);
-        assert!(report.moved_work_ms > 0.0);
-        assert_eq!(report.tables, vec!["events".to_string()]);
-        assert!(
-            backend.generation() > gen_before,
-            "a migration must invalidate decision caches"
-        );
-        let rows_after = backend.shard_row_counts("events").unwrap();
+        let beyond = GeoRect::new(-70.0, 25.0, f64::INFINITY, 49.0);
+        let count = |rect: GeoRect| {
+            Query::select("events")
+                .filter(Predicate::spatial_range(2, rect))
+                .output(OutputKind::Count)
+        };
         assert_eq!(
-            rows_after.iter().sum::<usize>(),
-            rows_before.iter().sum::<usize>(),
-            "a migration must conserve rows"
+            reference.run(&count(beyond), &ro).unwrap().result,
+            QueryResult::Count(1),
+            "test premise: only the +inf row lies beyond the finite extent"
         );
-        assert_ne!(rows_after, rows_before, "tiles must actually have moved");
-        assert_eq!(
-            backend.shard_work(),
-            vec![0.0; 4],
-            "the ledger resets after a migration"
-        );
-        // The reset ledger carries no skew signal, so an immediate second call
-        // is a no-op until fresh traffic accumulates.
-        assert_eq!(backend.rebalance().unwrap(), None);
-
-        // Byte-identity on the rebalanced layout, across routing shapes.
-        for rect in [
-            GeoRect::new(-125.0, 25.0, -66.0, 49.0),
-            GeoRect::new(-120.2, 29.5, -117.0, 40.0),
-            GeoRect::new(-121.0, 25.0, -116.0, 49.0),
-            GeoRect::new(-125.0, 30.0, -66.0, 31.0),
+        for q in [
+            count(beyond),
+            count(GeoRect::new(-120.0, 25.0, -100.5, 49.0)),
+            viewport(GeoRect::new(-120.0, 25.0, -81.0, 49.0), 16, 16),
         ] {
-            let q = viewport(rect, 8, 8);
             assert_eq!(
                 reference.run(&q, &ro).unwrap().result,
                 backend.run(&q, &ro).unwrap().result,
-                "results diverged after rebalance for {rect:?}"
+                "{q:?}"
             );
         }
-        let count_q = Query::select("events")
-            .filter(Predicate::keyword(3, "hot"))
-            .output(OutputKind::Count);
-        assert_eq!(
-            reference.run(&count_q, &ro).unwrap().result,
-            backend.run(&count_q, &ro).unwrap().result
-        );
-    }
-
-    /// With no recorded traffic there is no hot shard, so `rebalance()` is a
-    /// no-op — on a fresh backend and on a single shard.
-    #[test]
-    fn rebalance_without_traffic_is_a_no_op() {
-        let table = build_table(600);
-        let backend = sharded(&table, 4);
-        let gen = backend.generation();
-        assert_eq!(backend.rebalance().unwrap(), None);
-        assert_eq!(
-            backend.generation(),
-            gen,
-            "a no-op must not bump generation"
-        );
-        assert_eq!(sharded(&table, 1).rebalance().unwrap(), None);
     }
 }

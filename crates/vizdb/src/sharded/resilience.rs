@@ -3,8 +3,7 @@
 //! one attempt cycle every shard execution goes through.
 //!
 //! Not a [`QueryBackend`] decorator: no unsharded caller needs retries or
-//! breakers, an `Err` carries no `RunReport` to return counters in, and
-//! breakers must survive `rebalance()`'s re-wrap of rebuilt shards.
+//! breakers, and an `Err` carries no `RunReport` to return counters in.
 
 use crate::backend::{FaultStats, QueryBackend};
 use crate::db::RunOutcome;

@@ -1,59 +1,27 @@
 //! 2-D tile partitioning: the grid, the space-filling curve, and the
 //! balanced tile→shard assignment behind [`super::ShardedBackend`].
 //!
-//! A partitioned table is laid out over a `dim_lon × dim_lat` grid of
-//! equal-sized lon×lat tiles spanning the table's geo extent (from its
-//! statistics — the same statistics a coordinator node would have). Tiles are
-//! ordered along a Z-order (Morton) curve and *contiguous curve runs* are
-//! assigned to shards by greedy row-count balancing, so every shard holds a
-//! spatially coherent region with about `rows / shards` rows even when the
-//! data is heavily skewed (a metro hotspot spans many small tiles instead of
-//! saturating one equal-width longitude stripe).
-//!
-//! The legacy 1-D layout is the degenerate grid `dim = (shards, 1)` with the
-//! identity tile→shard assignment — equal-width longitude stripes, exactly the
-//! pre-tile behaviour — kept selectable via [`PartitionScheme::Lon1D`] for
-//! baselines and benchmarks.
+//! A partitioned table is laid out over a `dim × dim` grid of equal-sized
+//! lon×lat tiles spanning the table's geo extent (from its statistics — the
+//! same statistics a coordinator node would have). Tiles are ordered along a
+//! Z-order (Morton) curve and *contiguous curve runs* are assigned to shards by
+//! greedy row-count balancing, so every shard holds a spatially coherent
+//! region with about `rows / shards` rows even when the data is heavily
+//! skewed. The layout is computed once, at registration, and never changes.
 //!
 //! Routing uses **both axes**: a query's longitude *and* latitude intervals
 //! (spatial predicates on the partition column intersected with a heatmap's
 //! grid extent) map to a tile rectangle, and the fan-out is the set of shards
-//! owning at least one tile in it. A latitude-only viewport therefore prunes
-//! shards, which the 1-D layout could never do.
+//! owning at least one tile in it, so a latitude-only viewport prunes shards
+//! too.
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::storage::Table;
 use crate::types::{GeoRect, RecordId};
 
-/// How geo tables are partitioned across shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionScheme {
-    /// Equal-width longitude stripes, one per shard (the legacy layout): a
-    /// `shards × 1` tile grid with the identity assignment. No latitude
-    /// pruning, no balancing — kept as the benchmark baseline.
-    Lon1D,
-    /// A `grid_dim × grid_dim` lon×lat tile grid, tiles ordered by the Z-order
-    /// curve and assigned to shards in contiguous runs balanced by row count.
-    Tiles2D {
-        /// Tiles per axis. Larger grids split hotspots finer at the cost of a
-        /// longer owner table; 64 (4096 tiles) resolves a metro-sized blob
-        /// into dozens of tiles over a continental extent.
-        grid_dim: u32,
-    },
-}
-
-impl PartitionScheme {
-    /// The default 2-D grid resolution.
-    pub const DEFAULT_GRID_DIM: u32 = 64;
-}
-
-impl Default for PartitionScheme {
-    fn default() -> Self {
-        PartitionScheme::Tiles2D {
-            grid_dim: Self::DEFAULT_GRID_DIM,
-        }
-    }
-}
+/// Tiles per axis of the default grid: 4,096 tiles resolve a metro-sized blob
+/// into dozens of tiles over a continental extent.
+pub(crate) const GRID_DIM: u32 = 64;
 
 /// The query's spatial window on the partition column: the intersection of its
 /// spatial-range predicates and (for heatmaps) the binning grid extent, per
@@ -86,7 +54,11 @@ impl QueryWindow {
 /// `dim_lon × dim_lat` equal-sized tiles.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TileGrid {
+    /// The finite extent the tiles divide.
     pub bounds: GeoRect,
+    /// The bounding box of every row, `±inf` coordinates included (they sit
+    /// in the edge tiles): a window outside it holds no row.
+    pub reach: GeoRect,
     pub dim_lon: u32,
     pub dim_lat: u32,
 }
@@ -95,6 +67,7 @@ impl TileGrid {
     pub fn new(bounds: GeoRect, dim_lon: u32, dim_lat: u32) -> Self {
         Self {
             bounds,
+            reach: bounds,
             dim_lon: dim_lon.max(1),
             dim_lat: dim_lat.max(1),
         }
@@ -129,15 +102,15 @@ impl TileGrid {
 
     /// The inclusive tile rectangle `(tx0, tx1, ty0, ty1)` a query window
     /// overlaps, or `None` when the window is empty or entirely outside the
-    /// data extent.
+    /// rows' reach.
     pub fn tile_span(&self, w: &QueryWindow) -> Option<(usize, usize, usize, usize)> {
         if w.lon.0 > w.lon.1 || w.lat.0 > w.lat.1 {
             return None;
         }
-        if w.lon.1 < self.bounds.min_lon || w.lon.0 > self.bounds.max_lon {
+        if w.lon.1 < self.reach.min_lon || w.lon.0 > self.reach.max_lon {
             return None;
         }
-        if w.lat.1 < self.bounds.min_lat || w.lat.0 > self.bounds.max_lat {
+        if w.lat.1 < self.reach.min_lat || w.lat.0 > self.reach.max_lat {
             return None;
         }
         let lw = self.lon_width();
@@ -163,7 +136,7 @@ fn spread_bits(v: u32) -> u64 {
 
 /// Z-order (Morton) code of tile `(tx, ty)`: bit-interleaved coordinates, so
 /// consecutive codes are spatially adjacent at every power-of-two scale.
-pub(crate) fn morton(tx: u32, ty: u32) -> u64 {
+fn morton(tx: u32, ty: u32) -> u64 {
     spread_bits(tx) | (spread_bits(ty) << 1)
 }
 
@@ -206,8 +179,6 @@ pub(crate) struct TablePartition {
     pub grid: TileGrid,
     /// Owning shard per tile; empty for replicated tables.
     pub owner: Vec<usize>,
-    /// Rows per tile; empty for replicated tables.
-    pub tile_rows: Vec<usize>,
     /// Rows per shard (for replicated tables: the single replica's count).
     pub shard_rows: Vec<usize>,
 }
@@ -223,32 +194,27 @@ impl TablePartition {
             geo_attr: None,
             grid: TileGrid::new(GeoRect::new(0.0, 0.0, 0.0, 0.0), 1, 1),
             owner: Vec::new(),
-            tile_rows: Vec::new(),
             shard_rows: vec![rows; shards],
         }
     }
 
-    /// Partitions `table` on geo column `attr` over `shards` shards under
-    /// `scheme`, returning the layout plus the per-shard row assignment (in
-    /// storage order, ready for [`Table::subset`]).
+    /// Partitions `table` on geo column `attr` over `shards` shards on a
+    /// `grid_dim × grid_dim` grid spanning the finite `bounds`, returning the
+    /// layout plus the per-shard row assignment (in storage order, ready for
+    /// [`Table::subset`]).
     pub fn partitioned(
         table: &Table,
         attr: usize,
         bounds: GeoRect,
         shards: usize,
-        scheme: PartitionScheme,
+        grid_dim: u32,
     ) -> Result<(Self, Vec<Vec<RecordId>>)> {
-        let bounds = if table.row_count() == 0 {
+        let bounds = if bounds.is_empty() {
             GeoRect::new(0.0, 0.0, 0.0, 0.0)
         } else {
             bounds
         };
-        let grid = match scheme {
-            PartitionScheme::Lon1D => TileGrid::new(bounds, shards as u32, 1),
-            PartitionScheme::Tiles2D { grid_dim } => {
-                TileGrid::new(bounds, grid_dim.max(1), grid_dim.max(1))
-            }
-        };
+        let mut grid = TileGrid::new(bounds, grid_dim, grid_dim);
         let mut tile_rows = vec![0usize; grid.tile_count()];
         let mut row_tile: Vec<u32> = Vec::with_capacity(table.row_count());
         for rid in 0..table.row_count() as RecordId {
@@ -256,57 +222,20 @@ impl TablePartition {
             let tile = grid.tile_of(p.lon, p.lat);
             tile_rows[tile] += 1;
             row_tile.push(tile as u32);
+            grid.reach.extend(&p);
         }
-        let owner = match scheme {
-            // Equal-width stripes: tile i *is* shard i.
-            PartitionScheme::Lon1D => (0..grid.tile_count()).collect(),
-            PartitionScheme::Tiles2D { .. } => {
-                assign_balanced(&tile_rows, &curve_order(grid.dim_lon, grid.dim_lat), shards)
-            }
-        };
+        let owner = assign_balanced(&tile_rows, &curve_order(grid.dim_lon, grid.dim_lat), shards);
+        let mut assignment: Vec<Vec<RecordId>> = vec![Vec::new(); shards];
+        for (rid, &tile) in row_tile.iter().enumerate() {
+            assignment[owner[tile as usize]].push(rid as RecordId);
+        }
         let part = Self {
             geo_attr: Some(attr),
             grid,
             owner,
-            tile_rows,
-            shard_rows: Vec::new(), // filled below
+            shard_rows: assignment.iter().map(Vec::len).collect(),
         };
-        let assignment = part.assignment_from(&row_tile, shards);
-        let mut part = part;
-        part.shard_rows = assignment.iter().map(Vec::len).collect();
         Ok((part, assignment))
-    }
-
-    /// Per-shard row-id lists (storage order) from a row→tile map.
-    fn assignment_from(&self, row_tile: &[u32], shards: usize) -> Vec<Vec<RecordId>> {
-        let mut assignment: Vec<Vec<RecordId>> = vec![Vec::new(); shards];
-        for (rid, &tile) in row_tile.iter().enumerate() {
-            assignment[self.owner[tile as usize]].push(rid as RecordId);
-        }
-        assignment
-    }
-
-    /// Recomputes the per-shard row assignment of `table` under the current
-    /// tile→shard owner map (used when rebuilding shards after a rebalance).
-    pub fn assign_rows(&self, table: &Table, shards: usize) -> Result<Vec<Vec<RecordId>>> {
-        let attr = self
-            .geo_attr
-            .ok_or_else(|| Error::Internal("assigning rows of a replicated table".into()))?;
-        let mut assignment: Vec<Vec<RecordId>> = vec![Vec::new(); shards];
-        for rid in 0..table.row_count() as RecordId {
-            let p = table.geo(attr, rid)?;
-            assignment[self.owner[self.grid.tile_of(p.lon, p.lat)]].push(rid);
-        }
-        Ok(assignment)
-    }
-
-    /// Recomputes `shard_rows` from `tile_rows` under the current owner map.
-    pub fn recount_shard_rows(&mut self, shards: usize) {
-        let mut rows = vec![0usize; shards];
-        for (tile, &r) in self.tile_rows.iter().enumerate() {
-            rows[self.owner[tile]] += r;
-        }
-        self.shard_rows = rows;
     }
 
     /// The shards owning at least one tile the query window overlaps, in
@@ -322,40 +251,6 @@ impl TablePartition {
             }
         }
         (0..shards).filter(|&s| hit[s]).collect()
-    }
-
-    /// The tiles the query window overlaps, with their row counts, bucketed
-    /// by owning shard (row-major within a bucket) in one pass over the tile
-    /// span — the attribution targets for per-tile work accounting.
-    pub fn overlapped_tiles_by_shard(
-        &self,
-        w: &QueryWindow,
-        shards: usize,
-    ) -> Vec<Vec<(usize, usize)>> {
-        let mut by_shard = vec![Vec::new(); shards];
-        let Some((tx0, tx1, ty0, ty1)) = self.grid.tile_span(w) else {
-            return by_shard;
-        };
-        for ty in ty0..=ty1 {
-            for tx in tx0..=tx1 {
-                let tile = ty * self.grid.dim_lon as usize + tx;
-                let (Some(&shard), Some(&rows)) = (self.owner.get(tile), self.tile_rows.get(tile))
-                else {
-                    continue;
-                };
-                if let Some(bucket) = by_shard.get_mut(shard) {
-                    bucket.push((tile, rows));
-                }
-            }
-        }
-        by_shard
-    }
-
-    /// All tiles currently owned by `shard`.
-    pub fn tiles_of_shard(&self, shard: usize) -> Vec<usize> {
-        (0..self.owner.len())
-            .filter(|&t| self.owner[t] == shard)
-            .collect()
     }
 }
 
@@ -408,48 +303,6 @@ mod tests {
                 rows <= total / 4 + 500,
                 "shard {s} holds {rows} of {total} rows"
             );
-        }
-    }
-
-    /// One pass bucketing by owner yields, per shard, exactly the tiles (and
-    /// the order) a per-shard filter of the span does, so the work ledger's
-    /// per-tile additions are unchanged.
-    #[test]
-    fn overlapped_tiles_bucket_by_owner_in_span_order() {
-        let grid = TileGrid::new(GeoRect::new(-120.0, 30.0, -80.0, 50.0), 8, 8);
-        let tile_rows: Vec<usize> = (0..64).map(|t| (t * 7) % 11).collect();
-        let owner = assign_balanced(&tile_rows, &curve_order(8, 8), 3);
-        let part = TablePartition {
-            geo_attr: Some(0),
-            grid,
-            owner,
-            tile_rows,
-            shard_rows: Vec::new(),
-        };
-        for rect in [
-            GeoRect::new(-125.0, 25.0, -70.0, 55.0),
-            GeoRect::new(-110.0, 35.0, -95.0, 42.0),
-            GeoRect::new(-60.0, 30.0, -50.0, 40.0),
-        ] {
-            let mut w = QueryWindow::unconstrained();
-            w.narrow(&rect);
-            let buckets = part.overlapped_tiles_by_shard(&w, 3);
-            assert_eq!(buckets.len(), 3);
-            let span = grid.tile_span(&w);
-            for (shard, bucket) in buckets.iter().enumerate() {
-                let mut expected = Vec::new();
-                if let Some((tx0, tx1, ty0, ty1)) = span {
-                    for ty in ty0..=ty1 {
-                        for tx in tx0..=tx1 {
-                            let tile = ty * 8 + tx;
-                            if part.owner[tile] == shard {
-                                expected.push((tile, part.tile_rows[tile]));
-                            }
-                        }
-                    }
-                }
-                assert_eq!(bucket, &expected, "{rect:?} shard {shard}");
-            }
         }
     }
 

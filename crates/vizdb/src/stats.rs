@@ -135,7 +135,7 @@ impl TextStats {
 /// selectivity estimation must assume spatial uniformity.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GeoStats {
-    /// Bounding box of all points.
+    /// Bounding box of the points whose coordinates are both finite.
     pub bounds: GeoRect,
     /// Number of points.
     pub count: usize,
@@ -193,7 +193,12 @@ impl TableStats {
                     let mut count = 0;
                     if let ColumnData::Geo(points) = table.column(idx)? {
                         for p in points {
-                            bounds.extend(p);
+                            // A ±inf coordinate would make the box infinite
+                            // and every overlap fraction zero (`min`/`max`
+                            // already skip NaN).
+                            if p.lon.is_finite() && p.lat.is_finite() {
+                                bounds.extend(p);
+                            }
                             count += 1;
                         }
                     }
@@ -291,6 +296,42 @@ mod tests {
             estimate < 0.5,
             "uniformity estimate should be small, got {estimate}"
         );
+    }
+
+    /// One `(+inf, lat)` row neither zeroes the estimate of a finite
+    /// viewport nor turns an infinite one into NaN: the bounds keep to the
+    /// finite points.
+    #[test]
+    fn infinite_points_do_not_stretch_the_geo_bounds() {
+        let geo_of = |infinite: bool| {
+            let mut b =
+                TableBuilder::new(TableSchema::new("g").with_column("loc", ColumnType::Geo));
+            for i in 0..1_000 {
+                let lon = if infinite && i == 0 {
+                    f64::INFINITY
+                } else {
+                    -100.0 + (i % 40) as f64
+                };
+                b.push_row(|row| row.set_geo("loc", lon, 30.0 + (i / 40) as f64));
+            }
+            match TableStats::analyze(&b.build()).unwrap().column(0) {
+                Some(ColumnStats::Geo(geo)) => geo.clone(),
+                other => panic!("expected geo stats, got {other:?}"),
+            }
+        };
+        let (clean, dirty) = (geo_of(false), geo_of(true));
+        assert_eq!(dirty.count, 1_000);
+        assert_eq!(dirty.bounds, clean.bounds);
+        let half = GeoRect::new(-100.0, 30.0, -80.0, 54.0);
+        let estimate = dirty.range_selectivity(&half);
+        assert!((estimate - 0.51).abs() < 0.01, "estimate {estimate}");
+        let everywhere = GeoRect::new(
+            f64::NEG_INFINITY,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::INFINITY,
+        );
+        assert_eq!(dirty.range_selectivity(&everywhere), 1.0);
     }
 
     #[test]

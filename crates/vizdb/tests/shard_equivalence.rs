@@ -10,7 +10,7 @@ use vizdb::query::{BinGrid, OutputKind, Predicate, Query};
 use vizdb::schema::{ColumnType, TableSchema};
 use vizdb::storage::{Table, TableBuilder};
 use vizdb::types::GeoRect;
-use vizdb::{Database, DbConfig, PartitionScheme, QueryBackend, ShardedBackend};
+use vizdb::{Database, DbConfig, QueryBackend, ShardedBackend};
 
 fn build_table(points: &[(f64, f64)], with_keyword_every: usize) -> Table {
     let schema = TableSchema::new("events")
@@ -68,38 +68,33 @@ fn unsharded(table: &Table) -> Database {
     db
 }
 
+/// A backend on the default 64×64 tile grid.
 fn sharded(table: &Table, shards: usize) -> ShardedBackend {
-    sharded_with_scheme(table, shards, PartitionScheme::default())
+    sharded_on_grid(table, shards, 64)
 }
 
-fn sharded_with_scheme(table: &Table, shards: usize, scheme: PartitionScheme) -> ShardedBackend {
-    let mut builder =
-        ShardedBackend::builder(DbConfig::default(), shards).with_partition_scheme(scheme);
+fn sharded_on_grid(table: &Table, shards: usize, grid_dim: u32) -> ShardedBackend {
+    let mut builder = ShardedBackend::builder(DbConfig::default(), shards).with_grid_dim(grid_dim);
     builder.register_table(table).unwrap();
     builder.build_all_indexes("events").unwrap();
     builder.build()
 }
 
-/// Every partitioning a backend can be built with: the legacy 1-D equal-width
-/// stripes and 2-D tile grids at several resolutions (including a 1×1 grid,
-/// the everything-on-one-shard degenerate case).
-const SCHEMES: [PartitionScheme; 4] = [
-    PartitionScheme::Lon1D,
-    PartitionScheme::Tiles2D { grid_dim: 1 },
-    PartitionScheme::Tiles2D { grid_dim: 7 },
-    PartitionScheme::Tiles2D { grid_dim: 64 },
-];
+/// Tile grid resolutions (tiles per axis) a backend is checked under: a 1×1
+/// grid (the everything-on-one-shard degenerate case), an odd 7×7 and the
+/// default 64×64.
+const GRID_DIMS: [u32; 3] = [1, 7, 64];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The headline invariant: merged heatmap grids are byte-identical for any
     /// viewport and grid resolution, under **every** partitioning — unsharded
-    /// vs 1-D stripes vs 2-D tile grids at 1, 2, 4 and 8 shards, on the drawn
-    /// grid and on one fixed shape. With `warm`, every shard the grid routes
-    /// to first bins all its rows on it, so it builds its own cell column for
-    /// the grid; otherwise every shard's column holds another grid and it
-    /// bins by arithmetic. The first rows sit at NaN and infinite
+    /// vs tile grids of 1, 7 and 64 tiles per axis at 1, 2, 4 and 8 shards, on
+    /// the drawn grid and on one fixed shape. With `warm`, every shard the
+    /// grid routes to first bins all its rows on it, so it builds its own cell
+    /// column for the grid; otherwise every shard's column holds another grid
+    /// and it bins by arithmetic. The first rows sit at NaN and infinite
     /// coordinates, on the grid's edges and outside it.
     #[test]
     fn binned_counts_are_byte_identical(
@@ -139,9 +134,9 @@ proptest! {
                 query = query.filter(Predicate::spatial_range(2, rect));
             }
             let expected = reference.run(&query, &ro).unwrap().result;
-            for scheme in SCHEMES {
+            for grid_dim in GRID_DIMS {
                 for shards in [1usize, 2, 4, 8] {
-                    let backend = sharded_with_scheme(&table, shards, scheme);
+                    let backend = sharded_on_grid(&table, shards, grid_dim);
                     prop_assert!(
                         reference.run(&first, &ro).unwrap().result
                             == backend.run(&first, &ro).unwrap().result
@@ -149,69 +144,11 @@ proptest! {
                     let got = backend.run(&query, &ro).unwrap().result;
                     prop_assert!(
                         expected == got,
-                        "diverged under {:?} at {} shards", scheme, shards
+                        "diverged on a {}×{} tile grid at {} shards", grid_dim, grid_dim, shards
                     );
                 }
             }
         }
-    }
-
-    /// Byte-identity survives a hot-shard split: hammer one region to skew the
-    /// work ledger, `rebalance()`, and compare the exact same queries on the
-    /// migrated layout (plus counts, to cover a second output shape).
-    #[test]
-    fn rebalance_preserves_byte_identity(
-        points in proptest::collection::vec((-120.0f64..-70.0, 25.0f64..48.0), 60..220),
-        shards_idx in 0usize..3,
-        cols in 2u32..16,
-        rows in 2u32..16,
-        hot_lon in -119.0f64..-100.0,
-        hot_lat in 27.0f64..44.0,
-    ) {
-        let shards = [2usize, 4, 8][shards_idx];
-        let table = build_table(&points, 4);
-        let reference = unsharded(&table);
-        let backend = sharded(&table, shards);
-        let ro = vizdb::hints::RewriteOption::original();
-
-        let hotspot = GeoRect::new(hot_lon, hot_lat, hot_lon + 3.0, hot_lat + 3.0);
-        let everywhere = GeoRect::new(-125.0, 25.0, -66.0, 49.0);
-        let queries: Vec<Query> = [hotspot, everywhere]
-            .into_iter()
-            .map(|rect| {
-                Query::select("events")
-                    .filter(Predicate::spatial_range(2, rect))
-                    .output(OutputKind::BinnedCounts {
-                        point_attr: 2,
-                        grid: BinGrid::new(rect, cols, rows),
-                    })
-            })
-            .chain([Query::select("events")
-                .filter(Predicate::keyword(3, "hot"))
-                .output(OutputKind::Count)])
-            .collect();
-
-        // Skew the ledger toward whichever shards own the hotspot. A rebalance
-        // may legitimately be a no-op (e.g. the hotspot region holds no data);
-        // identity must hold either way.
-        for _ in 0..4 {
-            for query in &queries {
-                backend.run(query, &ro).unwrap();
-            }
-        }
-        backend.rebalance().unwrap();
-
-        for query in &queries {
-            prop_assert!(
-                reference.run(query, &ro).unwrap().result
-                    == backend.run(query, &ro).unwrap().result,
-                "diverged after rebalance at {} shards", shards
-            );
-        }
-        prop_assert_eq!(
-            reference.row_count("events").unwrap(),
-            backend.row_count("events").unwrap()
-        );
     }
 
     /// Counts sum exactly and row-count-weighted true selectivities reproduce the

@@ -22,10 +22,7 @@ pub mod tpch;
 pub mod twitter;
 
 pub use nyctaxi::build_nyctaxi;
-pub use querygen::{
-    generate_hotspot_queries, generate_hotspot_workload, generate_queries, generate_workload,
-    QueryGenConfig, LA_CENTRE,
-};
+pub use querygen::{generate_queries, generate_workload, QueryGenConfig};
 pub use scale::DatasetScale;
 pub use split::{split_workload, WorkloadSplit};
 pub use text::TextCorpus;

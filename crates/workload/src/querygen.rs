@@ -87,61 +87,6 @@ pub fn generate_workload(dataset: &Dataset, n: usize, seed: u64) -> Vec<Query> {
     generate_queries(dataset, n, &QueryGenConfig::default(), seed)
 }
 
-/// The Los Angeles metro centre used by [`generate_hotspot_workload`] — the
-/// densest region of the LA-skewed Twitter generator.
-pub const LA_CENTRE: (f64, f64) = (-118.24, 34.05);
-
-/// Zoom levels swept by one hotspot zoom-in sequence: a session starts at a
-/// regional view and ends street-level-ish, like a user drilling into one city.
-const HOTSPOT_ZOOMS: std::ops::Range<u32> = 3..7;
-
-/// A **hotspot viewport workload**: repeated zoom-in sequences concentrated on
-/// one metro region, the skew pattern that saturates a single equal-width
-/// shard while the rest idle (every viewport lands in the same narrow
-/// longitude band). Query `i` is step `i % 4` of a zoom-in sequence over
-/// levels 3..7: the viewport halves per step while its centre jitters inside
-/// the current viewport, and the heatmap grid follows the viewport the way a
-/// map client's tiles do. Deterministic in `seed`.
-pub fn generate_hotspot_queries(
-    dataset: &Dataset,
-    centre: (f64, f64),
-    n: usize,
-    seed: u64,
-) -> Vec<Query> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9E3779B9);
-    let extent = dataset.geo_extent;
-    let spec = &dataset.spec;
-    let steps = HOTSPOT_ZOOMS.len() as u32;
-    (0..n)
-        .map(|i| {
-            let z = HOTSPOT_ZOOMS.start + (i as u32 % steps);
-            let w = extent.width() / f64::powi(2.0, z as i32);
-            let h = extent.height() / f64::powi(2.0, z as i32);
-            // Pan jitter shrinks with the viewport: a user zooming in stays on
-            // the same metro region rather than teleporting.
-            let lon = centre.0 + (rng.gen::<f64>() - 0.5) * w * 0.5;
-            let lat = centre.1 + (rng.gen::<f64>() - 0.5) * h * 0.5;
-            let rect = GeoRect::new(
-                (lon - w / 2.0).max(extent.min_lon),
-                (lat - h / 2.0).max(extent.min_lat),
-                (lon + w / 2.0).min(extent.max_lon),
-                (lat + h / 2.0).min(extent.max_lat),
-            );
-            Query::select(&dataset.table)
-                .filter(Predicate::spatial_range(spec.geo_attr, rect))
-                .output(OutputKind::BinnedCounts {
-                    point_attr: spec.geo_attr,
-                    grid: BinGrid::new(rect, 64, 32),
-                })
-        })
-        .collect()
-}
-
-/// [`generate_hotspot_queries`] centred on [`LA_CENTRE`].
-pub fn generate_hotspot_workload(dataset: &Dataset, n: usize, seed: u64) -> Vec<Query> {
-    generate_hotspot_queries(dataset, LA_CENTRE, n, seed)
-}
-
 fn generate_one<R: Rng>(
     dataset: &Dataset,
     seed: &SeedRecord,
@@ -365,38 +310,6 @@ mod tests {
         assert!(queries
             .iter()
             .all(|q| matches!(q.output, OutputKind::BinnedCounts { .. })));
-    }
-
-    #[test]
-    fn hotspot_workload_stays_on_the_metro_region_and_zooms_in() {
-        let ds = dataset();
-        let queries = generate_hotspot_workload(&ds, 16, 3);
-        assert_eq!(queries.len(), 16);
-        assert_eq!(queries, generate_hotspot_workload(&ds, 16, 3));
-        let mut widths = Vec::new();
-        for q in &queries {
-            let rect = q
-                .predicates
-                .iter()
-                .find_map(|p| match p {
-                    Predicate::SpatialRange { rect, .. } => Some(*rect),
-                    _ => None,
-                })
-                .expect("every hotspot query is a viewport");
-            assert!(
-                rect.min_lon <= LA_CENTRE.0 + 8.0 && rect.max_lon >= LA_CENTRE.0 - 8.0,
-                "viewport {rect:?} wandered off the metro region"
-            );
-            assert!(matches!(q.output, OutputKind::BinnedCounts { .. }));
-            widths.push(rect.width());
-        }
-        // Each 4-step sequence zooms in monotonically.
-        for seq in widths.chunks(4) {
-            assert!(
-                seq.windows(2).all(|w| w[1] < w[0]),
-                "zoom-in sequence must shrink the viewport: {seq:?}"
-            );
-        }
     }
 
     #[test]
