@@ -128,6 +128,14 @@ impl SelectionBitmap {
         fill_span(&mut self.words, lo as usize, hi as usize);
     }
 
+    /// Whether `rid` is in the set.
+    #[inline]
+    pub fn contains(&self, rid: RecordId) -> bool {
+        self.words
+            .get((rid >> 6) as usize)
+            .is_some_and(|w| w & (1u64 << (rid & 63)) != 0)
+    }
+
     /// Drops one id (nothing when it is absent or past the universe).
     #[inline]
     pub fn remove(&mut self, rid: RecordId) {
@@ -162,6 +170,18 @@ impl SelectionBitmap {
         self.words.truncate(other.words.len());
         for (w, o) in self.words.iter_mut().zip(&other.words) {
             *w &= o;
+        }
+    }
+
+    /// Intersects `upto ∖ below` into `self` in one pass: `upto` bounds the
+    /// universe as [`Self::and_with`] does, and ids past `below`'s are not in
+    /// it.
+    pub fn and_difference(&mut self, upto: &Self, below: Option<&Self>) {
+        self.words.truncate(upto.words.len());
+        let below = below.map_or(&[][..], |b| &b.words[..]);
+        let below = below.iter().chain(std::iter::repeat(&0));
+        for ((w, u), b) in self.words.iter_mut().zip(&upto.words).zip(below) {
+            *w &= u & !b;
         }
     }
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::types::RecordId;
+
 /// Convenient result alias used throughout `vizdb`.
 pub type Result<T> = std::result::Result<T, Error>;
 
@@ -28,6 +30,13 @@ pub enum Error {
     },
     /// A predicate referenced an attribute index outside of the table schema.
     InvalidAttribute(usize),
+    /// A row id at or past a table's row count.
+    RowOutOfRange {
+        /// Table name.
+        table: String,
+        /// The rejected row id.
+        row: RecordId,
+    },
     /// An index required by a physical plan has not been built.
     IndexMissing {
         /// Table name.
@@ -111,6 +120,9 @@ impl fmt::Display for Error {
                 "type mismatch on column {column}: expected {expected}, found {actual}"
             ),
             Error::InvalidAttribute(idx) => write!(f, "invalid attribute index {idx}"),
+            Error::RowOutOfRange { table, row } => {
+                write!(f, "row {row} is out of range for table {table}")
+            }
             Error::IndexMissing { table, column } => {
                 write!(f, "no index on {table}.{column}")
             }

@@ -20,6 +20,12 @@
 //! per row. `filter_evals` still charges every row the predicate is
 //! evaluated over, so the work profile does not change.
 //!
+//! An index plan's residual range over a B+-tree column, or rectangle over
+//! an R-tree column, can skip the per-candidate probe altogether: while the
+//! candidates are dense, [`qualify_bitmap`] ANDs the index's whole-table mask
+//! into them, read from its prefix checkpoints, and charges the candidates'
+//! popcount exactly as the probe would have been charged.
+//!
 //! Binned-count outputs additionally get **dense-grid binning**: when the grid
 //! is small enough ([`DENSE_GRID_MAX_CELLS`]) counts accumulate into a
 //! `Vec<u64>` indexed by bin id instead of a `HashMap`, producing the same
@@ -40,7 +46,7 @@ use std::convert::Infallible;
 
 use crate::bitmap::{set_span, SelectionBitmap, CHUNK_BITS, CHUNK_WORDS};
 use crate::error::Result;
-use crate::exec::executor::ExecTable;
+use crate::exec::executor::{ExecTable, MaskSource};
 use crate::index::posting::{ChunkOp, PostingList};
 use crate::query::{BinGrid, CellMap, Predicate};
 use crate::storage::{CellColumn, CellColumnSlot, CellKey, Table, TextColumn};
@@ -627,36 +633,108 @@ fn qualify_range_chunk(
     refine_survivors(preds.get(1..).unwrap_or(&[]), base, words, work);
 }
 
+/// Index-plan survivors are *dense* from one row in this many on: an index
+/// residual's checkpoint mask (a few word passes over the table, plus at
+/// most `⌈m/16⌉` single-bit fix-ups) then costs less than probing each
+/// survivor.
+const DENSE_SURVIVORS: usize = 8;
+
 /// Refines an index-candidate [`SelectionBitmap`] in place through the
-/// compiled residual conjunction, chunk by chunk ([`refine_chunk`]).
-pub fn qualify_bitmap(
+/// compiled residual conjunction, charging residual `k` once per candidate
+/// that survived residuals `0..k`. `most` bounds the candidates from above;
+/// `row_count` is the table's.
+///
+/// Residuals are probed per candidate bit, chunk by chunk ([`refine_chunk`]),
+/// up to the first whose `masks` entry is an index. From there, while the
+/// survivors are dense ([`DENSE_SURVIVORS`]), an index residual whose scan
+/// reads its prefix checkpoints is applied as an AND of that whole-table
+/// mask, straight from the checkpoints
+/// ([`IndexProbe::and_checkpoints`](super::executor::IndexProbe)), and
+/// charged the survivors' popcount. Survivors only shrink, so once they are
+/// sparse every later residual is probed per bit in one more chunk pass;
+/// candidates sparse from the start (by `most`) take the one chunk pass
+/// alone, with no popcount or index lookup added.
+pub(super) fn qualify_bitmap(
     preds: &[CompiledPredicate<'_>],
+    masks: &[MaskSource<'_>],
     candidates: &mut SelectionBitmap,
+    (most, row_count): (usize, usize),
     work: &mut WorkProfile,
     mut per_batch_rows: impl FnMut(&mut WorkProfile, u64),
 ) {
+    let dense = |rows: usize| rows.saturating_mul(DENSE_SURVIVORS) >= row_count;
+    let next_index = |from: usize| {
+        let rest = masks.get(from..).unwrap_or_default();
+        let at = rest.iter().position(|m| matches!(m, MaskSource::Index(_)));
+        at.map_or(preds.len(), |at| from + at)
+    };
+    let mut next = if dense(most) {
+        next_index(0)
+    } else {
+        preds.len()
+    };
+    let head = preds.get(..next).unwrap_or(preds);
+    let mut fetched = 0;
     for (chunk_id, words) in candidates.chunks_mut().enumerate() {
-        refine_chunk(preds, chunk_id, words, work, &mut per_batch_rows);
+        fetched += refine_chunk(head, chunk_id, words, work, &mut per_batch_rows);
+    }
+    // With no residual probed yet, the fetched rows are the survivors.
+    let mut counted = head.is_empty().then_some(fetched as usize);
+    while next < preds.len() {
+        let survivors = counted.take().unwrap_or_else(|| candidates.len());
+        if survivors == 0 {
+            return;
+        }
+        let masked = match masks.get(next) {
+            Some(MaskSource::Index(probe)) if dense(survivors) => probe.and_checkpoints(candidates),
+            _ => false,
+        };
+        if masked {
+            work.filter_evals += survivors as u64;
+            next += 1;
+            continue;
+        }
+        // Per bit: up to the next index residual while dense, else the rest.
+        let end = if dense(survivors) {
+            next_index(next + 1)
+        } else {
+            preds.len()
+        };
+        refine_bits(preds.get(next..end).unwrap_or_default(), candidates, work);
+        next = end;
     }
 }
 
-/// Refines chunk `chunk_id`'s candidate `words` in place. Every predicate
-/// (including the first) sees only the already-selected rows, so each is
-/// charged the `popcount` of the surviving words; an empty chunk charges
-/// nothing.
+/// Runs `preds` over the set bits of every chunk of `bits`
+/// ([`refine_survivors`]).
+fn refine_bits(
+    preds: &[CompiledPredicate<'_>],
+    bits: &mut SelectionBitmap,
+    work: &mut WorkProfile,
+) {
+    for (chunk_id, words) in bits.chunks_mut().enumerate() {
+        refine_survivors(preds, (chunk_id * CHUNK_BITS) as RecordId, words, work);
+    }
+}
+
+/// Refines chunk `chunk_id`'s candidate `words` in place and returns how
+/// many candidates it held. Every predicate (including the first) sees only
+/// the already-selected rows, so each is charged the `popcount` of the
+/// surviving words; an empty chunk charges nothing.
 fn refine_chunk(
     preds: &[CompiledPredicate<'_>],
     chunk_id: usize,
     words: &mut [u64; CHUNK_WORDS],
     work: &mut WorkProfile,
     mut per_batch_rows: impl FnMut(&mut WorkProfile, u64),
-) {
+) -> u64 {
     let n = popcount(words);
     if n == 0 {
-        return;
+        return 0;
     }
     per_batch_rows(work, n);
     refine_survivors(preds, (chunk_id * CHUNK_BITS) as RecordId, words, work);
+    n
 }
 
 /// Runs `preds` over the set bits of one chunk's `words` (rows
@@ -1082,7 +1160,7 @@ mod tests {
             let mut idvec = Vec::new();
             qualify_slice(&preds, &cands, &mut idvec, &mut idvec_work, seq);
             let mut bm_work = WorkProfile::default();
-            qualify_bitmap(&preds, &mut refined, &mut bm_work, seq);
+            qualify_bitmap(&preds, &[], &mut refined, (0, 0), &mut bm_work, seq);
             assert_eq!(refined.to_vec(), idvec, "{text_col:?}");
             assert_eq!(bm_work, idvec_work, "{text_col:?}");
         }

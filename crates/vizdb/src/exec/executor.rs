@@ -6,7 +6,11 @@
 //!    [`SelectionBitmap`], or "every (sampled) row" for a sequential scan;
 //! 2. **qualify** — the residual predicates, as word kernels over 4096-row
 //!    chunks when uncapped and as a row-at-a-time loop that stops at the cap
-//!    under a `LIMIT`;
+//!    under a `LIMIT`. On an uncapped index plan whose candidates are dense,
+//!    a residual range over a B+-tree column or rectangle over an R-tree
+//!    column is instead ANDed in as its index's whole-table mask, read from
+//!    the prefix checkpoints: each residual's [`MaskSource`] is bound once,
+//!    in [`lower`], and the charges stay those of probing every candidate;
 //! 3. **join** — probe the dimension table per qualifying fact row;
 //! 4. **sink** — shape `Points` / `BinnedCounts` / `Count` over bound columns.
 //!
@@ -109,6 +113,7 @@ pub fn execute(
     let rows = source(query, plan, fact, &mut work)?;
     let mut qualified = qualify(
         &lowered.fact,
+        &lowered.masks,
         rows,
         plan.est_rows as usize,
         fact.table.row_count(),
@@ -147,6 +152,9 @@ pub fn execute(
 struct Lowered<'a> {
     /// The predicates the qualify phase evaluates on the fact table.
     fact: Vec<CompiledPredicate<'a>>,
+    /// Where each of `fact`'s masks comes from, on an index plan; empty on a
+    /// sequential scan, whose kernels evaluate every predicate.
+    masks: Vec<MaskSource<'a>>,
     /// The join-side predicates (empty without a join).
     dim: Vec<CompiledPredicate<'a>>,
     output: Output<'a>,
@@ -174,10 +182,18 @@ fn lower<'a>(
     fact: &ExecTable<'a>,
     dim: Option<&ExecTable<'a>>,
 ) -> Result<Lowered<'a>> {
-    let fact_preds = if plan.index_preds.is_empty() {
-        compiled::compile_predicates(&query.predicates, 0..query.predicate_count(), fact)?
+    let (fact_preds, masks) = if plan.index_preds.is_empty() {
+        let preds = 0..query.predicate_count();
+        let lowered = compiled::compile_predicates(&query.predicates, preds, fact)?;
+        (lowered, Vec::new())
     } else {
-        compiled::compile_predicates(&query.predicates, plan.filter_preds.iter().copied(), fact)?
+        let residuals = plan.filter_preds.iter().copied();
+        let lowered = compiled::compile_predicates(&query.predicates, residuals.clone(), fact)?;
+        let residuals = residuals.filter_map(|i| query.predicates.get(i));
+        (
+            lowered,
+            residuals.map(|p| MaskSource::bind(p, fact)).collect(),
+        )
     };
     // A malformed join (no spec, no table) is the join phase's error to raise,
     // after the scan — there is nothing to lower for it.
@@ -191,6 +207,7 @@ fn lower<'a>(
     };
     Ok(Lowered {
         fact: fact_preds,
+        masks,
         dim: dim_preds,
         output: lower_output(query, fact)?,
     })
@@ -230,8 +247,9 @@ pub(super) fn lower_output<'a>(query: &'a Query, fact: &ExecTable<'a>) -> Result
 /// Phase-1 output: where the qualify phase reads its rows from.
 enum Source<'a> {
     /// The rows surviving the plan's index predicates (and the sample
-    /// restriction); each one visited is a heap fetch.
-    Index(SelectionBitmap),
+    /// restriction); each one visited is a heap fetch. The count bounds them
+    /// from above: the fewest matches of any one index scan.
+    Index(SelectionBitmap, usize),
     /// No index predicates: a sequential scan over the (possibly sampled) table.
     Seq(SampleRestriction<'a>),
 }
@@ -250,15 +268,20 @@ fn source<'a>(
     if plan.index_preds.is_empty() {
         return Ok(Source::Seq(restriction));
     }
-    let mut lists = scan_indexes(query, plan, fact, work, IndexProbe::bitmap)?.into_iter();
-    let mut acc = lists.next().unwrap_or_default();
-    for list in lists {
+    let scan = |probe: &IndexProbe<'a>| {
+        let (bits, stats) = probe.bitmap();
+        ((bits, stats.matches), stats)
+    };
+    let mut lists = scan_indexes(query, plan, fact, work, scan)?.into_iter();
+    let (mut acc, mut most) = lists.next().unwrap_or_default();
+    for (list, matches) in lists {
         acc.and_with(&list);
+        most = most.min(matches);
     }
     if !matches!(restriction, SampleRestriction::All) {
         acc.retain(|rid| restriction.keeps(rid));
     }
-    Ok(Source::Index(acc))
+    Ok(Source::Index(acc, most))
 }
 
 /// Phase-2 output: the qualifying rows as a bitmap (uncapped chunk kernels) or
@@ -286,12 +309,15 @@ impl Qualified {
 
 /// Phase 2: qualify rows through the lowered residual predicates. Uncapped,
 /// every source row is visited, so whole chunks (id batches on sampled scans)
-/// are charged and refined at once — an index plan's candidate chunks in
-/// place; capped, rows are visited one at a time so rows past the cap stay
-/// untouched, exactly like the interpreter. Id-vector outputs are pre-sized
-/// from the planner's cardinality estimate `est_rows`.
+/// are charged and refined at once — an index plan's candidates in place,
+/// where a residual over a B+-tree or R-tree column may take its index's
+/// mask (`masks`, see [`compiled::qualify_bitmap`]); capped, rows are visited
+/// one at a time so rows past the cap stay untouched, exactly like the
+/// interpreter. Id-vector outputs are pre-sized from the planner's
+/// cardinality estimate `est_rows`.
 fn qualify(
     preds: &[CompiledPredicate<'_>],
+    masks: &[MaskSource<'_>],
     source: Source<'_>,
     est_rows: usize,
     row_count: usize,
@@ -306,8 +332,9 @@ fn qualify(
         let heap = |w: &mut WorkProfile, rows: u64| w.heap_fetches += rows;
         let seq = |w: &mut WorkProfile, rows: u64| w.seq_rows += rows;
         return match source {
-            Source::Index(mut cands) => {
-                compiled::qualify_bitmap(preds, &mut cands, work, heap);
+            Source::Index(mut cands, most) => {
+                let rows = (most, row_count);
+                compiled::qualify_bitmap(preds, masks, &mut cands, rows, work, heap);
                 Qualified::Bitmap(cands)
             }
             Source::Seq(SampleRestriction::All) => {
@@ -330,7 +357,7 @@ fn qualify(
     let seq = |w: &mut WorkProfile| w.seq_rows += 1;
     let mut ids = Vec::with_capacity(reserve);
     match &source {
-        Source::Index(cands) => {
+        Source::Index(cands, _) => {
             compiled::qualify_capped(preds, cands.iter(), cap, heap, work, &mut ids)
         }
         Source::Seq(SampleRestriction::SampleRows(sample)) => {
@@ -462,34 +489,39 @@ impl<'a> IndexProbe<'a> {
     /// planner applies too), so a mistyped predicate is never counted by an
     /// index keyed for another type.
     pub(crate) fn resolve(pred: &'a Predicate, fact: &ExecTable<'a>) -> Result<Self> {
+        Self::find(pred, fact).ok_or_else(|| {
+            let column = fact.table.schema().column_name(pred.attr());
+            Error::IndexMissing {
+                table: fact.table.name().to_string(),
+                column: column.unwrap_or("<unknown>").to_string(),
+            }
+        })
+    }
+
+    /// [`IndexProbe::resolve`] without the error: `None` when no index
+    /// answers `pred`.
+    pub(crate) fn find(pred: &'a Predicate, fact: &ExecTable<'a>) -> Option<Self> {
         let attr = pred.attr();
-        let schema = fact.table.schema();
-        let missing = || Error::IndexMissing {
-            table: fact.table.name().to_string(),
-            column: schema.column_name(attr).unwrap_or("<unknown>").to_string(),
-        };
-        let column = schema.column_type(attr).map_err(|_| missing())?;
+        let column = fact.table.schema().column_type(attr).ok()?;
         if !index_answers(pred, column) {
-            return Err(missing());
+            return None;
         }
-        Ok(match pred {
+        Some(match pred {
             Predicate::KeywordContains { keyword, .. } => IndexProbe::Inverted(
-                fact.inverted.get(&attr).ok_or_else(missing)?,
+                fact.inverted.get(&attr)?,
                 fact.table.dictionary().lookup(keyword),
             ),
-            Predicate::TimeRange { range, .. } => IndexProbe::BTree(
-                fact.btree.get(&attr).ok_or_else(missing)?,
-                range.start,
-                range.end,
-            ),
+            Predicate::TimeRange { range, .. } => {
+                IndexProbe::BTree(fact.btree.get(&attr)?, range.start, range.end)
+            }
             Predicate::NumericRange { range, .. } => {
                 let (lo, hi) = numeric_probe_keys(column, range);
-                IndexProbe::BTree(fact.btree.get(&attr).ok_or_else(missing)?, lo, hi)
+                IndexProbe::BTree(fact.btree.get(&attr)?, lo, hi)
             }
             Predicate::SpatialRange { rect, .. } => IndexProbe::RTree(
-                fact.rtree.get(&attr).ok_or_else(missing)?,
+                fact.rtree.get(&attr)?,
                 rect,
-                fact.table.geo_slice(attr)?,
+                fact.table.geo_slice(attr).ok()?,
             ),
         })
     }
@@ -524,6 +556,59 @@ impl<'a> IndexProbe<'a> {
             IndexProbe::Inverted(_, None) => Default::default(),
             IndexProbe::BTree(index, lo, hi) => index.range_scan_bitmap(lo, hi),
             IndexProbe::RTree(index, rect, points) => index.range_scan_bitmap(rect, points),
+        }
+    }
+
+    /// Intersects `target` in place with [`IndexProbe::bitmap`]'s rows when
+    /// that scan reads them from the prefix checkpoints — a B+-tree range,
+    /// or both slabs of an R-tree rectangle, holding at least `⌈m/32⌉`
+    /// entries, found in `O(log m)`. `false`, with `target` untouched, when
+    /// it would walk entries (or reads a posting list).
+    pub(super) fn and_checkpoints(&self, target: &mut SelectionBitmap) -> bool {
+        match *self {
+            IndexProbe::Inverted(..) => false,
+            IndexProbe::BTree(index, lo, hi) => index.and_checkpoints(lo, hi, target),
+            IndexProbe::RTree(index, rect, points) => index.and_slabs(rect, points, target),
+        }
+    }
+}
+
+/// Where one predicate's whole-table mask comes from: the one answer both
+/// the lattice pricing pass and the pipeline's index plans read.
+pub(crate) enum MaskSource<'a> {
+    /// The column kernel: keywords (whose kernels read the posting list when
+    /// the column has an inverted index) and unindexed predicates.
+    Kernel,
+    /// A range over a B+-tree column or a rectangle over an R-tree column:
+    /// the index's scan ([`IndexProbe::bitmap`]).
+    Index(IndexProbe<'a>),
+}
+
+impl<'a> MaskSource<'a> {
+    /// The source for a predicate `probe` answers (`None`: no index does).
+    pub(crate) fn new(probe: Option<IndexProbe<'a>>) -> Self {
+        match probe {
+            None | Some(IndexProbe::Inverted(..)) => Self::Kernel,
+            Some(probe) => Self::Index(probe),
+        }
+    }
+
+    /// The predicate's whole-table mask from its index, `None` for the
+    /// kernel: a wide range or rectangle read from the prefix checkpoints, a
+    /// narrow one by walking its entries.
+    pub(crate) fn scan(&self) -> Option<SelectionBitmap> {
+        match self {
+            Self::Kernel => None,
+            Self::Index(probe) => Some(probe.bitmap().0),
+        }
+    }
+
+    /// The source for `pred` on `fact`. A keyword always refines from its
+    /// kernel, so it resolves no probe.
+    fn bind(pred: &'a Predicate, fact: &ExecTable<'a>) -> Self {
+        match pred {
+            Predicate::KeywordContains { .. } => Self::Kernel,
+            _ => Self::new(IndexProbe::find(pred, fact)),
         }
     }
 }

@@ -30,7 +30,9 @@
 
 use crate::bitmap::{set_span, SelectionBitmap, CHUNK_BITS, CHUNK_WORDS};
 use crate::exec::compiled::{self, CompiledPredicate};
-use crate::exec::executor::{check_output, lower_output, ExecTable, IndexProbe, Output};
+use crate::exec::executor::{
+    check_output, lower_output, ExecTable, IndexProbe, MaskSource, Output,
+};
 use crate::index::intersect_skip_charge;
 use crate::plan::PhysicalPlan;
 use crate::query::Query;
@@ -62,57 +64,40 @@ pub fn price_plans(
     }
     let output = lower_output(query, fact).ok()?;
     let n = fact.table.row_count();
-    let mut sources = Vec::with_capacity(k);
+    let mut masks = Vec::with_capacity(k);
     let mut indexed = Vec::with_capacity(k);
     for pred in &query.predicates {
         let lowered = compiled::lower_predicate(pred, fact).ok()?;
-        let probe = IndexProbe::resolve(pred, fact).ok();
+        let probe = IndexProbe::find(pred, fact);
         indexed.push(probe.is_some());
-        sources.push(MaskSource::new(lowered, probe));
+        masks.push((lowered, MaskSource::new(probe).scan()));
     }
-    let table = cardinalities(&sources, &output, n as RecordId);
+    let table = cardinalities(&masks, &output, n as RecordId);
     plans
         .iter()
         .map(|plan| table.price(plan, &indexed, &output))
         .collect()
 }
 
-/// Where the pass takes one predicate's whole-table mask from (see the
-/// module docs). Both sources yield the rows the column kernel would.
-enum MaskSource<'a> {
-    /// The column kernel, chunk by chunk: keywords and unindexed predicates.
-    Kernel(CompiledPredicate<'a>),
-    /// The rows a B+-tree or R-tree scan matched.
-    Index(SelectionBitmap),
-}
+/// One predicate's mask as the pass reads it: lowered for the column kernel,
+/// and its index source's scan when it has one ([`MaskSource::scan`]).
+type PassMask<'a> = (CompiledPredicate<'a>, Option<SelectionBitmap>);
 
-impl<'a> MaskSource<'a> {
-    /// The source of one predicate's mask, given the predicate lowered and
-    /// its index (`None` without one): a range index's scan, otherwise the
-    /// kernel, which for a keyword already reads the posting list.
-    fn new(lowered: CompiledPredicate<'a>, probe: Option<IndexProbe<'_>>) -> Self {
-        match probe {
-            None | Some(IndexProbe::Inverted(..)) => Self::Kernel(lowered),
-            Some(probe) => Self::Index(probe.bitmap().0),
-        }
-    }
-
-    /// Writes chunk `chunk_id`'s mask, over the chunk's rows `rows`, into
-    /// `words`.
-    fn fill(
-        &self,
-        chunk_id: usize,
-        rows: &std::ops::Range<RecordId>,
-        words: &mut [u64; CHUNK_WORDS],
-        scratch: &mut Vec<RecordId>,
-    ) {
-        const EMPTY: [u64; CHUNK_WORDS] = [0; CHUNK_WORDS];
-        match self {
-            Self::Kernel(pred) => {
-                *words = EMPTY;
-                pred.fill_words(rows.start, rows.end, words, scratch);
-            }
-            Self::Index(bits) => *words = *bits.chunk(chunk_id).unwrap_or(&EMPTY),
+/// Writes chunk `chunk_id` of `mask`, over the chunk's rows `rows`, into
+/// `words`: the index scan's words, or the kernel's fill.
+fn fill(
+    (pred, scan): &PassMask<'_>,
+    chunk_id: usize,
+    rows: &std::ops::Range<RecordId>,
+    words: &mut [u64; CHUNK_WORDS],
+    scratch: &mut Vec<RecordId>,
+) {
+    const EMPTY: [u64; CHUNK_WORDS] = [0; CHUNK_WORDS];
+    match scan {
+        Some(bits) => *words = *bits.chunk(chunk_id).unwrap_or(&EMPTY),
+        None => {
+            *words = EMPTY;
+            pred.fill_words(rows.start, rows.end, words, scratch);
         }
     }
 }
@@ -131,7 +116,7 @@ struct Cardinalities {
 /// (each from the subset without its lowest predicate, already computed), a
 /// popcount each. A binned output keeps the full conjunction's masks, in the
 /// selection type the pipeline bins from.
-fn cardinalities(sources: &[MaskSource<'_>], output: &Output<'_>, n: RecordId) -> Cardinalities {
+fn cardinalities(sources: &[PassMask<'_>], output: &Output<'_>, n: RecordId) -> Cardinalities {
     let subsets = 1usize << sources.len();
     let mut rows = vec![0u64; subsets];
     let mut masks = vec![[0u64; CHUNK_WORDS]; subsets];
@@ -145,7 +130,7 @@ fn cardinalities(sources: &[MaskSource<'_>], output: &Output<'_>, n: RecordId) -
         masks[0] = [0u64; CHUNK_WORDS];
         set_span(&mut masks[0], 0, (span.end - span.start - 1) as usize);
         for (i, source) in sources.iter().enumerate() {
-            source.fill(chunk_id, &span, &mut masks[1 << i], &mut scratch);
+            fill(source, chunk_id, &span, &mut masks[1 << i], &mut scratch);
         }
         for s in 1..subsets {
             if s.is_power_of_two() {
@@ -339,19 +324,19 @@ mod tests {
         let mut scratch = Vec::new();
         for (pred, want) in &cases {
             let lowered = || compiled::lower_predicate(pred, &fact).unwrap();
-            let probe = IndexProbe::resolve(pred, &fact).ok();
-            let source = MaskSource::new(lowered(), probe);
+            let source = MaskSource::new(IndexProbe::find(pred, &fact));
             let got = match source {
-                MaskSource::Kernel(_) => "kernel",
+                MaskSource::Kernel => "kernel",
                 MaskSource::Index(_) => "index",
             };
             assert_eq!(got, *want, "{pred:?}");
-            let kernel = MaskSource::Kernel(lowered());
+            let source = (lowered(), source.scan());
+            let kernel = (lowered(), None);
             for chunk_id in 0..n.div_ceil(CHUNK_BITS) {
                 let rows = compiled::chunk_rows(chunk_id, &(0..n as RecordId));
                 let (mut a, mut b) = ([0u64; CHUNK_WORDS], [0u64; CHUNK_WORDS]);
-                source.fill(chunk_id, &rows, &mut a, &mut scratch);
-                kernel.fill(chunk_id, &rows, &mut b, &mut scratch);
+                fill(&source, chunk_id, &rows, &mut a, &mut scratch);
+                fill(&kernel, chunk_id, &rows, &mut b, &mut scratch);
                 assert!(a == b, "{pred:?} chunk {chunk_id}");
             }
         }

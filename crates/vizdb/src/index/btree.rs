@@ -13,6 +13,8 @@
 //! entries with a few word passes over the checkpoints instead of a bit set
 //! per entry; narrower ranges walk their leaves.
 
+use std::ops::Range;
+
 use crate::bitmap::SelectionBitmap;
 use crate::index::prefix::PrefixBitmaps;
 use crate::index::{ScanStats, SecondaryIndex};
@@ -152,12 +154,9 @@ impl BPlusTree {
         if self.keys.is_empty() || lo > hi {
             return (SelectionBitmap::default(), stats);
         }
-        if let Some(prefixes) = &self.prefixes {
-            let ranks = self.rank_below(lo)..self.rank_le(hi);
-            if prefixes.covers(&ranks) {
-                stats.matches = ranks.len();
-                return (prefixes.range(ranks, |r| self.rids.get(r).copied()), stats);
-            }
+        if let Some((prefixes, ranks)) = self.checkpoint_ranks(lo, hi) {
+            stats.matches = ranks.len();
+            return (prefixes.range(ranks, |r| self.rids.get(r).copied()), stats);
         }
         // Record ids are row indices below the entry count, so the word array
         // is sized once up front — no growth during the leaf walk.
@@ -166,6 +165,30 @@ impl BPlusTree {
             rids.iter().for_each(|&rid| bits.insert(rid))
         });
         (bits, stats)
+    }
+
+    /// Intersects `target` in place with the ids of keys `[lo, hi]`, read
+    /// from the prefix checkpoints over their rank interval as
+    /// [`BPlusTree::range_scan_bitmap`] reads a wide range. `false`, with
+    /// `target` untouched, when that scan would walk the leaves instead.
+    pub(crate) fn and_checkpoints(&self, lo: i64, hi: i64, target: &mut SelectionBitmap) -> bool {
+        let Some((prefixes, ranks)) = self.checkpoint_ranks(lo, hi) else {
+            return false;
+        };
+        prefixes.and_range(ranks, |r| self.rids.get(r).copied(), target);
+        true
+    }
+
+    /// The checkpoints and the rank interval of keys `[lo, hi]` when the
+    /// interval holds at least `⌈n/32⌉` entries; `None` when the tree keeps
+    /// no checkpoints or the range is narrower. Two `O(log n)` descents.
+    fn checkpoint_ranks(&self, lo: i64, hi: i64) -> Option<(&PrefixBitmaps, Range<usize>)> {
+        let prefixes = self.prefixes.as_ref()?;
+        if lo > hi {
+            return None;
+        }
+        let ranks = self.rank_below(lo)..self.rank_le(hi);
+        prefixes.covers(&ranks).then_some((prefixes, ranks))
     }
 
     /// Leaf `i`'s keys and record ids.

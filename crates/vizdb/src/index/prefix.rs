@@ -86,34 +86,67 @@ impl PrefixBitmaps {
         ranks: Range<usize>,
         id_at: impl Fn(usize) -> Option<RecordId>,
     ) -> SelectionBitmap {
+        let span = self.span(ranks);
+        let mut bits = match span.base {
+            Some((upto, below)) => below.map_or_else(|| upto.clone(), |below| upto.and_not(below)),
+            None => SelectionBitmap::default(),
+        };
+        // Ranks are distinct ids, so the clears (base ranks outside `a..b`)
+        // and the sets (ranks of `a..b` outside the base) never meet.
+        span.clears()
+            .filter_map(&id_at)
+            .for_each(|rid| bits.remove(rid));
+        span.sets()
+            .filter_map(&id_at)
+            .for_each(|rid| bits.insert(rid));
+        bits
+    }
+
+    /// Intersects `target` in place with the ids of ranks `ranks`:
+    /// [`Self::range`] without building it. The ids of the ranks set by
+    /// fix-ups keep their bit only if `target` had it, so they are read
+    /// before the checkpoints' words are ANDed in.
+    pub(crate) fn and_range(
+        &self,
+        ranks: Range<usize>,
+        id_at: impl Fn(usize) -> Option<RecordId>,
+        target: &mut SelectionBitmap,
+    ) {
+        let span = self.span(ranks);
+        let sets = span.sets().filter_map(&id_at);
+        let kept: Vec<RecordId> = sets.filter(|&rid| target.contains(rid)).collect();
+        match span.base {
+            Some((upto, below)) => target.and_difference(upto, below),
+            None => *target = SelectionBitmap::default(),
+        }
+        span.clears()
+            .filter_map(&id_at)
+            .for_each(|rid| target.remove(rid));
+        kept.into_iter().for_each(|rid| target.insert(rid));
+    }
+
+    /// Where the ids of ranks `ranks` come from: the checkpoints nearest the
+    /// clamped bounds `a..b`, which hold the ranks `lo..hi` between them.
+    fn span(&self, ranks: Range<usize>) -> Span<'_> {
         let b = ranks.end.min(self.len);
         let a = ranks.start.min(b);
         let (ja, jb) = (self.nearest(a), self.nearest(b));
         let below = ja.checked_sub(1).and_then(|i| self.checkpoints.get(i));
         let upto = jb.checked_sub(1).and_then(|j| self.checkpoints.get(j));
-        // The base holds the ranks `lo..hi`: the checkpoints' difference, or
-        // nothing (as `a..a`) when both bounds round to one checkpoint.
-        let (mut bits, lo, hi) = match upto {
-            Some(upto) if ja < jb => (
-                below.map_or_else(|| upto.clone(), |below| upto.and_not(below)),
-                self.rank(ja),
-                self.rank(jb),
-            ),
-            _ => (SelectionBitmap::default(), a, a),
-        };
-        // Ranks are distinct ids, so the clears (base ranks outside `a..b`)
-        // and the sets (ranks of `a..b` outside the base) never meet.
-        for r in (lo..a.min(hi)).chain(b.max(lo)..hi) {
-            if let Some(rid) = id_at(r) {
-                bits.remove(rid);
-            }
+        // The base is the checkpoints' difference, or nothing (as `a..a`)
+        // when both bounds round to one checkpoint.
+        match upto {
+            Some(upto) if ja < jb => Span {
+                ranks: a..b,
+                base: Some((upto, below)),
+                held: self.rank(ja)..self.rank(jb),
+            },
+            _ => Span {
+                ranks: a..b,
+                base: None,
+                held: a..a,
+            },
         }
-        for r in (a..lo.min(b)).chain(hi.max(a)..b) {
-            if let Some(rid) = id_at(r) {
-                bits.insert(rid);
-            }
-        }
-        bits
     }
 
     /// The checkpoint nearest rank `r`.
@@ -130,6 +163,31 @@ impl PrefixBitmaps {
     pub(crate) fn memory_bytes(&self) -> usize {
         let words: usize = self.checkpoints.iter().map(|c| c.chunk_count()).sum();
         words * CHUNK_WORDS * 8
+    }
+}
+
+/// A rank interval `ranks` as [`PrefixBitmaps::span`] resolves it: `base`,
+/// checkpoint `upto` minus checkpoint `below` (when not empty), holds the
+/// ranks `held`.
+struct Span<'a> {
+    ranks: Range<usize>,
+    base: Option<(&'a SelectionBitmap, Option<&'a SelectionBitmap>)>,
+    held: Range<usize>,
+}
+
+impl Span<'_> {
+    /// The ranks the base holds outside `ranks`.
+    fn clears(&self) -> impl Iterator<Item = usize> {
+        let (Range { start: a, end: b }, Range { start: lo, end: hi }) =
+            (self.ranks.clone(), self.held.clone());
+        (lo..a.min(hi)).chain(b.max(lo)..hi)
+    }
+
+    /// The ranks of `ranks` the base does not hold.
+    fn sets(&self) -> impl Iterator<Item = usize> {
+        let (Range { start: a, end: b }, Range { start: lo, end: hi }) =
+            (self.ranks.clone(), self.held.clone());
+        (a..lo.min(b)).chain(hi.max(a)..b)
     }
 }
 
@@ -173,6 +231,23 @@ mod tests {
                     .to_vec();
                 want.sort_unstable();
                 assert_eq!(got.to_vec(), want, "ranks {a}..{b}");
+                // In place, over every id and over every third one.
+                for step in [1, 3] {
+                    let mut target = SelectionBitmap::from_sorted(
+                        &(0..m as RecordId).step_by(step).collect::<Vec<_>>(),
+                    );
+                    prefixes.and_range(a..b, id_at, &mut target);
+                    let kept: Vec<RecordId> = want
+                        .iter()
+                        .copied()
+                        .filter(|&rid| (rid as usize).is_multiple_of(step))
+                        .collect();
+                    assert_eq!(
+                        target.to_vec(),
+                        kept,
+                        "ranks {a}..{b} into every {step}th id"
+                    );
+                }
             }
         }
     }

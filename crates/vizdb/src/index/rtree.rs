@@ -80,6 +80,12 @@ impl Axis {
     fn bitmap(&self, ranks: Range<usize>) -> SelectionBitmap {
         self.prefixes.range(ranks, |r| self.ids.get(r).copied())
     }
+
+    /// Intersects `target` in place with the ids of the ranks `ranks`.
+    fn and_into(&self, ranks: Range<usize>, target: &mut SelectionBitmap) {
+        let id_at = |r| self.ids.get(r).copied();
+        self.prefixes.and_range(ranks, id_at, target)
+    }
 }
 
 /// A static, bulk-loaded R-tree over `(point, record id)` pairs.
@@ -267,10 +273,37 @@ impl RTree {
     }
 
     /// The rectangle's longitude slab ANDed with its latitude slab, or
-    /// `None` — the caller walks the tree — when the tree keeps no axes,
-    /// `points` does not span its rows, or either slab is narrower than
-    /// `⌈m/32⌉` points.
+    /// `None` — the caller walks the tree — when [`RTree::slabs`] finds no
+    /// pair of wide slabs.
     fn slab_scan(&self, rect: &GeoRect, points: &[GeoPoint]) -> Option<SelectionBitmap> {
+        let [(lon, lons), (lat, lats)] = self.slabs(rect, points)?;
+        let mut bits = lon.bitmap(lons);
+        lat.and_into(lats, &mut bits);
+        Some(bits)
+    }
+
+    /// Intersects `target` in place with the points inside `rect`, read from
+    /// both slabs' checkpoints as [`RTree::range_scan_bitmap`] reads a wide
+    /// rectangle. `false`, with `target` untouched, when that scan would walk
+    /// the tree instead.
+    pub(crate) fn and_slabs(
+        &self,
+        rect: &GeoRect,
+        points: &[GeoPoint],
+        target: &mut SelectionBitmap,
+    ) -> bool {
+        let Some([(lon, lons), (lat, lats)]) = self.slabs(rect, points) else {
+            return false;
+        };
+        lon.and_into(lons, target);
+        lat.and_into(lats, target);
+        true
+    }
+
+    /// Each axis with the rank interval of the rectangle's slab on it, or
+    /// `None` when the tree keeps no axes, `points` does not span its rows,
+    /// or either slab is narrower than `⌈m/32⌉` points.
+    fn slabs(&self, rect: &GeoRect, points: &[GeoPoint]) -> Option<[(&Axis, Range<usize>); 2]> {
         let [lon, lat] = self.axes.as_ref()?;
         if points.len() != self.len {
             return None;
@@ -280,9 +313,7 @@ impl RTree {
         if !(lon.prefixes.covers(&lons) && lat.prefixes.covers(&lats)) {
             return None;
         }
-        let mut bits = lon.bitmap(lons);
-        bits.and_with(&lat.bitmap(lats));
-        Some(bits)
+        Some([(lon, lons), (lat, lats)])
     }
 
     fn scan_node_bitmap(

@@ -41,9 +41,11 @@ impl TextColumn {
         self.len() == 0
     }
 
-    /// The sorted token list of row `row`.
-    pub fn doc(&self, row: usize) -> &[TokenId] {
-        &self.tokens[self.offsets[row] as usize..self.offsets[row + 1] as usize]
+    /// The sorted token list of row `row`; `None` past the last row.
+    pub fn doc(&self, row: usize) -> Option<&[TokenId]> {
+        let from = *self.offsets.get(row)? as usize;
+        let to = *self.offsets.get(row.checked_add(1)?)? as usize;
+        self.tokens.get(from..to)
     }
 
     /// Returns `true` when row `row`'s document contains `token`.
@@ -52,7 +54,7 @@ impl TextColumn {
     /// early exit, so it vectorizes) beats a binary search full of
     /// unpredictable branches; long documents fall back to the search.
     pub fn doc_contains(&self, row: usize, token: TokenId) -> bool {
-        let doc = self.doc(row);
+        let doc = self.doc(row).unwrap_or_default();
         if doc.len() <= 32 {
             doc.iter().fold(false, |acc, &t| acc | (t == token))
         } else {
@@ -70,7 +72,7 @@ impl TextColumn {
 
     /// Iterates all documents in row order.
     pub fn docs(&self) -> impl ExactSizeIterator<Item = &[TokenId]> {
-        (0..self.len()).map(|row| self.doc(row))
+        (0..self.len()).map(|row| self.doc(row).unwrap_or_default())
     }
 
     /// Pushes the rows in `[start, end)` whose document contains `token`,
@@ -198,7 +200,7 @@ impl Table {
     /// Integer value at (`col`, `row`).
     pub fn int(&self, col: usize, row: RecordId) -> Result<i64> {
         match self.column(col)? {
-            ColumnData::Int(v) => Ok(v[row as usize]),
+            ColumnData::Int(v) => self.at(v, row),
             other => Err(self.type_err(col, "Int", other)),
         }
     }
@@ -206,7 +208,7 @@ impl Table {
     /// Float value at (`col`, `row`).
     pub fn float(&self, col: usize, row: RecordId) -> Result<f64> {
         match self.column(col)? {
-            ColumnData::Float(v) => Ok(v[row as usize]),
+            ColumnData::Float(v) => self.at(v, row),
             other => Err(self.type_err(col, "Float", other)),
         }
     }
@@ -214,7 +216,7 @@ impl Table {
     /// Timestamp value at (`col`, `row`).
     pub fn timestamp(&self, col: usize, row: RecordId) -> Result<Timestamp> {
         match self.column(col)? {
-            ColumnData::Timestamp(v) => Ok(v[row as usize]),
+            ColumnData::Timestamp(v) => self.at(v, row),
             other => Err(self.type_err(col, "Timestamp", other)),
         }
     }
@@ -222,7 +224,7 @@ impl Table {
     /// Geographic point at (`col`, `row`).
     pub fn geo(&self, col: usize, row: RecordId) -> Result<GeoPoint> {
         match self.column(col)? {
-            ColumnData::Geo(v) => Ok(v[row as usize]),
+            ColumnData::Geo(v) => self.at(v, row),
             other => Err(self.type_err(col, "Geo", other)),
         }
     }
@@ -230,7 +232,7 @@ impl Table {
     /// Token list at (`col`, `row`).
     pub fn text(&self, col: usize, row: RecordId) -> Result<&[TokenId]> {
         match self.column(col)? {
-            ColumnData::Text(v) => Ok(v.doc(row as usize)),
+            ColumnData::Text(v) => v.doc(row as usize).ok_or_else(|| self.row_err(row)),
             other => Err(self.type_err(col, "Text", other)),
         }
     }
@@ -284,9 +286,9 @@ impl Table {
     /// Numeric view of an Int/Float/Timestamp value, used by generic numeric predicates.
     pub fn numeric(&self, col: usize, row: RecordId) -> Result<f64> {
         match self.column(col)? {
-            ColumnData::Int(v) => Ok(v[row as usize] as f64),
-            ColumnData::Float(v) => Ok(v[row as usize]),
-            ColumnData::Timestamp(v) => Ok(v[row as usize] as f64),
+            ColumnData::Int(v) => Ok(self.at(v, row)? as f64),
+            ColumnData::Float(v) => self.at(v, row),
+            ColumnData::Timestamp(v) => Ok(self.at(v, row)? as f64),
             other => Err(self.type_err(col, "numeric", other)),
         }
     }
@@ -297,6 +299,9 @@ impl Table {
     /// describe the subset, not the source table. Used by the sharded backend to
     /// spatially partition a loaded table into self-contained per-region tables.
     pub fn subset(&self, keep: &[RecordId]) -> Result<Table> {
+        if let Some(&row) = keep.iter().find(|&&row| row as usize >= self.row_count) {
+            return Err(self.row_err(row));
+        }
         let mut dictionary = Dictionary::new();
         let mut columns = Vec::with_capacity(self.columns.len());
         for col in &self.columns {
@@ -318,6 +323,7 @@ impl Table {
                     for &r in keep {
                         let mut tokens: Vec<TokenId> = docs
                             .doc(r as usize)
+                            .unwrap_or_default()
                             .iter()
                             .map(|&t| {
                                 let word = self.dictionary.word(t).ok_or_else(|| {
@@ -349,6 +355,20 @@ impl Table {
             dictionary,
             row_count: keep.len(),
         })
+    }
+
+    /// Row `row` of column slice `v`, or [`Error::RowOutOfRange`].
+    fn at<T: Copy>(&self, v: &[T], row: RecordId) -> Result<T> {
+        v.get(row as usize)
+            .copied()
+            .ok_or_else(|| self.row_err(row))
+    }
+
+    fn row_err(&self, row: RecordId) -> Error {
+        Error::RowOutOfRange {
+            table: self.name().to_string(),
+            row,
+        }
     }
 
     fn type_err(&self, col: usize, expected: &'static str, actual: &ColumnData) -> Error {
@@ -553,6 +573,36 @@ mod tests {
         assert!(t.int(1, 0).is_err());
         assert!(t.geo(0, 0).is_err());
         assert!(t.text(2, 0).is_err());
+    }
+
+    /// A row id at or past the row count — `u32::MAX` included — is a typed
+    /// error naming the table and the row, from every row accessor.
+    #[test]
+    fn typed_accessors_reject_rows_out_of_range() {
+        let t = sample_table();
+        let covid = t.dictionary().lookup("covid").unwrap();
+        for row in [10, 11, u32::MAX] {
+            let out_of_range = Error::RowOutOfRange {
+                table: "tweets".into(),
+                row,
+            };
+            assert_eq!(t.int(0, row), Err(out_of_range.clone()));
+            assert_eq!(t.timestamp(1, row), Err(out_of_range.clone()));
+            assert_eq!(t.geo(2, row), Err(out_of_range.clone()));
+            assert_eq!(t.text(3, row), Err(out_of_range.clone()));
+            assert_eq!(t.text_contains(3, row, covid), Err(out_of_range.clone()));
+            assert_eq!(t.float(4, row), Err(out_of_range.clone()));
+            for col in [0, 1, 4] {
+                assert_eq!(t.numeric(col, row), Err(out_of_range.clone()));
+            }
+            assert_eq!(t.subset(&[0, row]).err(), Some(out_of_range));
+        }
+        let docs = t.text_docs(3).unwrap();
+        assert_eq!(docs.doc(10), None);
+        assert_eq!(docs.doc(u32::MAX as usize), None);
+        assert_eq!(docs.doc(usize::MAX), None);
+        assert!(!docs.doc_contains(u32::MAX as usize, covid));
+        assert_eq!(t.subset(&[9, 0]).unwrap().row_count(), 2);
     }
 
     #[test]

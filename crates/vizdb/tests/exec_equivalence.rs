@@ -546,6 +546,220 @@ fn unindexed_keyword_matches_interpreter() {
     }
 }
 
+/// The residual kinds an index plan may filter by its index's mask.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ResidualKind {
+    Timestamp,
+    TimestampNumeric,
+    Int,
+    Float,
+    Rectangle,
+}
+
+/// The residuals the mask tests draw, per kind: wide ranges (read from the
+/// prefix checkpoints), narrow ones (walked), NaN, `−0.0`, `±∞` and inverted
+/// bounds, and rectangles that are slab-covered, walked, NaN-bounded or of
+/// zero area (one on [`mask_db`]'s duplicated point, which has two wide
+/// slabs, one on no point).
+fn mask_residuals() -> Vec<(ResidualKind, Predicate)> {
+    use ResidualKind::*;
+    let nan = f64::NAN;
+    let (neg_inf, inf) = (f64::NEG_INFINITY, f64::INFINITY);
+    let time = |start, end| Predicate::TimeRange {
+        attr: 1,
+        range: TimeRange { start, end },
+    };
+    let numeric = |attr, lo, hi| Predicate::NumericRange {
+        attr,
+        range: NumRange { lo, hi },
+    };
+    let rect = |min_lon, min_lat, max_lon, max_lat| {
+        Predicate::spatial_range(
+            2,
+            GeoRect {
+                min_lon,
+                min_lat,
+                max_lon,
+                max_lat,
+            },
+        )
+    };
+    vec![
+        (Timestamp, time(0, 40_000)),
+        (Timestamp, time(i64::MIN, 20_000)),
+        (Timestamp, time(10_000, i64::MAX)),
+        (Timestamp, time(100, 600)),
+        (Timestamp, time(30_000, 100)),
+        (TimestampNumeric, numeric(1, -0.0, 30_000.5)),
+        (TimestampNumeric, numeric(1, neg_inf, inf)),
+        (TimestampNumeric, numeric(1, 52.5, 9_001.5)),
+        (TimestampNumeric, numeric(1, 100.0, 600.0)),
+        (TimestampNumeric, numeric(1, nan, 30_000.0)),
+        (TimestampNumeric, numeric(1, 40_000.0, 100.0)),
+        (Int, numeric(0, -0.0, 6_000.0)),
+        (Int, numeric(0, neg_inf, 3_000.0)),
+        (Int, numeric(0, 0.0, inf)),
+        (Int, numeric(0, 10.0, 100.0)),
+        (Int, numeric(0, nan, 100.0)),
+        (Int, numeric(0, 500.0, 10.0)),
+        (Float, numeric(4, -0.0, 20.0)),
+        (Float, numeric(4, neg_inf, inf)),
+        (Float, numeric(4, 3.0, 3.0)),
+        (Float, numeric(4, -0.0, -0.0)),
+        (Float, numeric(4, 5.0, nan)),
+        (Float, numeric(4, 30.0, 2.0)),
+        (Rectangle, rect(-121.0, 24.0, -69.0, 50.0)),
+        (Rectangle, rect(-110.0, 30.0, -80.0, 45.0)),
+        (Rectangle, rect(neg_inf, neg_inf, inf, inf)),
+        (Rectangle, rect(-115.0, 40.0, -114.0, 41.0)),
+        (Rectangle, rect(-119.0, 40.0, -71.0, 40.2)),
+        (Rectangle, rect(nan, 30.0, -80.0, 45.0)),
+        (Rectangle, rect(-110.0, 30.0, -80.0, nan)),
+        (Rectangle, rect(-100.0, 35.0, -100.0, 35.0)),
+        (Rectangle, rect(-90.0, 30.0, -90.0, 30.0)),
+        (Rectangle, rect(-80.0, 45.0, -110.0, 30.0)),
+    ]
+}
+
+/// 9,001 rows — two full 4,096-row chunks and a partial one — with every
+/// index and prefix checkpoints on each: NaN and infinite coordinates in the
+/// first rows, and every 16th point at `(-100, 35)`.
+fn mask_db() -> Database {
+    let mut points = scatter(9_001, 23);
+    plant_edge_points(&mut points, GeoRect::new(-118.0, 27.0, -80.0, 45.0));
+    for point in points.iter_mut().skip(16).step_by(16) {
+        *point = (-100.0, 35.0);
+    }
+    build_db(&points, 3)
+}
+
+/// Whether a dense index plan would read `pred`'s mask from its index's
+/// prefix checkpoints — the scan's own rule, restated from the data: a
+/// B+-tree range holding at least `⌈n/32⌉` entries, or a rectangle both of
+/// whose slabs hold at least `⌈m/32⌉` of the `m` points with no NaN
+/// coordinate.
+fn reads_checkpoints(db: &Database, pred: &Predicate) -> bool {
+    let table = db.table("events").unwrap();
+    let n = table.row_count();
+    let Predicate::SpatialRange { rect, .. } = pred else {
+        let matches = db.true_selectivity("events", pred).unwrap() * n as f64;
+        return matches.round() as usize >= n.div_ceil(32);
+    };
+    let placed: Vec<_> = (0..n as RecordId)
+        .map(|r| table.geo(2, r).unwrap())
+        .filter(|p| !p.lon.is_nan() && !p.lat.is_nan())
+        .collect();
+    let slab = |coord: fn(&vizdb::types::GeoPoint) -> f64, lo: f64, hi: f64| {
+        placed
+            .iter()
+            .filter(|p| lo <= coord(p) && coord(p) <= hi)
+            .count()
+    };
+    let wide = placed.len().div_ceil(32);
+    slab(|p| p.lon, rect.min_lon, rect.max_lon) >= wide
+        && slab(|p| p.lat, rect.min_lat, rect.max_lat) >= wide
+}
+
+/// Every residual kind refines an index plan's candidates both ways — by
+/// ANDing its index's checkpoint mask (dense candidates, wide residual) and
+/// by probing each candidate (sparse candidates, or a residual the index
+/// would walk, or a NaN / inverted bound) — and either way the pipeline
+/// returns the oracle's result, `WorkProfile` and simulated time, capped or
+/// not. Row `r` of [`mask_db`] holds timestamp `5r`, so the indexed predicate
+/// `when ≤ 5(k − 1)` fetches exactly `k` candidates.
+#[test]
+fn residual_index_masks_match_the_interpreter() {
+    let db = mask_db();
+    let n = db.row_count("events").unwrap();
+    let first_rows = |k: i64| Predicate::time_range(1, 0, 5 * (k - 1));
+    let index_first = RewriteOption::hinted(HintSet::with_mask(1));
+    // Binned rather than `Points`: a NaN coordinate would compare unequal to
+    // itself.
+    let outputs = [
+        OutputKind::Count,
+        OutputKind::BinnedCounts {
+            point_attr: 2,
+            grid: BinGrid::new(GeoRect::new(-121.0, 24.0, -69.0, 50.0), 128, 64),
+        },
+    ];
+    let mut paths = HashMap::new();
+    for (kind, residual) in mask_residuals() {
+        let wide = reads_checkpoints(&db, &residual);
+        // Dense (half the rows) and sparse (a 1/18) candidates.
+        for k in [4_500i64, 500] {
+            let masked = wide && k as usize * 8 >= n;
+            paths.entry(kind).or_insert_with(Vec::new).push(masked);
+            let base = Query::select("events")
+                .filter(first_rows(k))
+                .filter(residual.clone());
+            for output in outputs {
+                let query = base.clone().output(output);
+                assert_eq!(db.plan(&query, &index_first).unwrap().index_preds, [0]);
+                assert_engines_agree(&db, &query, &index_first);
+                for limit in [40, 3_000] {
+                    assert_engines_agree(&db, &query.clone().limit(limit), &index_first);
+                }
+            }
+        }
+    }
+    for (kind, masked) in &paths {
+        assert!(masked.contains(&true), "{kind:?} never takes its mask");
+        assert!(masked.contains(&false), "{kind:?} never probes per bit");
+    }
+
+    // Several residuals: two masks ANDed in turn; a keyword probed before
+    // them; a mask that leaves the survivors sparse, so the residuals after
+    // it are probed; and two index scans whose AND is the candidate set.
+    let wide_rect = Predicate::spatial_range(2, GeoRect::new(-110.0, 30.0, -80.0, 45.0));
+    let plans: [(Vec<Predicate>, u32); 4] = [
+        (
+            vec![
+                first_rows(6_000),
+                Predicate::time_range(1, 0, 40_000),
+                wide_rect.clone(),
+            ],
+            0b1,
+        ),
+        (
+            vec![
+                first_rows(6_000),
+                Predicate::keyword(3, "hot"),
+                Predicate::numeric_range(4, -0.0, 20.0),
+                wide_rect.clone(),
+            ],
+            0b1,
+        ),
+        (
+            vec![
+                first_rows(6_000),
+                Predicate::numeric_range(0, 0.0, 700.0),
+                wide_rect.clone(),
+                Predicate::numeric_range(4, -0.0, 20.0),
+            ],
+            0b1,
+        ),
+        (
+            vec![
+                first_rows(8_000),
+                Predicate::numeric_range(0, 2_000.0, 9_000.0),
+                wide_rect,
+            ],
+            0b11,
+        ),
+    ];
+    for (preds, mask) in plans {
+        let ro = RewriteOption::hinted(HintSet::with_mask(mask));
+        for output in outputs {
+            let mut query = Query::select("events").output(output);
+            for pred in &preds {
+                query = query.filter(pred.clone());
+            }
+            assert_engines_agree(&db, &query, &ro);
+            assert_engines_agree(&db, &query.limit(100), &ro);
+        }
+    }
+}
+
 /// A numeric range over a timestamp column selects the same rows under every
 /// rewrite: its B+-tree is keyed by raw timestamps, so the index scan probes
 /// the integer interval inside the bounds (fractional, negative, NaN and
