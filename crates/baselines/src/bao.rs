@@ -27,7 +27,7 @@ use maliva_qte::regression::LinearModel;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use vizdb::error::Result;
+use vizdb::error::{Error, Result};
 use vizdb::query::Query;
 use vizdb::QueryBackend;
 
@@ -81,6 +81,9 @@ impl BaoRewriter {
         config: BaoConfig,
         space_builder: Box<dyn Fn(&Query) -> RewriteSpace + Send + Sync>,
     ) -> Result<Self> {
+        if training.is_empty() {
+            return Err(Error::EmptyWorkload);
+        }
         // Collect (features, true runtime) samples for every (query, hint set) pair.
         let mut xs: Vec<Vec<f64>> = Vec::new();
         let mut ys: Vec<f64> = Vec::new();
@@ -317,5 +320,11 @@ mod tests {
         };
         let bao = BaoRewriter::train(db, &training, config).unwrap();
         assert_eq!(bao.ensemble.len(), 3);
+    }
+
+    #[test]
+    fn empty_training_workload_is_an_error() {
+        let trained = BaoRewriter::train(build_db(), &[], BaoConfig::default());
+        assert_eq!(trained.err(), Some(Error::EmptyWorkload));
     }
 }

@@ -18,26 +18,23 @@ pub use shard::run_shard_scaling;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde_json::json;
-
 use maliva::metrics::viable_plan_histogram;
 use maliva::{
-    plan_online, train_agent, MalivaConfig, QualityAwareMode, QualityAwareRewriter, QueryRewriter,
-    RewardSpec, RewriteSpace,
+    evaluate_workload, train_agent, MalivaConfig, MalivaRewriter, QualityAwareMode,
+    QualityAwareRewriter, QueryRewriter, RewardSpec, RewriteSpace, TrainingReport, WorkloadMetrics,
 };
-use maliva_baselines::BaselineRewriter;
+use maliva_baselines::{BaselineRewriter, NaiveRewriter};
 use maliva_qte::{AccurateQte, QueryTimeEstimator};
-use maliva_quality::{jaccard_quality, QualityFunction};
+use maliva_quality::QualityFunction;
 use maliva_workload::{generate_queries, split_workload, DatasetScale, QueryGenConfig};
 use vizdb::approx::ApproxRule;
-use vizdb::hints::RewriteOption;
 use vizdb::query::Query;
 use vizdb::DbConfig;
 
 use crate::harness::{
-    bucket_edges_small, build_qtes, evaluate_by_bucket, experiment_config, f1, naive_rewriter,
+    bucket_edges_small, build_qtes, evaluate_by_bucket, experiment_config, f1, mdp_rewriters,
     queries_from_env, scale_from_env, scenario, secs, standard_rewriters, train_mdp_rewriter,
-    DatasetKind, ExperimentOutput, Scenario,
+    BucketReport, DatasetKind, ExperimentOutput, Scenario,
 };
 
 const SEED: u64 = 42;
@@ -96,22 +93,10 @@ pub fn run_table2() -> Vec<ExperimentOutput> {
     ] {
         let tau = kind.default_tau_ms();
         let sc = scenario(kind, scale, tau, &QueryGenConfig::default(), n, SEED);
-        let hist = viable_plan_histogram(sc.db(), &sc.split.eval, tau).expect("histogram");
-        let count = |lo: usize, hi: usize| -> usize {
-            hist.iter()
-                .filter(|(k, _)| **k >= lo && **k <= hi)
-                .map(|(_, v)| *v)
-                .sum()
-        };
-        rows.push(vec![
-            kind.name().to_string(),
-            format!("{}", count(0, 0)),
-            format!("{}", count(1, 1)),
-            format!("{}", count(2, 2)),
-            format!("{}", count(3, 3)),
-            format!("{}", count(4, 4)),
-            format!("{}", count(5, usize::MAX)),
-        ]);
+        let edges = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, usize::MAX)];
+        let mut row = vec![kind.name().to_string()];
+        row.extend(histogram_cells(&sc, &edges));
+        rows.push(row);
     }
     let output = ExperimentOutput {
         id: "table2".into(),
@@ -133,8 +118,6 @@ pub fn run_table2() -> Vec<ExperimentOutput> {
 /// Table 3: workloads with 16 and 32 rewrite options (4 and 5 filtering conditions on
 /// Twitter), bucketed as in the paper.
 pub fn run_table3() -> Vec<ExperimentOutput> {
-    let scale = scale_from_env();
-    let n = queries_from_env();
     let mut outputs = Vec::new();
     for (attrs, edges) in [
         (
@@ -146,31 +129,17 @@ pub fn run_table3() -> Vec<ExperimentOutput> {
             vec![(0, 0), (1, 4), (5, 8), (9, 12), (13, 16), (17, 32)],
         ),
     ] {
-        let sc = scenario(
-            DatasetKind::Twitter,
-            scale,
-            500.0,
-            &QueryGenConfig::with_filters(attrs),
-            n,
-            SEED,
-        );
-        let hist = viable_plan_histogram(sc.db(), &sc.split.eval, 500.0).expect("histogram");
-        let count = |lo: usize, hi: usize| -> usize {
-            hist.iter()
-                .filter(|(k, _)| **k >= lo && **k <= hi)
-                .map(|(_, v)| *v)
-                .sum()
-        };
+        let sc = twitter(500.0, &QueryGenConfig::with_filters(attrs));
         let mut headers = vec!["# viable plans".to_string()];
-        let mut row = vec!["# of queries".to_string()];
         for &(lo, hi) in &edges {
             headers.push(if lo == hi {
                 format!("{lo}")
             } else {
                 format!("{lo}-{hi}")
             });
-            row.push(format!("{}", count(lo, hi)));
         }
+        let mut row = vec!["# of queries".to_string()];
+        row.extend(histogram_cells(&sc, &edges));
         outputs.push(ExperimentOutput {
             id: format!("table3_{}opts", 1 << attrs),
             title: format!(
@@ -185,8 +154,33 @@ pub fn run_table3() -> Vec<ExperimentOutput> {
     outputs
 }
 
-/// Shared implementation for Figures 12 and 13 (and their variants): evaluates a
-/// rewriter line-up per bucket and emits a VQP table and an AQRT table.
+/// A Twitter scenario at the environment's scale and workload size.
+fn twitter(tau_ms: f64, gen_config: &QueryGenConfig) -> Scenario {
+    scenario(
+        DatasetKind::Twitter,
+        scale_from_env(),
+        tau_ms,
+        gen_config,
+        queries_from_env(),
+        SEED,
+    )
+}
+
+/// The number of evaluation queries of `sc` whose viable-plan count falls in each
+/// inclusive range of `edges` (one row of Tables 2 and 3).
+fn histogram_cells(sc: &Scenario, edges: &[(usize, usize)]) -> Vec<String> {
+    let hist = viable_plan_histogram(sc.db(), &sc.split.eval, sc.tau_ms).expect("histogram");
+    edges
+        .iter()
+        .map(|&(lo, hi)| {
+            let count: usize = hist.range(lo..=hi).map(|(_, v)| *v).sum();
+            format!("{count}")
+        })
+        .collect()
+}
+
+/// Shared implementation for Figures 12–19: evaluates a rewriter line-up per bucket
+/// and emits a VQP table and an AQRT table.
 fn vqp_aqrt_outputs(
     id_vqp: &str,
     id_aqrt: &str,
@@ -196,47 +190,66 @@ fn vqp_aqrt_outputs(
     edges: &[(usize, usize)],
 ) -> Vec<ExperimentOutput> {
     let report = evaluate_by_bucket(sc.db(), rewriters, &sc.split.eval, sc.tau_ms, edges);
+    vqp_aqrt_tables(id_vqp, id_aqrt, title, &report, rewriters)
+}
 
+/// The VQP and AQRT tables of a bucketed evaluation.
+fn vqp_aqrt_tables(
+    id_vqp: &str,
+    id_aqrt: &str,
+    title: &str,
+    report: &BucketReport,
+    rewriters: &[Box<dyn QueryRewriter>],
+) -> Vec<ExperimentOutput> {
+    vec![
+        bucket_table(
+            id_vqp,
+            format!("{title} — viable query percentage (%)"),
+            report,
+            rewriters,
+            |m| f1(m.vqp),
+        ),
+        bucket_table(
+            id_aqrt,
+            format!("{title} — average query response time (s)"),
+            report,
+            rewriters,
+            |m| secs(m.aqrt_ms),
+        ),
+    ]
+}
+
+/// A projection of a bucketed evaluation: one row per bucket, one column per
+/// rewriter, each cell `cell` of that rewriter's metrics on the bucket.
+fn bucket_table(
+    id: &str,
+    title: String,
+    report: &BucketReport,
+    rewriters: &[Box<dyn QueryRewriter>],
+    cell: impl Fn(&WorkloadMetrics) -> String,
+) -> ExperimentOutput {
     let mut headers = vec!["# viable plans (n)".to_string()];
-    for r in rewriters {
-        headers.push(r.name());
-    }
-    let mut vqp_rows = Vec::new();
-    let mut aqrt_rows = Vec::new();
-    for (label, per_rewriter) in &report.buckets {
-        let n = report.bucket_sizes.get(label).copied().unwrap_or(0);
-        let mut vqp_row = vec![format!("{label} (n={n})")];
-        let mut aqrt_row = vec![format!("{label} (n={n})")];
-        for r in rewriters {
-            match per_rewriter.get(&r.name()) {
-                Some(m) => {
-                    vqp_row.push(f1(m.vqp));
-                    aqrt_row.push(secs(m.aqrt_ms));
-                }
-                None => {
-                    vqp_row.push("-".into());
-                    aqrt_row.push("-".into());
-                }
-            }
-        }
-        vqp_rows.push(vqp_row);
-        aqrt_rows.push(aqrt_row);
-    }
-    let vqp = ExperimentOutput {
-        id: id_vqp.to_string(),
-        title: format!("{title} — viable query percentage (%)"),
-        headers: headers.clone(),
-        rows: vqp_rows,
-    };
-    let aqrt = ExperimentOutput {
-        id: id_aqrt.to_string(),
-        title: format!("{title} — average query response time (s)"),
+    headers.extend(rewriters.iter().map(|r| r.name()));
+    let rows = report
+        .buckets
+        .iter()
+        .map(|(label, per_rewriter)| {
+            let n = report.bucket_sizes.get(label).copied().unwrap_or(0);
+            let mut row = vec![format!("{label} (n={n})")];
+            row.extend(
+                rewriters
+                    .iter()
+                    .map(|r| per_rewriter.get(&r.name()).map_or("-".into(), &cell)),
+            );
+            row
+        })
+        .collect();
+    ExperimentOutput {
+        id: id.to_string(),
+        title,
         headers,
-        rows: aqrt_rows,
-    };
-    crate::harness::save_json(&vqp, json!({ "report": report }));
-    crate::harness::save_json(&aqrt, json!({}));
-    vec![vqp, aqrt]
+        rows,
+    }
 }
 
 /// Figures 12 & 13: VQP and AQRT on Twitter (τ=500 ms), NYC Taxi (τ=1 s) and TPC-H
@@ -252,7 +265,7 @@ pub fn run_fig12_13() -> Vec<ExperimentOutput> {
     ] {
         let tau = kind.default_tau_ms();
         let sc = scenario(kind, scale, tau, &QueryGenConfig::default(), n, SEED);
-        let rewriters = standard_rewriters(&sc);
+        let rewriters = standard_rewriters(&sc, build_qtes(&sc));
         outputs.extend(vqp_aqrt_outputs(
             &format!("fig12{sub}"),
             &format!("fig13{sub}"),
@@ -267,26 +280,18 @@ pub fn run_fig12_13() -> Vec<ExperimentOutput> {
 
 /// Figures 14 & 15: effect of the number of rewrite options (16 and 32) on Twitter.
 pub fn run_fig14_15() -> Vec<ExperimentOutput> {
-    let scale = scale_from_env();
-    let n = queries_from_env();
     let mut outputs = Vec::new();
     for (attrs, edges, sub) in [
         (4usize, vec![(1, 2), (3, 4), (5, 6), (7, 8)], "a"),
         (5usize, vec![(1, 4), (5, 8), (9, 12), (13, 16)], "b"),
     ] {
-        let sc = scenario(
-            DatasetKind::Twitter,
-            scale,
-            500.0,
-            &QueryGenConfig::with_filters(attrs),
-            n,
-            SEED,
-        );
-        let mut rewriters = standard_rewriters(&sc);
+        let sc = twitter(500.0, &QueryGenConfig::with_filters(attrs));
+        let (accurate, approximate) = build_qtes(&sc);
+        let mut rewriters = standard_rewriters(&sc, (accurate, approximate.clone()));
         if attrs == 4 {
             // The paper additionally reports the brute-force Naive (Approximate-QTE)
             // strategy for the 16-option workload (Fig. 14a).
-            rewriters.push(naive_rewriter(&sc));
+            rewriters.push(Box::new(NaiveRewriter::new(approximate)));
         }
         outputs.extend(vqp_aqrt_outputs(
             &format!("fig14{sub}"),
@@ -302,19 +307,10 @@ pub fn run_fig14_15() -> Vec<ExperimentOutput> {
 
 /// Figures 16 & 17: effect of the time budget (0.25 s, 0.75 s, 1.0 s) on Twitter.
 pub fn run_fig16_17() -> Vec<ExperimentOutput> {
-    let scale = scale_from_env();
-    let n = queries_from_env();
     let mut outputs = Vec::new();
     for (tau, sub) in [(250.0, "a"), (750.0, "b"), (1000.0, "c")] {
-        let sc = scenario(
-            DatasetKind::Twitter,
-            scale,
-            tau,
-            &QueryGenConfig::default(),
-            n,
-            SEED,
-        );
-        let rewriters = standard_rewriters(&sc);
+        let sc = twitter(tau, &QueryGenConfig::default());
+        let rewriters = standard_rewriters(&sc, build_qtes(&sc));
         outputs.extend(vqp_aqrt_outputs(
             &format!("fig16{sub}"),
             &format!("fig17{sub}"),
@@ -329,17 +325,8 @@ pub fn run_fig16_17() -> Vec<ExperimentOutput> {
 
 /// Figure 18: join queries (tweets ⋈ users, 21 rewrite options).
 pub fn run_fig18() -> Vec<ExperimentOutput> {
-    let scale = scale_from_env();
-    let n = queries_from_env();
-    let sc = scenario(
-        DatasetKind::Twitter,
-        scale,
-        500.0,
-        &QueryGenConfig::join(),
-        n,
-        SEED,
-    );
-    let rewriters = standard_rewriters(&sc);
+    let sc = twitter(500.0, &QueryGenConfig::join());
+    let rewriters = standard_rewriters(&sc, build_qtes(&sc));
     let edges = vec![(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)];
     vqp_aqrt_outputs(
         "fig18a",
@@ -355,38 +342,16 @@ pub fn run_fig18() -> Vec<ExperimentOutput> {
 /// single-table queries, evaluated on join queries (the rewrite space stays the 8
 /// index-hint sets over the three fact-table predicates).
 pub fn run_fig19a() -> Vec<ExperimentOutput> {
-    let scale = scale_from_env();
     let n = queries_from_env();
-    let sc = scenario(
-        DatasetKind::Twitter,
-        scale,
-        500.0,
-        &QueryGenConfig::default(),
-        n,
-        SEED,
-    );
+    let sc = twitter(500.0, &QueryGenConfig::default());
     // Evaluation workload: join queries (unseen shape).
     let join_queries = generate_queries(&sc.dataset, n / 2, &QueryGenConfig::join(), SEED ^ 0x77);
     let eval_split = split_workload(&join_queries, SEED);
 
-    let space_builder: Box<dyn Fn(&Query) -> RewriteSpace + Send + Sync> =
-        Box::new(|_q: &Query| RewriteSpace::index_hints(3));
-    let (accurate, approximate) = build_qtes(&sc);
-    let config = experiment_config(sc.tau_ms);
-    let mdp_approx = train_mdp_rewriter(
-        &sc,
-        approximate,
-        "MDP (Approximate-QTE)",
-        Box::new(|_q: &Query| RewriteSpace::index_hints(3)),
-        &config,
-    );
-    let mdp_accurate =
-        train_mdp_rewriter(&sc, accurate, "MDP (Accurate-QTE)", space_builder, &config);
-    let rewriters: Vec<Box<dyn QueryRewriter>> = vec![
-        Box::new(BaselineRewriter::new()),
-        Box::new(mdp_approx),
-        Box::new(mdp_accurate),
-    ];
+    let mut rewriters: Vec<Box<dyn QueryRewriter>> = vec![Box::new(BaselineRewriter::new())];
+    rewriters.extend(mdp_rewriters(&sc, build_qtes(&sc), |_| {
+        RewriteSpace::index_hints(3)
+    }));
     let mut outputs = vqp_aqrt_outputs(
         "fig19a",
         "fig19a_aqrt",
@@ -422,27 +387,12 @@ pub fn run_fig19b() -> Vec<ExperimentOutput> {
         split,
         tau_ms: tau,
     };
-    let (accurate, approximate) = build_qtes(&sc);
-    let config = experiment_config(tau);
-    let mdp_approx = train_mdp_rewriter(
+    let mut rewriters: Vec<Box<dyn QueryRewriter>> = vec![Box::new(BaselineRewriter::new())];
+    rewriters.extend(mdp_rewriters(
         &sc,
-        approximate,
-        "MDP (Approximate-QTE)",
-        Box::new(RewriteSpace::hints_only),
-        &config,
-    );
-    let mdp_accurate = train_mdp_rewriter(
-        &sc,
-        accurate,
-        "MDP (Accurate-QTE)",
-        Box::new(RewriteSpace::hints_only),
-        &config,
-    );
-    let rewriters: Vec<Box<dyn QueryRewriter>> = vec![
-        Box::new(BaselineRewriter::new()),
-        Box::new(mdp_approx),
-        Box::new(mdp_accurate),
-    ];
+        build_qtes(&sc),
+        RewriteSpace::hints_only,
+    ));
     let edges = vec![(1, 2), (3, 4), (5, 6), (7, 8)];
     vqp_aqrt_outputs(
         "fig19b",
@@ -457,16 +407,7 @@ pub fn run_fig19b() -> Vec<ExperimentOutput> {
 /// Figure 20: quality-aware rewriting (one-stage vs two-stage vs exact-only MDP vs
 /// baseline) — VQP, AQRT and average Jaccard quality per bucket.
 pub fn run_fig20() -> Vec<ExperimentOutput> {
-    let scale = scale_from_env();
-    let n = queries_from_env();
-    let sc = scenario(
-        DatasetKind::Twitter,
-        scale,
-        500.0,
-        &QueryGenConfig::default(),
-        n,
-        SEED,
-    );
+    let sc = twitter(500.0, &QueryGenConfig::default());
     let db = sc.db().clone();
     let accurate: Arc<dyn QueryTimeEstimator> = Arc::new(AccurateQte::new(db.clone()));
     let config = experiment_config(sc.tau_ms).with_beta(0.5);
@@ -508,111 +449,32 @@ pub fn run_fig20() -> Vec<ExperimentOutput> {
 
     // Bucket the evaluation queries including the 0-viable-plan bucket.
     let edges = vec![(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)];
-    let buckets =
-        maliva::metrics::bucket_by_viable_plans(sc.db(), &sc.split.eval, sc.tau_ms, &edges)
-            .expect("bucketing");
-
-    let mut headers = vec!["# viable plans (n)".to_string()];
-    for r in &rewriters {
-        headers.push(r.name());
-    }
-    let mut vqp_rows = Vec::new();
-    let mut aqrt_rows = Vec::new();
-    let mut quality_rows = Vec::new();
-    for (label, indices) in &buckets {
-        let subset: Vec<Query> = indices.iter().map(|&i| sc.split.eval[i].clone()).collect();
-        if subset.is_empty() {
-            continue;
-        }
-        let mut vqp_row = vec![format!("{label} (n={})", subset.len())];
-        let mut aqrt_row = vec![format!("{label} (n={})", subset.len())];
-        let mut quality_row = vec![format!("{label} (n={})", subset.len())];
-        for r in &rewriters {
-            let mut viable = 0usize;
-            let mut total_ms = 0.0;
-            let mut total_quality = 0.0;
-            for q in &subset {
-                let decision = r.rewrite(q).expect("rewrite");
-                let exec = sc
-                    .db()
-                    .execution_time_ms(q, &decision.rewrite)
-                    .expect("execution time");
-                let total = decision.planning_ms + exec;
-                if total <= sc.tau_ms {
-                    viable += 1;
-                }
-                total_ms += total;
-                let quality = if decision.rewrite.is_exact() {
-                    1.0
-                } else {
-                    let exact = sc
-                        .db()
-                        .run(q, &RewriteOption::original())
-                        .expect("exact run")
-                        .result;
-                    let approx = sc
-                        .db()
-                        .run(q, &decision.rewrite)
-                        .expect("approx run")
-                        .result;
-                    jaccard_quality(&exact, &approx)
-                };
-                total_quality += quality;
-            }
-            let nq = subset.len() as f64;
-            vqp_row.push(f1(viable as f64 / nq * 100.0));
-            aqrt_row.push(secs(total_ms / nq));
-            quality_row.push(format!("{:.2}", total_quality / nq));
-        }
-        vqp_rows.push(vqp_row);
-        aqrt_rows.push(aqrt_row);
-        quality_rows.push(quality_row);
-    }
-
-    let outputs = vec![
-        ExperimentOutput {
-            id: "fig20a".into(),
-            title: "Quality-aware rewriting — viable query percentage (%)".into(),
-            headers: headers.clone(),
-            rows: vqp_rows,
+    let report = evaluate_by_bucket(sc.db(), &rewriters, &sc.split.eval, sc.tau_ms, &edges);
+    let title = "Quality-aware rewriting";
+    let mut outputs = vqp_aqrt_tables("fig20a", "fig20b", title, &report, &rewriters);
+    outputs.push(bucket_table(
+        "fig20c",
+        format!("{title} — average Jaccard quality"),
+        &report,
+        &rewriters,
+        |m| {
+            let quality: f64 = m.outcomes.iter().map(|o| o.quality).sum();
+            format!("{:.2}", quality / m.queries as f64)
         },
-        ExperimentOutput {
-            id: "fig20b".into(),
-            title: "Quality-aware rewriting — average query response time (s)".into(),
-            headers: headers.clone(),
-            rows: aqrt_rows,
-        },
-        ExperimentOutput {
-            id: "fig20c".into(),
-            title: "Quality-aware rewriting — average Jaccard quality".into(),
-            headers,
-            rows: quality_rows,
-        },
-    ];
-    for o in &outputs {
-        crate::harness::save_json(o, json!({}));
-    }
+    ));
     outputs
 }
 
 /// Figure 21: learning curves (training vs validation VQP) and training time as the
 /// number of training queries grows, for 8 / 16 / 32 rewrite options.
 pub fn run_fig21() -> Vec<ExperimentOutput> {
-    let scale = scale_from_env();
-    let n = queries_from_env();
     let mut curve_rows = Vec::new();
     let mut time_rows = Vec::new();
     for (attrs, unit_cost) in [(3usize, 100.0), (4, 60.0), (5, 50.0)] {
         let options = 1usize << attrs;
-        let sc = scenario(
-            DatasetKind::Twitter,
-            scale,
-            500.0,
-            &QueryGenConfig::with_filters(attrs),
-            n,
-            SEED,
-        );
-        let qte = AccurateQte::with_unit_cost(sc.db().clone(), unit_cost);
+        let sc = twitter(500.0, &QueryGenConfig::with_filters(attrs));
+        let qte: Arc<dyn QueryTimeEstimator> =
+            Arc::new(AccurateQte::with_unit_cost(sc.db().clone(), unit_cost));
         let max_train = sc.split.train.len();
         for &train_size in &[10usize, 25, 50, 100, 200] {
             let size = train_size.min(max_train);
@@ -626,44 +488,25 @@ pub fn run_fig21() -> Vec<ExperimentOutput> {
                 epsilon_decay_episodes: (size * 3).max(30),
                 ..MalivaConfig::default()
             };
-            let trained = train_agent(
-                sc.db(),
-                &qte,
-                &subset,
-                &RewriteSpace::hints_only,
-                RewardSpec::efficiency_only(),
-                &config,
-            )
-            .expect("training");
-            // Validation VQP: greedy planning on the validation workload.
-            let mut viable = 0usize;
-            for q in &sc.split.validation {
-                let space = RewriteSpace::hints_only(q);
-                let outcome =
-                    plan_online(&trained.agent, sc.db(), &qte, q, &space, 500.0).expect("plan");
-                if outcome.viable {
-                    viable += 1;
-                }
-            }
-            let val_vqp = viable as f64 / sc.split.validation.len().max(1) as f64 * 100.0;
+            let (report, validation) = train_and_validate(&sc, qte.clone(), &subset, &config);
             curve_rows.push(vec![
                 format!("{options} options"),
                 format!("{size}"),
-                f1(trained.report.final_vqp()),
-                f1(val_vqp),
+                f1(report.final_vqp()),
+                f1(validation.vqp),
             ]);
             time_rows.push(vec![
                 format!("{options} options"),
                 format!("{size}"),
-                format!("{:.1}", trained.report.wall_clock_secs),
-                format!("{}", trained.report.epochs),
+                format!("{:.1}", report.wall_clock_secs),
+                format!("{}", report.epochs),
             ]);
             if size == max_train {
                 break;
             }
         }
     }
-    let outputs = vec![
+    vec![
         ExperimentOutput {
             id: "fig21ab".into(),
             title: "Learning curves: training vs validation VQP by number of training queries"
@@ -687,18 +530,81 @@ pub fn run_fig21() -> Vec<ExperimentOutput> {
             ],
             rows: time_rows,
         },
-    ];
-    for o in &outputs {
-        crate::harness::save_json(o, json!({}));
+    ]
+}
+
+/// Ablation of the ε-greedy exploration schedule (paper §5.1): training and
+/// validation VQP of agents trained with the decaying schedule, with pure
+/// exploitation (ε = 0) and with pure exploration (ε = 1).
+pub fn run_ablation() -> Vec<ExperimentOutput> {
+    let sc = twitter(500.0, &QueryGenConfig::default());
+    let qte: Arc<dyn QueryTimeEstimator> = Arc::new(AccurateQte::new(sc.db().clone()));
+    let mut rows = Vec::new();
+    for (schedule, epsilon_start, epsilon_end) in [
+        ("decaying (0.9 -> 0.05)", 0.9, 0.05),
+        ("greedy (eps = 0)", 0.0, 0.0),
+        ("random (eps = 1)", 1.0, 1.0),
+    ] {
+        let config = MalivaConfig {
+            epsilon_start,
+            epsilon_end,
+            ..experiment_config(sc.tau_ms)
+        };
+        let (report, validation) = train_and_validate(&sc, qte.clone(), &sc.split.train, &config);
+        rows.push(vec![
+            schedule.to_string(),
+            f1(report.final_vqp()),
+            f1(validation.vqp),
+        ]);
     }
-    outputs
+    vec![ExperimentOutput {
+        id: "ablation".into(),
+        title: "Exploration schedule ablation (Twitter, Accurate-QTE, tau = 500 ms)".into(),
+        headers: vec![
+            "Epsilon schedule".into(),
+            "Training VQP (%)".into(),
+            "Validation VQP (%)".into(),
+        ],
+        rows,
+    }]
+}
+
+/// Trains an agent on `train` and evaluates it on the scenario's validation
+/// workload: the training report and the validation metrics.
+fn train_and_validate(
+    sc: &Scenario,
+    qte: Arc<dyn QueryTimeEstimator>,
+    train: &[Query],
+    config: &MalivaConfig,
+) -> (TrainingReport, WorkloadMetrics) {
+    let trained = train_agent(
+        sc.db(),
+        qte.as_ref(),
+        train,
+        &RewriteSpace::hints_only,
+        RewardSpec::efficiency_only(),
+        config,
+    )
+    .expect("training");
+    let rewriter = MalivaRewriter::new(
+        "MDP",
+        sc.db().clone(),
+        qte,
+        trained.agent,
+        Box::new(RewriteSpace::hints_only),
+        config.tau_ms,
+    );
+    let validation = evaluate_workload(&rewriter, sc.db(), &sc.split.validation, config.tau_ms)
+        .expect("validation");
+    (trained.report, validation)
 }
 
 /// Every experiment id accepted by the `experiments` binary.
 pub fn all_experiment_ids() -> Vec<&'static str> {
     vec![
         "table1", "table2", "table3", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-        "fig18", "fig19a", "fig19b", "fig20", "fig21", "serve", "shard", "exec", "chaos",
+        "fig18", "fig19a", "fig19b", "fig20", "fig21", "ablation", "serve", "shard", "exec",
+        "chaos",
     ]
 }
 
@@ -716,6 +622,7 @@ pub fn run_experiment(id: &str) -> Vec<ExperimentOutput> {
         "fig19b" => run_fig19b(),
         "fig20" => run_fig20(),
         "fig21" => run_fig21(),
+        "ablation" => run_ablation(),
         "serve" => run_serve_throughput(),
         "shard" => run_shard_scaling(),
         "exec" => run_exec_engine(),
@@ -747,6 +654,10 @@ pub fn experiment_descriptions() -> BTreeMap<&'static str, &'static str> {
             "Quality-aware rewriting (VQP, AQRT, Jaccard quality)",
         ),
         ("fig21", "Learning curves and training time"),
+        (
+            "ablation",
+            "Exploration-schedule ablation (training and validation VQP)",
+        ),
         (
             "serve",
             "Serving throughput/latency at 1/2/4/8 workers + decision-cache ablation",

@@ -4,14 +4,14 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use serde_json::json;
 
 use maliva::{
     evaluate_workload, train_agent, MalivaConfig, MalivaRewriter, QueryRewriter, RewardSpec,
     RewriteSpace, WorkloadMetrics,
 };
-use maliva_baselines::{BaoConfig, BaoRewriter, BaselineRewriter, NaiveRewriter};
+use maliva_baselines::{BaoConfig, BaoRewriter, BaselineRewriter};
 use maliva_qte::approximate::ApproximateQteConfig;
 use maliva_qte::{AccurateQte, ApproximateQte, QueryTimeEstimator};
 use maliva_workload::{
@@ -164,7 +164,7 @@ pub fn train_mdp_rewriter(
         RewardSpec::efficiency_only(),
         config,
     )
-    .expect("training cannot fail on a generated workload");
+    .expect("MDP training needs a non-empty training split");
     MalivaRewriter::new(
         label,
         scenario.db().clone(),
@@ -175,44 +175,47 @@ pub fn train_mdp_rewriter(
     )
 }
 
-/// The paper's standard rewriter line-up for Figures 12/13/16/17/18: Baseline, Bao,
-/// MDP (Approximate-QTE) and MDP (Accurate-QTE).
-pub fn standard_rewriters(scenario: &Scenario) -> Vec<Box<dyn QueryRewriter>> {
-    let (accurate, approximate) = build_qtes(scenario);
-    let config = experiment_config(scenario.tau_ms);
+/// The paper's standard rewriter line-up for Figures 12/13/14/16/17/18: Baseline, Bao,
+/// MDP (Approximate-QTE) and MDP (Accurate-QTE), over the QTEs of [`build_qtes`].
+pub fn standard_rewriters(
+    scenario: &Scenario,
+    qtes: (Arc<AccurateQte>, Arc<ApproximateQte>),
+) -> Vec<Box<dyn QueryRewriter>> {
     let bao = BaoRewriter::train(
         scenario.db().clone(),
         &scenario.split.train,
         BaoConfig::default(),
     )
-    .expect("Bao training cannot fail");
-
-    let mdp_approx = train_mdp_rewriter(
-        scenario,
-        approximate,
-        "MDP (Approximate-QTE)",
-        Box::new(RewriteSpace::hints_only),
-        &config,
-    );
-    let mdp_accurate = train_mdp_rewriter(
-        scenario,
-        accurate,
-        "MDP (Accurate-QTE)",
-        Box::new(RewriteSpace::hints_only),
-        &config,
-    );
-    vec![
-        Box::new(BaselineRewriter::new()),
-        Box::new(bao),
-        Box::new(mdp_approx),
-        Box::new(mdp_accurate),
-    ]
+    .expect("Bao training needs a non-empty training split");
+    let mut rewriters: Vec<Box<dyn QueryRewriter>> =
+        vec![Box::new(BaselineRewriter::new()), Box::new(bao)];
+    rewriters.extend(mdp_rewriters(scenario, qtes, RewriteSpace::hints_only));
+    rewriters
 }
 
-/// Adds the Naive (Approximate-QTE) brute-force rewriter (used in Fig. 14(a)).
-pub fn naive_rewriter(scenario: &Scenario) -> Box<dyn QueryRewriter> {
-    let (_, approximate) = build_qtes(scenario);
-    Box::new(NaiveRewriter::new(approximate))
+/// MDP (Approximate-QTE) and MDP (Accurate-QTE), trained over `space`.
+pub fn mdp_rewriters(
+    scenario: &Scenario,
+    (accurate, approximate): (Arc<AccurateQte>, Arc<ApproximateQte>),
+    space: fn(&Query) -> RewriteSpace,
+) -> [Box<dyn QueryRewriter>; 2] {
+    let config = experiment_config(scenario.tau_ms);
+    [
+        Box::new(train_mdp_rewriter(
+            scenario,
+            approximate,
+            "MDP (Approximate-QTE)",
+            Box::new(space),
+            &config,
+        )),
+        Box::new(train_mdp_rewriter(
+            scenario,
+            accurate,
+            "MDP (Accurate-QTE)",
+            Box::new(space),
+            &config,
+        )),
+    ]
 }
 
 /// Per-bucket, per-rewriter evaluation results.
@@ -262,7 +265,7 @@ pub fn evaluate_by_bucket(
 }
 
 /// A printable / serialisable experiment output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentOutput {
     /// Experiment id ("fig12", "table2", ...).
     pub id: String,

@@ -14,6 +14,7 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod pins;
 
 pub use harness::{
     bucket_edges_small, evaluate_by_bucket, print_table, save_json, scenario, standard_rewriters,

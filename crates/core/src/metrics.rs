@@ -3,8 +3,10 @@
 
 use std::collections::BTreeMap;
 
+use maliva_quality::jaccard_quality;
 use serde::{Deserialize, Serialize};
 use vizdb::error::Result;
+use vizdb::hints::RewriteOption;
 use vizdb::query::Query;
 use vizdb::QueryBackend;
 
@@ -23,6 +25,9 @@ pub struct QueryOutcome {
     pub viable: bool,
     /// Whether the chosen rewrite was exact (no approximation rule).
     pub exact: bool,
+    /// Quality of the answer in `[0, 1]`: 1 for an exact rewrite, otherwise the
+    /// Jaccard similarity of the approximate answer to the exact one.
+    pub quality: f64,
 }
 
 /// Aggregated workload metrics.
@@ -61,7 +66,8 @@ impl WorkloadMetrics {
 }
 
 /// Runs `rewriter` over every query of `workload` and aggregates VQP / AQRT against the
-/// budget `tau_ms`.
+/// budget `tau_ms`. An approximate rewrite is also run, with the original query, to
+/// score its answer's quality.
 pub fn evaluate_workload(
     rewriter: &dyn QueryRewriter,
     db: &dyn QueryBackend,
@@ -73,12 +79,20 @@ pub fn evaluate_workload(
         let decision = rewriter.rewrite(query)?;
         let exec_ms = db.execution_time_ms(query, &decision.rewrite)?;
         let total_ms = decision.planning_ms + exec_ms;
+        let exact = decision.rewrite.is_exact();
+        let quality = if exact {
+            1.0
+        } else {
+            let exact_answer = db.run(query, &RewriteOption::original())?.result;
+            jaccard_quality(&exact_answer, &db.run(query, &decision.rewrite)?.result)
+        };
         outcomes.push(QueryOutcome {
             planning_ms: decision.planning_ms,
             exec_ms,
             total_ms,
             viable: total_ms <= tau_ms,
-            exact: decision.rewrite.is_exact(),
+            exact,
+            quality,
         });
     }
     Ok(WorkloadMetrics::from_outcomes(outcomes))
@@ -131,12 +145,16 @@ mod tests {
     use super::*;
     use crate::rewriter::RewriteDecision;
     use crate::testutil::{tiny_db, workload};
-    use vizdb::hints::RewriteOption;
+    use vizdb::approx::ApproxRule;
+    use vizdb::hints::HintSet;
 
-    /// A trivial rewriter that always returns the original query with a fixed planning
-    /// cost, for exercising the metric plumbing.
+    /// A trivial rewriter that always returns the same rewrite (the original query
+    /// unless `rewrite` is set) with a fixed planning cost, for exercising the metric
+    /// plumbing.
+    #[derive(Default)]
     struct FixedRewriter {
         planning_ms: f64,
+        rewrite: Option<RewriteOption>,
     }
 
     impl QueryRewriter for FixedRewriter {
@@ -146,7 +164,7 @@ mod tests {
 
         fn rewrite(&self, _query: &Query) -> Result<RewriteDecision> {
             Ok(RewriteDecision {
-                rewrite: RewriteOption::original(),
+                rewrite: self.rewrite.clone().unwrap_or_else(RewriteOption::original),
                 planning_ms: self.planning_ms,
             })
         }
@@ -156,21 +174,56 @@ mod tests {
     fn metrics_aggregate_viability_and_times() {
         let db = tiny_db();
         let queries = workload(10);
-        let rewriter = FixedRewriter { planning_ms: 5.0 };
+        let rewriter = FixedRewriter {
+            planning_ms: 5.0,
+            ..FixedRewriter::default()
+        };
         let metrics = evaluate_workload(&rewriter, &db, &queries, 500.0).unwrap();
         assert_eq!(metrics.queries, 10);
         assert_eq!(metrics.outcomes.len(), 10);
         assert!((0.0..=100.0).contains(&metrics.vqp));
         assert!(metrics.aqrt_ms >= metrics.avg_exec_ms);
         assert!((metrics.avg_planning_ms - 5.0).abs() < 1e-9);
-        assert!(metrics.outcomes.iter().all(|o| o.exact));
+        assert!(metrics.outcomes.iter().all(|o| o.exact && o.quality == 1.0));
+    }
+
+    #[test]
+    fn approximate_rewrites_score_the_jaccard_quality_of_their_answer() {
+        let db = tiny_db();
+        let queries = workload(8);
+        let sample = RewriteOption::approximate(
+            HintSet::none(),
+            ApproxRule::SampleTable { fraction_pct: 20 },
+        );
+        let rewriter = FixedRewriter {
+            planning_ms: 1.0,
+            rewrite: Some(sample.clone()),
+        };
+        let metrics = evaluate_workload(&rewriter, &db, &queries, 500.0).unwrap();
+        for (query, outcome) in queries.iter().zip(&metrics.outcomes) {
+            let exact = db.run(query, &RewriteOption::original()).unwrap().result;
+            let approx = db.run(query, &sample).unwrap().result;
+            assert!(!outcome.exact);
+            assert_eq!(outcome.quality, jaccard_quality(&exact, &approx));
+        }
+        assert!(metrics
+            .outcomes
+            .iter()
+            .all(|o| (0.0..=1.0).contains(&o.quality)));
+        assert!(
+            metrics.outcomes.iter().any(|o| o.quality < 1.0),
+            "a 20% sample should lose part of some answer"
+        );
     }
 
     #[test]
     fn infinite_budget_makes_everything_viable() {
         let db = tiny_db();
         let queries = workload(6);
-        let rewriter = FixedRewriter { planning_ms: 1.0 };
+        let rewriter = FixedRewriter {
+            planning_ms: 1.0,
+            ..FixedRewriter::default()
+        };
         let metrics = evaluate_workload(&rewriter, &db, &queries, f64::INFINITY).unwrap();
         assert_eq!(metrics.vqp, 100.0);
     }
@@ -198,7 +251,10 @@ mod tests {
     #[test]
     fn empty_workload_metrics_are_zero() {
         let db = tiny_db();
-        let rewriter = FixedRewriter { planning_ms: 1.0 };
+        let rewriter = FixedRewriter {
+            planning_ms: 1.0,
+            ..FixedRewriter::default()
+        };
         let metrics = evaluate_workload(&rewriter, &db, &[], 500.0).unwrap();
         assert_eq!(metrics.queries, 0);
         assert_eq!(metrics.vqp, 0.0);

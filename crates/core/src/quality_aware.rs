@@ -350,4 +350,22 @@ mod tests {
         // at least the easy queries must stay exact.
         assert!(metrics.outcomes.iter().any(|o| o.exact));
     }
+
+    #[test]
+    fn empty_training_workload_is_an_error_in_both_modes() {
+        let db = tiny_db();
+        let qte: Arc<dyn QueryTimeEstimator> = Arc::new(AccurateQte::new(db.clone()));
+        for mode in [QualityAwareMode::OneStage, QualityAwareMode::TwoStage] {
+            let trained = QualityAwareRewriter::train(
+                db.clone(),
+                qte.clone(),
+                &[],
+                ApproxRule::paper_sample_rules(),
+                mode,
+                QualityFunction::Jaccard,
+                &fast_config(),
+            );
+            assert_eq!(trained.err(), Some(vizdb::error::Error::EmptyWorkload));
+        }
+    }
 }

@@ -6,7 +6,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use vizdb::error::Result;
+use vizdb::error::{Error, Result};
 use vizdb::query::Query;
 use vizdb::QueryBackend;
 
@@ -74,10 +74,12 @@ pub fn train_agent(
     reward: RewardSpec,
     config: &MalivaConfig,
 ) -> Result<TrainedAgent> {
-    assert!(!workload.is_empty(), "training workload cannot be empty");
+    let Some(first_query) = workload.first() else {
+        return Err(Error::EmptyWorkload);
+    };
     let start = std::time::Instant::now();
 
-    let first_space = space_builder(&workload[0]);
+    let first_space = space_builder(first_query);
     let n_actions = first_space.len();
     let mut agent = QAgent::new(n_actions, config.tau_ms, config.seed);
     let mut replay = ReplayMemory::new(config.replay_capacity);
@@ -276,11 +278,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "training workload cannot be empty")]
-    fn empty_workload_panics() {
+    fn empty_workload_is_an_error() {
         let db = tiny_db();
         let qte = AccurateQte::new(db.clone());
-        let _ = train_agent(
+        let trained = train_agent(
             &db,
             &qte,
             &[],
@@ -288,5 +289,6 @@ mod tests {
             RewardSpec::efficiency_only(),
             &MalivaConfig::fast(),
         );
+        assert_eq!(trained.err(), Some(Error::EmptyWorkload));
     }
 }

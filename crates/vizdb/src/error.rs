@@ -62,6 +62,8 @@ pub enum Error {
     InvalidQuery(String),
     /// A rewrite option is incompatible with the query it is applied to.
     InvalidRewrite(String),
+    /// A model was asked to train on a workload with no queries.
+    EmptyWorkload,
     /// An internal invariant was violated (a bug in the caller or in this crate);
     /// returned instead of panicking on the online planning hot path.
     Internal(String),
@@ -139,6 +141,7 @@ impl fmt::Display for Error {
             ),
             Error::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             Error::InvalidRewrite(msg) => write!(f, "invalid rewrite option: {msg}"),
+            Error::EmptyWorkload => write!(f, "training workload is empty"),
             Error::Internal(msg) => write!(f, "internal invariant violated: {msg}"),
             Error::ShardPanic { shard, payload } => {
                 write!(f, "shard {shard} panicked: {payload}")

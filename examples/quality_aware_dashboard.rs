@@ -9,12 +9,13 @@
 
 use std::sync::Arc;
 
-use maliva::{MalivaConfig, QualityAwareMode, QualityAwareRewriter, QueryRewriter};
+use maliva::{
+    evaluate_workload, MalivaConfig, QualityAwareMode, QualityAwareRewriter, QueryRewriter,
+};
 use maliva_qte::{AccurateQte, QueryTimeEstimator};
-use maliva_quality::{jaccard_quality, QualityFunction};
+use maliva_quality::QualityFunction;
 use maliva_workload::{build_twitter, generate_workload, split_workload, DatasetScale};
 use vizdb::approx::ApproxRule;
-use vizdb::hints::RewriteOption;
 
 fn main() {
     let tau_ms = 500.0;
@@ -64,29 +65,25 @@ fn main() {
         hard.len()
     );
 
-    for (i, q) in hard.iter().enumerate() {
-        let exact_result = db.run(q, &RewriteOption::original()).expect("run").result;
-        for rewriter in [&two_stage as &dyn QueryRewriter, &one_stage] {
-            let decision = rewriter.rewrite(q).expect("rewrite");
-            let exec = db.execution_time_ms(q, &decision.rewrite).expect("time");
-            let total = decision.planning_ms + exec;
-            let quality = if decision.rewrite.is_exact() {
-                1.0
-            } else {
-                let approx_result = db.run(q, &decision.rewrite).expect("run").result;
-                jaccard_quality(&exact_result, &approx_result)
-            };
+    let rewriters = [&two_stage as &dyn QueryRewriter, &one_stage];
+    let metrics: Vec<_> = rewriters
+        .iter()
+        .map(|r| evaluate_workload(*r, &db, &hard, tau_ms).expect("evaluate"))
+        .collect();
+    for i in 0..hard.len() {
+        for (rewriter, m) in rewriters.iter().zip(&metrics) {
+            let outcome = &m.outcomes[i];
             println!(
-                "query #{i} | {:12} | {:28} | total {:6.0} ms | viable {} | Jaccard quality {:.2}",
+                "query #{i} | {:12} | {:11} | total {:6.0} ms | viable {} | Jaccard quality {:.2}",
                 rewriter.name(),
-                decision
-                    .rewrite
-                    .approx
-                    .map(|r| r.label())
-                    .unwrap_or_else(|| "exact (hints only)".to_string()),
-                total,
-                total <= tau_ms,
-                quality
+                if outcome.exact {
+                    "exact"
+                } else {
+                    "approximate"
+                },
+                outcome.total_ms,
+                outcome.viable,
+                outcome.quality
             );
         }
         println!();

@@ -4,12 +4,13 @@
 
 use std::sync::Arc;
 
-use maliva::{MalivaConfig, QualityAwareMode, QualityAwareRewriter, QueryRewriter};
+use maliva::{
+    evaluate_workload, MalivaConfig, QualityAwareMode, QualityAwareRewriter, QueryRewriter,
+};
 use maliva_qte::{AccurateQte, QueryTimeEstimator};
-use maliva_quality::{jaccard_quality, QualityFunction};
+use maliva_quality::QualityFunction;
 use maliva_workload::{build_twitter, generate_workload, split_workload, DatasetScale};
 use vizdb::approx::ApproxRule;
-use vizdb::hints::RewriteOption;
 
 fn config(tau_ms: f64) -> MalivaConfig {
     MalivaConfig {
@@ -54,22 +55,13 @@ fn quality_aware_rewriters_produce_valid_decisions_and_qualities() {
 
     let eval: Vec<_> = split.eval.iter().take(25).cloned().collect();
     for rewriter in [&one_stage as &dyn QueryRewriter, &two_stage] {
-        let mut qualities = Vec::new();
-        for query in &eval {
-            let decision = rewriter.rewrite(query).unwrap();
-            let exec = db.execution_time_ms(query, &decision.rewrite).unwrap();
-            assert!(exec > 0.0);
-            let quality = if decision.rewrite.is_exact() {
-                1.0
-            } else {
-                let exact = db.run(query, &RewriteOption::original()).unwrap().result;
-                let approx = db.run(query, &decision.rewrite).unwrap().result;
-                jaccard_quality(&exact, &approx)
-            };
-            assert!((0.0..=1.0).contains(&quality));
-            qualities.push(quality);
+        let metrics = evaluate_workload(rewriter, &db, &eval, tau_ms).unwrap();
+        for outcome in &metrics.outcomes {
+            assert!(outcome.exec_ms > 0.0);
+            assert!((0.0..=1.0).contains(&outcome.quality));
         }
-        let mean_quality: f64 = qualities.iter().sum::<f64>() / qualities.len() as f64;
+        let mean_quality: f64 =
+            metrics.outcomes.iter().map(|o| o.quality).sum::<f64>() / metrics.queries as f64;
         assert!(
             mean_quality > 0.2,
             "{} produced implausibly low average quality {mean_quality}",

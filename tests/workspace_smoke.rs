@@ -3,7 +3,7 @@
 //!
 //! Its purpose is to catch manifest/wiring regressions (crate renames, missing
 //! re-exports, broken cross-crate trait impls) in tier-1 (`cargo test`) rather than
-//! only when the benches or the experiment binary are built.
+//! only when the experiment binary is built.
 
 use std::sync::Arc;
 
