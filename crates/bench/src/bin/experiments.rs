@@ -9,7 +9,7 @@
 //! ```
 
 use maliva_bench::experiments::{all_experiment_ids, experiment_descriptions, run_experiment};
-use maliva_bench::harness::save_json;
+use maliva_bench::harness::{queries_from_env, save_json};
 use maliva_bench::pins::check_pins;
 
 fn main() {
@@ -72,6 +72,9 @@ fn main() {
         std::process::exit(2);
     }
 
+    // A bad workload size is a usage error before any experiment starts.
+    queries_from_env();
+
     let started = std::time::Instant::now();
     for id in &ids {
         let run_started = std::time::Instant::now();
@@ -79,7 +82,7 @@ fn main() {
         let outputs = run_experiment(id);
         for output in &outputs {
             output.print();
-            save_json(output, serde_json::json!({}));
+            save_json(output);
         }
         eprintln!(
             "[experiments] {id} finished in {:.1}s",

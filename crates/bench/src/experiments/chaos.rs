@@ -196,6 +196,7 @@ pub fn run_chaos() -> Vec<ExperimentOutput> {
         }));
     }
 
+    let payload = json!({ "seed": seed, "shards": SHARDS, "rates": dump });
     let output = ExperimentOutput {
         id: "chaos".into(),
         title: format!(
@@ -218,9 +219,8 @@ pub fn run_chaos() -> Vec<ExperimentOutput> {
         .map(String::from)
         .to_vec(),
         rows,
+        extra: payload.clone(),
     };
-    let payload = json!({ "seed": seed, "shards": SHARDS, "rates": dump });
-    crate::harness::save_json(&output, payload.clone());
     // The availability baseline: a stable, machine-readable file at the repo
     // root (wall-clock latencies are host-dependent; availability and the
     // quality split are the tracked quantities).

@@ -40,9 +40,7 @@ use vizdb::{Database, RunOutcome};
 
 use maliva_workload::QueryGenConfig;
 
-use crate::harness::{
-    queries_from_env, save_json, scale_from_env, scenario, DatasetKind, ExperimentOutput,
-};
+use crate::harness::{queries_from_env, scale_from_env, scenario, DatasetKind, ExperimentOutput};
 
 const SEED: u64 = 42;
 /// Repeat the workload so the interpreted total is comfortably above timer
@@ -326,6 +324,13 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
         );
     }
 
+    let pricing_payload = json!(pricing_dump);
+    let payload = json!({
+        "workloads": dump,
+        "seq_scan_aggregate_speedup": seq_speedup,
+        "index_aggregate_speedup": idx_speedup,
+        "pricing_vs_executing": pricing_payload,
+    });
     let output = ExperimentOutput {
         id: "exec".into(),
         title: format!(
@@ -346,6 +351,7 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
         .map(String::from)
         .to_vec(),
         rows,
+        extra: payload.clone(),
     };
     let pricing_output = ExperimentOutput {
         id: "exec-pricing".into(),
@@ -367,16 +373,8 @@ pub fn run_exec_engine() -> Vec<ExperimentOutput> {
         .map(String::from)
         .to_vec(),
         rows: pricing_rows,
+        extra: pricing_payload,
     };
-    let pricing_payload = json!(pricing_dump);
-    let payload = json!({
-        "workloads": dump,
-        "seq_scan_aggregate_speedup": seq_speedup,
-        "index_aggregate_speedup": idx_speedup,
-        "pricing_vs_executing": pricing_payload,
-    });
-    save_json(&output, payload.clone());
-    save_json(&pricing_output, pricing_payload);
     // The perf-trajectory baseline: a stable, machine-readable file at the repo
     // root (wall-clock numbers are host-dependent; the speedup ratios are the
     // tracked quantities).

@@ -76,6 +76,7 @@ pub fn run_table1() -> Vec<ExperimentOutput> {
             "Output attribute".into(),
         ],
         rows,
+        extra: serde_json::Value::Null,
     };
     vec![output]
 }
@@ -111,6 +112,7 @@ pub fn run_table2() -> Vec<ExperimentOutput> {
             ">=5".into(),
         ],
         rows,
+        extra: serde_json::Value::Null,
     };
     vec![output]
 }
@@ -149,6 +151,7 @@ pub fn run_table3() -> Vec<ExperimentOutput> {
             ),
             headers,
             rows: vec![row],
+            extra: serde_json::Value::Null,
         });
     }
     outputs
@@ -249,6 +252,7 @@ fn bucket_table(
         title,
         headers,
         rows,
+        extra: serde_json::Value::Null,
     }
 }
 
@@ -518,6 +522,7 @@ pub fn run_fig21() -> Vec<ExperimentOutput> {
                 "Validation VQP (%)".into(),
             ],
             rows: curve_rows,
+            extra: serde_json::Value::Null,
         },
         ExperimentOutput {
             id: "fig21c".into(),
@@ -529,6 +534,7 @@ pub fn run_fig21() -> Vec<ExperimentOutput> {
                 "Epochs".into(),
             ],
             rows: time_rows,
+            extra: serde_json::Value::Null,
         },
     ]
 }
@@ -566,6 +572,7 @@ pub fn run_ablation() -> Vec<ExperimentOutput> {
             "Validation VQP (%)".into(),
         ],
         rows,
+        extra: serde_json::Value::Null,
     }]
 }
 

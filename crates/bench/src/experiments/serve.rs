@@ -143,6 +143,24 @@ pub fn run_serve_throughput() -> Vec<ExperimentOutput> {
         ]);
         worker_metrics.push((workers, metrics, cache_stats));
     }
+    // The per-worker metrics, machine-readable, saved with the table.
+    let per_worker = json!({
+        "workers": worker_metrics
+            .iter()
+            .map(|(w, m, c)| {
+                json!({
+                    "workers": w,
+                    "qps": m.queries_per_sec,
+                    "wall_clock_ms": m.wall_clock_ms,
+                    "p50_ms": m.p50_ms,
+                    "p95_ms": m.p95_ms,
+                    "p99_ms": m.p99_ms,
+                    "cache_hits": c.hits,
+                    "cache_misses": c.misses,
+                })
+            })
+            .collect::<Vec<_>>(),
+    });
     let throughput = ExperimentOutput {
         id: "serve".into(),
         title: format!(
@@ -166,6 +184,7 @@ pub fn run_serve_throughput() -> Vec<ExperimentOutput> {
         .map(String::from)
         .to_vec(),
         rows,
+        extra: per_worker,
     };
 
     // Cache ablation, measured at 1 worker so hit/miss counts are deterministic
@@ -212,34 +231,8 @@ pub fn run_serve_throughput() -> Vec<ExperimentOutput> {
                 format!("{}", cached_stats.evictions),
             ],
         ],
+        extra: serde_json::Value::Null,
     };
 
-    // The experiments binary re-saves every *returned* output with an empty
-    // `extra`, so the structured per-worker metrics go under their own id that
-    // nothing overwrites (`target/experiments/serve_workers.json`).
-    let worker_dump = ExperimentOutput {
-        id: "serve_workers".into(),
-        title: "Per-worker serving metrics (machine-readable; see `extra`)".into(),
-        headers: vec![],
-        rows: vec![],
-    };
-    let extra = json!({
-        "workers": worker_metrics
-            .iter()
-            .map(|(w, m, c)| {
-                json!({
-                    "workers": w,
-                    "qps": m.queries_per_sec,
-                    "wall_clock_ms": m.wall_clock_ms,
-                    "p50_ms": m.p50_ms,
-                    "p95_ms": m.p95_ms,
-                    "p99_ms": m.p99_ms,
-                    "cache_hits": c.hits,
-                    "cache_misses": c.misses,
-                })
-            })
-            .collect::<Vec<_>>(),
-    });
-    crate::harness::save_json(&worker_dump, extra);
     vec![throughput, ablation]
 }

@@ -157,6 +157,7 @@ pub fn run_shard_scaling() -> Vec<ExperimentOutput> {
         }));
     }
 
+    let scaling_payload = json!({ "shards": shard_dump });
     let output = ExperimentOutput {
         id: "shard".into(),
         title: format!(
@@ -177,9 +178,8 @@ pub fn run_shard_scaling() -> Vec<ExperimentOutput> {
         .map(String::from)
         .to_vec(),
         rows,
+        extra: scaling_payload.clone(),
     };
-    let scaling_payload = json!({ "shards": shard_dump });
-    crate::harness::save_json(&output, scaling_payload.clone());
     // The shard perf-trajectory baseline at the repo root: all numbers here are
     // simulated-clock quantities, so the file is stable across hosts.
     let _ = std::fs::write(

@@ -72,12 +72,29 @@ pub fn scale_from_env() -> DatasetScale {
     }
 }
 
-/// Reads the workload size from `MALIVA_QUERIES` (default 240).
+/// Reads the workload size from `MALIVA_QUERIES` (default 240). A value that
+/// is not a positive whole number is a usage error: the process prints it and
+/// exits with status 2 rather than run on a size nobody asked for.
 pub fn queries_from_env() -> usize {
-    std::env::var("MALIVA_QUERIES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(240)
+    let value = std::env::var("MALIVA_QUERIES").ok();
+    parse_queries(value.as_deref()).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2)
+    })
+}
+
+/// The workload size `MALIVA_QUERIES = value` asks for (240 when unset), or
+/// the usage error naming the variable.
+fn parse_queries(value: Option<&str>) -> Result<usize, String> {
+    let Some(value) = value else {
+        return Ok(240);
+    };
+    match value.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "MALIVA_QUERIES must be a positive whole number of queries, got `{value}`"
+        )),
+    }
 }
 
 /// A fully prepared experiment scenario.
@@ -275,6 +292,9 @@ pub struct ExperimentOutput {
     pub headers: Vec<String>,
     /// Table rows (first cell is the row label).
     pub rows: Vec<Vec<String>>,
+    /// A machine-readable payload saved next to the table (`null` when the
+    /// experiment has none).
+    pub extra: serde_json::Value,
 }
 
 impl ExperimentOutput {
@@ -315,9 +335,9 @@ pub fn print_table(headers: &[String], rows: &[Vec<String>]) {
     }
 }
 
-/// Saves an experiment output (plus any extra payload) as JSON under
+/// Saves an experiment output, its payload included, as JSON under
 /// `target/experiments/<id>.json`.
-pub fn save_json(output: &ExperimentOutput, extra: serde_json::Value) {
+pub fn save_json(output: &ExperimentOutput) {
     let dir = std::path::Path::new("target").join("experiments");
     if std::fs::create_dir_all(&dir).is_err() {
         return;
@@ -327,7 +347,7 @@ pub fn save_json(output: &ExperimentOutput, extra: serde_json::Value) {
         "title": output.title,
         "headers": output.headers,
         "rows": output.rows,
-        "extra": extra,
+        "extra": output.extra,
     });
     let path = dir.join(format!("{}.json", output.id));
     let _ = std::fs::write(
@@ -345,4 +365,25 @@ pub fn f1(v: f64) -> String {
 /// seconds).
 pub fn secs(v_ms: f64) -> String {
     format!("{:.2}", v_ms / 1000.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn queries_default_to_240_and_take_any_positive_count() {
+        assert_eq!(parse_queries(None), Ok(240));
+        assert_eq!(parse_queries(Some("1")), Ok(1));
+        assert_eq!(parse_queries(Some(" 400 ")), Ok(400));
+    }
+
+    #[test]
+    fn zero_or_non_numeric_queries_name_the_variable() {
+        for bad in ["0", "-3", "", "abc", "2.5"] {
+            let err = parse_queries(Some(bad)).unwrap_err();
+            assert!(err.contains("MALIVA_QUERIES"), "{bad:?}: {err}");
+            assert!(err.contains(&format!("`{bad}`")), "{bad:?}: {err}");
+        }
+    }
 }

@@ -6,6 +6,13 @@
 //! ms in the training experiments of §7.8). This type reproduces that estimator
 //! exactly: the truth comes from the simulated database, the cost from the number of
 //! selectivity slots the rewritten query needs that have not been collected yet.
+//!
+//! [`AccurateQte::estimate`] asks for the execution time *before* it collects the
+//! selectivities. On an exact, join-free, uncapped query the database prices the
+//! whole hint lattice in one pass and caches each predicate's true selectivity
+//! from that pass's counts, so the collection that follows reads the cache
+//! instead of counting every predicate again. The values, and so every estimate
+//! and its charged cost, are the same in either order.
 
 use std::sync::Arc;
 
@@ -77,6 +84,9 @@ impl QueryTimeEstimator for AccurateQte {
     ) -> Result<EstimateReport> {
         let new_slots = uncollected_slots(query, ro, ctx);
         let cost_ms = self.cost_of(new_slots.len());
+        // The time first: a priced lattice caches its predicates' true
+        // selectivities, so the probes below read them instead of counting.
+        let estimated_ms = self.db.execution_time_ms(query, ro)?;
         let n = query.predicate_count();
         for slot in new_slots {
             let sel = if slot < n {
@@ -97,7 +107,6 @@ impl QueryTimeEstimator for AccurateQte {
             };
             ctx.record(slot, sel);
         }
-        let estimated_ms = self.db.execution_time_ms(query, ro)?;
         Ok(EstimateReport {
             estimated_ms,
             cost_ms,
@@ -108,6 +117,7 @@ impl QueryTimeEstimator for AccurateQte {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use vizdb::hints::HintSet;
     use vizdb::query::{OutputKind, Predicate};
     use vizdb::schema::{ColumnType, TableSchema};
@@ -214,6 +224,123 @@ mod tests {
             .unwrap();
         // Keyword "covid" matches every 5th row.
         assert!((ctx.selectivity(0).unwrap() - 0.2).abs() < 1e-9);
+    }
+
+    /// Forwards to a database and counts the true selectivities asked for,
+    /// and those of them the database computed rather than read from its
+    /// selectivity cache (its entry count grew).
+    struct CountingBackend {
+        db: Arc<Database>,
+        asked: AtomicUsize,
+        computed: AtomicUsize,
+    }
+
+    impl QueryBackend for CountingBackend {
+        fn table_names(&self) -> Vec<String> {
+            self.db.table_names()
+        }
+        fn row_count(&self, table: &str) -> Result<usize> {
+            self.db.row_count(table)
+        }
+        fn schema(&self, table: &str) -> Result<TableSchema> {
+            QueryBackend::schema(&*self.db, table)
+        }
+        fn stats(&self, table: &str) -> Result<vizdb::stats::TableStats> {
+            QueryBackend::stats(&*self.db, table)
+        }
+        fn indexed_columns(&self, table: &str) -> Result<Vec<usize>> {
+            QueryBackend::indexed_columns(&*self.db, table)
+        }
+        fn sample_len(&self, table: &str, fraction_pct: u32) -> Result<usize> {
+            QueryBackend::sample_len(&*self.db, table, fraction_pct)
+        }
+        fn plan(&self, query: &Query, ro: &RewriteOption) -> Result<vizdb::plan::PhysicalPlan> {
+            self.db.plan(query, ro)
+        }
+        fn run(&self, query: &Query, ro: &RewriteOption) -> Result<vizdb::RunOutcome> {
+            self.db.run(query, ro)
+        }
+        fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
+            self.db.execution_time_ms(query, ro)
+        }
+        fn estimated_cardinality(&self, query: &Query) -> Result<f64> {
+            self.db.estimated_cardinality(query)
+        }
+        fn estimated_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
+            self.db.estimated_selectivity(table, pred)
+        }
+        fn true_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
+            let before = self.db.cache_entry_counts().1;
+            let sel = self.db.true_selectivity(table, pred);
+            self.asked.fetch_add(1, Ordering::Relaxed);
+            if self.db.cache_entry_counts().1 > before {
+                self.computed.fetch_add(1, Ordering::Relaxed);
+            }
+            sel
+        }
+        fn sample_selectivity(
+            &self,
+            table: &str,
+            pred: &Predicate,
+            fraction_pct: u32,
+        ) -> Result<(f64, usize)> {
+            self.db.sample_selectivity(table, pred, fraction_pct)
+        }
+        fn render_sql(&self, query: &Query, ro: &RewriteOption) -> String {
+            self.db.render_sql(query, ro)
+        }
+        fn generation(&self) -> u64 {
+            self.db.generation()
+        }
+        fn clear_caches(&self) {
+            self.db.clear_caches()
+        }
+        fn cache_entry_counts(&self) -> (usize, usize) {
+            self.db.cache_entry_counts()
+        }
+    }
+
+    /// `(asked, computed)` true selectivities after estimating `q` under
+    /// the hint sets `masks` in turn, and the slots' collected values.
+    fn probe_counts(q: &Query, masks: &[u32]) -> ((usize, usize), Vec<f64>) {
+        let backend = Arc::new(CountingBackend {
+            db: build_db(),
+            asked: AtomicUsize::new(0),
+            computed: AtomicUsize::new(0),
+        });
+        let qte = AccurateQte::new(backend.clone());
+        let mut ctx = EstimationContext::new();
+        for &mask in masks {
+            let ro = RewriteOption::hinted(HintSet::with_mask(mask));
+            qte.estimate(q, &ro, &mut ctx).unwrap();
+        }
+        let sels = (0..q.predicate_count())
+            .filter_map(|slot| ctx.selectivity(slot))
+            .collect();
+        let counts = (
+            backend.asked.load(Ordering::Relaxed),
+            backend.computed.load(Ordering::Relaxed),
+        );
+        (counts, sels)
+    }
+
+    /// The first estimate prices the query's hint lattice, which caches every
+    /// predicate's true selectivity, so collecting the slots computes none of
+    /// them; the values are a cold database's, bit for bit. A capped query is
+    /// not priced, so there every slot is computed.
+    #[test]
+    fn selectivities_are_read_from_the_priced_lattice() {
+        let cold = build_db();
+        let q = query();
+        let ((asked, computed), sels) = probe_counts(&q, &[0b001, 0b011, 0b111]);
+        assert_eq!((asked, computed), (3, 0));
+        for (pred, sel) in q.predicates.iter().zip(&sels) {
+            let want = cold.true_selectivity("tweets", pred).unwrap();
+            assert_eq!(sel.to_bits(), want.to_bits(), "{pred:?}");
+        }
+        let ((asked, computed), capped) = probe_counts(&q.clone().limit(10), &[0b001, 0b111]);
+        assert_eq!((asked, computed), (3, 3));
+        assert_eq!(capped, sels);
     }
 
     #[test]

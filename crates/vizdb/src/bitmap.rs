@@ -147,10 +147,13 @@ impl SelectionBitmap {
     /// The ids in `self` and not in `other`, word by word, over `self`'s
     /// universe.
     pub fn and_not(&self, other: &Self) -> Self {
-        let others = other.words.iter().chain(std::iter::repeat(&0));
-        Self {
-            words: self.words.iter().zip(others).map(|(w, o)| w & !o).collect(),
-        }
+        // A plain zip over the common words, then a copy of the rest, rather
+        // than one zip over `other` padded with zeros, so the loop vectorises.
+        let (head, tail) = self.words.split_at(other.words.len().min(self.words.len()));
+        let mut words = Vec::with_capacity(self.words.len());
+        words.extend(head.iter().zip(&other.words).map(|(w, o)| w & !o));
+        words.extend_from_slice(tail);
+        Self { words }
     }
 
     /// Unites `other` into `self`, word by word, growing `self` to `other`'s
@@ -179,9 +182,17 @@ impl SelectionBitmap {
     pub fn and_difference(&mut self, upto: &Self, below: Option<&Self>) {
         self.words.truncate(upto.words.len());
         let below = below.map_or(&[][..], |b| &b.words[..]);
-        let below = below.iter().chain(std::iter::repeat(&0));
-        for ((w, u), b) in self.words.iter_mut().zip(&upto.words).zip(below) {
+        // Two plain zips rather than one over `below` padded with zeros, so
+        // each loop vectorises.
+        // `self` is no longer than `upto` now, so neither split can fail.
+        let split = below.len().min(self.words.len());
+        let (head, tail) = self.words.split_at_mut(split);
+        let (upto_head, upto_tail) = upto.words.split_at(split);
+        for ((w, u), b) in head.iter_mut().zip(upto_head).zip(below) {
             *w &= u & !b;
+        }
+        for (w, u) in tail.iter_mut().zip(upto_tail) {
+            *w &= u;
         }
     }
 

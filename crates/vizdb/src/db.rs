@@ -240,6 +240,12 @@ fn count_rows(view: &ExecTable<'_>, pred: &Predicate) -> Result<usize> {
     }
 }
 
+/// The selectivity cache's key for `pred` on `table`.
+fn selectivity_key(table: &str, pred: &Predicate) -> (u64, u64) {
+    let table_fp = Fingerprint::new().write_str(table).finish();
+    (table_fp, predicate_fingerprint(pred))
+}
+
 /// An in-memory analytical database instance.
 pub struct Database {
     config: DbConfig,
@@ -489,10 +495,7 @@ impl Database {
     /// asking for the same predicate never recompute it.
     pub fn true_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
         let entry = self.entry(table)?;
-        let key = (
-            Fingerprint::new().write_str(table).finish(),
-            predicate_fingerprint(pred),
-        );
+        let key = selectivity_key(table, pred);
         self.selectivity_cache.get_or_try_compute(key, || {
             let rows = entry.table.row_count();
             if rows == 0 {
@@ -596,11 +599,14 @@ impl Database {
     /// at most about one sequential-scan execution however many plans it prices
     /// (an indexed range predicate's mask comes from its index scan, a few word
     /// passes over the index's prefix checkpoints when the range is wide, a
-    /// keyword's or unindexed one's from its kernel) — and whoever asks about one rewrite of a query (a QTE,
-    /// training, the viability count) goes on to ask about its siblings.
-    /// `None` when the rewrite is not exact, the query joins, is capped or has
-    /// more than [`exec::MAX_PRICED_PREDICATES`] predicates, or the pass cannot
-    /// price it; nothing is cached then.
+    /// keyword's or unindexed one's from its kernel) — and whoever asks about
+    /// one rewrite of a query (a QTE, training, the viability count) goes on to
+    /// ask about its siblings. The pass popcounts each predicate's own mask
+    /// too, so it also caches every predicate's [`Database::true_selectivity`]
+    /// (unless the table is empty): the Accurate-QTE's probes after it are
+    /// cache reads. `None` when the rewrite is not exact, the query joins, is
+    /// capped or has more than [`exec::MAX_PRICED_PREDICATES`] predicates, or
+    /// the pass cannot price it (a mistyped predicate); nothing is cached then.
     fn price_lattice(
         &self,
         query: &Query,
@@ -626,10 +632,21 @@ impl Database {
                 plans.push(self.plan_entries(query, &sibling, fact, None, query_fp));
             }
         }
-        let works = exec::price_plans(query, &plans, &fact.exec_table())?;
-        for ((&fp, plan), work) in rewrite_fps.iter().zip(&plans).zip(&works) {
+        let priced = exec::price_plans(query, &plans, &fact.exec_table())?;
+        for ((&fp, plan), work) in rewrite_fps.iter().zip(&plans).zip(&priced.works) {
             let time_ms = self.simulated_time_ms(work, plan, query_fp);
             self.time_cache.insert_canonical((query_fp, fp), time_ms);
+        }
+        // The pass counted each predicate's rows exactly as `true_selectivity`
+        // would (an index scan's mask has an index count's bits, a kernel's a
+        // kernel count's), so its selectivities are cached too.
+        let rows = fact.table.row_count();
+        if rows > 0 {
+            for (pred, &matches) in query.predicates.iter().zip(&priced.matches) {
+                let sel = matches as f64 / rows as f64;
+                let key = selectivity_key(&query.table, pred);
+                self.selectivity_cache.insert_canonical(key, sel);
+            }
         }
         self.time_cache.get((query_fp, rewrite_fp))
     }

@@ -21,10 +21,13 @@
 //! evaluated over, so the work profile does not change.
 //!
 //! An index plan's residual range over a B+-tree column, or rectangle over
-//! an R-tree column, can skip the per-candidate probe altogether: while the
-//! candidates are dense, [`qualify_bitmap`] ANDs the index's whole-table mask
-//! into them, read from its prefix checkpoints, and charges the candidates'
-//! popcount exactly as the probe would have been charged.
+//! an R-tree column, can skip the per-candidate probe altogether:
+//! [`qualify_bitmap`] ANDs the index's whole-table mask into the candidates,
+//! read from its prefix checkpoints, whenever that costs less than probing
+//! them — a word pass per checkpoint span plus the span's single-bit
+//! fix-ups, counted exactly after the rank search, against one evaluation
+//! per candidate — and charges the candidates' popcount exactly as the probe
+//! would have been charged.
 //!
 //! Binned-count outputs additionally get **dense-grid binning**: when the grid
 //! is small enough ([`DENSE_GRID_MAX_CELLS`]) counts accumulate into a
@@ -633,27 +636,49 @@ fn qualify_range_chunk(
     refine_survivors(preds.get(1..).unwrap_or(&[]), base, words, work);
 }
 
-/// Index-plan survivors are *dense* from one row in this many on: an index
-/// residual's checkpoint mask (a few word passes over the table, plus at
-/// most `⌈m/16⌉` single-bit fix-ups) then costs less than probing each
-/// survivor.
-const DENSE_SURVIVORS: usize = 8;
+/// What each way of applying an index residual to an index plan's
+/// candidates costs, in one unit: an eighth of probing one candidate.
+/// Measured in-process, one thread, on a 200k-row table as large as
+/// `taxi_scan`'s (random timestamps and points, one row in seven a
+/// candidate): a residual probe of one candidate ≈ 4–9 ns, one word of a
+/// checkpoint word pass over the table ≈ 0.8–0.95 ns, one single-bit fix-up
+/// (a rank's id read, its bit tested and flipped at a random place in the
+/// candidates) ≈ 1.6–2.5 ns.
+const PROBE_COST: usize = 8;
+/// See [`PROBE_COST`].
+const WORD_PASS_COST: usize = 1;
+/// See [`PROBE_COST`].
+const FIXUP_COST: usize = 3;
+
+/// What ANDing an index residual's checkpoint mask into candidates over
+/// `words` words costs: a word pass per span, and each single-bit fix-up.
+fn mask_cost(spans: usize, fixups: usize, words: usize) -> usize {
+    let passes = spans.saturating_mul(words).saturating_mul(WORD_PASS_COST);
+    passes.saturating_add(fixups.saturating_mul(FIXUP_COST))
+}
 
 /// Refines an index-candidate [`SelectionBitmap`] in place through the
 /// compiled residual conjunction, charging residual `k` once per candidate
 /// that survived residuals `0..k`. `most` bounds the candidates from above;
 /// `row_count` is the table's.
 ///
-/// Residuals are probed per candidate bit, chunk by chunk ([`refine_chunk`]),
-/// up to the first whose `masks` entry is an index. From there, while the
-/// survivors are dense ([`DENSE_SURVIVORS`]), an index residual whose scan
-/// reads its prefix checkpoints is applied as an AND of that whole-table
-/// mask, straight from the checkpoints
-/// ([`IndexProbe::and_checkpoints`](super::executor::IndexProbe)), and
-/// charged the survivors' popcount. Survivors only shrink, so once they are
-/// sparse every later residual is probed per bit in one more chunk pass;
-/// candidates sparse from the start (by `most`) take the one chunk pass
-/// alone, with no popcount or index lookup added.
+/// A residual is probed per candidate bit, or — when its `masks` entry is an
+/// index whose scan reads prefix checkpoints — ANDed in as that whole-table
+/// mask straight from the checkpoints (its [`Span`](crate::index::Span)s)
+/// and charged the survivors' popcount, whichever costs less:
+/// - probing costs one evaluation per survivor ([`PROBE_COST`]);
+/// - the mask costs a word pass per span plus the spans' single-bit fix-ups,
+///   exact once the `O(log m)` rank searches have found the spans
+///   ([`mask_cost`]).
+///
+/// The rank searches themselves are skipped while the survivors (at first
+/// `most`) cost less to probe than the mask is expected to: its word passes
+/// plus `⌈m/32⌉` fix-ups per span, a bound at the average distance from its
+/// nearest checkpoint. Residuals up to the first index residual worth a
+/// search are probed chunk by chunk ([`refine_chunk`]), as they are fetched;
+/// survivors only shrink, so a run of residuals not worth one is probed in
+/// one more pass, and candidates cheap to probe from the start take the one
+/// chunk pass alone, with no popcount or rank search added.
 pub(super) fn qualify_bitmap(
     preds: &[CompiledPredicate<'_>],
     masks: &[MaskSource<'_>],
@@ -662,17 +687,21 @@ pub(super) fn qualify_bitmap(
     work: &mut WorkProfile,
     mut per_batch_rows: impl FnMut(&mut WorkProfile, u64),
 ) {
-    let dense = |rows: usize| rows.saturating_mul(DENSE_SURVIVORS) >= row_count;
-    let next_index = |from: usize| {
-        let rest = masks.get(from..).unwrap_or_default();
-        let at = rest.iter().position(|m| matches!(m, MaskSource::Index(_)));
-        at.map_or(preds.len(), |at| from + at)
+    let table_words = row_count.div_ceil(64);
+    // Whether residual `i`'s mask may cost less than probing `rows` rows.
+    let worth_searching = |i: usize, rows: usize| match masks.get(i) {
+        Some(MaskSource::Index(probe)) => probe.checkpointed().is_some_and(|(m, spans)| {
+            let fixups = spans.saturating_mul(m.div_ceil(32));
+            rows.saturating_mul(PROBE_COST) >= mask_cost(spans, fixups, table_words)
+        }),
+        _ => false,
     };
-    let mut next = if dense(most) {
-        next_index(0)
-    } else {
-        preds.len()
+    let next_worth = |from: usize, rows: usize| {
+        (from..preds.len())
+            .find(|&i| worth_searching(i, rows))
+            .unwrap_or(preds.len())
     };
+    let mut next = next_worth(0, most);
     let head = preds.get(..next).unwrap_or(preds);
     let mut fetched = 0;
     for (chunk_id, words) in candidates.chunks_mut().enumerate() {
@@ -685,21 +714,24 @@ pub(super) fn qualify_bitmap(
         if survivors == 0 {
             return;
         }
-        let masked = match masks.get(next) {
-            Some(MaskSource::Index(probe)) if dense(survivors) => probe.and_checkpoints(candidates),
-            _ => false,
+        let spans = match masks.get(next) {
+            Some(MaskSource::Index(probe)) if worth_searching(next, survivors) => {
+                probe.checkpoint_spans()
+            }
+            _ => None,
         };
-        if masked {
+        let cheaper = spans.filter(|spans| {
+            let fixups = spans.iter().map(|span| span.fixups()).sum();
+            mask_cost(spans.len(), fixups, table_words) < survivors.saturating_mul(PROBE_COST)
+        });
+        if let Some(spans) = cheaper {
+            spans.iter().for_each(|span| span.and_into(candidates));
             work.filter_evals += survivors as u64;
             next += 1;
             continue;
         }
-        // Per bit: up to the next index residual while dense, else the rest.
-        let end = if dense(survivors) {
-            next_index(next + 1)
-        } else {
-            preds.len()
-        };
+        // Per bit: this residual and those after it not worth a search.
+        let end = next_worth(next + 1, survivors);
         refine_bits(preds.get(next..end).unwrap_or_default(), candidates, work);
         next = end;
     }

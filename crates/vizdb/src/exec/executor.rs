@@ -6,11 +6,12 @@
 //!    [`SelectionBitmap`], or "every (sampled) row" for a sequential scan;
 //! 2. **qualify** — the residual predicates, as word kernels over 4096-row
 //!    chunks when uncapped and as a row-at-a-time loop that stops at the cap
-//!    under a `LIMIT`. On an uncapped index plan whose candidates are dense,
-//!    a residual range over a B+-tree column or rectangle over an R-tree
-//!    column is instead ANDed in as its index's whole-table mask, read from
-//!    the prefix checkpoints: each residual's [`MaskSource`] is bound once,
-//!    in [`lower`], and the charges stay those of probing every candidate;
+//!    under a `LIMIT`. On an uncapped index plan, a residual range over a
+//!    B+-tree column or rectangle over an R-tree column is instead ANDed in
+//!    as its index's whole-table mask, read from the prefix checkpoints,
+//!    whenever that costs less than probing the candidates: each residual's
+//!    [`MaskSource`] is bound once, in [`lower`], and the charges stay those
+//!    of probing every candidate;
 //! 3. **join** — probe the dimension table per qualifying fact row;
 //! 4. **sink** — shape `Points` / `BinnedCounts` / `Count` over bound columns.
 //!
@@ -37,7 +38,7 @@ use crate::exec::reference;
 use crate::exec::result::QueryResult;
 use crate::hints::JoinMethod;
 use crate::index::{
-    index_answers, intersect_skip_charge, BPlusTree, InvertedIndex, RTree, ScanStats,
+    index_answers, intersect_skip_charge, BPlusTree, InvertedIndex, RTree, ScanStats, Span,
 };
 use crate::plan::PhysicalPlan;
 use crate::query::{JoinSpec, OutputKind, Predicate, Query};
@@ -559,16 +560,26 @@ impl<'a> IndexProbe<'a> {
         }
     }
 
-    /// Intersects `target` in place with [`IndexProbe::bitmap`]'s rows when
-    /// that scan reads them from the prefix checkpoints — a B+-tree range,
-    /// or both slabs of an R-tree rectangle, holding at least `⌈m/32⌉`
-    /// entries, found in `O(log m)`. `false`, with `target` untouched, when
-    /// it would walk entries (or reads a posting list).
-    pub(super) fn and_checkpoints(&self, target: &mut SelectionBitmap) -> bool {
+    /// The prefix-checkpoint spans [`IndexProbe::bitmap`] reads its rows
+    /// from — a B+-tree range's one, or an R-tree rectangle's longitude and
+    /// latitude slabs, to be ANDed — found by the `O(log m)` rank searches.
+    /// `None` when that scan walks entries (or reads a posting list).
+    pub(super) fn checkpoint_spans(&self) -> Option<Vec<Span<'a>>> {
         match *self {
-            IndexProbe::Inverted(..) => false,
-            IndexProbe::BTree(index, lo, hi) => index.and_checkpoints(lo, hi, target),
-            IndexProbe::RTree(index, rect, points) => index.and_slabs(rect, points, target),
+            IndexProbe::Inverted(..) => None,
+            IndexProbe::BTree(index, lo, hi) => index.checkpoint_span(lo, hi).map(|s| vec![s]),
+            IndexProbe::RTree(index, rect, points) => index.slab_spans(rect, points).map(Vec::from),
+        }
+    }
+
+    /// How many entries the index's prefix checkpoints are laid over, and
+    /// how many spans [`IndexProbe::checkpoint_spans`] returns; `None` when
+    /// the index keeps no checkpoints (or is a posting list).
+    pub(super) fn checkpointed(&self) -> Option<(usize, usize)> {
+        match *self {
+            IndexProbe::Inverted(..) => None,
+            IndexProbe::BTree(index, ..) => index.checkpointed_len().map(|m| (m, 1)),
+            IndexProbe::RTree(index, ..) => index.checkpointed_len().map(|m| (m, 2)),
         }
     }
 }

@@ -10,7 +10,8 @@
 //! (same results, work profile and simulated time, bit for bit) and falls back
 //! to, whole-query, for predicates it cannot lower.
 //! [`price_plans`] reports what [`execute`] would charge for a whole set of
-//! exact plans of one query from a single pass over the table.
+//! exact plans of one query from a single pass over the table, and how many
+//! rows each of its predicates matches.
 
 mod compiled;
 mod executor;
@@ -21,5 +22,5 @@ mod result;
 pub use compiled::DENSE_GRID_MAX_CELLS;
 pub(crate) use executor::{count_matching, IndexProbe};
 pub use executor::{execute, ExecOutcome, ExecTable};
-pub use pricing::{price_plans, MAX_PRICED_PREDICATES};
+pub use pricing::{price_plans, Priced, MAX_PRICED_PREDICATES};
 pub use result::QueryResult;

@@ -27,6 +27,14 @@
 //! keywords and unindexed predicates make up the query. Its output is pinned
 //! against [`execute`](super::execute) field for field by
 //! `tests/exec_equivalence.rs::priced_time_equals_executed_time`.
+//!
+//! The singleton entries of the table, `rows[1 << i]`, are each predicate's
+//! own match count — the count an index (or, for the rest, the kernel) gives
+//! the database's `true_selectivity` — so the pass returns them too
+//! ([`Priced::matches`]) and the database caches them as selectivities: an
+//! estimator that prices a query and then collects its selectivities counts
+//! each predicate once, not twice
+//! (`tests/exec_equivalence.rs::priced_lattices_cache_true_selectivities`).
 
 use crate::bitmap::{set_span, SelectionBitmap, CHUNK_BITS, CHUNK_WORDS};
 use crate::exec::compiled::{self, CompiledPredicate};
@@ -43,8 +51,20 @@ use crate::types::RecordId;
 /// 64 words stay in L1 next to the column stripes being scanned.
 pub const MAX_PRICED_PREDICATES: usize = 4;
 
+/// What one lattice pass learns about a query: each plan's work and each
+/// predicate's own match count.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Priced {
+    /// The [`WorkProfile`] of each plan, in the order given.
+    pub works: Vec<WorkProfile>,
+    /// How many rows match each predicate alone, in the query's order: the
+    /// count an index or kernel count of that predicate returns.
+    pub matches: Vec<u64>,
+}
+
 /// The [`WorkProfile`] that `execute(query, plan, fact, None, None, false, _)`
-/// reports for each of `plans`, computed in one shared pass over the table.
+/// reports for each of `plans`, computed in one shared pass over the table,
+/// and the per-predicate match counts the pass popcounted on the way.
 ///
 /// Returns `None` — the caller executes instead — for anything the pass does
 /// not model or `execute` would not run on the pipeline: a join, an
@@ -53,11 +73,7 @@ pub const MAX_PRICED_PREDICATES: usize = 4;
 /// plan that names a predicate the query does not have, leaves one
 /// unevaluated, or scans an index that does not exist. It never raises an
 /// error itself.
-pub fn price_plans(
-    query: &Query,
-    plans: &[PhysicalPlan],
-    fact: &ExecTable<'_>,
-) -> Option<Vec<WorkProfile>> {
+pub fn price_plans(query: &Query, plans: &[PhysicalPlan], fact: &ExecTable<'_>) -> Option<Priced> {
     let k = query.predicate_count();
     if k > MAX_PRICED_PREDICATES || query.join.is_some() || check_output(query).is_err() {
         return None;
@@ -73,10 +89,12 @@ pub fn price_plans(
         masks.push((lowered, MaskSource::new(probe).scan()));
     }
     let table = cardinalities(&masks, &output, n as RecordId);
-    plans
+    let works = plans
         .iter()
         .map(|plan| table.price(plan, &indexed, &output))
-        .collect()
+        .collect::<Option<_>>()?;
+    let matches = (0..k).map(|i| table.rows[1 << i]).collect();
+    Some(Priced { works, matches })
 }
 
 /// One predicate's mask as the pass reads it: lowered for the column kernel,

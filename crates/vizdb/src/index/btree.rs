@@ -13,10 +13,8 @@
 //! entries with a few word passes over the checkpoints instead of a bit set
 //! per entry; narrower ranges walk their leaves.
 
-use std::ops::Range;
-
 use crate::bitmap::SelectionBitmap;
-use crate::index::prefix::PrefixBitmaps;
+use crate::index::prefix::{PrefixBitmaps, Span};
 use crate::index::{ScanStats, SecondaryIndex};
 use crate::types::RecordId;
 
@@ -154,9 +152,9 @@ impl BPlusTree {
         if self.keys.is_empty() || lo > hi {
             return (SelectionBitmap::default(), stats);
         }
-        if let Some((prefixes, ranks)) = self.checkpoint_ranks(lo, hi) {
-            stats.matches = ranks.len();
-            return (prefixes.range(ranks, |r| self.rids.get(r).copied()), stats);
+        if let Some(span) = self.checkpoint_span(lo, hi) {
+            stats.matches = span.matches();
+            return (span.bitmap(), stats);
         }
         // Record ids are row indices below the entry count, so the word array
         // is sized once up front — no growth during the leaf walk.
@@ -167,28 +165,25 @@ impl BPlusTree {
         (bits, stats)
     }
 
-    /// Intersects `target` in place with the ids of keys `[lo, hi]`, read
-    /// from the prefix checkpoints over their rank interval as
-    /// [`BPlusTree::range_scan_bitmap`] reads a wide range. `false`, with
-    /// `target` untouched, when that scan would walk the leaves instead.
-    pub(crate) fn and_checkpoints(&self, lo: i64, hi: i64, target: &mut SelectionBitmap) -> bool {
-        let Some((prefixes, ranks)) = self.checkpoint_ranks(lo, hi) else {
-            return false;
-        };
-        prefixes.and_range(ranks, |r| self.rids.get(r).copied(), target);
-        true
-    }
-
-    /// The checkpoints and the rank interval of keys `[lo, hi]` when the
-    /// interval holds at least `⌈n/32⌉` entries; `None` when the tree keeps
-    /// no checkpoints or the range is narrower. Two `O(log n)` descents.
-    fn checkpoint_ranks(&self, lo: i64, hi: i64) -> Option<(&PrefixBitmaps, Range<usize>)> {
+    /// The prefix-checkpoint span of keys `[lo, hi]` — what
+    /// [`BPlusTree::range_scan_bitmap`] reads a range of at least `⌈n/32⌉`
+    /// entries from; `None` when the tree keeps no checkpoints or the range
+    /// is narrower, so the scan walks the leaves. Two `O(log n)` descents.
+    pub(crate) fn checkpoint_span(&self, lo: i64, hi: i64) -> Option<Span<'_>> {
         let prefixes = self.prefixes.as_ref()?;
         if lo > hi {
             return None;
         }
         let ranks = self.rank_below(lo)..self.rank_le(hi);
-        prefixes.covers(&ranks).then_some((prefixes, ranks))
+        prefixes
+            .covers(&ranks)
+            .then(|| prefixes.span(ranks, &self.rids))
+    }
+
+    /// How many entries the prefix checkpoints are laid over (every entry),
+    /// `None` when the tree keeps none.
+    pub(crate) fn checkpointed_len(&self) -> Option<usize> {
+        self.prefixes.as_ref().map(PrefixBitmaps::len)
     }
 
     /// Leaf `i`'s keys and record ids.

@@ -11,6 +11,7 @@ mod rtree;
 pub use btree::BPlusTree;
 pub use inverted::InvertedIndex;
 pub use posting::PostingList;
+pub(crate) use prefix::Span;
 pub use rtree::RTree;
 
 use crate::query::Predicate;

@@ -15,7 +15,7 @@
 use std::ops::Range;
 
 use crate::bitmap::SelectionBitmap;
-use crate::index::prefix::PrefixBitmaps;
+use crate::index::prefix::{PrefixBitmaps, Span};
 use crate::index::{ScanStats, SecondaryIndex};
 use crate::types::{GeoPoint, GeoRect, RecordId};
 
@@ -76,15 +76,9 @@ impl Axis {
         from..to.max(from)
     }
 
-    /// The ids of the ranks `ranks`.
-    fn bitmap(&self, ranks: Range<usize>) -> SelectionBitmap {
-        self.prefixes.range(ranks, |r| self.ids.get(r).copied())
-    }
-
-    /// Intersects `target` in place with the ids of the ranks `ranks`.
-    fn and_into(&self, ranks: Range<usize>, target: &mut SelectionBitmap) {
-        let id_at = |r| self.ids.get(r).copied();
-        self.prefixes.and_range(ranks, id_at, target)
+    /// The span of the ranks `ranks` over the checkpoints.
+    fn span(&self, ranks: Range<usize>) -> Span<'_> {
+        self.prefixes.span(ranks, &self.ids)
     }
 }
 
@@ -273,37 +267,21 @@ impl RTree {
     }
 
     /// The rectangle's longitude slab ANDed with its latitude slab, or
-    /// `None` — the caller walks the tree — when [`RTree::slabs`] finds no
-    /// pair of wide slabs.
+    /// `None` — the caller walks the tree — when [`RTree::slab_spans`] finds
+    /// no pair of wide slabs.
     fn slab_scan(&self, rect: &GeoRect, points: &[GeoPoint]) -> Option<SelectionBitmap> {
-        let [(lon, lons), (lat, lats)] = self.slabs(rect, points)?;
-        let mut bits = lon.bitmap(lons);
-        lat.and_into(lats, &mut bits);
+        let [lon, lat] = self.slab_spans(rect, points)?;
+        let mut bits = lon.bitmap();
+        lat.and_into(&mut bits);
         Some(bits)
     }
 
-    /// Intersects `target` in place with the points inside `rect`, read from
-    /// both slabs' checkpoints as [`RTree::range_scan_bitmap`] reads a wide
-    /// rectangle. `false`, with `target` untouched, when that scan would walk
-    /// the tree instead.
-    pub(crate) fn and_slabs(
-        &self,
-        rect: &GeoRect,
-        points: &[GeoPoint],
-        target: &mut SelectionBitmap,
-    ) -> bool {
-        let Some([(lon, lons), (lat, lats)]) = self.slabs(rect, points) else {
-            return false;
-        };
-        lon.and_into(lons, target);
-        lat.and_into(lats, target);
-        true
-    }
-
-    /// Each axis with the rank interval of the rectangle's slab on it, or
+    /// The checkpoint spans of the rectangle's longitude and latitude slabs
+    /// — what [`RTree::range_scan_bitmap`] ANDs a wide rectangle from — or
     /// `None` when the tree keeps no axes, `points` does not span its rows,
-    /// or either slab is narrower than `⌈m/32⌉` points.
-    fn slabs(&self, rect: &GeoRect, points: &[GeoPoint]) -> Option<[(&Axis, Range<usize>); 2]> {
+    /// or either slab is narrower than `⌈m/32⌉` points. Four binary searches
+    /// over the axes, each reading coordinates from `points`.
+    pub(crate) fn slab_spans(&self, rect: &GeoRect, points: &[GeoPoint]) -> Option<[Span<'_>; 2]> {
         let [lon, lat] = self.axes.as_ref()?;
         if points.len() != self.len {
             return None;
@@ -313,7 +291,13 @@ impl RTree {
         if !(lon.prefixes.covers(&lons) && lat.prefixes.covers(&lats)) {
             return None;
         }
-        Some([(lon, lons), (lat, lats)])
+        Some([lon.span(lons), lat.span(lats)])
+    }
+
+    /// How many placed points each axis's prefix checkpoints are laid over,
+    /// `None` when the tree keeps no axes.
+    pub(crate) fn checkpointed_len(&self) -> Option<usize> {
+        self.axes.as_ref().map(|[lon, _]| lon.prefixes.len())
     }
 
     fn scan_node_bitmap(

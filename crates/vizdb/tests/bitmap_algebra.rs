@@ -159,6 +159,41 @@ proptest! {
         prop_assert_eq!(bma == bmb, a == b);
     }
 
+    /// `and_difference(upto, below)` against the model's `self ∩ (upto ∖
+    /// below)`, over three universes of different sizes (so each of the
+    /// three can be the shortest), and with no `below`; `and_not` against
+    /// `self ∖ below`.
+    #[test]
+    fn and_difference_matches_set_semantics(
+        sparse_t in proptest::collection::btree_set(0u32..ID_SPAN, 0..80),
+        runs_t in proptest::collection::vec((0u32..ID_SPAN, 1u32..700), 0..4),
+        sparse_u in proptest::collection::btree_set(0u32..ID_SPAN, 0..80),
+        runs_u in proptest::collection::vec((0u32..ID_SPAN, 1u32..700), 0..4),
+        sparse_b in proptest::collection::btree_set(0u32..ID_SPAN, 0..80),
+        runs_b in proptest::collection::vec((0u32..ID_SPAN, 1u32..700), 0..4),
+        edges in (0u8..16, 0u8..16),
+        universes in (0usize..3 * CHUNK_BITS, 0usize..3 * CHUNK_BITS),
+        below_universe in 0usize..3 * CHUNK_BITS,
+    ) {
+        let target = assemble(sparse_t, &runs_t, &[], edges.0);
+        let upto = assemble(sparse_u, &runs_u, &[], edges.1);
+        let below = assemble(sparse_b, &runs_b, &[], 0);
+        let target_bits = built_over(&to_vec(&target), universes.0);
+        let upto_bits = built_over(&to_vec(&upto), universes.1);
+        let below_bits = built_over(&to_vec(&below), below_universe);
+        let kept: BTreeSet<RecordId> = target.intersection(&upto).copied().collect();
+        let mut got = target_bits.clone();
+        got.and_difference(&upto_bits, None);
+        prop_assert_eq!(got.to_vec(), to_vec(&kept));
+        let want: Vec<RecordId> = kept.difference(&below).copied().collect();
+        let mut got = target_bits.clone();
+        got.and_difference(&upto_bits, Some(&below_bits));
+        prop_assert_eq!(got.to_vec(), want);
+        // `and_not` is the same difference, built anew over `self`'s universe.
+        let want: Vec<RecordId> = target.difference(&below).copied().collect();
+        prop_assert_eq!(target_bits.and_not(&below_bits).to_vec(), want);
+    }
+
     #[test]
     fn retain_matches_vec_retain(
         sparse in proptest::collection::btree_set(0u32..ID_SPAN, 0..80),

@@ -504,7 +504,7 @@ proptest! {
                 .iter()
                 .map(|ro| pricing.plan(&query, ro).unwrap())
                 .collect();
-            let works = price_plans(&query, &plans, &fact);
+            let works = price_plans(&query, &plans, &fact).map(|p| p.works);
             prop_assert!(works.is_some(), "{query:?} was not priced");
             for (plan, work) in plans.iter().zip(works.iter().flatten()) {
                 let run = execute(&query, plan, &cold, None, None, false).unwrap();
@@ -633,11 +633,10 @@ fn mask_db() -> Database {
     build_db(&points, 3)
 }
 
-/// Whether a dense index plan would read `pred`'s mask from its index's
-/// prefix checkpoints — the scan's own rule, restated from the data: a
-/// B+-tree range holding at least `⌈n/32⌉` entries, or a rectangle both of
-/// whose slabs hold at least `⌈m/32⌉` of the `m` points with no NaN
-/// coordinate.
+/// Whether an index plan could read `pred`'s mask from its index's prefix
+/// checkpoints — the scan's own rule, restated from the data: a B+-tree
+/// range holding at least `⌈n/32⌉` entries, or a rectangle both of whose
+/// slabs hold at least `⌈m/32⌉` of the `m` points with no NaN coordinate.
 fn reads_checkpoints(db: &Database, pred: &Predicate) -> bool {
     let table = db.table("events").unwrap();
     let n = table.row_count();
@@ -645,10 +644,7 @@ fn reads_checkpoints(db: &Database, pred: &Predicate) -> bool {
         let matches = db.true_selectivity("events", pred).unwrap() * n as f64;
         return matches.round() as usize >= n.div_ceil(32);
     };
-    let placed: Vec<_> = (0..n as RecordId)
-        .map(|r| table.geo(2, r).unwrap())
-        .filter(|p| !p.lon.is_nan() && !p.lat.is_nan())
-        .collect();
+    let placed = placed_points(db);
     let slab = |coord: fn(&vizdb::types::GeoPoint) -> f64, lo: f64, hi: f64| {
         placed
             .iter()
@@ -660,17 +656,103 @@ fn reads_checkpoints(db: &Database, pred: &Predicate) -> bool {
         && slab(|p| p.lat, rect.min_lat, rect.max_lat) >= wide
 }
 
+/// The points of [`mask_db`] the R-tree's axes hold: those with no NaN
+/// coordinate.
+fn placed_points(db: &Database) -> Vec<vizdb::types::GeoPoint> {
+    let table = db.table("events").unwrap();
+    (0..table.row_count() as RecordId)
+        .map(|r| table.geo(2, r).unwrap())
+        .filter(|p| !p.lon.is_nan() && !p.lat.is_nan())
+        .collect()
+}
+
+/// The single-bit fix-ups of the rank interval `a..b` over `m` entries with
+/// 16 checkpoints every `⌈m/16⌉` ranks: the ranks of `a..b` outside the
+/// span between the checkpoints nearest `a` and `b`, plus the ranks of that
+/// span outside `a..b` (no span when both round to one checkpoint).
+fn fixups(a: usize, b: usize, m: usize) -> usize {
+    let step = m.div_ceil(16);
+    let nearest = |r: usize| ((r + step / 2) / step).min(16);
+    let (ja, jb) = (nearest(a), nearest(b));
+    let (lo, hi) = if ja < jb {
+        (ja * step, (jb * step).min(m))
+    } else {
+        (a, a)
+    };
+    let overlap = b.min(hi).saturating_sub(a.max(lo));
+    (b - a) + (hi - lo) - 2 * overlap
+}
+
+/// What ANDing `pred`'s checkpoint mask into [`mask_db`]'s candidates costs,
+/// as the executor's rule prices it (`exec/compiled.rs`: a probe costs 8, a
+/// word of a checkpoint pass 1, a fix-up 3), restated from the data:
+/// `(expected, exact)`, where `expected` takes `⌈m/32⌉` fix-ups per span —
+/// what the rank search is skipped on — and `exact` the fix-ups the spans
+/// really need. One span for a B+-tree range over all `n` rows, whose ranks
+/// start after the rows keyed below it (a `-NaN` float keys below every
+/// number); two for a rectangle's slabs over the placed points.
+fn mask_costs(db: &Database, pred: &Predicate) -> (usize, usize) {
+    let table = db.table("events").unwrap();
+    let n = table.row_count();
+    let words = n.div_ceil(64);
+    let cost = |spans: usize, fixups: usize| spans * words + 3 * fixups;
+    let (spans, m, exact) = match pred {
+        Predicate::SpatialRange { rect, .. } => {
+            let placed = placed_points(db);
+            let m = placed.len();
+            let slab = |coord: fn(&vizdb::types::GeoPoint) -> f64, lo: f64, hi: f64| {
+                let a = placed.iter().filter(|p| coord(p) < lo).count();
+                let b = placed.iter().filter(|p| coord(p) <= hi).count();
+                fixups(a, b.max(a), m)
+            };
+            let exact = slab(|p| p.lon, rect.min_lon, rect.max_lon)
+                + slab(|p| p.lat, rect.min_lat, rect.max_lat);
+            (2, m, exact)
+        }
+        _ => {
+            let below = |r: RecordId| match pred {
+                Predicate::TimeRange { attr, range } => {
+                    table.timestamp(*attr, r).unwrap() < range.start
+                }
+                Predicate::NumericRange { attr, range } => {
+                    let v = table.numeric(*attr, r).unwrap();
+                    (v.is_nan() && v.is_sign_negative()) || v < range.lo
+                }
+                _ => unreachable!("only ranges and rectangles have masks"),
+            };
+            let a = (0..n as RecordId).filter(|&r| below(r)).count();
+            let matches = db.true_selectivity("events", pred).unwrap() * n as f64;
+            (1, n, fixups(a, a + matches.round() as usize, n))
+        }
+    };
+    (cost(spans, spans * m.div_ceil(32)), cost(spans, exact))
+}
+
+/// How an index plan applies one residual to its candidates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ResidualPath {
+    /// ANDed in from its checkpoint mask.
+    Masked,
+    /// Probed per candidate after the rank search found the mask dearer.
+    SearchedThenProbed,
+    /// Probed per candidate with no rank search: the mask was expected to
+    /// cost more, or its scan walks entries.
+    Probed,
+}
+
 /// Every residual kind refines an index plan's candidates both ways — by
-/// ANDing its index's checkpoint mask (dense candidates, wide residual) and
-/// by probing each candidate (sparse candidates, or a residual the index
-/// would walk, or a NaN / inverted bound) — and either way the pipeline
-/// returns the oracle's result, `WorkProfile` and simulated time, capped or
-/// not. Row `r` of [`mask_db`] holds timestamp `5r`, so the indexed predicate
-/// `when ≤ 5(k − 1)` fetches exactly `k` candidates.
+/// ANDing its index's checkpoint mask (the mask costs less than probing
+/// the candidates) and by probing each candidate (the mask costs more, or
+/// is expected to, or the index would walk a narrow, NaN or inverted
+/// range) — and either way the pipeline returns the oracle's result,
+/// `WorkProfile` and simulated time, capped or not. Which way each takes is
+/// restated from the data ([`mask_costs`]), and at least one residual finds
+/// the mask dearer only after its rank search. Row `r` of [`mask_db`] holds
+/// timestamp `5r`, so the indexed predicate `when ≤ 5(k − 1)` fetches
+/// exactly `k` candidates.
 #[test]
 fn residual_index_masks_match_the_interpreter() {
     let db = mask_db();
-    let n = db.row_count("events").unwrap();
     let first_rows = |k: i64| Predicate::time_range(1, 0, 5 * (k - 1));
     let index_first = RewriteOption::hinted(HintSet::with_mask(1));
     // Binned rather than `Points`: a NaN coordinate would compare unequal to
@@ -685,10 +767,20 @@ fn residual_index_masks_match_the_interpreter() {
     let mut paths = HashMap::new();
     for (kind, residual) in mask_residuals() {
         let wide = reads_checkpoints(&db, &residual);
-        // Dense (half the rows) and sparse (a 1/18) candidates.
-        for k in [4_500i64, 500] {
-            let masked = wide && k as usize * 8 >= n;
-            paths.entry(kind).or_insert_with(Vec::new).push(masked);
+        let (expected, exact) = mask_costs(&db, &residual);
+        // From half the rows down to a 1/150 of them: 250 and 130 fall
+        // between the expected and the exact cost of a rectangle on the
+        // duplicated point and of the unbounded float range.
+        for k in [4_500i64, 500, 250, 130, 60] {
+            let probing = k as usize * 8;
+            let path = if !wide || probing < expected {
+                ResidualPath::Probed
+            } else if exact < probing {
+                ResidualPath::Masked
+            } else {
+                ResidualPath::SearchedThenProbed
+            };
+            paths.entry(kind).or_insert_with(Vec::new).push(path);
             let base = Query::select("events")
                 .filter(first_rows(k))
                 .filter(residual.clone());
@@ -702,10 +794,27 @@ fn residual_index_masks_match_the_interpreter() {
             }
         }
     }
-    for (kind, masked) in &paths {
-        assert!(masked.contains(&true), "{kind:?} never takes its mask");
-        assert!(masked.contains(&false), "{kind:?} never probes per bit");
+    for (kind, taken) in &paths {
+        assert!(
+            taken.contains(&ResidualPath::Masked),
+            "{kind:?} never takes its mask"
+        );
+        assert!(
+            taken.iter().any(|&p| p != ResidualPath::Masked),
+            "{kind:?} never probes per bit"
+        );
     }
+    assert!(
+        paths
+            .values()
+            .flatten()
+            .any(|&p| p == ResidualPath::SearchedThenProbed),
+        "no residual finds its mask dearer after the rank search"
+    );
+    assert!(
+        paths.values().flatten().any(|&p| p == ResidualPath::Probed),
+        "every residual searched"
+    );
 
     // Several residuals: two masks ANDed in turn; a keyword probed before
     // them; a mask that leaves the survivors sparse, so the residuals after
@@ -758,6 +867,138 @@ fn residual_index_masks_match_the_interpreter() {
             assert_engines_agree(&db, &query.limit(100), &ro);
         }
     }
+}
+
+/// Queries of up to three predicates over [`mask_db`], each predicate also
+/// counted by itself: B+-tree ranges with NaN, `−0.0` and `±∞` bounds (wide
+/// ones read from the checkpoints, narrow ones walked), R-tree rectangles
+/// over the planted NaN and infinite points (slab-covered and walked), and a
+/// present and an absent keyword.
+fn priced_selectivity_queries() -> Vec<Query> {
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let groups = [
+        vec![
+            Predicate::numeric_range(4, nan, 20.0),
+            Predicate::numeric_range(4, -0.0, 20.0),
+            Predicate::numeric_range(4, -inf, inf),
+        ],
+        vec![
+            Predicate::time_range(1, i64::MIN, 20_000),
+            Predicate::numeric_range(0, -0.0, 6_000.0),
+            Predicate::numeric_range(1, 100.0, 600.0),
+        ],
+        vec![
+            Predicate::spatial_range(2, GeoRect::new(-inf, -inf, inf, inf)),
+            Predicate::spatial_range(2, GeoRect::new(-110.0, 30.0, -80.0, 45.0)),
+            Predicate::spatial_range(2, GeoRect::new(-115.0, 40.0, -114.0, 41.0)),
+        ],
+        vec![
+            Predicate::keyword(3, "hot"),
+            Predicate::keyword(3, "nosuchword"),
+            Predicate::spatial_range(
+                2,
+                GeoRect {
+                    min_lon: nan,
+                    min_lat: 30.0,
+                    max_lon: -80.0,
+                    max_lat: 45.0,
+                },
+            ),
+        ],
+    ];
+    groups
+        .into_iter()
+        .map(|preds| {
+            let mut query = Query::select("events").output(OutputKind::Count);
+            for pred in preds {
+                query = query.filter(pred);
+            }
+            query
+        })
+        .collect()
+}
+
+/// Pricing a query's hint lattice caches each predicate's true selectivity
+/// from the pass's own counts: afterwards `true_selectivity` of every
+/// predicate is a cache hit (the entry count does not grow), and its value is
+/// a cold database's, bit for bit — on a `Database` and on a 4-shard mirror
+/// (`weighted_selectivity` over the shards, a hit wherever the query was
+/// routed to every shard). Nothing is recorded when the pass does not run:
+/// a mistyped predicate still errors and leaves no entry, and an empty table
+/// prices but records nothing.
+#[test]
+fn priced_lattices_cache_true_selectivities() {
+    let db = mask_db();
+    let cold = mask_db();
+    for query in priced_selectivity_queries() {
+        db.clear_caches();
+        db.execution_time_ms(&query, &RewriteOption::original())
+            .unwrap();
+        let (_, entries) = db.cache_entry_counts();
+        assert!(entries > 0, "{query:?} recorded nothing");
+        for pred in &query.predicates {
+            let sel = db.true_selectivity("events", pred).unwrap();
+            assert_eq!(db.cache_entry_counts().1, entries, "{pred:?} missed");
+            cold.clear_caches();
+            let want = cold.true_selectivity("events", pred).unwrap();
+            assert_eq!(sel.to_bits(), want.to_bits(), "{pred:?}");
+        }
+    }
+
+    // The mirror prices only the shards a query routes to: each predicate
+    // alone, where one without a rectangle (or with the unbounded one)
+    // routes to every shard.
+    let mirror = vizdb::ShardedBackendBuilder::mirror(&db, 4).unwrap();
+    let cold_mirror = vizdb::ShardedBackendBuilder::mirror(&db, 4).unwrap();
+    let mut everywhere = 0;
+    for pred in priced_selectivity_queries()
+        .iter()
+        .flat_map(|q| q.predicates.clone())
+    {
+        let query = Query::select("events")
+            .filter(pred.clone())
+            .output(OutputKind::Count);
+        mirror.clear_caches();
+        mirror
+            .execution_time_ms(&query, &RewriteOption::original())
+            .unwrap();
+        let (_, entries) = mirror.cache_entry_counts();
+        let sel = mirror.true_selectivity("events", &pred).unwrap();
+        let routed_everywhere = match &pred {
+            Predicate::SpatialRange { rect, .. } => rect.min_lon == f64::NEG_INFINITY,
+            _ => true,
+        };
+        if routed_everywhere {
+            assert_eq!(mirror.cache_entry_counts().1, entries, "{pred:?} missed");
+            everywhere += 1;
+        }
+        cold_mirror.clear_caches();
+        let want = cold_mirror.true_selectivity("events", &pred).unwrap();
+        assert_eq!(sel.to_bits(), want.to_bits(), "{pred:?} on the mirror");
+    }
+    assert!(everywhere >= 8);
+
+    let mistyped = Query::select("events")
+        .filter(Predicate::keyword(3, "hot"))
+        .filter(Predicate::time_range(3, 0, 10))
+        .output(OutputKind::Count);
+    db.clear_caches();
+    assert!(db
+        .execution_time_ms(&mistyped, &RewriteOption::original())
+        .is_err());
+    assert_eq!(db.cache_entry_counts().1, 0);
+    assert!(db
+        .true_selectivity("events", &mistyped.predicates[1])
+        .is_err());
+
+    let empty = build_db(&[], 3);
+    let query = &priced_selectivity_queries()[0];
+    empty
+        .execution_time_ms(query, &RewriteOption::original())
+        .unwrap();
+    let (times, sels) = empty.cache_entry_counts();
+    assert!(times > 0, "the empty table's lattice was not priced");
+    assert_eq!(sels, 0);
 }
 
 /// A numeric range over a timestamp column selects the same rows under every
