@@ -9,7 +9,7 @@
 //! ```
 
 use maliva_bench::experiments::{all_experiment_ids, experiment_descriptions, run_experiment};
-use maliva_bench::harness::{queries_from_env, save_json};
+use maliva_bench::harness::{queries_from_env, save_json, scale_from_env};
 use maliva_bench::pins::check_pins;
 
 fn main() {
@@ -72,7 +72,9 @@ fn main() {
         std::process::exit(2);
     }
 
-    // A bad workload size is a usage error before any experiment starts.
+    // A bad dataset scale or workload size is a usage error before any
+    // experiment starts.
+    scale_from_env();
     queries_from_env();
 
     let started = std::time::Instant::now();
@@ -99,10 +101,11 @@ fn main() {
 fn print_usage() {
     println!(
         "Usage: experiments [--list] <experiment id>... | all | pins\n\n\
-         Experiment ids: {}\n\n\
-         `pins` runs the paper's tables (table1-3, fig12-21, ablation) at the default\n\
-         scale, writes target/experiments/pins.json and exits 1 naming every cell that\n\
-         moved from crates/bench/pins.json.\n\n\
+         Experiment ids (the paper's tables and figures, and the exploration-schedule\n\
+         ablation): {}\n\n\
+         `pins` runs every one of them at the default scale, writes\n\
+         target/experiments/pins.json and exits 1 naming every cell that moved from\n\
+         crates/bench/pins.json.\n\n\
          Environment:\n  MALIVA_SCALE=tiny|small|large   dataset size (default tiny)\n  \
          MALIVA_QUERIES=<n>              generated queries per workload (default 240)",
         all_experiment_ids().join(", ")

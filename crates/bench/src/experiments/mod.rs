@@ -5,16 +5,6 @@
 //! `MALIVA_SCALE` / `MALIVA_QUERIES` environment variables (see
 //! [`crate::harness::scale_from_env`]).
 
-pub mod chaos;
-pub mod exec;
-pub mod serve;
-pub mod shard;
-
-pub use chaos::run_chaos;
-pub use exec::run_exec_engine;
-pub use serve::run_serve_throughput;
-pub use shard::run_shard_scaling;
-
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -76,7 +66,6 @@ pub fn run_table1() -> Vec<ExperimentOutput> {
             "Output attribute".into(),
         ],
         rows,
-        extra: serde_json::Value::Null,
     };
     vec![output]
 }
@@ -112,7 +101,6 @@ pub fn run_table2() -> Vec<ExperimentOutput> {
             ">=5".into(),
         ],
         rows,
-        extra: serde_json::Value::Null,
     };
     vec![output]
 }
@@ -151,7 +139,6 @@ pub fn run_table3() -> Vec<ExperimentOutput> {
             ),
             headers,
             rows: vec![row],
-            extra: serde_json::Value::Null,
         });
     }
     outputs
@@ -252,7 +239,6 @@ fn bucket_table(
         title,
         headers,
         rows,
-        extra: serde_json::Value::Null,
     }
 }
 
@@ -522,7 +508,6 @@ pub fn run_fig21() -> Vec<ExperimentOutput> {
                 "Validation VQP (%)".into(),
             ],
             rows: curve_rows,
-            extra: serde_json::Value::Null,
         },
         ExperimentOutput {
             id: "fig21c".into(),
@@ -534,7 +519,6 @@ pub fn run_fig21() -> Vec<ExperimentOutput> {
                 "Epochs".into(),
             ],
             rows: time_rows,
-            extra: serde_json::Value::Null,
         },
     ]
 }
@@ -572,7 +556,6 @@ pub fn run_ablation() -> Vec<ExperimentOutput> {
             "Validation VQP (%)".into(),
         ],
         rows,
-        extra: serde_json::Value::Null,
     }]
 }
 
@@ -610,8 +593,7 @@ fn train_and_validate(
 pub fn all_experiment_ids() -> Vec<&'static str> {
     vec![
         "table1", "table2", "table3", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-        "fig18", "fig19a", "fig19b", "fig20", "fig21", "ablation", "serve", "shard", "exec",
-        "chaos",
+        "fig18", "fig19a", "fig19b", "fig20", "fig21", "ablation",
     ]
 }
 
@@ -630,10 +612,6 @@ pub fn run_experiment(id: &str) -> Vec<ExperimentOutput> {
         "fig20" => run_fig20(),
         "fig21" => run_fig21(),
         "ablation" => run_ablation(),
-        "serve" => run_serve_throughput(),
-        "shard" => run_shard_scaling(),
-        "exec" => run_exec_engine(),
-        "chaos" => run_chaos(),
         other => panic!("unknown experiment id: {other}"),
     }
 }
@@ -664,22 +642,6 @@ pub fn experiment_descriptions() -> BTreeMap<&'static str, &'static str> {
         (
             "ablation",
             "Exploration-schedule ablation (training and validation VQP)",
-        ),
-        (
-            "serve",
-            "Serving throughput/latency at 1/2/4/8 workers + decision-cache ablation",
-        ),
-        (
-            "shard",
-            "Per-region shard scaling at 1/2/4/8 shards (speedup + result equivalence)",
-        ),
-        (
-            "exec",
-            "Interpreter vs compiled batch engine (wall-clock speedup + byte-identical results)",
-        ),
-        (
-            "chaos",
-            "Serving availability/p99 under injected shard faults at 0/5/20% rates",
         ),
     ])
 }

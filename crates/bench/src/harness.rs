@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use serde_json::json;
 
 use maliva::{
     evaluate_workload, train_agent, MalivaConfig, MalivaRewriter, QueryRewriter, RewardSpec,
@@ -63,13 +62,11 @@ impl DatasetKind {
 }
 
 /// Reads the dataset scale from `MALIVA_SCALE` (default `tiny` so that `cargo test` and
-/// quick runs stay fast; use `small` or `large` for report-quality numbers).
+/// quick runs stay fast; use `small` or `large` for report-quality numbers). Any other
+/// value is a usage error: the process prints it and exits with status 2.
 pub fn scale_from_env() -> DatasetScale {
-    match std::env::var("MALIVA_SCALE").unwrap_or_default().as_str() {
-        "large" => DatasetScale::large(),
-        "small" => DatasetScale::small(),
-        _ => DatasetScale::tiny(),
-    }
+    let value = std::env::var("MALIVA_SCALE").ok();
+    or_exit(parse_scale(value.as_deref()))
 }
 
 /// Reads the workload size from `MALIVA_QUERIES` (default 240). A value that
@@ -77,10 +74,28 @@ pub fn scale_from_env() -> DatasetScale {
 /// exits with status 2 rather than run on a size nobody asked for.
 pub fn queries_from_env() -> usize {
     let value = std::env::var("MALIVA_QUERIES").ok();
-    parse_queries(value.as_deref()).unwrap_or_else(|message| {
+    or_exit(parse_queries(value.as_deref()))
+}
+
+/// The parsed value, or exit with status 2 after printing the usage error.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|message| {
         eprintln!("error: {message}");
         std::process::exit(2)
     })
+}
+
+/// The dataset scale `MALIVA_SCALE = value` asks for (`tiny` when unset), or
+/// the usage error naming the variable.
+fn parse_scale(value: Option<&str>) -> Result<DatasetScale, String> {
+    match value {
+        None | Some("tiny") => Ok(DatasetScale::tiny()),
+        Some("small") => Ok(DatasetScale::small()),
+        Some("large") => Ok(DatasetScale::large()),
+        Some(other) => Err(format!(
+            "MALIVA_SCALE must be one of tiny, small or large, got `{other}`"
+        )),
+    }
 }
 
 /// The workload size `MALIVA_QUERIES = value` asks for (240 when unset), or
@@ -292,9 +307,6 @@ pub struct ExperimentOutput {
     pub headers: Vec<String>,
     /// Table rows (first cell is the row label).
     pub rows: Vec<Vec<String>>,
-    /// A machine-readable payload saved next to the table (`null` when the
-    /// experiment has none).
-    pub extra: serde_json::Value,
 }
 
 impl ExperimentOutput {
@@ -335,24 +347,16 @@ pub fn print_table(headers: &[String], rows: &[Vec<String>]) {
     }
 }
 
-/// Saves an experiment output, its payload included, as JSON under
-/// `target/experiments/<id>.json`.
+/// Saves an experiment output as JSON under `target/experiments/<id>.json`.
 pub fn save_json(output: &ExperimentOutput) {
     let dir = std::path::Path::new("target").join("experiments");
     if std::fs::create_dir_all(&dir).is_err() {
         return;
     }
-    let payload = json!({
-        "id": output.id,
-        "title": output.title,
-        "headers": output.headers,
-        "rows": output.rows,
-        "extra": output.extra,
-    });
     let path = dir.join(format!("{}.json", output.id));
     let _ = std::fs::write(
         path,
-        serde_json::to_string_pretty(&payload).unwrap_or_default(),
+        serde_json::to_string_pretty(output).unwrap_or_default(),
     );
 }
 
@@ -383,6 +387,19 @@ mod tests {
         for bad in ["0", "-3", "", "abc", "2.5"] {
             let err = parse_queries(Some(bad)).unwrap_err();
             assert!(err.contains("MALIVA_QUERIES"), "{bad:?}: {err}");
+            assert!(err.contains(&format!("`{bad}`")), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn scales_are_named_exactly_and_others_name_the_variable() {
+        assert_eq!(parse_scale(None), Ok(DatasetScale::tiny()));
+        assert_eq!(parse_scale(Some("tiny")), Ok(DatasetScale::tiny()));
+        assert_eq!(parse_scale(Some("small")), Ok(DatasetScale::small()));
+        assert_eq!(parse_scale(Some("large")), Ok(DatasetScale::large()));
+        for bad in ["Large", "huge", "", "smal"] {
+            let err = parse_scale(Some(bad)).unwrap_err();
+            assert!(err.contains("MALIVA_SCALE"), "{bad:?}: {err}");
             assert!(err.contains(&format!("`{bad}`")), "{bad:?}: {err}");
         }
     }

@@ -41,7 +41,6 @@ fn pin(output: &ExperimentOutput) -> ExperimentOutput {
         title: output.title.clone(),
         headers: kept(&output.headers),
         rows: output.rows.iter().map(|r| kept(r)).collect(),
-        extra: serde_json::Value::Null,
     }
 }
 
@@ -164,7 +163,6 @@ mod tests {
                 s(&["8 options", "10", "0.3", "5"]),
                 s(&[cells[0], cells[1], cells[2], cells[3]]),
             ],
-            extra: serde_json::Value::Null,
         }
     }
 

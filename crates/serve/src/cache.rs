@@ -103,18 +103,6 @@ pub struct DecisionCacheStats {
     pub entries: usize,
 }
 
-impl DecisionCacheStats {
-    /// Fraction of lookups answered from the cache, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// One cached entry: the decision, the catalog generation it was planned under,
 /// and its most recent use stamp (for LRU eviction).
 struct Entry {

@@ -23,15 +23,13 @@
 //! * [`MalivaServer::serve_queued`] adds admission control: a queue bounded by
 //!   [`ServeConfig::queue_capacity`] that sheds overload with an explicit
 //!   [`ServeOutcome::Rejected`] and a shed counter instead of growing without
-//!   bound;
-//! * [`ServeMetrics`] reports wall-clock throughput (queries/sec) and
-//!   p50/p95/p99 latency for the `serve` and `shard` experiments in
-//!   `maliva-bench` (`cargo run -p maliva-bench --release --bin experiments --
-//!   serve shard`).
+//!   bound.
 //!
 //! Everything a response carries is simulated and deterministic, so a batch
 //! served with 8 workers is byte-identical to the single-threaded run — the
 //! repro's core invariant, pinned by this crate's concurrency smoke tests.
+//! Wall-clock throughput and latency of the serving path are measured end to
+//! end by the separate `benchmark/` workspace.
 
 pub mod cache;
 pub mod queue;
@@ -44,6 +42,5 @@ pub use vizdb::sync;
 
 pub use cache::{CachedDecision, DecisionCache, DecisionCacheConfig, DecisionCacheStats};
 pub use server::{
-    backend_for_shards, percentile_ms, MalivaServer, ServeConfig, ServeMetrics, ServeOutcome,
-    ServeRequest, ServeResponse,
+    backend_for_shards, MalivaServer, ServeConfig, ServeOutcome, ServeRequest, ServeResponse,
 };

@@ -34,7 +34,6 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 use maliva::train::SpaceBuilder;
 use maliva::{decide_online, QAgent};
@@ -44,9 +43,7 @@ use vizdb::exec::QueryResult;
 use vizdb::hints::RewriteOption;
 use vizdb::query::Query;
 use vizdb::sync::atomic::{AtomicU64, Ordering};
-use vizdb::{
-    Database, ExecContext, FaultStats, QueryBackend, ResultQuality, ShardedBackendBuilder,
-};
+use vizdb::{Database, ExecContext, QueryBackend, ResultQuality, ShardedBackendBuilder};
 
 use crate::cache::{CachedDecision, DecisionCache, DecisionCacheConfig, DecisionCacheStats};
 use crate::queue::WorkQueue;
@@ -233,70 +230,6 @@ impl ServeOutcome {
     }
 }
 
-/// Wall-clock metrics of one `serve_batch` run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServeMetrics {
-    /// Requests served.
-    pub requests: usize,
-    /// Total wall-clock time of the batch in milliseconds.
-    pub wall_clock_ms: f64,
-    /// Aggregate throughput in queries per second.
-    pub queries_per_sec: f64,
-    /// Median per-request wall-clock latency in milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile per-request wall-clock latency in milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile per-request wall-clock latency in milliseconds.
-    pub p99_ms: f64,
-    /// Shard attempts the backend retried during this batch.
-    pub retries: u64,
-    /// Shard executions the backend cut off at their deadline during this batch.
-    pub timeouts: u64,
-    /// Shard requests refused by an open circuit breaker during this batch.
-    pub breaker_open_skips: u64,
-    /// Requests answered degraded (merged from a strict subset of shards)
-    /// during this batch.
-    pub degraded: u64,
-}
-
-/// The `p`-th percentile (0–100) of an unsorted latency sample, by the
-/// nearest-rank method; 0 for an empty sample.
-pub fn percentile_ms(latencies: &[f64], p: f64) -> f64 {
-    let mut sorted = latencies.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    nearest_rank(&sorted, p)
-}
-
-/// The nearest-rank `p`-th percentile of an ascending sample; 0 if empty.
-fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    let nearest = sorted.get(rank.clamp(1, sorted.len().max(1)) - 1);
-    nearest.copied().unwrap_or(0.0)
-}
-
-impl ServeMetrics {
-    fn from_run(wall_clock_ms: f64, mut sorted: Vec<f64>, faults: &FaultStats) -> Self {
-        let requests = sorted.len();
-        sorted.sort_by(f64::total_cmp);
-        Self {
-            requests,
-            wall_clock_ms,
-            queries_per_sec: if wall_clock_ms > 0.0 {
-                requests as f64 / (wall_clock_ms / 1000.0)
-            } else {
-                0.0
-            },
-            p50_ms: nearest_rank(&sorted, 50.0),
-            p95_ms: nearest_rank(&sorted, 95.0),
-            p99_ms: nearest_rank(&sorted, 99.0),
-            retries: faults.retries,
-            timeouts: faults.timeouts,
-            breaker_open_skips: faults.breaker_open_skips,
-            degraded: faults.degraded,
-        }
-    }
-}
-
 /// The backend a [`ServeConfig::shards`] value asks for: the database itself at
 /// one shard, a [`vizdb::ShardedBackend`] mirroring its tables, indexes and
 /// samples otherwise. A shard count the mirror refuses (more shards than
@@ -475,37 +408,15 @@ impl MalivaServer {
     /// Serves a whole batch through the drain loop, returning responses in
     /// request order.
     pub fn serve_batch(&self, requests: &[ServeRequest]) -> Result<Vec<ServeResponse>> {
-        Ok(self.serve_batch_timed(requests)?.0)
-    }
-
-    /// Like [`Self::serve_batch`] but also reports wall-clock throughput,
-    /// latency percentiles and the backend's fault-handling work (retries,
-    /// deadline timeouts, breaker skips, degraded answers) attributed to this
-    /// batch as a before/after counter delta. The attribution is exact as long
-    /// as batches on the same backend don't overlap in time.
-    pub fn serve_batch_timed(
-        &self,
-        requests: &[ServeRequest],
-    ) -> Result<(Vec<ServeResponse>, ServeMetrics)> {
-        let faults_before = self.backend.fault_stats();
-        let started = Instant::now();
         // A queue as long as the batch never sheds.
-        let served = self.drain(requests, requests.len());
-        let wall_clock_ms = started.elapsed().as_secs_f64() * 1000.0;
-
-        let mut responses = Vec::with_capacity(served.len());
-        let mut latencies = Vec::with_capacity(served.len());
-        for slot in served {
-            let (response, latency_ms) =
-                slot.ok_or_else(|| Error::Internal("a batch request was never served".into()))?;
-            responses.push(response?);
-            latencies.push(latency_ms);
-        }
-        let fault_delta = self.backend.fault_stats().delta_since(&faults_before);
-        Ok((
-            responses,
-            ServeMetrics::from_run(wall_clock_ms, latencies, &fault_delta),
-        ))
+        self.drain(requests, requests.len())
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|| {
+                    Err(Error::Internal("a batch request was never served".into()))
+                })
+            })
+            .collect()
     }
 
     /// Serves `requests` through admission control: the calling thread submits
@@ -522,7 +433,7 @@ impl MalivaServer {
         self.drain(requests, capacity)
             .into_iter()
             .map(|slot| match slot {
-                Some((response, _)) => response.map(ServeOutcome::from_response),
+                Some(response) => response.map(ServeOutcome::from_response),
                 None => Ok(ServeOutcome::Rejected { queue_full: true }),
             })
             .collect()
@@ -532,20 +443,19 @@ impl MalivaServer {
     /// a [`WorkQueue`] of `capacity` (counting each shed), while
     /// `min(config.workers, requests.len())` scoped workers pop them and serve
     /// each under `catch_unwind`. Returns, in request order, `None` for a shed
-    /// request, else what `serve_one` returned and its wall latency in ms; once
-    /// every worker has joined, the lowest-index panic is re-raised.
+    /// request, else what `serve_one` returned; once every worker has joined,
+    /// the lowest-index panic is re-raised.
     fn drain(
         &self,
         requests: &[ServeRequest],
         capacity: usize,
-    ) -> Vec<Option<(Result<ServeResponse>, f64)>> {
+    ) -> Vec<Option<Result<ServeResponse>>> {
         let queue = WorkQueue::new();
         let work = || {
             let mut served = Vec::new();
             while let Some(i) = queue.pop() {
-                let started = Instant::now();
                 let response = catch_unwind(AssertUnwindSafe(|| self.serve_one(i, &requests[i])));
-                served.push((i, response, started.elapsed().as_secs_f64() * 1000.0));
+                served.push((i, response));
             }
             served
         };
@@ -566,16 +476,16 @@ impl MalivaServer {
             drop(closer);
             for handle in handles {
                 // Only the queue's own bookkeeping runs outside `catch_unwind`.
-                for (i, response, ms) in handle.join().unwrap_or_else(|p| resume_unwind(p)) {
-                    slots[i] = Some((response, ms));
+                for (i, response) in handle.join().unwrap_or_else(|p| resume_unwind(p)) {
+                    slots[i] = Some(response);
                 }
             }
         });
         // In request order, so the first panic re-raised is the lowest index's.
-        let reraise = |(response, ms): (std::result::Result<_, _>, f64)| {
-            (response.unwrap_or_else(|p| resume_unwind(p)), ms)
-        };
-        slots.into_iter().map(|slot| slot.map(reraise)).collect()
+        slots
+            .into_iter()
+            .map(|slot| slot.map(|response| response.unwrap_or_else(|p| resume_unwind(p))))
+            .collect()
     }
 }
 
@@ -886,25 +796,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn metrics_report_throughput_and_percentiles() {
-        let server = server_with_workers(build_db(), 2);
-        let (responses, metrics) = server.serve_batch_timed(&batch(10)).unwrap();
-        assert_eq!(metrics.requests, responses.len());
-        assert!(metrics.wall_clock_ms > 0.0);
-        assert!(metrics.queries_per_sec > 0.0);
-        assert!(metrics.p50_ms <= metrics.p95_ms);
-        assert!(metrics.p95_ms <= metrics.p99_ms);
-    }
-
-    #[test]
-    fn percentile_uses_nearest_rank() {
-        let sample = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile_ms(&sample, 50.0), 20.0);
-        assert_eq!(percentile_ms(&sample, 95.0), 40.0);
-        assert_eq!(percentile_ms(&[], 99.0), 0.0);
-    }
-
     /// Both entry points run the one drain loop. At `workers = 1` one thread
     /// serves the requests in request order (the chaos and fault-determinism
     /// tests rely on it); no more workers than requests serve a batch; and a
@@ -1203,7 +1094,7 @@ mod tests {
 
     mod fault_tolerance {
         use super::*;
-        use vizdb::{FaultKind, FaultPlan, FaultPolicy};
+        use vizdb::{FaultKind, FaultPlan, FaultPolicy, FaultStats};
 
         /// A database whose table carries a geo column, so mirroring it
         /// *partitions* rows by longitude (rather than replicating them) and
@@ -1243,10 +1134,17 @@ mod tests {
         /// Seed for the chaos tests. Overridable through `MALIVA_FAULT_SEED` so
         /// CI can sweep seeds; every assertion below must hold for *any* seed.
         fn fault_seed() -> u64 {
-            std::env::var("MALIVA_FAULT_SEED")
-                .ok()
+            let Some(seed) = std::env::var_os("MALIVA_FAULT_SEED") else {
+                return 42;
+            };
+            seed.to_str()
                 .and_then(|s| s.parse().ok())
-                .unwrap_or(42)
+                .unwrap_or_else(|| {
+                    panic!(
+                        "MALIVA_FAULT_SEED must be a whole number, got `{}`",
+                        seed.to_string_lossy()
+                    )
+                })
         }
 
         /// A server over `db` mirrored into four fault-injected shards.
@@ -1463,30 +1361,6 @@ mod tests {
                 FaultStats::default(),
                 "a rate-0 plan must cause no fault handling at all"
             );
-        }
-
-        /// `serve_batch_timed` attributes the backend's fault-handling work to
-        /// the batch that caused it, as a before/after counter delta.
-        #[test]
-        fn metrics_attribute_fault_handling_to_the_batch() {
-            let db = build_geo_db();
-            let plan = FaultPlan::none(5)
-                .script(2, 0, FaultKind::Error)
-                .script(2, 1, FaultKind::Error)
-                .script(2, 2, FaultKind::Error);
-            let server = chaos_server(&db, plan, FaultPolicy::default(), single_worker());
-
-            let (responses, metrics) = server.serve_batch_timed(&batch(6)).unwrap();
-            assert_eq!(metrics.degraded, 1);
-            assert_eq!(metrics.retries, 2);
-            assert_eq!(metrics.timeouts, 0);
-            assert_eq!(metrics.breaker_open_skips, 0);
-            assert!(responses[0].is_degraded());
-            assert!(responses[1..].iter().all(|r| !r.is_degraded()));
-
-            // A second, clean batch attributes zero fault work to itself.
-            let (_, clean) = server.serve_batch_timed(&batch(6)).unwrap();
-            assert_eq!((clean.retries, clean.degraded), (0, 0));
         }
 
         /// The shed-counter satellite: with the count taken under the queue

@@ -126,22 +126,6 @@ impl FaultStats {
         self.approx_fallbacks += other.approx_fallbacks;
         self.degraded += other.degraded;
     }
-
-    /// Component-wise difference (saturating), for before/after deltas.
-    pub fn delta_since(&self, earlier: &FaultStats) -> FaultStats {
-        FaultStats {
-            retries: self.retries.saturating_sub(earlier.retries),
-            timeouts: self.timeouts.saturating_sub(earlier.timeouts),
-            panics: self.panics.saturating_sub(earlier.panics),
-            breaker_open_skips: self
-                .breaker_open_skips
-                .saturating_sub(earlier.breaker_open_skips),
-            approx_fallbacks: self
-                .approx_fallbacks
-                .saturating_sub(earlier.approx_fallbacks),
-            degraded: self.degraded.saturating_sub(earlier.degraded),
-        }
-    }
 }
 
 /// A [`QueryBackend::run_with_context`] result: the merged outcome plus how

@@ -562,8 +562,7 @@ impl Database {
 
     /// [`Database::run`] on the reference oracle — the row-at-a-time
     /// interpreter the production pipeline must match bit for bit (same
-    /// results, same work profile, same simulated time). For equivalence tests
-    /// and the `exec` benchmark that measures the wall-clock gap.
+    /// results, same work profile, same simulated time). For equivalence tests.
     pub fn run_reference(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
         let reference = exec::reference::execute;
         self.run_inner(query, ro, query_fingerprint(query), true, reference)

@@ -185,8 +185,9 @@ fn eval_preds(
 /// resolved by the caller (hoisted out of the row loop).
 ///
 /// `#[inline]` keeps it inside the oracle's row loop, as it was when that loop
-/// lived in the executor; without it the interpreter runs a quarter slower and
-/// every speedup `BENCH_exec.json` reports against it is inflated.
+/// lived in the executor; without it the interpreter runs a quarter slower,
+/// and the reference suites that run it on every generated query and hint set
+/// (`exec_equivalence`, `vizdb_consistency`) take longer in debug builds.
 #[inline]
 fn eval_resolved(
     pred: &Predicate,

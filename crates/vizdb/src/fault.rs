@@ -5,7 +5,7 @@
 //! plan decides **purely from `(seed, shard, query index)`** whether a given
 //! execution panics, errors, or is delayed, so a chaos run is byte-for-byte
 //! reproducible — the same seed yields the same fault sequence on every
-//! machine, in tests, in CI and in `maliva-bench`'s `chaos` experiment alike.
+//! machine, in tests and in CI's seed sweep alike.
 //!
 //! Two ways to consume a plan:
 //!

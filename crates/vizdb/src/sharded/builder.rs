@@ -183,7 +183,7 @@ impl ShardedBackendBuilder {
 
     /// Finalises the backend with every shard wrapped in a
     /// [`FaultInjectingBackend`] drawing from `plan` — the chaos-testing entry
-    /// point used by the serve tests and `maliva-bench`'s `chaos` experiment.
+    /// point used by the serve tests.
     pub fn build_with_faults(self, plan: FaultPlan) -> ShardedBackend {
         let plan = Arc::new(plan);
         self.build_wrapped(move |i, shard| {

@@ -597,7 +597,7 @@ mod tests {
         let findings = scan_source("crates/vizdb/src/timing.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "no-wall-clock");
-        // The serve layer measures real wall-clock throughput: not in scope.
+        // Only vizdb runs on the simulated clock: other crates are not in scope.
         assert!(scan_source("crates/serve/src/metrics.rs", src).is_empty());
     }
 
