@@ -8,7 +8,9 @@
 //! MALIVA_SCALE=small MALIVA_QUERIES=400 cargo run -p maliva-bench --release --bin experiments -- all
 //! ```
 
-use maliva_bench::experiments::{all_experiment_ids, experiment_descriptions, run_experiment};
+use maliva_bench::experiments::{
+    all_experiment_ids, experiment_descriptions, experiment_groups, run_experiment,
+};
 use maliva_bench::harness::{queries_from_env, save_json, scale_from_env};
 use maliva_bench::pins::check_pins;
 
@@ -51,15 +53,7 @@ fn main() {
     }
 
     let ids: Vec<String> = if args.iter().any(|a| a == "all") {
-        // Figure pairs are generated together; deduplicate to avoid double work.
-        let mut ids = Vec::new();
-        for id in all_experiment_ids() {
-            if matches!(id, "fig13" | "fig15" | "fig17") {
-                continue;
-            }
-            ids.push(id.to_string());
-        }
-        ids
+        experiment_groups().into_iter().map(String::from).collect()
     } else {
         args
     };

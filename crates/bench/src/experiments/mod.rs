@@ -589,12 +589,32 @@ fn train_and_validate(
     (trained.report, validation)
 }
 
+/// The experiment groups: the ids one run produces, the one [`run_experiment`]
+/// is asked for first (figure pairs such as fig12/fig13 are produced together).
+const GROUPS: &[&[&str]] = &[
+    &["table1"],
+    &["table2"],
+    &["table3"],
+    &["fig12", "fig13"],
+    &["fig14", "fig15"],
+    &["fig16", "fig17"],
+    &["fig18"],
+    &["fig19a"],
+    &["fig19b"],
+    &["fig20"],
+    &["fig21"],
+    &["ablation"],
+];
+
 /// Every experiment id accepted by the `experiments` binary.
 pub fn all_experiment_ids() -> Vec<&'static str> {
-    vec![
-        "table1", "table2", "table3", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-        "fig18", "fig19a", "fig19b", "fig20", "fig21", "ablation",
-    ]
+    GROUPS.iter().flat_map(|ids| ids.iter().copied()).collect()
+}
+
+/// One id per experiment group: what `experiments -- all` runs and
+/// `experiments -- pins` pins, so each group runs once.
+pub fn experiment_groups() -> Vec<&'static str> {
+    GROUPS.iter().map(|ids| ids[0]).collect()
 }
 
 /// Runs one experiment by id (figure pairs such as fig12/fig13 are produced together).

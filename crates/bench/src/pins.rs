@@ -6,14 +6,8 @@
 //! Columns that hold wall-clock readings are left out: they differ between two
 //! runs of the same code.
 
-use crate::experiments::run_experiment;
+use crate::experiments::{experiment_groups, run_experiment};
 use crate::harness::ExperimentOutput;
-
-/// The experiment groups whose tables are pinned (each figure pair runs once).
-const PINNED_IDS: &[&str] = &[
-    "table1", "table2", "table3", "fig12", "fig14", "fig16", "fig18", "fig19a", "fig19b", "fig20",
-    "fig21", "ablation",
-];
 
 /// `(table id, column header)` of every column that is wall clock, not a result.
 const UNPINNED_COLUMNS: &[(&str, &str)] = &[("fig21c", "Training time (s)")];
@@ -127,7 +121,7 @@ fn json<T: serde::Serialize + ?Sized>(value: &T) -> String {
 /// Returns one line per moved table, row or cell (empty when every pin repeated).
 pub fn check_pins() -> Vec<String> {
     let mut outputs = Vec::new();
-    for id in PINNED_IDS {
+    for id in experiment_groups() {
         eprintln!("[pins] running {id} ...");
         outputs.extend(run_experiment(id));
     }
@@ -191,7 +185,7 @@ mod tests {
     #[test]
     fn committed_pins_parse_and_cover_every_pinned_group() {
         let committed: Vec<ExperimentOutput> = serde_json::from_str(COMMITTED).unwrap();
-        for prefix in PINNED_IDS {
+        for prefix in crate::experiments::all_experiment_ids() {
             assert!(
                 committed.iter().any(|t| t.id.starts_with(prefix)),
                 "no pinned table for {prefix}"

@@ -191,18 +191,18 @@ mod tests {
     fn approximate_rewrites_score_the_jaccard_quality_of_their_answer() {
         let db = tiny_db();
         let queries = workload(8);
-        let sample = RewriteOption::approximate(
+        let limited = RewriteOption::approximate(
             HintSet::none(),
-            ApproxRule::SampleTable { fraction_pct: 20 },
+            ApproxRule::LimitPermille { permille: 200 },
         );
         let rewriter = FixedRewriter {
             planning_ms: 1.0,
-            rewrite: Some(sample.clone()),
+            rewrite: Some(limited.clone()),
         };
         let metrics = evaluate_workload(&rewriter, &db, &queries, 500.0).unwrap();
         for (query, outcome) in queries.iter().zip(&metrics.outcomes) {
             let exact = db.run(query, &RewriteOption::original()).unwrap().result;
-            let approx = db.run(query, &sample).unwrap().result;
+            let approx = db.run(query, &limited).unwrap().result;
             assert!(!outcome.exact);
             assert_eq!(outcome.quality, jaccard_quality(&exact, &approx));
         }
@@ -212,7 +212,7 @@ mod tests {
             .all(|o| (0.0..=1.0).contains(&o.quality)));
         assert!(
             metrics.outcomes.iter().any(|o| o.quality < 1.0),
-            "a 20% sample should lose part of some answer"
+            "a 200‰ LIMIT should lose part of some answer"
         );
     }
 

@@ -317,7 +317,7 @@ mod tests {
             db.clone(),
             qte,
             &workload(8),
-            ApproxRule::paper_sample_rules(),
+            ApproxRule::paper_limit_rules(),
             QualityAwareMode::OneStage,
             QualityFunction::Jaccard,
             &fast_config(),
@@ -337,7 +337,7 @@ mod tests {
             db.clone(),
             qte,
             &workload(8),
-            ApproxRule::paper_sample_rules(),
+            ApproxRule::paper_limit_rules(),
             QualityAwareMode::TwoStage,
             QualityFunction::Jaccard,
             &fast_config(),
@@ -360,7 +360,7 @@ mod tests {
                 db.clone(),
                 qte.clone(),
                 &[],
-                ApproxRule::paper_sample_rules(),
+                ApproxRule::paper_limit_rules(),
                 mode,
                 QualityFunction::Jaccard,
                 &fast_config(),

@@ -150,9 +150,9 @@ mod tests {
 
     #[test]
     fn second_stage_space_is_cross_product() {
-        let rules = ApproxRule::paper_sample_rules();
+        let rules = ApproxRule::paper_limit_rules();
         let space = RewriteSpace::approx_only(&query(3), &rules);
-        assert_eq!(space.len(), 24);
+        assert_eq!(space.len(), 40);
         assert!(space.exact_positions().is_empty());
     }
 

@@ -10,7 +10,7 @@ use vizdb::types::GeoRect;
 use vizdb::{Database, DbConfig, QueryBackend, ShardedBackendBuilder};
 
 /// Builds a 6 000-row tweets table plus a 200-row users table with skewed text and
-/// spatial distributions, all indexes, and 1% / 20% samples.
+/// spatial distributions, all indexes, and 1% samples.
 pub fn tiny_db() -> Arc<Database> {
     tiny_db_with_config(DbConfig::default())
 }
@@ -71,9 +71,6 @@ pub fn tiny_db_with_config(config: DbConfig) -> Arc<Database> {
     db.build_all_indexes("tweets").unwrap();
     db.build_all_indexes("users").unwrap();
     db.build_sample("tweets", 1).unwrap();
-    db.build_sample("tweets", 20).unwrap();
-    db.build_sample("tweets", 40).unwrap();
-    db.build_sample("tweets", 80).unwrap();
     db.build_sample("users", 1).unwrap();
     Arc::new(db)
 }

@@ -7,7 +7,7 @@
 //! the training workload. Each probe is charged to the simulated clock in proportion
 //! to the sample size (`per_row_probe_ms` × sample rows), which is exactly the
 //! estimation cost the MDP agent must budget for. In process the probe no longer
-//! scans the sample: the backend answers it from indexes over a copy of the sample
+//! scans the sample: the backend answers it from the sample's own indexes
 //! (`Database::sample_selectivity`), so its wall time is an index count while its
 //! simulated charge is unchanged.
 

@@ -1074,18 +1074,20 @@ mod tests {
     }
 
     /// Deciding no longer executes, so a rewrite whose execution hard-fails
-    /// (here: a sample that was never built) is cached before the failure is
-    /// seen; the failed run must take its decision back out.
+    /// (here: an injected backend error on each run) is cached before the
+    /// failure is seen; the failed run must take its decision back out.
     #[test]
     fn a_decision_whose_execution_fails_does_not_stay_cached() {
-        let rule = vizdb::approx::ApproxRule::SampleTable { fraction_pct: 20 };
-        let spaces: Arc<SpaceBuilder> =
-            Arc::new(move |query| RewriteSpace::approx_only(query, &[rule]));
-        let server = approximate_server(build_sampled_db(), spaces);
+        use vizdb::{FaultInjectingBackend, FaultKind, FaultPlan};
+        let plan = FaultPlan::none(0)
+            .script(0, 0, FaultKind::Error)
+            .script(0, 1, FaultKind::Error);
+        let backend = FaultInjectingBackend::new(build_sampled_db(), Arc::new(plan), 0);
+        let server = approximate_server(Arc::new(backend), Arc::new(RewriteSpace::hints_only));
         let request = ServeRequest::new(make_query(0));
         for _ in 0..2 {
             let err = server.serve_one(0, &request).unwrap_err();
-            assert!(matches!(err, Error::SampleMissing { .. }), "{err}");
+            assert!(matches!(err, Error::ShardUnavailable { .. }), "{err}");
         }
         let stats = server.cache_stats();
         assert_eq!(stats.entries, 0);

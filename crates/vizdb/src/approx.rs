@@ -1,26 +1,17 @@
 //! Approximation rules: rewrite a query so it computes an approximate result faster.
 //!
-//! The paper (§2, §6) considers substituting the base table with a pre-built random
-//! sample (`tweetsSample20`), applying a SQL-standard `TABLESAMPLE`, or adding a
-//! `LIMIT` clause sized as a percentage of the estimated cardinality.
+//! The paper's §7.7 evaluates one approximation family: a `LIMIT` clause sized
+//! as a fraction of the engine's estimated cardinality. That is the only rule
+//! here. The paper's §6.2 running example substitutes a pre-built random sample
+//! table (`tweetsSample20`) instead; no experiment of §7 runs it, so it is not
+//! reproduced. Samples remain only as the Approximate-QTE's probe tables
+//! ([`crate::Database::sample_selectivity`]).
 
 use serde::{Deserialize, Serialize};
 
 /// A single approximation rule applied to the original query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ApproxRule {
-    /// Substitute the base table with a pre-built `fraction_pct`% random sample table.
-    SampleTable {
-        /// Sampling percentage (1..=100).
-        fraction_pct: u32,
-    },
-    /// Apply a `TABLESAMPLE SYSTEM (fraction_pct)` style operator: rows are sampled at
-    /// scan time rather than from a pre-built sample (costs the same scan volume as the
-    /// sample-table rule in this simulator but needs no auxiliary table).
-    TableSample {
-        /// Sampling percentage (1..=100).
-        fraction_pct: u32,
-    },
     /// Add a `LIMIT` clause that keeps `permille` ‰ (parts per thousand, to express the
     /// paper's 0.032%–20% range with integers) of the query's estimated cardinality.
     LimitPermille {
@@ -30,13 +21,10 @@ pub enum ApproxRule {
 }
 
 impl ApproxRule {
-    /// The fraction of base rows (or of result rows for LIMIT) kept by this rule, as a
-    /// ratio in (0, 1].
+    /// The fraction of the estimated result rows kept by this rule, as a ratio in
+    /// (0, 1].
     pub fn kept_fraction(&self) -> f64 {
         match self {
-            ApproxRule::SampleTable { fraction_pct } | ApproxRule::TableSample { fraction_pct } => {
-                (*fraction_pct as f64 / 100.0).clamp(0.0, 1.0)
-            }
             ApproxRule::LimitPermille { permille } => (*permille as f64 / 1000.0).clamp(0.0, 1.0),
         }
     }
@@ -44,23 +32,16 @@ impl ApproxRule {
     /// A short label used in SQL rendering and experiment output.
     pub fn label(&self) -> String {
         match self {
-            ApproxRule::SampleTable { fraction_pct } => format!("sample{fraction_pct}"),
-            ApproxRule::TableSample { fraction_pct } => format!("tablesample{fraction_pct}"),
             ApproxRule::LimitPermille { permille } => format!("limit{}‰", permille),
         }
     }
 
     /// The paper's §7.7 approximation-rule set: LIMIT clauses keeping 0.032%, 0.16%,
-    /// 0.8%, 4% and 20% of the estimated cardinality. Values below 1‰ are rounded up to
-    /// the closest representable permille fractions (0.32‰ → handled as dedicated
-    /// variants below 1 via `LimitPermille { permille: 0 }` would drop everything, so we
-    /// keep the two sub-permille rules at 1‰ granularity lower bound).
+    /// 0.8%, 4% and 20% of the estimated cardinality. A rule counts in whole
+    /// permille, so the paper's 0.032% and 0.16% are kept as 1‰ and 2‰; the other
+    /// three are exact.
     pub fn paper_limit_rules() -> Vec<ApproxRule> {
         vec![
-            // 0.032% and 0.16% are below 1‰; represent them at the sub-permille level by
-            // dedicated sample-table fractions of 1% as the closest coarse equivalent is
-            // too lossy, so we keep permille = 1 for 0.032%/0.16% (documented in
-            // DESIGN.md as a granularity substitution) and exact values for the rest.
             ApproxRule::LimitPermille { permille: 1 },
             ApproxRule::LimitPermille { permille: 2 },
             ApproxRule::LimitPermille { permille: 8 },
@@ -68,32 +49,11 @@ impl ApproxRule {
             ApproxRule::LimitPermille { permille: 200 },
         ]
     }
-
-    /// The paper's §6.2 running-example sample-table rule set (20%, 40%, 80%).
-    pub fn paper_sample_rules() -> Vec<ApproxRule> {
-        vec![
-            ApproxRule::SampleTable { fraction_pct: 20 },
-            ApproxRule::SampleTable { fraction_pct: 40 },
-            ApproxRule::SampleTable { fraction_pct: 80 },
-        ]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kept_fraction_for_samples() {
-        assert_eq!(
-            ApproxRule::SampleTable { fraction_pct: 20 }.kept_fraction(),
-            0.2
-        );
-        assert_eq!(
-            ApproxRule::TableSample { fraction_pct: 80 }.kept_fraction(),
-            0.8
-        );
-    }
 
     #[test]
     fn kept_fraction_for_limits() {
@@ -104,7 +64,6 @@ mod tests {
     #[test]
     fn paper_rule_sets_have_expected_sizes() {
         assert_eq!(ApproxRule::paper_limit_rules().len(), 5);
-        assert_eq!(ApproxRule::paper_sample_rules().len(), 3);
     }
 
     #[test]
@@ -118,13 +77,11 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        let rules = [
-            ApproxRule::SampleTable { fraction_pct: 20 },
-            ApproxRule::TableSample { fraction_pct: 20 },
-            ApproxRule::LimitPermille { permille: 20 },
-        ];
-        let labels: std::collections::HashSet<_> = rules.iter().map(|r| r.label()).collect();
-        assert_eq!(labels.len(), 3);
+        let labels: std::collections::HashSet<_> = ApproxRule::paper_limit_rules()
+            .iter()
+            .map(|r| r.label())
+            .collect();
+        assert_eq!(labels.len(), 5);
     }
 
     #[test]
@@ -133,5 +90,16 @@ mod tests {
             ApproxRule::LimitPermille { permille: 5000 }.kept_fraction(),
             1.0
         );
+    }
+
+    /// A rule serialized before the sample rules were removed reads back as an
+    /// error, not a panic; a LIMIT rule still round-trips.
+    #[test]
+    fn removed_rules_do_not_deserialize() {
+        let removed = r#"{"SampleTable":{"fraction_pct":20}}"#;
+        assert!(serde_json::from_str::<ApproxRule>(removed).is_err());
+        let limit = ApproxRule::LimitPermille { permille: 8 };
+        let json = serde_json::to_string(&limit).unwrap();
+        assert_eq!(serde_json::from_str::<ApproxRule>(&json).unwrap(), limit);
     }
 }

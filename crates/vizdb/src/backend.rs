@@ -79,14 +79,13 @@ pub enum ResultQuality {
     /// the chosen rewrite.
     Full,
     /// One or more shards were cut off (deadline), open-circuited, or failed;
-    /// the result merges the surviving shards (plus any approximate coverage of
-    /// the missing regions) and is an on-time *partial* answer.
+    /// the result merges the surviving shards and is an on-time *partial*
+    /// answer.
     Degraded {
-        /// Number of targeted shards that contributed no exact answer.
+        /// Number of targeted shards that contributed no answer.
         shards_missing: usize,
         /// Fraction of the targeted rows the merged answer covers, in `[0, 1]`:
-        /// surviving shards count fully, shards recovered through a sampling
-        /// fallback count at their sampling fraction.
+        /// the surviving shards' rows over all targeted rows.
         coverage_fraction: f64,
     },
 }
@@ -110,8 +109,6 @@ pub struct FaultStats {
     pub panics: u64,
     /// Requests a shard refused because its circuit breaker was open.
     pub breaker_open_skips: u64,
-    /// Missing shards covered by the approximate sampling fallback.
-    pub approx_fallbacks: u64,
     /// Requests answered degraded (merged from a strict subset of shards).
     pub degraded: u64,
 }
@@ -123,7 +120,6 @@ impl FaultStats {
         self.timeouts += other.timeouts;
         self.panics += other.panics;
         self.breaker_open_skips += other.breaker_open_skips;
-        self.approx_fallbacks += other.approx_fallbacks;
         self.degraded += other.degraded;
     }
 }

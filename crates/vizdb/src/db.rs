@@ -14,7 +14,6 @@ use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
-use crate::approx::ApproxRule;
 use crate::cache::FingerprintCache;
 use crate::error::{Error, Result};
 use crate::exec::{self, ExecTable, QueryResult};
@@ -22,15 +21,13 @@ use crate::fingerprint::{
     predicate_fingerprint, query_fingerprint, rewrite_fingerprint, Fingerprint,
 };
 use crate::hints::{enumerate_hint_sets, RewriteOption};
-use crate::index::{index_answers, BPlusTree, InvertedIndex, RTree};
+use crate::index::{BPlusTree, InvertedIndex, RTree};
 use crate::optimizer::{estimate_selectivity, Planner, TableMeta};
 use crate::plan::PhysicalPlan;
 use crate::query::{render_sql, OutputKind, Predicate, Query};
 use crate::schema::TableSchema;
 use crate::stats::TableStats;
-use crate::storage::{
-    check_fraction, BuildOnce, CellColumnSlot, CellKey, ColumnData, SampleTable, Table,
-};
+use crate::storage::{check_fraction, CellColumnSlot, CellKey, ColumnData, SampleTable, Table};
 use crate::timing::{apply_profile_noise, execution_time_ms, CostParams, WorkProfile};
 use crate::types::RecordId;
 
@@ -139,7 +136,6 @@ impl Indexes {
     fn exec_table<'a>(
         &'a self,
         table: &'a Table,
-        samples: &'a HashMap<u32, SampleTable>,
         cells: Option<&'a CellColumnSlot>,
     ) -> ExecTable<'a> {
         ExecTable {
@@ -147,52 +143,48 @@ impl Indexes {
             btree: &self.btree,
             rtree: &self.rtree,
             inverted: &self.inverted,
-            samples,
             cells,
         }
     }
 }
 
-/// A sample's rows copied out into a table of their own, with the indexes the
-/// base table has on those columns rebuilt over it: what the sample's
-/// `count(*)` probes read ([`Database::sample_selectivity`]).
-struct ProbeCopy {
+/// A sample: its draw of the base table's rows, and those rows as a table of
+/// their own, on the base table's dictionary, with every index the base table
+/// has — what the sample's `count(*)` probes read
+/// ([`Database::sample_selectivity`]).
+struct Sample {
+    draw: SampleTable,
     table: Table,
     indexes: Indexes,
-    /// Always empty: a copy is never sampled itself.
-    samples: HashMap<u32, SampleTable>,
 }
 
-impl ProbeCopy {
-    fn build(base: &TableEntry, sample: &SampleTable) -> Result<Self> {
-        let table = base.table.subset(sample.row_ids())?;
+impl Sample {
+    fn build(base: &TableEntry, draw: SampleTable) -> Result<Self> {
+        let table = base.table.rows(draw.row_ids())?;
         let mut indexes = Indexes::default();
         for &col in &base.indexed_columns {
             indexes.build(&table, col)?;
         }
         Ok(Self {
+            draw,
             table,
             indexes,
-            samples: HashMap::new(),
         })
     }
 
-    /// Probes only count, so the copy has no cell column.
+    /// Probes only count, so a sample has no cell column.
     fn exec_table(&self) -> ExecTable<'_> {
-        self.indexes.exec_table(&self.table, &self.samples, None)
+        self.indexes.exec_table(&self.table, None)
     }
 }
 
-/// All per-table state: data, indexes, statistics, sample tables and the
-/// structures derived from them on use.
+/// All per-table state: data, indexes, statistics, samples and the structure
+/// derived from them on use.
 struct TableEntry {
     table: Table,
     stats: TableStats,
     indexes: Indexes,
-    samples: HashMap<u32, SampleTable>,
-    /// One slot per sample, holding its [`ProbeCopy`] once the first probe of
-    /// that fraction has built it; emptied by every catalog mutation.
-    probe_copies: HashMap<u32, BuildOnce<ProbeCopy>>,
+    samples: HashMap<u32, Sample>,
     /// Every row's heatmap cell on the first grid the table bins
     /// ([`CellColumnSlot`]); emptied by every catalog mutation.
     cells: CellColumnSlot,
@@ -207,14 +199,12 @@ impl TableEntry {
             stats,
             indexes: Indexes::default(),
             samples: HashMap::new(),
-            probe_copies: HashMap::new(),
             indexed_columns: HashSet::new(),
         }
     }
 
     fn exec_table(&self) -> ExecTable<'_> {
-        let cells = Some(&self.cells);
-        self.indexes.exec_table(&self.table, &self.samples, cells)
+        self.indexes.exec_table(&self.table, Some(&self.cells))
     }
 
     fn meta(&self) -> TableMeta<'_> {
@@ -290,18 +280,14 @@ impl Database {
 
     /// Invalidation hook shared by every catalog mutation: bump the generation and
     /// drop both fingerprint caches, whose entries were computed against the old
-    /// catalog (a new index changes execution times, a new sample changes
-    /// approximate rewrites, a re-registered table changes everything), every
-    /// sample's probe copy, which the next probe rebuilds with the current indexes,
-    /// and every table's cell column, which the table's next binning rebuilds.
+    /// catalog (a new index changes execution times, a re-registered table
+    /// changes everything), and every table's cell column, which the table's
+    /// next binning rebuilds.
     fn invalidate(&mut self) {
         self.generation += 1;
         self.time_cache.clear();
         self.selectivity_cache.clear();
         for entry in self.tables.values_mut() {
-            for slot in entry.probe_copies.values_mut() {
-                *slot = BuildOnce::new();
-            }
             entry.cells = CellColumnSlot::new();
         }
     }
@@ -366,7 +352,8 @@ impl Database {
     }
 
     /// Builds a secondary index on `table.column` (type-appropriate: B+-tree for
-    /// numeric / timestamp, R-tree for geo, inverted index for text).
+    /// numeric / timestamp, R-tree for geo, inverted index for text), on the
+    /// table and on each of its samples.
     pub fn build_index(&mut self, table: &str, column: &str) -> Result<()> {
         let entry = self
             .tables
@@ -374,6 +361,9 @@ impl Database {
             .ok_or_else(|| Error::TableNotFound(table.to_string()))?;
         let col_idx = entry.table.schema().column_index(column)?;
         entry.indexes.build(&entry.table, col_idx)?;
+        for sample in entry.samples.values_mut() {
+            sample.indexes.build(&sample.table, col_idx)?;
+        }
         entry.indexed_columns.insert(col_idx);
         self.invalidate();
         Ok(())
@@ -393,9 +383,10 @@ impl Database {
         Ok(())
     }
 
-    /// Builds a `fraction_pct`% random sample of `table`. A fraction outside
-    /// `1..=100` is an [`Error::InvalidSampleFraction`], raised before the
-    /// catalog changes.
+    /// Builds a `fraction_pct`% random sample of `table`: draws its rows and
+    /// stores them as a table of their own, with the table's indexes (see
+    /// [`Database::sample_selectivity`]). A fraction outside `1..=100` is an
+    /// [`Error::InvalidSampleFraction`], raised before the catalog changes.
     pub fn build_sample(&mut self, table: &str, fraction_pct: u32) -> Result<()> {
         let seed = self.config.seed;
         let entry = self
@@ -403,15 +394,19 @@ impl Database {
             .get_mut(table)
             .ok_or_else(|| Error::TableNotFound(table.to_string()))?;
         check_fraction(table, fraction_pct)?;
-        let sample = SampleTable::build(table, entry.table.row_count(), fraction_pct, seed);
+        let draw = SampleTable::build(table, entry.table.row_count(), fraction_pct, seed);
+        let sample = Sample::build(entry, draw)?;
         entry.samples.insert(fraction_pct, sample);
-        entry.probe_copies.insert(fraction_pct, BuildOnce::new());
         self.invalidate();
         Ok(())
     }
 
     /// Returns the sample table of `table` at `fraction_pct`%, if built.
     pub fn sample(&self, table: &str, fraction_pct: u32) -> Result<&SampleTable> {
+        self.built_sample(table, fraction_pct).map(|s| &s.draw)
+    }
+
+    fn built_sample(&self, table: &str, fraction_pct: u32) -> Result<&Sample> {
         self.entry(table)?
             .samples
             .get(&fraction_pct)
@@ -490,7 +485,7 @@ impl Database {
     /// The *true* selectivity of a single predicate on `table`: an exact count,
     /// from the index when one answers the predicate and by the compiled kernel
     /// over every row otherwise (the count [`Database::sample_selectivity`]
-    /// takes over a sample's copy). Results are cached uniformly (including for
+    /// takes over a sample). Results are cached uniformly (including for
     /// empty tables) through a get-or-compute helper, so concurrent workers
     /// asking for the same predicate never recompute it.
     pub fn true_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
@@ -510,42 +505,21 @@ impl Database {
     /// sampling-based Approximate-QTE issues (a `count(*)` on a small sample table).
     ///
     /// The count is exactly the sampled rows that match, as if each were read
-    /// from the base table, but it runs on the sample's probe copy (built on the
-    /// first probe of this fraction, see [`crate::storage::BuildOnce`]): an index
-    /// count when an index answers the predicate, a kernel over the copy's
-    /// contiguous rows otherwise. `rows scanned` stays the sample's length,
-    /// which is what the QTE charges its simulated probe time by.
-    ///
-    /// A predicate mistyped for its column (one no index kind answers there,
-    /// by `index::index_answers`; the kernels lower exactly the same pairs) is counted
-    /// by the row loop over the sampled rows of the base table instead, which
-    /// raises the interpreter's error (over an empty sample, none). The copy
-    /// could not stand in for it: its dictionary is re-interned over the
-    /// sample, so a keyword known only outside it would resolve differently.
+    /// from the base table: the sample holds those rows with the base table's
+    /// dictionary and indexes, so it is an index count when an index answers
+    /// the predicate and a kernel over the sample's rows otherwise, which also
+    /// raises a mistyped predicate's error (over an empty sample, none).
+    /// `rows scanned` is the sample's length, which is what the QTE charges
+    /// its simulated probe time by.
     pub fn sample_selectivity(
         &self,
         table: &str,
         pred: &Predicate,
         fraction_pct: u32,
     ) -> Result<(f64, usize)> {
-        let entry = self.entry(table)?;
-        let missing = || Error::SampleMissing {
-            table: table.to_string(),
-            fraction_pct,
-        };
-        let sample = entry.samples.get(&fraction_pct).ok_or_else(missing)?;
-        let slot = entry.probe_copies.get(&fraction_pct).ok_or_else(missing)?;
-        let column = entry.table.schema().column_type(pred.attr());
-        let well_typed = column.is_ok_and(|ty| index_answers(pred, ty));
-        let matched = if well_typed {
-            slot.read_or_build(
-                || ProbeCopy::build(entry, sample),
-                |copy| count_rows(&copy.exec_table(), pred),
-            )??
-        } else {
-            exec::count_matching(pred, &entry.table, sample.row_ids().iter().copied())?
-        };
-        let scanned = sample.len();
+        let sample = self.built_sample(table, fraction_pct)?;
+        let matched = count_rows(&sample.exec_table(), pred)?;
+        let scanned = sample.table.row_count();
         let sel = if scanned == 0 {
             0.0
         } else {
@@ -675,12 +649,12 @@ impl Database {
         // Size the LIMIT approximation from the engine's estimated cardinality, as in
         // the paper ("a LIMIT clause with x% of the estimated cardinality").
         let limit_rows = match ro.approx {
-            Some(rule @ ApproxRule::LimitPermille { .. }) => {
+            Some(rule) => {
                 let est = self.estimated_cardinality(query)?;
                 let kept = rule.kept_fraction();
                 Some(((est * kept).ceil() as usize).max(1))
             }
-            _ => query.limit,
+            None => query.limit,
         };
 
         let fact_exec = fact.exec_table();
@@ -728,9 +702,9 @@ impl Database {
 
     /// Clears the execution-time and selectivity caches (useful between experiments
     /// that mutate cost parameters, and between throughput runs that must each do
-    /// the same amount of work). The structures derived per table — samples'
-    /// probe copies and cell columns — survive it: they change how fast an answer
-    /// or a time is computed, never what it is. Catalog mutations drop them.
+    /// the same amount of work). Each table's cell column survives it: it changes
+    /// how fast an answer or a time is computed, never what it is. Catalog
+    /// mutations drop it.
     pub fn clear_caches(&self) {
         self.time_cache.clear();
         self.selectivity_cache.clear();
@@ -760,6 +734,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::approx::ApproxRule;
     use crate::hints::HintSet;
     use crate::query::{OutputKind, Predicate};
     use crate::schema::{ColumnType, TableSchema};
@@ -908,34 +883,27 @@ mod tests {
     }
 
     #[test]
-    fn sample_rewrite_runs_and_is_faster() {
-        let db = build_db();
-        let q = base_query();
-        let exact = db
-            .execution_time_ms(&q, &RewriteOption::hinted(HintSet::with_mask(0)))
-            .unwrap();
-        let sampled = db
-            .execution_time_ms(
-                &q,
-                &RewriteOption::approximate(
-                    HintSet::with_mask(0),
-                    ApproxRule::SampleTable { fraction_pct: 20 },
-                ),
-            )
-            .unwrap();
-        assert!(
-            sampled < exact,
-            "sampled {sampled} should beat exact {exact}"
-        );
-    }
-
-    #[test]
     fn sample_selectivity_close_to_truth() {
         let db = build_db();
         let pred = Predicate::keyword(3, "covid");
         let (sel, scanned) = db.sample_selectivity("tweets", &pred, 20).unwrap();
         assert_eq!(scanned, 1000);
         assert!((sel - 0.25).abs() < 0.06, "sampled selectivity {sel}");
+    }
+
+    #[test]
+    fn missing_sample_table_is_an_error() {
+        let db = build_db();
+        let pred = Predicate::keyword(3, "covid");
+        let err = db.sample_selectivity("tweets", &pred, 40).unwrap_err();
+        assert!(matches!(
+            err,
+            Error::SampleMissing {
+                fraction_pct: 40,
+                ..
+            }
+        ));
+        assert!(db.sample("tweets", 40).is_err());
     }
 
     #[test]
@@ -1152,19 +1120,15 @@ mod tests {
             .filter(Predicate::numeric_range(0, 0.0, 4000.0))
             .filter(Predicate::numeric_range(4, 0.0, 50.0));
         let mistyped = base_query().filter(Predicate::numeric_range(3, 0.0, 1.0));
-        let mut cases = vec![
+        let limited =
+            RewriteOption::approximate(hints, ApproxRule::LimitPermille { permille: 250 });
+        let cases = vec![
             (join, exact.clone()),
             (base_query().limit(7), exact.clone()),
             (five_predicates, exact.clone()),
             (mistyped, exact),
+            (base_query(), limited),
         ];
-        for rule in [
-            ApproxRule::SampleTable { fraction_pct: 20 },
-            ApproxRule::TableSample { fraction_pct: 50 },
-            ApproxRule::LimitPermille { permille: 250 },
-        ] {
-            cases.push((base_query(), RewriteOption::approximate(hints, rule)));
-        }
         for (query, ro) in &cases {
             let executed = build().run(query, ro).map(|out| out.time_ms);
             let db = build();

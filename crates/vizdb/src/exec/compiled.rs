@@ -7,8 +7,7 @@
 //! the concrete column slice and the pre-resolved keyword token up front, then
 //! evaluates them over the 4096-row chunks of one dense [`SelectionBitmap`]
 //! with 64-bit word kernels, in place (contiguous scans fill a chunk's words,
-//! index candidates are refined where the scans left them), or over record-id
-//! batches with a selection-vector loop (sampled scans). Predicate `k` only
+//! index candidates are refined where the scans left them). Predicate `k` only
 //! sees the rows that survived predicates `0..k`, which is exactly the work
 //! the short-circuiting interpreter performs, so `WorkProfile` counts (and
 //! therefore simulated times) are identical by construction.
@@ -55,11 +54,6 @@ use crate::query::{BinGrid, CellMap, Predicate};
 use crate::storage::{CellColumn, CellColumnSlot, CellKey, Table, TextColumn};
 use crate::timing::WorkProfile;
 use crate::types::{GeoPoint, GeoRect, NumRange, RecordId, TimeRange, Timestamp, TokenId};
-
-/// Record ids per selection-vector batch. Small enough that a batch of ids plus
-/// the touched column stripes stay cache-resident, large enough to amortise the
-/// per-batch bookkeeping.
-pub(crate) const BATCH_ROWS: usize = 1024;
 
 /// Largest grid (cells) binned into a dense `Vec<u64>`; larger grids fall back
 /// to the `HashMap` path (a 2^20-cell grid is already a 1024×1024 heatmap —
@@ -244,34 +238,6 @@ impl CompiledPredicate<'_> {
                 w &= w - 1;
             }
             *word = keep;
-        }
-    }
-
-    /// Filters a selection vector in place, keeping the rows that satisfy the
-    /// predicate.
-    #[inline]
-    fn filter(&self, selection: &mut Vec<RecordId>) {
-        // One variant dispatch per *batch*, not per row.
-        match self {
-            CompiledPredicate::Keyword { docs, token, .. } => match token {
-                Some(t) => selection.retain(|&rid| docs.doc_contains(rid as usize, *t)),
-                None => selection.clear(),
-            },
-            CompiledPredicate::Time { col, range } => {
-                selection.retain(|&rid| range.contains(col[rid as usize]))
-            }
-            CompiledPredicate::NumericInt { col, range } => {
-                selection.retain(|&rid| range.contains(col[rid as usize] as f64))
-            }
-            CompiledPredicate::NumericFloat { col, range } => {
-                selection.retain(|&rid| range.contains(col[rid as usize]))
-            }
-            CompiledPredicate::NumericTimestamp { col, range } => {
-                selection.retain(|&rid| range.contains(col[rid as usize] as f64))
-            }
-            CompiledPredicate::Spatial { col, rect } => {
-                selection.retain(|&rid| rect.contains(&col[rid as usize]))
-            }
         }
     }
 }
@@ -510,64 +476,6 @@ pub(crate) fn qualify_capped(
                 return;
             }
         }
-    }
-}
-
-/// Runs the conjunction over one seeded selection-vector batch and appends the
-/// survivors: predicate `k` filters (and is charged for) only the rows that
-/// survived predicates `0..k`, matching the short-circuiting interpreter.
-#[inline]
-fn finish_batch(
-    preds: &[CompiledPredicate<'_>],
-    selection: &mut Vec<RecordId>,
-    qualifying: &mut Vec<RecordId>,
-    work: &mut WorkProfile,
-) {
-    for pred in preds {
-        if selection.is_empty() {
-            break;
-        }
-        work.filter_evals += selection.len() as u64;
-        pred.filter(selection);
-    }
-    qualifying.extend_from_slice(selection);
-}
-
-/// Batch-qualifies an explicit record-id list (the rows of a sample table)
-/// through the compiled conjunction, [`BATCH_ROWS`] ids at a time.
-pub fn qualify_slice(
-    preds: &[CompiledPredicate<'_>],
-    rids: &[RecordId],
-    qualifying: &mut Vec<RecordId>,
-    work: &mut WorkProfile,
-    mut per_batch_rows: impl FnMut(&mut WorkProfile, u64),
-) {
-    let mut selection: Vec<RecordId> = Vec::with_capacity(BATCH_ROWS);
-    for chunk in rids.chunks(BATCH_ROWS) {
-        per_batch_rows(work, chunk.len() as u64);
-        selection.clear();
-        selection.extend_from_slice(chunk);
-        finish_batch(preds, &mut selection, qualifying, work);
-    }
-}
-
-/// Batch-qualifies an arbitrary record-id stream (the hash-sampled scan)
-/// through the compiled conjunction. Same batches and accounting as
-/// [`qualify_slice`] over the collected stream.
-pub fn qualify_batches(
-    preds: &[CompiledPredicate<'_>],
-    candidates: impl Iterator<Item = RecordId>,
-    qualifying: &mut Vec<RecordId>,
-    work: &mut WorkProfile,
-    mut per_batch_rows: impl FnMut(&mut WorkProfile, u64),
-) {
-    let mut selection: Vec<RecordId> = Vec::with_capacity(BATCH_ROWS);
-    let mut source = candidates.peekable();
-    while source.peek().is_some() {
-        selection.clear();
-        selection.extend(source.by_ref().take(BATCH_ROWS));
-        per_batch_rows(work, selection.len() as u64);
-        finish_batch(preds, &mut selection, qualifying, work);
     }
 }
 
@@ -1001,6 +909,76 @@ mod tests {
     use crate::schema::{ColumnType, TableSchema};
     use crate::storage::TableBuilder;
 
+    /// Record ids per selection-vector batch of [`qualify_slice`].
+    const BATCH_ROWS: usize = 1024;
+
+    impl CompiledPredicate<'_> {
+        /// Filters a selection vector in place, keeping the rows that satisfy
+        /// the predicate.
+        fn filter(&self, selection: &mut Vec<RecordId>) {
+            match self {
+                CompiledPredicate::Keyword { docs, token, .. } => match token {
+                    Some(t) => selection.retain(|&rid| docs.doc_contains(rid as usize, *t)),
+                    None => selection.clear(),
+                },
+                CompiledPredicate::Time { col, range } => {
+                    selection.retain(|&rid| range.contains(col[rid as usize]))
+                }
+                CompiledPredicate::NumericInt { col, range } => {
+                    selection.retain(|&rid| range.contains(col[rid as usize] as f64))
+                }
+                CompiledPredicate::NumericFloat { col, range } => {
+                    selection.retain(|&rid| range.contains(col[rid as usize]))
+                }
+                CompiledPredicate::NumericTimestamp { col, range } => {
+                    selection.retain(|&rid| range.contains(col[rid as usize] as f64))
+                }
+                CompiledPredicate::Spatial { col, rect } => {
+                    selection.retain(|&rid| rect.contains(&col[rid as usize]))
+                }
+            }
+        }
+    }
+
+    /// Runs the conjunction over one seeded selection-vector batch and appends
+    /// the survivors: predicate `k` filters (and is charged for) only the rows
+    /// that survived predicates `0..k`, matching the short-circuiting
+    /// interpreter.
+    fn finish_batch(
+        preds: &[CompiledPredicate<'_>],
+        selection: &mut Vec<RecordId>,
+        qualifying: &mut Vec<RecordId>,
+        work: &mut WorkProfile,
+    ) {
+        for pred in preds {
+            if selection.is_empty() {
+                break;
+            }
+            work.filter_evals += selection.len() as u64;
+            pred.filter(selection);
+        }
+        qualifying.extend_from_slice(selection);
+    }
+
+    /// The id-vector reference the bitmap kernels are checked against:
+    /// batch-qualifies an explicit record-id list through the compiled
+    /// conjunction, [`BATCH_ROWS`] ids at a time.
+    fn qualify_slice(
+        preds: &[CompiledPredicate<'_>],
+        rids: &[RecordId],
+        qualifying: &mut Vec<RecordId>,
+        work: &mut WorkProfile,
+        mut per_batch_rows: impl FnMut(&mut WorkProfile, u64),
+    ) {
+        let mut selection: Vec<RecordId> = Vec::with_capacity(BATCH_ROWS);
+        for chunk in rids.chunks(BATCH_ROWS) {
+            per_batch_rows(work, chunk.len() as u64);
+            selection.clear();
+            selection.extend_from_slice(chunk);
+            finish_batch(preds, &mut selection, qualifying, work);
+        }
+    }
+
     fn table() -> Table {
         let schema = TableSchema::new("t")
             .with_column("id", ColumnType::Int)
@@ -1027,7 +1005,6 @@ mod tests {
         btree: HashMap<usize, crate::index::BPlusTree>,
         rtree: HashMap<usize, crate::index::RTree>,
         inverted: HashMap<usize, crate::index::InvertedIndex>,
-        samples: HashMap<u32, crate::storage::SampleTable>,
     }
 
     impl Indexes {
@@ -1041,7 +1018,6 @@ mod tests {
                 btree: HashMap::new(),
                 rtree: HashMap::new(),
                 inverted,
-                samples: HashMap::new(),
             }
         }
 
@@ -1051,7 +1027,6 @@ mod tests {
                 btree: &self.btree,
                 rtree: &self.rtree,
                 inverted: &self.inverted,
-                samples: &self.samples,
                 cells: None,
             }
         }
@@ -1142,13 +1117,12 @@ mod tests {
         // Every batch entry point agrees with the short-circuiting loop.
         let all_rids: Vec<RecordId> = (0..rows).collect();
         let seq = |w: &mut WorkProfile, n: u64| w.seq_rows += n;
-        for entry in 0..3 {
+        for entry in 0..2 {
             let mut work = WorkProfile::default();
             let mut qualifying = Vec::new();
             match entry {
                 0 => qualifying = qualify_range_bitmap(&preds, 0..rows, &mut work, seq).to_vec(),
-                1 => qualify_slice(&preds, &all_rids, &mut qualifying, &mut work, seq),
-                _ => qualify_batches(&preds, 0..rows, &mut qualifying, &mut work, seq),
+                _ => qualify_slice(&preds, &all_rids, &mut qualifying, &mut work, seq),
             }
             assert_eq!(qualifying, expected, "entry point {entry}");
             assert_eq!(work, row_work, "entry point {entry}");

@@ -3,7 +3,7 @@
 //! A plan runs through four plain phases:
 //!
 //! 1. **source** — the plan's index scans intersected into a candidate
-//!    [`SelectionBitmap`], or "every (sampled) row" for a sequential scan;
+//!    [`SelectionBitmap`], or every row for a sequential scan;
 //! 2. **qualify** — the residual predicates, as word kernels over 4096-row
 //!    chunks when uncapped and as a row-at-a-time loop that stops at the cap
 //!    under a `LIMIT`. On an uncapped index plan, a residual range over a
@@ -30,7 +30,6 @@
 
 use std::collections::HashMap;
 
-use crate::approx::ApproxRule;
 use crate::bitmap::SelectionBitmap;
 use crate::error::{Error, Result};
 use crate::exec::compiled::{self, Binner, CompiledPredicate};
@@ -43,8 +42,8 @@ use crate::index::{
 use crate::plan::PhysicalPlan;
 use crate::query::{JoinSpec, OutputKind, Predicate, Query};
 use crate::schema::ColumnType;
-use crate::storage::{CellColumnSlot, SampleTable, Table};
-use crate::timing::{hash_unit, WorkProfile};
+use crate::storage::{CellColumnSlot, Table};
+use crate::timing::WorkProfile;
 use crate::types::{GeoPoint, GeoRect, NumRange, RecordId, TokenId};
 
 /// Borrowed view over everything the executor needs for one table.
@@ -58,8 +57,6 @@ pub struct ExecTable<'a> {
     pub rtree: &'a HashMap<usize, RTree>,
     /// Inverted indexes keyed by column index (text columns).
     pub inverted: &'a HashMap<usize, InvertedIndex>,
-    /// Pre-built sample tables keyed by sampling percentage.
-    pub samples: &'a HashMap<u32, SampleTable>,
     /// The table's cell-column slot, which heatmap binning fills on first
     /// use and reads from; `None` bins every grid by arithmetic.
     pub cells: Option<&'a CellColumnSlot>,
@@ -246,28 +243,26 @@ pub(super) fn lower_output<'a>(query: &'a Query, fact: &ExecTable<'a>) -> Result
 }
 
 /// Phase-1 output: where the qualify phase reads its rows from.
-enum Source<'a> {
-    /// The rows surviving the plan's index predicates (and the sample
-    /// restriction); each one visited is a heap fetch. The count bounds them
-    /// from above: the fewest matches of any one index scan.
+enum Source {
+    /// The rows surviving the plan's index predicates; each one visited is a
+    /// heap fetch. The count bounds them from above: the fewest matches of any
+    /// one index scan.
     Index(SelectionBitmap, usize),
-    /// No index predicates: a sequential scan over the (possibly sampled) table.
-    Seq(SampleRestriction<'a>),
+    /// No index predicates: a sequential scan over the table.
+    Seq,
 }
 
-/// Phase 1: resolve the sample restriction and, for an index plan, the
-/// candidate rows — every index predicate scanned into a dense bitmap, the
-/// scans ANDed word by word into the first (a dense AND costs the same in any
-/// order) and cut to the restriction.
+/// Phase 1: for an index plan, the candidate rows — every index predicate
+/// scanned into a dense bitmap, the scans ANDed word by word into the first
+/// (a dense AND costs the same in any order).
 fn source<'a>(
     query: &'a Query,
     plan: &PhysicalPlan,
     fact: &ExecTable<'a>,
     work: &mut WorkProfile,
-) -> Result<Source<'a>> {
-    let restriction = SampleRestriction::resolve(plan, fact)?;
+) -> Result<Source> {
     if plan.index_preds.is_empty() {
-        return Ok(Source::Seq(restriction));
+        return Ok(Source::Seq);
     }
     let scan = |probe: &IndexProbe<'a>| {
         let (bits, stats) = probe.bitmap();
@@ -279,14 +274,11 @@ fn source<'a>(
         acc.and_with(&list);
         most = most.min(matches);
     }
-    if !matches!(restriction, SampleRestriction::All) {
-        acc.retain(|rid| restriction.keeps(rid));
-    }
     Ok(Source::Index(acc, most))
 }
 
 /// Phase-2 output: the qualifying rows as a bitmap (uncapped chunk kernels) or
-/// as ascending ids (capped loops, sampled scans, joins).
+/// as ascending ids (capped loops, joins).
 enum Qualified {
     Ids(Vec<RecordId>),
     Bitmap(SelectionBitmap),
@@ -309,8 +301,8 @@ impl Qualified {
 }
 
 /// Phase 2: qualify rows through the lowered residual predicates. Uncapped,
-/// every source row is visited, so whole chunks (id batches on sampled scans)
-/// are charged and refined at once — an index plan's candidates in place,
+/// every source row is visited, so whole chunks are charged and refined at
+/// once — an index plan's candidates in place,
 /// where a residual over a B+-tree or R-tree column may take its index's
 /// mask (`masks`, see [`compiled::qualify_bitmap`]); capped, rows are visited
 /// one at a time so rows past the cap stay untouched, exactly like the
@@ -319,7 +311,7 @@ impl Qualified {
 fn qualify(
     preds: &[CompiledPredicate<'_>],
     masks: &[MaskSource<'_>],
-    source: Source<'_>,
+    source: Source,
     est_rows: usize,
     row_count: usize,
     limit_rows: Option<usize>,
@@ -338,19 +330,8 @@ fn qualify(
                 compiled::qualify_bitmap(preds, masks, &mut cands, rows, work, heap);
                 Qualified::Bitmap(cands)
             }
-            Source::Seq(SampleRestriction::All) => {
+            Source::Seq => {
                 Qualified::Bitmap(compiled::qualify_range_bitmap(preds, rows, work, seq))
-            }
-            Source::Seq(SampleRestriction::SampleRows(sample)) => {
-                let mut ids = Vec::with_capacity(reserve);
-                compiled::qualify_slice(preds, sample, &mut ids, work, seq);
-                Qualified::Ids(ids)
-            }
-            Source::Seq(hashed) => {
-                let mut ids = Vec::with_capacity(reserve);
-                let sampled = rows.filter(|&rid| hashed.keeps(rid));
-                compiled::qualify_batches(preds, sampled, &mut ids, work, seq);
-                Qualified::Ids(ids)
             }
         };
     };
@@ -361,14 +342,7 @@ fn qualify(
         Source::Index(cands, _) => {
             compiled::qualify_capped(preds, cands.iter(), cap, heap, work, &mut ids)
         }
-        Source::Seq(SampleRestriction::SampleRows(sample)) => {
-            let sample = sample.iter().copied();
-            compiled::qualify_capped(preds, sample, cap, seq, work, &mut ids)
-        }
-        Source::Seq(restriction) => {
-            let kept = rows.filter(|&rid| restriction.keeps(rid));
-            compiled::qualify_capped(preds, kept, cap, seq, work, &mut ids)
-        }
+        Source::Seq => compiled::qualify_capped(preds, rows, cap, seq, work, &mut ids),
     }
     Qualified::Ids(ids)
 }
@@ -411,43 +385,6 @@ fn sink(
         Output::Count => {
             work.output_rows += 1;
             QueryResult::Count(result_rows as u64)
-        }
-    }
-}
-
-/// How sampling approximation rules restrict the scanned rows.
-pub(super) enum SampleRestriction<'a> {
-    All,
-    SampleRows(&'a [RecordId]),
-    HashFraction(f64),
-}
-
-impl<'a> SampleRestriction<'a> {
-    pub(super) fn resolve(plan: &PhysicalPlan, fact: &ExecTable<'a>) -> Result<Self> {
-        match plan.approx {
-            Some(ApproxRule::SampleTable { fraction_pct }) => {
-                let sample =
-                    fact.samples
-                        .get(&fraction_pct)
-                        .ok_or_else(|| Error::SampleMissing {
-                            table: plan.table.clone(),
-                            fraction_pct,
-                        })?;
-                Ok(SampleRestriction::SampleRows(sample.row_ids()))
-            }
-            Some(ApproxRule::TableSample { fraction_pct }) => {
-                Ok(SampleRestriction::HashFraction(fraction_pct as f64 / 100.0))
-            }
-            _ => Ok(SampleRestriction::All),
-        }
-    }
-
-    /// Whether the restriction keeps row `rid`.
-    pub(super) fn keeps(&self, rid: RecordId) -> bool {
-        match self {
-            SampleRestriction::All => true,
-            SampleRestriction::SampleRows(rows) => rows.binary_search(&rid).is_ok(),
-            SampleRestriction::HashFraction(frac) => hash_unit(rid as u64 ^ 0x5EED) < *frac,
         }
     }
 }
@@ -802,7 +739,6 @@ mod tests {
         btree: HashMap<usize, BPlusTree>,
         rtree: HashMap<usize, RTree>,
         inverted: HashMap<usize, InvertedIndex>,
-        samples: HashMap<u32, SampleTable>,
     }
 
     impl Fixture {
@@ -812,7 +748,6 @@ mod tests {
                 btree: &self.btree,
                 rtree: &self.rtree,
                 inverted: &self.inverted,
-                samples: &self.samples,
                 cells: None,
             }
         }
@@ -872,14 +807,11 @@ mod tests {
                     .collect::<Vec<_>>(),
             ),
         );
-        let mut samples = HashMap::new();
-        samples.insert(20, SampleTable::build("tweets", table.row_count(), 20, 1));
         Fixture {
             table,
             btree,
             rtree,
             inverted,
-            samples,
         }
     }
 
@@ -909,7 +841,6 @@ mod tests {
             btree,
             rtree: HashMap::new(),
             inverted: HashMap::new(),
-            samples: HashMap::new(),
         }
     }
 
@@ -1031,52 +962,12 @@ mod tests {
     }
 
     #[test]
-    fn sample_plan_returns_subset() {
-        let f = tweets_fixture();
-        let q = base_query();
-        let mut plan = plan_with(&f, &q, 0b111);
-        plan.approx = Some(ApproxRule::SampleTable { fraction_pct: 20 });
-        let out = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap();
-        assert!(out.result_rows < 100);
-        assert!(out.result_rows > 0);
-    }
-
-    #[test]
-    fn missing_sample_table_is_an_error() {
-        let f = tweets_fixture();
-        let q = base_query();
-        let mut plan = plan_with(&f, &q, 0b111);
-        plan.approx = Some(ApproxRule::SampleTable { fraction_pct: 40 });
-        let err = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap_err();
-        assert!(matches!(
-            err,
-            Error::SampleMissing {
-                fraction_pct: 40,
-                ..
-            }
-        ));
-    }
-
-    #[test]
     fn limit_caps_result_rows() {
         let f = tweets_fixture();
         let q = base_query();
         let plan = plan_with(&f, &q, 0b010);
         let out = execute(&q, &plan, &f.exec_table(), None, Some(10), true).unwrap();
         assert_eq!(out.result_rows, 10);
-    }
-
-    #[test]
-    fn tablesample_rule_uses_hash_filter() {
-        let f = tweets_fixture();
-        let q = Query::select("tweets")
-            .filter(Predicate::time_range(1, 0, 999))
-            .output(OutputKind::Count);
-        let mut plan = plan_with(&f, &q, 0b1);
-        plan.approx = Some(ApproxRule::TableSample { fraction_pct: 50 });
-        let out = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap();
-        let kept = out.result_rows as f64 / 1000.0;
-        assert!((0.3..0.7).contains(&kept), "kept fraction {kept}");
     }
 
     #[test]

@@ -298,13 +298,11 @@ mod tests {
         let rtree = HashMap::from([(2, RTree::build(points))]);
         let docs: Vec<Vec<_>> = rids().map(|r| t.text(3, r).unwrap().to_vec()).collect();
         let inverted = HashMap::from([(3, InvertedIndex::build(&docs))]);
-        let samples = HashMap::new();
         let fact = ExecTable {
             table: &t,
             btree: &btree,
             rtree: &rtree,
             inverted: &inverted,
-            samples: &samples,
             cells: None,
         };
         let time = |start, end| Predicate::TimeRange {

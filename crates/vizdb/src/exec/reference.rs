@@ -3,7 +3,7 @@
 //! This is the semantic definition of plan execution — one `Result`-dispatched
 //! predicate evaluation per row, no lowering, no bitmaps, no threads. It is
 //! reached exactly two ways: [`Database::run_reference`], which the equivalence
-//! suites and the `exec` benchmark compare the production pipeline against,
+//! suites compare the production pipeline against,
 //! and the pipeline's single whole-query fallback for queries it cannot lower
 //! (a type-mismatched or out-of-range predicate must surface its error on the
 //! row the interpreter reaches it, or not at all on an empty scan).
@@ -14,7 +14,6 @@ use crate::error::{Error, Result};
 use crate::exec::compiled::sparse_bin_accum;
 use crate::exec::executor::{
     check_output, execute_join, join_inputs, scan_indexes, ExecOutcome, ExecTable, IndexProbe,
-    SampleRestriction,
 };
 use crate::exec::result::QueryResult;
 use crate::index::intersect_adaptive;
@@ -37,7 +36,6 @@ pub(crate) fn execute(
 ) -> Result<ExecOutcome> {
     check_output(query)?;
     let mut work = WorkProfile::default();
-    let restriction = SampleRestriction::resolve(plan, fact)?;
 
     // Source: the rows to visit, the per-row charge and the predicates left to
     // evaluate on each.
@@ -47,19 +45,10 @@ pub(crate) fn execute(
     let (rows, row_charge, preds): (Rows<'_>, fn(&mut WorkProfile), &[usize]) =
         if plan.index_preds.is_empty() {
             all_preds = (0..query.predicate_count()).collect();
-            let rows: Rows<'_> = match &restriction {
-                SampleRestriction::All => Box::new(0..row_count),
-                SampleRestriction::SampleRows(rows) => Box::new(rows.iter().copied()),
-                hashed => Box::new((0..row_count).filter(|&rid| hashed.keeps(rid))),
-            };
-            (rows, |w| w.seq_rows += 1, &all_preds)
+            (Box::new(0..row_count), |w| w.seq_rows += 1, &all_preds)
         } else {
             let lists = scan_indexes(query, plan, fact, &mut work, IndexProbe::ids)?;
-            let mut candidates = intersect_adaptive(&lists);
-            if !matches!(restriction, SampleRestriction::All) {
-                candidates.retain(|&rid| restriction.keeps(rid));
-            }
-            let rows = Box::new(candidates.into_iter());
+            let rows = Box::new(intersect_adaptive(&lists).into_iter());
             (rows, |w| w.heap_fetches += 1, &plan.filter_preds)
         };
 

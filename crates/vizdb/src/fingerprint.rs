@@ -172,12 +172,8 @@ pub fn rewrite_fingerprint(ro: &RewriteOption) -> u64 {
     fp.write_u64(hint_fingerprint(&ro.hints));
     match &ro.approx {
         None => fp.write_u64(0),
-        Some(ApproxRule::SampleTable { fraction_pct }) => {
-            fp.write_u64(1).write_u64(*fraction_pct as u64)
-        }
-        Some(ApproxRule::TableSample { fraction_pct }) => {
-            fp.write_u64(2).write_u64(*fraction_pct as u64)
-        }
+        // Tag 3, as when tags 1 and 2 named sample rules: fingerprints seed
+        // the planner's hint-adherence draw, so the tag must not move.
         Some(ApproxRule::LimitPermille { permille }) => fp.write_u64(3).write_u64(*permille as u64),
     };
     fp.finish()
@@ -235,7 +231,7 @@ mod tests {
         let b = RewriteOption::hinted(HintSet::with_mask(0b010));
         let c = RewriteOption::approximate(
             HintSet::with_mask(0b001),
-            ApproxRule::SampleTable { fraction_pct: 20 },
+            ApproxRule::LimitPermille { permille: 40 },
         );
         let d = RewriteOption::approximate(
             HintSet::with_mask(0b001),

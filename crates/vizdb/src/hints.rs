@@ -240,10 +240,8 @@ mod tests {
         assert!(!hinted.is_original());
         assert!(hinted.is_exact());
 
-        let approx = RewriteOption::approximate(
-            HintSet::none(),
-            ApproxRule::SampleTable { fraction_pct: 20 },
-        );
+        let approx =
+            RewriteOption::approximate(HintSet::none(), ApproxRule::LimitPermille { permille: 40 });
         assert!(!approx.is_exact());
         assert!(!approx.is_original());
     }

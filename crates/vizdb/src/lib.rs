@@ -4,9 +4,10 @@
 //! role of PostgreSQL (or the commercial database of §7.6 of the paper): it stores
 //! tables, maintains secondary indexes (B+-tree, R-tree, inverted text index), offers a
 //! cost-based optimizer with *deliberately realistic* cardinality-estimation errors,
-//! honours query hints, supports approximation rewrites (sample tables and `LIMIT`),
-//! and charges every operation to a **deterministic simulated clock** so that the
-//! execution time of any physical plan is reproducible and cheap to obtain.
+//! honours query hints, supports the `LIMIT` approximation rewrite, keeps random
+//! samples for sampling-based time estimation, and charges every operation to a
+//! **deterministic simulated clock** so that the execution time of any physical
+//! plan is reproducible and cheap to obtain.
 //!
 //! The key entry point is [`Database`]; queries are described by [`query::Query`] and
 //! rewritten via [`hints::RewriteOption`].

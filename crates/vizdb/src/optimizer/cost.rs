@@ -41,16 +41,9 @@ pub fn predict_work(shape: &PlanShape<'_>) -> WorkProfile {
     let mut work = WorkProfile::default();
     let n = shape.row_count as f64;
 
-    // Approximation scaling: sample rules shrink the effective fact table; LIMIT rules
-    // let the engine stop early, scaling the candidate-processing work instead.
-    let (table_fraction, limit_fraction) = match shape.approx {
-        Some(rule @ (ApproxRule::SampleTable { .. } | ApproxRule::TableSample { .. })) => {
-            (rule.kept_fraction(), 1.0)
-        }
-        Some(rule @ ApproxRule::LimitPermille { .. }) => (1.0, rule.kept_fraction()),
-        None => (1.0, 1.0),
-    };
-    let eff_rows = n * table_fraction;
+    // Approximation scaling: a LIMIT rule lets the engine stop early, scaling
+    // the candidate-processing work.
+    let limit_fraction = shape.approx.map_or(1.0, |rule| rule.kept_fraction());
 
     // Selectivity products.
     let sel = |i: usize| {
@@ -63,23 +56,18 @@ pub fn predict_work(shape: &PlanShape<'_>) -> WorkProfile {
     };
     let index_product: f64 = shape.index_preds.iter().map(|&i| sel(i)).product();
     let all_product: f64 = (0..shape.query.predicate_count()).map(sel).product();
-    let result_rows = eff_rows * all_product;
+    let result_rows = n * all_product;
 
     if shape.index_preds.is_empty() {
-        // Sequential scan over the (possibly sampled) table; LIMIT allows stopping once
+        // Sequential scan over the table; LIMIT allows stopping once
         // enough output has been produced.
-        let scan_rows =
-            eff_rows * limit_fraction.max(result_min_fraction(result_rows, limit_fraction));
+        let scan_rows = n * limit_fraction.max(result_min_fraction(result_rows, limit_fraction));
         work.seq_rows = scan_rows as u64;
         work.filter_evals = (scan_rows * shape.query.predicate_count() as f64) as u64;
     } else {
         // Index scans + record-id intersection + heap fetch + residual filtering.
         work.index_probes = shape.index_preds.len() as u64;
-        let lens: Vec<f64> = shape
-            .index_preds
-            .iter()
-            .map(|&i| eff_rows * sel(i))
-            .collect();
+        let lens: Vec<f64> = shape.index_preds.iter().map(|&i| n * sel(i)).collect();
         let total_entries: f64 = lens.iter().sum();
         work.index_entries = total_entries as u64;
         if shape.index_preds.len() > 1 {
@@ -88,7 +76,7 @@ pub fn predict_work(shape: &PlanShape<'_>) -> WorkProfile {
             // and charged intersection work agree (see intersect_skip_charge).
             work.intersect_entries = crate::index::intersect_skip_charge_est(&lens) as u64;
         }
-        let candidates = eff_rows
+        let candidates = n
             * index_product
             * limit_fraction.max(result_min_fraction(result_rows, limit_fraction));
         work.heap_fetches = candidates as u64;
@@ -255,16 +243,6 @@ mod tests {
         assert!(work.intersect_entries < work.index_entries);
         // Candidates after intersecting all three lists are few.
         assert!(work.heap_fetches < 10);
-    }
-
-    #[test]
-    fn sample_table_scales_work_down() {
-        let q = query();
-        let sels = [0.02, 0.003, 0.05];
-        let mut s = shape(&q, &[], &[0, 1, 2], &sels);
-        s.approx = Some(ApproxRule::SampleTable { fraction_pct: 20 });
-        let sampled = predict_work(&s);
-        assert_eq!(sampled.seq_rows, 40_000);
     }
 
     #[test]

@@ -335,14 +335,14 @@ mod tests {
         let plan = planner.plan(
             &base_query(),
             &HintSet::with_mask(0b1),
-            Some(ApproxRule::SampleTable { fraction_pct: 20 }),
+            Some(ApproxRule::LimitPermille { permille: 40 }),
             &m,
             None,
             5,
         );
         assert_eq!(
             plan.approx,
-            Some(ApproxRule::SampleTable { fraction_pct: 20 })
+            Some(ApproxRule::LimitPermille { permille: 40 })
         );
     }
 }

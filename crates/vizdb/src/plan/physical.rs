@@ -81,9 +81,9 @@ impl PhysicalPlan {
             sig |= j << 32;
         }
         if let Some(approx) = &self.approx {
+            // `0x400 + permille`, as when `0x100` and `0x200` keyed sample
+            // rules: the signature seeds the simulated timing noise.
             let a = match approx {
-                ApproxRule::SampleTable { fraction_pct } => 0x100 + *fraction_pct as u64,
-                ApproxRule::TableSample { fraction_pct } => 0x200 + *fraction_pct as u64,
                 ApproxRule::LimitPermille { permille } => 0x400 + *permille as u64,
             };
             sig |= a << 40;
@@ -199,12 +199,13 @@ mod tests {
             }),
             ..base.clone()
         };
-        let sampled = PhysicalPlan {
-            approx: Some(ApproxRule::SampleTable { fraction_pct: 20 }),
+        let limited = PhysicalPlan {
+            approx: Some(ApproxRule::LimitPermille { permille: 40 }),
             ..base.clone()
         };
         assert_ne!(nl.signature(), hash.signature());
-        assert_ne!(base.signature(), sampled.signature());
+        assert_ne!(base.signature(), limited.signature());
+        assert_eq!(base.signature() ^ limited.signature(), (0x400 + 40) << 40);
     }
 
     #[test]

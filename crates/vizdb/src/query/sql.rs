@@ -1,8 +1,8 @@
 //! Rendering queries (and rewritten queries) as PostgreSQL-flavoured SQL strings.
 //!
 //! The rendered SQL is presentational: it is what the middleware would send to a real
-//! backend and what the paper's figures show (hint comments, sample-table
-//! substitutions, `LIMIT` clauses). The simulator itself executes the structured
+//! backend and what the paper's figures show (hint comments, `LIMIT` clauses).
+//! The simulator itself executes the structured
 //! [`Query`] directly.
 
 use crate::approx::ApproxRule;
@@ -62,17 +62,8 @@ pub fn render_sql(
         OutputKind::Count => sql.push_str("SELECT COUNT(*)\n"),
     }
 
-    // 3. FROM clause, applying sample-table substitution.
-    let table_name = match rewrite.approx {
-        Some(ApproxRule::SampleTable { fraction_pct }) => {
-            format!("{}Sample{}", query.table, fraction_pct)
-        }
-        _ => query.table.clone(),
-    };
-    sql.push_str(&format!("  FROM {table_name} t"));
-    if let Some(ApproxRule::TableSample { fraction_pct }) = rewrite.approx {
-        sql.push_str(&format!(" TABLESAMPLE SYSTEM ({fraction_pct})"));
-    }
+    // 3. FROM clause.
+    sql.push_str(&format!("  FROM {} t", query.table));
     if let Some(join) = &query.join {
         sql.push_str(&format!(", {} u", join.right_table));
     }
@@ -215,21 +206,15 @@ mod tests {
     }
 
     #[test]
-    fn sample_table_substitution_renders_sample_name() {
-        let ro = RewriteOption::approximate(
-            HintSet::none(),
-            ApproxRule::SampleTable { fraction_pct: 20 },
-        );
-        let sql = render_sql(&sample_query(), &ro, Some(&tweets_schema()), None);
-        assert!(sql.contains("FROM tweetsSample20 t"));
-    }
-
-    #[test]
     fn limit_rule_renders_limit_clause() {
         let ro =
             RewriteOption::approximate(HintSet::none(), ApproxRule::LimitPermille { permille: 40 });
         let sql = render_sql(&sample_query(), &ro, Some(&tweets_schema()), None);
         assert!(sql.contains("LIMIT 4.000"));
+        assert!(
+            sql.contains("FROM tweets t"),
+            "a LIMIT rule keeps the base table"
+        );
     }
 
     #[test]
@@ -255,15 +240,5 @@ mod tests {
     fn missing_schema_falls_back_to_attr_names() {
         let sql = render_sql(&sample_query(), &RewriteOption::original(), None, None);
         assert!(sql.contains("attr3"));
-    }
-
-    #[test]
-    fn tablesample_renders_operator() {
-        let ro = RewriteOption::approximate(
-            HintSet::none(),
-            ApproxRule::TableSample { fraction_pct: 10 },
-        );
-        let sql = render_sql(&sample_query(), &ro, Some(&tweets_schema()), None);
-        assert!(sql.contains("TABLESAMPLE SYSTEM (10)"));
     }
 }

@@ -25,7 +25,6 @@ pub struct ShardedBackendBuilder {
     partitions: HashMap<String, TablePartition>,
     schemas: HashMap<String, TableSchema>,
     global_stats: HashMap<String, TableStats>,
-    sample_fractions: HashMap<String, Vec<u32>>,
     policy: FaultPolicy,
 }
 
@@ -41,7 +40,6 @@ impl ShardedBackendBuilder {
             partitions: HashMap::new(),
             schemas: HashMap::new(),
             global_stats: HashMap::new(),
-            sample_fractions: HashMap::new(),
             policy: FaultPolicy::default(),
         }
     }
@@ -63,6 +61,11 @@ impl ShardedBackendBuilder {
     /// Number of shards being built.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The shard databases as loaded so far, in shard order.
+    pub fn shards(&self) -> &[Database] {
+        &self.shards
     }
 
     /// Registers a table: geo tables are partitioned into balanced tile runs
@@ -142,11 +145,6 @@ impl ShardedBackendBuilder {
         for shard in &mut self.shards {
             shard.build_sample(table, fraction_pct)?;
         }
-        let fractions = self.sample_fractions.entry(table.to_string()).or_default();
-        if !fractions.contains(&fraction_pct) {
-            fractions.push(fraction_pct);
-            fractions.sort_unstable();
-        }
         Ok(())
     }
 
@@ -177,7 +175,6 @@ impl ShardedBackendBuilder {
             policy: self.policy,
             schemas: self.schemas,
             global_stats: self.global_stats,
-            sample_fractions: self.sample_fractions,
         }
     }
 

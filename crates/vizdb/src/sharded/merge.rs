@@ -72,20 +72,6 @@ impl BinAcc {
     }
 }
 
-/// Upscales sampled aggregates by `factor` (bins and counts; point sets
-/// cannot be upscaled and stay as-is).
-pub(super) fn scale_counts(result: &mut QueryResult, factor: f64) {
-    match result {
-        QueryResult::Bins(pairs) => {
-            for (_, c) in pairs.iter_mut() {
-                *c = (*c as f64 * factor).round() as u64;
-            }
-        }
-        QueryResult::Count(c) => *c = (*c as f64 * factor).round() as u64,
-        QueryResult::Points(_) => {}
-    }
-}
-
 /// Sorts points into the canonical distributed order and applies the global
 /// row cap. Every routing path of a partitioned table returns this order, so
 /// narrow (single-shard) and wide (multi-shard) viewports are consistent.

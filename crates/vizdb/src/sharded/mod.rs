@@ -79,19 +79,18 @@ mod tiles;
 pub use builder::ShardedBackendBuilder;
 pub use resilience::{BreakerState, CircuitBreaker, FaultCounters, FaultPolicy};
 
-use merge::{canonicalise_points, merge_outcomes, scale_counts};
+use merge::{canonicalise_points, merge_outcomes};
 use resilience::{ShardCall, ShardGuard};
 use tiles::{QueryWindow, TablePartition};
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::approx::ApproxRule;
 use crate::backend::{ExecContext, FaultStats, QueryBackend, ResultQuality, RunReport};
 use crate::db::{DbConfig, RunOutcome};
 use crate::error::{Error, Result};
 use crate::exec::QueryResult;
-use crate::hints::{HintSet, RewriteOption};
+use crate::hints::RewriteOption;
 use crate::plan::PhysicalPlan;
 use crate::query::{OutputKind, Predicate, Query};
 use crate::schema::TableSchema;
@@ -115,9 +114,6 @@ pub struct ShardedBackend {
     policy: FaultPolicy,
     schemas: HashMap<String, TableSchema>,
     global_stats: HashMap<String, TableStats>,
-    /// Sample fractions built per table, recorded at build time for the
-    /// degraded-path sampling fallback.
-    sample_fractions: HashMap<String, Vec<u32>>,
 }
 
 // Shared across serving threads exactly like a single database.
@@ -312,9 +308,8 @@ impl ShardedBackend {
         self.degrade_to_survivors(&call, &targets, successes, failures)
     }
 
-    /// Builds the degraded answer: merge the surviving shards, try the sampling
-    /// fallback on each missing shard, and tag the result with the covered
-    /// fraction of the targeted rows.
+    /// Builds the degraded answer: merge the surviving shards and tag the
+    /// result with the covered fraction of the targeted rows.
     fn degrade_to_survivors(
         &self,
         call: &ShardCall<'_>,
@@ -327,40 +322,16 @@ impl ShardedBackend {
         let part = self.partition_of(&query.table)?;
         let rows_of = |shard: usize| part.shard_rows.get(shard).copied().unwrap_or(0) as f64;
         let total: f64 = targets.iter().map(|&s| rows_of(s)).sum();
-        let mut covered: f64 = successes.iter().map(|&(s, _)| rows_of(s)).sum();
+        let covered: f64 = successes.iter().map(|&(s, _)| rows_of(s)).sum();
         let timed_out = failures
             .iter()
             .any(|(_, e)| matches!(e, Error::ShardTimeout { .. }));
-        let mut outcomes: Vec<RunOutcome> = successes.into_iter().map(|(_, o)| o).collect();
-
-        // Sampling fallback: a missing shard's pre-built sample is a cheaper,
-        // independent execution that may succeed where the exact run did not
-        // (and fit a deadline the exact run blew). Counts are upscaled by the
-        // reciprocal kept fraction; the shard still counts as missing an exact
-        // answer, contributing its sampling fraction to coverage.
-        if let Some(rule) = self.fallback_rule(&query.table) {
-            let fallback_ro = RewriteOption::approximate(HintSet::none(), rule);
-            for &(shard, _) in &failures {
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.shards[shard].run(query, &fallback_ro)
-                }));
-                if let Ok(Ok(mut outcome)) = attempt {
-                    let kept = rule.kept_fraction();
-                    let fits = deadline.is_none_or(|d| outcome.time_ms <= d);
-                    if fits && kept > 0.0 {
-                        scale_counts(&mut outcome.result, 1.0 / kept);
-                        covered += kept * rows_of(shard);
-                        local.record(|s| s.approx_fallbacks += 1);
-                        outcomes.push(outcome);
-                    }
-                }
-            }
-        }
+        let outcomes: Vec<RunOutcome> = successes.into_iter().map(|(_, o)| o).collect();
 
         let mut merged = if outcomes.is_empty() {
-            // Every targeted shard failed and no fallback covered it: an empty
-            // result of the query's shape, not a hard error — the serving layer
-            // reports it as a zero-coverage degraded answer.
+            // Every targeted shard failed: an empty result of the query's
+            // shape, not a hard error — the serving layer reports it as a
+            // zero-coverage degraded answer.
             let plan = self.shards[targets[0]].plan(query, call.ro)?;
             let result = match &query.output {
                 OutputKind::BinnedCounts { .. } => QueryResult::Bins(Vec::new()),
@@ -395,14 +366,6 @@ impl ShardedBackend {
                 coverage_fraction,
             },
         ))
-    }
-
-    /// The sampling rule used to approximate a missing shard's contribution:
-    /// the largest sample built for the table, or `None` when the table has no
-    /// samples.
-    fn fallback_rule(&self, table: &str) -> Option<ApproxRule> {
-        let fraction_pct = self.sample_fractions.get(table)?.iter().copied().max()?;
-        Some(ApproxRule::SampleTable { fraction_pct })
     }
 
     /// Row-count-weighted mean of a per-shard quantity — the composition rule
@@ -1461,54 +1424,6 @@ mod tests {
         let r3 = backend.run_with_context(&q, &ro, &ctx).unwrap();
         assert_eq!(r3.quality, ResultQuality::Full);
         assert_eq!(backend.breaker_states(), vec![BreakerState::Closed; 2]);
-    }
-
-    /// When a missing shard has a pre-built sample, the degraded path answers
-    /// its region approximately: counts upscaled by the reciprocal kept
-    /// fraction, coverage credited at the sampling fraction.
-    #[test]
-    fn sampling_fallback_covers_missing_shards_approximately() {
-        let table = build_table(3_000);
-        let mut b = ShardedBackend::builder(DbConfig::default(), 4);
-        b.register_table(&table).unwrap();
-        b.build_all_indexes("events").unwrap();
-        b.build_sample("events", 20).unwrap();
-        // All three exact attempts fail; the fallback (fourth arrival) is clean.
-        let plan = Arc::new(
-            FaultPlan::none(9)
-                .script(2, 0, FaultKind::Error)
-                .script(2, 1, FaultKind::Error)
-                .script(2, 2, FaultKind::Error),
-        );
-        let backend = b.build_wrapped(move |i, shard| {
-            if i == 2 {
-                Arc::new(FaultInjectingBackend::new(shard, Arc::clone(&plan), i))
-            } else {
-                shard
-            }
-        });
-        let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
-        let report = backend
-            .run_with_context(&q, &RewriteOption::original(), &ExecContext::unbounded())
-            .unwrap();
-        let rows = backend.shard_row_counts("events").unwrap();
-        let total: usize = rows.iter().sum();
-        let expected_coverage = ((total - rows[2]) as f64 + 0.2 * rows[2] as f64) / total as f64;
-        match report.quality {
-            ResultQuality::Degraded {
-                shards_missing,
-                coverage_fraction,
-            } => {
-                assert_eq!(shards_missing, 1, "approx coverage is not an exact answer");
-                assert!(
-                    (coverage_fraction - expected_coverage).abs() < 1e-12,
-                    "coverage {coverage_fraction} != expected {expected_coverage}"
-                );
-            }
-            other => panic!("expected degraded, got {other:?}"),
-        }
-        assert_eq!(report.faults.approx_fallbacks, 1);
-        assert_eq!(report.faults.degraded, 1);
     }
 
     /// Losing every targeted shard is still not a hard error under degradation:

@@ -16,7 +16,53 @@
 //! clearing its caches keeps it.
 
 use crate::query::BinGrid;
-use crate::storage::BuildOnce;
+use crate::sync::RwLock;
+
+/// A value built on its first use and read in place by every later one — a
+/// table's cell column. Concurrent first users build it once: each checks
+/// under the read lock, and whoever then takes the write lock first builds
+/// while the others wait, then read what it built. A failed build leaves the
+/// slot empty for the next caller to retry.
+pub struct BuildOnce<T> {
+    slot: RwLock<Option<T>>,
+}
+
+impl<T> BuildOnce<T> {
+    /// An empty slot.
+    pub fn new() -> Self {
+        Self {
+            slot: RwLock::with_name(None, "storage.build_once"),
+        }
+    }
+
+    /// Runs `read` on the value, building it with `build` first if nobody has.
+    pub fn read_or_build<R, E>(
+        &self,
+        build: impl FnOnce() -> std::result::Result<T, E>,
+        read: impl FnOnce(&T) -> R,
+    ) -> std::result::Result<R, E> {
+        if let Some(value) = self.slot.read().as_ref() {
+            return Ok(read(value));
+        }
+        let mut slot = self.slot.write();
+        let value = match slot.take() {
+            Some(value) => value,
+            None => build()?,
+        };
+        Ok(read(slot.insert(value)))
+    }
+
+    /// Runs `read` on the value if it has been built, on `None` otherwise.
+    pub fn peek<R>(&self, read: impl FnOnce(Option<&T>) -> R) -> R {
+        read(self.slot.read().as_ref())
+    }
+}
+
+impl<T> Default for BuildOnce<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
 /// A table's slot for its one cell column, built on first use.
 pub type CellColumnSlot = BuildOnce<CellColumn>;
@@ -64,7 +110,23 @@ impl CellColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::{Error, Result};
     use crate::types::GeoRect;
+
+    #[test]
+    fn build_once_builds_on_first_use_and_retries_failures() {
+        let slot = BuildOnce::new();
+        let failed: Result<u32> = slot.read_or_build(|| Err(Error::Internal("no".into())), |v| *v);
+        assert!(failed.is_err());
+        assert_eq!(slot.peek(|v| v.copied()), None);
+        assert_eq!(slot.read_or_build(|| Ok::<_, Error>(7), |v| *v), Ok(7));
+        assert_eq!(
+            slot.read_or_build(|| Ok::<_, Error>(9), |v| *v),
+            Ok(7),
+            "built once"
+        );
+        assert_eq!(slot.peek(|v| v.copied()), Some(7));
+    }
 
     #[test]
     fn keys_differ_by_column_and_by_extent_bits() {

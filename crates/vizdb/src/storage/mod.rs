@@ -7,8 +7,8 @@ mod sample;
 mod table;
 
 pub(crate) use cells::CellKey;
-pub use cells::{CellColumn, CellColumnSlot};
+pub use cells::{BuildOnce, CellColumn, CellColumnSlot};
 pub use dictionary::Dictionary;
 pub(crate) use sample::check_fraction;
-pub use sample::{BuildOnce, SampleTable};
+pub use sample::SampleTable;
 pub use table::{ColumnData, RowWriter, Table, TableBuilder, TextColumn};

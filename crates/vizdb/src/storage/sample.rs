@@ -1,18 +1,10 @@
-//! Random sample tables used by approximation rewrites.
+//! Uniform random samples of a base table: the Approximate-QTE's probe tables.
 //!
-//! The paper's approximation rules substitute the base table with a pre-built table of
-//! randomly selected records (e.g. `tweetsSample20` with 20% of the rows). A
-//! [`SampleTable`] stores the selected record ids of the base table; a rewrite that
-//! scans the sample reads those rows from the base table's columns, as a real
-//! deployment would with a materialised sample over the shared heap.
-//!
-//! The Approximate-QTE's `count(*)` probes are the exception: per sample the
-//! database keeps a *probe copy*, the sampled rows copied out into a small table
-//! of their own with the base table's indexes rebuilt over it, so a probe is an
-//! index count (or a kernel over a few contiguous rows) instead of a gather of
-//! every sampled row from the base columns. Only probed samples pay for a copy:
-//! it is built on the first probe, in a [`BuildOnce`] slot, and dropped with
-//! every catalog change.
+//! A [`SampleTable`] is one draw: the sampled record ids of the base table,
+//! fixed by the database seed and the sampling percentage. The database stores
+//! each sample's rows as a table of their own, on the base table's dictionary
+//! and with the base table's indexes ([`crate::Database::build_sample`]), so a
+//! `count(*)` probe is an index count or a kernel over a few contiguous rows.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -20,7 +12,6 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Error, Result};
-use crate::sync::RwLock;
 use crate::types::RecordId;
 
 /// Rejects a sampling percentage outside `1..=100` with
@@ -34,52 +25,6 @@ pub(crate) fn check_fraction(table: &str, fraction_pct: u32) -> Result<()> {
             table: table.to_string(),
             fraction_pct,
         })
-    }
-}
-
-/// A value built on its first use and read in place by every later one — a
-/// sample's probe copy, a table's cell column. Concurrent first users build
-/// it once: each checks under the read lock, and whoever then takes the write
-/// lock first builds while the others wait, then read what it built. A failed
-/// build leaves the slot empty for the next caller to retry.
-pub struct BuildOnce<T> {
-    slot: RwLock<Option<T>>,
-}
-
-impl<T> BuildOnce<T> {
-    /// An empty slot.
-    pub fn new() -> Self {
-        Self {
-            slot: RwLock::with_name(None, "storage.build_once"),
-        }
-    }
-
-    /// Runs `read` on the value, building it with `build` first if nobody has.
-    pub fn read_or_build<R, E>(
-        &self,
-        build: impl FnOnce() -> std::result::Result<T, E>,
-        read: impl FnOnce(&T) -> R,
-    ) -> std::result::Result<R, E> {
-        if let Some(value) = self.slot.read().as_ref() {
-            return Ok(read(value));
-        }
-        let mut slot = self.slot.write();
-        let value = match slot.take() {
-            Some(value) => value,
-            None => build()?,
-        };
-        Ok(read(slot.insert(value)))
-    }
-
-    /// Runs `read` on the value if it has been built, on `None` otherwise.
-    pub fn peek<R>(&self, read: impl FnOnce(Option<&T>) -> R) -> R {
-        read(self.slot.read().as_ref())
-    }
-}
-
-impl<T> Default for BuildOnce<T> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -210,21 +155,6 @@ mod tests {
     #[should_panic(expected = "sample fraction")]
     fn zero_fraction_panics() {
         SampleTable::build("t", 10, 0, 0);
-    }
-
-    #[test]
-    fn build_once_builds_on_first_use_and_retries_failures() {
-        let slot = BuildOnce::new();
-        let failed: Result<u32> = slot.read_or_build(|| Err(Error::Internal("no".into())), |v| *v);
-        assert!(failed.is_err());
-        assert_eq!(slot.peek(|v| v.copied()), None);
-        assert_eq!(slot.read_or_build(|| Ok::<_, Error>(7), |v| *v), Ok(7));
-        assert_eq!(
-            slot.read_or_build(|| Ok::<_, Error>(9), |v| *v),
-            Ok(7),
-            "built once"
-        );
-        assert_eq!(slot.peek(|v| v.copied()), Some(7));
     }
 
     #[test]

@@ -293,68 +293,100 @@ impl Table {
         }
     }
 
+    /// Builds a new table (same schema, name and dictionary) containing only the
+    /// rows in `keep`, in the given order. Token ids are copied, so a keyword
+    /// resolves on the new table exactly as on this one; the dictionary's
+    /// document frequencies still describe this table. What a sample stores.
+    pub(crate) fn rows(&self, keep: &[RecordId]) -> Result<Table> {
+        let columns = self.gather(keep, |docs| {
+            let mut kept = TextColumn::new();
+            for &r in keep {
+                kept.push_doc(docs.doc(r as usize).unwrap_or_default());
+            }
+            Ok(kept)
+        })?;
+        Ok(self.with_rows(columns, self.dictionary.clone(), keep.len()))
+    }
+
     /// Builds a new table (same schema and name) containing only the rows in `keep`,
     /// in the given order. Text documents are re-interned into a fresh dictionary so
     /// per-document frequencies — and therefore the statistics derived from them —
     /// describe the subset, not the source table. Used by the sharded backend to
     /// spatially partition a loaded table into self-contained per-region tables.
     pub fn subset(&self, keep: &[RecordId]) -> Result<Table> {
+        let mut dictionary = Dictionary::new();
+        let columns = self.gather(keep, |docs| {
+            let mut subset_docs = TextColumn::new();
+            for &r in keep {
+                let mut tokens: Vec<TokenId> = docs
+                    .doc(r as usize)
+                    .unwrap_or_default()
+                    .iter()
+                    .map(|&t| {
+                        let word = self.dictionary.word(t).ok_or_else(|| {
+                            Error::Internal(format!(
+                                "token {t} of table {} has no dictionary entry",
+                                self.name()
+                            ))
+                        })?;
+                        Ok(dictionary.intern(word))
+                    })
+                    .collect::<Result<_>>()?;
+                // Documents store sorted token lists (membership checks are
+                // binary searches); re-interning changes the id order.
+                tokens.sort_unstable();
+                tokens.dedup();
+                for &t in &tokens {
+                    dictionary.bump_doc_freq(t);
+                }
+                subset_docs.push_doc(&tokens);
+            }
+            Ok(subset_docs)
+        })?;
+        Ok(self.with_rows(columns, dictionary, keep.len()))
+    }
+
+    /// Every column's values at the rows in `keep`, in order, with each text
+    /// column's documents built by `text`; a row past the end is an error.
+    fn gather(
+        &self,
+        keep: &[RecordId],
+        mut text: impl FnMut(&TextColumn) -> Result<TextColumn>,
+    ) -> Result<Vec<ColumnData>> {
         if let Some(&row) = keep.iter().find(|&&row| row as usize >= self.row_count) {
             return Err(self.row_err(row));
         }
-        let mut dictionary = Dictionary::new();
-        let mut columns = Vec::with_capacity(self.columns.len());
-        for col in &self.columns {
-            let data = match col {
-                ColumnData::Int(v) => {
-                    ColumnData::Int(keep.iter().map(|&r| v[r as usize]).collect())
-                }
-                ColumnData::Float(v) => {
-                    ColumnData::Float(keep.iter().map(|&r| v[r as usize]).collect())
-                }
-                ColumnData::Timestamp(v) => {
-                    ColumnData::Timestamp(keep.iter().map(|&r| v[r as usize]).collect())
-                }
-                ColumnData::Geo(v) => {
-                    ColumnData::Geo(keep.iter().map(|&r| v[r as usize]).collect())
-                }
-                ColumnData::Text(docs) => {
-                    let mut subset_docs = TextColumn::new();
-                    for &r in keep {
-                        let mut tokens: Vec<TokenId> = docs
-                            .doc(r as usize)
-                            .unwrap_or_default()
-                            .iter()
-                            .map(|&t| {
-                                let word = self.dictionary.word(t).ok_or_else(|| {
-                                    Error::Internal(format!(
-                                        "token {t} of table {} has no dictionary entry",
-                                        self.name()
-                                    ))
-                                })?;
-                                Ok(dictionary.intern(word))
-                            })
-                            .collect::<Result<_>>()?;
-                        // Documents store sorted token lists (membership checks are
-                        // binary searches); re-interning changes the id order.
-                        tokens.sort_unstable();
-                        tokens.dedup();
-                        for &t in &tokens {
-                            dictionary.bump_doc_freq(t);
-                        }
-                        subset_docs.push_doc(&tokens);
+        let pick = |r: &RecordId| *r as usize;
+        self.columns
+            .iter()
+            .map(|col| {
+                Ok(match col {
+                    ColumnData::Int(v) => {
+                        ColumnData::Int(keep.iter().map(|r| v[pick(r)]).collect())
                     }
-                    ColumnData::Text(subset_docs)
-                }
-            };
-            columns.push(data);
-        }
-        Ok(Table {
+                    ColumnData::Float(v) => {
+                        ColumnData::Float(keep.iter().map(|r| v[pick(r)]).collect())
+                    }
+                    ColumnData::Timestamp(v) => {
+                        ColumnData::Timestamp(keep.iter().map(|r| v[pick(r)]).collect())
+                    }
+                    ColumnData::Geo(v) => {
+                        ColumnData::Geo(keep.iter().map(|r| v[pick(r)]).collect())
+                    }
+                    ColumnData::Text(docs) => ColumnData::Text(text(docs)?),
+                })
+            })
+            .collect()
+    }
+
+    /// A table of this one's schema over `columns`.
+    fn with_rows(&self, columns: Vec<ColumnData>, dictionary: Dictionary, rows: usize) -> Table {
+        Table {
             schema: self.schema.clone(),
             columns,
             dictionary,
-            row_count: keep.len(),
-        })
+            row_count: rows,
+        }
     }
 
     /// Row `row` of column slice `v`, or [`Error::RowOutOfRange`].
@@ -595,6 +627,7 @@ mod tests {
             for col in [0, 1, 4] {
                 assert_eq!(t.numeric(col, row), Err(out_of_range.clone()));
             }
+            assert_eq!(t.rows(&[0, row]).err(), Some(out_of_range.clone()));
             assert_eq!(t.subset(&[0, row]).err(), Some(out_of_range));
         }
         let docs = t.text_docs(3).unwrap();
@@ -672,6 +705,26 @@ mod tests {
         let sub = t.subset(&[]).unwrap();
         assert_eq!(sub.row_count(), 0);
         assert!(sub.dictionary().is_empty());
+    }
+
+    /// `rows` copies token ids: every word resolves to the same token on the
+    /// copy, one absent from the kept rows included, and documents match.
+    #[test]
+    fn rows_keep_the_dictionary() {
+        let t = sample_table();
+        let kept = t.rows(&[1, 5, 7]).unwrap();
+        assert_eq!(kept.row_count(), 3);
+        assert_eq!(kept.int(0, 1).unwrap(), 5);
+        for word in ["covid", "mask", "vaccine"] {
+            assert_eq!(kept.dictionary().lookup(word), t.dictionary().lookup(word));
+        }
+        for (row, rid) in [1, 5, 7].into_iter().enumerate() {
+            assert_eq!(
+                kept.text(3, row as RecordId).unwrap(),
+                t.text(3, rid).unwrap()
+            );
+        }
+        assert_eq!(t.rows(&[]).unwrap().row_count(), 0);
     }
 
     #[test]

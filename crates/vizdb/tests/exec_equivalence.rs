@@ -264,9 +264,10 @@ proptest! {
         let hints = HintSet::with_mask(mask);
         let ro = match approx_pick {
             0 => RewriteOption::hinted(hints),
-            1 => RewriteOption::approximate(hints, ApproxRule::SampleTable { fraction_pct: 20 }),
-            2 => RewriteOption::approximate(hints, ApproxRule::TableSample { fraction_pct: 50 }),
-            _ => RewriteOption::approximate(hints, ApproxRule::LimitPermille { permille: 250 }),
+            pick => {
+                let permille = [1, 40, 250][pick - 1];
+                RewriteOption::approximate(hints, ApproxRule::LimitPermille { permille })
+            }
         };
         assert_engines_agree(&db, &query, &ro);
     }
@@ -438,13 +439,11 @@ proptest! {
         plant_edge_points(&mut points, extent);
         let table = build_table(&points, keyword_every);
         let indexes = Indexes::build(&table, index_text);
-        let samples = HashMap::new();
         let cold = ExecTable {
             table: &table,
             btree: &indexes.btree,
             rtree: &indexes.rtree,
             inverted: &indexes.inverted,
-            samples: &samples,
             cells: None,
         };
         let build = || {

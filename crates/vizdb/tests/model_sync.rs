@@ -1,6 +1,5 @@
-//! Model-check suite for the `vizdb::sync` facade, the fingerprint cache, the
-//! lazily built probe copy behind a sample's selectivity probes and the cell
-//! column a table's first heatmap builds.
+//! Model-check suite for the `vizdb::sync` facade, the fingerprint cache and
+//! the cell column a table's first heatmap builds.
 //!
 //! Compiled only under `RUSTFLAGS='--cfg maliva_model_check'`, where
 //! `vizdb::sync` resolves to the instrumented loomlite shims and `explore`
@@ -15,7 +14,7 @@ use loomlite::{explore, Config, FailureKind};
 use vizdb::hints::RewriteOption;
 use vizdb::query::{BinGrid, OutputKind, Predicate, Query};
 use vizdb::schema::{ColumnType, TableSchema};
-use vizdb::storage::{BuildOnce, SampleTable, TableBuilder};
+use vizdb::storage::{BuildOnce, TableBuilder};
 use vizdb::sync::atomic::{AtomicU64, Ordering};
 use vizdb::sync::thread;
 use vizdb::types::GeoRect;
@@ -131,42 +130,6 @@ fn build_once_builds_exactly_once_under_every_interleaving() {
     });
     report.assert_ok();
     assert!(report.schedules_explored >= 1000);
-}
-
-/// Two threads make the first probe of one sample fraction at once: both
-/// get the row loop's count over the sampled rows, whichever of them builds
-/// the probe copy (a torn or lost build would count a partial copy).
-#[test]
-fn racing_first_sample_probes_both_get_the_scan_count() {
-    const ROWS: usize = 64;
-    let pred = Predicate::numeric_range(0, 0.0, 31.0);
-    let seed = DbConfig::default().seed;
-    let sample = SampleTable::build("t", ROWS, 25, seed);
-    let expected = sample.row_ids().iter().filter(|&&rid| rid < 32).count();
-    let report = explore(Config::random(19, 300), move || {
-        let schema = TableSchema::new("t").with_column("n", ColumnType::Int);
-        let mut b = TableBuilder::new(schema);
-        for i in 0..ROWS as i64 {
-            b.push_row(|row| row.set_int("n", i));
-        }
-        let mut db = Database::new(DbConfig::default());
-        db.register_table(b.build()).unwrap();
-        db.build_index("t", "n").unwrap();
-        db.build_sample("t", 25).unwrap();
-        let db = Arc::new(db);
-        let probes: Vec<_> = (0..2)
-            .map(|_| {
-                let (db, pred) = (db.clone(), pred.clone());
-                thread::spawn(move || db.sample_selectivity("t", &pred, 25).unwrap())
-            })
-            .collect();
-        for probe in probes {
-            let (sel, rows) = probe.join().unwrap();
-            assert_eq!(rows, sample.len());
-            assert_eq!(sel, expected as f64 / rows as f64, "a probe miscounted");
-        }
-    });
-    report.assert_ok();
 }
 
 /// Two threads make a table's first heatmap binning at once: whichever of

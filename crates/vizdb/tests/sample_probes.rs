@@ -1,25 +1,21 @@
 //! Property test: the Approximate-QTE's sample probe
 //! (`sample_selectivity`) counts exactly the sampled rows a predicate matches.
-//! The probe runs on a copy of the sample with its own indexes; the oracle is
-//! a row-at-a-time count over the sample's record ids on the base table. Hostile data (NaN and infinite floats and
-//! coordinates, duplicate timestamps, empty documents, a keyword found only
-//! outside the sample) meets every predicate kind over every column type,
-//! with NaN bounds, inverted ranges, zero-area rectangles and unknown
-//! keywords, on a `Database` and on sharded mirrors of it.
+//! The probe runs on the sample's own table and indexes; the oracle is a
+//! row-at-a-time count over the sample's record ids on the base table.
+//! Hostile data (NaN and infinite floats and coordinates, duplicate
+//! timestamps, empty documents, a keyword found only outside the sample)
+//! meets every predicate kind over every column type, with NaN bounds,
+//! inverted ranges, zero-area rectangles and unknown keywords, on a
+//! `Database` and on sharded mirrors of it.
 //!
 //! Also here: `build_sample` rejects a fraction outside `1..=100` with a
 //! typed error, leaving the catalog untouched, on every entry point.
-
-use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use vizdb::approx::ApproxRule;
-use vizdb::exec::QueryResult;
-use vizdb::hints::{HintSet, RewriteOption};
-use vizdb::query::{OutputKind, Predicate, Query};
+use vizdb::query::Predicate;
 use vizdb::schema::{ColumnType, TableSchema};
 use vizdb::storage::{SampleTable, Table, TableBuilder};
 use vizdb::types::{GeoRect, NumRange, RecordId, TimeRange};
@@ -165,15 +161,18 @@ fn selectivity(matched: usize, rows: usize) -> f64 {
     }
 }
 
+/// The row loop over `db`'s `pct`% sample ids on its base table:
+/// `(matched, sampled rows)`.
+fn sampled_count(db: &Database, pred: &Predicate, pct: u32) -> vizdb::Result<(usize, usize)> {
+    let sample = db.sample(TABLE, pct).unwrap().row_ids();
+    row_loop(db.table(TABLE).unwrap(), pred, sample).map(|m| (m, sample.len()))
+}
+
 fn check_database(db: &Database, fractions: &[u32], preds: &[Predicate]) -> Result<(), String> {
-    let table = db.table(TABLE).unwrap();
     for &pct in fractions {
-        let sample = db.sample(TABLE, pct).unwrap().row_ids();
         for pred in preds {
-            let expected = row_loop(table, pred, sample).map(|m| {
-                let rows = sample.len();
-                (selectivity(m, rows), rows)
-            });
+            let expected =
+                sampled_count(db, pred, pct).map(|(m, rows)| (selectivity(m, rows), rows));
             let probed = db.sample_selectivity(TABLE, pred, pct);
             prop_assert!(
                 probed == expected,
@@ -184,75 +183,40 @@ fn check_database(db: &Database, fractions: &[u32], preds: &[Predicate]) -> Resu
     Ok(())
 }
 
-/// A sampled, forced sequential `count(*)`: the engine's own scan of the
-/// sample's ids on the base table, the row loop as each shard runs it.
-fn sampled_count(
-    shard: &dyn QueryBackend,
-    pred: &Predicate,
-    pct: u32,
-) -> vizdb::Result<(usize, usize)> {
-    let query = Query::select(TABLE)
-        .filter(pred.clone())
-        .output(OutputKind::Count);
-    let scan = RewriteOption::approximate(
-        HintSet::with_mask(0),
-        ApproxRule::SampleTable { fraction_pct: pct },
-    );
-    let rows = shard.sample_len(TABLE, pct)?;
-    match shard.run(&query, &scan)?.result {
-        QueryResult::Count(n) => Ok((n as usize, rows)),
-        other => panic!("a count query returned {other:?}"),
-    }
-}
-
-/// One shard of a sharded backend, with its index.
-type Shard = (usize, Arc<dyn QueryBackend>);
-
-/// Each shard's probe against its own sampled scan, and the backend's
-/// composed probe against the shards' summed counts.
+/// Each shard's probe against the row loop over that shard's rows and sample
+/// ids, and the backend's composed probe against the shards' summed counts.
 fn check_sharded(
     db: &Database,
     shards: usize,
     fractions: &[u32],
     preds: &[Predicate],
 ) -> Result<(), String> {
-    let captured: Arc<Mutex<Vec<Shard>>> = Arc::default();
-    let sink = Arc::clone(&captured);
-    let backend = ShardedBackendBuilder::mirror_builder(db, shards)
-        .unwrap()
-        .build_wrapped(move |i, shard| {
-            sink.lock().unwrap().push((i, Arc::clone(&shard)));
-            shard
-        });
-    let mut parts = captured.lock().unwrap().clone();
-    parts.sort_by_key(|(i, _)| *i);
+    let builder = ShardedBackendBuilder::mirror_builder(db, shards).unwrap();
+    let mut summed = Vec::new();
     for &pct in fractions {
         for pred in preds {
-            let mut expected = Ok((0usize, 0usize));
-            for (i, shard) in &parts {
-                let oracle = sampled_count(shard.as_ref(), pred, pct);
-                let probed = shard.sample_selectivity(TABLE, pred, pct);
-                let want = oracle
-                    .clone()
-                    .map(|(matched, rows)| (selectivity(matched, rows), rows));
-                prop_assert!(
-                    probed == want,
-                    "shard {i}/{shards}, {pct}%, {pred:?}: probed {probed:?}, scan {want:?}"
-                );
+            let mut sum = Ok((0usize, 0usize));
+            for (i, shard) in builder.shards().iter().enumerate() {
+                check_database(shard, &[pct], std::slice::from_ref(pred))
+                    .map_err(|e| format!("shard {i}/{shards}: {e}"))?;
                 // The backend raises the first failing shard's error.
-                expected = match (expected, oracle) {
+                sum = match (sum, sampled_count(shard, pred, pct)) {
                     (Ok((m, r)), Ok((matched, rows))) => Ok((m + matched, r + rows)),
                     (Ok(_), Err(err)) | (Err(err), _) => Err(err),
                 };
             }
-            match (backend.sample_selectivity(TABLE, pred, pct), expected) {
-                (Ok((sel, rows)), Ok((matched, want_rows))) => {
-                    prop_assert_eq!(rows, want_rows);
-                    let want = selectivity(matched, want_rows);
-                    prop_assert!((sel - want).abs() <= 1e-12, "{sel} vs {want}");
-                }
-                (got, want) => prop_assert_eq!(got.map(|_| ()), want.map(|_| ())),
+            summed.push((pct, pred, sum));
+        }
+    }
+    let backend = builder.build();
+    for (pct, pred, sum) in summed {
+        match (backend.sample_selectivity(TABLE, pred, pct), sum) {
+            (Ok((sel, rows)), Ok((matched, want_rows))) => {
+                prop_assert_eq!(rows, want_rows);
+                let want = selectivity(matched, want_rows);
+                prop_assert!((sel - want).abs() <= 1e-12, "{sel} vs {want}");
             }
+            (got, want) => prop_assert_eq!(got.map(|_| ()), want.map(|_| ())),
         }
     }
     Ok(())
@@ -264,8 +228,8 @@ proptest! {
     /// Random tables of 0–2,500 rows with a random subset of columns
     /// indexed, sampled at a random fraction and at 100%: every probe equals
     /// the row loop — on the `Database`, again after indexing the remaining
-    /// columns (which drops the probe copies, so the next probes rebuild them
-    /// with the new indexes), and on 1-, 2- and 4-shard mirrors.
+    /// columns (which indexes each sample too), and on 1-, 2- and 4-shard
+    /// mirrors.
     #[test]
     fn sample_probes_count_exactly_the_sampled_rows(
         seed in 0u64..u64::MAX,

@@ -210,10 +210,7 @@ fn degenerate_and_oversized_grids_are_rejected_on_every_path() {
         RewriteOption::original(),
         RewriteOption::hinted(HintSet::with_mask(0b01)),
         RewriteOption::hinted(HintSet::with_mask(0b11)),
-        RewriteOption::approximate(
-            HintSet::none(),
-            ApproxRule::TableSample { fraction_pct: 50 },
-        ),
+        RewriteOption::approximate(HintSet::none(), ApproxRule::LimitPermille { permille: 250 }),
     ];
     let rejected = |what: &str, result: vizdb::Result<()>| {
         assert!(

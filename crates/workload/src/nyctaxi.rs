@@ -86,9 +86,8 @@ pub fn build_nyctaxi_with_config(scale: DatasetScale, seed: u64, mut config: DbC
     for column in ["pickup_datetime", "trip_distance", "pickup_coordinates"] {
         db.build_index("trips", column).unwrap();
     }
-    for pct in [1, 20, 40, 80] {
-        db.build_sample("trips", pct).unwrap();
-    }
+    // The Approximate-QTE's probe sample.
+    db.build_sample("trips", 1).unwrap();
 
     Dataset {
         db: Arc::new(db),
@@ -164,7 +163,8 @@ mod tests {
         let ds = build_nyctaxi(DatasetScale::tiny(), 2);
         assert_eq!(ds.row_count(), 5_000);
         assert_eq!(ds.db.indexed_columns("trips").unwrap(), vec![1, 2, 3]);
-        assert!(ds.db.sample("trips", 20).is_ok());
+        assert!(ds.db.sample("trips", 1).is_ok());
+        assert!(ds.db.sample("trips", 20).is_err());
         assert_eq!(ds.spec.text_attr, None);
         assert!(!ds.seeds.is_empty());
     }

@@ -85,9 +85,8 @@ pub fn build_tpch_with_config(scale: DatasetScale, seed: u64, mut config: DbConf
     for column in ["extended_price", "ship_date", "receipt_date"] {
         db.build_index("lineitem", column).unwrap();
     }
-    for pct in [1, 20, 40, 80] {
-        db.build_sample("lineitem", pct).unwrap();
-    }
+    // The Approximate-QTE's probe sample.
+    db.build_sample("lineitem", 1).unwrap();
 
     Dataset {
         db: Arc::new(db),

@@ -129,9 +129,8 @@ pub fn build_twitter_with_config(scale: DatasetScale, seed: u64, mut config: DbC
     }
     db.build_index("users", "id").unwrap();
     db.build_index("users", "tweet_count").unwrap();
-    for pct in [1, 20, 40, 80] {
-        db.build_sample("tweets", pct).unwrap();
-    }
+    // The Approximate-QTE's probe samples.
+    db.build_sample("tweets", 1).unwrap();
     db.build_sample("users", 1).unwrap();
 
     Dataset {

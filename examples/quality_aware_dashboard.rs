@@ -1,7 +1,6 @@
 //! Quality-aware rewriting (paper §6): when no exact rewritten query can meet the time
-//! budget, Maliva trades visualization quality for responsiveness by switching to a
-//! sampled table or a LIMIT clause — and the two-stage rewriter only does so when it
-//! has to.
+//! budget, Maliva trades visualization quality for responsiveness by adding a LIMIT
+//! clause — and the two-stage rewriter only does so when it has to.
 //!
 //! ```text
 //! cargo run --release --example quality_aware_dashboard

@@ -19,7 +19,7 @@ fn main() {
     let tau_ms = 500.0;
 
     // 1. Build the (scaled-down) Twitter dataset: tweets table, secondary indexes,
-    //    sample tables, plus a users dimension table.
+    //    a 1% probe sample, plus a users dimension table.
     println!("building dataset ...");
     let dataset = build_twitter(DatasetScale::tiny(), 42);
     println!(

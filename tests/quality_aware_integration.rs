@@ -82,7 +82,7 @@ fn two_stage_keeps_exact_rewrites_for_easy_queries() {
         db.clone(),
         qte,
         &split.train,
-        ApproxRule::paper_sample_rules(),
+        ApproxRule::paper_limit_rules(),
         QualityAwareMode::TwoStage,
         QualityFunction::Jaccard,
         &config(tau_ms),

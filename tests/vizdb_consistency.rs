@@ -1,16 +1,13 @@
 //! Cross-crate consistency tests of the database substrate against the generated
 //! workloads: every hinted rewrite of a generated query must return the same exact
-//! result, approximation rules must trade rows for time, and the difficulty metric must
-//! be stable.
+//! result, and the difficulty metric must be stable.
 
 use maliva::RewriteSpace;
-use maliva_quality::jaccard_quality;
 use maliva_workload::{
     build_nyctaxi, build_tpch, build_twitter, generate_queries, generate_workload, DatasetScale,
     QueryGenConfig,
 };
-use vizdb::approx::ApproxRule;
-use vizdb::hints::{HintSet, RewriteOption};
+use vizdb::hints::RewriteOption;
 use vizdb::Database;
 
 /// `f` over every option on caches cleared first, so the pass computes its
@@ -76,63 +73,6 @@ fn all_exact_rewrites_return_identical_results() {
             }
         }
     }
-}
-
-#[test]
-fn sample_rewrites_lose_rows_but_keep_quality_reasonable() {
-    let dataset = build_twitter(DatasetScale::tiny(), 67);
-    let queries = generate_workload(&dataset, 10, 7);
-    let mut compared = 0;
-    for query in &queries {
-        let exact = dataset
-            .db
-            .run(query, &RewriteOption::original())
-            .unwrap()
-            .result;
-        if exact.total_rows() < 50 {
-            continue; // too small for a meaningful sampling comparison
-        }
-        let sampled_ro = RewriteOption::approximate(
-            HintSet::none(),
-            ApproxRule::SampleTable { fraction_pct: 80 },
-        );
-        let sampled = dataset.db.run(query, &sampled_ro).unwrap().result;
-        assert!(sampled.total_rows() < exact.total_rows());
-        let quality = jaccard_quality(&exact, &sampled);
-        assert!(
-            (0.6..=1.0).contains(&quality),
-            "80% sample should keep roughly 80% Jaccard quality, got {quality}"
-        );
-        compared += 1;
-    }
-    assert!(compared > 0, "workload should contain large-result queries");
-}
-
-#[test]
-fn approximation_reduces_execution_time_for_expensive_queries() {
-    let dataset = build_twitter(DatasetScale::tiny(), 13);
-    let queries = generate_workload(&dataset, 20, 29);
-    let mut checked = 0;
-    for query in &queries {
-        let exact_ms = dataset
-            .db
-            .execution_time_ms(query, &RewriteOption::original())
-            .unwrap();
-        if exact_ms < 800.0 {
-            continue;
-        }
-        let sampled = RewriteOption::approximate(
-            HintSet::none(),
-            ApproxRule::SampleTable { fraction_pct: 20 },
-        );
-        let sampled_ms = dataset.db.execution_time_ms(query, &sampled).unwrap();
-        assert!(
-            sampled_ms < exact_ms,
-            "20% sample ({sampled_ms} ms) should beat the exact query ({exact_ms} ms)"
-        );
-        checked += 1;
-    }
-    assert!(checked > 0, "workload should contain expensive queries");
 }
 
 #[test]

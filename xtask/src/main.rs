@@ -233,16 +233,16 @@ fn is_simulated_time(path: &str) -> bool {
 }
 
 /// Concurrent modules that must route every primitive through `vizdb::sync`
-/// (the facade itself is exempt — it *wraps* `std::sync`). `storage/sample.rs`
-/// holds `BuildOnce`, the slot that serving threads' first sample probes and
-/// first heatmap binnings of a table race to fill.
+/// (the facade itself is exempt — it *wraps* `std::sync`). `storage/cells.rs`
+/// holds `BuildOnce`, the slot that serving threads' first heatmap binnings of
+/// a table race to fill with its cell column.
 fn is_facade_module(path: &str) -> bool {
     path.starts_with("crates/vizdb/src/sharded/")
         || matches!(
             path,
             "crates/vizdb/src/cache.rs"
                 | "crates/vizdb/src/backend.rs"
-                | "crates/vizdb/src/storage/sample.rs"
+                | "crates/vizdb/src/storage/cells.rs"
                 | "crates/vizdb/src/fault.rs"
                 | "crates/serve/src/cache.rs"
                 | "crates/serve/src/queue.rs"
@@ -613,13 +613,13 @@ mod tests {
     }
 
     #[test]
-    fn the_probe_copy_slot_goes_through_the_facade() {
+    fn the_build_once_slot_goes_through_the_facade() {
         let raw = "use std::sync::OnceLock;\n";
-        let findings = scan_source("crates/vizdb/src/storage/sample.rs", raw);
+        let findings = scan_source("crates/vizdb/src/storage/cells.rs", raw);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "sync-facade");
         let facade = "use crate::sync::RwLock;\n";
-        assert!(scan_source("crates/vizdb/src/storage/sample.rs", facade).is_empty());
+        assert!(scan_source("crates/vizdb/src/storage/cells.rs", facade).is_empty());
     }
 
     #[test]
