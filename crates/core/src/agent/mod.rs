@@ -5,5 +5,5 @@ mod qnetwork;
 mod replay;
 
 pub use epsilon::EpsilonSchedule;
-pub use qnetwork::QAgent;
+pub use qnetwork::{AgentError, QAgent, QScratch};
 pub use replay::{Experience, ReplayMemory};

@@ -1,7 +1,9 @@
 //! The Q-network agent (paper Fig. 8): a small MLP mapping an MDP state to one Q-value
 //! per rewrite option.
 
-use maliva_nn::{Adam, Mlp};
+use std::fmt;
+
+use maliva_nn::{Activations, Adam, Mlp, ShapeError};
 use serde::{Deserialize, Serialize};
 
 use crate::agent::replay::Experience;
@@ -14,6 +16,54 @@ pub struct QAgent {
     target_network: Mlp,
     n_actions: usize,
     tau_ms: f64,
+}
+
+/// Why an agent cannot plan: its JSON does not parse, or its networks do not fit
+/// its action count. Deserialization checks neither shape, so a loaded or embedded
+/// agent is checked before it runs.
+#[derive(Debug)]
+pub enum AgentError {
+    /// The JSON does not describe an agent.
+    Json(serde_json::Error),
+    /// A network's layers cannot run a forward pass.
+    Network(ShapeError),
+    /// A network's input is not `2n + 1` features or its output not `n` Q-values.
+    Dimensions {
+        /// The agent's action count `n`.
+        n_actions: usize,
+        /// The network's input dimensionality.
+        input: usize,
+        /// The network's output dimensionality.
+        output: usize,
+    },
+}
+
+impl fmt::Display for AgentError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AgentError::Json(err) => write!(f, "agent JSON does not parse: {err}"),
+            AgentError::Network(err) => write!(f, "agent network is malformed: {err}"),
+            AgentError::Dimensions {
+                n_actions,
+                input,
+                output,
+            } => write!(
+                f,
+                "agent network maps {input} inputs to {output} outputs, but {n_actions} \
+                 actions need 2 x {n_actions} + 1 inputs and {n_actions} outputs"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for AgentError {}
+
+/// The buffers one planning loop reuses across its [`QAgent::best_action`] calls:
+/// the encoded state and the network's activations.
+#[derive(Debug, Clone, Default)]
+pub struct QScratch {
+    features: Vec<f64>,
+    activations: Activations,
 }
 
 // Inference (`q_values` / `best_action`) takes `&self` and the networks are
@@ -61,17 +111,46 @@ impl QAgent {
         self.q_values(&state.to_features(self.tau_ms))
     }
 
-    /// The remaining action with the highest Q-value (paper Algorithm 2 line 5).
+    /// The remaining action with the highest Q-value (paper Algorithm 2 line 5). The
+    /// state is encoded and the network run in `scratch`, so a loop that keeps one
+    /// allocates nothing per step.
     ///
     /// # Panics
-    /// Panics when `remaining` is empty.
-    pub fn best_action(&self, state: &MdpState, remaining: &[usize]) -> usize {
+    /// Panics when `remaining` is empty, and when the network does not fit the state
+    /// (see [`Self::check_shape`]).
+    pub fn best_action(
+        &self,
+        state: &MdpState,
+        remaining: &[usize],
+        scratch: &mut QScratch,
+    ) -> usize {
         assert!(!remaining.is_empty(), "no remaining actions to choose from");
-        let q = self.q_values_of(state);
+        state.write_features(self.tau_ms, &mut scratch.features);
+        let q = self
+            .network
+            .forward_into(&scratch.features, &mut scratch.activations);
         *remaining
             .iter()
             .max_by(|&&a, &&b| q[a].partial_cmp(&q[b]).unwrap_or(std::cmp::Ordering::Equal))
             .expect("non-empty remaining set")
+    }
+
+    /// Checks that both networks run and map `2n + 1` state features to `n` Q-values
+    /// for this agent's `n` actions.
+    pub fn check_shape(&self) -> Result<(), AgentError> {
+        for network in [&self.network, &self.target_network] {
+            network.check_shape().map_err(AgentError::Network)?;
+            let (input, output) = (network.input_dim(), network.output_dim());
+            let features = self.n_actions.checked_mul(2).and_then(|d| d.checked_add(1));
+            if Some(input) != features || output != self.n_actions {
+                return Err(AgentError::Dimensions {
+                    n_actions: self.n_actions,
+                    input,
+                    output,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Highest Q-value among `remaining` actions of the *target* network for an encoded
@@ -117,9 +196,12 @@ impl QAgent {
         serde_json::to_string(self).expect("agent serialisation cannot fail")
     }
 
-    /// Restores an agent serialised with [`Self::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+    /// Restores an agent serialised with [`Self::to_json`], rejecting one whose
+    /// networks do not fit its action count ([`Self::check_shape`]).
+    pub fn from_json(json: &str) -> Result<Self, AgentError> {
+        let agent: Self = serde_json::from_str(json).map_err(AgentError::Json)?;
+        agent.check_shape()?;
+        Ok(agent)
     }
 }
 
@@ -142,10 +224,35 @@ mod tests {
     fn best_action_respects_remaining_mask() {
         let agent = QAgent::new(4, 500.0, 3);
         let s = state(4);
-        let best_all = agent.best_action(&s, &[0, 1, 2, 3]);
+        let mut scratch = QScratch::default();
+        let best_all = agent.best_action(&s, &[0, 1, 2, 3], &mut scratch);
         assert!(best_all < 4);
-        let restricted = agent.best_action(&s, &[2]);
+        let restricted = agent.best_action(&s, &[2], &mut scratch);
         assert_eq!(restricted, 2);
+    }
+
+    /// `best_action` through a reused scratch picks what the allocating Q-values
+    /// pick, with the same tie rule, as the state changes step by step.
+    #[test]
+    fn best_action_matches_allocating_q_values() {
+        let agent = QAgent::new(8, 500.0, 7);
+        assert!(agent.check_shape().is_ok());
+        let mut scratch = QScratch::default();
+        let mut s = MdpState::initial((0..8).map(|i| 10.0 * i as f64).collect());
+        let mut remaining: Vec<usize> = (0..8).collect();
+        while !remaining.is_empty() {
+            let q = agent.q_values_of(&s);
+            let want = *remaining
+                .iter()
+                .max_by(|&&a, &&b| q[a].partial_cmp(&q[b]).unwrap())
+                .unwrap();
+            let got = agent.best_action(&s, &remaining, &mut scratch);
+            assert_eq!(got, want);
+            s.elapsed_ms += 35.0;
+            s.estimated_ms[got] = Some(120.0 + got as f64);
+            s.costs_ms[got] = 2.0;
+            remaining.retain(|&a| a != got);
+        }
     }
 
     #[test]
@@ -234,6 +341,6 @@ mod tests {
     #[should_panic(expected = "no remaining actions")]
     fn best_action_requires_remaining() {
         let agent = QAgent::new(2, 500.0, 0);
-        let _ = agent.best_action(&state(2), &[]);
+        let _ = agent.best_action(&state(2), &[], &mut QScratch::default());
     }
 }

@@ -39,7 +39,7 @@ pub mod space;
 pub(crate) mod testutil;
 pub mod train;
 
-pub use agent::QAgent;
+pub use agent::{AgentError, QAgent, QScratch};
 pub use config::MalivaConfig;
 pub use mdp::{MdpState, PlanningEnv, RewardSpec};
 pub use metrics::{evaluate_workload, QueryOutcome, WorkloadMetrics};

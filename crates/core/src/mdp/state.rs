@@ -54,8 +54,15 @@ impl MdpState {
     /// Encodes the state as the Q-network input vector of length `2n + 1`, normalising
     /// all times by the budget `tau_ms` so that inputs stay in a small range.
     pub fn to_features(&self, tau_ms: f64) -> Vec<f64> {
+        let mut features = Vec::with_capacity(Self::feature_dim(self.n()));
+        self.write_features(tau_ms, &mut features);
+        features
+    }
+
+    /// [`Self::to_features`] into a caller-owned buffer, which is overwritten.
+    pub fn write_features(&self, tau_ms: f64, features: &mut Vec<f64>) {
         let tau = tau_ms.max(1e-6);
-        let mut features = Vec::with_capacity(2 * self.n() + 1);
+        features.clear();
         features.push(self.elapsed_ms / tau);
         for &c in &self.costs_ms {
             features.push(c / tau);
@@ -63,7 +70,6 @@ impl MdpState {
         for t in &self.estimated_ms {
             features.push(t.unwrap_or(0.0) / tau);
         }
-        features
     }
 
     /// Dimensionality of the feature vector for a space of `n` options.

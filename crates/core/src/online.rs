@@ -6,7 +6,7 @@ use vizdb::hints::RewriteOption;
 use vizdb::query::Query;
 use vizdb::QueryBackend;
 
-use crate::agent::QAgent;
+use crate::agent::{QAgent, QScratch};
 use crate::mdp::{Decision, PlanningEnv, RewardSpec};
 use crate::space::RewriteSpace;
 
@@ -61,14 +61,18 @@ pub fn decide_online(
     tau_ms: f64,
     initial_elapsed_ms: f64,
 ) -> Result<OnlineDecision> {
-    // Both checks used to be panics; online planning serves live requests, so
-    // misconfiguration must surface as an error to the middleware instead of
-    // taking the serving thread down.
+    // Online planning serves live requests, so misconfiguration (an empty space, a
+    // deserialized agent whose network does not fit its action count, an agent for
+    // another space size) must surface as an error to the middleware instead of
+    // taking the serving thread down in the forward pass.
     if space.is_empty() {
         return Err(Error::InvalidQuery(
             "rewrite space is empty: no rewrite option to plan over".into(),
         ));
     }
+    agent
+        .check_shape()
+        .map_err(|err| Error::Internal(err.to_string()))?;
     if agent.n_actions() != space.len() {
         return Err(Error::Internal(format!(
             "agent was trained for a different rewrite-space size ({} actions, space has {})",
@@ -86,8 +90,9 @@ pub fn decide_online(
         initial_elapsed_ms,
     );
     let mut explored = Vec::new();
+    let mut scratch = QScratch::default();
     let decision = loop {
-        let action = agent.best_action(env.state(), env.remaining());
+        let action = agent.best_action(env.state(), env.remaining(), &mut scratch);
         explored.push(action);
         if let Some(decision) = env.advance(action)? {
             break decision;
@@ -284,8 +289,9 @@ mod tests {
                         db, qte, &q, &space, tau_ms, reward, start_ms,
                     );
                     let mut stepped = Vec::new();
+                    let mut scratch = QScratch::default();
                     while !env.is_done() {
-                        let action = agent.best_action(env.state(), env.remaining());
+                        let action = agent.best_action(env.state(), env.remaining(), &mut scratch);
                         stepped.push(action);
                         env.step(action).unwrap();
                     }
@@ -357,5 +363,200 @@ mod tests {
             err.to_string().contains("rewrite space is empty"),
             "unexpected error: {err}"
         );
+    }
+
+    /// Forwards to a backend and counts the catalog reads an estimator makes
+    /// (`sample_len`, `row_count`, `estimated_selectivity`) by what they read.
+    struct CountingBackend {
+        inner: Arc<dyn QueryBackend>,
+        reads: std::sync::Mutex<std::collections::BTreeMap<String, usize>>,
+    }
+
+    impl CountingBackend {
+        fn count(&self, key: String) {
+            *self.reads.lock().unwrap().entry(key).or_default() += 1;
+        }
+
+        fn take(&self) -> std::collections::BTreeMap<String, usize> {
+            std::mem::take(&mut *self.reads.lock().unwrap())
+        }
+    }
+
+    impl QueryBackend for CountingBackend {
+        fn table_names(&self) -> Vec<String> {
+            self.inner.table_names()
+        }
+        fn row_count(&self, table: &str) -> Result<usize> {
+            self.count(format!("row_count {table}"));
+            self.inner.row_count(table)
+        }
+        fn schema(&self, table: &str) -> Result<vizdb::schema::TableSchema> {
+            self.inner.schema(table)
+        }
+        fn stats(&self, table: &str) -> Result<vizdb::stats::TableStats> {
+            self.inner.stats(table)
+        }
+        fn indexed_columns(&self, table: &str) -> Result<Vec<usize>> {
+            self.inner.indexed_columns(table)
+        }
+        fn sample_len(&self, table: &str, fraction_pct: u32) -> Result<usize> {
+            self.count(format!("sample_len {table} {fraction_pct}%"));
+            self.inner.sample_len(table, fraction_pct)
+        }
+        fn plan(&self, query: &Query, ro: &RewriteOption) -> Result<vizdb::plan::PhysicalPlan> {
+            self.inner.plan(query, ro)
+        }
+        fn run(&self, query: &Query, ro: &RewriteOption) -> Result<vizdb::RunOutcome> {
+            self.inner.run(query, ro)
+        }
+        fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
+            self.inner.execution_time_ms(query, ro)
+        }
+        fn estimated_cardinality(&self, query: &Query) -> Result<f64> {
+            self.inner.estimated_cardinality(query)
+        }
+        fn estimated_selectivity(
+            &self,
+            table: &str,
+            pred: &vizdb::query::Predicate,
+        ) -> Result<f64> {
+            self.count(format!("estimated_selectivity {table} {pred:?}"));
+            self.inner.estimated_selectivity(table, pred)
+        }
+        fn true_selectivity(&self, table: &str, pred: &vizdb::query::Predicate) -> Result<f64> {
+            self.inner.true_selectivity(table, pred)
+        }
+        fn sample_selectivity(
+            &self,
+            table: &str,
+            pred: &vizdb::query::Predicate,
+            fraction_pct: u32,
+        ) -> Result<(f64, usize)> {
+            self.inner.sample_selectivity(table, pred, fraction_pct)
+        }
+        fn render_sql(&self, query: &Query, ro: &RewriteOption) -> String {
+            self.inner.render_sql(query, ro)
+        }
+        fn generation(&self) -> u64 {
+            self.inner.generation()
+        }
+        fn clear_caches(&self) {
+            self.inner.clear_caches()
+        }
+        fn cache_entry_counts(&self) -> (usize, usize) {
+            self.inner.cache_entry_counts()
+        }
+    }
+
+    /// Over a 4-shard mirror each catalog read is a fan-out to every shard, so
+    /// an Approximate-QTE episode reads each probe sample size, row count and
+    /// fallback selectivity once, however many estimation costs it charges.
+    /// The values live in the episode's context: a second episode of the same
+    /// query reads them all again.
+    #[test]
+    fn an_episode_reads_each_catalog_value_once() {
+        use crate::testutil::{make_join_query, tiny_sharded_backend};
+        use maliva_qte::ApproximateQte;
+        let backend = Arc::new(CountingBackend {
+            inner: tiny_sharded_backend(4),
+            reads: Default::default(),
+        });
+        let training: Vec<_> = workload(6)
+            .into_iter()
+            .map(|q| {
+                let options = RewriteSpace::hints_only(&q).options().to_vec();
+                (q, options)
+            })
+            .collect();
+        let qte = ApproximateQte::fit(backend.clone(), Default::default(), &training).unwrap();
+        for q in [make_query(5), make_join_query(5)] {
+            let space = RewriteSpace::hints_only(&q);
+            let agent = QAgent::new(space.len(), 6.0, 11);
+            backend.take();
+            let episodes: Vec<_> = (0..2)
+                .map(|_| {
+                    let decided =
+                        decide_online(&agent, backend.as_ref(), &qte, &q, &space, 6.0, 0.0)
+                            .unwrap();
+                    assert!(decided.explored.len() >= 2, "{:?}", decided.explored);
+                    backend.take()
+                })
+                .collect();
+            let tables = if q.is_join() { 2 } else { 1 };
+            let reads = |what: &str| episodes[0].keys().filter(|k| k.starts_with(what)).count();
+            assert_eq!(reads("sample_len"), tables, "{:?}", episodes[0]);
+            assert_eq!(reads("row_count"), tables, "{:?}", episodes[0]);
+            assert!(reads("estimated_selectivity") > 0, "{:?}", episodes[0]);
+            for (key, &count) in &episodes[0] {
+                assert_eq!(count, 1, "{key} read {count} times in one episode");
+            }
+            assert_eq!(episodes[0], episodes[1], "the second episode reads afresh");
+        }
+    }
+
+    /// The agent's JSON serialised by `to_json`, edited.
+    fn edited_agent_json(agent: &QAgent, edit: impl FnOnce(&mut serde_json::Value)) -> String {
+        fn field<'v>(value: &'v mut serde_json::Value, key: &str) -> &'v mut serde_json::Value {
+            match value {
+                serde_json::Value::Object(entries) => {
+                    &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1
+                }
+                other => panic!("not an object: {}", other.kind()),
+            }
+        }
+        let mut value = serde_json::to_value(agent).unwrap();
+        let layers = field(field(&mut value, "network"), "layers");
+        edit(layers);
+        serde_json::to_string(&value).unwrap()
+    }
+
+    /// A deserialized agent whose network does not fit its action count, or does
+    /// not run at all, is an error from `from_json` and from `decide_online`
+    /// (where serde bypassed `from_json`), never a panic in the forward pass.
+    #[test]
+    fn malformed_agents_are_errors_not_panics() {
+        use crate::agent::AgentError;
+        use serde_json::Value;
+        let agent = QAgent::new(4, 500.0, 0);
+        let wide = agent
+            .to_json()
+            .replace("\"n_actions\":4", "\"n_actions\":8");
+        assert_ne!(wide, agent.to_json(), "the edit applies");
+        let truncated = edited_agent_json(&agent, |layers| {
+            if let Value::Array(layers) = layers {
+                let weights = match &mut layers[1] {
+                    Value::Object(entries) => entries.iter_mut().find(|(k, _)| k == "weights"),
+                    _ => None,
+                };
+                if let Some((_, Value::Array(weights))) = weights {
+                    weights.pop();
+                }
+            }
+        });
+        let empty = edited_agent_json(&agent, |layers| *layers = Value::Array(Vec::new()));
+
+        let db = tiny_db();
+        let qte = AccurateQte::new(db.clone());
+        let q = make_query(0);
+        let space = RewriteSpace::hints_only(&q); // size 8
+        for (json, what) in [
+            (&wide, "maps 9 inputs to 4 outputs"),
+            (&truncated, "layer 1 is"),
+            (&empty, "no layers"),
+        ] {
+            let err = QAgent::from_json(json).unwrap_err();
+            assert!(
+                matches!(err, AgentError::Dimensions { .. } | AgentError::Network(_)),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains(what), "{err}");
+            let bypassed: QAgent = serde_json::from_str(json).unwrap();
+            let err = decide_online(&bypassed, &db, &qte, &q, &space, 500.0, 0.0).unwrap_err();
+            assert!(err.to_string().contains(what), "{err}");
+        }
+        assert!(matches!(
+            QAgent::from_json("{\"n_actions\": 4"),
+            Err(AgentError::Json(_))
+        ));
     }
 }

@@ -16,7 +16,7 @@ use vizdb::error::Result;
 use vizdb::query::Query;
 use vizdb::QueryBackend;
 
-use crate::agent::{EpsilonSchedule, Experience, QAgent, ReplayMemory};
+use crate::agent::{EpsilonSchedule, Experience, QAgent, QScratch, ReplayMemory};
 use crate::config::MalivaConfig;
 use crate::mdp::{Decision, PlanningEnv, RewardSpec};
 use crate::online::{plan_online, plan_online_from};
@@ -258,6 +258,7 @@ fn train_quality_agent_with_elapsed(
                 *initial_elapsed,
             );
             let eps = epsilon.value(episode);
+            let mut scratch = QScratch::default();
             while !env.is_done() {
                 let remaining = env.remaining().to_vec();
                 // `choose` stays inside the epsilon branch so the seeded RNG stream
@@ -269,7 +270,7 @@ fn train_quality_agent_with_elapsed(
                         )
                     })?
                 } else {
-                    agent.best_action(env.state(), &remaining)
+                    agent.best_action(env.state(), &remaining, &mut scratch)
                 };
                 let step = env.step(action)?;
                 replay.push(Experience {

@@ -10,7 +10,7 @@ use vizdb::error::{Error, Result};
 use vizdb::query::Query;
 use vizdb::QueryBackend;
 
-use crate::agent::{EpsilonSchedule, Experience, QAgent, ReplayMemory};
+use crate::agent::{EpsilonSchedule, Experience, QAgent, QScratch, ReplayMemory};
 use crate::config::MalivaConfig;
 use crate::mdp::{PlanningEnv, RewardSpec};
 use crate::space::RewriteSpace;
@@ -115,6 +115,7 @@ pub fn train_agent(
             let eps = epsilon.value(episode_counter);
 
             // One episode: a full sequence of decisions for this query.
+            let mut scratch = QScratch::default();
             while !env.is_done() {
                 let remaining = env.remaining().to_vec();
                 let action = if rng.gen::<f64>() < eps {
@@ -122,7 +123,7 @@ pub fn train_agent(
                         .choose(&mut rng)
                         .expect("remaining set cannot be empty while not done")
                 } else {
-                    agent.best_action(env.state(), &remaining)
+                    agent.best_action(env.state(), &remaining, &mut scratch)
                 };
                 let step = env.step(action)?;
                 report.steps += 1;

@@ -35,5 +35,64 @@ pub mod optim;
 
 pub use linear::Dense;
 pub use loss::{mse, mse_gradient};
-pub use mlp::Mlp;
+pub use mlp::{Activations, Mlp};
 pub use optim::{Adam, Optimizer, Sgd};
+
+use std::fmt;
+
+/// Why a network's parameters cannot run a forward pass.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShapeError {
+    /// The network has no layers.
+    NoLayers,
+    /// A layer's weight or bias vector does not match its dimensions.
+    Parameters {
+        /// Position of the layer in the network.
+        layer: usize,
+        /// Declared input dimensionality.
+        in_dim: usize,
+        /// Declared output dimensionality.
+        out_dim: usize,
+        /// Length of the weight vector (should be `in_dim * out_dim`).
+        weights: usize,
+        /// Length of the bias vector (should be `out_dim`).
+        biases: usize,
+    },
+    /// A layer's input is not the previous layer's output.
+    Chain {
+        /// Position of the layer in the network.
+        layer: usize,
+        /// Its declared input dimensionality.
+        in_dim: usize,
+        /// The previous layer's output dimensionality.
+        previous_out_dim: usize,
+    },
+}
+
+impl fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShapeError::NoLayers => write!(f, "network has no layers"),
+            ShapeError::Parameters {
+                layer,
+                in_dim,
+                out_dim,
+                weights,
+                biases,
+            } => write!(
+                f,
+                "layer {layer} is {in_dim}x{out_dim} but holds {weights} weights and {biases} biases"
+            ),
+            ShapeError::Chain {
+                layer,
+                in_dim,
+                previous_out_dim,
+            } => write!(
+                f,
+                "layer {layer} takes {in_dim} inputs but the layer before it outputs {previous_out_dim}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ShapeError {}

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::init::xavier_uniform;
+use crate::ShapeError;
 
 /// A dense layer computing `y = W x + b` with `W` of shape `(out, in)`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -45,8 +46,20 @@ impl Dense {
     /// # Panics
     /// Panics when `input.len() != in_dim`.
     pub fn forward(&self, input: &[f64]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.out_dim);
+        self.forward_into(input, &mut out);
+        out
+    }
+
+    /// [`Self::forward`] into a caller-owned buffer, which is overwritten; nothing is
+    /// allocated once `out` has grown to `out_dim`.
+    ///
+    /// # Panics
+    /// Panics when `input.len() != in_dim`.
+    pub fn forward_into(&self, input: &[f64], out: &mut Vec<f64>) {
         assert_eq!(input.len(), self.in_dim, "dense layer input size mismatch");
-        let mut out = self.biases.clone();
+        out.clear();
+        out.extend_from_slice(&self.biases);
         for (o, out_v) in out.iter_mut().enumerate() {
             let row = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
             let mut acc = 0.0;
@@ -55,7 +68,22 @@ impl Dense {
             }
             *out_v += acc;
         }
-        out
+    }
+
+    /// Checks that the parameter vectors match the declared dimensions, which a
+    /// deserialized layer does not guarantee; `layer` is its position in the network.
+    pub(crate) fn check_shape(&self, layer: usize) -> Result<(), ShapeError> {
+        let expected = self.in_dim.checked_mul(self.out_dim);
+        if expected != Some(self.weights.len()) || self.biases.len() != self.out_dim {
+            return Err(ShapeError::Parameters {
+                layer,
+                in_dim: self.in_dim,
+                out_dim: self.out_dim,
+                weights: self.weights.len(),
+                biases: self.biases.len(),
+            });
+        }
+        Ok(())
     }
 
     /// Backward pass for a single sample: accumulates weight/bias gradients and returns

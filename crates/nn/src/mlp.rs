@@ -6,6 +6,15 @@ use crate::activation::{relu_derivative, relu_inplace};
 use crate::linear::Dense;
 use crate::loss::{mse, mse_gradient};
 use crate::optim::Optimizer;
+use crate::ShapeError;
+
+/// The two activation buffers [`Mlp::forward_into`] alternates between; reuse one
+/// across calls so inference allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct Activations {
+    current: Vec<f64>,
+    next: Vec<f64>,
+}
 
 /// A feed-forward network: `Dense -> ReLU -> ... -> Dense` (no activation on the output
 /// layer), exactly the shape of Maliva's Q-network.
@@ -50,15 +59,51 @@ impl Mlp {
 
     /// Forward pass returning the output vector.
     pub fn forward(&self, input: &[f64]) -> Vec<f64> {
-        let mut current = input.to_vec();
-        let last = self.layers.len() - 1;
+        let mut buffers = Activations::default();
+        self.forward_into(input, &mut buffers);
+        buffers.current
+    }
+
+    /// [`Self::forward`] through caller-owned buffers, returning the output; nothing
+    /// is allocated once the buffers have grown to the widest layer.
+    ///
+    /// # Panics
+    /// Panics when `input.len()` is not the input dimensionality.
+    pub fn forward_into<'b>(&self, input: &[f64], buffers: &'b mut Activations) -> &'b [f64] {
+        let Activations { current, next } = buffers;
+        current.clear();
+        current.extend_from_slice(input);
+        let last = self.layers.len().saturating_sub(1);
         for (i, layer) in self.layers.iter().enumerate() {
-            current = layer.forward(&current);
+            layer.forward_into(current, next);
             if i < last {
-                relu_inplace(&mut current);
+                relu_inplace(next);
             }
+            std::mem::swap(current, next);
         }
         current
+    }
+
+    /// Checks that the network can run: at least one layer, every layer's
+    /// parameters sized by its dimensions, and each layer's input the previous
+    /// layer's output. A deserialized network guarantees none of these.
+    pub fn check_shape(&self) -> Result<(), ShapeError> {
+        if self.layers.is_empty() {
+            return Err(ShapeError::NoLayers);
+        }
+        for (i, layer) in self.layers.iter().enumerate() {
+            layer.check_shape(i)?;
+            if let Some(previous) = i.checked_sub(1).map(|p| &self.layers[p]) {
+                if previous.out_dim() != layer.in_dim() {
+                    return Err(ShapeError::Chain {
+                        layer: i,
+                        in_dim: layer.in_dim(),
+                        previous_out_dim: previous.out_dim(),
+                    });
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Forward pass that also records every layer's input and pre-activation output,
@@ -198,6 +243,37 @@ mod tests {
         assert_eq!(net.input_dim(), 7);
         assert_eq!(net.output_dim(), 4);
         assert_eq!(net.param_count(), 7 * 8 + 8 + 8 * 8 + 8 + 8 * 4 + 4);
+    }
+
+    /// One buffer pair serves networks of every width, and its output is the
+    /// layer-by-layer composition's, bit for bit.
+    #[test]
+    fn forward_into_matches_forward_bit_for_bit() {
+        let mut buffers = Activations::default();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (sizes, seed) in [
+            (&[7usize, 8, 8, 4][..], 1),
+            (&[3, 5, 2][..], 2),
+            (&[17, 17, 17, 8][..], 3),
+            (&[2, 1][..], 4),
+        ] {
+            let net = Mlp::new(sizes, seed);
+            assert_eq!(net.check_shape(), Ok(()));
+            for k in 0..5 {
+                let input: Vec<f64> = (0..sizes[0])
+                    .map(|i| ((i * 7 + k) as f64).sin() * 3.0)
+                    .collect();
+                let mut want = input.clone();
+                for (i, layer) in net.layers.iter().enumerate() {
+                    want = layer.forward(&want);
+                    if i + 1 < net.layers.len() {
+                        relu_inplace(&mut want);
+                    }
+                }
+                assert_eq!(bits(&net.forward(&input)), bits(&want));
+                assert_eq!(bits(net.forward_into(&input, &mut buffers)), bits(&want));
+            }
+        }
     }
 
     #[test]

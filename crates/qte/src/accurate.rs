@@ -60,20 +60,16 @@ impl AccurateQte {
     }
 }
 
-/// The slots an estimate for `ro` needs that `ctx` has not collected yet.
-fn uncollected_slots(query: &Query, ro: &RewriteOption, ctx: &EstimationContext) -> Vec<usize> {
-    let mut slots = needed_slots(query, ro);
-    slots.retain(|&slot| !ctx.is_collected(slot));
-    slots
-}
-
 impl QueryTimeEstimator for AccurateQte {
     fn name(&self) -> &'static str {
         "accurate"
     }
 
     fn estimation_cost(&self, query: &Query, ro: &RewriteOption, ctx: &EstimationContext) -> f64 {
-        self.cost_of(uncollected_slots(query, ro, ctx).len())
+        let new_slots = needed_slots(query, ro)
+            .filter(|&slot| !ctx.is_collected(slot))
+            .count();
+        self.cost_of(new_slots)
     }
 
     fn estimate(
@@ -82,13 +78,15 @@ impl QueryTimeEstimator for AccurateQte {
         ro: &RewriteOption,
         ctx: &mut EstimationContext,
     ) -> Result<EstimateReport> {
-        let new_slots = uncollected_slots(query, ro, ctx);
-        let cost_ms = self.cost_of(new_slots.len());
+        let cost_ms = self.estimation_cost(query, ro, ctx);
         // The time first: a priced lattice caches its predicates' true
         // selectivities, so the probes below read them instead of counting.
         let estimated_ms = self.db.execution_time_ms(query, ro)?;
         let n = query.predicate_count();
-        for slot in new_slots {
+        for slot in needed_slots(query, ro) {
+            if ctx.is_collected(slot) {
+                continue;
+            }
             let sel = if slot < n {
                 self.db
                     .true_selectivity(&query.table, &query.predicates[slot])?

@@ -18,7 +18,7 @@ use vizdb::hints::RewriteOption;
 use vizdb::query::Query;
 use vizdb::QueryBackend;
 
-use crate::context::EstimationContext;
+use crate::context::{EstimationContext, Side};
 use crate::features::plan_features;
 use crate::regression::LinearModel;
 use crate::traits::{needed_slots, EstimateReport, QueryTimeEstimator};
@@ -130,7 +130,7 @@ impl ApproximateQte {
                 match &query.join {
                     Some(spec) => {
                         let mut s = 1.0;
-                        for pred in &spec.right_predicates {
+                        for (j, pred) in spec.right_predicates.iter().enumerate() {
                             // Dimension tables are small; probe them directly via the
                             // engine's estimate when no sample exists.
                             s *= match self.db.sample_selectivity(
@@ -139,7 +139,9 @@ impl ApproximateQte {
                                 self.config.sample_pct,
                             ) {
                                 Ok((sel, _)) => sel,
-                                Err(_) => self.db.estimated_selectivity(&spec.right_table, pred)?,
+                                Err(_) => ctx.estimated_selectivity(Side::Dimension, j, || {
+                                    self.db.estimated_selectivity(&spec.right_table, pred)
+                                })?,
                             };
                         }
                         s
@@ -155,7 +157,9 @@ impl ApproximateQte {
         for (i, pred) in query.predicates.iter().enumerate() {
             let sel = match ctx.selectivity(i) {
                 Some(s) => s,
-                None => self.db.estimated_selectivity(&query.table, pred)?,
+                None => ctx.estimated_selectivity(Side::Fact, i, || {
+                    self.db.estimated_selectivity(&query.table, pred)
+                })?,
             };
             selectivities.push(sel);
         }
@@ -163,18 +167,22 @@ impl ApproximateQte {
             (_, Some(s)) => s,
             (Some(spec), None) => {
                 let mut s = 1.0;
-                for pred in &spec.right_predicates {
-                    s *= self.db.estimated_selectivity(&spec.right_table, pred)?;
+                for (j, pred) in spec.right_predicates.iter().enumerate() {
+                    s *= ctx.estimated_selectivity(Side::Dimension, j, || {
+                        self.db.estimated_selectivity(&spec.right_table, pred)
+                    })?;
                 }
                 s
             }
             (None, None) => 1.0,
         };
-        let row_count = self.db.row_count(&query.table)?;
-        let right_rows = match &query.join {
-            Some(spec) => self.db.row_count(&spec.right_table).unwrap_or(0),
-            None => 0,
-        };
+        let row_count = ctx.row_count(Side::Fact, || self.db.row_count(&query.table))?;
+        let right_rows = ctx.row_count(Side::Dimension, || {
+            Ok(match &query.join {
+                Some(spec) => self.db.row_count(&spec.right_table).unwrap_or(0),
+                None => 0,
+            })
+        })?;
         Ok(plan_features(
             query,
             ro,
@@ -191,6 +199,9 @@ impl QueryTimeEstimator for ApproximateQte {
         "approximate"
     }
 
+    /// The overhead plus one probe per needed, uncollected slot. Each table's probe
+    /// sample size is read from the backend once per context, so this walks the
+    /// hint mask and calls no backend after the first time.
     fn estimation_cost(&self, query: &Query, ro: &RewriteOption, ctx: &EstimationContext) -> f64 {
         let n = query.predicate_count();
         let mut cost = self.config.overhead_ms;
@@ -198,14 +209,17 @@ impl QueryTimeEstimator for ApproximateQte {
             if ctx.is_collected(slot) {
                 continue;
             }
+            let pct = self.config.sample_pct;
             let rows = if slot < n {
-                self.probe_rows(&query.table)
+                ctx.probe_rows(Side::Fact, pct, || self.probe_rows(&query.table))
             } else {
-                query
-                    .join
-                    .as_ref()
-                    .map(|spec| self.probe_rows(&spec.right_table))
-                    .unwrap_or(0)
+                ctx.probe_rows(Side::Dimension, pct, || {
+                    query
+                        .join
+                        .as_ref()
+                        .map(|spec| self.probe_rows(&spec.right_table))
+                        .unwrap_or(0)
+                })
             };
             cost += rows as f64 * self.config.per_row_probe_ms;
         }

@@ -16,6 +16,14 @@
 //! [`EstimationContext`]: once a selectivity has been collected for one rewritten
 //! query, estimating another rewritten query that needs the same selectivity becomes
 //! cheaper — the mechanism behind the cost updates in the paper's Fig. 4/7.
+//!
+//! The context also memoizes the episode's catalog reads. Each table's probe
+//! sample size, the engine's estimated selectivity of each predicate not yet
+//! collected and the fact and dimension row counts are read from the backend on
+//! first use and kept until [`EstimationContext::reset`]. So the estimation costs
+//! a planning episode charges for every option, again after each step, walk the
+//! option's hint mask without allocating or calling the backend; charged costs
+//! and estimates are bit-identical to reading the catalog every time.
 
 pub mod accurate;
 pub mod approximate;

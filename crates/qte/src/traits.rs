@@ -35,22 +35,24 @@ pub trait QueryTimeEstimator: Send + Sync {
     ) -> Result<EstimateReport>;
 }
 
-/// The selectivity slots an estimate for `ro` needs: one slot per fact-table predicate
-/// whose index the hint set uses, plus slot `n` (the dimension-side slot) when the
-/// rewrite hints a join method and the query has dimension predicates.
-pub fn needed_slots(query: &Query, ro: &RewriteOption) -> Vec<usize> {
+/// The selectivity slots an estimate for `ro` needs, in ascending order: one slot per
+/// fact-table predicate whose index the hint set uses, plus slot `n` (the
+/// dimension-side slot) when the rewrite hints a join method and the query has
+/// dimension predicates. Nothing is allocated: the estimators walk it on every cost
+/// they charge.
+pub fn needed_slots<'a>(
+    query: &'a Query,
+    ro: &'a RewriteOption,
+) -> impl Iterator<Item = usize> + 'a {
     let n = query.predicate_count();
-    let mut slots: Vec<usize> = (0..n).filter(|&i| ro.hints.uses_index(i)).collect();
-    if ro.hints.join_method.is_some()
+    let dimension = ro.hints.join_method.is_some()
         && query
             .join
             .as_ref()
-            .map(|j| !j.right_predicates.is_empty())
-            .unwrap_or(false)
-    {
-        slots.push(n);
-    }
-    slots
+            .is_some_and(|j| !j.right_predicates.is_empty());
+    (0..n)
+        .filter(|&i| ro.hints.uses_index(i))
+        .chain(dimension.then_some(n))
 }
 
 #[cfg(test)]
@@ -79,21 +81,21 @@ mod tests {
     fn slots_follow_index_mask() {
         let q = query(false);
         let ro = RewriteOption::hinted(HintSet::with_mask(0b101));
-        assert_eq!(needed_slots(&q, &ro), vec![0, 2]);
+        assert_eq!(needed_slots(&q, &ro).collect::<Vec<_>>(), vec![0, 2]);
     }
 
     #[test]
     fn empty_mask_needs_no_slots() {
         let q = query(false);
         let ro = RewriteOption::hinted(HintSet::with_mask(0));
-        assert!(needed_slots(&q, &ro).is_empty());
+        assert_eq!(needed_slots(&q, &ro).count(), 0);
     }
 
     #[test]
     fn join_hint_adds_dimension_slot() {
         let q = query(true);
         let ro = RewriteOption::hinted(HintSet::with_mask(0b011).with_join(JoinMethod::Hash));
-        assert_eq!(needed_slots(&q, &ro), vec![0, 1, 3]);
+        assert_eq!(needed_slots(&q, &ro).collect::<Vec<_>>(), vec![0, 1, 3]);
     }
 
     #[test]
@@ -101,6 +103,6 @@ mod tests {
         let mut q = query(true);
         q.join.as_mut().unwrap().right_predicates.clear();
         let ro = RewriteOption::hinted(HintSet::with_mask(0b1).with_join(JoinMethod::Merge));
-        assert_eq!(needed_slots(&q, &ro), vec![0]);
+        assert_eq!(needed_slots(&q, &ro).collect::<Vec<_>>(), vec![0]);
     }
 }

@@ -211,11 +211,13 @@ const RULES: &[(&str, PathPredicate, LineCheck)] = &[
 /// — and so is `index/`, whose scans fill the selection `bitmap.rs` carries to
 /// the sink, and the serve layer's `queue.rs`, whose queue every worker loop
 /// runs on. `online.rs` and the `mdp/env.rs` episode it advances run on every
-/// request that misses the decision cache.
+/// request that misses the decision cache, and so do the estimator modules each
+/// step of it calls (`QTE_HOT_PATH`).
 fn is_hot_path(path: &str) -> bool {
     path.starts_with("crates/vizdb/src/exec/")
         || path.starts_with("crates/vizdb/src/index/")
         || path.starts_with("crates/vizdb/src/sharded/")
+        || QTE_HOT_PATH.contains(&path)
         || matches!(
             path,
             "crates/vizdb/src/bitmap.rs"
@@ -225,6 +227,16 @@ fn is_hot_path(path: &str) -> bool {
                 | "crates/serve/src/server.rs"
         )
 }
+
+/// The per-request estimator modules: both QTEs, the episode's context, the
+/// trait and the Approximate-QTE's features.
+const QTE_HOT_PATH: [&str; 5] = [
+    "crates/qte/src/accurate.rs",
+    "crates/qte/src/approximate.rs",
+    "crates/qte/src/context.rs",
+    "crates/qte/src/traits.rs",
+    "crates/qte/src/features.rs",
+];
 
 /// The simulated-time engine: all of `vizdb` charges costs to the simulated
 /// clock and must never read the wall clock.
@@ -560,9 +572,9 @@ mod tests {
         );
     }
 
-    /// The serve layer's work queue holds the sync primitives, `exec/` and the
-    /// selection modules none — a request's kernels run on the thread serving
-    /// it.
+    /// The serve layer's work queue holds the sync primitives, `exec/`, the
+    /// selection modules and the estimators none — a request's kernels and
+    /// estimates run on the thread serving it.
     #[test]
     fn every_exec_module_is_a_hot_path_and_only_the_work_queue_is_concurrent() {
         let bad = "fn f() { a.unwrap(); }\n";
@@ -575,9 +587,11 @@ mod tests {
             "index/inverted.rs",
         ]
         .map(|module| format!("crates/vizdb/src/{module}"));
+        let qte = QTE_HOT_PATH.map(String::from);
         for path in paths
             .iter()
             .chain(&selection)
+            .chain(&qte)
             .chain([&"crates/serve/src/queue.rs".to_string()])
         {
             let findings = scan_source(path, bad);
