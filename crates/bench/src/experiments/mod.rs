@@ -15,7 +15,6 @@ use maliva::{
 };
 use maliva_baselines::{BaselineRewriter, NaiveRewriter};
 use maliva_qte::{AccurateQte, QueryTimeEstimator};
-use maliva_quality::QualityFunction;
 use maliva_workload::{generate_queries, split_workload, DatasetScale, QueryGenConfig};
 use vizdb::approx::ApproxRule;
 use vizdb::query::Query;
@@ -409,7 +408,6 @@ pub fn run_fig20() -> Vec<ExperimentOutput> {
         &sc.split.train,
         rules.clone(),
         QualityAwareMode::OneStage,
-        QualityFunction::Jaccard,
         &config,
     )
     .expect("one-stage training");
@@ -419,7 +417,6 @@ pub fn run_fig20() -> Vec<ExperimentOutput> {
         &sc.split.train,
         rules,
         QualityAwareMode::TwoStage,
-        QualityFunction::Jaccard,
         &config,
     )
     .expect("two-stage training");

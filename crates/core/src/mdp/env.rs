@@ -9,6 +9,7 @@
 //! so [`PlanningEnv::step`] is advance plus settle-on-terminal.
 
 use maliva_qte::{EstimationContext, QueryTimeEstimator};
+use maliva_quality::jaccard_quality;
 use vizdb::error::{Error, Result};
 use vizdb::hints::RewriteOption;
 use vizdb::query::Query;
@@ -264,7 +265,7 @@ impl<'a> PlanningEnv<'a> {
         let quality = if self.reward_spec.needs_quality() && !ro.is_exact() {
             let exact = self.db.run(self.query, &RewriteOption::original())?.result;
             let approx = self.db.run(self.query, &ro)?.result;
-            self.reward_spec.quality_function.evaluate(&exact, &approx)
+            jaccard_quality(&exact, &approx)
         } else {
             1.0
         };

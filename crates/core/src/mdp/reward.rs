@@ -1,22 +1,16 @@
 //! Reward functions: efficiency-only (Eq. 1) and quality-aware (Eq. 2).
 
-use maliva_quality::QualityFunction;
-
-/// Which reward the environment hands the agent at termination.
+/// Which reward the environment hands the agent at termination. The quality term
+/// `(1 − β) F(r(Q), r(RQ))` scores with [`maliva_quality::jaccard_quality`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardSpec {
     /// Weight β of the efficiency term; `1.0` reduces Eq. 2 to Eq. 1.
     pub beta: f64,
-    /// Quality function used for the `(1 − β) F(r(Q), r(RQ))` term.
-    pub quality_function: QualityFunction,
 }
 
 impl Default for RewardSpec {
     fn default() -> Self {
-        Self {
-            beta: 1.0,
-            quality_function: QualityFunction::Jaccard,
-        }
+        Self { beta: 1.0 }
     }
 }
 
@@ -26,11 +20,10 @@ impl RewardSpec {
         Self::default()
     }
 
-    /// A quality-aware reward (Eq. 2) with the given β and quality function.
-    pub fn quality_aware(beta: f64, quality_function: QualityFunction) -> Self {
+    /// A quality-aware reward (Eq. 2) with the given β.
+    pub fn quality_aware(beta: f64) -> Self {
         Self {
             beta: beta.clamp(0.0, 1.0),
-            quality_function,
         }
     }
 
@@ -81,7 +74,7 @@ mod tests {
 
     #[test]
     fn eq2_blends_quality() {
-        let spec = RewardSpec::quality_aware(0.5, QualityFunction::Jaccard);
+        let spec = RewardSpec::quality_aware(0.5);
         // Efficiency term = 0.2, quality = 0.8 -> 0.5*0.2 + 0.5*0.8 = 0.5
         let r = spec.terminal_reward(500.0, 100.0, 300.0, 0.8);
         assert!((r - 0.5).abs() < 1e-12);
@@ -91,7 +84,7 @@ mod tests {
 
     #[test]
     fn quality_is_clamped() {
-        let spec = RewardSpec::quality_aware(0.0, QualityFunction::Jaccard);
+        let spec = RewardSpec::quality_aware(0.0);
         assert_eq!(spec.terminal_reward(500.0, 0.0, 0.0, 7.0), 1.0);
     }
 }

@@ -4,25 +4,21 @@
 
 use std::sync::Arc;
 
-use maliva_nn::Adam;
 use maliva_qte::QueryTimeEstimator;
-use maliva_quality::QualityFunction;
-use rand::seq::SliceRandom;
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use vizdb::approx::ApproxRule;
-use vizdb::error::Result;
+use vizdb::error::{Error, Result};
 use vizdb::query::Query;
 use vizdb::QueryBackend;
 
-use crate::agent::{EpsilonSchedule, Experience, QAgent, QScratch, ReplayMemory};
+use crate::agent::QAgent;
 use crate::config::MalivaConfig;
-use crate::mdp::{Decision, PlanningEnv, RewardSpec};
+use crate::mdp::{Decision, RewardSpec};
 use crate::online::{plan_online, plan_online_from};
 use crate::rewriter::{QueryRewriter, RewriteDecision};
 use crate::space::RewriteSpace;
-use crate::train::train_agent;
+use crate::train::{run_algorithm1, train_agent};
 
 /// Which of the paper's two quality-aware architectures to use (§6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,17 +49,16 @@ impl QualityAwareRewriter {
     /// Trains a quality-aware rewriter on `training` queries.
     ///
     /// `rules` is the approximation-rule set (e.g. the paper's five LIMIT rules);
-    /// `config.beta` weights efficiency against quality in the Eq. 2 reward.
+    /// `config.beta` weights efficiency against Jaccard quality in the Eq. 2 reward.
     pub fn train(
         db: Arc<dyn QueryBackend>,
         qte: Arc<dyn QueryTimeEstimator>,
         training: &[Query],
         rules: Vec<ApproxRule>,
         mode: QualityAwareMode,
-        quality_function: QualityFunction,
         config: &MalivaConfig,
     ) -> Result<Self> {
-        let reward_quality = RewardSpec::quality_aware(config.beta, quality_function);
+        let reward_quality = RewardSpec::quality_aware(config.beta);
         let mut rewriter = Self {
             name: match mode {
                 QualityAwareMode::OneStage => "1-stage MDP".to_string(),
@@ -104,7 +99,7 @@ impl QualityAwareRewriter {
                 )?;
                 // Stage 2 training set: queries the first stage could not serve with an
                 // exact viable rewrite, starting from the planning time stage 1 spent.
-                let mut second_stage: Vec<(Query, f64)> = Vec::new();
+                let mut second_stage: Vec<(&Query, f64)> = Vec::new();
                 for query in training {
                     let space = RewriteSpace::hints_only(query);
                     let outcome = plan_online(
@@ -117,22 +112,39 @@ impl QualityAwareRewriter {
                     )?;
                     let exhausted = matches!(outcome.decision, Decision::Exhausted(_));
                     if exhausted && !outcome.viable && outcome.planning_ms < config.tau_ms {
-                        second_stage.push((query.clone(), outcome.planning_ms));
+                        second_stage.push((query, outcome.planning_ms));
                     }
                 }
-                let approx_agent = if second_stage.is_empty() {
-                    // Nothing to train on: keep an untrained agent of the right size.
-                    let space = RewriteSpace::approx_only(&training[0], &rules);
-                    QAgent::new(space.len(), config.tau_ms, config.seed)
-                } else {
-                    train_quality_agent_with_elapsed(
-                        &db,
-                        qte.as_ref(),
-                        &second_stage,
-                        &rules,
-                        reward_quality,
-                        config,
-                    )?
+                let approx_space = move |q: &Query| RewriteSpace::approx_only(q, &rules);
+                let approx_agent = match second_stage.first() {
+                    None => {
+                        // Nothing to train on: keep an untrained agent of the right size.
+                        let first = training.first().ok_or(Error::EmptyWorkload)?;
+                        QAgent::new(approx_space(first).len(), config.tau_ms, config.seed)
+                    }
+                    Some(&(first, _)) => {
+                        let mut agent = QAgent::new(
+                            approx_space(first).len(),
+                            config.tau_ms,
+                            config.seed ^ 0x51A6E2,
+                        );
+                        // Algorithm 1 again, every episode starting where stage 1
+                        // stopped; stage 2 runs every epoch, so no convergence test.
+                        run_algorithm1(
+                            &db,
+                            qte.as_ref(),
+                            &second_stage,
+                            &approx_space,
+                            reward_quality,
+                            &MalivaConfig {
+                                convergence_threshold: 0.0,
+                                ..config.clone()
+                            },
+                            &mut agent,
+                            ChaCha8Rng::seed_from_u64(config.seed ^ 0x2A6E),
+                        )?;
+                        agent
+                    }
                 };
                 rewriter.hint_agent = Some(trained_hint.agent);
                 rewriter.approx_agent = Some(approx_agent);
@@ -161,7 +173,7 @@ impl QueryRewriter for QualityAwareRewriter {
         match self.mode {
             QualityAwareMode::OneStage => {
                 let agent = self.one_stage_agent.as_ref().ok_or_else(|| {
-                    vizdb::error::Error::Internal("one-stage rewriter has no trained agent".into())
+                    Error::Internal("one-stage rewriter has no trained agent".into())
                 })?;
                 let space = RewriteSpace::with_approx_rules(query, &self.rules);
                 let outcome = plan_online(
@@ -179,10 +191,10 @@ impl QueryRewriter for QualityAwareRewriter {
             }
             QualityAwareMode::TwoStage => {
                 let hint_agent = self.hint_agent.as_ref().ok_or_else(|| {
-                    vizdb::error::Error::Internal("two-stage rewriter has no hint agent".into())
+                    Error::Internal("two-stage rewriter has no hint agent".into())
                 })?;
                 let approx_agent = self.approx_agent.as_ref().ok_or_else(|| {
-                    vizdb::error::Error::Internal("two-stage rewriter has no approx agent".into())
+                    Error::Internal("two-stage rewriter has no approx agent".into())
                 })?;
                 let hint_space = RewriteSpace::hints_only(query);
                 let first = plan_online(
@@ -219,87 +231,13 @@ impl QueryRewriter for QualityAwareRewriter {
     }
 }
 
-/// Trains the second-stage quality-aware agent over the approximate rewrite space,
-/// starting every episode from the planning time the first stage already spent
-/// (mirrors Algorithm 1 with a non-zero initial elapsed time).
-fn train_quality_agent_with_elapsed(
-    db: &dyn QueryBackend,
-    qte: &dyn QueryTimeEstimator,
-    workload: &[(Query, f64)],
-    rules: &[ApproxRule],
-    reward: RewardSpec,
-    config: &MalivaConfig,
-) -> Result<QAgent> {
-    let space_size = RewriteSpace::approx_only(&workload[0].0, rules).len();
-    let mut agent = QAgent::new(space_size, config.tau_ms, config.seed ^ 0x51A6E2);
-    let mut replay = ReplayMemory::new(config.replay_capacity);
-    let mut optimizer = Adam::new(config.learning_rate);
-    let epsilon = EpsilonSchedule::new(
-        config.epsilon_start,
-        config.epsilon_end,
-        config.epsilon_decay_episodes,
-    );
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x2A6E);
-    let mut episode = 0usize;
-
-    for _epoch in 0..config.max_epochs {
-        let mut order: Vec<usize> = (0..workload.len()).collect();
-        order.shuffle(&mut rng);
-        for &qi in &order {
-            let (query, initial_elapsed) = &workload[qi];
-            let space = RewriteSpace::approx_only(query, rules);
-            let mut env = PlanningEnv::with_initial_elapsed(
-                db,
-                qte,
-                query,
-                &space,
-                config.tau_ms,
-                reward,
-                *initial_elapsed,
-            );
-            let eps = epsilon.value(episode);
-            let mut scratch = QScratch::default();
-            while !env.is_done() {
-                let remaining = env.remaining().to_vec();
-                // `choose` stays inside the epsilon branch so the seeded RNG stream
-                // matches the sibling loop in `train::train_agent` draw for draw.
-                let action = if rng.gen::<f64>() < eps {
-                    *remaining.choose(&mut rng).ok_or_else(|| {
-                        vizdb::error::Error::Internal(
-                            "planning episode not done but no actions remain".into(),
-                        )
-                    })?
-                } else {
-                    agent.best_action(env.state(), &remaining, &mut scratch)
-                };
-                let step = env.step(action)?;
-                replay.push(Experience {
-                    state: step.prev_features,
-                    action: step.action,
-                    next_state: step.next_features,
-                    reward: step.reward,
-                    terminal: step.terminal.is_some(),
-                    next_remaining: step.next_remaining,
-                });
-            }
-            let batch = replay.sample(config.batch_size, &mut rng);
-            agent.train_on_batch(&batch, config.gamma, &mut optimizer);
-            episode += 1;
-            if episode.is_multiple_of(config.target_sync_episodes) {
-                agent.sync_target();
-            }
-        }
-    }
-    agent.sync_target();
-    Ok(agent)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::evaluate_workload;
     use crate::testutil::{tiny_db, workload};
     use maliva_qte::AccurateQte;
+    use vizdb::hints::{HintSet, RewriteOption};
 
     fn fast_config() -> MalivaConfig {
         MalivaConfig {
@@ -320,7 +258,6 @@ mod tests {
             &workload(8),
             ApproxRule::paper_limit_rules(),
             QualityAwareMode::OneStage,
-            QualityFunction::Jaccard,
             &fast_config(),
         )
         .unwrap();
@@ -340,7 +277,6 @@ mod tests {
             &workload(8),
             ApproxRule::paper_limit_rules(),
             QualityAwareMode::TwoStage,
-            QualityFunction::Jaccard,
             &fast_config(),
         )
         .unwrap();
@@ -350,6 +286,58 @@ mod tests {
         // The two-stage rewriter only approximates when no exact option is viable, so
         // at least the easy queries must stay exact.
         assert!(metrics.outcomes.iter().any(|o| o.exact));
+    }
+
+    /// The two-stage rewriter's training is pinned: each fixture query's chosen
+    /// rewrite and the bits of its planning time, plus a digest of the stage-2
+    /// agent. At τ = 150 ms stage 1 exhausts six training queries without a viable
+    /// exact rewrite, so stage 2 trains on them (from the planning time stage 1
+    /// spent) and answers six queries with a LIMIT. An infinite convergence
+    /// threshold stops stage 1 after its second epoch, while stage 2 runs all
+    /// four: a change to either stage's training trajectory moves these values.
+    #[test]
+    fn two_stage_training_is_pinned() {
+        let db = tiny_db();
+        let qte: Arc<dyn QueryTimeEstimator> = Arc::new(AccurateQte::new(db.clone()));
+        let queries = workload(24);
+        let config = MalivaConfig {
+            tau_ms: 150.0,
+            convergence_threshold: f64::INFINITY,
+            ..MalivaConfig::fast().with_beta(0.5)
+        };
+        let rules = ApproxRule::paper_limit_rules();
+        let rewriter = QualityAwareRewriter::train(
+            db,
+            qte,
+            &queries,
+            rules,
+            QualityAwareMode::TwoStage,
+            &config,
+        )
+        .unwrap();
+        let exact = RewriteOption::hinted(HintSet::with_mask(0b11));
+        let limit = RewriteOption::approximate(
+            HintSet::with_mask(0),
+            ApproxRule::LimitPermille { permille: 2 },
+        );
+        for (i, query) in queries.iter().enumerate() {
+            let decision = rewriter.rewrite(query).unwrap();
+            let (rewrite, planning_ms) = match i {
+                2 | 10 | 11 | 14 | 22 | 23 => (&limit, 182.0),
+                _ => (&exact, 84.0),
+            };
+            assert_eq!(&decision.rewrite, rewrite, "query {i}");
+            assert_eq!(
+                decision.planning_ms.to_bits(),
+                f64::to_bits(planning_ms),
+                "query {i}"
+            );
+        }
+        let stage_2 = rewriter.approx_agent.as_ref().unwrap().to_json();
+        let digest = vizdb::fingerprint::Fingerprint::new()
+            .write_str(&stage_2)
+            .finish();
+        assert_eq!(digest, 10_381_307_323_009_810_771, "stage-2 agent changed");
     }
 
     #[test]
@@ -363,10 +351,9 @@ mod tests {
                 &[],
                 ApproxRule::paper_limit_rules(),
                 mode,
-                QualityFunction::Jaccard,
                 &fast_config(),
             );
-            assert_eq!(trained.err(), Some(vizdb::error::Error::EmptyWorkload));
+            assert_eq!(trained.err(), Some(Error::EmptyWorkload));
         }
     }
 }

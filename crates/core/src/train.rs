@@ -65,7 +65,7 @@ pub type SpaceBuilder = dyn Fn(&Query) -> RewriteSpace + Send + Sync;
 /// Trains an MDP agent on `workload` (paper Algorithm 1).
 ///
 /// The rewrite space of every query must have the same size (the Q-network output
-/// dimensionality); this is checked at runtime.
+/// dimensionality); a query whose space differs is an error.
 pub fn train_agent(
     db: &dyn QueryBackend,
     qte: &dyn QueryTimeEstimator,
@@ -77,11 +77,48 @@ pub fn train_agent(
     let Some(first_query) = workload.first() else {
         return Err(Error::EmptyWorkload);
     };
-    let start = std::time::Instant::now();
-
-    let first_space = space_builder(first_query);
-    let n_actions = first_space.len();
+    let n_actions = space_builder(first_query).len();
     let mut agent = QAgent::new(n_actions, config.tau_ms, config.seed);
+    let episodes: Vec<(&Query, f64)> = workload.iter().map(|query| (query, 0.0)).collect();
+    let report = run_algorithm1(
+        db,
+        qte,
+        &episodes,
+        space_builder,
+        reward,
+        config,
+        &mut agent,
+        ChaCha8Rng::seed_from_u64(config.seed ^ 0xDA7A),
+    )?;
+    Ok(TrainedAgent {
+        agent,
+        space_size: n_actions,
+        report,
+    })
+}
+
+/// Paper Algorithm 1 on a freshly built `agent`: epochs of ε-greedy episodes over
+/// `workload` in a shuffled order, each episode starting from its query's elapsed
+/// planning time and followed by one replay-minibatch update, with the target
+/// network synced every `config.target_sync_episodes` episodes and once at the end.
+/// Training stops after `config.max_epochs` epochs, or earlier when an epoch's mean
+/// reward moves by less than `config.convergence_threshold` (relative). `rng`
+/// drives the shuffles, the ε draws and the replay samples.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_algorithm1(
+    db: &dyn QueryBackend,
+    qte: &dyn QueryTimeEstimator,
+    workload: &[(&Query, f64)],
+    space_builder: &SpaceBuilder,
+    reward: RewardSpec,
+    config: &MalivaConfig,
+    agent: &mut QAgent,
+    mut rng: ChaCha8Rng,
+) -> Result<TrainingReport> {
+    if workload.is_empty() {
+        return Err(Error::EmptyWorkload);
+    }
+    let start = std::time::Instant::now();
     let mut replay = ReplayMemory::new(config.replay_capacity);
     let mut optimizer = Adam::new(config.learning_rate);
     let epsilon = EpsilonSchedule::new(
@@ -89,11 +126,11 @@ pub fn train_agent(
         config.epsilon_end,
         config.epsilon_decay_episodes,
     );
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0xDA7A);
 
     let mut report = TrainingReport::default();
     let mut episode_counter = 0usize;
     let mut prev_epoch_reward = f64::NEG_INFINITY;
+    let mut scratch = QScratch::default();
 
     for epoch in 0..config.max_epochs {
         // Shuffle the workload each epoch to reduce ordering bias (Algorithm 1 line 4).
@@ -104,24 +141,34 @@ pub fn train_agent(
         let mut epoch_viable = 0usize;
 
         for &qi in &order {
-            let query = &workload[qi];
+            let (query, initial_elapsed_ms) = workload[qi];
             let space = space_builder(query);
-            assert_eq!(
-                space.len(),
-                n_actions,
-                "all training queries must share the same rewrite-space size"
+            if space.len() != agent.n_actions() {
+                return Err(Error::Internal(format!(
+                    "training query {qi} has {} rewrite options but the agent has {}; \
+                     all training queries must share the same rewrite-space size",
+                    space.len(),
+                    agent.n_actions()
+                )));
+            }
+            let mut env = PlanningEnv::with_initial_elapsed(
+                db,
+                qte,
+                query,
+                &space,
+                config.tau_ms,
+                reward,
+                initial_elapsed_ms,
             );
-            let mut env = PlanningEnv::new(db, qte, query, &space, config.tau_ms, reward);
             let eps = epsilon.value(episode_counter);
 
             // One episode: a full sequence of decisions for this query.
-            let mut scratch = QScratch::default();
             while !env.is_done() {
                 let remaining = env.remaining().to_vec();
                 let action = if rng.gen::<f64>() < eps {
-                    *remaining
-                        .choose(&mut rng)
-                        .expect("remaining set cannot be empty while not done")
+                    *remaining.choose(&mut rng).ok_or_else(|| {
+                        Error::Internal("planning episode not done but no actions remain".into())
+                    })?
                 } else {
                     agent.best_action(env.state(), &remaining, &mut scratch)
                 };
@@ -136,7 +183,9 @@ pub fn train_agent(
                     next_remaining: step.next_remaining,
                 });
             }
-            let outcome = env.final_outcome().expect("episode finished");
+            let outcome = env
+                .final_outcome()
+                .ok_or_else(|| Error::Internal("planning episode done but not settled".into()))?;
             epoch_reward += outcome.reward;
             if outcome.viable {
                 epoch_viable += 1;
@@ -173,18 +222,13 @@ pub fn train_agent(
     }
     agent.sync_target();
     report.wall_clock_secs = start.elapsed().as_secs_f64();
-
-    Ok(TrainedAgent {
-        agent,
-        space_size: n_actions,
-        report,
-    })
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{tiny_db, workload};
+    use crate::testutil::{make_join_query, make_query, tiny_db, workload};
     use maliva_qte::AccurateQte;
 
     #[test]
@@ -276,6 +320,68 @@ mod tests {
             581_988_623_790_332_829,
             "agent or report changed"
         );
+    }
+
+    /// Training at `MalivaConfig::fast()` on the fixture workload is pinned: any
+    /// change to the training trajectory (exploration and replay draws, gradient
+    /// step, optimizer state, target syncs) moves the FNV-1a digest of the
+    /// serialized agent.
+    #[test]
+    fn fast_training_serializes_to_the_pinned_agent() {
+        let db = tiny_db();
+        let qte = AccurateQte::new(db.clone());
+        let trained = train_agent(
+            &db,
+            &qte,
+            &workload(12),
+            &RewriteSpace::hints_only,
+            RewardSpec::efficiency_only(),
+            &MalivaConfig::fast(),
+        )
+        .unwrap();
+        let digest = vizdb::fingerprint::Fingerprint::new()
+            .write_str(&trained.agent.to_json())
+            .finish();
+        assert_eq!(digest, 5_721_164_294_079_813_639, "trained agent changed");
+    }
+
+    /// Every query's rewrite space must be the size of the agent's output layer: a
+    /// plain query has 8 hint options, a join query more, and mixing them is an
+    /// error rather than a panic.
+    #[test]
+    fn mismatched_space_sizes_are_an_error() {
+        let db = tiny_db();
+        let qte = AccurateQte::new(db.clone());
+        let trained = train_agent(
+            &db,
+            &qte,
+            &[make_query(0), make_join_query(1)],
+            &RewriteSpace::hints_only,
+            RewardSpec::efficiency_only(),
+            &MalivaConfig::fast(),
+        );
+        assert!(matches!(trained.err(), Some(Error::Internal(_))));
+    }
+
+    /// The episode loop itself rejects an empty workload (the second stage of the
+    /// two-stage rewriter calls it directly).
+    #[test]
+    fn an_empty_episode_workload_is_an_error() {
+        let db = tiny_db();
+        let qte = AccurateQte::new(db.clone());
+        let config = MalivaConfig::fast();
+        let mut agent = QAgent::new(8, config.tau_ms, config.seed);
+        let report = run_algorithm1(
+            &db,
+            &qte,
+            &[],
+            &RewriteSpace::hints_only,
+            RewardSpec::quality_aware(0.5),
+            &config,
+            &mut agent,
+            ChaCha8Rng::seed_from_u64(config.seed),
+        );
+        assert_eq!(report.err(), Some(Error::EmptyWorkload));
     }
 
     #[test]

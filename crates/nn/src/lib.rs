@@ -3,23 +3,25 @@
 //! Maliva's Q-network (paper Fig. 8) is a small multi-layer perceptron: an input layer
 //! of size `2n + 1` (elapsed time, `n` estimation costs, `n` estimated times), two
 //! fully-connected ReLU hidden layers of similar size, and a linear output layer with
-//! one Q-value per rewrite option. Training uses mean-squared-error against Bellman
-//! targets.
+//! one Q-value per rewrite option. Training takes one gradient step per experience
+//! on the squared error of the taken action's Q-value against its Bellman target
+//! ([`Mlp::train_step_masked`]); the other outputs get no gradient.
 //!
 //! The Rust ML ecosystem is not suited to training such models offline inside a
 //! reproducible, dependency-free build, so this crate implements exactly what is
-//! needed from scratch: dense layers, ReLU, MSE, SGD and Adam, Xavier initialisation
-//! and (de)serialisation of trained weights.
+//! needed from scratch: dense layers, ReLU, that masked gradient step, Adam (which
+//! updates each layer's weights and biases in place), Xavier initialisation and
+//! (de)serialisation of trained weights.
 //!
 //! ```
 //! use maliva_nn::{Mlp, Adam};
 //!
-//! // Learn y = x0 + 2*x1 with a tiny network.
+//! // Learn y = x0 + 2*x1 with a tiny network; its one output is unit 0.
 //! let mut net = Mlp::new(&[2, 8, 8, 1], 7);
 //! let mut opt = Adam::new(0.01);
 //! for _ in 0..600 {
 //!     for (x, y) in [([0.0, 0.0], 0.0), ([1.0, 0.0], 1.0), ([0.0, 1.0], 2.0), ([1.0, 1.0], 3.0)] {
-//!         net.train_step(&x, &[y], &mut opt);
+//!         net.train_step_masked(&x, 0, y, &mut opt);
 //!     }
 //! }
 //! let pred = net.forward(&[1.0, 1.0])[0];
@@ -29,14 +31,12 @@
 pub mod activation;
 pub mod init;
 pub mod linear;
-pub mod loss;
 pub mod mlp;
 pub mod optim;
 
 pub use linear::Dense;
-pub use loss::{mse, mse_gradient};
 pub use mlp::{Activations, Mlp};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 
 use std::fmt;
 

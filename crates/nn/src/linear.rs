@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::init::xavier_uniform;
+use crate::optim::Adam;
 use crate::ShapeError;
 
 /// A dense layer computing `y = W x + b` with `W` of shape `(out, in)`.
@@ -109,21 +110,29 @@ impl Dense {
         self.grad_biases.iter_mut().for_each(|g| *g = 0.0);
     }
 
-    /// Mutable access to `(parameters, gradients)` flattened as (weights ++ biases),
-    /// used by optimizers.
-    pub fn params_and_grads(&mut self) -> (Vec<&mut f64>, Vec<f64>) {
-        let grads: Vec<f64> = self
-            .grad_weights
-            .iter()
-            .chain(self.grad_biases.iter())
-            .copied()
-            .collect();
-        let params: Vec<&mut f64> = self
-            .weights
-            .iter_mut()
-            .chain(self.biases.iter_mut())
-            .collect();
-        (params, grads)
+    /// Applies one Adam update to the weights and biases from the gradients of the
+    /// last backward pass; `layer` keys the layer's moment estimates.
+    pub(crate) fn adam_step(&mut self, layer: usize, opt: &mut Adam) {
+        opt.step(
+            layer,
+            &mut self.weights,
+            &self.grad_weights,
+            &mut self.biases,
+            &self.grad_biases,
+        );
+    }
+
+    /// Copies `other`'s weights and biases, not its gradients.
+    ///
+    /// # Panics
+    /// Panics when the two layers' parameter shapes differ.
+    pub(crate) fn copy_params_from(&mut self, other: &Dense) {
+        assert!(
+            self.weights.len() == other.weights.len() && self.biases.len() == other.biases.len(),
+            "architecture mismatch"
+        );
+        self.weights.copy_from_slice(&other.weights);
+        self.biases.copy_from_slice(&other.biases);
     }
 
     /// Total number of trainable parameters.
@@ -140,11 +149,8 @@ mod tests {
     fn forward_computes_affine_map() {
         let mut layer = Dense::new(2, 1, 0);
         // Overwrite weights for a deterministic check: y = 3*x0 - x1 + 0.5
-        let (params, _) = layer.params_and_grads();
-        let values = [3.0, -1.0, 0.5];
-        for (p, v) in params.into_iter().zip(values) {
-            *p = v;
-        }
+        layer.weights = vec![3.0, -1.0];
+        layer.biases = vec![0.5];
         let y = layer.forward(&[2.0, 4.0]);
         assert_eq!(y, vec![2.5]);
     }
@@ -158,17 +164,16 @@ mod tests {
         layer.zero_grad();
         let out_base = layer.forward(&input);
         let _ = layer.backward(&input, &grad_out);
-        let (_, grads) = layer.params_and_grads();
+        let grads = [&layer.grad_weights[..], &layer.grad_biases[..]].concat();
 
         // Finite differences over a few parameters.
         let eps = 1e-6;
         let scalar = |out: &[f64]| out[0] * grad_out[0] + out[1] * grad_out[1];
         for check_idx in [0usize, 3, 5, 6, 7] {
             let mut perturbed = layer.clone();
-            {
-                let (params, _) = perturbed.params_and_grads();
-                let mut params = params;
-                *params[check_idx] += eps;
+            match check_idx.checked_sub(perturbed.weights.len()) {
+                None => perturbed.weights[check_idx] += eps,
+                Some(bias) => perturbed.biases[bias] += eps,
             }
             let out_p = perturbed.forward(&input);
             let numeric = (scalar(&out_p) - scalar(&out_base)) / eps;
@@ -203,8 +208,24 @@ mod tests {
         let mut layer = Dense::new(2, 2, 1);
         let _ = layer.backward(&[1.0, 1.0], &[1.0, 1.0]);
         layer.zero_grad();
-        let (_, grads) = layer.params_and_grads();
-        assert!(grads.iter().all(|&g| g == 0.0));
+        let mut grads = layer.grad_weights.iter().chain(&layer.grad_biases);
+        assert!(grads.all(|&g| g == 0.0));
+    }
+
+    /// A target network's sync copies weights and biases only: its own gradient
+    /// fields, which the agent's JSON carries, stay as they were.
+    #[test]
+    fn copy_params_leaves_gradients_alone() {
+        let mut src = Dense::new(3, 2, 1);
+        let _ = src.backward(&[1.0, 2.0, 3.0], &[1.0, -1.0]);
+        let mut dst = Dense::new(3, 2, 2);
+        dst.copy_params_from(&src);
+        assert_eq!((&dst.weights, &dst.biases), (&src.weights, &src.biases));
+        assert!(dst
+            .grad_weights
+            .iter()
+            .chain(&dst.grad_biases)
+            .all(|&g| g == 0.0));
     }
 
     #[test]

@@ -4,8 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::activation::{relu_derivative, relu_inplace};
 use crate::linear::Dense;
-use crate::loss::{mse, mse_gradient};
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 use crate::ShapeError;
 
 /// The two activation buffers [`Mlp::forward_into`] alternates between; reuse one
@@ -125,47 +124,22 @@ impl Mlp {
         (inputs, pre_activations)
     }
 
-    /// One gradient step on a single `(input, target)` pair; returns the MSE loss
-    /// before the update.
-    pub fn train_step<O: Optimizer>(&mut self, input: &[f64], target: &[f64], opt: &mut O) -> f64 {
-        let (inputs, pres) = self.forward_trace(input);
-        let last = self.layers.len() - 1;
-        let output = pres[last].clone();
-        let loss = mse(&output, target);
-        let mut grad = mse_gradient(&output, target);
-
-        for layer in self.layers.iter_mut() {
-            layer.zero_grad();
-        }
-        for i in (0..self.layers.len()).rev() {
-            if i < last {
-                // Propagated gradient passes through the ReLU of this layer's output.
-                for (g, &pre) in grad.iter_mut().zip(&pres[i]) {
-                    *g *= relu_derivative(pre);
-                }
-            }
-            grad = self.layers[i].backward(&inputs[i], &grad);
-        }
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let (params, grads) = layer.params_and_grads();
-            opt.step(i, params, &grads);
-        }
-        loss
-    }
-
     /// One gradient step where only a single output unit (`action`) has a target — the
     /// standard deep-Q-learning update. Other outputs receive zero gradient. Returns
     /// the squared error of the trained output before the update.
-    pub fn train_step_masked<O: Optimizer>(
+    ///
+    /// # Panics
+    /// Panics when `action` is not an output unit.
+    pub fn train_step_masked(
         &mut self,
         input: &[f64],
         action: usize,
         target: f64,
-        opt: &mut O,
+        opt: &mut Adam,
     ) -> f64 {
         let (inputs, pres) = self.forward_trace(input);
         let last = self.layers.len() - 1;
-        let output = pres[last].clone();
+        let output = &pres[last];
         assert!(action < output.len(), "action index out of range");
         let error = output[action] - target;
         let mut grad = vec![0.0; output.len()];
@@ -183,33 +157,13 @@ impl Mlp {
             grad = self.layers[i].backward(&inputs[i], &grad);
         }
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            let (params, grads) = layer.params_and_grads();
-            opt.step(i, params, &grads);
+            layer.adam_step(i, opt);
         }
         error * error
     }
 
-    /// Serialises the network weights to a JSON-compatible value via `serde`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        // A compact, dependency-free encoding: layer sizes then raw f64 parameters.
-        // serde derives also allow serde_json in downstream crates; this binary form is
-        // used for quick in-process snapshotting (e.g. target networks).
-        let mut clone = self.clone();
-        let mut bytes = Vec::new();
-        bytes.extend((self.layers.len() as u32).to_le_bytes());
-        for layer in &mut clone.layers {
-            bytes.extend((layer.in_dim() as u32).to_le_bytes());
-            bytes.extend((layer.out_dim() as u32).to_le_bytes());
-            let (params, _) = layer.params_and_grads();
-            bytes.extend((params.len() as u32).to_le_bytes());
-            for p in params {
-                bytes.extend(p.to_le_bytes());
-            }
-        }
-        bytes
-    }
-
-    /// Copies all weights from `other` (used for Q-learning target networks).
+    /// Copies all weights and biases from `other`, but not its gradients (used for
+    /// Q-learning target networks).
     ///
     /// # Panics
     /// Panics when the architectures differ.
@@ -219,15 +173,8 @@ impl Mlp {
             other.layers.len(),
             "architecture mismatch"
         );
-        let mut other = other.clone();
-        for (dst, src) in self.layers.iter_mut().zip(other.layers.iter_mut()) {
-            let (src_params, _) = src.params_and_grads();
-            let src_values: Vec<f64> = src_params.into_iter().map(|p| *p).collect();
-            let (dst_params, _) = dst.params_and_grads();
-            assert_eq!(dst_params.len(), src_values.len(), "architecture mismatch");
-            for (d, v) in dst_params.into_iter().zip(src_values) {
-                *d = v;
-            }
+        for (dst, src) in self.layers.iter_mut().zip(&other.layers) {
+            dst.copy_params_from(src);
         }
     }
 }
@@ -235,7 +182,6 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::Adam;
 
     #[test]
     fn architecture_dimensions() {
@@ -305,7 +251,7 @@ mod tests {
         let before = loss_of(&net);
         for _ in 0..200 {
             for (x, y) in &data {
-                net.train_step(x, &[*y], &mut opt);
+                net.train_step_masked(x, 0, *y, &mut opt);
             }
         }
         let after = loss_of(&net);
@@ -341,17 +287,6 @@ mod tests {
         assert_ne!(a.forward(&x), b.forward(&x));
         a.copy_weights_from(&b);
         assert_eq!(a.forward(&x), b.forward(&x));
-    }
-
-    #[test]
-    fn to_bytes_changes_after_training() {
-        let mut net = Mlp::new(&[2, 4, 1], 0);
-        let before = net.to_bytes();
-        let mut opt = Adam::new(0.05);
-        net.train_step(&[1.0, 1.0], &[5.0], &mut opt);
-        let after = net.to_bytes();
-        assert_ne!(before, after);
-        assert_eq!(before.len(), after.len());
     }
 
     #[test]

@@ -1,40 +1,7 @@
-//! Gradient-descent optimizers.
-
-use serde::{Deserialize, Serialize};
-
-/// Common interface of optimizers: apply one update given parameters and gradients.
-///
-/// `param_group` identifies the layer so that stateful optimizers (Adam) keep separate
-/// moment estimates per layer.
-pub trait Optimizer {
-    /// Updates `params` in place using `grads`.
-    fn step(&mut self, param_group: usize, params: Vec<&mut f64>, grads: &[f64]);
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub learning_rate: f64,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(learning_rate: f64) -> Self {
-        Self { learning_rate }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, _param_group: usize, params: Vec<&mut f64>, grads: &[f64]) {
-        for (p, g) in params.into_iter().zip(grads) {
-            *p -= self.learning_rate * g;
-        }
-    }
-}
+//! The Adam optimizer.
 
 /// Adam optimizer (Kingma & Ba) with per-layer first/second moment state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.
     pub learning_rate: f64,
@@ -47,7 +14,7 @@ pub struct Adam {
     state: Vec<AdamState>,
 }
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct AdamState {
     m: Vec<f64>,
     v: Vec<f64>,
@@ -65,28 +32,42 @@ impl Adam {
             state: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, param_group: usize, params: Vec<&mut f64>, grads: &[f64]) {
-        while self.state.len() <= param_group {
-            self.state.push(AdamState::default());
+    /// Updates layer `layer`'s weights and biases in place from their gradients.
+    /// The layer's moments run over its weights, then its biases, and its step
+    /// count advances once per call; a layer whose parameter count changes starts
+    /// afresh.
+    pub(crate) fn step(
+        &mut self,
+        layer: usize,
+        weights: &mut [f64],
+        grad_weights: &[f64],
+        biases: &mut [f64],
+        grad_biases: &[f64],
+    ) {
+        if self.state.len() <= layer {
+            self.state.resize_with(layer + 1, AdamState::default);
         }
-        let state = &mut self.state[param_group];
-        if state.m.len() != grads.len() {
-            state.m = vec![0.0; grads.len()];
-            state.v = vec![0.0; grads.len()];
+        let (beta1, beta2) = (self.beta1, self.beta2);
+        let state = &mut self.state[layer];
+        let len = grad_weights.len() + grad_biases.len();
+        if state.m.len() != len {
+            state.m = vec![0.0; len];
+            state.v = vec![0.0; len];
             state.t = 0;
         }
         state.t += 1;
         let t = state.t as f64;
-        let bias1 = 1.0 - self.beta1.powf(t);
-        let bias2 = 1.0 - self.beta2.powf(t);
-        for (i, (p, &g)) in params.into_iter().zip(grads).enumerate() {
-            state.m[i] = self.beta1 * state.m[i] + (1.0 - self.beta1) * g;
-            state.v[i] = self.beta2 * state.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = state.m[i] / bias1;
-            let v_hat = state.v[i] / bias2;
+        let bias1 = 1.0 - beta1.powf(t);
+        let bias2 = 1.0 - beta2.powf(t);
+        let params = weights.iter_mut().chain(biases.iter_mut());
+        let grads = grad_weights.iter().chain(grad_biases);
+        let moments = state.m.iter_mut().zip(state.v.iter_mut());
+        for ((p, &g), (m, v)) in params.zip(grads).zip(moments) {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let m_hat = *m / bias1;
+            let v_hat = *v / bias2;
             *p -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
         }
     }
@@ -96,58 +77,53 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    fn minimize<O: Optimizer>(opt: &mut O, start: f64, steps: usize) -> f64 {
-        // Minimise f(x) = (x - 3)^2 with gradient 2(x - 3).
-        let mut x = start;
-        for _ in 0..steps {
-            let g = 2.0 * (x - 3.0);
-            opt.step(0, vec![&mut x], &[g]);
-        }
-        x
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let x = minimize(&mut opt, 10.0, 200);
-        assert!((x - 3.0).abs() < 1e-6, "got {x}");
-    }
-
     #[test]
     fn adam_converges_on_quadratic() {
+        // Minimise f(x) = (x - 3)^2 with gradient 2(x - 3).
         let mut opt = Adam::new(0.05);
-        let x = minimize(&mut opt, 10.0, 2000);
-        assert!((x - 3.0).abs() < 1e-3, "got {x}");
+        let mut x = [10.0];
+        for _ in 0..2000 {
+            let g = 2.0 * (x[0] - 3.0);
+            opt.step(0, &mut x, &[g], &mut [], &[]);
+        }
+        assert!((x[0] - 3.0).abs() < 1e-3, "got {}", x[0]);
     }
 
     #[test]
     fn adam_keeps_separate_state_per_group() {
         let mut opt = Adam::new(0.1);
-        let mut a = 0.0;
-        let mut b = 0.0;
-        opt.step(0, vec![&mut a], &[1.0]);
-        opt.step(1, vec![&mut b], &[1.0]);
-        // Both groups are at t=1, so the (bias-corrected) updates are identical.
-        assert!((a - b).abs() < 1e-12);
+        let mut a = [0.0];
+        let mut b = [0.0];
+        opt.step(0, &mut a, &[1.0], &mut [], &[]);
+        opt.step(1, &mut [], &[], &mut b, &[1.0]);
+        // Both layers are at t=1, so the (bias-corrected) updates are identical.
+        assert!((a[0] - b[0]).abs() < 1e-12);
         assert_eq!(opt.state.len(), 2);
-    }
-
-    #[test]
-    fn sgd_step_direction_opposes_gradient() {
-        let mut opt = Sgd::new(0.5);
-        let mut x = 1.0;
-        opt.step(0, vec![&mut x], &[2.0]);
-        assert_eq!(x, 0.0);
     }
 
     #[test]
     fn adam_resets_state_on_shape_change() {
         let mut opt = Adam::new(0.1);
-        let mut a = 0.0;
-        opt.step(0, vec![&mut a], &[1.0]);
-        let mut xs = [0.0, 0.0];
-        let (x0, x1) = xs.split_at_mut(1);
-        opt.step(0, vec![&mut x0[0], &mut x1[0]], &[1.0, 1.0]);
+        opt.step(0, &mut [0.0], &[1.0], &mut [], &[]);
+        opt.step(0, &mut [0.0], &[1.0], &mut [0.0], &[1.0]);
         assert_eq!(opt.state[0].m.len(), 2);
+        assert_eq!(opt.state[0].t, 1);
+    }
+
+    /// A layer's weights and biases share one moment vector, weights first: the
+    /// split update is the update of their concatenation, bit for bit.
+    #[test]
+    fn weights_and_biases_update_as_one_parameter_vector() {
+        let mut split = Adam::new(0.01);
+        let mut joined = Adam::new(0.01);
+        let (mut w, mut b) = ([0.5, -0.25, 1.5], [0.125, 2.0]);
+        let mut all = [0.5, -0.25, 1.5, 0.125, 2.0];
+        for k in 0..5 {
+            let grads: Vec<f64> = (0..5).map(|i| ((i * 3 + k) as f64).sin()).collect();
+            split.step(0, &mut w, &grads[..3], &mut b, &grads[3..]);
+            joined.step(0, &mut all, &grads, &mut [], &[]);
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&[&w[..], &b[..]].concat()), bits(&all));
     }
 }

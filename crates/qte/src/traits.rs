@@ -91,6 +91,18 @@ mod tests {
         assert_eq!(needed_slots(&q, &ro).count(), 0);
     }
 
+    /// A 34-predicate query under mask `0b1` needs only slot 0: predicates 32
+    /// and 33 lie past the mask and are never hinted.
+    #[test]
+    fn predicates_past_the_mask_need_no_slots() {
+        let q = (0..34).fold(Query::select("t"), |q, i| {
+            q.filter(Predicate::numeric_range(i, 0.0, 1.0))
+        });
+        let ro = RewriteOption::hinted(HintSet::with_mask(0b1));
+        assert!(!ro.hints.uses_index(32));
+        assert_eq!(needed_slots(&q, &ro).collect::<Vec<_>>(), vec![0]);
+    }
+
     #[test]
     fn join_hint_adds_dimension_slot() {
         let q = query(true);

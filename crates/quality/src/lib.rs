@@ -1,4 +1,4 @@
-//! # maliva-quality — visualization quality functions
+//! # maliva-quality — the visualization quality function
 //!
 //! When Maliva rewrites a query with an approximation rule, the rewritten query's
 //! result differs from the original query's result. The paper assumes a given quality
@@ -6,35 +6,12 @@
 //! restriction on which function is used — Jaccard similarity for scatterplots,
 //! distribution precision for pie charts, or perceptual functions such as VAS.
 //!
-//! This crate provides those quality functions over [`vizdb::exec::QueryResult`]s.
+//! This crate provides the one every experiment uses, Jaccard similarity (paper
+//! Fig. 9), over [`vizdb::exec::QueryResult`]s.
 
 use std::collections::BTreeSet;
 
 use vizdb::exec::QueryResult;
-use vizdb::query::BinGrid;
-
-/// Which quality function to apply, mirroring the paper's examples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QualityFunction {
-    /// Jaccard similarity of the visualized elements (paper Fig. 9).
-    Jaccard,
-    /// Distribution precision (Sample+Seek-style), suited to binned results.
-    DistributionPrecision,
-    /// A VAS-style perceptual proxy for scatterplots: coverage of the exact result's
-    /// occupied screen cells by the approximate result.
-    VasCoverage,
-}
-
-impl QualityFunction {
-    /// Evaluates the quality of `approx` against the ground-truth `exact` result.
-    pub fn evaluate(&self, exact: &QueryResult, approx: &QueryResult) -> f64 {
-        match self {
-            QualityFunction::Jaccard => jaccard_quality(exact, approx),
-            QualityFunction::DistributionPrecision => distribution_precision(exact, approx),
-            QualityFunction::VasCoverage => vas_coverage(exact, approx, 64, 32),
-        }
-    }
-}
 
 /// Jaccard similarity between the two results.
 ///
@@ -89,74 +66,6 @@ pub fn jaccard_quality(exact: &QueryResult, approx: &QueryResult) -> f64 {
             }
         }
         _ => 0.0,
-    }
-}
-
-/// Distribution precision for binned results: `1 − ½ Σ |p_i − q_i|` where `p` and `q`
-/// are the normalised bin distributions (total-variation-based precision, following the
-/// Sample+Seek notion of distribution accuracy). Non-binned results fall back to
-/// [`jaccard_quality`].
-pub fn distribution_precision(exact: &QueryResult, approx: &QueryResult) -> f64 {
-    match (exact.bin_map(), approx.bin_map()) {
-        (Some(a), Some(b)) => {
-            let total_a: f64 = a.values().map(|&c| c as f64).sum();
-            let total_b: f64 = b.values().map(|&c| c as f64).sum();
-            if total_a == 0.0 && total_b == 0.0 {
-                return 1.0;
-            }
-            if total_a == 0.0 || total_b == 0.0 {
-                return 0.0;
-            }
-            let keys: BTreeSet<u32> = a.keys().chain(b.keys()).copied().collect();
-            let mut tv = 0.0;
-            for k in keys {
-                let p = *a.get(&k).unwrap_or(&0) as f64 / total_a;
-                let q = *b.get(&k).unwrap_or(&0) as f64 / total_b;
-                tv += (p - q).abs();
-            }
-            (1.0 - 0.5 * tv).clamp(0.0, 1.0)
-        }
-        _ => jaccard_quality(exact, approx),
-    }
-}
-
-/// VAS-style coverage quality for scatterplots: the fraction of screen-space cells
-/// occupied by the exact result that are also occupied by the approximate result.
-/// A sampled scatterplot that still covers every visible region scores close to 1 even
-/// though it returns far fewer points, which matches how viewers perceive scatterplots.
-pub fn vas_coverage(exact: &QueryResult, approx: &QueryResult, cols: u32, rows: u32) -> f64 {
-    match (exact, approx) {
-        (QueryResult::Points(a), QueryResult::Points(b)) => {
-            if a.is_empty() {
-                return 1.0;
-            }
-            // Derive the screen extent from the exact result.
-            let mut min_lon = f64::INFINITY;
-            let mut min_lat = f64::INFINITY;
-            let mut max_lon = f64::NEG_INFINITY;
-            let mut max_lat = f64::NEG_INFINITY;
-            for (_, p) in a {
-                min_lon = min_lon.min(p.lon);
-                min_lat = min_lat.min(p.lat);
-                max_lon = max_lon.max(p.lon);
-                max_lat = max_lat.max(p.lat);
-            }
-            let extent = vizdb::types::GeoRect::new(min_lon, min_lat, max_lon, max_lat);
-            let grid = BinGrid::new(extent, cols.max(1), rows.max(1));
-            let cells_exact: BTreeSet<u32> = a
-                .iter()
-                .filter_map(|(_, p)| grid.bin_of(p.lon, p.lat))
-                .collect();
-            if cells_exact.is_empty() {
-                return 1.0;
-            }
-            let cells_approx: BTreeSet<u32> = b
-                .iter()
-                .filter_map(|(_, p)| grid.bin_of(p.lon, p.lat))
-                .collect();
-            cells_exact.intersection(&cells_approx).count() as f64 / cells_exact.len() as f64
-        }
-        _ => jaccard_quality(exact, approx),
     }
 }
 
@@ -225,74 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn distribution_precision_identical_distributions() {
-        let exact = QueryResult::Bins(vec![(0, 100), (1, 300)]);
-        let approx = QueryResult::Bins(vec![(0, 10), (1, 30)]);
-        // Same shape at a quarter of the volume: distribution is identical.
-        assert!((distribution_precision(&exact, &approx) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distribution_precision_detects_skew() {
-        let exact = QueryResult::Bins(vec![(0, 50), (1, 50)]);
-        let approx = QueryResult::Bins(vec![(0, 100)]);
-        // TV distance = |0.5-1.0| + |0.5-0| = 1.0 -> precision 0.5
-        assert!((distribution_precision(&exact, &approx) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distribution_precision_empty_cases() {
-        let empty = QueryResult::Bins(vec![]);
-        let full = QueryResult::Bins(vec![(0, 10)]);
-        assert_eq!(distribution_precision(&empty, &empty), 1.0);
-        assert_eq!(distribution_precision(&empty, &full), 0.0);
-    }
-
-    #[test]
-    fn vas_coverage_high_when_sample_covers_cells() {
-        // Points on a 10x10 grid; the sample keeps every other point, so most cells
-        // stay covered.
-        let exact: Vec<(i64, GeoPoint)> = (0..100)
-            .map(|i| (i, GeoPoint::new((i % 10) as f64, (i / 10) as f64)))
-            .collect();
-        let approx: Vec<(i64, GeoPoint)> = exact.iter().step_by(2).cloned().collect();
-        let q = vas_coverage(
-            &QueryResult::Points(exact),
-            &QueryResult::Points(approx),
-            10,
-            10,
-        );
-        assert!(q > 0.45, "coverage {q}");
-    }
-
-    #[test]
-    fn vas_coverage_zero_for_empty_approximation() {
-        let exact: Vec<(i64, GeoPoint)> =
-            (0..10).map(|i| (i, GeoPoint::new(i as f64, 0.0))).collect();
-        let approx: Vec<(i64, GeoPoint)> = vec![];
-        let q = vas_coverage(
-            &QueryResult::Points(exact),
-            &QueryResult::Points(approx),
-            10,
-            10,
-        );
-        assert_eq!(q, 0.0);
-    }
-
-    #[test]
-    fn quality_function_enum_dispatches() {
-        let exact = points(&[1, 2, 3, 4]);
-        let approx = points(&[1, 2]);
-        assert!((QualityFunction::Jaccard.evaluate(&exact, &approx) - 0.5).abs() < 1e-12);
-        assert!(QualityFunction::VasCoverage.evaluate(&exact, &approx) > 0.0);
-        let bins_a = QueryResult::Bins(vec![(0, 4), (1, 4)]);
-        let bins_b = QueryResult::Bins(vec![(0, 2), (1, 2)]);
-        assert!(
-            (QualityFunction::DistributionPrecision.evaluate(&bins_a, &bins_b) - 1.0).abs() < 1e-12
-        );
-    }
-
-    #[test]
     fn qualities_are_bounded() {
         let cases = [
             (points(&[1, 2, 3]), points(&[4, 5])),
@@ -303,14 +144,8 @@ mod tests {
             (QueryResult::Count(10), QueryResult::Count(3)),
         ];
         for (a, b) in &cases {
-            for f in [
-                QualityFunction::Jaccard,
-                QualityFunction::DistributionPrecision,
-                QualityFunction::VasCoverage,
-            ] {
-                let q = f.evaluate(a, b);
-                assert!((0.0..=1.0).contains(&q), "{f:?} out of bounds: {q}");
-            }
+            let q = jaccard_quality(a, b);
+            assert!((0.0..=1.0).contains(&q), "out of bounds: {q}");
         }
     }
 }

@@ -85,9 +85,10 @@ impl HintSet {
         !self.forced && self.join_method.is_none()
     }
 
-    /// Returns `true` when predicate `i`'s index is requested.
+    /// Returns `true` when predicate `i`'s index is requested. The mask holds 32
+    /// predicates, so a predicate at position 32 or later is never hinted.
     pub fn uses_index(&self, i: usize) -> bool {
-        self.index_mask & (1 << i) != 0
+        i < u32::BITS as usize && self.index_mask & (1 << i) != 0
     }
 
     /// Number of requested index scans.
@@ -188,6 +189,12 @@ mod tests {
         assert!(h.uses_index(2));
         assert_eq!(h.index_count(), 2);
         assert!(!h.is_empty());
+        // Past the mask's 32 bits nothing is hinted; the shift neither overflows
+        // nor wraps onto predicate `i % 32`.
+        assert!(HintSet::with_mask(1 << 31).uses_index(31));
+        for i in [32, 34, 64, usize::MAX] {
+            assert!(!h.uses_index(i), "predicate {i}");
+        }
     }
 
     #[test]

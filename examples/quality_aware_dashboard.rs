@@ -12,7 +12,6 @@ use maliva::{
     evaluate_workload, MalivaConfig, QualityAwareMode, QualityAwareRewriter, QueryRewriter,
 };
 use maliva_qte::{AccurateQte, QueryTimeEstimator};
-use maliva_quality::QualityFunction;
 use maliva_workload::{build_twitter, generate_workload, split_workload, DatasetScale};
 use vizdb::approx::ApproxRule;
 
@@ -34,7 +33,6 @@ fn main() {
         &split.train,
         rules.clone(),
         QualityAwareMode::OneStage,
-        QualityFunction::Jaccard,
         &config,
     )
     .expect("one-stage training");
@@ -44,7 +42,6 @@ fn main() {
         &split.train,
         rules,
         QualityAwareMode::TwoStage,
-        QualityFunction::Jaccard,
         &config,
     )
     .expect("two-stage training");

@@ -8,7 +8,6 @@ use maliva::{
     evaluate_workload, MalivaConfig, QualityAwareMode, QualityAwareRewriter, QueryRewriter,
 };
 use maliva_qte::{AccurateQte, QueryTimeEstimator};
-use maliva_quality::QualityFunction;
 use maliva_workload::{build_twitter, generate_workload, split_workload, DatasetScale};
 use vizdb::approx::ApproxRule;
 
@@ -38,7 +37,6 @@ fn quality_aware_rewriters_produce_valid_decisions_and_qualities() {
         &split.train,
         rules.clone(),
         QualityAwareMode::OneStage,
-        QualityFunction::Jaccard,
         &config(tau_ms),
     )
     .unwrap();
@@ -48,7 +46,6 @@ fn quality_aware_rewriters_produce_valid_decisions_and_qualities() {
         &split.train,
         rules,
         QualityAwareMode::TwoStage,
-        QualityFunction::Jaccard,
         &config(tau_ms),
     )
     .unwrap();
@@ -84,7 +81,6 @@ fn two_stage_keeps_exact_rewrites_for_easy_queries() {
         &split.train,
         ApproxRule::paper_limit_rules(),
         QualityAwareMode::TwoStage,
-        QualityFunction::Jaccard,
         &config(tau_ms),
     )
     .unwrap();
