@@ -96,8 +96,8 @@ pub struct DecisionCacheStats {
     pub insertions: u64,
     /// Entries dropped because their catalog generation was stale.
     pub stale_drops: u64,
-    /// Entries explicitly invalidated by the serving layer (e.g. decisions whose
-    /// execution came back degraded).
+    /// Entries explicitly invalidated by the serving layer (decisions whose
+    /// execution failed).
     pub invalidations: u64,
     /// Entries currently cached.
     pub entries: usize,
@@ -306,12 +306,9 @@ impl DecisionCache {
 
     /// Drops `key` from the cache, returning whether an entry was present.
     ///
-    /// The serving layer calls this when a decision's execution comes back
-    /// [`vizdb::ResultQuality::Degraded`]: the decision itself is still valid,
-    /// but a degraded answer means the backend was partially unhealthy when it
-    /// was planned/executed, so the next arrival of the same key re-plans
-    /// against the backend's current state instead of replaying a decision
-    /// whose viability was judged against a healthier topology.
+    /// The serving layer calls this when a decision's execution returns an
+    /// error, so the next arrival of the same key re-plans against the
+    /// backend's current state instead of replaying the failed decision.
     pub fn invalidate(&self, key: (u64, u64)) -> bool {
         let mut shard = self.shard(key).lock();
         let removed = shard.map.remove(&key).is_some();
@@ -546,9 +543,8 @@ mod tests {
         );
     }
 
-    /// The degraded-response satellite (cache half): an explicit invalidation
-    /// drops exactly the targeted key, counts once, and is a no-op for keys
-    /// that are absent.
+    /// An explicit invalidation drops exactly the targeted key, counts once,
+    /// and is a no-op for keys that are absent.
     #[test]
     fn invalidate_drops_only_the_targeted_key() {
         let cache = DecisionCache::new(DecisionCacheConfig::default());

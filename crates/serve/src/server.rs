@@ -5,32 +5,26 @@
 //! [`vizdb::ShardedBackend`]), a trained agent and a QTE, plus a
 //! [`DecisionCache`]. Each request is decided with [`maliva::decide_online`]
 //! (unless the decision cache already knows the answer), which executes nothing,
-//! and the chosen rewrite is then executed once, with
-//! [`QueryBackend::run_with_context`]. [`MalivaServer::serve_batch`] and
-//! [`MalivaServer::serve_queued`] share one drain loop: the caller admits
-//! request indices into a [`WorkQueue`] and scoped workers, at most one per
-//! request, pop and serve them. A batch's queue holds the whole batch, so it
-//! never sheds; `serve_queued`'s is bounded by `queue_capacity`.
+//! and the chosen rewrite is then executed once, with [`QueryBackend::run`].
+//! [`MalivaServer::serve_batch`] and [`MalivaServer::serve_queued`] share one
+//! drain loop: the caller admits request indices into a [`WorkQueue`] and
+//! scoped workers, at most one per request, pop and serve them. A batch's
+//! queue holds the whole batch, so it never sheds; `serve_queued`'s is bounded
+//! by `queue_capacity`.
 //!
 //! Every quantity a response carries is *simulated* and deterministic — planning
 //! cost, execution time, viability, the materialised result — so serving the same
 //! batch with 1 or 8 workers produces identical responses; only the wall-clock
 //! throughput changes. This is the invariant the concurrency smoke tests pin.
 //!
-//! Four serve-layer knobs ([`ServeConfig`]):
+//! Three serve-layer knobs ([`ServeConfig`]):
 //!
 //! * `workers` — threads that drain the queue, at most one per request;
 //! * `shards` — consumed by [`MalivaServer::over_database`], which mirrors the
 //!   database into that many per-region shards behind the same trait object;
 //! * `queue_capacity` — admission control: [`MalivaServer::serve_queued`] admits
 //!   requests into a bounded queue and sheds with an explicit
-//!   [`ServeOutcome::Rejected`] once it is full, instead of growing without bound;
-//! * `enforce_deadlines` — propagates the leftover τ (budget minus planning
-//!   cost) into execution as a per-shard deadline. Independently of the knob,
-//!   every request runs through [`QueryBackend::run_with_context`], so a
-//!   composite backend that loses shards (faults, open circuit breakers)
-//!   answers from the survivors and the response reports
-//!   [`vizdb::ResultQuality::Degraded`] instead of failing the request.
+//!   [`ServeOutcome::Rejected`] once it is full, instead of growing without bound.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -43,7 +37,7 @@ use vizdb::exec::QueryResult;
 use vizdb::hints::RewriteOption;
 use vizdb::query::Query;
 use vizdb::sync::atomic::{AtomicU64, Ordering};
-use vizdb::{Database, ExecContext, QueryBackend, ResultQuality, ShardedBackendBuilder};
+use vizdb::{Database, QueryBackend, ShardedBackendBuilder};
 
 use crate::cache::{CachedDecision, DecisionCache, DecisionCacheConfig, DecisionCacheStats};
 use crate::queue::WorkQueue;
@@ -67,12 +61,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Time budget τ applied to requests that don't carry their own.
     pub default_tau_ms: f64,
-    /// When set, the leftover budget (τ minus the planning cost) is propagated
-    /// into execution as a [`vizdb::QueryDeadline`], so a composite backend cuts
-    /// off shards that would blow the budget and degrades to the survivors
-    /// instead of awaiting them. Off by default: run-to-completion semantics are
-    /// preserved exactly (and byte-identically) unless the operator opts in.
-    pub enforce_deadlines: bool,
     /// Decision-cache sizing and τ-bucketing.
     pub cache: DecisionCacheConfig,
 }
@@ -84,7 +72,6 @@ impl Default for ServeConfig {
             shards: 1,
             queue_capacity: 1024,
             default_tau_ms: 500.0,
-            enforce_deadlines: false,
             cache: DecisionCacheConfig::default(),
         }
     }
@@ -137,36 +124,22 @@ pub struct ServeResponse {
     pub viable: bool,
     /// Whether planning was answered from the decision cache.
     pub cache_hit: bool,
-    /// How complete the answer is: [`ResultQuality::Full`] when every targeted
-    /// backend partition contributed, [`ResultQuality::Degraded`] when the
-    /// backend answered from a subset of shards (deadline cut-offs, open
-    /// circuits, faults) and reports what coverage the merge achieved.
-    pub quality: ResultQuality,
     /// The materialised visualization result.
     pub result: QueryResult,
 }
 
 impl ServeResponse {
-    /// Whether the backend answered from a strict subset of its partitions.
+    /// Always `false`: every answer is complete. Kept for `benchmark/` until
+    /// ROADMAP item 15 drops it.
     pub fn is_degraded(&self) -> bool {
-        self.quality.is_degraded()
+        false
     }
 
     /// The deterministic portion of the response — everything except
     /// `cache_hit`, which legitimately depends on request interleaving.
-    #[allow(clippy::type_complexity)]
     pub fn deterministic_view(
         &self,
-    ) -> (
-        usize,
-        usize,
-        &RewriteOption,
-        f64,
-        f64,
-        bool,
-        ResultQuality,
-        &QueryResult,
-    ) {
+    ) -> (usize, usize, &RewriteOption, f64, f64, bool, &QueryResult) {
         (
             self.request_index,
             self.chosen_index,
@@ -174,7 +147,6 @@ impl ServeResponse {
             self.planning_ms,
             self.exec_ms,
             self.viable,
-            self.quality,
             &self.result,
         )
     }
@@ -186,11 +158,8 @@ impl ServeResponse {
 pub enum ServeOutcome {
     /// The request was admitted, planned and executed to a complete answer.
     Served(ServeResponse),
-    /// The request was admitted and answered, but the backend lost one or more
-    /// shards (deadline cut-off, open circuit, fault) and the response merges
-    /// the survivors — an on-time partial answer, not a failure. The response's
-    /// [`ServeResponse::quality`] carries the missing-shard count and the
-    /// coverage fraction.
+    /// Never constructed: every admitted request is served in full or fails.
+    /// Kept for `benchmark/` until ROADMAP item 15 drops it.
     Degraded(ServeResponse),
     /// The request was shed at admission time.
     Rejected {
@@ -202,26 +171,12 @@ pub enum ServeOutcome {
 }
 
 impl ServeOutcome {
-    /// Wraps a response, classifying it by its result quality.
-    fn from_response(response: ServeResponse) -> Self {
-        if response.is_degraded() {
-            Self::Degraded(response)
-        } else {
-            Self::Served(response)
-        }
-    }
-
-    /// The response, if the request was answered (fully or degraded).
+    /// The response, if the request was answered.
     pub fn response(&self) -> Option<&ServeResponse> {
         match self {
             Self::Served(response) | Self::Degraded(response) => Some(response),
             Self::Rejected { .. } => None,
         }
-    }
-
-    /// Whether the request was answered from a strict subset of shards.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, Self::Degraded(_))
     }
 
     /// Whether the request was shed.
@@ -370,26 +325,15 @@ impl MalivaServer {
                 (self.cache.insert(key, planned, generation), false)
             }
         };
-        // With deadline enforcement on, execution gets the leftover slice of τ
-        // (simulated, like every other quantity); otherwise the classic
-        // run-to-completion context. Composite backends degrade to surviving
-        // shards on shard faults either way — only hard (query) errors propagate.
-        let ctx = if self.config.enforce_deadlines {
-            ExecContext::with_deadline((tau_ms - decision.planning_ms).max(0.0))
-        } else {
-            ExecContext::unbounded()
-        };
-        let report = self
+        let run = self
             .backend
-            .run_with_context(&request.query, &decision.rewrite, &ctx);
-        if report.as_ref().map_or(true, |r| r.quality.is_degraded()) {
-            // Don't let a decision whose execution failed or came back degraded
-            // sit in the cache: the next arrival of this key re-plans against
-            // the backend's current state instead of replaying the decision.
-            self.cache.invalidate(key);
-        }
-        let report = report?;
-        let run = report.outcome;
+            .run(&request.query, &decision.rewrite)
+            .inspect_err(|_| {
+                // Don't let a decision whose execution failed sit in the cache:
+                // the next arrival of this key re-plans against the backend's
+                // current state instead of replaying the decision.
+                self.cache.invalidate(key);
+            })?;
         let total_ms = decision.planning_ms + run.time_ms;
         Ok(ServeResponse {
             request_index,
@@ -400,7 +344,6 @@ impl MalivaServer {
             total_ms,
             viable: total_ms <= tau_ms,
             cache_hit,
-            quality: report.quality,
             result: run.result,
         })
     }
@@ -433,7 +376,7 @@ impl MalivaServer {
         self.drain(requests, capacity)
             .into_iter()
             .map(|slot| match slot {
-                Some(response) => response.map(ServeOutcome::from_response),
+                Some(response) => response.map(ServeOutcome::Served),
                 None => Ok(ServeOutcome::Rejected { queue_full: true }),
             })
             .collect()
@@ -797,10 +740,10 @@ mod tests {
     }
 
     /// Both entry points run the one drain loop. At `workers = 1` one thread
-    /// serves the requests in request order (the chaos and fault-determinism
-    /// tests rely on it); no more workers than requests serve a batch; and a
-    /// request that panics in `serve_one` resurfaces with the **earliest**
-    /// panicking request's payload, after every worker has left `serve_one`.
+    /// serves the requests in request order; no more workers than requests
+    /// serve a batch; and a request that panics in `serve_one` resurfaces
+    /// with the **earliest** panicking request's payload, after every worker
+    /// has left `serve_one`.
     /// The request index rides in the query's LIMIT (+1); the space builder is
     /// the hook on the serving thread.
     #[test]
@@ -921,23 +864,26 @@ mod tests {
         assert!(matches!(err, Error::InvalidQuery(_)), "{err}");
     }
 
-    /// Counts the executing calls that reach the backend it decorates.
+    /// Counts the executing calls that reach the backend it decorates; with
+    /// `fail` set, every `run` is counted and then returns [`Error::Internal`].
     struct CountingBackend {
         inner: Arc<dyn QueryBackend>,
+        fail: bool,
         runs: AtomicU64,
         timings: AtomicU64,
     }
 
     impl CountingBackend {
-        fn new(inner: Arc<dyn QueryBackend>) -> Arc<Self> {
+        fn new(inner: Arc<dyn QueryBackend>, fail: bool) -> Arc<Self> {
             Arc::new(Self {
                 inner,
+                fail,
                 runs: AtomicU64::new(0),
                 timings: AtomicU64::new(0),
             })
         }
 
-        /// `(run + run_with_context calls, execution_time_ms calls)` so far.
+        /// `(run calls, execution_time_ms calls)` so far.
         fn executing_calls(&self) -> (u64, u64) {
             (
                 self.runs.load(Ordering::Relaxed),
@@ -970,16 +916,10 @@ mod tests {
         }
         fn run(&self, query: &Query, ro: &RewriteOption) -> Result<vizdb::RunOutcome> {
             self.runs.fetch_add(1, Ordering::Relaxed);
+            if self.fail {
+                return Err(Error::Internal("injected run failure".into()));
+            }
             self.inner.run(query, ro)
-        }
-        fn run_with_context(
-            &self,
-            query: &Query,
-            ro: &RewriteOption,
-            ctx: &ExecContext,
-        ) -> Result<vizdb::RunReport> {
-            self.runs.fetch_add(1, Ordering::Relaxed);
-            self.inner.run_with_context(query, ro, ctx)
         }
         fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
             self.timings.fetch_add(1, Ordering::Relaxed);
@@ -1054,7 +994,7 @@ mod tests {
         let db = build_sampled_db();
         let backends: [Arc<dyn QueryBackend>; 2] = [db.clone(), backend_for_shards(db, 4).unwrap()];
         for backend in backends {
-            let counting = CountingBackend::new(backend);
+            let counting = CountingBackend::new(backend, false);
             let server = approximate_server(counting.clone(), Arc::new(RewriteSpace::hints_only));
             for i in 0..6u64 {
                 let request = ServeRequest::new(make_query(i));
@@ -1073,332 +1013,55 @@ mod tests {
         }
     }
 
-    /// Deciding no longer executes, so a rewrite whose execution hard-fails
-    /// (here: an injected backend error on each run) is cached before the
-    /// failure is seen; the failed run must take its decision back out.
+    /// Deciding no longer executes, so a rewrite whose execution fails (here:
+    /// a backend whose every `run` errs) is cached before the failure is seen;
+    /// the failed run must take its decision back out.
     #[test]
     fn a_decision_whose_execution_fails_does_not_stay_cached() {
-        use vizdb::{FaultInjectingBackend, FaultKind, FaultPlan};
-        let plan = FaultPlan::none(0)
-            .script(0, 0, FaultKind::Error)
-            .script(0, 1, FaultKind::Error);
-        let backend = FaultInjectingBackend::new(build_sampled_db(), Arc::new(plan), 0);
-        let server = approximate_server(Arc::new(backend), Arc::new(RewriteSpace::hints_only));
+        let backend = CountingBackend::new(build_sampled_db(), true);
+        let server = approximate_server(backend, Arc::new(RewriteSpace::hints_only));
         let request = ServeRequest::new(make_query(0));
         for _ in 0..2 {
             let err = server.serve_one(0, &request).unwrap_err();
-            assert!(matches!(err, Error::ShardUnavailable { .. }), "{err}");
+            assert!(matches!(err, Error::Internal(_)), "{err}");
         }
         let stats = server.cache_stats();
         assert_eq!(stats.entries, 0);
         assert_eq!((stats.misses, stats.hits), (2, 0));
     }
 
-    mod fault_tolerance {
-        use super::*;
-        use vizdb::{FaultKind, FaultPlan, FaultPolicy, FaultStats};
-
-        /// A database whose table carries a geo column, so mirroring it
-        /// *partitions* rows by longitude (rather than replicating them) and
-        /// queries without a spatial filter fan out across **all** shards —
-        /// the topology where shard faults produce partial answers.
-        fn build_geo_db() -> Arc<Database> {
-            let schema = TableSchema::new("tweets")
-                .with_column("id", ColumnType::Int)
-                .with_column("created_at", ColumnType::Timestamp)
-                .with_column("text", ColumnType::Text)
-                .with_column("coordinates", vizdb::schema::ColumnType::Geo);
-            let mut b = TableBuilder::new(schema);
-            for i in 0..3000i64 {
-                b.push_row(|row| {
-                    row.set_int("id", i);
-                    row.set_timestamp("created_at", i * 60);
-                    let unique = format!("u{i}");
-                    let words: Vec<&str> = if i % 4 == 0 {
-                        vec!["covid", unique.as_str()]
-                    } else {
-                        vec!["weather", unique.as_str()]
-                    };
-                    row.set_text("text", &words);
-                    row.set_geo(
-                        "coordinates",
-                        -120.0 + (i % 100) as f64 * 0.1,
-                        35.0 + (i % 50) as f64 * 0.1,
-                    );
-                });
-            }
-            let mut db = Database::new(DbConfig::default());
-            db.register_table(b.build()).unwrap();
-            db.build_all_indexes("tweets").unwrap();
-            Arc::new(db)
-        }
-
-        /// Seed for the chaos tests. Overridable through `MALIVA_FAULT_SEED` so
-        /// CI can sweep seeds; every assertion below must hold for *any* seed.
-        fn fault_seed() -> u64 {
-            let Some(seed) = std::env::var_os("MALIVA_FAULT_SEED") else {
-                return 42;
-            };
-            seed.to_str()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| {
-                    panic!(
-                        "MALIVA_FAULT_SEED must be a whole number, got `{}`",
-                        seed.to_string_lossy()
-                    )
-                })
-        }
-
-        /// A server over `db` mirrored into four fault-injected shards.
-        fn chaos_server(
-            db: &Arc<Database>,
-            plan: FaultPlan,
-            policy: FaultPolicy,
-            config: ServeConfig,
-        ) -> MalivaServer {
-            let backend = Arc::new(
-                ShardedBackendBuilder::mirror_builder(db, 4)
-                    .unwrap()
-                    .with_fault_policy(policy)
-                    .build_with_faults(plan),
-            );
-            server_over(backend, config)
-        }
-
-        fn single_worker() -> ServeConfig {
+    /// With the shed count taken under the queue lock, concurrent queued
+    /// batches can never lose or double-count a rejection — the counter equals the rejections actually returned.
+    #[test]
+    fn shed_count_matches_rejections_under_concurrent_queued_batches() {
+        let server = server_over(
+            build_db(),
             ServeConfig {
-                workers: 1,
+                workers: 2,
+                queue_capacity: 1,
                 ..ServeConfig::default()
-            }
-        }
-
-        /// The degraded-response satellite (server half): a decision whose
-        /// execution came back degraded is dropped from the decision cache, so
-        /// the next identical request re-plans — and, the transient fault gone,
-        /// serves a full answer again.
-        #[test]
-        fn degraded_responses_do_not_poison_the_decision_cache() {
-            let db = build_geo_db();
-            // Shard 0 fails the first request's initial attempt and both
-            // retries, then recovers.
-            let plan = FaultPlan::none(1)
-                .script(0, 0, FaultKind::Error)
-                .script(0, 1, FaultKind::Error)
-                .script(0, 2, FaultKind::Error);
-            let server = chaos_server(&db, plan, FaultPolicy::default(), single_worker());
-            let request = ServeRequest::new(make_query(0));
-
-            let first = server.serve_one(0, &request).unwrap();
-            assert!(first.is_degraded(), "shard 0 must fail all three attempts");
-            match first.quality {
-                ResultQuality::Degraded {
-                    shards_missing,
-                    coverage_fraction,
-                } => {
-                    assert_eq!(shards_missing, 1);
-                    assert!(
-                        coverage_fraction > 0.0 && coverage_fraction < 1.0,
-                        "three of four shards survived: coverage {coverage_fraction}"
-                    );
-                }
-                ResultQuality::Full => unreachable!(),
-            }
-            assert_eq!(server.cache_stats().invalidations, 1);
-
-            let second = server.serve_one(1, &request).unwrap();
-            assert!(
-                !second.cache_hit,
-                "the decision behind a degraded answer must have been dropped"
-            );
-            assert!(!second.is_degraded(), "shard 0 recovered at arrival 3");
-        }
-
-        /// The deadline knob: with enforcement on, a shard whose (simulated)
-        /// execution would blow the leftover budget is cut off and the request
-        /// degrades to the survivors; with enforcement off the same delay is
-        /// awaited — slow but complete.
-        #[test]
-        fn enforced_deadlines_degrade_instead_of_awaiting_slow_shards() {
-            let db = build_geo_db();
-            let slow_plan =
-                || FaultPlan::none(2).script(1, 0, FaultKind::Delay { extra_ms: 1.0e6 });
-
-            let enforcing = chaos_server(
-                &db,
-                slow_plan(),
-                FaultPolicy::default(),
-                ServeConfig {
-                    workers: 1,
-                    default_tau_ms: 1.0e4,
-                    enforce_deadlines: true,
-                    ..ServeConfig::default()
-                },
-            );
-            let response = enforcing
-                .serve_one(0, &ServeRequest::new(make_query(0)))
-                .unwrap();
-            assert!(response.is_degraded());
-            assert!(
-                response.exec_ms <= 1.0e4,
-                "a cut-off shard must not inflate exec time past the deadline: {}",
-                response.exec_ms
-            );
-            let stats = enforcing.backend().fault_stats();
-            assert_eq!(stats.timeouts, 1);
-            assert_eq!(stats.retries, 0, "deadline misses are never retried");
-
-            let relaxed = chaos_server(&db, slow_plan(), FaultPolicy::default(), single_worker());
-            let slow = relaxed
-                .serve_one(0, &ServeRequest::new(make_query(0)))
-                .unwrap();
-            assert!(
-                !slow.is_degraded(),
-                "without a deadline the delay is awaited"
-            );
-            assert!(slow.exec_ms >= 1.0e6);
-            assert!(!slow.viable, "an awaited mega-delay cannot meet τ");
-        }
-
-        /// The chaos acceptance test: at a seeded 20% per-shard fault rate over
-        /// a 4-shard backend, queued serving produces **zero hard errors** —
-        /// every request ends Served, Degraded (with a sane coverage fraction)
-        /// or Rejected.
-        #[test]
-        fn chaos_queued_serving_yields_no_hard_errors_at_twenty_percent_faults() {
-            let db = build_geo_db();
-            let plan = FaultPlan::with_rates(fault_seed(), 0.0, 0.20, 0.0, 0.0);
-            // No retries: every injected fault costs its shard, so the 20%
-            // rate shows up as degradation instead of being retried away.
-            let policy = FaultPolicy {
-                max_retries: 0,
-                ..FaultPolicy::default()
-            };
-            let server = chaos_server(&db, plan, policy, single_worker());
-            let outcomes = server.serve_queued(&batch(60)).unwrap();
-            assert_eq!(outcomes.len(), 60);
-
-            let mut served = 0usize;
-            let mut degraded = 0usize;
-            for outcome in &outcomes {
-                match outcome {
-                    ServeOutcome::Served(r) => {
-                        assert!(!r.is_degraded());
-                        served += 1;
-                    }
-                    ServeOutcome::Degraded(r) => {
-                        match r.quality {
-                            ResultQuality::Degraded {
-                                shards_missing,
-                                coverage_fraction,
-                            } => {
-                                assert!((1..=4).contains(&shards_missing));
-                                assert!(
-                                    (0.0..1.0).contains(&coverage_fraction),
-                                    "a degraded answer covers a strict subset: {coverage_fraction}"
-                                );
-                            }
-                            ResultQuality::Full => unreachable!("Degraded outcome, Full quality"),
-                        }
-                        degraded += 1;
-                    }
-                    ServeOutcome::Rejected { .. } => {}
-                }
-            }
-            assert!(served > 0, "some requests must dodge every fault");
-            assert!(
-                degraded > 0,
-                "a 20% per-shard fault rate must degrade some of 60 requests"
-            );
-        }
-
-        /// Chaos runs are reproducible: the same seed over a fresh identical
-        /// backend yields an identical outcome sequence (single worker, so even
-        /// cache hits are deterministic).
-        #[test]
-        fn chaos_outcome_sequences_are_deterministic_for_a_fixed_seed() {
-            let db = build_geo_db();
-            let run_once = || {
-                let plan = FaultPlan::with_rates(fault_seed(), 0.0, 0.15, 0.05, 9.0);
-                let policy = FaultPolicy {
-                    max_retries: 1,
-                    ..FaultPolicy::default()
-                };
-                chaos_server(&db, plan, policy, single_worker())
-                    .serve_batch(&batch(24))
-                    .unwrap()
-            };
-            let first = run_once();
-            let second = run_once();
-            assert_eq!(first.len(), second.len());
-            for (a, b) in first.iter().zip(&second) {
-                assert_eq!(a.deterministic_view(), b.deterministic_view());
-                assert_eq!(a.cache_hit, b.cache_hit);
-            }
-        }
-
-        /// The degradation contract's other half: a rate-0 fault plan is a
-        /// perfect no-op — served responses are byte-identical to an unfaulted
-        /// mirror backend and no fault handling is ever counted.
-        #[test]
-        fn fault_rate_zero_serving_is_byte_identical_to_the_unfaulted_backend() {
-            let db = build_geo_db();
-            let requests = batch(12);
-            let plain: Arc<dyn QueryBackend> =
-                Arc::new(ShardedBackendBuilder::mirror(&db, 4).unwrap());
-            let reference = server_over(plain, single_worker())
-                .serve_batch(&requests)
-                .unwrap();
-            let faulted = chaos_server(
-                &db,
-                FaultPlan::none(fault_seed()),
-                FaultPolicy::default(),
-                single_worker(),
-            );
-            let observed = faulted.serve_batch(&requests).unwrap();
-            for (a, b) in reference.iter().zip(&observed) {
-                assert_eq!(a.deterministic_view(), b.deterministic_view());
-            }
-            assert_eq!(
-                faulted.backend().fault_stats(),
-                FaultStats::default(),
-                "a rate-0 plan must cause no fault handling at all"
-            );
-        }
-
-        /// The shed-counter satellite: with the count taken under the queue
-        /// lock, concurrent queued batches can never lose or double-count a
-        /// rejection — the counter equals the rejections actually returned.
-        #[test]
-        fn shed_count_matches_rejections_under_concurrent_queued_batches() {
-            let server = server_over(
-                build_db(),
-                ServeConfig {
-                    workers: 2,
-                    queue_capacity: 1,
-                    ..ServeConfig::default()
-                },
-            );
-            let requests = batch(60);
-            let rejected: usize = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..4)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            server
-                                .serve_queued(&requests)
-                                .unwrap()
-                                .iter()
-                                .filter(|o| o.is_rejected())
-                                .count()
-                        })
+            },
+        );
+        let requests = batch(60);
+        let rejected: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        server
+                            .serve_queued(&requests)
+                            .unwrap()
+                            .iter()
+                            .filter(|o| o.is_rejected())
+                            .count()
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum()
-            });
-            assert_eq!(
-                server.shed_count(),
-                rejected as u64,
-                "every rejection must be counted exactly once"
-            );
-        }
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(
+            server.shed_count(),
+            rejected as u64,
+            "every rejection must be counted exactly once"
+        );
     }
 }

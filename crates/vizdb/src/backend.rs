@@ -27,123 +27,31 @@ use crate::schema::TableSchema;
 use crate::stats::TableStats;
 use crate::storage::Table;
 
-/// The remaining (simulated) time budget a query execution may spend.
-///
-/// The paper's τ budget historically stopped at the planner; a deadline carries
-/// the *leftover* slice (τ minus planning cost) down into execution, so a
-/// composite backend can cut off shards that would blow the budget instead of
-/// awaiting them. All deadlines are in **simulated milliseconds** — the same
-/// deterministic clock every other quantity in `vizdb` uses — so deadline
-/// decisions are reproducible, never wall-clock races.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueryDeadline {
-    /// Simulated milliseconds the execution may still spend.
-    pub remaining_ms: f64,
-}
-
-/// Per-request execution context threaded from the serving layer down into the
-/// backend (and, for composite backends, into every per-shard job).
+/// An execution context for [`QueryBackend::run_with_context`]. It carries
+/// nothing: every run completes. Kept for `benchmark/` until ROADMAP item 15
+/// drops it.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ExecContext {
-    /// The execution deadline, if the caller enforces one. `None` preserves the
-    /// classic run-to-completion semantics.
-    pub deadline: Option<QueryDeadline>,
-}
+pub struct ExecContext;
 
 impl ExecContext {
-    /// A context without a deadline (run to completion).
+    /// The one context there is.
     pub fn unbounded() -> Self {
-        Self::default()
-    }
-
-    /// A context whose execution must finish within `remaining_ms` simulated
-    /// milliseconds.
-    pub fn with_deadline(remaining_ms: f64) -> Self {
-        Self {
-            deadline: Some(QueryDeadline {
-                remaining_ms: remaining_ms.max(0.0),
-            }),
-        }
-    }
-
-    /// The deadline in milliseconds, if any.
-    pub fn deadline_ms(&self) -> Option<f64> {
-        self.deadline.map(|d| d.remaining_ms)
+        Self
     }
 }
 
-/// How complete a served result is.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ResultQuality {
-    /// Every targeted partition contributed; the result is the exact answer of
-    /// the chosen rewrite.
-    Full,
-    /// One or more shards were cut off (deadline), open-circuited, or failed;
-    /// the result merges the surviving shards and is an on-time *partial*
-    /// answer.
-    Degraded {
-        /// Number of targeted shards that contributed no answer.
-        shards_missing: usize,
-        /// Fraction of the targeted rows the merged answer covers, in `[0, 1]`:
-        /// the surviving shards' rows over all targeted rows.
-        coverage_fraction: f64,
-    },
-}
-
-impl ResultQuality {
-    /// Whether the result is degraded.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, ResultQuality::Degraded { .. })
-    }
-}
-
-/// Monotonic fault-handling counters of a backend (all zero for backends without
-/// partial-failure machinery). Also used per-request in [`RunReport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Shard attempts retried after a transient fault.
-    pub retries: u64,
-    /// Shard executions cut off by a deadline.
-    pub timeouts: u64,
-    /// Shard jobs that panicked (caught and surfaced as [`crate::Error::ShardPanic`]).
-    pub panics: u64,
-    /// Requests a shard refused because its circuit breaker was open.
-    pub breaker_open_skips: u64,
-    /// Requests answered degraded (merged from a strict subset of shards).
-    pub degraded: u64,
-}
-
-impl FaultStats {
-    /// Component-wise sum.
-    pub fn add(&mut self, other: &FaultStats) {
-        self.retries += other.retries;
-        self.timeouts += other.timeouts;
-        self.panics += other.panics;
-        self.breaker_open_skips += other.breaker_open_skips;
-        self.degraded += other.degraded;
-    }
-}
-
-/// A [`QueryBackend::run_with_context`] result: the merged outcome plus how
-/// complete it is and what fault handling it took to produce it.
+/// A [`QueryBackend::run_with_context`] result: the run outcome. Kept for
+/// `benchmark/` until ROADMAP item 15 drops it.
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// The (possibly partial) run outcome.
+    /// The run outcome.
     pub outcome: RunOutcome,
-    /// Whether every targeted partition contributed.
-    pub quality: ResultQuality,
-    /// Fault-handling work this request caused (zero for a clean run).
-    pub faults: FaultStats,
 }
 
 impl RunReport {
-    /// Wraps a complete, fault-free outcome.
+    /// Wraps an outcome.
     pub fn full(outcome: RunOutcome) -> Self {
-        Self {
-            outcome,
-            quality: ResultQuality::Full,
-            faults: FaultStats::default(),
-        }
+        Self { outcome }
     }
 }
 
@@ -180,14 +88,8 @@ pub trait QueryBackend: Send + Sync {
     /// profile and simulated execution time.
     fn run(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome>;
 
-    /// Runs the rewritten query under an execution context, reporting result
-    /// completeness and fault-handling work alongside the outcome.
-    ///
-    /// The default implementation ignores the context and wraps [`Self::run`]:
-    /// a monolithic backend has no partial execution to cut, so a deadline is
-    /// advisory there. Composite backends (sharding, remote pools) override
-    /// this to enforce per-partition deadlines and degrade gracefully to the
-    /// surviving partitions instead of failing the whole request.
+    /// [`Self::run`] wrapped in a [`RunReport`]. Kept for `benchmark/` until
+    /// ROADMAP item 15 drops it.
     fn run_with_context(
         &self,
         query: &Query,
@@ -196,13 +98,6 @@ pub trait QueryBackend: Send + Sync {
     ) -> Result<RunReport> {
         let _ = ctx;
         Ok(RunReport::full(self.run(query, ro)?))
-    }
-
-    /// Cumulative fault-handling counters (retries, timeouts, panics, breaker
-    /// skips, degraded answers). Zero for backends without partial-failure
-    /// machinery.
-    fn fault_stats(&self) -> FaultStats {
-        FaultStats::default()
     }
 
     /// Simulated execution time of `query` rewritten with `ro`, without
@@ -378,10 +273,6 @@ impl<T: QueryBackend + ?Sized> QueryBackend for std::sync::Arc<T> {
         ctx: &ExecContext,
     ) -> Result<RunReport> {
         (**self).run_with_context(query, ro, ctx)
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        (**self).fault_stats()
     }
 
     fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {

@@ -67,43 +67,6 @@ pub enum Error {
     /// An internal invariant was violated (a bug in the caller or in this crate);
     /// returned instead of panicking on the online planning hot path.
     Internal(String),
-    /// A shard panicked while executing a query. The panic payload is captured
-    /// so partial-failure handling can surface *which* shard blew up and why,
-    /// instead of a generic internal error.
-    ShardPanic {
-        /// The shard that panicked.
-        shard: usize,
-        /// The stringified panic payload.
-        payload: String,
-    },
-    /// A shard's (simulated) execution time exceeded the per-shard deadline
-    /// carried by the request's execution context.
-    ShardTimeout {
-        /// The shard that missed its deadline.
-        shard: usize,
-    },
-    /// A shard refused the query without executing it — its circuit breaker is
-    /// open, or a fault-injection plan declared it unavailable.
-    ShardUnavailable {
-        /// The unavailable shard.
-        shard: usize,
-        /// Why the shard refused (e.g. "circuit open", "injected fault").
-        reason: String,
-    },
-}
-
-impl Error {
-    /// Whether this error is a *shard fault* — a partial-failure condition of one
-    /// backend shard (panic, deadline miss, open circuit, injected fault) rather
-    /// than a property of the query itself. Shard faults are eligible for
-    /// bounded retry and for graceful degradation (answering from the surviving
-    /// shards); query errors such as [`Error::InvalidQuery`] are not.
-    pub fn is_shard_fault(&self) -> bool {
-        matches!(
-            self,
-            Error::ShardPanic { .. } | Error::ShardTimeout { .. } | Error::ShardUnavailable { .. }
-        )
-    }
 }
 
 impl fmt::Display for Error {
@@ -143,15 +106,6 @@ impl fmt::Display for Error {
             Error::InvalidRewrite(msg) => write!(f, "invalid rewrite option: {msg}"),
             Error::EmptyWorkload => write!(f, "training workload is empty"),
             Error::Internal(msg) => write!(f, "internal invariant violated: {msg}"),
-            Error::ShardPanic { shard, payload } => {
-                write!(f, "shard {shard} panicked: {payload}")
-            }
-            Error::ShardTimeout { shard } => {
-                write!(f, "shard {shard} exceeded its execution deadline")
-            }
-            Error::ShardUnavailable { shard, reason } => {
-                write!(f, "shard {shard} unavailable: {reason}")
-            }
         }
     }
 }
@@ -203,49 +157,5 @@ mod tests {
         let a = Error::InvalidAttribute(3);
         let b = a.clone();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn shard_faults_are_classified_and_query_errors_are_not() {
-        let faults = [
-            Error::ShardPanic {
-                shard: 2,
-                payload: "boom".into(),
-            },
-            Error::ShardTimeout { shard: 1 },
-            Error::ShardUnavailable {
-                shard: 0,
-                reason: "circuit open".into(),
-            },
-        ];
-        for fault in &faults {
-            assert!(fault.is_shard_fault(), "{fault} must classify as a fault");
-        }
-        for benign in [
-            Error::InvalidQuery("bad".into()),
-            Error::TableNotFound("t".into()),
-            Error::Internal("bug".into()),
-        ] {
-            assert!(!benign.is_shard_fault(), "{benign} must not be a fault");
-        }
-    }
-
-    #[test]
-    fn shard_fault_display_names_the_shard() {
-        assert!(Error::ShardPanic {
-            shard: 3,
-            payload: "job blew up".into()
-        }
-        .to_string()
-        .contains("shard 3"));
-        assert!(Error::ShardTimeout { shard: 1 }
-            .to_string()
-            .contains("deadline"));
-        assert!(Error::ShardUnavailable {
-            shard: 2,
-            reason: "circuit open".into()
-        }
-        .to_string()
-        .contains("circuit open"));
     }
 }

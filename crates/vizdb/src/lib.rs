@@ -51,7 +51,6 @@ pub mod cache;
 pub mod db;
 pub mod error;
 pub mod exec;
-pub mod fault;
 pub mod fingerprint;
 pub mod hints;
 pub mod index;
@@ -66,13 +65,8 @@ pub mod sync;
 pub mod timing;
 pub mod types;
 
-pub use backend::{
-    ExecContext, FaultStats, QueryBackend, QueryDeadline, ResultQuality, RunReport, SharedBackend,
-};
+pub use backend::{ExecContext, QueryBackend, RunReport, SharedBackend};
 pub use cache::FingerprintCache;
 pub use db::{Database, DbConfig, DbProfile, RunOutcome};
 pub use error::{Error, Result};
-pub use fault::{FaultInjectingBackend, FaultKind, FaultPlan};
-pub use sharded::{
-    BreakerState, CircuitBreaker, FaultCounters, FaultPolicy, ShardedBackend, ShardedBackendBuilder,
-};
+pub use sharded::{ShardedBackend, ShardedBackendBuilder};

@@ -6,13 +6,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use super::resilience::{CircuitBreaker, FaultCounters, FaultPolicy};
 use super::tiles::{TablePartition, GRID_DIM};
 use super::ShardedBackend;
 use crate::backend::QueryBackend;
 use crate::db::{Database, DbConfig};
 use crate::error::{Error, Result};
-use crate::fault::{FaultInjectingBackend, FaultPlan};
 use crate::schema::{ColumnType, TableSchema};
 use crate::stats::TableStats;
 use crate::storage::Table;
@@ -25,7 +23,6 @@ pub struct ShardedBackendBuilder {
     partitions: HashMap<String, TablePartition>,
     schemas: HashMap<String, TableSchema>,
     global_stats: HashMap<String, TableStats>,
-    policy: FaultPolicy,
 }
 
 impl ShardedBackendBuilder {
@@ -40,14 +37,7 @@ impl ShardedBackendBuilder {
             partitions: HashMap::new(),
             schemas: HashMap::new(),
             global_stats: HashMap::new(),
-            policy: FaultPolicy::default(),
         }
-    }
-
-    /// Overrides the retry/backoff/breaker policy (see [`FaultPolicy`]).
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Overrides the tiles per axis of the partition grid (default 64, so
@@ -154,9 +144,9 @@ impl ShardedBackendBuilder {
     }
 
     /// Finalises the backend with each shard wrapped by `wrap(shard_index,
-    /// shard)` — the composition hook that lets decorators (fault injection,
-    /// instrumentation) sit between the fan-out machinery and the per-shard
-    /// databases without the backend knowing.
+    /// shard)`, so a test decorator (one that records or fails a shard's
+    /// calls) sits between the fan-out and the per-shard databases without
+    /// the backend knowing.
     pub fn build_wrapped(
         self,
         wrap: impl Fn(usize, Arc<dyn QueryBackend>) -> Arc<dyn QueryBackend>,
@@ -168,31 +158,18 @@ impl ShardedBackendBuilder {
             .map(|(i, db)| wrap(i, Arc::new(db) as Arc<dyn QueryBackend>))
             .collect();
         ShardedBackend {
-            breakers: (0..shards.len()).map(|_| CircuitBreaker::new()).collect(),
             shards,
             partitions: self.partitions,
-            faults: FaultCounters::default(),
-            policy: self.policy,
             schemas: self.schemas,
             global_stats: self.global_stats,
         }
     }
 
-    /// Finalises the backend with every shard wrapped in a
-    /// [`FaultInjectingBackend`] drawing from `plan` — the chaos-testing entry
-    /// point used by the serve tests.
-    pub fn build_with_faults(self, plan: FaultPlan) -> ShardedBackend {
-        let plan = Arc::new(plan);
-        self.build_wrapped(move |i, shard| {
-            Arc::new(FaultInjectingBackend::new(shard, Arc::clone(&plan), i))
-        })
-    }
-
     /// A builder mirroring an already-loaded [`Database`]: same configuration,
-    /// tables, indexes and sample fractions — ready for a policy override or a
-    /// wrapped build. More shards than the grid's tiles (a shard beyond them
-    /// would own none) is an [`Error::Internal`], returned before any shard
-    /// database is allocated.
+    /// tables, indexes and sample fractions — ready for a wrapped build or for
+    /// reading its shards. More shards than the grid's tiles (a shard beyond
+    /// them would own none) is an [`Error::Internal`], returned before any
+    /// shard database is allocated.
     pub fn mirror_builder(db: &Database, shards: usize) -> Result<Self> {
         let tiles = (GRID_DIM as usize).pow(2);
         if shards > tiles {

@@ -73,20 +73,17 @@
 
 mod builder;
 mod merge;
-mod resilience;
 mod tiles;
 
 pub use builder::ShardedBackendBuilder;
-pub use resilience::{BreakerState, CircuitBreaker, FaultCounters, FaultPolicy};
 
 use merge::{canonicalise_points, merge_outcomes};
-use resilience::{ShardCall, ShardGuard};
 use tiles::{QueryWindow, TablePartition};
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::backend::{ExecContext, FaultStats, QueryBackend, ResultQuality, RunReport};
+use crate::backend::QueryBackend;
 use crate::db::{DbConfig, RunOutcome};
 use crate::error::{Error, Result};
 use crate::exec::QueryResult;
@@ -95,23 +92,18 @@ use crate::plan::PhysicalPlan;
 use crate::query::{OutputKind, Predicate, Query};
 use crate::schema::TableSchema;
 use crate::stats::TableStats;
-use crate::timing::WorkProfile;
 
 /// N per-region [`Database`](crate::Database) shards behind the
 /// [`QueryBackend`] surface.
 ///
-/// Each shard is held as an `Arc<dyn QueryBackend>` so decorators (fault
-/// injection, instrumentation) compose underneath the fan-out machinery; a
-/// plain build wraps each [`Database`](crate::Database) directly.
+/// Each shard is held as an `Arc<dyn QueryBackend>` so a test decorator can
+/// sit between the fan-out and a shard (see
+/// [`ShardedBackendBuilder::build_wrapped`]); a plain build wraps each
+/// [`Database`](crate::Database) directly.
 pub struct ShardedBackend {
     shards: Vec<Arc<dyn QueryBackend>>,
     /// How each registered table is laid out over `shards`.
     partitions: HashMap<String, TablePartition>,
-    /// One circuit breaker per shard, shared by every serving thread.
-    breakers: Vec<CircuitBreaker>,
-    /// Cumulative fault counters across every request since build.
-    faults: FaultCounters,
-    policy: FaultPolicy,
     schemas: HashMap<String, TableSchema>,
     global_stats: HashMap<String, TableStats>,
 }
@@ -208,166 +200,6 @@ impl ShardedBackend {
         self.route(query)
     }
 
-    /// The current circuit-breaker state of every shard, in shard order. The
-    /// fault counters beside them are [`QueryBackend::fault_stats`].
-    pub fn breaker_states(&self) -> Vec<BreakerState> {
-        self.breakers.iter().map(CircuitBreaker::state).collect()
-    }
-
-    /// The retry/backoff/breaker policy this backend runs under.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.policy
-    }
-
-    /// Runs `call` on every target shard in route order on the calling thread,
-    /// each behind its [`ShardGuard`], and returns the results in target
-    /// order. Every target runs even after one fails, so breakers, fault
-    /// counters and the per-shard arrival sequence see the whole request (see
-    /// the module docs for why the shards share one thread).
-    fn fan_out(&self, targets: &[usize], call: &ShardCall<'_>) -> Vec<(usize, Result<RunOutcome>)> {
-        let attempt = |shard: usize| {
-            let guard = ShardGuard {
-                shard,
-                breaker: &self.breakers[shard],
-                policy: self.policy,
-            };
-            (shard, guard.attempt(self.shards[shard].as_ref(), call))
-        };
-        targets.iter().copied().map(attempt).collect()
-    }
-
-    /// The single execution entry behind both [`QueryBackend::run`] (strict:
-    /// any shard fault fails the request) and
-    /// [`QueryBackend::run_with_context`] (`degrade = true`: shard faults are
-    /// absorbed into a degraded answer). Per-request fault counters are
-    /// reported in the [`RunReport`] and folded into the backend's cumulative
-    /// counters.
-    fn execute(
-        &self,
-        query: &Query,
-        ro: &RewriteOption,
-        ctx: &ExecContext,
-        degrade: bool,
-    ) -> Result<RunReport> {
-        let local = FaultCounters::default();
-        let inner = self.execute_inner(query, ro, ctx, degrade, &local);
-        let faults = local.snapshot();
-        self.faults.absorb(&faults);
-        inner.map(|(outcome, quality)| RunReport {
-            outcome,
-            quality,
-            faults,
-        })
-    }
-
-    fn execute_inner(
-        &self,
-        query: &Query,
-        ro: &RewriteOption,
-        ctx: &ExecContext,
-        degrade: bool,
-        local: &FaultCounters,
-    ) -> Result<(RunOutcome, ResultQuality)> {
-        let targets = self.route(query)?;
-        let call = ShardCall {
-            query,
-            ro,
-            deadline_ms: ctx.deadline_ms(),
-            counters: local,
-        };
-        let results = self.fan_out(&targets, &call);
-
-        // Pre-sized from the fan-out: no re-allocation while collecting.
-        let mut successes: Vec<(usize, RunOutcome)> = Vec::with_capacity(targets.len());
-        let mut failures: Vec<(usize, Error)> = Vec::with_capacity(targets.len());
-        for (shard, result) in results {
-            match result {
-                Ok(outcome) => successes.push((shard, outcome)),
-                Err(err) if degrade && err.is_shard_fault() => failures.push((shard, err)),
-                Err(err) => return Err(err),
-            }
-        }
-        if failures.is_empty() {
-            if targets.len() == 1 {
-                let (_, mut outcome) = successes.pop().ok_or_else(|| {
-                    Error::Internal("single-target request lost its result".into())
-                })?;
-                // Partitioned tables return points in the canonical distributed
-                // order on *every* routing path, so a narrow (single-shard)
-                // viewport orders rows the same way a wide (merged) one does.
-                if let QueryResult::Points(points) = &mut outcome.result {
-                    if !self.partition_of(&query.table)?.is_replicated() {
-                        canonicalise_points(points, query.limit);
-                    }
-                }
-                return Ok((outcome, ResultQuality::Full));
-            }
-            let merged = merge_outcomes(query, successes.into_iter().map(|(_, o)| o).collect())?;
-            return Ok((merged, ResultQuality::Full));
-        }
-        self.degrade_to_survivors(&call, &targets, successes, failures)
-    }
-
-    /// Builds the degraded answer: merge the surviving shards and tag the
-    /// result with the covered fraction of the targeted rows.
-    fn degrade_to_survivors(
-        &self,
-        call: &ShardCall<'_>,
-        targets: &[usize],
-        successes: Vec<(usize, RunOutcome)>,
-        failures: Vec<(usize, Error)>,
-    ) -> Result<(RunOutcome, ResultQuality)> {
-        let (query, deadline, local) = (call.query, call.deadline_ms, call.counters);
-        local.record(|s| s.degraded += 1);
-        let part = self.partition_of(&query.table)?;
-        let rows_of = |shard: usize| part.shard_rows.get(shard).copied().unwrap_or(0) as f64;
-        let total: f64 = targets.iter().map(|&s| rows_of(s)).sum();
-        let covered: f64 = successes.iter().map(|&(s, _)| rows_of(s)).sum();
-        let timed_out = failures
-            .iter()
-            .any(|(_, e)| matches!(e, Error::ShardTimeout { .. }));
-        let outcomes: Vec<RunOutcome> = successes.into_iter().map(|(_, o)| o).collect();
-
-        let mut merged = if outcomes.is_empty() {
-            // Every targeted shard failed: an empty result of the query's
-            // shape, not a hard error — the serving layer reports it as a
-            // zero-coverage degraded answer.
-            let plan = self.shards[targets[0]].plan(query, call.ro)?;
-            let result = match &query.output {
-                OutputKind::BinnedCounts { .. } => QueryResult::Bins(Vec::new()),
-                OutputKind::Points { .. } => QueryResult::Points(Vec::new()),
-                OutputKind::Count => QueryResult::Count(0),
-            };
-            RunOutcome {
-                time_ms: 0.0,
-                result,
-                plan,
-                work: WorkProfile::default(),
-            }
-        } else {
-            merge_outcomes(query, outcomes)?
-        };
-        // A timed-out shard held the request for its whole slice before being
-        // cut off; the degraded answer cannot be reported faster than that.
-        if timed_out {
-            if let Some(d) = deadline {
-                merged.time_ms = merged.time_ms.max(d);
-            }
-        }
-        let coverage_fraction = if total > 0.0 {
-            (covered / total).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        Ok((
-            merged,
-            ResultQuality::Degraded {
-                shards_missing: failures.len(),
-                coverage_fraction,
-            },
-        ))
-    }
-
     /// Row-count-weighted mean of a per-shard quantity — the composition rule
     /// that keeps selectivities exact: `Σ selᵢ·rowsᵢ / Σ rowsᵢ` over partitioned
     /// shards equals the selectivity over the whole table.
@@ -447,24 +279,28 @@ impl QueryBackend for ShardedBackend {
     }
 
     fn run(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
-        // Strict semantics: a shard fault that survives the retry budget fails
-        // the whole request. Only `run_with_context` degrades.
-        Ok(self
-            .execute(query, ro, &ExecContext::unbounded(), false)?
-            .outcome)
-    }
-
-    fn run_with_context(
-        &self,
-        query: &Query,
-        ro: &RewriteOption,
-        ctx: &ExecContext,
-    ) -> Result<RunReport> {
-        self.execute(query, ro, ctx, true)
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.faults.snapshot()
+        // The routed shards run in route order on the calling thread (see the
+        // module docs); the first shard that fails fails the request.
+        let targets = self.route(query)?;
+        let mut outcomes = Vec::with_capacity(targets.len());
+        for &shard in &targets {
+            outcomes.push(self.shards[shard].run(query, ro)?);
+        }
+        if outcomes.len() > 1 {
+            return merge_outcomes(query, outcomes);
+        }
+        let mut outcome = outcomes
+            .pop()
+            .ok_or_else(|| Error::Internal("a request routed to no shard".into()))?;
+        // Partitioned tables return points in the canonical distributed order
+        // on *every* routing path, so a narrow (single-shard) viewport orders
+        // rows the same way a wide (merged) one does.
+        if let QueryResult::Points(points) = &mut outcome.result {
+            if !self.partition_of(&query.table)?.is_replicated() {
+                canonicalise_points(points, query.limit);
+            }
+        }
+        Ok(outcome)
     }
 
     fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
@@ -555,13 +391,11 @@ impl QueryBackend for ShardedBackend {
 mod tests {
     use super::*;
     use crate::db::Database;
-    use crate::fault::{FaultInjectingBackend, FaultKind, FaultPlan};
     use crate::query::{BinGrid, JoinSpec, OutputKind, Predicate};
     use crate::schema::ColumnType;
     use crate::storage::{Table, TableBuilder};
     use crate::sync::Mutex;
     use crate::types::{GeoRect, RecordId};
-    use std::collections::BTreeMap;
 
     /// A skewed bi-coastal table: 70% of rows near the west edge, 30% near the
     /// east, timestamps uniform, keyword "hot" on every 4th row.
@@ -993,8 +827,7 @@ mod tests {
     }
 
     /// Sequential multi-shard requests each merge byte-identically to the
-    /// unsharded reference, and clean traffic leaves every breaker closed and
-    /// every fault counter at zero.
+    /// unsharded reference.
     #[test]
     fn sequential_multi_shard_requests_merge_byte_identically() {
         let table = build_table(2_000);
@@ -1021,8 +854,6 @@ mod tests {
                 "request {i} diverged"
             );
         }
-        assert_eq!(backend.breaker_states(), vec![BreakerState::Closed; 4]);
-        assert_eq!(backend.fault_stats(), FaultStats::default());
     }
 
     /// A narrow viewport routed to a single shard answers exactly what the
@@ -1042,10 +873,12 @@ mod tests {
     }
 
     /// A shard decorator that logs `(shard, thread)` for every `run` and
-    /// delegates everything else.
+    /// delegates everything else; with `fail` set, its `run` logs and then
+    /// returns [`Error::Internal`] naming the shard.
     struct ThreadRecorder {
         inner: Arc<dyn QueryBackend>,
         shard: usize,
+        fail: bool,
         runs: Arc<Mutex<Vec<(usize, std::thread::ThreadId)>>>,
     }
 
@@ -1074,6 +907,9 @@ mod tests {
         fn run(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
             let me = std::thread::current().id();
             self.runs.lock().push((self.shard, me));
+            if self.fail {
+                return Err(Error::Internal(format!("shard {} failed", self.shard)));
+            }
             self.inner.run(query, ro)
         }
         fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
@@ -1126,6 +962,7 @@ mod tests {
             Arc::new(ThreadRecorder {
                 inner,
                 shard,
+                fail: false,
                 runs: Arc::clone(&log),
             })
         });
@@ -1145,307 +982,30 @@ mod tests {
         assert_eq!(*runs.lock(), expected);
     }
 
-    /// A strict request whose first target fails still runs every later
-    /// target once, so their breakers and arrival counts see the request; the
-    /// failing target is attempted once plus its retry budget.
+    /// A shard's `Err` is the `Err` the request returns, and the shards routed
+    /// after it do not run: here the second of four targets fails.
     #[test]
-    fn a_failing_first_target_does_not_skip_the_rest() {
+    fn a_failing_shard_fails_the_request_with_its_error() {
         let table = build_table(2_000);
+        let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
         let mut b = ShardedBackend::builder(DbConfig::default(), 4);
         b.register_table(&table).unwrap();
         let runs = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&runs);
-        let plan = Arc::new(FaultPlan::with_rates(3, 0.0, 1.0, 0.0, 0.0));
         let backend = b.build_wrapped(move |shard, inner| {
-            let inner: Arc<dyn QueryBackend> = if shard == 0 {
-                Arc::new(FaultInjectingBackend::new(inner, Arc::clone(&plan), shard))
-            } else {
-                inner
-            };
             Arc::new(ThreadRecorder {
                 inner,
                 shard,
+                fail: shard == 1,
                 runs: Arc::clone(&log),
             })
         });
-        let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
         let targets = backend.overlapping_shards(&q).unwrap();
-        assert_eq!(targets.first(), Some(&0), "test premise: {targets:?}");
+        assert_eq!(targets, vec![0, 1, 2, 3], "test premise: {targets:?}");
         let err = backend.run(&q, &RewriteOption::original()).unwrap_err();
-        assert!(err.is_shard_fault(), "{err:?}");
-        let attempts = 1 + backend.fault_policy().max_retries as usize;
-        let expected: Vec<usize> = std::iter::repeat_n(0, attempts)
-            .chain(targets[1..].iter().copied())
-            .collect();
+        assert_eq!(err, Error::Internal("shard 1 failed".into()));
         let ran: Vec<usize> = runs.lock().iter().map(|&(shard, _)| shard).collect();
-        assert_eq!(ran, expected);
-    }
-
-    /// A shard whose every attempt panics surfaces a structured
-    /// [`Error::ShardPanic`] naming the shard, with the panic and retry counts
-    /// visible in `fault_stats()` — not a silent catch or a generic internal
-    /// error. Checked with the panicking shard as the first target of a
-    /// two-shard route and as the second.
-    #[test]
-    fn panics_surface_as_structured_shard_panic() {
-        let table = build_table(1_000);
-        let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
-        for panicking in [0usize, 1] {
-            let mut b = ShardedBackend::builder(DbConfig::default(), 2);
-            b.register_table(&table).unwrap();
-            // Default policy retries twice, so all three attempts must panic.
-            let plan = Arc::new(
-                FaultPlan::none(1)
-                    .script(panicking, 0, FaultKind::Panic)
-                    .script(panicking, 1, FaultKind::Panic)
-                    .script(panicking, 2, FaultKind::Panic),
-            );
-            let backend = b.build_wrapped(move |i, shard| {
-                if i == panicking {
-                    Arc::new(FaultInjectingBackend::new(shard, Arc::clone(&plan), i))
-                } else {
-                    shard
-                }
-            });
-            assert_eq!(
-                backend.overlapping_shards(&q).unwrap(),
-                vec![0, 1],
-                "test premise: both shards are routed, shard 0 first"
-            );
-            let err = backend.run(&q, &RewriteOption::original()).unwrap_err();
-            match err {
-                Error::ShardPanic { shard, payload } => {
-                    assert_eq!(shard, panicking);
-                    assert!(payload.contains("injected fault"), "payload: {payload}");
-                }
-                other => panic!("expected ShardPanic, got {other:?}"),
-            }
-            let stats = backend.fault_stats();
-            assert_eq!(stats.panics, 3, "every attempt's panic is counted");
-            assert_eq!(stats.retries, 2, "the retry budget was spent");
-        }
-    }
-
-    /// A transient fault on one attempt is retried and the request still
-    /// succeeds at full quality — with the retry visible in the report and the
-    /// deterministic backoff charged to simulated time.
-    #[test]
-    fn transient_faults_are_retried_to_full_quality() {
-        let table = build_table(2_000);
-        let reference = sharded(&table, 4);
-        let mut b = ShardedBackend::builder(DbConfig::default(), 4);
-        b.register_table(&table).unwrap();
-        b.build_all_indexes("events").unwrap();
-        b.build_sample("events", 20).unwrap();
-        let plan = Arc::new(FaultPlan::none(1).script(1, 0, FaultKind::Error));
-        let backend = b.build_wrapped(move |i, shard| {
-            if i == 1 {
-                Arc::new(FaultInjectingBackend::new(shard, Arc::clone(&plan), i))
-            } else {
-                shard
-            }
-        });
-        let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
-        let ro = RewriteOption::original();
-        let report = backend
-            .run_with_context(&q, &ro, &ExecContext::unbounded())
-            .unwrap();
-        assert_eq!(report.quality, ResultQuality::Full);
-        assert_eq!(report.faults.retries, 1);
-        assert_eq!(
-            report.outcome.result,
-            reference.run(&q, &ro).unwrap().result,
-            "a retried request must still merge byte-identically"
-        );
-        let clean = reference.run(&q, &ro).unwrap().time_ms;
-        let policy = backend.fault_policy();
-        assert!(
-            report.outcome.time_ms <= clean + policy.backoff_ms + 1e-9,
-            "one retry charges at most one backoff step to the slowest shard"
-        );
-    }
-
-    /// The degradation contract: a k-of-n merge equals the full merge restricted
-    /// to the surviving shards. Verified with complementary failure sets — one
-    /// backend loses shard 2, the other loses every shard *but* 2 — whose
-    /// degraded answers must sum to the unfaulted result, with coverage
-    /// fractions summing to one.
-    #[test]
-    fn degraded_merge_equals_full_merge_restricted_to_survivors() {
-        let table = build_table(3_000);
-        let always_fail = |seed: u64| Arc::new(FaultPlan::with_rates(seed, 0.0, 1.0, 0.0, 0.0));
-        let build_faulted = |fail_shards: &[usize]| {
-            let mut b = ShardedBackend::builder(DbConfig::default(), 4);
-            b.register_table(&table).unwrap();
-            b.build_all_indexes("events").unwrap();
-            let fail: Vec<usize> = fail_shards.to_vec();
-            let plan = always_fail(7);
-            b.build_wrapped(move |i, shard| {
-                if fail.contains(&i) {
-                    Arc::new(FaultInjectingBackend::new(shard, Arc::clone(&plan), i))
-                } else {
-                    shard
-                }
-            })
-        };
-        let lost_two = build_faulted(&[2]);
-        let only_two = build_faulted(&[0, 1, 3]);
-        let reference = sharded(&table, 4);
-
-        let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 16, 16);
-        let ro = RewriteOption::original();
-        let ctx = ExecContext::unbounded();
-        let full = match reference.run(&q, &ro).unwrap().result {
-            QueryResult::Bins(pairs) => pairs,
-            other => panic!("expected bins, got {other:?}"),
-        };
-
-        let survivors = lost_two.run_with_context(&q, &ro, &ctx).unwrap();
-        let complement = only_two.run_with_context(&q, &ro, &ctx).unwrap();
-        let (cov_a, missing_a) = match survivors.quality {
-            ResultQuality::Degraded {
-                shards_missing,
-                coverage_fraction,
-            } => (coverage_fraction, shards_missing),
-            other => panic!("expected degraded, got {other:?}"),
-        };
-        let (cov_b, missing_b) = match complement.quality {
-            ResultQuality::Degraded {
-                shards_missing,
-                coverage_fraction,
-            } => (coverage_fraction, shards_missing),
-            other => panic!("expected degraded, got {other:?}"),
-        };
-        assert_eq!(missing_a, 1);
-        assert_eq!(missing_b, 3);
-        assert!(
-            (cov_a + cov_b - 1.0).abs() < 1e-12,
-            "complementary coverages must sum to one: {cov_a} + {cov_b}"
-        );
-
-        let mut summed: BTreeMap<u32, u64> = BTreeMap::new();
-        for result in [survivors.outcome.result, complement.outcome.result] {
-            match result {
-                QueryResult::Bins(pairs) => {
-                    for (bin, c) in pairs {
-                        *summed.entry(bin).or_insert(0) += c;
-                    }
-                }
-                other => panic!("expected bins, got {other:?}"),
-            }
-        }
-        assert_eq!(
-            summed.into_iter().collect::<Vec<_>>(),
-            full,
-            "complementary survivor merges must reassemble the full merge"
-        );
-    }
-
-    /// A shard whose simulated execution blows the deadline is cut off and
-    /// accounted as a timeout (never retried — the same query would blow the
-    /// same budget again), and the degraded answer is reported at the deadline,
-    /// not after the slow shard's full simulated time.
-    #[test]
-    fn deadline_cuts_off_slow_shards() {
-        let table = build_table(2_000);
-        let reference = sharded(&table, 2);
-        let mut b = ShardedBackend::builder(DbConfig::default(), 2);
-        b.register_table(&table).unwrap();
-        b.build_all_indexes("events").unwrap();
-        let plan = Arc::new(FaultPlan::none(3).script(0, 0, FaultKind::Delay { extra_ms: 1e6 }));
-        let backend = b.build_wrapped(move |i, shard| {
-            if i == 0 {
-                Arc::new(FaultInjectingBackend::new(shard, Arc::clone(&plan), i))
-            } else {
-                shard
-            }
-        });
-        let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
-        let ro = RewriteOption::original();
-        let deadline = reference.execution_time_ms(&q, &ro).unwrap() + 1_000.0;
-        let report = backend
-            .run_with_context(&q, &ro, &ExecContext::with_deadline(deadline))
-            .unwrap();
-        match report.quality {
-            ResultQuality::Degraded { shards_missing, .. } => assert_eq!(shards_missing, 1),
-            other => panic!("expected degraded, got {other:?}"),
-        }
-        assert_eq!(report.faults.timeouts, 1);
-        assert_eq!(report.faults.retries, 0, "timeouts are not retried");
-        assert_eq!(
-            report.outcome.time_ms, deadline,
-            "a timed-out shard holds the answer exactly to the deadline"
-        );
-        // The next request (no fault scripted at this arrival) serves at full
-        // quality again — a deadline miss is per-request, not sticky.
-        let report = backend
-            .run_with_context(&q, &ro, &ExecContext::unbounded())
-            .unwrap();
-        assert_eq!(report.quality, ResultQuality::Full);
-    }
-
-    /// An open breaker refuses requests without touching the shard, then
-    /// half-open probes and re-closes once the shard behaves.
-    #[test]
-    fn open_breaker_skips_then_probes_and_recovers() {
-        let table = build_table(1_500);
-        let mut b = ShardedBackend::builder(DbConfig::default(), 2);
-        b.register_table(&table).unwrap();
-        let b = b.with_fault_policy(FaultPolicy {
-            max_retries: 0,
-            backoff_ms: 0.0,
-            breaker_threshold: 1,
-            breaker_cooldown: 1,
-        });
-        let plan = Arc::new(FaultPlan::none(5).script(1, 0, FaultKind::Error));
-        let backend = b.build_wrapped(move |i, shard| {
-            if i == 1 {
-                Arc::new(FaultInjectingBackend::new(shard, Arc::clone(&plan), i))
-            } else {
-                shard
-            }
-        });
-        let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
-        let ro = RewriteOption::original();
-        let ctx = ExecContext::unbounded();
-
-        // Request 1: shard 1 fails, breaker opens (threshold 1).
-        let r1 = backend.run_with_context(&q, &ro, &ctx).unwrap();
-        assert!(r1.quality.is_degraded());
-        assert_eq!(backend.breaker_states()[1], BreakerState::Open);
-
-        // Request 2: refused at the breaker — the shard sees no arrival.
-        let r2 = backend.run_with_context(&q, &ro, &ctx).unwrap();
-        assert!(r2.quality.is_degraded());
-        assert_eq!(r2.faults.breaker_open_skips, 1);
-
-        // Request 3: cooldown spent, the arrival probes half-open, succeeds and
-        // re-closes the circuit at full quality.
-        let r3 = backend.run_with_context(&q, &ro, &ctx).unwrap();
-        assert_eq!(r3.quality, ResultQuality::Full);
-        assert_eq!(backend.breaker_states(), vec![BreakerState::Closed; 2]);
-    }
-
-    /// Losing every targeted shard is still not a hard error under degradation:
-    /// the answer is the empty result of the query's shape at coverage zero.
-    #[test]
-    fn losing_every_shard_degrades_to_an_empty_answer() {
-        let table = build_table(1_000);
-        let mut b = ShardedBackend::builder(DbConfig::default(), 2);
-        b.register_table(&table).unwrap();
-        let backend = b.build_with_faults(FaultPlan::with_rates(11, 0.0, 1.0, 0.0, 0.0));
-        let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
-        let report = backend
-            .run_with_context(&q, &RewriteOption::original(), &ExecContext::unbounded())
-            .unwrap();
-        assert_eq!(
-            report.quality,
-            ResultQuality::Degraded {
-                shards_missing: 2,
-                coverage_fraction: 0.0
-            }
-        );
-        assert_eq!(report.outcome.result, QueryResult::Bins(Vec::new()));
+        assert_eq!(ran, vec![0, 1]);
     }
 
     /// A table whose geo extent would be stretched by one `(+inf, lat)` row:

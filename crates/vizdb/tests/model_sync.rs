@@ -51,6 +51,38 @@ fn facade_atomics_are_instrumented() {
     );
 }
 
+/// Two atomics bumped for one logical event can be read apart: a concurrent
+/// reader loading both may see the first bump without the second, and the
+/// checker finds that schedule. Any pair of values that must be read together
+/// belongs behind one lock.
+#[test]
+fn per_field_atomic_counters_are_caught_tearing() {
+    let report = explore(Config::random(5, 10_000), || {
+        let retries = Arc::new(AtomicU64::new(0));
+        let timeouts = Arc::new(AtomicU64::new(0));
+        let writer = {
+            let (r, t) = (retries.clone(), timeouts.clone());
+            thread::spawn(move || {
+                // One logical event, two independent atomics.
+                r.fetch_add(1, Ordering::SeqCst);
+                t.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        let reader = {
+            let (r, t) = (retries.clone(), timeouts.clone());
+            thread::spawn(move || {
+                let retries = r.load(Ordering::SeqCst);
+                let timeouts = t.load(Ordering::SeqCst);
+                assert_eq!(retries, timeouts, "torn read");
+            })
+        };
+        writer.join().unwrap();
+        reader.join().unwrap();
+    });
+    let failure = report.failure.expect("the torn snapshot must be found");
+    assert!(matches!(failure.kind, FailureKind::Panic { .. }));
+}
+
 /// The cache contract under every explored interleaving: two threads race
 /// `get_or_try_compute` on one key with *different* candidate values; the
 /// first insert wins and both threads observe exactly the canonical value.

@@ -255,7 +255,6 @@ fn is_facade_module(path: &str) -> bool {
             "crates/vizdb/src/cache.rs"
                 | "crates/vizdb/src/backend.rs"
                 | "crates/vizdb/src/storage/cells.rs"
-                | "crates/vizdb/src/fault.rs"
                 | "crates/serve/src/cache.rs"
                 | "crates/serve/src/queue.rs"
                 | "crates/serve/src/server.rs"
@@ -639,7 +638,7 @@ mod tests {
     #[test]
     fn mixed_arc_import_still_trips_the_facade_rule() {
         let src = "use std::sync::{Arc, Mutex};\n";
-        let findings = scan_source("crates/vizdb/src/sharded/resilience.rs", src);
+        let findings = scan_source("crates/vizdb/src/sharded/merge.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "sync-facade");
     }
