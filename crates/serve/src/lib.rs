@@ -14,12 +14,14 @@
 //!   one loop behind both [`MalivaServer::serve_batch`] and
 //!   [`MalivaServer::serve_queued`]: each request is decided with
 //!   [`maliva::decide_online`] (no execution) and its chosen rewrite executed
-//!   once, with [`vizdb::QueryBackend::run_with_context`];
-//! * [`DecisionCache`] fronts planning with a bounded, sharded, LRU
-//!   (touch-on-hit) map keyed by the corrected query fingerprint and a τ-bucket,
-//!   with hit/miss/eviction counters; every entry is tagged with the backend
-//!   catalog generation, so a table registered or an index built mid-serve drops
-//!   the affected decisions instead of serving them stale;
+//!   once, with [`vizdb::QueryBackend::run`];
+//! * a decision cache fronts planning: a [`vizdb::Memo`] of
+//!   [`CachedDecision`]s (bounded, sharded, LRU touch-on-hit) keyed by the
+//!   corrected query fingerprint and the exact bits of τ, with
+//!   hit/miss/eviction counters ([`MalivaServer::cache_stats`]); every entry is
+//!   tagged with the backend catalog generation, so a table registered or an
+//!   index built mid-serve drops the affected decisions instead of serving
+//!   them stale;
 //! * [`MalivaServer::serve_queued`] adds admission control: a queue bounded by
 //!   [`ServeConfig::queue_capacity`] that sheds overload with an explicit
 //!   [`ServeOutcome::Rejected`] and a shed counter instead of growing without
@@ -31,7 +33,6 @@
 //! Wall-clock throughput and latency of the serving path are measured end to
 //! end by the separate `benchmark/` workspace.
 
-pub mod cache;
 pub mod queue;
 pub mod server;
 
@@ -40,7 +41,7 @@ pub mod server;
 /// normally, loomlite shims under `--cfg maliva_model_check`).
 pub use vizdb::sync;
 
-pub use cache::{CachedDecision, DecisionCache, DecisionCacheConfig, DecisionCacheStats};
 pub use server::{
-    backend_for_shards, MalivaServer, ServeConfig, ServeOutcome, ServeRequest, ServeResponse,
+    backend_for_shards, CachedDecision, MalivaServer, ServeConfig, ServeOutcome, ServeRequest,
+    ServeResponse, DECISION_CACHE_CAPACITY,
 };

@@ -2,10 +2,13 @@
 //!
 //! A [`MalivaServer`] owns shared handles to a [`QueryBackend`] (a single
 //! simulated database, a lock-wrapped mutable one, or a per-region
-//! [`vizdb::ShardedBackend`]), a trained agent and a QTE, plus a
-//! [`DecisionCache`]. Each request is decided with [`maliva::decide_online`]
-//! (unless the decision cache already knows the answer), which executes nothing,
-//! and the chosen rewrite is then executed once, with [`QueryBackend::run`].
+//! [`vizdb::ShardedBackend`]), a trained agent and a QTE, plus a decision
+//! cache: a [`vizdb::Memo`] of [`CachedDecision`]s keyed by the query's
+//! fingerprint and the exact bits of its budget τ, holding
+//! [`DECISION_CACHE_CAPACITY`] decisions. Each request is decided with
+//! [`maliva::decide_online`] (unless the decision cache already knows the
+//! answer), which executes nothing, and the chosen rewrite is then executed
+//! once, with [`QueryBackend::run`].
 //! [`MalivaServer::serve_batch`] and [`MalivaServer::serve_queued`] share one
 //! drain loop: the caller admits request indices into a [`WorkQueue`] and
 //! scoped workers, at most one per request, pop and serve them. A batch's
@@ -34,13 +37,17 @@ use maliva::{decide_online, QAgent};
 use maliva_qte::QueryTimeEstimator;
 use vizdb::error::{Error, Result};
 use vizdb::exec::QueryResult;
+use vizdb::fingerprint::query_fingerprint;
 use vizdb::hints::RewriteOption;
 use vizdb::query::Query;
 use vizdb::sync::atomic::{AtomicU64, Ordering};
-use vizdb::{Database, QueryBackend, ShardedBackendBuilder};
+use vizdb::{Database, Memo, MemoStats, QueryBackend, ShardedBackendBuilder};
 
-use crate::cache::{CachedDecision, DecisionCache, DecisionCacheConfig, DecisionCacheStats};
 use crate::queue::WorkQueue;
+
+/// Decisions the cache holds, 512 per lock shard; a full shard evicts its
+/// least-recently-used decision.
+pub const DECISION_CACHE_CAPACITY: usize = 4096;
 
 /// Configuration of a [`MalivaServer`].
 #[derive(Debug, Clone, Copy)]
@@ -61,8 +68,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Time budget τ applied to requests that don't carry their own.
     pub default_tau_ms: f64,
-    /// Decision-cache sizing and τ-bucketing.
-    pub cache: DecisionCacheConfig,
 }
 
 impl Default for ServeConfig {
@@ -72,9 +77,23 @@ impl Default for ServeConfig {
             shards: 1,
             queue_capacity: 1024,
             default_tau_ms: 500.0,
-            cache: DecisionCacheConfig::default(),
         }
     }
+}
+
+/// A memoised planning outcome. Planning is greedy over a fixed agent and a
+/// deterministic simulated database, so a decision is a pure function of its
+/// key, and hit/miss races cannot change served results.
+#[derive(Debug, Clone)]
+pub struct CachedDecision {
+    /// Index of the chosen option in the query's rewrite space.
+    pub chosen_index: usize,
+    /// The chosen rewrite option.
+    pub rewrite: RewriteOption,
+    /// Simulated planning cost that the original planning run paid (charged to
+    /// every consumer of this entry so that served responses are identical
+    /// whether they hit or miss).
+    pub planning_ms: f64,
 }
 
 /// One visualization request: a query plus its time budget.
@@ -197,13 +216,18 @@ pub fn backend_for_shards(db: Arc<Database>, shards: usize) -> Result<Arc<dyn Qu
     Ok(Arc::new(ShardedBackendBuilder::mirror(&db, shards)?))
 }
 
+/// The decision cache's key for `query` under budget `tau_ms`.
+fn decision_key(query: &Query, tau_ms: f64) -> (u64, u64) {
+    (query_fingerprint(query), tau_ms.to_bits())
+}
+
 /// A multi-threaded, cache-fronted query server over one [`QueryBackend`].
 pub struct MalivaServer {
     backend: Arc<dyn QueryBackend>,
     agent: Arc<QAgent>,
     qte: Arc<dyn QueryTimeEstimator>,
     space_builder: Arc<SpaceBuilder>,
-    cache: DecisionCache,
+    cache: Memo<CachedDecision>,
     config: ServeConfig,
     shed: AtomicU64,
 }
@@ -231,7 +255,7 @@ impl MalivaServer {
             agent,
             qte,
             space_builder,
-            cache: DecisionCache::new(config.cache),
+            cache: Memo::new(DECISION_CACHE_CAPACITY),
             config,
             shed: AtomicU64::new(0),
         }
@@ -264,7 +288,7 @@ impl MalivaServer {
     }
 
     /// Decision-cache counters.
-    pub fn cache_stats(&self) -> DecisionCacheStats {
+    pub fn cache_stats(&self) -> MemoStats {
         self.cache.stats()
     }
 
@@ -286,8 +310,7 @@ impl MalivaServer {
     /// dropped as stale instead of being returned.
     ///
     /// A NaN or negative budget is an [`Error::InvalidQuery`] before the cache
-    /// is touched: τ-bucketing maps either to bucket 0, whose decision would
-    /// then be served to legitimate requests in `[0, tau_bucket_ms)`.
+    /// is touched.
     pub fn serve_one(&self, request_index: usize, request: &ServeRequest) -> Result<ServeResponse> {
         let tau_ms = request.tau_ms.unwrap_or(self.config.default_tau_ms);
         if tau_ms.is_nan() || tau_ms < 0.0 {
@@ -295,7 +318,7 @@ impl MalivaServer {
                 "time budget tau_ms must be a non-negative number, got {tau_ms}"
             )));
         }
-        let key = self.cache.key(&request.query, tau_ms);
+        let key = decision_key(&request.query, tau_ms);
         // The generation is read lazily *inside* the lookup (after the entry is
         // retrieved), so a catalog mutation landing just before the lookup drops
         // the entry instead of slipping a stale decision through.
@@ -312,7 +335,7 @@ impl MalivaServer {
                     self.qte.as_ref(),
                     &request.query,
                     &space,
-                    self.cache.canonical_tau(tau_ms),
+                    tau_ms,
                     0.0,
                 )?;
                 let planned = CachedDecision {
@@ -683,6 +706,22 @@ mod tests {
         assert_eq!(after.result, first.result);
     }
 
+    /// τ is keyed by its exact bits: a request under another budget is
+    /// decided afresh, and the first budget's decision still hits.
+    #[test]
+    fn distinct_taus_are_decided_separately() {
+        let server = server_with_workers(build_db(), 1);
+        let q = make_query(0);
+        let hits: Vec<bool> = [500.0, 501.0, 500.0]
+            .into_iter()
+            .map(|tau| {
+                let request = ServeRequest::with_tau(q.clone(), tau);
+                server.serve_one(0, &request).unwrap().cache_hit
+            })
+            .collect();
+        assert_eq!(hits, [false, false, true]);
+    }
+
     /// The admission-control satellite: overload sheds rather than stalls.
     #[test]
     fn overload_sheds_with_explicit_rejections() {
@@ -825,21 +864,10 @@ mod tests {
         assert!(backend_for_shards(db, 4).is_ok());
     }
 
-    /// Hostile budgets are refused before the cache key is computed. With
-    /// τ-bucketing on, NaN and every negative τ used to land in bucket 0, so a
-    /// NaN-budget plan was then served to legitimate requests in `[0, w)`.
+    /// Hostile budgets are refused before the cache key is computed.
     #[test]
     fn hostile_tau_is_rejected_by_serve_one_and_serve_queued_before_the_cache() {
-        let bucket_ms = 100.0;
-        let cache = DecisionCacheConfig {
-            tau_bucket_ms: bucket_ms,
-            ..DecisionCacheConfig::default()
-        };
-        let config = ServeConfig {
-            cache,
-            ..ServeConfig::default()
-        };
-        let server = server_over(build_db(), config);
+        let server = server_over(build_db(), ServeConfig::default());
         let q = make_query(0);
         for tau in [f64::NAN, -1.0, f64::NEG_INFINITY] {
             let err = server
@@ -848,7 +876,7 @@ mod tests {
             assert!(matches!(err, Error::InvalidQuery(_)), "tau {tau}: {err}");
         }
         let legit = server
-            .serve_one(1, &ServeRequest::with_tau(q, bucket_ms / 2.0))
+            .serve_one(1, &ServeRequest::with_tau(q, 50.0))
             .unwrap();
         assert!(!legit.cache_hit, "a hostile-τ decision was served");
         let stats = server.cache_stats();

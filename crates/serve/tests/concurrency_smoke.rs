@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use maliva::{train_agent, MalivaConfig, QAgent, RewardSpec, RewriteSpace};
 use maliva_qte::AccurateQte;
-use maliva_serve::{DecisionCacheConfig, MalivaServer, ServeConfig, ServeRequest};
+use maliva_serve::{MalivaServer, ServeConfig, ServeRequest};
 use maliva_workload::{build_twitter, generate_workload, DatasetScale};
 use vizdb::hints::RewriteOption;
 use vizdb::query::Query;
@@ -42,7 +42,6 @@ fn server(db: Arc<Database>, agent: Arc<QAgent>, workers: usize) -> MalivaServer
         ServeConfig {
             workers,
             default_tau_ms: TAU_MS,
-            cache: DecisionCacheConfig::default(),
             ..ServeConfig::default()
         },
     )

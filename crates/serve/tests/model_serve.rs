@@ -1,4 +1,5 @@
-//! Model-check suite for the serve layer: the decision cache's LRU/invalidate
+//! Model-check suite for the serve layer: the decision cache's (a
+//! `vizdb::Memo` of `CachedDecision`s) first-insert and LRU/invalidate
 //! interleavings, the shed-counter ordering of queued admission (through the
 //! production `WorkQueue::try_push`), and a test-only reintroduction of the
 //! shed-counter race that the checker must detect. The admit/drain/close
@@ -13,10 +14,11 @@ use std::sync::Arc;
 
 use loomlite::{explore, Config, FailureKind};
 use maliva_serve::queue::WorkQueue;
-use maliva_serve::{CachedDecision, DecisionCache, DecisionCacheConfig};
+use maliva_serve::{CachedDecision, DECISION_CACHE_CAPACITY};
 use vizdb::hints::RewriteOption;
 use vizdb::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use vizdb::sync::thread;
+use vizdb::Memo;
 
 fn decision(planning_ms: f64) -> CachedDecision {
     CachedDecision {
@@ -31,7 +33,7 @@ fn decision(planning_ms: f64) -> CachedDecision {
 #[test]
 fn decision_cache_first_insert_wins_under_every_interleaving() {
     let report = explore(Config::random(21, 1000), || {
-        let cache = Arc::new(DecisionCache::new(DecisionCacheConfig::default()));
+        let cache = Arc::new(Memo::new(DECISION_CACHE_CAPACITY));
         let key = (0xFEED, 7);
         let a = cache.clone();
         let ha = thread::spawn(move || a.insert(key, decision(10.0), 0).planning_ms);
@@ -56,7 +58,7 @@ fn decision_cache_first_insert_wins_under_every_interleaving() {
 #[test]
 fn decision_cache_touch_vs_invalidate_stays_consistent() {
     let report = explore(Config::random(23, 1000), || {
-        let cache = Arc::new(DecisionCache::new(DecisionCacheConfig::default()));
+        let cache = Arc::new(Memo::new(DECISION_CACHE_CAPACITY));
         let key = (1, 1);
         cache.insert(key, decision(1.0), 0);
         let toucher = {

@@ -346,7 +346,7 @@ impl SharedBackend {
     }
 
     /// Registers a table through the shared handle (exclusive lock; bumps the
-    /// generation and drops the fingerprint caches).
+    /// generation and drops its time and selectivity memos).
     pub fn register_table(&self, table: Table) -> Result<()> {
         self.inner.write().register_table(table)
     }

@@ -1,20 +1,20 @@
 //! The `Database` facade: catalog, index management, planning, execution and the
-//! simulated-time cache.
+//! simulated-time memo.
 //!
 //! Execution has one production path ([`Database::run`], the bitmap pipeline of
 //! [`crate::exec`], on the calling thread) and one oracle
 //! ([`Database::run_reference`], the row-at-a-time interpreter). They share
-//! planning, LIMIT sizing, timing and the time cache, so the only thing that
-//! can differ between them is the executor itself. Asking only for a time
-//! ([`Database::execution_time_ms`]) executes nothing when the rewrite is
-//! exact: the query's whole hint lattice is priced from one pass over the
-//! table ([`crate::exec::price_plans`]).
+//! planning, LIMIT sizing and timing, so the only thing that can differ
+//! between them is the executor itself. Asking only for a time
+//! ([`Database::execution_time_ms`], the time memo's only writer) executes
+//! nothing when the rewrite is exact: the query's whole hint lattice is priced
+//! from one pass over the table ([`crate::exec::price_plans`]).
 
 use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::FingerprintCache;
+use crate::cache::Memo;
 use crate::error::{Error, Result};
 use crate::exec::{self, ExecTable, QueryResult};
 use crate::fingerprint::{
@@ -230,7 +230,12 @@ fn count_rows(view: &ExecTable<'_>, pred: &Predicate) -> Result<usize> {
     }
 }
 
-/// The selectivity cache's key for `pred` on `table`.
+/// Capacity of each of the database's two memos: well above the most entries
+/// the paper suite or a 15 s benchmark workload leaves in one, so it bounds
+/// long runs without evicting anything those reach.
+const ENGINE_MEMO_CAPACITY: usize = 65_536;
+
+/// The selectivity memo's key for `pred` on `table`.
 fn selectivity_key(table: &str, pred: &Predicate) -> (u64, u64) {
     let table_fp = Fingerprint::new().write_str(table).finish();
     (table_fp, predicate_fingerprint(pred))
@@ -241,8 +246,10 @@ pub struct Database {
     config: DbConfig,
     tables: HashMap<String, TableEntry>,
     planner: Planner,
-    time_cache: FingerprintCache,
-    selectivity_cache: FingerprintCache,
+    /// Simulated execution time per (query, rewrite) fingerprint pair.
+    time_memo: Memo<f64>,
+    /// True selectivity per (table, predicate) fingerprint pair.
+    selectivity_memo: Memo<f64>,
     /// Catalog generation: bumped by every mutation that can change execution times
     /// or cached decisions (`register_table`, `build_index`, `build_sample`), so
     /// layers above (e.g. the serving layer's decision cache) can detect staleness.
@@ -251,7 +258,7 @@ pub struct Database {
 
 // The serving layer shares one `Arc<Database>` across worker threads; keep that
 // contract visible at compile time (tables and planner are plain data, the two
-// caches synchronise internally).
+// memos synchronise internally).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Database>();
@@ -265,8 +272,8 @@ impl Database {
             config,
             tables: HashMap::new(),
             planner,
-            time_cache: FingerprintCache::new(),
-            selectivity_cache: FingerprintCache::new(),
+            time_memo: Memo::new(ENGINE_MEMO_CAPACITY),
+            selectivity_memo: Memo::new(ENGINE_MEMO_CAPACITY),
             generation: 0,
         }
     }
@@ -279,14 +286,13 @@ impl Database {
     }
 
     /// Invalidation hook shared by every catalog mutation: bump the generation and
-    /// drop both fingerprint caches, whose entries were computed against the old
+    /// drop both memos, whose entries were computed against the old
     /// catalog (a new index changes execution times, a re-registered table
     /// changes everything), and every table's cell column, which the table's
     /// next binning rebuilds.
     fn invalidate(&mut self) {
         self.generation += 1;
-        self.time_cache.clear();
-        self.selectivity_cache.clear();
+        self.clear_caches();
         for entry in self.tables.values_mut() {
             entry.cells = CellColumnSlot::new();
         }
@@ -485,19 +491,19 @@ impl Database {
     /// The *true* selectivity of a single predicate on `table`: an exact count,
     /// from the index when one answers the predicate and by the compiled kernel
     /// over every row otherwise (the count [`Database::sample_selectivity`]
-    /// takes over a sample). Results are cached uniformly (including for
-    /// empty tables) through a get-or-compute helper, so concurrent workers
-    /// asking for the same predicate never recompute it.
+    /// takes over a sample). Results are memoised uniformly (including for
+    /// empty tables).
     pub fn true_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
         let entry = self.entry(table)?;
         let key = selectivity_key(table, pred);
-        self.selectivity_cache.get_or_try_compute(key, || {
-            let rows = entry.table.row_count();
-            if rows == 0 {
-                return Ok(0.0);
-            }
-            Ok(count_rows(&entry.exec_table(), pred)? as f64 / rows as f64)
-        })
+        self.selectivity_memo
+            .get_or_try_compute(key, self.generation, || {
+                let rows = entry.table.row_count();
+                if rows == 0 {
+                    return Ok(0.0);
+                }
+                Ok(count_rows(&entry.exec_table(), pred)? as f64 / rows as f64)
+            })
     }
 
     /// Measures the selectivity of `pred` on the `fraction_pct`% sample of `table`,
@@ -543,8 +549,8 @@ impl Database {
     }
 
     /// Simulated execution time of `query` rewritten with `ro`, without materialising
-    /// results. Times are cached per (query, rewrite option); concurrent callers of
-    /// the same key all observe the canonical (first-cached) value.
+    /// results. Times are memoised per (query, rewrite option); this is the time
+    /// memo's only writer.
     ///
     /// A miss on an exact rewrite of a join-free, `LIMIT`-free query is *priced*,
     /// not executed, and its whole hint lattice with it ([`exec::price_plans`]);
@@ -553,21 +559,19 @@ impl Database {
     pub fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
         let query_fp = query_fingerprint(query);
         let rewrite_fp = rewrite_fingerprint(ro);
-        if let Some(cached) = self.time_cache.get((query_fp, rewrite_fp)) {
-            return Ok(cached);
-        }
-        if let Some(time_ms) = self.price_lattice(query, ro, query_fp, rewrite_fp) {
-            return Ok(time_ms);
-        }
-        // `run_inner` performs the canonical insert itself (first insert wins and
-        // the returned outcome carries the canonical time), so no second insert
-        // is needed here.
-        let outcome = self.run_inner(query, ro, query_fp, false, exec::execute)?;
-        Ok(outcome.time_ms)
+        let key = (query_fp, rewrite_fp);
+        self.time_memo.get_or_try_compute(key, self.generation, || {
+            match self.price_lattice(query, ro, query_fp, rewrite_fp) {
+                Some(time_ms) => Ok(time_ms),
+                None => self
+                    .run_inner(query, ro, query_fp, false, exec::execute)
+                    .map(|run| run.time_ms),
+            }
+        })
     }
 
     /// Prices `ro` together with every hint set of `query` in one shared pass
-    /// over the table ([`exec::price_plans`]), caches all of their times and
+    /// over the table ([`exec::price_plans`]), memoises its siblings' times and
     /// returns `ro`'s. All exact rewrites select the same rows, so the pass costs
     /// at most about one sequential-scan execution however many plans it prices
     /// (an indexed range predicate's mask comes from its index scan, a few word
@@ -575,11 +579,11 @@ impl Database {
     /// keyword's or unindexed one's from its kernel) — and whoever asks about
     /// one rewrite of a query (a QTE, training, the viability count) goes on to
     /// ask about its siblings. The pass popcounts each predicate's own mask
-    /// too, so it also caches every predicate's [`Database::true_selectivity`]
+    /// too, so it also memoises every predicate's [`Database::true_selectivity`]
     /// (unless the table is empty): the Accurate-QTE's probes after it are
-    /// cache reads. `None` when the rewrite is not exact, the query joins, is
+    /// memo reads. `None` when the rewrite is not exact, the query joins, is
     /// capped or has more than [`exec::MAX_PRICED_PREDICATES`] predicates, or
-    /// the pass cannot price it (a mistyped predicate); nothing is cached then.
+    /// the pass cannot price it (a mistyped predicate); nothing is memoised then.
     fn price_lattice(
         &self,
         query: &Query,
@@ -606,22 +610,26 @@ impl Database {
             }
         }
         let priced = exec::price_plans(query, &plans, &fact.exec_table())?;
-        for ((&fp, plan), work) in rewrite_fps.iter().zip(&plans).zip(&priced.works) {
+        let mut times = rewrite_fps.iter().zip(&plans).zip(&priced.works);
+        let ((_, ro_plan), ro_work) = times.next()?;
+        let ro_time_ms = self.simulated_time_ms(ro_work, ro_plan, query_fp);
+        for ((&fp, plan), work) in times {
             let time_ms = self.simulated_time_ms(work, plan, query_fp);
-            self.time_cache.insert_canonical((query_fp, fp), time_ms);
+            self.time_memo
+                .insert((query_fp, fp), time_ms, self.generation);
         }
         // The pass counted each predicate's rows exactly as `true_selectivity`
         // would (an index scan's mask has an index count's bits, a kernel's a
-        // kernel count's), so its selectivities are cached too.
+        // kernel count's), so its selectivities are memoised too.
         let rows = fact.table.row_count();
         if rows > 0 {
             for (pred, &matches) in query.predicates.iter().zip(&priced.matches) {
                 let sel = matches as f64 / rows as f64;
                 let key = selectivity_key(&query.table, pred);
-                self.selectivity_cache.insert_canonical(key, sel);
+                self.selectivity_memo.insert(key, sel, self.generation);
             }
         }
-        self.time_cache.get((query_fp, rewrite_fp))
+        Some(ro_time_ms)
     }
 
     /// The simulated time of `plan` having performed `work`: the cost model plus
@@ -662,15 +670,8 @@ impl Database {
         let dim_exec = dim_exec.as_ref();
         let outcome = engine(query, &plan, &fact_exec, dim_exec, limit_rows, materialize)?;
 
-        let time_ms = self.simulated_time_ms(&outcome.work, &plan, query_fp);
-
-        // Keep whichever value was cached first so racing workers report one
-        // canonical time (the computation is deterministic, so they agree anyway).
-        let key = (query_fp, rewrite_fingerprint(ro));
-        let time_ms = self.time_cache.insert_canonical(key, time_ms);
-
         Ok(RunOutcome {
-            time_ms,
+            time_ms: self.simulated_time_ms(&outcome.work, &plan, query_fp),
             result: outcome.result,
             plan,
             work: outcome.work,
@@ -700,20 +701,23 @@ impl Database {
         render_sql(query, ro, schema, join_schema)
     }
 
-    /// Clears the execution-time and selectivity caches (useful between experiments
+    /// Clears the execution-time and selectivity memos (useful between experiments
     /// that mutate cost parameters, and between throughput runs that must each do
     /// the same amount of work). Each table's cell column survives it: it changes
     /// how fast an answer or a time is computed, never what it is. Catalog
     /// mutations drop it.
     pub fn clear_caches(&self) {
-        self.time_cache.clear();
-        self.selectivity_cache.clear();
+        self.time_memo.clear();
+        self.selectivity_memo.clear();
     }
 
-    /// Number of entries in the (execution-time, selectivity) caches, for
+    /// Number of entries in the (execution-time, selectivity) memos, for
     /// observability and determinism assertions in tests.
     pub fn cache_entry_counts(&self) -> (usize, usize) {
-        (self.time_cache.len(), self.selectivity_cache.len())
+        (
+            self.time_memo.stats().entries,
+            self.selectivity_memo.stats().entries,
+        )
     }
 
     /// Whether `table` holds a cell column for `output`'s point column and
@@ -1039,8 +1043,9 @@ mod tests {
         let key = |q: &Query| (query_fingerprint(q), rewrite_fingerprint(&ro));
         assert_ne!(key(&small).0, key(&zoomed_out).0);
         assert_ne!(t_small, t_zoomed_out, "the viewports bin different cells");
-        assert_eq!(db.time_cache.get(key(&small)), Some(t_small));
-        assert_eq!(db.time_cache.get(key(&zoomed_out)), Some(t_zoomed_out));
+        let memoised = |q: &Query| db.time_memo.get(key(q), || db.generation);
+        assert_eq!(memoised(&small), Some(t_small));
+        assert_eq!(memoised(&zoomed_out), Some(t_zoomed_out));
         // Re-asking for the small viewport must return its own time, not the
         // zoomed-out one's.
         assert_eq!(db.execution_time_ms(&small, &ro).unwrap(), t_small);
@@ -1148,6 +1153,57 @@ mod tests {
         assert!(build().execution_time_ms(mistyped, ro).is_err());
     }
 
+    /// A memo that evicts changes how often a value is computed, never the
+    /// value: with 8-entry memos, every lattice option's time, every run and
+    /// every predicate's true selectivity, asked twice over, is bit-equal to a
+    /// roomy database's, and both small memos did evict.
+    #[test]
+    fn eviction_changes_no_answer() {
+        let roomy = build_db();
+        let mut tight = build_db();
+        tight.time_memo = Memo::new(8);
+        tight.selectivity_memo = Memo::new(8);
+        let queries: Vec<Query> = (0..4)
+            .map(|i| {
+                let west = -119.0 + i as f64 * 0.2;
+                Query::select("tweets")
+                    .filter(Predicate::keyword(3, "covid"))
+                    .filter(Predicate::time_range(1, 0, 60 * (500 + i * 700)))
+                    .filter(Predicate::spatial_range(
+                        2,
+                        GeoRect::new(west, 33.0, -117.0, 35.0),
+                    ))
+                    .output(OutputKind::Count)
+            })
+            .collect();
+        let limited = RewriteOption::approximate(
+            HintSet::with_mask(0b011),
+            ApproxRule::LimitPermille { permille: 250 },
+        );
+        for _ in 0..2 {
+            for q in &queries {
+                let lattice = enumerate_hint_sets(q)
+                    .into_iter()
+                    .map(RewriteOption::hinted);
+                for ro in lattice.chain([limited.clone()]) {
+                    let time = |db: &Database| db.execution_time_ms(q, &ro).unwrap().to_bits();
+                    assert_eq!(time(&tight), time(&roomy), "{q:?} {ro:?}");
+                    let (a, b) = (tight.run(q, &ro).unwrap(), roomy.run(q, &ro).unwrap());
+                    assert_eq!(a.time_ms.to_bits(), b.time_ms.to_bits());
+                    assert_eq!(a.result, b.result);
+                }
+                for pred in &q.predicates {
+                    let sel =
+                        |db: &Database| db.true_selectivity("tweets", pred).unwrap().to_bits();
+                    assert_eq!(sel(&tight), sel(&roomy), "{pred:?}");
+                }
+            }
+        }
+        assert!(tight.time_memo.stats().evictions > 0);
+        assert!(tight.selectivity_memo.stats().evictions > 0);
+        assert_eq!(roomy.time_memo.stats().evictions, 0);
+    }
+
     /// Concurrent workers sharing one database must observe identical cached times
     /// and selectivities as a single-threaded run.
     #[test]
@@ -1225,7 +1281,7 @@ mod tests {
         let key = |ro| (query_fingerprint(&q), rewrite_fingerprint(ro));
         let raced: Vec<f64> = lattice
             .iter()
-            .map(|ro| db.time_cache.get(key(ro)).unwrap())
+            .map(|ro| db.time_memo.get(key(ro), || db.generation).unwrap())
             .collect();
         assert_eq!(raced, expected);
     }

@@ -1,6 +1,6 @@
 //! Stable 64-bit fingerprints for queries and rewrite options.
 //!
-//! Fingerprints are used as cache keys (execution-time cache, selectivity cache) and as
+//! Fingerprints are used as memo keys (execution times, selectivities, decisions) and as
 //! seeds for deterministic per-query pseudo-randomness (hint adherence, commercial
 //! profile noise). They must be stable across runs, so they are computed structurally
 //! (hashing float bits) rather than via `Hash` derives or debug formatting.

@@ -66,7 +66,7 @@ pub mod timing;
 pub mod types;
 
 pub use backend::{ExecContext, QueryBackend, RunReport, SharedBackend};
-pub use cache::FingerprintCache;
+pub use cache::{Memo, MemoStats};
 pub use db::{Database, DbConfig, DbProfile, RunOutcome};
 pub use error::{Error, Result};
 pub use sharded::{ShardedBackend, ShardedBackendBuilder};

@@ -1,5 +1,6 @@
-//! Model-check suite for the `vizdb::sync` facade, the fingerprint cache and
-//! the cell column a table's first heatmap builds.
+//! Model-check suite for the `vizdb::sync` facade, the memo behind the
+//! database's time and selectivity memos, and the cell column a table's first
+//! heatmap builds.
 //!
 //! Compiled only under `RUSTFLAGS='--cfg maliva_model_check'`, where
 //! `vizdb::sync` resolves to the instrumented loomlite shims and `explore`
@@ -18,7 +19,7 @@ use vizdb::storage::{BuildOnce, TableBuilder};
 use vizdb::sync::atomic::{AtomicU64, Ordering};
 use vizdb::sync::thread;
 use vizdb::types::GeoRect;
-use vizdb::{Database, DbConfig, FingerprintCache};
+use vizdb::{Database, DbConfig, Memo};
 
 /// A classic lost update, written against the *facade's* atomics. The checker
 /// finding it proves the `maliva_model_check` cfg actually switched
@@ -83,45 +84,50 @@ fn per_field_atomic_counters_are_caught_tearing() {
     assert!(matches!(failure.kind, FailureKind::Panic { .. }));
 }
 
-/// The cache contract under every explored interleaving: two threads race
+/// The memo contract under every explored interleaving: two threads race
 /// `get_or_try_compute` on one key with *different* candidate values; the
 /// first insert wins and both threads observe exactly the canonical value.
 #[test]
 fn fingerprint_cache_first_insert_wins_under_every_interleaving() {
     let report = explore(Config::random(11, 1000), || {
-        let cache = Arc::new(FingerprintCache::new());
+        let cache = Arc::new(Memo::new(65_536));
         let a = cache.clone();
         let ha = thread::spawn(move || {
-            let v: Result<f64, ()> = a.get_or_try_compute((1, 2), || Ok(10.0));
+            let v: Result<f64, ()> = a.get_or_try_compute((1, 2), 0, || Ok(10.0));
             v.unwrap()
         });
         let b = cache.clone();
         let hb = thread::spawn(move || {
-            let v: Result<f64, ()> = b.get_or_try_compute((1, 2), || Ok(20.0));
+            let v: Result<f64, ()> = b.get_or_try_compute((1, 2), 0, || Ok(20.0));
             v.unwrap()
         });
         let va = ha.join().unwrap();
         let vb = hb.join().unwrap();
-        let canonical = cache.get((1, 2)).expect("one insert must have landed");
+        let canonical = cache
+            .get((1, 2), || 0)
+            .expect("one insert must have landed");
         assert_eq!(va, canonical, "thread A observed a non-canonical value");
         assert_eq!(vb, canonical, "thread B observed a non-canonical value");
-        assert_eq!(cache.len(), 1, "a racing insert must not duplicate the key");
+        assert_eq!(
+            cache.stats().entries,
+            1,
+            "a racing insert must not duplicate the key"
+        );
     });
     report.assert_ok();
     assert!(report.schedules_explored >= 1000);
 }
 
-/// `insert_canonical` against a concurrent `clear`: whatever the outcome, the
-/// caller's returned value was canonical *at insertion time* and the cache
-/// ends in one of the two legal states (entry present with the inserted value,
-/// or empty).
+/// `insert` against a concurrent `clear`: whatever the outcome, the caller's
+/// returned value was canonical *at insertion time* and the memo ends in one
+/// of the two legal states (entry present with the inserted value, or empty).
 #[test]
 fn fingerprint_cache_clear_races_are_benign() {
     let report = explore(Config::random(13, 1000), || {
-        let cache = Arc::new(FingerprintCache::new());
+        let cache = Arc::new(Memo::new(65_536));
         let inserter = {
             let c = cache.clone();
-            thread::spawn(move || c.insert_canonical((9, 9), 4.5))
+            thread::spawn(move || c.insert((9, 9), 4.5, 0))
         };
         let clearer = {
             let c = cache.clone();
@@ -130,9 +136,9 @@ fn fingerprint_cache_clear_races_are_benign() {
         let inserted = inserter.join().unwrap();
         clearer.join().unwrap();
         assert_eq!(inserted, 4.5);
-        match cache.get((9, 9)) {
+        match cache.get((9, 9), || 0) {
             Some(v) => assert_eq!(v, 4.5),
-            None => assert!(cache.is_empty()),
+            None => assert_eq!(cache.stats().entries, 0),
         }
     });
     report.assert_ok();

@@ -209,8 +209,9 @@ const RULES: &[(&str, PathPredicate, LineCheck)] = &[
 /// kernels, the lattice pricing pass (which answers "cannot
 /// price" with `None`, never a panic) and the reference interpreter it falls back to
 /// — and so is `index/`, whose scans fill the selection `bitmap.rs` carries to
-/// the sink, and the serve layer's `queue.rs`, whose queue every worker loop
-/// runs on. `online.rs` and the `mdp/env.rs` episode it advances run on every
+/// the sink, the serve layer's `queue.rs`, whose queue every worker loop
+/// runs on, and `vizdb`'s `cache.rs`, the memo every request's decision-cache
+/// lookup goes through. `online.rs` and the `mdp/env.rs` episode it advances run on every
 /// request that misses the decision cache, and so do the estimator modules each
 /// step of it calls (`QTE_HOT_PATH`).
 fn is_hot_path(path: &str) -> bool {
@@ -221,6 +222,7 @@ fn is_hot_path(path: &str) -> bool {
         || matches!(
             path,
             "crates/vizdb/src/bitmap.rs"
+                | "crates/vizdb/src/cache.rs"
                 | "crates/serve/src/queue.rs"
                 | "crates/core/src/online.rs"
                 | "crates/core/src/mdp/env.rs"
@@ -255,7 +257,6 @@ fn is_facade_module(path: &str) -> bool {
             "crates/vizdb/src/cache.rs"
                 | "crates/vizdb/src/backend.rs"
                 | "crates/vizdb/src/storage/cells.rs"
-                | "crates/serve/src/cache.rs"
                 | "crates/serve/src/queue.rs"
                 | "crates/serve/src/server.rs"
         )
@@ -587,19 +588,21 @@ mod tests {
         ]
         .map(|module| format!("crates/vizdb/src/{module}"));
         let qte = QTE_HOT_PATH.map(String::from);
+        let concurrent =
+            ["crates/serve/src/queue.rs", "crates/vizdb/src/cache.rs"].map(String::from);
         for path in paths
             .iter()
             .chain(&selection)
             .chain(&qte)
-            .chain([&"crates/serve/src/queue.rs".to_string()])
+            .chain(&concurrent)
         {
             let findings = scan_source(path, bad);
             assert_eq!(findings.len(), 1, "{path} must be under the no-panic rule");
             assert_eq!(findings[0].rule, "no-panic");
             assert_eq!(
                 is_facade_module(path),
-                path.ends_with("queue.rs"),
-                "{path}: only the work queue module holds sync primitives"
+                concurrent.contains(path),
+                "{path}: only the work queue and the memo hold sync primitives"
             );
         }
     }
