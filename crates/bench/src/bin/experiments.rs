@@ -11,7 +11,7 @@
 use maliva_bench::experiments::{
     all_experiment_ids, experiment_descriptions, experiment_groups, run_experiment,
 };
-use maliva_bench::harness::{queries_from_env, save_json, scale_from_env};
+use maliva_bench::harness::{queries_from_env, save_json, scale_from_env, training_secs};
 use maliva_bench::pins::check_pins;
 
 fn main() {
@@ -73,7 +73,7 @@ fn main() {
 
     let started = std::time::Instant::now();
     for id in &ids {
-        let run_started = std::time::Instant::now();
+        let (run_started, trained_before) = (std::time::Instant::now(), training_secs());
         eprintln!("[experiments] running {id} ...");
         let outputs = run_experiment(id);
         for output in &outputs {
@@ -81,8 +81,9 @@ fn main() {
             save_json(output);
         }
         eprintln!(
-            "[experiments] {id} finished in {:.1}s",
-            run_started.elapsed().as_secs_f64()
+            "[experiments] {id} finished in {:.1}s, {:.1}s of it agent training",
+            run_started.elapsed().as_secs_f64(),
+            training_secs() - trained_before
         );
     }
     eprintln!(

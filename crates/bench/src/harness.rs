@@ -2,6 +2,7 @@
 //! evaluation and result printing / serialisation.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -159,6 +160,21 @@ pub fn experiment_config(tau_ms: f64) -> MalivaConfig {
     }
 }
 
+/// Summed agent-training wall time of every experiment this process has run, in
+/// nanoseconds.
+static TRAINING_NANOS: AtomicU64 = AtomicU64::new(0);
+
+/// Adds one agent training's wall-clock seconds (`TrainingReport::wall_clock_secs`)
+/// to [`training_secs`].
+pub fn record_training(secs: f64) {
+    TRAINING_NANOS.fetch_add((secs * 1e9) as u64, Ordering::Relaxed);
+}
+
+/// Summed wall-clock seconds of every agent training recorded in this process.
+pub fn training_secs() -> f64 {
+    TRAINING_NANOS.load(Ordering::Relaxed) as f64 / 1e9
+}
+
 /// Builds the QTEs for a scenario: the oracle Accurate-QTE and a trained
 /// sampling-based Approximate-QTE.
 pub fn build_qtes(scenario: &Scenario) -> (Arc<AccurateQte>, Arc<ApproximateQte>) {
@@ -197,6 +213,7 @@ pub fn train_mdp_rewriter(
         config,
     )
     .expect("MDP training needs a non-empty training split");
+    record_training(trained.report.wall_clock_secs);
     MalivaRewriter::new(
         label,
         scenario.db().clone(),

@@ -9,7 +9,7 @@
 //! `cargo run -p maliva-bench --release --bin experiments -- all`, or a single
 //! experiment with e.g. `... -- fig12`. The environment variables `MALIVA_SCALE`
 //! (`tiny` / `small` / `large`) and `MALIVA_QUERIES` control the dataset size and
-//! workload size; the defaults are chosen so the full suite completes in minutes on a
+//! workload size; the defaults are chosen so the full suite completes in seconds on a
 //! laptop while preserving the paper's qualitative results.
 
 pub mod experiments;

@@ -182,6 +182,21 @@ mod tests {
         );
     }
 
+    /// The paper's headline figure repeats its committed pins under `cargo test`
+    /// (≈ 4 s in a debug build), not only in the release suite's `pins` run.
+    /// Like `pins`, it is taken at the default scale.
+    #[test]
+    fn fig12_and_fig13_repeat_their_pins() {
+        let committed: Vec<ExperimentOutput> = serde_json::from_str(COMMITTED).unwrap();
+        let current = run_experiment("fig12");
+        let pinned: Vec<ExperimentOutput> = committed
+            .into_iter()
+            .filter(|p| current.iter().any(|c| c.id == p.id))
+            .collect();
+        assert_eq!(pinned.len(), 6, "fig12a-c and fig13a-c are pinned");
+        assert_eq!(moved_cells(&pinned, &current), Vec::<String>::new());
+    }
+
     #[test]
     fn committed_pins_parse_and_cover_every_pinned_group() {
         let committed: Vec<ExperimentOutput> = serde_json::from_str(COMMITTED).unwrap();

@@ -66,7 +66,7 @@ pub struct QScratch {
     activations: Activations,
 }
 
-// Inference (`q_values` / `best_action`) takes `&self` and the networks are
+// Inference (`best_action`) takes `&self` and the networks are
 // plain data, so one trained agent can be shared across serving threads behind
 // an `Arc` without locking; keep that contract visible at compile time.
 const _: () = {
@@ -99,16 +99,6 @@ impl QAgent {
     /// The budget the agent was trained for.
     pub fn tau_ms(&self) -> f64 {
         self.tau_ms
-    }
-
-    /// Q-values of every action for an encoded state.
-    pub fn q_values(&self, features: &[f64]) -> Vec<f64> {
-        self.network.forward(features)
-    }
-
-    /// Q-values of every action for an [`MdpState`].
-    pub fn q_values_of(&self, state: &MdpState) -> Vec<f64> {
-        self.q_values(&state.to_features(self.tau_ms))
     }
 
     /// The remaining action with the highest Q-value (paper Algorithm 2 line 5). The
@@ -153,37 +143,26 @@ impl QAgent {
         Ok(())
     }
 
-    /// Highest Q-value among `remaining` actions of the *target* network for an encoded
-    /// state; 0 when no actions remain.
-    fn target_max(&self, features: &[f64], remaining: &[usize]) -> f64 {
-        if remaining.is_empty() {
-            return 0.0;
-        }
-        let q = self.target_network.forward(features);
-        remaining
-            .iter()
-            .map(|&a| q[a])
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Performs one Q-learning update over a minibatch of experiences and returns the
-    /// mean squared Bellman error before the update.
+    /// One Q-learning update, the DQN step: each experience's Bellman target (its
+    /// reward, plus `gamma` times the *target* network's highest Q-value over the
+    /// actions remaining in `s'` when `s'` is not terminal and some remain) trains
+    /// the taken action's Q-value, and the online network takes one optimizer step
+    /// on the batch-mean gradient. Returns the mean squared Bellman error before the
+    /// update (0 for an empty batch, which changes nothing).
     pub fn train_on_batch(&mut self, batch: &[&Experience], gamma: f64, opt: &mut Adam) -> f64 {
-        if batch.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for exp in batch {
-            let target = if exp.terminal {
-                exp.reward
-            } else {
-                exp.reward + gamma * self.target_max(&exp.next_state, &exp.next_remaining)
-            };
-            total += self
-                .network
-                .train_step_masked(&exp.state, exp.action, target, opt);
-        }
-        total / batch.len() as f64
+        let (target_network, mut activations) = (&self.target_network, Activations::default());
+        let mut target = |exp: &Experience| {
+            if exp.terminal || exp.next_remaining.is_empty() {
+                return exp.reward;
+            }
+            let q = target_network.forward_into(&exp.next_state, &mut activations);
+            let best = exp.next_remaining.iter().map(|&a| q[a]);
+            exp.reward + gamma * best.fold(f64::NEG_INFINITY, f64::max)
+        };
+        let batch = batch
+            .iter()
+            .map(|exp| (&exp.state[..], exp.action, target(exp)));
+        self.network.train_batch_masked(batch, opt)
     }
 
     /// Copies the online network into the target network.
@@ -216,7 +195,7 @@ mod tests {
     #[test]
     fn q_values_have_one_entry_per_action() {
         let agent = QAgent::new(8, 500.0, 1);
-        assert_eq!(agent.q_values_of(&state(8)).len(), 8);
+        assert_eq!(agent.network.forward(&state(8).to_features(500.0)).len(), 8);
         assert_eq!(agent.n_actions(), 8);
     }
 
@@ -241,7 +220,7 @@ mod tests {
         let mut s = MdpState::initial((0..8).map(|i| 10.0 * i as f64).collect());
         let mut remaining: Vec<usize> = (0..8).collect();
         while !remaining.is_empty() {
-            let q = agent.q_values_of(&s);
+            let q = agent.network.forward(&s.to_features(500.0));
             let want = *remaining
                 .iter()
                 .max_by(|&&a, &&b| q[a].partial_cmp(&q[b]).unwrap())
@@ -255,78 +234,66 @@ mod tests {
         }
     }
 
+    /// An experience from the initial state of `n` actions back to it, terminal
+    /// when no action remains.
+    fn experience(n: usize, action: usize, reward: f64, next_remaining: Vec<usize>) -> Experience {
+        let features = state(n).to_features(500.0);
+        Experience {
+            state: features.clone(),
+            action,
+            next_state: features,
+            reward,
+            terminal: next_remaining.is_empty(),
+            next_remaining,
+        }
+    }
+
     #[test]
     fn training_moves_q_value_towards_target() {
         let mut agent = QAgent::new(3, 500.0, 5);
-        let s = state(3);
-        let features = s.to_features(500.0);
-        let exp = Experience {
-            state: features.clone(),
-            action: 1,
-            next_state: features.clone(),
-            reward: 0.8,
-            terminal: true,
-            next_remaining: vec![],
-        };
+        let exp = experience(3, 1, 0.8, vec![]);
         let mut opt = Adam::new(0.01);
         for _ in 0..300 {
             agent.train_on_batch(&[&exp], 0.97, &mut opt);
         }
-        let q = agent.q_values(&features);
+        let q = agent.network.forward(&exp.state);
         assert!((q[1] - 0.8).abs() < 0.1, "q[1] = {}", q[1]);
     }
 
+    /// A non-terminal target is the reward plus γ times the target network's best
+    /// Q-value over the remaining actions; the returned error is measured against it.
     #[test]
     fn non_terminal_targets_use_target_network_max() {
         let mut agent = QAgent::new(2, 500.0, 9);
-        // Make the target network produce distinct values by syncing after training the
-        // online network a bit; here we only check that training does not panic and the
-        // bellman error is finite.
-        let s = state(2).to_features(500.0);
-        let exp = Experience {
-            state: s.clone(),
-            action: 0,
-            next_state: s,
-            reward: 0.1,
-            terminal: false,
-            next_remaining: vec![1],
-        };
+        let exp = experience(2, 0, 0.1, vec![1]);
+        let q = agent.network.forward(&exp.state);
+        let error = q[0] - (0.1 + 0.9 * q[1]);
         let mut opt = Adam::new(0.005);
-        let err = agent.train_on_batch(&[&exp], 0.9, &mut opt);
-        assert!(err.is_finite());
+        assert_eq!(agent.train_on_batch(&[&exp], 0.9, &mut opt), error * error);
     }
 
     #[test]
     fn sync_target_aligns_predictions() {
         let mut agent = QAgent::new(3, 500.0, 2);
-        let s = state(3).to_features(500.0);
-        let exp = Experience {
-            state: s.clone(),
-            action: 0,
-            next_state: s.clone(),
-            reward: 1.0,
-            terminal: true,
-            next_remaining: vec![],
-        };
+        let exp = experience(3, 0, 1.0, vec![]);
         let mut opt = Adam::new(0.02);
         for _ in 0..50 {
             agent.train_on_batch(&[&exp], 0.9, &mut opt);
         }
         // Target network still predicts the old values until synced.
-        let online_before = agent.network.forward(&s);
-        let target_before = agent.target_network.forward(&s);
-        assert_ne!(online_before, target_before);
+        let s = &exp.state;
+        assert_ne!(agent.network.forward(s), agent.target_network.forward(s));
         agent.sync_target();
-        assert_eq!(agent.network.forward(&s), agent.target_network.forward(&s));
+        assert_eq!(agent.network.forward(s), agent.target_network.forward(s));
     }
 
     #[test]
     fn json_round_trip_preserves_predictions() {
         let agent = QAgent::new(5, 250.0, 11);
-        let s = state(5);
+        let s = state(5).to_features(250.0);
         let json = agent.to_json();
         let restored = QAgent::from_json(&json).unwrap();
-        assert_eq!(agent.q_values_of(&s), restored.q_values_of(&s));
+        assert_eq!(agent.network.forward(&s), restored.network.forward(&s));
         assert_eq!(restored.tau_ms(), 250.0);
     }
 

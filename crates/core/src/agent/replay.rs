@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// One experience tuple, extended with the information needed to compute the Bellman
@@ -29,6 +28,8 @@ pub struct Experience {
 pub struct ReplayMemory {
     buffer: VecDeque<Experience>,
     capacity: usize,
+    /// A permutation of the buffer's positions that sampling shuffles in place.
+    order: Vec<usize>,
 }
 
 impl ReplayMemory {
@@ -37,6 +38,7 @@ impl ReplayMemory {
         Self {
             buffer: VecDeque::with_capacity(capacity.max(1)),
             capacity: capacity.max(1),
+            order: Vec::new(),
         }
     }
 
@@ -44,6 +46,8 @@ impl ReplayMemory {
     pub fn push(&mut self, experience: Experience) {
         if self.buffer.len() == self.capacity {
             self.buffer.pop_front();
+        } else {
+            self.order.push(self.buffer.len());
         }
         self.buffer.push_back(experience);
     }
@@ -63,15 +67,16 @@ impl ReplayMemory {
         self.capacity
     }
 
-    /// Samples (without replacement) up to `batch_size` random experiences.
-    pub fn sample<R: Rng>(&self, batch_size: usize, rng: &mut R) -> Vec<&Experience> {
-        let mut indices: Vec<usize> = (0..self.buffer.len()).collect();
-        indices.shuffle(rng);
-        indices
-            .into_iter()
-            .take(batch_size)
-            .map(|i| &self.buffer[i])
-            .collect()
+    /// Samples (without replacement) up to `batch_size` random experiences: a partial
+    /// Fisher–Yates shuffle of the kept permutation, so `min(batch_size, len)` draws.
+    pub fn sample<R: Rng>(&mut self, batch_size: usize, rng: &mut R) -> Vec<&Experience> {
+        let taken = batch_size.min(self.order.len());
+        for k in 0..taken {
+            let pick = rng.gen_range(k..self.order.len());
+            self.order.swap(k, pick);
+        }
+        let picked = &self.order[..taken];
+        picked.iter().map(|&i| &self.buffer[i]).collect()
     }
 }
 
@@ -80,6 +85,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeSet;
 
     fn exp(reward: f64) -> Experience {
         Experience {
@@ -112,15 +118,24 @@ mod tests {
         assert_eq!(rewards, vec![2.0, 3.0, 4.0]);
     }
 
+    /// Before and after the memory fills and evicts, a sample holds `min(B, len)`
+    /// distinct experiences, all of them still stored.
     #[test]
     fn sample_respects_batch_size() {
-        let mut m = ReplayMemory::new(100);
-        for i in 0..50 {
+        let (mut m, mut rng) = (ReplayMemory::new(40), ChaCha8Rng::seed_from_u64(1));
+        for i in 0..100 {
             m.push(exp(i as f64));
+            let len = m.len();
+            for batch_size in [1, 8, 32, 64] {
+                let sample = m.sample(batch_size, &mut rng);
+                let rewards: BTreeSet<i64> = sample.iter().map(|e| e.reward as i64).collect();
+                assert_eq!(
+                    (sample.len(), rewards.len()),
+                    (batch_size.min(len), sample.len())
+                );
+                assert!(rewards.iter().all(|&r| r > i - 40 && r <= i));
+            }
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        assert_eq!(m.sample(8, &mut rng).len(), 8);
-        assert_eq!(m.sample(200, &mut rng).len(), 50);
     }
 
     #[test]
@@ -135,6 +150,22 @@ mod tests {
         rewards.sort_unstable();
         rewards.dedup();
         assert_eq!(rewards.len(), 20);
+    }
+
+    /// Two of three experiences: each pair is drawn about a third of the time.
+    #[test]
+    fn samples_are_uniform_over_subsets() {
+        let (mut rng, mut left_out) = (ChaCha8Rng::seed_from_u64(4), [0; 3]);
+        for _ in 0..3000 {
+            let mut m = ReplayMemory::new(3);
+            (0..3).for_each(|i| m.push(exp(i as f64)));
+            let drawn: f64 = m.sample(2, &mut rng).iter().map(|e| e.reward).sum();
+            left_out[3 - drawn as usize] += 1;
+        }
+        assert!(
+            left_out.iter().all(|n| (900..1100).contains(n)),
+            "{left_out:?}"
+        );
     }
 
     #[test]

@@ -97,16 +97,6 @@ impl RewriteSpace {
     pub fn options(&self) -> &[RewriteOption] {
         &self.options
     }
-
-    /// Positions of the exact (non-approximate) options.
-    pub fn exact_positions(&self) -> Vec<usize> {
-        self.options
-            .iter()
-            .enumerate()
-            .filter(|(_, ro)| ro.is_exact())
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +135,7 @@ mod tests {
         let rules = ApproxRule::paper_limit_rules();
         let space = RewriteSpace::with_approx_rules(&query(3), &rules);
         assert_eq!(space.len(), 8 * (1 + 5));
-        assert_eq!(space.exact_positions().len(), 8);
+        assert_eq!(space.options().iter().filter(|ro| ro.is_exact()).count(), 8);
     }
 
     #[test]
@@ -153,7 +143,7 @@ mod tests {
         let rules = ApproxRule::paper_limit_rules();
         let space = RewriteSpace::approx_only(&query(3), &rules);
         assert_eq!(space.len(), 40);
-        assert!(space.exact_positions().is_empty());
+        assert!(!space.options().iter().any(|ro| ro.is_exact()));
     }
 
     #[test]

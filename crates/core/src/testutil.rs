@@ -12,11 +12,6 @@ use vizdb::{Database, DbConfig, QueryBackend, ShardedBackendBuilder};
 /// Builds a 6 000-row tweets table plus a 200-row users table with skewed text and
 /// spatial distributions, all indexes, and 1% samples.
 pub fn tiny_db() -> Arc<Database> {
-    tiny_db_with_config(DbConfig::default())
-}
-
-/// Same as [`tiny_db`] but with a custom database configuration.
-pub fn tiny_db_with_config(config: DbConfig) -> Arc<Database> {
     let schema = TableSchema::new("tweets")
         .with_column("id", ColumnType::Int)
         .with_column("created_at", ColumnType::Timestamp)
@@ -65,7 +60,7 @@ pub fn tiny_db_with_config(config: DbConfig) -> Arc<Database> {
         });
     }
 
-    let mut db = Database::new(config);
+    let mut db = Database::new(DbConfig::default());
     db.register_table(b.build()).unwrap();
     db.register_table(ub.build()).unwrap();
     db.build_all_indexes("tweets").unwrap();
@@ -73,13 +68,6 @@ pub fn tiny_db_with_config(config: DbConfig) -> Arc<Database> {
     db.build_sample("tweets", 1).unwrap();
     db.build_sample("users", 1).unwrap();
     Arc::new(db)
-}
-
-/// The fixture database behind the [`QueryBackend`] trait object every layer above
-/// `vizdb` consumes.
-#[allow(dead_code)]
-pub fn tiny_backend() -> Arc<dyn QueryBackend> {
-    tiny_db()
 }
 
 /// A per-region sharded mirror of the fixture database (same tables, indexes and

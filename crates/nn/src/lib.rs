@@ -3,13 +3,13 @@
 //! Maliva's Q-network (paper Fig. 8) is a small multi-layer perceptron: an input layer
 //! of size `2n + 1` (elapsed time, `n` estimation costs, `n` estimated times), two
 //! fully-connected ReLU hidden layers of similar size, and a linear output layer with
-//! one Q-value per rewrite option. Training takes one gradient step per experience
-//! on the squared error of the taken action's Q-value against its Bellman target
-//! ([`Mlp::train_step_masked`]); the other outputs get no gradient.
+//! one Q-value per rewrite option. Training takes one Adam step per replay minibatch
+//! on the batch-mean squared error of each taken action's Q-value against its
+//! Bellman target ([`Mlp::train_batch_masked`]); the other outputs get no gradient.
 //!
 //! The Rust ML ecosystem is not suited to training such models offline inside a
 //! reproducible, dependency-free build, so this crate implements exactly what is
-//! needed from scratch: dense layers, ReLU, that masked gradient step, Adam (which
+//! needed from scratch: dense layers, ReLU, that masked minibatch step, Adam (which
 //! updates each layer's weights and biases in place), Xavier initialisation and
 //! (de)serialisation of trained weights.
 //!
@@ -19,10 +19,9 @@
 //! // Learn y = x0 + 2*x1 with a tiny network; its one output is unit 0.
 //! let mut net = Mlp::new(&[2, 8, 8, 1], 7);
 //! let mut opt = Adam::new(0.01);
+//! let data = [([0.0, 0.0], 0.0), ([1.0, 0.0], 1.0), ([0.0, 1.0], 2.0), ([1.0, 1.0], 3.0)];
 //! for _ in 0..600 {
-//!     for (x, y) in [([0.0, 0.0], 0.0), ([1.0, 0.0], 1.0), ([0.0, 1.0], 2.0), ([1.0, 1.0], 3.0)] {
-//!         net.train_step_masked(&x, 0, y, &mut opt);
-//!     }
+//!     net.train_batch_masked(data.iter().map(|(x, y)| (&x[..], 0, *y)), &mut opt);
 //! }
 //! let pred = net.forward(&[1.0, 1.0])[0];
 //! assert!((pred - 3.0).abs() < 0.2, "prediction {pred}");

@@ -42,18 +42,8 @@ impl Dense {
         self.out_dim
     }
 
-    /// Forward pass for a single sample.
-    ///
-    /// # Panics
-    /// Panics when `input.len() != in_dim`.
-    pub fn forward(&self, input: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.out_dim);
-        self.forward_into(input, &mut out);
-        out
-    }
-
-    /// [`Self::forward`] into a caller-owned buffer, which is overwritten; nothing is
-    /// allocated once `out` has grown to `out_dim`.
+    /// Forward pass for a single sample into a caller-owned buffer, which is
+    /// overwritten; nothing is allocated once `out` has grown to `out_dim`.
     ///
     /// # Panics
     /// Panics when `input.len() != in_dim`.
@@ -87,21 +77,29 @@ impl Dense {
         Ok(())
     }
 
-    /// Backward pass for a single sample: accumulates weight/bias gradients and returns
-    /// the gradient with respect to the input.
-    pub fn backward(&mut self, input: &[f64], grad_output: &[f64]) -> Vec<f64> {
-        assert_eq!(grad_output.len(), self.out_dim, "grad_output size mismatch");
-        assert_eq!(input.len(), self.in_dim, "input size mismatch");
-        let mut grad_input = vec![0.0; self.in_dim];
-        for (o, &go) in grad_output.iter().enumerate() {
+    /// Backward pass for a single sample `x`: accumulates weight/bias gradients and,
+    /// when `grad_in` is given, overwrites it with the gradient with respect to `x`.
+    /// Outputs with a zero gradient (masked, or behind an inactive ReLU) add nothing
+    /// and are skipped.
+    pub fn backward(&mut self, x: &[f64], grad_out: &[f64], mut grad_in: Option<&mut Vec<f64>>) {
+        assert_eq!(grad_out.len(), self.out_dim, "grad_output size mismatch");
+        assert_eq!(x.len(), self.in_dim, "input size mismatch");
+        if let Some(grad_in) = grad_in.as_deref_mut() {
+            grad_in.clear();
+            grad_in.resize(self.in_dim, 0.0);
+        }
+        for (o, &go) in grad_out.iter().enumerate().filter(|(_, &go)| go != 0.0) {
             self.grad_biases[o] += go;
-            let row_start = o * self.in_dim;
-            for i in 0..self.in_dim {
-                self.grad_weights[row_start + i] += go * input[i];
-                grad_input[i] += go * self.weights[row_start + i];
+            let row = o * self.in_dim..(o + 1) * self.in_dim;
+            for (g, xi) in self.grad_weights[row.clone()].iter_mut().zip(x) {
+                *g += go * xi;
+            }
+            if let Some(grad_in) = grad_in.as_deref_mut() {
+                for (g, w) in grad_in.iter_mut().zip(&self.weights[row]) {
+                    *g += go * w;
+                }
             }
         }
-        grad_input
     }
 
     /// Clears accumulated gradients.
@@ -145,13 +143,19 @@ impl Dense {
 mod tests {
     use super::*;
 
+    fn forward(layer: &Dense, input: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        layer.forward_into(input, &mut out);
+        out
+    }
+
     #[test]
     fn forward_computes_affine_map() {
         let mut layer = Dense::new(2, 1, 0);
         // Overwrite weights for a deterministic check: y = 3*x0 - x1 + 0.5
         layer.weights = vec![3.0, -1.0];
         layer.biases = vec![0.5];
-        let y = layer.forward(&[2.0, 4.0]);
+        let y = forward(&layer, &[2.0, 4.0]);
         assert_eq!(y, vec![2.5]);
     }
 
@@ -162,8 +166,8 @@ mod tests {
         let grad_out = [1.0, -0.5];
 
         layer.zero_grad();
-        let out_base = layer.forward(&input);
-        let _ = layer.backward(&input, &grad_out);
+        let out_base = forward(&layer, &input);
+        layer.backward(&input, &grad_out, None);
         let grads = [&layer.grad_weights[..], &layer.grad_biases[..]].concat();
 
         // Finite differences over a few parameters.
@@ -175,7 +179,7 @@ mod tests {
                 None => perturbed.weights[check_idx] += eps,
                 Some(bias) => perturbed.biases[bias] += eps,
             }
-            let out_p = perturbed.forward(&input);
+            let out_p = forward(&perturbed, &input);
             let numeric = (scalar(&out_p) - scalar(&out_base)) / eps;
             assert!(
                 (numeric - grads[check_idx]).abs() < 1e-4,
@@ -190,15 +194,16 @@ mod tests {
         let mut layer = Dense::new(3, 2, 4);
         let input = [0.3, 0.7, -0.2];
         let grad_out = [0.8, 1.2];
-        let base = layer.forward(&input);
+        let base = forward(&layer, &input);
         let scalar = |out: &[f64]| out[0] * grad_out[0] + out[1] * grad_out[1];
         layer.zero_grad();
-        let grad_in = layer.backward(&input, &grad_out);
+        let mut grad_in = Vec::new();
+        layer.backward(&input, &grad_out, Some(&mut grad_in));
         let eps = 1e-6;
         for i in 0..3 {
             let mut x = input;
             x[i] += eps;
-            let numeric = (scalar(&layer.forward(&x)) - scalar(&base)) / eps;
+            let numeric = (scalar(&forward(&layer, &x)) - scalar(&base)) / eps;
             assert!((numeric - grad_in[i]).abs() < 1e-4);
         }
     }
@@ -206,7 +211,7 @@ mod tests {
     #[test]
     fn zero_grad_resets_accumulation() {
         let mut layer = Dense::new(2, 2, 1);
-        let _ = layer.backward(&[1.0, 1.0], &[1.0, 1.0]);
+        layer.backward(&[1.0, 1.0], &[1.0, 1.0], None);
         layer.zero_grad();
         let mut grads = layer.grad_weights.iter().chain(&layer.grad_biases);
         assert!(grads.all(|&g| g == 0.0));
@@ -217,7 +222,7 @@ mod tests {
     #[test]
     fn copy_params_leaves_gradients_alone() {
         let mut src = Dense::new(3, 2, 1);
-        let _ = src.backward(&[1.0, 2.0, 3.0], &[1.0, -1.0]);
+        src.backward(&[1.0, 2.0, 3.0], &[1.0, -1.0], None);
         let mut dst = Dense::new(3, 2, 2);
         dst.copy_params_from(&src);
         assert_eq!((&dst.weights, &dst.biases), (&src.weights, &src.biases));
@@ -238,6 +243,6 @@ mod tests {
     #[should_panic(expected = "input size mismatch")]
     fn wrong_input_size_panics() {
         let layer = Dense::new(3, 1, 0);
-        let _ = layer.forward(&[1.0]);
+        let _ = forward(&layer, &[1.0]);
     }
 }

@@ -105,61 +105,60 @@ impl Mlp {
         Ok(())
     }
 
-    /// Forward pass that also records every layer's input and pre-activation output,
-    /// needed for backpropagation.
-    fn forward_trace(&self, input: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut pre_activations = Vec::with_capacity(self.layers.len());
-        let mut current = input.to_vec();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            inputs.push(current.clone());
-            let pre = layer.forward(&current);
-            pre_activations.push(pre.clone());
-            current = pre;
-            if i < last {
-                relu_inplace(&mut current);
-            }
-        }
-        (inputs, pre_activations)
-    }
-
-    /// One gradient step where only a single output unit (`action`) has a target — the
-    /// standard deep-Q-learning update. Other outputs receive zero gradient. Returns
-    /// the squared error of the trained output before the update.
+    /// One masked minibatch step, the DQN update: each `(input, action, target)`
+    /// puts a target on output `action` alone, and each layer takes one Adam step on
+    /// the batch-mean gradient of those squared errors, computed through per-layer
+    /// buffers every experience reuses. Returns the mean squared error before the
+    /// update; an empty batch changes nothing.
     ///
     /// # Panics
-    /// Panics when `action` is not an output unit.
-    pub fn train_step_masked(
+    /// Panics when an `action` is not an output unit.
+    pub fn train_batch_masked<'a>(
         &mut self,
-        input: &[f64],
-        action: usize,
-        target: f64,
+        batch: impl ExactSizeIterator<Item = (&'a [f64], usize, f64)>,
         opt: &mut Adam,
     ) -> f64 {
-        let (inputs, pres) = self.forward_trace(input);
-        let last = self.layers.len() - 1;
-        let output = &pres[last];
-        assert!(action < output.len(), "action index out of range");
-        let error = output[action] - target;
-        let mut grad = vec![0.0; output.len()];
-        grad[action] = 2.0 * error;
-
-        for layer in self.layers.iter_mut() {
-            layer.zero_grad();
+        let (size, last) = (batch.len() as f64, self.layers.len() - 1);
+        if batch.len() == 0 {
+            return 0.0;
         }
-        for i in (0..self.layers.len()).rev() {
-            if i < last {
-                for (g, &pre) in grad.iter_mut().zip(&pres[i]) {
-                    *g *= relu_derivative(pre);
+        // `acts[i]` is layer `i`'s input and `acts[last + 1]` the output; a hidden
+        // unit's ReLU passes gradient exactly where its activation is positive.
+        let mut acts = vec![Vec::new(); last + 2];
+        let (mut grad, mut grad_input, mut total) = (Vec::new(), Vec::new(), 0.0);
+        self.layers.iter_mut().for_each(Dense::zero_grad);
+        for (input, action, target) in batch {
+            acts[0].clear();
+            acts[0].extend_from_slice(input);
+            for (i, layer) in self.layers.iter().enumerate() {
+                let (done, rest) = acts.split_at_mut(i + 1);
+                layer.forward_into(&done[i], &mut rest[0]);
+                if i < last {
+                    relu_inplace(&mut rest[0]);
                 }
             }
-            grad = self.layers[i].backward(&inputs[i], &grad);
+            let output = &acts[last + 1];
+            assert!(action < output.len(), "action index out of range");
+            let error = output[action] - target;
+            total += error * error;
+            grad.clear();
+            grad.resize(output.len(), 0.0);
+            grad[action] = 2.0 * error / size;
+            for i in (0..=last).rev() {
+                if i < last {
+                    for (g, &a) in grad.iter_mut().zip(&acts[i + 1]) {
+                        *g *= relu_derivative(a);
+                    }
+                }
+                // Nothing reads the gradient of the network's own input.
+                self.layers[i].backward(&acts[i], &grad, (i > 0).then_some(&mut grad_input));
+                std::mem::swap(&mut grad, &mut grad_input);
+            }
         }
         for (i, layer) in self.layers.iter_mut().enumerate() {
             layer.adam_step(i, opt);
         }
-        error * error
+        total / size
     }
 
     /// Copies all weights and biases from `other`, but not its gradients (used for
@@ -211,7 +210,9 @@ mod tests {
                     .collect();
                 let mut want = input.clone();
                 for (i, layer) in net.layers.iter().enumerate() {
-                    want = layer.forward(&want);
+                    let mut out = Vec::new();
+                    layer.forward_into(&want, &mut out);
+                    want = out;
                     if i + 1 < net.layers.len() {
                         relu_inplace(&mut want);
                     }
@@ -250,8 +251,8 @@ mod tests {
         };
         let before = loss_of(&net);
         for _ in 0..200 {
-            for (x, y) in &data {
-                net.train_step_masked(x, 0, *y, &mut opt);
+            for chunk in data.chunks(5) {
+                net.train_batch_masked(chunk.iter().map(|(x, y)| (&x[..], 0, *y)), &mut opt);
             }
         }
         let after = loss_of(&net);
@@ -266,7 +267,7 @@ mod tests {
         let input = [0.5, -0.2];
         let before = net.forward(&input);
         for _ in 0..300 {
-            net.train_step_masked(&input, 1, 2.0, &mut opt);
+            net.train_batch_masked(std::iter::once((&input[..], 1, 2.0)), &mut opt);
         }
         let after = net.forward(&input);
         assert!(
@@ -277,6 +278,27 @@ mod tests {
         // The untouched outputs may drift through shared hidden layers but should stay
         // far from the trained target magnitude relative to their start.
         assert!((after[1] - before[1]).abs() > 0.5);
+    }
+
+    /// A batch of one is the per-experience step this crate used to take, bit for
+    /// bit (the digest was taken with that step), a batch of one experience twice
+    /// takes the same update, and Adam counts one step per batch.
+    #[test]
+    fn a_batch_takes_one_adam_step_on_the_mean_gradient() {
+        let (mut one, mut twice) = (Mlp::new(&[5, 6, 6, 3], 11), Mlp::new(&[5, 6, 6, 3], 11));
+        let (mut opt_one, mut opt_twice) = (Adam::new(0.01), Adam::new(0.01));
+        for k in 0..40usize {
+            let input: Vec<f64> = (0..5).map(|i| ((i * 5 + k) as f64).sin()).collect();
+            let experience = (&input[..], k % 3, (k as f64 * 0.7).cos());
+            one.train_batch_masked(std::iter::once(experience), &mut opt_one);
+            twice.train_batch_masked([experience; 2].into_iter(), &mut opt_twice);
+        }
+        let fnv = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        let digest = format!("{one:?}").bytes().fold(0xcbf2_9ce4_8422_2325, fnv);
+        assert_eq!(digest, 1_310_865_543_072_322_666);
+        let state = |net: &Mlp, opt: &Adam| format!("{net:?}{opt:?}");
+        assert_eq!(state(&one, &opt_one), state(&twice, &opt_twice));
+        assert!(opt_one.state.iter().all(|layer| layer.t == 40));
     }
 
     #[test]

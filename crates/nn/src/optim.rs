@@ -11,14 +11,14 @@ pub struct Adam {
     pub beta2: f64,
     /// Numerical-stability constant.
     pub epsilon: f64,
-    state: Vec<AdamState>,
+    pub(crate) state: Vec<AdamState>,
 }
 
 #[derive(Debug, Clone, Default)]
-struct AdamState {
+pub(crate) struct AdamState {
     m: Vec<f64>,
     v: Vec<f64>,
-    t: u64,
+    pub(crate) t: u64,
 }
 
 impl Adam {
