@@ -64,23 +64,12 @@ pub struct BaoRewriter {
     db: Arc<dyn QueryBackend>,
     config: BaoConfig,
     ensemble: Vec<LinearModel>,
-    space_builder: Box<dyn Fn(&Query) -> RewriteSpace + Send + Sync>,
 }
 
 impl BaoRewriter {
     /// Trains the Bao-style model on a workload of training queries, using the
     /// hint-only rewrite space.
     pub fn train(db: Arc<dyn QueryBackend>, training: &[Query], config: BaoConfig) -> Result<Self> {
-        Self::train_with_space(db, training, config, Box::new(RewriteSpace::hints_only))
-    }
-
-    /// Trains the model over a custom rewrite space.
-    pub fn train_with_space(
-        db: Arc<dyn QueryBackend>,
-        training: &[Query],
-        config: BaoConfig,
-        space_builder: Box<dyn Fn(&Query) -> RewriteSpace + Send + Sync>,
-    ) -> Result<Self> {
         if training.is_empty() {
             return Err(Error::EmptyWorkload);
         }
@@ -88,7 +77,7 @@ impl BaoRewriter {
         let mut xs: Vec<Vec<f64>> = Vec::new();
         let mut ys: Vec<f64> = Vec::new();
         for query in training {
-            let space = space_builder(query);
+            let space = RewriteSpace::hints_only(query);
             for ro in space.options() {
                 xs.push(Self::featurise(&db, query, ro)?);
                 ys.push(db.execution_time_ms(query, ro)?);
@@ -117,7 +106,6 @@ impl BaoRewriter {
             db,
             config,
             ensemble,
-            space_builder,
         })
     }
 
@@ -174,7 +162,7 @@ impl QueryRewriter for BaoRewriter {
     }
 
     fn rewrite(&self, query: &Query) -> Result<RewriteDecision> {
-        let space = (self.space_builder)(query);
+        let space = RewriteSpace::hints_only(query);
         let mut best: Option<(usize, f64)> = None;
         for (i, ro) in space.options().iter().enumerate() {
             let features = Self::featurise(&self.db, query, ro)?;

@@ -11,21 +11,12 @@ use vizdb::query::Query;
 /// Brute-force enumeration over the whole rewrite space with a given QTE.
 pub struct NaiveRewriter {
     qte: Arc<dyn QueryTimeEstimator>,
-    space_builder: Box<dyn Fn(&Query) -> RewriteSpace + Send + Sync>,
 }
 
 impl NaiveRewriter {
     /// Creates a naive rewriter that enumerates the hint-only rewrite space.
     pub fn new(qte: Arc<dyn QueryTimeEstimator>) -> Self {
-        Self::with_space(qte, Box::new(RewriteSpace::hints_only))
-    }
-
-    /// Creates a naive rewriter over a custom rewrite space.
-    pub fn with_space(
-        qte: Arc<dyn QueryTimeEstimator>,
-        space_builder: Box<dyn Fn(&Query) -> RewriteSpace + Send + Sync>,
-    ) -> Self {
-        Self { qte, space_builder }
+        Self { qte }
     }
 }
 
@@ -35,7 +26,7 @@ impl QueryRewriter for NaiveRewriter {
     }
 
     fn rewrite(&self, query: &Query) -> Result<RewriteDecision> {
-        let space = (self.space_builder)(query);
+        let space = RewriteSpace::hints_only(query);
         let mut ctx = EstimationContext::new();
         let mut planning_ms = 0.0;
         let mut best: Option<(usize, f64)> = None;

@@ -101,28 +101,29 @@ impl QAgent {
         self.tau_ms
     }
 
-    /// The remaining action with the highest Q-value (paper Algorithm 2 line 5). The
-    /// state is encoded and the network run in `scratch`, so a loop that keeps one
-    /// allocates nothing per step.
+    /// The remaining action with the highest Q-value (paper Algorithm 2 line 5);
+    /// `None` when `remaining` is empty. The state is encoded and the network run
+    /// in `scratch`, so a loop that keeps one allocates nothing per step.
     ///
     /// # Panics
-    /// Panics when `remaining` is empty, and when the network does not fit the state
-    /// (see [`Self::check_shape`]).
+    /// Panics when the network does not fit the state (see [`Self::check_shape`]).
     pub fn best_action(
         &self,
         state: &MdpState,
         remaining: &[usize],
         scratch: &mut QScratch,
-    ) -> usize {
-        assert!(!remaining.is_empty(), "no remaining actions to choose from");
+    ) -> Option<usize> {
+        if remaining.is_empty() {
+            return None;
+        }
         state.write_features(self.tau_ms, &mut scratch.features);
         let q = self
             .network
             .forward_into(&scratch.features, &mut scratch.activations);
-        *remaining
+        remaining
             .iter()
-            .max_by(|&&a, &&b| q[a].partial_cmp(&q[b]).unwrap_or(std::cmp::Ordering::Equal))
-            .expect("non-empty remaining set")
+            .copied()
+            .max_by(|&a, &b| q[a].partial_cmp(&q[b]).unwrap_or(std::cmp::Ordering::Equal))
     }
 
     /// Checks that both networks run and map `2n + 1` state features to `n` Q-values
@@ -171,8 +172,8 @@ impl QAgent {
     }
 
     /// Serialises the agent to JSON (for saving trained agents to disk).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("agent serialisation cannot fail")
+    pub fn to_json(&self) -> Result<String, AgentError> {
+        serde_json::to_string(self).map_err(AgentError::Json)
     }
 
     /// Restores an agent serialised with [`Self::to_json`], rejecting one whose
@@ -204,10 +205,10 @@ mod tests {
         let agent = QAgent::new(4, 500.0, 3);
         let s = state(4);
         let mut scratch = QScratch::default();
-        let best_all = agent.best_action(&s, &[0, 1, 2, 3], &mut scratch);
+        let best_all = agent.best_action(&s, &[0, 1, 2, 3], &mut scratch).unwrap();
         assert!(best_all < 4);
         let restricted = agent.best_action(&s, &[2], &mut scratch);
-        assert_eq!(restricted, 2);
+        assert_eq!(restricted, Some(2));
     }
 
     /// `best_action` through a reused scratch picks what the allocating Q-values
@@ -225,7 +226,7 @@ mod tests {
                 .iter()
                 .max_by(|&&a, &&b| q[a].partial_cmp(&q[b]).unwrap())
                 .unwrap();
-            let got = agent.best_action(&s, &remaining, &mut scratch);
+            let got = agent.best_action(&s, &remaining, &mut scratch).unwrap();
             assert_eq!(got, want);
             s.elapsed_ms += 35.0;
             s.estimated_ms[got] = Some(120.0 + got as f64);
@@ -291,7 +292,7 @@ mod tests {
     fn json_round_trip_preserves_predictions() {
         let agent = QAgent::new(5, 250.0, 11);
         let s = state(5).to_features(250.0);
-        let json = agent.to_json();
+        let json = agent.to_json().unwrap();
         let restored = QAgent::from_json(&json).unwrap();
         assert_eq!(agent.network.forward(&s), restored.network.forward(&s));
         assert_eq!(restored.tau_ms(), 250.0);
@@ -305,9 +306,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no remaining actions")]
     fn best_action_requires_remaining() {
         let agent = QAgent::new(2, 500.0, 0);
-        let _ = agent.best_action(&state(2), &[], &mut QScratch::default());
+        let best = agent.best_action(&state(2), &[], &mut QScratch::default());
+        assert_eq!(best, None, "no remaining actions to choose from");
     }
 }

@@ -92,7 +92,9 @@ pub fn decide_online(
     let mut explored = Vec::new();
     let mut scratch = QScratch::default();
     let decision = loop {
-        let action = agent.best_action(env.state(), env.remaining(), &mut scratch);
+        let action = agent
+            .best_action(env.state(), env.remaining(), &mut scratch)
+            .ok_or_else(|| Error::Internal("planning not done but no actions remain".into()))?;
         explored.push(action);
         if let Some(decision) = env.advance(action)? {
             break decision;
@@ -291,7 +293,9 @@ mod tests {
                     let mut stepped = Vec::new();
                     let mut scratch = QScratch::default();
                     while !env.is_done() {
-                        let action = agent.best_action(env.state(), env.remaining(), &mut scratch);
+                        let action = agent
+                            .best_action(env.state(), env.remaining(), &mut scratch)
+                            .unwrap();
                         stepped.push(action);
                         env.step(action).unwrap();
                     }
@@ -518,10 +522,9 @@ mod tests {
         use crate::agent::AgentError;
         use serde_json::Value;
         let agent = QAgent::new(4, 500.0, 0);
-        let wide = agent
-            .to_json()
-            .replace("\"n_actions\":4", "\"n_actions\":8");
-        assert_ne!(wide, agent.to_json(), "the edit applies");
+        let json = agent.to_json().unwrap();
+        let wide = json.replace("\"n_actions\":4", "\"n_actions\":8");
+        assert_ne!(wide, json, "the edit applies");
         let truncated = edited_agent_json(&agent, |layers| {
             if let Value::Array(layers) = layers {
                 let weights = match &mut layers[1] {

@@ -336,7 +336,7 @@ mod tests {
                 "query {i}"
             );
         }
-        let stage_2 = rewriter.approx_agent.as_ref().unwrap().to_json();
+        let stage_2 = rewriter.approx_agent.as_ref().unwrap().to_json().unwrap();
         let digest = vizdb::fingerprint::Fingerprint::new()
             .write_str(&stage_2)
             .finish();

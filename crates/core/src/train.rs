@@ -161,12 +161,13 @@ pub(crate) fn run_algorithm1(
             while !env.is_done() {
                 let remaining = env.remaining().to_vec();
                 let action = if rng.gen::<f64>() < eps {
-                    *remaining.choose(&mut rng).ok_or_else(|| {
-                        Error::Internal("planning episode not done but no actions remain".into())
-                    })?
+                    remaining.choose(&mut rng).copied()
                 } else {
                     agent.best_action(env.state(), &remaining, &mut scratch)
                 };
+                let action = action.ok_or_else(|| {
+                    Error::Internal("planning episode not done but no actions remain".into())
+                })?;
                 let step = env.step(action)?;
                 report.steps += 1;
                 replay.push(Experience {
@@ -302,7 +303,7 @@ mod tests {
         .unwrap();
         let report = &trained.report;
         let mut digest = vizdb::fingerprint::Fingerprint::new();
-        digest.write_str(&trained.agent.to_json());
+        digest.write_str(&trained.agent.to_json().unwrap());
         for count in [report.epochs, report.episodes, report.steps] {
             digest.write_u64(count as u64);
         }
@@ -334,7 +335,7 @@ mod tests {
         )
         .unwrap();
         let digest = vizdb::fingerprint::Fingerprint::new()
-            .write_str(&trained.agent.to_json())
+            .write_str(&trained.agent.to_json().unwrap())
             .finish();
         assert_eq!(digest, 11_264_973_390_935_970_237, "trained agent changed");
     }

@@ -297,11 +297,6 @@ impl MalivaServer {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Drops all cached decisions (counters survive).
-    pub fn clear_decision_cache(&self) {
-        self.cache.clear();
-    }
-
     /// Serves one request: decide (through the decision cache), then execute the
     /// chosen rewrite — the request's only executing backend call.
     ///

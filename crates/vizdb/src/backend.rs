@@ -365,11 +365,6 @@ impl SharedBackend {
     pub fn build_sample(&self, table: &str, fraction_pct: u32) -> Result<()> {
         self.inner.write().build_sample(table, fraction_pct)
     }
-
-    /// Runs `f` with shared read access to the wrapped database.
-    pub fn with_db<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        f(&self.inner.read())
-    }
 }
 
 impl QueryBackend for SharedBackend {

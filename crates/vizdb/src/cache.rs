@@ -9,9 +9,13 @@
 //! other worker would have computed exactly the same one. The memo behaves the
 //! same way for all three:
 //!
-//! * **Bounded, LRU.** The capacity is enforced per lock shard; when a shard is
-//!   full, its least-recently-*used* entry goes (a hit refreshes recency), so a
-//!   hot key survives a long tail of one-off keys.
+//! * **Bounded, CLOCK.** The capacity is enforced per lock shard. Each entry
+//!   holds a slot of the shard's ring and a referenced bit, which a hit sets.
+//!   When a full shard needs a slot, its hand sweeps the ring, clearing set
+//!   bits, and evicts the first entry whose bit is clear, so a hot key
+//!   survives a long tail of one-off keys while a hit stays a plain lookup and
+//!   a bit store. A slot left by an invalidated or stale entry is reused
+//!   before anything is evicted.
 //! * **Generation-tagged.** Every entry records the catalog generation it was
 //!   computed under. A lookup under another generation drops the entry and
 //!   misses; on insert, an entry at the same or a newer generation wins.
@@ -23,7 +27,7 @@
 //! the operation already holds, so a shard's counters and entries are never
 //! read torn.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::sync::Mutex;
 
@@ -52,48 +56,74 @@ pub struct MemoStats {
     pub entries: usize,
 }
 
-/// One entry: the value, the generation it was computed under, and its most
-/// recent use stamp (for LRU eviction).
+/// One entry: the value, the generation it was computed under, its slot in
+/// the shard's ring and whether a hit has referenced it since the hand last
+/// passed.
 struct Entry<V> {
     value: V,
     generation: u64,
-    stamp: u64,
+    slot: usize,
+    referenced: bool,
 }
 
-/// One lock shard. `order` is a lazy-deletion recency queue: every touch pushes
-/// a fresh `(key, stamp)` pair and bumps the entry's stamp, so older pairs for
-/// the same key no longer match and are skipped (and discarded) during
-/// eviction. The queue is compacted once it grows well past the live-entry
-/// count.
+/// One lock shard. `ring` holds at most the shard capacity's keys, one per
+/// slot; `free` lists the slots whose entry was invalidated or dropped as
+/// stale, and `hand` is where the next eviction sweep starts.
 struct Shard<V> {
     map: HashMap<Key, Entry<V>>,
-    order: VecDeque<(Key, u64)>,
-    tick: u64,
+    ring: Vec<Key>,
+    free: Vec<usize>,
+    hand: usize,
     stats: MemoStats,
 }
 
 impl<V> Shard<V> {
-    /// Records that `key`'s entry, already stamped `self.tick + 1`, is the
-    /// shard's most recently used.
-    fn touch(&mut self, key: Key) {
-        self.tick += 1;
-        self.order.push_back((key, self.tick));
-        // Drop dead recency pairs once they outnumber live entries
-        // substantially (keeps the queue within a constant factor of the map).
-        if self.order.len() > self.map.len() * 2 + 8 {
-            let map = &self.map;
-            self.order
-                .retain(|(key, stamp)| matches!(map.get(key), Some(e) if e.stamp == *stamp));
+    fn new() -> Self {
+        Self {
+            map: HashMap::new(),
+            ring: Vec::new(),
+            free: Vec::new(),
+            hand: 0,
+            stats: MemoStats::default(),
         }
     }
 
-    /// Removes the least-recently-used live entry, counting the eviction.
-    fn evict_lru(&mut self) {
-        while let Some((key, stamp)) = self.order.pop_front() {
-            if matches!(self.map.get(&key), Some(entry) if entry.stamp == stamp) {
-                self.map.remove(&key);
-                self.stats.evictions += 1;
-                return;
+    /// Removes `key`'s entry, freeing its slot; `false` when there is none.
+    fn remove(&mut self, key: Key) -> bool {
+        match self.map.remove(&key) {
+            Some(entry) => {
+                self.free.push(entry.slot);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Puts `key` in a slot of a ring of at most `capacity` and returns the
+    /// slot: a freed one, a new one while the ring is short, or else the first
+    /// one from the hand on whose entry is unreferenced, which is evicted (the
+    /// sweep clears each set bit it passes).
+    fn place(&mut self, key: Key, capacity: usize) -> usize {
+        if let Some(slot) = self.free.pop() {
+            self.ring[slot] = key;
+            return slot;
+        }
+        if self.ring.len() < capacity {
+            self.ring.push(key);
+            return self.ring.len() - 1;
+        }
+        loop {
+            let slot = self.hand;
+            self.hand = (slot + 1) % self.ring.len();
+            match self.map.get_mut(&self.ring[slot]) {
+                Some(entry) if entry.referenced => entry.referenced = false,
+                // `free` lists every slot without an entry, so this one has one.
+                _ => {
+                    self.map.remove(&self.ring[slot]);
+                    self.stats.evictions += 1;
+                    self.ring[slot] = key;
+                    return slot;
+                }
             }
         }
     }
@@ -113,16 +143,7 @@ impl<V: Clone> Memo<V> {
     /// lookup misses).
     pub fn new(capacity: usize) -> Self {
         Self {
-            shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        order: VecDeque::new(),
-                        tick: 0,
-                        stats: MemoStats::default(),
-                    })
-                })
-                .collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
             shard_capacity: capacity.div_ceil(SHARDS),
         }
     }
@@ -132,7 +153,7 @@ impl<V: Clone> Memo<V> {
         &self.shards[(key.0 ^ key.1) as usize & (SHARDS - 1)]
     }
 
-    /// Looks `key` up. A hit refreshes the entry's recency; an entry computed
+    /// Looks `key` up. A hit sets the entry's referenced bit; an entry computed
     /// under another generation is dropped and the lookup misses.
     ///
     /// `generation` is a *supplier*, called only once an entry is found: a
@@ -141,21 +162,19 @@ impl<V: Clone> Memo<V> {
     /// just before the lookup drops the entry instead of slipping it through.
     pub fn get(&self, key: Key, generation: impl FnOnce() -> u64) -> Option<V> {
         let mut shard = self.shard(key).lock();
-        let stamp = shard.tick + 1;
         let found = match shard.map.get_mut(&key) {
             Some(entry) if entry.generation == generation() => {
-                entry.stamp = stamp;
+                entry.referenced = true;
                 Some(entry.value.clone())
             }
             Some(_) => {
-                shard.map.remove(&key);
+                shard.remove(key);
                 shard.stats.stale_drops += 1;
                 None
             }
             None => None,
         };
         if found.is_some() {
-            shard.touch(key);
             shard.stats.hits += 1;
         } else {
             shard.stats.misses += 1;
@@ -166,9 +185,10 @@ impl<V: Clone> Memo<V> {
     /// Inserts `value`, computed under `generation`, unless an entry at the
     /// same or a newer generation is present (generations only grow, so a slow
     /// computation that read the catalog before a mutation must not clobber a
-    /// fresher entry); a stale entry is replaced. A full shard evicts its
-    /// least-recently-used entry first. Returns the value the memo now holds
-    /// for `key` (the canonical one).
+    /// fresher entry); a stale entry is replaced. A new entry starts
+    /// unreferenced, in a slot [`Shard::place`] finds, which in a full shard
+    /// evicts an entry. Returns the value the memo now holds for `key`
+    /// (the canonical one).
     pub fn insert(&self, key: Key, value: V, generation: u64) -> V {
         if self.shard_capacity == 0 {
             return value;
@@ -177,21 +197,19 @@ impl<V: Clone> Memo<V> {
         match shard.map.get(&key) {
             Some(existing) if existing.generation >= generation => return existing.value.clone(),
             Some(_) => {
-                shard.map.remove(&key);
+                shard.remove(key);
                 shard.stats.stale_drops += 1;
             }
             None => {}
         }
-        if shard.map.len() >= self.shard_capacity {
-            shard.evict_lru();
-        }
+        let slot = shard.place(key, self.shard_capacity);
         let entry = Entry {
             value: value.clone(),
             generation,
-            stamp: shard.tick + 1,
+            slot,
+            referenced: false,
         };
         shard.map.insert(key, entry);
-        shard.touch(key);
         shard.stats.insertions += 1;
         value
     }
@@ -215,7 +233,7 @@ impl<V: Clone> Memo<V> {
     /// Drops `key`, returning whether an entry was present.
     pub fn invalidate(&self, key: Key) -> bool {
         let mut shard = self.shard(key).lock();
-        let removed = shard.map.remove(&key).is_some();
+        let removed = shard.remove(key);
         if removed {
             shard.stats.invalidations += 1;
         }
@@ -227,7 +245,9 @@ impl<V: Clone> Memo<V> {
         for shard in &self.shards {
             let mut shard = shard.lock();
             shard.map.clear();
-            shard.order.clear();
+            shard.ring.clear();
+            shard.free.clear();
+            shard.hand = 0;
         }
     }
 
@@ -450,22 +470,47 @@ mod tests {
         assert_eq!(memo.stats().entries, 64);
         memo.clear();
         assert_eq!(memo.stats().entries, 0);
-        assert!(memo.shards.iter().all(|s| s.lock().order.is_empty()));
+        assert!(memo.shards.iter().all(|s| s.lock().ring.is_empty()));
     }
 
-    /// The recency queue stays within a constant factor of the live entries
-    /// even under a pure hit workload.
+    /// The ring never holds more keys than the shard capacity, under hits,
+    /// invalidations, stale drops and evictions alike, and every entry's slot
+    /// holds its own key.
     #[test]
     fn recency_queue_stays_bounded_under_hits() {
-        let memo = Memo::new(8);
-        memo.insert((1, 1), 1.0, GEN);
-        for _ in 0..10_000 {
-            let _ = memo.get((1, 1), || GEN);
+        let memo = Memo::new(32); // four entries per shard
+        let keys = same_shard_keys(12);
+        let check = |step: &str| {
+            let shard = memo.shard(keys[0]).lock();
+            assert!(shard.ring.len() <= memo.shard_capacity, "{step}");
+            for (key, entry) in &shard.map {
+                assert_eq!(shard.ring[entry.slot], *key, "{step}");
+            }
+        };
+        for round in 0..3u64 {
+            for (i, &key) in keys.iter().enumerate() {
+                memo.insert(key, i as f64, GEN + round);
+                check("insert");
+                for &hot in &keys[..2] {
+                    let _ = memo.get(hot, || GEN + round);
+                    check("hit");
+                }
+                if i % 3 == 0 {
+                    assert!(memo.invalidate(key));
+                    check("invalidate");
+                }
+            }
+            // The next round's generation drops what this one left.
+            for &key in &keys {
+                let _ = memo.get(key, || GEN + round + 1);
+                check("stale drop");
+            }
         }
-        let order_len = memo.shard((1, 1)).lock().order.len();
+        let stats = memo.stats();
+        assert!(stats.evictions > 0, "{stats:?}");
         assert!(
-            order_len <= 16,
-            "recency queue grew to {order_len} entries for 1 live key"
+            stats.stale_drops > 0 && stats.invalidations > 0,
+            "{stats:?}"
         );
     }
 

@@ -8,7 +8,11 @@
 //! between them is the executor itself. Asking only for a time
 //! ([`Database::execution_time_ms`], the time memo's only writer) executes
 //! nothing when the rewrite is exact: the query's whole hint lattice is priced
-//! from one pass over the table ([`crate::exec::price_plans`]).
+//! from one pass over the table ([`crate::exec::price_plans`]); any other
+//! rewrite is run like [`Database::run`]. Every entry point that reads rows —
+//! both runs, the time and both selectivity probes — checks the query or
+//! predicate against its table first, so a malformed one is the same typed
+//! error from each of them, whatever the table holds.
 
 use std::collections::{HashMap, HashSet};
 
@@ -38,9 +42,7 @@ pub use crate::timing::DbProfile;
 pub struct DbConfig {
     /// Behavioural profile (PostgreSQL-like or commercial-like, see [`DbProfile`]).
     pub profile: DbProfile,
-    /// Probability that the engine follows a provided hint set (1.0 = always).
-    pub hint_adherence: f64,
-    /// Seed for all deterministic pseudo-randomness (sampling, adherence, noise).
+    /// Seed for all deterministic pseudo-randomness (sampling, noise).
     pub seed: u64,
     /// Millisecond cost constants of the execution engine.
     pub cost_params: CostParams,
@@ -50,7 +52,6 @@ impl Default for DbConfig {
     fn default() -> Self {
         Self {
             profile: DbProfile::Postgres,
-            hint_adherence: 1.0,
             seed: 42,
             cost_params: CostParams::default(),
         }
@@ -89,7 +90,6 @@ type Engine = fn(
     &ExecTable<'_>,
     Option<&ExecTable<'_>>,
     Option<usize>,
-    bool,
 ) -> Result<exec::ExecOutcome>;
 
 /// A table's secondary indexes, keyed by column.
@@ -218,18 +218,6 @@ impl TableEntry {
     }
 }
 
-/// How many rows of `view` match `pred` — the count behind both selectivity
-/// probes. An index that answers the predicate counts it from its own
-/// structure ([`exec::IndexProbe::count`]); any other predicate is counted by
-/// the compiled kernel over every row, which also raises a mistyped
-/// predicate's error (and over no rows, none).
-fn count_rows(view: &ExecTable<'_>, pred: &Predicate) -> Result<usize> {
-    match exec::IndexProbe::resolve(pred, view) {
-        Ok(probe) => Ok(probe.count()),
-        Err(_) => exec::count_matching(pred, view.table, 0..view.table.row_count() as RecordId),
-    }
-}
-
 /// Capacity of each of the database's two memos: well above the most entries
 /// the paper suite or a 15 s benchmark workload leaves in one, so it bounds
 /// long runs without evicting anything those reach.
@@ -267,7 +255,7 @@ const _: () = {
 impl Database {
     /// Creates an empty database with the given configuration.
     pub fn new(config: DbConfig) -> Self {
-        let planner = Planner::new(config.cost_params, config.hint_adherence, config.seed);
+        let planner = Planner::new(config.cost_params);
         Self {
             config,
             tables: HashMap::new(),
@@ -435,33 +423,26 @@ impl Database {
         }
     }
 
-    /// Plans `query` rewritten with `ro` (hint adherence and the engine's own cost
-    /// model apply exactly as they would at execution time).
+    /// Plans `query` rewritten with `ro` (the engine's own cost model applies
+    /// exactly as it would at execution time).
     pub fn plan(&self, query: &Query, ro: &RewriteOption) -> Result<PhysicalPlan> {
         let fact = self.entry(&query.table)?;
         let dim = self.dim_entry(query)?;
-        Ok(self.plan_entries(query, ro, fact, dim, query_fingerprint(query)))
+        Ok(self.plan_entries(query, ro, fact, dim))
     }
 
-    /// [`Database::plan`] over already-resolved table entries, with the query
-    /// fingerprint computed by the caller (an execution hashes the query once).
+    /// [`Database::plan`] over already-resolved table entries.
     fn plan_entries(
         &self,
         query: &Query,
         ro: &RewriteOption,
         fact: &TableEntry,
         dim: Option<&TableEntry>,
-        query_fp: u64,
     ) -> PhysicalPlan {
         let dim_meta = dim.map(|d| d.meta());
-        self.planner.plan(
-            query,
-            &ro.hints,
-            ro.approx,
-            &fact.meta(),
-            dim_meta.as_ref(),
-            query_fp ^ self.config.seed,
-        )
+        let meta = fact.meta();
+        self.planner
+            .plan(query, &ro.hints, ro.approx, &meta, dim_meta.as_ref())
     }
 
     /// The engine's own cardinality estimate for `query` (rows after all predicates),
@@ -491,18 +472,21 @@ impl Database {
     /// The *true* selectivity of a single predicate on `table`: an exact count,
     /// from the index when one answers the predicate and by the compiled kernel
     /// over every row otherwise (the count [`Database::sample_selectivity`]
-    /// takes over a sample). Results are memoised uniformly (including for
-    /// empty tables).
+    /// takes over a sample), 0 on an empty table. A predicate that cannot be
+    /// bound to its column is an error, on an empty table too. Results are
+    /// memoised uniformly (including for empty tables).
     pub fn true_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
         let entry = self.entry(table)?;
         let key = selectivity_key(table, pred);
         self.selectivity_memo
             .get_or_try_compute(key, self.generation, || {
+                let matched = exec::count_matching(pred, &entry.exec_table())?;
                 let rows = entry.table.row_count();
-                if rows == 0 {
-                    return Ok(0.0);
-                }
-                Ok(count_rows(&entry.exec_table(), pred)? as f64 / rows as f64)
+                Ok(if rows == 0 {
+                    0.0
+                } else {
+                    matched as f64 / rows as f64
+                })
             })
     }
 
@@ -513,8 +497,8 @@ impl Database {
     /// The count is exactly the sampled rows that match, as if each were read
     /// from the base table: the sample holds those rows with the base table's
     /// dictionary and indexes, so it is an index count when an index answers
-    /// the predicate and a kernel over the sample's rows otherwise, which also
-    /// raises a mistyped predicate's error (over an empty sample, none).
+    /// the predicate and a kernel over the sample's rows otherwise. A predicate
+    /// that cannot be bound to its column is an error, over an empty sample too.
     /// `rows scanned` is the sample's length, which is what the QTE charges
     /// its simulated probe time by.
     pub fn sample_selectivity(
@@ -524,7 +508,7 @@ impl Database {
         fraction_pct: u32,
     ) -> Result<(f64, usize)> {
         let sample = self.built_sample(table, fraction_pct)?;
-        let matched = count_rows(&sample.exec_table(), pred)?;
+        let matched = exec::count_matching(pred, &sample.exec_table())?;
         let scanned = sample.table.row_count();
         let sel = if scanned == 0 {
             0.0
@@ -537,7 +521,7 @@ impl Database {
     /// Runs the rewritten query and returns its materialised result, plan, operation
     /// counts and simulated execution time.
     pub fn run(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
-        self.run_inner(query, ro, query_fingerprint(query), true, exec::execute)
+        self.run_inner(query, ro, query_fingerprint(query), exec::execute)
     }
 
     /// [`Database::run`] on the reference oracle — the row-at-a-time
@@ -545,17 +529,18 @@ impl Database {
     /// results, same work profile, same simulated time). For equivalence tests.
     pub fn run_reference(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
         let reference = exec::reference::execute;
-        self.run_inner(query, ro, query_fingerprint(query), true, reference)
+        self.run_inner(query, ro, query_fingerprint(query), reference)
     }
 
-    /// Simulated execution time of `query` rewritten with `ro`, without materialising
-    /// results. Times are memoised per (query, rewrite option); this is the time
-    /// memo's only writer.
+    /// Simulated execution time of `query` rewritten with `ro`. Times are memoised
+    /// per (query, rewrite option); this is the time memo's only writer.
     ///
-    /// A miss on an exact rewrite of a join-free, `LIMIT`-free query is *priced*,
-    /// not executed, and its whole hint lattice with it ([`exec::price_plans`]);
-    /// everything else runs the rewrite without materialising, which is also
-    /// the only place an error is raised.
+    /// A miss on an exact rewrite of a join-free, `LIMIT`-free query of at most
+    /// [`exec::MAX_PRICED_PREDICATES`] predicates is *priced*, not executed, and
+    /// its whole hint lattice with it ([`exec::price_plans`]); everything else
+    /// — and a query the pass declines, such as a malformed one — runs the
+    /// rewrite exactly as [`Database::run`] does, which is also the only place
+    /// an error is raised: the error `run` raises.
     pub fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
         let query_fp = query_fingerprint(query);
         let rewrite_fp = rewrite_fingerprint(ro);
@@ -564,7 +549,7 @@ impl Database {
             match self.price_lattice(query, ro, query_fp, rewrite_fp) {
                 Some(time_ms) => Ok(time_ms),
                 None => self
-                    .run_inner(query, ro, query_fp, false, exec::execute)
+                    .run_inner(query, ro, query_fp, exec::execute)
                     .map(|run| run.time_ms),
             }
         })
@@ -600,13 +585,13 @@ impl Database {
         }
         let fact = self.entry(&query.table).ok()?;
         let mut rewrite_fps = vec![rewrite_fp];
-        let mut plans = vec![self.plan_entries(query, ro, fact, None, query_fp)];
+        let mut plans = vec![self.plan_entries(query, ro, fact, None)];
         for hints in enumerate_hint_sets(query) {
             let sibling = RewriteOption::hinted(hints);
             let sibling_fp = rewrite_fingerprint(&sibling);
             if sibling_fp != rewrite_fp {
                 rewrite_fps.push(sibling_fp);
-                plans.push(self.plan_entries(query, &sibling, fact, None, query_fp));
+                plans.push(self.plan_entries(query, &sibling, fact, None));
             }
         }
         let priced = exec::price_plans(query, &plans, &fact.exec_table())?;
@@ -647,12 +632,11 @@ impl Database {
         query: &Query,
         ro: &RewriteOption,
         query_fp: u64,
-        materialize: bool,
         engine: Engine,
     ) -> Result<RunOutcome> {
         let fact = self.entry(&query.table)?;
         let dim = self.dim_entry(query)?;
-        let plan = self.plan_entries(query, ro, fact, dim, query_fp);
+        let plan = self.plan_entries(query, ro, fact, dim);
 
         // Size the LIMIT approximation from the engine's estimated cardinality, as in
         // the paper ("a LIMIT clause with x% of the estimated cardinality").
@@ -668,7 +652,7 @@ impl Database {
         let fact_exec = fact.exec_table();
         let dim_exec = dim.map(|d| d.exec_table());
         let dim_exec = dim_exec.as_ref();
-        let outcome = engine(query, &plan, &fact_exec, dim_exec, limit_rows, materialize)?;
+        let outcome = engine(query, &plan, &fact_exec, dim_exec, limit_rows)?;
 
         Ok(RunOutcome {
             time_ms: self.simulated_time_ms(&outcome.work, &plan, query_fp),

@@ -36,10 +36,11 @@
 //! built on the table's first binning), both accumulations read each row's
 //! cell from it ([`Binner`]) instead of dividing its point into the grid.
 //!
-//! Compilation is fallible (a type-mismatched or out-of-range predicate cannot
-//! bind its column); the executor then runs the whole query on the reference
-//! interpreter, so error behaviour — including the "empty table never
-//! evaluates a predicate" edge — stays observationally identical.
+//! Lowering is fallible (a type-mismatched or out-of-range predicate cannot
+//! bind its column), and it is the check every query passes before either
+//! engine touches a row: the executor's `bind` lowers every predicate and
+//! output column up front, so a malformed query is one typed error on every
+//! plan, engine and table, empty or not, and the kernels past it cannot fail.
 //!
 //! [`ColumnData`]: crate::storage::ColumnData
 
@@ -51,7 +52,7 @@ use crate::error::Result;
 use crate::exec::executor::{ExecTable, MaskSource};
 use crate::index::posting::{ChunkOp, PostingList};
 use crate::query::{BinGrid, CellMap, Predicate};
-use crate::storage::{CellColumn, CellColumnSlot, CellKey, Table, TextColumn};
+use crate::storage::{CellColumn, CellColumnSlot, CellKey, ColumnData, Table, TextColumn};
 use crate::timing::WorkProfile;
 use crate::types::{GeoPoint, GeoRect, NumRange, RecordId, TimeRange, Timestamp, TokenId};
 
@@ -63,6 +64,7 @@ pub const DENSE_GRID_MAX_CELLS: usize = 1 << 20;
 /// One predicate lowered against one concrete table: the column slice is bound
 /// and the keyword token resolved, so per-row evaluation is branch-light and
 /// infallible.
+#[derive(Clone, Copy)]
 pub enum CompiledPredicate<'a> {
     /// Keyword containment over pre-tokenised documents. `token` is `None` when
     /// the keyword is not in the table dictionary (no row can match).
@@ -375,20 +377,16 @@ pub fn compile_predicate<'a>(pred: &Predicate, table: &'a Table) -> Result<Compi
             col: table.timestamp_slice(*attr)?,
             range: *range,
         },
-        Predicate::NumericRange { attr, range } => {
-            // Mirror `Table::numeric`: Int, Float and Timestamp columns all
-            // support the generic numeric view.
-            if let Ok(col) = table.int_slice(*attr) {
-                CompiledPredicate::NumericInt { col, range: *range }
-            } else if let Ok(col) = table.timestamp_slice(*attr) {
+        // Mirror `Table::numeric`: Int, Float and Timestamp columns all support
+        // the generic numeric view, and any other is its error.
+        Predicate::NumericRange { attr, range } => match table.column(*attr)? {
+            ColumnData::Int(col) => CompiledPredicate::NumericInt { col, range: *range },
+            ColumnData::Timestamp(col) => {
                 CompiledPredicate::NumericTimestamp { col, range: *range }
-            } else {
-                CompiledPredicate::NumericFloat {
-                    col: table.float_slice(*attr)?,
-                    range: *range,
-                }
             }
-        }
+            ColumnData::Float(col) => CompiledPredicate::NumericFloat { col, range: *range },
+            other => return Err(table.type_err(*attr, "numeric", other)),
+        },
         Predicate::SpatialRange { attr, rect } => CompiledPredicate::Spatial {
             col: table.geo_slice(*attr)?,
             rect: *rect,
@@ -417,22 +415,15 @@ pub(super) fn lower_predicate<'a>(
     Ok(lowered)
 }
 
-/// Lowers the predicates at `indices` (into `preds`) by [`lower_predicate`].
-/// Returns `Err` when any of them cannot bind its column — the executor then
-/// runs the whole query on the reference interpreter.
+/// Lowers every one of `preds` by [`lower_predicate`]. Returns `Err` when any
+/// of them cannot bind its column.
 pub(super) fn compile_predicates<'a>(
     preds: &[Predicate],
-    indices: impl IntoIterator<Item = usize>,
     table: &ExecTable<'a>,
 ) -> Result<Vec<CompiledPredicate<'a>>> {
-    indices
-        .into_iter()
-        .map(|i| {
-            let pred = preds
-                .get(i)
-                .ok_or(crate::error::Error::InvalidAttribute(i))?;
-            lower_predicate(pred, table)
-        })
+    preds
+        .iter()
+        .map(|pred| lower_predicate(pred, table))
         .collect()
 }
 
@@ -696,16 +687,41 @@ fn refine_survivors(
     }
 }
 
-/// The outcome of binned-count accumulation: how many cells are non-empty
-/// (charged to `output_rows`) and, only when the caller materializes, the
-/// sorted `(bin, count)` pairs — count-only callers (the lattice pricing pass
-/// and the non-materialising executions behind `execution_time_ms`) skip
-/// building and sorting pairs they would immediately discard.
-pub struct BinnedAccum {
-    /// Number of non-empty cells.
-    pub distinct_bins: u64,
-    /// Sorted `(bin id, count)` pairs; `None` when not materialized.
-    pub pairs: Option<Vec<(u32, u64)>>,
+/// The per-cell counts of binned rows: what the sink reads sorted pairs from
+/// and the lattice pricing pass reads only the non-empty count from, so that
+/// pass never builds pairs it would discard.
+pub(crate) enum CellCounts {
+    /// One count per grid cell, by bin id (the dense accumulation).
+    Dense(Vec<u64>),
+    /// The non-empty cells' counts (the sparse accumulation).
+    Sparse(HashMap<u32, u64>),
+}
+
+impl CellCounts {
+    /// How many cells are non-empty: what the sink charges to `output_rows`.
+    pub fn non_empty(&self) -> u64 {
+        match self {
+            CellCounts::Dense(counts) => counts.iter().filter(|&&c| c > 0).count() as u64,
+            CellCounts::Sparse(bins) => bins.len() as u64,
+        }
+    }
+
+    /// The non-empty cells' `(bin id, count)` pairs, sorted by bin id.
+    pub fn into_pairs(self) -> Vec<(u32, u64)> {
+        match self {
+            CellCounts::Dense(counts) => counts
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(bin, &c)| (bin as u32, c))
+                .collect(),
+            CellCounts::Sparse(bins) => {
+                let mut pairs: Vec<(u32, u64)> = bins.into_iter().collect();
+                pairs.sort_unstable();
+                pairs
+            }
+        }
+    }
 }
 
 /// Where binning takes a row's cell from.
@@ -755,21 +771,16 @@ impl<'a> Binner<'a> {
     /// Bins `qualifying` (`row_count` ascending ids) from the table's cell
     /// column when it holds this grid's, by arithmetic otherwise. The table's
     /// first binning builds the column for its grid and reads it.
-    pub fn bin(
-        &self,
-        qualifying: impl Iterator<Item = RecordId>,
-        row_count: usize,
-        materialize: bool,
-    ) -> BinnedAccum {
+    pub fn bin(&self, qualifying: impl Iterator<Item = RecordId>, row_count: usize) -> CellCounts {
         let points = RowCells::Points(self.geo);
         let Some((slot, key)) = self.column else {
-            return bin_counts_iter(self.grid, points, qualifying, row_count, materialize);
+            return bin_counts_iter(self.grid, points, qualifying, row_count);
         };
         let built = slot.read_or_build(
             || Ok::<_, Infallible>(CellColumn::new(key, cell_column(self.grid, self.geo))),
             |column| {
                 let cells = column.cells_for(key).map_or(points, RowCells::Column);
-                bin_counts_iter(self.grid, cells, qualifying, row_count, materialize)
+                bin_counts_iter(self.grid, cells, qualifying, row_count)
             },
         );
         match built {
@@ -794,19 +805,18 @@ pub(crate) fn bin_counts_iter(
     source: RowCells<'_>,
     qualifying: impl Iterator<Item = RecordId>,
     row_count: usize,
-    materialize: bool,
-) -> BinnedAccum {
+) -> CellCounts {
     let cells = grid.cell_count();
     let dense = cells > 0
         && cells <= DENSE_GRID_MAX_CELLS
         && (cells <= 4096 || cells <= row_count.saturating_mul(8));
     match (dense, source) {
         (false, RowCells::Points(geo)) => {
-            sparse_bin_accum(grid, qualifying.map(|rid| geo[rid as usize]), materialize)
+            sparse_bin_accum(grid, qualifying.map(|rid| geo[rid as usize]))
         }
         (false, RowCells::Column(column)) => {
             let bins = qualifying.map(|rid| column[rid as usize]);
-            tally(bins.filter(|&cell| cell as usize != cells), materialize)
+            tally(bins.filter(|&cell| cell as usize != cells))
         }
         (true, RowCells::Points(geo)) => {
             // A row without a cell adds 0 to a clamped slot (`CellMap::slot`)
@@ -818,86 +828,53 @@ pub(crate) fn bin_counts_iter(
                 let (slot, weight) = map.slot(p.lon, p.lat);
                 counts[slot] += weight;
             }
-            dense_accum_finish(&counts, materialize)
+            CellCounts::Dense(counts)
         }
         (true, RowCells::Column(column)) => {
-            // A row without a cell counts into the extra last slot.
+            // A row without a cell counts into the extra last slot, dropped
+            // after.
             let mut counts: Vec<u64> = vec![0; cells + 1];
             for rid in qualifying {
                 counts[column[rid as usize] as usize] += 1;
             }
-            dense_accum_finish(&counts[..cells], materialize)
+            counts.truncate(cells);
+            CellCounts::Dense(counts)
         }
     }
 }
 
-/// Folds a dense count vector into the [`BinnedAccum`] the executor consumes.
-fn dense_accum_finish(counts: &[u64], materialize: bool) -> BinnedAccum {
-    if materialize {
-        let pairs: Vec<(u32, u64)> = counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(bin, &c)| (bin as u32, c))
-            .collect();
-        BinnedAccum {
-            distinct_bins: pairs.len() as u64,
-            pairs: Some(pairs),
-        }
-    } else {
-        BinnedAccum {
-            distinct_bins: counts.iter().filter(|&&c| c > 0).count() as u64,
-            pairs: None,
-        }
-    }
-}
-
-/// Sparse binning shared by the pipeline's large-grid fallback and the
-/// interpreter: `HashMap` accumulation, sorted pairs only when materialized —
-/// the single place the non-dense accumulation semantics live, so the two
-/// cannot drift.
+/// Sparse binning shared by the pipeline's large-grid path and the
+/// interpreter: the single place the non-dense accumulation semantics live,
+/// so the two cannot drift.
 pub(crate) fn sparse_bin_accum(
     grid: &BinGrid,
     points: impl Iterator<Item = GeoPoint>,
-    materialize: bool,
-) -> BinnedAccum {
+) -> CellCounts {
     let cells = CellMap::new(grid);
-    tally(points.filter_map(|p| cells.cell(p.lon, p.lat)), materialize)
+    tally(points.filter_map(|p| cells.cell(p.lon, p.lat)))
 }
 
 /// Counts each of `ids` in a `HashMap`: the sparse accumulation of both cell
 /// sources.
-fn tally(ids: impl Iterator<Item = u32>, materialize: bool) -> BinnedAccum {
+fn tally(ids: impl Iterator<Item = u32>) -> CellCounts {
     let mut bins: HashMap<u32, u64> = HashMap::new();
     for bin in ids {
         *bins.entry(bin).or_insert(0) += 1;
     }
-    let distinct_bins = bins.len() as u64;
-    let pairs = materialize.then(|| {
-        let mut pairs: Vec<(u32, u64)> = bins.into_iter().collect();
-        pairs.sort_unstable();
-        pairs
-    });
-    BinnedAccum {
-        distinct_bins,
-        pairs,
-    }
+    CellCounts::Sparse(bins)
 }
 
-/// Collects the `(id, point)` pairs of the qualifying rows over the bound
-/// columns. `ids` is the bound id column; `None` (the column failed to bind)
-/// falls back to the record id, mirroring the interpreter's per-row
-/// `unwrap_or`.
+/// Collects the `(id, point)` pairs of the qualifying rows over the bound id
+/// and point columns.
 pub(crate) fn gather_points(
     qualifying: impl Iterator<Item = RecordId>,
     row_count: usize,
-    ids: Option<&[i64]>,
+    ids: &[i64],
     geo: &[GeoPoint],
 ) -> Vec<(i64, GeoPoint)> {
     let mut points = Vec::with_capacity(row_count);
     for rid in qualifying {
-        let id = ids.map_or(rid as i64, |s| s[rid as usize]);
-        points.push((id, geo[rid as usize]));
+        points.push((ids[rid as usize], geo[rid as usize]));
     }
     points
 }
@@ -1086,7 +1063,6 @@ mod tests {
                 Predicate::time_range(1, 0, 490),
                 Predicate::keyword(3, "hot"),
             ],
-            0..2,
             &indexes.exec(&t),
         )
         .unwrap();
@@ -1153,7 +1129,6 @@ mod tests {
                     Predicate::keyword(3, "hot"),
                     Predicate::numeric_range(4, 5.0, 20.0),
                 ],
-                0..3,
                 &indexes.exec(&t),
             )
             .unwrap();
@@ -1367,8 +1342,7 @@ mod tests {
 
     /// Dense (8×8) and sparse (100×100 cells for 100 rows) accumulation, from
     /// the points and from the cell column, all equal a hand-rolled `bin_of`
-    /// pass; count-only accumulation reports the same distinct-bin count
-    /// without building pairs.
+    /// pass, and each counts as many non-empty cells as it has pairs.
     #[test]
     fn dense_and_sparse_binning_agree() {
         let t = table();
@@ -1388,12 +1362,9 @@ mod tests {
             assert!(!expected.is_empty());
             let column = cell_column(&grid, geo);
             for source in [RowCells::Points(geo), RowCells::Column(&column)] {
-                let binned = bin_counts_iter(&grid, source, rows(), n, true);
-                assert_eq!(binned.distinct_bins as usize, expected.len());
-                assert_eq!(binned.pairs.as_ref(), Some(&expected), "{grid:?}");
-                let count_only = bin_counts_iter(&grid, source, rows(), n, false);
-                assert_eq!(count_only.distinct_bins, binned.distinct_bins);
-                assert!(count_only.pairs.is_none());
+                let binned = bin_counts_iter(&grid, source, rows(), n);
+                assert_eq!(binned.non_empty() as usize, expected.len());
+                assert_eq!(binned.into_pairs(), expected, "{grid:?}");
             }
         }
     }

@@ -15,12 +15,14 @@
 //! 3. **join** — probe the dimension table per qualifying fact row;
 //! 4. **sink** — shape `Points` / `BinnedCounts` / `Count` over bound columns.
 //!
-//! Everything the phases evaluate — residual predicates, join-side predicates,
-//! output columns — is lowered once, up front ([`lower`]). A query that cannot
-//! be lowered runs on the reference interpreter instead: that is the only
-//! interpreter fallback, so the phases themselves are infallible past their
-//! inputs. Every phase runs on the calling thread: requests run side by side
-//! across the serving workers, never split within one.
+//! Before any phase runs, the query is checked against its tables ([`bind`]):
+//! every fact-side and join-side predicate and every output column is lowered
+//! to its column slice, so a malformed query — a mistyped or out-of-range
+//! predicate, an output column of the wrong type — is one typed error on
+//! every plan, on both engines and whatever the table holds, and the phases
+//! past it evaluate infallible kernels. Every phase runs on the calling
+//! thread: requests run side by side across the serving workers, never split
+//! within one.
 //!
 //! The executor performs *real* work against the in-memory tables and indexes
 //! and reports exact operation counts in a [`WorkProfile`]. The simulated
@@ -33,7 +35,6 @@ use std::collections::HashMap;
 use crate::bitmap::SelectionBitmap;
 use crate::error::{Error, Result};
 use crate::exec::compiled::{self, Binner, CompiledPredicate};
-use crate::exec::reference;
 use crate::exec::result::QueryResult;
 use crate::hints::JoinMethod;
 use crate::index::{
@@ -62,25 +63,23 @@ pub struct ExecTable<'a> {
     pub cells: Option<&'a CellColumnSlot>,
 }
 
-/// Counts the rows of `rows` matching `pred` on `table` — every selectivity
-/// probe. The predicate is lowered once and counted by the compiled kernel; one
-/// that cannot be lowered is counted by the reference row loop, which raises
-/// the per-row error (and over no rows, none) exactly as the interpreter does.
-pub(crate) fn count_matching(
-    pred: &Predicate,
-    table: &Table,
-    rows: impl Iterator<Item = RecordId>,
-) -> Result<usize> {
-    match compiled::compile_predicate(pred, table) {
-        Ok(lowered) => Ok(lowered.count(rows)),
-        Err(_) => reference::count_matching(pred, table, rows),
-    }
+/// How many rows of `view` match `pred` — the count behind every selectivity
+/// probe. The predicate is checked first, as every query is ([`bind`]), so a
+/// mistyped one is an error on an empty table too; then an index that answers
+/// it counts it from its own structure ([`IndexProbe::count`]), and the
+/// compiled kernel counts any other over every row.
+pub(crate) fn count_matching(pred: &Predicate, view: &ExecTable<'_>) -> Result<usize> {
+    let lowered = compiled::compile_predicate(pred, view.table)?;
+    Ok(match IndexProbe::find(pred, view) {
+        Some(probe) => probe.count(),
+        None => lowered.count(0..view.table.row_count() as RecordId),
+    })
 }
 
 /// The outcome of executing a plan.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
-    /// Materialised result (a bare count when `materialize` was false).
+    /// Materialised result.
     pub result: QueryResult,
     /// Exact operation counts performed.
     pub work: WorkProfile,
@@ -91,8 +90,7 @@ pub struct ExecOutcome {
 /// Executes `plan` for `query` over `fact` (and `dim` for join queries).
 ///
 /// `limit_rows` caps the number of qualifying rows processed (an explicit
-/// `LIMIT` or the LIMIT approximation rule; `Some(0)` visits no row);
-/// `materialize` controls whether points/bins are collected or only counted.
+/// `LIMIT` or the LIMIT approximation rule; `Some(0)` visits no row).
 /// Results, [`WorkProfile`] and errors are byte-identical to the reference
 /// interpreter.
 pub fn execute(
@@ -101,17 +99,14 @@ pub fn execute(
     fact: &ExecTable<'_>,
     dim: Option<&ExecTable<'_>>,
     limit_rows: Option<usize>,
-    materialize: bool,
 ) -> Result<ExecOutcome> {
-    check_output(query)?;
-    let Ok(lowered) = lower(query, plan, fact, dim) else {
-        return reference::execute(query, plan, fact, dim, limit_rows, materialize);
-    };
+    let bound = bind(query, fact, dim)?;
+    let (preds, masks) = residuals(bound.fact, query, plan, fact)?;
     let mut work = WorkProfile::default();
     let rows = source(query, plan, fact, &mut work)?;
     let mut qualified = qualify(
-        &lowered.fact,
-        &lowered.masks,
+        &preds,
+        &masks,
         rows,
         plan.est_rows as usize,
         fact.table.row_count(),
@@ -120,7 +115,7 @@ pub fn execute(
     );
     if let Some((method, spec, dim)) = join_inputs(query, plan, dim)? {
         let eval_right =
-            |rid: RecordId, work: &mut WorkProfile| Ok(compiled::eval_row(&lowered.dim, rid, work));
+            |rid: RecordId, work: &mut WorkProfile| Ok(compiled::eval_row(&bound.dim, rid, work));
         qualified = Qualified::Ids(execute_join(
             method,
             spec,
@@ -132,13 +127,7 @@ pub fn execute(
         )?);
     }
     let result_rows = qualified.len();
-    let result = sink(
-        &lowered.output,
-        &qualified,
-        result_rows,
-        materialize,
-        &mut work,
-    );
+    let result = sink(&bound.output, &qualified, result_rows, &mut work);
     Ok(ExecOutcome {
         result,
         work,
@@ -146,90 +135,92 @@ pub fn execute(
     })
 }
 
-/// Everything the pipeline evaluates per row, bound to concrete column slices.
-struct Lowered<'a> {
-    /// The predicates the qualify phase evaluates on the fact table.
-    fact: Vec<CompiledPredicate<'a>>,
-    /// Where each of `fact`'s masks comes from, on an index plan; empty on a
-    /// sequential scan, whose kernels evaluate every predicate.
-    masks: Vec<MaskSource<'a>>,
+/// A query checked against its tables: every predicate and output column
+/// bound to its column slice.
+pub(super) struct Bound<'a> {
+    /// Every fact-side predicate, in the query's order.
+    pub(super) fact: Vec<CompiledPredicate<'a>>,
     /// The join-side predicates (empty without a join).
-    dim: Vec<CompiledPredicate<'a>>,
-    output: Output<'a>,
+    pub(super) dim: Vec<CompiledPredicate<'a>>,
+    pub(super) output: Output<'a>,
 }
 
 /// The output shape with its columns bound.
 pub(super) enum Output<'a> {
-    Points {
-        /// `None` when the id column failed to bind: ids fall back to the
-        /// record id, mirroring the interpreter's per-row `unwrap_or`.
-        ids: Option<&'a [i64]>,
-        geo: &'a [GeoPoint],
-    },
+    Points { ids: &'a [i64], geo: &'a [GeoPoint] },
     Bins(Binner<'a>),
     Count,
 }
 
-/// Lowers exactly what the plan evaluates: the residual predicates (every
-/// predicate on a sequential scan), the join-side predicates and the output
-/// columns. `Err` sends the whole query to the reference interpreter, which
-/// surfaces the binding failure per row like any other evaluation error.
-fn lower<'a>(
+/// Checks `query` against its tables before either engine touches a row, with
+/// the pipeline's own lowering: a bin grid [`BinGrid::validate`] refuses, a
+/// predicate on either side that cannot bind its column (mistyped, or past
+/// the schema), a join key that is not an `Int` column, a join without its
+/// dimension table and an output column of the wrong type are each an error
+/// here. The check reads no row and no plan, so the error is the same on every
+/// plan and engine and for every table — empty, capped at `LIMIT 0`, or with
+/// no index candidates — and past it nothing can fail on a row.
+///
+/// [`BinGrid::validate`]: crate::query::BinGrid::validate
+pub(super) fn bind<'a>(
     query: &'a Query,
-    plan: &PhysicalPlan,
     fact: &ExecTable<'a>,
     dim: Option<&ExecTable<'a>>,
-) -> Result<Lowered<'a>> {
-    let (fact_preds, masks) = if plan.index_preds.is_empty() {
-        let preds = 0..query.predicate_count();
-        let lowered = compiled::compile_predicates(&query.predicates, preds, fact)?;
-        (lowered, Vec::new())
-    } else {
-        let residuals = plan.filter_preds.iter().copied();
-        let lowered = compiled::compile_predicates(&query.predicates, residuals.clone(), fact)?;
-        let residuals = residuals.filter_map(|i| query.predicates.get(i));
-        (
-            lowered,
-            residuals.map(|p| MaskSource::bind(p, fact)).collect(),
-        )
+) -> Result<Bound<'a>> {
+    if let OutputKind::BinnedCounts { grid, .. } = &query.output {
+        grid.validate()?;
+    }
+    let fact_preds = compiled::compile_predicates(&query.predicates, fact)?;
+    let dim_preds = match &query.join {
+        None => Vec::new(),
+        Some(spec) => {
+            let dim = dim.ok_or_else(|| Error::TableNotFound(spec.right_table.clone()))?;
+            fact.table.int_slice(spec.left_attr)?;
+            dim.table.int_slice(spec.right_attr)?;
+            compiled::compile_predicates(&spec.right_predicates, dim)?
+        }
     };
-    // A malformed join (no spec, no table) is the join phase's error to raise,
-    // after the scan — there is nothing to lower for it.
-    let dim_preds = match join_inputs(query, plan, dim) {
-        Ok(Some((_, spec, dim))) => compiled::compile_predicates(
-            &spec.right_predicates,
-            0..spec.right_predicates.len(),
-            dim,
-        )?,
-        _ => Vec::new(),
-    };
-    Ok(Lowered {
+    Ok(Bound {
         fact: fact_preds,
-        masks,
         dim: dim_preds,
         output: lower_output(query, fact)?,
     })
 }
 
-/// Rejects an output no sink can shape — a bin grid [`BinGrid::validate`]
-/// refuses — before the engines touch a row.
-pub(super) fn check_output(query: &Query) -> Result<()> {
-    match &query.output {
-        OutputKind::BinnedCounts { grid, .. } => grid.validate(),
-        _ => Ok(()),
+/// The predicates the qualify phase evaluates, taken from the bound `fact`
+/// predicates: every one on a sequential scan; on an index plan its
+/// residuals, each with where its mask comes from ([`MaskSource`]).
+fn residuals<'a>(
+    fact_preds: Vec<CompiledPredicate<'a>>,
+    query: &'a Query,
+    plan: &PhysicalPlan,
+    fact: &ExecTable<'a>,
+) -> Result<(Vec<CompiledPredicate<'a>>, Vec<MaskSource<'a>>)> {
+    if plan.index_preds.is_empty() {
+        return Ok((fact_preds, Vec::new()));
     }
+    let mut preds = Vec::with_capacity(plan.filter_preds.len());
+    let mut masks = Vec::with_capacity(plan.filter_preds.len());
+    for &i in &plan.filter_preds {
+        let (Some(pred), Some(&lowered)) = (query.predicates.get(i), fact_preds.get(i)) else {
+            return Err(Error::InvalidAttribute(i));
+        };
+        preds.push(lowered);
+        masks.push(MaskSource::bind(pred, fact));
+    }
+    Ok((preds, masks))
 }
 
 /// Binds the output shape's columns (and a binned output to the table's
 /// cell-column slot).
-pub(super) fn lower_output<'a>(query: &'a Query, fact: &ExecTable<'a>) -> Result<Output<'a>> {
+fn lower_output<'a>(query: &'a Query, fact: &ExecTable<'a>) -> Result<Output<'a>> {
     let table = fact.table;
     Ok(match &query.output {
         OutputKind::Points {
             id_attr,
             point_attr,
         } => Output::Points {
-            ids: table.int_slice(*id_attr).ok(),
+            ids: table.int_slice(*id_attr)?,
             geo: table.geo_slice(*point_attr)?,
         },
         OutputKind::BinnedCounts { point_attr, grid } => Output::Bins(Binner::new(
@@ -354,15 +345,11 @@ fn sink(
     output: &Output<'_>,
     qualified: &Qualified,
     result_rows: usize,
-    materialize: bool,
     work: &mut WorkProfile,
 ) -> QueryResult {
     match *output {
         Output::Points { ids, geo } => {
             work.output_rows += result_rows as u64;
-            if !materialize {
-                return QueryResult::Count(result_rows as u64);
-            }
             QueryResult::Points(match qualified {
                 Qualified::Bitmap(b) => compiled::gather_points(b.iter(), result_rows, ids, geo),
                 Qualified::Ids(v) => {
@@ -372,15 +359,13 @@ fn sink(
         }
         Output::Bins(ref binner) => {
             work.grouped_rows += result_rows as u64;
-            let binned = match qualified {
-                Qualified::Bitmap(b) => binner.bin(b.iter(), result_rows, materialize),
-                Qualified::Ids(v) => binner.bin(v.iter().copied(), result_rows, materialize),
-            };
-            work.output_rows += binned.distinct_bins;
-            match binned.pairs {
-                Some(pairs) => QueryResult::Bins(pairs),
-                None => QueryResult::Count(result_rows as u64),
+            let pairs = match qualified {
+                Qualified::Bitmap(b) => binner.bin(b.iter(), result_rows),
+                Qualified::Ids(v) => binner.bin(v.iter().copied(), result_rows),
             }
+            .into_pairs();
+            work.output_rows += pairs.len() as u64;
+            QueryResult::Bins(pairs)
         }
         Output::Count => {
             work.output_rows += 1;
@@ -868,14 +853,7 @@ mod tests {
             indexed_columns: &indexed,
             row_count: f.table.row_count(),
         };
-        Planner::new(CostParams::default(), 1.0, 0).plan(
-            q,
-            &HintSet::with_mask(mask),
-            None,
-            &meta,
-            None,
-            42,
-        )
+        Planner::new(CostParams::default()).plan(q, &HintSet::with_mask(mask), None, &meta, None)
     }
 
     #[test]
@@ -886,7 +864,7 @@ mod tests {
         let expected: usize = 100; // timestamps 100..=499 with i % 4 == 0
         for mask in 0..8u32 {
             let plan = plan_with(&f, &q, mask);
-            let out = execute(&q, &plan, &exec_t, None, None, true).unwrap();
+            let out = execute(&q, &plan, &exec_t, None, None).unwrap();
             assert_eq!(out.result_rows, expected, "mask {mask}");
             match out.result {
                 QueryResult::Points(points) => assert_eq!(points.len(), expected),
@@ -900,8 +878,8 @@ mod tests {
         let f = tweets_fixture();
         let q = base_query();
         let exec_t = f.exec_table();
-        let full = execute(&q, &plan_with(&f, &q, 0), &exec_t, None, None, false).unwrap();
-        let idx = execute(&q, &plan_with(&f, &q, 0b010), &exec_t, None, None, false).unwrap();
+        let full = execute(&q, &plan_with(&f, &q, 0), &exec_t, None, None).unwrap();
+        let idx = execute(&q, &plan_with(&f, &q, 0b010), &exec_t, None, None).unwrap();
         assert!(full.work.seq_rows == 1000);
         assert!(idx.work.seq_rows == 0);
         assert_eq!(idx.work.index_probes, 1);
@@ -910,19 +888,22 @@ mod tests {
 
     #[test]
     fn engines_agree_on_multi_predicate_index_plan() {
-        let f = tweets_fixture();
+        let mut db = crate::Database::new(crate::DbConfig::default());
+        db.register_table(tweets_fixture().table).unwrap();
+        for column in ["created_at", "coordinates", "text"] {
+            db.build_index("tweets", column).unwrap();
+        }
         let q = base_query();
-        let exec_t = f.exec_table();
         // Index the time and spatial predicates; keyword stays residual.
-        let plan = plan_with(&f, &q, 0b110);
-        assert_eq!(plan.index_preds.len(), 2, "expected a multi-index plan");
-        let outs = [
-            reference::execute(&q, &plan, &exec_t, None, None, true).unwrap(),
-            execute(&q, &plan, &exec_t, None, None, true).unwrap(),
-        ];
+        let ro = crate::hints::RewriteOption::hinted(HintSet::with_mask(0b110));
+        let outs = [db.run_reference(&q, &ro).unwrap(), db.run(&q, &ro).unwrap()];
+        assert_eq!(
+            outs[0].plan.index_preds.len(),
+            2,
+            "expected a multi-index plan"
+        );
         assert_eq!(outs[1].result, outs[0].result);
         assert_eq!(outs[1].work, outs[0].work);
-        assert_eq!(outs[1].result_rows, outs[0].result_rows);
         // Time matches rows 100..=499 (400), spatial matches all 1000; their
         // intersection is heap-fetched, then the keyword residual is evaluated
         // once per fetched row — identical leaf/heap accounting on the oracle and
@@ -950,7 +931,7 @@ mod tests {
                 grid: BinGrid::new(GeoRect::new(-120.0, 34.0, -110.0, 36.0), 10, 1),
             });
         let plan = plan_with(&f, &q, 0b1);
-        let out = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, None).unwrap();
         match out.result {
             QueryResult::Bins(bins) => {
                 let total: u64 = bins.iter().map(|(_, c)| c).sum();
@@ -966,7 +947,7 @@ mod tests {
         let f = tweets_fixture();
         let q = base_query();
         let plan = plan_with(&f, &q, 0b010);
-        let out = execute(&q, &plan, &f.exec_table(), None, Some(10), true).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, Some(10)).unwrap();
         assert_eq!(out.result_rows, 10);
     }
 
@@ -995,7 +976,6 @@ mod tests {
                 &tweets.exec_table(),
                 Some(&users.exec_table()),
                 None,
-                true,
             )
             .unwrap();
             results.push(out.result_rows);
@@ -1023,7 +1003,7 @@ mod tests {
             left_attr: 4,
             right_attr: 0,
         });
-        assert!(execute(&q, &plan, &tweets.exec_table(), None, None, true).is_err());
+        assert!(execute(&q, &plan, &tweets.exec_table(), None, None).is_err());
     }
 
     #[test]
@@ -1033,16 +1013,7 @@ mod tests {
             .filter(Predicate::keyword(3, "doesnotexist"))
             .output(OutputKind::Count);
         let plan = plan_with(&f, &q, 0b1);
-        let out = execute(&q, &plan, &f.exec_table(), None, None, true).unwrap();
+        let out = execute(&q, &plan, &f.exec_table(), None, None).unwrap();
         assert_eq!(out.result_rows, 0);
-    }
-
-    #[test]
-    fn count_only_mode_skips_materialization() {
-        let f = tweets_fixture();
-        let q = base_query();
-        let plan = plan_with(&f, &q, 0b111);
-        let out = execute(&q, &plan, &f.exec_table(), None, None, false).unwrap();
-        assert!(matches!(out.result, QueryResult::Count(100)));
     }
 }

@@ -38,9 +38,7 @@
 
 use crate::bitmap::{set_span, SelectionBitmap, CHUNK_BITS, CHUNK_WORDS};
 use crate::exec::compiled::{self, CompiledPredicate};
-use crate::exec::executor::{
-    check_output, lower_output, ExecTable, IndexProbe, MaskSource, Output,
-};
+use crate::exec::executor::{bind, ExecTable, IndexProbe, MaskSource, Output};
 use crate::index::intersect_skip_charge;
 use crate::plan::PhysicalPlan;
 use crate::query::Query;
@@ -62,36 +60,35 @@ pub struct Priced {
     pub matches: Vec<u64>,
 }
 
-/// The [`WorkProfile`] that `execute(query, plan, fact, None, None, false, _)`
-/// reports for each of `plans`, computed in one shared pass over the table,
+/// The [`WorkProfile`] that `execute(query, plan, fact, None, None)` reports
+/// for each of `plans`, computed in one shared pass over the table,
 /// and the per-predicate match counts the pass popcounted on the way.
 ///
 /// Returns `None` — the caller executes instead — for anything the pass does
-/// not model or `execute` would not run on the pipeline: a join, an
-/// approximation rule, more than [`MAX_PRICED_PREDICATES`] predicates, an
-/// invalid bin grid, a predicate or output column that cannot be lowered, a
-/// plan that names a predicate the query does not have, leaves one
-/// unevaluated, or scans an index that does not exist. It never raises an
-/// error itself.
+/// not model or `execute` would not run: a join, an approximation rule, more
+/// than [`MAX_PRICED_PREDICATES`] predicates, a query that fails the
+/// executor's check (an invalid bin grid, a predicate or output column that
+/// cannot be bound), a plan that names a predicate the query does not have,
+/// leaves one unevaluated, or scans an index that does not exist. It never
+/// raises an error itself.
 pub fn price_plans(query: &Query, plans: &[PhysicalPlan], fact: &ExecTable<'_>) -> Option<Priced> {
     let k = query.predicate_count();
-    if k > MAX_PRICED_PREDICATES || query.join.is_some() || check_output(query).is_err() {
+    if k > MAX_PRICED_PREDICATES || query.join.is_some() {
         return None;
     }
-    let output = lower_output(query, fact).ok()?;
+    let bound = bind(query, fact, None).ok()?;
     let n = fact.table.row_count();
     let mut masks = Vec::with_capacity(k);
     let mut indexed = Vec::with_capacity(k);
-    for pred in &query.predicates {
-        let lowered = compiled::lower_predicate(pred, fact).ok()?;
+    for (pred, lowered) in query.predicates.iter().zip(bound.fact) {
         let probe = IndexProbe::find(pred, fact);
         indexed.push(probe.is_some());
         masks.push((lowered, MaskSource::new(probe).scan()));
     }
-    let table = cardinalities(&masks, &output, n as RecordId);
+    let table = cardinalities(&masks, &bound.output, n as RecordId);
     let works = plans
         .iter()
-        .map(|plan| table.price(plan, &indexed, &output))
+        .map(|plan| table.price(plan, &indexed, &bound.output))
         .collect::<Option<_>>()?;
     let matches = (0..k).map(|i| table.rows[1 << i]).collect();
     Some(Priced { works, matches })
@@ -170,9 +167,7 @@ fn cardinalities(sources: &[PassMask<'_>], output: &Output<'_>, n: RecordId) -> 
     let distinct_bins = match (output, selected) {
         (Output::Bins(binner), Some(selected)) => {
             let selected_rows = rows[subsets - 1] as usize;
-            binner
-                .bin(selected.iter(), selected_rows, false)
-                .distinct_bins
+            binner.bin(selected.iter(), selected_rows).non_empty()
         }
         _ => 0,
     };

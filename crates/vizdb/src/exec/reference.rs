@@ -1,19 +1,21 @@
 //! The reference oracle: a row-at-a-time interpreter.
 //!
 //! This is the semantic definition of plan execution — one `Result`-dispatched
-//! predicate evaluation per row, no lowering, no bitmaps, no threads. It is
-//! reached exactly two ways: [`Database::run_reference`], which the equivalence
-//! suites compare the production pipeline against,
-//! and the pipeline's single whole-query fallback for queries it cannot lower
-//! (a type-mismatched or out-of-range predicate must surface its error on the
-//! row the interpreter reaches it, or not at all on an empty scan).
+//! predicate evaluation per row, no bitmaps, no threads. It is reached one
+//! way only: [`Database::run_reference`], which the equivalence suites
+//! compare the production pipeline against. No production path runs it.
+//!
+//! It checks the query exactly as the pipeline does (the executor's `bind`,
+//! before any row is read), so a malformed query is the same typed error on
+//! both engines; the row loop's per-row accessors are never the first to
+//! find it.
 //!
 //! [`Database::run_reference`]: crate::db::Database::run_reference
 
 use crate::error::{Error, Result};
 use crate::exec::compiled::sparse_bin_accum;
 use crate::exec::executor::{
-    check_output, execute_join, join_inputs, scan_indexes, ExecOutcome, ExecTable, IndexProbe,
+    bind, execute_join, join_inputs, scan_indexes, ExecOutcome, ExecTable, IndexProbe,
 };
 use crate::exec::result::QueryResult;
 use crate::index::intersect_adaptive;
@@ -32,9 +34,8 @@ pub(crate) fn execute(
     fact: &ExecTable<'_>,
     dim: Option<&ExecTable<'_>>,
     limit_rows: Option<usize>,
-    materialize: bool,
 ) -> Result<ExecOutcome> {
-    check_output(query)?;
+    bind(query, fact, dim)?;
     let mut work = WorkProfile::default();
 
     // Source: the rows to visit, the per-row charge and the predicates left to
@@ -93,16 +94,12 @@ pub(crate) fn execute(
             point_attr,
         } => {
             work.output_rows += result_rows as u64;
-            if materialize {
-                let mut points = Vec::with_capacity(result_rows);
-                for &rid in &qualifying {
-                    let id = fact.table.int(*id_attr, rid).unwrap_or(rid as i64);
-                    points.push((id, fact.table.geo(*point_attr, rid)?));
-                }
-                QueryResult::Points(points)
-            } else {
-                QueryResult::Count(result_rows as u64)
+            let mut points = Vec::with_capacity(result_rows);
+            for &rid in &qualifying {
+                let id = fact.table.int(*id_attr, rid)?;
+                points.push((id, fact.table.geo(*point_attr, rid)?));
             }
+            QueryResult::Points(points)
         }
         OutputKind::BinnedCounts { point_attr, grid } => {
             work.grouped_rows += result_rows as u64;
@@ -110,12 +107,9 @@ pub(crate) fn execute(
             for &rid in &qualifying {
                 points.push(fact.table.geo(*point_attr, rid)?);
             }
-            let binned = sparse_bin_accum(grid, points.into_iter(), materialize);
-            work.output_rows += binned.distinct_bins;
-            match binned.pairs {
-                Some(pairs) => QueryResult::Bins(pairs),
-                None => QueryResult::Count(result_rows as u64),
-            }
+            let pairs = sparse_bin_accum(grid, points.into_iter()).into_pairs();
+            work.output_rows += pairs.len() as u64;
+            QueryResult::Bins(pairs)
         }
         OutputKind::Count => {
             work.output_rows += 1;
@@ -193,26 +187,6 @@ fn eval_resolved(
         Predicate::NumericRange { attr, range } => Ok(range.contains(table.numeric(*attr, rid)?)),
         Predicate::SpatialRange { attr, rect } => Ok(rect.contains(&table.geo(*attr, rid)?)),
     }
-}
-
-/// Counts the rows of `rows` matching `pred`, row at a time: the oracle of
-/// [`CompiledPredicate::count`](crate::exec::compiled::CompiledPredicate::count)
-/// and the path a predicate that cannot be lowered takes, so the per-row error
-/// it raises (or, over no rows, does not raise) is the interpreter's.
-pub(crate) fn count_matching(
-    pred: &Predicate,
-    table: &Table,
-    rows: impl Iterator<Item = RecordId>,
-) -> Result<usize> {
-    // Resolve the keyword token once, not per scanned row.
-    let token = resolve_keyword_token(pred, table);
-    let mut count = 0usize;
-    for rid in rows {
-        if eval_resolved(pred, token, table, rid)? {
-            count += 1;
-        }
-    }
-    Ok(count)
 }
 
 /// Evaluates one predicate against one row, resolving the keyword token on the

@@ -1,9 +1,9 @@
 //! Stable 64-bit fingerprints for queries and rewrite options.
 //!
 //! Fingerprints are used as memo keys (execution times, selectivities, decisions) and as
-//! seeds for deterministic per-query pseudo-randomness (hint adherence, commercial
-//! profile noise). They must be stable across runs, so they are computed structurally
-//! (hashing float bits) rather than via `Hash` derives or debug formatting.
+//! seeds for deterministic per-query pseudo-randomness (commercial profile noise). They
+//! must be stable across runs, so they are computed structurally (hashing float bits)
+//! rather than via `Hash` derives or debug formatting.
 
 use crate::approx::ApproxRule;
 use crate::hints::{HintSet, JoinMethod, RewriteOption};
@@ -172,8 +172,8 @@ pub fn rewrite_fingerprint(ro: &RewriteOption) -> u64 {
     fp.write_u64(hint_fingerprint(&ro.hints));
     match &ro.approx {
         None => fp.write_u64(0),
-        // Tag 3, as when tags 1 and 2 named sample rules: fingerprints seed
-        // the planner's hint-adherence draw, so the tag must not move.
+        // Tag 3, as when tags 1 and 2 named sample rules, so no fingerprint
+        // moves.
         Some(ApproxRule::LimitPermille { permille }) => fp.write_u64(3).write_u64(*permille as u64),
     };
     fp.finish()

@@ -115,11 +115,6 @@ impl BPlusTree {
         self.keys.first().copied().unwrap_or(0)
     }
 
-    /// Largest indexed key (0 when empty).
-    pub fn max_key(&self) -> i64 {
-        self.keys.last().copied().unwrap_or(0)
-    }
-
     /// Number of tree levels including the leaf level.
     pub fn height(&self) -> usize {
         if self.keys.is_empty() {
@@ -403,7 +398,6 @@ mod tests {
     fn min_max_key_reported() {
         let t = tree_of(50);
         assert_eq!(t.min_key(), 0);
-        assert_eq!(t.max_key(), 98);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl InvertedIndex {
         }
     }
 
-    /// Number of distinct indexed tokens.
-    pub fn token_count(&self) -> usize {
-        self.postings.len()
-    }
-
     /// Document frequency of `token` (0 if unseen).
     pub fn doc_freq(&self, token: TokenId) -> usize {
         self.postings.get(&token).map(|p| p.len()).unwrap_or(0)
@@ -121,7 +116,6 @@ mod tests {
         let docs = vec![vec![1u32, 2, 3], vec![2, 3], vec![3], vec![], vec![1, 3]];
         let idx = InvertedIndex::build(&docs);
         assert_eq!(idx.len(), 5);
-        assert_eq!(idx.token_count(), 3);
         assert_eq!(idx.count(1), 2);
         assert_eq!(idx.count(3), 4);
         assert_eq!(idx.count(99), 0);

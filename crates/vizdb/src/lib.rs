@@ -20,13 +20,15 @@
 //! use vizdb::types::GeoRect;
 //! use vizdb::hints::RewriteOption;
 //!
-//! // Build a tiny table with a timestamp and a location column.
+//! // Build a tiny table with an id, a timestamp and a location column.
 //! let schema = TableSchema::new("tweets")
+//!     .with_column("id", ColumnType::Int)
 //!     .with_column("created_at", ColumnType::Timestamp)
 //!     .with_column("coordinates", ColumnType::Geo);
 //! let mut builder = TableBuilder::new(schema);
 //! for i in 0..1000i64 {
 //!     builder.push_row(|row| {
+//!         row.set_int("id", i);
 //!         row.set_timestamp("created_at", i * 60);
 //!         row.set_geo("coordinates", -120.0 + (i % 100) as f64 * 0.1, 35.0 + (i % 50) as f64 * 0.1);
 //!     });
@@ -36,9 +38,9 @@
 //! db.build_all_indexes("tweets").unwrap();
 //!
 //! let query = Query::select("tweets")
-//!     .filter(Predicate::time_range(0, 0, 3600))
-//!     .filter(Predicate::spatial_range(1, GeoRect::new(-119.0, 36.0, -115.0, 39.0)))
-//!     .output(OutputKind::Points { id_attr: 0, point_attr: 1 });
+//!     .filter(Predicate::time_range(1, 0, 3600))
+//!     .filter(Predicate::spatial_range(2, GeoRect::new(-119.0, 36.0, -115.0, 39.0)))
+//!     .output(OutputKind::Points { id_attr: 0, point_attr: 2 });
 //!
 //! let outcome = db.run(&query, &RewriteOption::original()).unwrap();
 //! assert!(outcome.time_ms > 0.0);

@@ -3,8 +3,7 @@
 //! Without hints, the planner enumerates access paths and join methods and picks the
 //! cheapest according to the *estimated* selectivities — which is where the backend's
 //! bad choices come from. With a forced hint set, the planner builds exactly the plan
-//! the hint dictates (subject to the configurable hint-adherence probability, modelling
-//! databases that treat hints as suggestions).
+//! the hint dictates.
 
 use crate::approx::ApproxRule;
 use crate::hints::{HintSet, JoinMethod};
@@ -12,32 +11,24 @@ use crate::optimizer::cardinality::{estimate_selectivity, TableMeta};
 use crate::optimizer::cost::{predict_work, PlanShape};
 use crate::plan::{JoinPlan, PhysicalPlan};
 use crate::query::Query;
-use crate::timing::{execution_time_ms, hash_unit, CostParams};
+use crate::timing::{execution_time_ms, CostParams};
 
 /// Plans queries for one database instance.
 #[derive(Debug, Clone)]
 pub struct Planner {
     params: CostParams,
-    hint_adherence: f64,
-    seed: u64,
 }
 
 impl Planner {
-    /// Creates a planner with the given cost parameters, hint-adherence probability in
-    /// `[0, 1]` and randomness seed.
-    pub fn new(params: CostParams, hint_adherence: f64, seed: u64) -> Self {
-        Self {
-            params,
-            hint_adherence: hint_adherence.clamp(0.0, 1.0),
-            seed,
-        }
+    /// Creates a planner with the given cost parameters.
+    pub fn new(params: CostParams) -> Self {
+        Self { params }
     }
 
     /// Produces a physical plan for `query` rewritten with `hints` / `approx`.
     ///
     /// `meta` describes the fact table; `right_meta` the dimension table for join
-    /// queries. `query_fp` is the query fingerprint, used only to derive the
-    /// deterministic hint-adherence decision.
+    /// queries.
     pub fn plan(
         &self,
         query: &Query,
@@ -45,17 +36,12 @@ impl Planner {
         approx: Option<ApproxRule>,
         meta: &TableMeta<'_>,
         right_meta: Option<&TableMeta<'_>>,
-        query_fp: u64,
     ) -> PhysicalPlan {
-        let follow_hints = hints.forced
-            && (self.hint_adherence >= 1.0
-                || hash_unit(self.seed ^ query_fp ^ 0xA5A5_5A5A) < self.hint_adherence);
-
         let available: Vec<usize> = (0..query.predicate_count())
             .filter(|&i| meta.has_index_for(&query.predicates[i]))
             .collect();
 
-        let (index_preds, join_method, hinted) = if follow_hints {
+        let (index_preds, join_method, hinted) = if hints.forced {
             let index_preds: Vec<usize> = available
                 .iter()
                 .copied()
@@ -236,9 +222,9 @@ mod tests {
         let stats = TableStats::analyze(&table).unwrap();
         let indexed: HashSet<usize> = [0usize, 1, 2].into_iter().collect();
         let m = meta(&table, &stats, &indexed);
-        let planner = Planner::new(CostParams::default(), 1.0, 7);
+        let planner = Planner::new(CostParams::default());
         let q = base_query();
-        let plan = planner.plan(&q, &HintSet::with_mask(0b010), None, &m, None, 1);
+        let plan = planner.plan(&q, &HintSet::with_mask(0b010), None, &m, None);
         assert!(plan.hinted);
         assert_eq!(plan.index_preds, vec![1]);
         assert_eq!(plan.filter_preds, vec![0, 2]);
@@ -250,8 +236,8 @@ mod tests {
         let stats = TableStats::analyze(&table).unwrap();
         let indexed: HashSet<usize> = [0usize, 1, 2].into_iter().collect();
         let m = meta(&table, &stats, &indexed);
-        let planner = Planner::new(CostParams::default(), 1.0, 7);
-        let plan = planner.plan(&base_query(), &HintSet::with_mask(0), None, &m, None, 1);
+        let planner = Planner::new(CostParams::default());
+        let plan = planner.plan(&base_query(), &HintSet::with_mask(0), None, &m, None);
         assert!(plan.is_full_scan());
         assert!(plan.hinted);
     }
@@ -262,8 +248,8 @@ mod tests {
         let stats = TableStats::analyze(&table).unwrap();
         let indexed: HashSet<usize> = [0usize, 1, 2].into_iter().collect();
         let m = meta(&table, &stats, &indexed);
-        let planner = Planner::new(CostParams::default(), 1.0, 7);
-        let plan = planner.plan(&base_query(), &HintSet::none(), None, &m, None, 1);
+        let planner = Planner::new(CostParams::default());
+        let plan = planner.plan(&base_query(), &HintSet::none(), None, &m, None);
         assert!(!plan.hinted);
         assert!(
             !plan.index_preds.is_empty(),
@@ -278,27 +264,9 @@ mod tests {
         // Only the timestamp column has an index.
         let indexed: HashSet<usize> = [0usize].into_iter().collect();
         let m = meta(&table, &stats, &indexed);
-        let planner = Planner::new(CostParams::default(), 1.0, 7);
-        let plan = planner.plan(&base_query(), &HintSet::with_mask(0b111), None, &m, None, 1);
+        let planner = Planner::new(CostParams::default());
+        let plan = planner.plan(&base_query(), &HintSet::with_mask(0b111), None, &m, None);
         assert_eq!(plan.index_preds, vec![1]); // predicate 1 filters on column 0
-    }
-
-    #[test]
-    fn zero_adherence_ignores_hints() {
-        let table = skewed_table();
-        let stats = TableStats::analyze(&table).unwrap();
-        let indexed: HashSet<usize> = [0usize, 1, 2].into_iter().collect();
-        let m = meta(&table, &stats, &indexed);
-        let planner = Planner::new(CostParams::default(), 0.0, 7);
-        let plan = planner.plan(
-            &base_query(),
-            &HintSet::with_mask(0b100),
-            None,
-            &m,
-            None,
-            99,
-        );
-        assert!(!plan.hinted, "with adherence 0 the hint must be ignored");
     }
 
     #[test]
@@ -307,7 +275,7 @@ mod tests {
         let stats = TableStats::analyze(&table).unwrap();
         let indexed: HashSet<usize> = [0usize, 1, 2].into_iter().collect();
         let m = meta(&table, &stats, &indexed);
-        let planner = Planner::new(CostParams::default(), 1.0, 7);
+        let planner = Planner::new(CostParams::default());
         let q = base_query().join_with(crate::query::JoinSpec {
             right_table: "users".into(),
             left_attr: 0,
@@ -320,7 +288,6 @@ mod tests {
             None,
             &m,
             None,
-            5,
         );
         assert_eq!(plan.join.as_ref().unwrap().method, JoinMethod::Merge);
     }
@@ -331,14 +298,13 @@ mod tests {
         let stats = TableStats::analyze(&table).unwrap();
         let indexed: HashSet<usize> = [0usize, 1, 2].into_iter().collect();
         let m = meta(&table, &stats, &indexed);
-        let planner = Planner::new(CostParams::default(), 1.0, 7);
+        let planner = Planner::new(CostParams::default());
         let plan = planner.plan(
             &base_query(),
             &HintSet::with_mask(0b1),
             Some(ApproxRule::LimitPermille { permille: 40 }),
             &m,
             None,
-            5,
         );
         assert_eq!(
             plan.approx,

@@ -61,11 +61,6 @@ impl PhysicalPlan {
         self.index_preds.is_empty()
     }
 
-    /// Number of index scans the plan performs on the fact table.
-    pub fn index_scan_count(&self) -> usize {
-        self.index_preds.len()
-    }
-
     /// A stable signature identifying the plan shape (used as a cache key component).
     pub fn signature(&self) -> u64 {
         let mut sig: u64 = 0;
@@ -158,7 +153,6 @@ mod tests {
         let plan = PhysicalPlan::full_scan(&q);
         assert!(plan.is_full_scan());
         assert_eq!(plan.filter_preds, vec![0, 1, 2]);
-        assert_eq!(plan.index_scan_count(), 0);
     }
 
     #[test]

@@ -30,11 +30,6 @@ impl ColumnType {
             ColumnType::Text => "Text",
         }
     }
-
-    /// Whether a secondary index can be built on a column of this type.
-    pub fn is_indexable(&self) -> bool {
-        true
-    }
 }
 
 /// A single column definition.

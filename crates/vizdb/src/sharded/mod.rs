@@ -222,7 +222,10 @@ impl ShardedBackend {
             rows += shard_rows;
         }
         if rows == 0 {
-            return Ok(0.0);
+            // Every shard is empty, and the answer is 0 — unless shard 0
+            // raises the error a predicate that cannot be bound raises on
+            // any table.
+            return f(self.shards[0].as_ref()).map(|_| 0.0);
         }
         Ok(weighted / rows as f64)
     }

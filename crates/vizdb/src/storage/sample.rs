@@ -94,12 +94,6 @@ impl SampleTable {
     pub fn contains(&self, rid: RecordId) -> bool {
         self.row_ids.binary_search(&rid).is_ok()
     }
-
-    /// The conventional name of the sample table, matching the paper's examples
-    /// (`tweetsSample20` for a 20% sample of `tweets`).
-    pub fn display_name(&self) -> String {
-        format!("{}Sample{}", self.base_table, self.fraction_pct)
-    }
 }
 
 #[cfg(test)]
@@ -137,12 +131,6 @@ mod tests {
         assert!(s.contains(inside));
         let missing = (0..100u32).find(|id| !s.row_ids().contains(id)).unwrap();
         assert!(!s.contains(missing));
-    }
-
-    #[test]
-    fn display_name_matches_paper_convention() {
-        let s = SampleTable::build("tweets", 100, 20, 0);
-        assert_eq!(s.display_name(), "tweetsSample20");
     }
 
     #[test]

@@ -403,7 +403,12 @@ impl Table {
         }
     }
 
-    fn type_err(&self, col: usize, expected: &'static str, actual: &ColumnData) -> Error {
+    pub(crate) fn type_err(
+        &self,
+        col: usize,
+        expected: &'static str,
+        actual: &ColumnData,
+    ) -> Error {
         Error::TypeMismatch {
             column: self
                 .schema

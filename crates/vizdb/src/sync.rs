@@ -207,20 +207,6 @@ mod std_impl {
             }
         }
 
-        pub fn wait_while<'a, T, F>(
-            &self,
-            mut guard: MutexGuard<'a, T>,
-            mut condition: F,
-        ) -> MutexGuard<'a, T>
-        where
-            F: FnMut(&mut T) -> bool,
-        {
-            while condition(&mut guard) {
-                guard = self.wait(guard);
-            }
-            guard
-        }
-
         pub fn notify_one(&self) {
             self.inner.notify_one();
         }

@@ -411,7 +411,8 @@ proptest! {
     /// column built for its grid, otherwise by arithmetic, and must still
     /// price what the executing side charges. The 70,000-row table puts the
     /// keyword on every 2nd row (a bitmap container, then a partial array
-    /// one) or every 97th (two array containers).
+    /// one) or every 97th (two array containers). Without `follow_hints` the
+    /// hint sets are unforced, so the law covers the planner's own choices.
     #[test]
     fn priced_time_equals_executed_time(
         size in 0usize..7,
@@ -445,11 +446,7 @@ proptest! {
             cells: None,
         };
         let build = || {
-            let config = DbConfig {
-                hint_adherence: if follow_hints { 1.0 } else { 0.5 },
-                ..DbConfig::default()
-            };
-            let mut db = Database::new(config);
+            let mut db = Database::new(DbConfig::default());
             db.register_table(table.clone()).unwrap();
             for col in ["id", "when", "loc", "score"] {
                 db.build_index("events", col).unwrap();
@@ -465,8 +462,12 @@ proptest! {
         for &(kind, u) in &preds {
             base = base.filter(predicate_of(kind, u));
         }
+        // Without `follow_hints`, every hint set is unforced, so each one is
+        // planned by the planner's own choice, as `original()` is.
         let mut lattice = vec![RewriteOption::original()];
-        lattice.extend(enumerate_hint_sets(&base).into_iter().map(RewriteOption::hinted));
+        lattice.extend(enumerate_hint_sets(&base).into_iter().map(|hints| {
+            RewriteOption::hinted(HintSet { forced: follow_hints, ..hints })
+        }));
         let heatmaps = [(cols, grid_rows), FIXED_GRIDS[grid_pick]].map(|(c, r)| {
             OutputKind::BinnedCounts { point_attr: 2, grid: BinGrid::new(extent, c, r) }
         });
@@ -504,10 +505,10 @@ proptest! {
             let works = price_plans(&query, &plans, &fact).map(|p| p.works);
             prop_assert!(works.is_some(), "{query:?} was not priced");
             for (plan, work) in plans.iter().zip(works.iter().flatten()) {
-                let run = execute(&query, plan, &cold, None, None, false).unwrap();
-                prop_assert_eq!(*work, run.work);
-                let run = execute(&query, plan, &fact, None, None, true).unwrap();
-                prop_assert_eq!(*work, run.work);
+                for exec_table in [&cold, &fact] {
+                    let run = execute(&query, plan, exec_table, None, None).unwrap();
+                    prop_assert_eq!(*work, run.work);
+                }
             }
         }
     }
@@ -1050,10 +1051,10 @@ fn numeric_range_over_timestamps_is_hint_invariant() {
 /// (B+-tree keyed by `float_key`, not by raw timestamps) or a Float, a
 /// keyword over a timestamp, a rectangle over an Int, a numeric range over
 /// points or text — is answered by no index. So every hint set gives what
-/// the forced scan gives: the interpreter's `TypeMismatch` on a non-empty
-/// table and `Count(0)` on an empty one; both selectivity probes and the
-/// time oracle fail or succeed with it. No index plan may count the time
-/// range over `float_key`s as raw timestamps.
+/// the forced scan gives: a `TypeMismatch`, on a populated table and on an
+/// empty one alike; both selectivity probes and the time oracle fail with
+/// it. No index plan may count the time range over `float_key`s as raw
+/// timestamps.
 #[test]
 fn mistyped_predicates_on_indexed_columns_are_hint_invariant() {
     let build = |rows: i64| {
@@ -1095,13 +1096,10 @@ fn mistyped_predicates_on_indexed_columns_are_hint_invariant() {
                 .output(OutputKind::Count);
             let scan = RewriteOption::hinted(HintSet::with_mask(0));
             let expected = db.run(&query, &scan).map(|out| out.result);
-            match &expected {
-                Ok(result) => assert_eq!((rows, result), (0, &vizdb::exec::QueryResult::Count(0))),
-                Err(err) => assert!(
-                    rows > 0 && matches!(err, vizdb::Error::TypeMismatch { .. }),
-                    "{pred:?}: {err:?}"
-                ),
-            }
+            assert!(
+                matches!(expected, Err(vizdb::Error::TypeMismatch { .. })),
+                "{pred:?} on {rows} rows: {expected:?}"
+            );
             let rewrites = [
                 RewriteOption::original(),
                 scan,
@@ -1112,7 +1110,8 @@ fn mistyped_predicates_on_indexed_columns_are_hint_invariant() {
                 assert_eq!(run, expected, "{pred:?} {ro:?}");
                 let reference = db.run_reference(&query, ro).map(|out| out.result);
                 assert_eq!(reference, expected, "{pred:?} {ro:?}");
-                assert_eq!(db.execution_time_ms(&query, ro).is_ok(), expected.is_ok());
+                let time = db.execution_time_ms(&query, ro).map(|_| ());
+                assert_eq!(time.err(), expected.clone().err(), "{pred:?} {ro:?}");
             }
             let error = expected.as_ref().err().cloned();
             assert_eq!(db.true_selectivity("t", pred).err(), error, "{pred:?}");
@@ -1247,42 +1246,162 @@ fn limit_zero_returns_nothing_and_visits_no_row() {
     }
 }
 
-/// A type-mismatched predicate cannot compile; the compiled engine must fall
-/// back to the interpreter and surface the identical per-row error (or the
-/// identical absence of one on an empty scan).
+/// One hostile-query matrix. Each malformed query — a mistyped fact
+/// predicate, an attribute past the schema, a mistyped join-side predicate, a
+/// non-`Int` join key, a non-`Int` id column, a non-`Geo` point column — is
+/// checked before any engine touches a row. So `run`, `run_reference`,
+/// `execution_time_ms`, a 4-shard `ShardedBackend::run` and, for a predicate,
+/// both selectivity probes (unsharded and sharded) all return one typed error
+/// on every shape: a populated table under a scan and under the planner's own
+/// plan, an empty table, `LIMIT 0`, and an index plan whose scan finds no
+/// candidate. None answers empty, none panics.
 #[test]
-fn uncompilable_predicates_fall_back_identically() {
-    let db = build_db(&[(-100.0, 30.0), (-99.0, 31.0)], 2);
-    // numeric range over the text column: interpreter errors on the first row.
-    let bad = Query::select("events")
-        .filter(Predicate::numeric_range(3, 0.0, 1.0))
-        .output(OutputKind::Count);
-    assert_engines_agree(&db, &bad, &RewriteOption::original());
-    // Out-of-range attribute behaves the same way.
-    let oob = Query::select("events")
-        .filter(Predicate::time_range(17, 0, 10))
-        .output(OutputKind::Count);
-    assert_engines_agree(&db, &oob, &RewriteOption::original());
-}
+fn malformed_queries_are_one_error_on_every_entry_point_and_shape() {
+    let build = |points: &[(f64, f64)]| {
+        let mut db = build_db(points, 3);
+        register_users(&mut db, 10);
+        db.build_sample("users", 20).unwrap();
+        let sharded = vizdb::ShardedBackendBuilder::mirror(&db, 4).unwrap();
+        (db, sharded)
+    };
+    let (populated, empty) = (build(&scatter(2_000, 5)), build(&[]));
+    let keyword = || Query::select("events").filter(Predicate::keyword(3, "hot"));
+    // No row has a negative timestamp, so indexing predicate 0 scans no
+    // candidate.
+    let no_candidates = Query::select("events")
+        .filter(Predicate::time_range(1, -100, -50))
+        .filter(Predicate::keyword(3, "hot"));
+    let first_index = RewriteOption::hinted(HintSet::with_mask(1));
+    assert_eq!(
+        populated
+            .0
+            .plan(&no_candidates, &first_index)
+            .unwrap()
+            .index_preds,
+        [0]
+    );
+    let shapes = [
+        (
+            "populated, scanned",
+            &populated,
+            keyword(),
+            RewriteOption::hinted(HintSet::with_mask(0)),
+        ),
+        (
+            "populated, own plan",
+            &populated,
+            keyword(),
+            RewriteOption::original(),
+        ),
+        ("empty", &empty, keyword(), RewriteOption::original()),
+        (
+            "LIMIT 0",
+            &populated,
+            keyword().limit(0),
+            RewriteOption::original(),
+        ),
+        (
+            "no index candidates",
+            &populated,
+            no_candidates,
+            first_index,
+        ),
+    ];
 
-/// An uncompilable dimension predicate must route the join's probe evaluation
-/// back to the interpreter, surfacing the identical per-row error.
-#[test]
-fn uncompilable_join_predicates_fall_back_identically() {
-    let mut db = build_db(&[(-100.0, 30.0), (-99.0, 31.0), (-98.0, 32.0)], 2);
-    register_users(&mut db, 10);
-    let q = Query::select("events")
-        .filter(Predicate::time_range(1, 0, 1000))
-        .join_with(JoinSpec {
-            right_table: "users".into(),
-            left_attr: 0,
-            right_attr: 0,
-            // Attribute 17 does not exist on `users`: the compiled lowering
-            // fails and the interpreter loop errors on the first probed row.
-            right_predicates: vec![Predicate::numeric_range(17, 0.0, 1.0)],
-        })
-        .output(OutputKind::Count);
-    assert_engines_agree(&db, &q, &RewriteOption::original());
+    let mistyped_join = Predicate::keyword(1, "hot");
+    let join = JoinSpec {
+        right_table: "users".into(),
+        left_attr: 0,
+        right_attr: 0,
+        right_predicates: vec![mistyped_join.clone()],
+    };
+    let timestamp_key = JoinSpec {
+        left_attr: 1,
+        right_predicates: Vec::new(),
+        ..join.clone()
+    };
+    let grid = BinGrid::new(GeoRect::new(-121.0, 20.0, -70.0, 50.0), 16, 16);
+    let filtered = |pred: &Predicate| {
+        let pred = pred.clone();
+        move |q: Query| q.filter(pred.clone()).output(OutputKind::Count)
+    };
+    let output = |output: OutputKind| move |q: Query| q.output(output);
+    let (mistyped, past_schema) = (
+        Predicate::numeric_range(3, 0.0, 1.0),
+        Predicate::time_range(17, 0, 10),
+    );
+    type Malform<'a> = Box<dyn Fn(Query) -> Query + 'a>;
+    let cases: Vec<(Malform, Option<(&str, &Predicate)>)> = vec![
+        (Box::new(filtered(&mistyped)), Some(("events", &mistyped))),
+        (
+            Box::new(filtered(&past_schema)),
+            Some(("events", &past_schema)),
+        ),
+        (
+            Box::new(|q: Query| q.join_with(join.clone()).output(OutputKind::Count)),
+            Some(("users", &mistyped_join)),
+        ),
+        (
+            Box::new(|q: Query| q.join_with(timestamp_key.clone()).output(OutputKind::Count)),
+            None,
+        ),
+        (
+            Box::new(output(OutputKind::Points {
+                id_attr: 1,
+                point_attr: 2,
+            })),
+            None,
+        ),
+        (
+            Box::new(output(OutputKind::Points {
+                id_attr: 0,
+                point_attr: 4,
+            })),
+            None,
+        ),
+        (
+            Box::new(output(OutputKind::BinnedCounts {
+                point_attr: 4,
+                grid,
+            })),
+            None,
+        ),
+    ];
+
+    for (malform, probe) in &cases {
+        let mut seen: Option<vizdb::Error> = None;
+        let mut expect = |what: String, got: vizdb::Result<()>| {
+            let err = got.expect_err(&what);
+            let first = seen.get_or_insert_with(|| err.clone());
+            assert_eq!(&err, first, "{what}");
+            let typed = matches!(
+                err,
+                vizdb::Error::TypeMismatch { .. } | vizdb::Error::InvalidAttribute(17)
+            );
+            assert!(typed, "{what}: {err:?}");
+        };
+        for (shape, (db, sharded), base, ro) in &shapes {
+            let query = malform(base.clone());
+            let at = |entry: &str| format!("{entry} on {shape}: {query:?}");
+            expect(at("run"), db.run(&query, ro).map(drop));
+            expect(at("run_reference"), db.run_reference(&query, ro).map(drop));
+            expect(
+                at("execution_time_ms"),
+                db.execution_time_ms(&query, ro).map(drop),
+            );
+            expect(at("4-shard run"), sharded.run(&query, ro).map(drop));
+            let Some((table, pred)) = probe else {
+                continue;
+            };
+            let backends: [(&str, &dyn QueryBackend); 2] = [("", db), ("4-shard ", sharded)];
+            for (name, backend) in backends {
+                let truth = backend.true_selectivity(table, pred).map(drop);
+                expect(at(&format!("{name}true_selectivity")), truth);
+                let sampled = backend.sample_selectivity(table, pred, 20).map(drop);
+                expect(at(&format!("{name}sample_selectivity")), sampled);
+            }
+        }
+    }
 }
 
 /// Unknown keywords compile to an always-false predicate — same empty result on
@@ -1295,60 +1414,6 @@ fn unknown_keyword_is_identical_on_both_engines() {
         .output(OutputKind::Count);
     for mask in [0u32, 1] {
         assert_engines_agree(&db, &q, &RewriteOption::hinted(HintSet::with_mask(mask)));
-    }
-}
-
-/// The pipeline lowers everything it evaluates up front and, when any of it
-/// cannot bind, runs the *whole* query on the oracle. An uncompilable
-/// join-side predicate and an uncompilable fact predicate therefore take the
-/// same single fallback: each must equal the oracle in result, `WorkProfile`
-/// and error — and when the scan reaches a row, in the very error it raises.
-#[test]
-fn fact_and_join_side_fallbacks_are_the_same_path() {
-    let mut db = build_db(&[(-100.0, 30.0), (-99.0, 31.0), (-98.0, 32.0)], 2);
-    register_users(&mut db, 10);
-    let join = |fact_pred: Predicate, right_pred: Predicate| {
-        Query::select("events")
-            .filter(fact_pred)
-            .join_with(JoinSpec {
-                right_table: "users".into(),
-                left_attr: 0,
-                right_attr: 0,
-                right_predicates: vec![right_pred],
-            })
-            .output(OutputKind::Count)
-    };
-    let bad_join = join(
-        Predicate::time_range(1, 0, 1000),
-        Predicate::numeric_range(17, 0.0, 1.0),
-    );
-    let bad_fact = join(
-        Predicate::numeric_range(17, 0.0, 1.0),
-        Predicate::numeric_range(1, 0.0, 100.0),
-    );
-    let ro = RewriteOption::original();
-    for query in [&bad_join, &bad_fact] {
-        assert_engines_agree(&db, query, &ro);
-        // Both surface the interpreter's per-row error for attribute 17.
-        let err = db.run(query, &ro).unwrap_err();
-        assert_eq!(
-            format!("{err:?}"),
-            format!("{:?}", db.run_reference(query, &ro).unwrap_err())
-        );
-        assert!(
-            format!("{err:?}").contains("17"),
-            "unexpected error {err:?}"
-        );
-    }
-    // With nothing to scan, neither bad predicate is ever evaluated: the
-    // fallback succeeds with the oracle's empty result and work profile.
-    let mut empty = build_db(&[], 2);
-    register_users(&mut empty, 10);
-    for query in [&bad_join, &bad_fact] {
-        assert_engines_agree(&empty, query, &ro);
-        let out = empty.run(query, &ro).unwrap();
-        assert!(out.result.is_empty());
-        assert_eq!(out.work, empty.run_reference(query, &ro).unwrap().work);
     }
 }
 
@@ -1377,7 +1442,7 @@ fn probe_oracle(table: &Table, pred: &Predicate, rows: &[RecordId]) -> vizdb::Re
 /// the full-table count behind `true_selectivity` on an unindexed column — run
 /// on the compiled count kernel. Counts are integers, so each selectivity must
 /// equal the oracle's bit for bit; a predicate that cannot be lowered must
-/// raise the oracle's error, and over no rows raise nothing.
+/// raise the oracle's error, and raise it over no rows too.
 #[test]
 fn selectivity_probes_match_the_reference_row_loop() {
     let points: Vec<(f64, f64)> = (0..400)
@@ -1436,9 +1501,12 @@ fn selectivity_probes_match_the_reference_row_loop() {
         );
         assert_eq!(db.true_selectivity("events", &pred).unwrap_err(), expected);
         assert_eq!(
-            empty.sample_selectivity("events", &pred, 20).unwrap(),
-            (0.0, 0)
+            empty.sample_selectivity("events", &pred, 20).unwrap_err(),
+            expected
         );
-        assert_eq!(empty.true_selectivity("events", &pred).unwrap(), 0.0);
+        assert_eq!(
+            empty.true_selectivity("events", &pred).unwrap_err(),
+            expected
+        );
     }
 }

@@ -132,9 +132,30 @@ fn draw_predicate(rng: &mut ChaCha8Rng) -> Predicate {
     }
 }
 
-/// The oracle: the row loop over the sample's ids on the base table,
-/// written against the table's checked accessors.
+/// The check every probe makes before it counts: the predicate's column
+/// exists and holds a type the predicate reads, whatever the rows (an unknown
+/// keyword over a non-text column is an error too).
+fn check(table: &Table, pred: &Predicate) -> vizdb::Result<()> {
+    let attr = pred.attr();
+    match pred {
+        Predicate::KeywordContains { .. } => table.text_docs(attr).map(drop),
+        Predicate::TimeRange { .. } => table.timestamp_slice(attr).map(drop),
+        Predicate::SpatialRange { .. } => table.geo_slice(attr).map(drop),
+        Predicate::NumericRange { .. } => match table.schema().column_type(attr)? {
+            ColumnType::Int | ColumnType::Float | ColumnType::Timestamp => Ok(()),
+            other => Err(Error::TypeMismatch {
+                column: table.schema().column_name(attr)?.to_string(),
+                expected: "numeric",
+                actual: other.name(),
+            }),
+        },
+    }
+}
+
+/// The oracle: [`check`], then the row loop over the sample's ids on the base
+/// table, written against the table's checked accessors.
 fn row_loop(table: &Table, pred: &Predicate, rows: &[RecordId]) -> vizdb::Result<usize> {
+    check(table, pred)?;
     let mut count = 0;
     for &rid in rows {
         let matched = match pred {

@@ -29,13 +29,11 @@ fn nyc_extent() -> GeoRect {
 
 /// Builds the NYC-Taxi dataset with the default database profile.
 pub fn build_nyctaxi(scale: DatasetScale, seed: u64) -> Dataset {
-    build_nyctaxi_with_config(scale, seed, DbConfig::default())
-}
-
-/// Builds the NYC-Taxi dataset with a custom database configuration.
-pub fn build_nyctaxi_with_config(scale: DatasetScale, seed: u64, mut config: DbConfig) -> Dataset {
-    config.cost_params = scale.cost_params();
-    config.seed = seed;
+    let config = DbConfig {
+        cost_params: scale.cost_params(),
+        seed,
+        ..DbConfig::default()
+    };
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x7A41);
     let extent = nyc_extent();
 

@@ -42,11 +42,6 @@ impl TextCorpus {
         }
     }
 
-    /// Number of content words in the vocabulary.
-    pub fn vocabulary_size(&self) -> usize {
-        self.words.len()
-    }
-
     /// The stop words (excluded from query keywords, included in most documents).
     pub fn stop_words(&self) -> &[String] {
         &self.stop_words
@@ -103,7 +98,6 @@ mod tests {
     #[test]
     fn corpus_has_requested_vocabulary() {
         let c = TextCorpus::new(500);
-        assert_eq!(c.vocabulary_size(), 500);
         assert!(!c.stop_words().is_empty());
     }
 

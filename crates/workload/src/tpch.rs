@@ -28,13 +28,11 @@ const TIME_END: i64 = 915_062_400;
 
 /// Builds the TPC-H lineitem dataset with the default database profile.
 pub fn build_tpch(scale: DatasetScale, seed: u64) -> Dataset {
-    build_tpch_with_config(scale, seed, DbConfig::default())
-}
-
-/// Builds the TPC-H lineitem dataset with a custom database configuration.
-pub fn build_tpch_with_config(scale: DatasetScale, seed: u64, mut config: DbConfig) -> Dataset {
-    config.cost_params = scale.cost_params();
-    config.seed = seed;
+    let config = DbConfig {
+        cost_params: scale.cost_params(),
+        seed,
+        ..DbConfig::default()
+    };
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x79C8);
 
     let schema = TableSchema::new("lineitem")

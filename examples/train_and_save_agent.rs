@@ -39,7 +39,8 @@ fn main() {
 
     // Save to disk.
     let path = std::env::temp_dir().join("maliva_agent.json");
-    std::fs::write(&path, trained.agent.to_json()).expect("write agent");
+    let json = trained.agent.to_json().expect("serialise agent");
+    std::fs::write(&path, json).expect("write agent");
     println!(
         "agent saved to {} ({} bytes)",
         path.display(),
