@@ -1246,6 +1246,99 @@ fn limit_zero_returns_nothing_and_visits_no_row() {
     }
 }
 
+/// A type-mismatched predicate, or one past the schema, cannot compile. The
+/// query is checked before either engine touches a row, so the pipeline and
+/// the oracle raise the identical typed error; nothing falls back.
+#[test]
+fn uncompilable_predicates_fall_back_identically() {
+    let db = build_db(&[(-100.0, 30.0), (-99.0, 31.0)], 2);
+    let ro = RewriteOption::original();
+    // Numeric range over the text column.
+    let bad = Query::select("events")
+        .filter(Predicate::numeric_range(3, 0.0, 1.0))
+        .output(OutputKind::Count);
+    assert_engines_agree(&db, &bad, &ro);
+    let err = db.run(&bad, &ro).unwrap_err();
+    assert!(matches!(err, vizdb::Error::TypeMismatch { .. }), "{err:?}");
+    // Out-of-range attribute.
+    let oob = Query::select("events")
+        .filter(Predicate::time_range(17, 0, 10))
+        .output(OutputKind::Count);
+    assert_engines_agree(&db, &oob, &ro);
+    assert_eq!(
+        db.run(&oob, &ro).unwrap_err(),
+        vizdb::Error::InvalidAttribute(17)
+    );
+}
+
+/// An uncompilable dimension predicate is rejected like a fact one: the
+/// pipeline and the oracle raise the identical error for the join.
+#[test]
+fn uncompilable_join_predicates_fall_back_identically() {
+    let mut db = build_db(&[(-100.0, 30.0), (-99.0, 31.0), (-98.0, 32.0)], 2);
+    register_users(&mut db, 10);
+    let q = Query::select("events")
+        .filter(Predicate::time_range(1, 0, 1000))
+        .join_with(JoinSpec {
+            right_table: "users".into(),
+            left_attr: 0,
+            right_attr: 0,
+            // Attribute 17 does not exist on `users`.
+            right_predicates: vec![Predicate::numeric_range(17, 0.0, 1.0)],
+        })
+        .output(OutputKind::Count);
+    let ro = RewriteOption::original();
+    assert_engines_agree(&db, &q, &ro);
+    assert_eq!(
+        db.run(&q, &ro).unwrap_err(),
+        vizdb::Error::InvalidAttribute(17)
+    );
+}
+
+/// An uncompilable join-side predicate and an uncompilable fact predicate
+/// take the same path: the query check rejects each with the oracle's error,
+/// on a populated table and on an empty one alike — an empty scan does not
+/// turn a malformed query into an empty answer.
+#[test]
+fn fact_and_join_side_fallbacks_are_the_same_path() {
+    let join = |fact_pred: Predicate, right_pred: Predicate| {
+        Query::select("events")
+            .filter(fact_pred)
+            .join_with(JoinSpec {
+                right_table: "users".into(),
+                left_attr: 0,
+                right_attr: 0,
+                right_predicates: vec![right_pred],
+            })
+            .output(OutputKind::Count)
+    };
+    let bad_join = join(
+        Predicate::time_range(1, 0, 1000),
+        Predicate::numeric_range(17, 0.0, 1.0),
+    );
+    let bad_fact = join(
+        Predicate::numeric_range(17, 0.0, 1.0),
+        Predicate::numeric_range(1, 0.0, 100.0),
+    );
+    let ro = RewriteOption::original();
+    let points = [(-100.0, 30.0), (-99.0, 31.0), (-98.0, 32.0)];
+    for rows in [&points[..], &[]] {
+        let mut db = build_db(rows, 2);
+        register_users(&mut db, 10);
+        for query in [&bad_join, &bad_fact] {
+            assert_engines_agree(&db, query, &ro);
+            let err = db.run(query, &ro).unwrap_err();
+            assert_eq!(err, db.run_reference(query, &ro).unwrap_err());
+            assert_eq!(
+                err,
+                vizdb::Error::InvalidAttribute(17),
+                "{} rows",
+                rows.len()
+            );
+        }
+    }
+}
+
 /// One hostile-query matrix. Each malformed query — a mistyped fact
 /// predicate, an attribute past the schema, a mistyped join-side predicate, a
 /// non-`Int` join key, a non-`Int` id column, a non-`Geo` point column — is
