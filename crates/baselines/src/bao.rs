@@ -79,7 +79,7 @@ impl BaoRewriter {
         for query in training {
             let space = RewriteSpace::hints_only(query);
             for ro in space.options() {
-                xs.push(Self::featurise(&db, query, ro)?);
+                xs.push(Self::featurise(&*db, query, ro)?);
                 ys.push(db.execution_time_ms(query, ro)?);
             }
         }
@@ -165,7 +165,7 @@ impl QueryRewriter for BaoRewriter {
         let space = RewriteSpace::hints_only(query);
         let mut best: Option<(usize, f64)> = None;
         for (i, ro) in space.options().iter().enumerate() {
-            let features = Self::featurise(&self.db, query, ro)?;
+            let features = Self::featurise(&*self.db, query, ro)?;
             let predicted = self.predict(&features);
             if best.map(|(_, b)| predicted < b).unwrap_or(true) {
                 best = Some((i, predicted));
@@ -253,7 +253,7 @@ mod tests {
         let q = make_query(3);
         let space = RewriteSpace::hints_only(&q);
         for ro in space.options() {
-            let f = BaoRewriter::featurise(&db, &q, ro).unwrap();
+            let f = BaoRewriter::featurise(&*db, &q, ro).unwrap();
             assert!(bao.predict(&f) >= 0.0);
         }
     }

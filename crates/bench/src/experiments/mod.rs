@@ -158,7 +158,8 @@ fn twitter(tau_ms: f64, gen_config: &QueryGenConfig) -> Scenario {
 /// The number of evaluation queries of `sc` whose viable-plan count falls in each
 /// inclusive range of `edges` (one row of Tables 2 and 3).
 fn histogram_cells(sc: &Scenario, edges: &[(usize, usize)]) -> Vec<String> {
-    let hist = viable_plan_histogram(sc.db(), &sc.split.eval, sc.tau_ms).expect("histogram");
+    let hist =
+        viable_plan_histogram(sc.db().as_ref(), &sc.split.eval, sc.tau_ms).expect("histogram");
     edges
         .iter()
         .map(|&(lo, hi)| {
@@ -569,7 +570,7 @@ fn train_and_validate(
     config: &MalivaConfig,
 ) -> (TrainingReport, WorkloadMetrics) {
     let trained = train_agent(
-        sc.db(),
+        sc.db().as_ref(),
         qte.as_ref(),
         train,
         &RewriteSpace::hints_only,
@@ -586,8 +587,13 @@ fn train_and_validate(
         Box::new(RewriteSpace::hints_only),
         config.tau_ms,
     );
-    let validation = evaluate_workload(&rewriter, sc.db(), &sc.split.validation, config.tau_ms)
-        .expect("validation");
+    let validation = evaluate_workload(
+        &rewriter,
+        sc.db().as_ref(),
+        &sc.split.validation,
+        config.tau_ms,
+    )
+    .expect("validation");
     (trained.report, validation)
 }
 

@@ -205,7 +205,7 @@ pub fn train_mdp_rewriter(
     config: &MalivaConfig,
 ) -> MalivaRewriter {
     let trained = train_agent(
-        scenario.db(),
+        scenario.db().as_ref(),
         qte.as_ref(),
         &scenario.split.train,
         space_builder.as_ref(),
@@ -289,8 +289,9 @@ pub fn evaluate_by_bucket(
     tau_ms: f64,
     edges: &[(usize, usize)],
 ) -> BucketReport {
-    let buckets_idx = maliva::metrics::bucket_by_viable_plans(db, eval_queries, tau_ms, edges)
-        .expect("difficulty bucketing cannot fail");
+    let buckets_idx =
+        maliva::metrics::bucket_by_viable_plans(db.as_ref(), eval_queries, tau_ms, edges)
+            .expect("difficulty bucketing cannot fail");
     let mut buckets = BTreeMap::new();
     let mut bucket_sizes = BTreeMap::new();
     for (label, indices) in &buckets_idx {
@@ -301,7 +302,7 @@ pub fn evaluate_by_bucket(
         }
         let mut per_rewriter = BTreeMap::new();
         for rewriter in rewriters {
-            let metrics = evaluate_workload(rewriter.as_ref(), db, &subset, tau_ms)
+            let metrics = evaluate_workload(rewriter.as_ref(), db.as_ref(), &subset, tau_ms)
                 .expect("evaluation cannot fail");
             per_rewriter.insert(rewriter.name(), metrics);
         }

@@ -304,7 +304,7 @@ mod tests {
         let (db, qte) = setup();
         let q = make_query(0);
         let space = RewriteSpace::hints_only(&q);
-        let env = PlanningEnv::new(&db, &qte, &q, &space, 500.0, RewardSpec::efficiency_only());
+        let env = PlanningEnv::new(&*db, &qte, &q, &space, 500.0, RewardSpec::efficiency_only());
         assert_eq!(env.state().n(), 8);
         assert_eq!(env.remaining().len(), 8);
         assert!(env.state().costs_ms.iter().all(|&c| c > 0.0));
@@ -317,7 +317,7 @@ mod tests {
         let q = make_query(2);
         let space = RewriteSpace::hints_only(&q);
         let mut env = PlanningEnv::new(
-            &db,
+            &*db,
             &qte,
             &q,
             &space,
@@ -337,7 +337,8 @@ mod tests {
         let (db, qte) = setup();
         let q = make_query(0);
         let space = RewriteSpace::hints_only(&q);
-        let mut env = PlanningEnv::new(&db, &qte, &q, &space, 1.0e7, RewardSpec::efficiency_only());
+        let mut env =
+            PlanningEnv::new(&*db, &qte, &q, &space, 1.0e7, RewardSpec::efficiency_only());
         let out = env.step(7).unwrap();
         assert!(matches!(out.terminal, Some(Decision::PredictedViable(7))));
         let outcome = env.final_outcome().unwrap();
@@ -352,7 +353,7 @@ mod tests {
         let q = make_query(1);
         let space = RewriteSpace::hints_only(&q);
         // Budget smaller than a single estimation cost.
-        let mut env = PlanningEnv::new(&db, &qte, &q, &space, 20.0, RewardSpec::efficiency_only());
+        let mut env = PlanningEnv::new(&*db, &qte, &q, &space, 20.0, RewardSpec::efficiency_only());
         let out = env.step(7).unwrap();
         match out.terminal {
             Some(Decision::OutOfTime(chosen)) | Some(Decision::PredictedViable(chosen)) => {
@@ -373,7 +374,8 @@ mod tests {
         // that the agent can explore several options.
         let q = make_query(5);
         let space = RewriteSpace::hints_only(&q);
-        let mut env = PlanningEnv::new(&db, &qte, &q, &space, 400.0, RewardSpec::efficiency_only());
+        let mut env =
+            PlanningEnv::new(&*db, &qte, &q, &space, 400.0, RewardSpec::efficiency_only());
         let mut last = None;
         for a in 0..space.len() {
             if env.is_done() {
@@ -394,7 +396,8 @@ mod tests {
         let (db, qte) = setup();
         let q = make_query(0);
         let space = RewriteSpace::hints_only(&q);
-        let mut env = PlanningEnv::new(&db, &qte, &q, &space, 1.0e9, RewardSpec::efficiency_only());
+        let mut env =
+            PlanningEnv::new(&*db, &qte, &q, &space, 1.0e9, RewardSpec::efficiency_only());
         // Option 7 = all three indexes; estimating it collects all three selectivities.
         let before: f64 = env.state().costs_ms.iter().sum();
         let _ = env.step(7).unwrap();
@@ -410,7 +413,8 @@ mod tests {
         let (db, qte) = setup();
         let q = make_query(0);
         let space = RewriteSpace::hints_only(&q);
-        let mut env = PlanningEnv::new(&db, &qte, &q, &space, 1.0e9, RewardSpec::efficiency_only());
+        let mut env =
+            PlanningEnv::new(&*db, &qte, &q, &space, 1.0e9, RewardSpec::efficiency_only());
         let _ = env.step(1).unwrap();
         // Either the episode already finished (then stepping panics with "finished") or
         // the action was consumed; normalise to the expected message by re-stepping 1.
@@ -452,7 +456,7 @@ mod tests {
         let space = RewriteSpace::hints_only(&q);
         let spec = RewardSpec::efficiency_only();
         // 100 ms leave room for ten estimates, none of them predicted viable.
-        let mut env = PlanningEnv::new(&db, &SlowEverywhere, &q, &space, 100.0, spec);
+        let mut env = PlanningEnv::new(&*db, &SlowEverywhere, &q, &space, 100.0, spec);
         for action in [space.len(), usize::MAX] {
             let err = env.advance(action).unwrap_err();
             assert!(err.to_string().contains("out of range"), "{err}");
@@ -464,7 +468,7 @@ mod tests {
         assert!(err.to_string().contains("already explored"), "{err}");
 
         // A generous budget terminates on the first estimate.
-        let mut env = PlanningEnv::new(&db, &SlowEverywhere, &q, &space, 1.0e9, spec);
+        let mut env = PlanningEnv::new(&*db, &SlowEverywhere, &q, &space, 1.0e9, spec);
         assert_eq!(env.advance(1).unwrap(), Some(Decision::PredictedViable(1)));
         assert!(env.is_done());
         assert!(env.final_outcome().is_none(), "deciding measures nothing");
@@ -479,7 +483,7 @@ mod tests {
         let q = make_query(0);
         let space = RewriteSpace::hints_only(&q);
         let mut env = PlanningEnv::with_initial_elapsed(
-            &db,
+            &*db,
             &qte,
             &q,
             &space,

@@ -178,7 +178,7 @@ mod tests {
             planning_ms: 5.0,
             ..FixedRewriter::default()
         };
-        let metrics = evaluate_workload(&rewriter, &db, &queries, 500.0).unwrap();
+        let metrics = evaluate_workload(&rewriter, &*db, &queries, 500.0).unwrap();
         assert_eq!(metrics.queries, 10);
         assert_eq!(metrics.outcomes.len(), 10);
         assert!((0.0..=100.0).contains(&metrics.vqp));
@@ -199,7 +199,7 @@ mod tests {
             planning_ms: 1.0,
             rewrite: Some(limited.clone()),
         };
-        let metrics = evaluate_workload(&rewriter, &db, &queries, 500.0).unwrap();
+        let metrics = evaluate_workload(&rewriter, &*db, &queries, 500.0).unwrap();
         for (query, outcome) in queries.iter().zip(&metrics.outcomes) {
             let exact = db.run(query, &RewriteOption::original()).unwrap().result;
             let approx = db.run(query, &limited).unwrap().result;
@@ -224,7 +224,7 @@ mod tests {
             planning_ms: 1.0,
             ..FixedRewriter::default()
         };
-        let metrics = evaluate_workload(&rewriter, &db, &queries, f64::INFINITY).unwrap();
+        let metrics = evaluate_workload(&rewriter, &*db, &queries, f64::INFINITY).unwrap();
         assert_eq!(metrics.vqp, 100.0);
     }
 
@@ -233,7 +233,7 @@ mod tests {
         let db = tiny_db();
         let queries = workload(20);
         let edges = [(0, 0), (1, 2), (3, 4), (5, 8)];
-        let buckets = bucket_by_viable_plans(&db, &queries, 500.0, &edges).unwrap();
+        let buckets = bucket_by_viable_plans(&*db, &queries, 500.0, &edges).unwrap();
         let assigned: usize = buckets.values().map(Vec::len).sum();
         assert_eq!(assigned, 20, "every query falls in exactly one bucket");
     }
@@ -242,7 +242,7 @@ mod tests {
     fn histogram_counts_sum_to_workload_size() {
         let db = tiny_db();
         let queries = workload(15);
-        let hist = viable_plan_histogram(&db, &queries, 500.0).unwrap();
+        let hist = viable_plan_histogram(&*db, &queries, 500.0).unwrap();
         let total: usize = hist.values().sum();
         assert_eq!(total, 15);
         assert!(hist.keys().all(|&k| k <= 8));
@@ -255,7 +255,7 @@ mod tests {
             planning_ms: 1.0,
             ..FixedRewriter::default()
         };
-        let metrics = evaluate_workload(&rewriter, &db, &[], 500.0).unwrap();
+        let metrics = evaluate_workload(&rewriter, &*db, &[], 500.0).unwrap();
         assert_eq!(metrics.queries, 0);
         assert_eq!(metrics.vqp, 0.0);
     }

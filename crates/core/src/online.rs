@@ -164,7 +164,7 @@ mod tests {
         let qte = AccurateQte::new(db.clone());
         let queries = workload(10);
         let trained = train_agent(
-            &db,
+            &*db,
             &qte,
             &queries,
             &RewriteSpace::hints_only,
@@ -174,7 +174,7 @@ mod tests {
         .unwrap();
         let q = make_query(20);
         let space = RewriteSpace::hints_only(&q);
-        let outcome = plan_online(&trained.agent, &db, &qte, &q, &space, 500.0).unwrap();
+        let outcome = plan_online(&trained.agent, &*db, &qte, &q, &space, 500.0).unwrap();
         assert!(outcome.planning_ms > 0.0);
         assert!(outcome.exec_ms > 0.0);
         assert!((outcome.total_ms - outcome.planning_ms - outcome.exec_ms).abs() < 1e-9);
@@ -188,7 +188,7 @@ mod tests {
         let qte = AccurateQte::new(db.clone());
         let queries = workload(8);
         let trained = train_agent(
-            &db,
+            &*db,
             &qte,
             &queries,
             &RewriteSpace::hints_only,
@@ -199,7 +199,7 @@ mod tests {
         // A hard query: common keyword over the whole country.
         let q = make_query(5);
         let space = RewriteSpace::hints_only(&q);
-        let outcome = plan_online(&trained.agent, &db, &qte, &q, &space, 400.0).unwrap();
+        let outcome = plan_online(&trained.agent, &*db, &qte, &q, &space, 400.0).unwrap();
         let mut seen = outcome.explored.clone();
         seen.sort_unstable();
         seen.dedup();
@@ -217,7 +217,7 @@ mod tests {
         let qte = AccurateQte::new(db.clone());
         let queries = workload(8);
         let trained = train_agent(
-            &db,
+            &*db,
             &qte,
             &queries,
             &RewriteSpace::hints_only,
@@ -346,7 +346,7 @@ mod tests {
         let agent = QAgent::new(4, 500.0, 0);
         let q = make_query(0);
         let space = RewriteSpace::hints_only(&q); // size 8
-        let err = plan_online(&agent, &db, &qte, &q, &space, 500.0).unwrap_err();
+        let err = plan_online(&agent, &*db, &qte, &q, &space, 500.0).unwrap_err();
         assert!(
             err.to_string().contains("different rewrite-space size"),
             "unexpected error: {err}"
@@ -362,94 +362,11 @@ mod tests {
         // `RewriteSpace::new` rejects empty spaces, but deserialization bypasses the
         // constructor; planning must fail cleanly rather than panic or spin.
         let space: RewriteSpace = serde_json::from_str(r#"{"options":[]}"#).unwrap();
-        let err = plan_online(&agent, &db, &qte, &q, &space, 500.0).unwrap_err();
+        let err = plan_online(&agent, &*db, &qte, &q, &space, 500.0).unwrap_err();
         assert!(
             err.to_string().contains("rewrite space is empty"),
             "unexpected error: {err}"
         );
-    }
-
-    /// Forwards to a backend and counts the catalog reads an estimator makes
-    /// (`sample_len`, `row_count`, `estimated_selectivity`) by what they read.
-    struct CountingBackend {
-        inner: Arc<dyn QueryBackend>,
-        reads: std::sync::Mutex<std::collections::BTreeMap<String, usize>>,
-    }
-
-    impl CountingBackend {
-        fn count(&self, key: String) {
-            *self.reads.lock().unwrap().entry(key).or_default() += 1;
-        }
-
-        fn take(&self) -> std::collections::BTreeMap<String, usize> {
-            std::mem::take(&mut *self.reads.lock().unwrap())
-        }
-    }
-
-    impl QueryBackend for CountingBackend {
-        fn table_names(&self) -> Vec<String> {
-            self.inner.table_names()
-        }
-        fn row_count(&self, table: &str) -> Result<usize> {
-            self.count(format!("row_count {table}"));
-            self.inner.row_count(table)
-        }
-        fn schema(&self, table: &str) -> Result<vizdb::schema::TableSchema> {
-            self.inner.schema(table)
-        }
-        fn stats(&self, table: &str) -> Result<vizdb::stats::TableStats> {
-            self.inner.stats(table)
-        }
-        fn indexed_columns(&self, table: &str) -> Result<Vec<usize>> {
-            self.inner.indexed_columns(table)
-        }
-        fn sample_len(&self, table: &str, fraction_pct: u32) -> Result<usize> {
-            self.count(format!("sample_len {table} {fraction_pct}%"));
-            self.inner.sample_len(table, fraction_pct)
-        }
-        fn plan(&self, query: &Query, ro: &RewriteOption) -> Result<vizdb::plan::PhysicalPlan> {
-            self.inner.plan(query, ro)
-        }
-        fn run(&self, query: &Query, ro: &RewriteOption) -> Result<vizdb::RunOutcome> {
-            self.inner.run(query, ro)
-        }
-        fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
-            self.inner.execution_time_ms(query, ro)
-        }
-        fn estimated_cardinality(&self, query: &Query) -> Result<f64> {
-            self.inner.estimated_cardinality(query)
-        }
-        fn estimated_selectivity(
-            &self,
-            table: &str,
-            pred: &vizdb::query::Predicate,
-        ) -> Result<f64> {
-            self.count(format!("estimated_selectivity {table} {pred:?}"));
-            self.inner.estimated_selectivity(table, pred)
-        }
-        fn true_selectivity(&self, table: &str, pred: &vizdb::query::Predicate) -> Result<f64> {
-            self.inner.true_selectivity(table, pred)
-        }
-        fn sample_selectivity(
-            &self,
-            table: &str,
-            pred: &vizdb::query::Predicate,
-            fraction_pct: u32,
-        ) -> Result<(f64, usize)> {
-            self.inner.sample_selectivity(table, pred, fraction_pct)
-        }
-        fn render_sql(&self, query: &Query, ro: &RewriteOption) -> String {
-            self.inner.render_sql(query, ro)
-        }
-        fn generation(&self) -> u64 {
-            self.inner.generation()
-        }
-        fn clear_caches(&self) {
-            self.inner.clear_caches()
-        }
-        fn cache_entry_counts(&self) -> (usize, usize) {
-            self.inner.cache_entry_counts()
-        }
     }
 
     /// Over a 4-shard mirror each catalog read is a fan-out to every shard, so
@@ -461,10 +378,22 @@ mod tests {
     fn an_episode_reads_each_catalog_value_once() {
         use crate::testutil::{make_join_query, tiny_sharded_backend};
         use maliva_qte::ApproximateQte;
-        let backend = Arc::new(CountingBackend {
-            inner: tiny_sharded_backend(4),
-            reads: Default::default(),
-        });
+        use vizdb::testing::{Log, Recorder};
+        let log = Log::default();
+        let backend = Arc::new(Recorder::new("mirror", tiny_sharded_backend(4), &log));
+        // The catalog reads an estimator makes (`sample_len`, `row_count`,
+        // `estimated_selectivity`) since the last call, counted by what they read.
+        let take = || {
+            let mut reads = std::collections::BTreeMap::<String, usize>::new();
+            for call in std::mem::take(&mut *log.lock()) {
+                if ["sample_len", "row_count", "estimated_selectivity"].contains(&call.method) {
+                    *reads
+                        .entry(format!("{} {}", call.method, call.args))
+                        .or_default() += 1;
+                }
+            }
+            reads
+        };
         let training: Vec<_> = workload(6)
             .into_iter()
             .map(|q| {
@@ -476,14 +405,14 @@ mod tests {
         for q in [make_query(5), make_join_query(5)] {
             let space = RewriteSpace::hints_only(&q);
             let agent = QAgent::new(space.len(), 6.0, 11);
-            backend.take();
+            take();
             let episodes: Vec<_> = (0..2)
                 .map(|_| {
                     let decided =
                         decide_online(&agent, backend.as_ref(), &qte, &q, &space, 6.0, 0.0)
                             .unwrap();
                     assert!(decided.explored.len() >= 2, "{:?}", decided.explored);
-                    backend.take()
+                    take()
                 })
                 .collect();
             let tables = if q.is_join() { 2 } else { 1 };
@@ -554,7 +483,7 @@ mod tests {
             );
             assert!(err.to_string().contains(what), "{err}");
             let bypassed: QAgent = serde_json::from_str(json).unwrap();
-            let err = decide_online(&bypassed, &db, &qte, &q, &space, 500.0, 0.0).unwrap_err();
+            let err = decide_online(&bypassed, &*db, &qte, &q, &space, 500.0, 0.0).unwrap_err();
             assert!(err.to_string().contains(what), "{err}");
         }
         assert!(matches!(

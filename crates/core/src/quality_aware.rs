@@ -78,7 +78,7 @@ impl QualityAwareRewriter {
                 let rules_for_space = rules.clone();
                 let builder = move |q: &Query| RewriteSpace::with_approx_rules(q, &rules_for_space);
                 let trained = train_agent(
-                    &db,
+                    &*db,
                     qte.as_ref(),
                     training,
                     &builder,
@@ -90,7 +90,7 @@ impl QualityAwareRewriter {
             QualityAwareMode::TwoStage => {
                 // Stage 1: the plain exact-rewriting agent of §4/§5.
                 let trained_hint = train_agent(
-                    &db,
+                    &*db,
                     qte.as_ref(),
                     training,
                     &RewriteSpace::hints_only,
@@ -104,7 +104,7 @@ impl QualityAwareRewriter {
                     let space = RewriteSpace::hints_only(query);
                     let outcome = plan_online(
                         &trained_hint.agent,
-                        &db,
+                        &*db,
                         qte.as_ref(),
                         query,
                         &space,
@@ -131,7 +131,7 @@ impl QualityAwareRewriter {
                         // Algorithm 1 again, every episode starting where stage 1
                         // stopped; stage 2 runs every epoch, so no convergence test.
                         run_algorithm1(
-                            &db,
+                            &*db,
                             qte.as_ref(),
                             &second_stage,
                             &approx_space,
@@ -178,7 +178,7 @@ impl QueryRewriter for QualityAwareRewriter {
                 let space = RewriteSpace::with_approx_rules(query, &self.rules);
                 let outcome = plan_online(
                     agent,
-                    &self.db,
+                    &*self.db,
                     self.qte.as_ref(),
                     query,
                     &space,
@@ -199,7 +199,7 @@ impl QueryRewriter for QualityAwareRewriter {
                 let hint_space = RewriteSpace::hints_only(query);
                 let first = plan_online(
                     hint_agent,
-                    &self.db,
+                    &*self.db,
                     self.qte.as_ref(),
                     query,
                     &hint_space,
@@ -210,7 +210,7 @@ impl QueryRewriter for QualityAwareRewriter {
                     let approx_space = RewriteSpace::approx_only(query, &self.rules);
                     let second = plan_online_from(
                         approx_agent,
-                        &self.db,
+                        &*self.db,
                         self.qte.as_ref(),
                         query,
                         &approx_space,
@@ -263,7 +263,7 @@ mod tests {
         .unwrap();
         assert_eq!(rewriter.mode(), QualityAwareMode::OneStage);
         assert_eq!(rewriter.name(), "1-stage MDP");
-        let metrics = evaluate_workload(&rewriter, &db, &workload(6), 500.0).unwrap();
+        let metrics = evaluate_workload(&rewriter, &*db, &workload(6), 500.0).unwrap();
         assert_eq!(metrics.queries, 6);
     }
 
@@ -281,7 +281,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rewriter.name(), "2-stage MDP");
-        let metrics = evaluate_workload(&rewriter, &db, &workload(6), 500.0).unwrap();
+        let metrics = evaluate_workload(&rewriter, &*db, &workload(6), 500.0).unwrap();
         assert_eq!(metrics.queries, 6);
         // The two-stage rewriter only approximates when no exact option is viable, so
         // at least the easy queries must stay exact.

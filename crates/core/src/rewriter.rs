@@ -98,7 +98,7 @@ impl QueryRewriter for MalivaRewriter {
         let space = self.space_for(query);
         let outcome = plan_online(
             &self.agent,
-            &self.db,
+            &*self.db,
             self.qte.as_ref(),
             query,
             &space,
@@ -125,7 +125,7 @@ mod tests {
         let db = tiny_db();
         let qte = Arc::new(AccurateQte::new(db.clone()));
         let trained = train_agent(
-            &db,
+            &*db,
             qte.as_ref(),
             &workload(10),
             &RewriteSpace::hints_only,

@@ -237,7 +237,7 @@ mod tests {
             ..MalivaConfig::fast()
         };
         let trained = train_agent(
-            &db,
+            &*db,
             &qte,
             &queries,
             &RewriteSpace::hints_only,
@@ -264,7 +264,7 @@ mod tests {
             ..MalivaConfig::fast()
         };
         let trained = train_agent(
-            &db,
+            &*db,
             &qte,
             &queries,
             &RewriteSpace::hints_only,
@@ -293,7 +293,7 @@ mod tests {
             ..MalivaConfig::fast().with_seed(7)
         };
         let trained = train_agent(
-            &db,
+            &*db,
             &qte,
             &workload(12),
             &RewriteSpace::hints_only,
@@ -326,7 +326,7 @@ mod tests {
         let db = tiny_db();
         let qte = AccurateQte::new(db.clone());
         let trained = train_agent(
-            &db,
+            &*db,
             &qte,
             &workload(12),
             &RewriteSpace::hints_only,
@@ -348,7 +348,7 @@ mod tests {
         let db = tiny_db();
         let qte = AccurateQte::new(db.clone());
         let trained = train_agent(
-            &db,
+            &*db,
             &qte,
             &[make_query(0), make_join_query(1)],
             &RewriteSpace::hints_only,
@@ -367,7 +367,7 @@ mod tests {
         let config = MalivaConfig::fast();
         let mut agent = QAgent::new(8, config.tau_ms, config.seed);
         let report = run_algorithm1(
-            &db,
+            &*db,
             &qte,
             &[],
             &RewriteSpace::hints_only,
@@ -384,7 +384,7 @@ mod tests {
         let db = tiny_db();
         let qte = AccurateQte::new(db.clone());
         let trained = train_agent(
-            &db,
+            &*db,
             &qte,
             &[],
             &RewriteSpace::hints_only,

@@ -115,11 +115,11 @@ impl QueryTimeEstimator for AccurateQte {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use vizdb::hints::HintSet;
     use vizdb::query::{OutputKind, Predicate};
     use vizdb::schema::{ColumnType, TableSchema};
     use vizdb::storage::TableBuilder;
+    use vizdb::testing::{Log, Recorder};
     use vizdb::types::GeoRect;
     use vizdb::{Database, DbConfig};
 
@@ -224,89 +224,15 @@ mod tests {
         assert!((ctx.selectivity(0).unwrap() - 0.2).abs() < 1e-9);
     }
 
-    /// Forwards to a database and counts the true selectivities asked for,
-    /// and those of them the database computed rather than read from its
-    /// selectivity cache (its entry count grew).
-    struct CountingBackend {
-        db: Arc<Database>,
-        asked: AtomicUsize,
-        computed: AtomicUsize,
-    }
-
-    impl QueryBackend for CountingBackend {
-        fn table_names(&self) -> Vec<String> {
-            self.db.table_names()
-        }
-        fn row_count(&self, table: &str) -> Result<usize> {
-            self.db.row_count(table)
-        }
-        fn schema(&self, table: &str) -> Result<TableSchema> {
-            QueryBackend::schema(&*self.db, table)
-        }
-        fn stats(&self, table: &str) -> Result<vizdb::stats::TableStats> {
-            QueryBackend::stats(&*self.db, table)
-        }
-        fn indexed_columns(&self, table: &str) -> Result<Vec<usize>> {
-            QueryBackend::indexed_columns(&*self.db, table)
-        }
-        fn sample_len(&self, table: &str, fraction_pct: u32) -> Result<usize> {
-            QueryBackend::sample_len(&*self.db, table, fraction_pct)
-        }
-        fn plan(&self, query: &Query, ro: &RewriteOption) -> Result<vizdb::plan::PhysicalPlan> {
-            self.db.plan(query, ro)
-        }
-        fn run(&self, query: &Query, ro: &RewriteOption) -> Result<vizdb::RunOutcome> {
-            self.db.run(query, ro)
-        }
-        fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
-            self.db.execution_time_ms(query, ro)
-        }
-        fn estimated_cardinality(&self, query: &Query) -> Result<f64> {
-            self.db.estimated_cardinality(query)
-        }
-        fn estimated_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
-            self.db.estimated_selectivity(table, pred)
-        }
-        fn true_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
-            let before = self.db.cache_entry_counts().1;
-            let sel = self.db.true_selectivity(table, pred);
-            self.asked.fetch_add(1, Ordering::Relaxed);
-            if self.db.cache_entry_counts().1 > before {
-                self.computed.fetch_add(1, Ordering::Relaxed);
-            }
-            sel
-        }
-        fn sample_selectivity(
-            &self,
-            table: &str,
-            pred: &Predicate,
-            fraction_pct: u32,
-        ) -> Result<(f64, usize)> {
-            self.db.sample_selectivity(table, pred, fraction_pct)
-        }
-        fn render_sql(&self, query: &Query, ro: &RewriteOption) -> String {
-            self.db.render_sql(query, ro)
-        }
-        fn generation(&self) -> u64 {
-            self.db.generation()
-        }
-        fn clear_caches(&self) {
-            self.db.clear_caches()
-        }
-        fn cache_entry_counts(&self) -> (usize, usize) {
-            self.db.cache_entry_counts()
-        }
-    }
-
     /// `(asked, computed)` true selectivities after estimating `q` under
-    /// the hint sets `masks` in turn, and the slots' collected values.
+    /// the hint sets `masks` in turn, and the slots' collected values. An
+    /// asked selectivity was computed, not read from the database's
+    /// selectivity cache, when the call grew the cache's entry count.
     fn probe_counts(q: &Query, masks: &[u32]) -> ((usize, usize), Vec<f64>) {
-        let backend = Arc::new(CountingBackend {
-            db: build_db(),
-            asked: AtomicUsize::new(0),
-            computed: AtomicUsize::new(0),
-        });
-        let qte = AccurateQte::new(backend.clone());
+        let db = build_db();
+        let log = Log::default();
+        let qte = AccurateQte::new(Arc::new(Recorder::new("db", db.clone(), &log)));
+        let mut entries = db.cache_entry_counts().1;
         let mut ctx = EstimationContext::new();
         for &mask in masks {
             let ro = RewriteOption::hinted(HintSet::with_mask(mask));
@@ -315,11 +241,15 @@ mod tests {
         let sels = (0..q.predicate_count())
             .filter_map(|slot| ctx.selectivity(slot))
             .collect();
-        let counts = (
-            backend.asked.load(Ordering::Relaxed),
-            backend.computed.load(Ordering::Relaxed),
-        );
-        (counts, sels)
+        let (mut asked, mut computed) = (0, 0);
+        for call in log.lock().iter() {
+            if call.method == "true_selectivity" {
+                asked += 1;
+                computed += usize::from(call.caches.1 > entries);
+            }
+            entries = call.caches.1;
+        }
+        ((asked, computed), sels)
     }
 
     /// The first estimate prices the query's hint lattice, which caches every

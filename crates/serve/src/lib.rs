@@ -6,8 +6,7 @@
 //! crate adds the serving machinery that the core reproduction leaves out:
 //!
 //! * [`MalivaServer`] shares one `Arc<dyn vizdb::QueryBackend>` — a plain
-//!   [`vizdb::Database`], a lock-wrapped [`vizdb::SharedBackend`], or a
-//!   per-region [`vizdb::ShardedBackend`] (the [`ServeConfig::shards`] knob, see
+//!   [`vizdb::Database`] or a per-region [`vizdb::ShardedBackend`] (the [`ServeConfig::shards`] knob, see
 //!   [`backend_for_shards`]) — one trained [`maliva::QAgent`] and one
 //!   [`maliva_qte::QueryTimeEstimator`] across `std::thread::scope` worker
 //!   threads, at most one per request, that drain a [`queue::WorkQueue`] —
@@ -18,10 +17,9 @@
 //! * a decision cache fronts planning: a [`vizdb::Memo`] of
 //!   [`CachedDecision`]s (bounded, sharded, LRU touch-on-hit) keyed by the
 //!   corrected query fingerprint and the exact bits of τ, with
-//!   hit/miss/eviction counters ([`MalivaServer::cache_stats`]); every entry is
-//!   tagged with the backend catalog generation, so a table registered or an
-//!   index built mid-serve drops the affected decisions instead of serving
-//!   them stale;
+//!   hit/miss/eviction counters ([`MalivaServer::cache_stats`]); a shared
+//!   backend's catalog cannot change, so an entry stays valid until it is
+//!   evicted, or invalidated because its rewrite's `run` failed;
 //! * [`MalivaServer::serve_queued`] adds admission control: a queue bounded by
 //!   [`ServeConfig::queue_capacity`] that sheds overload with an explicit
 //!   [`ServeOutcome::Rejected`] and a shed counter instead of growing without

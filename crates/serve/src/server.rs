@@ -300,9 +300,8 @@ impl MalivaServer {
     /// Serves one request: decide (through the decision cache), then execute the
     /// chosen rewrite — the request's only executing backend call.
     ///
-    /// The cache lookup carries the backend's current catalog generation, so a
-    /// decision planned before a mid-serve `register_table` / `build_index` is
-    /// dropped as stale instead of being returned.
+    /// The cache is keyed by query and budget alone: the backend is shared, so
+    /// its catalog cannot change and neither can a decision planned over it.
     ///
     /// A NaN or negative budget is an [`Error::InvalidQuery`] before the cache
     /// is touched.
@@ -314,15 +313,9 @@ impl MalivaServer {
             )));
         }
         let key = decision_key(&request.query, tau_ms);
-        // The generation is read lazily *inside* the lookup (after the entry is
-        // retrieved), so a catalog mutation landing just before the lookup drops
-        // the entry instead of slipping a stale decision through.
-        let (decision, cache_hit) = match self.cache.get(key, || self.backend.generation()) {
+        let (decision, cache_hit) = match self.cache.get(key) {
             Some(found) => (found, true),
             None => {
-                // Read before planning: a mutation *during* planning tags the
-                // entry with the pre-mutation generation, so it is born stale.
-                let generation = self.backend.generation();
                 let space = (self.space_builder)(&request.query);
                 let decided = decide_online(
                     &self.agent,
@@ -340,7 +333,7 @@ impl MalivaServer {
                 };
                 // First insert wins, so a racing worker's identical decision is
                 // returned as the canonical one.
-                (self.cache.insert(key, planned, generation), false)
+                (self.cache.insert(key, planned), false)
             }
         };
         let run = self
@@ -348,8 +341,8 @@ impl MalivaServer {
             .run(&request.query, &decision.rewrite)
             .inspect_err(|_| {
                 // Don't let a decision whose execution failed sit in the cache:
-                // the next arrival of this key re-plans against the backend's
-                // current state instead of replaying the decision.
+                // the next arrival of this key re-plans instead of replaying
+                // the decision.
                 self.cache.invalidate(key);
             })?;
         let total_ms = decision.planning_ms + run.time_ms;
@@ -457,7 +450,8 @@ mod tests {
     use vizdb::query::{OutputKind, Predicate};
     use vizdb::schema::{ColumnType, TableSchema};
     use vizdb::storage::{Table, TableBuilder};
-    use vizdb::{DbConfig, SharedBackend};
+    use vizdb::testing::{Log, Recorder};
+    use vizdb::DbConfig;
 
     fn build_table() -> Table {
         let schema = TableSchema::new("tweets")
@@ -668,39 +662,6 @@ mod tests {
         );
     }
 
-    /// The invalidation satellite (server half): registering a table mid-serve
-    /// bumps the backend generation, so the next lookup of an already-cached
-    /// decision must re-plan instead of returning the stale entry.
-    #[test]
-    fn catalog_mutation_mid_serve_invalidates_cached_decisions() {
-        let mut db = Database::new(DbConfig::default());
-        db.register_table(build_table()).unwrap();
-        db.build_all_indexes("tweets").unwrap();
-        let shared = Arc::new(SharedBackend::new(db));
-        let server = server_over(shared.clone(), ServeConfig::default());
-
-        let request = ServeRequest::new(make_query(0));
-        let first = server.serve_one(0, &request).unwrap();
-        assert!(!first.cache_hit);
-        let warm = server.serve_one(1, &request).unwrap();
-        assert!(warm.cache_hit, "second identical request must hit");
-
-        // Mid-serve catalog mutation through the shared handle.
-        let late = TableSchema::new("late").with_column("id", ColumnType::Int);
-        shared
-            .register_table(TableBuilder::new(late).build())
-            .unwrap();
-
-        let after = server.serve_one(2, &request).unwrap();
-        assert!(
-            !after.cache_hit,
-            "a decision planned before register_table must not be served"
-        );
-        assert!(server.cache_stats().stale_drops >= 1);
-        // The re-planned decision over the unchanged table is still the same.
-        assert_eq!(after.result, first.result);
-    }
-
     /// τ is keyed by its exact bits: a request under another budget is
     /// decided afresh, and the first budget's decision still hits.
     #[test]
@@ -887,96 +848,25 @@ mod tests {
         assert!(matches!(err, Error::InvalidQuery(_)), "{err}");
     }
 
-    /// Counts the executing calls that reach the backend it decorates; with
-    /// `fail` set, every `run` is counted and then returns [`Error::Internal`].
-    struct CountingBackend {
+    /// `inner` behind a [`Recorder`] that fails every `run` when `fail` is set,
+    /// and a count of the `(run, execution_time_ms)` calls it has forwarded.
+    fn counting(
         inner: Arc<dyn QueryBackend>,
         fail: bool,
-        runs: AtomicU64,
-        timings: AtomicU64,
-    }
-
-    impl CountingBackend {
-        fn new(inner: Arc<dyn QueryBackend>, fail: bool) -> Arc<Self> {
-            Arc::new(Self {
-                inner,
-                fail,
-                runs: AtomicU64::new(0),
-                timings: AtomicU64::new(0),
-            })
-        }
-
-        /// `(run calls, execution_time_ms calls)` so far.
-        fn executing_calls(&self) -> (u64, u64) {
-            (
-                self.runs.load(Ordering::Relaxed),
-                self.timings.load(Ordering::Relaxed),
-            )
-        }
-    }
-
-    impl QueryBackend for CountingBackend {
-        fn table_names(&self) -> Vec<String> {
-            self.inner.table_names()
-        }
-        fn row_count(&self, table: &str) -> Result<usize> {
-            self.inner.row_count(table)
-        }
-        fn schema(&self, table: &str) -> Result<TableSchema> {
-            self.inner.schema(table)
-        }
-        fn stats(&self, table: &str) -> Result<vizdb::stats::TableStats> {
-            self.inner.stats(table)
-        }
-        fn indexed_columns(&self, table: &str) -> Result<Vec<usize>> {
-            self.inner.indexed_columns(table)
-        }
-        fn sample_len(&self, table: &str, fraction_pct: u32) -> Result<usize> {
-            self.inner.sample_len(table, fraction_pct)
-        }
-        fn plan(&self, query: &Query, ro: &RewriteOption) -> Result<vizdb::plan::PhysicalPlan> {
-            self.inner.plan(query, ro)
-        }
-        fn run(&self, query: &Query, ro: &RewriteOption) -> Result<vizdb::RunOutcome> {
-            self.runs.fetch_add(1, Ordering::Relaxed);
-            if self.fail {
-                return Err(Error::Internal("injected run failure".into()));
-            }
-            self.inner.run(query, ro)
-        }
-        fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
-            self.timings.fetch_add(1, Ordering::Relaxed);
-            self.inner.execution_time_ms(query, ro)
-        }
-        fn estimated_cardinality(&self, query: &Query) -> Result<f64> {
-            self.inner.estimated_cardinality(query)
-        }
-        fn estimated_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
-            self.inner.estimated_selectivity(table, pred)
-        }
-        fn true_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
-            self.inner.true_selectivity(table, pred)
-        }
-        fn sample_selectivity(
-            &self,
-            table: &str,
-            pred: &Predicate,
-            fraction_pct: u32,
-        ) -> Result<(f64, usize)> {
-            self.inner.sample_selectivity(table, pred, fraction_pct)
-        }
-        fn render_sql(&self, query: &Query, ro: &RewriteOption) -> String {
-            self.inner.render_sql(query, ro)
-        }
-        fn generation(&self) -> u64 {
-            self.inner.generation()
-        }
-        fn clear_caches(&self) {
-            self.inner.clear_caches()
-        }
-        fn cache_entry_counts(&self) -> (usize, usize) {
-            self.inner.cache_entry_counts()
-        }
+    ) -> (Arc<dyn QueryBackend>, impl Fn() -> (usize, usize)) {
+        let log = Log::default();
+        let recorder = Recorder::new("backend", inner, &log);
+        let backend = Arc::new(if fail {
+            recorder.failing_runs()
+        } else {
+            recorder
+        });
+        let executing_calls = move || {
+            let log = log.lock();
+            let count = |method| log.iter().filter(|call| call.method == method).count();
+            (count("run"), count("execution_time_ms"))
+        };
+        (backend, executing_calls)
     }
 
     /// [`build_db`] plus the 1% sample the Approximate-QTE probes.
@@ -1017,15 +907,15 @@ mod tests {
         let db = build_sampled_db();
         let backends: [Arc<dyn QueryBackend>; 2] = [db.clone(), backend_for_shards(db, 4).unwrap()];
         for backend in backends {
-            let counting = CountingBackend::new(backend, false);
-            let server = approximate_server(counting.clone(), Arc::new(RewriteSpace::hints_only));
+            let (counting, executing_calls) = counting(backend, false);
+            let server = approximate_server(counting, Arc::new(RewriteSpace::hints_only));
             for i in 0..6u64 {
                 let request = ServeRequest::new(make_query(i));
                 for expect_hit in [false, true] {
-                    let before = counting.executing_calls();
+                    let before = executing_calls();
                     let response = server.serve_one(0, &request).unwrap();
                     assert_eq!(response.cache_hit, expect_hit, "query {i}");
-                    let after = counting.executing_calls();
+                    let after = executing_calls();
                     assert_eq!(
                         (after.0 - before.0, after.1 - before.1),
                         (1, 0),
@@ -1041,7 +931,7 @@ mod tests {
     /// the failed run must take its decision back out.
     #[test]
     fn a_decision_whose_execution_fails_does_not_stay_cached() {
-        let backend = CountingBackend::new(build_sampled_db(), true);
+        let (backend, _) = counting(build_sampled_db(), true);
         let server = approximate_server(backend, Arc::new(RewriteSpace::hints_only));
         let request = ServeRequest::new(make_query(0));
         for _ in 0..2 {

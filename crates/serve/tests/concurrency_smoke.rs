@@ -21,7 +21,7 @@ const TAU_MS: f64 = 500.0;
 fn trained_agent(db: &Arc<Database>, train: &[Query]) -> QAgent {
     let qte = AccurateQte::new(db.clone());
     train_agent(
-        db,
+        db.as_ref(),
         &qte,
         train,
         &RewriteSpace::hints_only,
@@ -124,7 +124,7 @@ fn raw_scoped_threads_share_database_and_agent() {
     let mut expected: Vec<(usize, RewriteOption, f64)> = Vec::new();
     for q in rest {
         let space = RewriteSpace::hints_only(q);
-        let outcome = maliva::plan_online(&agent, &db, &qte, q, &space, TAU_MS).expect("plan");
+        let outcome = maliva::plan_online(&agent, &*db, &qte, q, &space, TAU_MS).expect("plan");
         expected.push((outcome.chosen_index, outcome.rewrite, outcome.exec_ms));
     }
 
@@ -141,8 +141,8 @@ fn raw_scoped_threads_share_database_and_agent() {
                         continue;
                     }
                     let space = RewriteSpace::hints_only(q);
-                    let outcome =
-                        maliva::plan_online(agent, db, qte, q, &space, TAU_MS).expect("plan");
+                    let outcome = maliva::plan_online(agent, db.as_ref(), qte, q, &space, TAU_MS)
+                        .expect("plan");
                     *results[i].lock() =
                         Some((outcome.chosen_index, outcome.rewrite, outcome.exec_ms));
                 }

@@ -29,20 +29,20 @@ fn decision(planning_ms: f64) -> CachedDecision {
 }
 
 /// First insert wins: two threads install *different* decisions for one key at
-/// the same generation; both must walk away holding the canonical one.
+/// once; both must walk away holding the canonical one.
 #[test]
 fn decision_cache_first_insert_wins_under_every_interleaving() {
     let report = explore(Config::random(21, 1000), || {
         let cache = Arc::new(Memo::new(DECISION_CACHE_CAPACITY));
         let key = (0xFEED, 7);
         let a = cache.clone();
-        let ha = thread::spawn(move || a.insert(key, decision(10.0), 0).planning_ms);
+        let ha = thread::spawn(move || a.insert(key, decision(10.0)).planning_ms);
         let b = cache.clone();
-        let hb = thread::spawn(move || b.insert(key, decision(20.0), 0).planning_ms);
+        let hb = thread::spawn(move || b.insert(key, decision(20.0)).planning_ms);
         let va = ha.join().unwrap();
         let vb = hb.join().unwrap();
         let canonical = cache
-            .get(key, || 0)
+            .get(key)
             .expect("one insert must have landed")
             .planning_ms;
         assert_eq!(va, canonical, "thread A served a non-canonical decision");
@@ -60,13 +60,13 @@ fn decision_cache_touch_vs_invalidate_stays_consistent() {
     let report = explore(Config::random(23, 1000), || {
         let cache = Arc::new(Memo::new(DECISION_CACHE_CAPACITY));
         let key = (1, 1);
-        cache.insert(key, decision(1.0), 0);
+        cache.insert(key, decision(1.0));
         let toucher = {
             let c = cache.clone();
             thread::spawn(move || {
                 // A hit must return the live decision; a miss means the
                 // invalidator already won. Both are legal.
-                if let Some(found) = c.get(key, || 0) {
+                if let Some(found) = c.get(key) {
                     assert_eq!(found.planning_ms, 1.0);
                 }
             })
@@ -80,14 +80,14 @@ fn decision_cache_touch_vs_invalidate_stays_consistent() {
         toucher.join().unwrap();
         invalidator.join().unwrap();
         assert!(
-            cache.get(key, || 0).is_none(),
+            cache.get(key).is_none(),
             "the invalidation must win by the end"
         );
         assert_eq!(cache.stats().invalidations, 1);
         // The recency queue holds a dead reference to `key` now; reinsertion
         // must still work and serve the new decision.
-        cache.insert(key, decision(2.0), 0);
-        assert_eq!(cache.get(key, || 0).unwrap().planning_ms, 2.0);
+        cache.insert(key, decision(2.0));
+        assert_eq!(cache.get(key).unwrap().planning_ms, 2.0);
     });
     report.assert_ok();
 }

@@ -14,11 +14,13 @@
 //!   When a full shard needs a slot, its hand sweeps the ring, clearing set
 //!   bits, and evicts the first entry whose bit is clear, so a hot key
 //!   survives a long tail of one-off keys while a hit stays a plain lookup and
-//!   a bit store. A slot left by an invalidated or stale entry is reused
-//!   before anything is evicted.
-//! * **Generation-tagged.** Every entry records the catalog generation it was
-//!   computed under. A lookup under another generation drops the entry and
-//!   misses; on insert, an entry at the same or a newer generation wins.
+//!   a bit store. A slot left by an invalidated entry is reused before
+//!   anything is evicted.
+//! * **First insert wins.** The first value installed for a key stays until
+//!   it is invalidated, cleared or evicted. No generation or version is kept:
+//!   every owner's inputs are fixed while the memo is shared (a [`crate::Database`]
+//!   clears its memos on each `&mut` catalog mutation, and a backend shared
+//!   across serving threads cannot be mutated).
 //! * **Computed outside the lock.** [`Memo::get_or_try_compute`] runs a miss's
 //!   computation without holding the shard, so a slow computation never blocks
 //!   unrelated keys. Errors are not memoised.
@@ -48,27 +50,22 @@ pub struct MemoStats {
     pub evictions: u64,
     /// Entries inserted (an insert that the present entry wins does not count).
     pub insertions: u64,
-    /// Entries dropped because their generation was stale.
-    pub stale_drops: u64,
     /// Entries removed by [`Memo::invalidate`].
     pub invalidations: u64,
     /// Entries currently held.
     pub entries: usize,
 }
 
-/// One entry: the value, the generation it was computed under, its slot in
-/// the shard's ring and whether a hit has referenced it since the hand last
-/// passed.
+/// One entry: the value, its slot in the shard's ring and whether a hit has
+/// referenced it since the hand last passed.
 struct Entry<V> {
     value: V,
-    generation: u64,
     slot: usize,
     referenced: bool,
 }
 
 /// One lock shard. `ring` holds at most the shard capacity's keys, one per
-/// slot; `free` lists the slots whose entry was invalidated or dropped as
-/// stale, and `hand` is where the next eviction sweep starts.
+/// slot; `free` lists the slots whose entry was invalidated, and `hand` is where the next eviction sweep starts.
 struct Shard<V> {
     map: HashMap<Key, Entry<V>>,
     ring: Vec<Key>,
@@ -153,27 +150,13 @@ impl<V: Clone> Memo<V> {
         &self.shards[(key.0 ^ key.1) as usize & (SHARDS - 1)]
     }
 
-    /// Looks `key` up. A hit sets the entry's referenced bit; an entry computed
-    /// under another generation is dropped and the lookup misses.
-    ///
-    /// `generation` is a *supplier*, called only once an entry is found: a
-    /// caller whose generation can move concurrently (the serving layer's
-    /// backend) reads it after the entry is retrieved, so a mutation landing
-    /// just before the lookup drops the entry instead of slipping it through.
-    pub fn get(&self, key: Key, generation: impl FnOnce() -> u64) -> Option<V> {
+    /// Looks `key` up; a hit sets the entry's referenced bit.
+    pub fn get(&self, key: Key) -> Option<V> {
         let mut shard = self.shard(key).lock();
-        let found = match shard.map.get_mut(&key) {
-            Some(entry) if entry.generation == generation() => {
-                entry.referenced = true;
-                Some(entry.value.clone())
-            }
-            Some(_) => {
-                shard.remove(key);
-                shard.stats.stale_drops += 1;
-                None
-            }
-            None => None,
-        };
+        let found = shard.map.get_mut(&key).map(|entry| {
+            entry.referenced = true;
+            entry.value.clone()
+        });
         if found.is_some() {
             shard.stats.hits += 1;
         } else {
@@ -182,30 +165,21 @@ impl<V: Clone> Memo<V> {
         found
     }
 
-    /// Inserts `value`, computed under `generation`, unless an entry at the
-    /// same or a newer generation is present (generations only grow, so a slow
-    /// computation that read the catalog before a mutation must not clobber a
-    /// fresher entry); a stale entry is replaced. A new entry starts
-    /// unreferenced, in a slot [`Shard::place`] finds, which in a full shard
-    /// evicts an entry. Returns the value the memo now holds for `key`
-    /// (the canonical one).
-    pub fn insert(&self, key: Key, value: V, generation: u64) -> V {
+    /// Inserts `value` unless `key` already has an entry: the first insert
+    /// wins. A new entry starts unreferenced, in a slot [`Shard::place`]
+    /// finds, which in a full shard evicts an entry. Returns the value the
+    /// memo now holds for `key` (the canonical one).
+    pub fn insert(&self, key: Key, value: V) -> V {
         if self.shard_capacity == 0 {
             return value;
         }
         let mut shard = self.shard(key).lock();
-        match shard.map.get(&key) {
-            Some(existing) if existing.generation >= generation => return existing.value.clone(),
-            Some(_) => {
-                shard.remove(key);
-                shard.stats.stale_drops += 1;
-            }
-            None => {}
+        if let Some(existing) = shard.map.get(&key) {
+            return existing.value.clone();
         }
         let slot = shard.place(key, self.shard_capacity);
         let entry = Entry {
             value: value.clone(),
-            generation,
             slot,
             referenced: false,
         };
@@ -214,20 +188,19 @@ impl<V: Clone> Memo<V> {
         value
     }
 
-    /// The value for `key` at `generation`, computing and inserting it on a
-    /// miss. `compute` runs outside the shard lock, so racing callers may each
-    /// compute; every caller returns the canonical (first-inserted) value.
-    /// Errors are returned and not memoised.
+    /// The value for `key`, computing and inserting it on a miss. `compute`
+    /// runs outside the shard lock, so racing callers may each compute; every
+    /// caller returns the canonical (first-inserted) value. Errors are
+    /// returned and not memoised.
     pub fn get_or_try_compute<E>(
         &self,
         key: Key,
-        generation: u64,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<V, E> {
-        if let Some(value) = self.get(key, || generation) {
+        if let Some(value) = self.get(key) {
             return Ok(value);
         }
-        Ok(self.insert(key, compute()?, generation))
+        Ok(self.insert(key, compute()?))
     }
 
     /// Drops `key`, returning whether an entry was present.
@@ -261,7 +234,6 @@ impl<V: Clone> Memo<V> {
             total.misses += s.misses;
             total.evictions += s.evictions;
             total.insertions += s.insertions;
-            total.stale_drops += s.stale_drops;
             total.invalidations += s.invalidations;
             total.entries += shard.map.len();
         }
@@ -272,9 +244,6 @@ impl<V: Clone> Memo<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Generation used by tests that don't exercise staleness.
-    const GEN: u64 = 7;
 
     fn stats_of(memo: &Memo<f64>) -> (u64, u64, usize) {
         let s = memo.stats();
@@ -294,47 +263,46 @@ mod tests {
     #[test]
     fn get_after_insert_hits() {
         let memo = Memo::new(4096);
-        assert_eq!(memo.get((1, 2), || GEN), None);
-        memo.insert((1, 2), 3.0, GEN);
-        assert_eq!(memo.get((1, 2), || GEN), Some(3.0));
+        assert_eq!(memo.get((1, 2)), None);
+        memo.insert((1, 2), 3.0);
+        assert_eq!(memo.get((1, 2)), Some(3.0));
         assert_eq!(stats_of(&memo), (1, 1, 1));
     }
 
     #[test]
     fn miss_computes_and_caches() {
         let memo = Memo::new(4096);
-        let v: Result<f64, ()> = memo.get_or_try_compute((1, 2), GEN, || Ok(7.5));
+        let v: Result<f64, ()> = memo.get_or_try_compute((1, 2), || Ok(7.5));
         assert_eq!(v, Ok(7.5));
-        assert_eq!(memo.get((1, 2), || GEN), Some(7.5));
+        assert_eq!(memo.get((1, 2)), Some(7.5));
         assert_eq!(memo.stats().entries, 1);
     }
 
     #[test]
     fn hit_skips_compute() {
         let memo = Memo::new(4096);
-        let _: Result<f64, ()> = memo.get_or_try_compute((1, 2), GEN, || Ok(1.0));
-        let v: Result<f64, ()> =
-            memo.get_or_try_compute((1, 2), GEN, || panic!("must not recompute"));
+        let _: Result<f64, ()> = memo.get_or_try_compute((1, 2), || Ok(1.0));
+        let v: Result<f64, ()> = memo.get_or_try_compute((1, 2), || panic!("must not recompute"));
         assert_eq!(v, Ok(1.0));
     }
 
     #[test]
     fn errors_are_not_cached() {
         let memo = Memo::new(4096);
-        let e: Result<f64, &str> = memo.get_or_try_compute((3, 4), GEN, || Err("boom"));
+        let e: Result<f64, &str> = memo.get_or_try_compute((3, 4), || Err("boom"));
         assert_eq!(e, Err("boom"));
-        assert_eq!(memo.get((3, 4), || GEN), None);
+        assert_eq!(memo.get((3, 4)), None);
         assert_eq!(memo.stats().insertions, 0);
-        let v: Result<f64, &str> = memo.get_or_try_compute((3, 4), GEN, || Ok(2.0));
+        let v: Result<f64, &str> = memo.get_or_try_compute((3, 4), || Ok(2.0));
         assert_eq!(v, Ok(2.0));
     }
 
     #[test]
     fn first_insert_wins() {
         let memo = Memo::new(4096);
-        assert_eq!(memo.insert((9, 9), 1.0, GEN), 1.0);
-        assert_eq!(memo.insert((9, 9), 2.0, GEN), 1.0);
-        assert_eq!(memo.get((9, 9), || GEN), Some(1.0));
+        assert_eq!(memo.insert((9, 9), 1.0), 1.0);
+        assert_eq!(memo.insert((9, 9), 2.0), 1.0);
+        assert_eq!(memo.get((9, 9)), Some(1.0));
         assert_eq!(memo.stats().insertions, 1);
     }
 
@@ -342,7 +310,7 @@ mod tests {
     fn capacity_bound_evicts() {
         let memo = Memo::new(8); // one entry per shard
         for i in 0..64u64 {
-            memo.insert((i, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)), i as f64, GEN);
+            memo.insert((i, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)), i as f64);
         }
         let stats = memo.stats();
         assert!(
@@ -360,66 +328,17 @@ mod tests {
         let memo = Memo::new(16); // two entries per shard
         let keys = same_shard_keys(3);
         let (a, b, c) = (keys[0], keys[1], keys[2]);
-        memo.insert(a, 1.0, GEN); // oldest inserted
-        memo.insert(b, 2.0, GEN);
-        assert!(memo.get(a, || GEN).is_some()); // touch a: b is now LRU
-        memo.insert(c, 3.0, GEN); // shard full: evicts the LRU
+        memo.insert(a, 1.0); // oldest inserted
+        memo.insert(b, 2.0);
+        assert!(memo.get(a).is_some()); // touch a: b is now LRU
+        memo.insert(c, 3.0); // shard full: evicts the LRU
         assert!(
-            memo.get(a, || GEN).is_some(),
+            memo.get(a).is_some(),
             "a re-touched entry must survive the eviction FIFO would have hit it with"
         );
-        assert!(
-            memo.get(b, || GEN).is_none(),
-            "the untouched entry is the victim"
-        );
-        assert!(memo.get(c, || GEN).is_some());
+        assert!(memo.get(b).is_none(), "the untouched entry is the victim");
+        assert!(memo.get(c).is_some());
         assert_eq!(memo.stats().evictions, 1);
-    }
-
-    /// A lookup under a newer generation drops the entry and misses.
-    #[test]
-    fn stale_generation_entries_are_dropped_on_lookup() {
-        let memo = Memo::new(4096);
-        memo.insert((1, 1), 1.0, GEN);
-        assert!(memo.get((1, 1), || GEN).is_some());
-        assert!(
-            memo.get((1, 1), || GEN + 1).is_none(),
-            "an entry computed under an older generation must not be served"
-        );
-        let stats = memo.stats();
-        assert_eq!((stats.stale_drops, stats.entries), (1, 0));
-        // Re-inserting under the new generation works and hits again.
-        memo.insert((1, 1), 2.0, GEN + 1);
-        assert_eq!(memo.get((1, 1), || GEN + 1), Some(2.0));
-    }
-
-    /// A stale entry is replaced, not kept, on insert.
-    #[test]
-    fn insert_overwrites_stale_generations() {
-        let memo = Memo::new(4096);
-        memo.insert((1, 1), 1.0, GEN);
-        assert_eq!(memo.insert((1, 1), 2.0, GEN + 1), 2.0);
-        assert_eq!(memo.get((1, 1), || GEN + 1), Some(2.0));
-    }
-
-    /// The reverse race: a slow computation whose generation predates a
-    /// catalog mutation must not clobber the fresher entry a faster worker
-    /// installed; the newer entry is returned as canonical.
-    #[test]
-    fn insert_with_an_older_generation_keeps_the_fresher_entry() {
-        let memo = Memo::new(4096);
-        memo.insert((1, 1), 2.0, GEN + 1); // fast worker, post-mutation
-        assert_eq!(
-            memo.insert((1, 1), 1.0, GEN),
-            2.0,
-            "the fresher value is canonical"
-        );
-        assert_eq!(memo.get((1, 1), || GEN + 1), Some(2.0));
-        assert_eq!(
-            memo.stats().stale_drops,
-            0,
-            "a fresh entry must not be counted as a stale drop"
-        );
     }
 
     /// An invalidation drops exactly the targeted key, counts once, and is a
@@ -427,18 +346,15 @@ mod tests {
     #[test]
     fn invalidate_drops_only_the_targeted_key() {
         let memo = Memo::new(4096);
-        memo.insert((1, 1), 1.0, GEN);
-        memo.insert((2, 1), 2.0, GEN);
+        memo.insert((1, 1), 1.0);
+        memo.insert((2, 1), 2.0);
         assert!(memo.invalidate((1, 1)));
         assert!(
             !memo.invalidate((1, 1)),
             "second invalidation finds nothing"
         );
-        assert!(memo.get((1, 1), || GEN).is_none());
-        assert!(
-            memo.get((2, 1), || GEN).is_some(),
-            "other keys must survive"
-        );
+        assert!(memo.get((1, 1)).is_none());
+        assert!(memo.get((2, 1)).is_some(), "other keys must survive");
         let stats = memo.stats();
         assert_eq!((stats.invalidations, stats.entries), (1, 1));
     }
@@ -446,26 +362,26 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let memo = Memo::new(0);
-        assert_eq!(memo.insert((1, 1), 1.0, GEN), 1.0);
-        assert!(memo.get((1, 1), || GEN).is_none());
+        assert_eq!(memo.insert((1, 1), 1.0), 1.0);
+        assert!(memo.get((1, 1)).is_none());
         assert_eq!(memo.stats().entries, 0);
     }
 
     #[test]
     fn clear_preserves_counters() {
         let memo = Memo::new(4096);
-        memo.insert((1, 1), 1.0, GEN);
-        let _ = memo.get((1, 1), || GEN);
+        memo.insert((1, 1), 1.0);
+        let _ = memo.get((1, 1));
         memo.clear();
         assert_eq!(stats_of(&memo), (1, 0, 0));
-        assert!(memo.get((1, 1), || GEN).is_none());
+        assert!(memo.get((1, 1)).is_none());
     }
 
     #[test]
     fn clear_empties_every_shard() {
         let memo = Memo::new(4096);
         for i in 0..64u64 {
-            memo.insert((i, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)), i as f64, GEN);
+            memo.insert((i, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)), i as f64);
         }
         assert_eq!(memo.stats().entries, 64);
         memo.clear();
@@ -474,8 +390,8 @@ mod tests {
     }
 
     /// The ring never holds more keys than the shard capacity, under hits,
-    /// invalidations, stale drops and evictions alike, and every entry's slot
-    /// holds its own key.
+    /// invalidations and evictions alike, and every entry's slot holds its
+    /// own key.
     #[test]
     fn recency_queue_stays_bounded_under_hits() {
         let memo = Memo::new(32); // four entries per shard
@@ -487,12 +403,12 @@ mod tests {
                 assert_eq!(shard.ring[entry.slot], *key, "{step}");
             }
         };
-        for round in 0..3u64 {
+        for _round in 0..3 {
             for (i, &key) in keys.iter().enumerate() {
-                memo.insert(key, i as f64, GEN + round);
+                memo.insert(key, i as f64);
                 check("insert");
                 for &hot in &keys[..2] {
-                    let _ = memo.get(hot, || GEN + round);
+                    let _ = memo.get(hot);
                     check("hit");
                 }
                 if i % 3 == 0 {
@@ -500,18 +416,15 @@ mod tests {
                     check("invalidate");
                 }
             }
-            // The next round's generation drops what this one left.
+            // Free what this round left, so the next one refills freed slots.
             for &key in &keys {
-                let _ = memo.get(key, || GEN + round + 1);
-                check("stale drop");
+                memo.invalidate(key);
+                check("invalidate the rest");
             }
         }
         let stats = memo.stats();
         assert!(stats.evictions > 0, "{stats:?}");
-        assert!(
-            stats.stale_drops > 0 && stats.invalidations > 0,
-            "{stats:?}"
-        );
+        assert!(stats.invalidations > 0, "{stats:?}");
     }
 
     #[test]
@@ -523,11 +436,10 @@ mod tests {
             for _ in 0..8 {
                 scope.spawn(|| {
                     for i in 0..100u64 {
-                        let v: Result<f64, ()> =
-                            memo.get_or_try_compute((i, i ^ 0xABCD), GEN, || {
-                                computed.fetch_add(1, Ordering::Relaxed);
-                                Ok(i as f64 * 3.0)
-                            });
+                        let v: Result<f64, ()> = memo.get_or_try_compute((i, i ^ 0xABCD), || {
+                            computed.fetch_add(1, Ordering::Relaxed);
+                            Ok(i as f64 * 3.0)
+                        });
                         assert_eq!(v, Ok(i as f64 * 3.0));
                     }
                 });

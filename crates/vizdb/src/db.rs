@@ -28,7 +28,7 @@ use crate::hints::{enumerate_hint_sets, RewriteOption};
 use crate::index::{BPlusTree, InvertedIndex, RTree};
 use crate::optimizer::{estimate_selectivity, Planner, TableMeta};
 use crate::plan::PhysicalPlan;
-use crate::query::{render_sql, OutputKind, Predicate, Query};
+use crate::query::{OutputKind, Predicate, Query};
 use crate::schema::TableSchema;
 use crate::stats::TableStats;
 use crate::storage::{check_fraction, CellColumnSlot, CellKey, ColumnData, SampleTable, Table};
@@ -238,10 +238,6 @@ pub struct Database {
     time_memo: Memo<f64>,
     /// True selectivity per (table, predicate) fingerprint pair.
     selectivity_memo: Memo<f64>,
-    /// Catalog generation: bumped by every mutation that can change execution times
-    /// or cached decisions (`register_table`, `build_index`, `build_sample`), so
-    /// layers above (e.g. the serving layer's decision cache) can detect staleness.
-    generation: u64,
 }
 
 // The serving layer shares one `Arc<Database>` across worker threads; keep that
@@ -262,24 +258,14 @@ impl Database {
             planner,
             time_memo: Memo::new(ENGINE_MEMO_CAPACITY),
             selectivity_memo: Memo::new(ENGINE_MEMO_CAPACITY),
-            generation: 0,
         }
     }
 
-    /// The current catalog generation. Any cached artefact derived from this
-    /// database (execution times, planning decisions) is stale once the value it
-    /// was computed under no longer matches.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Invalidation hook shared by every catalog mutation: bump the generation and
-    /// drop both memos, whose entries were computed against the old
+    /// Invalidation hook shared by every catalog mutation: drop both memos, whose entries were computed against the old
     /// catalog (a new index changes execution times, a re-registered table
     /// changes everything), and every table's cell column, which the table's
     /// next binning rebuilds.
     fn invalidate(&mut self) {
-        self.generation += 1;
         self.clear_caches();
         for entry in self.tables.values_mut() {
             entry.cells = CellColumnSlot::new();
@@ -478,16 +464,15 @@ impl Database {
     pub fn true_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
         let entry = self.entry(table)?;
         let key = selectivity_key(table, pred);
-        self.selectivity_memo
-            .get_or_try_compute(key, self.generation, || {
-                let matched = exec::count_matching(pred, &entry.exec_table())?;
-                let rows = entry.table.row_count();
-                Ok(if rows == 0 {
-                    0.0
-                } else {
-                    matched as f64 / rows as f64
-                })
+        self.selectivity_memo.get_or_try_compute(key, || {
+            let matched = exec::count_matching(pred, &entry.exec_table())?;
+            let rows = entry.table.row_count();
+            Ok(if rows == 0 {
+                0.0
+            } else {
+                matched as f64 / rows as f64
             })
+        })
     }
 
     /// Measures the selectivity of `pred` on the `fraction_pct`% sample of `table`,
@@ -545,7 +530,7 @@ impl Database {
         let query_fp = query_fingerprint(query);
         let rewrite_fp = rewrite_fingerprint(ro);
         let key = (query_fp, rewrite_fp);
-        self.time_memo.get_or_try_compute(key, self.generation, || {
+        self.time_memo.get_or_try_compute(key, || {
             match self.price_lattice(query, ro, query_fp, rewrite_fp) {
                 Some(time_ms) => Ok(time_ms),
                 None => self
@@ -600,8 +585,7 @@ impl Database {
         let ro_time_ms = self.simulated_time_ms(ro_work, ro_plan, query_fp);
         for ((&fp, plan), work) in times {
             let time_ms = self.simulated_time_ms(work, plan, query_fp);
-            self.time_memo
-                .insert((query_fp, fp), time_ms, self.generation);
+            self.time_memo.insert((query_fp, fp), time_ms);
         }
         // The pass counted each predicate's rows exactly as `true_selectivity`
         // would (an index scan's mask has an index count's bits, a kernel's a
@@ -611,7 +595,7 @@ impl Database {
             for (pred, &matches) in query.predicates.iter().zip(&priced.matches) {
                 let sel = matches as f64 / rows as f64;
                 let key = selectivity_key(&query.table, pred);
-                self.selectivity_memo.insert(key, sel, self.generation);
+                self.selectivity_memo.insert(key, sel);
             }
         }
         Some(ro_time_ms)
@@ -662,29 +646,6 @@ impl Database {
         })
     }
 
-    /// The paper's query-difficulty metric: the number of hinted (exact) physical plans
-    /// whose execution time is within `tau_ms`.
-    pub fn viable_plan_count(&self, query: &Query, tau_ms: f64) -> Result<usize> {
-        let mut count = 0usize;
-        for hints in enumerate_hint_sets(query) {
-            let ro = RewriteOption::hinted(hints);
-            if self.execution_time_ms(query, &ro)? <= tau_ms {
-                count += 1;
-            }
-        }
-        Ok(count)
-    }
-
-    /// Renders the SQL text of `query` rewritten with `ro` (presentation only).
-    pub fn render_sql(&self, query: &Query, ro: &RewriteOption) -> String {
-        let schema = self.schema(&query.table).ok();
-        let join_schema = query
-            .join
-            .as_ref()
-            .and_then(|j| self.schema(&j.right_table).ok());
-        render_sql(query, ro, schema, join_schema)
-    }
-
     /// Clears the execution-time and selectivity memos (useful between experiments
     /// that mutate cost parameters, and between throughput runs that must each do
     /// the same amount of work). Each table's cell column survives it: it changes
@@ -723,6 +684,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::approx::ApproxRule;
+    use crate::backend::QueryBackend;
     use crate::hints::HintSet;
     use crate::query::{OutputKind, Predicate};
     use crate::schema::{ColumnType, TableSchema};
@@ -978,28 +940,27 @@ mod tests {
         assert_eq!(db.cache_entry_counts().1, 1);
     }
 
-    /// Catalog mutations must bump the generation and drop the fingerprint caches,
-    /// so that stale cached times can never be served after an index appears.
+    /// Every catalog mutation must drop the fingerprint caches, so that stale
+    /// cached times can never be served after an index or a table appears.
     #[test]
     fn catalog_mutations_bump_generation_and_drop_caches() {
         let mut db = build_db();
-        let g0 = db.generation();
-        assert!(g0 > 0, "construction mutations must already count");
         let q = base_query();
         let ro = RewriteOption::original();
         let _ = db.execution_time_ms(&q, &ro).unwrap();
         assert!(db.cache_entry_counts().0 > 0);
         db.build_index("tweets", "user_id").unwrap();
-        assert_eq!(db.generation(), g0 + 1);
         assert_eq!(
             db.cache_entry_counts(),
             (0, 0),
             "fingerprint caches must be invalidated by catalog mutations"
         );
+        let _ = db.execution_time_ms(&q, &ro).unwrap();
+        assert!(db.cache_entry_counts().0 > 0);
         let schema = TableSchema::new("late").with_column("id", ColumnType::Int);
         db.register_table(TableBuilder::new(schema).build())
             .unwrap();
-        assert_eq!(db.generation(), g0 + 2);
+        assert_eq!(db.cache_entry_counts(), (0, 0));
     }
 
     /// Two heatmap viewports sharing one corner of the grid extent must not share
@@ -1027,7 +988,7 @@ mod tests {
         let key = |q: &Query| (query_fingerprint(q), rewrite_fingerprint(&ro));
         assert_ne!(key(&small).0, key(&zoomed_out).0);
         assert_ne!(t_small, t_zoomed_out, "the viewports bin different cells");
-        let memoised = |q: &Query| db.time_memo.get(key(q), || db.generation);
+        let memoised = |q: &Query| db.time_memo.get(key(q));
         assert_eq!(memoised(&small), Some(t_small));
         assert_eq!(memoised(&zoomed_out), Some(t_zoomed_out));
         // Re-asking for the small viewport must return its own time, not the
@@ -1265,7 +1226,7 @@ mod tests {
         let key = |ro| (query_fingerprint(&q), rewrite_fingerprint(ro));
         let raced: Vec<f64> = lattice
             .iter()
-            .map(|ro| db.time_memo.get(key(ro), || db.generation).unwrap())
+            .map(|ro| db.time_memo.get(key(ro)).unwrap())
             .collect();
         assert_eq!(raced, expected);
     }

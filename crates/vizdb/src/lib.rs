@@ -64,10 +64,12 @@ pub mod sharded;
 pub mod stats;
 pub mod storage;
 pub mod sync;
+#[doc(hidden)]
+pub mod testing;
 pub mod timing;
 pub mod types;
 
-pub use backend::{ExecContext, QueryBackend, RunReport, SharedBackend};
+pub use backend::{ExecContext, QueryBackend, RunReport};
 pub use cache::{Memo, MemoStats};
 pub use db::{Database, DbConfig, DbProfile, RunOutcome};
 pub use error::{Error, Result};

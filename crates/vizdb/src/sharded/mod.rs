@@ -365,14 +365,6 @@ impl QueryBackend for ShardedBackend {
         Ok((sel, scanned))
     }
 
-    fn render_sql(&self, query: &Query, ro: &RewriteOption) -> String {
-        self.shards[0].render_sql(query, ro)
-    }
-
-    fn generation(&self) -> u64 {
-        self.shards.iter().map(|shard| shard.generation()).sum()
-    }
-
     fn clear_caches(&self) {
         for shard in &self.shards {
             shard.clear_caches();
@@ -397,7 +389,7 @@ mod tests {
     use crate::query::{BinGrid, JoinSpec, OutputKind, Predicate};
     use crate::schema::ColumnType;
     use crate::storage::{Table, TableBuilder};
-    use crate::sync::Mutex;
+    use crate::testing::{Log, Recorder};
     use crate::types::{GeoRect, RecordId};
 
     /// A skewed bi-coastal table: 70% of rows near the west edge, 30% near the
@@ -875,78 +867,37 @@ mod tests {
         );
     }
 
-    /// A shard decorator that logs `(shard, thread)` for every `run` and
-    /// delegates everything else; with `fail` set, its `run` logs and then
-    /// returns [`Error::Internal`] naming the shard.
-    struct ThreadRecorder {
-        inner: Arc<dyn QueryBackend>,
-        shard: usize,
-        fail: bool,
-        runs: Arc<Mutex<Vec<(usize, std::thread::ThreadId)>>>,
-    }
-
-    impl QueryBackend for ThreadRecorder {
-        fn table_names(&self) -> Vec<String> {
-            self.inner.table_names()
-        }
-        fn row_count(&self, table: &str) -> Result<usize> {
-            self.inner.row_count(table)
-        }
-        fn schema(&self, table: &str) -> Result<TableSchema> {
-            self.inner.schema(table)
-        }
-        fn stats(&self, table: &str) -> Result<TableStats> {
-            self.inner.stats(table)
-        }
-        fn indexed_columns(&self, table: &str) -> Result<Vec<usize>> {
-            self.inner.indexed_columns(table)
-        }
-        fn sample_len(&self, table: &str, fraction_pct: u32) -> Result<usize> {
-            self.inner.sample_len(table, fraction_pct)
-        }
-        fn plan(&self, query: &Query, ro: &RewriteOption) -> Result<PhysicalPlan> {
-            self.inner.plan(query, ro)
-        }
-        fn run(&self, query: &Query, ro: &RewriteOption) -> Result<RunOutcome> {
-            let me = std::thread::current().id();
-            self.runs.lock().push((self.shard, me));
-            if self.fail {
-                return Err(Error::Internal(format!("shard {} failed", self.shard)));
-            }
-            self.inner.run(query, ro)
-        }
-        fn execution_time_ms(&self, query: &Query, ro: &RewriteOption) -> Result<f64> {
-            self.inner.execution_time_ms(query, ro)
-        }
-        fn estimated_cardinality(&self, query: &Query) -> Result<f64> {
-            self.inner.estimated_cardinality(query)
-        }
-        fn estimated_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
-            self.inner.estimated_selectivity(table, pred)
-        }
-        fn true_selectivity(&self, table: &str, pred: &Predicate) -> Result<f64> {
-            self.inner.true_selectivity(table, pred)
-        }
-        fn sample_selectivity(
-            &self,
-            table: &str,
-            pred: &Predicate,
-            fraction_pct: u32,
-        ) -> Result<(f64, usize)> {
-            self.inner.sample_selectivity(table, pred, fraction_pct)
-        }
-        fn render_sql(&self, query: &Query, ro: &RewriteOption) -> String {
-            self.inner.render_sql(query, ro)
-        }
-        fn generation(&self) -> u64 {
-            self.inner.generation()
-        }
-        fn clear_caches(&self) {
-            self.inner.clear_caches()
-        }
-        fn cache_entry_counts(&self) -> (usize, usize) {
-            self.inner.cache_entry_counts()
-        }
+    /// Each shard of a 4-shard `builder`, decorated with a [`Recorder`]
+    /// labelled `shard <i>` (failing every `run` on shard `failing`), and the
+    /// `(shard, thread)` of every `run` the shards were asked for.
+    fn recorded(
+        b: ShardedBackendBuilder,
+        failing: Option<usize>,
+    ) -> (
+        ShardedBackend,
+        impl Fn() -> Vec<(usize, std::thread::ThreadId)>,
+    ) {
+        let log = Log::default();
+        let shared = Arc::clone(&log);
+        let backend = b.build_wrapped(move |shard, inner| {
+            let recorder = Recorder::new(format!("shard {shard}"), inner, &shared);
+            Arc::new(if failing == Some(shard) {
+                recorder.failing_runs()
+            } else {
+                recorder
+            })
+        });
+        let runs = move || {
+            log.lock()
+                .iter()
+                .filter(|call| call.method == "run")
+                .map(|call| {
+                    let shard = call.label.strip_prefix("shard ").unwrap();
+                    (shard.parse().unwrap(), call.thread)
+                })
+                .collect()
+        };
+        (backend, runs)
     }
 
     /// A wide viewport runs each routed shard exactly once, in route order, on
@@ -959,16 +910,7 @@ mod tests {
         let mut b = ShardedBackend::builder(DbConfig::default(), 4);
         b.register_table(&table).unwrap();
         b.build_all_indexes("events").unwrap();
-        let runs = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&runs);
-        let backend = b.build_wrapped(move |shard, inner| {
-            Arc::new(ThreadRecorder {
-                inner,
-                shard,
-                fail: false,
-                runs: Arc::clone(&log),
-            })
-        });
+        let (backend, runs) = recorded(b, None);
         let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
         let targets = backend.overlapping_shards(&q).unwrap();
         assert!(
@@ -982,7 +924,7 @@ mod tests {
         );
         let me = std::thread::current().id();
         let expected: Vec<_> = targets.iter().map(|&shard| (shard, me)).collect();
-        assert_eq!(*runs.lock(), expected);
+        assert_eq!(runs(), expected);
     }
 
     /// A shard's `Err` is the `Err` the request returns, and the shards routed
@@ -993,21 +935,12 @@ mod tests {
         let q = viewport(GeoRect::new(-125.0, 25.0, -66.0, 49.0), 8, 8);
         let mut b = ShardedBackend::builder(DbConfig::default(), 4);
         b.register_table(&table).unwrap();
-        let runs = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&runs);
-        let backend = b.build_wrapped(move |shard, inner| {
-            Arc::new(ThreadRecorder {
-                inner,
-                shard,
-                fail: shard == 1,
-                runs: Arc::clone(&log),
-            })
-        });
+        let (backend, runs) = recorded(b, Some(1));
         let targets = backend.overlapping_shards(&q).unwrap();
         assert_eq!(targets, vec![0, 1, 2, 3], "test premise: {targets:?}");
         let err = backend.run(&q, &RewriteOption::original()).unwrap_err();
         assert_eq!(err, Error::Internal("shard 1 failed".into()));
-        let ran: Vec<usize> = runs.lock().iter().map(|&(shard, _)| shard).collect();
+        let ran: Vec<usize> = runs().iter().map(|&(shard, _)| shard).collect();
         assert_eq!(ran, vec![0, 1]);
     }
 

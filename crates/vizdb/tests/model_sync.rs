@@ -93,19 +93,17 @@ fn fingerprint_cache_first_insert_wins_under_every_interleaving() {
         let cache = Arc::new(Memo::new(65_536));
         let a = cache.clone();
         let ha = thread::spawn(move || {
-            let v: Result<f64, ()> = a.get_or_try_compute((1, 2), 0, || Ok(10.0));
+            let v: Result<f64, ()> = a.get_or_try_compute((1, 2), || Ok(10.0));
             v.unwrap()
         });
         let b = cache.clone();
         let hb = thread::spawn(move || {
-            let v: Result<f64, ()> = b.get_or_try_compute((1, 2), 0, || Ok(20.0));
+            let v: Result<f64, ()> = b.get_or_try_compute((1, 2), || Ok(20.0));
             v.unwrap()
         });
         let va = ha.join().unwrap();
         let vb = hb.join().unwrap();
-        let canonical = cache
-            .get((1, 2), || 0)
-            .expect("one insert must have landed");
+        let canonical = cache.get((1, 2)).expect("one insert must have landed");
         assert_eq!(va, canonical, "thread A observed a non-canonical value");
         assert_eq!(vb, canonical, "thread B observed a non-canonical value");
         assert_eq!(
@@ -127,7 +125,7 @@ fn fingerprint_cache_clear_races_are_benign() {
         let cache = Arc::new(Memo::new(65_536));
         let inserter = {
             let c = cache.clone();
-            thread::spawn(move || c.insert((9, 9), 4.5, 0))
+            thread::spawn(move || c.insert((9, 9), 4.5))
         };
         let clearer = {
             let c = cache.clone();
@@ -136,7 +134,7 @@ fn fingerprint_cache_clear_races_are_benign() {
         let inserted = inserter.join().unwrap();
         clearer.join().unwrap();
         assert_eq!(inserted, 4.5);
-        match cache.get((9, 9), || 0) {
+        match cache.get((9, 9)) {
             Some(v) => assert_eq!(v, 4.5),
             None => assert_eq!(cache.stats().entries, 0),
         }

@@ -19,9 +19,7 @@ use vizdb::query::Predicate;
 use vizdb::schema::{ColumnType, TableSchema};
 use vizdb::storage::{SampleTable, Table, TableBuilder};
 use vizdb::types::{GeoRect, NumRange, RecordId, TimeRange};
-use vizdb::{
-    Database, DbConfig, Error, QueryBackend, ShardedBackend, ShardedBackendBuilder, SharedBackend,
-};
+use vizdb::{Database, DbConfig, Error, QueryBackend, ShardedBackend, ShardedBackendBuilder};
 
 const TABLE: &str = "events";
 const COLUMNS: [&str; 5] = ["id", "when", "loc", "text", "score"];
@@ -304,33 +302,30 @@ fn invalid(fraction_pct: u32) -> Error {
     }
 }
 
-/// `Database::build_sample` and `SharedBackend::build_sample` (which holds
-/// its write lock while it builds) return the typed error, change no
-/// generation and add no sample; the shared handle stays usable.
+/// `Database::build_sample` returns the typed error and changes nothing: the
+/// memos a catalog mutation drops keep their entries, and no sample is added.
+/// The database stays usable.
 #[test]
 fn out_of_range_fractions_are_errors_on_a_database() {
     let mut db = Database::new(DbConfig::default());
     db.register_table(small_table()).unwrap();
-    let shared = SharedBackend::new(Database::new(DbConfig::default()));
-    shared.register_table(small_table()).unwrap();
+    let pred = Predicate::spatial_range(1, GeoRect::new(-120.0, 30.0, -110.0, 35.0));
+    db.true_selectivity(TABLE, &pred).unwrap();
+    let caches = db.cache_entry_counts();
+    assert_eq!(caches, (0, 1), "test premise: a memoised selectivity");
     for pct in [0, 101, u32::MAX] {
-        let generation = db.generation();
         assert_eq!(db.build_sample(TABLE, pct), Err(invalid(pct)));
-        assert_eq!(db.generation(), generation);
+        assert_eq!(db.cache_entry_counts(), caches);
         assert!(db.sample_fractions(TABLE).unwrap().is_empty());
-
-        let generation = shared.generation();
-        assert_eq!(shared.build_sample(TABLE, pct), Err(invalid(pct)));
-        assert_eq!(shared.generation(), generation);
-        assert!(shared.sample_len(TABLE, pct).is_err());
     }
-    shared.build_sample(TABLE, 10).unwrap();
-    assert_eq!(shared.sample_len(TABLE, 10).unwrap(), 20);
+    db.build_sample(TABLE, 10).unwrap();
+    assert_eq!(db.sample_fractions(TABLE).unwrap(), vec![10]);
+    assert_eq!(QueryBackend::sample_len(&db, TABLE, 10).unwrap(), 20);
 }
 
 /// `ShardedBackendBuilder::build_sample` returns the typed error before any
-/// shard samples: the built backend has no sample and the generation of a
-/// backend that was never asked.
+/// shard samples: the built backend has no sample, like a backend that was
+/// never asked.
 #[test]
 fn out_of_range_fractions_are_errors_on_a_sharded_builder() {
     let build = |bad: &[u32]| -> ShardedBackend {
@@ -343,8 +338,8 @@ fn out_of_range_fractions_are_errors_on_a_sharded_builder() {
     };
     let asked = build(&[0, 101, u32::MAX]);
     let untouched = build(&[]);
-    assert_eq!(asked.generation(), untouched.generation());
-    for pct in [0, 101] {
+    for pct in [0, 101, u32::MAX] {
         assert!(asked.sample_len(TABLE, pct).is_err());
+        assert!(untouched.sample_len(TABLE, pct).is_err());
     }
 }

@@ -46,7 +46,7 @@ fn main() {
     let config = MalivaConfig::with_budget(tau_ms);
     let train_mdp = |qte: Arc<dyn QueryTimeEstimator>, label: &str| -> MalivaRewriter {
         let trained = train_agent(
-            &db,
+            &*db,
             qte.as_ref(),
             &split.train,
             &RewriteSpace::hints_only,
@@ -76,7 +76,7 @@ fn main() {
         "approach", "VQP (%)", "AQRT (s)", "plan (ms)", "exec (ms)"
     );
     for rewriter in &rewriters {
-        let m = evaluate_workload(rewriter.as_ref(), &db, &split.eval, tau_ms).expect("eval");
+        let m = evaluate_workload(rewriter.as_ref(), &*db, &split.eval, tau_ms).expect("eval");
         println!(
             "{:24} {:>8.1} {:>10.2} {:>12.1} {:>12.1}",
             rewriter.name(),

@@ -14,6 +14,7 @@ use maliva::{
 use maliva_qte::{AccurateQte, QueryTimeEstimator};
 use maliva_workload::{build_twitter, generate_workload, split_workload, DatasetScale};
 use vizdb::approx::ApproxRule;
+use vizdb::QueryBackend;
 
 fn main() {
     let tau_ms = 500.0;
@@ -64,7 +65,7 @@ fn main() {
     let rewriters = [&two_stage as &dyn QueryRewriter, &one_stage];
     let metrics: Vec<_> = rewriters
         .iter()
-        .map(|r| evaluate_workload(*r, &db, &hard, tau_ms).expect("evaluate"))
+        .map(|r| evaluate_workload(*r, &*db, &hard, tau_ms).expect("evaluate"))
         .collect();
     for i in 0..hard.len() {
         for (rewriter, m) in rewriters.iter().zip(&metrics) {

@@ -14,6 +14,7 @@ use maliva::{
 use maliva_baselines::BaselineRewriter;
 use maliva_qte::AccurateQte;
 use maliva_workload::{build_twitter, generate_workload, split_workload, DatasetScale};
+use vizdb::QueryBackend;
 
 fn main() {
     let tau_ms = 500.0;
@@ -45,7 +46,7 @@ fn main() {
     let qte = Arc::new(AccurateQte::new(dataset.db.clone()));
     let config = MalivaConfig::with_budget(tau_ms);
     let trained = train_agent(
-        &dataset.db,
+        &*dataset.db,
         qte.as_ref(),
         &split.train,
         &RewriteSpace::hints_only,
@@ -95,9 +96,9 @@ fn main() {
     );
 
     // 5. Compare against the no-rewriting baseline on the whole evaluation workload.
-    let maliva_metrics = evaluate_workload(&rewriter, &dataset.db, &split.eval, tau_ms).unwrap();
+    let maliva_metrics = evaluate_workload(&rewriter, &*dataset.db, &split.eval, tau_ms).unwrap();
     let baseline_metrics =
-        evaluate_workload(&BaselineRewriter::new(), &dataset.db, &split.eval, tau_ms).unwrap();
+        evaluate_workload(&BaselineRewriter::new(), &*dataset.db, &split.eval, tau_ms).unwrap();
     println!(
         "\nevaluation over {} queries:\n  {:22} VQP {:5.1}%  AQRT {:.2} s\n  {:22} VQP {:5.1}%  AQRT {:.2} s",
         split.eval.len(),

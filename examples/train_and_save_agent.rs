@@ -22,7 +22,7 @@ fn main() {
 
     println!("training ...");
     let trained = train_agent(
-        &db,
+        &*db,
         qte.as_ref(),
         &split.train,
         &RewriteSpace::hints_only,
@@ -54,8 +54,8 @@ fn main() {
     let sample: Vec<_> = split.eval.iter().take(20).collect();
     for query in &sample {
         let space = RewriteSpace::hints_only(query);
-        let a = plan_online(&trained.agent, &db, qte.as_ref(), query, &space, tau_ms).unwrap();
-        let b = plan_online(&reloaded, &db, qte.as_ref(), query, &space, tau_ms).unwrap();
+        let a = plan_online(&trained.agent, &*db, qte.as_ref(), query, &space, tau_ms).unwrap();
+        let b = plan_online(&reloaded, &*db, qte.as_ref(), query, &space, tau_ms).unwrap();
         if a.chosen_index == b.chosen_index {
             matching += 1;
         }

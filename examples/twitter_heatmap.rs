@@ -17,6 +17,7 @@ use vizdb::exec::QueryResult;
 use vizdb::hints::RewriteOption;
 use vizdb::query::{BinGrid, OutputKind, Predicate, Query};
 use vizdb::types::GeoRect;
+use vizdb::QueryBackend;
 
 fn main() {
     let tau_ms = 500.0;
@@ -28,7 +29,7 @@ fn main() {
     let split = split_workload(&workload, 3);
     let qte = Arc::new(AccurateQte::new(db.clone()));
     let trained = train_agent(
-        &db,
+        &*db,
         qte.as_ref(),
         &split.train,
         &RewriteSpace::hints_only,

@@ -13,7 +13,6 @@ use maliva_qte::approximate::ApproximateQteConfig;
 use maliva_qte::{AccurateQte, ApproximateQte};
 use maliva_workload::{build_twitter, generate_workload, split_workload, DatasetScale};
 use vizdb::hints::RewriteOption;
-use vizdb::QueryBackend;
 
 fn fast_config(tau_ms: f64) -> MalivaConfig {
     MalivaConfig {
@@ -35,7 +34,7 @@ fn full_pipeline_beats_baseline_on_viable_query_percentage() {
 
     let qte = Arc::new(AccurateQte::new(db.clone()));
     let trained = train_agent(
-        &db,
+        &*db,
         qte.as_ref(),
         &split.train,
         &RewriteSpace::hints_only,
@@ -52,9 +51,9 @@ fn full_pipeline_beats_baseline_on_viable_query_percentage() {
         tau_ms,
     );
 
-    let maliva_metrics = evaluate_workload(&rewriter, &db, &split.eval, tau_ms).unwrap();
+    let maliva_metrics = evaluate_workload(&rewriter, &*db, &split.eval, tau_ms).unwrap();
     let baseline_metrics =
-        evaluate_workload(&BaselineRewriter::new(), &db, &split.eval, tau_ms).unwrap();
+        evaluate_workload(&BaselineRewriter::new(), &*db, &split.eval, tau_ms).unwrap();
 
     assert_eq!(maliva_metrics.queries, split.eval.len());
     // The MDP rewriter must serve at least as many requests interactively as the
@@ -114,7 +113,7 @@ fn approximate_qte_pipeline_and_bao_run_end_to_end() {
     );
 
     let trained = train_agent(
-        &db,
+        &*db,
         approx_qte.as_ref(),
         &split.train,
         &RewriteSpace::hints_only,
@@ -132,8 +131,8 @@ fn approximate_qte_pipeline_and_bao_run_end_to_end() {
     );
     let bao = BaoRewriter::train(db.clone(), &split.train, BaoConfig::default()).unwrap();
 
-    let mdp_metrics = evaluate_workload(&mdp, &db, &split.eval, tau_ms).unwrap();
-    let bao_metrics = evaluate_workload(&bao, &db, &split.eval, tau_ms).unwrap();
+    let mdp_metrics = evaluate_workload(&mdp, &*db, &split.eval, tau_ms).unwrap();
+    let bao_metrics = evaluate_workload(&bao, &*db, &split.eval, tau_ms).unwrap();
     assert!(mdp_metrics.vqp >= 0.0 && mdp_metrics.vqp <= 100.0);
     assert!(bao_metrics.vqp >= 0.0 && bao_metrics.vqp <= 100.0);
     // Bao's planning time is a fixed small enumeration cost; the MDP's planning time is
@@ -151,7 +150,7 @@ fn planning_never_returns_out_of_space_decisions() {
     let split = split_workload(&workload, 3);
     let qte = Arc::new(AccurateQte::new(db.clone()));
     let trained = train_agent(
-        &db,
+        &*db,
         qte.as_ref(),
         &split.train,
         &RewriteSpace::hints_only,

@@ -10,6 +10,7 @@ use maliva::{
 use maliva_qte::{AccurateQte, QueryTimeEstimator};
 use maliva_workload::{build_twitter, generate_workload, split_workload, DatasetScale};
 use vizdb::approx::ApproxRule;
+use vizdb::QueryBackend;
 
 fn config(tau_ms: f64) -> MalivaConfig {
     MalivaConfig {
@@ -52,7 +53,7 @@ fn quality_aware_rewriters_produce_valid_decisions_and_qualities() {
 
     let eval: Vec<_> = split.eval.iter().take(25).cloned().collect();
     for rewriter in [&one_stage as &dyn QueryRewriter, &two_stage] {
-        let metrics = evaluate_workload(rewriter, &db, &eval, tau_ms).unwrap();
+        let metrics = evaluate_workload(rewriter, &*db, &eval, tau_ms).unwrap();
         for outcome in &metrics.outcomes {
             assert!(outcome.exec_ms > 0.0);
             assert!((0.0..=1.0).contains(&outcome.quality));

@@ -8,7 +8,7 @@ use maliva_workload::{
     QueryGenConfig,
 };
 use vizdb::hints::RewriteOption;
-use vizdb::Database;
+use vizdb::{Database, QueryBackend};
 
 /// `f` over every option on caches cleared first, so the pass computes its
 /// own simulated times instead of reading back an earlier pass's.

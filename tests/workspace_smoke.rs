@@ -24,7 +24,7 @@ fn every_rewriter_implementation_plans_a_query() {
 
     let qte = Arc::new(AccurateQte::new(db.clone()));
     let trained = train_agent(
-        &db,
+        &*db,
         qte.as_ref(),
         train,
         &RewriteSpace::hints_only,
