@@ -654,6 +654,8 @@ pub(super) fn execute_join(
                 let key = fact.table.int(spec.left_attr, rid)?;
                 let dim_rid = match (key_index, &fallback) {
                     (Some(index), _) => {
+                        // `build_index` keys an `Int` column by `float_key`.
+                        let key = BPlusTree::float_key(key as f64);
                         let (rids, _) = index.range_scan(key, key);
                         rids.first().copied()
                     }
@@ -812,12 +814,13 @@ mod tests {
             });
         }
         let table = b.build();
+        // Keyed as `Database::build_index` keys an `Int` column.
         let mut btree = HashMap::new();
         btree.insert(
             0,
             BPlusTree::build(
                 (0..table.row_count() as RecordId)
-                    .map(|rid| (table.int(0, rid).unwrap(), rid))
+                    .map(|rid| (BPlusTree::float_key(table.int(0, rid).unwrap() as f64), rid))
                     .collect(),
             ),
         );

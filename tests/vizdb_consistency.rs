@@ -28,21 +28,26 @@ fn fresh_pass<T>(
 /// (`execution_time_ms`: one lattice pass per query, the other hint sets read
 /// back from the time cache) equals the executed one by bits. The inputs are
 /// scatterplot workloads on all three datasets plus heatmap viewports on
-/// Twitter and NYC Taxi, at 5,000 rows (two 4,096-row chunks).
+/// Twitter and NYC Taxi, at 5,000 rows (two 4,096-row chunks), and Twitter's
+/// join workload (tweets ⋈ users), whose hint sets choose the join method.
 #[test]
 fn all_exact_rewrites_return_identical_results() {
     let heatmaps = QueryGenConfig {
         binned_output: true,
         ..QueryGenConfig::default()
     };
-    for (dataset, heatmap_count) in [
-        (build_twitter(DatasetScale::tiny(), 31), 16),
-        (build_nyctaxi(DatasetScale::tiny(), 31), 16),
-        (build_tpch(DatasetScale::tiny(), 31), 0),
+    for (dataset, heatmap_count, join_count) in [
+        (build_twitter(DatasetScale::tiny(), 31), 16, 6),
+        (build_nyctaxi(DatasetScale::tiny(), 31), 16, 0),
+        (build_tpch(DatasetScale::tiny(), 31), 0, 0),
     ] {
         let db = &dataset.db;
         let mut queries = generate_workload(&dataset, 8, 3);
         queries.extend(generate_queries(&dataset, heatmap_count, &heatmaps, 5));
+        if join_count > 0 {
+            let joins = QueryGenConfig::join();
+            queries.extend(generate_queries(&dataset, join_count, &joins, 44));
+        }
         for query in &queries {
             let reference = db.run(query, &RewriteOption::original()).unwrap().result;
             let space = RewriteSpace::hints_only(query);
