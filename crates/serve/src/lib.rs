@@ -8,15 +8,17 @@
 //! * [`MalivaServer`] shares one `Arc<dyn vizdb::QueryBackend>` — a plain
 //!   [`vizdb::Database`] or a per-region [`vizdb::ShardedBackend`] (the [`ServeConfig::shards`] knob, see
 //!   [`backend_for_shards`]) — one trained [`maliva::QAgent`] and one
-//!   [`maliva_qte::QueryTimeEstimator`] across `std::thread::scope` worker
-//!   threads, at most one per request, that drain a [`queue::WorkQueue`] —
-//!   one loop behind both [`MalivaServer::serve_batch`] and
-//!   [`MalivaServer::serve_queued`]: each request is decided with
-//!   [`maliva::decide_online`] (no execution) and its chosen rewrite executed
-//!   once, with [`vizdb::QueryBackend::run`];
+//!   [`maliva_qte::QueryTimeEstimator`] between each calling thread and the
+//!   server's persistent helper threads ([`queue::Helpers`], at most
+//!   `workers − 1`, started on first use and joined on drop), which serve a
+//!   call's [`queue::WorkQueue`] beside its caller — one loop behind both
+//!   [`MalivaServer::serve_batch`] and [`MalivaServer::serve_queued`]: each
+//!   request is decided with [`maliva::decide_online`] (no execution) and its
+//!   chosen rewrite executed once, with [`vizdb::QueryBackend::run`];
 //! * a decision cache fronts planning: a [`vizdb::Memo`] of
-//!   [`CachedDecision`]s (bounded, sharded, LRU touch-on-hit) keyed by the
-//!   corrected query fingerprint and the exact bits of τ, with
+//!   [`CachedDecision`]s (bounded, sharded, CLOCK eviction: a hit sets a
+//!   reference bit) keyed by the corrected query fingerprint and the exact
+//!   bits of τ, with
 //!   hit/miss/eviction counters ([`MalivaServer::cache_stats`]); a shared
 //!   backend's catalog cannot change, so an entry stays valid until it is
 //!   evicted, or invalidated because its rewrite's `run` failed;

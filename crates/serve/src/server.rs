@@ -1,19 +1,20 @@
 //! The multi-threaded serving loop.
 //!
 //! A [`MalivaServer`] owns shared handles to a [`QueryBackend`] (a single
-//! simulated database, a lock-wrapped mutable one, or a per-region
-//! [`vizdb::ShardedBackend`]), a trained agent and a QTE, plus a decision
-//! cache: a [`vizdb::Memo`] of [`CachedDecision`]s keyed by the query's
-//! fingerprint and the exact bits of its budget τ, holding
-//! [`DECISION_CACHE_CAPACITY`] decisions. Each request is decided with
-//! [`maliva::decide_online`] (unless the decision cache already knows the
-//! answer), which executes nothing, and the chosen rewrite is then executed
-//! once, with [`QueryBackend::run`].
+//! simulated database or a per-region [`vizdb::ShardedBackend`]), a trained
+//! agent and a QTE, plus a decision cache: a [`vizdb::Memo`] of
+//! [`CachedDecision`]s keyed by the query's fingerprint and the exact bits of
+//! its budget τ, holding [`DECISION_CACHE_CAPACITY`] decisions. Each request
+//! is decided with [`maliva::decide_online`] (unless the decision cache
+//! already knows the answer), which executes nothing, and the chosen rewrite
+//! is then executed once, with [`QueryBackend::run`].
 //! [`MalivaServer::serve_batch`] and [`MalivaServer::serve_queued`] share one
-//! drain loop: the caller admits request indices into a [`WorkQueue`] and
-//! scoped workers, at most one per request, pop and serve them. A batch's
-//! queue holds the whole batch, so it never sheds; `serve_queued`'s is bounded
-//! by `queue_capacity`.
+//! drain loop, [`Helpers::serve`]: the caller admits request indices into a
+//! [`crate::queue::WorkQueue`] of its own, wakes the server's persistent
+//! helper threads onto it, at most one per admitted request beyond the
+//! first, and serves requests on its own thread too. A batch's queue holds
+//! the whole batch, so it never sheds; `serve_queued`'s is bounded by
+//! `queue_capacity`.
 //!
 //! Every quantity a response carries is *simulated* and deterministic — planning
 //! cost, execution time, viability, the materialised result — so serving the same
@@ -22,14 +23,15 @@
 //!
 //! Three serve-layer knobs ([`ServeConfig`]):
 //!
-//! * `workers` — threads that drain the queue, at most one per request;
+//! * `workers` — threads that serve one call, the calling thread included,
+//!   at most one per request;
 //! * `shards` — consumed by [`MalivaServer::over_database`], which mirrors the
 //!   database into that many per-region shards behind the same trait object;
 //! * `queue_capacity` — admission control: [`MalivaServer::serve_queued`] admits
 //!   requests into a bounded queue and sheds with an explicit
 //!   [`ServeOutcome::Rejected`] once it is full, instead of growing without bound.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::Arc;
 
 use maliva::train::SpaceBuilder;
@@ -43,16 +45,20 @@ use vizdb::query::Query;
 use vizdb::sync::atomic::{AtomicU64, Ordering};
 use vizdb::{Database, Memo, MemoStats, QueryBackend, ShardedBackendBuilder};
 
-use crate::queue::WorkQueue;
+use crate::queue::Helpers;
 
-/// Decisions the cache holds, 512 per lock shard; a full shard evicts its
-/// least-recently-used decision.
+/// Decisions the cache holds, 512 per lock shard. A full shard evicts by
+/// CLOCK: its hand sweeps the shard's ring, clearing the reference bit that
+/// a hit sets, and evicts the first decision whose bit is already clear.
 pub const DECISION_CACHE_CAPACITY: usize = 4096;
 
 /// Configuration of a [`MalivaServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Threads that drain the queue, at most one per request (at least 1).
+    /// Threads that serve one call, at most one per request (at least 1):
+    /// the calling thread and up to `workers - 1` helper threads, which the
+    /// server starts on the first call that wants them and keeps until it
+    /// is dropped.
     pub workers: usize,
     /// Number of per-region backend shards [`MalivaServer::over_database`] routes
     /// viewports across (at least 1; `1` serves the database directly).
@@ -223,6 +229,13 @@ fn decision_key(query: &Query, tau_ms: f64) -> (u64, u64) {
 
 /// A multi-threaded, cache-fronted query server over one [`QueryBackend`].
 pub struct MalivaServer {
+    state: Arc<State>,
+    /// The `workers - 1` threads that serve calls beside their callers.
+    helpers: Helpers,
+}
+
+/// What serving a request reads, shared with the helper threads.
+struct State {
     backend: Arc<dyn QueryBackend>,
     agent: Arc<QAgent>,
     qte: Arc<dyn QueryTimeEstimator>,
@@ -232,14 +245,16 @@ pub struct MalivaServer {
     shed: AtomicU64,
 }
 
-// `serve_batch` / `serve_queued` borrow `self` from every scoped worker thread.
+// Callers on many threads share one server, and its helpers serve requests
+// from the shared state.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<MalivaServer>();
 };
 
 impl MalivaServer {
-    /// Creates a server over shared backend / agent / QTE handles.
+    /// Creates a server over shared backend / agent / QTE handles. No thread
+    /// starts here: helper threads start on the first call that wants them.
     ///
     /// `space_builder` must be the same builder the agent was trained with (the
     /// Q-network output dimensionality is the space size).
@@ -251,13 +266,16 @@ impl MalivaServer {
         config: ServeConfig,
     ) -> Self {
         Self {
-            backend,
-            agent,
-            qte,
-            space_builder,
-            cache: Memo::new(DECISION_CACHE_CAPACITY),
-            config,
-            shed: AtomicU64::new(0),
+            state: Arc::new(State {
+                backend,
+                agent,
+                qte,
+                space_builder,
+                cache: Memo::new(DECISION_CACHE_CAPACITY),
+                config,
+                shed: AtomicU64::new(0),
+            }),
+            helpers: Helpers::new(config.workers.max(1) - 1),
         }
     }
 
@@ -279,22 +297,22 @@ impl MalivaServer {
 
     /// The server configuration.
     pub fn config(&self) -> &ServeConfig {
-        &self.config
+        &self.state.config
     }
 
     /// The shared backend handle.
     pub fn backend(&self) -> &Arc<dyn QueryBackend> {
-        &self.backend
+        &self.state.backend
     }
 
     /// Decision-cache counters.
     pub fn cache_stats(&self) -> MemoStats {
-        self.cache.stats()
+        self.state.cache.stats()
     }
 
     /// Requests shed by admission control since the server was created.
     pub fn shed_count(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
+        self.state.shed.load(Ordering::Relaxed)
     }
 
     /// Serves one request: decide (through the decision cache), then execute the
@@ -306,6 +324,75 @@ impl MalivaServer {
     /// A NaN or negative budget is an [`Error::InvalidQuery`] before the cache
     /// is touched.
     pub fn serve_one(&self, request_index: usize, request: &ServeRequest) -> Result<ServeResponse> {
+        self.state.serve_one(request_index, request)
+    }
+
+    /// Serves a whole batch through the drain loop, returning responses in
+    /// request order.
+    pub fn serve_batch(&self, requests: &[ServeRequest]) -> Result<Vec<ServeResponse>> {
+        // A queue as long as the batch never sheds.
+        self.drain(requests, requests.len())
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|| {
+                    Err(Error::Internal("a batch request was never served".into()))
+                })
+            })
+            .collect()
+    }
+
+    /// Serves `requests` through admission control: the calling thread admits
+    /// them, in request order, into a queue bounded by `config.queue_capacity`
+    /// before anyone serves them. A request that finds the queue full is shed
+    /// immediately with [`ServeOutcome::Rejected`] (and counted in
+    /// [`Self::shed_count`]) — overload sheds, it never stalls the submitter or
+    /// grows the queue without bound.
+    ///
+    /// Outcomes are returned in request order; planning/execution errors and
+    /// panics of admitted requests propagate like in [`Self::serve_batch`].
+    pub fn serve_queued(&self, requests: &[ServeRequest]) -> Result<Vec<ServeOutcome>> {
+        let capacity = self.state.config.queue_capacity.max(1);
+        self.drain(requests, capacity)
+            .into_iter()
+            .map(|slot| match slot {
+                Some(response) => response.map(ServeOutcome::Served),
+                None => Ok(ServeOutcome::Rejected { queue_full: true }),
+            })
+            .collect()
+    }
+
+    /// The one scheduling loop, [`Helpers::serve`] over a copy of `requests`:
+    /// the calling thread admits request indices into a queue of `capacity`
+    /// (counting each shed), then serves them together with up to
+    /// `config.workers - 1` helper threads, each request under
+    /// `catch_unwind`. Returns, in request order, `None` for a shed request,
+    /// else what `serve_one` returned; once every admitted request has left
+    /// `serve_one`, the lowest-index panic is re-raised.
+    fn drain(
+        &self,
+        requests: &[ServeRequest],
+        capacity: usize,
+    ) -> Vec<Option<Result<ServeResponse>>> {
+        // A shed is counted under the queue lock (see `WorkQueue::try_push`).
+        let count_shed = || {
+            self.state.shed.fetch_add(1, Ordering::Relaxed);
+        };
+        let (n, state) = (requests.len(), Arc::clone(&self.state));
+        // Helpers outlive the call, so they serve from a copy they share.
+        let requests: Arc<[ServeRequest]> = requests.into();
+        let serve = move |i: usize| state.serve_one(i, &requests[i]);
+        // In request order, so the first panic re-raised is the lowest index's.
+        self.helpers
+            .serve(n, capacity, count_shed, serve)
+            .into_iter()
+            .map(|slot| slot.map(|response| response.unwrap_or_else(|p| resume_unwind(p))))
+            .collect()
+    }
+}
+
+impl State {
+    /// [`MalivaServer::serve_one`], on whichever thread serves the request.
+    fn serve_one(&self, request_index: usize, request: &ServeRequest) -> Result<ServeResponse> {
         let tau_ms = request.tau_ms.unwrap_or(self.config.default_tau_ms);
         if tau_ms.is_nan() || tau_ms < 0.0 {
             return Err(Error::InvalidQuery(format!(
@@ -358,95 +445,13 @@ impl MalivaServer {
             result: run.result,
         })
     }
-
-    /// Serves a whole batch through the drain loop, returning responses in
-    /// request order.
-    pub fn serve_batch(&self, requests: &[ServeRequest]) -> Result<Vec<ServeResponse>> {
-        // A queue as long as the batch never sheds.
-        self.drain(requests, requests.len())
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    Err(Error::Internal("a batch request was never served".into()))
-                })
-            })
-            .collect()
-    }
-
-    /// Serves `requests` through admission control: the calling thread submits
-    /// them into a queue bounded by `config.queue_capacity` while the workers
-    /// drain it. A request arriving while the queue is full is shed immediately
-    /// with [`ServeOutcome::Rejected`] (and counted in [`Self::shed_count`]) —
-    /// overload sheds, it never stalls the submitter or grows the queue without
-    /// bound.
-    ///
-    /// Outcomes are returned in request order; planning/execution errors and
-    /// panics of admitted requests propagate like in [`Self::serve_batch`].
-    pub fn serve_queued(&self, requests: &[ServeRequest]) -> Result<Vec<ServeOutcome>> {
-        let capacity = self.config.queue_capacity.max(1);
-        self.drain(requests, capacity)
-            .into_iter()
-            .map(|slot| match slot {
-                Some(response) => response.map(ServeOutcome::Served),
-                None => Ok(ServeOutcome::Rejected { queue_full: true }),
-            })
-            .collect()
-    }
-
-    /// The one scheduling loop: the calling thread admits request indices into
-    /// a [`WorkQueue`] of `capacity` (counting each shed), while
-    /// `min(config.workers, requests.len())` scoped workers pop them and serve
-    /// each under `catch_unwind`. Returns, in request order, `None` for a shed
-    /// request, else what `serve_one` returned; once every worker has joined,
-    /// the lowest-index panic is re-raised.
-    fn drain(
-        &self,
-        requests: &[ServeRequest],
-        capacity: usize,
-    ) -> Vec<Option<Result<ServeResponse>>> {
-        let queue = WorkQueue::new();
-        let work = || {
-            let mut served = Vec::new();
-            while let Some(i) = queue.pop() {
-                let response = catch_unwind(AssertUnwindSafe(|| self.serve_one(i, &requests[i])));
-                served.push((i, response));
-            }
-            served
-        };
-        let mut slots: Vec<_> = requests.iter().map(|_| None).collect();
-        std::thread::scope(|scope| {
-            // Closes the queue however this closure exits: if a spawn panics,
-            // the workers already started leave `pop` and the scope returns.
-            let closer = queue.close_on_drop();
-            let workers = self.config.workers.max(1).min(requests.len());
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
-            // A shed is counted under the queue lock (see `WorkQueue::try_push`).
-            let count_shed = || {
-                self.shed.fetch_add(1, Ordering::Relaxed);
-            };
-            for i in 0..requests.len() {
-                let _admitted = queue.try_push(i, capacity, count_shed);
-            }
-            drop(closer);
-            for handle in handles {
-                // Only the queue's own bookkeeping runs outside `catch_unwind`.
-                for (i, response) in handle.join().unwrap_or_else(|p| resume_unwind(p)) {
-                    slots[i] = Some(response);
-                }
-            }
-        });
-        // In request order, so the first panic re-raised is the lowest index's.
-        slots
-            .into_iter()
-            .map(|slot| slot.map(|response| response.unwrap_or_else(|p| resume_unwind(p))))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use maliva::RewriteSpace;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use vizdb::query::{OutputKind, Predicate};
     use vizdb::schema::{ColumnType, TableSchema};
     use vizdb::storage::{Table, TableBuilder};
@@ -806,6 +811,101 @@ mod tests {
             assert_eq!(payload.downcast_ref::<usize>(), Some(&5));
             assert_eq!(in_flight.load(Ordering::SeqCst), 0, "a worker outlived it");
         }
+    }
+
+    /// A server whose space builder (the hook on the serving thread) calls
+    /// `hook` with the request index riding in the query's LIMIT (+1).
+    fn hooked_server(workers: usize, hook: impl Fn(usize) + Send + Sync + 'static) -> MalivaServer {
+        server_with_spaces(
+            build_db(),
+            Arc::new(move |q: &Query| {
+                hook(q.limit.unwrap() - 1);
+                RewriteSpace::hints_only(q)
+            }),
+            ServeConfig {
+                workers,
+                ..ServeConfig::default()
+            },
+        )
+    }
+
+    /// Requests whose LIMITs carry the indices `range` (distinct queries, so
+    /// every one misses the decision cache and reaches the hook).
+    fn indexed(range: std::ops::Range<usize>) -> Vec<ServeRequest> {
+        range
+            .map(|i| ServeRequest::new(make_query(0).limit(i + 1)))
+            .collect()
+    }
+
+    /// At one worker no helper starts: the calling thread serves every
+    /// request of a queued call itself.
+    #[test]
+    fn one_worker_serves_every_queued_request_on_the_calling_thread() {
+        let threads = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let seen = Arc::clone(&threads);
+        let server = hooked_server(1, move |_| {
+            seen.lock().unwrap().push(std::thread::current().id());
+        });
+        let outcomes = server.serve_queued(&indexed(0..6)).unwrap();
+        assert!(outcomes.iter().all(|o| o.response().is_some()));
+        let caller = std::thread::current().id();
+        assert_eq!(*threads.lock().unwrap(), vec![caller; 6]);
+        assert_eq!(server.helpers.started(), 0);
+    }
+
+    /// At two workers the server keeps one helper thread: the caller's hook
+    /// holds its first request until another thread has entered the hook,
+    /// and both calls are helped by the same thread.
+    #[test]
+    fn consecutive_calls_get_help_from_the_same_helper_thread() {
+        let caller = std::thread::current().id();
+        // Hook entries by threads other than the caller in the current call.
+        let helped = Arc::new((std::sync::Mutex::new(Vec::new()), std::sync::Condvar::new()));
+        let hook_helped = Arc::clone(&helped);
+        let server = hooked_server(2, move |_| {
+            let (helpers, entered) = &*hook_helped;
+            let mut helpers = helpers.lock().unwrap();
+            if std::thread::current().id() == caller {
+                let wait = std::time::Duration::from_secs(10);
+                let _ = entered.wait_timeout_while(helpers, wait, |h| h.is_empty());
+            } else {
+                helpers.push(std::thread::current().id());
+                entered.notify_all();
+            }
+        });
+        let mut helpers_per_call = Vec::new();
+        for call in [0..2, 2..4] {
+            helped.0.lock().unwrap().clear();
+            let responses = server.serve_queued(&indexed(call)).unwrap();
+            assert!(responses.iter().all(|o| o.response().is_some()));
+            let mut threads = helped.0.lock().unwrap().clone();
+            threads.dedup();
+            helpers_per_call.push(threads);
+        }
+        assert_eq!(helpers_per_call[0].len(), 1, "one helper served call 1");
+        assert_eq!(
+            helpers_per_call[1], helpers_per_call[0],
+            "call 2 was helped by another thread"
+        );
+        assert_eq!(server.helpers.started(), 1);
+    }
+
+    /// Dropping a server right after a call returns joins every helper,
+    /// including one that has not yet taken its token: afterwards nothing
+    /// holds the server's shared state.
+    #[test]
+    fn dropping_a_server_right_after_a_call_joins_its_helpers() {
+        let marker = Arc::new(());
+        let held = Arc::clone(&marker);
+        let server = hooked_server(4, move |_| {
+            let _ = &held;
+        });
+        let outcomes = server.serve_queued(&indexed(0..8)).unwrap();
+        assert_eq!(outcomes.len(), 8);
+        assert!(server.helpers.started() >= 1);
+        assert_eq!(Arc::strong_count(&marker), 2, "the hook holds the marker");
+        drop(server);
+        assert_eq!(Arc::strong_count(&marker), 1, "a helper outlived the drop");
     }
 
     /// A shard count beyond the default grid's tiles is refused before any

@@ -1,5 +1,5 @@
 //! Model-check suite for the serve layer: the decision cache's (a
-//! `vizdb::Memo` of `CachedDecision`s) first-insert and LRU/invalidate
+//! `vizdb::Memo` of `CachedDecision`s) first-insert and hit/invalidate
 //! interleavings, the shed-counter ordering of queued admission (through the
 //! production `WorkQueue::try_push`), and a test-only reintroduction of the
 //! shed-counter race that the checker must detect. The admit/drain/close
@@ -52,9 +52,10 @@ fn decision_cache_first_insert_wins_under_every_interleaving() {
     assert!(report.schedules_explored >= 1000);
 }
 
-/// LRU touch racing an invalidation: the lazily-deleted recency queue must
-/// stay consistent whichever side wins each step — the entry is gone once both
-/// settle, the invalidation is counted, and the slot is cleanly reusable.
+/// A hit (which sets the entry's CLOCK reference bit) racing an
+/// invalidation: the shard must stay consistent whichever side wins each
+/// step — the entry is gone once both settle, the invalidation is counted,
+/// and its freed slot is cleanly reusable.
 #[test]
 fn decision_cache_touch_vs_invalidate_stays_consistent() {
     let report = explore(Config::random(23, 1000), || {
@@ -84,8 +85,8 @@ fn decision_cache_touch_vs_invalidate_stays_consistent() {
             "the invalidation must win by the end"
         );
         assert_eq!(cache.stats().invalidations, 1);
-        // The recency queue holds a dead reference to `key` now; reinsertion
-        // must still work and serve the new decision.
+        // The invalidation freed `key`'s ring slot; reinsertion must reuse
+        // it and serve the new decision.
         cache.insert(key, decision(2.0));
         assert_eq!(cache.get(key).unwrap().planning_ms, 2.0);
     });

@@ -11,13 +11,15 @@
 //! Rules (enforced by `cargo xtask lint`):
 //!
 //! - concurrent modules import `Mutex`/`RwLock`/`Condvar`/atomics/`mpsc`/
-//!   `thread::spawn` from here, never from `std::sync` or `parking_lot`;
+//!   `thread::spawn` / `thread::Builder` from here, never from `std::sync` or
+//!   `parking_lot`;
 //! - `std::sync::Arc` is exempt (pure refcount, nothing to interleave), as is
-//!   `std::thread::scope` (used only on paths model tests drive via `spawn`);
-//! - a loop that hands work to threads is written once, over
-//!   `maliva_serve::queue::WorkQueue` (a `Condvar` wait over a queue), so the
-//!   model suites check the code that runs in production; outside its tests
-//!   `vizdb` spawns no threads.
+//!   `std::thread::scope` (which only tests use);
+//! - a loop that hands work to threads is written once, in
+//!   `maliva_serve::queue` (`Helpers`, persistent threads parked on a
+//!   `WorkQueue`, a `Condvar` wait over a queue), so the model suites check
+//!   the code that runs in production; outside its tests `vizdb` spawns no
+//!   threads.
 //!
 //! The facade mutexes do not expose poisoning: a panicked writer is a bug the
 //! model checker reports directly, and non-model builds recover the value.
