@@ -6,7 +6,10 @@ use crate::init::xavier_uniform;
 use crate::optim::Adam;
 use crate::ShapeError;
 
-/// A dense layer computing `y = W x + b` with `W` of shape `(out, in)`.
+/// A dense layer computing `y = W x + b` with `W` of shape `(out, in)`. It
+/// holds its parameters only; the gradients a training step accumulates live
+/// with the optimizer's state ([`DenseGrad`] in [`Adam`]), so a serialized
+/// layer is its dimensions, weights and biases.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dense {
     in_dim: usize,
@@ -14,9 +17,14 @@ pub struct Dense {
     /// Row-major weights: `weights[o * in_dim + i]`.
     weights: Vec<f64>,
     biases: Vec<f64>,
-    /// Gradients accumulated by the last backward pass.
-    grad_weights: Vec<f64>,
-    grad_biases: Vec<f64>,
+}
+
+/// The gradients [`Dense::backward`] accumulates for one layer, laid out
+/// like its weights and biases.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DenseGrad {
+    weights: Vec<f64>,
+    biases: Vec<f64>,
 }
 
 impl Dense {
@@ -27,8 +35,6 @@ impl Dense {
             out_dim,
             weights: xavier_uniform(in_dim, out_dim, seed),
             biases: vec![0.0; out_dim],
-            grad_weights: vec![0.0; in_dim * out_dim],
-            grad_biases: vec![0.0; out_dim],
         }
     }
 
@@ -77,11 +83,17 @@ impl Dense {
         Ok(())
     }
 
-    /// Backward pass for a single sample `x`: accumulates weight/bias gradients and,
-    /// when `grad_in` is given, overwrites it with the gradient with respect to `x`.
-    /// Outputs with a zero gradient (masked, or behind an inactive ReLU) add nothing
-    /// and are skipped.
-    pub fn backward(&mut self, x: &[f64], grad_out: &[f64], mut grad_in: Option<&mut Vec<f64>>) {
+    /// Backward pass for a single sample `x`: accumulates weight/bias gradients
+    /// into `grad` (shaped by [`Self::zero_grad`]) and, when `grad_in` is given,
+    /// overwrites it with the gradient with respect to `x`. Outputs with a zero
+    /// gradient (masked, or behind an inactive ReLU) add nothing and are skipped.
+    pub(crate) fn backward(
+        &self,
+        x: &[f64],
+        grad_out: &[f64],
+        grad: &mut DenseGrad,
+        mut grad_in: Option<&mut Vec<f64>>,
+    ) {
         assert_eq!(grad_out.len(), self.out_dim, "grad_output size mismatch");
         assert_eq!(x.len(), self.in_dim, "input size mismatch");
         if let Some(grad_in) = grad_in.as_deref_mut() {
@@ -89,9 +101,9 @@ impl Dense {
             grad_in.resize(self.in_dim, 0.0);
         }
         for (o, &go) in grad_out.iter().enumerate().filter(|(_, &go)| go != 0.0) {
-            self.grad_biases[o] += go;
+            grad.biases[o] += go;
             let row = o * self.in_dim..(o + 1) * self.in_dim;
-            for (g, xi) in self.grad_weights[row.clone()].iter_mut().zip(x) {
+            for (g, xi) in grad.weights[row.clone()].iter_mut().zip(x) {
                 *g += go * xi;
             }
             if let Some(grad_in) = grad_in.as_deref_mut() {
@@ -102,25 +114,31 @@ impl Dense {
         }
     }
 
-    /// Clears accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.grad_weights.iter_mut().for_each(|g| *g = 0.0);
-        self.grad_biases.iter_mut().for_each(|g| *g = 0.0);
+    /// Shapes `grad` for this layer and clears it.
+    pub(crate) fn zero_grad(&self, grad: &mut DenseGrad) {
+        for (buffer, len) in [
+            (&mut grad.weights, self.weights.len()),
+            (&mut grad.biases, self.biases.len()),
+        ] {
+            buffer.clear();
+            buffer.resize(len, 0.0);
+        }
     }
 
-    /// Applies one Adam update to the weights and biases from the gradients of the
-    /// last backward pass; `layer` keys the layer's moment estimates.
-    pub(crate) fn adam_step(&mut self, layer: usize, opt: &mut Adam) {
+    /// Applies one Adam update to the weights and biases from `grad`, the
+    /// gradients of the last backward passes; `layer` keys the layer's moment
+    /// estimates.
+    pub(crate) fn adam_step(&mut self, layer: usize, grad: &DenseGrad, opt: &mut Adam) {
         opt.step(
             layer,
             &mut self.weights,
-            &self.grad_weights,
+            &grad.weights,
             &mut self.biases,
-            &self.grad_biases,
+            &grad.biases,
         );
     }
 
-    /// Copies `other`'s weights and biases, not its gradients.
+    /// Copies `other`'s weights and biases.
     ///
     /// # Panics
     /// Panics when the two layers' parameter shapes differ.
@@ -161,14 +179,15 @@ mod tests {
 
     #[test]
     fn backward_gradients_match_finite_differences() {
-        let mut layer = Dense::new(3, 2, 9);
+        let layer = Dense::new(3, 2, 9);
         let input = [0.5, -1.0, 2.0];
         let grad_out = [1.0, -0.5];
 
-        layer.zero_grad();
+        let mut grad = DenseGrad::default();
+        layer.zero_grad(&mut grad);
         let out_base = forward(&layer, &input);
-        layer.backward(&input, &grad_out, None);
-        let grads = [&layer.grad_weights[..], &layer.grad_biases[..]].concat();
+        layer.backward(&input, &grad_out, &mut grad, None);
+        let grads = [&grad.weights[..], &grad.biases[..]].concat();
 
         // Finite differences over a few parameters.
         let eps = 1e-6;
@@ -191,14 +210,15 @@ mod tests {
 
     #[test]
     fn backward_input_gradient_matches_finite_differences() {
-        let mut layer = Dense::new(3, 2, 4);
+        let layer = Dense::new(3, 2, 4);
         let input = [0.3, 0.7, -0.2];
         let grad_out = [0.8, 1.2];
         let base = forward(&layer, &input);
         let scalar = |out: &[f64]| out[0] * grad_out[0] + out[1] * grad_out[1];
-        layer.zero_grad();
+        let mut grad = DenseGrad::default();
+        layer.zero_grad(&mut grad);
         let mut grad_in = Vec::new();
-        layer.backward(&input, &grad_out, Some(&mut grad_in));
+        layer.backward(&input, &grad_out, &mut grad, Some(&mut grad_in));
         let eps = 1e-6;
         for i in 0..3 {
             let mut x = input;
@@ -210,27 +230,36 @@ mod tests {
 
     #[test]
     fn zero_grad_resets_accumulation() {
-        let mut layer = Dense::new(2, 2, 1);
-        layer.backward(&[1.0, 1.0], &[1.0, 1.0], None);
-        layer.zero_grad();
-        let mut grads = layer.grad_weights.iter().chain(&layer.grad_biases);
-        assert!(grads.all(|&g| g == 0.0));
+        let layer = Dense::new(2, 2, 1);
+        let mut grad = DenseGrad::default();
+        layer.zero_grad(&mut grad);
+        layer.backward(&[1.0, 1.0], &[1.0, 1.0], &mut grad, None);
+        assert!(grad.weights.iter().chain(&grad.biases).any(|&g| g != 0.0));
+        layer.zero_grad(&mut grad);
+        assert_eq!((grad.weights.len(), grad.biases.len()), (4, 2));
+        assert!(grad.weights.iter().chain(&grad.biases).all(|&g| g == 0.0));
     }
 
-    /// A target network's sync copies weights and biases only: its own gradient
-    /// fields, which the agent's JSON carries, stay as they were.
+    /// A layer serializes its dimensions, weights and biases and nothing else:
+    /// training leaves no gradient in it, so a target network's sync, which
+    /// copies weights and biases, makes it the source's equal.
     #[test]
-    fn copy_params_leaves_gradients_alone() {
-        let mut src = Dense::new(3, 2, 1);
-        src.backward(&[1.0, 2.0, 3.0], &[1.0, -1.0], None);
+    fn a_layer_serializes_its_parameters_only() {
+        let src = Dense::new(3, 2, 1);
+        let mut grad = DenseGrad::default();
+        src.zero_grad(&mut grad);
+        src.backward(&[1.0, 2.0, 3.0], &[1.0, -1.0], &mut grad, None);
         let mut dst = Dense::new(3, 2, 2);
         dst.copy_params_from(&src);
-        assert_eq!((&dst.weights, &dst.biases), (&src.weights, &src.biases));
-        assert!(dst
-            .grad_weights
+        let json = serde_json::to_value(&dst).unwrap();
+        let fields: Vec<&str> = json
+            .as_object()
+            .unwrap()
             .iter()
-            .chain(&dst.grad_biases)
-            .all(|&g| g == 0.0));
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(fields, ["in_dim", "out_dim", "weights", "biases"]);
+        assert_eq!(json, serde_json::to_value(&src).unwrap());
     }
 
     #[test]

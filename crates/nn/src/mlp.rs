@@ -126,7 +126,13 @@ impl Mlp {
         // unit's ReLU passes gradient exactly where its activation is positive.
         let mut acts = vec![Vec::new(); last + 2];
         let (mut grad, mut grad_input, mut total) = (Vec::new(), Vec::new(), 0.0);
-        self.layers.iter_mut().for_each(Dense::zero_grad);
+        // The optimizer keeps the gradient buffers; they are lent out for the
+        // batch so the Adam steps below can borrow the optimizer.
+        let mut grads = std::mem::take(&mut opt.grads);
+        grads.resize_with(self.layers.len(), Default::default);
+        for (layer, grad) in self.layers.iter().zip(&mut grads) {
+            layer.zero_grad(grad);
+        }
         for (input, action, target) in batch {
             acts[0].clear();
             acts[0].extend_from_slice(input);
@@ -151,18 +157,20 @@ impl Mlp {
                     }
                 }
                 // Nothing reads the gradient of the network's own input.
-                self.layers[i].backward(&acts[i], &grad, (i > 0).then_some(&mut grad_input));
+                let wanted = (i > 0).then_some(&mut grad_input);
+                self.layers[i].backward(&acts[i], &grad, &mut grads[i], wanted);
                 std::mem::swap(&mut grad, &mut grad_input);
             }
         }
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            layer.adam_step(i, opt);
+        for (i, (layer, grad)) in self.layers.iter_mut().zip(&grads).enumerate() {
+            layer.adam_step(i, grad, opt);
         }
+        opt.grads = grads;
         total / size
     }
 
-    /// Copies all weights and biases from `other`, but not its gradients (used for
-    /// Q-learning target networks).
+    /// Copies all weights and biases from `other` (used for Q-learning target
+    /// networks).
     ///
     /// # Panics
     /// Panics when the architectures differ.
@@ -281,8 +289,9 @@ mod tests {
     }
 
     /// A batch of one is the per-experience step this crate used to take, bit for
-    /// bit (the digest was taken with that step), a batch of one experience twice
-    /// takes the same update, and Adam counts one step per batch.
+    /// bit (the digest was taken with that step, over the network's dimensions,
+    /// weights and biases), a batch of one experience twice takes the same
+    /// update, and Adam counts one step per batch.
     #[test]
     fn a_batch_takes_one_adam_step_on_the_mean_gradient() {
         let (mut one, mut twice) = (Mlp::new(&[5, 6, 6, 3], 11), Mlp::new(&[5, 6, 6, 3], 11));
@@ -295,7 +304,7 @@ mod tests {
         }
         let fnv = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         let digest = format!("{one:?}").bytes().fold(0xcbf2_9ce4_8422_2325, fnv);
-        assert_eq!(digest, 1_310_865_543_072_322_666);
+        assert_eq!(digest, 5_980_802_190_311_076_302);
         let state = |net: &Mlp, opt: &Adam| format!("{net:?}{opt:?}");
         assert_eq!(state(&one, &opt_one), state(&twice, &opt_twice));
         assert!(opt_one.state.iter().all(|layer| layer.t == 40));

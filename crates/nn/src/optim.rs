@@ -1,6 +1,10 @@
 //! The Adam optimizer.
 
-/// Adam optimizer (Kingma & Ba) with per-layer first/second moment state.
+use crate::linear::DenseGrad;
+
+/// Adam optimizer (Kingma & Ba) with per-layer first/second moment state, and
+/// the per-layer gradient buffers a minibatch step accumulates into: training
+/// state, kept out of the network and so out of its serialized form.
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.
@@ -12,6 +16,8 @@ pub struct Adam {
     /// Numerical-stability constant.
     pub epsilon: f64,
     pub(crate) state: Vec<AdamState>,
+    /// Each layer's gradients of the current minibatch.
+    pub(crate) grads: Vec<DenseGrad>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -30,6 +36,7 @@ impl Adam {
             beta2: 0.999,
             epsilon: 1e-8,
             state: Vec::new(),
+            grads: Vec::new(),
         }
     }
 
