@@ -228,15 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_is_deterministic_per_seed() {
-        let a = build_twitter(DatasetScale::tiny(), 7);
-        let b = build_twitter(DatasetScale::tiny(), 7);
-        assert_eq!(a.seeds.len(), b.seeds.len());
-        assert_eq!(a.seeds[0].timestamp, b.seeds[0].timestamp);
-        assert_eq!(a.seeds[0].keyword, b.seeds[0].keyword);
-    }
-
-    #[test]
     fn coordinates_are_clustered() {
         let ds = build_twitter(DatasetScale::tiny(), 3);
         // A small box around New York should hold far more than its area share.
