@@ -283,10 +283,16 @@ impl Database {
     /// like its `build_index` / `build_sample` siblings, instead of panicking.
     pub fn register_table(&mut self, table: Table) -> Result<()> {
         let stats = TableStats::analyze(&table)?;
+        self.register_analyzed(table, stats);
+        Ok(())
+    }
+
+    /// Registers `table` with `stats` already collected from it (a replica of a
+    /// table whose statistics another database holds).
+    pub(crate) fn register_analyzed(&mut self, table: Table, stats: TableStats) {
         let name = table.name().to_string();
         self.tables.insert(name, TableEntry::new(table, stats));
         self.invalidate();
-        Ok(())
     }
 
     /// The raw storage of `table` (used by the sharded backend to partition a

@@ -30,25 +30,21 @@ impl InvertedIndex {
     /// Builds the index from an iterator of per-row token slices (row id =
     /// iteration order), e.g. a CSR-flattened [`crate::storage::TextColumn`].
     /// A token repeated within one row adds that row once.
+    ///
+    /// Row lists are gathered by token id ([`RowLists`]): a dictionary's ids
+    /// are dense, so each posting is an index into a vector, not a hash-map
+    /// entry.
     pub fn from_docs<'a>(docs: impl Iterator<Item = &'a [TokenId]>) -> Self {
-        let mut lists: HashMap<TokenId, Vec<RecordId>> = HashMap::new();
+        let mut lists = RowLists::default();
         let mut indexed_rows = 0usize;
         for (rid, tokens) in docs.enumerate() {
             indexed_rows += 1;
-            let rid = rid as RecordId;
             for &t in tokens {
-                let list = lists.entry(t).or_default();
-                if list.last() != Some(&rid) {
-                    list.push(rid);
-                }
+                lists.push(t, rid as RecordId);
             }
         }
-        let postings = lists
-            .into_iter()
-            .map(|(t, rids)| (t, PostingList::encode(&rids)))
-            .collect();
         Self {
-            postings,
+            postings: lists.encode(),
             indexed_rows,
         }
     }
@@ -94,6 +90,64 @@ impl InvertedIndex {
     /// Exact number of rows containing `token` — available without decoding.
     pub fn count(&self, token: TokenId) -> usize {
         self.doc_freq(token)
+    }
+}
+
+/// Ids the dense row lists may reach beyond twice the postings pushed.
+const DENSE_SLACK: usize = 4096;
+
+/// Each token's row ids, gathered in push order.
+///
+/// Lists live in a vector indexed by token id while the ids stay within
+/// `2 × postings + DENSE_SLACK`, which a dictionary's dense ids always do;
+/// a token far above that (a hostile `u32::MAX`) goes to a hash map, so the
+/// vector never grows past a multiple of the input it has seen. When the
+/// vector grows, the hash map's lists below its new length move into it.
+#[derive(Default)]
+struct RowLists {
+    dense: Vec<Vec<RecordId>>,
+    sparse: HashMap<TokenId, Vec<RecordId>>,
+    postings: usize,
+}
+
+impl RowLists {
+    /// Adds row `rid` to `token`'s list, once per row (rows arrive in order).
+    fn push(&mut self, token: TokenId, rid: RecordId) {
+        self.postings += 1;
+        let t = token as usize;
+        if t >= self.dense.len() && t < 2 * self.postings + DENSE_SLACK {
+            let len = (t + 1)
+                .max(2 * self.dense.len())
+                .min(2 * self.postings + DENSE_SLACK);
+            self.dense.resize_with(len, Vec::new);
+            let dense = &mut self.dense;
+            self.sparse
+                .retain(|&k, rows| match dense.get_mut(k as usize) {
+                    Some(slot) => {
+                        *slot = std::mem::take(rows);
+                        false
+                    }
+                    None => true,
+                });
+        }
+        let list = match self.dense.get_mut(t) {
+            Some(list) => list,
+            None => self.sparse.entry(token).or_default(),
+        };
+        if list.last() != Some(&rid) {
+            list.push(rid);
+        }
+    }
+
+    /// Every non-empty list, encoded.
+    fn encode(self) -> HashMap<TokenId, PostingList> {
+        let dense = self.dense.into_iter().enumerate();
+        dense
+            .map(|(t, rows)| (t as TokenId, rows))
+            .chain(self.sparse)
+            .filter(|(_, rows)| !rows.is_empty())
+            .map(|(t, rows)| (t, PostingList::encode(&rows)))
+            .collect()
     }
 }
 
@@ -149,6 +203,39 @@ mod tests {
         let (bits, stats) = idx.lookup_bitmap(1);
         assert_eq!(bits.to_vec(), vec![0]);
         assert_eq!(stats.matches, 1);
+    }
+
+    /// A token id far above the rest (`u32::MAX`) answers the same lookups
+    /// without growing the dense lists to it, and a sparse token that the
+    /// dense lists later reach keeps all of its rows.
+    #[test]
+    fn far_token_ids_stay_out_of_the_dense_lists() {
+        let far = u32::MAX;
+        let docs: Vec<Vec<TokenId>> = (0..20_000u32)
+            .map(|i| match i % 4 {
+                0 => vec![0, 9_000, far],
+                1 => vec![1],
+                2 => vec![2, far],
+                _ => vec![i / 2],
+            })
+            .collect();
+        let mut lists = RowLists::default();
+        for (rid, doc) in docs.iter().enumerate() {
+            for &t in doc {
+                lists.push(t, rid as RecordId);
+            }
+            assert!(lists.dense.len() <= 2 * lists.postings + DENSE_SLACK);
+        }
+        assert!(lists.dense.len() <= 40_000);
+        let idx = InvertedIndex::build(&docs);
+        for token in [0, 1, 2, 9_000, 4_999, far, far - 1] {
+            let expected: Vec<RecordId> = (0..docs.len() as RecordId)
+                .filter(|&r| docs[r as usize].contains(&token))
+                .collect();
+            assert_eq!(idx.lookup(token).0, expected, "token {token}");
+            assert_eq!(idx.lookup_bitmap(token).0.to_vec(), expected);
+            assert_eq!(idx.count(token), expected.len());
+        }
     }
 
     #[test]

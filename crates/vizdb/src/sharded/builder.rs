@@ -62,7 +62,13 @@ impl ShardedBackendBuilder {
     /// derived from their statistics (see [`super::tiles`]), geo-less tables are
     /// replicated into every shard.
     pub fn register_table(&mut self, table: &Table) -> Result<()> {
-        let stats = TableStats::analyze(table)?;
+        self.register(table, TableStats::analyze(table)?)
+    }
+
+    /// [`Self::register_table`] with `table`'s statistics already collected:
+    /// a mirror takes them from its source database, and each replica of a
+    /// geo-less table gets a copy instead of analysing the same rows again.
+    fn register(&mut self, table: &Table, stats: TableStats) -> Result<()> {
         let name = table.name().to_string();
         let n = self.shards.len();
         let geo_attr = table
@@ -74,8 +80,8 @@ impl ShardedBackendBuilder {
 
         let partition = match geo_attr {
             Some(attr) => {
-                // Geo extent from the (freshly analyzed) table statistics —
-                // the same statistics a coordinator node would have.
+                // Geo extent from the whole table's statistics — the same
+                // statistics a coordinator node would have.
                 let bounds = match stats.column(attr) {
                     Some(crate::stats::ColumnStats::Geo(geo)) => geo.bounds,
                     _ => {
@@ -93,7 +99,7 @@ impl ShardedBackendBuilder {
             }
             None => {
                 for shard in &mut self.shards {
-                    shard.register_table(table.clone())?;
+                    shard.register_analyzed(table.clone(), stats.clone());
                 }
                 TablePartition::replicated(table.row_count(), n)
             }
@@ -179,7 +185,7 @@ impl ShardedBackendBuilder {
         }
         let mut builder = Self::new(db.config().clone(), shards);
         for name in db.table_names() {
-            builder.register_table(db.table(&name)?)?;
+            builder.register(db.table(&name)?, db.stats(&name)?.clone())?;
         }
         for name in db.table_names() {
             let schema = db.table(&name)?.schema().clone();

@@ -309,31 +309,42 @@ impl Table {
     }
 
     /// Builds a new table (same schema and name) containing only the rows in `keep`,
-    /// in the given order. Text documents are re-interned into a fresh dictionary so
+    /// in the given order, with a fresh dictionary of the subset's own words, so
     /// per-document frequencies — and therefore the statistics derived from them —
     /// describe the subset, not the source table. Used by the sharded backend to
     /// spatially partition a loaded table into self-contained per-region tables.
+    ///
+    /// Each source token id maps to its subset id through a table indexed by the
+    /// source id: a word is interned once, at its first occurrence (text columns
+    /// in schema order, then rows in `keep` order, then each document's tokens
+    /// in order), so the subset's ids follow first-seen order, and every later
+    /// occurrence is one lookup. A remapped document is re-sorted, since the
+    /// new ids need not keep the source ids' order.
     pub fn subset(&self, keep: &[RecordId]) -> Result<Table> {
         let mut dictionary = Dictionary::new();
+        let mut remap: Vec<Option<TokenId>> = vec![None; self.dictionary.len()];
+        let mut tokens: Vec<TokenId> = Vec::new();
         let columns = self.gather(keep, |docs| {
             let mut subset_docs = TextColumn::new();
             for &r in keep {
-                let mut tokens: Vec<TokenId> = docs
-                    .doc(r as usize)
-                    .unwrap_or_default()
-                    .iter()
-                    .map(|&t| {
-                        let word = self.dictionary.word(t).ok_or_else(|| {
-                            Error::Internal(format!(
-                                "token {t} of table {} has no dictionary entry",
-                                self.name()
-                            ))
-                        })?;
-                        Ok(dictionary.intern(word))
-                    })
-                    .collect::<Result<_>>()?;
-                // Documents store sorted token lists (membership checks are
-                // binary searches); re-interning changes the id order.
+                tokens.clear();
+                for &t in docs.doc(r as usize).unwrap_or_default() {
+                    let id = match remap.get(t as usize).copied().flatten() {
+                        Some(id) => id,
+                        None => {
+                            let word = self.dictionary.word(t).ok_or_else(|| {
+                                Error::Internal(format!(
+                                    "token {t} of table {} has no dictionary entry",
+                                    self.name()
+                                ))
+                            })?;
+                            let id = dictionary.intern(word);
+                            remap[t as usize] = Some(id);
+                            id
+                        }
+                    };
+                    tokens.push(id);
+                }
                 tokens.sort_unstable();
                 tokens.dedup();
                 for &t in &tokens {
@@ -467,24 +478,57 @@ impl RowWriter<'_> {
         }
     }
 
-    /// Sets a text column by name from whitespace-separated words. Words are interned
-    /// in the table dictionary; duplicate words within one document are deduplicated.
+    /// Sets a text column by name from a document's words. Words are interned
+    /// in the table dictionary, in order; duplicate words within one document are
+    /// deduplicated.
     pub fn set_text(&mut self, column: &str, words: &[&str]) {
+        let mut doc = std::mem::take(&mut self.builder.doc);
+        doc.clear();
+        doc.extend(words.iter().map(|w| self.builder.dictionary.intern(w)));
+        self.push_doc(column, doc);
+    }
+
+    /// Interns `word` in the table dictionary and returns its token id; a new
+    /// word gets the next id. A loader that draws documents from a fixed
+    /// vocabulary interns each word once and passes ids to
+    /// [`RowWriter::set_tokens`], instead of hashing every occurrence.
+    pub fn intern(&mut self, word: &str) -> TokenId {
+        self.builder.dictionary.intern(word)
+    }
+
+    /// Sets a text column by name from a document's token ids, each returned by
+    /// [`RowWriter::intern`] (in any order, duplicates allowed): the same document
+    /// [`RowWriter::set_text`] stores for those ids' words.
+    ///
+    /// # Panics
+    /// If the column is not a Text column, or a token is not in the dictionary.
+    pub fn set_tokens(&mut self, column: &str, tokens: &[TokenId]) {
+        let words = self.builder.dictionary.len();
+        assert!(
+            tokens.iter().all(|&t| (t as usize) < words),
+            "a token of column {column} is not in the dictionary"
+        );
+        let mut doc = std::mem::take(&mut self.builder.doc);
+        doc.clear();
+        doc.extend_from_slice(tokens);
+        self.push_doc(column, doc);
+    }
+
+    /// Sorts and deduplicates `doc`, counts its tokens' document frequencies and
+    /// appends it to `column`, then keeps `doc`'s buffer for the next row.
+    fn push_doc(&mut self, column: &str, mut doc: Vec<TokenId>) {
         let idx = self.builder.column_index(column);
-        let mut tokens: Vec<TokenId> = words
-            .iter()
-            .map(|w| self.builder.dictionary.intern(w))
-            .collect();
-        tokens.sort_unstable();
-        tokens.dedup();
-        for &t in &tokens {
+        doc.sort_unstable();
+        doc.dedup();
+        for &t in &doc {
             self.builder.dictionary.bump_doc_freq(t);
         }
         if let ColumnData::Text(v) = &mut self.builder.columns[idx] {
-            v.push_doc(&tokens);
+            v.push_doc(&doc);
         } else {
             panic!("column {column} is not a Text column");
         }
+        self.builder.doc = doc;
     }
 }
 
@@ -495,6 +539,8 @@ pub struct TableBuilder {
     columns: Vec<ColumnData>,
     dictionary: Dictionary,
     rows: usize,
+    /// The text setters' token buffer, reused from row to row.
+    doc: Vec<TokenId>,
 }
 
 impl TableBuilder {
@@ -510,6 +556,7 @@ impl TableBuilder {
             columns,
             dictionary: Dictionary::new(),
             rows: 0,
+            doc: Vec::new(),
         }
     }
 
@@ -701,6 +748,50 @@ mod tests {
         for row in 0..3 {
             let doc = sub.text(3, row).unwrap();
             assert!(doc.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    /// The subset's dictionary is the one re-interning each kept document's
+    /// words by string builds: first-seen order over the kept rows in `keep`
+    /// order, with the subset's own document frequencies, and each document
+    /// the sorted list of its words' new ids.
+    #[test]
+    fn subset_interns_words_in_first_seen_order() {
+        let schema = TableSchema::new("docs").with_column("text", ColumnType::Text);
+        let mut b = TableBuilder::new(schema);
+        for words in [
+            vec!["a", "b"],
+            vec!["c"],
+            vec!["d", "c", "a"],
+            vec!["e", "b"],
+        ] {
+            b.push_row(|row| row.set_text("text", &words));
+        }
+        let t = b.build();
+        let keep = [3, 2, 0];
+        let sub = t.subset(&keep).unwrap();
+        let mut reference = Dictionary::new();
+        let mut docs = Vec::new();
+        for &r in &keep {
+            let mut doc: Vec<TokenId> = t
+                .text(0, r)
+                .unwrap()
+                .iter()
+                .map(|&tok| reference.intern(t.dictionary().word(tok).unwrap()))
+                .collect();
+            doc.sort_unstable();
+            doc.iter().for_each(|&tok| reference.bump_doc_freq(tok));
+            docs.push(doc);
+        }
+        let words = |d: &Dictionary| -> Vec<(String, u32)> {
+            (0..d.len() as TokenId)
+                .map(|id| (d.word(id).unwrap().to_string(), d.doc_freq(id)))
+                .collect()
+        };
+        assert_eq!(words(sub.dictionary()), words(&reference));
+        assert_eq!(sub.dictionary().word(0), Some("b"));
+        for (row, doc) in docs.iter().enumerate() {
+            assert_eq!(sub.text(0, row as RecordId).unwrap(), doc.as_slice());
         }
     }
 

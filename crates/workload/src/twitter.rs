@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use vizdb::schema::{ColumnType, TableSchema};
 use vizdb::storage::TableBuilder;
-use vizdb::types::{GeoPoint, GeoRect};
+use vizdb::types::{GeoPoint, GeoRect, TokenId};
 use vizdb::{Database, DbConfig};
 
 use crate::scale::DatasetScale;
@@ -70,11 +70,16 @@ pub fn build_twitter_with_config(scale: DatasetScale, seed: u64, mut config: DbC
     let mut seeds: Vec<SeedRecord> = Vec::new();
     let seed_every = (scale.rows / 1_000).max(1);
     let us = us_extent();
+    let mut doc = Vec::new();
+    // Each corpus word's token id, interned at the word's first occurrence, so
+    // the dictionary assigns ids in the order `set_text` would.
+    let mut token_of: Vec<Option<TokenId>> = vec![None; corpus.word_count()];
+    let mut tokens: Vec<TokenId> = Vec::new();
 
     for i in 0..scale.rows as i64 {
         let timestamp = rng.gen_range(TIME_START..TIME_END);
         let point = sample_point(&mut rng, &us);
-        let doc = corpus.sample_document(&mut rng, 9);
+        corpus.sample_document(&mut rng, 9, &mut doc);
         let statuses = sample_heavy_tail(&mut rng, 20_000.0);
         let followers = sample_heavy_tail(&mut rng, 100_000.0);
         let user_id = rng.gen_range(0..scale.dim_rows as i64);
@@ -92,8 +97,12 @@ pub fn build_twitter_with_config(scale: DatasetScale, seed: u64, mut config: DbC
             row.set_int("id", i);
             row.set_timestamp("created_at", timestamp);
             row.set_geo("coordinates", point.lon, point.lat);
-            let words: Vec<&str> = doc.iter().map(String::as_str).collect();
-            row.set_text("text", &words);
+            tokens.clear();
+            for &w in &doc {
+                let token = &mut token_of[w as usize];
+                tokens.push(*token.get_or_insert_with(|| row.intern(corpus.word(w))));
+            }
+            row.set_tokens("text", &tokens);
             row.set_float("users_statuses_count", statuses);
             row.set_float("users_followers_count", followers);
             row.set_int("user_id", user_id);
