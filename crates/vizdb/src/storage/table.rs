@@ -731,6 +731,19 @@ mod tests {
         });
     }
 
+    /// A token id the dictionary never handed out would leave a document no
+    /// word resolves to, so the builder refuses it.
+    #[test]
+    #[should_panic(expected = "not in the dictionary")]
+    fn set_tokens_rejects_a_token_outside_the_dictionary() {
+        let schema = TableSchema::new("docs").with_column("text", ColumnType::Text);
+        let mut b = TableBuilder::new(schema);
+        b.push_row(|row| {
+            let a = row.intern("a");
+            row.set_tokens("text", &[a, a + 1]);
+        });
+    }
+
     #[test]
     fn subset_keeps_selected_rows_and_reinterns_text() {
         let t = sample_table();
